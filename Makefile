@@ -113,6 +113,10 @@ platform-smoke:
 # permanent fault: SPECTR+R must stay invariant-clean (exit 3
 # otherwise), every cell must end on the reconfigured rung of the FDIR
 # ladder, and the campaign summary must also be job-count-independent.
+# Part 3 — the same campaign with kill drills in half the cells: a
+# SPECTR+R manager killed and restored from its checkpoint at any rung
+# must still be invariant-clean and end all 12 cells reconfigured, with
+# a job-count-independent summary.
 # Findings (if any) are shrunk into reconfig-artifacts/, which CI
 # uploads on failure.
 reconfig-smoke:
@@ -132,6 +136,17 @@ reconfig-smoke:
 	diff /tmp/spectr-reconfig-chaos-j1.txt /tmp/spectr-reconfig-chaos-j4.txt
 	grep -q 'reconfig drills: 12 SPECTR+R cells — 12 end reconfigured' \
 	  /tmp/spectr-reconfig-chaos-j4.txt
+	SPECTR_JOBS=1 dune exec bin/spectr_cli.exe -- chaos --seed 11 --cells 12 \
+	  --variants spectr+r --kinds spike:qos:4 --max-faults 1 --kill-prob 0.5 \
+	  --reconfig-prob 1 --fail-on spectr+r --artifact-dir reconfig-artifacts \
+	  > /tmp/spectr-reconfig-kill-j1.txt
+	SPECTR_JOBS=4 dune exec bin/spectr_cli.exe -- chaos --seed 11 --cells 12 \
+	  --variants spectr+r --kinds spike:qos:4 --max-faults 1 --kill-prob 0.5 \
+	  --reconfig-prob 1 --fail-on spectr+r --artifact-dir reconfig-artifacts \
+	  > /tmp/spectr-reconfig-kill-j4.txt
+	diff /tmp/spectr-reconfig-kill-j1.txt /tmp/spectr-reconfig-kill-j4.txt
+	grep -q 'reconfig drills: 12 SPECTR+R cells — 12 end reconfigured' \
+	  /tmp/spectr-reconfig-kill-j4.txt
 
 # What CI runs.
 check: build fmt test obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke

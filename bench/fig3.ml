@@ -34,10 +34,7 @@ let run_controller ~label ~q_y =
     fps.(t) <- obs.Soc.qos_rate;
     power.(t) <- big_power;
     let u = Mimo.step ctrl ~measured:[| obs.Soc.qos_rate; big_power |] in
-    let (_ : Spectr.Manager.applied) =
-      Spectr.Manager.apply_cluster soc big ~freq_ghz:u.(0) ~cores:u.(1)
-    in
-    ()
+    Spectr.Manager.apply_cluster soc big ~freq_ghz:u.(0) ~cores:u.(1)
   done;
   (time, fps, power)
 

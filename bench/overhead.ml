@@ -23,12 +23,7 @@ let make_tests () =
     | [ big; fs ] -> (big, fs)
     | _ -> assert false
   in
-  let goals =
-    [
-      { Spectr.Design_flow.label = "qos"; q_y = Spectr.Mm.qos_weights };
-      { Spectr.Design_flow.label = "power"; q_y = Spectr.Mm.power_weights };
-    ]
-  in
+  let goals = Spectr.Mm.goals in
   let gains =
     match Spectr.Design_flow.design_gains ident_big goals with
     | Ok g -> g

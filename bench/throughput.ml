@@ -210,12 +210,7 @@ let batch_section one_shot_rate =
       warm_rate;
     (* Pre-refactor shape: fresh managers per cell, gain design
        uncached.  One emulated cell is enough — design dominates. *)
-    let goals =
-      [
-        { Spectr.Design_flow.label = "qos"; q_y = Spectr.Mm.qos_weights };
-        { Spectr.Design_flow.label = "power"; q_y = Spectr.Mm.power_weights };
-      ]
-    in
+    let goals = Spectr.Mm.goals in
     let ident_big = Spectr.Design_flow.identify Spectr.Design_flow.Big_2x2 in
     let ident_little =
       Spectr.Design_flow.identify Spectr.Design_flow.Little_2x2

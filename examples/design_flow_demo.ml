@@ -53,12 +53,7 @@ let () =
     [ ("big:", big); ("little:", little) ];
 
   step 6 "declare the <goal, condition> pairs (Q priorities)";
-  let goals =
-    [
-      { Design_flow.label = "qos"; q_y = Mm.qos_weights };
-      { Design_flow.label = "power"; q_y = Mm.power_weights };
-    ]
-  in
+  let goals = Mm.goals in
   List.iter
     (fun g ->
       Printf.printf "  %-6s Q = [%s]\n" g.Design_flow.label
@@ -105,15 +100,10 @@ let () =
     let powers = Soc.sensor_powers soc in
     let u = Spectr_control.Mimo.step big_ctrl
         ~measured:[| obs.Soc.qos_rate; powers.(0) |] in
-    let (_ : Manager.applied) =
-      Manager.apply_cluster soc 0 ~freq_ghz:u.(0) ~cores:u.(1)
-    in
+    Manager.apply_cluster soc 0 ~freq_ghz:u.(0) ~cores:u.(1);
     let ul = Spectr_control.Mimo.step little_ctrl
         ~measured:[| (Soc.ips_totals soc).(1) /. 1e9; powers.(1) |] in
-    let (_ : Manager.applied) =
-      Manager.apply_cluster soc 1 ~freq_ghz:ul.(0) ~cores:ul.(1)
-    in
-    ()
+    Manager.apply_cluster soc 1 ~freq_ghz:ul.(0) ~cores:ul.(1)
   done;
   Printf.printf "  after 5 s: QoS %.1f (ref 60.0), chip power %.2f W\n"
     (Soc.true_qos_rate soc) (Soc.true_chip_power soc);

@@ -1,16 +1,36 @@
 type transition = { src : string; event : Event.t; dst : string }
 
+(* A compute-once cell any number of domains may force at once — a
+   [Lazy.t] forced from two domains together raises
+   [CamlinternalLazy.Undefined].  Racing domains may each run the pure
+   [f]; the first result published wins, and [f] is dropped with it. *)
+module Once = struct
+  type 'a state = Pending of (unit -> 'a) | Done of 'a
+  type 'a t = 'a state Atomic.t
+
+  let make f = Atomic.make (Pending f)
+  let of_val v = Atomic.make (Done v)
+
+  let force t =
+    match Atomic.get t with
+    | Done v -> v
+    | Pending f as pending -> (
+        let v = f () in
+        if Atomic.compare_and_set t pending (Done v) then v
+        else match Atomic.get t with Done won -> won | Pending _ -> v)
+end
+
 (* Index-native core: δ is CSR — [row] holds per-state offsets into the
    parallel [ev]/[dst] arrays, each row sorted by event id so a lookup is
    a binary search with zero hashing.  Names are a boundary concern:
-   [names] (and the name→index table derived from it) is lazy, so
-   algorithm outputs built with [of_indexed] never materialize names
-   unless a name-based accessor is actually used. *)
+   [names] (and the name→index table derived from it) is computed on
+   first use, so algorithm outputs built with [of_indexed] never
+   materialize names unless a name-based accessor is actually used. *)
 type t = {
   name : string;
   n : int;
-  names : string array Lazy.t;
-  index : (string, int) Hashtbl.t Lazy.t;
+  names : string array Once.t;
+  index : (string, int) Hashtbl.t Once.t;
   alphabet : Event.Set.t;
   decode : (int, Event.t) Hashtbl.t; (* alphabet events keyed by id *)
   row : int array; (* length n+1 *)
@@ -26,12 +46,12 @@ let name a = a.name
 let alphabet a = a.alphabet
 let num_states a = a.n
 let num_transitions a = Array.length a.ev
-let states a = Array.to_list (Lazy.force a.names)
-let initial a = (Lazy.force a.names).(a.initial)
+let states a = Array.to_list (Once.force a.names)
+let initial a = (Once.force a.names).(a.initial)
 let initial_index a = a.initial
 
 let index_of_state a s =
-  match Hashtbl.find_opt (Lazy.force a.index) s with
+  match Hashtbl.find_opt (Once.force a.index) s with
   | Some i -> i
   | None ->
       invalid_arg (Printf.sprintf "Automaton %s: unknown state %S" a.name s)
@@ -39,9 +59,9 @@ let index_of_state a s =
 let state_of_index a i =
   if i < 0 || i >= a.n then
     invalid_arg (Printf.sprintf "Automaton %s: index %d out of range" a.name i);
-  (Lazy.force a.names).(i)
+  (Once.force a.names).(i)
 
-let mem_state a s = Hashtbl.mem (Lazy.force a.index) s
+let mem_state a s = Hashtbl.mem (Once.force a.index) s
 let is_marked_index a i = a.marked.(i)
 let is_forbidden_index a i = a.forbidden.(i)
 let is_marked a s = a.marked.(index_of_state a s)
@@ -104,7 +124,7 @@ let fold_transitions f a acc =
   !acc
 
 let transitions a =
-  let names = Lazy.force a.names in
+  let names = Once.force a.names in
   List.rev
     (fold_transitions
        (fun s e d acc ->
@@ -118,9 +138,9 @@ let make_decode alphabet =
   Event.Set.iter (fun e -> Hashtbl.replace h (Event.id e) e) alphabet;
   h
 
-let make_index name n names_lazy =
-  lazy
-    (let names = Lazy.force names_lazy in
+let make_index name n names_once =
+  Once.make (fun () ->
+     let names = Once.force names_once in
      let h = Hashtbl.create (2 * n) in
      Array.iteri
        (fun i s ->
@@ -202,9 +222,9 @@ let of_indexed_arrays ~name ~names ~alphabet ~initial ~marked ~forbidden ~src
     invalid_arg
       (Printf.sprintf "Automaton.of_indexed %s: initial %d out of range" name
          initial);
-  let names_lazy =
-    lazy
-      (let a = names () in
+  let names_once =
+    Once.make (fun () ->
+       let a = names () in
        if Array.length a <> n then
          invalid_arg
            (Printf.sprintf
@@ -221,8 +241,8 @@ let of_indexed_arrays ~name ~names ~alphabet ~initial ~marked ~forbidden ~src
   {
     name;
     n;
-    names = names_lazy;
-    index = make_index name n names_lazy;
+    names = names_once;
+    index = make_index name n names_once;
     alphabet;
     decode = make_decode alphabet;
     row;
@@ -245,9 +265,9 @@ let of_indexed ~name ~names ~alphabet ~initial ~marked ~forbidden trans =
     invalid_arg
       (Printf.sprintf "Automaton.of_indexed %s: initial %d out of range" name
          initial);
-  let names_lazy =
-    lazy
-      (let a = names () in
+  let names_once =
+    Once.make (fun () ->
+       let a = names () in
        if Array.length a <> n then
          invalid_arg
            (Printf.sprintf
@@ -264,8 +284,8 @@ let of_indexed ~name ~names ~alphabet ~initial ~marked ~forbidden trans =
   {
     name;
     n;
-    names = names_lazy;
-    index = make_index name n names_lazy;
+    names = names_once;
+    index = make_index name n names_once;
     alphabet;
     decode = make_decode alphabet;
     row;
@@ -365,8 +385,8 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
   {
     name;
     n;
-    names = Lazy.from_val state_names;
-    index = Lazy.from_val index;
+    names = Once.of_val state_names;
+    index = Once.of_val index;
     alphabet = !events;
     decode = make_decode !events;
     row;
@@ -451,7 +471,7 @@ let restrict_indices a keep =
             end)
     done;
     let names () =
-      let parent = Lazy.force a.names in
+      let parent = Once.force a.names in
       Array.map (fun old -> parent.(old)) old_of_new
     in
     Some
@@ -463,12 +483,12 @@ let restrict_indices a keep =
   end
 
 let restrict_states a ~keep =
-  restrict_indices a (Array.map keep (Lazy.force a.names))
+  restrict_indices a (Array.map keep (Once.force a.names))
 
 let rename a name = { a with name; digest = None }
 
 let relabel_states a f =
-  let names = Lazy.force a.names in
+  let names = Once.force a.names in
   let seen = Hashtbl.create 16 in
   Array.iter
     (fun s ->
@@ -540,7 +560,7 @@ let structural_digest a =
         Buffer.add_string b s
       in
       add a.name;
-      let names = Lazy.force a.names in
+      let names = Once.force a.names in
       Buffer.add_string b (string_of_int a.n);
       Array.iter add names;
       Buffer.add_string b (string_of_int a.initial);

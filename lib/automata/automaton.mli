@@ -74,7 +74,9 @@ val of_indexed :
     automaton over states [0 .. Array.length marked - 1] directly from
     index-space data: [trans] is (src index, {!Event.id}, dst index)
     triples, [names] is only run — once, memoized — when a name-based
-    accessor is first used.
+    accessor is first used.  Name accessors are safe to call from
+    several domains at once; domains racing on the first use may each
+    run [names], so it must be pure.
 
     Unlike {!create} it performs no string interning and no state
     collection, only a cheap nondeterminism scan after the CSR sort.  The

@@ -9,7 +9,8 @@
    one manager per (domain, variant), built on first checkout, with a
    pristine checkpoint taken immediately after construction.  Every
    later checkout restores the pristine checkpoint — snapshot/restore
-   is complete-state in every layer (Supervisor, Mimo, Pid, Guarded),
+   is complete-state in every layer (Supervisor, Mimo, Pid, Guarded,
+   Fdir, and the reconfiguration rung and degraded description),
    so a reset manager is observationally identical to a fresh one; the
    batch-vs-one-shot digest tests pin exactly that.
 
@@ -18,33 +19,38 @@
    sweep (Parmap over Pool domains) and each worker transparently warms
    its own slot set.  The design cache underneath is single-flight, so
    concurrent first checkouts across domains still run each
-   identification experiment once. *)
+   identification experiment once.
+
+   The slot tables hang off one process-wide key, shared by every arena:
+   a key is never reclaimed, so a key per [create] would pin each
+   domain's warm managers for the life of the process.  Sharing is safe
+   because a checkout is a reset — whichever arena built a slot, the
+   pristine checkpoint is the same. *)
 
 type slot = {
   sl_mgr : Spectr.Manager.t;
   sl_sup : Spectr.Supervisor.t option;
   sl_guards : Spectr.Guarded.t option;
+  sl_handle : Spectr.Spectr_manager.Reconfig.handle option;
   sl_pristine : Spectr.Manager.checkpoint;
   sl_restore : Spectr.Manager.checkpoint -> unit;
 }
 
-type t = {
-  slots : (Campaign.variant, slot) Hashtbl.t Domain.DLS.key;
-  mutable checkouts : int; (* diagnostic; racy under parallel sweeps *)
-}
+let slots : (Campaign.variant, slot) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-let create () =
-  { slots = Domain.DLS.new_key (fun () -> Hashtbl.create 8); checkouts = 0 }
+type t = { mutable checkouts : int (* diagnostic; racy under parallel sweeps *) }
 
+let create () = { checkouts = 0 }
 let checkouts t = t.checkouts
 
 let checkout t variant =
   t.checkouts <- t.checkouts + 1;
-  let slots = Domain.DLS.get t.slots in
+  let slots = Domain.DLS.get slots in
   match Hashtbl.find_opt slots variant with
   | Some s ->
       s.sl_restore s.sl_pristine;
-      (s.sl_mgr, s.sl_sup, s.sl_guards, None)
+      (s.sl_mgr, s.sl_sup, s.sl_guards, s.sl_handle)
   | None ->
       let mgr, sup, guards, handle = Campaign.make_manager variant in
       (match mgr.Spectr.Manager.persist with
@@ -54,13 +60,12 @@ let checkout t variant =
               sl_mgr = mgr;
               sl_sup = sup;
               sl_guards = guards;
+              sl_handle = handle;
               sl_pristine = p.Spectr.Manager.snapshot ();
               sl_restore = p.Spectr.Manager.restore;
             }
       | None ->
           (* No persistence hook means no way to reset state between
-             cells; such a manager is simply rebuilt every checkout.
-             SPECTR+R lands here by design: the supervised description
-             itself is runtime state, so a warm slot cannot be reset. *)
+             cells; such a manager is simply rebuilt every checkout. *)
           ());
       (mgr, sup, guards, handle)

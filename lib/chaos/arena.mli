@@ -24,9 +24,10 @@ val checkout :
     just-constructed state.  The first checkout per (domain, variant)
     builds the manager (gain design is shared process-wide underneath);
     later checkouts restore the pristine checkpoint.  Invalidates
-    whatever the previous checkout of this variant returned.
-    Persist-less variants ([Spectr_r]) cannot be warmed and are rebuilt
-    on every checkout. *)
+    whatever the previous checkout of this variant on this domain
+    returned — from any arena: the slots are shared process-wide.
+    Every shipped variant, [Spectr_r] included, checkpoints and so is
+    warmed; a persist-less manager would be rebuilt on every checkout. *)
 
 val checkouts : t -> int
 (** Total checkouts served (diagnostic; approximate under parallel

@@ -29,10 +29,10 @@ let platform_of = function
   | Big_2x2 | Little_2x2 | Fs_4x2 | Large_10x10 -> Platform_desc.exynos5422
   | Cluster_2x2 (p, _) -> p
 
-let exynos_digest = lazy (Platform_desc.digest Platform_desc.exynos5422)
-
-let is_reference_platform p =
-  Platform_desc.digest p = Lazy.force exynos_digest
+(* Computed at module initialization, not lazily: a [Lazy.t] forced
+   from two domains at once raises [CamlinternalLazy.Undefined]. *)
+let exynos_digest = Platform_desc.digest Platform_desc.exynos5422
+let is_reference_platform p = Platform_desc.digest p = exynos_digest
 
 (* The per-cluster subsystem of a description, routed through the
    hard-wired Exynos variants when the description *is* the Exynos —

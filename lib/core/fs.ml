@@ -23,22 +23,12 @@ let make ?(seed = 17L) () =
     Mimo.step_into ctrl ~measured:meas ~dst:u;
     (* Exynos cluster indices: FS is identified on the reference
        big.LITTLE platform only (Scenario rejects it elsewhere). *)
-    Manager.apply_cluster_quiet soc 0 ~freq_ghz:u.(0) ~cores:u.(1);
-    Manager.apply_cluster_quiet soc 1 ~freq_ghz:u.(2) ~cores:u.(3)
+    Manager.apply_cluster soc 0 ~freq_ghz:u.(0) ~cores:u.(1);
+    Manager.apply_cluster soc 1 ~freq_ghz:u.(2) ~cores:u.(3)
   in
   let persist =
-    {
-      Manager.snapshot =
-        (fun () ->
-          {
-            Manager.variant = "FS";
-            payload = Marshal.to_string (Mimo.snapshot ctrl) [];
-          });
-      restore =
-        (fun c ->
-          Manager.require_variant ~expect:"FS" c;
-          Mimo.restore ctrl
-            (Marshal.from_string c.Manager.payload 0 : Mimo.snapshot));
-    }
+    Manager.make_persist ~variant:"FS"
+      ~snapshot:(fun () -> Mimo.snapshot ctrl)
+      ~restore:(Mimo.restore ctrl)
   in
   { Manager.name = "FS"; step; persist = Some persist }

@@ -1,8 +1,4 @@
 open Spectr_platform
-
-let src = Logs.Src.create "spectr.manager" ~doc:"Actuation path"
-
-module Log = (val Logs.src_log src : Logs.LOG)
 module Obs = Spectr_obs
 
 (* Observability handles (no-ops while instrumentation is disabled). *)
@@ -26,11 +22,18 @@ type t = {
 
 (* Payloads are Marshal-ed plain data; the variant tag is what guards a
    checkpoint from being restored into the wrong manager kind. *)
-let require_variant ~expect c =
-  if c.variant <> expect then
-    invalid_arg
-      (Printf.sprintf "Manager.restore: checkpoint for %S, manager is %S"
-         c.variant expect)
+let make_persist ~variant ~snapshot ~restore =
+  {
+    snapshot =
+      (fun () -> { variant; payload = Marshal.to_string (snapshot ()) [] });
+    restore =
+      (fun c ->
+        if c.variant <> variant then
+          invalid_arg
+            (Printf.sprintf "Manager.restore: checkpoint for %S, manager is %S"
+               c.variant variant);
+        restore (Marshal.from_string c.payload 0));
+  }
 
 let magic = "SPECTRCKPT1\n"
 
@@ -70,8 +73,6 @@ let load_checkpoint ~path =
       in
       { variant; payload })
 
-type applied = { freq_mhz : int; cores : int }
-
 (* Controller outputs can be garbage (a diverged integrator, a NaN from a
    corrupted measurement).  Non-finite or negative commands must clamp to
    the nearest legal value — NaN conservatively to the low end — instead
@@ -90,11 +91,11 @@ let sanitize_cores ?(max_cores = 4) cores =
     int_of_float
       (Float.round (Float.max 1. (Float.min (float_of_int max_cores) cores)))
 
-(* Tick-path actuation: sanitize, quantize and apply, nothing else — no
-   applied-record, no log message (even an unemitted [Log.debug] call
-   allocates its message closure).  Managers that do not consume the
-   readback use this one.  [cluster] is the platform cluster index. *)
-let apply_cluster_quiet soc cluster ~freq_ghz ~cores =
+(* Sanitize, quantize and apply, nothing else — no readback record and
+   no log message (even an unemitted [Log.debug] call allocates its
+   message closure), so this is the tick-path actuation of every
+   manager.  [cluster] is the platform cluster index. *)
+let apply_cluster soc cluster ~freq_ghz ~cores =
   Obs.Counters.incr c_actuations;
   (if Obs.enabled () then
      (* Count commands in the garbage class the sanitizers exist for:
@@ -107,17 +108,3 @@ let apply_cluster_quiet soc cluster ~freq_ghz ~cores =
     (Soc.set_frequency soc cluster (sanitize_freq_mhz table freq_ghz) : int);
   Soc.set_active_cores soc cluster
     (sanitize_cores ~max_cores:(Soc.cluster_cores soc cluster) cores)
-
-let apply_cluster soc cluster ~freq_ghz ~cores =
-  apply_cluster_quiet soc cluster ~freq_ghz ~cores;
-  let applied =
-    {
-      freq_mhz = Soc.frequency soc cluster;
-      cores = Soc.active_cores soc cluster;
-    }
-  in
-  Log.debug (fun m ->
-      m "%s: commanded %.3f GHz / %.2f cores, applied %d MHz / %d cores"
-        (Platform_desc.cluster_name (Soc.platform soc) cluster)
-        freq_ghz cores applied.freq_mhz applied.cores);
-  applied

@@ -46,9 +46,14 @@ type t = {
           it. *)
 }
 
-val require_variant : expect:string -> checkpoint -> unit
-(** Helper for [restore] implementations: raise [Invalid_argument]
-    unless the checkpoint's variant tag is [expect]. *)
+val make_persist :
+  variant:string -> snapshot:(unit -> 'a) -> restore:('a -> unit) -> persist
+(** The persistence hook of a manager whose complete mutable state is the
+    plain-data value [snapshot ()] returns: the checkpoint carries it
+    [Marshal]-ed under the tag [variant], and restoring a checkpoint
+    with any other tag raises [Invalid_argument] before [restore] sees
+    the payload.  [restore] must accept exactly the type [snapshot]
+    produces. *)
 
 val save_checkpoint : path:string -> checkpoint -> unit
 (** Crash-safe checkpoint persistence: write to a temp file in the
@@ -68,25 +73,13 @@ val sanitize_cores : ?max_cores:int -> float -> int
 (** The core count a [cores] command resolves to: clamped to
     [1, max_cores] (default 4), NaN conservatively to 1. *)
 
-type applied = { freq_mhz : int; cores : int }
-(** What the platform actually did with a command: the quantized OPP
-    returned by {!Spectr_platform.Soc.set_frequency} and the core count
-    read back after gating.  Under an actuator fault these differ from
-    the request — comparing them against the expectation is how the
-    guarded manager detects stuck actuators. *)
-
-val apply_cluster : Soc.t -> int -> freq_ghz:float -> cores:float -> applied
+val apply_cluster : Soc.t -> int -> freq_ghz:float -> cores:float -> unit
 (** Helper shared by all managers: sanitize (non-finite or negative
     commands clamp to the nearest legal value, NaN conservatively to the
     low end), quantize and apply a (frequency GHz, core count) command
-    pair to one cluster — addressed by its platform description index —
-    and return what was actually applied.  Core commands clamp to the
-    cluster's physical core count.  The applied settings are logged at
-    debug level on the ["spectr.manager"] source. *)
-
-val apply_cluster_quiet : Soc.t -> int -> freq_ghz:float -> cores:float -> unit
-(** {!apply_cluster} for the tick path: identical sanitize/quantize/apply
-    behaviour, but no readback record and no debug log (whose message
-    closure allocates even when the level is off).  For managers that do
-    not consume the readback — the guarded actuation check wants
-    {!apply_cluster}. *)
+    pair to one cluster — addressed by its platform description index.
+    Core commands clamp to the cluster's physical core count.  What was
+    actually applied is read back from the platform
+    ({!Spectr_platform.Soc.frequency}, {!Spectr_platform.Soc.active_cores});
+    under an actuator fault it differs from the request, which is how
+    the guarded managers detect stuck actuators.  Allocation-free. *)

@@ -5,38 +5,40 @@ let qos_weights = [| 30.; 0.1 |]
 let power_weights = [| 0.1; 30. |]
 let little_power_budget = 0.45
 
+let goals =
+  [
+    { Design_flow.label = "qos"; q_y = qos_weights };
+    { Design_flow.label = "power"; q_y = power_weights };
+  ]
+
 let design_or_fail ~seed subsystem goals =
   match Design_flow.design_gains_for ~seed subsystem goals with
   | Ok gains -> gains
-  | Error msg -> failwith ("Mm: " ^ msg)
+  | Error msg -> failwith ("Mm.cluster_controllers: " ^ msg)
 
-let make ~label ~name ?(seed = 17L) ?(platform = Platform_desc.exynos5422) () =
+let cluster_controllers ~seed platform ~initial ~refs =
   let k = Platform_desc.num_clusters platform in
-  let host = Platform_desc.host platform in
   let subsystem_for i = Design_flow.cluster_subsystem platform i in
   let idents =
     Array.init k (fun i -> Design_flow.identify ~seed (subsystem_for i))
   in
-  let goals =
-    [
-      { Design_flow.label = "qos"; q_y = qos_weights };
-      { Design_flow.label = "power"; q_y = power_weights };
-    ]
-  in
+  Array.init k (fun i ->
+      Design_flow.build_mimo idents.(i)
+        ~gains:(design_or_fail ~seed (subsystem_for i) goals)
+        ~initial ~refs:(refs i))
+
+let make ~label ~name ?(seed = 17L) ?(platform = Platform_desc.exynos5422) () =
+  let k = Platform_desc.num_clusters platform in
+  let host = Platform_desc.host platform in
   (* A performance-oriented manager wants the secondary clusters fast
      (they absorb background work, shielding the QoS app); a
      power-oriented one wants them capped.  The priority output of the
      chosen gain set is the one that gets pinned. *)
   let secondary_gips_ref = if label = "qos" then 3.0 else 0.0 in
-  let refs_for i =
-    if i = host then [| 60.; 4. |]
-    else [| secondary_gips_ref; little_power_budget |]
-  in
   let ctrls =
-    Array.init k (fun i ->
-        Design_flow.build_mimo idents.(i)
-          ~gains:(design_or_fail ~seed (subsystem_for i) goals)
-          ~initial:label ~refs:(refs_for i))
+    cluster_controllers ~seed platform ~initial:label ~refs:(fun i ->
+        if i = host then [| 60.; 4. |]
+        else [| secondary_gips_ref; little_power_budget |])
   in
   (* The fixed budget split: each secondary cluster gets its static
      budget; the host is offered what the envelope leaves. *)
@@ -61,31 +63,19 @@ let make ~label ~name ?(seed = 17L) ?(platform = Platform_desc.exynos5422) () =
       m.(0) <- (if i = host then obs.Soc.qos_rate else ips.(i) /. 1e9);
       m.(1) <- powers.(i);
       Mimo.step_into ctrls.(i) ~measured:m ~dst:u;
-      Manager.apply_cluster_quiet soc i ~freq_ghz:u.(0) ~cores:u.(1)
+      Manager.apply_cluster soc i ~freq_ghz:u.(0) ~cores:u.(1)
     done
   in
   let persist =
-    {
-      Manager.snapshot =
-        (fun () ->
-          {
-            Manager.variant = name;
-            payload = Marshal.to_string (Array.map Mimo.snapshot ctrls) [];
-          });
-      restore =
-        (fun c ->
-          Manager.require_variant ~expect:name c;
-          let snaps =
-            (Marshal.from_string c.Manager.payload 0 : Mimo.snapshot array)
-          in
-          if Array.length snaps <> k then
-            invalid_arg
-              (Printf.sprintf
-                 "Mm.restore: %d controller snapshots, platform has %d \
-                  clusters"
-                 (Array.length snaps) k);
-          Array.iteri (fun i s -> Mimo.restore ctrls.(i) s) snaps);
-    }
+    Manager.make_persist ~variant:name
+      ~snapshot:(fun () -> Array.map Mimo.snapshot ctrls)
+      ~restore:(fun snaps ->
+        if Array.length snaps <> k then
+          invalid_arg
+            (Printf.sprintf
+               "Mm.restore: %d controller snapshots, platform has %d clusters"
+               (Array.length snaps) k);
+        Array.iteri (fun i s -> Mimo.restore ctrls.(i) s) snaps)
   in
   { Manager.name; step; persist = Some persist }
 

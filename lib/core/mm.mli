@@ -22,6 +22,22 @@ val little_power_budget : float
     (W).  The host cluster is offered whatever the envelope leaves after
     every secondary's share is subtracted. *)
 
+val goals : Design_flow.goal list
+(** The two gain sets every per-cluster controller carries: ["qos"]
+    ({!qos_weights}) and ["power"] ({!power_weights}). *)
+
+val cluster_controllers :
+  seed:int64 ->
+  Spectr_platform.Platform_desc.t ->
+  initial:string ->
+  refs:(int -> float array) ->
+  Spectr_control.Mimo.t array
+(** One 2×2 LQG leaf controller per cluster of the description, in
+    description order: identified through
+    {!Design_flow.cluster_subsystem}, carrying the {!goals} gain sets,
+    starting on gain set [initial] with references [refs i].  Raises
+    [Failure] when gain design fails. *)
+
 val make_perf :
   ?seed:int64 -> ?platform:Spectr_platform.Platform_desc.t -> unit -> Manager.t
 (** MM-Perf: performance-oriented gains on every cluster.  [platform]

@@ -38,36 +38,21 @@ let make ?seed () =
     Pid.set_reference cores_pid (Float.max 0.5 (envelope -. Mm.little_power_budget));
     let freq = 1.0 +. Pid.step qos_pid ~measured:obs.Soc.qos_rate in
     let cores = 2.5 +. Pid.step cores_pid ~measured:powers.(big) in
-    Manager.apply_cluster_quiet soc big
+    Manager.apply_cluster soc big
       ~freq_ghz:(Float.max 0.2 (Float.min 2.0 freq))
       ~cores:(Float.max 1. (Float.min 4. cores));
     let lfreq = 0.6 +. Pid.step little_pid ~measured:powers.(little) in
-    Manager.apply_cluster_quiet soc little
+    Manager.apply_cluster soc little
       ~freq_ghz:(Float.max 0.2 (Float.min 1.4 lfreq))
       ~cores:2.
   in
   let persist =
-    {
-      Manager.snapshot =
-        (fun () ->
-          {
-            Manager.variant = "SISO";
-            payload =
-              Marshal.to_string
-                (Pid.snapshot qos_pid, Pid.snapshot cores_pid,
-                 Pid.snapshot little_pid)
-                [];
-          });
-      restore =
-        (fun c ->
-          Manager.require_variant ~expect:"SISO" c;
-          let sq, sc, sl =
-            (Marshal.from_string c.Manager.payload 0
-              : Pid.snapshot * Pid.snapshot * Pid.snapshot)
-          in
-          Pid.restore qos_pid sq;
-          Pid.restore cores_pid sc;
-          Pid.restore little_pid sl);
-    }
+    Manager.make_persist ~variant:"SISO"
+      ~snapshot:(fun () ->
+        (Pid.snapshot qos_pid, Pid.snapshot cores_pid, Pid.snapshot little_pid))
+      ~restore:(fun (sq, sc, sl) ->
+        Pid.restore qos_pid sq;
+        Pid.restore cores_pid sc;
+        Pid.restore little_pid sl)
   in
   { Manager.name = "SISO"; step; persist = Some persist }

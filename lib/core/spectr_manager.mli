@@ -35,7 +35,12 @@ val make :
     supervisor and every leaf controller frozen.  The guard must have
     been created with [clusters] equal to the platform's cluster count.
     Raises [Invalid_argument] when [supervisor_divisor < 1] or on a
-    guard/platform cluster-count mismatch. *)
+    guard/platform cluster-count mismatch.
+
+    The manager checkpoints ([persist]) under the variant tag ["SPECTR"]
+    or ["SPECTR+G"], suffixed ["-nogs"] without gain scheduling and
+    ["@<digest prefix>"] off the reference platform, so a checkpoint
+    cannot cross variants or platforms. *)
 
 (** {1 Degraded-mode reconfiguration (SPECTR+R)} *)
 
@@ -113,7 +118,11 @@ val make_reconfigurable :
     drop to the permanent open-loop floor.
 
     [guards] defaults to a fresh {!Guarded.create} — the guard is
-    integral to the ladder, not optional.  The manager does not support
-    checkpointing ([persist = None]): the supervised description itself
-    is runtime state.  Raises [Invalid_argument] as {!make}, or when
-    [swap_ticks < 1]. *)
+    integral to the ladder, not optional.  SPECTR, SPECTR+G and SPECTR+R
+    are one loop with these layers armed or not, and share one
+    checkpoint format: its payload lists the applied degradations, so
+    [restore] re-derives the supervised description from the boot one
+    (re-synthesizing, warm, only when it differs from the live one) and
+    resumes at any rung of the ladder.  The variant tag is ["SPECTR+R"]
+    with {!make}'s suffix rule.  Raises [Invalid_argument] as {!make},
+    or when [swap_ticks < 1]. *)

@@ -273,10 +273,11 @@ let restart t =
     t.manager <- manager;
     (* A restart is new hardware: the fault schedule does not carry
        over, and a reconfigurable node comes back on the full healthy
-       description (its FDIR starts from scratch). *)
+       description with its FDIR starting from scratch — so it skips the
+       checkpoint, which would re-apply the old silicon's degradations. *)
     t.reconfig <- reconfig;
     (match (t.saved, manager.Spectr.Manager.persist) with
-    | Some c, Some p -> p.Spectr.Manager.restore c
+    | Some c, Some p when not t.reconfigurable -> p.Spectr.Manager.restore c
     | _ -> ());
     t.alive <- true;
     (* A rebooting node stabilizes under its current cap before it

@@ -65,9 +65,9 @@ val create :
     on-node FDIR monitor that isolates permanent faults and hot-swaps a
     supervisor re-synthesized for the degraded description.  The node
     then reports a reduced [r_max_power] capacity so the coordinator
-    can re-budget the lost headroom to healthy nodes.  SPECTR+R does not
-    checkpoint ([persist = None]): a {!restart} always comes back cold,
-    on the full healthy description. *)
+    can re-budget the lost headroom to healthy nodes.  A {!restart} is
+    new hardware, so such a node does not restore its checkpoint: it
+    always comes back cold, on the full healthy description. *)
 
 val id : t -> int
 val workload_name : t -> string
@@ -122,7 +122,7 @@ val restart : t -> unit
     node seed and restart count — the new life's noise stream is
     reproducible but independent), fresh heartbeat monitor, fresh
     manager daemon with the last {!checkpoint} restored into it (cold
-    state when the node was never checkpointed).  Background work items
+    state when the node was never checkpointed or is reconfigurable).  Background work items
     survive — the work queue outlives the node, as in a real cluster.
     No-op when alive. *)
 

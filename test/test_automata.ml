@@ -819,6 +819,26 @@ let test_restrict_indices_matches_reference () =
         Alcotest.failf "seed %d: restriction None-ness differs" seed
   done
 
+(* State names are computed on first use.  Two domains forcing a fresh
+   automaton's names at once must both get them — a [Lazy.t] raised
+   [CamlinternalLazy.Undefined] on the slower domain. *)
+let test_names_from_two_domains () =
+  for _ = 1 to 10 do
+    let a =
+      Automaton.of_indexed ~name:"race"
+        ~names:(fun () ->
+          Unix.sleepf 0.002;
+          [| "idle"; "busy" |])
+        ~alphabet:Event.Set.empty ~initial:0 ~marked:[| true; false |]
+        ~forbidden:[| false; false |] [||]
+    in
+    let look () = (Automaton.states a, Automaton.index_of_state a "busy") in
+    let other = Domain.spawn look in
+    let mine = look () in
+    check_bool "both domains see the names" true
+      (mine = ([ "idle"; "busy" ], 1) && Domain.join other = mine)
+  done
+
 let test_index_api_roundtrip () =
   for seed = 0 to 19 do
     let a = random_automaton ~seed ~name:"IDX" in
@@ -1256,6 +1276,8 @@ let () =
             test_indexed_compose_matches_reference;
           Alcotest.test_case "restrict_indices matches reference" `Quick
             test_restrict_indices_matches_reference;
+          Alcotest.test_case "names forced from two domains" `Quick
+            test_names_from_two_domains;
           Alcotest.test_case "index API round trip" `Quick
             test_index_api_roundtrip;
           Alcotest.test_case "structural digest deterministic" `Quick

@@ -117,7 +117,69 @@ let test_checkpoint_exact_resume () =
       check_string
         (name ^ ": kill+restore trace byte-identical")
         plain.Engine.digest killed.Engine.digest)
-    Campaign.[ Spectr_g; Spectr; Mm_pow; Siso ]
+    Campaign.[ Spectr_r; Spectr_g; Spectr; Mm_pow; Siso ]
+
+(* SPECTR+R resumes exactly at every rung of the FDIR ladder: a cell
+   whose cluster 1 dies is killed with zero staleness once inside the
+   swap window and once on the degraded closed loop, and neither drill
+   may show in the trace. *)
+let test_reconfig_rung_resume () =
+  let dead_cell ?kill () =
+    {
+      (base_cell ?kill Campaign.Spectr_r) with
+      Campaign.injections =
+        [ Faults.permanent (Faults.Cluster_dead 1) ~start_s:1.0 ];
+    }
+  in
+  (* The rung after each tick of the uninterrupted run. *)
+  let mgr, _, _, handle = Campaign.make_manager Campaign.Spectr_r in
+  let h = Option.get handle in
+  let runner = Spectr.Scenario.start (Campaign.config_of_cell (dead_cell ())) in
+  let rec rungs acc =
+    match Spectr.Scenario.tick runner ~manager:mgr with
+    | None -> Array.of_list (List.rev acc)
+    | Some _ -> rungs (Spectr.Spectr_manager.Reconfig.status h :: acc)
+  in
+  let rungs = rungs [] in
+  let plain = Engine.run_cell (dead_cell ()) in
+  List.iter
+    (fun rung ->
+      let name = Spectr.Spectr_manager.Reconfig.status_label rung in
+      (* One tick into the rung: the kill lands after [kill_tick] ticks. *)
+      let rec first i = if rungs.(i) = rung then i else first (i + 1) in
+      let kill_tick = first 0 + 2 in
+      check_bool (name ^ ": kill lands on the rung") true
+        (rungs.(kill_tick - 1) = rung);
+      let killed =
+        Engine.run_cell (dead_cell ~kill:{ Campaign.kill_tick; staleness = 0 } ())
+      in
+      check_bool (name ^ ": drill checkpointed") true killed.Engine.checkpointed;
+      check_string (name ^ ": kill+restore trace byte-identical")
+        plain.Engine.digest killed.Engine.digest;
+      check_bool (name ^ ": ends reconfigured") true
+        (killed.Engine.reconfig_status = Some "reconfigured"))
+    Spectr.Spectr_manager.Reconfig.[ Swapping; Reconfigured ]
+
+(* The variant tag binds a SPECTR+R checkpoint to its boot platform and
+   to the reconfigurable variant. *)
+let test_reconfig_checkpoint_rejected_elsewhere () =
+  let persist (m : Spectr.Manager.t) = Option.get m.Spectr.Manager.persist in
+  let exynos, _ = Spectr.Spectr_manager.make_reconfigurable () in
+  let pixel, _ =
+    Spectr.Spectr_manager.make_reconfigurable
+      ~platform:Platform_desc.pixel8pro ()
+  in
+  let guarded, _ =
+    Spectr.Spectr_manager.make ~guards:(Spectr.Guarded.create ()) ()
+  in
+  let c = (persist exynos).Spectr.Manager.snapshot () in
+  expect_invalid "exynos5422 checkpoint into pixel8pro" (fun () ->
+      (persist pixel).Spectr.Manager.restore c);
+  expect_invalid "pixel8pro checkpoint into exynos5422" (fun () ->
+      (persist exynos).Spectr.Manager.restore
+        ((persist pixel).Spectr.Manager.snapshot ()));
+  expect_invalid "SPECTR+R checkpoint into SPECTR+G" (fun () ->
+      (persist guarded).Spectr.Manager.restore c)
 
 let test_bounded_staleness_determinism () =
   let cell =
@@ -267,6 +329,10 @@ let () =
             test_checkpoint_exact_resume;
           Alcotest.test_case "bounded staleness deterministic" `Quick
             test_bounded_staleness_determinism;
+          Alcotest.test_case "SPECTR+R resumes at every rung" `Slow
+            test_reconfig_rung_resume;
+          Alcotest.test_case "SPECTR+R checkpoint bound to its platform" `Quick
+            test_reconfig_checkpoint_rejected_elsewhere;
         ] );
       ( "reproducers",
         [

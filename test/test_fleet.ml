@@ -155,7 +155,9 @@ let test_node_reconfigurable () =
     (r1.Node.r_max_power < 5.0 && r1.Node.r_max_power >= 1.0);
   check_bool "still serving QoS degraded" true (r1.Node.r_qos > 0.);
   (* A restart is a hardware swap: the replacement boots on the healthy
-     description with full capacity and a fresh handle. *)
+     description with full capacity and a fresh handle — even though the
+     degraded manager checkpointed before it died. *)
+  Node.checkpoint node;
   Node.kill node;
   Node.restart node;
   let h2 =

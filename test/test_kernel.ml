@@ -140,11 +140,19 @@ let test_arena_checkout_equals_fresh () =
       check_string
         (Spectr_chaos.Campaign.variant_name variant ^ " arena digest")
         (Digest.to_hex d_fresh) (Digest.to_hex d_warm))
-    [ Spectr_chaos.Campaign.Spectr; Spectr_chaos.Campaign.Mm_pow ]
+    Spectr_chaos.Campaign.[ Spectr_r; Spectr; Mm_pow ]
 
 let test_arena_cells_equal_cold_cells () =
   let spec = Spectr_chaos.Campaign.default_spec ~seed:11 ~cells:6 () in
-  let cells = Spectr_chaos.Campaign.generate spec in
+  (* SPECTR+R cells that each latch a permanent fault: every warm
+     checkout after the first resets a slot left on a degraded plant. *)
+  let reconfig =
+    Spectr_chaos.Campaign.default_spec ~seed:11 ~cells:3
+      ~variants:[ Spectr_chaos.Campaign.Spectr_r ] ~reconfig_prob:1. ()
+  in
+  let cells =
+    Spectr_chaos.Campaign.generate spec @ Spectr_chaos.Campaign.generate reconfig
+  in
   let arena = Spectr_chaos.Arena.create () in
   List.iter
     (fun cell ->
@@ -154,8 +162,36 @@ let test_arena_cells_equal_cold_cells () =
         warm.Spectr_chaos.Engine.digest;
       check_int "cell violations"
         (List.length cold.Spectr_chaos.Engine.violations)
-        (List.length warm.Spectr_chaos.Engine.violations))
+        (List.length warm.Spectr_chaos.Engine.violations);
+      check_bool "cell ladder rung" true
+        (cold.Spectr_chaos.Engine.reconfig_status
+        = warm.Spectr_chaos.Engine.reconfig_status))
     cells
+
+(* Every sweep shares the process-wide warm slots instead of pinning a
+   fresh set per arena, so live heap words after a full major GC stay
+   flat over repeated campaigns. *)
+let test_arena_soak_heap_flat () =
+  let spec =
+    Spectr_chaos.Campaign.default_spec ~seed:5 ~cells:2
+      ~variants:[ Spectr_chaos.Campaign.Spectr ] ~kill_prob:0. ()
+  in
+  let soak () = ignore (Spectr_chaos.Soak.run spec : Spectr_chaos.Soak.report) in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  soak ();
+  soak ();
+  let before = live_words () in
+  for _ = 1 to 6 do
+    soak ()
+  done;
+  let after = live_words () in
+  check_bool
+    (Printf.sprintf "live words flat over 6 sweeps (%d -> %d)" before after)
+    true
+    (after - before < 2048)
 
 (* ------------------------------------------------------------------ *)
 (* Memoized gain design                                                *)
@@ -381,6 +417,8 @@ let () =
             test_arena_checkout_equals_fresh;
           Alcotest.test_case "chaos cells equal" `Slow
             test_arena_cells_equal_cold_cells;
+          Alcotest.test_case "repeated sweeps keep the heap flat" `Quick
+            test_arena_soak_heap_flat;
           Alcotest.test_case "gain design memoized" `Slow
             test_design_gains_for_cached;
         ] );
