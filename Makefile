@@ -16,8 +16,9 @@ fmt:
 bench:
 	dune exec bench/main.exe
 
-# One small synthesis-scale cell plus the tick-kernel throughput gates
-# (0 B/call steady-state allocation, batch-vs-one-shot trace digest
+# One small synthesis-scale cell plus the throughput gates (0 B/call
+# steady-state allocation of the tick kernels, 0 B per Riccati.solve
+# value-iteration step of gain design, batch-vs-one-shot trace digest
 # agreement), timing columns suppressed — the shape check CI runs (see
 # .github/workflows/ci.yml).
 bench-smoke:

@@ -3,8 +3,9 @@
    Three layers, measured separately so a regression is attributable:
 
    - the zero-allocation kernels themselves (Soc.step_into,
-     Supervisor.step): steady-state bytes allocated per call must be
-     exactly zero, and the call cost is a few hundred nanoseconds;
+     Supervisor.step, and the Riccati.solve value-iteration step of gain
+     design): steady-state bytes allocated per call must be exactly
+     zero, and the call cost is a few hundred nanoseconds;
    - the one-shot scenario loop (platform + manager + trace): ticks/s
      and bytes/tick on a single domain;
    - the batch arena: many scenario cells fanned out across the domain
@@ -41,13 +42,41 @@ let seconds_per_iter iters f =
   let t1 = now_s () in
   (t1 -. t0) /. float_of_int iters
 
-let gate_alloc name per_iter =
+let gate_alloc ?(per = "call") name per_iter =
   if per_iter >= 1.0 then
     failwith
       (Printf.sprintf
-         "throughput: %s allocates %.2f B/call in steady state (budget: 0)"
-         name per_iter);
-  Printf.printf "  %-18s %5.2f B/call  (budget 0)  PASS\n" name per_iter
+         "throughput: %s allocates %.2f B/%s in steady state (budget: 0)"
+         name per_iter per);
+  Printf.printf "  %-18s %5.2f B/%s  (budget 0)  PASS\n" name per_iter per
+
+(* Steady-state bytes per value-iteration step of Riccati.solve.  A
+   solve allocates its buffers once, then steps until convergence or the
+   cap; with a negative tolerance it never converges, so it takes
+   exactly [max_iter + 1] steps.  The difference in minor words between
+   a 2N-step and an N-step solve is therefore N steps' allocation, with
+   the per-call set-up cancelled out. *)
+let riccati_bytes_per_step steps =
+  let n = 10 and m = 2 in
+  let a =
+    Spectr_linalg.Matrix.init ~rows:n ~cols:n (fun i j ->
+        if i = j then 0.9 else if j = i + 1 then 0.2 else if i = j + 2 then -0.05 else 0.)
+  in
+  let b =
+    Spectr_linalg.Matrix.init ~rows:n ~cols:m (fun i j ->
+        if i mod m = j then 1. else 0.1)
+  in
+  let q = Spectr_linalg.Matrix.identity n in
+  let r = Spectr_linalg.Matrix.diagonal [| 1.; 2. |] in
+  let words max_iter =
+    let w0 = Gc.minor_words () in
+    ignore (Spectr_linalg.Riccati.solve ~max_iter ~tol:(-1.) ~a ~b ~q ~r ());
+    Gc.minor_words () -. w0
+  in
+  ignore (words steps);
+  let once = words steps in
+  let twice = words (2 * steps) in
+  (twice -. once) *. float_of_int (Sys.word_size / 8) /. float_of_int steps
 
 (* --- kernel microbenches ---------------------------------------------- *)
 
@@ -84,6 +113,8 @@ let kernel_section () =
     done
   in
   gate_alloc "Supervisor.step" (bytes_per_iter iters sup_step);
+  gate_alloc ~per:"step" "Riccati.solve"
+    (riccati_bytes_per_step (if !smoke then 2_000 else 20_000));
   if not !smoke then begin
     Printf.printf "  %-18s %6.0f ns/call\n" "Soc.step_into"
       (seconds_per_iter iters soc_step *. 1e9);

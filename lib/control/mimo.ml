@@ -20,7 +20,9 @@ type t = {
   inputs : channel array;
   outputs : channel array;
   refs : float array; (* physical reference values, mutable entries *)
-  z_clamp : float;
+  lims : float array;
+      (* [-z_clamp; z_clamp] then each input channel's [min; max]: the
+         clamp bounds as unboxed floats, so clamping allocates nothing *)
   mutable xhat : Matrix.t; (* n x 1 predicted state *)
   mutable z : Matrix.t; (* p x 1 integrator *)
   mutable u_prev : Matrix.t; (* m x 1 normalized previous command *)
@@ -38,6 +40,11 @@ type t = {
   scr_n2 : Matrix.t; (* n x 1 scratch *)
   scr_m1 : Matrix.t; (* m x 1 unsaturated command *)
   scr_m2 : Matrix.t; (* m x 1 scratch *)
+  (* Scratch for the bumpless-transfer solve of [switch_gains], which
+     also borrows scr_m2 (Kz_old z) and scr_zc (the right-hand side, then
+     z_new): a step writes both before reading them. *)
+  sw_kzt : Matrix.t; (* p x m  Kz_new' *)
+  sw_gram : Matrix.t; (* p x p  Kz_new' Kz_new + 1e-9 I, then its elimination *)
   last : float array; (* m, last physical command *)
   innov : float array;
       (* 1 entry: ‖Kalman innovation‖₂ of the last step, in normalized
@@ -84,7 +91,10 @@ let create ?(z_clamp = 20.) ~gains ~initial ~inputs ~outputs ~refs () =
     inputs;
     outputs;
     refs = Array.copy refs;
-    z_clamp;
+    lims =
+      Array.concat
+        ([| -.z_clamp; z_clamp |]
+        :: Array.to_list (Array.map (fun ch -> [| ch.min; ch.max |]) inputs));
     xhat = Matrix.zeros ~rows:n ~cols:1;
     z = Matrix.zeros ~rows:p ~cols:1;
     u_prev = Matrix.zeros ~rows:m ~cols:1;
@@ -98,6 +108,8 @@ let create ?(z_clamp = 20.) ~gains ~initial ~inputs ~outputs ~refs () =
     scr_n2 = Matrix.zeros ~rows:n ~cols:1;
     scr_m1 = Matrix.zeros ~rows:m ~cols:1;
     scr_m2 = Matrix.zeros ~rows:m ~cols:1;
+    sw_kzt = Matrix.zeros ~rows:p ~cols:m;
+    sw_gram = Matrix.zeros ~rows:p ~cols:p;
     last = Array.make m 0.;
     innov = Array.make 1 0.;
     last_valid = false;
@@ -105,7 +117,6 @@ let create ?(z_clamp = 20.) ~gains ~initial ~inputs ~outputs ~refs () =
 
 let[@inline] normalize ch v = (v -. ch.offset) /. ch.scale
 let[@inline] denormalize ch v = (v *. ch.scale) +. ch.offset
-let[@inline] clamp ch v = Float.min ch.max (Float.max ch.min v)
 
 (* The allocation-free control period: identical operations in identical
    order to the historical allocating [step] (bit-identical commands —
@@ -154,7 +165,9 @@ let step_into ctrl ~measured ~dst =
   let und = Matrix.data ctrl.u_prev in
   for i = 0 to m - 1 do
     let ch = ctrl.inputs.(i) in
-    dst.(i) <- clamp ch (denormalize ch ud.(i));
+    dst.(i) <-
+      Float.min ctrl.lims.((2 * i) + 3)
+        (Float.max ctrl.lims.((2 * i) + 2) (denormalize ch ud.(i)));
     und.(i) <- normalize ch dst.(i)
   done;
   (* 6. anti-windup by integrator clamping: each integrator state is
@@ -165,7 +178,7 @@ let step_into ctrl ~measured ~dst =
         of periods instead of growing with the infeasible duration. *)
   let zcd = Matrix.data ctrl.scr_zc and zd = Matrix.data ctrl.z in
   for i = 0 to p - 1 do
-    zd.(i) <- Float.max (-.ctrl.z_clamp) (Float.min ctrl.z_clamp zcd.(i))
+    zd.(i) <- Float.max ctrl.lims.(0) (Float.min ctrl.lims.(1) zcd.(i))
   done;
   (* 7. time update with the saturated command: x' = A·x̂ + B·u *)
   Matrix.mul_into ~dst:ctrl.scr_n1 model.Statespace.a ctrl.scr_xf;
@@ -179,28 +192,38 @@ let step ctrl ~measured =
   step_into ctrl ~measured ~dst;
   dst
 
+let rec find_gains label = function
+  | [] -> invalid_arg (Printf.sprintf "Mimo.switch_gains: unknown label %S" label)
+  | (l, g) :: rest -> if String.equal l label then g else find_gains label rest
+
 let switch_gains ctrl label =
-  match List.assoc_opt label ctrl.gains with
-  | None ->
-      invalid_arg (Printf.sprintf "Mimo.switch_gains: unknown label %S" label)
-  | Some g when g == ctrl.active -> ()
-  | Some g ->
-      (* Bumpless transfer: the integrator contribution to the command
-         must be continuous across the switch, so solve
-         Kz_new · z_new = Kz_old · z_old in the least-squares sense.
-         Without this, a wound integrator reinterpreted under different
-         gains slams the actuators and can limit-cycle the supervisor. *)
-      let contribution = Matrix.mul ctrl.active.Lqg.kz ctrl.z in
-      let kz = g.Lqg.kz in
-      let kzt = Matrix.transpose kz in
-      let p = Matrix.rows ctrl.z in
-      let gram =
-        Matrix.add (Matrix.mul kzt kz) (Matrix.scale 1e-9 (Matrix.identity p))
-      in
-      (match Matrix.solve gram (Matrix.mul kzt contribution) with
-      | z_new -> ctrl.z <- z_new
-      | exception Failure _ -> ());
-      ctrl.active <- g
+  let g = find_gains label ctrl.gains in
+  if g != ctrl.active then begin
+    (* Bumpless transfer: the integrator contribution to the command
+       must be continuous across the switch, so solve
+       Kz_new · z_new = Kz_old · z_old in the least-squares sense.
+       Without this, a wound integrator reinterpreted under different
+       gains slams the actuators and can limit-cycle the supervisor.
+       The normal equations, solve (Kz' Kz + 1e-9 I) (Kz' contribution),
+       are built in the preallocated scratch, so a switch allocates
+       nothing; z keeps its value when the system is singular. *)
+    let kz = g.Lqg.kz in
+    Matrix.mul_into ~dst:ctrl.scr_m2 ctrl.active.Lqg.kz ctrl.z;
+    Matrix.transpose_into ~dst:ctrl.sw_kzt kz;
+    Matrix.mul_into ~dst:ctrl.sw_gram ctrl.sw_kzt kz;
+    (* + 1e-9 I: off the diagonal that adds 0, a no-op on a product
+       entry (which starts at +0 and so is never -0) *)
+    let gd = Matrix.data ctrl.sw_gram in
+    let p = Matrix.rows ctrl.z in
+    for i = 0 to p - 1 do
+      gd.((i * p) + i) <- gd.((i * p) + i) +. 1e-9
+    done;
+    Matrix.mul_into ~dst:ctrl.scr_zc ctrl.sw_kzt ctrl.scr_m2;
+    (match Matrix.solve_into ~lu:ctrl.sw_gram ~dst:ctrl.scr_zc ctrl.sw_gram ctrl.scr_zc with
+    | () -> Matrix.copy_into ~dst:ctrl.z ctrl.scr_zc
+    | exception Failure _ -> ());
+    ctrl.active <- g
+  end
 
 let current_gains ctrl = ctrl.active.Lqg.label
 let available_gains ctrl = List.map fst ctrl.gains

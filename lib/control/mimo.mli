@@ -68,8 +68,10 @@ val step_into : t -> measured:float array -> dst:float array -> unit
 val switch_gains : t -> string -> unit
 (** Gain scheduling: point the controller at a different stored gain set.
     Controller state (estimate and integrators) is preserved, so the
-    switch is bumpless and costs O(1) — "changing the coefficient arrays
-    at runtime takes effect immediately" (§5.3).  Raises
+    switch is bumpless — "changing the coefficient arrays at runtime
+    takes effect immediately" (§5.3): the integrators are re-expressed
+    under the new gains by a p×p least-squares solve in scratch
+    preallocated at {!create}, so a switch allocates nothing.  Raises
     [Invalid_argument] on an unknown label. *)
 
 val current_gains : t -> string

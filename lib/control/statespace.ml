@@ -55,15 +55,31 @@ let spectral_radius_bound sys =
   done;
   !radius
 
+(* Power iteration from every basis vector at once: column k of X
+   starts as e_k and X <- A X runs [steps] times, ping-ponging between
+   two preallocated matrices.  Column k of [Matrix.mul_into] is exactly
+   the skip-zero product A x_k of a lone vector, so each column's norm,
+   and the verdict, are those of iterating the basis vectors one by
+   one. *)
 let is_stable ?(steps = 200) sys =
   let n = order sys in
+  let cur = ref (Matrix.identity n) and next = ref (Matrix.zeros ~rows:n ~cols:n) in
+  for _ = 1 to steps do
+    Matrix.mul_into ~dst:!next sys.a !cur;
+    let t = !cur in
+    cur := !next;
+    next := t
+  done;
+  let xd = Matrix.data !cur in
   let ok = ref true in
   for k = 0 to n - 1 do
-    let x = ref (Matrix.init ~rows:n ~cols:1 (fun i _ -> if i = k then 1. else 0.)) in
-    for _ = 1 to steps do
-      x := Matrix.mul sys.a !x
+    (* [Matrix.frobenius_norm] of column k: squares summed in row order *)
+    let s = ref 0. in
+    for i = 0 to n - 1 do
+      let x = xd.((i * n) + k) in
+      s := !s +. (x *. x)
     done;
-    if Matrix.frobenius_norm !x > 1e3 then ok := false
+    if sqrt !s > 1e3 then ok := false
   done;
   !ok
 

@@ -95,25 +95,8 @@ let sub a b = map2 ( -. ) a b
 let scale s m = map (fun x -> s *. x) m
 let neg m = map (fun x -> -.x) m
 
-let mul a b =
-  if a.cols <> b.rows then
-    invalid_arg
-      (Printf.sprintf "Matrix.mul: %dx%d * %dx%d" a.rows a.cols b.rows b.cols);
-  let data = Array.make (a.rows * b.cols) 0. in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = a.data.((i * a.cols) + k) in
-      if aik <> 0. then
-        for j = 0 to b.cols - 1 do
-          data.((i * b.cols) + j) <-
-            data.((i * b.cols) + j) +. (aik *. b.data.((k * b.cols) + j))
-        done
-    done
-  done;
-  { rows = a.rows; cols = b.cols; data }
-
 (* In-place variants for preallocated-buffer hot loops (the MIMO tick
-   kernel).  Each checks shapes like its allocating counterpart and
+   kernel, the Riccati value iteration).  Each checks shapes like its allocating counterpart and
    performs float-array stores only — no heap allocation.  [mul_into]
    additionally rejects aliasing of [dst] with an operand, since the
    accumulation would read partially-overwritten entries; the
@@ -160,21 +143,66 @@ let mul_into ~dst a b =
          dst.cols a.rows b.cols);
   if dst.data == a.data || dst.data == b.data then
     invalid_arg "Matrix.mul_into: dst aliases an operand";
-  (* Same loop nest and accumulation order as [mul], so results are
-     bit-identical to the allocating path. *)
-  Array.fill dst.data 0 (Array.length dst.data) 0.;
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = a.data.((i * a.cols) + k) in
-      if aik <> 0. then
-        for j = 0 to b.cols - 1 do
-          dst.data.((i * b.cols) + j) <-
-            dst.data.((i * b.cols) + j) +. (aik *. b.data.((k * b.cols) + j))
-        done
+  (* The shapes are checked and every constructor keeps
+     [Array.length data = rows * cols], so the indices below are in
+     bounds.  Each entry starts at 0 and accumulates a_ik·b_kj over
+     ascending k, skipping zero multipliers — the product's definition,
+     and {!mul} is this kernel on a fresh destination.  The j loop runs
+     two (independent) entries per trip, which changes no entry's
+     arithmetic. *)
+  let ar = a.rows and ac = a.cols and bc = b.cols in
+  let ad = a.data and bd = b.data and dd = dst.data in
+  let even = bc land lnot 1 in
+  Array.fill dd 0 (ar * bc) 0.;
+  for i = 0 to ar - 1 do
+    let di = i * bc in
+    for k = 0 to ac - 1 do
+      let aik = Array.unsafe_get ad ((i * ac) + k) in
+      if aik <> 0. then begin
+        let bk = k * bc in
+        let j = ref 0 in
+        while !j < even do
+          let d = di + !j and s = bk + !j in
+          Array.unsafe_set dd d
+            (Array.unsafe_get dd d +. (aik *. Array.unsafe_get bd s));
+          Array.unsafe_set dd (d + 1)
+            (Array.unsafe_get dd (d + 1) +. (aik *. Array.unsafe_get bd (s + 1)));
+          j := !j + 2
+        done;
+        if even < bc then begin
+          let d = di + even in
+          Array.unsafe_set dd d
+            (Array.unsafe_get dd d +. (aik *. Array.unsafe_get bd (bk + even)))
+        end
+      end
     done
   done
 
-let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> unsafe_get m j i)
+let transpose_into ~dst m =
+  if dst.rows <> m.cols || dst.cols <> m.rows then
+    invalid_arg
+      (Printf.sprintf "Matrix.transpose_into: dst %dx%d for %dx%d" dst.rows
+         dst.cols m.rows m.cols);
+  if dst.data == m.data then invalid_arg "Matrix.transpose_into: dst aliases m";
+  let r = m.rows and c = m.cols and md = m.data and dd = dst.data in
+  for i = 0 to c - 1 do
+    for j = 0 to r - 1 do
+      Array.unsafe_set dd ((i * r) + j) (Array.unsafe_get md ((j * c) + i))
+    done
+  done
+
+let mul a b =
+  if a.cols <> b.rows then
+    invalid_arg
+      (Printf.sprintf "Matrix.mul: %dx%d * %dx%d" a.rows a.cols b.rows b.cols);
+  let dst = { rows = a.rows; cols = b.cols; data = Array.make (a.rows * b.cols) 0. } in
+  mul_into ~dst a b;
+  dst
+
+let transpose m =
+  let dst = { rows = m.cols; cols = m.rows; data = Array.make (m.rows * m.cols) 0. } in
+  transpose_into ~dst m;
+  dst
 
 let hcat a b =
   if a.rows <> b.rows then invalid_arg "Matrix.hcat: row mismatch";
@@ -210,72 +238,114 @@ let submatrix m ~row ~col ~rows ~cols =
   then invalid_arg "Matrix.submatrix: out of range";
   init ~rows ~cols (fun i j -> unsafe_get m (row + i) (col + j))
 
-(* Gaussian elimination with partial pivoting on the augmented system.
-   Returns the solution matrix and the determinant of [a]. *)
-let gauss_solve a b =
-  if a.rows <> a.cols then invalid_arg "Matrix.solve: not square";
-  if a.rows <> b.rows then invalid_arg "Matrix.solve: rhs rows mismatch";
-  let n = a.rows in
-  let nb = b.cols in
-  let m = to_arrays a in
-  let rhs = to_arrays b in
-  let det = ref 1. in
+(* Gaussian elimination with partial pivoting, in place on flat
+   row-major stores: [lu] (n×n) holds the coefficients and [x] (n×nb)
+   the right-hand side.  A pivot swaps two whole rows of both stores;
+   the multipliers then eliminate below the diagonal, and back
+   substitution overwrites [x] with the solution.  The arithmetic, its
+   order and the pivot choice are those of textbook elimination on an
+   augmented array of rows, so results are reproducible bit for bit.
+   Returns the number of row swaps (the determinant's sign); raises
+   [Failure] on a numerically singular pivot. *)
+let gauss_in_place n nb lu x =
+  let swap (d : float array) w r1 r2 =
+    for j = 0 to w - 1 do
+      let t = Array.unsafe_get d ((r1 * w) + j) in
+      Array.unsafe_set d ((r1 * w) + j) (Array.unsafe_get d ((r2 * w) + j));
+      Array.unsafe_set d ((r2 * w) + j) t
+    done
+  in
+  let swaps = ref 0 in
   for k = 0 to n - 1 do
-    (* partial pivot *)
     let pivot = ref k in
     for i = k + 1 to n - 1 do
-      if abs_float m.(i).(k) > abs_float m.(!pivot).(k) then pivot := i
+      if
+        abs_float (Array.unsafe_get lu ((i * n) + k))
+        > abs_float (Array.unsafe_get lu ((!pivot * n) + k))
+      then pivot := i
     done;
     if !pivot <> k then begin
-      let tmp = m.(k) in
-      m.(k) <- m.(!pivot);
-      m.(!pivot) <- tmp;
-      let tmp = rhs.(k) in
-      rhs.(k) <- rhs.(!pivot);
-      rhs.(!pivot) <- tmp;
-      det := -. !det
+      swap lu n k !pivot;
+      swap x nb k !pivot;
+      incr swaps
     end;
-    let p = m.(k).(k) in
+    let p = Array.unsafe_get lu ((k * n) + k) in
     if abs_float p < 1e-300 then failwith "Matrix.solve: singular";
-    det := !det *. p;
     for i = k + 1 to n - 1 do
-      let f = m.(i).(k) /. p in
+      let f = Array.unsafe_get lu ((i * n) + k) /. p in
       if f <> 0. then begin
         for j = k to n - 1 do
-          m.(i).(j) <- m.(i).(j) -. (f *. m.(k).(j))
+          Array.unsafe_set lu ((i * n) + j)
+            (Array.unsafe_get lu ((i * n) + j)
+            -. (f *. Array.unsafe_get lu ((k * n) + j)))
         done;
         for j = 0 to nb - 1 do
-          rhs.(i).(j) <- rhs.(i).(j) -. (f *. rhs.(k).(j))
+          Array.unsafe_set x ((i * nb) + j)
+            (Array.unsafe_get x ((i * nb) + j)
+            -. (f *. Array.unsafe_get x ((k * nb) + j)))
         done
       end
     done
   done;
-  (* back substitution *)
-  let x = Array.make_matrix n nb 0. in
   for j = 0 to nb - 1 do
     for i = n - 1 downto 0 do
-      let s = ref rhs.(i).(j) in
+      let s = ref (Array.unsafe_get x ((i * nb) + j)) in
       for k = i + 1 to n - 1 do
-        s := !s -. (m.(i).(k) *. x.(k).(j))
+        s := !s -. (Array.unsafe_get lu ((i * n) + k) *. Array.unsafe_get x ((k * nb) + j))
       done;
-      x.(i).(j) <- !s /. m.(i).(i)
+      Array.unsafe_set x ((i * nb) + j) (!s /. Array.unsafe_get lu ((i * n) + i))
     done
   done;
-  (of_arrays x, !det)
+  !swaps
 
-let solve a b = fst (gauss_solve a b)
+let solve_into ~lu ~dst a b =
+  if a.rows <> a.cols then invalid_arg "Matrix.solve: not square";
+  if a.rows <> b.rows then invalid_arg "Matrix.solve: rhs rows mismatch";
+  same_shape "solve_into" lu a;
+  same_shape "solve_into" dst b;
+  if lu.data == b.data || lu.data == dst.data then
+    invalid_arg "Matrix.solve_into: lu aliases the right-hand side";
+  Array.blit a.data 0 lu.data 0 (Array.length a.data);
+  Array.blit b.data 0 dst.data 0 (Array.length b.data);
+  ignore (gauss_in_place a.rows b.cols lu.data dst.data : int)
+
+let solve a b =
+  let lu = { a with data = Array.make (Array.length a.data) 0. } in
+  let dst = { b with data = Array.make (Array.length b.data) 0. } in
+  solve_into ~lu ~dst a b;
+  dst
+
 let inverse a = solve a (identity a.rows)
 
+(* The product of the pivots, negated once per row swap.  Negation is
+   exact and rounding is sign-symmetric, so applying the sign at the
+   end gives the same bits as flipping it at each swap. *)
 let determinant a =
   if a.rows <> a.cols then invalid_arg "Matrix.determinant: not square";
-  match gauss_solve a (identity a.rows) with
-  | _, det -> det
+  let n = a.rows in
+  let lu = Array.copy a.data in
+  match gauss_in_place n 0 lu [||] with
+  | swaps ->
+      let det = ref 1. in
+      for k = 0 to n - 1 do
+        det := !det *. lu.((k * n) + k)
+      done;
+      if swaps land 1 = 1 then -. !det else !det
   | exception Failure _ -> 0.
 
 let frobenius_norm m =
   sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. m.data)
 
-let max_abs m = Array.fold_left (fun acc x -> max acc (abs_float x)) 0. m.data
+(* [Stdlib.max]'s comparison, specialised to floats: a NaN entry wins
+   only until a later entry replaces it, and an infinite entry wins. *)
+let max_abs m =
+  let d = m.data in
+  let acc = ref 0. in
+  for k = 0 to Array.length d - 1 do
+    let x = abs_float (Array.unsafe_get d k) in
+    acc := if !acc >= x then !acc else x
+  done;
+  !acc
 
 let equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols

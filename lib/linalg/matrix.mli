@@ -106,7 +106,12 @@ val mul_into : dst:t -> t -> t -> unit
 (** Matrix product into [dst].  Raises [Invalid_argument] if [dst]
     aliases either operand (the accumulation would read
     partially-written entries); the element-wise [_into] ops above
-    tolerate aliasing. *)
+    tolerate aliasing.  {!mul} is this kernel on a fresh destination. *)
+
+val transpose_into : dst:t -> t -> unit
+(** Transpose into [dst] (which must be [cols]×[rows] of the argument
+    and must not alias it).  {!transpose} is this kernel on a fresh
+    destination. *)
 
 val hcat : t -> t -> t
 (** Horizontal concatenation [\[a b\]]. *)
@@ -128,6 +133,18 @@ val solve : t -> t -> t
     Raises [Failure "Matrix.solve: singular"] if [a] is (numerically)
     singular, and [Invalid_argument] if [a] is not square or dimensions
     mismatch. *)
+
+val solve_into : lu:t -> dst:t -> t -> t -> unit
+(** [solve_into ~lu ~dst a b] is {!solve} without allocation: [a] is
+    copied into [lu] (n×n scratch, left holding the eliminated factors)
+    and [b] into [dst] (the shape of [b]), which receives the solution.
+    Pivoting swaps rows of the two flat stores in place.  [lu] may be
+    [a] itself and [dst] may be [b] itself (a destructive in-place
+    solve), but [lu] must not share storage with [b] or [dst].  Results,
+    including which systems fail as singular, are bit-identical to
+    {!solve}, which is this kernel on fresh buffers.  Same exceptions as
+    {!solve}; on [Failure] the contents of [lu] and [dst] are
+    unspecified. *)
 
 val inverse : t -> t
 (** [inverse a = solve a (identity n)].  Same exceptions as {!solve}. *)

@@ -14,7 +14,10 @@ type error =
   | Dimension_mismatch of string
       (** Shapes of A, B, Q, R are inconsistent. *)
   | Not_converged of { iterations : int; residual : float }
-      (** Fixed-point iteration failed to reach tolerance. *)
+      (** Fixed-point iteration failed to reach tolerance: [iterations]
+          Riccati steps were taken ([max_iter + 1] — the cap counts the
+          steps after the first), and [residual] is the max-abs change of
+          the last one. *)
   | Singular
       (** (R + BᵀPB) became singular during iteration. *)
 
@@ -33,7 +36,13 @@ val solve :
     DARE.  [q] must be n×n positive semidefinite, [r] m×m positive
     definite, where [a] is n×n and [b] is n×m.  Default [max_iter] is
     10_000 and [tol] (max-abs difference between successive iterates)
-    is [1e-10]. *)
+    is [1e-10].
+
+    The iteration runs in buffers allocated once per call — a step
+    allocates nothing — and its arithmetic is fixed: the same products,
+    the same elimination and the same comparisons in the same order, so
+    a given problem always yields the same bits (and the same
+    [Singular] / [Not_converged] outcome). *)
 
 val residual : a:Matrix.t -> b:Matrix.t -> q:Matrix.t -> r:Matrix.t -> Matrix.t -> float
 (** Max-abs entry of [AᵀPA − P − AᵀPB(R+BᵀPB)⁻¹BᵀPA + Q]; a direct check

@@ -81,6 +81,71 @@ let test_ss_stability () =
   check_bool "unstable model" false (Statespace.is_stable unstable);
   check_bool "radius > 1" true (Statespace.spectral_radius_bound unstable > 1.)
 
+(* The per-vector power iteration [is_stable] ran before it batched the
+   basis vectors: a fresh vector per step, the skip-zero product, and the
+   Frobenius norm of each final vector. *)
+let oracle_is_stable a =
+  let n = Matrix.rows a and a = Matrix.to_arrays a in
+  let ok = ref true in
+  for k = 0 to n - 1 do
+    let x = ref (Array.init n (fun i -> if i = k then 1. else 0.)) in
+    for _ = 1 to 200 do
+      let y = Array.make n 0. in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let aij = a.(i).(j) in
+          if aij <> 0. then y.(i) <- y.(i) +. (aij *. !x.(j))
+        done
+      done;
+      x := y
+    done;
+    if sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0. !x) > 1e3 then
+      ok := false
+  done;
+  !ok
+
+let test_ss_stability_matches_oracle () =
+  let g = Prng.create 13L in
+  let stable = ref 0 and unstable = ref 0 in
+  for _ = 1 to 100 do
+    let n = 1 + Prng.int g 8 in
+    (* a random matrix's spectral radius is about sqrt(n/3) times its
+       entry scale: spread the draws across the unit circle *)
+    let scale = Prng.uniform g ~lo:0.6 ~hi:1.4 /. sqrt (float_of_int n /. 3.) in
+    let a =
+      Matrix.init ~rows:n ~cols:n (fun _ _ ->
+          if Prng.int g 4 = 0 then 0. else scale *. Prng.uniform g ~lo:(-1.) ~hi:1.)
+    in
+    let sys =
+      Statespace.create ~a ~b:(Matrix.zeros ~rows:n ~cols:1)
+        ~c:(Matrix.zeros ~rows:1 ~cols:n) ()
+    in
+    let expected = oracle_is_stable a in
+    check_bool "is_stable = per-vector oracle" expected (Statespace.is_stable sys);
+    incr (if expected then stable else unstable)
+  done;
+  check_bool "both verdicts drawn" true (!stable > 10 && !unstable > 10);
+  (* Boundary cases: growth that crosses the 1e3 threshold only near the
+     last step, and a rank-one iterate, A^200 = [[800, 800]; [0, 0]],
+     whose columns stay below the threshold while its first row does
+     not. *)
+  let root v = v ** (1. /. 200.) in
+  List.iter
+    (fun (name, rows, expected) ->
+      let a = Matrix.of_list rows in
+      let n = Matrix.rows a in
+      let sys =
+        Statespace.create ~a ~b:(Matrix.zeros ~rows:n ~cols:1)
+          ~c:(Matrix.zeros ~rows:1 ~cols:n) ()
+      in
+      check_bool (name ^ ": oracle") expected (oracle_is_stable a);
+      check_bool name expected (Statespace.is_stable sys))
+    [
+      ("just above the threshold", [ [ root 1001. ] ], false);
+      ("just below the threshold", [ [ root 999. ] ], true);
+      ("rank one", [ [ root 800.; root 800. ]; [ 0.; 0. ] ], true);
+    ]
+
 let test_ss_operation_count () =
   (* n=2, m=2, p=2: 4 + 4 + 4 + 4 = 16 *)
   check_int "ops 2x2" 16 (Statespace.operation_count model_2x2);
@@ -514,6 +579,8 @@ let () =
           Alcotest.test_case "impulse response" `Quick test_ss_simulate_impulse;
           Alcotest.test_case "dc gain" `Quick test_ss_dc_gain;
           Alcotest.test_case "stability" `Quick test_ss_stability;
+          Alcotest.test_case "stability = per-vector oracle" `Quick
+            test_ss_stability_matches_oracle;
           Alcotest.test_case "operation count" `Quick test_ss_operation_count;
         ] );
       ( "lqr",

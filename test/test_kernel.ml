@@ -2,14 +2,15 @@
 
    Four properties keep the steady-state tick path honest:
 
-   - allocation budgets: Soc.step_into and Supervisor.step must
-     allocate EXACTLY zero bytes per call once warm — a boxed float or
-     a closure creeping back into the hot path fails here, attributed
-     to the right kernel;
+   - allocation budgets: Soc.step_into, Supervisor.step and a
+     Mimo.step_into + switch_gains round trip must allocate EXACTLY zero
+     bytes per call once warm — a boxed float or a closure creeping
+     back into the hot path fails here, attributed to the right kernel;
    - byte-identity: the hot-path rewrites (index-native supervisor,
      in-place MIMO step, buffer-reusing scenario loop, memoized gain
-     design) must not change any trace — scenario CSV digests are
-     pinned to their pre-refactor values;
+     design, allocation-free design kernels) must not change any trace
+     or gain — scenario CSV and designed-gain digests are pinned to
+     their pre-refactor values;
    - the _into variants must be bit-identical to their allocating
      counterparts (Mimo.step_into / Kalman.correct_into);
    - batch equivalence: a warm Arena checkout must behave exactly like
@@ -115,6 +116,51 @@ let test_pinned_digests () =
     (fun (name, digest) ->
       check_string (name ^ " CSV digest") digest (scenario_digest (make name)))
     pinned
+
+(* MD5 of every designed gain set of a key — kx, kz, l row-major and the
+   integrator leak, each printed as an exact hex float — recorded before
+   the design-time kernels went allocation-free.  One digest per cold
+   design key: the exynos big/little clusters and the full-system 4x2
+   controller, and the three pixel8pro clusters (whose cluster 2 takes
+   the leaky-integrator retry). *)
+let gain_digest gains =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun g ->
+      Buffer.add_string buf g.Lqg.label;
+      List.iter
+        (fun m ->
+          Array.iter
+            (Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf " %h" x)))
+            (Matrix.to_arrays m);
+          Buffer.add_char buf ';')
+        [ g.Lqg.kx; g.Lqg.kz; g.Lqg.l ];
+      Buffer.add_string buf (Printf.sprintf " leak %h\n" g.Lqg.leak))
+    gains;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_gains =
+  let fs_goal = [ { Spectr.Design_flow.label = "power"; q_y = [| 0.1; 30. |] } ] in
+  let pixel i =
+    Spectr.Design_flow.cluster_subsystem Platform_desc.pixel8pro i
+  in
+  Spectr.Design_flow.
+    [
+      ("exynos big", Big_2x2, Spectr.Mm.goals, "750ee0f511c70025dd14f80611f1f522");
+      ("exynos little", Little_2x2, Spectr.Mm.goals, "599fd2e7f2838cce40004e6156b52faa");
+      ("exynos fs", Fs_4x2, fs_goal, "232ba9c546505d0cdc83e0ea530e6c53");
+      ("pixel8pro c0", pixel 0, Spectr.Mm.goals, "b8c0e2709f35f37ff00f9fef937fd9c5");
+      ("pixel8pro c1", pixel 1, Spectr.Mm.goals, "43adb2db6ff8cb88921a88c65c0ccf1b");
+      ("pixel8pro c2", pixel 2, Spectr.Mm.goals, "afa6458ef5cf701ac1adf40fa12e49d9");
+    ]
+
+let test_pinned_gain_digests () =
+  List.iter
+    (fun (name, subsystem, goals, digest) ->
+      match Spectr.Design_flow.design_gains_for subsystem goals with
+      | Ok gains -> check_string (name ^ " gain digest") digest (gain_digest gains)
+      | Error msg -> Alcotest.failf "%s: design failed: %s" name msg)
+    pinned_gains
 
 (* ------------------------------------------------------------------ *)
 (* Batch arena equivalence                                             *)
@@ -224,14 +270,8 @@ let test_design_gains_for_cached () =
 
 let build_test_mimo () =
   let ident = Spectr.Design_flow.identify Spectr.Design_flow.Big_2x2 in
-  let goals =
-    [
-      { Spectr.Design_flow.label = "qos"; q_y = Spectr.Mm.qos_weights };
-      { Spectr.Design_flow.label = "power"; q_y = Spectr.Mm.power_weights };
-    ]
-  in
   let gains =
-    match Spectr.Design_flow.design_gains_for Spectr.Design_flow.Big_2x2 goals with
+    match Spectr.Design_flow.design_gains_for Spectr.Design_flow.Big_2x2 Spectr.Mm.goals with
     | Ok g -> g
     | Error m -> Alcotest.failf "design failed: %s" m
   in
@@ -252,6 +292,52 @@ let test_mimo_step_into_equals_step () =
   done;
   (* Full state agreement, not just the commands. *)
   check_bool "snapshots equal" true (Mimo.snapshot c1 = Mimo.snapshot c2)
+
+(* The leaf controller's two runtime entry points together: a control
+   period and a gain switch (with its bumpless-transfer solve) per
+   iteration, alternating between the two gain sets. *)
+let test_mimo_step_and_switch_zero_alloc () =
+  let ctrl = build_test_mimo () in
+  let measured = [| 45.; 3.5 |] and dst = [| 0.; 0. |] in
+  let round n =
+    for i = 1 to n do
+      Mimo.step_into ctrl ~measured ~dst;
+      Mimo.switch_gains ctrl (if i land 1 = 0 then "qos" else "power")
+    done
+  in
+  round 500;
+  let per_iter = bytes_per_iter 20_000 round in
+  check_bool
+    (Printf.sprintf "Mimo.step_into + switch_gains: %.3f B/call" per_iter)
+    true (per_iter < 1.0)
+
+(* The bumpless transfer in scratch equals its allocating form,
+   z_new = solve (Kz' Kz + 1e-9 I) (Kz' Kz_old z), bit for bit. *)
+let test_switch_gains_equals_normal_equations () =
+  let ctrl = build_test_mimo () in
+  for i = 0 to 39 do
+    let qos = 20. +. (5. *. sin (0.2 *. float_of_int i)) in
+    ignore (Mimo.step ctrl ~measured:[| qos; 5.5 |] : float array)
+  done;
+  let gains label =
+    match Spectr.Design_flow.design_gains_for Spectr.Design_flow.Big_2x2 Spectr.Mm.goals with
+    | Ok gs -> List.find (fun g -> g.Lqg.label = label) gs
+    | Error m -> Alcotest.failf "design failed: %s" m
+  in
+  let z = Matrix.of_arrays (Mimo.snapshot ctrl).Mimo.snap_z in
+  let kz = (gains "power").Lqg.kz in
+  let kzt = Matrix.transpose kz in
+  let p = Matrix.rows z in
+  let expected =
+    Matrix.solve
+      (Matrix.add (Matrix.mul kzt kz) (Matrix.scale 1e-9 (Matrix.identity p)))
+      (Matrix.mul kzt (Matrix.mul (gains "qos").Lqg.kz z))
+  in
+  check_bool "integrators wound" true (Matrix.max_abs z > 0.);
+  Mimo.switch_gains ctrl "power";
+  let bits a = Array.map (Array.map Int64.bits_of_float) a in
+  check_bool "z after switch" true
+    (bits (Matrix.to_arrays expected) = bits (Mimo.snapshot ctrl).Mimo.snap_z)
 
 let test_kalman_correct_into_equals_correct () =
   let l = Matrix.init ~rows:2 ~cols:2 (fun i j -> 0.1 +. float_of_int (i + (2 * j))) in
@@ -405,11 +491,15 @@ let () =
             test_soc_step_into_zero_alloc;
           Alcotest.test_case "Supervisor.step zero-alloc" `Quick
             test_supervisor_step_zero_alloc;
+          Alcotest.test_case "Mimo.step_into + switch_gains zero-alloc" `Slow
+            test_mimo_step_and_switch_zero_alloc;
         ] );
       ( "byte-identity",
         [
           Alcotest.test_case "pinned scenario digests" `Slow
             test_pinned_digests;
+          Alcotest.test_case "pinned gain digests" `Slow
+            test_pinned_gain_digests;
         ] );
       ( "batch-arena",
         [
@@ -426,6 +516,8 @@ let () =
         [
           Alcotest.test_case "Mimo.step_into = step" `Slow
             test_mimo_step_into_equals_step;
+          Alcotest.test_case "switch_gains = normal equations" `Slow
+            test_switch_gains_equals_normal_equations;
           Alcotest.test_case "Kalman.correct_into = correct" `Quick
             test_kalman_correct_into_equals_correct;
         ] );

@@ -263,6 +263,246 @@ let test_dare_stabilizing () =
       let k = pv *. 1.2 /. (1. +. pv) in
       check_bool "closed loop stable" true (abs_float (1.2 -. k) < 1.)
 
+let test_dare_not_converged_counts_steps () =
+  (* B = 0 leaves the unstable mode uncontrollable: P' = 4P + 1 grows
+     without bound.  The cap allows max_iter steps after the first, and
+     the error reports every step taken. *)
+  let a = Matrix.of_list [ [ 2. ] ]
+  and b = Matrix.of_list [ [ 0. ] ]
+  and q = Matrix.identity 1
+  and r = Matrix.identity 1 in
+  match Riccati.solve ~max_iter:5 ~a ~b ~q ~r () with
+  | Error (Riccati.Not_converged { iterations; residual }) ->
+      check_int "steps taken" 6 iterations;
+      (* P runs 1, 5, 21, 85, 341, 1365, 5461: the last step moved 4096 *)
+      check_float "last change" 4096. residual
+  | Ok _ | Error _ -> Alcotest.fail "expected Not_converged"
+
+(* ------------------------------------------------------------------ *)
+(* Kernel oracles: the allocating code the in-place kernels replaced   *)
+(* ------------------------------------------------------------------ *)
+
+let bits m = Array.map (Array.map Int64.bits_of_float) (Matrix.to_arrays m)
+
+let same_bits a b =
+  Matrix.rows a = Matrix.rows b && Matrix.cols a = Matrix.cols b && bits a = bits b
+
+(* The array-of-rows product, skipping zero multipliers. *)
+let oracle_mul a b =
+  let a = Matrix.to_arrays a and b = Matrix.to_arrays b in
+  let p = Array.length b.(0) in
+  let d = Array.make_matrix (Array.length a) p 0. in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun k aik ->
+          if aik <> 0. then
+            for j = 0 to p - 1 do
+              d.(i).(j) <- d.(i).(j) +. (aik *. b.(k).(j))
+            done)
+        row)
+    a;
+  Matrix.of_arrays d
+
+let oracle_transpose m =
+  Matrix.init ~rows:(Matrix.cols m) ~cols:(Matrix.rows m) (fun i j -> Matrix.get m j i)
+
+(* Gaussian elimination with partial pivoting on arrays of rows,
+   swapping row pointers; returns the solution and the determinant. *)
+let oracle_gauss_solve a b =
+  let n = Matrix.rows a and nb = Matrix.cols b in
+  let m = Matrix.to_arrays a and rhs = Matrix.to_arrays b in
+  let det = ref 1. in
+  for k = 0 to n - 1 do
+    let pivot = ref k in
+    for i = k + 1 to n - 1 do
+      if abs_float m.(i).(k) > abs_float m.(!pivot).(k) then pivot := i
+    done;
+    if !pivot <> k then begin
+      let tmp = m.(k) in
+      m.(k) <- m.(!pivot);
+      m.(!pivot) <- tmp;
+      let tmp = rhs.(k) in
+      rhs.(k) <- rhs.(!pivot);
+      rhs.(!pivot) <- tmp;
+      det := -. !det
+    end;
+    let p = m.(k).(k) in
+    if abs_float p < 1e-300 then failwith "Matrix.solve: singular";
+    det := !det *. p;
+    for i = k + 1 to n - 1 do
+      let f = m.(i).(k) /. p in
+      if f <> 0. then begin
+        for j = k to n - 1 do
+          m.(i).(j) <- m.(i).(j) -. (f *. m.(k).(j))
+        done;
+        for j = 0 to nb - 1 do
+          rhs.(i).(j) <- rhs.(i).(j) -. (f *. rhs.(k).(j))
+        done
+      end
+    done
+  done;
+  let x = Array.make_matrix n nb 0. in
+  for j = 0 to nb - 1 do
+    for i = n - 1 downto 0 do
+      let s = ref rhs.(i).(j) in
+      for k = i + 1 to n - 1 do
+        s := !s -. (m.(i).(k) *. x.(k).(j))
+      done;
+      x.(i).(j) <- !s /. m.(i).(i)
+    done
+  done;
+  (Matrix.of_arrays x, !det)
+
+let oracle_max_abs m =
+  Array.fold_left (fun acc x -> max acc (abs_float x)) 0.
+    (Array.concat (Array.to_list (Matrix.to_arrays m)))
+
+(* A random matrix with about a quarter of its entries exactly zero. *)
+let random_matrix g ~rows ~cols =
+  Matrix.init ~rows ~cols (fun _ _ ->
+      if Prng.int g 4 = 0 then 0. else Prng.uniform g ~lo:(-10.) ~hi:10.)
+
+let test_mul_into_matches_oracle () =
+  let g = Prng.create 31L in
+  for _ = 1 to 200 do
+    let r = 1 + Prng.int g 7 and k = 1 + Prng.int g 7 and c = 1 + Prng.int g 7 in
+    let a = random_matrix g ~rows:r ~cols:k and b = random_matrix g ~rows:k ~cols:c in
+    let dst = Matrix.create ~rows:r ~cols:c nan in
+    Matrix.mul_into ~dst a b;
+    check_bool "mul_into bits" true (same_bits (oracle_mul a b) dst);
+    check_bool "transpose bits" true (same_bits (oracle_transpose a) (Matrix.transpose a))
+  done
+
+let outcome f = match f () with x -> Ok x | exception Failure msg -> Error msg
+
+let test_solve_into_matches_oracle () =
+  let g = Prng.create 97L in
+  let singular = ref 0 and swapped = ref 0 in
+  for case = 1 to 100 do
+    let n = 1 + Prng.int g 6 and nb = 1 + Prng.int g 4 in
+    let a = Matrix.to_arrays (random_matrix g ~rows:n ~cols:n) in
+    (match case mod 4 with
+    | 0 when n > 1 ->
+        (* a repeated row: exactly singular *)
+        a.(n - 1) <- Array.copy a.(0);
+        incr singular
+    | 1 ->
+        (* a zero leading column entry forces a pivot swap *)
+        a.(0).(0) <- 0.;
+        if n > 1 then incr swapped
+    | _ -> ());
+    let a = Matrix.of_arrays a and b = random_matrix g ~rows:n ~cols:nb in
+    let lu = Matrix.zeros ~rows:n ~cols:n and dst = Matrix.zeros ~rows:n ~cols:nb in
+    let expected = outcome (fun () -> oracle_gauss_solve a b) in
+    let got = outcome (fun () -> Matrix.solve_into ~lu ~dst a b; dst) in
+    match (expected, got) with
+    | Ok (x, det), Ok x' ->
+        check_bool "solution bits" true (same_bits x x');
+        check_bool "wrapper bits" true (same_bits x (Matrix.solve a b));
+        check_bool "determinant bits" true
+          (Int64.bits_of_float det = Int64.bits_of_float (Matrix.determinant a))
+    | Error m, Error m' ->
+        Alcotest.(check string) "singular message" m m';
+        check_float "singular determinant" 0. (Matrix.determinant a)
+    | _ -> Alcotest.failf "case %d: outcomes differ" case
+  done;
+  check_bool "cases exercised" true (!singular > 10 && !swapped > 10)
+
+let test_solve_into_in_place () =
+  (* lu = a and dst = b: the destructive form the Riccati step uses. *)
+  let a = Matrix.of_list [ [ 0.; 2.; 1. ]; [ 3.; 1.; 0. ]; [ 1.; 0.; 4. ] ] in
+  let b = Matrix.of_list [ [ 1.; 2. ]; [ 3.; 4. ]; [ 5.; 6. ] ] in
+  let x = Matrix.solve a b in
+  Matrix.solve_into ~lu:a ~dst:b a b;
+  check_bool "in-place solution" true (same_bits x b);
+  let c = Matrix.identity 3 in
+  Alcotest.check_raises "lu aliasing the rhs"
+    (Invalid_argument "Matrix.solve_into: lu aliases the right-hand side")
+    (fun () -> Matrix.solve_into ~lu:c ~dst:c a c)
+
+let test_max_abs_nan_inf () =
+  let v l = Matrix.row_vector (Array.of_list l) in
+  let pin name expected m =
+    let got = Matrix.max_abs m in
+    check_bool (name ^ " = oracle") true
+      (Int64.bits_of_float got = Int64.bits_of_float (oracle_max_abs m));
+    check_bool name true
+      (if Float.is_nan expected then Float.is_nan got else got = expected)
+  in
+  (* A NaN wins only until a later entry replaces it. *)
+  pin "nan last" nan (v [ 1.; nan ]);
+  pin "nan first" 1. (v [ nan; 1. ]);
+  pin "nan then zero" 0. (v [ nan; 0. ]);
+  pin "all nan" nan (v [ nan; nan ]);
+  pin "inf" infinity (v [ 1.; neg_infinity; 2. ]);
+  pin "inf then nan" nan (v [ infinity; nan ]);
+  pin "nan then inf" infinity (v [ nan; infinity ]);
+  pin "negative zero" 0. (v [ -0. ])
+
+(* The value iteration as it ran before the in-place rewrite: fresh
+   matrices every step, the oracle product and solver, and the error
+   counting the steps taken. *)
+let oracle_dare ?(max_iter = 10_000) ?(tol = 1e-10) ~a ~b ~q ~r () =
+  let at = oracle_transpose a and bt = oracle_transpose b in
+  let step p =
+    let atp = oracle_mul at p in
+    let atpa = oracle_mul atp a in
+    let atpb = oracle_mul atp b in
+    let inner = Matrix.add r (oracle_mul (oracle_mul bt p) b) in
+    match oracle_gauss_solve inner (oracle_transpose atpb) with
+    | exception Failure _ -> Error Riccati.Singular
+    | x, _ -> Ok (Matrix.add q (Matrix.sub atpa (oracle_mul atpb x)))
+  in
+  let rec loop i p =
+    match step p with
+    | Error _ as e -> e
+    | Ok p' ->
+        let diff = oracle_max_abs (Matrix.sub p' p) in
+        if diff <= tol then Ok p'
+        else if i >= max_iter then
+          Error (Riccati.Not_converged { iterations = i + 1; residual = diff })
+        else loop (i + 1) p'
+  in
+  loop 0 q
+
+let same_dare_outcome name expected got =
+  match (expected, got) with
+  | Ok p, Ok p' -> check_bool (name ^ ": P bits") true (same_bits p p')
+  | Error Riccati.Singular, Error Riccati.Singular -> ()
+  | ( Error (Riccati.Not_converged { iterations = i; residual = r }),
+      Error (Riccati.Not_converged { iterations = i'; residual = r' }) ) ->
+      check_int (name ^ ": steps") i i';
+      check_bool (name ^ ": residual bits") true
+        (Int64.bits_of_float r = Int64.bits_of_float r')
+  | _ -> Alcotest.failf "%s: DARE outcomes differ" name
+
+let test_dare_matches_oracle () =
+  let g = Prng.create 5L in
+  for case = 1 to 20 do
+    let n = 1 + Prng.int g 5 and m = 1 + Prng.int g 2 in
+    (* spectral radius up to ~1.3: a mix of stable and unstable plants,
+       stabilizable through a generic B *)
+    let a = Matrix.scale (0.3 /. float_of_int n) (random_matrix g ~rows:n ~cols:n) in
+    let b = random_matrix g ~rows:n ~cols:m in
+    let c = random_matrix g ~rows:n ~cols:n in
+    let q = Matrix.add (oracle_mul (oracle_transpose c) c) (Matrix.identity n) in
+    let r = Matrix.diagonal (Array.init m (fun _ -> Prng.uniform g ~lo:0.5 ~hi:3.)) in
+    same_dare_outcome (Printf.sprintf "system %d" case)
+      (oracle_dare ~a ~b ~q ~r ())
+      (Riccati.solve ~a ~b ~q ~r ())
+  done;
+  (* divergent: P overflows to inf, then the change is NaN *)
+  let a = Matrix.of_list [ [ 2. ] ] and b = Matrix.of_list [ [ 0. ] ] in
+  let q = Matrix.identity 1 and r = Matrix.identity 1 in
+  same_dare_outcome "divergent" (oracle_dare ~a ~b ~q ~r ()) (Riccati.solve ~a ~b ~q ~r ());
+  (* and a direct residual check on one converged system *)
+  let a = Matrix.of_list [ [ 0.9; 0.1 ]; [ 0.; 0.8 ] ] and b = Matrix.identity 2 in
+  let q = Matrix.identity 2 and r = Matrix.identity 2 in
+  match Riccati.solve ~a ~b ~q ~r () with
+  | Ok p -> check_bool "residual" true (Riccati.residual ~a ~b ~q ~r p <= 1e-10)
+  | Error e -> Alcotest.failf "DARE failed: %a" Riccati.pp_error e
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -467,6 +707,19 @@ let () =
           Alcotest.test_case "dimension mismatch" `Quick
             test_dare_dimension_mismatch;
           Alcotest.test_case "stabilizing" `Quick test_dare_stabilizing;
+          Alcotest.test_case "not converged counts steps" `Quick
+            test_dare_not_converged_counts_steps;
+        ] );
+      ( "kernel-oracles",
+        [
+          Alcotest.test_case "mul_into = array-of-rows product" `Quick
+            test_mul_into_matches_oracle;
+          Alcotest.test_case "solve_into = row-pointer elimination" `Quick
+            test_solve_into_matches_oracle;
+          Alcotest.test_case "solve_into in place" `Quick test_solve_into_in_place;
+          Alcotest.test_case "max_abs NaN and inf" `Quick test_max_abs_nan_inf;
+          Alcotest.test_case "DARE = allocating value iteration" `Quick
+            test_dare_matches_oracle;
         ] );
       ( "stats",
         [
