@@ -18,7 +18,8 @@ bench:
 
 # One small synthesis-scale cell plus the throughput gates (0 B/call
 # steady-state allocation of the tick kernels, 0 B per Riccati.solve
-# value-iteration step of gain design, batch-vs-one-shot trace digest
+# value-iteration step of gain design, at most 64 KiB per warm manager
+# or fleet-node construction, batch-vs-one-shot trace digest
 # agreement), timing columns suppressed — the shape check CI runs (see
 # .github/workflows/ci.yml).
 bench-smoke:
@@ -63,6 +64,9 @@ chaos-smoke:
 # forced 4-job pool in-process.  On top of that, the full stdout under
 # SPECTR_JOBS=1 and SPECTR_JOBS=4 must be byte-identical — digests,
 # floats, everything — which is the cross-process determinism gate.
+# Its mixed exynos5422/pixel8pro/k3 row builds nodes of a description
+# no module initializer touched on the default pool, so the diff also
+# covers parallel node construction.
 fleet-smoke:
 	SPECTR_JOBS=1 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j1.txt
 	SPECTR_JOBS=4 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j4.txt

@@ -17,7 +17,8 @@
    hold the global cap where the uncoordinated baseline breaks it, and
    a forced 4-job pool must reproduce the 1-job digest bit-for-bit.
    `make fleet-smoke` additionally diffs whole-process stdout across
-   SPECTR_JOBS values.  Wall-clock goes to stderr: stdout carries only
+   SPECTR_JOBS values, including a row of mixed descriptions built on
+   the default pool.  Wall-clock goes to stderr: stdout carries only
    deterministic fields. *)
 
 module F = Spectr_fleet.Fleet
@@ -91,6 +92,24 @@ let comparison_section ~nodes ~epochs ~ticks =
       unco.F.violation_ticks
   end
 
+(* Three descriptions, one of them (k_cluster 3) untouched by any
+   module initializer, on the default pool: the first nodes of each
+   description are built concurrently when SPECTR_JOBS > 1, so
+   `make fleet-smoke`'s cross-process stdout diff covers parallel node
+   construction and first-use event interning. *)
+let mixed_section ~nodes ~epochs ~ticks =
+  Util.subheading
+    "mixed platforms: exynos5422 / pixel8pro / k3, water-filling, default pool";
+  let s =
+    {
+      (spec ~nodes ~epochs ~ticks ~policy:Coordinator.Water_filling) with
+      F.platforms =
+        Spectr_platform.Platform_desc.
+          [| exynos5422; pixel8pro; k_cluster 3 |];
+    }
+  in
+  print_row "waterfill" s.F.global_cap (F.run s)
+
 let determinism_section ~nodes ~epochs ~ticks =
   Util.subheading "determinism: forced 1-job vs 4-job pools, same process";
   let s = spec ~nodes ~epochs ~ticks ~policy:Coordinator.Water_filling in
@@ -131,5 +150,6 @@ let run () =
   Util.heading "fleet";
   let nodes, epochs, ticks = if !smoke then (32, 8, 25) else (256, 40, 50) in
   comparison_section ~nodes ~epochs ~ticks;
+  mixed_section ~nodes ~epochs ~ticks;
   determinism_section ~nodes ~epochs ~ticks;
   if not !smoke then scale_section ()

@@ -15,8 +15,10 @@
 
    In --smoke mode the timing columns are suppressed (CI must not gate
    on wall clock) and the deterministic properties are enforced hard:
-   the kernel allocation budgets (0 B/call) and batch-vs-one-shot trace
-   digest agreement for every variant.  A breach exits nonzero. *)
+   the kernel allocation budgets (0 B/call), the warm-construction
+   budget (64 KiB per Spectr_manager.make / Node.create once the
+   platform is designed) and batch-vs-one-shot trace digest agreement
+   for every variant.  A breach exits nonzero. *)
 
 open Spectr_platform
 
@@ -121,6 +123,59 @@ let kernel_section () =
     Printf.printf "  %-18s %6.0f ns/call\n" "Supervisor.step"
       (seconds_per_iter iters sup_step *. 1e9)
   end
+
+(* --- warm construction ------------------------------------------------- *)
+
+(* Allocation budget of one warm construction: a chip that boots into an
+   already-designed fleet pays for its own state (SoC, controllers,
+   supervisor cursor, a few closures — ~25 KB), not for re-deriving its
+   platform's identity, plant or spec. *)
+let construction_budget = 65536.
+
+(* Minor-heap bytes per warm call of [build], from [Gc.minor_words]
+   (exact and deterministic).  Blocks too large for the minor heap go
+   straight to the major heap and are not counted.  Two calls first pay
+   the cold design flow and synthesis; the counted calls then hit every
+   process-wide memo. *)
+let bytes_per_construction build =
+  ignore (Sys.opaque_identity (build ()));
+  ignore (Sys.opaque_identity (build ()));
+  let reps = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (build ()))
+  done;
+  (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8)
+  /. float_of_int reps
+
+let gate_construction name build =
+  let bytes = bytes_per_construction build in
+  if bytes > construction_budget then
+    failwith
+      (Printf.sprintf
+         "throughput: warm %s allocates %.0f B/call (budget %.0f)" name bytes
+         construction_budget);
+  Printf.printf "  %-28s %7.0f B/call  (budget %.0f)  PASS\n" name bytes
+    construction_budget;
+  if not !smoke then
+    Printf.printf "  %-28s %7.1f us/call\n" name
+      (seconds_per_iter 200 (fun n ->
+           for _ = 1 to n do
+             ignore (Sys.opaque_identity (build ()))
+           done)
+      *. 1e6)
+
+let construction_section () =
+  Util.subheading "warm construction";
+  List.iter
+    (fun platform ->
+      let tag = Platform_desc.name platform in
+      gate_construction ("Spectr_manager.make " ^ tag) (fun () ->
+          Spectr.Spectr_manager.make ~platform ());
+      gate_construction ("Node.create " ^ tag) (fun () ->
+          Spectr_fleet.Node.create ~platform ~id:0 ~seed:42L
+            ~workload:Benchmarks.x264 ()))
+    [ Platform_desc.exynos5422; Platform_desc.pixel8pro ]
 
 (* --- scenario loop ----------------------------------------------------- *)
 
@@ -267,6 +322,7 @@ let batch_section one_shot_rate =
 let run () =
   Util.heading "Tick-kernel and batch throughput";
   kernel_section ();
+  construction_section ();
   let rate = one_shot_section () in
   batch_section rate;
   Printf.printf "\nthroughput: all gates passed\n"

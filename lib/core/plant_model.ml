@@ -58,29 +58,31 @@ let generate_capping (_ : Platform_desc.t) =
       ]
     ()
 
-(* Memoized per digest, like [Spec.of_platform]: the pair feeds the
-   synthesis cache, and handing back identical automata keeps digest
-   computation amortized across manager constructions. *)
+(* Memoized per digest, like [Spec.of_platform]: the pair and their
+   product feed the synthesis cache, and handing back identical automata
+   keeps their structural digests computed once per description.  A miss
+   builds under the lock, so every caller gets the one physical value. *)
 let mutex = Mutex.create ()
-let cache : (string, Automaton.t * Automaton.t) Hashtbl.t = Hashtbl.create 8
+let pairs : (string, Automaton.t * Automaton.t) Hashtbl.t = Hashtbl.create 8
+let products : (string, Automaton.t) Hashtbl.t = Hashtbl.create 8
+
+let memo tbl desc build =
+  let digest = Platform_desc.digest desc in
+  Mutex.protect mutex (fun () ->
+      match Hashtbl.find_opt tbl digest with
+      | Some v -> v
+      | None ->
+          let v = build () in
+          Hashtbl.replace tbl digest v;
+          v)
 
 let of_platform desc =
-  let digest = Platform_desc.digest desc in
-  Mutex.lock mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock mutex)
-    (fun () ->
-      match Hashtbl.find_opt cache digest with
-      | Some pair -> pair
-      | None ->
-          let pair = (generate_qos desc, generate_capping desc) in
-          Hashtbl.replace cache digest pair;
-          pair)
+  memo pairs desc (fun () -> (generate_qos desc, generate_capping desc))
 
 let qos_management, power_capping = of_platform Platform_desc.exynos5422
 
 let composed_for desc =
   let qos, capping = of_platform desc in
-  Compose.pair qos capping
+  memo products desc (fun () -> Compose.pair qos capping)
 
-let composed () = Compose.pair qos_management power_capping
+let composed () = composed_for Platform_desc.exynos5422

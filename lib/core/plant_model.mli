@@ -30,7 +30,7 @@ val power_capping : Automaton.t
 
 val composed : unit -> Automaton.t
 (** [qos_management ‖ power_capping] — the automatically generated plant
-    of Figure 12b. *)
+    of Figure 12b ([composed_for exynos5422]). *)
 
 val of_platform : Spectr_platform.Platform_desc.t -> Automaton.t * Automaton.t
 (** The (QoS-management, power-capping) sub-plants generated for a
@@ -41,4 +41,7 @@ val of_platform : Spectr_platform.Platform_desc.t -> Automaton.t * Automaton.t
 
 val composed_for : Spectr_platform.Platform_desc.t -> Automaton.t
 (** Synchronous product of {!of_platform}'s pair — the plant handed to
-    synthesis for a description-driven supervisor. *)
+    synthesis for a description-driven supervisor.  Memoized per
+    platform digest like {!of_platform}: equal descriptions get the
+    physically equal automaton, so its structural digest is computed
+    once per description, not once per {!Supervisor.synthesize}. *)

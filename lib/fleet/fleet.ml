@@ -115,29 +115,49 @@ let run ?pool spec =
   validate spec;
   Obs.Counters.set g_nodes (float_of_int spec.nodes);
   Obs.Counters.set g_cap spec.global_cap;
-  (* Node construction on the calling domain: the first node of each
-     workload pays the (memoized) gain design once; the other 9 992
-     reuse it. *)
-  let nodes =
-    Array.init spec.nodes (fun i ->
-        Node.create ~config:spec.node_config
-          ~platform:spec.platforms.(i mod Array.length spec.platforms) ~id:i
-          ~seed:(mix_seed spec.seed i) ~workload:(workload_for i) ())
-  in
+  (* Synthesize each distinct description's supervisor here, on the
+     calling domain, before any node is built.  [Events.for_platform]
+     interns the description's event names and event ids follow intern
+     order, so interning sequentially in platform order keeps every id
+     (and every digest downstream) independent of the job count.  Every
+     node's own [Supervisor.synthesize] is then a cache hit. *)
+  let seen = Hashtbl.create 4 in
+  Array.iter
+    (fun platform ->
+      let d = Platform_desc.digest platform in
+      if not (Hashtbl.mem seen d) then begin
+        Hashtbl.add seen d ();
+        ignore (Spectr.Supervisor.synthesize ~platform ())
+      end)
+    spec.platforms;
   (* A coordinated fleet starts from an even split of the global budget
      — the coordinator admits nodes under the cap from tick one; only
      the uncoordinated baseline begins (and stays) at chip TDP. *)
-  (if spec.policy <> Coordinator.Uncoordinated then
-     let even =
-       spec.global_cap
-       *. (1. -. Coordinator.default_headroom)
-       /. float_of_int spec.nodes
-     in
-     Array.iter (fun node -> Node.set_cap node even) nodes);
-  (* Boot warm-up under the assigned caps: nodes join the reported
+  let even =
+    spec.global_cap
+    *. (1. -. Coordinator.default_headroom)
+    /. float_of_int spec.nodes
+  in
+  (* Nodes are built, capped and warmed on the pool, one task per node:
+     each node owns its SoC, seed and manager, and the shared memos
+     (gain design, synthesis) are per-key single-flight, so the first
+     nodes of different descriptions design their gains concurrently.
+     Boot warm-up runs under the assigned cap: nodes join the reported
      fleet already stabilized, so tick 0 measures the coordinator, not
      a synchronized cold-start spike. *)
-  Array.iter (fun node -> Node.warm_up node) nodes;
+  let nodes =
+    Spectr_exec.Parmap.map_array ?pool
+      (fun i ->
+        let node =
+          Node.create ~config:spec.node_config
+            ~platform:spec.platforms.(i mod Array.length spec.platforms)
+            ~id:i ~seed:(mix_seed spec.seed i) ~workload:(workload_for i) ()
+        in
+        if spec.policy <> Coordinator.Uncoordinated then Node.set_cap node even;
+        Node.warm_up node;
+        node)
+      (Array.init spec.nodes Fun.id)
+  in
   let shard_count = (spec.nodes + spec.shard_size - 1) / spec.shard_size in
   let shards =
     Array.init shard_count (fun s ->

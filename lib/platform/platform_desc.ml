@@ -30,7 +30,63 @@ type t = {
   host : int;
   thermal : thermal;
   core_offsets : int array; (* clusters + 1 entries; last = total cores *)
+  digest : string; (* hex MD5 of [serialize], computed once in [create] *)
 }
+
+(* --- canonical serialization / digest --------------------------------- *)
+
+let flt v = Printf.sprintf "%.17g" v
+
+let cpi_law_to_string = function
+  | Host_law -> "host"
+  | Workload_ratio r -> "workload:" ^ flt r
+  | Fixed_ratio r -> "ratio:" ^ flt r
+  | Absolute { cpi_a; cpi_b } -> Printf.sprintf "abs:%s:%s" (flt cpi_a) (flt cpi_b)
+
+let cpi_law_of_string s =
+  match String.split_on_char ':' s with
+  | [ "host" ] -> Some Host_law
+  | [ "workload"; r ] ->
+      Option.map (fun r -> Workload_ratio r) (float_of_string_opt r)
+  | [ "ratio"; r ] -> Option.map (fun r -> Fixed_ratio r) (float_of_string_opt r)
+  | [ "abs"; a; b ] -> (
+      match (float_of_string_opt a, float_of_string_opt b) with
+      | Some cpi_a, Some cpi_b -> Some (Absolute { cpi_a; cpi_b })
+      | _ -> None)
+  | _ -> None
+
+(* Canonical serialization of a description's fields.  [create] digests
+   it once; [to_csv_string] re-emits it for files and round trips. *)
+let serialize ~name ~clusters ~host ~thermal =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "# spectr platform csv v1\n";
+  Buffer.add_string b (Printf.sprintf "platform,%s\n" name);
+  Buffer.add_string b
+    (Printf.sprintf "thermal,%s,%s,%s\n" (flt thermal.ambient_c)
+       (flt thermal.resistance_c_per_w)
+       (flt thermal.tau_s));
+  Buffer.add_string b
+    (Printf.sprintf "host,%s\n" clusters.(host).cl_name);
+  Array.iter
+    (fun c ->
+      Buffer.add_string b
+        (Printf.sprintf "cluster,%s,%d,%s,%s,%s,%s,%s\n" c.cl_name c.cores
+           (flt c.power.Power_model.cdyn_w_per_v2ghz)
+           (flt c.power.Power_model.leak_w_per_core)
+           (flt c.power.Power_model.gated_w_per_core)
+           (flt c.power.Power_model.uncore_w)
+           (cpi_law_to_string c.cpi)))
+    clusters;
+  Array.iter
+    (fun c ->
+      for i = 0 to Opp.num_points c.opp - 1 do
+        let f = c.opp.Opp.freqs_mhz.(i) in
+        Buffer.add_string b
+          (Printf.sprintf "opp,%s,%d,%s\n" c.cl_name f
+             (flt (Opp.voltage c.opp f)))
+      done)
+    clusters;
+  Buffer.contents b
 
 let valid_ident s =
   String.length s > 0
@@ -70,6 +126,9 @@ let validate_cluster c =
              c.cl_name cpi_a cpi_b))
 
 let create ~name ~clusters ~host ~thermal =
+  (* A private copy: the digest below must describe the record for its
+     whole life, whatever the caller later does with its array. *)
+  let clusters = Array.copy clusters in
   let n = Array.length clusters in
   if n = 0 then invalid_arg "Platform_desc.create: no clusters";
   if n > 16 then invalid_arg "Platform_desc.create: more than 16 clusters";
@@ -100,8 +159,15 @@ let create ~name ~clusters ~host ~thermal =
   for i = 0 to n - 1 do
     core_offsets.(i + 1) <- core_offsets.(i) + clusters.(i).cores
   done;
-  { name; clusters; host; thermal; core_offsets }
+  let digest =
+    Digest.to_hex (Digest.string (serialize ~name ~clusters ~host ~thermal))
+  in
+  { name; clusters; host; thermal; core_offsets; digest }
 
+let to_csv_string t =
+  serialize ~name:t.name ~clusters:t.clusters ~host:t.host ~thermal:t.thermal
+
+let digest t = t.digest
 let name t = t.name
 let clusters t = t.clusters
 let num_clusters t = Array.length t.clusters
@@ -229,60 +295,6 @@ let k_cluster ?(cores_per_cluster = 4) k =
 
 let builtins () = [ exynos5422; pixel8pro; k_cluster 4 ]
 
-(* --- canonical serialization / digest --------------------------------- *)
-
-let flt v = Printf.sprintf "%.17g" v
-
-let cpi_law_to_string = function
-  | Host_law -> "host"
-  | Workload_ratio r -> "workload:" ^ flt r
-  | Fixed_ratio r -> "ratio:" ^ flt r
-  | Absolute { cpi_a; cpi_b } -> Printf.sprintf "abs:%s:%s" (flt cpi_a) (flt cpi_b)
-
-let cpi_law_of_string s =
-  match String.split_on_char ':' s with
-  | [ "host" ] -> Some Host_law
-  | [ "workload"; r ] ->
-      Option.map (fun r -> Workload_ratio r) (float_of_string_opt r)
-  | [ "ratio"; r ] -> Option.map (fun r -> Fixed_ratio r) (float_of_string_opt r)
-  | [ "abs"; a; b ] -> (
-      match (float_of_string_opt a, float_of_string_opt b) with
-      | Some cpi_a, Some cpi_b -> Some (Absolute { cpi_a; cpi_b })
-      | _ -> None)
-  | _ -> None
-
-let to_csv_string t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "# spectr platform csv v1\n";
-  Buffer.add_string b (Printf.sprintf "platform,%s\n" t.name);
-  Buffer.add_string b
-    (Printf.sprintf "thermal,%s,%s,%s\n" (flt t.thermal.ambient_c)
-       (flt t.thermal.resistance_c_per_w)
-       (flt t.thermal.tau_s));
-  Buffer.add_string b
-    (Printf.sprintf "host,%s\n" t.clusters.(t.host).cl_name);
-  Array.iter
-    (fun c ->
-      Buffer.add_string b
-        (Printf.sprintf "cluster,%s,%d,%s,%s,%s,%s,%s\n" c.cl_name c.cores
-           (flt c.power.Power_model.cdyn_w_per_v2ghz)
-           (flt c.power.Power_model.leak_w_per_core)
-           (flt c.power.Power_model.gated_w_per_core)
-           (flt c.power.Power_model.uncore_w)
-           (cpi_law_to_string c.cpi)))
-    t.clusters;
-  Array.iter
-    (fun c ->
-      for i = 0 to Opp.num_points c.opp - 1 do
-        let f = c.opp.Opp.freqs_mhz.(i) in
-        Buffer.add_string b
-          (Printf.sprintf "opp,%s,%d,%s\n" c.cl_name f
-             (flt (Opp.voltage c.opp f)))
-      done)
-    t.clusters;
-  Buffer.contents b
-
-let digest t = Digest.to_hex (Digest.string (to_csv_string t))
 
 (* --- CSV parsing ------------------------------------------------------ *)
 

@@ -13,7 +13,14 @@
     Descriptions come from three places: built-ins ({!exynos5422},
     {!pixel8pro}, {!k_cluster}), code ({!create}), or a CSV file in the
     ARM-based-Power-style measurement format ({!of_csv_file}), with
-    precise line-numbered parse errors. *)
+    precise line-numbered parse errors.
+
+    Descriptions are immutable values.  {!create} copies the cluster
+    array it is given, and every other constructor (the built-ins,
+    {!k_cluster}, {!degrade}, the CSV parser) goes through it, so a
+    description never changes after it is built.  That is what lets
+    {!create} compute the {!digest} once: callers must not write into
+    the array returned by {!clusters} or into its {!Opp} tables. *)
 
 type cpi_law =
   | Host_law
@@ -50,12 +57,15 @@ type t
 
 val create :
   name:string -> clusters:cluster array -> host:int -> thermal:thermal -> t
-(** Raises [Invalid_argument] with a precise message on invalid names,
-    duplicate clusters, out-of-range host index or core counts, or
-    non-positive thermal parameters. *)
+(** Validates the fields, copies [clusters] and digests the canonical
+    serialization once.  Raises [Invalid_argument] with a precise message
+    on invalid names, duplicate clusters, out-of-range host index or
+    core counts, or non-positive thermal parameters. *)
 
 val name : t -> string
 val clusters : t -> cluster array
+(** The description's own array, not a copy: read it, never write it. *)
+
 val num_clusters : t -> int
 val host : t -> int
 (** Index of the QoS-hosting cluster. *)
@@ -138,7 +148,10 @@ val to_csv_string : t -> string
 
 val digest : t -> string
 (** Hex MD5 of the canonical serialization — the platform identity used
-    in design-flow memo keys and checkpoint variant tags. *)
+    in design-flow memo keys and checkpoint variant tags.  Computed once
+    by {!create}; this is a field read, so memo lookups keyed on it cost
+    nothing per call.  Always equals
+    [Digest.to_hex (Digest.string (to_csv_string t))]. *)
 
 val describe : t -> string
 (** Human-readable summary for [spectr_cli platforms]. *)

@@ -426,6 +426,38 @@ let test_fleet_determinism_across_jobs () =
   let r1' = with_pool ~jobs:1 (fun pool -> Fleet.run ~pool small_spec) in
   check_string "rerun reproduces" r1.Fleet.digest r1'.Fleet.digest
 
+(* Three descriptions built on the pool, kills on so that [Node.restart]
+   runs too.  The 4-job run goes first, so it is the one that designs
+   and synthesizes on first use. *)
+let test_fleet_mixed_determinism () =
+  let spec =
+    {
+      small_spec with
+      Fleet.platforms =
+        Platform_desc.[| exynos5422; pixel8pro; k_cluster 3 |];
+    }
+  in
+  let r4 = with_pool ~jobs:4 (fun pool -> Fleet.run ~pool spec) in
+  (* Event ids follow intern order, and the 4-job run is the first use of
+     pixel8pro's prime and k3's commands in this process: [Fleet.run]
+     must have interned them in platform order before building nodes. *)
+  let ids p =
+    let fam = Spectr.Events.for_platform p in
+    List.concat_map
+      (fun i ->
+        Spectr_automata.Event.
+          [ id (Spectr.Events.increase fam i); id (Spectr.Events.decrease fam i) ])
+      (List.init (Platform_desc.num_clusters p) Fun.id)
+  in
+  check_bool "pixel8pro commands interned before k3's" true
+    (List.fold_left max min_int (ids Platform_desc.pixel8pro)
+    < List.fold_left min max_int (ids (Platform_desc.k_cluster 3)));
+  let r1 = with_pool ~jobs:1 (fun pool -> Fleet.run ~pool spec) in
+  check_string "mixed digest job-count independent" r1.Fleet.digest
+    r4.Fleet.digest;
+  check_bool "nodes were restarted" true (r1.Fleet.restarts > 0);
+  check_int "restarts identical" r1.Fleet.restarts r4.Fleet.restarts
+
 let test_fleet_compliance_vs_baseline () =
   let spec policy = { small_spec with Fleet.kill_rate = 0.; policy } in
   let unco =
@@ -536,6 +568,8 @@ let () =
         [
           Alcotest.test_case "determinism across jobs" `Slow
             test_fleet_determinism_across_jobs;
+          Alcotest.test_case "mixed platforms across jobs" `Slow
+            test_fleet_mixed_determinism;
           Alcotest.test_case "compliance vs baseline" `Slow
             test_fleet_compliance_vs_baseline;
           Alcotest.test_case "kills and restarts" `Slow

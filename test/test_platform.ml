@@ -929,6 +929,58 @@ let test_desc_csv_roundtrip () =
             (Format.asprintf "%a" Platform_desc.pp_parse_error e))
     (Platform_desc.builtins ())
 
+(* The digest is computed once, in [create]; it must equal the digest of
+   the canonical serialization on every construction path, and a
+   caller's later writes into the array it passed to [create] must not
+   reach the description. *)
+let test_desc_digest_invariant () =
+  let check p =
+    Alcotest.(check string)
+      (Platform_desc.name p ^ " digest = md5 of csv")
+      (Digest.to_hex (Digest.string (Platform_desc.to_csv_string p)))
+      (Platform_desc.digest p)
+  in
+  let roundtrip p =
+    match Platform_desc.of_csv_string (Platform_desc.to_csv_string p) with
+    | Ok q -> q
+    | Error e ->
+        Alcotest.failf "%s: %s" (Platform_desc.name p)
+          (Format.asprintf "%a" Platform_desc.pp_parse_error e)
+  in
+  let builtins = Platform_desc.builtins () in
+  List.iter check builtins;
+  List.iter (fun p -> check (roundtrip p)) builtins;
+  for k = 1 to 16 do
+    check (Platform_desc.k_cluster k)
+  done;
+  List.iter
+    (fun p ->
+      let n = Platform_desc.num_clusters p in
+      for i = 0 to n - 1 do
+        let c = Platform_desc.cluster p i in
+        check
+          (Platform_desc.degrade p
+             (Platform_desc.Pin_opp
+                { cluster = i; freq_mhz = Opp.min_freq c.Platform_desc.opp }));
+        if i <> Platform_desc.host p then
+          check (Platform_desc.degrade p (Platform_desc.Remove_cluster i))
+      done)
+    builtins;
+  let p = Platform_desc.pixel8pro in
+  let clusters =
+    Array.init (Platform_desc.num_clusters p) (Platform_desc.cluster p)
+  in
+  let q =
+    Platform_desc.create ~name:"copy" ~clusters ~host:(Platform_desc.host p)
+      ~thermal:(Platform_desc.thermal p)
+  in
+  let before = Platform_desc.digest q in
+  clusters.(0) <- { (clusters.(0)) with Platform_desc.cores = 1 };
+  check q;
+  Alcotest.(check string) "caller's array is not shared" before
+    (Platform_desc.digest q);
+  check_int "cores unchanged" 4 (Platform_desc.cluster q 0).Platform_desc.cores
+
 let test_desc_csv_errors () =
   let reject ?line what csv =
     match Platform_desc.of_csv_string csv with
@@ -1100,6 +1152,8 @@ let () =
         [
           Alcotest.test_case "builtins validate" `Quick test_desc_builtins;
           Alcotest.test_case "csv round-trip" `Quick test_desc_csv_roundtrip;
+          Alcotest.test_case "digest invariant" `Quick
+            test_desc_digest_invariant;
           Alcotest.test_case "csv parse errors" `Quick test_desc_csv_errors;
           Alcotest.test_case "k-cluster generator" `Quick test_desc_k_cluster;
           Alcotest.test_case "find cluster" `Quick test_desc_find_cluster;

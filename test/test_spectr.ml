@@ -195,6 +195,36 @@ let test_platform_synthesis_legal () =
       Platform_desc.k_cluster 6;
     ]
 
+(* Warm construction reuses the per-description plant: equal
+   descriptions, however built, get the one physical automaton, and
+   warm supervisors add no synthesis-cache entries. *)
+let test_plant_memo_identity () =
+  let a = Plant_model.composed_for Platform_desc.pixel8pro in
+  check_bool "twice: physically equal" true
+    (a == Plant_model.composed_for Platform_desc.pixel8pro);
+  let k3 = Plant_model.composed_for (Platform_desc.k_cluster 3) in
+  check_bool "two k_cluster 3 values: physically equal" true
+    (k3 == Plant_model.composed_for (Platform_desc.k_cluster 3));
+  check_bool "composed () is the exynos product" true
+    (Plant_model.composed () == Plant_model.composed_for Platform_desc.exynos5422);
+  let commands =
+    { Supervisor.switch_gains = (fun _ -> ()); set_power_ref = (fun _ _ -> ()) }
+  in
+  let create () =
+    ignore
+      (Supervisor.create ~platform:(Platform_desc.k_cluster 3) ~commands
+         ~envelope:2.0 ()
+        : Supervisor.t)
+  in
+  create ();
+  (* Every miss installs one cache entry. *)
+  let _, misses = Spectr_exec.Synth_cache.stats () in
+  for _ = 1 to 100 do
+    create ()
+  done;
+  check_int "no synth cache entry added by 100 warm creates" misses
+    (snd (Spectr_exec.Synth_cache.stats ()))
+
 (* The per-cluster command families are minted through the interner:
    exynos5422's family IS the hand-written constants, and pixel8pro's
    names follow the increase<Name>Power scheme. *)
@@ -1904,6 +1934,8 @@ let () =
             test_platform_event_families;
           Alcotest.test_case "pixel8pro event flow" `Quick
             test_platform_event_flow;
+          Alcotest.test_case "plant memo identity" `Quick
+            test_plant_memo_identity;
         ] );
       ( "supervisor-runtime",
         [
