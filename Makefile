@@ -19,7 +19,9 @@ bench:
 # One small synthesis-scale cell plus the throughput gates (0 B/call
 # steady-state allocation of the tick kernels, 0 B per Riccati.solve
 # value-iteration step of gain design, at most 64 KiB per warm manager
-# or fleet-node construction, batch-vs-one-shot trace digest
+# or fleet-node construction, at most half the earlier engine's bytes
+# per transition for supcon_modular ~jobs:1 on the k=8 cap=7 family
+# and for Compose.all of 8 clusters, batch-vs-one-shot trace digest
 # agreement), timing columns suppressed — the shape check CI runs (see
 # .github/workflows/ci.yml).
 bench-smoke:
@@ -72,9 +74,9 @@ fleet-smoke:
 	SPECTR_JOBS=4 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j4.txt
 	diff /tmp/spectr-fleet-j1.txt /tmp/spectr-fleet-j4.txt
 
-# Parallel-synthesis smoke: the sharded supcon engine is pinned
-# byte-identical to the sequential path (digest + stats gates inside the
-# bench), and the whole smoke output must not depend on SPECTR_JOBS.
+# Parallel-synthesis smoke: the sharded engine at 1 and 4 jobs is pinned
+# byte-identical to supcon (digest + stats gates inside the bench), and
+# the whole smoke output must not depend on SPECTR_JOBS.
 # Includes one mid-size modular row under a wall-clock budget.
 synth-smoke:
 	SPECTR_JOBS=1 dune exec bench/main.exe -- synthesis-scale --smoke > /tmp/spectr-synth-j1.txt

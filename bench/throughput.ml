@@ -17,8 +17,10 @@
    on wall clock) and the deterministic properties are enforced hard:
    the kernel allocation budgets (0 B/call), the warm-construction
    budget (64 KiB per Spectr_manager.make / Node.create once the
-   platform is designed) and batch-vs-one-shot trace digest agreement
-   for every variant.  A breach exits nonzero. *)
+   platform is designed), the synthesis allocation budgets (bytes per
+   transition of one-job modular synthesis and of Compose.all, at most
+   half the earlier engine's) and batch-vs-one-shot trace digest
+   agreement for every variant.  A breach exits nonzero. *)
 
 open Spectr_platform
 
@@ -177,6 +179,58 @@ let construction_section () =
             ~workload:Benchmarks.x264 ()))
     [ Platform_desc.exynos5422; Platform_desc.pixel8pro ]
 
+(* --- synthesis allocation ---------------------------------------------- *)
+
+(* Bytes per transition of the engine that preceded the counting-sort
+   CSR and the single sharded engine, measured by [allocated_by] below
+   (Gc.allocated_bytes, one domain): [supcon_modular ~jobs:1] on the
+   k = 8, cap = 7 budget family per product transition (7313 states,
+   65832 transitions; 469.2 is the lowest of nine runs, most read
+   484.6), and [Compose.all] of 8 clusters per composed transition
+   (6561 states, 69984 transitions; every run read 319.5).  The gates
+   allow half of each. *)
+let prior_supcon_bytes_per_transition = 469.2
+let prior_compose_bytes_per_transition = 319.5
+
+let gate_synth_alloc name ~bytes ~transitions ~prior =
+  let per = bytes /. float_of_int transitions in
+  let budget = prior /. 2. in
+  if per > budget then
+    failwith
+      (Printf.sprintf
+         "throughput: %s allocates %.1f B per transition (budget %.1f)" name
+         per budget);
+  Printf.printf "  %-26s %6.1f B/transition  (budget %.1f)  PASS\n" name per
+    budget
+
+(* Emptying the minor heap first keeps objects allocated before [f] from
+   being promoted, and so subtracted, during it. *)
+let allocated_by f =
+  Gc.minor ();
+  let b0 = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. b0)
+
+let synthesis_section () =
+  Util.subheading "synthesis allocation, one domain";
+  let open Spectr_automata in
+  let plants = List.init 8 (fun i -> Synthesis_scale.cluster (i + 1)) in
+  let spec = Synthesis_scale.budget_spec ~k:8 ~cap:7 in
+  let product = Compose.pair (Compose.all plants) spec in
+  let result, bytes =
+    allocated_by (fun () -> Synthesis.supcon_modular ~jobs:1 ~plants ~spec ())
+  in
+  (match result with
+  | Ok (_, st) when st.Synthesis.product_states = 7313 -> ()
+  | _ -> failwith "throughput: k=8 cap=7 family lost its 7313 product states");
+  gate_synth_alloc "supcon_modular k=8 cap=7" ~bytes
+    ~transitions:(Automaton.num_transitions product)
+    ~prior:prior_supcon_bytes_per_transition;
+  let composed, bytes = allocated_by (fun () -> Compose.all plants) in
+  gate_synth_alloc "Compose.all 8 clusters" ~bytes
+    ~transitions:(Automaton.num_transitions composed)
+    ~prior:prior_compose_bytes_per_transition
+
 (* --- scenario loop ----------------------------------------------------- *)
 
 (* The default scenario is 300 ticks; for rate measurements stretch the
@@ -323,6 +377,7 @@ let run () =
   Util.heading "Tick-kernel and batch throughput";
   kernel_section ();
   construction_section ();
+  synthesis_section ();
   let rate = one_shot_section () in
   batch_section rate;
   Printf.printf "\nthroughput: all gates passed\n"

@@ -24,7 +24,7 @@ end
    parallel [ev]/[dst] arrays, each row sorted by event id so a lookup is
    a binary search with zero hashing.  Names are a boundary concern:
    [names] (and the name→index table derived from it) is computed on
-   first use, so algorithm outputs built with [of_indexed] never
+   first use, so algorithm outputs built with [of_indexed_arrays] never
    materialize names unless a name-based accessor is actually used. *)
 type t = {
   name : string;
@@ -105,6 +105,7 @@ let iter_row a i f =
   done
 
 let out_degree a i = a.row.(i + 1) - a.row.(i)
+let csr a = (a.row, a.ev, a.dst)
 
 let step a s e =
   Option.map (state_of_index a) (step_index a (index_of_state a s) (Event.id e))
@@ -151,24 +152,28 @@ let make_index name n names_once =
        names;
      h)
 
-(* Counting-sort the transition triples into CSR rows, then sort each row
-   by event id.  [describe] names the offending state in the
-   nondeterminism error (lazily — only on the error path).  The parallel
-   arrays variant is the workhorse: the tuple variant boxes a triple per
-   transition, which the parallel synthesis engine cannot afford at
-   tens of millions of transitions. *)
-let make_csr_arrays ~who ~describe n ~src ~event ~target =
+(* CSR rows from parallel transition arrays, each row sorted by event id
+   with no boxed pair: positions are scattered by source in the order
+   given, then each row is insertion-sorted (stably).  Algorithms emit
+   rows already in event-id order, or as a few sorted runs, so the sort
+   is a linear check or close to one.  [describe] names the offending
+   state in the nondeterminism error (lazily — only on the error path). *)
+let make_csr ~who ~describe n ~src ~event ~target =
   let total = Array.length src in
   if Array.length event <> total || Array.length target <> total then
     invalid_arg (Printf.sprintf "%s: transition array length mismatch" who);
-  let deg = Array.make n 0 in
-  Array.iter (fun s -> deg.(s) <- deg.(s) + 1) src;
   let row = Array.make (n + 1) 0 in
+  Array.iter
+    (fun s ->
+      if s < 0 || s >= n then
+        invalid_arg (Printf.sprintf "%s: source %d out of range" who s);
+      row.(s + 1) <- row.(s + 1) + 1)
+    src;
   for i = 0 to n - 1 do
-    row.(i + 1) <- row.(i) + deg.(i)
+    row.(i + 1) <- row.(i + 1) + row.(i)
   done;
+  let cursor = Array.sub row 0 n in
   let ev = Array.make total 0 and dst = Array.make total 0 in
-  let cursor = Array.copy row in
   for k = 0 to total - 1 do
     let s = src.(k) in
     let p = cursor.(s) in
@@ -176,39 +181,26 @@ let make_csr_arrays ~who ~describe n ~src ~event ~target =
     dst.(p) <- target.(k);
     cursor.(s) <- p + 1
   done;
-  (* Sort each row by event id (rows are short; extract-sort-writeback). *)
   for s = 0 to n - 1 do
-    let lo = row.(s) and hi = row.(s + 1) in
-    if hi - lo > 1 then begin
-      let pairs = Array.init (hi - lo) (fun k -> (ev.(lo + k), dst.(lo + k))) in
-      Array.sort compare pairs;
-      Array.iteri
-        (fun k (e, d) ->
-          ev.(lo + k) <- e;
-          dst.(lo + k) <- d)
-        pairs;
-      for k = lo to hi - 2 do
-        if ev.(k) = ev.(k + 1) then
-          invalid_arg
-            (Printf.sprintf "%s: nondeterministic on event id %d from state %s"
-               who ev.(k) (describe s))
-      done
-    end
+    for k = row.(s) + 1 to row.(s + 1) - 1 do
+      let e = ev.(k) and d = dst.(k) in
+      let j = ref (k - 1) in
+      while !j >= row.(s) && ev.(!j) > e do
+        ev.(!j + 1) <- ev.(!j);
+        dst.(!j + 1) <- dst.(!j);
+        decr j
+      done;
+      ev.(!j + 1) <- e;
+      dst.(!j + 1) <- d
+    done;
+    for k = row.(s) to row.(s + 1) - 2 do
+      if ev.(k) = ev.(k + 1) then
+        invalid_arg
+          (Printf.sprintf "%s: nondeterministic on event id %d from state %s"
+             who ev.(k) (describe s))
+    done
   done;
   (row, ev, dst)
-
-let make_csr ~who ~describe n trans =
-  let total = Array.length trans in
-  let src = Array.make total 0 in
-  let event = Array.make total 0 in
-  let target = Array.make total 0 in
-  Array.iteri
-    (fun k (s, e, d) ->
-      src.(k) <- s;
-      event.(k) <- e;
-      target.(k) <- d)
-    trans;
-  make_csr_arrays ~who ~describe n ~src ~event ~target
 
 let of_indexed_arrays ~name ~names ~alphabet ~initial ~marked ~forbidden ~src
     ~event ~target =
@@ -234,52 +226,9 @@ let of_indexed_arrays ~name ~names ~alphabet ~initial ~marked ~forbidden ~src
        a)
   in
   let row, ev, dst =
-    make_csr_arrays
-      ~who:(Printf.sprintf "Automaton.of_indexed %s" name)
-      ~describe:string_of_int n ~src ~event ~target
-  in
-  {
-    name;
-    n;
-    names = names_once;
-    index = make_index name n names_once;
-    alphabet;
-    decode = make_decode alphabet;
-    row;
-    ev;
-    dst;
-    initial;
-    marked = Array.copy marked;
-    forbidden = Array.copy forbidden;
-    digest = None;
-  }
-
-let of_indexed ~name ~names ~alphabet ~initial ~marked ~forbidden trans =
-  let n = Array.length marked in
-  if Array.length forbidden <> n then
-    invalid_arg
-      (Printf.sprintf
-         "Automaton.of_indexed %s: marked/forbidden length mismatch (%d vs %d)"
-         name n (Array.length forbidden));
-  if initial < 0 || initial >= n then
-    invalid_arg
-      (Printf.sprintf "Automaton.of_indexed %s: initial %d out of range" name
-         initial);
-  let names_once =
-    Once.make (fun () ->
-       let a = names () in
-       if Array.length a <> n then
-         invalid_arg
-           (Printf.sprintf
-              "Automaton.of_indexed %s: names () returned %d names for %d \
-               states"
-              name (Array.length a) n);
-       a)
-  in
-  let row, ev, dst =
     make_csr
       ~who:(Printf.sprintf "Automaton.of_indexed %s" name)
-      ~describe:string_of_int n trans
+      ~describe:string_of_int n ~src ~event ~target
   in
   {
     name;
@@ -359,18 +308,22 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
       | Some _ -> ()
       | None -> Hashtbl.add delta (si, Event.id e) di)
     transitions;
-  let trans = Array.make (Hashtbl.length delta) (0, 0, 0) in
+  let total = Hashtbl.length delta in
+  let src = Array.make total 0 in
+  let event = Array.make total 0 and target = Array.make total 0 in
   let k = ref 0 in
   Hashtbl.iter
     (fun (si, eid) di ->
-      trans.(!k) <- (si, eid, di);
+      src.(!k) <- si;
+      event.(!k) <- eid;
+      target.(!k) <- di;
       incr k)
     delta;
   let row, ev, dst =
     make_csr
       ~who:(Printf.sprintf "Automaton %s" name)
       ~describe:(fun s -> Printf.sprintf "%S" state_names.(s))
-      n trans
+      n ~src ~event ~target
   in
   let marked_arr =
     match marked with
@@ -440,46 +393,56 @@ let restrict_indices a keep =
     let n_trans = ref 0 in
     for s = 0 to a.n - 1 do
       if keep.(s) then
-        iter_row a s (fun _ d ->
+        for t = a.row.(s) to a.row.(s + 1) - 1 do
+          let d = a.dst.(t) in
+          if keep.(d) then begin
+            survive.(s) <- true;
+            survive.(d) <- true;
+            incr n_trans
+          end
+        done
+    done;
+    let m = Array.fold_left (fun m s -> if s then m + 1 else m) 0 survive in
+    (* Every state surviving means every state and transition is kept:
+       the restriction is [a] itself. *)
+    if m = a.n then Some a
+    else begin
+      let new_of_old = Array.make a.n (-1) in
+      let old_of_new = Array.make m 0 in
+      let j = ref 0 in
+      for i = 0 to a.n - 1 do
+        if survive.(i) then begin
+          new_of_old.(i) <- !j;
+          old_of_new.(!j) <- i;
+          incr j
+        end
+      done;
+      let src = Array.make !n_trans 0 in
+      let event = Array.make !n_trans 0 and target = Array.make !n_trans 0 in
+      let k = ref 0 in
+      for s = 0 to a.n - 1 do
+        if keep.(s) then
+          for t = a.row.(s) to a.row.(s + 1) - 1 do
+            let d = a.dst.(t) in
             if keep.(d) then begin
-              survive.(s) <- true;
-              survive.(d) <- true;
-              incr n_trans
-            end)
-    done;
-    let new_of_old = Array.make a.n (-1) in
-    let m = ref 0 in
-    for i = 0 to a.n - 1 do
-      if survive.(i) then begin
-        new_of_old.(i) <- !m;
-        incr m
-      end
-    done;
-    let m = !m in
-    let old_of_new = Array.make m 0 in
-    for i = 0 to a.n - 1 do
-      if survive.(i) then old_of_new.(new_of_old.(i)) <- i
-    done;
-    let trans = Array.make !n_trans (0, 0, 0) in
-    let k = ref 0 in
-    for s = 0 to a.n - 1 do
-      if keep.(s) then
-        iter_row a s (fun eid d ->
-            if keep.(d) then begin
-              trans.(!k) <- (new_of_old.(s), eid, new_of_old.(d));
+              src.(!k) <- new_of_old.(s);
+              event.(!k) <- a.ev.(t);
+              target.(!k) <- new_of_old.(d);
               incr k
-            end)
-    done;
-    let names () =
-      let parent = Once.force a.names in
-      Array.map (fun old -> parent.(old)) old_of_new
-    in
-    Some
-      (of_indexed ~name:a.name ~names ~alphabet:a.alphabet
-         ~initial:new_of_old.(a.initial)
-         ~marked:(Array.init m (fun i -> a.marked.(old_of_new.(i))))
-         ~forbidden:(Array.init m (fun i -> a.forbidden.(old_of_new.(i))))
-         trans)
+            end
+          done
+      done;
+      let names () =
+        let parent = Once.force a.names in
+        Array.map (fun old -> parent.(old)) old_of_new
+      in
+      Some
+        (of_indexed_arrays ~name:a.name ~names ~alphabet:a.alphabet
+           ~initial:new_of_old.(a.initial)
+           ~marked:(Array.map (fun old -> a.marked.(old)) old_of_new)
+           ~forbidden:(Array.map (fun old -> a.forbidden.(old)) old_of_new)
+           ~src ~event ~target)
+    end
   end
 
 let restrict_states a ~keep =
@@ -517,22 +480,36 @@ let relabel_states a f =
    pairs like ("a.b","c") and ("a","b.c") can never collide.  Names
    without dots or backslashes — the common case — pass through
    untouched. *)
-let escape_component s =
-  if String.exists (fun c -> c = '.' || c = '\\') s then begin
-    let b = Buffer.create (String.length s + 4) in
+let needs_escape s = String.exists (fun c -> c = '.' || c = '\\') s
+
+let add_escaped b s =
+  if needs_escape s then
     String.iter
       (fun c ->
         if c = '.' || c = '\\' then Buffer.add_char b '\\';
         Buffer.add_char b c)
-      s;
+      s
+  else Buffer.add_string b s
+
+let escape_component s =
+  if needs_escape s then begin
+    let b = Buffer.create (String.length s + 4) in
+    add_escaped b s;
     Buffer.contents b
   end
   else s
 
 let product_state_name qa qb = escape_component qa ^ "." ^ escape_component qb
 
-let product_state_name_n parts =
-  String.concat "." (List.map escape_component parts)
+let product_state_names n arity part =
+  let b = Buffer.create 64 in
+  Array.init n (fun i ->
+      Buffer.clear b;
+      for c = 0 to arity - 1 do
+        if c > 0 then Buffer.add_char b '.';
+        add_escaped b (part i c)
+      done;
+      Buffer.contents b)
 
 let unescape_state_name s =
   if String.contains s '\\' then begin
@@ -548,36 +525,71 @@ let unescape_state_name s =
   end
   else s
 
+(* Decimal digits of a non-negative int: their count, and appending them
+   without the intermediate string [string_of_int] would allocate. *)
+let rec digits i = if i < 10 then 1 else 1 + digits (i / 10)
+
+let rec add_digits b i =
+  if i >= 10 then add_digits b (i / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+
 let structural_digest a =
   match a.digest with
   | Some d -> d
   | None ->
-      let b = Buffer.create 1024 in
+      let names = Once.force a.names in
+      (* Each event's field, built once per event id rather than once per
+         transition. *)
+      let id e = Event.id e in
+      let lo = Event.Set.fold (fun e m -> min m (id e)) a.alphabet max_int in
+      let hi = Event.Set.fold (fun e m -> max m (id e)) a.alphabet lo in
+      let fields = Array.make (hi - lo + 1) "" in
+      let field eid = fields.(eid - lo) in
+      Event.Set.iter
+        (fun e ->
+          let s = Event.name e in
+          fields.(id e - lo) <- string_of_int (String.length s) ^ ":" ^ s)
+        a.alphabet;
+      (* The exact size of what follows, so the buffer never grows. *)
+      let field_len s = digits (String.length s) + 1 + String.length s in
+      let size = ref (field_len a.name + digits a.n + digits a.initial) in
+      Array.iter (fun s -> size := !size + field_len s) names;
+      Event.Set.iter
+        (fun e -> size := !size + String.length (field (id e)) + 1)
+        a.alphabet;
+      for s = 0 to a.n - 1 do
+        let ds = digits s + 1 in
+        for k = a.row.(s) to a.row.(s + 1) - 1 do
+          size :=
+            !size + ds + String.length (field a.ev.(k)) + digits a.dst.(k)
+        done
+      done;
+      let b = Buffer.create (!size + (2 * a.n)) in
       (* Length-prefixed fields so adjacent strings cannot run together. *)
       let add s =
-        Buffer.add_string b (string_of_int (String.length s));
+        add_digits b (String.length s);
         Buffer.add_char b ':';
         Buffer.add_string b s
       in
       add a.name;
-      let names = Once.force a.names in
-      Buffer.add_string b (string_of_int a.n);
+      add_digits b a.n;
       Array.iter add names;
-      Buffer.add_string b (string_of_int a.initial);
+      add_digits b a.initial;
       Event.Set.iter
         (fun e ->
-          add (Event.name e);
+          Buffer.add_string b (field (id e));
           Buffer.add_char b (if Event.is_controllable e then 'c' else 'u'))
         a.alphabet;
       (* CSR order: by source index, then event id — deterministic within
          a process (intern order), which is all the in-process cache
          needs. *)
       for s = 0 to a.n - 1 do
-        iter_row a s (fun eid d ->
-            Buffer.add_string b (string_of_int s);
-            Buffer.add_char b ',';
-            add (Event.name (event_of_id a eid));
-            Buffer.add_string b (string_of_int d))
+        for k = a.row.(s) to a.row.(s + 1) - 1 do
+          add_digits b s;
+          Buffer.add_char b ',';
+          Buffer.add_string b (field a.ev.(k));
+          add_digits b a.dst.(k)
+        done
       done;
       Array.iter (fun m -> Buffer.add_char b (if m then '1' else '0')) a.marked;
       Array.iter

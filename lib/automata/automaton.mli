@@ -13,7 +13,7 @@
     (event id, destination) pairs sorted by {!Event.id} — and every
     algorithm (composition, reachability, synthesis, verification) runs on
     ints only.  State {e names} are a boundary concern: automata built by
-    algorithms ({!of_indexed}) carry their names lazily and only
+    algorithms ({!of_indexed_arrays}) carry their names lazily and only
     materialize them when a name-based accessor is first used, so a
     100k-state product that is immediately pruned never pays for 100k
     escaped name strings. *)
@@ -60,37 +60,6 @@ val of_transitions :
   t
 (** Record-based variant of {!create}. *)
 
-val of_indexed :
-  name:string ->
-  names:(unit -> string array) ->
-  alphabet:Event.Set.t ->
-  initial:int ->
-  marked:bool array ->
-  forbidden:bool array ->
-  (int * int * int) array ->
-  t
-(** {b Trusted constructor} for algorithm outputs.  [of_indexed ~name
-    ~names ~alphabet ~initial ~marked ~forbidden trans] builds an
-    automaton over states [0 .. Array.length marked - 1] directly from
-    index-space data: [trans] is (src index, {!Event.id}, dst index)
-    triples, [names] is only run — once, memoized — when a name-based
-    accessor is first used.  Name accessors are safe to call from
-    several domains at once; domains racing on the first use may each
-    run [names], so it must be pure.
-
-    Unlike {!create} it performs no string interning and no state
-    collection, only a cheap nondeterminism scan after the CSR sort.  The
-    caller contract (who may call it: {!Compose}, {!Synthesis},
-    {!restrict_indices} — outputs that are deterministic and consistently
-    indexed {e by construction}):
-    - every event id in [trans] belongs to [alphabet];
-    - [marked] and [forbidden] have equal length (the state count) and
-      every index in [trans] and [initial] is within it;
-    - [names ()] returns exactly that many {e distinct} names (the
-      escaping {!product_state_name} join guarantees distinctness for
-      products).  Duplicate names are reported — [Invalid_argument] —
-      when the name table is first materialized, not at construction. *)
-
 val of_indexed_arrays :
   name:string ->
   names:(unit -> string array) ->
@@ -102,12 +71,33 @@ val of_indexed_arrays :
   event:int array ->
   target:int array ->
   t
-(** {!of_indexed} with the transitions as three parallel int arrays
-    instead of a tuple array: identical semantics and identical result
-    for the same logical triples, but no boxed triple per transition —
-    the constructor the parallel synthesis engine uses at
-    tens-of-millions-of-transitions scale.  Same caller contract as
-    {!of_indexed}. *)
+(** {b Trusted constructor} for algorithm outputs.  [of_indexed_arrays
+    ~name ~names ~alphabet ~initial ~marked ~forbidden ~src ~event
+    ~target] builds an automaton over states
+    [0 .. Array.length marked - 1] directly from index-space data:
+    transition [k] is [src.(k) -event.(k)-> target.(k)] (state indices
+    and an {!Event.id}), in any order — transitions are scattered into
+    rows by source and each row is insertion-sorted by event id, with no
+    boxed value per transition.  [names] is only
+    run — once, memoized — when a name-based accessor is first used.
+    Name accessors are safe to call from several domains at once;
+    domains racing on the first use may each run [names], so it must be
+    pure.
+
+    Unlike {!create} it performs no string interning and no state
+    collection, only a cheap nondeterminism scan after the CSR build
+    ([Invalid_argument] naming the state index and event id).  The
+    caller contract (who may call it: {!Compose}, {!Synthesis},
+    {!restrict_indices} — outputs that are deterministic and consistently
+    indexed {e by construction}):
+    - the three arrays have equal length;
+    - every event id in [event] belongs to [alphabet];
+    - [marked] and [forbidden] have equal length (the state count) and
+      every index in [src], [target] and [initial] is within it;
+    - [names ()] returns exactly that many {e distinct} names (the
+      escaping {!product_state_name} join guarantees distinctness for
+      products).  Duplicate names are reported — [Invalid_argument] —
+      when the name table is first materialized, not at construction. *)
 
 (** {1 Inspection} *)
 
@@ -174,6 +164,13 @@ val iter_row : t -> int -> (int -> int -> unit) -> unit
 val out_degree : t -> int -> int
 (** Number of outgoing transitions of a state. *)
 
+val csr : t -> int array * int array * int array
+(** [(row, ev, dst)]: the transition structure itself, shared rather
+    than copied.  Row [i] is [row.(i) .. row.(i + 1) - 1] of [ev]/[dst],
+    sorted by event id.  For index-native walks that cannot afford a
+    closure per row ({!Compose}, {!Verify}, {!Synthesis}); the arrays
+    must not be mutated. *)
+
 val enabled_index : t -> int -> Event.t list
 val is_marked_index : t -> int -> bool
 val is_forbidden_index : t -> int -> bool
@@ -195,7 +192,7 @@ val restrict_indices : t -> bool array -> t option
     survives when it is the initial state or an endpoint of a kept
     transition).  [None] when the initial state is not kept.  The
     alphabet is preserved; surviving states keep their names — lazily, so
-    restricting an {!of_indexed} product does not materialize names.
+    restricting an {!of_indexed_arrays} product does not materialize names.
     Raises [Invalid_argument] when [keep] has the wrong length. *)
 
 val restrict_states : t -> keep:(string -> bool) -> t option
@@ -217,16 +214,18 @@ val product_state_name : string -> string -> string
     backslash.  Unlike a naive join, distinct pairs can never collide
     (e.g. [("a.b", "c")] and [("a", "b.c")] yield ["a\.b.c"] and
     ["a.b\.c"]).  Dot-free component names — the common case — appear
-    verbatim.  Used by {!Compose.pair} and {!Synthesis.supcon}, so
-    re-composing an automaton whose states are themselves product states
-    is safe. *)
+    verbatim.  {!Compose.pair} and {!Synthesis.supcon} name product
+    states this way, so re-composing an automaton whose states are
+    themselves product states is safe. *)
 
-val product_state_name_n : string list -> string
-(** Flat n-ary {!product_state_name}: each component escaped once and
-    all joined with ['.'] at a single level.  For two components this is
-    exactly [product_state_name]; {!Synthesis.supcon_modular} uses it to
-    name joint states of many plant components and the spec without the
-    nested re-escaping a pairwise fold would introduce. *)
+val product_state_names : int -> int -> (int -> int -> string) -> string array
+(** [product_state_names n arity part] is the name table of [n] product
+    states of [arity] components: entry [i] joins
+    [part i 0; …; part i (arity - 1)] with ['.'] at a single level, each
+    component escaped once as in {!product_state_name} (which it equals
+    for two components) — no nested re-escaping.  Built in one reused
+    buffer, with a single allocation per name.  {!Compose} and
+    {!Synthesis} name their results with it. *)
 
 val unescape_state_name : string -> string
 (** Strip the {!product_state_name} escaping for human-readable display

@@ -5,8 +5,8 @@
    walk each component's CSR row: only events that are actually enabled
    somewhere are ever touched, and shared-event synchronization is one
    binary search in the other component's row.  Product state names are
-   never materialized here; [Automaton.of_indexed] builds them lazily from
-   the (ia, ib) pair map if anyone asks. *)
+   never materialized here; [Automaton.of_indexed_arrays] builds them
+   lazily from the (ia, ib) pair map if anyone asks. *)
 
 let pair a b =
   let sigma_a = Automaton.alphabet a and sigma_b = Automaton.alphabet b in
@@ -23,41 +23,56 @@ let pair a b =
   Event.Set.iter (fun e -> in_a.(Event.id e) <- true) sigma_a;
   Event.Set.iter (fun e -> in_b.(Event.id e) <- true) sigma_b;
   let nb = Automaton.num_states b in
-  let seen : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  let arow, aev, adst = Automaton.csr a and brow, bev, bdst = Automaton.csr b in
+  let seen = Inttbl.create () in
+  (* Product state i is (pa.(i), pb.(i)); states are numbered in
+     discovery order, so the two vectors are also the BFS queue. *)
   let pa = Intvec.create () and pb = Intvec.create () in
-  let tsrc = Intvec.create () and tev = Intvec.create () in
-  let tdst = Intvec.create () in
-  let queue = Queue.create () in
+  (* Each state's transitions are emitted contiguously, state by state:
+     [starts] records where each row begins instead of a source per
+     transition. *)
+  let starts = Intvec.create () in
+  let tev = Intvec.create () and tdst = Intvec.create () in
   let visit ia ib =
-    let key = (ia * nb) + ib in
-    match Hashtbl.find_opt seen key with
-    | Some i -> i
-    | None ->
-        let i = Intvec.length pa in
-        Hashtbl.add seen key i;
+    let i = Intvec.length pa in
+    match Inttbl.put seen ((ia * nb) + ib) i with
+    | -1 ->
         Intvec.push pa ia;
         Intvec.push pb ib;
-        Queue.push (i, ia, ib) queue;
         i
+    | j -> j
   in
   ignore (visit (Automaton.initial_index a) (Automaton.initial_index b));
-  while not (Queue.is_empty queue) do
-    let i, ia, ib = Queue.pop queue in
-    let emit eid j =
-      Intvec.push tsrc i;
-      Intvec.push tev eid;
-      Intvec.push tdst j
-    in
-    Automaton.iter_row a ia (fun eid ja ->
-        if in_b.(eid) then (
-          match Automaton.step_index b ib eid with
-          | Some jb -> emit eid (visit ja jb)
-          | None -> ())
-        else emit eid (visit ja ib));
-    Automaton.iter_row b ib (fun eid jb ->
-        if not in_a.(eid) then emit eid (visit ia jb))
+  let head = ref 0 in
+  while !head < Intvec.length pa do
+    let i = !head in
+    incr head;
+    let ia = Intvec.get pa i and ib = Intvec.get pb i in
+    Intvec.push starts (Intvec.length tev);
+    for k = arow.(ia) to arow.(ia + 1) - 1 do
+      let eid = aev.(k) in
+      let jb = if in_b.(eid) then Automaton.step_index_raw b ib eid else ib in
+      if jb >= 0 then begin
+        Intvec.push tev eid;
+        Intvec.push tdst (visit adst.(k) jb)
+      end
+    done;
+    for k = brow.(ib) to brow.(ib + 1) - 1 do
+      let eid = bev.(k) in
+      if not in_a.(eid) then begin
+        Intvec.push tev eid;
+        Intvec.push tdst (visit ia bdst.(k))
+      end
+    done
   done;
   let n = Intvec.length pa in
+  let m = Intvec.length tev in
+  let src = Array.make m 0 in
+  for i = 0 to n - 1 do
+    let lo = Intvec.get starts i in
+    let hi = if i + 1 < n then Intvec.get starts (i + 1) else m in
+    Array.fill src lo (hi - lo) i
+  done;
   let pa = Intvec.to_array pa and pb = Intvec.to_array pb in
   let marked =
     Array.init n (fun i ->
@@ -69,21 +84,17 @@ let pair a b =
         || Automaton.is_forbidden_index b pb.(i))
   in
   let names () =
-    Array.init n (fun i ->
-        (* Escaping join: composing an automaton whose state names already
-           contain dots (e.g. a synthesized supervisor fed back as a
-           plant) must not collide distinct pairs. *)
-        Automaton.product_state_name
-          (Automaton.state_of_index a pa.(i))
-          (Automaton.state_of_index b pb.(i)))
+    (* Escaping join: composing an automaton whose state names already
+       contain dots (e.g. a synthesized supervisor fed back as a plant)
+       must not collide distinct pairs. *)
+    Automaton.product_state_names n 2 (fun i c ->
+        if c = 0 then Automaton.state_of_index a pa.(i)
+        else Automaton.state_of_index b pb.(i))
   in
-  let trans =
-    Array.init (Intvec.length tsrc) (fun k ->
-        (Intvec.get tsrc k, Intvec.get tev k, Intvec.get tdst k))
-  in
-  Automaton.of_indexed
+  Automaton.of_indexed_arrays
     ~name:(Automaton.name a ^ "||" ^ Automaton.name b)
-    ~names ~alphabet ~initial:0 ~marked ~forbidden trans
+    ~names ~alphabet ~initial:0 ~marked ~forbidden ~src
+    ~event:(Intvec.to_array tev) ~target:(Intvec.to_array tdst)
 
 (* n-ary composition as a size-ordered balanced tree, not a left fold.
    A fold produces the maximally skewed chain ((a‖b)‖c)‖…, whose

@@ -1,12 +1,12 @@
 (* Growable int array — the scratch structure of the index-native
    algorithms (compose, synthesis), which accumulate transitions and
    state maps of unknown size without consing a list per element.  The
-   parallel synthesis engine additionally reuses vectors across rounds
-   ([clear]) and patches buffered destinations in place ([set]). *)
+   synthesis engine additionally reuses vectors across rounds ([clear])
+   and patches buffered destinations in place through [data]. *)
 
 type t = { mutable a : int array; mutable len : int }
 
-let create ?(capacity = 1024) () = { a = Array.make (max capacity 1) 0; len = 0 }
+let create ?(capacity = 64) () = { a = Array.make (max capacity 1) 0; len = 0 }
 
 let length v = v.len
 
@@ -23,10 +23,6 @@ let get v i =
   if i < 0 || i >= v.len then invalid_arg "Intvec.get: index out of bounds";
   v.a.(i)
 
-let set v i x =
-  if i < 0 || i >= v.len then invalid_arg "Intvec.set: index out of bounds";
-  v.a.(i) <- x
-
 let pop v =
   if v.len = 0 then invalid_arg "Intvec.pop: empty";
   v.len <- v.len - 1;
@@ -34,3 +30,4 @@ let pop v =
 
 let clear v = v.len <- 0
 let to_array v = Array.sub v.a 0 v.len
+let data v = v.a

@@ -1,19 +1,18 @@
 (** Growable int array, used as scratch by the index-native algorithms
-    ({!Compose}, {!Synthesis}) to accumulate transition triples and
+    ({!Compose}, {!Verify}, {!Synthesis}) to accumulate transitions and
     state maps without consing a list cell per element. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
+(** An empty vector with room for [capacity] elements (default 64, small
+    enough to stay in the minor heap: the product walks run thousands of
+    times on tiny automata, and a larger default sends every one of
+    their buffers to the major heap). *)
+
 val length : t -> int
 val push : t -> int -> unit
 val get : t -> int -> int
-
-val set : t -> int -> int -> unit
-(** In-place update of an already-pushed element; the parallel product
-    construction buffers destination {e keys} during expansion and
-    patches them to state indices once the level's insertions are
-    published. *)
 
 val pop : t -> int
 (** Remove and return the last element (LIFO use as a worklist stack).
@@ -24,3 +23,9 @@ val clear : t -> unit
     reuse of frontier and spill buffers. *)
 
 val to_array : t -> int array
+
+val data : t -> int array
+(** The backing array itself, no copy: elements [0 .. length - 1] are the
+    vector's, the rest is spare capacity.  A later {!push} may replace
+    it, so hold it only while nothing pushes — the synthesis engine
+    reads and patches its emission buffers this way between phases. *)

@@ -1,18 +1,26 @@
 (* Forward BFS straight over the CSR rows — the transition arrays are the
-   adjacency structure, no per-state lists to build. *)
+   adjacency structure, no per-state lists to build; an int array of
+   size n is the queue. *)
 let accessible_indices a =
   let n = Automaton.num_states a in
+  let row, _, dst = Automaton.csr a in
   let seen = Array.make n false in
-  let queue = Queue.create () in
-  seen.(Automaton.initial_index a) <- true;
-  Queue.push (Automaton.initial_index a) queue;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    Automaton.iter_row a i (fun _ j ->
-        if not seen.(j) then begin
-          seen.(j) <- true;
-          Queue.push j queue
-        end)
+  let queue = Array.make n 0 in
+  let init = Automaton.initial_index a in
+  seen.(init) <- true;
+  queue.(0) <- init;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let i = queue.(!head) in
+    incr head;
+    for k = row.(i) to row.(i + 1) - 1 do
+      let j = dst.(k) in
+      if not seen.(j) then begin
+        seen.(j) <- true;
+        queue.(!tail) <- j;
+        incr tail
+      end
+    done
   done;
   seen
 
@@ -20,41 +28,48 @@ let accessible_indices a =
    transitions by destination into CSR form once. *)
 let pred_csr a =
   let n = Automaton.num_states a in
-  let deg = Array.make n 0 in
-  for s = 0 to n - 1 do
-    Automaton.iter_row a s (fun _ d -> deg.(d) <- deg.(d) + 1)
-  done;
+  let arow, _, adst = Automaton.csr a in
   let row = Array.make (n + 1) 0 in
+  for k = 0 to arow.(n) - 1 do
+    let d = adst.(k) in
+    row.(d + 1) <- row.(d + 1) + 1
+  done;
   for i = 0 to n - 1 do
-    row.(i + 1) <- row.(i) + deg.(i)
+    row.(i + 1) <- row.(i + 1) + row.(i)
   done;
   let src = Array.make row.(n) 0 in
-  let cursor = Array.copy row in
+  let cursor = Array.sub row 0 n in
   for s = 0 to n - 1 do
-    Automaton.iter_row a s (fun _ d ->
-        src.(cursor.(d)) <- s;
-        cursor.(d) <- cursor.(d) + 1)
+    for k = arow.(s) to arow.(s + 1) - 1 do
+      let d = adst.(k) in
+      src.(cursor.(d)) <- s;
+      cursor.(d) <- cursor.(d) + 1
+    done
   done;
   (row, src)
 
 let coaccessible_indices a =
   let n = Automaton.num_states a in
   let seen = Array.make n false in
-  let queue = Queue.create () in
+  let stack = Array.make n 0 in
+  let top = ref 0 in
   let row, src = pred_csr a in
   for i = 0 to n - 1 do
     if Automaton.is_marked_index a i then begin
       seen.(i) <- true;
-      Queue.push i queue
+      stack.(!top) <- i;
+      incr top
     end
   done;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
+  while !top > 0 do
+    decr top;
+    let i = stack.(!top) in
     for k = row.(i) to row.(i + 1) - 1 do
       let j = src.(k) in
       if not seen.(j) then begin
         seen.(j) <- true;
-        Queue.push j queue
+        stack.(!top) <- j;
+        incr top
       end
     done
   done;
@@ -83,6 +98,7 @@ let coaccessible a = restrict_indices a (coaccessible_indices a)
 let trim a =
   let n = Automaton.num_states a in
   let prow, psrc = pred_csr a in
+  let arow, _, adst = Automaton.csr a in
   let initial = Automaton.initial_index a in
   let keep = Array.make n true in
   let acc = Array.make n false in
@@ -100,12 +116,14 @@ let trim a =
     while !top > 0 do
       decr top;
       let i = stack.(!top) in
-      Automaton.iter_row a i (fun _ j ->
-          if keep.(j) && not acc.(j) then begin
-            acc.(j) <- true;
-            stack.(!top) <- j;
-            incr top
-          end)
+      for k = arow.(i) to arow.(i + 1) - 1 do
+        let j = adst.(k) in
+        if keep.(j) && not acc.(j) then begin
+          acc.(j) <- true;
+          stack.(!top) <- j;
+          incr top
+        end
+      done
     done;
     (* Backward BFS from kept marked states through kept states. *)
     Array.fill coacc 0 n false;

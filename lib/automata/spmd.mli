@@ -1,5 +1,5 @@
 (** Bulk-synchronous SPMD execution over scoped domains — the
-    coordination substrate of {!Synthesis.supcon_par}.
+    coordination substrate of the {!Synthesis} engine.
 
     [run ~jobs f] calls [f w barrier] on workers [w = 0 .. jobs-1]:
     worker 0 runs on the calling domain, the others on domains spawned

@@ -15,344 +15,37 @@ let pp_stats ppf s =
 
 type error = Empty_supervisor
 
-(* The synthesis works on the reachable product of plant and spec, kept
-   index-native: product states are dense ints mapping back to (plant
-   index, spec index) through [pg]/[pe], transitions live in parallel
-   (src, event id, dst) arrays, and the two fixpoint relations the passes
-   actually consult — predecessors, and the uncontrollable-event
-   sub-graph — are CSR adjacency built once.
-
-   The uncontrollable index exists because the fixpoint only ever asks
-   two questions of a state: does the plant enable an uncontrollable
-   event the spec disables (an escape — bad no matter what), and which
-   states does it reach / is it reached from via uncontrollable events?
-   Neither answer depends on the evolving good-set, so both are resolved
-   during product construction — each plant-row entry is examined exactly
-   once, against one binary search in the spec's row. *)
-
-type product = {
-  pg : int array; (* product index -> plant index *)
-  pe : int array; (* product index -> spec index *)
-  tsrc : int array; (* product transitions, parallel arrays *)
-  tev : int array;
-  tdst : int array;
-  pred_row : int array; (* CSR: incoming source indices per state *)
-  pred : int array;
-  marked : bool array;
-  forbidden : bool array;
-  initial : int;
-  alphabet : Event.Set.t;
-  unc_escape : bool array;
-  unc_succ_row : int array; (* CSR: successors via uncontrollable events *)
-  unc_succ : int array;
-  unc_pred_row : int array; (* reverse of [unc_succ] *)
-  unc_pred : int array;
-}
-
-(* Counting-sort (key, value) pairs into CSR form over [n] buckets. *)
-let csr_of_pairs n keys values =
-  let count = Array.length keys in
-  let deg = Array.make n 0 in
-  Array.iter (fun k -> deg.(k) <- deg.(k) + 1) keys;
-  let row = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    row.(i + 1) <- row.(i) + deg.(i)
-  done;
-  let out = Array.make count 0 in
-  let cursor = Array.copy row in
-  for k = 0 to count - 1 do
-    let key = keys.(k) in
-    out.(cursor.(key)) <- values.(k);
-    cursor.(key) <- cursor.(key) + 1
-  done;
-  (row, out)
-
-let build_product plant spec =
-  let sigma_g = Automaton.alphabet plant in
-  let sigma_e = Automaton.alphabet spec in
-  let alphabet =
-    Event.merge_alphabets
-      ~context:
-        (Printf.sprintf "Synthesis.supcon(%s,%s)" (Automaton.name plant)
-           (Automaton.name spec))
-      sigma_g sigma_e
-  in
-  let max_id = Event.Set.fold (fun e m -> max m (Event.id e)) alphabet (-1) in
-  let in_g = Array.make (max_id + 1) false in
-  let in_e = Array.make (max_id + 1) false in
-  let ctrl = Array.make (max_id + 1) true in
-  Event.Set.iter (fun e -> in_g.(Event.id e) <- true) sigma_g;
-  Event.Set.iter (fun e -> in_e.(Event.id e) <- true) sigma_e;
-  Event.Set.iter
-    (fun e -> ctrl.(Event.id e) <- Event.is_controllable e)
-    alphabet;
-  let ne = Automaton.num_states spec in
-  let seen : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let pg = Intvec.create () and pe = Intvec.create () in
-  let tsrc = Intvec.create () and tev = Intvec.create () in
-  let tdst = Intvec.create () in
-  let esc = Intvec.create () in
-  let usrc = Intvec.create () and udst = Intvec.create () in
-  let queue = Queue.create () in
-  let visit ig ie =
-    let key = (ig * ne) + ie in
-    match Hashtbl.find_opt seen key with
-    | Some i -> i
-    | None ->
-        let i = Intvec.length pg in
-        Hashtbl.add seen key i;
-        Intvec.push pg ig;
-        Intvec.push pe ie;
-        Queue.push (i, ig, ie) queue;
-        i
-  in
-  ignore (visit (Automaton.initial_index plant) (Automaton.initial_index spec));
-  while not (Queue.is_empty queue) do
-    let i, ig, ie = Queue.pop queue in
-    let emit eid j =
-      Intvec.push tsrc i;
-      Intvec.push tev eid;
-      Intvec.push tdst j
-    in
-    (* Only plant-enabled uncontrollable events feed the controllability
-       index: controllability is about what the *plant* can generate. *)
-    let emit_plant eid j =
-      emit eid j;
-      if not ctrl.(eid) then begin
-        Intvec.push usrc i;
-        Intvec.push udst j
-      end
-    in
-    Automaton.iter_row plant ig (fun eid jg ->
-        if in_e.(eid) then (
-          match Automaton.step_index spec ie eid with
-          | Some je -> emit_plant eid (visit jg je)
-          | None ->
-              (* The spec's alphabet contains this event but disables it
-                 here.  For an uncontrollable event that is an escape:
-                 the plant can fire it regardless of the supervisor. *)
-              if not ctrl.(eid) then Intvec.push esc i)
-        else emit_plant eid (visit jg ie));
-    Automaton.iter_row spec ie (fun eid je ->
-        if not in_g.(eid) then emit eid (visit ig je))
-  done;
-  let n = Intvec.length pg in
-  let pg = Intvec.to_array pg and pe = Intvec.to_array pe in
-  let tsrc = Intvec.to_array tsrc in
-  let tev = Intvec.to_array tev in
-  let tdst = Intvec.to_array tdst in
-  let pred_row, pred = csr_of_pairs n tdst tsrc in
-  let usrc = Intvec.to_array usrc and udst = Intvec.to_array udst in
-  let unc_succ_row, unc_succ = csr_of_pairs n usrc udst in
-  let unc_pred_row, unc_pred = csr_of_pairs n udst usrc in
-  let unc_escape = Array.make n false in
-  let esc = Intvec.to_array esc in
-  Array.iter (fun i -> unc_escape.(i) <- true) esc;
-  let marked =
-    Array.init n (fun i ->
-        Automaton.is_marked_index plant pg.(i)
-        && Automaton.is_marked_index spec pe.(i))
-  in
-  let forbidden =
-    Array.init n (fun i ->
-        Automaton.is_forbidden_index plant pg.(i)
-        || Automaton.is_forbidden_index spec pe.(i))
-  in
-  {
-    pg;
-    pe;
-    tsrc;
-    tev;
-    tdst;
-    pred_row;
-    pred;
-    marked;
-    forbidden;
-    initial = 0;
-    alphabet;
-    unc_escape;
-    unc_succ_row;
-    unc_succ;
-    unc_pred_row;
-    unc_pred;
-  }
-
-(* One uncontrollability pass: mark good states bad when the plant enables
-   an uncontrollable event that either leaves the product (spec disables
-   it) or lands on a bad state.  Worklist-driven — seed with the states
-   that are violated right now, then only revisit predecessors of newly
-   bad states.  Returns the number newly removed. *)
-let uncontrollable_pass p good =
-  let removed = ref 0 in
-  let queue = Queue.create () in
-  let kill i =
-    if good.(i) then begin
-      good.(i) <- false;
-      incr removed;
-      Queue.push i queue
-    end
-  in
-  let n = Array.length good in
-  for i = 0 to n - 1 do
-    if good.(i) then
-      if p.unc_escape.(i) then kill i
-      else
-        let lo = p.unc_succ_row.(i) and hi = p.unc_succ_row.(i + 1) in
-        let rec bad_succ k =
-          k < hi && ((not good.(p.unc_succ.(k))) || bad_succ (k + 1))
-        in
-        if bad_succ lo then kill i
-  done;
-  while not (Queue.is_empty queue) do
-    let j = Queue.pop queue in
-    for k = p.unc_pred_row.(j) to p.unc_pred_row.(j + 1) - 1 do
-      kill p.unc_pred.(k)
-    done
-  done;
-  !removed
-
-(* Trimming pass restricted to the good region: bad-out states that cannot
-   reach a good marked state through good states. *)
-let blocking_pass p good =
-  let n = Array.length good in
-  let coacc = Array.make n false in
-  let queue = Queue.create () in
-  for i = 0 to n - 1 do
-    if good.(i) && p.marked.(i) then begin
-      coacc.(i) <- true;
-      Queue.push i queue
-    end
-  done;
-  while not (Queue.is_empty queue) do
-    let j = Queue.pop queue in
-    for k = p.pred_row.(j) to p.pred_row.(j + 1) - 1 do
-      let i = p.pred.(k) in
-      if good.(i) && not coacc.(i) then begin
-        coacc.(i) <- true;
-        Queue.push i queue
-      end
-    done
-  done;
-  let removed = ref 0 in
-  for i = 0 to n - 1 do
-    if good.(i) && not coacc.(i) then begin
-      good.(i) <- false;
-      incr removed
-    end
-  done;
-  !removed
-
-let supcon ~plant ~spec =
-  let p = build_product plant spec in
-  let n = Array.length p.pg in
-  let good = Array.make n true in
-  let removed_forbidden = ref 0 in
-  Array.iteri
-    (fun i f ->
-      if f then begin
-        good.(i) <- false;
-        incr removed_forbidden
-      end)
-    p.forbidden;
-  let removed_unc = ref 0 in
-  let removed_blk = ref 0 in
-  let iterations = ref 0 in
-  let continue = ref true in
-  while !continue do
-    incr iterations;
-    let u = uncontrollable_pass p good in
-    let b = blocking_pass p good in
-    removed_unc := !removed_unc + u;
-    removed_blk := !removed_blk + b;
-    if u = 0 && b = 0 then continue := false
-  done;
-  let stats =
-    {
-      product_states = n;
-      removed_uncontrollable = !removed_unc;
-      removed_blocking = !removed_blk;
-      removed_forbidden = !removed_forbidden;
-      iterations = !iterations;
-    }
-  in
-  if not good.(p.initial) then Error Empty_supervisor
-  else begin
-    (* Renumber the good states densely and rebuild in index space; names
-       stay lazy — [product_state_name] runs only if someone asks. *)
-    let new_of_old = Array.make n (-1) in
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      if good.(i) then begin
-        new_of_old.(i) <- !m;
-        incr m
-      end
-    done;
-    let m = !m in
-    let old_of_new = Array.make m 0 in
-    for i = 0 to n - 1 do
-      if good.(i) then old_of_new.(new_of_old.(i)) <- i
-    done;
-    let kept = Intvec.create () in
-    Array.iteri
-      (fun k src ->
-        if good.(src) && good.(p.tdst.(k)) then Intvec.push kept k)
-      p.tsrc;
-    let trans =
-      Array.init (Intvec.length kept) (fun j ->
-          let k = Intvec.get kept j in
-          (new_of_old.(p.tsrc.(k)), p.tev.(k), new_of_old.(p.tdst.(k))))
-    in
-    let names () =
-      Array.init m (fun i ->
-          let old = old_of_new.(i) in
-          (* Escaping join (see Automaton.product_state_name): the plant
-             is typically itself a composition with dotted state names. *)
-          Automaton.product_state_name
-            (Automaton.state_of_index plant p.pg.(old))
-            (Automaton.state_of_index spec p.pe.(old)))
-    in
-    let sup =
-      Automaton.of_indexed
-        ~name:("sup(" ^ Automaton.name plant ^ "," ^ Automaton.name spec ^ ")")
-        ~names ~alphabet:p.alphabet
-        ~initial:new_of_old.(p.initial)
-        ~marked:(Array.init m (fun i -> p.marked.(old_of_new.(i))))
-        ~forbidden:(Array.make m false)
-        trans
-    in
-    (* Only the accessible part is meaningful (pruning can disconnect). *)
-    Ok (Reach.accessible sup, stats)
-  end
-
-let supcon_exn ~plant ~spec =
-  match supcon ~plant ~spec with
-  | Ok (sup, _) -> sup
-  | Error Empty_supervisor -> failwith "Synthesis.supcon: empty supervisor"
-
 (* ===================================================================== *)
-(* Sharded parallel synthesis.                                           *)
+(* The synthesis engine.                                                 *)
 (*                                                                       *)
-(* The engine below generalizes [build_product] + the fixpoint passes    *)
-(* in two directions at once: the product is taken over an array of      *)
-(* components (k plant components and the spec, composed on the fly, so  *)
-(* a 3^k unconstrained plant is never materialized when the spec admits  *)
-(* only a sliver of it), and both the product construction and the       *)
-(* fixpoint run on [jobs] SPMD workers.                                  *)
+(* The product is taken over an array of components (k plant components *)
+(* and the spec, composed on the fly, so a 3^k unconstrained plant is    *)
+(* never materialized when the spec admits only a sliver of it), and    *)
+(* both the product construction and the fixpoint run on [jobs] SPMD     *)
+(* workers; [jobs = 1] is the sequential engine, inline on the caller.   *)
 (*                                                                       *)
-(* Determinism is the load-bearing design decision.  The sequential     *)
-(* [build_product] numbers product states in BFS discovery order, with   *)
-(* per-state emissions in a fixed intrinsic order (each component's CSR  *)
-(* row walked in event-id order, an event handled by its lowest-indexed  *)
-(* owner).  The parallel exploration is level-synchronous and shards     *)
-(* states by a hash of their joint key, so its interim numbering is      *)
-(* jobs-dependent — but each worker buffers its emissions in exactly     *)
-(* the intrinsic per-state order, which means a cheap sequential BFS     *)
-(* renumbering over the assembled transition structure reproduces the    *)
-(* sequential numbering *exactly*, for any [jobs].  Everything after     *)
-(* that point (CSR sort in [of_indexed_arrays], digests, names) is a     *)
-(* pure function of that numbering.  The fixpoint passes each compute a  *)
-(* complete, unique fixpoint of a monotone operator, so their per-pass   *)
+(* Determinism is the load-bearing design decision.  Product states are *)
+(* numbered in canonical BFS discovery order: per-state emissions in a   *)
+(* fixed intrinsic order (each component's CSR row walked in event-id    *)
+(* order, an event handled by its lowest-indexed owner).  The parallel   *)
+(* exploration is level-synchronous and shards states by a hash of their *)
+(* joint key, so its interim numbering is jobs-dependent — but each      *)
+(* worker buffers its emissions in exactly the intrinsic per-state       *)
+(* order, which means a cheap sequential BFS renumbering over the        *)
+(* buffered rows reproduces the canonical numbering *exactly*, for any   *)
+(* [jobs].  With one worker the interim numbering already is canonical  *)
+(* (one shard's level-synchronous BFS is a plain FIFO BFS), so the       *)
+(* renumbering copy is skipped.  Everything after that point (CSR sort   *)
+(* in [of_indexed_arrays], digests, names) is a pure function of that    *)
+(* numbering.  The fixpoint passes each compute                          *)
+(* a complete, unique fixpoint of a monotone operator, so their per-pass *)
 (* removal counts and the iteration count are traversal-order-free.     *)
+(*                                                                       *)
+(* Buffer discipline: the emission buffers are the only transition-sized *)
+(* arrays that grow by doubling.  Every later one — renumbered rows,     *)
+(* predecessor and uncontrollable CSRs, the supervisor's transitions —  *)
+(* is allocated once at its counted size, and buffers are dropped as     *)
+(* soon as the next phase no longer reads them.                          *)
 (*                                                                       *)
 (* Memory-ordering note: inside a pass, workers may read [good]/[coacc]  *)
 (* cells owned by other workers without synchronization.  Both arrays    *)
@@ -360,12 +53,17 @@ let supcon_exn ~plant ~spec =
 (* cross-shard decision taken on a stale read is conservative: a stale   *)
 (* read can only cause a spurious spill (re-checked by the owner) or a   *)
 (* missed local kill that the owner's own propagation re-delivers via    *)
-(* the spill queues.  Bool arrays are word-per-element in OCaml, so      *)
-(* distinct cells never tear.                                            *)
+(* the spill queues.  During a level's insertion phase an owner resolves *)
+(* destination keys in other workers' emission buffers in place, but     *)
+(* only at the positions their producers recorded for its shard, so no   *)
+(* cell has two writers.  Bool and int arrays are word-per-element in    *)
+(* OCaml, so distinct cells never tear.                                  *)
 (* ===================================================================== *)
 
-(* Flattened CSR copy of one component: closure-free row walks and       *)
-(* binary searches in the per-transition hot loop. *)
+(* One component's CSR (shared with the automaton, not copied) and flags:
+   closure-free row walks in the per-transition hot loop.  Other owners
+   of an event are consulted with [Automaton.step_index_raw], a binary
+   search in their row. *)
 type comp = {
   cn : int;
   crow : int array;
@@ -378,20 +76,7 @@ type comp = {
 
 let comp_of_automaton a =
   let cn = Automaton.num_states a in
-  let crow = Array.make (cn + 1) 0 in
-  for i = 0 to cn - 1 do
-    crow.(i + 1) <- crow.(i) + Automaton.out_degree a i
-  done;
-  let total = crow.(cn) in
-  let cev = Array.make (max total 1) 0 in
-  let cdst = Array.make (max total 1) 0 in
-  let k = ref 0 in
-  for i = 0 to cn - 1 do
-    Automaton.iter_row a i (fun eid d ->
-        cev.(!k) <- eid;
-        cdst.(!k) <- d;
-        incr k)
-  done;
+  let crow, cev, cdst = Automaton.csr a in
   {
     cn;
     crow;
@@ -402,93 +87,22 @@ let comp_of_automaton a =
     cforbidden = Array.init cn (Automaton.is_forbidden_index a);
   }
 
-let cstep cc i eid =
-  let lo = ref cc.crow.(i) and hi = ref cc.crow.(i + 1) in
-  let res = ref (-1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let e = cc.cev.(mid) in
-    if e = eid then begin
-      res := cc.cdst.(mid);
-      lo := !hi
-    end
-    else if e < eid then lo := mid + 1
-    else hi := mid
+(* True when numbering the states of a CSR in index order already is the
+   BFS discovery order from state 0: every state is discovered before it
+   is expanded, and each newly discovered state takes the next number.
+   Asserted of the one-job numbering, which is canonical by construction. *)
+let is_bfs_order n row dst =
+  let next = ref 1 and ok = ref true and i = ref 0 in
+  while !ok && !i < n do
+    if !i >= !next then ok := false
+    else
+      for k = row.(!i) to row.(!i + 1) - 1 do
+        let d = dst.(k) in
+        if d = !next then incr next else if d > !next then ok := false
+      done;
+    incr i
   done;
-  !res
-
-(* Open-addressing int-keyed table (linear probing, power-of-two         *)
-(* capacity): the per-shard state map.  No boxing, no polymorphic hash,  *)
-(* no bucket cells — the [Hashtbl] it replaces allocates a cons per add  *)
-(* and generic-hashes every probe. *)
-type table = {
-  mutable tkeys : int array; (* -1 = empty; keys are >= 0 *)
-  mutable tvals : int array;
-  mutable tmask : int;
-  mutable tcount : int;
-}
-
-let t_create () =
-  { tkeys = Array.make 4096 (-1); tvals = Array.make 4096 0; tmask = 4095; tcount = 0 }
-
-let t_hash key =
-  let h = key lxor (key lsr 31) in
-  let h = h * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 29)) land max_int
-
-let t_grow t =
-  let old_keys = t.tkeys and old_vals = t.tvals in
-  let cap = 2 * Array.length old_keys in
-  let keys = Array.make cap (-1) and vals = Array.make cap 0 in
-  let mask = cap - 1 in
-  Array.iteri
-    (fun i k ->
-      if k >= 0 then begin
-        let j = ref (t_hash k land mask) in
-        while keys.(!j) >= 0 do
-          j := (!j + 1) land mask
-        done;
-        keys.(!j) <- k;
-        vals.(!j) <- old_vals.(i)
-      end)
-    old_keys;
-  t.tkeys <- keys;
-  t.tvals <- vals;
-  t.tmask <- mask
-
-(* Insert [key -> v] if absent.  Returns [-1] on a fresh insert, the
-   existing value otherwise (stored values are always >= 0). *)
-let t_put t key v =
-  if 2 * (t.tcount + 1) > Array.length t.tkeys then t_grow t;
-  let mask = t.tmask in
-  let keys = t.tkeys in
-  let j = ref (t_hash key land mask) in
-  let res = ref min_int in
-  while !res = min_int do
-    let k = keys.(!j) in
-    if k = key then res := t.tvals.(!j)
-    else if k < 0 then begin
-      keys.(!j) <- key;
-      t.tvals.(!j) <- v;
-      t.tcount <- t.tcount + 1;
-      res := -1
-    end
-    else j := (!j + 1) land mask
-  done;
-  !res
-
-let t_find t key =
-  let mask = t.tmask in
-  let keys = t.tkeys in
-  let j = ref (t_hash key land mask) in
-  let res = ref (-2) in
-  while !res = -2 do
-    let k = keys.(!j) in
-    if k = key then res := t.tvals.(!j)
-    else if k < 0 then res := -1
-    else j := (!j + 1) land mask
-  done;
-  !res
+  !ok
 
 let supcon_sharded ~jobs ~comps ~sup_name ~context =
   let nc = Array.length comps in
@@ -535,11 +149,40 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
         end)
       (Automaton.alphabet comps.(c))
   done;
-  let plant_owned =
+  (* Controllability is about what the plant can generate: only
+     plant-owned uncontrollable events form the uncontrollable graph. *)
+  let unc =
     Array.init (max_id + 1) (fun eid ->
-        first_owner.(eid) >= 0 && first_owner.(eid) < spec_c)
+        let o = first_owner.(eid) in
+        (not ctrl.(eid)) && o >= 0 && o < spec_c)
   in
   let cs = Array.map comp_of_automaton comps in
+  (* Each component's rows cut down to the events it handles (first
+     owner), so expansion never walks past an event handled elsewhere. *)
+  let own =
+    Array.mapi
+      (fun c cc ->
+        let keep t = first_owner.(cc.cev.(t)) = c in
+        let row = Array.make (cc.cn + 1) 0 in
+        for i = 0 to cc.cn - 1 do
+          let d = ref 0 in
+          for t = cc.crow.(i) to cc.crow.(i + 1) - 1 do
+            if keep t then incr d
+          done;
+          row.(i + 1) <- row.(i) + !d
+        done;
+        let ev = Array.make row.(cc.cn) 0 and dst = Array.make row.(cc.cn) 0 in
+        let q = ref 0 in
+        for t = 0 to cc.crow.(cc.cn) - 1 do
+          if keep t then begin
+            ev.(!q) <- cc.cev.(t);
+            dst.(!q) <- cc.cdst.(t);
+            incr q
+          end
+        done;
+        { cc with crow = row; cev = ev; cdst = dst })
+      cs
+  in
   (* Mixed-radix key encoding of joint states; must fit an OCaml int. *)
   let weights = Array.make nc 1 in
   let () =
@@ -552,6 +195,17 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
       w := !w * n_c
     done
   in
+  (* Component indices of a joint key, one division per component. *)
+  let decode key idx =
+    let k = ref key in
+    for c = nc - 1 downto 1 do
+      let n_c = cs.(c).cn in
+      let q = !k / n_c in
+      idx.(c) <- !k - (q * n_c);
+      k := q
+    done;
+    idx.(0) <- !k
+  in
   let key0 =
     let k = ref 0 in
     for c = 0 to nc - 1 do
@@ -559,19 +213,40 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
     done;
     !k
   in
-  let shard_of key = if jobs = 1 then 0 else t_hash key mod jobs in
+  (* A state's interim encoding is [(l lsl sh) lor s]: its shard [s] and
+     its insertion index [l] within the shard.  Shards take the hash's
+     high bits; the tables index their slots by its low bits. *)
+  let sh =
+    let b = ref 0 in
+    while 1 lsl !b < jobs do
+      incr b
+    done;
+    !b
+  in
+  let smask = (1 lsl sh) - 1 in
+  let shard_of key =
+    if jobs = 1 then 0 else ((Inttbl.hash key lsr 40) * jobs) lsr 22
+  in
   (* --- per-shard / per-worker state ---------------------------------- *)
-  let tables = Array.init jobs (fun _ -> t_create ()) in
+  (* Shard s owns the states it inserted, numbered l = 0, 1, … in
+     insertion order. *)
+  let tables = Array.init jobs (fun _ -> Inttbl.create ()) in
   let skeys = Array.init jobs (fun _ -> Intvec.create ()) in
   let flo = Array.make jobs 0 and fhi = Array.make jobs 0 in
-  let outk =
+  (* Worker w's emissions, state by state in the order it expanded its
+     shard's states: [bcnt] holds one emission count per state, [bev] and
+     [bdst] the event ids and destination keys.  Each key is resolved in
+     place, by the owner of its shard, to the destination's encoding;
+     [bpos.(w).(s)] lists where this level's keys of shard s sit in
+     [bdst.(w)], in emission order. *)
+  let bcnt = Array.init jobs (fun _ -> Intvec.create ()) in
+  let bev = Array.init jobs (fun _ -> Intvec.create ()) in
+  let bdst = Array.init jobs (fun _ -> Intvec.create ()) in
+  let bpos =
     Array.init jobs (fun _ -> Array.init jobs (fun _ -> Intvec.create ()))
   in
-  let btsrc = Array.init jobs (fun _ -> Intvec.create ()) in
-  let btev = Array.init jobs (fun _ -> Intvec.create ()) in
-  let btdst = Array.init jobs (fun _ -> Intvec.create ()) in
   let besc = Array.init jobs (fun _ -> Intvec.create ()) in
-  let tbase = Array.make jobs 0 in
+  let srow = Array.make jobs [||] in
   let idxs = Array.init jobs (fun _ -> Array.make nc 0) in
   let stacks = Array.init jobs (fun _ -> Intvec.create ()) in
   let spill =
@@ -581,10 +256,9 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
   (* Shared slots, published worker-0 -> everyone through barrier waits. *)
   let shard_off = Array.make (jobs + 1) 0 in
   let n_total = ref 0 in
-  let keyof = ref [||] in
-  let deg = ref [||] in
-  let trow = ref [||] and ttev = ref [||] and ttdst = ref [||] in
+  let canonical = ref false in
   let perm = ref [||] and ord = ref [||] in
+  let okey = ref [||] in
   let frow = ref [||] and fev = ref [||] and fdst = ref [||] in
   let pmarked = ref [||] and pforbid = ref [||] and pesc = ref [||] in
   let prow = ref [||] and pred = ref [||] in
@@ -605,84 +279,82 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
   let ksrc = ref [||] and kev = ref [||] and kdst = ref [||] in
   (* Seed the initial state into its shard before workers start. *)
   let s0 = shard_of key0 in
-  ignore (t_put tables.(s0) key0 0);
+  ignore (Inttbl.put tables.(s0) key0 0);
   Intvec.push skeys.(s0) key0;
   fhi.(s0) <- 1;
   let worker w b =
     (* ---------- phase 1: level-synchronous sharded product BFS ------- *)
     let idx = idxs.(w) in
+    let ev_out = bev.(w) and dst_out = bdst.(w) in
     let expand src key =
+      let emitted = Intvec.length ev_out in
+      decode key idx;
       for c = 0 to nc - 1 do
-        idx.(c) <- key / weights.(c) mod cs.(c).cn
-      done;
-      for c = 0 to nc - 1 do
-        let cc = cs.(c) in
+        let cc = own.(c) in
         let i_c = idx.(c) in
         for t = cc.crow.(i_c) to cc.crow.(i_c + 1) - 1 do
           let eid = cc.cev.(t) in
-          if first_owner.(eid) = c then begin
-            let dkey = ref (key + ((cc.cdst.(t) - i_c) * weights.(c))) in
-            let oth = others.(eid) in
-            let no = Array.length oth in
-            let ok = ref true in
-            let oi = ref 0 in
-            while !ok && !oi < no do
-              let o = oth.(!oi) in
-              let d = cstep cs.(o) idx.(o) eid in
-              if d < 0 then begin
-                ok := false;
-                (* Every owner below [o] stepped.  [o] can only be the
-                   spec when the whole plant side enabled the event: an
-                   uncontrollable escape. *)
-                if o = spec_c && not ctrl.(eid) then Intvec.push besc.(w) src
-              end
-              else begin
-                dkey := !dkey + ((d - idx.(o)) * weights.(o));
-                incr oi
-              end
-            done;
-            if !ok then begin
-              Intvec.push btsrc.(w) src;
-              Intvec.push btev.(w) eid;
-              Intvec.push btdst.(w) !dkey;
-              Intvec.push outk.(w).(shard_of !dkey) !dkey
+          let dkey = ref (key + ((cc.cdst.(t) - i_c) * weights.(c))) in
+          let oth = others.(eid) in
+          let no = Array.length oth in
+          let ok = ref true in
+          let oi = ref 0 in
+          while !ok && !oi < no do
+            let o = oth.(!oi) in
+            let d = Automaton.step_index_raw comps.(o) idx.(o) eid in
+            if d < 0 then begin
+              ok := false;
+              (* Every owner below [o] stepped.  [o] can only be the
+                 spec when the whole plant side enabled the event: an
+                 uncontrollable escape. *)
+              if o = spec_c && not ctrl.(eid) then Intvec.push besc.(w) src
             end
+            else begin
+              dkey := !dkey + ((d - idx.(o)) * weights.(o));
+              incr oi
+            end
+          done;
+          if !ok then begin
+            Intvec.push bpos.(w).(shard_of !dkey) (Intvec.length dst_out);
+            Intvec.push ev_out eid;
+            Intvec.push dst_out !dkey
           end
         done
-      done
+      done;
+      Intvec.push bcnt.(w) (Intvec.length ev_out - emitted)
     in
     let levels = ref true in
     while !levels do
-      (* E: expand this shard's frontier; emissions buffered in intrinsic
-         order, destination *keys* pushed to the owning shard's inbox. *)
+      (* E: expand this shard's frontier into the emission buffers. *)
       for l = flo.(w) to fhi.(w) - 1 do
-        expand ((l * jobs) + w) (Intvec.get skeys.(w) l)
+        expand ((l lsl sh) lor w) (Intvec.get skeys.(w) l)
       done;
       Spmd.wait b;
-      (* A: drain inboxes (any order — numbering is canonicalized later),
-         inserting fresh keys; they form the next frontier. *)
-      flo.(w) <- Intvec.length skeys.(w);
+      (* A: visit every worker's emissions of this level that carry keys
+         this shard owns, in worker-then-emission order; insert fresh
+         ones (they form the next frontier) and resolve each in place. *)
+      let tbl = tables.(w) and keys = skeys.(w) in
+      flo.(w) <- Intvec.length keys;
       for v = 0 to jobs - 1 do
-        let q = outk.(v).(w) in
-        for x = 0 to Intvec.length q - 1 do
-          let key = Intvec.get q x in
-          if t_put tables.(w) key (Intvec.length skeys.(w)) = -1 then
-            Intvec.push skeys.(w) key
+        let qd = Intvec.data bdst.(v) in
+        let ps = bpos.(v).(w) in
+        let pd = Intvec.data ps in
+        for y = 0 to Intvec.length ps - 1 do
+          let x = pd.(y) in
+          let key = qd.(x) in
+          let fresh = Intvec.length keys in
+          let l =
+            match Inttbl.put tbl key fresh with
+            | -1 ->
+                Intvec.push keys key;
+                fresh
+            | l -> l
+          in
+          qd.(x) <- (l lsl sh) lor w
         done;
-        Intvec.clear q
+        Intvec.clear ps
       done;
-      fhi.(w) <- Intvec.length skeys.(w);
-      Spmd.wait b;
-      (* L: resolve this level's buffered destination keys against the
-         now-quiescent shard tables. *)
-      let m = Intvec.length btdst.(w) in
-      for k = tbase.(w) to m - 1 do
-        let key = Intvec.get btdst.(w) k in
-        let s = shard_of key in
-        let l = t_find tables.(s) key in
-        Intvec.set btdst.(w) k ((l * jobs) + s)
-      done;
-      tbase.(w) <- m;
+      fhi.(w) <- Intvec.length keys;
       Spmd.wait b;
       let any = ref false in
       for s = 0 to jobs - 1 do
@@ -690,7 +362,18 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
       done;
       levels := !any
     done;
-    (* ---------- phase 2: assembly into one flat CSR ------------------ *)
+    (* ---------- phase 2: per-shard rows, canonical numbering --------- *)
+    tables.(w) <- Inttbl.create ();
+    let counts = Intvec.data bcnt.(w) in
+    let ns = Intvec.length bcnt.(w) in
+    let r = Array.make (ns + 1) 0 in
+    for l = 0 to ns - 1 do
+      r.(l + 1) <- r.(l) + counts.(l)
+    done;
+    srow.(w) <- r;
+    bcnt.(w) <- Intvec.create ~capacity:1 ();
+    bpos.(w) <- [||];
+    Spmd.wait b;
     if w = 0 then begin
       let off = ref 0 in
       for s = 0 to jobs - 1 do
@@ -698,153 +381,184 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
         off := !off + Intvec.length skeys.(s)
       done;
       shard_off.(jobs) <- !off;
-      n_total := !off;
-      deg := Array.make !off 0;
-      keyof := Array.make !off 0
-    end;
-    Spmd.wait b;
-    let n = !n_total in
-    let flat enc = shard_off.(enc mod jobs) + (enc / jobs) in
-    let d = !deg and ko = !keyof in
-    for l = 0 to Intvec.length skeys.(w) - 1 do
-      ko.(shard_off.(w) + l) <- Intvec.get skeys.(w) l
-    done;
-    for k = 0 to Intvec.length btsrc.(w) - 1 do
-      let f = flat (Intvec.get btsrc.(w) k) in
-      d.(f) <- d.(f) + 1
-    done;
-    Spmd.wait b;
-    if w = 0 then begin
-      let row = Array.make (n + 1) 0 in
-      for i = 0 to n - 1 do
-        row.(i + 1) <- row.(i) + d.(i)
-      done;
-      trow := row;
-      ttev := Array.make row.(n) 0;
-      ttdst := Array.make row.(n) 0;
-      (* Reuse [deg] as the per-state write cursor. *)
-      for i = 0 to n - 1 do
-        d.(i) <- row.(i)
-      done
-    end;
-    Spmd.wait b;
-    let row = !trow and tev_t = !ttev and tdst_t = !ttdst in
-    (* Each source state was expanded by exactly one worker and its
-       emissions are contiguous in that worker's buffer, so the cursor
-       cells below have a single writer and per-row order is exactly the
-       intrinsic emission order. *)
-    for k = 0 to Intvec.length btsrc.(w) - 1 do
-      let f = flat (Intvec.get btsrc.(w) k) in
-      let p = d.(f) in
-      tev_t.(p) <- Intvec.get btev.(w) k;
-      tdst_t.(p) <- flat (Intvec.get btdst.(w) k);
-      d.(f) <- p + 1
-    done;
-    Spmd.wait b;
-    (* ---------- phase 3: canonical BFS renumbering ------------------- *)
-    if w = 0 then begin
-      let p = Array.make n (-1) in
-      let o = Array.make n 0 in
-      let f0 = flat s0 in
-      p.(f0) <- 0;
-      o.(0) <- f0;
-      let cnt = ref 1 in
-      let head = ref 0 in
-      while !head < !cnt do
-        let f = o.(!head) in
-        incr head;
-        for k = row.(f) to row.(f + 1) - 1 do
-          let dfl = tdst_t.(k) in
-          if p.(dfl) < 0 then begin
-            p.(dfl) <- !cnt;
-            o.(!cnt) <- dfl;
-            incr cnt
-          end
-        done
-      done;
-      (* Every inserted key is the destination of some emission (or the
-         initial state), so the BFS covers everything. *)
-      assert (!cnt = n);
-      perm := p;
-      ord := o;
-      let nrow = Array.make (n + 1) 0 in
-      for i = 0 to n - 1 do
-        let f = o.(i) in
-        nrow.(i + 1) <- nrow.(i) + (row.(f + 1) - row.(f))
-      done;
-      frow := nrow;
-      fev := Array.make nrow.(n) 0;
-      fdst := Array.make nrow.(n) 0;
+      let n = !off in
+      n_total := n;
+      if jobs = 1 then begin
+        assert (is_bfs_order n srow.(0) (Intvec.data bdst.(0)));
+        canonical := true;
+        okey := Intvec.data skeys.(0);
+        frow := srow.(0);
+        fev := Intvec.data bev.(0);
+        fdst := Intvec.data bdst.(0)
+      end
+      else begin
+        (* Sequential BFS over the shard rows in emission order: the
+           canonical numbering.  [p] maps flat interim indices
+           (shard_off.(s) + l) to canonical ones, [o] canonical indices
+           back to interim encodings. *)
+        let flat enc = shard_off.(enc land smask) + (enc lsr sh) in
+        let p = Array.make n (-1) in
+        let o = Array.make n 0 in
+        p.(flat s0) <- 0;
+        o.(0) <- s0;
+        let cnt = ref 1 in
+        let head = ref 0 in
+        while !head < !cnt do
+          let enc = o.(!head) in
+          incr head;
+          let s = enc land smask and l = enc lsr sh in
+          let d = Intvec.data bdst.(s) in
+          for k = srow.(s).(l) to srow.(s).(l + 1) - 1 do
+            let de = d.(k) in
+            let df = flat de in
+            if p.(df) < 0 then begin
+              p.(df) <- !cnt;
+              o.(!cnt) <- de;
+              incr cnt
+            end
+          done
+        done;
+        (* Every inserted key is the destination of some emission (or the
+           initial state), so the BFS covers everything. *)
+        assert (!cnt = n);
+        perm := p;
+        ord := o;
+        let nrow = Array.make (n + 1) 0 in
+        for i = 0 to n - 1 do
+          let enc = o.(i) in
+          let s = enc land smask and l = enc lsr sh in
+          nrow.(i + 1) <- nrow.(i) + (srow.(s).(l + 1) - srow.(s).(l))
+        done;
+        frow := nrow;
+        fev := Array.make nrow.(n) 0;
+        fdst := Array.make nrow.(n) 0;
+        okey := Array.make n 0
+      end;
       pmarked := Array.make n false;
       pforbid := Array.make n false;
       pesc := Array.make n false
     end;
     Spmd.wait b;
-    let p = !perm and o = !ord in
-    let nrow = !frow and fe = !fev and fd = !fdst in
+    let n = !n_total in
+    let nrow = !frow and fe = !fev and fd = !fdst and ko = !okey in
     let pm = !pmarked and pf = !pforbid and pe = !pesc in
     let chunk = (n + jobs - 1) / jobs in
     let lo_r = min n (w * chunk) in
     let hi_r = min n ((w + 1) * chunk) in
     let owner i = i / chunk in
-    for i = lo_r to hi_r - 1 do
-      let f = o.(i) in
-      let q = ref nrow.(i) in
-      for k = row.(f) to row.(f + 1) - 1 do
-        fe.(!q) <- tev_t.(k);
-        fd.(!q) <- p.(tdst_t.(k));
-        incr q
+    if not !canonical then begin
+      let p = !perm and o = !ord in
+      let flat enc = shard_off.(enc land smask) + (enc lsr sh) in
+      for i = lo_r to hi_r - 1 do
+        let enc = o.(i) in
+        let s = enc land smask and l = enc lsr sh in
+        let se = Intvec.data bev.(s) and sd = Intvec.data bdst.(s) in
+        let q = ref nrow.(i) in
+        for k = srow.(s).(l) to srow.(s).(l + 1) - 1 do
+          fe.(!q) <- se.(k);
+          fd.(!q) <- p.(flat sd.(k));
+          incr q
+        done;
+        ko.(i) <- Intvec.get skeys.(s) l
       done;
-      let key = ko.(f) in
+      for x = 0 to Intvec.length besc.(w) - 1 do
+        pe.(p.(flat (Intvec.get besc.(w) x))) <- true
+      done
+    end
+    else
+      for x = 0 to Intvec.length besc.(w) - 1 do
+        pe.(Intvec.get besc.(w) x) <- true
+      done;
+    let idx = idxs.(w) in
+    for i = lo_r to hi_r - 1 do
+      decode ko.(i) idx;
       let mk = ref true and fb = ref false in
       for c = 0 to nc - 1 do
-        let i_c = key / weights.(c) mod cs.(c).cn in
-        if not cs.(c).cmarked.(i_c) then mk := false;
-        if cs.(c).cforbidden.(i_c) then fb := true
+        if not cs.(c).cmarked.(idx.(c)) then mk := false;
+        if cs.(c).cforbidden.(idx.(c)) then fb := true
       done;
       pm.(i) <- !mk;
       pf.(i) <- !fb
     done;
-    for x = 0 to Intvec.length besc.(w) - 1 do
-      pe.(p.(flat (Intvec.get besc.(w) x))) <- true
-    done;
     Spmd.wait b;
-    (* ---------- phase 4: derived CSRs (pred, uncontrollable) --------- *)
+    if not !canonical then begin
+      (* The renumbered copy replaces the emission buffers. *)
+      bev.(w) <- Intvec.create ~capacity:1 ();
+      bdst.(w) <- Intvec.create ~capacity:1 ();
+      skeys.(w) <- Intvec.create ~capacity:1 ();
+      if w = 0 then begin
+        perm := [||];
+        ord := [||]
+      end
+    end;
+    (* ---------- phase 3: derived CSRs (pred, uncontrollable) --------- *)
+    (* Two independent tasks, on workers 0 and 1 when there are two:
+       predecessors for the blocking pass, the uncontrollable successor
+       and predecessor CSRs for the uncontrollable pass.  Both read the
+       renumbered rows directly and size their arrays from counts. *)
     if w = 0 then begin
-      let m_t = nrow.(n) in
-      let ts = Array.make m_t 0 in
+      let pr = Array.make (n + 1) 0 in
+      for k = 0 to nrow.(n) - 1 do
+        let d = fd.(k) in
+        pr.(d + 1) <- pr.(d + 1) + 1
+      done;
+      for i = 0 to n - 1 do
+        pr.(i + 1) <- pr.(i + 1) + pr.(i)
+      done;
+      let cur = Array.sub pr 0 n in
+      let pd = Array.make nrow.(n) 0 in
       for i = 0 to n - 1 do
         for k = nrow.(i) to nrow.(i + 1) - 1 do
-          ts.(k) <- i
+          let d = fd.(k) in
+          pd.(cur.(d)) <- i;
+          cur.(d) <- cur.(d) + 1
         done
       done;
-      let pr, pd = csr_of_pairs n fd ts in
       prow := pr;
       pred := pd;
-      let us = Intvec.create () and ud = Intvec.create () in
-      for k = 0 to m_t - 1 do
-        let eid = fe.(k) in
-        if (not ctrl.(eid)) && plant_owned.(eid) then begin
-          Intvec.push us ts.(k);
-          Intvec.push ud fd.(k)
-        end
-      done;
-      let usa = Intvec.to_array us and uda = Intvec.to_array ud in
-      let r1, o1 = csr_of_pairs n usa uda in
-      usrow := r1;
-      usucc := o1;
-      let r2, o2 = csr_of_pairs n uda usa in
-      uprow := r2;
-      upred := o2;
       good := Array.make n true;
       coacc := Array.make n false
+    end;
+    if w = 1 mod jobs then begin
+      let usr = Array.make (n + 1) 0 and upr = Array.make (n + 1) 0 in
+      for i = 0 to n - 1 do
+        for k = nrow.(i) to nrow.(i + 1) - 1 do
+          if unc.(fe.(k)) then begin
+            usr.(i + 1) <- usr.(i + 1) + 1;
+            let d = fd.(k) in
+            upr.(d + 1) <- upr.(d + 1) + 1
+          end
+        done
+      done;
+      for i = 0 to n - 1 do
+        usr.(i + 1) <- usr.(i + 1) + usr.(i);
+        upr.(i + 1) <- upr.(i + 1) + upr.(i)
+      done;
+      let usx = Array.make usr.(n) 0 and upx = Array.make usr.(n) 0 in
+      let cur = Array.sub upr 0 n in
+      let q = ref 0 in
+      for i = 0 to n - 1 do
+        for k = nrow.(i) to nrow.(i + 1) - 1 do
+          if unc.(fe.(k)) then begin
+            let d = fd.(k) in
+            usx.(!q) <- d;
+            incr q;
+            upx.(cur.(d)) <- i;
+            cur.(d) <- cur.(d) + 1
+          end
+        done
+      done;
+      usrow := usr;
+      usucc := usx;
+      uprow := upr;
+      upred := upx
     end;
     Spmd.wait b;
     let g = !good and ca = !coacc in
     let pr = !prow and pd = !pred in
     let usr = !usrow and usx = !usucc in
     let upr = !uprow and upx = !upred in
-    (* ---------- phase 5: parallel fixpoint --------------------------- *)
+    (* ---------- phase 4: parallel fixpoint --------------------------- *)
     let cnt_removed = ref 0 in
     let stack = stacks.(w) in
     let bank = ref 0 in
@@ -1008,7 +722,7 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
       Spmd.wait b;
       fix := !go_on
     done;
-    (* ---------- phase 6: supervisor extraction ----------------------- *)
+    (* ---------- phase 5: supervisor extraction ----------------------- *)
     if w = 0 then
       if not g.(0) then empty := true
       else begin
@@ -1081,15 +795,15 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
   if !empty then Error Empty_supervisor
   else begin
     let m = !msup in
-    let os = !old_of_sup and o = !ord and ko = !keyof in
+    let os = !old_of_sup and ko = !okey in
     let pm = !pmarked in
+    (* The closure keeps only what naming needs, not the engine's
+       component tables. *)
+    let sizes = Array.map (fun cc -> cc.cn) cs in
     let names () =
-      Array.init m (fun i ->
-          let key = ko.(o.(os.(i))) in
-          Automaton.product_state_name_n
-            (List.init nc (fun c ->
-                 Automaton.state_of_index comps.(c)
-                   (key / weights.(c) mod cs.(c).cn))))
+      Automaton.product_state_names m nc (fun i c ->
+          Automaton.state_of_index comps.(c)
+            (ko.(os.(i)) / weights.(c) mod sizes.(c)))
     in
     let sup =
       Automaton.of_indexed_arrays ~name:sup_name ~names ~alphabet ~initial:0
@@ -1108,6 +822,13 @@ let supcon_par ?(jobs = 1) ~plant ~spec () =
     ~context:
       (Printf.sprintf "Synthesis.supcon(%s,%s)" (Automaton.name plant)
          (Automaton.name spec))
+
+let supcon ~plant ~spec = supcon_par ~jobs:1 ~plant ~spec ()
+
+let supcon_exn ~plant ~spec =
+  match supcon ~plant ~spec with
+  | Ok (sup, _) -> sup
+  | Error Empty_supervisor -> failwith "Synthesis.supcon: empty supervisor"
 
 let supcon_modular ?(jobs = 1) ~plants ~spec () =
   if plants = [] then invalid_arg "Synthesis.supcon_modular: no plant components";

@@ -34,12 +34,14 @@ val supcon :
   plant:Automaton.t ->
   spec:Automaton.t ->
   (Automaton.t * stats, error) result
-(** [supcon ~plant ~spec] synthesizes the supervisor.  Product states are
-    named ["qG.qE"] as in Fig. 12d.  The returned automaton is both the
-    supervisor realization and the closed-loop behaviour (standard for
-    state-feedback RW supervisors); it is guaranteed controllable w.r.t.
-    [plant], non-blocking and trim — properties re-checked by
-    {!Verify.controllable} and {!Verify.nonblocking} in the test-suite. *)
+(** [supcon ~plant ~spec] synthesizes the supervisor; it is
+    [supcon_par ~jobs:1 ~plant ~spec ()] — one engine serves every job
+    count.  Product states are named ["qG.qE"] as in Fig. 12d.  The
+    returned automaton is both the supervisor realization and the
+    closed-loop behaviour (standard for state-feedback RW supervisors);
+    it is guaranteed controllable w.r.t. [plant], non-blocking and trim
+    — properties re-checked by {!Verify.controllable} and
+    {!Verify.nonblocking} in the test-suite. *)
 
 val supcon_exn : plant:Automaton.t -> spec:Automaton.t -> Automaton.t
 (** Like {!supcon} but raising [Failure] on an empty result and dropping
@@ -51,18 +53,20 @@ val supcon_par :
   spec:Automaton.t ->
   unit ->
   (Automaton.t * stats, error) result
-(** Sharded parallel {!supcon}.  [jobs] workers (default 1) explore the
+(** The synthesis engine.  [jobs] workers (default 1) explore the
     reachable product with per-shard open-addressing state tables and
     per-worker frontiers, then run the uncontrollable/blocking fixpoint
-    over contiguous state ranges with cross-shard spill queues.
+    over contiguous state ranges with cross-shard spill queues; one job
+    runs inline on the caller.
 
     {b Determinism contract}: for any [jobs], the result — supervisor
     states, names, transitions, {!Automaton.structural_digest} and
-    {!stats} — is byte-identical to [supcon ~plant ~spec].  The parallel
-    exploration's interim numbering is canonicalized by a sequential BFS
-    renumbering that reproduces the sequential discovery order exactly,
-    and each fixpoint pass computes a unique complete fixpoint, so its
-    removal counts are traversal-order-free. *)
+    {!stats} — is byte-identical.  Product states are numbered in BFS
+    discovery order (plant row in event-id order, then the spec's
+    private events): a multi-job exploration's interim numbering is
+    canonicalized by a sequential BFS renumbering, and each fixpoint pass
+    computes a unique complete fixpoint, so its removal counts are
+    traversal-order-free. *)
 
 val supcon_modular :
   ?jobs:int ->
@@ -76,8 +80,8 @@ val supcon_modular :
     that the spec confines to a sliver never exists in memory.  The
     result equals [supcon ~plant:(Compose.all plants) ~spec] up to state
     naming (joint states are named by the flat
-    {!Automaton.product_state_name_n} join rather than the nested
+    {!Automaton.product_state_names} join rather than the nested
     pairwise join): same state count, same transition structure
     ({!Automaton.isomorphic}), same {!stats}.  Deterministic in [jobs]
-    like {!supcon_par}.  Raises [Invalid_argument] when [plants] is
+    like {!supcon_par}, and run by the same engine.  Raises [Invalid_argument] when [plants] is
     empty or the joint index space overflows the int key range. *)

@@ -45,42 +45,49 @@ let controllable ~plant ~supervisor =
     (fun e -> ctrl.(Event.id e) <- Event.is_controllable e)
     alphabet;
   let ng = Automaton.num_states plant in
-  let seen = Hashtbl.create 1024 in
-  let queue = Queue.create () in
+  let grow, gev, gdst = Automaton.csr plant in
+  let srow, sev, sdst = Automaton.csr supervisor in
+  let seen = Inttbl.create () in
+  (* The pairs in discovery order double as the BFS queue. *)
+  let qs = Intvec.create () and qg = Intvec.create () in
   let visit is_ ig =
-    let key = (is_ * ng) + ig in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      Queue.push (is_, ig) queue
+    if Inttbl.put seen ((is_ * ng) + ig) 0 = -1 then begin
+      Intvec.push qs is_;
+      Intvec.push qg ig
     end
   in
   visit (Automaton.initial_index supervisor) (Automaton.initial_index plant);
   let witness = ref None in
+  let head = ref 0 in
   (try
-     while not (Queue.is_empty queue) do
-       let is_, ig = Queue.pop queue in
-       Automaton.iter_row plant ig (fun eid jg ->
-           if in_s.(eid) then (
-             match Automaton.step_index supervisor is_ eid with
-             | Some js -> visit js jg
-             | None ->
-                 (* Plant enables it, supervisor's alphabet contains it,
-                    supervisor disables it: a violation iff
-                    uncontrollable. *)
-                 if not ctrl.(eid) then begin
-                   witness :=
-                     Some
-                       {
-                         supervisor_state =
-                           Automaton.state_of_index supervisor is_;
-                         plant_state = Automaton.state_of_index plant ig;
-                         event = Automaton.event_of_id plant eid;
-                       };
-                   raise Exit
-                 end)
-           else visit is_ jg);
-       Automaton.iter_row supervisor is_ (fun eid js ->
-           if not in_g.(eid) then visit js ig)
+     while !head < Intvec.length qs do
+       let is_ = Intvec.get qs !head and ig = Intvec.get qg !head in
+       incr head;
+       for k = grow.(ig) to grow.(ig + 1) - 1 do
+         let eid = gev.(k) and jg = gdst.(k) in
+         if in_s.(eid) then (
+           match Automaton.step_index_raw supervisor is_ eid with
+           | -1 ->
+               (* Plant enables it, supervisor's alphabet contains it,
+                  supervisor disables it: a violation iff
+                  uncontrollable. *)
+               if not ctrl.(eid) then begin
+                 witness :=
+                   Some
+                     {
+                       supervisor_state =
+                         Automaton.state_of_index supervisor is_;
+                       plant_state = Automaton.state_of_index plant ig;
+                       event = Automaton.event_of_id plant eid;
+                     };
+                 raise Exit
+               end
+           | js -> visit js jg)
+         else visit is_ jg
+       done;
+       for k = srow.(is_) to srow.(is_ + 1) - 1 do
+         if not in_g.(sev.(k)) then visit sdst.(k) ig
+       done
      done
    with Exit -> ());
   match !witness with None -> Ok () | Some w -> Error w

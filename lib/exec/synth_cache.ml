@@ -8,13 +8,13 @@ let c_hits = Spectr_obs.Counters.counter "synth_cache.hits"
 let c_misses = Spectr_obs.Counters.counter "synth_cache.misses"
 let h_synthesis = Spectr_obs.Histogram.histogram "synth_cache.synthesis_ns"
 
-(* Below this many product-grid cells (plant states × spec states) the
-   sequential path wins outright: sharding, domain spawns and barrier
-   rounds cost more than the whole synthesis.  Above it, route through
-   the sharded engine when the environment grants more than one job.
-   [Synthesis.supcon_par] is pinned byte-identical to [Synthesis.supcon]
-   for any job count, so the routing is invisible to callers — including
-   this cache's digest keys. *)
+(* Below this many product-grid cells (plant states × spec states) one
+   job wins outright: sharding, domain spawns and barrier rounds cost
+   more than the whole synthesis.  Above it, run the engine with the
+   jobs the environment grants.  There is one engine — [Synthesis.supcon]
+   is [supcon_par ~jobs:1] — and its result is byte-identical for any
+   job count, so the routing is invisible to callers, including this
+   cache's digest keys. *)
 let par_threshold = 32768
 
 let jobs_for ~plant ~spec =
@@ -31,9 +31,7 @@ let supcon ~plant ~spec =
     Single_flight.find_or_compute cache ~key ~compute:(fun () ->
         computed := true;
         Spectr_obs.time h_synthesis (fun () ->
-            match jobs_for ~plant ~spec with
-            | 1 -> Synthesis.supcon ~plant ~spec
-            | jobs -> Synthesis.supcon_par ~jobs ~plant ~spec ()))
+            Synthesis.supcon_par ~jobs:(jobs_for ~plant ~spec) ~plant ~spec ()))
   in
   if !computed then Spectr_obs.Counters.incr c_misses
   else Spectr_obs.Counters.incr c_hits;

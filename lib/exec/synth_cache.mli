@@ -32,11 +32,11 @@ val supcon :
   spec:Automaton.t ->
   (Automaton.t * Synthesis.stats, Synthesis.error) result
 (** Memoized {!Synthesis.supcon}.  Large products — plant states × spec
-    states at or above an internal threshold — are synthesized through
-    the sharded {!Synthesis.supcon_par} engine with {!Pool.default_jobs}
-    workers (so [SPECTR_JOBS] governs synthesis parallelism too); the
-    result is pinned byte-identical to the sequential path for any job
-    count, so callers — and the digest keys — cannot tell. *)
+    states at or above an internal threshold — run the engine with
+    {!Pool.default_jobs} workers (so [SPECTR_JOBS] governs synthesis
+    parallelism too), smaller ones with one; the result is
+    byte-identical for any job count, so callers — and the digest keys
+    — cannot tell. *)
 
 val stats : unit -> int * int
 (** [(hits, misses)] since start-up (or the last {!clear}). *)

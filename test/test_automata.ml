@@ -819,18 +819,175 @@ let test_restrict_indices_matches_reference () =
         Alcotest.failf "seed %d: restriction None-ness differs" seed
   done
 
+(* Reference CSR row builder: the tuple-sort construction the in-place
+   row sort replaced — bucket the triples by source, sort each row's
+   (event, dst) pairs, then scan for a repeated event. *)
+let ref_rows ~who n trans =
+  let rows = Array.make n [] in
+  Array.iter (fun (s, e, d) -> rows.(s) <- (e, d) :: rows.(s)) trans;
+  Array.mapi
+    (fun s row ->
+      let row = List.sort compare row in
+      let rec scan = function
+        | (e, _) :: ((e', _) :: _ as rest) ->
+            if e = e' then
+              invalid_arg
+                (Printf.sprintf "%s: nondeterministic on event id %d from state %d"
+                   who e s);
+            scan rest
+        | _ -> ()
+      in
+      scan row;
+      row)
+    rows
+
+let rows_of a =
+  Array.init (Automaton.num_states a) (fun s ->
+      let acc = ref [] in
+      Automaton.iter_row a s (fun e d -> acc := (e, d) :: !acc);
+      List.rev !acc)
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
+let csr_events =
+  Array.init 12 (fun i -> Event.controllable (Printf.sprintf "csr_e%d" i))
+
+(* Seeded random deterministic triple sets over a fixed alphabet, fed in
+   shuffled order: the builder must produce exactly the reference rows
+   (event ids and destinations, in order); with one triple duplicated on
+   another destination it must fail with the reference's message. *)
+let test_csr_matches_reference () =
+  let alphabet = Event.set_of_list (Array.to_list csr_events) in
+  for seed = 0 to 49 do
+    let rng = Random.State.make [| seed |] in
+    let n = 1 + Random.State.int rng 30 in
+    let trans = ref [] in
+    for s = 0 to n - 1 do
+      Array.iter
+        (fun e ->
+          if Random.State.int rng 3 = 0 then
+            trans := (s, Event.id e, Random.State.int rng n) :: !trans)
+        csr_events
+    done;
+    let trans = Array.of_list !trans in
+    shuffle rng trans;
+    let build trans =
+      Automaton.of_indexed_arrays ~name:"CSR"
+        ~names:(fun () -> Array.init n string_of_int)
+        ~alphabet ~initial:0 ~marked:(Array.make n true)
+        ~forbidden:(Array.make n false)
+        ~src:(Array.map (fun (s, _, _) -> s) trans)
+        ~event:(Array.map (fun (_, e, _) -> e) trans)
+        ~target:(Array.map (fun (_, _, d) -> d) trans)
+    in
+    let who = "Automaton.of_indexed CSR" in
+    if rows_of (build trans) <> ref_rows ~who n trans then
+      Alcotest.failf "seed %d: CSR rows differ from the reference" seed;
+    if Array.length trans > 0 then begin
+      let s, e, d = trans.(Random.State.int rng (Array.length trans)) in
+      let bad = Array.append trans [| (s, e, (d + 1) mod n) |] in
+      shuffle rng bad;
+      let message f =
+        match f () with
+        | _ -> None
+        | exception Invalid_argument m -> Some m
+      in
+      let expected = message (fun () -> ref_rows ~who n bad) in
+      check_bool "reference rejects the duplicate" true (expected <> None);
+      if message (fun () -> build bad) <> expected then
+        Alcotest.failf "seed %d: nondeterminism message differs" seed
+    end
+  done
+
+(* The old index restriction, which always copied: the reference for
+   restrict_indices' results, digest for digest. *)
+let ref_restrict_indices a keep =
+  let n = Automaton.num_states a in
+  let init = Automaton.initial_index a in
+  if not keep.(init) then None
+  else begin
+    let survive = Array.make n false in
+    survive.(init) <- true;
+    let trans = ref [] in
+    for s = 0 to n - 1 do
+      if keep.(s) then
+        Automaton.iter_row a s (fun e d ->
+            if keep.(d) then begin
+              survive.(s) <- true;
+              survive.(d) <- true;
+              trans := (s, e, d) :: !trans
+            end)
+    done;
+    let new_of_old = Array.make n (-1) and m = ref 0 in
+    Array.iteri
+      (fun i sv ->
+        if sv then begin
+          new_of_old.(i) <- !m;
+          incr m
+        end)
+      survive;
+    let old_of_new = Array.make !m 0 in
+    Array.iteri (fun i j -> if j >= 0 then old_of_new.(j) <- i) new_of_old;
+    let trans = Array.of_list (List.rev !trans) in
+    let field f = Array.map f trans in
+    Some
+      (Automaton.of_indexed_arrays ~name:(Automaton.name a)
+         ~names:(fun () -> Array.map (Automaton.state_of_index a) old_of_new)
+         ~alphabet:(Automaton.alphabet a) ~initial:new_of_old.(init)
+         ~marked:(Array.map (Automaton.is_marked_index a) old_of_new)
+         ~forbidden:(Array.map (Automaton.is_forbidden_index a) old_of_new)
+         ~src:(field (fun (s, _, _) -> new_of_old.(s)))
+         ~event:(field (fun (_, e, _) -> e))
+         ~target:(field (fun (_, _, d) -> new_of_old.(d))))
+  end
+
+let test_restrict_identity () =
+  let go = Event.controllable "rid_go" and back = Event.uncontrollable "rid_back" in
+  let a =
+    Automaton.create ~marked:[ "A" ] ~name:"RID" ~initial:"A"
+      ~transitions:[ ("A", go, "B"); ("B", go, "C"); ("C", back, "A") ]
+      ()
+  in
+  check_bool "fully accessible: accessible is the automaton itself" true
+    (Reach.accessible a == a);
+  check_bool "keep-all restriction is the automaton itself" true
+    (match Reach.restrict_indices a (Array.make 3 true) with
+    | Some b -> b == a
+    | None -> false);
+  let b =
+    Automaton.create ~marked:[ "A" ] ~name:"RID2" ~initial:"A"
+      ~transitions:
+        [ ("A", go, "B"); ("B", back, "A"); ("Lost", go, "A"); ("Lost", back, "B") ]
+      ()
+  in
+  let acc = Reach.accessible b in
+  check_bool "an unreachable state forces a copy" true (acc != b);
+  check_int "the unreachable state is dropped" 2 (Automaton.num_states acc);
+  match ref_restrict_indices b (Reach.accessible_indices b) with
+  | Some r ->
+      check_string "copy digest matches the reference restriction"
+        (Automaton.structural_digest r)
+        (Automaton.structural_digest acc)
+  | None -> Alcotest.fail "reference restriction unexpectedly empty"
+
 (* State names are computed on first use.  Two domains forcing a fresh
    automaton's names at once must both get them — a [Lazy.t] raised
    [CamlinternalLazy.Undefined] on the slower domain. *)
 let test_names_from_two_domains () =
   for _ = 1 to 10 do
     let a =
-      Automaton.of_indexed ~name:"race"
+      Automaton.of_indexed_arrays ~name:"race"
         ~names:(fun () ->
           Unix.sleepf 0.002;
           [| "idle"; "busy" |])
         ~alphabet:Event.Set.empty ~initial:0 ~marked:[| true; false |]
-        ~forbidden:[| false; false |] [||]
+        ~forbidden:[| false; false |] ~src:[||] ~event:[||] ~target:[||]
     in
     let look () = (Automaton.states a, Automaton.index_of_state a "busy") in
     let other = Domain.spawn look in
@@ -926,17 +1083,18 @@ let cluster_budget_spec ~k ~cap =
     ~name:(Printf.sprintf "Bud%d" cap)
     ~initial:(state 0) ~transitions:!transitions ()
 
-(* The tentpole's hard pin: for any job count, supcon_par returns a
-   byte-identical result — same digest (hence same states, names and
-   transitions), same stats, same Verify verdicts. *)
+(* The engine's hard pin: for any job count, supcon_par (and supcon,
+   which is supcon_par at one job) returns a result byte-identical to
+   the independent sequential oracle — same digest (hence same states,
+   names and transitions), same stats, same Verify verdicts. *)
 let test_supcon_par_matches_sequential () =
   for seed = 0 to 59 do
     let plant = random_automaton ~seed ~name:"PP" in
     let spec = random_automaton ~seed:(seed + 3000) ~name:"PS" in
-    let seq = Synthesis.supcon ~plant ~spec in
+    let seq = Supcon_oracle.supcon ~plant ~spec in
     List.iter
-      (fun jobs ->
-        match (seq, Synthesis.supcon_par ~jobs ~plant ~spec ()) with
+      (fun (jobs, engine) ->
+        match (seq, engine ()) with
         | Error Synthesis.Empty_supervisor, Error Synthesis.Empty_supervisor ->
             ()
         | Ok (sa, ta), Ok (sb, tb) ->
@@ -959,26 +1117,43 @@ let test_supcon_par_matches_sequential () =
         | Error _, Ok _ ->
             Alcotest.failf "seed %d jobs %d: sequential empty, par not" seed
               jobs)
-      [ 1; 4 ]
+      [
+        (1, fun () -> Synthesis.supcon ~plant ~spec);
+        (3, fun () -> Synthesis.supcon_par ~jobs:3 ~plant ~spec ());
+        (4, fun () -> Synthesis.supcon_par ~jobs:4 ~plant ~spec ());
+      ]
   done
 
+(* The k = 9, cap = 8 member is the synth benchmark's monolithic
+   family: 21457 product and 16867 supervisor states. *)
 let test_supcon_par_cluster_family () =
   List.iter
-    (fun (k, cap) ->
+    (fun (k, cap, sizes) ->
       let plant = Compose.all (List.init k (fun i -> cluster_plant (i + 1))) in
       let spec = cluster_budget_spec ~k ~cap in
-      match
-        ( Synthesis.supcon ~plant ~spec,
-          Synthesis.supcon_par ~jobs:4 ~plant ~spec () )
-      with
-      | Ok (sa, ta), Ok (sb, tb) ->
-          check_string
-            (Printf.sprintf "k=%d digest identical" k)
-            (Automaton.structural_digest sa)
-            (Automaton.structural_digest sb);
-          check_bool (Printf.sprintf "k=%d stats identical" k) true (ta = tb)
-      | _ -> Alcotest.failf "k=%d: unexpected empty supervisor" k)
-    [ (2, 1); (4, 3); (5, 4) ]
+      let oracle = Supcon_oracle.supcon ~plant ~spec in
+      List.iter
+        (fun jobs ->
+          match (oracle, Synthesis.supcon_par ~jobs ~plant ~spec ()) with
+          | Ok (sa, ta), Ok (sb, tb) ->
+              check_string
+                (Printf.sprintf "k=%d jobs=%d digest identical" k jobs)
+                (Automaton.structural_digest sa)
+                (Automaton.structural_digest sb);
+              check_bool
+                (Printf.sprintf "k=%d jobs=%d stats identical" k jobs)
+                true (ta = tb);
+              Option.iter
+                (fun (product, supervisor) ->
+                  check_int (Printf.sprintf "k=%d product states" k) product
+                    tb.Synthesis.product_states;
+                  check_int
+                    (Printf.sprintf "k=%d supervisor states" k)
+                    supervisor (Automaton.num_states sb))
+                sizes
+          | _ -> Alcotest.failf "k=%d: unexpected empty supervisor" k)
+        [ 1; 4 ])
+    [ (2, 1, None); (4, 3, None); (5, 4, None); (9, 8, Some (21457, 16867)) ]
 
 (* Modular synthesis never materializes the composed plant; its result
    is pinned to the monolithic one up to the (flat vs nested) naming. *)
@@ -1047,7 +1222,8 @@ let test_supcon_par_spec_private_uncontrollable () =
       ()
   in
   match
-    (Synthesis.supcon ~plant ~spec, Synthesis.supcon_par ~jobs:4 ~plant ~spec ())
+    ( Supcon_oracle.supcon ~plant ~spec,
+      Synthesis.supcon_par ~jobs:4 ~plant ~spec () )
   with
   | Ok (sa, ta), Ok (sb, tb) ->
       check_string "digest identical" (Automaton.structural_digest sa)
@@ -1276,6 +1452,10 @@ let () =
             test_indexed_compose_matches_reference;
           Alcotest.test_case "restrict_indices matches reference" `Quick
             test_restrict_indices_matches_reference;
+          Alcotest.test_case "CSR builder matches tuple-sort reference" `Quick
+            test_csr_matches_reference;
+          Alcotest.test_case "restrict of a fully kept automaton is itself"
+            `Quick test_restrict_identity;
           Alcotest.test_case "names forced from two domains" `Quick
             test_names_from_two_domains;
           Alcotest.test_case "index API round trip" `Quick

@@ -135,11 +135,11 @@ let test_synthesized_supervisor_can_recover () =
 
 let test_supcon_par_pins_case_study () =
   (* The 21-state case-study supervisor, synthesized by the sharded
-     parallel engine at several job counts, must be byte-identical
-     (digest and stats) to the sequential fixture. *)
+     engine at several job counts, must be byte-identical (digest and
+     stats) to the independent sequential oracle. *)
   let plant = Plant_model.composed () in
   let spec = Spec.three_band in
-  match Synthesis.supcon ~plant ~spec with
+  match Supcon_oracle.supcon ~plant ~spec with
   | Error _ -> Alcotest.fail "case-study supervisor exists"
   | Ok (sup_seq, stats_seq) ->
       check_int "case-study supervisor is the 21-state machine" 21
