@@ -4,8 +4,10 @@
     failed channel, from sensor-visible evidence only: exact-zero
     streaks on power/QoS/IPS channels, actuation readback mismatches,
     and Kalman innovation residuals ({!Mimo.last_innovation_norm}) as a
-    corroborating model-consistency monitor.  Persistence counters
-    generalize {!Guarded}'s streak logic into a two-stage verdict:
+    corroborating model-consistency monitor.  One {!Persistence} bank —
+    the counter primitive {!Guarded}'s watchdog also runs on — holds a
+    counter per evidence channel and turns its streak into a two-stage
+    verdict:
 
     - a streak of [transient_ticks] consecutive bad ticks yields a
       {e transient} verdict — logged and counted, no action (the guarded
@@ -15,9 +17,11 @@
       ({!Spectr_manager.make_reconfigurable}).
 
     Every verdict increments an [fdir.*] counter and appends a
-    [Decision_log.Fdir] entry when observability is enabled.  The
-    detector is deterministic, allocation-light, and never consults the
-    fault schedule or any other ground truth. *)
+    [Decision_log.Fdir] entry when observability is enabled; a channel's
+    label is formatted only then.  The detector is deterministic,
+    allocation-free on the tick path ({!observe}, {!note_actuation} and
+    {!note_innovation} allocate nothing until a finding latches), and
+    never consults the fault schedule or any other ground truth. *)
 
 type finding =
   | Cluster_down of int
@@ -82,7 +86,10 @@ val residual_flagged : t -> cluster:int -> bool
 (** Has the innovation-residual monitor flagged this cluster (transient
     or latched)?  Corroboration for tests and diagnostics. *)
 
-(** {1 Checkpoint/restore} *)
+(** {1 Checkpoint/restore}
+
+    A snapshot is an independent copy of the detector's counters and
+    pending findings, plain data (safe to [Marshal]). *)
 
 type snapshot
 

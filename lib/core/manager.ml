@@ -85,7 +85,7 @@ let sanitize_freq_mhz table freq_ghz =
     float_of_int (Opp.min_freq table)
   else f_mhz
 
-let sanitize_cores ?(max_cores = 4) cores =
+let sanitize_cores ~max_cores cores =
   if Float.is_nan cores then 1
   else
     int_of_float
@@ -94,8 +94,9 @@ let sanitize_cores ?(max_cores = 4) cores =
 (* Sanitize, quantize and apply, nothing else — no readback record and
    no log message (even an unemitted [Log.debug] call allocates its
    message closure), so this is the tick-path actuation of every
-   manager.  [cluster] is the platform cluster index. *)
-let apply_cluster soc cluster ~freq_ghz ~cores =
+   manager.  [cluster] is the platform cluster index.  The one boxed
+   sanitized frequency serves both the request and the OPP returned. *)
+let command_cluster soc cluster ~freq_ghz ~cores =
   Obs.Counters.incr c_actuations;
   (if Obs.enabled () then
      (* Count commands in the garbage class the sanitizers exist for:
@@ -104,7 +105,11 @@ let apply_cluster soc cluster ~freq_ghz ~cores =
      if (not (Float.is_finite f_mhz)) || f_mhz < 0. || Float.is_nan cores then
        Obs.Counters.incr c_sanitized);
   let table = Soc.opp_table soc cluster in
-  ignore
-    (Soc.set_frequency soc cluster (sanitize_freq_mhz table freq_ghz) : int);
+  let f_mhz = sanitize_freq_mhz table freq_ghz in
+  ignore (Soc.set_frequency soc cluster f_mhz : int);
   Soc.set_active_cores soc cluster
-    (sanitize_cores ~max_cores:(Soc.cluster_cores soc cluster) cores)
+    (sanitize_cores ~max_cores:(Soc.cluster_cores soc cluster) cores);
+  Opp.nearest table f_mhz
+
+let apply_cluster soc cluster ~freq_ghz ~cores =
+  ignore (command_cluster soc cluster ~freq_ghz ~cores : int)

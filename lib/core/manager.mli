@@ -69,9 +69,10 @@ val sanitize_freq_mhz : Spectr_platform.Opp.t -> float -> float
     non-finite and negative values clamp to the table's legal range
     (NaN conservatively to the minimum OPP). *)
 
-val sanitize_cores : ?max_cores:int -> float -> int
-(** The core count a [cores] command resolves to: clamped to
-    [1, max_cores] (default 4), NaN conservatively to 1. *)
+val sanitize_cores : max_cores:int -> float -> int
+(** The core count a [cores] command resolves to on a cluster of
+    [max_cores] cores: clamped to [1, max_cores], NaN conservatively
+    to 1. *)
 
 val apply_cluster : Soc.t -> int -> freq_ghz:float -> cores:float -> unit
 (** Helper shared by all managers: sanitize (non-finite or negative
@@ -83,3 +84,8 @@ val apply_cluster : Soc.t -> int -> freq_ghz:float -> cores:float -> unit
     ({!Spectr_platform.Soc.frequency}, {!Spectr_platform.Soc.active_cores});
     under an actuator fault it differs from the request, which is how
     the guarded managers detect stuck actuators.  Allocation-free. *)
+
+val command_cluster : Soc.t -> int -> freq_ghz:float -> cores:float -> int
+(** {!apply_cluster}, returning the OPP (MHz) it requested — what an
+    obedient rail reads back, and so the guarded managers' readback
+    expectation.  Allocation-free beyond the one boxed request. *)

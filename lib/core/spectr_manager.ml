@@ -187,18 +187,14 @@ let handle_finding h = function
    frequency — the rail ignoring requests is no longer a fault once the
    plant has been re-synthesized around it. *)
 let actuate h soc p ~freq_ghz ~cores ~now =
-  Manager.apply_cluster soc p ~freq_ghz ~cores;
+  let requested = Manager.command_cluster soc p ~freq_ghz ~cores in
   match h.guard with
   | None -> ()
   | Some g -> (
       let freq = Soc.frequency soc p in
       h.last_applied_freq.(p) <- freq;
       let expected_freq =
-        match h.pinned_freq.(p) with
-        | Some f -> f
-        | None ->
-            let table = Soc.opp_table soc p in
-            Opp.nearest table (Manager.sanitize_freq_mhz table freq_ghz)
+        match h.pinned_freq.(p) with Some f -> f | None -> requested
       in
       let ok =
         freq = expected_freq

@@ -84,6 +84,73 @@ let test_supervisor_step_zero_alloc () =
     (Printf.sprintf "Supervisor.step steady state: %.3f B/call" per_iter)
     true (per_iter < 1.0)
 
+(* The FDIR detector's three tick-path entry points at k clusters.  The
+   evidence cycles through transient verdicts without latching — a
+   7-tick exact-zero burst on the last power sensor (raised, then
+   cleared), a mismatch on every other actuation readback, residuals
+   above threshold on every third tick — so every counter path except
+   the one-off latch runs inside the measured loop. *)
+let test_fdir_zero_alloc k () =
+  let fd = Spectr.Fdir.create ~k ~host:0 () in
+  let live = Array.make k 2.0 and burst = Array.make k 2.0 in
+  burst.(k - 1) <- 0.;
+  let ips = Array.make k 1e9 in
+  let round n =
+    for i = 1 to n do
+      let powers = if i mod 10 < 7 then burst else live in
+      Spectr.Fdir.observe fd ~qos:60. ~powers ~ips;
+      for c = 0 to k - 1 do
+        Spectr.Fdir.note_actuation fd ~cluster:c ~ok:((i + c) mod 2 = 0);
+        Spectr.Fdir.note_innovation fd ~cluster:c
+          ~norm:(if (i + c) mod 3 = 0 then 25. else 0.5)
+      done
+    done
+  in
+  round 500;
+  let per_iter = bytes_per_iter 20_000 round in
+  check_bool "nothing latched" true (Spectr.Fdir.poll fd = []);
+  check_bool
+    (Printf.sprintf "Fdir.observe + note_actuation + note_innovation, k=%d: \
+                     %.3f B/call" k per_iter)
+    true (per_iter < 1.0)
+
+(* The guard's per-period protocol at k clusters: noisy healthy samples
+   with a rejected spike on the last power sensor every tenth period and
+   a mismatched readback now and then — substitutions, but never enough
+   to trip the watchdog. *)
+let test_guarded_zero_alloc k () =
+  let g = Spectr.Guarded.create ~clusters:k () in
+  let powers = Array.make k 0. in
+  (* Period stamps boxed up front: a float computed in the loop would be
+     boxed at each call site and charged to the guard. *)
+  let stamps = Array.init 64 (fun i -> Some (float_of_int i *. 0.05)) in
+  let round n =
+    for i = 1 to n do
+      let now = Option.get stamps.(i land 63) in
+      let wiggle = if i mod 2 = 0 then 0. else 0.11 in
+      for c = 0 to k - 1 do
+        powers.(c) <- 1.5 +. wiggle
+      done;
+      if i mod 10 = 0 then powers.(k - 1) <- 9.5;
+      let f =
+        Spectr.Guarded.filter g ~now
+          ~qos:(if i mod 2 = 0 then 60. else 60.11)
+          ~powers
+      in
+      ignore (f.Spectr.Guarded.healthy : bool);
+      for c = 0 to k - 1 do
+        Spectr.Guarded.note_actuation g ~now ~ok:(i mod 7 <> c)
+      done
+    done
+  in
+  round 500;
+  let per_iter = bytes_per_iter 20_000 round in
+  check_bool "never tripped" false (Spectr.Guarded.degraded g);
+  check_bool
+    (Printf.sprintf "Guarded.filter + note_actuation, k=%d: %.3f B/call" k
+       per_iter)
+    true (per_iter < 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* Scenario CSV byte-identity pins                                     *)
 (* ------------------------------------------------------------------ *)
@@ -493,6 +560,14 @@ let () =
             test_supervisor_step_zero_alloc;
           Alcotest.test_case "Mimo.step_into + switch_gains zero-alloc" `Slow
             test_mimo_step_and_switch_zero_alloc;
+          Alcotest.test_case "Fdir tick path zero-alloc, k=2" `Quick
+            (test_fdir_zero_alloc 2);
+          Alcotest.test_case "Fdir tick path zero-alloc, k=3" `Quick
+            (test_fdir_zero_alloc 3);
+          Alcotest.test_case "Guarded tick path zero-alloc, k=2" `Quick
+            (test_guarded_zero_alloc 2);
+          Alcotest.test_case "Guarded tick path zero-alloc, k=3" `Quick
+            (test_guarded_zero_alloc 3);
         ] );
       ( "byte-identity",
         [
