@@ -42,20 +42,22 @@ let default_phases ?(tdp = 5.0) ?(emergency = 3.5) () =
     };
   ]
 
+(* 60 FPS is only meaningful where it is achievable: x264 on the
+   reference Exynos.  Elsewhere the reference scales with the host
+   cluster's reachable rate, as in Phase 1 of the paper. *)
+let default_qos_ref platform workload =
+  if
+    workload.Workload.name = "x264"
+    && Design_flow.is_reference_platform platform
+  then 60.
+  else 0.75 *. Perf_model.max_qos_rate_for platform workload
+
 let default_config ?(seed = 42L) ?qos_ref ?(platform = Platform_desc.exynos5422)
     workload =
   let qos_ref =
     match qos_ref with
     | Some r -> r
-    | None ->
-        (* 60 FPS is only meaningful where it is achievable: x264 on the
-           reference Exynos.  Elsewhere the reference scales with the
-           host cluster's reachable rate, as in Phase 1 of the paper. *)
-        if
-          workload.Workload.name = "x264"
-          && Design_flow.is_reference_platform platform
-        then 60.
-        else 0.75 *. Perf_model.max_qos_rate_for platform workload
+    | None -> default_qos_ref platform workload
   in
   {
     workload;

@@ -64,16 +64,19 @@ val columns_of : Platform_desc.t -> string list
 val fault_columns_of : Platform_desc.t -> string list
 (** [columns_of] plus the trailing [faults]/[true_power] pair. *)
 
+val default_qos_ref : Platform_desc.t -> Workload.t -> float
+(** The QoS reference a run uses unless told otherwise: 60 FPS for x264
+    on the reference Exynos; everywhere else 75 % of the workload's
+    maximum achievable rate on the description's host cluster (an
+    achievable-within-TDP target, as in Phase 1 of the paper). *)
+
 val default_config :
   ?seed:int64 ->
   ?qos_ref:float ->
   ?platform:Platform_desc.t ->
   Workload.t ->
   config
-(** 60 FPS reference for x264 on the reference Exynos; everywhere else
-    the reference is 75 % of the workload's maximum achievable rate on
-    the description's host cluster (an achievable-within-TDP target, as
-    in Phase 1 of the paper).  [platform] defaults to
+(** [qos_ref] defaults to {!default_qos_ref}; [platform] to
     [Platform_desc.exynos5422]. *)
 
 val run : manager:Manager.t -> config -> Trace.t

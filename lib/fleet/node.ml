@@ -49,13 +49,6 @@ type t = {
   mutable saved : Spectr.Manager.checkpoint option;
 }
 
-let qos_ref_for platform workload =
-  if
-    workload.Workload.name = "x264"
-    && Spectr.Design_flow.is_reference_platform platform
-  then 60.
-  else 0.75 *. Perf_model.max_qos_rate_for platform workload
-
 let make_soc t generation =
   (* Reseed each life: SplitMix-style mix of the node seed and the
      restart generation, so a rebooted node's noise stream is
@@ -96,7 +89,7 @@ let create ?(config = default_config)
     ~seed ~workload () =
   if config.node_tdp <= 0. || config.cap_floor <= 0. then
     invalid_arg "Node.create: non-positive tdp/floor";
-  let qos_ref = qos_ref_for platform workload in
+  let qos_ref = Spectr.Scenario.default_qos_ref platform workload in
   let soc = (make_soc seed 0) platform workload in
   let manager, reconfig = make_manager ~reconfigurable platform in
   {
