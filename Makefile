@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke robustness check clean
+.PHONY: all build test fmt bench bench-smoke obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke robustness robustness-smoke check clean
 
 all: build
 
@@ -29,6 +29,16 @@ bench-smoke:
 
 robustness:
 	dune exec bench/main.exe -- robustness
+
+# Robustness smoke: the SPECTR+G acceptance table (seven fault classes x
+# four managers on x264).  SPECTR+G must recover in every fault class
+# while unguarded SPECTR is fooled at least once (the PASS line), and
+# stdout must be byte-identical under SPECTR_JOBS=1 and SPECTR_JOBS=4.
+robustness-smoke:
+	SPECTR_JOBS=1 dune exec bench/main.exe -- robustness > /tmp/spectr-robustness-j1.txt
+	SPECTR_JOBS=4 dune exec bench/main.exe -- robustness > /tmp/spectr-robustness-j4.txt
+	diff /tmp/spectr-robustness-j1.txt /tmp/spectr-robustness-j4.txt
+	grep -q '^  PASS$$' /tmp/spectr-robustness-j4.txt
 
 # Observability smoke: run a scenario with the obs layer on, check the
 # load-bearing counters are nonzero and the exported decision log is
@@ -156,7 +166,7 @@ reconfig-smoke:
 	  /tmp/spectr-reconfig-kill-j4.txt
 
 # What CI runs.
-check: build fmt test obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke
+check: build fmt test obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke robustness-smoke
 
 clean:
 	dune clean
