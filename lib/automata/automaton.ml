@@ -525,13 +525,15 @@ let unescape_state_name s =
   end
   else s
 
-(* Decimal digits of a non-negative int: their count, and appending them
-   without the intermediate string [string_of_int] would allocate. *)
+(* Decimal digits of a non-negative int: their count, and writing them
+   at [p] in [b] (returning the next position) without the intermediate
+   string [string_of_int] would allocate. *)
 let rec digits i = if i < 10 then 1 else 1 + digits (i / 10)
 
-let rec add_digits b i =
-  if i >= 10 then add_digits b (i / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+let rec put_digits b p i =
+  let p = if i >= 10 then put_digits b p (i / 10) else p in
+  Bytes.set b p (Char.unsafe_chr (48 + (i mod 10)));
+  p + 1
 
 let structural_digest a =
   match a.digest with
@@ -550,7 +552,7 @@ let structural_digest a =
           let s = Event.name e in
           fields.(id e - lo) <- string_of_int (String.length s) ^ ":" ^ s)
         a.alphabet;
-      (* The exact size of what follows, so the buffer never grows. *)
+      (* The exact size of what follows. *)
       let field_len s = digits (String.length s) + 1 + String.length s in
       let size = ref (field_len a.name + digits a.n + digits a.initial) in
       Array.iter (fun s -> size := !size + field_len s) names;
@@ -564,38 +566,47 @@ let structural_digest a =
             !size + ds + String.length (field a.ev.(k)) + digits a.dst.(k)
         done
       done;
-      let b = Buffer.create (!size + (2 * a.n)) in
+      (* Written into one exactly sized buffer and hashed in place. *)
+      let b = Bytes.create (!size + (2 * a.n)) in
+      let p = ref 0 in
+      let chr c =
+        Bytes.set b !p c;
+        incr p
+      in
+      let num i = p := put_digits b !p i in
+      let str s =
+        Bytes.blit_string s 0 b !p (String.length s);
+        p := !p + String.length s
+      in
       (* Length-prefixed fields so adjacent strings cannot run together. *)
       let add s =
-        add_digits b (String.length s);
-        Buffer.add_char b ':';
-        Buffer.add_string b s
+        num (String.length s);
+        chr ':';
+        str s
       in
       add a.name;
-      add_digits b a.n;
+      num a.n;
       Array.iter add names;
-      add_digits b a.initial;
+      num a.initial;
       Event.Set.iter
         (fun e ->
-          Buffer.add_string b (field (id e));
-          Buffer.add_char b (if Event.is_controllable e then 'c' else 'u'))
+          str (field (id e));
+          chr (if Event.is_controllable e then 'c' else 'u'))
         a.alphabet;
       (* CSR order: by source index, then event id — deterministic within
          a process (intern order), which is all the in-process cache
          needs. *)
       for s = 0 to a.n - 1 do
         for k = a.row.(s) to a.row.(s + 1) - 1 do
-          add_digits b s;
-          Buffer.add_char b ',';
-          Buffer.add_string b (field a.ev.(k));
-          add_digits b a.dst.(k)
+          num s;
+          chr ',';
+          str (field a.ev.(k));
+          num a.dst.(k)
         done
       done;
-      Array.iter (fun m -> Buffer.add_char b (if m then '1' else '0')) a.marked;
-      Array.iter
-        (fun m -> Buffer.add_char b (if m then '1' else '0'))
-        a.forbidden;
-      let d = Digest.to_hex (Digest.string (Buffer.contents b)) in
+      Array.iter (fun m -> chr (if m then '1' else '0')) a.marked;
+      Array.iter (fun m -> chr (if m then '1' else '0')) a.forbidden;
+      let d = Digest.to_hex (Digest.subbytes b 0 !p) in
       a.digest <- Some d;
       d
 

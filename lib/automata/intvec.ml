@@ -2,7 +2,7 @@
    algorithms (compose, synthesis), which accumulate transitions and
    state maps of unknown size without consing a list per element.  The
    synthesis engine additionally reuses vectors across rounds ([clear])
-   and patches buffered destinations in place through [data]. *)
+   and reads its state-indexed vectors in place through [data]. *)
 
 type t = { mutable a : int array; mutable len : int }
 

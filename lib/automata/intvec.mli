@@ -28,4 +28,4 @@ val data : t -> int array
 (** The backing array itself, no copy: elements [0 .. length - 1] are the
     vector's, the rest is spare capacity.  A later {!push} may replace
     it, so hold it only while nothing pushes — the synthesis engine
-    reads and patches its emission buffers this way between phases. *)
+    reads its state keys, row offsets and canonical maps this way. *)

@@ -27,25 +27,28 @@ type error = Empty_supervisor
 (* Determinism is the load-bearing design decision.  Product states are *)
 (* numbered in canonical BFS discovery order: per-state emissions in a   *)
 (* fixed intrinsic order (each component's CSR row walked in event-id    *)
-(* order, an event handled by its lowest-indexed owner).  The parallel   *)
-(* exploration is level-synchronous and shards states by a hash of their *)
-(* joint key, so its interim numbering is jobs-dependent — but each      *)
-(* worker buffers its emissions in exactly the intrinsic per-state       *)
-(* order, which means a cheap sequential BFS renumbering over the        *)
-(* buffered rows reproduces the canonical numbering *exactly*, for any   *)
-(* [jobs].  With one worker the interim numbering already is canonical  *)
-(* (one shard's level-synchronous BFS is a plain FIFO BFS), so the       *)
-(* renumbering copy is skipped.  Everything after that point (CSR sort   *)
+(* order, an event handled by its lowest-indexed owner).  Exploration is *)
+(* level-synchronous and gives each state that index when it is found:  *)
+(* workers expand contiguous slices of the level's index range, so       *)
+(* worker-then-emission order is exactly FIFO BFS order; the owners of   *)
+(* the key shards (a hash of the joint key) insert the level's keys and *)
+(* list each fresh key with its first position, and merging those lists *)
+(* by first position numbers the fresh states as a FIFO BFS would.  With *)
+(* one worker, insertion order already is that order, so its rows are    *)
+(* final where they were emitted.  Everything after that point (CSR sort *)
 (* in [of_indexed_arrays], digests, names) is a pure function of that    *)
-(* numbering.  The fixpoint passes each compute                          *)
+(* numbering, for any [jobs].  The fixpoint passes each compute          *)
 (* a complete, unique fixpoint of a monotone operator, so their per-pass *)
 (* removal counts and the iteration count are traversal-order-free.     *)
 (*                                                                       *)
-(* Buffer discipline: the emission buffers are the only transition-sized *)
-(* arrays that grow by doubling.  Every later one — renumbered rows,     *)
-(* predecessor and uncontrollable CSRs, the supervisor's transitions —  *)
-(* is allocated once at its counted size, and buffers are dropped as     *)
-(* soon as the next phase no longer reads them.                          *)
+(* Buffer discipline: transitions live in a [store] of fixed chunks that *)
+(* is appended to and never copied, so no transition-sized array grows  *)
+(* by doubling.  With one worker the emission store is the product CSR;  *)
+(* with more, each worker's resolved emissions of a level are moved into *)
+(* it and the worker's store is reused for the next level.  Every later *)
+(* array — predecessor and uncontrollable CSRs, the supervisor's         *)
+(* transitions — is allocated once at its counted size, and buffers are *)
+(* dropped as soon as the next phase no longer reads them.               *)
 (*                                                                       *)
 (* Memory-ordering note: inside a pass, workers may read [good]/[coacc]  *)
 (* cells owned by other workers without synchronization.  Both arrays    *)
@@ -87,22 +90,44 @@ let comp_of_automaton a =
     cforbidden = Array.init cn (Automaton.is_forbidden_index a);
   }
 
-(* True when numbering the states of a CSR in index order already is the
-   BFS discovery order from state 0: every state is discovered before it
-   is expanded, and each newly discovered state takes the next number.
-   Asserted of the one-job numbering, which is canonical by construction. *)
-let is_bfs_order n row dst =
-  let next = ref 1 and ok = ref true and i = ref 0 in
-  while !ok && !i < n do
-    if !i >= !next then ok := false
-    else
-      for k = row.(!i) to row.(!i + 1) - 1 do
-        let d = dst.(k) in
-        if d = !next then incr next else if d > !next then ok := false
-      done;
-    incr i
-  done;
-  !ok
+(* Transition storage: chunks of [1 lsl cbits] ints, appended to and
+   never copied.  Only the first chunk grows, by doubling from a size
+   that keeps a tiny product in the minor heap up to the full chunk. *)
+let cbits = 15
+let cmask = (1 lsl cbits) - 1
+
+type store = {
+  mutable chunks : int array array;
+  mutable cap : int;
+  mutable len : int;
+}
+
+let store () = { chunks = [| Array.make 64 0 |]; cap = 64; len = 0 }
+let cget ch p = ch.(p lsr cbits).(p land cmask)
+let get st p = cget st.chunks p
+let set st p x = st.chunks.(p lsr cbits).(p land cmask) <- x
+
+let rec reserve st n =
+  if n > st.cap then
+    if st.cap <= cmask then begin
+      let c = Array.make (min (cmask + 1) (max n (2 * st.cap))) 0 in
+      Array.blit st.chunks.(0) 0 c 0 st.len;
+      st.chunks.(0) <- c;
+      st.cap <- Array.length c;
+      reserve st n
+    end
+    else begin
+      let m = (n + cmask) lsr cbits and old = st.chunks in
+      st.chunks <-
+        Array.init m (fun j ->
+            if j < Array.length old then old.(j) else Array.make (cmask + 1) 0);
+      st.cap <- m lsl cbits
+    end
+
+let push st x =
+  if st.len = st.cap then reserve st (st.len + 1);
+  set st st.len x;
+  st.len <- st.len + 1
 
 let supcon_sharded ~jobs ~comps ~sup_name ~context =
   let nc = Array.length comps in
@@ -213,9 +238,10 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
     done;
     !k
   in
-  (* A state's interim encoding is [(l lsl sh) lor s]: its shard [s] and
-     its insertion index [l] within the shard.  Shards take the hash's
-     high bits; the tables index their slots by its low bits. *)
+  (* A key's interim encoding, while its level is resolved, is
+     [(l lsl sh) lor s]: its shard [s] and its insertion index [l] within
+     the shard.  Shards take the hash's high bits; the tables index their
+     slots by its low bits. *)
   let sh =
     let b = ref 0 in
     while 1 lsl !b < jobs do
@@ -228,41 +254,31 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
     if jobs = 1 then 0 else ((Inttbl.hash key lsr 40) * jobs) lsr 22
   in
   (* --- per-shard / per-worker state ---------------------------------- *)
-  (* Shard s owns the states it inserted, numbered l = 0, 1, … in
-     insertion order. *)
-  let tables = Array.init jobs (fun _ -> Inttbl.create ()) in
-  let skeys = Array.init jobs (fun _ -> Intvec.create ()) in
-  let flo = Array.make jobs 0 and fhi = Array.make jobs 0 in
-  (* Worker w's emissions, state by state in the order it expanded its
-     shard's states: [bcnt] holds one emission count per state, [bev] and
-     [bdst] the event ids and destination keys.  Each key is resolved in
-     place, by the owner of its shard, to the destination's encoding;
-     [bpos.(w).(s)] lists where this level's keys of shard s sit in
-     [bdst.(w)], in emission order. *)
-  let bcnt = Array.init jobs (fun _ -> Intvec.create ()) in
-  let bev = Array.init jobs (fun _ -> Intvec.create ()) in
-  let bdst = Array.init jobs (fun _ -> Intvec.create ()) in
-  let bpos =
-    Array.init jobs (fun _ -> Array.init jobs (fun _ -> Intvec.create ()))
-  in
-  let besc = Array.init jobs (fun _ -> Intvec.create ()) in
-  let srow = Array.make jobs [||] in
-  let idxs = Array.init jobs (fun _ -> Array.make nc 0) in
-  let stacks = Array.init jobs (fun _ -> Intvec.create ()) in
-  let spill =
-    Array.init jobs (fun _ ->
-        Array.init jobs (fun _ -> [| Intvec.create (); Intvec.create () |]))
-  in
+  (* The product: [keys] maps canonical indices to joint keys, [rows]
+     holds the CSR row offsets and [tev]/[tdst] the transitions. *)
+  let keys = Intvec.create () and rows = Intvec.create () in
+  let tev = store () and tdst = store () in
+  (* Shard s numbers the keys it owns l = 0, 1, … in insertion order;
+     [canon.(s)] maps l to the canonical index, and [fresh.(s)] lists the
+     level's new keys as (first position, key) pairs in that order.
+     Worker w's emissions of the level, state by state: [ocnt.(w)] holds
+     one emission count per state, [odst.(w)] the destination keys — the
+     product CSR itself when there is one worker.  Each key is resolved
+     in place, by the owner of its shard, to the destination's encoding;
+     [bpos.(w).(s)] lists where the level's keys of shard s sit in
+     [odst.(w)], in emission order.  Each worker allocates its own slots
+     (and the [spill] queues it produces into) on its own domain, so no
+     two workers write to one cache line. *)
+  let canon = Array.init jobs (fun _ -> Intvec.create ()) in
+  let fresh = Array.make jobs (Intvec.create ~capacity:1 ()) in
+  let ocnt = Array.make jobs (Intvec.create ~capacity:1 ()) in
+  let odst = Array.make jobs tdst and bpos = Array.make jobs [||] in
+  let spill = Array.make jobs [||] in
   (* Shared slots, published worker-0 -> everyone through barrier waits. *)
-  let shard_off = Array.make (jobs + 1) 0 in
+  let lo = ref 0 and hi = ref 1 in
   let n_total = ref 0 in
-  let canonical = ref false in
-  let perm = ref [||] and ord = ref [||] in
-  let okey = ref [||] in
-  let frow = ref [||] and fev = ref [||] and fdst = ref [||] in
-  let pmarked = ref [||] and pforbid = ref [||] and pesc = ref [||] in
+  let pmarked = ref [||] and pesc = ref [||] in
   let prow = ref [||] and pred = ref [||] in
-  let usrow = ref [||] and usucc = ref [||] in
   let uprow = ref [||] and upred = ref [||] in
   let good = ref [||] and coacc = ref [||] in
   let wcnt = Array.make jobs 0 in
@@ -277,17 +293,32 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
   let msup = ref 0 in
   let woff = Array.make (jobs + 1) 0 in
   let ksrc = ref [||] and kev = ref [||] and kdst = ref [||] in
-  (* Seed the initial state into its shard before workers start. *)
+  (* The initial state has canonical index 0. *)
   let s0 = shard_of key0 in
-  ignore (Inttbl.put tables.(s0) key0 0);
-  Intvec.push skeys.(s0) key0;
-  fhi.(s0) <- 1;
+  Intvec.push canon.(s0) 0;
+  Intvec.push keys key0;
+  Intvec.push rows 0;
   let worker w b =
     (* ---------- phase 1: level-synchronous sharded product BFS ------- *)
-    let idx = idxs.(w) in
-    let ev_out = bev.(w) and dst_out = bdst.(w) in
+    let idx = Array.make nc 0 in
+    let tbl = Inttbl.create () and nl = ref 0 in
+    if w = s0 then begin
+      ignore (Inttbl.put tbl key0 0);
+      nl := 1
+    end;
+    let ev_out = if jobs = 1 then tev else store () in
+    let dst_out = if jobs = 1 then tdst else store () in
+    let pos = Array.init jobs (fun _ -> store ()) in
+    let cnt = Intvec.create () and fr = Intvec.create () in
+    let esc = Intvec.create () in
+    odst.(w) <- dst_out;
+    bpos.(w) <- pos;
+    ocnt.(w) <- cnt;
+    fresh.(w) <- fr;
+    spill.(w) <-
+      Array.init jobs (fun _ -> [| Intvec.create (); Intvec.create () |]);
     let expand src key =
-      let emitted = Intvec.length ev_out in
+      let emitted = dst_out.len in
       decode key idx;
       for c = 0 to nc - 1 do
         let cc = own.(c) in
@@ -307,7 +338,7 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
               (* Every owner below [o] stepped.  [o] can only be the
                  spec when the whole plant side enabled the event: an
                  uncontrollable escape. *)
-              if o = spec_c && not ctrl.(eid) then Intvec.push besc.(w) src
+              if o = spec_c && not ctrl.(eid) then Intvec.push esc src
             end
             else begin
               dkey := !dkey + ((d - idx.(o)) * weights.(o));
@@ -315,161 +346,129 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
             end
           done;
           if !ok then begin
-            Intvec.push bpos.(w).(shard_of !dkey) (Intvec.length dst_out);
-            Intvec.push ev_out eid;
-            Intvec.push dst_out !dkey
+            if jobs > 1 then push pos.(shard_of !dkey) dst_out.len;
+            push ev_out eid;
+            push dst_out !dkey
           end
         done
       done;
-      Intvec.push bcnt.(w) (Intvec.length ev_out - emitted)
+      Intvec.push cnt (dst_out.len - emitted)
     in
-    let levels = ref true in
-    while !levels do
-      (* E: expand this shard's frontier into the emission buffers. *)
-      for l = flo.(w) to fhi.(w) - 1 do
-        expand ((l lsl sh) lor w) (Intvec.get skeys.(w) l)
+    while !lo < !hi do
+      (* E: expand this worker's contiguous slice of the level's index
+         range, so that worker-then-emission order is BFS order. *)
+      let first = dst_out.len in
+      let l0 = !lo and m = !hi - !lo in
+      let c = (m + jobs - 1) / jobs in
+      for i = l0 + min m (w * c) to l0 + min m ((w + 1) * c) - 1 do
+        expand i (Intvec.get keys i)
       done;
       Spmd.wait b;
       (* A: visit every worker's emissions of this level that carry keys
-         this shard owns, in worker-then-emission order; insert fresh
-         ones (they form the next frontier) and resolve each in place. *)
-      let tbl = tables.(w) and keys = skeys.(w) in
-      flo.(w) <- Intvec.length keys;
+         this shard owns, in worker-then-emission order; insert them,
+         list the fresh ones at their first position (counted over the
+         whole level), and resolve each in place. *)
+      let g = ref 0 in
       for v = 0 to jobs - 1 do
-        let qd = Intvec.data bdst.(v) in
-        let ps = bpos.(v).(w) in
-        let pd = Intvec.data ps in
-        for y = 0 to Intvec.length ps - 1 do
-          let x = pd.(y) in
-          let key = qd.(x) in
-          let fresh = Intvec.length keys in
+        let q = odst.(v) and ps = bpos.(v).(w) in
+        for y = 0 to (if jobs = 1 then q.len - first else ps.len) - 1 do
+          let x = if jobs = 1 then first + y else get ps y in
+          let key = get q x in
           let l =
-            match Inttbl.put tbl key fresh with
+            match Inttbl.put tbl key !nl with
             | -1 ->
-                Intvec.push keys key;
-                fresh
+                Intvec.push fr (!g + x);
+                Intvec.push fr key;
+                incr nl;
+                !nl - 1
             | l -> l
           in
-          qd.(x) <- (l lsl sh) lor w
+          set q x ((l lsl sh) lor w)
         done;
-        Intvec.clear ps
+        ps.len <- 0;
+        g := !g + q.len
       done;
-      fhi.(w) <- Intvec.length keys;
       Spmd.wait b;
-      let any = ref false in
-      for s = 0 to jobs - 1 do
-        if fhi.(s) > flo.(s) then any := true
-      done;
-      levels := !any
-    done;
-    (* ---------- phase 2: per-shard rows, canonical numbering --------- *)
-    tables.(w) <- Inttbl.create ();
-    let counts = Intvec.data bcnt.(w) in
-    let ns = Intvec.length bcnt.(w) in
-    let r = Array.make (ns + 1) 0 in
-    for l = 0 to ns - 1 do
-      r.(l + 1) <- r.(l) + counts.(l)
-    done;
-    srow.(w) <- r;
-    bcnt.(w) <- Intvec.create ~capacity:1 ();
-    bpos.(w) <- [||];
-    Spmd.wait b;
-    if w = 0 then begin
-      let off = ref 0 in
-      for s = 0 to jobs - 1 do
-        shard_off.(s) <- !off;
-        off := !off + Intvec.length skeys.(s)
-      done;
-      shard_off.(jobs) <- !off;
-      let n = !off in
-      n_total := n;
-      if jobs = 1 then begin
-        assert (is_bfs_order n srow.(0) (Intvec.data bdst.(0)));
-        canonical := true;
-        okey := Intvec.data skeys.(0);
-        frow := srow.(0);
-        fev := Intvec.data bev.(0);
-        fdst := Intvec.data bdst.(0)
-      end
-      else begin
-        (* Sequential BFS over the shard rows in emission order: the
-           canonical numbering.  [p] maps flat interim indices
-           (shard_off.(s) + l) to canonical ones, [o] canonical indices
-           back to interim encodings. *)
-        let flat enc = shard_off.(enc land smask) + (enc lsr sh) in
-        let p = Array.make n (-1) in
-        let o = Array.make n 0 in
-        p.(flat s0) <- 0;
-        o.(0) <- s0;
-        let cnt = ref 1 in
-        let head = ref 0 in
-        while !head < !cnt do
-          let enc = o.(!head) in
-          incr head;
-          let s = enc land smask and l = enc lsr sh in
-          let d = Intvec.data bdst.(s) in
-          for k = srow.(s).(l) to srow.(s).(l + 1) - 1 do
-            let de = d.(k) in
-            let df = flat de in
-            if p.(df) < 0 then begin
-              p.(df) <- !cnt;
-              o.(!cnt) <- de;
-              incr cnt
-            end
-          done
+      (* M: fresh keys take the next canonical indices in order of first
+         position (a merge of the shards' lists), then the level's rows
+         are laid out, worker by worker. *)
+      if w = 0 then begin
+        let heads = Array.make jobs 0 in
+        let pending s = heads.(s) < Intvec.length fresh.(s) in
+        let first_pos s = Intvec.get fresh.(s) heads.(s) in
+        let next = ref 0 in
+        while !next >= 0 do
+          next := -1;
+          for s = 0 to jobs - 1 do
+            if pending s && (!next < 0 || first_pos s < first_pos !next) then
+              next := s
+          done;
+          let s = !next in
+          if s >= 0 then begin
+            if jobs > 1 then Intvec.push canon.(s) (Intvec.length keys);
+            Intvec.push keys (Intvec.get fresh.(s) (heads.(s) + 1));
+            heads.(s) <- heads.(s) + 2
+          end
         done;
-        (* Every inserted key is the destination of some emission (or the
-           initial state), so the BFS covers everything. *)
-        assert (!cnt = n);
-        perm := p;
-        ord := o;
-        let nrow = Array.make (n + 1) 0 in
-        for i = 0 to n - 1 do
-          let enc = o.(i) in
-          let s = enc land smask and l = enc lsr sh in
-          nrow.(i + 1) <- nrow.(i) + (srow.(s).(l + 1) - srow.(s).(l))
+        let r = ref (Intvec.get rows !lo) in
+        for v = 0 to jobs - 1 do
+          woff.(v) <- !r;
+          for y = 0 to Intvec.length ocnt.(v) - 1 do
+            r := !r + Intvec.get ocnt.(v) y;
+            Intvec.push rows !r
+          done;
+          Intvec.clear ocnt.(v);
+          Intvec.clear fresh.(v)
         done;
-        frow := nrow;
-        fev := Array.make nrow.(n) 0;
-        fdst := Array.make nrow.(n) 0;
-        okey := Array.make n 0
+        if jobs > 1 then begin
+          reserve tev !r;
+          reserve tdst !r;
+          tev.len <- !r;
+          tdst.len <- !r
+        end;
+        lo := !hi;
+        hi := Intvec.length keys
       end;
+      Spmd.wait b;
+      (* T: move the resolved rows into the product CSR, mapping each
+         encoding to its canonical index.  One worker's rows are final. *)
+      if jobs > 1 then begin
+        let cd = Array.map Intvec.data canon and o = woff.(w) in
+        for x = 0 to dst_out.len - 1 do
+          set tev (o + x) (get ev_out x);
+          let enc = get dst_out x in
+          set tdst (o + x) cd.(enc land smask).(enc lsr sh)
+        done;
+        ev_out.len <- 0;
+        dst_out.len <- 0
+      end
+    done;
+    (* ---------- phase 2: state flags; forbidden states start bad ----- *)
+    (* Drop the per-worker buffers. *)
+    odst.(w) <- tdst;
+    bpos.(w) <- [||];
+    if w = 0 then begin
+      let n = Intvec.length keys in
+      n_total := n;
       pmarked := Array.make n false;
-      pforbid := Array.make n false;
-      pesc := Array.make n false
+      pesc := Array.make n false;
+      good := Array.make n true;
+      coacc := Array.make n false
     end;
     Spmd.wait b;
+    canon.(w) <- Intvec.create ~capacity:1 ();
     let n = !n_total in
-    let nrow = !frow and fe = !fev and fd = !fdst and ko = !okey in
-    let pm = !pmarked and pf = !pforbid and pe = !pesc in
+    let nrow = Intvec.data rows and ko = Intvec.data keys in
+    let fe = tev.chunks and fd = tdst.chunks in
+    let pm = !pmarked and pe = !pesc and g = !good and ca = !coacc in
     let chunk = (n + jobs - 1) / jobs in
     let lo_r = min n (w * chunk) in
     let hi_r = min n ((w + 1) * chunk) in
     let owner i = i / chunk in
-    if not !canonical then begin
-      let p = !perm and o = !ord in
-      let flat enc = shard_off.(enc land smask) + (enc lsr sh) in
-      for i = lo_r to hi_r - 1 do
-        let enc = o.(i) in
-        let s = enc land smask and l = enc lsr sh in
-        let se = Intvec.data bev.(s) and sd = Intvec.data bdst.(s) in
-        let q = ref nrow.(i) in
-        for k = srow.(s).(l) to srow.(s).(l + 1) - 1 do
-          fe.(!q) <- se.(k);
-          fd.(!q) <- p.(flat sd.(k));
-          incr q
-        done;
-        ko.(i) <- Intvec.get skeys.(s) l
-      done;
-      for x = 0 to Intvec.length besc.(w) - 1 do
-        pe.(p.(flat (Intvec.get besc.(w) x))) <- true
-      done
-    end
-    else
-      for x = 0 to Intvec.length besc.(w) - 1 do
-        pe.(Intvec.get besc.(w) x) <- true
-      done;
-    let idx = idxs.(w) in
+    for x = 0 to Intvec.length esc - 1 do
+      pe.(Intvec.get esc x) <- true
+    done;
+    let forbidden = ref 0 in
     for i = lo_r to hi_r - 1 do
       decode ko.(i) idx;
       let mk = ref true and fb = ref false in
@@ -478,28 +477,23 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
         if cs.(c).cforbidden.(idx.(c)) then fb := true
       done;
       pm.(i) <- !mk;
-      pf.(i) <- !fb
-    done;
-    Spmd.wait b;
-    if not !canonical then begin
-      (* The renumbered copy replaces the emission buffers. *)
-      bev.(w) <- Intvec.create ~capacity:1 ();
-      bdst.(w) <- Intvec.create ~capacity:1 ();
-      skeys.(w) <- Intvec.create ~capacity:1 ();
-      if w = 0 then begin
-        perm := [||];
-        ord := [||]
+      if !fb then begin
+        g.(i) <- false;
+        incr forbidden
       end
-    end;
+    done;
+    wcnt.(w) <- !forbidden;
+    Spmd.wait b;
     (* ---------- phase 3: derived CSRs (pred, uncontrollable) --------- *)
     (* Two independent tasks, on workers 0 and 1 when there are two:
-       predecessors for the blocking pass, the uncontrollable successor
-       and predecessor CSRs for the uncontrollable pass.  Both read the
-       renumbered rows directly and size their arrays from counts. *)
+       predecessors for the blocking pass, uncontrollable predecessors
+       for the uncontrollable pass.  Both read the product rows in place
+       and size their arrays from counts. *)
     if w = 0 then begin
+      removed_forb := Array.fold_left ( + ) 0 wcnt;
       let pr = Array.make (n + 1) 0 in
       for k = 0 to nrow.(n) - 1 do
-        let d = fd.(k) in
+        let d = cget fd k in
         pr.(d + 1) <- pr.(d + 1) + 1
       done;
       for i = 0 to n - 1 do
@@ -509,58 +503,45 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
       let pd = Array.make nrow.(n) 0 in
       for i = 0 to n - 1 do
         for k = nrow.(i) to nrow.(i + 1) - 1 do
-          let d = fd.(k) in
+          let d = cget fd k in
           pd.(cur.(d)) <- i;
           cur.(d) <- cur.(d) + 1
         done
       done;
       prow := pr;
-      pred := pd;
-      good := Array.make n true;
-      coacc := Array.make n false
+      pred := pd
     end;
     if w = 1 mod jobs then begin
-      let usr = Array.make (n + 1) 0 and upr = Array.make (n + 1) 0 in
-      for i = 0 to n - 1 do
-        for k = nrow.(i) to nrow.(i + 1) - 1 do
-          if unc.(fe.(k)) then begin
-            usr.(i + 1) <- usr.(i + 1) + 1;
-            let d = fd.(k) in
-            upr.(d + 1) <- upr.(d + 1) + 1
-          end
-        done
+      let upr = Array.make (n + 1) 0 in
+      for k = 0 to nrow.(n) - 1 do
+        if unc.(cget fe k) then begin
+          let d = cget fd k in
+          upr.(d + 1) <- upr.(d + 1) + 1
+        end
       done;
       for i = 0 to n - 1 do
-        usr.(i + 1) <- usr.(i + 1) + usr.(i);
         upr.(i + 1) <- upr.(i + 1) + upr.(i)
       done;
-      let usx = Array.make usr.(n) 0 and upx = Array.make usr.(n) 0 in
+      let upx = Array.make upr.(n) 0 in
       let cur = Array.sub upr 0 n in
-      let q = ref 0 in
       for i = 0 to n - 1 do
         for k = nrow.(i) to nrow.(i + 1) - 1 do
-          if unc.(fe.(k)) then begin
-            let d = fd.(k) in
-            usx.(!q) <- d;
-            incr q;
+          if unc.(cget fe k) then begin
+            let d = cget fd k in
             upx.(cur.(d)) <- i;
             cur.(d) <- cur.(d) + 1
           end
         done
       done;
-      usrow := usr;
-      usucc := usx;
       uprow := upr;
       upred := upx
     end;
     Spmd.wait b;
-    let g = !good and ca = !coacc in
     let pr = !prow and pd = !pred in
-    let usr = !usrow and usx = !usucc in
     let upr = !uprow and upx = !upred in
     (* ---------- phase 4: parallel fixpoint --------------------------- *)
     let cnt_removed = ref 0 in
-    let stack = stacks.(w) in
+    let stack = Intvec.create () in
     let bank = ref 0 in
     (* Spill-queue propagation shared by both passes: [process i] applies
        the pass's local rule to an owned state; [drain] propagates from
@@ -605,8 +586,8 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
     let fix = ref true in
     while !fix do
       (* Uncontrollable pass: kill good states with an uncontrollable
-         escape or a bad uncontrollable successor; propagate backwards
-         over the uncontrollable sub-graph. *)
+         escape, then propagate backwards from every bad state over the
+         uncontrollable sub-graph. *)
       cnt_removed := 0;
       Intvec.clear stack;
       let kill i =
@@ -625,40 +606,8 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
           done
         done
       in
-      (* First iteration also removes forbidden states, exactly as the
-         sequential path removes them before its loop. *)
-      if !iterations = 0 then begin
-        for i = lo_r to hi_r - 1 do
-          if pf.(i) then begin
-            g.(i) <- false;
-            incr cnt_removed
-          end
-        done;
-        wcnt.(w) <- !cnt_removed;
-        cnt_removed := 0;
-        Spmd.wait b;
-        if w = 0 then begin
-          let s = ref 0 in
-          for v = 0 to jobs - 1 do
-            s := !s + wcnt.(v)
-          done;
-          removed_forb := !s
-        end;
-        Spmd.wait b
-      end;
       for i = lo_r to hi_r - 1 do
-        if g.(i) then
-          if pe.(i) then kill i
-          else begin
-            let bad = ref false in
-            let k = ref usr.(i) in
-            let hi = usr.(i + 1) in
-            while (not !bad) && !k < hi do
-              if not g.(usx.(!k)) then bad := true;
-              incr k
-            done;
-            if !bad then kill i
-          end
+        if not g.(i) then Intvec.push stack i else if pe.(i) then kill i
       done;
       propagate ~drain:drain_u ~process:(fun i -> if g.(i) then kill i);
       wcnt.(w) <- !cnt_removed;
@@ -723,7 +672,10 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
       fix := !go_on
     done;
     (* ---------- phase 5: supervisor extraction ----------------------- *)
-    if w = 0 then
+    if w = 0 then begin
+      (* Only the product rows, [good] and [pmarked] are read from here on. *)
+      List.iter (fun r -> r := [||]) [ prow; pred; uprow; upred ];
+      pesc := [||];
       if not g.(0) then empty := true
       else begin
         let so = Array.make n (-1) in
@@ -741,7 +693,8 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
         done;
         sup_of := so;
         old_of_sup := os
-      end;
+      end
+    end;
     Spmd.wait b;
     if not !empty then begin
       let so = !sup_of in
@@ -749,7 +702,7 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
       for i = lo_r to hi_r - 1 do
         if g.(i) then
           for k = nrow.(i) to nrow.(i + 1) - 1 do
-            if g.(fd.(k)) then incr cnt
+            if g.(cget fd k) then incr cnt
           done
       done;
       wcnt.(w) <- !cnt;
@@ -771,10 +724,10 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
       for i = lo_r to hi_r - 1 do
         if g.(i) then
           for k = nrow.(i) to nrow.(i + 1) - 1 do
-            if g.(fd.(k)) then begin
+            if g.(cget fd k) then begin
               ks.(!q) <- so.(i);
-              ke.(!q) <- fe.(k);
-              kd.(!q) <- so.(fd.(k));
+              ke.(!q) <- cget fe k;
+              kd.(!q) <- so.(cget fd k);
               incr q
             end
           done
@@ -795,7 +748,7 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
   if !empty then Error Empty_supervisor
   else begin
     let m = !msup in
-    let os = !old_of_sup and ko = !okey in
+    let os = !old_of_sup and ko = Intvec.data keys in
     let pm = !pmarked in
     (* The closure keeps only what naming needs, not the engine's
        component tables. *)

@@ -63,10 +63,11 @@ val supcon_par :
     states, names, transitions, {!Automaton.structural_digest} and
     {!stats} — is byte-identical.  Product states are numbered in BFS
     discovery order (plant row in event-id order, then the spec's
-    private events): a multi-job exploration's interim numbering is
-    canonicalized by a sequential BFS renumbering, and each fixpoint pass
-    computes a unique complete fixpoint, so its removal counts are
-    traversal-order-free. *)
+    private events), and the exploration gives each state that index
+    when it is discovered: workers expand contiguous slices of a level,
+    and the level's fresh states are ranked by their first occurrence.
+    Each fixpoint pass computes a unique complete fixpoint, so its
+    removal counts are traversal-order-free. *)
 
 val supcon_modular :
   ?jobs:int ->

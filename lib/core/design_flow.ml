@@ -377,11 +377,11 @@ let design_gains ?r_u ident goals =
    weights, and the identified model is itself memoized on
    (subsystem, seed, length, order) — so the designed gain sets can be
    memoized on the union of both keys.  This is what makes batch
-   harnesses cheap: the first manager of a variant pays the ~200 ms
-   LQG/robustness pipeline, every later construction (each scenario
-   cell, each parallel bench task) reuses the identical gain list.  The
-   cached [Lqg.gains] are shared read-only, exactly like the cached
-   identification record. *)
+   harnesses cheap: the first manager of a variant pays the
+   LQG/robustness pipeline (29–74 ms per design key), every later
+   construction (each scenario cell, each parallel bench task) reuses
+   the identical gain list.  The cached [Lqg.gains] are shared
+   read-only, exactly like the cached identification record. *)
 let design_cache :
     ( subsystem * int64 * int * int * (string * float array) list
       * float array option,

@@ -1117,11 +1117,11 @@ let test_supcon_par_matches_sequential () =
         | Error _, Ok _ ->
             Alcotest.failf "seed %d jobs %d: sequential empty, par not" seed
               jobs)
-      [
-        (1, fun () -> Synthesis.supcon ~plant ~spec);
-        (3, fun () -> Synthesis.supcon_par ~jobs:3 ~plant ~spec ());
-        (4, fun () -> Synthesis.supcon_par ~jobs:4 ~plant ~spec ());
-      ]
+      ((1, fun () -> Synthesis.supcon ~plant ~spec)
+      :: List.map
+           (fun jobs ->
+             (jobs, fun () -> Synthesis.supcon_par ~jobs ~plant ~spec ()))
+           [ 2; 3; 4; 8 ])
   done
 
 (* The k = 9, cap = 8 member is the synth benchmark's monolithic
@@ -1152,8 +1152,32 @@ let test_supcon_par_cluster_family () =
                     supervisor (Automaton.num_states sb))
                 sizes
           | _ -> Alcotest.failf "k=%d: unexpected empty supervisor" k)
-        [ 1; 4 ])
+        [ 1; 2; 3; 4 ])
     [ (2, 1, None); (4, 3, None); (5, 4, None); (9, 8, Some (21457, 16867)) ]
+
+(* The synth benchmark's wide family, k = 11 and cap = 6: 79839 product
+   and 21627 supervisor states, numbered identically at every job
+   count — the multi-job exploration assigns canonical indices itself. *)
+let test_supcon_modular_wide_family_jobs () =
+  let plants = List.init 11 (fun i -> cluster_plant (i + 1)) in
+  let spec = cluster_budget_spec ~k:11 ~cap:6 in
+  let run jobs =
+    match Synthesis.supcon_modular ~jobs ~plants ~spec () with
+    | Ok (sup, st) ->
+        (Automaton.structural_digest sup, st, Automaton.num_states sup)
+    | Error _ -> Alcotest.failf "jobs=%d: unexpected empty supervisor" jobs
+  in
+  let d1, st1, m1 = run 1 in
+  check_int "product states" 79839 st1.Synthesis.product_states;
+  check_int "supervisor states" 21627 m1;
+  List.iter
+    (fun jobs ->
+      let d, st, _ = run jobs in
+      check_string (Printf.sprintf "jobs=%d digest identical" jobs) d1 d;
+      check_bool
+        (Printf.sprintf "jobs=%d stats identical" jobs)
+        true (st = st1))
+    [ 2; 3; 8 ]
 
 (* Modular synthesis never materializes the composed plant; its result
    is pinned to the monolithic one up to the (flat vs nested) naming. *)
@@ -1473,6 +1497,8 @@ let () =
             test_supcon_par_cluster_family;
           Alcotest.test_case "supcon_modular matches monolithic" `Quick
             test_supcon_modular_matches_monolithic;
+          Alcotest.test_case "supcon_modular wide family at 1, 2, 3, 8 jobs"
+            `Quick test_supcon_modular_wide_family_jobs;
           Alcotest.test_case "supcon_par empty supervisor" `Quick
             test_supcon_par_empty;
           Alcotest.test_case "spec-private uncontrollable event" `Quick
