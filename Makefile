@@ -1,10 +1,14 @@
-.PHONY: all build test fmt bench bench-smoke obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke robustness robustness-smoke check clean
+.PHONY: all build test fmt bench obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness robustness-smoke check clean
 
 all: build
 
 build:
 	dune build
 
+# Tier-1: the unit suites, which hold every deterministic gate (the
+# 0 B/call tick kernels and Riccati step, the warm-construction and
+# synthesis allocation budgets, the Manager.step bytes ratchet, digest
+# and state-count pins), plus `perf.exe --smoke` (bench/perf/dune).
 test:
 	dune runtest
 
@@ -15,18 +19,6 @@ fmt:
 
 bench:
 	dune exec bench/main.exe
-
-# One small synthesis-scale cell plus the throughput gates (0 B/call
-# steady-state allocation of the tick kernels, 0 B per Riccati.solve
-# value-iteration step of gain design, at most 64 KiB per warm manager
-# or fleet-node construction, at most half the earlier engine's bytes
-# per transition for supcon_modular ~jobs:1 on the k=8 cap=7 family
-# and for Compose.all of 8 clusters, at most 117.7 B per transition on
-# the calling domain for supcon_modular ~jobs:2 on the same family,
-# batch-vs-one-shot trace digest agreement), timing columns suppressed
-# — the shape check CI runs (see .github/workflows/ci.yml).
-bench-smoke:
-	dune exec bench/main.exe -- synthesis-scale throughput --smoke
 
 robustness:
 	dune exec bench/main.exe -- robustness
@@ -84,18 +76,6 @@ fleet-smoke:
 	SPECTR_JOBS=1 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j1.txt
 	SPECTR_JOBS=4 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j4.txt
 	diff /tmp/spectr-fleet-j1.txt /tmp/spectr-fleet-j4.txt
-
-# Parallel-synthesis smoke: the sharded engine at 1 and 4 jobs is pinned
-# byte-identical to supcon (digest + stats gates inside the bench), and
-# the whole smoke output must not depend on SPECTR_JOBS.
-# Includes one mid-size modular row under a wall-clock budget.
-synth-smoke:
-	SPECTR_JOBS=1 dune exec bench/main.exe -- synthesis-scale --smoke > /tmp/spectr-synth-j1.txt
-	SPECTR_JOBS=4 dune exec bench/main.exe -- synthesis-scale --smoke > /tmp/spectr-synth-j4.txt
-	diff /tmp/spectr-synth-j1.txt /tmp/spectr-synth-j4.txt
-	grep -Eq '^ +4 +3 +81 +89 +33$$' /tmp/spectr-synth-j4.txt
-	grep -q 'isomorphic to monolithic at jobs=1 and 4' /tmp/spectr-synth-j4.txt
-	grep -q 'modular k=10 cap=6: product 39045, supervisor 12585' /tmp/spectr-synth-j4.txt
 
 # Platform smoke: the data-driven platform layer end to end.  Built-in
 # descriptions list and validate (`platforms` digests each one), a
@@ -166,8 +146,9 @@ reconfig-smoke:
 	grep -q 'reconfig drills: 12 SPECTR+R cells — 12 end reconfigured' \
 	  /tmp/spectr-reconfig-kill-j4.txt
 
-# What CI runs.
-check: build fmt test obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke robustness-smoke
+# Every gate in one command.  CI runs the same targets, one step each,
+# plus its parallel-vs-sequential bench diff.
+check: build fmt test obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness-smoke
 
 clean:
 	dune clean

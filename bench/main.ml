@@ -5,7 +5,14 @@
      dune exec bench/main.exe -- fig13   # just one (table1, fig3, fig5,
                                          # fig6, fig12, fig13, fig14,
                                          # fig15, overhead, ablations,
-                                         # robustness)
+                                         # robustness, reconfig,
+                                         # synthesis-scale, fleet)
+     dune exec bench/main.exe -- --smoke fleet reconfig
+                                         # the CI-sized fleet and
+                                         # reconfig runs
+
+   Allocation budgets and digest pins are tier-1 tests (dune runtest),
+   not experiments here.
 
    Scenario grids fan out across a domain pool (sized by SPECTR_JOBS or
    the machine's recommended domain count); results are reduced in
@@ -27,7 +34,6 @@ let experiments =
     ("robustness", Robustness.run);
     ("reconfig", Reconfig.run);
     ("synthesis-scale", Synthesis_scale.run);
-    ("throughput", Throughput.run);
     ("fleet", Fleet.run);
   ]
 
@@ -42,8 +48,6 @@ let () =
     List.partition (fun a -> a = "--smoke" || a = "--obs") args
   in
   if List.mem "--smoke" flags then begin
-    Synthesis_scale.smoke := true;
-    Throughput.smoke := true;
     Fleet.smoke := true;
     Reconfig.smoke := true
   end;

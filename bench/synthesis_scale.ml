@@ -15,13 +15,11 @@
    saturation, exercising the forbidden, uncontrollable and blocking
    passes rather than just copying the product through.
 
-   Timings go to a table on stdout in the normal mode.  In --smoke mode
-   (CI) only the smallest grid row runs and no timings are printed, so
-   the output is deterministic and shape-checkable. *)
+   Timings go to a table on stdout.  The deterministic pins of this
+   family (state counts, job-count invariance, modular = monolithic)
+   are tier-1 tests in test/test_automata.ml. *)
 
 open Spectr_automata
-
-let smoke = ref false
 
 let cluster i =
   let start = Event.controllable (Printf.sprintf "start%d" i) in
@@ -73,17 +71,11 @@ let timed f =
   let r = f () in
   (r, Sys.time () -. t0)
 
-let grid () = if !smoke then [ (4, 3) ] else [ (4, 3); (6, 5); (8, 7); (10, 9) ]
-
 let run () =
   Util.heading
     "Synthesis scale: k chained cluster plants vs. a shared budget spec";
-  Printf.printf "\n  %3s %4s %9s %9s %9s" "k" "cap" "plant-Q" "product-Q"
-    "sup-Q";
-  if not !smoke then
-    Printf.printf " %9s %9s %9s %9s" "compose-s" "supcon-s" "par4-s"
-      "verify-s";
-  print_newline ();
+  Printf.printf "\n  %3s %4s %9s %9s %9s %9s %9s %9s %9s\n" "k" "cap"
+    "plant-Q" "product-Q" "sup-Q" "compose-s" "supcon-s" "par4-s" "verify-s";
   List.iter
     (fun (k, cap) ->
       let plants = List.init k (fun i -> cluster (i + 1)) in
@@ -124,83 +116,39 @@ let run () =
              than the product. *)
           if Automaton.num_states sup >= stats.Synthesis.product_states then
             failwith "synthesis-scale: expected nontrivial pruning";
-          Printf.printf "  %3d %4d %9d %9d %9d" k cap
+          Printf.printf "  %3d %4d %9d %9d %9d %9.3f %9.3f %9.3f %9.3f\n" k
+            cap
             (Automaton.num_states plant)
-            stats.Synthesis.product_states (Automaton.num_states sup);
-          if not !smoke then
-            Printf.printf " %9.3f %9.3f %9.3f %9.3f" t_compose t_supcon t_par4
-              t_verify;
-          print_newline ())
-    (grid ());
+            stats.Synthesis.product_states (Automaton.num_states sup)
+            t_compose t_supcon t_par4 t_verify)
+    [ (4, 3); (6, 5); (8, 7); (10, 9) ];
   (* Modular synthesis: the plant components and the spec composed
      jointly, on the fly — the regime where the composed plant (3^k
-     states) can no longer be materialized.  Gated for determinism in
-     both modes; rows and timings differ. *)
+     states) can no longer be materialized. *)
   Util.subheading
     "modular synthesis: plant components never composed up front";
-  if !smoke then begin
-    (* Pin modular against monolithic where the monolith is still cheap,
-       then run one mid-size row under a wall-clock budget; output stays
-       byte-deterministic (no timings printed). *)
-    let plants = List.init 6 (fun i -> cluster (i + 1)) in
-    let spec = budget_spec ~k:6 ~cap:5 in
-    let mono = Synthesis.supcon ~plant:(Compose.all plants) ~spec in
-    List.iter
-      (fun jobs ->
-        match (mono, Synthesis.supcon_modular ~jobs ~plants ~spec ()) with
-        | Ok (sa, ta), Ok (sb, tb) ->
-            if not (Automaton.isomorphic sa sb) then
-              failwith "synthesis-scale: modular diverged from monolithic";
-            if ta <> tb then
-              failwith "synthesis-scale: modular stats diverged"
-        | _ -> failwith "synthesis-scale: modular unexpectedly empty")
-      [ 1; 4 ];
-    Printf.printf
-      "  modular k=6 cap=5: isomorphic to monolithic at jobs=1 and 4\n";
-    let k = 10 and cap = 6 in
-    let plants = List.init k (fun i -> cluster (i + 1)) in
-    let spec = budget_spec ~k ~cap in
-    let run jobs = Synthesis.supcon_modular ~jobs ~plants ~spec () in
-    let r1, t1 = timed (fun () -> run 1) in
-    let r4, t4 = timed (fun () -> run 4) in
-    (match (r1, r4) with
-    | Ok (s1, st1), Ok (s4, st4) ->
-        if Automaton.structural_digest s1 <> Automaton.structural_digest s4
-        then failwith "synthesis-scale: modular digest depends on jobs";
-        if st1 <> st4 then
-          failwith "synthesis-scale: modular stats depend on jobs";
-        if not (Verify.is_nonblocking s1) then
-          failwith "synthesis-scale: modular supervisor blocks";
-        if t1 +. t4 > 60. then
-          failwith "synthesis-scale: mid-size modular row over time budget";
-        Printf.printf "  modular k=%d cap=%d: product %d, supervisor %d\n" k
-          cap st1.Synthesis.product_states (Automaton.num_states s1)
-    | _ -> failwith "synthesis-scale: mid-size modular row empty")
-  end
-  else begin
-    Printf.printf "  %3s %4s %9s %9s %9s %9s\n" "k" "cap" "product-Q" "sup-Q"
-      "par1-s" "par4-s";
-    List.iter
-      (fun (k, cap) ->
-        let plants = List.init k (fun i -> cluster (i + 1)) in
-        let spec = budget_spec ~k ~cap in
-        let run jobs = Synthesis.supcon_modular ~jobs ~plants ~spec () in
-        let r1, t1 = timed (fun () -> run 1) in
-        let r4, t4 = timed (fun () -> run 4) in
-        match (r1, r4) with
-        | Ok (s1, st1), Ok (s4, st4) ->
-            if
-              Automaton.structural_digest s1 <> Automaton.structural_digest s4
-            then failwith "synthesis-scale: modular digest depends on jobs";
-            if st1 <> st4 then
-              failwith "synthesis-scale: modular stats depend on jobs";
-            if not (Verify.is_nonblocking s1) then
-              failwith "synthesis-scale: modular supervisor blocks";
-            Printf.printf "  %3d %4d %9d %9d %9.3f %9.3f\n" k cap
-              st1.Synthesis.product_states (Automaton.num_states s1) t1 t4
-        | _ -> failwith "synthesis-scale: modular unexpectedly empty")
-      [ (12, 9); (14, 7); (16, 6) ]
-  end;
+  Printf.printf "  %3s %4s %9s %9s %9s %9s\n" "k" "cap" "product-Q" "sup-Q"
+    "par1-s" "par4-s";
+  List.iter
+    (fun (k, cap) ->
+      let plants = List.init k (fun i -> cluster (i + 1)) in
+      let spec = budget_spec ~k ~cap in
+      let run jobs = Synthesis.supcon_modular ~jobs ~plants ~spec () in
+      let r1, t1 = timed (fun () -> run 1) in
+      let r4, t4 = timed (fun () -> run 4) in
+      match (r1, r4) with
+      | Ok (s1, st1), Ok (s4, st4) ->
+          if
+            Automaton.structural_digest s1 <> Automaton.structural_digest s4
+          then failwith "synthesis-scale: modular digest depends on jobs";
+          if st1 <> st4 then
+            failwith "synthesis-scale: modular stats depend on jobs";
+          if not (Verify.is_nonblocking s1) then
+            failwith "synthesis-scale: modular supervisor blocks";
+          Printf.printf "  %3d %4d %9d %9d %9.3f %9.3f\n" k cap
+            st1.Synthesis.product_states (Automaton.num_states s1) t1 t4
+      | _ -> failwith "synthesis-scale: modular unexpectedly empty")
+    [ (12, 9); (14, 7); (16, 6) ];
   (* The process-wide synthesis cache: a second synthesis of the smallest
      grid cell must be a hit (same structural digests), costing only the
      digest.  Deltas, not totals — other experiments in the same
@@ -220,29 +168,25 @@ let run () =
     (misses1 - misses0) (hits1 - hits0);
   (* The description-driven supervisor at growing cluster counts: the
      real SPECTR plant/spec generated from synthetic k-cluster platform
-     descriptions, synthesized and verified end to end.  Timed rows are
-     non-deterministic, so this section is skipped in --smoke (which
-     pins stdout byte-for-byte). *)
-  if not !smoke then begin
-    Util.subheading
-      "description-driven supervisors on generated k-cluster platforms";
-    Printf.printf "  %8s %9s %9s %9s %9s\n" "clusters" "product-Q" "sup-Q"
-      "events" "total-s";
-    List.iter
-      (fun n ->
-        let platform = Spectr_platform.Platform_desc.k_cluster n in
-        let (sup, stats), t =
-          timed (fun () -> Spectr.Supervisor.synthesize ~platform ())
-        in
-        let plant = Spectr.Plant_model.composed_for platform in
-        if
-          not
-            (Verify.is_nonblocking sup
-            && Verify.is_controllable ~plant ~supervisor:sup)
-        then failwith "synthesis-scale: platform supervisor failed verify";
-        Printf.printf "  %8d %9d %9d %9d %9.3f\n" n
-          stats.Synthesis.product_states (Automaton.num_states sup)
-          (Event.Set.cardinal (Automaton.alphabet sup))
-          t)
-      [ 2; 3; 4; 6; 8; 12; 16 ]
-  end
+     descriptions, synthesized and verified end to end. *)
+  Util.subheading
+    "description-driven supervisors on generated k-cluster platforms";
+  Printf.printf "  %8s %9s %9s %9s %9s\n" "clusters" "product-Q" "sup-Q"
+    "events" "total-s";
+  List.iter
+    (fun n ->
+      let platform = Spectr_platform.Platform_desc.k_cluster n in
+      let (sup, stats), t =
+        timed (fun () -> Spectr.Supervisor.synthesize ~platform ())
+      in
+      let plant = Spectr.Plant_model.composed_for platform in
+      if
+        not
+          (Verify.is_nonblocking sup
+          && Verify.is_controllable ~plant ~supervisor:sup)
+      then failwith "synthesis-scale: platform supervisor failed verify";
+      Printf.printf "  %8d %9d %9d %9d %9.3f\n" n
+        stats.Synthesis.product_states (Automaton.num_states sup)
+        (Event.Set.cardinal (Automaton.alphabet sup))
+        t)
+    [ 2; 3; 4; 6; 8; 12; 16 ]

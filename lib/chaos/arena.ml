@@ -1,6 +1,6 @@
 (* Warm manager arena for batched campaigns.
 
-   A chaos campaign (and the batch throughput bench) runs thousands of
+   A chaos campaign (and the perf bench's chaos workload) runs thousands of
    short cells, and naively each cell builds its managers from scratch.
    Gain design is already memoized process-wide
    (Design_flow.design_gains_for), which removes the LQG pipeline from

@@ -31,12 +31,11 @@ val supcon :
   plant:Automaton.t ->
   spec:Automaton.t ->
   (Automaton.t * Synthesis.stats, Synthesis.error) result
-(** Memoized {!Synthesis.supcon}.  Large products — plant states × spec
-    states at or above an internal threshold — run the engine with
-    {!Pool.default_jobs} workers (so [SPECTR_JOBS] governs synthesis
-    parallelism too), smaller ones with one; the result is
-    byte-identical for any job count, so callers — and the digest keys
-    — cannot tell. *)
+(** Memoized {!Synthesis.supcon}, the engine at one job.  Every
+    synthesis the library requests is small (a few hundred product
+    cells), where domain spawns and barrier rounds would cost more than
+    the synthesis; callers that want workers call
+    {!Synthesis.supcon_par} directly. *)
 
 val stats : unit -> int * int
 (** [(hits, misses)] since start-up (or the last {!clear}). *)

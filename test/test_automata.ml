@@ -1125,7 +1125,8 @@ let test_supcon_par_matches_sequential () =
   done
 
 (* The k = 9, cap = 8 member is the synth benchmark's monolithic
-   family: 21457 product and 16867 supervisor states. *)
+   family: 21457 product and 16867 supervisor states; k = 4, cap = 3 is
+   the first row of the synthesis-scale bench. *)
 let test_supcon_par_cluster_family () =
   List.iter
     (fun (k, cap, sizes) ->
@@ -1153,31 +1154,45 @@ let test_supcon_par_cluster_family () =
                 sizes
           | _ -> Alcotest.failf "k=%d: unexpected empty supervisor" k)
         [ 1; 2; 3; 4 ])
-    [ (2, 1, None); (4, 3, None); (5, 4, None); (9, 8, Some (21457, 16867)) ]
+    [
+      (2, 1, None);
+      (4, 3, Some (89, 33));
+      (5, 4, None);
+      (9, 8, Some (21457, 16867));
+    ]
 
-(* The synth benchmark's wide family, k = 11 and cap = 6: 79839 product
-   and 21627 supervisor states, numbered identically at every job
-   count — the multi-job exploration assigns canonical indices itself. *)
+(* Wide families numbered identically at every job count — the
+   multi-job exploration assigns canonical indices itself — with
+   nonblocking supervisors: k = 10, cap = 6 (39045 product, 12585
+   supervisor states) and the synth benchmark's k = 11, cap = 6 (79839
+   and 21627). *)
 let test_supcon_modular_wide_family_jobs () =
-  let plants = List.init 11 (fun i -> cluster_plant (i + 1)) in
-  let spec = cluster_budget_spec ~k:11 ~cap:6 in
-  let run jobs =
-    match Synthesis.supcon_modular ~jobs ~plants ~spec () with
-    | Ok (sup, st) ->
-        (Automaton.structural_digest sup, st, Automaton.num_states sup)
-    | Error _ -> Alcotest.failf "jobs=%d: unexpected empty supervisor" jobs
-  in
-  let d1, st1, m1 = run 1 in
-  check_int "product states" 79839 st1.Synthesis.product_states;
-  check_int "supervisor states" 21627 m1;
   List.iter
-    (fun jobs ->
-      let d, st, _ = run jobs in
-      check_string (Printf.sprintf "jobs=%d digest identical" jobs) d1 d;
-      check_bool
-        (Printf.sprintf "jobs=%d stats identical" jobs)
-        true (st = st1))
-    [ 2; 3; 8 ]
+    (fun (k, cap, product, supervisor) ->
+      let plants = List.init k (fun i -> cluster_plant (i + 1)) in
+      let spec = cluster_budget_spec ~k ~cap in
+      let run jobs =
+        match Synthesis.supcon_modular ~jobs ~plants ~spec () with
+        | Ok (sup, st) -> (Automaton.structural_digest sup, st, sup)
+        | Error _ -> Alcotest.failf "k=%d jobs=%d: unexpected empty" k jobs
+      in
+      let d1, st1, s1 = run 1 in
+      check_int (Printf.sprintf "k=%d product states" k) product
+        st1.Synthesis.product_states;
+      check_int (Printf.sprintf "k=%d supervisor states" k) supervisor
+        (Automaton.num_states s1);
+      check_bool (Printf.sprintf "k=%d nonblocking" k) true
+        (Verify.nonblocking s1 = Ok ());
+      List.iter
+        (fun jobs ->
+          let d, st, _ = run jobs in
+          check_string (Printf.sprintf "k=%d jobs=%d digest identical" k jobs)
+            d1 d;
+          check_bool
+            (Printf.sprintf "k=%d jobs=%d stats identical" k jobs)
+            true (st = st1))
+        [ 2; 3; 8 ])
+    [ (10, 6, 39045, 12585); (11, 6, 79839, 21627) ]
 
 (* Modular synthesis never materializes the composed plant; its result
    is pinned to the monolithic one up to the (flat vs nested) naming. *)
@@ -1204,7 +1219,43 @@ let test_supcon_modular_matches_monolithic () =
                 (Verify.nonblocking sb = Ok ())
           | _ -> Alcotest.failf "k=%d jobs=%d: unexpected empty" k jobs)
         [ 1; 4 ])
-    [ (2, 1); (3, 2); (4, 3) ]
+    [ (2, 1); (3, 2); (4, 3); (6, 5) ]
+
+(* Bytes per transition on the calling domain for the k = 8, cap = 7
+   family (7313 product states), counted with Gc.allocated_bytes after
+   emptying the minor heap, so that older objects are not promoted (and
+   so subtracted) during the run.  One-job modular synthesis and
+   Compose.all of the 8 clusters may allocate half of what the engine
+   before the in-place CSR and the single sharded engine did (469.2 and
+   319.5 B); two-job modular synthesis 10 % over the 107.0 B it read
+   when the exploration began numbering states canonically. *)
+let test_synthesis_alloc_budgets () =
+  let plants = List.init 8 (fun i -> cluster_plant (i + 1)) in
+  let spec = cluster_budget_spec ~k:8 ~cap:7 in
+  let product = Compose.pair (Compose.all plants) spec in
+  let gate name ~budget ~transitions f =
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    let r = f () in
+    let bytes = Gc.allocated_bytes () -. b0 in
+    let per = bytes /. float_of_int (transitions r) in
+    check_bool
+      (Printf.sprintf "%s: %.1f B/transition (budget %.1f)" name per budget)
+      true (per <= budget)
+  in
+  List.iter
+    (fun (jobs, budget) ->
+      gate
+        (Printf.sprintf "supcon_modular k=8 cap=7 jobs=%d" jobs)
+        ~budget
+        ~transitions:(function
+          | Ok (_, st) when st.Synthesis.product_states = 7313 ->
+              Automaton.num_transitions product
+          | _ -> Alcotest.fail "k=8 cap=7 lost its 7313 product states")
+        (fun () -> Synthesis.supcon_modular ~jobs ~plants ~spec ()))
+    [ (1, 469.2 *. 0.5); (2, 107.0 *. 1.1) ];
+  gate "Compose.all 8 clusters" ~budget:(319.5 *. 0.5)
+    ~transitions:Automaton.num_transitions (fun () -> Compose.all plants)
 
 (* Empty-supervisor edge case: the initial state is uncontrollably bad
    on every path, sequential and parallel alike. *)
@@ -1499,6 +1550,8 @@ let () =
             test_supcon_modular_matches_monolithic;
           Alcotest.test_case "supcon_modular wide family at 1, 2, 3, 8 jobs"
             `Quick test_supcon_modular_wide_family_jobs;
+          Alcotest.test_case "synthesis bytes per transition, k=8 cap=7"
+            `Quick test_synthesis_alloc_budgets;
           Alcotest.test_case "supcon_par empty supervisor" `Quick
             test_supcon_par_empty;
           Alcotest.test_case "spec-private uncontrollable event" `Quick

@@ -151,6 +151,90 @@ let test_guarded_zero_alloc k () =
        per_iter)
     true (per_iter < 1.0)
 
+(* Minor-heap bytes per warm construction, from [Gc.minor_words]
+   (exact and deterministic; blocks too large for the minor heap go
+   straight to the major heap and are not counted).  Two calls first pay
+   the cold design flow and synthesis; the counted calls then hit every
+   process-wide memo.  A chip that boots into an already-designed fleet
+   pays for its own state (SoC, controllers, supervisor cursor, a few
+   closures), not for re-deriving its platform's identity, plant or
+   spec: at most 64 KiB per call. *)
+let test_warm_construction platform () =
+  let tag = Platform_desc.name platform in
+  List.iter
+    (fun (name, build) ->
+      build ();
+      build ();
+      let reps = 20 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to reps do
+        build ()
+      done;
+      let bytes =
+        (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8)
+        /. float_of_int reps
+      in
+      check_bool
+        (Printf.sprintf "warm %s %s: %.0f B/call (budget 65536)" name tag bytes)
+        true (bytes <= 65536.))
+    [
+      ( "Spectr_manager.make",
+        fun () -> ignore (Sys.opaque_identity (Spectr.Spectr_manager.make ~platform ())) );
+      ( "Node.create",
+        fun () ->
+          ignore
+            (Sys.opaque_identity
+               (Spectr_fleet.Node.create ~platform ~id:0 ~seed:42L
+                  ~workload:Benchmarks.x264 ())) );
+    ]
+
+(* Mean minor-heap bytes per Manager.step over the default seed-42 x264
+   scenario, one row per manager.step.bytes.* cell of the perf bench.  A
+   ratchet toward an allocation-free closed loop: each ceiling is what
+   the step read when this gate went in, so a change may lower it and
+   none may raise it. *)
+let test_manager_step_bytes () =
+  let campaign v () =
+    let m, _, _, _ = Spectr_chaos.Campaign.make_manager v in
+    m
+  in
+  let exynos = Platform_desc.exynos5422 and pixel = Platform_desc.pixel8pro in
+  List.iter
+    (fun (label, platform, make, ceiling) ->
+      let manager = make () in
+      let words = ref 0 and steps = ref 0 in
+      let step ~now ~qos_ref ~envelope ~obs soc =
+        let w0 = Gc.minor_words () in
+        manager.Spectr.Manager.step ~now ~qos_ref ~envelope ~obs soc;
+        words := !words + int_of_float (Gc.minor_words () -. w0);
+        incr steps
+      in
+      let cfg = Spectr.Scenario.default_config ~seed:42L ~platform Benchmarks.x264 in
+      ignore (Spectr.Scenario.run ~manager:{ manager with step } cfg : Trace.t);
+      let per_step =
+        float_of_int (!words * (Sys.word_size / 8)) /. float_of_int !steps
+      in
+      check_bool
+        (Printf.sprintf "%s: %.2f B/step (ceiling %.2f)" label per_step ceiling)
+        true (per_step <= ceiling))
+    Spectr_chaos.Campaign.
+      [
+        ("SPECTR+R", exynos, campaign Spectr_r, 210.56);
+        ("SPECTR+G", exynos, campaign Spectr_g, 162.56);
+        ("SPECTR", exynos, campaign Spectr, 146.56);
+        ("MM-Pow", exynos, campaign Mm_pow, 160.35);
+        ("MM-Perf", exynos, campaign Mm_perf, 126.75);
+        ("SISO", exynos, campaign Siso, 425.98);
+        ("FS", exynos, campaign Fs, 122.70);
+        ( "SPECTR-3c", pixel,
+          (fun () -> fst (Spectr.Spectr_manager.make ~platform:pixel ())),
+          198.19 );
+        ( "SPECTR+R-3c", pixel,
+          (fun () ->
+            fst (Spectr.Spectr_manager.make_reconfigurable ~platform:pixel ())),
+          278.19 );
+      ]
+
 (* ------------------------------------------------------------------ *)
 (* Scenario CSV byte-identity pins                                     *)
 (* ------------------------------------------------------------------ *)
@@ -253,7 +337,7 @@ let test_arena_checkout_equals_fresh () =
       check_string
         (Spectr_chaos.Campaign.variant_name variant ^ " arena digest")
         (Digest.to_hex d_fresh) (Digest.to_hex d_warm))
-    Spectr_chaos.Campaign.[ Spectr_r; Spectr; Mm_pow ]
+    Spectr_chaos.Campaign.[ Spectr_r; Spectr_g; Spectr; Mm_pow; Mm_perf; Siso; Fs ]
 
 let test_arena_cells_equal_cold_cells () =
   let spec = Spectr_chaos.Campaign.default_spec ~seed:11 ~cells:6 () in
@@ -568,6 +652,12 @@ let () =
             (test_guarded_zero_alloc 2);
           Alcotest.test_case "Guarded tick path zero-alloc, k=3" `Quick
             (test_guarded_zero_alloc 3);
+          Alcotest.test_case "warm construction, exynos5422" `Slow
+            (test_warm_construction Platform_desc.exynos5422);
+          Alcotest.test_case "warm construction, pixel8pro" `Slow
+            (test_warm_construction Platform_desc.pixel8pro);
+          Alcotest.test_case "Manager.step bytes ratchet" `Slow
+            test_manager_step_bytes;
         ] );
       ( "byte-identity",
         [

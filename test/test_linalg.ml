@@ -278,6 +278,34 @@ let test_dare_not_converged_counts_steps () =
       check_float "last change" 4096. residual
   | Ok _ | Error _ -> Alcotest.fail "expected Not_converged"
 
+(* A value-iteration step allocates nothing.  With a negative tolerance
+   the solve never converges and takes exactly [max_iter + 1] steps, so
+   the minor words of a 2N-step solve minus an N-step one are N steps'
+   allocation, with the per-call set-up cancelled out. *)
+let test_dare_step_zero_alloc () =
+  let n = 10 and m = 2 in
+  let a =
+    Matrix.init ~rows:n ~cols:n (fun i j ->
+        if i = j then 0.9 else if j = i + 1 then 0.2
+        else if i = j + 2 then -0.05 else 0.)
+  in
+  let b = Matrix.init ~rows:n ~cols:m (fun i j -> if i mod m = j then 1. else 0.1) in
+  let q = Matrix.identity n and r = Matrix.diagonal [| 1.; 2. |] in
+  let words max_iter =
+    let w0 = Gc.minor_words () in
+    ignore (Riccati.solve ~max_iter ~tol:(-1.) ~a ~b ~q ~r ());
+    Gc.minor_words () -. w0
+  in
+  let steps = 2_000 in
+  ignore (words steps);
+  let once = words steps in
+  let per_step =
+    (words (2 * steps) -. once) *. float_of_int (Sys.word_size / 8)
+    /. float_of_int steps
+  in
+  check_bool (Printf.sprintf "Riccati.solve: %.2f B/step" per_step) true
+    (per_step < 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* Kernel oracles: the allocating code the in-place kernels replaced   *)
 (* ------------------------------------------------------------------ *)
@@ -709,6 +737,8 @@ let () =
           Alcotest.test_case "stabilizing" `Quick test_dare_stabilizing;
           Alcotest.test_case "not converged counts steps" `Quick
             test_dare_not_converged_counts_steps;
+          Alcotest.test_case "value-iteration step zero-alloc" `Quick
+            test_dare_step_zero_alloc;
         ] );
       ( "kernel-oracles",
         [
