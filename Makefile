@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness robustness-smoke check clean
+.PHONY: all build test fmt bench bench-determinism obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness robustness-smoke check clean
 
 all: build
 
@@ -22,6 +22,15 @@ bench:
 
 robustness:
 	dune exec bench/main.exe -- robustness
+
+# Parallel-vs-sequential bench determinism: the bench experiments must
+# print byte-identical output whether scenarios run sequentially or
+# fan out across domains.
+bench-determinism:
+	dune build bench/main.exe
+	SPECTR_JOBS=1 dune exec bench/main.exe -- table1 fig6 fig13 > /tmp/spectr-bench-seq.txt
+	SPECTR_JOBS=4 dune exec bench/main.exe -- table1 fig6 fig13 > /tmp/spectr-bench-par.txt
+	diff /tmp/spectr-bench-seq.txt /tmp/spectr-bench-par.txt
 
 # Robustness smoke: the SPECTR+G acceptance table (seven fault classes x
 # four managers on x264).  SPECTR+G must recover in every fault class
@@ -146,9 +155,8 @@ reconfig-smoke:
 	grep -q 'reconfig drills: 12 SPECTR+R cells — 12 end reconfigured' \
 	  /tmp/spectr-reconfig-kill-j4.txt
 
-# Every gate in one command.  CI runs the same targets, one step each,
-# plus its parallel-vs-sequential bench diff.
-check: build fmt test obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness-smoke
+# Every gate in one command.  CI runs the same targets, one step each.
+check: build fmt test bench-determinism obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness-smoke
 
 clean:
 	dune clean

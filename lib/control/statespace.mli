@@ -48,10 +48,17 @@ val spectral_radius_bound : t -> float
     clearly unstable model). *)
 
 val is_stable : ?steps:int -> t -> bool
-(** Empirical BIBO check: iterate x ← Ax from a set of basis vectors and
-    verify the norm does not blow up after [steps] (default 200)
-    iterations.  Sound for diagnosable growth; used by design-flow
-    robustness checks. *)
+(** Empirical BIBO check: every basis vector's norm is at most 1e3
+    after [steps] (default 200) iterations x ← Ax.  Column k of A^steps
+    is basis vector k after those iterations; A^steps is formed by
+    binary powering (9 products for 200).  A non-finite column norm
+    counts as unstable: once an intermediate power overflows, inf · 0
+    leaves NaN in entries where the one-vector-at-a-time iteration
+    holds inf, and an entry of a power overflows only where that
+    iteration's vector for the same column has grown to about 1e308.  With finite powers
+    the two round differently, so only a column norm within rounding
+    of 1e3 could change the verdict.  Sound for diagnosable growth;
+    used by design-flow robustness checks. *)
 
 val operation_count : t -> int
 (** Multiply–add operations for one controller invocation (the matrix

@@ -39,10 +39,16 @@ val solve :
     is [1e-10].
 
     The iteration runs in buffers allocated once per call — a step
-    allocates nothing — and its arithmetic is fixed: the same products,
-    the same elimination and the same comparisons in the same order, so
-    a given problem always yields the same bits (and the same
-    [Singular] / [Not_converged] outcome). *)
+    allocates nothing — and its arithmetic is fixed, so a given problem
+    always yields the same bits (and the same [Singular] /
+    [Not_converged] outcome).  A step reads A and B through lists of
+    their nonzero entries, built once per call: A′P, A′PA, A′PB, B′P and
+    B′PB sum only over the entries where the A or B factor is nonzero,
+    and the correction A′PB·(R + B′PB)⁻¹B′PA skips zero A′PB entries
+    as [Matrix.mul_into] does.  Every entry still accumulates its terms
+    from 0 in ascending order, so while A, B, A′P and B′P stay finite
+    the skipped terms are exact zeros and the bits are those of the
+    dense products with [Matrix.mul_into]. *)
 
 val residual : a:Matrix.t -> b:Matrix.t -> q:Matrix.t -> r:Matrix.t -> Matrix.t -> float
 (** Max-abs entry of [AᵀPA − P − AᵀPB(R+BᵀPB)⁻¹BᵀPA + Q]; a direct check

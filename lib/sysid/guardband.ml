@@ -30,7 +30,7 @@ let perturbed_models gb model =
     (signs p)
 
 (* Closed loop of (perturbed plant) + (nominal estimator & feedback):
-   state [x_p; x̂; z].  Derivation in the .mli's module comment. *)
+   state [x_p; x̂; z].  The .mli spells out each block row. *)
 let closed_loop_matrix ~(gains : Lqg.gains) ~(plant : Statespace.t) =
   let nominal = gains.Lqg.model in
   let n = Statespace.order nominal in

@@ -24,6 +24,20 @@ val perturbed_models :
     outputs; output 0 is treated as the QoS channel and the remaining
     outputs as power channels). *)
 
+val closed_loop_matrix :
+  gains:Spectr_control.Lqg.gains ->
+  plant:Spectr_control.Statespace.t ->
+  Spectr_linalg.Matrix.t
+(** The state matrix of [plant] under the nominal estimator and gains
+    of [gains], with the reference at zero.  The state is
+    [\[x_p; x̂; z\]]: the plant's, the predicted estimate of the
+    nominal model (A, B, C) and the integrators.  With y = C_p x_p and
+    the corrected estimate x̂_c = (I − LC) x̂ + L y, the command is
+    u = −K_x x̂_c − K_z (z − y); the plant steps by (A_p, B_p), the
+    estimate by x̂⁺ = A x̂_c + B u, and the integrators by
+    z⁺ = λ z − y, λ the gain set's integrator leak.  A
+    (2n + p)-square matrix for an n-state, p-output model. *)
+
 val robustly_stable :
   t -> gains:Spectr_control.Lqg.gains -> bool
 (** Robust Stability Analysis (§2.2, §6 Step 8): the closed loop under

@@ -82,14 +82,14 @@ let test_ss_stability () =
   check_bool "radius > 1" true (Statespace.spectral_radius_bound unstable > 1.)
 
 (* The per-vector power iteration [is_stable] ran before it batched the
-   basis vectors: a fresh vector per step, the skip-zero product, and the
-   Frobenius norm of each final vector. *)
-let oracle_is_stable a =
+   basis vectors and then powered A: a fresh vector per step, the
+   skip-zero product, and the Frobenius norm of each final vector. *)
+let oracle_is_stable ?(steps = 200) a =
   let n = Matrix.rows a and a = Matrix.to_arrays a in
   let ok = ref true in
   for k = 0 to n - 1 do
     let x = ref (Array.init n (fun i -> if i = k then 1. else 0.)) in
-    for _ = 1 to 200 do
+    for _ = 1 to steps do
       let y = Array.make n 0. in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
@@ -103,6 +103,49 @@ let oracle_is_stable a =
       ok := false
   done;
   !ok
+
+(* The verdicts the design flow's robustness gate reads: every
+   guardband corner of every gain set of the six cold design keys (the
+   exynos big/little clusters and full-system 4x2 controller, and the
+   three pixel8pro clusters). *)
+let stability_matches_oracle_on_design_corners () =
+  let module D = Spectr.Design_flow in
+  let pixel i = D.cluster_subsystem Spectr_platform.Platform_desc.pixel8pro i in
+  let fs_goal = [ { D.label = "power"; q_y = [| 0.1; 30. |] } ] in
+  let corners = ref 0 in
+  List.iter
+    (fun (subsystem, goals) ->
+      match D.design_gains_for subsystem goals with
+      | Error msg -> Alcotest.failf "%s: %s" (D.subsystem_name subsystem) msg
+      | Ok gains ->
+          List.iter
+            (fun (g : Lqg.gains) ->
+              List.iter
+                (fun plant ->
+                  let a = Spectr_sysid.Guardband.closed_loop_matrix ~gains:g ~plant in
+                  let n = Matrix.rows a in
+                  let sys =
+                    Statespace.create ~a ~b:(Matrix.zeros ~rows:n ~cols:1)
+                      ~c:(Matrix.zeros ~rows:1 ~cols:n) ()
+                  in
+                  incr corners;
+                  check_bool
+                    (Printf.sprintf "%s/%s corner %d" (D.subsystem_name subsystem)
+                       g.Lqg.label !corners)
+                    (oracle_is_stable a) (Statespace.is_stable sys))
+                (Spectr_sysid.Guardband.perturbed_models
+                   Spectr_sysid.Guardband.paper_defaults g.Lqg.model))
+            gains)
+    [
+      (D.Big_2x2, Spectr.Mm.goals);
+      (D.Little_2x2, Spectr.Mm.goals);
+      (D.Fs_4x2, fs_goal);
+      (pixel 0, Spectr.Mm.goals);
+      (pixel 1, Spectr.Mm.goals);
+      (pixel 2, Spectr.Mm.goals);
+    ];
+  (* two goals on five keys, one on the 4x2, four corners each *)
+  check_int "corners checked" 44 !corners
 
 let test_ss_stability_matches_oracle () =
   let g = Prng.create 13L in
@@ -120,15 +163,23 @@ let test_ss_stability_matches_oracle () =
       Statespace.create ~a ~b:(Matrix.zeros ~rows:n ~cols:1)
         ~c:(Matrix.zeros ~rows:1 ~cols:n) ()
     in
+    List.iter
+      (fun steps ->
+        check_bool
+          (Printf.sprintf "is_stable = per-vector oracle, %d steps" steps)
+          (oracle_is_stable ~steps a) (Statespace.is_stable ~steps sys))
+      [ 1; 2; 7; 256 ];
     let expected = oracle_is_stable a in
     check_bool "is_stable = per-vector oracle" expected (Statespace.is_stable sys);
     incr (if expected then stable else unstable)
   done;
   check_bool "both verdicts drawn" true (!stable > 10 && !unstable > 10);
   (* Boundary cases: growth that crosses the 1e3 threshold only near the
-     last step, and a rank-one iterate, A^200 = [[800, 800]; [0, 0]],
-     whose columns stay below the threshold while its first row does
-     not. *)
+     last step; a rank-one iterate, A^200 = [[800, 800]; [0, 0]], whose
+     columns stay below the threshold while its first row does not; and
+     growth so fast that A^128 overflows, after which inf * 0 leaves NaN
+     in the off-diagonal entries of A^200 (a diagonal, a triangular and
+     a mixed-speed diagonal A). *)
   let root v = v ** (1. /. 200.) in
   List.iter
     (fun (name, rows, expected) ->
@@ -144,7 +195,11 @@ let test_ss_stability_matches_oracle () =
       ("just above the threshold", [ [ root 1001. ] ], false);
       ("just below the threshold", [ [ root 999. ] ], true);
       ("rank one", [ [ root 800.; root 800. ]; [ 0.; 0. ] ], true);
-    ]
+      ("300 I overflows", [ [ 300.; 0. ]; [ 0.; 300. ] ], false);
+      ("triangular, overflows", [ [ 300.; 1. ]; [ 0.; 300. ] ], false);
+      ("one fast mode, overflows", [ [ 300.; 0. ]; [ 0.; 0.5 ] ], false);
+    ];
+  stability_matches_oracle_on_design_corners ()
 
 let test_ss_operation_count () =
   (* n=2, m=2, p=2: 4 + 4 + 4 + 4 = 16 *)

@@ -505,6 +505,112 @@ let same_dare_outcome name expected got =
         (Int64.bits_of_float r = Int64.bits_of_float r')
   | _ -> Alcotest.failf "%s: DARE outcomes differ" name
 
+(* The design flow's realization: [Arx.to_statespace] of a (2, 2)-order
+   ARX fit to 200 samples of a random two-output, [m]-input system
+   under uniform excitation.  With [twin_inputs] the first two input
+   channels carry the same signal, so the fitted DC gain is near rank
+   one. *)
+let arx_realization ?(twin_inputs = false) g ~m =
+  let module Sysid = Spectr_sysid in
+  let p = 2 and length = 200 in
+  let gain = Array.init p (fun _ -> Array.init m (fun _ -> Prng.uniform g ~lo:(-1.) ~hi:1.)) in
+  let u =
+    Array.init length (fun _ -> Array.init m (fun _ -> Prng.uniform g ~lo:(-1.) ~hi:1.))
+  in
+  if twin_inputs then Array.iter (fun ut -> ut.(1) <- ut.(0)) u;
+  let y = Array.make_matrix length p 0. in
+  for t = 1 to length - 1 do
+    for i = 0 to p - 1 do
+      let drive = ref (0.5 *. y.(t - 1).(i)) in
+      for j = 0 to m - 1 do
+        drive := !drive +. (gain.(i).(j) *. u.(t - 1).(j))
+      done;
+      y.(t).(i) <- !drive +. Prng.uniform g ~lo:(-0.01) ~hi:0.01
+    done
+  done;
+  match Sysid.Arx.fit ~na:2 ~nb:2 (Sysid.Dataset.create ~u ~y) with
+  | Error e -> Alcotest.failf "Arx.fit: %a" Sysid.Arx.pp_error e
+  | Ok model ->
+      let ss = Sysid.Arx.to_statespace model in
+      Spectr_control.Statespace.(ss.a, ss.b, ss.c)
+
+(* The integrator-augmented LQR problem as [Lqg.design] poses it, with
+   [Design_flow]'s integrator weights Qi = 0.1 Qy^2 / max Qy:
+   A = [A 0; -C leak*I], B = [B; 0], Q = blkdiag(C' Qy C + 1e-6 I, Qi). *)
+let lqg_problem (a, b, c) ~leak ~q_y ~r_u =
+  let n = Matrix.rows a and p = Matrix.rows c and m = Matrix.cols b in
+  let w_max = Array.fold_left Float.max 1e-9 q_y in
+  let q_i = Array.map (fun w -> 0.1 *. w *. w /. w_max) q_y in
+  let z rows cols = Matrix.zeros ~rows ~cols in
+  let a_aug =
+    Matrix.block
+      [| [| a; z n p |]; [| Matrix.neg c; Matrix.scale leak (Matrix.identity p) |] |]
+  in
+  let q_state =
+    Matrix.add
+      (Matrix.mul (Matrix.transpose c) (Matrix.mul (Matrix.diagonal q_y) c))
+      (Matrix.scale 1e-6 (Matrix.identity n))
+  in
+  let q = Matrix.block [| [| q_state; z n p |]; [| z p n; Matrix.diagonal q_i |] |] in
+  (a_aug, Matrix.vcat b (z p m), q, Matrix.diagonal r_u)
+
+(* The design-time DAREs are mostly exact zeros, which the step skips
+   per structured factor where the oracle skips per left multiplier:
+   the LQR on an augmented ARX realization at both leaks the design
+   flow tries first, one that runs to the iteration cap, the Kalman
+   dual (A', C') and a B with an all-zero column. *)
+let structured_dares_match_oracle () =
+  let g = Prng.create 23L in
+  let same name (a, b, q, r) =
+    let got = Riccati.solve ~a ~b ~q ~r () in
+    same_dare_outcome name (oracle_dare ~a ~b ~q ~r ()) got;
+    got
+  in
+  let converged = ref 0 in
+  for case = 1 to 6 do
+    let m = if case mod 3 = 0 then 4 else 2 in
+    let sys = arx_realization g ~m in
+    let r_u = Array.init m (fun i -> if i mod 2 = 0 then 1. else 2.) in
+    List.iter
+      (fun (leak, q_y) ->
+        let name = Printf.sprintf "ARX %d, leak %g" case leak in
+        match same name (lqg_problem sys ~leak ~q_y ~r_u) with
+        | Ok _ -> incr converged
+        | Error _ -> ())
+      [ (1.0, [| 30.; 0.1 |]); (0.995, [| 0.1; 30. |]) ];
+    let a, _, c = sys in
+    let n = Matrix.rows a in
+    ignore
+      (same (Printf.sprintf "ARX %d, Kalman dual" case)
+         ( Matrix.transpose a,
+           Matrix.transpose c,
+           Matrix.scale 0.01 (Matrix.identity n),
+           Matrix.scale 0.1 (Matrix.identity 2) ))
+  done;
+  check_int "ARX LQRs converged" 12 !converged;
+  (* A near-rank-one DC gain leaves one integrator direction almost
+     uncontrollable: at leak 1 the iteration runs to the cap, as it does
+     on pixel8pro cluster 2 in the design flow. *)
+  let sys = arx_realization ~twin_inputs:true g ~m:2 in
+  (match
+     same "twin inputs, leak 1"
+       (lqg_problem sys ~leak:1.0 ~q_y:[| 30.; 0.1 |] ~r_u:[| 1.; 2. |])
+   with
+  | Error (Riccati.Not_converged { iterations; residual }) ->
+      check_int "capped steps" 10_001 iterations;
+      check_bool "finite last change" true (Float.is_finite residual)
+  | Ok _ | Error _ -> Alcotest.fail "expected Not_converged");
+  (* an input that drives nothing *)
+  let a, b, q, r =
+    lqg_problem (arx_realization g ~m:2) ~leak:0.995
+      ~q_y:[| 30.; 0.1 |] ~r_u:[| 1.; 2. |]
+  in
+  let b =
+    Matrix.init ~rows:(Matrix.rows b) ~cols:2 (fun i j ->
+        if j = 1 then 0. else Matrix.get b i j)
+  in
+  ignore (same "zero column of B" (a, b, q, r))
+
 let test_dare_matches_oracle () =
   let g = Prng.create 5L in
   for case = 1 to 20 do
@@ -524,6 +630,7 @@ let test_dare_matches_oracle () =
   let a = Matrix.of_list [ [ 2. ] ] and b = Matrix.of_list [ [ 0. ] ] in
   let q = Matrix.identity 1 and r = Matrix.identity 1 in
   same_dare_outcome "divergent" (oracle_dare ~a ~b ~q ~r ()) (Riccati.solve ~a ~b ~q ~r ());
+  structured_dares_match_oracle ();
   (* and a direct residual check on one converged system *)
   let a = Matrix.of_list [ [ 0.9; 0.1 ]; [ 0.; 0.8 ] ] and b = Matrix.identity 2 in
   let q = Matrix.identity 2 and r = Matrix.identity 2 in
