@@ -326,7 +326,7 @@ let identify ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem =
 
 type goal = { label : string; q_y : float array }
 
-let design_gains ?r_u ident goals =
+let design_gains ?pool ?r_u ident goals =
   let m = Statespace.num_inputs ident.statespace in
   let p = Statespace.num_outputs ident.statespace in
   let r_u =
@@ -336,42 +336,59 @@ let design_gains ?r_u ident goals =
         (* Paper §5: frequency twice as cheap to move as core count. *)
         Array.init m (fun i -> if i mod 2 = 0 then 1. else 2.)
   in
-  let rec build acc = function
-    | [] -> Ok (List.rev acc)
-    | goal :: rest -> (
-        if Array.length goal.q_y <> p then
-          Error
-            (Printf.sprintf "goal %s: q_y must have %d entries" goal.label p)
-        else
-          let w_max = Array.fold_left Float.max 1e-9 goal.q_y in
-          (* Integrator weights square the output-priority ratio so the
-             priority objective's integrator dominates steady-state
-             conflicts: a 30:1 Q ratio yields 900:1 integral authority —
-             the fixed controller pins its priority output at the
-             reference and lets the other float, as in Fig. 3. *)
-          let q_integrator =
-            Array.map (fun w -> 0.1 *. w *. w /. w_max) goal.q_y
-          in
-          match
-            Lqg.design ~q_integrator ~label:goal.label ~model:ident.statespace
-              ~q_y:goal.q_y ~r_u ()
-          with
-          | Error e ->
-              Error (Format.asprintf "goal %s: %a" goal.label Lqg.pp_error e)
-          | Ok gains ->
-              (* Robustness gate (Step 8); skipped for very wide systems
-                 where the 2^p uncertainty corners explode. *)
-              if
-                p <= 4
-                && not
-                     (Guardband.robustly_stable Guardband.paper_defaults ~gains)
-              then
-                Error
-                  (Printf.sprintf "goal %s: not robust under guardbands"
-                     goal.label)
-              else build (gains :: acc) rest)
+  (* One goal's LQG design (Step 7): a pure function of the shared,
+     read-only model and that goal's weights, so goals can run on any
+     domain in any order. *)
+  let design goal =
+    if Array.length goal.q_y <> p then
+      Error (Printf.sprintf "goal %s: q_y must have %d entries" goal.label p)
+    else
+      let w_max = Array.fold_left Float.max 1e-9 goal.q_y in
+      (* Integrator weights square the output-priority ratio so the
+         priority objective's integrator dominates steady-state
+         conflicts: a 30:1 Q ratio yields 900:1 integral authority —
+         the fixed controller pins its priority output at the
+         reference and lets the other float, as in Fig. 3. *)
+      let q_integrator =
+        Array.map (fun w -> 0.1 *. w *. w /. w_max) goal.q_y
+      in
+      match
+        Lqg.design ~q_integrator ~label:goal.label ~model:ident.statespace
+          ~q_y:goal.q_y ~r_u ()
+      with
+      | Error e -> Error (Format.asprintf "goal %s: %a" goal.label Lqg.pp_error e)
+      | Ok _ as gains -> gains
   in
-  build [] goals
+  (* Walk the designs in goal order through the robustness gate (Step
+     8), stopping at the first failure: [next ()] yields one goal's
+     design or raises what it raised. *)
+  let rec gate acc = function
+    | [] -> Ok (List.rev acc)
+    | next :: rest -> (
+        match next () with
+        | Error _ as e -> e
+        | Ok gains ->
+            (* Skipped for very wide systems where the 2^p uncertainty
+               corners explode. *)
+            if
+              p <= 4
+              && not (Guardband.robustly_stable Guardband.paper_defaults ~gains)
+            then
+              Error
+                (Printf.sprintf "goal %s: not robust under guardbands"
+                   gains.Lqg.label)
+            else gate (gains :: acc) rest)
+  in
+  if Spectr_exec.Pool.in_task () || List.compare_length_with goals 1 <= 0 then
+    (* Inside a pool task (fleet nodes, chaos cells, bench grids) the
+       enclosing map already fills the pool, and a single goal has
+       nothing to overlap: design each goal when the gate reaches it. *)
+    gate [] (List.map (fun goal () -> design goal) goals)
+  else
+    (* Every goal designs on the pool at once.  The gate stays on this
+       domain: it allocates heavily, and on a worker it would fill that
+       domain's minor heap as well. *)
+    gate [] (Spectr_exec.Parmap.map_deferred ?pool design goals)
 
 (* Gain design is a pure function of the identified model and the goal
    weights, and the identified model is itself memoized on

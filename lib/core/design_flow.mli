@@ -80,6 +80,7 @@ type goal = {
 }
 
 val design_gains :
+  ?pool:Spectr_exec.Pool.t ->
   ?r_u:float array ->
   identified ->
   goal list ->
@@ -88,7 +89,16 @@ val design_gains :
     2:1 frequency-over-cores effort costs, extended cyclically for wider
     input vectors.  Fails with a message naming the goal when a design
     does not come out robustly stable under the paper's uncertainty
-    guardbands (Step 8). *)
+    guardbands (Step 8).
+
+    With two or more goals the LQG designs run on [pool] (default: the
+    {!Spectr_exec.Parmap} default pool), and the guardband gate then
+    walks them in goal order on the calling domain.  Called from inside
+    any pool task ({!Spectr_exec.Pool.in_task}), it designs and gates
+    one goal after the other on the calling domain instead.  The result
+    is the sequential one either way, bit for bit: the first goal's
+    [Error] wins, and a design's exception propagates only when every
+    earlier goal passed. *)
 
 val design_gains_for :
   ?r_u:float array ->

@@ -1,10 +1,11 @@
 (** Ordered parallel map/iter over scenario lists.
 
-    Thin front over {!Pool}: a process-wide default pool is created
-    lazily (sized by {!Pool.default_jobs}, i.e. [SPECTR_JOBS] or the
-    recommended domain count) and shut down at exit.  All combinators
-    preserve submission order, so callers that compute first and print
-    second produce output byte-identical to a sequential run.
+    Thin front over {!Pool}: a process-wide default pool is created on
+    first use, from any domain (sized by {!Pool.default_jobs}, i.e.
+    [SPECTR_JOBS] or the recommended domain count), and shut down at
+    exit.  All combinators preserve submission order, so callers that
+    compute first and print second produce output byte-identical to a
+    sequential run.
 
     Pass [?pool] to use an explicit pool instead — tests use this to
     compare a forced 4-job pool against a 1-job one without touching the
@@ -25,3 +26,11 @@ val map_array : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
 
 val iter : ?pool:Pool.t -> ('a -> unit) -> 'a list -> unit
 (** Parallel [List.iter]; barrier semantics (returns after every task). *)
+
+val map_deferred : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> (unit -> 'b) list
+(** [map_deferred f xs] runs every [f x] like {!map}, but an exception
+    stays with its element instead of failing the whole map: the thunk
+    at position [i] returns [f] of the [i]-th element or re-raises its
+    exception with the original backtrace.  A caller that forces the
+    thunks in order and stops at its first failure sees exactly what a
+    sequential walk would have, never a later element's exception. *)

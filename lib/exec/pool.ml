@@ -13,7 +13,8 @@ type t = {
    detected here and rejected immediately instead of hanging.  Only the
    innermost pool is tracked: mapping over a *different* pool from
    inside a task is legal and the slot is saved/restored around each
-   task. *)
+   task.  The sequential path sets it too, so [in_task] and the
+   re-entrancy check do not depend on the job count. *)
 let running_in : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let c_maps = Spectr_obs.Counters.counter "pool.parallel_maps"
@@ -88,9 +89,22 @@ let shutdown t =
   t.workers <- [];
   List.iter Domain.join workers
 
-let map_seq f xs =
-  (* Match the parallel path's evaluation order (head first). *)
-  List.map f xs
+let in_task () = Option.is_some (Domain.DLS.get running_in)
+
+(* Run one application as a task of the pool in [me] (that pool's
+   marker, allocated once per map): the marker is set for its duration
+   and restored afterwards, also when [f] raises. *)
+let run_task me f x =
+  let saved = Domain.DLS.get running_in in
+  Domain.DLS.set running_in me;
+  match f x with
+  | y ->
+      Domain.DLS.set running_in saved;
+      y
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Domain.DLS.set running_in saved;
+      Printexc.raise_with_backtrace e bt
 
 let check_reentrant t =
   match Domain.DLS.get running_in with
@@ -104,21 +118,19 @@ let check_reentrant t =
 let map_array t f input =
   check_reentrant t;
   if t.jobs = 1 || t.workers = [] || Array.length input = 0 then
-    Array.map f input
+    Array.map (run_task (Some t) f) input
   else begin
     Spectr_obs.Counters.incr c_maps;
     let n = Array.length input in
     Spectr_obs.Counters.add c_tasks n;
+    let me = Some t in
     let results = Array.make n None in
     let errors = Array.make n None in
     let remaining = ref n in (* guarded by t.mutex *)
     let finished = Condition.create () in
     let task i () =
-      let saved = Domain.DLS.get running_in in
-      Domain.DLS.set running_in (Some t);
-      (try results.(i) <- Some (f input.(i))
+      (try results.(i) <- Some (run_task me f input.(i))
        with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-      Domain.DLS.set running_in saved;
       Mutex.lock t.mutex;
       decr remaining;
       if !remaining = 0 then Condition.broadcast finished;
@@ -155,5 +167,7 @@ let map_array t f input =
 
 let map t f xs =
   check_reentrant t;
-  if t.jobs = 1 || t.workers = [] || xs = [] then map_seq f xs
+  if t.jobs = 1 || t.workers = [] || xs = [] then
+    (* [List.map] evaluates head first, as the parallel path submits. *)
+    List.map (run_task (Some t) f) xs
   else Array.to_list (map_array t f (Array.of_list xs))

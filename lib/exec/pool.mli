@@ -16,8 +16,9 @@
     jobs spawns [n - 1] worker domains.  [map] must not be called from
     inside one of its own tasks (the pool is not re-entrant); such a
     call is detected via a domain-local marker and raises
-    [Invalid_argument] immediately instead of deadlocking.  Mapping over
-    a {e different} pool from inside a task is allowed. *)
+    [Invalid_argument] immediately instead of deadlocking, whatever the
+    job count.  Mapping over a {e different} pool from inside a task is
+    allowed. *)
 
 type t
 
@@ -49,6 +50,13 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** {!map} over arrays, without the list round-trip — the fleet engine
     fans thousands of shard descriptors out through this.  Same ordering,
     exception and re-entrancy contract as {!map}. *)
+
+val in_task : unit -> bool
+(** [true] while the calling domain runs a task of any pool — on a
+    worker, on the submitting domain draining its own map, or in a
+    one-job pool's sequential map.  Library code that could fan out
+    checks it to run inline instead, so work nested inside a pool task
+    never oversubscribes the host. *)
 
 val shutdown : t -> unit
 (** Join the worker domains.  Subsequent [map] calls fall back to

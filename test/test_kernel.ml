@@ -313,6 +313,92 @@ let test_pinned_gain_digests () =
       | Error msg -> Alcotest.failf "%s: design failed: %s" name msg)
     pinned_gains
 
+let with_pool ~jobs f =
+  let pool = Spectr_exec.Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Spectr_exec.Pool.shutdown pool) (fun () -> f pool)
+
+(* [design_gains] designs a key's goals on a pool unless it is already
+   inside a pool task; every schedule must give the pinned bits. *)
+let test_pinned_gain_digests_any_schedule () =
+  let keys =
+    List.map
+      (fun (name, subsystem, goals, digest) ->
+        (name, Spectr.Design_flow.identify subsystem, goals, digest))
+      pinned_gains
+  in
+  let digest_of name = function
+    | Ok gains -> gain_digest gains
+    | Error msg -> Alcotest.failf "%s: design failed: %s" name msg
+  in
+  let check_all setting results =
+    List.iter2
+      (fun (name, _, _, digest) result ->
+        check_string
+          (Printf.sprintf "%s gain digest, %s" name setting)
+          digest (digest_of name result))
+      keys results
+  in
+  let on_pool pool =
+    List.map
+      (fun (_, ident, goals, _) ->
+        Spectr.Design_flow.design_gains ~pool ident goals)
+      keys
+  in
+  with_pool ~jobs:4 (fun pool -> check_all "4-job pool" (on_pool pool));
+  with_pool ~jobs:1 (fun pool -> check_all "1-job pool" (on_pool pool));
+  with_pool ~jobs:2 (fun pool ->
+      let inline =
+        Spectr_exec.Pool.map pool
+          (fun (_, ident, goals, _) ->
+            (Spectr_exec.Pool.in_task (), Spectr.Design_flow.design_gains ident goals))
+          keys
+      in
+      check_bool "designed inside a pool task" true (List.for_all fst inline);
+      check_all "inside a pool task" (List.map snd inline))
+
+(* Whatever the schedule, [design_gains] returns what the sequential
+   walk returns: the first failing goal's [Error]. *)
+let test_design_gains_error_order () =
+  let ident = Spectr.Design_flow.identify Spectr.Design_flow.Big_2x2 in
+  let qos, power =
+    match Spectr.Mm.goals with [ q; p ] -> (q, p) | _ -> assert false
+  in
+  let short = { Spectr.Design_flow.label = "short"; q_y = [| 1. |] } in
+  let negative = { Spectr.Design_flow.label = "negative"; q_y = [| -1.; 1. |] } in
+  let short_msg = "goal short: q_y must have 2 entries" in
+  let negative_msg = "goal negative: bad weights: q_y entries must be nonnegative" in
+  let cases =
+    [
+      ("[short; good]", [ short; qos ], short_msg);
+      ("[good; short]", [ qos; short ], short_msg);
+      ("[good; good; short]", [ qos; power; short ], short_msg);
+      ("[negative; short]", [ negative; short ], negative_msg);
+      ("[good; negative; short]", [ qos; negative; short ], negative_msg);
+    ]
+  in
+  let expect name msg result =
+    match result with
+    | Ok _ -> Alcotest.failf "%s: expected Error %S" name msg
+    | Error got -> check_string name msg got
+  in
+  with_pool ~jobs:4 (fun pool ->
+      List.iter
+        (fun (name, goals, msg) ->
+          expect (name ^ ", 4-job pool") msg
+            (Spectr.Design_flow.design_gains ~pool ident goals);
+          expect (name ^ ", default pool") msg
+            (Spectr.Design_flow.design_gains ident goals);
+          (* Inside a task the goals design one after the other: the
+             sequential walk itself. *)
+          match
+            Spectr_exec.Pool.map pool
+              (fun () -> Spectr.Design_flow.design_gains ident goals)
+              [ () ]
+          with
+          | [ r ] -> expect (name ^ ", inside a pool task") msg r
+          | _ -> assert false)
+        cases)
+
 (* ------------------------------------------------------------------ *)
 (* Batch arena equivalence                                             *)
 (* ------------------------------------------------------------------ *)
@@ -665,6 +751,10 @@ let () =
             test_pinned_digests;
           Alcotest.test_case "pinned gain digests" `Slow
             test_pinned_gain_digests;
+          Alcotest.test_case "pinned gain digests on any schedule" `Slow
+            test_pinned_gain_digests_any_schedule;
+          Alcotest.test_case "design_gains error order" `Quick
+            test_design_gains_error_order;
         ] );
       ( "batch-arena",
         [
