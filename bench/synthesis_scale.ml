@@ -15,9 +15,9 @@
    saturation, exercising the forbidden, uncontrollable and blocking
    passes rather than just copying the product through.
 
-   Timings go to a table on stdout.  The deterministic pins of this
-   family (state counts, job-count invariance, modular = monolithic)
-   are tier-1 tests in test/test_automata.ml. *)
+   Wall-clock timings go to a table on stdout.  The deterministic pins
+   of this family (state counts, digests against the test oracle,
+   modular = monolithic) are tier-1 tests in test/test_automata.ml. *)
 
 open Spectr_automata
 
@@ -66,16 +66,18 @@ let budget_spec ~k ~cap =
     ~name:(Printf.sprintf "Budget%d" cap)
     ~initial:(state 0) ~transitions:!transitions ()
 
+let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+
 let timed f =
-  let t0 = Sys.time () in
+  let t0 = now_s () in
   let r = f () in
-  (r, Sys.time () -. t0)
+  (r, now_s () -. t0)
 
 let run () =
   Util.heading
     "Synthesis scale: k chained cluster plants vs. a shared budget spec";
-  Printf.printf "\n  %3s %4s %9s %9s %9s %9s %9s %9s %9s\n" "k" "cap"
-    "plant-Q" "product-Q" "sup-Q" "compose-s" "supcon-s" "par4-s" "verify-s";
+  Printf.printf "\n  %3s %4s %9s %9s %9s %9s %9s %9s\n" "k" "cap" "plant-Q"
+    "product-Q" "sup-Q" "compose-s" "supcon-s" "verify-s";
   List.iter
     (fun (k, cap) ->
       let plants = List.init k (fun i -> cluster (i + 1)) in
@@ -88,21 +90,6 @@ let run () =
       | Error Synthesis.Empty_supervisor ->
           failwith "synthesis-scale: unexpectedly empty supervisor"
       | Ok (sup, stats) ->
-          (* [supcon] is the engine at one job; digest and stats
-             equality with [supcon_par] at 4 jobs gate every row. *)
-          let par4, t_par4 =
-            timed (fun () -> Synthesis.supcon_par ~jobs:4 ~plant ~spec ())
-          in
-          (match par4 with
-          | Ok (s4, st4) ->
-              if
-                Automaton.structural_digest s4
-                <> Automaton.structural_digest sup
-              then failwith "synthesis-scale: supcon_par digest diverged";
-              if st4 <> stats then
-                failwith "synthesis-scale: supcon_par stats diverged"
-          | Error _ ->
-              failwith "synthesis-scale: supcon_par unexpectedly empty");
           let checks, t_verify =
             timed (fun () ->
                 ( Verify.is_nonblocking sup,
@@ -116,38 +103,29 @@ let run () =
              than the product. *)
           if Automaton.num_states sup >= stats.Synthesis.product_states then
             failwith "synthesis-scale: expected nontrivial pruning";
-          Printf.printf "  %3d %4d %9d %9d %9d %9.3f %9.3f %9.3f %9.3f\n" k
-            cap
+          Printf.printf "  %3d %4d %9d %9d %9d %9.3f %9.3f %9.3f\n" k cap
             (Automaton.num_states plant)
             stats.Synthesis.product_states (Automaton.num_states sup)
-            t_compose t_supcon t_par4 t_verify)
+            t_compose t_supcon t_verify)
     [ (4, 3); (6, 5); (8, 7); (10, 9) ];
   (* Modular synthesis: the plant components and the spec composed
      jointly, on the fly — the regime where the composed plant (3^k
      states) can no longer be materialized. *)
   Util.subheading
     "modular synthesis: plant components never composed up front";
-  Printf.printf "  %3s %4s %9s %9s %9s %9s\n" "k" "cap" "product-Q" "sup-Q"
-    "par1-s" "par4-s";
+  Printf.printf "  %3s %4s %9s %9s %9s\n" "k" "cap" "product-Q" "sup-Q"
+    "supcon-s";
   List.iter
     (fun (k, cap) ->
       let plants = List.init k (fun i -> cluster (i + 1)) in
       let spec = budget_spec ~k ~cap in
-      let run jobs = Synthesis.supcon_modular ~jobs ~plants ~spec () in
-      let r1, t1 = timed (fun () -> run 1) in
-      let r4, t4 = timed (fun () -> run 4) in
-      match (r1, r4) with
-      | Ok (s1, st1), Ok (s4, st4) ->
-          if
-            Automaton.structural_digest s1 <> Automaton.structural_digest s4
-          then failwith "synthesis-scale: modular digest depends on jobs";
-          if st1 <> st4 then
-            failwith "synthesis-scale: modular stats depend on jobs";
-          if not (Verify.is_nonblocking s1) then
+      match timed (fun () -> Synthesis.supcon_modular ~plants ~spec ()) with
+      | Ok (sup, stats), t ->
+          if not (Verify.is_nonblocking sup) then
             failwith "synthesis-scale: modular supervisor blocks";
-          Printf.printf "  %3d %4d %9d %9d %9.3f %9.3f\n" k cap
-            st1.Synthesis.product_states (Automaton.num_states s1) t1 t4
-      | _ -> failwith "synthesis-scale: modular unexpectedly empty")
+          Printf.printf "  %3d %4d %9d %9d %9.3f\n" k cap
+            stats.Synthesis.product_states (Automaton.num_states sup) t
+      | Error _, _ -> failwith "synthesis-scale: modular unexpectedly empty")
     [ (12, 9); (14, 7); (16, 6) ];
   (* The process-wide synthesis cache: a second synthesis of the smallest
      grid cell must be a hit (same structural digests), costing only the

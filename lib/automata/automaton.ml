@@ -202,33 +202,30 @@ let make_csr ~who ~describe n ~src ~event ~target =
   done;
   (row, ev, dst)
 
-let of_indexed_arrays ~name ~names ~alphabet ~initial ~marked ~forbidden ~src
-    ~event ~target =
+(* The checks shared by the trusted constructors. *)
+let check_flags ~who ~name ~initial ~marked ~forbidden =
   let n = Array.length marked in
   if Array.length forbidden <> n then
     invalid_arg
-      (Printf.sprintf
-         "Automaton.of_indexed %s: marked/forbidden length mismatch (%d vs %d)"
+      (Printf.sprintf "%s %s: marked/forbidden length mismatch (%d vs %d)" who
          name n (Array.length forbidden));
   if initial < 0 || initial >= n then
     invalid_arg
-      (Printf.sprintf "Automaton.of_indexed %s: initial %d out of range" name
-         initial);
+      (Printf.sprintf "%s %s: initial %d out of range" who name initial)
+
+(* The record of the trusted constructors, over CSR rows and flag arrays
+   it takes ownership of; names are computed on first use. *)
+let of_rows ~who ~name ~names ~alphabet ~initial ~marked ~forbidden
+    (row, ev, dst) =
+  let n = Array.length marked in
   let names_once =
     Once.make (fun () ->
        let a = names () in
        if Array.length a <> n then
          invalid_arg
-           (Printf.sprintf
-              "Automaton.of_indexed %s: names () returned %d names for %d \
-               states"
-              name (Array.length a) n);
+           (Printf.sprintf "%s %s: names () returned %d names for %d states"
+              who name (Array.length a) n);
        a)
-  in
-  let row, ev, dst =
-    make_csr
-      ~who:(Printf.sprintf "Automaton.of_indexed %s" name)
-      ~describe:string_of_int n ~src ~event ~target
   in
   {
     name;
@@ -241,10 +238,47 @@ let of_indexed_arrays ~name ~names ~alphabet ~initial ~marked ~forbidden ~src
     ev;
     dst;
     initial;
-    marked = Array.copy marked;
-    forbidden = Array.copy forbidden;
+    marked;
+    forbidden;
     digest = None;
   }
+
+let of_indexed_arrays ~name ~names ~alphabet ~initial ~marked ~forbidden ~src
+    ~event ~target =
+  let who = "Automaton.of_indexed" in
+  check_flags ~who ~name ~initial ~marked ~forbidden;
+  let rows =
+    make_csr ~who:(who ^ " " ^ name) ~describe:string_of_int
+      (Array.length marked) ~src ~event ~target
+  in
+  of_rows ~who ~name ~names ~alphabet ~initial ~marked:(Array.copy marked)
+    ~forbidden:(Array.copy forbidden) rows
+
+let of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row ~event
+    ~target =
+  let who = "Automaton.of_csr" in
+  check_flags ~who ~name ~initial ~marked ~forbidden;
+  let n = Array.length marked in
+  let malformed () =
+    invalid_arg (Printf.sprintf "%s %s: malformed rows" who name)
+  in
+  if
+    Array.length row <> n + 1
+    || row.(0) <> 0
+    || row.(n) <> Array.length event
+    || Array.length target <> Array.length event
+  then malformed ();
+  for s = 0 to n - 1 do
+    if row.(s + 1) < row.(s) then malformed ();
+    for k = row.(s) to row.(s + 1) - 2 do
+      if event.(k) >= event.(k + 1) then
+        invalid_arg
+          (Printf.sprintf "%s %s: row %d not strictly sorted by event id" who
+             name s)
+    done
+  done;
+  of_rows ~who ~name ~names ~alphabet ~initial ~marked ~forbidden
+    (row, event, target)
 
 let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
     ~transitions () =
@@ -535,78 +569,71 @@ let rec put_digits b p i =
   Bytes.set b p (Char.unsafe_chr (48 + (i mod 10)));
   p + 1
 
+(* Layout, uniquely decodable: the name, the state names and each
+   alphabet event (with 'c'/'u') as length-prefixed text fields, and
+   every count, row offset, event rank and target as an 8-byte
+   little-endian int; the marked and forbidden flags are one byte per
+   state each. *)
 let structural_digest a =
   match a.digest with
   | Some d -> d
   | None ->
       let names = Once.force a.names in
-      (* Each event's field, built once per event id rather than once per
-         transition. *)
-      let id e = Event.id e in
+      (* A transition names its event by the event's rank in the
+         alphabet section, looked up by id. *)
+      let id = Event.id in
       let lo = Event.Set.fold (fun e m -> min m (id e)) a.alphabet max_int in
       let hi = Event.Set.fold (fun e m -> max m (id e)) a.alphabet lo in
-      let fields = Array.make (hi - lo + 1) "" in
-      let field eid = fields.(eid - lo) in
+      let rank = Array.make (hi - lo + 1) 0 in
+      let text = ref 0 and r = ref 0 in
+      let field_len s = digits (String.length s) + 1 + String.length s in
       Event.Set.iter
         (fun e ->
-          let s = Event.name e in
-          fields.(id e - lo) <- string_of_int (String.length s) ^ ":" ^ s)
+          rank.(id e - lo) <- !r;
+          incr r;
+          text := !text + field_len (Event.name e) + 1)
         a.alphabet;
-      (* The exact size of what follows. *)
-      let field_len s = digits (String.length s) + 1 + String.length s in
-      let size = ref (field_len a.name + digits a.n + digits a.initial) in
-      Array.iter (fun s -> size := !size + field_len s) names;
-      Event.Set.iter
-        (fun e -> size := !size + String.length (field (id e)) + 1)
-        a.alphabet;
-      for s = 0 to a.n - 1 do
-        let ds = digits s + 1 in
-        for k = a.row.(s) to a.row.(s + 1) - 1 do
-          size :=
-            !size + ds + String.length (field a.ev.(k)) + digits a.dst.(k)
-        done
-      done;
-      (* Written into one exactly sized buffer and hashed in place. *)
-      let b = Bytes.create (!size + (2 * a.n)) in
+      text := !text + field_len a.name;
+      Array.iter (fun s -> text := !text + field_len s) names;
+      let t = Array.length a.ev in
+      let b = Bytes.create (!text + (8 * (a.n + 4 + (2 * t))) + (2 * a.n)) in
       let p = ref 0 in
       let chr c =
         Bytes.set b !p c;
         incr p
       in
-      let num i = p := put_digits b !p i in
-      let str s =
+      let int i =
+        Bytes.set_int64_le b !p (Int64.of_int i);
+        p := !p + 8
+      in
+      let add s =
+        p := put_digits b !p (String.length s);
+        chr ':';
         Bytes.blit_string s 0 b !p (String.length s);
         p := !p + String.length s
       in
-      (* Length-prefixed fields so adjacent strings cannot run together. *)
-      let add s =
-        num (String.length s);
-        chr ':';
-        str s
-      in
       add a.name;
-      num a.n;
+      int a.n;
+      int a.initial;
       Array.iter add names;
-      num a.initial;
+      int !r;
       Event.Set.iter
         (fun e ->
-          str (field (id e));
+          add (Event.name e);
           chr (if Event.is_controllable e then 'c' else 'u'))
         a.alphabet;
       (* CSR order: by source index, then event id — deterministic within
          a process (intern order), which is all the in-process cache
          needs. *)
-      for s = 0 to a.n - 1 do
-        for k = a.row.(s) to a.row.(s + 1) - 1 do
-          num s;
-          chr ',';
-          str (field a.ev.(k));
-          num a.dst.(k)
-        done
+      Array.iter int a.row;
+      for k = 0 to t - 1 do
+        int rank.(a.ev.(k) - lo);
+        int a.dst.(k)
       done;
       Array.iter (fun m -> chr (if m then '1' else '0')) a.marked;
       Array.iter (fun m -> chr (if m then '1' else '0')) a.forbidden;
-      let d = Digest.to_hex (Digest.subbytes b 0 !p) in
+      assert (!p = Bytes.length b);
+      let d = Digest.to_hex (Digest.bytes b) in
       a.digest <- Some d;
       d
 

@@ -87,8 +87,8 @@ val of_indexed_arrays :
     Unlike {!create} it performs no string interning and no state
     collection, only a cheap nondeterminism scan after the CSR build
     ([Invalid_argument] naming the state index and event id).  The
-    caller contract (who may call it: {!Compose}, {!Synthesis},
-    {!restrict_indices} — outputs that are deterministic and consistently
+    caller contract (who may call it: {!Compose} and {!restrict_indices}
+    — outputs that are deterministic and consistently
     indexed {e by construction}):
     - the three arrays have equal length;
     - every event id in [event] belongs to [alphabet];
@@ -98,6 +98,27 @@ val of_indexed_arrays :
       escaping {!product_state_name} join guarantees distinctness for
       products).  Duplicate names are reported — [Invalid_argument] —
       when the name table is first materialized, not at construction. *)
+
+val of_csr :
+  name:string ->
+  names:(unit -> string array) ->
+  alphabet:Event.Set.t ->
+  initial:int ->
+  marked:bool array ->
+  forbidden:bool array ->
+  row:int array ->
+  event:int array ->
+  target:int array ->
+  t
+(** {b Trusted constructor} over rows already in CSR order: state [i]'s
+    transitions are [row.(i) .. row.(i + 1) - 1] of [event]/[target],
+    strictly increasing by event id within the row.  The caller contract
+    is {!of_indexed_arrays}' (for {!Synthesis}' supervisor extraction),
+    with the rows given instead of a transition list, so nothing is
+    scattered or sorted.  The automaton takes ownership of the five
+    arrays: the caller must not mutate them afterwards.  A linear scan
+    rejects a malformed row table or an unsorted row
+    ([Invalid_argument]). *)
 
 (** {1 Inspection} *)
 
@@ -235,14 +256,17 @@ val unescape_state_name : string -> string
 
 val structural_digest : t -> string
 (** Hex digest of the automaton's full structure (name, state names in
-    index order, alphabet with controllability, transitions, initial,
-    marked and forbidden sets).  Two automata with equal digests are
-    structurally identical; the synthesis cache uses this as its key.
-    Transitions are digested in CSR order (by source index, then event
-    {e id}), so the digest is deterministic within a process — which is
-    what the in-process cache needs — but not across processes, where
-    intern order may differ.  Cached after the first call; forces the
-    name table. *)
+    index order, alphabet with controllability, initial state,
+    transitions, marked and forbidden sets).  Two automata with equal
+    digests are structurally identical; the synthesis cache uses this as
+    its key.  The names and the alphabet are hashed as length-prefixed
+    text; the counts, the [n + 1] row offsets and, per transition, the
+    event's rank in the alphabet and the target as fixed-width binary
+    ints, all in one exactly sized buffer.  Transitions are digested in
+    CSR order (by source index, then event {e id}), so the digest is
+    deterministic within a process — which is what the in-process cache
+    needs — but not across processes, where intern order may differ.
+    Cached after the first call; forces the name table. *)
 
 (** {1 Comparison} *)
 

@@ -9,10 +9,6 @@ type t
 val create : unit -> t
 (** An empty table; it holds 64 entries before its first growth. *)
 
-val hash : int -> int
-(** The table's non-negative mixing hash of a key; {!Synthesis} shards
-    joint states by it. *)
-
 val put : t -> int -> int -> int
 (** [put t key v] inserts [key -> v] when [key] is absent and returns
     [-1]; otherwise it leaves the table unchanged and returns the value

@@ -1,8 +1,8 @@
 (* Growable int array — the scratch structure of the index-native
    algorithms (compose, synthesis), which accumulate transitions and
    state maps of unknown size without consing a list per element.  The
-   synthesis engine additionally reuses vectors across rounds ([clear])
-   and reads its state-indexed vectors in place through [data]. *)
+   synthesis engine reads its state-indexed vectors in place through
+   [data]. *)
 
 type t = { mutable a : int array; mutable len : int }
 
@@ -28,6 +28,5 @@ let pop v =
   v.len <- v.len - 1;
   v.a.(v.len)
 
-let clear v = v.len <- 0
 let to_array v = Array.sub v.a 0 v.len
 let data v = v.a

@@ -18,14 +18,10 @@ val pop : t -> int
 (** Remove and return the last element (LIFO use as a worklist stack).
     Raises [Invalid_argument] when empty. *)
 
-val clear : t -> unit
-(** Reset the length to zero, keeping the backing storage — per-round
-    reuse of frontier and spill buffers. *)
-
 val to_array : t -> int array
 
 val data : t -> int array
 (** The backing array itself, no copy: elements [0 .. length - 1] are the
     vector's, the rest is spare capacity.  A later {!push} may replace
     it, so hold it only while nothing pushes — the synthesis engine
-    reads its state keys, row offsets and canonical maps this way. *)
+    reads its state keys, row offsets and flags this way. *)

@@ -34,40 +34,30 @@ val supcon :
   plant:Automaton.t ->
   spec:Automaton.t ->
   (Automaton.t * stats, error) result
-(** [supcon ~plant ~spec] synthesizes the supervisor; it is
-    [supcon_par ~jobs:1 ~plant ~spec ()] — one engine serves every job
-    count.  Product states are named ["qG.qE"] as in Fig. 12d.  The
-    returned automaton is both the supervisor realization and the
-    closed-loop behaviour (standard for state-feedback RW supervisors);
-    it is guaranteed controllable w.r.t. [plant], non-blocking and trim
-    — properties re-checked by {!Verify.controllable} and
-    {!Verify.nonblocking} in the test-suite. *)
+(** [supcon ~plant ~spec] synthesizes the supervisor.  Product states
+    are named ["qG.qE"] as in Fig. 12d.  The returned automaton is both
+    the supervisor realization and the closed-loop behaviour (standard
+    for state-feedback RW supervisors); it is guaranteed controllable
+    w.r.t. [plant], non-blocking and trim — properties re-checked by
+    {!Verify.controllable} and {!Verify.nonblocking} in the test-suite.
+
+    One sequential engine, on the calling domain, serves this and
+    {!supcon_modular}.  Product states are numbered in BFS discovery
+    order (each component's row in event-id order, an event handled by
+    its lowest-indexed owner), and each fixpoint pass computes a unique
+    complete fixpoint, so the result — supervisor states, names,
+    transitions, {!Automaton.structural_digest} and {!stats} — is a
+    function of the inputs alone.
+
+    {b Memory.}  Besides the product, each call builds a dense step
+    table for every component that is some event's non-first owner (in
+    [supcon], the spec): [n_c × |Σ_c|] words for a component with [n_c]
+    states and alphabet [Σ_c], so each such owner is consulted with one
+    array read. *)
 
 val supcon_exn : plant:Automaton.t -> spec:Automaton.t -> Automaton.t
 (** Like {!supcon} but raising [Failure] on an empty result and dropping
     the statistics; convenient in examples. *)
-
-val supcon_par :
-  ?jobs:int ->
-  plant:Automaton.t ->
-  spec:Automaton.t ->
-  unit ->
-  (Automaton.t * stats, error) result
-(** The synthesis engine.  [jobs] workers (default 1) explore the
-    reachable product with per-shard open-addressing state tables and
-    per-worker frontiers, then run the uncontrollable/blocking fixpoint
-    over contiguous state ranges with cross-shard spill queues; one job
-    runs inline on the caller.
-
-    {b Determinism contract}: for any [jobs], the result — supervisor
-    states, names, transitions, {!Automaton.structural_digest} and
-    {!stats} — is byte-identical.  Product states are numbered in BFS
-    discovery order (plant row in event-id order, then the spec's
-    private events), and the exploration gives each state that index
-    when it is discovered: workers expand contiguous slices of a level,
-    and the level's fresh states are ranked by their first occurrence.
-    Each fixpoint pass computes a unique complete fixpoint, so its
-    removal counts are traversal-order-free. *)
 
 val supcon_modular :
   ?jobs:int ->
@@ -83,6 +73,11 @@ val supcon_modular :
     naming (joint states are named by the flat
     {!Automaton.product_state_names} join rather than the nested
     pairwise join): same state count, same transition structure
-    ({!Automaton.isomorphic}), same {!stats}.  Deterministic in [jobs]
-    like {!supcon_par}, and run by the same engine.  Raises [Invalid_argument] when [plants] is
-    empty or the joint index space overflows the int key range. *)
+    ({!Automaton.isomorphic}), same {!stats}.  Run by the same engine as
+    {!supcon}; every plant component except the first that shares an
+    event with an earlier one gets a step table too.
+
+    [jobs] is ignored: the engine is sequential.  The argument is kept
+    only until the benchmark's caller stops passing it, and will be
+    removed.  Raises [Invalid_argument] when [plants] is empty or the
+    joint index space overflows the int key range. *)

@@ -31,11 +31,7 @@ val supcon :
   plant:Automaton.t ->
   spec:Automaton.t ->
   (Automaton.t * Synthesis.stats, Synthesis.error) result
-(** Memoized {!Synthesis.supcon}, the engine at one job.  Every
-    synthesis the library requests is small (a few hundred product
-    cells), where domain spawns and barrier rounds would cost more than
-    the synthesis; callers that want workers call
-    {!Synthesis.supcon_par} directly. *)
+(** Memoized {!Synthesis.supcon}. *)
 
 val stats : unit -> int * int
 (** [(hits, misses)] since start-up (or the last {!clear}). *)

@@ -860,8 +860,9 @@ let csr_events =
 
 (* Seeded random deterministic triple sets over a fixed alphabet, fed in
    shuffled order: the builder must produce exactly the reference rows
-   (event ids and destinations, in order); with one triple duplicated on
-   another destination it must fail with the reference's message. *)
+   (event ids and destinations, in order), which of_csr takes back as
+   they are; with one triple duplicated on another destination it must
+   fail with the reference's message. *)
 let test_csr_matches_reference () =
   let alphabet = Event.set_of_list (Array.to_list csr_events) in
   for seed = 0 to 49 do
@@ -887,8 +888,35 @@ let test_csr_matches_reference () =
         ~target:(Array.map (fun (_, _, d) -> d) trans)
     in
     let who = "Automaton.of_indexed CSR" in
-    if rows_of (build trans) <> ref_rows ~who n trans then
+    let built = build trans in
+    if rows_of built <> ref_rows ~who n trans then
       Alcotest.failf "seed %d: CSR rows differ from the reference" seed;
+    (* of_csr over the built rows is the same automaton; a row whose
+       first two events are swapped is rejected. *)
+    let of_csr ~row ~event ~target =
+      Automaton.of_csr ~name:"CSR"
+        ~names:(fun () -> Array.init n string_of_int)
+        ~alphabet ~initial:0 ~marked:(Array.make n true)
+        ~forbidden:(Array.make n false) ~row ~event ~target
+    in
+    let row, ev, dst = Automaton.csr built in
+    if
+      Automaton.structural_digest
+        (of_csr ~row:(Array.copy row) ~event:(Array.copy ev)
+           ~target:(Array.copy dst))
+      <> Automaton.structural_digest built
+    then Alcotest.failf "seed %d: of_csr differs from of_indexed_arrays" seed;
+    let wide = List.filter (fun s -> row.(s + 1) - row.(s) >= 2) in
+    (match wide (List.init n Fun.id) with
+    | s :: _ ->
+        let ev' = Array.copy ev in
+        ev'.(row.(s)) <- ev.(row.(s) + 1);
+        ev'.(row.(s) + 1) <- ev.(row.(s));
+        check_bool "unsorted row rejected" true
+          (match of_csr ~row ~event:ev' ~target:dst with
+          | _ -> false
+          | exception Invalid_argument _ -> true)
+    | [] -> ());
     if Array.length trans > 0 then begin
       let s, e, d = trans.(Random.State.int rng (Array.length trans)) in
       let bad = Array.append trans [| (s, e, (d + 1) mod n) |] in
@@ -1036,6 +1064,48 @@ let test_digest_deterministic () =
     (Automaton.structural_digest p1)
     (Automaton.structural_digest p2)
 
+(* The digest's encoding is injective on single edits: starting from one
+   automaton, changing exactly one of its parts changes the digest.  The
+   row move keeps the flattened (event, target) sequence and the
+   transition count, so only the row offsets tell the two apart. *)
+let test_digest_injective () =
+  let a = Event.controllable "dinj_a" in
+  let b_u = Event.uncontrollable "dinj_b" in
+  let b_c = Event.controllable "dinj_b" in
+  let build ?(name = "DI") ?(names = [| "s0"; "s1"; "s2" |]) ?(b = b_u)
+      ?(marked = [| true; false; false |])
+      ?(forbidden = [| false; false; false |])
+      ?(trans = [ (0, a, 1); (1, b_u, 2); (2, a, 0) ]) () =
+    let trans =
+      List.map (fun (s, e, d) -> (s, (if e == b_u then b else e), d)) trans
+    in
+    let field f = Array.of_list (List.map f trans) in
+    Automaton.of_indexed_arrays ~name
+      ~names:(fun () -> Array.copy names)
+      ~alphabet:(Event.set_of_list [ a; b ])
+      ~initial:0 ~marked ~forbidden
+      ~src:(field (fun (s, _, _) -> s))
+      ~event:(field (fun (_, e, _) -> Event.id e))
+      ~target:(field (fun (_, _, d) -> d))
+  in
+  let base = Automaton.structural_digest (build ()) in
+  check_string "rebuilt base digests the same" base
+    (Automaton.structural_digest (build ()));
+  List.iter
+    (fun (what, v) ->
+      check_bool what false (String.equal base (Automaton.structural_digest v)))
+    [
+      ("automaton name", build ~name:"DJ" ());
+      ("one state name", build ~names:[| "s0"; "t1"; "s2" |] ());
+      ("one event's controllability", build ~b:b_c ());
+      ( "one transition's target",
+        build ~trans:[ (0, a, 1); (1, b_u, 2); (2, a, 1) ] () );
+      ( "one transition moved to another row",
+        build ~trans:[ (0, a, 1); (0, b_u, 2); (2, a, 0) ] () );
+      ("one marked bit", build ~marked:[| true; true; false |] ());
+      ("one forbidden bit", build ~forbidden:[| false; false; true |] ());
+    ]
+
 let test_unescape_state_name () =
   check_string "product escape undone" "Eval.Safe.Uncapped"
     (Automaton.unescape_state_name "Eval\\.Safe.Uncapped");
@@ -1045,8 +1115,8 @@ let test_unescape_state_name () =
     (Automaton.unescape_state_name "plain")
 
 (* ------------------------------------------------------------------ *)
-(* Parallel synthesis: supcon_par / supcon_modular / the bugfixed      *)
-(* passes, pinned against their sequential references.                 *)
+(* The synthesis engine: supcon / supcon_modular / the bugfixed passes, *)
+(* pinned against their references.                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* The bench's k-cluster plant family and shared budget spec, reduced:
@@ -1083,77 +1153,50 @@ let cluster_budget_spec ~k ~cap =
     ~name:(Printf.sprintf "Bud%d" cap)
     ~initial:(state 0) ~transitions:!transitions ()
 
-(* The engine's hard pin: for any job count, supcon_par (and supcon,
-   which is supcon_par at one job) returns a result byte-identical to
+(* The engine's hard pin: supcon returns a result byte-identical to
    the independent sequential oracle — same digest (hence same states,
    names and transitions), same stats, same Verify verdicts. *)
-let test_supcon_par_matches_sequential () =
+let test_supcon_matches_oracle () =
   for seed = 0 to 59 do
     let plant = random_automaton ~seed ~name:"PP" in
     let spec = random_automaton ~seed:(seed + 3000) ~name:"PS" in
-    let seq = Supcon_oracle.supcon ~plant ~spec in
-    List.iter
-      (fun (jobs, engine) ->
-        match (seq, engine ()) with
-        | Error Synthesis.Empty_supervisor, Error Synthesis.Empty_supervisor ->
-            ()
-        | Ok (sa, ta), Ok (sb, tb) ->
-            if
-              Automaton.structural_digest sa
-              <> Automaton.structural_digest sb
-            then
-              Alcotest.failf "seed %d jobs %d: supcon_par digest differs" seed
-                jobs;
-            if ta <> tb then
-              Alcotest.failf "seed %d jobs %d: supcon_par stats differ" seed
-                jobs;
-            let verdict s = Verify.controllable ~plant ~supervisor:s = Ok () in
-            if verdict sa <> verdict sb then
-              Alcotest.failf "seed %d jobs %d: controllability verdicts differ"
-                seed jobs
-        | Ok _, Error _ ->
-            Alcotest.failf "seed %d jobs %d: par empty, sequential not" seed
-              jobs
-        | Error _, Ok _ ->
-            Alcotest.failf "seed %d jobs %d: sequential empty, par not" seed
-              jobs)
-      ((1, fun () -> Synthesis.supcon ~plant ~spec)
-      :: List.map
-           (fun jobs ->
-             (jobs, fun () -> Synthesis.supcon_par ~jobs ~plant ~spec ()))
-           [ 2; 3; 4; 8 ])
+    match (Supcon_oracle.supcon ~plant ~spec, Synthesis.supcon ~plant ~spec) with
+    | Error Synthesis.Empty_supervisor, Error Synthesis.Empty_supervisor -> ()
+    | Ok (sa, ta), Ok (sb, tb) ->
+        if Automaton.structural_digest sa <> Automaton.structural_digest sb
+        then Alcotest.failf "seed %d: supcon digest differs" seed;
+        if ta <> tb then Alcotest.failf "seed %d: supcon stats differ" seed;
+        let verdict s = Verify.controllable ~plant ~supervisor:s = Ok () in
+        if verdict sa <> verdict sb then
+          Alcotest.failf "seed %d: controllability verdicts differ" seed
+    | Ok _, Error _ -> Alcotest.failf "seed %d: supcon empty, oracle not" seed
+    | Error _, Ok _ -> Alcotest.failf "seed %d: oracle empty, supcon not" seed
   done
 
 (* The k = 9, cap = 8 member is the synth benchmark's monolithic
    family: 21457 product and 16867 supervisor states; k = 4, cap = 3 is
    the first row of the synthesis-scale bench. *)
-let test_supcon_par_cluster_family () =
+let test_supcon_cluster_family () =
   List.iter
     (fun (k, cap, sizes) ->
       let plant = Compose.all (List.init k (fun i -> cluster_plant (i + 1))) in
       let spec = cluster_budget_spec ~k ~cap in
-      let oracle = Supcon_oracle.supcon ~plant ~spec in
-      List.iter
-        (fun jobs ->
-          match (oracle, Synthesis.supcon_par ~jobs ~plant ~spec ()) with
-          | Ok (sa, ta), Ok (sb, tb) ->
-              check_string
-                (Printf.sprintf "k=%d jobs=%d digest identical" k jobs)
-                (Automaton.structural_digest sa)
-                (Automaton.structural_digest sb);
-              check_bool
-                (Printf.sprintf "k=%d jobs=%d stats identical" k jobs)
-                true (ta = tb);
-              Option.iter
-                (fun (product, supervisor) ->
-                  check_int (Printf.sprintf "k=%d product states" k) product
-                    tb.Synthesis.product_states;
-                  check_int
-                    (Printf.sprintf "k=%d supervisor states" k)
-                    supervisor (Automaton.num_states sb))
-                sizes
-          | _ -> Alcotest.failf "k=%d: unexpected empty supervisor" k)
-        [ 1; 2; 3; 4 ])
+      match (Supcon_oracle.supcon ~plant ~spec, Synthesis.supcon ~plant ~spec) with
+      | Ok (sa, ta), Ok (sb, tb) ->
+          check_string
+            (Printf.sprintf "k=%d digest identical" k)
+            (Automaton.structural_digest sa)
+            (Automaton.structural_digest sb);
+          check_bool (Printf.sprintf "k=%d stats identical" k) true (ta = tb);
+          Option.iter
+            (fun (product, supervisor) ->
+              check_int (Printf.sprintf "k=%d product states" k) product
+                tb.Synthesis.product_states;
+              check_int
+                (Printf.sprintf "k=%d supervisor states" k)
+                supervisor (Automaton.num_states sb))
+            sizes
+      | _ -> Alcotest.failf "k=%d: unexpected empty supervisor" k)
     [
       (2, 1, None);
       (4, 3, Some (89, 33));
@@ -1161,12 +1204,11 @@ let test_supcon_par_cluster_family () =
       (9, 8, Some (21457, 16867));
     ]
 
-(* Wide families numbered identically at every job count — the
-   multi-job exploration assigns canonical indices itself — with
-   nonblocking supervisors: k = 10, cap = 6 (39045 product, 12585
-   supervisor states) and the synth benchmark's k = 11, cap = 6 (79839
-   and 21627). *)
-let test_supcon_modular_wide_family_jobs () =
+(* Wide families with nonblocking supervisors: k = 10, cap = 6 (39045
+   product, 12585 supervisor states) and the synth benchmark's k = 11,
+   cap = 6 (79839 and 21627).  [jobs] is ignored, so four jobs return
+   the one-job digest and stats. *)
+let test_supcon_modular_wide_family () =
   List.iter
     (fun (k, cap, product, supervisor) ->
       let plants = List.init k (fun i -> cluster_plant (i + 1)) in
@@ -1183,15 +1225,11 @@ let test_supcon_modular_wide_family_jobs () =
         (Automaton.num_states s1);
       check_bool (Printf.sprintf "k=%d nonblocking" k) true
         (Verify.nonblocking s1 = Ok ());
-      List.iter
-        (fun jobs ->
-          let d, st, _ = run jobs in
-          check_string (Printf.sprintf "k=%d jobs=%d digest identical" k jobs)
-            d1 d;
-          check_bool
-            (Printf.sprintf "k=%d jobs=%d stats identical" k jobs)
-            true (st = st1))
-        [ 2; 3; 8 ])
+      if k = 10 then begin
+        let d4, st4, _ = run 4 in
+        check_string "jobs=4 digest identical" d1 d4;
+        check_bool "jobs=4 stats identical" true (st4 = st1)
+      end)
     [ (10, 6, 39045, 12585); (11, 6, 79839, 21627) ]
 
 (* Modular synthesis never materializes the composed plant; its result
@@ -1201,34 +1239,29 @@ let test_supcon_modular_matches_monolithic () =
     (fun (k, cap) ->
       let plants = List.init k (fun i -> cluster_plant (i + 1)) in
       let spec = cluster_budget_spec ~k ~cap in
-      let mono = Synthesis.supcon ~plant:(Compose.all plants) ~spec in
-      List.iter
-        (fun jobs ->
-          match (mono, Synthesis.supcon_modular ~jobs ~plants ~spec ()) with
-          | Ok (sa, ta), Ok (sb, tb) ->
-              check_bool
-                (Printf.sprintf "k=%d jobs=%d isomorphic" k jobs)
-                true
-                (Automaton.isomorphic sa sb);
-              check_bool
-                (Printf.sprintf "k=%d jobs=%d stats" k jobs)
-                true (ta = tb);
-              check_bool
-                (Printf.sprintf "k=%d jobs=%d nonblocking" k jobs)
-                true
-                (Verify.nonblocking sb = Ok ())
-          | _ -> Alcotest.failf "k=%d jobs=%d: unexpected empty" k jobs)
-        [ 1; 4 ])
+      match
+        ( Synthesis.supcon ~plant:(Compose.all plants) ~spec,
+          Synthesis.supcon_modular ~plants ~spec () )
+      with
+      | Ok (sa, ta), Ok (sb, tb) ->
+          check_bool
+            (Printf.sprintf "k=%d isomorphic" k)
+            true (Automaton.isomorphic sa sb);
+          check_bool (Printf.sprintf "k=%d stats" k) true (ta = tb);
+          check_bool
+            (Printf.sprintf "k=%d nonblocking" k)
+            true
+            (Verify.nonblocking sb = Ok ())
+      | _ -> Alcotest.failf "k=%d: unexpected empty" k)
     [ (2, 1); (3, 2); (4, 3); (6, 5) ]
 
-(* Bytes per transition on the calling domain for the k = 8, cap = 7
-   family (7313 product states), counted with Gc.allocated_bytes after
-   emptying the minor heap, so that older objects are not promoted (and
-   so subtracted) during the run.  One-job modular synthesis and
-   Compose.all of the 8 clusters may allocate half of what the engine
-   before the in-place CSR and the single sharded engine did (469.2 and
-   319.5 B); two-job modular synthesis 10 % over the 107.0 B it read
-   when the exploration began numbering states canonically. *)
+(* Bytes per transition for the k = 8, cap = 7 family (7313 product
+   states), counted with Gc.allocated_bytes after emptying the minor
+   heap, so that older objects are not promoted (and so subtracted)
+   during the run.  Modular synthesis may allocate 10 % over the 64.9 B
+   it reads with one int per product transition and the supervisor's
+   rows handed over in CSR order; Compose.all of the 8 clusters half of
+   what it read before the in-place CSR (319.5 B). *)
 let test_synthesis_alloc_budgets () =
   let plants = List.init 8 (fun i -> cluster_plant (i + 1)) in
   let spec = cluster_budget_spec ~k:8 ~cap:7 in
@@ -1243,23 +1276,18 @@ let test_synthesis_alloc_budgets () =
       (Printf.sprintf "%s: %.1f B/transition (budget %.1f)" name per budget)
       true (per <= budget)
   in
-  List.iter
-    (fun (jobs, budget) ->
-      gate
-        (Printf.sprintf "supcon_modular k=8 cap=7 jobs=%d" jobs)
-        ~budget
-        ~transitions:(function
-          | Ok (_, st) when st.Synthesis.product_states = 7313 ->
-              Automaton.num_transitions product
-          | _ -> Alcotest.fail "k=8 cap=7 lost its 7313 product states")
-        (fun () -> Synthesis.supcon_modular ~jobs ~plants ~spec ()))
-    [ (1, 469.2 *. 0.5); (2, 107.0 *. 1.1) ];
+  gate "supcon_modular k=8 cap=7" ~budget:(64.9 *. 1.1)
+    ~transitions:(function
+      | Ok (_, st) when st.Synthesis.product_states = 7313 ->
+          Automaton.num_transitions product
+      | _ -> Alcotest.fail "k=8 cap=7 lost its 7313 product states")
+    (fun () -> Synthesis.supcon_modular ~plants ~spec ());
   gate "Compose.all 8 clusters" ~budget:(319.5 *. 0.5)
     ~transitions:Automaton.num_transitions (fun () -> Compose.all plants)
 
 (* Empty-supervisor edge case: the initial state is uncontrollably bad
-   on every path, sequential and parallel alike. *)
-let test_supcon_par_empty () =
+   on every path, for the engine and the oracle alike. *)
+let test_engine_empty () =
   let breaks = Event.uncontrollable "par_breaks" in
   let plant =
     Automaton.create ~name:"PE" ~initial:"Up"
@@ -1271,19 +1299,18 @@ let test_supcon_par_empty () =
       ~transitions:[ ("Ok", breaks, "Bad") ]
       ()
   in
-  List.iter
-    (fun jobs ->
-      check_bool
-        (Printf.sprintf "jobs=%d empty" jobs)
-        true
-        (Synthesis.supcon_par ~jobs ~plant ~spec ()
-        = Error Synthesis.Empty_supervisor))
-    [ 1; 4 ]
+  check_bool "oracle empty" true
+    (Supcon_oracle.supcon ~plant ~spec = Error Synthesis.Empty_supervisor);
+  check_bool "supcon empty" true
+    (Synthesis.supcon ~plant ~spec = Error Synthesis.Empty_supervisor);
+  check_bool "supcon_modular empty" true
+    (Synthesis.supcon_modular ~plants:[ plant ] ~spec ()
+    = Error Synthesis.Empty_supervisor)
 
 (* A spec-private uncontrollable event is not a plant escape: the plant
    cannot generate it, so disabling it is free.  Pinned against the
-   sequential engine, which encodes the same ownership rule. *)
-let test_supcon_par_spec_private_uncontrollable () =
+   oracle, which encodes the same ownership rule. *)
+let test_supcon_spec_private_uncontrollable () =
   let shared = Event.controllable "par_shared" in
   let private_u = Event.uncontrollable "par_spec_priv" in
   let plant =
@@ -1296,10 +1323,7 @@ let test_supcon_par_spec_private_uncontrollable () =
       ~transitions:[ ("S0", shared, "S1"); ("S1", private_u, "S0") ]
       ()
   in
-  match
-    ( Supcon_oracle.supcon ~plant ~spec,
-      Synthesis.supcon_par ~jobs:4 ~plant ~spec () )
-  with
+  match (Supcon_oracle.supcon ~plant ~spec, Synthesis.supcon ~plant ~spec) with
   | Ok (sa, ta), Ok (sb, tb) ->
       check_string "digest identical" (Automaton.structural_digest sa)
         (Automaton.structural_digest sb);
@@ -1537,25 +1561,27 @@ let () =
             test_index_api_roundtrip;
           Alcotest.test_case "structural digest deterministic" `Quick
             test_digest_deterministic;
+          Alcotest.test_case "structural digest injective on single edits"
+            `Quick test_digest_injective;
           Alcotest.test_case "unescape_state_name" `Quick
             test_unescape_state_name;
         ] );
       ( "parallel-synthesis",
         [
-          Alcotest.test_case "supcon_par matches sequential (60 seeds)" `Quick
-            test_supcon_par_matches_sequential;
-          Alcotest.test_case "supcon_par on the cluster family" `Quick
-            test_supcon_par_cluster_family;
+          Alcotest.test_case "supcon matches the oracle (60 seeds)" `Quick
+            test_supcon_matches_oracle;
+          Alcotest.test_case "supcon on the cluster family" `Quick
+            test_supcon_cluster_family;
           Alcotest.test_case "supcon_modular matches monolithic" `Quick
             test_supcon_modular_matches_monolithic;
-          Alcotest.test_case "supcon_modular wide family at 1, 2, 3, 8 jobs"
-            `Quick test_supcon_modular_wide_family_jobs;
+          Alcotest.test_case "supcon_modular wide family at k = 10 and 11"
+            `Quick test_supcon_modular_wide_family;
           Alcotest.test_case "synthesis bytes per transition, k=8 cap=7"
             `Quick test_synthesis_alloc_budgets;
-          Alcotest.test_case "supcon_par empty supervisor" `Quick
-            test_supcon_par_empty;
+          Alcotest.test_case "supcon empty supervisor" `Quick
+            test_engine_empty;
           Alcotest.test_case "spec-private uncontrollable event" `Quick
-            test_supcon_par_spec_private_uncontrollable;
+            test_supcon_spec_private_uncontrollable;
           Alcotest.test_case "trim matches restrict-per-round reference" `Quick
             test_trim_matches_reference;
           Alcotest.test_case "balanced Compose.all matches fold" `Quick

@@ -133,30 +133,20 @@ let test_synthesized_supervisor_can_recover () =
       check_bool "back in an uncapped state" true
         (String.length st >= 4 && String.sub st 0 4 <> "Cap")
 
-let test_supcon_par_pins_case_study () =
-  (* The 21-state case-study supervisor, synthesized by the sharded
-     engine at several job counts, must be byte-identical (digest and
-     stats) to the independent sequential oracle. *)
+let test_supcon_pins_case_study () =
+  (* The 21-state case-study supervisor must be byte-identical (digest
+     and stats) to the independent sequential oracle's. *)
   let plant = Plant_model.composed () in
   let spec = Spec.three_band in
-  match Supcon_oracle.supcon ~plant ~spec with
-  | Error _ -> Alcotest.fail "case-study supervisor exists"
-  | Ok (sup_seq, stats_seq) ->
+  match (Supcon_oracle.supcon ~plant ~spec, Synthesis.supcon ~plant ~spec) with
+  | Ok (sup_oracle, stats_oracle), Ok (sup, stats) ->
       check_int "case-study supervisor is the 21-state machine" 21
-        (Automaton.num_states sup_seq);
-      List.iter
-        (fun jobs ->
-          match Synthesis.supcon_par ~jobs ~plant ~spec () with
-          | Error _ -> Alcotest.failf "jobs=%d: unexpectedly empty" jobs
-          | Ok (sup_par, stats_par) ->
-              check_string
-                (Printf.sprintf "jobs=%d digest identical" jobs)
-                (Automaton.structural_digest sup_seq)
-                (Automaton.structural_digest sup_par);
-              check_bool
-                (Printf.sprintf "jobs=%d stats identical" jobs)
-                true (stats_seq = stats_par))
-        [ 1; 2; 4 ]
+        (Automaton.num_states sup_oracle);
+      check_string "digest identical"
+        (Automaton.structural_digest sup_oracle)
+        (Automaton.structural_digest sup);
+      check_bool "stats identical" true (stats_oracle = stats)
+  | _ -> Alcotest.fail "case-study supervisor exists"
 
 (* ------------------------------------------------------------------ *)
 (* Description-driven synthesis: N-cluster platforms                   *)
@@ -2218,8 +2208,8 @@ let () =
             test_synthesis_uncontrollable_worklist;
           Alcotest.test_case "pinned pre-refactor fixture" `Quick
             test_supervisor_pinned_fixture;
-          Alcotest.test_case "supcon_par pins the case-study supervisor" `Quick
-            test_supcon_par_pins_case_study;
+          Alcotest.test_case "supcon pins the case-study supervisor" `Quick
+            test_supcon_pins_case_study;
         ] );
       ( "platform-synthesis",
         [
