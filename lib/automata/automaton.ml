@@ -110,27 +110,21 @@ let csr a = (a.row, a.ev, a.dst)
 let step a s e =
   Option.map (state_of_index a) (step_index a (index_of_state a s) (Event.id e))
 
-let enabled_index a i =
+let enabled a s =
   let acc = ref [] in
-  iter_row a i (fun eid _ -> acc := event_of_id a eid :: !acc);
+  iter_row a (index_of_state a s) (fun eid _ ->
+      acc := event_of_id a eid :: !acc);
   List.sort Event.compare !acc
-
-let enabled a s = enabled_index a (index_of_state a s)
-
-let fold_transitions f a acc =
-  let acc = ref acc in
-  for s = 0 to a.n - 1 do
-    iter_row a s (fun eid d -> acc := f s (event_of_id a eid) d !acc)
-  done;
-  !acc
 
 let transitions a =
   let names = Once.force a.names in
-  List.rev
-    (fold_transitions
-       (fun s e d acc ->
-         { src = names.(s); event = e; dst = names.(d) } :: acc)
-       a [])
+  let acc = ref [] in
+  for s = 0 to a.n - 1 do
+    iter_row a s (fun eid d ->
+        let event = event_of_id a eid in
+        acc := { src = names.(s); event; dst = names.(d) } :: !acc)
+  done;
+  List.rev !acc
 
 (* --- construction ---------------------------------------------------- *)
 
@@ -385,11 +379,6 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
     digest = None;
   }
 
-let of_transitions ?marked ?forbidden ~name ~initial trans =
-  create ?marked ?forbidden ~name ~initial
-    ~transitions:(List.map (fun { src; event; dst } -> (src, event, dst)) trans)
-    ()
-
 let accepts a w =
   let rec go i = function
     | [] -> a.marked.(i)
@@ -479,35 +468,7 @@ let restrict_indices a keep =
     end
   end
 
-let restrict_states a ~keep =
-  restrict_indices a (Array.map keep (Once.force a.names))
-
 let rename a name = { a with name; digest = None }
-
-let relabel_states a f =
-  let names = Once.force a.names in
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun s ->
-      let s' = f s in
-      match Hashtbl.find_opt seen s' with
-      | Some other when other <> s ->
-          invalid_arg
-            (Printf.sprintf "Automaton.relabel_states: %S and %S collide"
-               other s)
-      | _ -> Hashtbl.replace seen s' s)
-    names;
-  let transitions =
-    List.rev
-      (fold_transitions
-         (fun s e d acc -> (f names.(s), e, f names.(d)) :: acc)
-         a [])
-  in
-  create
-    ~marked:(List.map f (marked a))
-    ~forbidden:(List.map f (forbidden a))
-    ~alphabet:(Event.Set.elements a.alphabet) ~name:a.name
-    ~initial:(f (initial a)) ~transitions ()
 
 (* Escape '.' and '\' so that joining two component names with '.' is
    unambiguous: the separator is the only unescaped dot, so distinct

@@ -51,15 +51,6 @@ val create :
     for plants whose marking is irrelevant); an explicit [~marked:[]]
     marks no state. *)
 
-val of_transitions :
-  ?marked:string list ->
-  ?forbidden:string list ->
-  name:string ->
-  initial:string ->
-  transition list ->
-  t
-(** Record-based variant of {!create}. *)
-
 val of_indexed_arrays :
   name:string ->
   names:(unit -> string array) ->
@@ -192,7 +183,6 @@ val csr : t -> int array * int array * int array
     closure per row ({!Compose}, {!Verify}, {!Synthesis}); the arrays
     must not be mutated. *)
 
-val enabled_index : t -> int -> Event.t list
 val is_marked_index : t -> int -> bool
 val is_forbidden_index : t -> int -> bool
 
@@ -200,10 +190,6 @@ val event_of_id : t -> int -> Event.t
 (** Decode an event id through this automaton's alphabet table ([O(1)],
     no global lock).  Raises [Invalid_argument] for ids outside the
     alphabet. *)
-
-val fold_transitions : (int -> Event.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Row-major fold decoding events to {!Event.t}; kept for boundary code.
-    Index-native algorithms should prefer {!iter_row}. *)
 
 (** {1 Surgery} *)
 
@@ -216,16 +202,8 @@ val restrict_indices : t -> bool array -> t option
     restricting an {!of_indexed_arrays} product does not materialize names.
     Raises [Invalid_argument] when [keep] has the wrong length. *)
 
-val restrict_states : t -> keep:(string -> bool) -> t option
-(** Name-predicate variant of {!restrict_indices} (forces the name
-    table). *)
-
 val rename : t -> string -> t
 (** Same automaton under a new name. *)
-
-val relabel_states : t -> (string -> string) -> t
-(** Apply a renaming function to every state name.  Raises
-    [Invalid_argument] when the renaming is not injective on states. *)
 
 (** {1 Product support} *)
 

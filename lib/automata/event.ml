@@ -2,36 +2,22 @@ type t = { id : int; name : string; controllable : bool }
 
 (* Process-wide intern table: one value per (name, controllability) pair,
    ids dense in intern order.  Interning takes a mutex — automata are
-   built from multiple domains by the bench pool — but the id→event
-   mapping is additionally published as an immutable snapshot array
-   behind an [Atomic.t], so [of_id] and [count] never lock: witness
-   decoding and scratch-array sizing from parallel shard workers must
-   not serialize on the intern mutex.  Each intern rebuilds the snapshot
-   (append-copy, O(n) — interning is a startup activity, n stays small)
-   and publishes it with [Atomic.set] before releasing the lock; readers
-   see a frozen array that is never mutated after publication. *)
+   built from multiple domains by the bench pool — and a new event's id
+   is the table size under that lock.  Decoding an id goes through the
+   automaton that carries it ({!Automaton.event_of_id}), so there is no
+   global id→event table to publish. *)
 
 let mutex = Mutex.create ()
 let table : (string * bool, t) Hashtbl.t = Hashtbl.create 64
-let snapshot : t array Atomic.t = Atomic.make [||]
-
-let locked f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
 let intern name controllable =
-  locked (fun () ->
+  Mutex.protect mutex (fun () ->
       let key = (name, controllable) in
       match Hashtbl.find_opt table key with
       | Some e -> e
       | None ->
-          let s = Atomic.get snapshot in
-          let id = Array.length s in
-          let e = { id; name; controllable } in
+          let e = { id = Hashtbl.length table; name; controllable } in
           Hashtbl.add table key e;
-          let bigger = Array.make (id + 1) e in
-          Array.blit s 0 bigger 0 id;
-          Atomic.set snapshot bigger;
           e)
 
 let controllable name = intern name true
@@ -39,13 +25,6 @@ let uncontrollable name = intern name false
 let name e = e.name
 let is_controllable e = e.controllable
 let id e = e.id
-
-let of_id i =
-  let s = Atomic.get snapshot in
-  if i >= 0 && i < Array.length s then s.(i)
-  else invalid_arg (Printf.sprintf "Event.of_id: unknown id %d" i)
-
-let count () = Array.length (Atomic.get snapshot)
 
 let compare a b =
   if a.id = b.id then 0

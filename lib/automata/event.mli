@@ -16,7 +16,8 @@
     synthesize, reach, verify) run entirely on these ids — no string
     hashing or comparison on any hot path.  Ids are assigned in intern
     order and are therefore stable within a process but {e not} across
-    processes. *)
+    processes; an automaton decodes the ids of its own alphabet
+    ({!Automaton.event_of_id}). *)
 
 type t = private { id : int; name : string; controllable : bool }
 
@@ -32,20 +33,6 @@ val is_controllable : t -> bool
 val id : t -> int
 (** Dense intern id, unique per (name, controllability) pair.  [O(1)] —
     the id is stored in the value. *)
-
-val of_id : int -> t
-(** Inverse of {!id}.  Raises [Invalid_argument] on an id never returned
-    by {!id}.  Lock-free: reads an immutable snapshot published behind an
-    [Atomic.t], so decoding from parallel workers never serializes on the
-    intern mutex.  An id obtained through any properly synchronized
-    channel (a spawned domain, a pool task result, a barrier) is always
-    resolvable — the snapshot containing it is published before the
-    interning call returns. *)
-
-val count : unit -> int
-(** Number of interned events so far; ids range over [0 .. count()-1].
-    Useful for sizing id-indexed scratch arrays.  Lock-free, same
-    snapshot read as {!of_id}. *)
 
 val compare : t -> t -> int
 (** Total order by (name, controllability); uncontrollable sorts before

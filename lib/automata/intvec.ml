@@ -6,7 +6,7 @@
 
 type t = { mutable a : int array; mutable len : int }
 
-let create ?(capacity = 64) () = { a = Array.make (max capacity 1) 0; len = 0 }
+let create () = { a = Array.make 64 0; len = 0 }
 
 let length v = v.len
 

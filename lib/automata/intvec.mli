@@ -4,11 +4,11 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** An empty vector with room for [capacity] elements (default 64, small
-    enough to stay in the minor heap: the product walks run thousands of
-    times on tiny automata, and a larger default sends every one of
-    their buffers to the major heap). *)
+val create : unit -> t
+(** An empty vector with room for 64 elements — small enough to stay in
+    the minor heap: the product walks run thousands of times on tiny
+    automata, and a larger start sends every one of their buffers to the
+    major heap. *)
 
 val length : t -> int
 val push : t -> int -> unit

@@ -505,11 +505,6 @@ let supcon ~plant ~spec =
       (Printf.sprintf "Synthesis.supcon(%s,%s)" (Automaton.name plant)
          (Automaton.name spec))
 
-let supcon_exn ~plant ~spec =
-  match supcon ~plant ~spec with
-  | Ok (sup, _) -> sup
-  | Error Empty_supervisor -> failwith "Synthesis.supcon: empty supervisor"
-
 let supcon_modular ?jobs:_ ~plants ~spec () =
   if plants = [] then invalid_arg "Synthesis.supcon_modular: no plant components";
   let plant_name = String.concat "||" (List.map Automaton.name plants) in

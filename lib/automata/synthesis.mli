@@ -55,10 +55,6 @@ val supcon :
     states and alphabet [Σ_c], so each such owner is consulted with one
     array read. *)
 
-val supcon_exn : plant:Automaton.t -> spec:Automaton.t -> Automaton.t
-(** Like {!supcon} but raising [Failure] on an empty result and dropping
-    the statistics; convenient in examples. *)
-
 val supcon_modular :
   ?jobs:int ->
   plants:Automaton.t list ->

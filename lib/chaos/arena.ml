@@ -39,13 +39,11 @@ type slot = {
 let slots : (Campaign.variant, slot) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-type t = { mutable checkouts : int (* diagnostic; racy under parallel sweeps *) }
+type t = unit
 
-let create () = { checkouts = 0 }
-let checkouts t = t.checkouts
+let create () = ()
 
-let checkout t variant =
-  t.checkouts <- t.checkouts + 1;
+let checkout () variant =
   let slots = Domain.DLS.get slots in
   match Hashtbl.find_opt slots variant with
   | Some s ->

@@ -28,7 +28,3 @@ val checkout :
     returned — from any arena: the slots are shared process-wide.
     Every shipped variant, [Spectr_r] included, checkpoints and so is
     warmed; a persist-less manager would be rebuilt on every checkout. *)
-
-val checkouts : t -> int
-(** Total checkouts served (diagnostic; approximate under parallel
-    sweeps). *)

@@ -138,8 +138,8 @@ let of_string s =
   }
 
 let save ~path a =
-  (* Same crash-safety discipline as Manager.save_checkpoint: temp file
-     in the destination directory, then atomic rename. *)
+  (* Crash-safe: temp file in the destination directory, then atomic
+     rename, so a crash mid-write never leaves a torn artifact. *)
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir "chaos-artifact" ".tmp" in
   let oc = open_out_bin tmp in
@@ -164,8 +164,8 @@ type replay = {
   digest_matched : bool option;
 }
 
-let replay ?limits a =
-  let outcome = Engine.run_cell ?limits a.cell in
+let replay a =
+  let outcome = Engine.run_cell a.cell in
   {
     outcome;
     reproduced = Engine.violates ?kind:a.invariant outcome;

@@ -55,5 +55,5 @@ type replay = {
           artifact pins no digest). *)
 }
 
-val replay : ?limits:Invariants.limits -> t -> replay
+val replay : t -> replay
 (** Re-execute the cell deterministically and judge it. *)

@@ -72,10 +72,6 @@ val default_profile : profile
 val dt : float
 (** Controller period (0.05 s). *)
 
-val total_s : profile -> float
-
-val total_ticks : profile -> int
-
 (** {1 Cells} *)
 
 type kill = {
@@ -97,11 +93,6 @@ type cell = {
   kill : kill option;
 }
 
-val phases_of : profile -> Faults.injection list -> Spectr.Scenario.phase list
-(** The three phases of [profile] with the injections attached to the
-    first phase (which starts at t = 0, so phase-relative and absolute
-    windows coincide). *)
-
 val config_of_cell : cell -> Spectr.Scenario.config
 (** Raises [Invalid_argument] on an unknown workload name. *)
 
@@ -118,7 +109,8 @@ type spec = {
   kill_prob : float;  (** Probability a cell carries a kill drill. *)
   reconfig_prob : float;
       (** Probability a cell carries a reconfiguration drill: one extra
-          {e permanent} fault ({!permanent_kinds}) latched in the first
+          {e permanent} fault (a dead secondary cluster, a dead secondary
+          power sensor or a latched DVFS rail) latched in the first
           third of the run.  0 (the default) draws nothing from the
           PRNG, so pre-existing campaigns keep their exact cells. *)
   profile : profile;
@@ -128,10 +120,6 @@ val all_kinds : Faults.kind list
 (** Every {e transient} fault class, spike magnitudes bounded by 8×.
     Permanent kinds are excluded — they enter only through the
     reconfiguration drill. *)
-
-val permanent_kinds : Faults.kind list
-(** The reconfiguration-drill pool: a dead secondary cluster, a dead
-    secondary power sensor, a permanently latched DVFS rail. *)
 
 val default_spec :
   ?seed:int ->

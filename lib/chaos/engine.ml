@@ -13,7 +13,7 @@ type outcome = {
 
 let digest_of_trace trace = Digest.to_hex (Digest.string (Trace.to_csv trace))
 
-let run_cell ?arena ?limits (cell : Campaign.cell) =
+let run_cell ?arena (cell : Campaign.cell) =
   let config = Campaign.config_of_cell cell in
   (* With an arena, manager (re)construction is a warm checkout: same
      variant slot, reset to pristine state.  Identical observable
@@ -29,7 +29,7 @@ let run_cell ?arena ?limits (cell : Campaign.cell) =
       (fun k -> float_of_int k.Campaign.kill_tick *. dt)
       cell.Campaign.kill
   in
-  let monitor = Invariants.create ?limits ~config ?kill_time () in
+  let monitor = Invariants.create ~config ?kill_time () in
   let mgr0, sup0, guards0, handle0 = make_manager () in
   let mgr = ref mgr0 and sup = ref sup0 and guards = ref guards0 in
   let handle = ref handle0 in

@@ -33,9 +33,8 @@ type outcome = {
           other variants. *)
 }
 
-val run_cell :
-  ?arena:Arena.t -> ?limits:Invariants.limits -> Campaign.cell -> outcome
-(** Deterministic: equal cells (and limits) give equal outcomes,
+val run_cell : ?arena:Arena.t -> Campaign.cell -> outcome
+(** Deterministic: equal cells give equal outcomes,
     including the digest — with or without an [arena].  When [arena] is
     given, managers come from warm {!Arena.checkout}s (built once per
     domain per variant, reset between cells) instead of being rebuilt

@@ -49,7 +49,7 @@ type limits = {
   max_violations : int;
 }
 
-let default_limits =
+let limits =
   {
     (* Safety guardband over the envelope: a soak run only fails when
        ground-truth power exceeds envelope × 1.05 past the excess
@@ -69,7 +69,6 @@ let default_limits =
   }
 
 type t = {
-  limits : limits;
   qos_ref : float;
   dt : float;
   tdp : float; (* largest envelope across phases *)
@@ -96,7 +95,7 @@ let is_actuator = function
       true
   | _ -> false
 
-let create ?(limits = default_limits) ~config ?kill_time () =
+let create ~config ?kill_time () =
   let schedule = Spectr.Scenario.fault_schedule config in
   let timeline =
     let _, rev =
@@ -139,7 +138,6 @@ let create ?(limits = default_limits) ~config ?kill_time () =
     arr
   in
   {
-    limits;
     qos_ref = config.Spectr.Scenario.qos_ref;
     dt = config.Spectr.Scenario.controller_period;
     tdp;
@@ -204,12 +202,12 @@ let judge m ~tick ~time kind bad detail fresh =
     m.streaks.(k) <- m.streaks.(k) + 1;
     let required =
       match kind with
-      | Power_cap | Qos_reconvergence -> m.limits.sustain_ticks
+      | Power_cap | Qos_reconvergence -> limits.sustain_ticks
       | Supervisor_legal | Actuation_bounds | Non_finite -> 1
     in
     if m.streaks.(k) >= required && not m.reported.(k) then begin
       m.reported.(k) <- true;
-      if m.count < m.limits.max_violations then begin
+      if m.count < limits.max_violations then begin
         let v =
           { v_kind = kind; v_tick = tick; v_time = time; v_detail = detail () }
         in
@@ -231,7 +229,6 @@ let check m ~runner ~sup ~obs =
   let tick = Spectr.Scenario.ticks_done runner - 1 in
   let soc = Spectr.Scenario.runner_soc runner in
   let fresh = ref [] in
-  let lim = m.limits in
   let epoch = last_disturbance m t in
   let since_disturbance = t -. epoch in
   (* Power cap: judged on ground truth (sensor faults corrupt the
@@ -250,16 +247,16 @@ let check m ~runner ~sup ~obs =
   end;
   let true_power = Soc.true_chip_power soc in
   let envelope = envelope_at m t in
-  let cap = envelope *. (1. +. lim.guardband) in
+  let cap = envelope *. (1. +. limits.guardband) in
   if
     (not (in_window m.actuator_windows t))
-    && since_disturbance > lim.settle_s
+    && since_disturbance > limits.settle_s
     && true_power > cap
   then begin
     m.power_excess <- m.power_excess +. m.dt;
-    if m.power_excess > lim.excess_budget_s && not m.power_reported then begin
+    if m.power_excess > limits.excess_budget_s && not m.power_reported then begin
       m.power_reported <- true;
-      if m.count < lim.max_violations then begin
+      if m.count < limits.max_violations then begin
         let v =
           {
             v_kind = Power_cap;
@@ -270,7 +267,7 @@ let check m ~runner ~sup ~obs =
                 "%.2f s cumulative above %.3f W (envelope %.2f W + %.0f%% \
                  guardband) since the disturbance at t=%.2f s; now %.3f W"
                 m.power_excess cap envelope
-                (100. *. lim.guardband)
+                (100. *. limits.guardband)
                 epoch true_power;
           }
         in
@@ -284,12 +281,12 @@ let check m ~runner ~sup ~obs =
      active, benign load, full envelope — and only after the deadline
      from the last disturbance has passed. *)
   let true_qos = Soc.true_qos_rate soc in
-  let qos_floor = lim.qos_floor *. m.qos_ref in
+  let qos_floor = limits.qos_floor *. m.qos_ref in
   let qos_bad =
     (not (in_window m.fault_windows t))
     && background_at m t = 0
     && envelope >= m.tdp -. eps
-    && since_disturbance > lim.qos_deadline_s
+    && since_disturbance > limits.qos_deadline_s
     && true_qos < qos_floor
   in
   judge m ~tick ~time:t Qos_reconvergence qos_bad
@@ -297,7 +294,7 @@ let check m ~runner ~sup ~obs =
       Printf.sprintf
         "true QoS rate %.2f < %.2f (%.0f%% of reference %.2f) in a quiet \
          region, %.2f s after the last disturbance"
-        true_qos qos_floor (100. *. lim.qos_floor) m.qos_ref since_disturbance)
+        true_qos qos_floor (100. *. limits.qos_floor) m.qos_ref since_disturbance)
     fresh;
   (* Supervisor legality: restore-corruption tripwires.  Bounds are
      deliberately loose — they catch a scrambled checkpoint, not a

@@ -68,15 +68,14 @@ type limits = {
   max_violations : int;  (** Findings recorded per cell before muting. *)
 }
 
-val default_limits : limits
-(** 5 % guardband, 1 s settle grace with a 0.75 s excess budget, 50 %
-    QoS floor with a 3 s deadline, 3-tick sustain, 25 findings. *)
+val limits : limits
+(** The thresholds every monitor checks: 5 % guardband, 1 s settle
+    grace with a 0.75 s excess budget, 50 % QoS floor with a 3 s
+    deadline, 3-tick sustain, 25 findings. *)
 
 type t
 
-val create :
-  ?limits:limits -> config:Spectr.Scenario.config -> ?kill_time:float ->
-  unit -> t
+val create : config:Spectr.Scenario.config -> ?kill_time:float -> unit -> t
 (** A monitor for one scenario run.  [kill_time] (seconds) registers the
     kill/restart drill as a disturbance instant so the restarted manager
     gets the same compliance deadline any other disturbance gets. *)

@@ -58,9 +58,6 @@ type outcome = {
           digests mean a byte-identical drill. *)
 }
 
-val run_drill : drill -> outcome
-(** Deterministic: equal drills give equal outcomes, digest included. *)
-
 (** {1 Campaigns} *)
 
 type spec = {

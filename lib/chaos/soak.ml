@@ -18,12 +18,15 @@ type report = {
   r_findings : finding list;
 }
 
+(* Decision-log lines kept per finding. *)
+let log_tail = 40
+
 (* Deterministically re-run one failing cell with the observability
    layer on and harvest the decision-log tail.  The parallel sweep runs
    with obs off (the log is process-global); instrumentation does not
    perturb traces (pinned by the obs determinism tests), so the re-run
    reproduces the failure exactly. *)
-let harvest_log_tail ?limits ~tail cell =
+let harvest_log_tail cell =
   let was_enabled = Spectr_obs.enabled () in
   Spectr_obs.enable ();
   Spectr_obs.reset ();
@@ -32,25 +35,26 @@ let harvest_log_tail ?limits ~tail cell =
     if not was_enabled then Spectr_obs.disable ()
   in
   Fun.protect ~finally (fun () ->
-      ignore (Engine.run_cell ?limits cell);
+      ignore (Engine.run_cell cell);
       let lines =
         String.split_on_char '\n' (Spectr_obs.Decision_log.to_jsonl ())
         |> List.filter (fun l -> l <> "")
       in
       let n = List.length lines in
-      if n <= tail then lines else List.filteri (fun i _ -> i >= n - tail) lines)
+      if n <= log_tail then lines
+      else List.filteri (fun i _ -> i >= n - log_tail) lines)
 
 let all_kinds =
   Invariants.
     [ Power_cap; Qos_reconvergence; Supervisor_legal; Actuation_bounds;
       Non_finite ]
 
-let run ?(arena = true) ?limits ?(max_findings = 10) ?(log_tail = 40) spec =
+let run ?(max_findings = 10) spec =
   let cells = Campaign.generate spec in
   (* One warm arena for the whole sweep: each pool domain builds its
      managers once and resets them between its cells. *)
-  let arena = if arena then Some (Arena.create ()) else None in
-  let outcomes = Spectr_exec.Parmap.map (Engine.run_cell ?arena ?limits) cells in
+  let arena = Arena.create () in
+  let outcomes = Spectr_exec.Parmap.map (Engine.run_cell ~arena) cells in
   let variant_stats =
     List.map
       (fun v ->
@@ -87,8 +91,7 @@ let run ?(arena = true) ?limits ?(max_findings = 10) ?(log_tail = 40) spec =
     |> List.map (fun o ->
            {
              f_outcome = o;
-             f_log_tail =
-               harvest_log_tail ?limits ~tail:log_tail o.Engine.cell;
+             f_log_tail = harvest_log_tail o.Engine.cell;
            })
   in
   {

@@ -32,23 +32,15 @@ type report = {
   r_findings : finding list;  (** First [max_findings] failing cells. *)
 }
 
-val run :
-  ?arena:bool ->
-  ?limits:Invariants.limits ->
-  ?max_findings:int ->
-  ?log_tail:int ->
-  Campaign.spec ->
-  report
+val run : ?max_findings:int -> Campaign.spec -> report
 (** Execute the campaign.  The parallel sweep runs with observability
     off (the decision log is process-global); up to [max_findings]
     (default 10) failing cells are then re-run sequentially with
-    instrumentation on to harvest [log_tail] (default 40) decision-log
-    lines each.
+    instrumentation on to harvest the last 40 decision-log lines each.
 
-    [arena] (default [true]) runs the sweep through a warm
-    {!Arena}: one manager per (domain, variant), reset between cells —
-    outcomes are identical either way, the arena only removes per-cell
-    construction cost. *)
+    The sweep runs through a warm {!Arena}: one manager per (domain,
+    variant), reset between cells — outcomes are identical to cold
+    cells, the arena only removes per-cell construction cost. *)
 
 val violating_cells : report -> variant:Campaign.variant -> int
 

@@ -21,8 +21,12 @@ let pp_error ppf = function
   | Feedthrough_unsupported -> Format.fprintf ppf "model must have D = 0"
   | Bad_weights s -> Format.fprintf ppf "bad weights: %s" s
 
-let design ?q_integrator ?(process_noise = 0.01) ?(measurement_noise = 0.1)
-    ~label ~model ~q_y ~r_u () =
+(* Scalar covariance levels of the Kalman design, matching the
+   identified models' residual levels. *)
+let process_noise = 0.01
+let measurement_noise = 0.1
+
+let design ?q_integrator ~label ~model ~q_y ~r_u () =
   let n = Statespace.order model in
   let m = Statespace.num_inputs model in
   let p = Statespace.num_outputs model in

@@ -45,8 +45,6 @@ val pp_error : Format.formatter -> error -> unit
 
 val design :
   ?q_integrator:float array ->
-  ?process_noise:float ->
-  ?measurement_noise:float ->
   label:string ->
   model:Statespace.t ->
   q_y:float array ->
@@ -60,9 +58,8 @@ val design :
     - [r_u]: per-input effort weights (length m); all must be > 0.
     - [q_integrator]: per-output integrator weights (default: [q_y]
       scaled by 0.1) — larger values track faster but overshoot more.
-    - [process_noise] / [measurement_noise]: scalar covariance levels for
-      the Kalman design (defaults 0.01 / 0.1, matching the identified
-      models' residual levels). *)
+    The Kalman design uses process / measurement noise covariances
+    0.01·I / 0.1·I, matching the identified models' residual levels. *)
 
 val closed_loop_stable : gains -> bool
 (** Check that the augmented closed-loop matrix is (empirically) stable —

@@ -246,8 +246,6 @@ let reset ctrl =
   ctrl.innov.(0) <- 0.;
   ctrl.last_valid <- false
 
-let num_inputs ctrl = Array.length ctrl.inputs
-let num_outputs ctrl = Array.length ctrl.outputs
 let last_innovation_norm ctrl = ctrl.innov.(0)
 
 let last_command ctrl =

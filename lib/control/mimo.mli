@@ -88,9 +88,6 @@ val reference : t -> index:int -> float
 val reset : t -> unit
 (** Zero the estimator state and integrators. *)
 
-val num_inputs : t -> int
-val num_outputs : t -> int
-
 val last_command : t -> float array option
 (** Most recent actuator command, if any step has executed. *)
 

@@ -38,7 +38,6 @@ let step t ~measured =
   u
 
 let set_reference t r = t.reference <- r
-let reference t = t.reference
 let set_config t cfg = t.cfg <- cfg
 
 let reset t =

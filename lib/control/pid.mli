@@ -28,7 +28,6 @@ val step : t -> measured:float -> float
 (** One control period; returns the saturated command. *)
 
 val set_reference : t -> float -> unit
-val reference : t -> float
 val set_config : t -> config -> unit
 (** Gain scheduling for SISO loops: replace the gains in place (the
     integrator state is preserved). *)

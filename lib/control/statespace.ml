@@ -22,11 +22,8 @@ let step sys ~x ~u =
   let y = Matrix.add (Matrix.mul sys.c x) (Matrix.mul sys.d u) in
   (x', y)
 
-let simulate sys ?x0 ~u () =
-  let x0 =
-    match x0 with Some x -> x | None -> Matrix.zeros ~rows:(order sys) ~cols:1
-  in
-  let x = ref x0 in
+let simulate sys ~u () =
+  let x = ref (Matrix.zeros ~rows:(order sys) ~cols:1) in
   Array.map
     (fun ut ->
       let x', y = step sys ~x:!x ~u:ut in
@@ -38,22 +35,6 @@ let dc_gain sys =
   let n = order sys in
   let i_minus_a = Matrix.sub (Matrix.identity n) sys.a in
   Matrix.add (Matrix.mul sys.c (Matrix.solve i_minus_a sys.b)) sys.d
-
-let spectral_radius_bound sys =
-  let n = order sys in
-  (* deterministic "random" start vector *)
-  let v = ref (Matrix.init ~rows:n ~cols:1 (fun i _ -> 1. +. (0.1 *. float_of_int i))) in
-  let radius = ref 0. in
-  for _ = 1 to 50 do
-    let w = Matrix.mul sys.a !v in
-    let nw = Matrix.frobenius_norm w in
-    let nv = Matrix.frobenius_norm !v in
-    if nv > 0. && nw > 0. then begin
-      radius := nw /. nv;
-      v := Matrix.scale (1. /. nw) w
-    end
-  done;
-  !radius
 
 (* A^steps by binary powering in four matrices allocated per call:
    [sq] runs through A, A^2, A^4, ... and [acc] takes in the power of

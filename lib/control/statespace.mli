@@ -33,19 +33,13 @@ val step : t -> x:Matrix.t -> u:Matrix.t -> Matrix.t * Matrix.t
 (** [step sys ~x ~u] is [(x', y)]: the next state and current output.
     [x] is n×1, [u] is m×1. *)
 
-val simulate : t -> ?x0:Matrix.t -> u:Matrix.t array -> unit -> Matrix.t array
-(** Output sequence for an input sequence (each u m×1); [x0] defaults to
-    the origin. *)
+val simulate : t -> u:Matrix.t array -> unit -> Matrix.t array
+(** Output sequence for an input sequence (each u m×1), starting at the
+    origin. *)
 
 val dc_gain : t -> Matrix.t
 (** Steady-state gain [C (I − A)⁻¹ B + D].  Raises [Failure] when
     (I − A) is singular (integrating plant). *)
-
-val spectral_radius_bound : t -> float
-(** An easily-computed upper estimate of |λ|max of A via 50 steps of the
-    power iteration on a random vector — used in stability sanity checks
-    (a value < 1 certifies nothing, but > 1 after many iterations flags a
-    clearly unstable model). *)
 
 val is_stable : ?steps:int -> t -> bool
 (** Empirical BIBO check: every basis vector's norm is at most 1e3

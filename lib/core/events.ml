@@ -11,74 +11,33 @@ let power_safe_qos_met = Event.uncontrollable "powerSafeQoSMet"
 let power_safe_qos_not_met = Event.uncontrollable "powerSafeQoSNotMet"
 let switch_power = Event.controllable "switchPower"
 let switch_qos = Event.controllable "switchQoS"
-let increase_big_power = Event.controllable "increaseBigPower"
-let decrease_big_power = Event.controllable "decreaseBigPower"
-let increase_little_power = Event.controllable "increaseLittlePower"
-let decrease_little_power = Event.controllable "decreaseLittlePower"
+(* The exynos5422 budget commands, interned here in the paper's order so
+   event ids — which fix CSR row order, supervisor state numbering and
+   with them every structural digest — do not depend on when
+   [for_platform] first runs. *)
+let () =
+  List.iter
+    (fun n -> ignore (Event.controllable n : Event.t))
+    [
+      "increaseBigPower";
+      "decreaseBigPower";
+      "increaseLittlePower";
+      "decreaseLittlePower";
+    ]
+
 let decrease_critical_power = Event.controllable "decreaseCriticalPower"
 let control_power = Event.controllable "controlPower"
 let hold_budget = Event.controllable "holdBudget"
 
-let all =
-  [
-    critical;
-    above_target;
-    below_target;
-    safe_power;
-    qos_met;
-    qos_not_met;
-    power_safe_qos_met;
-    power_safe_qos_not_met;
-    switch_power;
-    switch_qos;
-    increase_big_power;
-    decrease_big_power;
-    increase_little_power;
-    decrease_little_power;
-    decrease_critical_power;
-    control_power;
-    hold_budget;
-  ]
-
 (* --- per-cluster command families ------------------------------------ *)
 
-type family = {
-  fam_platform : Platform_desc.t;
-  increase : Event.t array;
-  decrease : Event.t array;
-}
+type family = { increase : Event.t array; decrease : Event.t array }
 
-(* One mutex guards both the family memo and the name index: families
-   are built lazily from manager constructors, which the bench pool runs
-   on several domains at once.  [Event.intern] has its own lock, so the
-   only state to protect here is ours. *)
-let mutex = Mutex.create ()
-
-let locked f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
-
-(* Name index behind [by_name].  The previous implementation scanned
-   [all] linearly, which was fine for 17 constants but wrong once
-   platforms mint per-cluster families: the index must cover whatever
-   has been generated so far, and a scan over an ever-growing list in
-   the chaos engine's reproducer parser is the kind of quadratic nobody
-   notices until a campaign has 10^5 artifacts. *)
-let name_index : (string, Event.t) Hashtbl.t = Hashtbl.create 64
-let index_seeded = ref false
-
-let seed_index_locked () =
-  if not !index_seeded then begin
-    List.iter (fun e -> Hashtbl.replace name_index (Event.name e) e) all;
-    index_seeded := true
-  end
-
-let by_name name =
-  locked (fun () ->
-      seed_index_locked ();
-      Hashtbl.find_opt name_index name)
-
-let families : (string, family) Hashtbl.t = Hashtbl.create 8
+(* Families are built lazily from manager constructors, which the bench
+   pool runs on several domains at once; the single-flight memo hands
+   every caller the one family per description. *)
+let families : (string, family) Spectr_exec.Single_flight.t =
+  Spectr_exec.Single_flight.create ()
 
 let command_name verb desc i =
   verb ^ String.capitalize_ascii (Platform_desc.cluster_name desc i) ^ "Power"
@@ -94,28 +53,15 @@ let for_platform desc =
          "Events.for_platform: cluster name \"critical\" collides with the \
           reserved decreaseCriticalPower command"
    done);
-  let digest = Platform_desc.digest desc in
-  locked (fun () ->
-      seed_index_locked ();
-      match Hashtbl.find_opt families digest with
-      | Some f -> f
-      | None ->
-          let k = Platform_desc.num_clusters desc in
-          let mint verb i =
-            let e = Event.controllable (command_name verb desc i) in
-            Hashtbl.replace name_index (Event.name e) e;
-            e
-          in
-          let f =
-            {
-              fam_platform = desc;
-              increase = Array.init k (mint "increase");
-              decrease = Array.init k (mint "decrease");
-            }
-          in
-          Hashtbl.replace families digest f;
-          f)
+  Spectr_exec.Single_flight.find_or_compute families
+    ~key:(Platform_desc.digest desc)
+    ~compute:(fun () ->
+      let k = Platform_desc.num_clusters desc in
+      let mint verb i = Event.controllable (command_name verb desc i) in
+      {
+        increase = Array.init k (mint "increase");
+        decrease = Array.init k (mint "decrease");
+      })
 
-let family_platform f = f.fam_platform
 let increase f i = f.increase.(i)
 let decrease f i = f.decrease.(i)

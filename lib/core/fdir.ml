@@ -47,6 +47,14 @@ let finding_channel = function
   | Qos_sensor_down -> "qos"
   | Dvfs_latched i -> "dvfs" ^ string_of_int i
 
+(* Persistence bounds: 6 ticks (0.3 s at the 50 ms period) to a
+   transient verdict, 60 (3.0 s, the detection lag quoted in
+   EXPERIMENTS.md) to a permanent one; innovation residuals above 4.0
+   (normalized output units) count as anomalies. *)
+let transient_ticks = 6
+let permanent_ticks = 60
+let innovation_threshold = 4.0
+
 (* One persistence counter per evidence channel, named after the
    evidence it counts: [pow_zero], [ips_zero], [dvfs_bad] and
    [innov_high] per cluster, [qos_zero] in the last slot.  [ips_zero]
@@ -55,9 +63,6 @@ let finding_channel = function
 type t = {
   k : int;
   host : int;
-  transient_ticks : int;
-  permanent_ticks : int;
-  innovation_threshold : float;
   bank : Persistence.t;
   (* Permanent findings awaiting {!poll}; emitted exactly once. *)
   mutable pending : finding list;
@@ -69,20 +74,12 @@ let[@inline] dvfs_bad t i = (2 * t.k) + i
 let[@inline] innov_high t i = (3 * t.k) + i
 let[@inline] qos_zero t = 4 * t.k
 
-let create ?(transient_ticks = 6) ?(permanent_ticks = 60)
-    ?(innovation_threshold = 4.0) ~k ~host () =
+let create ~k ~host () =
   if k < 1 then invalid_arg "Fdir.create: k < 1";
   if host < 0 || host >= k then invalid_arg "Fdir.create: host out of range";
-  if transient_ticks < 1 || permanent_ticks <= transient_ticks then
-    invalid_arg "Fdir.create: want 1 <= transient_ticks < permanent_ticks";
-  if not (Float.is_finite innovation_threshold && innovation_threshold > 0.)
-  then invalid_arg "Fdir.create: innovation_threshold";
   {
     k;
     host;
-    transient_ticks;
-    permanent_ticks;
-    innovation_threshold;
     bank = Persistence.create ((4 * k) + 1);
     pending = [];
   }
@@ -104,8 +101,8 @@ let log_verdict t c counter verdict =
 (* Advance counter [c]'s stage; count (and log) the verdict it fires. *)
 let advance t c =
   let change =
-    Persistence.transition t.bank c ~onset:t.transient_ticks
-      ~latch:t.permanent_ticks
+    Persistence.transition t.bank c ~onset:transient_ticks
+      ~latch:permanent_ticks
   in
   (match change with
   | Persistence.Unchanged -> ()
@@ -115,7 +112,7 @@ let advance t c =
   change
 
 let emit t f = t.pending <- f :: t.pending
-let latched_streak t c = Persistence.streak t.bank c >= t.permanent_ticks
+let latched_streak t c = Persistence.streak t.bank c >= permanent_ticks
 
 let observe t ~qos ~powers ~ips =
   if Array.length powers <> t.k then invalid_arg "Fdir.observe: powers length";
@@ -161,7 +158,7 @@ let note_actuation t ~cluster ~ok =
    never turned into findings. *)
 let note_innovation t ~cluster ~norm =
   check_cluster t ~who:"note_innovation" cluster;
-  Persistence.note t.bank (innov_high t cluster) (norm > t.innovation_threshold);
+  Persistence.note t.bank (innov_high t cluster) (norm > innovation_threshold);
   ignore (advance t (innov_high t cluster) : Persistence.change)
 
 let poll t =

@@ -50,20 +50,12 @@ val finding_channel : finding -> string
 
 type t
 
-val create :
-  ?transient_ticks:int ->
-  ?permanent_ticks:int ->
-  ?innovation_threshold:float ->
-  k:int ->
-  host:int ->
-  unit ->
-  t
-(** [transient_ticks] (default 6 — 0.3 s at the 50 ms period) and
-    [permanent_ticks] (default 60 — 3.0 s, the detection lag quoted in
-    EXPERIMENTS.md) bound the persistence counters;
-    [innovation_threshold] (default 4.0, normalized output units) flags
-    residual anomalies.  Raises [Invalid_argument] unless
-    [1 <= transient_ticks < permanent_ticks]. *)
+val create : k:int -> host:int -> unit -> t
+(** A verdict turns transient after 6 consecutive ticks of evidence
+    (0.3 s at the 50 ms period) and permanent after 60 (3.0 s, the
+    detection lag quoted in EXPERIMENTS.md); an innovation-residual norm
+    above 4.0 (normalized output units) counts as an anomaly.  Raises
+    [Invalid_argument] unless [k >= 1] and [0 <= host < k]. *)
 
 val observe : t -> qos:float -> powers:float array -> ips:float array -> unit
 (** Feed one tick of raw (pre-guard) sensor evidence: the heartbeat

@@ -199,7 +199,6 @@ let set_power_masked t ~cluster on =
     ch.have_good <- false
   end
 
-let power_masked t ~cluster = (power_channel t ~who:"power_masked" ~cluster).masked
 let degraded t = t.s.is_degraded
 let substituted_samples t = t.s.substituted
 let total_samples t = t.s.total

@@ -120,7 +120,6 @@ val fallback_ticks : t -> int
     live reading. *)
 
 val set_power_masked : t -> cluster:int -> bool -> unit
-val power_masked : t -> cluster:int -> bool
 
 (** {1 Checkpoint/restore}
 

@@ -35,44 +35,6 @@ let make_persist ~variant ~snapshot ~restore =
         restore (Marshal.from_string c.payload 0));
   }
 
-let magic = "SPECTRCKPT1\n"
-
-let save_checkpoint ~path c =
-  (* Crash-safe: write to a temp file in the same directory, then
-     atomically rename over the destination — a crash mid-write leaves
-     either the old checkpoint or none, never a torn one. *)
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir "ckpt" ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      output_string oc c.variant;
-      output_char oc '\n';
-      Marshal.to_channel oc c.payload [];
-      flush oc);
-  Sys.rename tmp path
-
-let load_checkpoint ~path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let fail why =
-        invalid_arg
-          (Printf.sprintf "Manager.load_checkpoint: %s is not a checkpoint (%s)"
-             path why)
-      in
-      let m = really_input_string ic (String.length magic) in
-      if m <> magic then fail "bad magic";
-      let variant = try input_line ic with End_of_file -> fail "truncated" in
-      let payload : string =
-        try Marshal.from_channel ic
-        with End_of_file | Failure _ -> fail "truncated payload"
-      in
-      { variant; payload })
-
 (* Controller outputs can be garbage (a diverged integrator, a NaN from a
    corrupted measurement).  Non-finite or negative commands must clamp to
    the nearest legal value — NaN conservatively to the low end — instead

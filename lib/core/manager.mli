@@ -55,15 +55,6 @@ val make_persist :
     the payload.  [restore] must accept exactly the type [snapshot]
     produces. *)
 
-val save_checkpoint : path:string -> checkpoint -> unit
-(** Crash-safe checkpoint persistence: write to a temp file in the
-    destination directory, then atomically rename — a crash mid-write
-    leaves the previous checkpoint (or none), never a torn file. *)
-
-val load_checkpoint : path:string -> checkpoint
-(** Raises [Invalid_argument] when the file is not a checkpoint
-    (bad magic, truncation); [Sys_error] on I/O failure. *)
-
 val sanitize_freq_mhz : Spectr_platform.Opp.t -> float -> float
 (** The frequency a [freq_ghz] command will be quantized from, in MHz:
     non-finite and negative values clamp to the table's legal range

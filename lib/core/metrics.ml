@@ -73,16 +73,6 @@ let recovery_time ~envelope ~dt ~after power =
   | None -> None
   | Some i -> Some (float_of_int (i - after) *. dt)
 
-let recovery_time_series ~envelope ~dt ~after power =
-  check_envelope_series "recovery_time_series" ~envelope ~power;
-  match
-    sustained_from_i ~after
-      (fun i -> power.(i) <= envelope.(i) *. power_allowance)
-      (Array.length power)
-  with
-  | None -> None
-  | Some i -> Some (float_of_int (i - after) *. dt)
-
 let reconvergence_time ~reference ~band ~dt ~after qos =
   let tol = band *. Float.abs reference in
   match

@@ -65,13 +65,6 @@ val recovery_time :
     slice.
     [None] when power never re-complies. *)
 
-val recovery_time_series :
-  envelope:float array -> dt:float -> after:int -> float array -> float option
-(** {!recovery_time} against a per-sample envelope (the trace's
-    [envelope] column for the same slice): each sample is compared to
-    the envelope in force at its own tick.  Raises [Invalid_argument]
-    on a length mismatch. *)
-
 val compliance_time_series :
   envelope:float array -> dt:float -> float array -> float option
 (** The compliance-time metric of {!per_phase} against a per-sample

@@ -60,21 +60,17 @@ let generate_capping (_ : Platform_desc.t) =
 
 (* Memoized per digest, like [Spec.of_platform]: the pair and their
    product feed the synthesis cache, and handing back identical automata
-   keeps their structural digests computed once per description.  A miss
-   builds under the lock, so every caller gets the one physical value. *)
-let mutex = Mutex.create ()
-let pairs : (string, Automaton.t * Automaton.t) Hashtbl.t = Hashtbl.create 8
-let products : (string, Automaton.t) Hashtbl.t = Hashtbl.create 8
+   keeps their structural digests computed once per description.  The
+   memos are single-flight, so every caller gets the one physical value. *)
+let pairs : (string, Automaton.t * Automaton.t) Spectr_exec.Single_flight.t =
+  Spectr_exec.Single_flight.create ()
+
+let products : (string, Automaton.t) Spectr_exec.Single_flight.t =
+  Spectr_exec.Single_flight.create ()
 
 let memo tbl desc build =
-  let digest = Platform_desc.digest desc in
-  Mutex.protect mutex (fun () ->
-      match Hashtbl.find_opt tbl digest with
-      | Some v -> v
-      | None ->
-          let v = build () in
-          Hashtbl.replace tbl digest v;
-          v)
+  Spectr_exec.Single_flight.find_or_compute tbl
+    ~key:(Platform_desc.digest desc) ~compute:build
 
 let of_platform desc =
   memo pairs desc (fun () -> (generate_qos desc, generate_capping desc))

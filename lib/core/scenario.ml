@@ -190,19 +190,8 @@ let start config =
      Soc.set_background_tasks soc phases.(0).background_tasks);
   r
 
-let finished r =
-  (* No phase at or after the cursor has steps remaining. *)
-  let n = Array.length r.r_phases in
-  let rec go i =
-    i >= n
-    || (r.r_steps.(i) - (if i = r.r_phase then r.r_done_in_phase else 0) <= 0
-        && go (i + 1))
-  in
-  go r.r_phase
-
 let trace r = r.r_trace
 let runner_soc r = r.r_soc
-let runner_faults r = r.r_faults
 let ticks_done r = r.r_tick
 
 let current_phase r =

@@ -38,11 +38,6 @@ type config = {
   seed : int64;
 }
 
-val default_phases : ?tdp:float -> ?emergency:float -> unit -> phase list
-(** The paper's scenario: 5 s Safe at [tdp] (default 5 W), 5 s Emergency
-    at [emergency] (default 3.5 W), 5 s Disturbance at [tdp] with 10
-    background tasks.  No faults. *)
-
 val columns : string list
 (** Base trace columns of the reference Exynos description (no [faults]
     column) — [columns_of Platform_desc.exynos5422]. *)
@@ -60,9 +55,6 @@ val columns_of : Platform_desc.t -> string list
     [<cluster>_freq_mhz]/[<cluster>_cores] pair per cluster,
     [background], [phase].  On [exynos5422] this is exactly
     {!columns}. *)
-
-val fault_columns_of : Platform_desc.t -> string list
-(** [columns_of] plus the trailing [faults]/[true_power] pair. *)
 
 val default_qos_ref : Platform_desc.t -> Workload.t -> float
 (** The QoS reference a run uses unless told otherwise: 60 FPS for x264
@@ -83,10 +75,10 @@ val run : manager:Manager.t -> config -> Trace.t
 (** Execute the scenario.  The trace has the columns of
     [columns_of config.platform]; when any phase carries fault
     injections, trailing [faults] and [true_power] columns record the
-    active-injection count and ground-truth chip power per sample
-    ({!fault_columns_of}).  The per-cluster [_freq_mhz]/[_cores] columns
-    always read back the {e actually applied} actuator state, so a stuck
-    actuator is visible in the trace. *)
+    active-injection count and ground-truth chip power per sample.  The
+    per-cluster [_freq_mhz]/[_cores] columns always read back the
+    {e actually applied} actuator state, so a stuck actuator is visible
+    in the trace. *)
 
 val fault_schedule : config -> Faults.injection list
 (** The absolute-time fault schedule of a config (phase-relative windows
@@ -120,14 +112,12 @@ val tick : runner -> manager:Manager.t -> Soc.observation option
     place by the next [tick] — read it (or copy the fields out) before
     ticking again; do not stash the record itself. *)
 
-val finished : runner -> bool
 val trace : runner -> Trace.t
 
 val runner_soc : runner -> Soc.t
 (** The live SoC — monitors read ground truth ({!Soc.true_chip_power},
     actuator readbacks) from here between ticks. *)
 
-val runner_faults : runner -> Faults.t option
 val ticks_done : runner -> int
 
 val current_phase : runner -> phase * int

@@ -49,21 +49,13 @@ let generate desc =
 (* Memoized per platform digest: supervisor construction happens per
    scenario cell and per bench task, and the synthesis cache downstream
    keys on the automaton, so handing back the identical value also keeps
-   its digest computation amortized. *)
-let mutex = Mutex.create ()
-let cache : (string, Automaton.t) Hashtbl.t = Hashtbl.create 8
+   its digest computation amortized.  Single-flight, so concurrent
+   callers share the one physical value. *)
+let cache : (string, Automaton.t) Spectr_exec.Single_flight.t =
+  Spectr_exec.Single_flight.create ()
 
 let of_platform desc =
-  let digest = Platform_desc.digest desc in
-  Mutex.lock mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock mutex)
-    (fun () ->
-      match Hashtbl.find_opt cache digest with
-      | Some a -> a
-      | None ->
-          let a = generate desc in
-          Hashtbl.replace cache digest a;
-          a)
+  Spectr_exec.Single_flight.find_or_compute cache
+    ~key:(Platform_desc.digest desc) ~compute:(fun () -> generate desc)
 
 let three_band = of_platform Platform_desc.exynos5422

@@ -35,7 +35,6 @@ module Reconfig = struct
     boot_sup : Supervisor.t;
     commands : Supervisor.commands;
     supervisor_divisor : int;
-    swap_ticks : int;
     guard : Guarded.t option;
     fdir : Fdir.t option;
     meas : float array array; (* preallocated per-cluster tick buffers *)
@@ -61,8 +60,7 @@ module Reconfig = struct
   let platform h = h.desc
   let supervisor h = h.sup
 
-  (* Handles escape only from [make_reconfigurable], which arms both. *)
-  let fdir h = Option.get h.fdir
+  (* Handles escape only from [make_reconfigurable], which arms it. *)
   let guard h = Option.get h.guard
   let last_resynth_s h = h.resynth_s
 
@@ -114,6 +112,10 @@ let enter_fallback h =
     log_status h
   end
 
+(* Open-loop swap window after a supervisor hot-swap, in control
+   periods of floor actuation. *)
+let swap_ticks = 4
+
 (* Hot-swap onto the plant degraded by [d]: surviving controllers are
    reused untouched (the physics of a surviving cluster did not change,
    so neither did its identified model), only the supervisor is
@@ -138,7 +140,7 @@ let degrade h d =
       h.reconfigs <- h.reconfigs + 1;
       Obs.Counters.incr c_reconfigs;
       h.status <- Swapping;
-      h.swap_left <- h.swap_ticks;
+      h.swap_left <- swap_ticks;
       log_status h;
       true
 
@@ -368,7 +370,7 @@ let restore h s =
    SPECTR has neither, SPECTR+G the guard, SPECTR+R the guard plus
    FDIR-driven reconfiguration with a [swap_ticks]-period swap window. *)
 let build ~who ~name ~seed ~supervisor_divisor ~gain_scheduling ~guard ~fdir
-    ~swap_ticks platform =
+    platform =
   if supervisor_divisor < 1 then invalid_arg (who ^ ": supervisor_divisor < 1");
   let k0 = Platform_desc.num_clusters platform in
   let host_phys = Platform_desc.host platform in
@@ -409,7 +411,6 @@ let build ~who ~name ~seed ~supervisor_divisor ~gain_scheduling ~guard ~fdir
       boot_sup;
       commands;
       supervisor_divisor;
-      swap_ticks;
       guard;
       fdir = (if fdir then Some (Fdir.create ~k:k0 ~host:host_phys ()) else None);
       meas = Array.init k0 (fun _ -> [| 0.; 0. |]);
@@ -448,15 +449,12 @@ let make ?(seed = 17L) ?(supervisor_divisor = 2) ?(gain_scheduling = true)
   let name = match guards with None -> "SPECTR" | Some _ -> "SPECTR+G" in
   let mgr, h =
     build ~who:"Spectr_manager.make" ~name ~seed ~supervisor_divisor
-      ~gain_scheduling ~guard:guards ~fdir:false ~swap_ticks:0 platform
+      ~gain_scheduling ~guard:guards ~fdir:false platform
   in
   (mgr, h.sup)
 
 let make_reconfigurable ?(seed = 17L) ?(supervisor_divisor = 2)
-    ?(gain_scheduling = true) ?(swap_ticks = 4) ?guards
-    ?(platform = Platform_desc.exynos5422) () =
-  if swap_ticks < 1 then
-    invalid_arg "Spectr_manager.make_reconfigurable: swap_ticks < 1";
+    ?(gain_scheduling = true) ?guards ?(platform = Platform_desc.exynos5422) () =
   let guard =
     match guards with
     | Some g -> g
@@ -464,4 +462,4 @@ let make_reconfigurable ?(seed = 17L) ?(supervisor_divisor = 2)
   in
   build ~who:"Spectr_manager.make_reconfigurable" ~name:"SPECTR+R" ~seed
     ~supervisor_divisor ~gain_scheduling ~guard:(Some guard) ~fdir:true
-    ~swap_ticks platform
+    platform

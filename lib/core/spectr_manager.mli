@@ -77,7 +77,6 @@ module Reconfig : sig
   val supervisor : handle -> Supervisor.t
   (** The live supervisor.  Replaced on every hot-swap. *)
 
-  val fdir : handle -> Fdir.t
   val guard : handle -> Guarded.t
 
   val last_resynth_s : handle -> float
@@ -94,7 +93,6 @@ val make_reconfigurable :
   ?seed:int64 ->
   ?supervisor_divisor:int ->
   ?gain_scheduling:bool ->
-  ?swap_ticks:int ->
   ?guards:Guarded.t ->
   ?platform:Spectr_platform.Platform_desc.t ->
   unit ->
@@ -108,8 +106,8 @@ val make_reconfigurable :
     description ({!Spectr_platform.Platform_desc.degrade}), re-runs
     supervisor synthesis on it (warm through {!Synth_cache}), maps the
     outgoing engine state across with {!Supervisor.adopt}, and resumes
-    closed-loop control after a bounded open-loop swap window of
-    [swap_ticks] periods (default 4) at floor actuation.  Surviving
+    closed-loop control after a bounded open-loop swap window of 4
+    periods at floor actuation.  Surviving
     clusters keep their leaf controllers — their physics did not change.
     Dead clusters are never actuated again; live clusters whose power
     sensor died are pinned to their floor OPP; a latched DVFS rail keeps
@@ -124,5 +122,4 @@ val make_reconfigurable :
     [restore] re-derives the supervised description from the boot one
     (re-synthesizing, warm, only when it differs from the live one) and
     resumes at any rung of the ladder.  The variant tag is ["SPECTR+R"]
-    with {!make}'s suffix rule.  Raises [Invalid_argument] as {!make},
-    or when [swap_ticks < 1]. *)
+    with {!make}'s suffix rule.  Raises [Invalid_argument] as {!make}. *)

@@ -147,7 +147,6 @@ let power_ref t i =
   t.refs.(i)
 
 let synthesis_stats t = t.stats
-let automaton t = t.auto
 
 type snapshot = {
   snap_state : int;

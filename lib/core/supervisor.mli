@@ -112,7 +112,6 @@ val power_ref : t -> int -> float
     [Invalid_argument] outside [0, num_clusters). *)
 
 val synthesis_stats : t -> Synthesis.stats
-val automaton : t -> Automaton.t
 
 (** {1 Checkpoint/restore}
 

@@ -46,13 +46,13 @@ let demand ~(config : Node.config) ~epoch_s (r : Node.report) =
     clamp config.cap_floor (capacity ~config r) want
   end
 
-let rebudget ?(headroom = default_headroom) ~policy ~global_cap
+let rebudget ~policy ~global_cap
     ~(config : Node.config) ~epoch_s reports =
   let n = Array.length reports in
   if n = 0 then [||]
   else begin
     let floor = config.cap_floor and tdp = config.node_tdp in
-    let budget = global_cap *. (1. -. headroom) in
+    let budget = global_cap *. (1. -. default_headroom) in
     let alive = Array.map (fun r -> r.Node.r_alive) reports in
     let n_alive = Array.fold_left (fun a b -> if b then a + 1 else a) 0 alive in
     (* Dead nodes get 0 in every coordinated policy — exclusion, not a

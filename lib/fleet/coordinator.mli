@@ -38,7 +38,6 @@ val default_headroom : float
     up. *)
 
 val rebudget :
-  ?headroom:float ->
   policy:policy ->
   global_cap:float ->
   config:Node.config ->
@@ -57,7 +56,7 @@ val rebudget :
     [[config.cap_floor, min config.node_tdp r_max_power]] — a
     reconfigured node's allocation is capped at its reported degraded
     capacity, freeing headroom its silicon can no longer use.  Writing
-    [budget = global_cap × (1 - headroom)], the coordinated caps sum to
+    [budget = global_cap × (1 - default_headroom)], the coordinated caps sum to
     at most [budget] whenever [budget >= n_alive × cap_floor] (below
     that floor the problem is infeasible and every alive node gets
     [cap_floor]).  Deterministic: fixed bisection iteration count,

@@ -1,36 +1,28 @@
-type weights = {
-  w_affinity : float;
-  w_headroom : float;
-  w_debt : float;
-  w_faults : float;
-  w_load : float;
-}
-
-let default_weights =
-  { w_affinity = 1.0; w_headroom = 2.0; w_debt = 1.5; w_faults = 0.5;
-    w_load = 0.25 }
-
-let score w ~pending (r : Node.report) (it : Arrivals.item) =
+(* Score weights: a 1.0 bonus for a node already running the item's
+   kind, 2.0 per unit of relative power headroom, and penalties of 1.5
+   per second of epoch QoS debt, 0.5 per recorded kill and 0.25 per
+   background task (placed or pending from this round). *)
+let score ~pending (r : Node.report) (it : Arrivals.item) =
   if not r.Node.r_alive then neg_infinity
   else
     let affinity = if r.Node.r_workload = it.Arrivals.a_kind then 1. else 0. in
     let headroom =
       (r.Node.r_cap -. r.Node.r_power) /. Float.max r.Node.r_cap 1e-9
     in
-    (w.w_affinity *. affinity)
-    +. (w.w_headroom *. headroom)
-    -. (w.w_debt *. r.Node.r_debt)
-    -. (w.w_faults *. float_of_int r.Node.r_kills)
-    -. (w.w_load *. float_of_int (r.Node.r_background + pending))
+    (1.0 *. affinity)
+    +. (2.0 *. headroom)
+    -. (1.5 *. r.Node.r_debt)
+    -. (0.5 *. float_of_int r.Node.r_kills)
+    -. (0.25 *. float_of_int (r.Node.r_background + pending))
 
-let assign ?(weights = default_weights) ~reports items =
+let assign ~reports items =
   let n = Array.length reports in
   let pending = Array.make n 0 in
   List.filter_map
     (fun it ->
       let best = ref (-1) and best_score = ref neg_infinity in
       for i = 0 to n - 1 do
-        let s = score weights ~pending:pending.(i) reports.(i) it in
+        let s = score ~pending:pending.(i) reports.(i) it in
         (* Strict [>] keeps the lowest index on ties — the deterministic
            tie-break the digest check relies on. *)
         if s > !best_score then begin

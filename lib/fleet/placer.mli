@@ -2,32 +2,15 @@
     node where it will do best, by multi-factor scoring.
 
     The score combines workload affinity (a node already running the
-    item's benchmark), power headroom (cap minus measured draw), QoS
-    debt (a struggling node should not take more work), fault history
-    (a kill-prone node is a bad home), and the load already placed —
-    including earlier items of the same round, so a burst spreads
-    instead of piling onto one winner.  Dead nodes never receive work.
+    item's benchmark, +1), power headroom (cap minus measured draw, +2
+    per unit of relative headroom), QoS debt (a struggling node should
+    not take more work, −1.5 per second), fault history (a kill-prone
+    node is a bad home, −0.5 per kill), and the load already placed
+    (−0.25 per background task) — including earlier items of the same
+    round, so a burst spreads instead of piling onto one winner.  Dead nodes never receive work.
     Deterministic: ties break toward the lowest node index. *)
 
-type weights = {
-  w_affinity : float;  (** Bonus when the node runs the item's kind. *)
-  w_headroom : float;  (** Per unit of relative power headroom. *)
-  w_debt : float;  (** Penalty per second of epoch QoS debt. *)
-  w_faults : float;  (** Penalty per recorded kill. *)
-  w_load : float;
-      (** Penalty per background task already on the node (placed or
-          pending from this round). *)
-}
-
-val default_weights : weights
-
-val score : weights -> pending:int -> Node.report -> Arrivals.item -> float
-(** Placement score of one node for one item ([neg_infinity] for a dead
-    node).  [pending] is the extra task count already assigned to this
-    node earlier in the current round. *)
-
 val assign :
-  ?weights:weights ->
   reports:Node.report array ->
   Arrivals.item list ->
   (int * Arrivals.item) list

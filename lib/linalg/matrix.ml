@@ -65,14 +65,6 @@ let data m = m.data
 let to_arrays m =
   Array.init m.rows (fun i -> Array.init m.cols (fun j -> unsafe_get m i j))
 
-let row m i =
-  if i < 0 || i >= m.rows then invalid_arg "Matrix.row: out of range";
-  Array.init m.cols (fun j -> unsafe_get m i j)
-
-let col m j =
-  if j < 0 || j >= m.cols then invalid_arg "Matrix.col: out of range";
-  Array.init m.rows (fun i -> unsafe_get m i j)
-
 let to_scalar m =
   if m.rows <> 1 || m.cols <> 1 then
     invalid_arg "Matrix.to_scalar: not a 1x1 matrix";
@@ -245,8 +237,7 @@ let submatrix m ~row ~col ~rows ~cols =
    substitution overwrites [x] with the solution.  The arithmetic, its
    order and the pivot choice are those of textbook elimination on an
    augmented array of rows, so results are reproducible bit for bit.
-   Returns the number of row swaps (the determinant's sign); raises
-   [Failure] on a numerically singular pivot. *)
+   Raises [Failure] on a numerically singular pivot. *)
 let gauss_in_place n nb lu x =
   let swap (d : float array) w r1 r2 =
     for j = 0 to w - 1 do
@@ -255,7 +246,6 @@ let gauss_in_place n nb lu x =
       Array.unsafe_set d ((r2 * w) + j) t
     done
   in
-  let swaps = ref 0 in
   for k = 0 to n - 1 do
     let pivot = ref k in
     for i = k + 1 to n - 1 do
@@ -266,8 +256,7 @@ let gauss_in_place n nb lu x =
     done;
     if !pivot <> k then begin
       swap lu n k !pivot;
-      swap x nb k !pivot;
-      incr swaps
+      swap x nb k !pivot
     end;
     let p = Array.unsafe_get lu ((k * n) + k) in
     if abs_float p < 1e-300 then failwith "Matrix.solve: singular";
@@ -295,8 +284,7 @@ let gauss_in_place n nb lu x =
       done;
       Array.unsafe_set x ((i * nb) + j) (!s /. Array.unsafe_get lu ((i * n) + i))
     done
-  done;
-  !swaps
+  done
 
 let solve_into ~lu ~dst a b =
   if a.rows <> a.cols then invalid_arg "Matrix.solve: not square";
@@ -307,31 +295,13 @@ let solve_into ~lu ~dst a b =
     invalid_arg "Matrix.solve_into: lu aliases the right-hand side";
   Array.blit a.data 0 lu.data 0 (Array.length a.data);
   Array.blit b.data 0 dst.data 0 (Array.length b.data);
-  ignore (gauss_in_place a.rows b.cols lu.data dst.data : int)
+  gauss_in_place a.rows b.cols lu.data dst.data
 
 let solve a b =
   let lu = { a with data = Array.make (Array.length a.data) 0. } in
   let dst = { b with data = Array.make (Array.length b.data) 0. } in
   solve_into ~lu ~dst a b;
   dst
-
-let inverse a = solve a (identity a.rows)
-
-(* The product of the pivots, negated once per row swap.  Negation is
-   exact and rounding is sign-symmetric, so applying the sign at the
-   end gives the same bits as flipping it at each swap. *)
-let determinant a =
-  if a.rows <> a.cols then invalid_arg "Matrix.determinant: not square";
-  let n = a.rows in
-  let lu = Array.copy a.data in
-  match gauss_in_place n 0 lu [||] with
-  | swaps ->
-      let det = ref 1. in
-      for k = 0 to n - 1 do
-        det := !det *. lu.((k * n) + k)
-      done;
-      if swaps land 1 = 1 then -. !det else !det
-  | exception Failure _ -> 0.
 
 let frobenius_norm m =
   sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. m.data)
@@ -386,5 +356,3 @@ let pp ppf m =
     if i < m.rows - 1 then Format.fprintf ppf "@,"
   done;
   Format.fprintf ppf "@]"
-
-let to_string m = Format.asprintf "%a" pp m

@@ -54,12 +54,6 @@ val get : t -> int -> int -> float
 val to_arrays : t -> float array array
 (** Fresh array-of-rows copy. *)
 
-val row : t -> int -> float array
-(** Copy of row [i]. *)
-
-val col : t -> int -> float array
-(** Copy of column [j]. *)
-
 val to_scalar : t -> float
 (** The single entry of a 1×1 matrix; raises [Invalid_argument] otherwise. *)
 
@@ -74,9 +68,6 @@ val mul : t -> t -> t
 val scale : float -> t -> t
 val neg : t -> t
 val transpose : t -> t
-
-val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
 
 (** {2 In-place variants}
 
@@ -146,12 +137,6 @@ val solve_into : lu:t -> dst:t -> t -> t -> unit
     {!solve}; on [Failure] the contents of [lu] and [dst] are
     unspecified. *)
 
-val inverse : t -> t
-(** [inverse a = solve a (identity n)].  Same exceptions as {!solve}. *)
-
-val determinant : t -> float
-(** Determinant via the LU factorization used by {!solve}. *)
-
 (** {1 Norms and predicates} *)
 
 val frobenius_norm : t -> float
@@ -162,8 +147,6 @@ val equal : ?tol:float -> t -> t -> bool
 (** Entry-wise comparison within [tol] (default [1e-9]); [false] when
     shapes differ. *)
 
-val is_square : t -> bool
-
 val is_symmetric : ?tol:float -> t -> bool
 
 val trace : t -> float
@@ -173,5 +156,3 @@ val trace : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line fixed-point rendering, for debugging and test output. *)
-
-val to_string : t -> string

@@ -11,7 +11,6 @@ type t = { mutable bits : float }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { bits = Int64.float_of_bits seed }
-let copy g = { bits = g.bits }
 let blit ~src ~dst = dst.bits <- src.bits
 
 let[@inline] mix z =

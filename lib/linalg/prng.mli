@@ -11,9 +11,6 @@ val create : int64 -> t
 (** Generator seeded with the given value; equal seeds give equal
     streams. *)
 
-val copy : t -> t
-(** Independent clone continuing from the same state. *)
-
 val blit : src:t -> dst:t -> unit
 (** Overwrite [dst]'s state with [src]'s without allocating.  Afterwards
     both generators produce the same stream (and then diverge as they

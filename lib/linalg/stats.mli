@@ -14,9 +14,6 @@ val variance : float array -> float
 val std : float array -> float
 (** Population standard deviation. *)
 
-val demean : float array -> float array
-(** Series minus its mean. *)
-
 val autocorrelation : float array -> int -> float
 (** [autocorrelation x k] is the lag-[k] sample autocorrelation of [x],
     normalized so that lag 0 gives 1.  [k] may be negative (symmetric).

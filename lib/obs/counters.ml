@@ -12,7 +12,7 @@
 let shard_count = 8 (* power of two *)
 
 type t = { name : string; shards : int Atomic.t array }
-type gauge = { gauge_name : string; cell : float Atomic.t }
+type gauge = float Atomic.t
 
 let counters : (string, t) Hashtbl.t = Hashtbl.create 32
 let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 8
@@ -39,7 +39,7 @@ let gauge name =
     match Hashtbl.find_opt gauges name with
     | Some g -> g
     | None ->
-        let g = { gauge_name = name; cell = Atomic.make 0. } in
+        let g = Atomic.make 0. in
         Hashtbl.add gauges name g;
         g
   in
@@ -55,9 +55,8 @@ let add c n =
 let incr c = add c 1
 let value c = Array.fold_left (fun acc s -> acc + Atomic.get s) 0 c.shards
 let name c = c.name
-let set g v = if Atomic.get State.enabled then Atomic.set g.cell v
-let gauge_value g = Atomic.get g.cell
-let gauge_name g = g.gauge_name
+let set g v = if Atomic.get State.enabled then Atomic.set g v
+let gauge_value = Atomic.get
 
 let by_name n =
   Mutex.lock mu;
@@ -84,5 +83,5 @@ let reset () =
   Hashtbl.iter
     (fun _ c -> Array.iter (fun s -> Atomic.set s 0) c.shards)
     counters;
-  Hashtbl.iter (fun _ g -> Atomic.set g.cell 0.) gauges;
+  Hashtbl.iter (fun _ g -> Atomic.set g 0.) gauges;
   Mutex.unlock mu

@@ -26,7 +26,6 @@ val name : t -> string
 
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 val by_name : string -> int option
 (** Merged value of a registered counter, [None] if never registered. *)

@@ -14,7 +14,6 @@
 let bucket_count = 63
 
 type t = {
-  name : string;
   buckets : int Atomic.t array;
   count : int Atomic.t;
   sum : int Atomic.t;
@@ -33,7 +32,6 @@ let histogram name =
     | None ->
         let h =
           {
-            name;
             buckets = Array.init bucket_count (fun _ -> Atomic.make 0);
             count = Atomic.make 0;
             sum = Atomic.make 0;
@@ -72,7 +70,6 @@ let observe t ns =
       update_max t.max ns
     end
 
-let name t = t.name
 let count t = Atomic.get t.count
 let max_ns t = Atomic.get t.max
 let dropped t = Atomic.get t.dropped

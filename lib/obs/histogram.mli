@@ -17,7 +17,6 @@ val observe : t -> int -> unit
     the mean of the samples actually recorded.  Zero is a valid sample
     (bucket 0). *)
 
-val name : t -> string
 val count : t -> int
 val max_ns : t -> int
 val mean_ns : t -> float

@@ -23,9 +23,6 @@ val streamcluster : Workload.t
 (** The most memory-bound of the set (3.2× max speedup). *)
 
 val kmeans : Workload.t
-val knn : Workload.t
-val least_squares : Workload.t
-val linear_regression : Workload.t
 
 val microbench : Workload.t
 (** The in-house identification microbenchmark: multiply–accumulate over

@@ -103,11 +103,6 @@ let create ?(seed = 0xFA17L) injections =
 let injections t = t.injections
 let window_active i ~now = now >= i.start_s && now < i.stop_s
 
-let is_active t ~now fault =
-  List.exists
-    (fun i -> i.fault = fault && window_active i ~now)
-    t.injections
-
 let active_count t ~now =
   List.length (List.filter (window_active ~now) t.injections)
 
@@ -120,9 +115,6 @@ let dvfs_stuck t ~now =
 let gating_refused t ~now = active_on t ~now (fun f -> f = Gating_refused)
 let heartbeat_stalled t ~now = active_on t ~now (fun f -> f = Heartbeat_stall)
 let cluster_dead t ~now ~cluster = active_on t ~now (fun f -> f = Cluster_dead cluster)
-
-let any_cluster_dead t ~now =
-  active_on t ~now (function Cluster_dead _ -> true | _ -> false)
 
 let has_permanent t = List.exists (fun i -> is_permanent i.fault) t.injections
 

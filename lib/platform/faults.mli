@@ -39,7 +39,7 @@ type kind =
       (** The sensor repeats its last pre-fault reading. *)
   | Spike_burst of sensor * float
       (** Outlier bursts: each sample is multiplied by the given factor
-          with probability {!spike_probability}. *)
+          with probability 0.3. *)
   | Dvfs_stuck  (** {!Soc.set_frequency} is silently ignored. *)
   | Gating_refused  (** {!Soc.set_active_cores} is silently ignored. *)
   | Heartbeat_stall
@@ -57,10 +57,6 @@ type kind =
       (** {e Permanent}: {!Soc.set_frequency} is ignored forever — a
           latched DVFS rail, unlike the transient {!Dvfs_stuck}.
           Onset-only. *)
-
-val spike_probability : float
-(** Per-sample probability that a {!Spike_burst} sample actually spikes
-    (0.3). *)
 
 val is_permanent : kind -> bool
 (** Permanent kinds never clear: their injection windows are onset-only
@@ -91,9 +87,6 @@ val create : ?seed:int64 -> injection list -> t
 
 val injections : t -> injection list
 
-val is_active : t -> now:float -> kind -> bool
-(** Is a fault of exactly this kind active at [now]? *)
-
 val active_count : t -> now:float -> int
 (** Number of currently-active injections (the [faults] trace column). *)
 
@@ -106,8 +99,6 @@ val heartbeat_stalled : t -> now:float -> bool
 
 val cluster_dead : t -> now:float -> cluster:int -> bool
 (** Is cluster [cluster] permanently dead at [now]? *)
-
-val any_cluster_dead : t -> now:float -> bool
 
 val has_permanent : t -> bool
 (** Does the schedule contain any permanent injection at all?  Used by

@@ -13,7 +13,7 @@ type t = private {
   uniform_step_mhz : int;
       (** Common gap in MHz when the table is evenly spaced (both
           built-in ramps are), 0 otherwise.  Evenly spaced tables get
-          O(1) {!nearest}/{!index}/{!voltage}. *)
+          O(1) {!nearest}/{!voltage}. *)
 }
 
 val create : name:string -> points:(int * float) list -> t
@@ -40,13 +40,6 @@ val nearest : t -> float -> int
 (** [nearest table f_mhz] is the available frequency closest to [f_mhz]
     (ties resolve downward), clamped to the table range. *)
 
-val nearest_scan : t -> float -> int
-(** The O(n) fallback behind {!nearest} for unevenly spaced tables;
-    exposed so tests can pin the scan path against the O(1) fast path. *)
-
 val voltage : t -> int -> float
 (** Voltage at an exact table frequency.  Raises [Invalid_argument] when
     the frequency is not an OPP — call {!nearest} first. *)
-
-val index : t -> int -> int
-(** Index of an exact table frequency. *)

@@ -109,10 +109,3 @@ let max_qos_rate_for desc w =
   qos_rate_for desc w
     ~freq_mhz:(Opp.max_freq c.Platform_desc.opp)
     ~effective_cores:(float_of_int c.Platform_desc.cores)
-
-let min_qos_rate_for desc w =
-  let host = Platform_desc.host desc in
-  let c = Platform_desc.cluster desc host in
-  qos_rate_for desc w
-    ~freq_mhz:(Opp.min_freq c.Platform_desc.opp)
-    ~effective_cores:1.

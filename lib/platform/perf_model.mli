@@ -17,23 +17,12 @@ type cluster = Big | Little
 (** The Exynos 5422 calibration reference.  Description-driven code
     uses {!coefficients_for} with a cluster index instead. *)
 
-val cpi_coefficients : Workload.t -> cluster -> float * float
-(** (a, b) of the CPI law for one core of the given cluster.  Little
-    cores share the memory coefficient [b] (same DRAM) but scale the
-    compute term by [1 / little_ipc_ratio]. *)
-
-val base_coefficients : Workload.t -> opp:Opp.t -> float * float
-(** The host-cluster derivation over an arbitrary DVFS table: anchored
-    on [base_ipc_big] at 1 GHz with the workload's [freq_scaling]
-    spanning the table's range.  Raises [Invalid_argument] when the
-    range ratio is too narrow to represent the measured speedup.
-    [base_coefficients ~opp:Opp.big] is exactly the Big-cluster law. *)
-
 val coefficients_for : Workload.t -> Platform_desc.t -> int -> float * float
 (** CPI law of cluster [i] of a platform description: the host cluster
-    from {!base_coefficients} over its own table, other clusters per
-    their [Platform_desc.cpi_law].  Bit-identical to {!cpi_coefficients}
-    on [Platform_desc.exynos5422]. *)
+    anchored on the workload's [base_ipc_big] at 1 GHz with its
+    [freq_scaling] spanning its own table, other clusters per their
+    [Platform_desc.cpi_law].  On [Platform_desc.exynos5422] it is
+    bit-identical to the {!Big}/{!Little} calibration reference. *)
 
 val contention : float
 (** Shared-DRAM bandwidth contention: fractional inflation of the
@@ -48,29 +37,6 @@ val core_ips : ?busy_cores:float -> Workload.t -> cluster -> freq_mhz:int -> flo
 (** Instructions per second of one fully-busy core when [busy_cores]
     (default 4) cores compete for memory bandwidth. *)
 
-val cluster_ips :
-  Workload.t ->
-  cluster ->
-  freq_mhz:int ->
-  effective_cores:float ->
-  parallel_fraction:float ->
-  float
-(** Throughput of the application on [effective_cores] (may be
-    fractional when background work steals capacity) at the given
-    frequency: single-core IPS × Amdahl speedup.  Raises when
-    [effective_cores <= 0]. *)
-
-val qos_rate :
-  Workload.t ->
-  cluster ->
-  freq_mhz:int ->
-  effective_cores:float ->
-  parallel_fraction:float ->
-  demand_scale:float ->
-  float
-(** Heartbeats (or frames) per second: {!cluster_ips} divided by the
-    (possibly phase-scaled) instructions per heartbeat. *)
-
 val max_qos_rate : Workload.t -> float
 (** Rate at the maximum allocation the experiments use: 4 Big cores at
     the top OPP, nominal parallel fraction, no disturbance. *)
@@ -81,6 +47,3 @@ val min_qos_rate : Workload.t -> float
 val max_qos_rate_for : Platform_desc.t -> Workload.t -> float
 (** {!max_qos_rate} on the description's host cluster (all host cores at
     its top OPP); equals {!max_qos_rate} on [exynos5422]. *)
-
-val min_qos_rate_for : Platform_desc.t -> Workload.t -> float
-(** {!min_qos_rate} on the description's host cluster. *)

@@ -169,7 +169,6 @@ let to_csv_string t =
 
 let digest t = t.digest
 let name t = t.name
-let clusters t = t.clusters
 let num_clusters t = Array.length t.clusters
 let host t = t.host
 let thermal t = t.thermal

@@ -20,13 +20,13 @@
     {!k_cluster}, {!degrade}, the CSV parser) goes through it, so a
     description never changes after it is built.  That is what lets
     {!create} compute the {!digest} once: callers must not write into
-    the array returned by {!clusters} or into its {!Opp} tables. *)
+    the record returned by {!cluster} or into its {!Opp} tables. *)
 
 type cpi_law =
   | Host_law
       (** The QoS-hosting cluster: CPI-law coefficients derived from the
-          workload ({!Perf_model.base_coefficients} over this cluster's
-          OPP range). *)
+          workload over this cluster's OPP range
+          ({!Perf_model.coefficients_for}). *)
   | Workload_ratio of float
       (** [a = a_host / (workload.little_ipc_ratio * r)], [b] shared —
           the workload's own in-order/out-of-order IPC ratio, scaled.
@@ -63,8 +63,6 @@ val create :
     core counts, or non-positive thermal parameters. *)
 
 val name : t -> string
-val clusters : t -> cluster array
-(** The description's own array, not a copy: read it, never write it. *)
 
 val num_clusters : t -> int
 val host : t -> int
@@ -155,6 +153,3 @@ val digest : t -> string
 
 val describe : t -> string
 (** Human-readable summary for [spectr_cli platforms]. *)
-
-val cpi_law_to_string : cpi_law -> string
-val cpi_law_of_string : string -> cpi_law option

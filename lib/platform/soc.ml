@@ -113,7 +113,7 @@ type t = {
   (* Per-core PMU readings are skipped, not drawn, on the hot path (no
      scenario column consumes them): [raw_ips] holds the noise-free
      values, [ips_snap] the generator state just before the per-core
-     draws, and {!per_core_ips}/{!host_ips} replay the exact draws on
+     draws, and {!per_core_ips} replays the exact draws on
      demand into [noisy_ips]. *)
   raw_ips : float array;
   noisy_ips : float array;
@@ -214,7 +214,6 @@ let create ?config ?(platform = Platform_desc.exynos5422) ~qos () =
 let platform soc = soc.platform
 let num_clusters soc = soc.k
 let host_cluster soc = soc.host
-let total_cores soc = soc.total
 
 let[@inline] check_cluster_pub soc i name =
   if i < 0 || i >= soc.k then
@@ -624,7 +623,7 @@ let step_into soc ~dt obs =
     else rawtot.(i) <- 0.
   done;
   (* The host cluster's per-core draws advance the stream without being
-     materialized; {!per_core_ips}/{!host_ips} replay them from
+     materialized; {!per_core_ips} replays them from
      [ips_snap] if a caller asks.  Each non-host aggregate IS consumed
      every tick, so those draws happen for real (a materialized gaussian
      advances the state exactly as a skipped one) — unless every
@@ -734,12 +733,3 @@ let materialize_ips soc =
 let per_core_ips soc =
   materialize_ips soc;
   Array.copy soc.noisy_ips
-
-let host_ips soc =
-  materialize_ips soc;
-  let o = soc.offs.(soc.host) in
-  let s = ref soc.noisy_ips.(o) in
-  for j = 1 to soc.n_cores.(soc.host) - 1 do
-    s := !s +. soc.noisy_ips.(o + j)
-  done;
-  !s

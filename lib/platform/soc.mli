@@ -60,9 +60,8 @@ type observation = {
     fills it without allocating.  Per-cluster readings live in the
     SoC-owned {!sensor_powers}/{!ips_totals} arrays (an array field here
     would make the record a mixed block and box every float store);
-    per-core PMU readings are pull-based via {!per_core_ips} and
-    {!host_ips}, whose noise draws the hot path skips and replays on
-    demand. *)
+    per-core PMU readings are pull-based via {!per_core_ips}, whose
+    noise draws the hot path skips and replays on demand. *)
 
 val make_observation : unit -> observation
 (** A zeroed observation buffer for {!step_into}. *)
@@ -78,8 +77,6 @@ val platform : t -> Platform_desc.t
 val num_clusters : t -> int
 val host_cluster : t -> int
 (** Index of the cluster hosting the QoS application. *)
-
-val total_cores : t -> int
 
 val opp_table : t -> int -> Opp.t
 (** DVFS table of the given cluster (for command sanitization and
@@ -156,18 +153,13 @@ val sensor_powers : t -> float array
 val ips_totals : t -> float array
 (** Per-cluster aggregate noisy IPS of the last step, indexed by
     cluster.  The host cluster's entry is 0 — its per-core draws are
-    skipped on the hot path; use {!host_ips} for the replayed value.
+    skipped on the hot path; {!per_core_ips} replays them.
     Same ownership rules as {!sensor_powers}. *)
-
-val host_ips : t -> float
-(** Aggregate host-cluster instructions/s as of the last step — the
-    noisy reading whose draws the hot path skipped, replayed from the
-    saved generator state on demand.  Zero before the first step. *)
 
 val per_core_ips : t -> float array
 (** Per-core PMU (IPS) readings as of the last step, [total_cores]
-    entries in global core order.  Fresh array per call; replayed on
-    demand like {!host_ips}. *)
+    entries in global core order.  Fresh array per call; the draws the
+    hot path skipped are replayed from the saved generator state. *)
 
 val true_qos_rate : t -> float
 (** Noise-free QoS rate at the current actuator settings (for tests and
@@ -175,14 +167,6 @@ val true_qos_rate : t -> float
 
 val true_chip_power : t -> float
 (** Noise-free total power at the current settings. *)
-
-val cluster_dead_now : t -> int -> bool
-(** Ground truth: is cluster [i] under an active {!Faults.Cluster_dead}
-    injection right now?  A dead cluster has zero capacity (background
-    work routes around it), draws zero power, reads exact 0.0 on its
-    power sensor, and ignores actuation; a dead {e host} cluster also
-    zeroes the QoS rate.  For invariant monitors and tests — managers
-    must infer death from sensors (see [Spectr.Fdir]). *)
 
 val temperature : t -> float
 (** Noise-free die temperature (°C).  A first-order RC response to chip

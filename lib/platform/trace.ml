@@ -79,12 +79,6 @@ let column_ix t i =
   check_column_index t i;
   Array.sub t.cols.(i) 0 t.n
 
-let column_slice_ix t i ~from ~upto =
-  check_column_index t i;
-  if from < 0 || upto > t.n || from >= upto then
-    invalid_arg "Trace.column_slice: bad range";
-  Array.sub t.cols.(i) from (upto - from)
-
 let last_ix t i =
   check_column_index t i;
   if t.n = 0 then invalid_arg "Trace.last: empty trace";

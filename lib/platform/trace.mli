@@ -47,9 +47,6 @@ val column_ix : t -> int -> float array
 (** By-index {!column}.  Raises [Invalid_argument] on an out-of-range
     index. *)
 
-val column_slice_ix : t -> int -> from:int -> upto:int -> float array
-(** By-index {!column_slice}. *)
-
 val last_ix : t -> int -> float
 (** By-index {!last}: latest value, O(1), no hashing. *)
 

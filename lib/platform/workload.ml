@@ -15,7 +15,7 @@ type t = {
   phases : phase list;
 }
 
-let create ?(little_ipc_ratio = 0.45) ?(complexity_wobble = 0.) ?(phases = [])
+let create ?(complexity_wobble = 0.) ?(phases = [])
     ~name ~parallel_fraction ~freq_scaling ~base_ipc_big
     ~instructions_per_heartbeat () =
   if parallel_fraction < 0. || parallel_fraction > 1. then
@@ -23,8 +23,6 @@ let create ?(little_ipc_ratio = 0.45) ?(complexity_wobble = 0.) ?(phases = [])
   if freq_scaling <= 1. then
     invalid_arg "Workload.create: freq_scaling must exceed 1";
   if base_ipc_big <= 0. then invalid_arg "Workload.create: base_ipc_big <= 0";
-  if little_ipc_ratio <= 0. || little_ipc_ratio > 1. then
-    invalid_arg "Workload.create: little_ipc_ratio not in (0,1]";
   if instructions_per_heartbeat <= 0. then
     invalid_arg "Workload.create: instructions_per_heartbeat <= 0";
   if complexity_wobble < 0. then
@@ -42,7 +40,7 @@ let create ?(little_ipc_ratio = 0.45) ?(complexity_wobble = 0.) ?(phases = [])
     parallel_fraction;
     freq_scaling;
     base_ipc_big;
-    little_ipc_ratio;
+    little_ipc_ratio = 0.45;
     instructions_per_heartbeat;
     complexity_wobble;
     phases;

@@ -36,7 +36,7 @@ type t = private {
   base_ipc_big : float;  (** > 0. *)
   little_ipc_ratio : float;
       (** IPC of a Little core relative to a Big core (in-order vs
-          out-of-order), in (0,1]. *)
+          out-of-order); 0.45 for every workload. *)
   instructions_per_heartbeat : float;
   complexity_wobble : float;
       (** Relative amplitude of slow sinusoidal variation in per-heartbeat
@@ -45,7 +45,6 @@ type t = private {
 }
 
 val create :
-  ?little_ipc_ratio:float ->
   ?complexity_wobble:float ->
   ?phases:phase list ->
   name:string ->

@@ -118,11 +118,6 @@ let sweep_of_csv text =
   in
   go 1 false [] lines
 
-let sweep_of_csv_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> sweep_of_csv text
-  | exception Sys_error msg -> Error msg
-
 (* --- least squares --------------------------------------------------- *)
 
 module Matrix = Spectr_linalg.Matrix
@@ -368,17 +363,11 @@ let fit samples =
       in
       go [] (group_by_cluster samples)
 
-let pp_fit ppf f =
-  Format.fprintf ppf
-    "%-8s %3d pts  power R2 %.4f (cdyn %.3f leak %.3f gated %.3f uncore \
-     %.3f)  ips R2 %.4f (a %.3f b %.3f)"
-    f.fit_cluster f.fit_samples f.fit_power_r2
-    f.fit_power.Power_model.cdyn_w_per_v2ghz
-    f.fit_power.Power_model.leak_w_per_core
-    f.fit_power.Power_model.gated_w_per_core
-    f.fit_power.Power_model.uncore_w f.fit_ips_r2 f.fit_cpi_a f.fit_cpi_b
+(* A calibration that cannot reproduce its own sweep to this R² is
+   rejected. *)
+let r2_gate = 0.95
 
-let to_platform ?(r2_gate = 0.95) ~name ~host ~thermal fits =
+let to_platform ~name ~host ~thermal fits =
   match fits with
   | [] -> Error "no fitted clusters"
   | _ -> (
@@ -424,8 +413,7 @@ let to_platform ?(r2_gate = 0.95) ~name ~host ~thermal fits =
               | p -> Ok p
               | exception Invalid_argument msg -> Error msg)))
 
-let generate_sweep ?(seed = 99L) ?(noise = 0.01)
-    ?(workload = Benchmarks.microbench) desc =
+let generate_sweep ?(seed = 99L) ?(noise = 0.01) desc =
   let g = Spectr_linalg.Prng.create seed in
   let jitter () =
     if noise = 0. then 1.
@@ -435,7 +423,7 @@ let generate_sweep ?(seed = 99L) ?(noise = 0.01)
   for i = 0 to Platform_desc.num_clusters desc - 1 do
     let c = Platform_desc.cluster desc i in
     let opp = c.Platform_desc.opp in
-    let cpi_a, cpi_b = Perf_model.coefficients_for workload desc i in
+    let cpi_a, cpi_b = Perf_model.coefficients_for Benchmarks.microbench desc i in
     Array.iteri
       (fun j freq ->
         let volt = opp.Opp.volts.(j) in

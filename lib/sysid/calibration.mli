@@ -46,8 +46,6 @@ val sweep_of_csv : string -> (sample list, string) result
 (** Parse a sweep CSV (header required; [#] comments and blank lines
     skipped).  Errors name the offending line. *)
 
-val sweep_of_csv_file : string -> (sample list, string) result
-
 type cluster_fit = {
   fit_cluster : string;
   fit_samples : int;
@@ -66,11 +64,7 @@ val fit : sample list -> (cluster_fit list, string) result
     core-count/voltage rows, fewer distinct points than model
     parameters, or a degenerate (singular) regression. *)
 
-val pp_fit : Format.formatter -> cluster_fit -> unit
-(** One-line summary: name, sample count, both R², parameter values. *)
-
 val to_platform :
-  ?r2_gate:float ->
   name:string ->
   host:string ->
   thermal:Platform_desc.thermal ->
@@ -83,19 +77,18 @@ val to_platform :
     construction, so the description derives it per workload (the fitted
     host law is still reported by {!fit} for inspection).  Fails when
     [host] names no fitted cluster or when any cluster's power or IPS R²
-    is below [r2_gate] (default 0.95) — a calibration that cannot
+    is below 0.95 — a calibration that cannot
     reproduce its own sweep must be rejected, not shipped. *)
 
 val generate_sweep :
   ?seed:int64 ->
   ?noise:float ->
-  ?workload:Workload.t ->
   Platform_desc.t ->
   sample list
 (** The measurement campaign a real platform would run, executed against
     the analytic models: for every cluster, OPP and active-core count,
     the model power at full utilization and the per-core IPS under the
     point's contention factor, each perturbed by multiplicative Gaussian
-    noise of relative σ [noise] (default 0.01; 0 = exact).  [workload]
-    (default {!Benchmarks.microbench}) fixes the CPI laws being measured
-    via {!Perf_model.coefficients_for}. *)
+    noise of relative σ [noise] (default 0.01; 0 = exact).  The CPI
+    laws being measured are {!Benchmarks.microbench}'s, via
+    {!Perf_model.coefficients_for}. *)

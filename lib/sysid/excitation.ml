@@ -1,35 +1,3 @@
-type t = float array array
-
-let staircase ~lo ~hi ~num_levels ~hold ~length =
-  if num_levels < 2 then invalid_arg "Excitation.staircase: num_levels < 2";
-  if hold < 1 then invalid_arg "Excitation.staircase: hold < 1";
-  if length < 1 then invalid_arg "Excitation.staircase: length < 1";
-  if hi < lo then invalid_arg "Excitation.staircase: hi < lo";
-  let period = float_of_int (num_levels * hold * 2) in
-  Array.init length (fun k ->
-      let phase = 2. *. Float.pi *. float_of_int k /. period in
-      let s = (sin phase +. 1.) /. 2. in
-      (* quantize to num_levels levels *)
-      let level =
-        Float.min
-          (float_of_int (num_levels - 1))
-          (Float.of_int (int_of_float (s *. float_of_int num_levels)))
-      in
-      lo +. ((hi -. lo) *. level /. float_of_int (num_levels - 1)))
-
-let step ~lo ~hi ~at ~length =
-  if length < 1 then invalid_arg "Excitation.step: length < 1";
-  Array.init length (fun k -> if k < at then lo else hi)
-
-let prbs g ~lo ~hi ~hold ~length =
-  if hold < 1 then invalid_arg "Excitation.prbs: hold < 1";
-  if length < 1 then invalid_arg "Excitation.prbs: length < 1";
-  let current = ref (if Spectr_linalg.Prng.bool g then hi else lo) in
-  Array.init length (fun k ->
-      if k mod hold = 0 then
-        current := (if Spectr_linalg.Prng.bool g then hi else lo);
-      !current)
-
 let random_staircase g ~lo ~hi ?(num_levels = 6) ~hold ~length () =
   if num_levels < 2 then invalid_arg "Excitation.random_staircase: num_levels";
   if hold < 1 then invalid_arg "Excitation.random_staircase: hold < 1";
@@ -43,47 +11,3 @@ let random_staircase g ~lo ~hi ?(num_levels = 6) ~hold ~length () =
   Array.init length (fun k ->
       if k mod hold = 0 then current := draw ();
       !current)
-
-let all_input_variation ~channels ~hold ~length =
-  let m = Array.length channels in
-  if m = 0 then invalid_arg "Excitation.all_input_variation: no channels";
-  (* Phase-shift each channel by shifting its start index. *)
-  let per_channel =
-    Array.mapi
-      (fun i (lo, hi) ->
-        let shift = i * hold * 3 in
-        let sig_ = staircase ~lo ~hi ~num_levels:6 ~hold ~length:(length + shift) in
-        Array.sub sig_ shift length)
-      channels
-  in
-  Array.init length (fun k -> Array.init m (fun i -> per_channel.(i).(k)))
-
-let single_input_variation ~channels ~active ~hold ~length =
-  let m = Array.length channels in
-  if active < 0 || active >= m then
-    invalid_arg "Excitation.single_input_variation: active out of range";
-  let lo, hi = channels.(active) in
-  let sweep = staircase ~lo ~hi ~num_levels:6 ~hold ~length in
-  Array.init length (fun k ->
-      Array.init m (fun i ->
-          if i = active then sweep.(k)
-          else
-            let lo, hi = channels.(i) in
-            (lo +. hi) /. 2.))
-
-let concat segments =
-  match segments with
-  | [] -> invalid_arg "Excitation.concat: empty"
-  | first :: _ ->
-      let m =
-        if Array.length first = 0 then 0 else Array.length first.(0)
-      in
-      List.iter
-        (fun seg ->
-          Array.iter
-            (fun row ->
-              if Array.length row <> m then
-                invalid_arg "Excitation.concat: channel mismatch")
-            seg)
-        segments;
-      Array.concat segments

@@ -2,31 +2,8 @@
 
     The paper (§5) generates training data "by executing an in-house
     microbenchmark and varying control inputs in the format of a staircase
-    test (i.e., a sine wave), both with single-input variation and
-    all-input variation".  This module produces those input schedules. *)
-
-type t = float array array
-(** A multi-channel excitation: [t.(k)] is the input vector at step [k]. *)
-
-val staircase :
-  lo:float -> hi:float -> num_levels:int -> hold:int -> length:int -> float array
-(** Sine-shaped staircase: a sinusoid between [lo] and [hi] quantized to
-    [num_levels] levels, each sample held for [hold] steps.  Raises
-    [Invalid_argument] when [num_levels < 2], [hold < 1], [length < 1] or
-    [hi < lo]. *)
-
-val step : lo:float -> hi:float -> at:int -> length:int -> float array
-(** Constant [lo] switching to [hi] at index [at]. *)
-
-val prbs :
-  Spectr_linalg.Prng.t ->
-  lo:float ->
-  hi:float ->
-  hold:int ->
-  length:int ->
-  float array
-(** Pseudo-random binary sequence alternating between [lo] and [hi] with
-    dwell time [hold]. *)
+    test".  The design flow drives every input with an independent
+    random staircase. *)
 
 val random_staircase :
   Spectr_linalg.Prng.t ->
@@ -42,19 +19,3 @@ val random_staircase :
     per channel keep multi-input excitations uncorrelated — the property
     a fixed phase-shifted staircase lacks, and without which the
     regression cannot attribute effects to the right actuator. *)
-
-val all_input_variation :
-  channels:(float * float) array -> hold:int -> length:int -> t
-(** Every channel runs a staircase simultaneously, phase-shifted from one
-    another so the regressor stays well conditioned.  [channels] gives
-    each channel's (lo, hi) range. *)
-
-val single_input_variation :
-  channels:(float * float) array -> active:int -> hold:int -> length:int -> t
-(** Channel [active] runs a staircase; all others are held at their range
-    midpoint.  Raises on an out-of-range [active]. *)
-
-val concat : t list -> t
-(** Concatenate excitation segments in time (e.g. the per-input sweeps
-    followed by an all-input sweep).  Raises when channel counts
-    disagree. *)

@@ -17,7 +17,10 @@ type report = {
   identifiable : bool;
 }
 
-let validate ?(max_lag = 20) ?output_names ~model data =
+(* Residual autocorrelation lags −20..20, as the paper's Figure 15 plots. *)
+let max_lag = 20
+
+let validate ?output_names ~model data =
   let p = Dataset.num_outputs data in
   let t0 = Arx.offset_suffix model in
   let names =

@@ -13,7 +13,7 @@ type channel_report = {
   r_squared : float;  (** One-step R² — the §6 Step-2 gate (≥ 0.8). *)
   rmse : float;
   residual_autocorr : (int * float) array;
-      (** Lag ↦ residual autocorrelation, lags −max_lag..max_lag. *)
+      (** Lag ↦ residual autocorrelation, lags −20..20. *)
   confidence99 : float;  (** Half-width of the 99 % whiteness band. *)
   violations : int;
       (** Number of nonzero lags whose autocorrelation leaves the band. *)
@@ -29,13 +29,13 @@ type report = {
 }
 
 val validate :
-  ?max_lag:int ->
   ?output_names:string array ->
   model:Arx.model ->
   Dataset.t ->
   report
 (** [validate ~model data] runs free simulation + residual analysis on
-    [data] (normally the held-out validation split).  [max_lag] defaults
-    to 20 (the paper's Figure 15 plots lags −20..20). *)
+    [data] (normally the held-out validation split).  The residual
+    autocorrelation covers lags −20..20, as the paper's Figure 15
+    plots (fewer when [data] is shorter). *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,9 +1,9 @@
 (* Reference supervisor synthesis for the differential tests: the
    original sequential engine (plant × spec product built by one BFS,
    then the uncontrollable and blocking passes iterated to a fixpoint),
-   kept here in compact form.  It shares no code with
-   [Synthesis.supcon_sharded] above the CSR constructor, so pinning the
-   library engine to it compares two independent implementations.
+   kept here in compact form.  It shares no code with [Synthesis.supcon]
+   above the CSR constructor, so pinning the library engine to it
+   compares two independent implementations.
 
    Product states are numbered in BFS discovery order with per-state
    emissions in the intrinsic order (plant row in event-id order, then
@@ -21,9 +21,10 @@ let supcon ~plant ~spec =
            (Automaton.name spec))
       sigma_g sigma_e
   in
-  let in_g e = Event.Set.mem (Event.of_id e) sigma_g in
-  let in_e e = Event.Set.mem (Event.of_id e) sigma_e in
-  let ctrl e = Event.is_controllable (Event.of_id e) in
+  (* [in_e]/[ctrl] take plant-row ids, [in_g] spec-row ids. *)
+  let in_g e = Event.Set.mem (Automaton.event_of_id spec e) sigma_g in
+  let in_e e = Event.Set.mem (Automaton.event_of_id plant e) sigma_e in
+  let ctrl e = Event.is_controllable (Automaton.event_of_id plant e) in
   (* --- reachable product, with escapes and uncontrollable edges --- *)
   let seen = Hashtbl.create 1024 and pairs = ref [] and count = ref 0 in
   let queue = Queue.create () in

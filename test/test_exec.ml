@@ -209,52 +209,46 @@ let test_parmap_combinators () =
         (List.init 16 Fun.id);
       check_bool "iter barrier" true (Array.for_all (( = ) 1) hits))
 
+(* The per-description memos behind supervisor construction: two pool
+   tasks racing on a fresh description, each with its own (equal)
+   description value, must get the one physical spec and plant. *)
+let test_description_memos_shared () =
+  with_pool ~jobs:2 (fun pool ->
+      let build _ =
+        let d = Platform_desc.k_cluster ~cores_per_cluster:3 7 in
+        (Spectr.Spec.of_platform d, Spectr.Plant_model.composed_for d)
+      in
+      match Pool.map pool build [ 0; 1 ] with
+      | [ (s1, p1); (s2, p2) ] ->
+          check_bool "one spec" true (s1 == s2);
+          check_bool "one plant" true (p1 == p2)
+      | _ -> Alcotest.fail "two results expected")
+
 (* ------------------------------------------------------------------ *)
-(* Event snapshot reads under contention                               *)
+(* Event interning under contention                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_event_reads_lock_free_under_contention () =
-  (* Regression for the read-path fix: [Event.of_id]/[Event.count] used
-     to take the global intern mutex on every call, serializing every
-     domain that merely *decodes* an event.  They now read an immutable
-     snapshot, so a multi-domain pool hammering reads while another task
-     interns new events must see only consistent (id, name) pairs and a
-     monotonically growing count — and finish quickly.  Under the old
-     locking this test still passes but is a convoy; under a broken
-     unsynchronized publication it fails on a torn or stale decode. *)
-  let base = Event.count () in
+let test_event_interning_under_contention () =
+  (* Several pool tasks intern overlapping name sets at once.  Every
+     (name, controllability) pair must come back as one physical value
+     whichever task interned it first, and distinct pairs must get
+     distinct ids: a new event's id is the intern-table size, read under
+     the intern mutex. *)
   let tagged i = Printf.sprintf "contention_ev_%d" i in
-  let writer () =
-    for i = 0 to 199 do
-      ignore (Event.controllable (tagged i))
-    done;
-    0
-  in
-  let reader seed =
-    (* Decode every event interned so far, repeatedly, while the writer
-       runs; every decode must round-trip id -> t -> id. *)
-    let errors = ref 0 in
-    for _ = 1 to 2000 do
-      let n = Event.count () in
-      if n < base then incr errors;
-      let i = seed mod max 1 n in
-      let e = Event.of_id i in
-      if Event.id e <> i then incr errors
-    done;
-    !errors
-  in
+  let intern w = Array.init 200 (fun i -> Event.controllable (tagged ((i + w) mod 200))) in
   with_pool ~jobs:4 (fun pool ->
-      let results =
-        Pool.map pool
-          (fun w -> if w = 0 then writer () else reader w)
-          [ 0; 1; 2; 3; 4; 5 ]
-      in
-      check_bool "no torn or stale reads" true
-        (List.for_all (( = ) 0) results));
-  check_bool "all writes visible afterwards" true (Event.count () >= base + 200);
-  (* And the ids decode to the names the writer interned. *)
-  let e0 = Event.controllable (tagged 0) in
-  check_string "round trip by id" (tagged 0) (Event.name (Event.of_id (Event.id e0)))
+      let results = Pool.map pool intern [ 0; 1; 2; 3; 4; 5 ] in
+      let canonical = Array.init 200 (fun i -> Event.controllable (tagged i)) in
+      List.iteri
+        (fun w evs ->
+          Array.iteri
+            (fun i e ->
+              if e != canonical.((i + w) mod 200) then
+                Alcotest.failf "task %d got a second copy of %s" w (Event.name e))
+            evs)
+        results;
+      let ids = Array.to_list (Array.map Event.id canonical) in
+      check_int "distinct ids" 200 (List.length (List.sort_uniq compare ids)))
 
 (* ------------------------------------------------------------------ *)
 (* Synthesis cache                                                     *)
@@ -286,7 +280,11 @@ let test_synth_cache_hit () =
     | Ok (sup, _) -> sup
     | Error _ -> Alcotest.fail "first synthesis failed"
   in
-  let fresh = Synthesis.supcon_exn ~plant ~spec in
+  let fresh =
+    match Synthesis.supcon ~plant ~spec with
+    | Ok (sup, _) -> sup
+    | Error _ -> Alcotest.fail "fresh synthesis failed"
+  in
   check_bool "cached structurally equal to fresh synthesis" true
     (Automaton.isomorphic sup1 fresh);
   (* Rebuilding structurally identical automata (different physical
@@ -488,8 +486,8 @@ let () =
             test_map_deferred;
           Alcotest.test_case "parmap combinators" `Quick
             test_parmap_combinators;
-          Alcotest.test_case "event reads lock-free under contention" `Quick
-            test_event_reads_lock_free_under_contention;
+          Alcotest.test_case "event interning under contention" `Quick
+            test_event_interning_under_contention;
         ] );
       ( "single-flight",
         [
@@ -499,6 +497,8 @@ let () =
             test_single_flight_same_key_once;
           Alcotest.test_case "exception uninstalls marker" `Quick
             test_single_flight_exception_uninstalls;
+          Alcotest.test_case "description memos shared across tasks" `Quick
+            test_description_memos_shared;
         ] );
       ( "synth-cache",
         [

@@ -596,12 +596,12 @@ let test_kalman_correct_into_equals_correct () =
 let test_threshold_constants_distinct () =
   check_float "metrics allowance" 1.02 Spectr.Metrics.power_allowance;
   check_float "invariants guardband" 0.05
-    Spectr_chaos.Invariants.default_limits.Spectr_chaos.Invariants.guardband;
+    Spectr_chaos.Invariants.limits.Spectr_chaos.Invariants.guardband;
   (* The difference is intentional (metrology tolerance vs safety
      margin); collapsing one onto the other is a regression. *)
   check_bool "allowance below guardbanded cap" true
     (Spectr.Metrics.power_allowance
-    < 1. +. Spectr_chaos.Invariants.default_limits.Spectr_chaos.Invariants.guardband)
+    < 1. +. Spectr_chaos.Invariants.limits.Spectr_chaos.Invariants.guardband)
 
 let test_metrics_allowance_boundary () =
   let envelope = 2.0 in
@@ -628,7 +628,7 @@ let test_metrics_allowance_boundary () =
    for the soak invariant — the gap the two constants exist to express. *)
 let test_guardband_boundary () =
   let envelope = 2.0 in
-  let lim = Spectr_chaos.Invariants.default_limits in
+  let lim = Spectr_chaos.Invariants.limits in
   let cap = envelope *. (1. +. lim.Spectr_chaos.Invariants.guardband) in
   let allowance = envelope *. Spectr.Metrics.power_allowance in
   check_bool "gap exists" true (allowance < cap);

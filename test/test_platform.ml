@@ -29,10 +29,18 @@ let test_opp_nearest () =
   check_int "clamp low" 200 (Opp.nearest Opp.big (-50.));
   check_int "clamp high" 2000 (Opp.nearest Opp.big 9999.)
 
-(* The O(n) scan behind [nearest] on unevenly spaced tables: midpoint
-   ties resolve downward, single-entry tables absorb everything, and
-   out-of-range queries clamp — and on a uniform table the scan and the
-   O(1) fast path must agree at every query. *)
+(* [nearest] on unevenly spaced tables: midpoint ties resolve downward,
+   single-entry tables absorb everything, and out-of-range queries
+   clamp — and it agrees with a reference O(n) scan everywhere,
+   including the O(1) fast path on a uniform table. *)
+let nearest_scan (t : Opp.t) f_mhz =
+  Array.fold_left
+    (fun best f ->
+      if abs_float (float_of_int f -. f_mhz) < abs_float (float_of_int best -. f_mhz)
+      then f
+      else best)
+    t.Opp.freqs_mhz.(0) t.Opp.freqs_mhz
+
 let test_opp_nearest_scan () =
   let bumpy =
     Opp.create ~name:"bumpy"
@@ -46,18 +54,18 @@ let test_opp_nearest_scan () =
   check_int "wide gap rounds up" 1500 (Opp.nearest bumpy 1101.);
   check_int "clamp low" 200 (Opp.nearest bumpy (-300.));
   check_int "clamp high" 1500 (Opp.nearest bumpy 1.e7);
-  check_int "scan agrees" (Opp.nearest_scan bumpy 650.) (Opp.nearest bumpy 650.);
+  check_int "scan agrees" (nearest_scan bumpy 650.) (Opp.nearest bumpy 650.);
   let single = Opp.create ~name:"single" ~points:[ (800, 1.0) ] in
   check_int "single below" 800 (Opp.nearest single 0.);
   check_int "single above" 800 (Opp.nearest single 5000.);
   check_int "single exact" 800 (Opp.nearest single 800.);
-  check_int "single scan" 800 (Opp.nearest_scan single 123.);
+  check_int "single scan" 800 (nearest_scan single 123.);
   (* Every half-step query on the uniform Big table: scan = fast path. *)
   for f10 = 0 to 250 do
     let f = float_of_int f10 *. 10. -. 100. in
     check_int
       (Printf.sprintf "scan/fast agree at %.0f" f)
-      (Opp.nearest_scan Opp.big f) (Opp.nearest Opp.big f)
+      (nearest_scan Opp.big f) (Opp.nearest Opp.big f)
   done
 
 let test_opp_voltage_monotone () =
@@ -846,11 +854,11 @@ let test_identify_big_cluster () =
   let soc = Soc.create ~qos:Benchmarks.microbench () in
   let steps = 900 in
   let freq_sig =
-    Spectr_sysid.Excitation.staircase ~lo:600. ~hi:1800. ~num_levels:6 ~hold:12
+    Signals.staircase ~lo:600. ~hi:1800. ~num_levels:6 ~hold:12
       ~length:steps
   in
   let cores_sig =
-    Spectr_sysid.Excitation.staircase ~lo:1. ~hi:4. ~num_levels:4 ~hold:20
+    Signals.staircase ~lo:1. ~hi:4. ~num_levels:4 ~hold:20
       ~length:steps
   in
   let u = Array.make steps [||] in

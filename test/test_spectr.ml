@@ -27,12 +27,31 @@ let test_events_controllability () =
   check_bool "holdBudget controllable" true
     (Event.is_controllable Events.hold_budget)
 
+let exynos_family () = Events.for_platform Platform_desc.exynos5422
+
 let test_events_lookup () =
-  (match Events.by_name "critical" with
-  | Some e -> check_string "name" "critical" (Event.name e)
-  | None -> Alcotest.fail "critical exists");
-  check_bool "unknown" true (Events.by_name "zap" = None);
-  check_int "alphabet size" 17 (List.length Events.all)
+  (* The exynos5422 alphabet: the 13 platform-independent constants plus
+     the two-cluster budget-command family, 17 distinct events — exactly
+     the alphabet the synthesized supervisor carries. *)
+  let fam = exynos_family () in
+  let alphabet =
+    Event.set_of_list
+      ([
+         Events.critical; Events.above_target; Events.below_target;
+         Events.safe_power; Events.qos_met; Events.qos_not_met;
+         Events.power_safe_qos_met; Events.power_safe_qos_not_met;
+         Events.switch_power; Events.switch_qos;
+         Events.decrease_critical_power; Events.control_power;
+         Events.hold_budget;
+       ]
+      @ List.concat_map
+          (fun i -> [ Events.increase fam i; Events.decrease fam i ])
+          [ 0; 1 ])
+  in
+  check_int "alphabet size" 17 (Event.Set.cardinal alphabet);
+  let sup, _ = Supervisor.synthesize () in
+  check_bool "supervisor alphabet" true
+    (Event.Set.equal alphabet (Automaton.alphabet sup))
 
 (* ------------------------------------------------------------------ *)
 (* Plant model and spec                                                *)
@@ -81,7 +100,11 @@ let test_spec_forbids_increase_when_capped () =
   let s = Spec.three_band in
   match
     Automaton.trace s
-      [ Events.critical; Events.switch_power; Events.increase_big_power ]
+      [
+        Events.critical;
+        Events.switch_power;
+        Events.increase (exynos_family ()) 0;
+      ]
   with
   | Some st -> check_string "forbidden" "Threshold" st
   | None -> Alcotest.fail "transition defined (to the forbidden state)"
@@ -216,14 +239,19 @@ let test_plant_memo_identity () =
     (snd (Spectr_exec.Synth_cache.stats ()))
 
 (* The per-cluster command families are minted through the interner:
-   exynos5422's family IS the hand-written constants, and pixel8pro's
-   names follow the increase<Name>Power scheme. *)
+   exynos5422's family carries the paper's four budget commands, and
+   pixel8pro's names follow the increase<Name>Power scheme. *)
 let test_platform_event_families () =
-  let ex = Events.for_platform Platform_desc.exynos5422 in
-  check_bool "exynos increase host is the constant" true
-    (Event.equal (Events.increase ex 0) Events.increase_big_power);
-  check_bool "exynos decrease little is the constant" true
-    (Event.equal (Events.decrease ex 1) Events.decrease_little_power);
+  let ex = exynos_family () in
+  List.iter
+    (fun (what, e, expected) -> check_string what expected (Event.name e))
+    [
+      ("exynos increase c0", Events.increase ex 0, "increaseBigPower");
+      ("exynos decrease c0", Events.decrease ex 0, "decreaseBigPower");
+      ("exynos increase c1", Events.increase ex 1, "increaseLittlePower");
+      ("exynos decrease c1", Events.decrease ex 1, "decreaseLittlePower");
+    ];
+  check_bool "controllable" true (Event.is_controllable (Events.increase ex 0));
   let px = Events.for_platform Platform_desc.pixel8pro in
   List.iteri
     (fun i expected ->
@@ -232,10 +260,28 @@ let test_platform_event_families () =
         expected
         (Event.name (Events.increase px i)))
     [ "increaseLittlePower"; "increaseBigPower"; "increasePrimePower" ];
-  (* by_name covers minted per-cluster events, not just the constants. *)
-  match Events.by_name "increasePrimePower" with
-  | None -> Alcotest.fail "by_name misses minted per-cluster events"
-  | Some e -> check_bool "same event" true (Event.equal e (Events.increase px 2))
+  (* Equal names intern to one event: the minted per-cluster command is
+     the interner's value for its name. *)
+  check_bool "increasePrimePower is the minted event" true
+    (Events.increase px 2 == Event.controllable "increasePrimePower");
+  check_bool "shared cluster names share events" true
+    (Events.increase px 1 == Events.increase ex 0)
+
+(* Event ids fix CSR row order and supervisor state numbering, so the
+   exynos5422 alphabet's intern order shows in every structural digest:
+   the budget commands must intern in the paper's order, before
+   [decreaseCriticalPower], whenever a family is first built. *)
+let test_exynos_structural_digests () =
+  let d = Platform_desc.exynos5422 in
+  let sup, _ = Supervisor.synthesize () in
+  List.iter
+    (fun (what, a, expected) ->
+      check_string what expected (Automaton.structural_digest a))
+    [
+      ("spec", Spec.of_platform d, "5c182379366fdc81aa9fa8193ac7bd9c");
+      ("plant", Plant_model.composed_for d, "4f33e65698aed8b96c31023eaeeda7f0");
+      ("supervisor", sup, "ad75e9ab4eb12336132bf62075a69f31");
+    ]
 
 (* Run a pixel8pro supervisor through miss, surplus, emergency and
    recovery, and pin the per-cluster command flow: every cluster's
@@ -1637,9 +1683,6 @@ let test_fdir_validation () =
   in
   check_bool "k < 1" true (raises (fun () -> Fdir.create ~k:0 ~host:0 ()));
   check_bool "host range" true (raises (fun () -> Fdir.create ~k:2 ~host:2 ()));
-  check_bool "tick order" true
-    (raises (fun () ->
-         Fdir.create ~transient_ticks:60 ~permanent_ticks:60 ~k:2 ~host:0 ()));
   let fd = Fdir.create ~k:2 ~host:0 () in
   check_bool "powers length" true
     (raises (fun () ->
@@ -2217,6 +2260,8 @@ let () =
             test_platform_synthesis_legal;
           Alcotest.test_case "event families" `Quick
             test_platform_event_families;
+          Alcotest.test_case "exynos structural digests" `Quick
+            test_exynos_structural_digests;
           Alcotest.test_case "pixel8pro event flow" `Quick
             test_platform_event_flow;
           Alcotest.test_case "plant memo identity" `Quick

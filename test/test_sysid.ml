@@ -17,7 +17,7 @@ let check_float = Alcotest.(check (float 1e-9))
 (* ------------------------------------------------------------------ *)
 
 let test_staircase_range_and_levels () =
-  let s = Excitation.staircase ~lo:1. ~hi:2. ~num_levels:4 ~hold:5 ~length:200 in
+  let s = Signals.staircase ~lo:1. ~hi:2. ~num_levels:4 ~hold:5 ~length:200 in
   check_int "length" 200 (Array.length s);
   Array.iter
     (fun v -> check_bool "in range" true (v >= 1. && v <= 2.))
@@ -29,17 +29,17 @@ let test_staircase_range_and_levels () =
 
 let test_staircase_validation () =
   Alcotest.check_raises "levels"
-    (Invalid_argument "Excitation.staircase: num_levels < 2") (fun () ->
-      ignore (Excitation.staircase ~lo:0. ~hi:1. ~num_levels:1 ~hold:1 ~length:10))
+    (Invalid_argument "Signals.staircase: num_levels < 2") (fun () ->
+      ignore (Signals.staircase ~lo:0. ~hi:1. ~num_levels:1 ~hold:1 ~length:10))
 
 let test_step_signal () =
-  let s = Excitation.step ~lo:0. ~hi:5. ~at:3 ~length:6 in
+  let s = Signals.step ~lo:0. ~hi:5. ~at:3 ~length:6 in
   check_float "before" 0. s.(2);
   check_float "after" 5. s.(3)
 
 let test_prbs () =
   let g = Prng.create 9L in
-  let s = Excitation.prbs g ~lo:(-1.) ~hi:1. ~hold:4 ~length:100 in
+  let s = Signals.prbs g ~lo:(-1.) ~hi:1. ~hold:4 ~length:100 in
   Array.iter (fun v -> check_bool "binary" true (v = -1. || v = 1.)) s;
   (* dwell: value constant within each hold window *)
   for k = 0 to (100 / 4) - 1 do
@@ -50,7 +50,7 @@ let test_prbs () =
 
 let test_all_input_variation () =
   let e =
-    Excitation.all_input_variation
+    Signals.all_input_variation
       ~channels:[| (0., 1.); (10., 20.) |]
       ~hold:5 ~length:50
   in
@@ -64,7 +64,7 @@ let test_all_input_variation () =
 
 let test_single_input_variation () =
   let e =
-    Excitation.single_input_variation
+    Signals.single_input_variation
       ~channels:[| (0., 1.); (10., 20.) |]
       ~active:0 ~hold:5 ~length:50
   in
@@ -110,16 +110,16 @@ let test_random_staircase_independent_streams () =
 
 let test_excitation_concat () =
   let a =
-    Excitation.single_input_variation ~channels:[| (0., 1.) |] ~active:0
+    Signals.single_input_variation ~channels:[| (0., 1.) |] ~active:0
       ~hold:2 ~length:10
   in
-  let c = Excitation.concat [ a; a ] in
+  let c = Signals.concat [ a; a ] in
   check_int "concat length" 20 (Array.length c);
   Alcotest.check_raises "mismatch"
-    (Invalid_argument "Excitation.concat: channel mismatch") (fun () ->
+    (Invalid_argument "Signals.concat: channel mismatch") (fun () ->
       ignore
-        (Excitation.concat
-           [ a; Excitation.all_input_variation ~channels:[| (0., 1.); (0., 1.) |] ~hold:2 ~length:4 ]))
+        (Signals.concat
+           [ a; Signals.all_input_variation ~channels:[| (0., 1.); (0., 1.) |] ~hold:2 ~length:4 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Dataset                                                             *)
@@ -162,7 +162,7 @@ let test_dataset_normalize () =
 let generate_scalar_arx ~noise ~length seed =
   let g = Prng.create seed in
   let u =
-    Excitation.prbs (Prng.split g) ~lo:(-1.) ~hi:1. ~hold:3 ~length
+    Signals.prbs (Prng.split g) ~lo:(-1.) ~hi:1. ~hold:3 ~length
     |> Array.map (fun v -> [| v |])
   in
   let y = Array.make length [| 0. |] in
@@ -247,7 +247,7 @@ let test_arx_statespace_no_feedthrough () =
 let generate_mimo_dataset ~noise ~length seed =
   let g = Prng.create seed in
   let excitation =
-    Excitation.all_input_variation
+    Signals.all_input_variation
       ~channels:[| (-1., 1.); (-1., 1.) |]
       ~hold:4 ~length
   in
@@ -302,7 +302,7 @@ let test_validation_wrong_model_worse () =
   let g = Prng.create 99L in
   let length = 400 in
   let u =
-    Excitation.all_input_variation ~channels:[| (-1., 1.); (-1., 1.) |] ~hold:4
+    Signals.all_input_variation ~channels:[| (-1., 1.); (-1., 1.) |] ~hold:4
       ~length
   in
   let y = Array.make length [| 0.; 0. |] in
