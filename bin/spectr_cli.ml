@@ -700,7 +700,8 @@ let list_all () =
   List.iter
     (fun w ->
       Printf.printf "  %-14s max %.1f HB/s, min %.1f HB/s\n" w.Workload.name
-        (Perf_model.max_qos_rate w) (Perf_model.min_qos_rate w))
+        (Perf_model.max_qos_rate_for Platform_desc.exynos5422 w)
+        (Perf_model.min_qos_rate_for Platform_desc.exynos5422 w))
     (Benchmarks.microbench :: Benchmarks.all_qos);
   print_endline "managers: spectr, mm-pow, mm-perf, fs, siso";
   print_endline "subsystems: big-2x2, little-2x2, fs-4x2, large-10x10"

@@ -33,7 +33,10 @@ let () =
     {
       (Scenario.default_config Benchmarks.bodytrack) with
       Scenario.phases;
-      qos_ref = 0.92 *. Perf_model.max_qos_rate Benchmarks.bodytrack;
+      qos_ref =
+        0.92
+        *. Perf_model.max_qos_rate_for Platform_desc.exynos5422
+             Benchmarks.bodytrack;
     }
   in
   Printf.printf "Synthesized supervisor: %s\n"

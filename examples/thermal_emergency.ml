@@ -16,7 +16,9 @@ open Spectr
 let run name manager =
   Printf.printf "\n=== %s under the thermal governor\n" name;
   let workload = Benchmarks.x264 in
-  let qos_ref = 0.95 *. Perf_model.max_qos_rate workload in
+  let qos_ref =
+    0.95 *. Perf_model.max_qos_rate_for Platform_desc.exynos5422 workload
+  in
   let governor =
     Thermal_governor.create ~trip_c:63. ~release_c:56. ~tdp:5.0
       ~emergency_envelope:3.2 ()

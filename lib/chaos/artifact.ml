@@ -37,6 +37,36 @@ let to_string a =
 
 let fail fmt = Printf.ksprintf invalid_arg ("Artifact.of_string: " ^^ fmt)
 
+(* Longest scenario a reproducer may ask for: the trace and the engine's
+   per-tick state grow with it. *)
+let max_run_s = 3600.
+
+(* A profile comes from a file outside the program: reject what the
+   engine would crash on, run out of memory on, or silently misread. *)
+let check_profile (p : Campaign.profile) =
+  let check ok what (name, x) =
+    if not (Float.is_finite x && ok x) then
+      fail "profile %s must be %s, got %s" name what (flt x)
+  in
+  List.iter
+    (check (fun x -> x > 0.) "finite and positive")
+    [ ("tdp", p.Campaign.tdp); ("stress_envelope", p.Campaign.stress_envelope) ];
+  List.iter
+    (check (fun x -> x >= 0.) "finite and non-negative")
+    [
+      ("safe_s", p.Campaign.safe_s);
+      ("stress_s", p.Campaign.stress_s);
+      ("recovery_s", p.Campaign.recovery_s);
+    ];
+  if p.Campaign.stress_background < 0 then
+    fail "profile stress_background must be non-negative, got %d"
+      p.Campaign.stress_background;
+  let total = Campaign.(p.safe_s +. p.stress_s +. p.recovery_s) in
+  if total > max_run_s then
+    fail "profile safe_s + stress_s + recovery_s = %s exceeds %g s"
+      (flt total) max_run_s;
+  p
+
 let of_string s =
   let lines =
     String.split_on_char '\n' s
@@ -93,14 +123,15 @@ let of_string s =
                   Some recovery_s, Some stress_background ->
                     profile :=
                       Some
-                        {
-                          Campaign.tdp;
-                          stress_envelope;
-                          safe_s;
-                          stress_s;
-                          recovery_s;
-                          stress_background;
-                        }
+                        (check_profile
+                           {
+                             Campaign.tdp;
+                             stress_envelope;
+                             safe_s;
+                             stress_s;
+                             recovery_s;
+                             stress_background;
+                           })
                 | _ -> fail "bad profile %S" v)
             | _ -> fail "profile needs 6 fields, got %S" v)
         | "fault" -> faults := Faults.injection_of_string v :: !faults

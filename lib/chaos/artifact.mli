@@ -35,7 +35,11 @@ val to_string : t -> string
 val of_string : string -> t
 (** Raises [Invalid_argument] with a line-precise message on a malformed
     artifact (bad header, missing field, unparseable window, kill drill
-    with [staleness > kill_tick], …). *)
+    with [staleness > kill_tick], …).  The [profile] line is checked
+    field by field, and the message names the field: every value must be
+    finite, [tdp] and [stress_envelope] positive, the three durations
+    and [stress_background] non-negative, and the whole run
+    ([safe_s + stress_s + recovery_s]) at most 3600 s. *)
 
 val save : path:string -> t -> unit
 (** Crash-safe: temp file in the destination directory plus atomic

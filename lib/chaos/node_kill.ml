@@ -95,7 +95,7 @@ let run_drill d =
       post
   in
   (* First post-reboot tick from which the average stays compliant — the
-     same suffix scan as {!Spectr.Metrics.compliance_time}. *)
+     same suffix scan as {!Spectr.Metrics.compliance_time_series}. *)
   let last_bad = ref (-1) in
   Array.iteri (fun k p -> if p > limit then last_bad := k) smoothed;
   let recovery_ticks =

@@ -13,7 +13,7 @@ let config ?(u_min = neg_infinity) ?(u_max = infinity) ~kp ~ki ~kd ~dt () =
   { kp; ki; kd; dt; u_min; u_max }
 
 type t = {
-  mutable cfg : config;
+  cfg : config;
   mutable reference : float;
   mutable integral : float;
   mutable prev_error : float option;
@@ -38,7 +38,6 @@ let step t ~measured =
   u
 
 let set_reference t r = t.reference <- r
-let set_config t cfg = t.cfg <- cfg
 
 let reset t =
   t.integral <- 0.;

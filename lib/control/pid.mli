@@ -28,9 +28,6 @@ val step : t -> measured:float -> float
 (** One control period; returns the saturated command. *)
 
 val set_reference : t -> float -> unit
-val set_config : t -> config -> unit
-(** Gain scheduling for SISO loops: replace the gains in place (the
-    integrator state is preserved). *)
 
 val reset : t -> unit
 
@@ -50,6 +47,6 @@ val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
 (** Overwrite the controller's mutable state; stepping after [restore]
-    continues exactly as the snapshotted instance would have
-    ([set_config] changes are not captured — restore into a controller
-    built with the same config). *)
+    continues exactly as the snapshotted instance would have (the gains
+    are not captured — restore into a controller built with the same
+    config). *)

@@ -17,76 +17,55 @@ type phase_metrics = {
    controller's one-period actuation lag so the §5.1.1 responsiveness
    numbers aren't dominated by ±1-LSB flutter at the cap.  It is
    deliberately tighter than the 5 % *safety* guardband the chaos
-   invariants allow (Spectr_chaos.Invariants.default_limits.guardband):
+   invariants allow (Spectr_chaos.Invariants.limits.guardband):
    an evaluation metric asks "how close to the envelope does the
    controller regulate", a soak invariant asks "did the chip stay inside
    the thermal design's safety margin".  Keep the two distinct. *)
 let power_allowance = 1.02
 
 (* First time from which chip power stays at or under the per-sample
-   limit for the rest of the phase.  [limit] is indexed so a stepping
-   envelope (chaos fault windows, fleet re-budgets landing mid-phase)
-   is judged tick by tick; a constant envelope passes a constant
-   function and computes the identical floats the old scalar scan did. *)
-let compliance_scan ~limit ~dt power =
+   envelope (times the allowance) for the rest of the phase, so a
+   stepping envelope (chaos fault windows, fleet re-budgets landing
+   mid-phase) is judged tick by tick. *)
+let compliance_time_series ~envelope ~dt power =
   let n = Array.length power in
+  if Array.length envelope <> n then
+    invalid_arg
+      (Printf.sprintf
+         "Metrics.compliance_time_series: envelope/power length mismatch \
+          (%d vs %d)"
+         (Array.length envelope) n);
   let last_violation = ref (-1) in
   for i = 0 to n - 1 do
-    if not (power.(i) <= limit i) then last_violation := i
+    if not (power.(i) <= envelope.(i) *. power_allowance) then
+      last_violation := i
   done;
   if !last_violation = n - 1 then None
   else Some (float_of_int (!last_violation + 1) *. dt)
 
-let compliance_time ~envelope ~dt power =
-  let l = envelope *. power_allowance in
-  compliance_scan ~limit:(fun _ -> l) ~dt power
-
-let check_envelope_series name ~envelope ~power =
-  if Array.length envelope <> Array.length power then
-    invalid_arg
-      (Printf.sprintf "Metrics.%s: envelope/power length mismatch (%d vs %d)"
-         name (Array.length envelope) (Array.length power))
-
-let compliance_time_series ~envelope ~dt power =
-  check_envelope_series "compliance_time_series" ~envelope ~power;
-  compliance_scan ~limit:(fun i -> envelope.(i) *. power_allowance) ~dt power
-
-(* First sample index >= [after] from which [pred i] holds for every
-   remaining sample, or None.  Shared scan behind the fault-recovery
-   metrics: find the last offending sample and step past it. *)
-let sustained_from_i ~after pred n =
+(* Seconds from sample [after] until power drops to — and stays at or
+   under — the allowance-widened envelope: find the last offending
+   sample and step past it. *)
+let recovery_time ~envelope ~dt ~after power =
+  let n = Array.length power in
+  let limit = envelope *. power_allowance in
   if after >= n then None
   else begin
     let last_bad = ref (after - 1) in
     for i = after to n - 1 do
-      if not (pred i) then last_bad := i
+      if not (power.(i) <= limit) then last_bad := i
     done;
-    if !last_bad = n - 1 then None else Some (max after (!last_bad + 1))
+    if !last_bad = n - 1 then None
+    else Some (float_of_int (!last_bad + 1 - after) *. dt)
   end
-
-let sustained_from ~after pred arr =
-  sustained_from_i ~after (fun i -> pred arr.(i)) (Array.length arr)
-
-let recovery_time ~envelope ~dt ~after power =
-  let limit = envelope *. power_allowance in
-  match sustained_from ~after (fun p -> p <= limit) power with
-  | None -> None
-  | Some i -> Some (float_of_int (i - after) *. dt)
-
-let reconvergence_time ~reference ~band ~dt ~after qos =
-  let tol = band *. Float.abs reference in
-  match
-    sustained_from ~after (fun q -> Float.abs (q -. reference) <= tol) qos
-  with
-  | None -> None
-  | Some i -> Some (float_of_int (i - after) *. dt)
 
 (* Tail-averaged steady-state error against a per-sample reference:
    mean of (reference_i − measured_i) over the tail, as a percent of the
    tail-mean reference.  The generalization of
-   [Stats.steady_state_error] a stepping envelope needs — the constant
-   case keeps the scalar path below so long-pinned bench output is
-   bit-identical. *)
+   [Stats.steady_state_error] a stepping envelope needs.  A constant
+   envelope keeps the scalar [Stats.steady_state_error] in {!per_phase}:
+   dividing by [ref_sum / k] can round differently from dividing by the
+   reference itself. *)
 let steady_state_error_series ~reference ~measured ~tail =
   let n = Array.length measured in
   let k = max 1 (min tail n) in
@@ -134,12 +113,8 @@ let per_phase ~trace ~config =
       (* The envelope is a per-tick column: a phase whose envelope steps
          mid-phase (chaos fault windows, fleet cap re-budgets) must be
          judged against the tick-by-tick value, not the slice's first
-         sample.  The constant case — every scenario phase the bench
-         tables pin — takes the scalar code path so those outputs stay
-         byte-identical. *)
+         sample. *)
       let envelopes = Trace.column_slice trace "envelope" ~from ~upto in
-      let envelope = envelopes.(0) in
-      let env_constant = constant envelopes in
       let n = Array.length qos in
       let tail = max 1 (int_of_float (0.4 *. float_of_int n)) in
       let dt = config.Scenario.controller_period in
@@ -151,18 +126,16 @@ let per_phase ~trace ~config =
           Stats.steady_state_error ~reference:config.Scenario.qos_ref
             ~measured:qos ~tail;
         power_error_pct =
-          (if env_constant then
-             Stats.steady_state_error ~reference:envelope ~measured:power ~tail
+          (if constant envelopes then
+             Stats.steady_state_error ~reference:envelopes.(0) ~measured:power
+               ~tail
            else
              steady_state_error_series ~reference:envelopes ~measured:power
                ~tail);
         power_settling_s =
-          (if env_constant then
-             Stats.settling_time ~reference:envelope ~band:0.05 ~dt power
-           else settling_time_series ~reference:envelopes ~band:0.05 ~dt power);
+          settling_time_series ~reference:envelopes ~band:0.05 ~dt power;
         compliance_time_s =
-          (if env_constant then compliance_time ~envelope ~dt power
-           else compliance_time_series ~envelope:envelopes ~dt power);
+          compliance_time_series ~envelope:envelopes ~dt power;
         energy_j;
         energy_per_heartbeat_j =
           (if heartbeats > 0. then energy_j /. heartbeats else infinity);

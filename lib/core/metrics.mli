@@ -33,7 +33,7 @@ val power_allowance : float
     the compliance-time metric: power ≤ envelope × [power_allowance]
     (1.02) counts as compliant.  A metrology tolerance for sensor
     quantization and actuation lag — intentionally tighter than the 5 %
-    safety guardband of [Spectr_chaos.Invariants.default_limits], which
+    safety guardband of [Spectr_chaos.Invariants.limits], which
     answers a different question (safety margin, not regulation
     quality). *)
 
@@ -45,17 +45,9 @@ val per_phase : trace:Trace.t -> config:Scenario.config -> phase_metrics list
     The power metrics honor the trace's {e per-tick} [envelope] column:
     a phase whose envelope steps mid-phase (chaos fault windows, fleet
     cap re-budgets) is judged tick by tick against the envelope in force
-    at each sample.  When the column is constant across the phase — every
-    plain scenario — the computation is bit-identical to the historical
-    scalar one, so pinned bench outputs are unchanged. *)
-
-val compliance_time :
-  envelope:float -> dt:float -> float array -> float option
-(** The compliance-time metric of {!per_phase} against a constant
-    envelope: first time from which power stays at or under
-    [envelope × ]{!power_allowance} for the rest of the slice.
-    [Some 0.] when the slice never violates; [None] when the last
-    sample still violates (compliance was never sustained). *)
+    at each sample.  The power error of a phase with a constant envelope
+    divides by that envelope itself rather than by the tail-mean
+    envelope, which can round differently. *)
 
 val recovery_time :
   envelope:float -> dt:float -> after:int -> float array -> float option
@@ -67,22 +59,11 @@ val recovery_time :
 
 val compliance_time_series :
   envelope:float array -> dt:float -> float array -> float option
-(** The compliance-time metric of {!per_phase} against a per-sample
-    envelope: first time from which power stays at or under
-    [envelope.(i) × ]{!power_allowance} for the rest of the slice;
-    [None] when it never complies.  Raises [Invalid_argument] on a
-    length mismatch. *)
-
-val reconvergence_time :
-  reference:float ->
-  band:float ->
-  dt:float ->
-  after:int ->
-  float array ->
-  float option
-(** Seconds from sample index [after] until the signal re-enters (and
-    stays within) [band] (relative, e.g. 0.1 = ±10 %) of [reference] for
-    the rest of the slice; [None] when it never reconverges. *)
+(** The compliance-time metric of {!per_phase}: first time from which
+    power stays at or under [envelope.(i) × ]{!power_allowance} for the
+    rest of the slice.  [Some 0.] when the slice never violates; [None]
+    when the last sample still violates (compliance was never
+    sustained).  Raises [Invalid_argument] on a length mismatch. *)
 
 val pp_phase_metrics : Format.formatter -> phase_metrics -> unit
 

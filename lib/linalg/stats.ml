@@ -132,18 +132,3 @@ let steady_state_error ~reference ~measured ~tail =
   done;
   let avg = !s /. float_of_int k in
   if reference = 0. then avg else 100. *. avg /. reference
-
-let settling_time ~reference ~band ~dt y =
-  let n = Array.length y in
-  if n = 0 then None
-  else begin
-    let tol = abs_float (band *. reference) in
-    let within i = abs_float (y.(i) -. reference) <= tol in
-    (* earliest index from which all later samples stay in the band *)
-    let rec last_violation i acc =
-      if i >= n then acc
-      else last_violation (i + 1) (if within i then acc else i)
-    in
-    let lv = last_violation 0 (-1) in
-    if lv = n - 1 then None else Some (float_of_int (lv + 1) *. dt)
-  end

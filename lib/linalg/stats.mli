@@ -58,10 +58,3 @@ val steady_state_error :
     reference, negative = exceeding it).  Raises when [tail <= 0]; uses
     the whole series when [tail] exceeds its length.  A zero reference
     yields the raw (unnormalized) error. *)
-
-val settling_time :
-  reference:float -> band:float -> dt:float -> float array -> float option
-(** [settling_time ~reference ~band ~dt y] is the earliest time [t = i·dt]
-    such that every sample from [i] on stays within [band] (a fraction,
-    e.g. [0.05]) of [reference] — the responsiveness metric of §5.1.
-    [None] when the series never settles. *)

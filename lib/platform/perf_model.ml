@@ -1,5 +1,3 @@
-type cluster = Big | Little
-
 (* Shared-DRAM bandwidth contention: every additional busy core inflates
    the memory-stall CPI term by this fraction.  This is the unmodelled
    cross-core interaction that makes per-core (10×10) identification hard
@@ -36,22 +34,13 @@ let base_coefficients w ~opp =
   let kappa4 = contention_factor ~busy_cores:4. in
   (a, s *. a /. kappa4)
 
-let big_coefficients w = base_coefficients w ~opp:Opp.big
-
-let cpi_coefficients w = function
-  | Big -> big_coefficients w
-  | Little ->
-      let a, b = big_coefficients w in
-      (* In-order cores burn more compute cycles per instruction; the
-         memory-stall term is shared (same DRAM behind both clusters). *)
-      (a /. w.Workload.little_ipc_ratio, b)
-
 (* Description-driven coefficients: the host cluster gets the derivation
    above over its own OPP range; every other cluster's law is expressed
    relative to the host (or fully calibrated) per its [cpi_law].  On
-   [Platform_desc.exynos5422] this reproduces [cpi_coefficients]
-   bit-for-bit: the Little cluster's [Workload_ratio 1.0] divides by
-   [little_ipc_ratio *. 1.0], which is exactly [little_ipc_ratio]. *)
+   [Platform_desc.exynos5422] the Little cluster's [Workload_ratio 1.0]
+   divides the compute CPI by [little_ipc_ratio *. 1.0] — in-order cores
+   burn more compute cycles per instruction — and shares the
+   memory-stall term (same DRAM behind both clusters). *)
 let coefficients_for w desc i =
   let host = Platform_desc.host desc in
   let host_opp = (Platform_desc.cluster desc host).Platform_desc.opp in
@@ -65,31 +54,8 @@ let coefficients_for w desc i =
     | Platform_desc.Fixed_ratio r -> (a /. r, b)
     | Platform_desc.Absolute { cpi_a; cpi_b } -> (cpi_a, cpi_b)
 
-let core_ips ?(busy_cores = 4.) w cluster ~freq_mhz =
-  let a, b = cpi_coefficients w cluster in
-  let f_ghz = float_of_int freq_mhz /. 1000. in
-  f_ghz *. 1e9 /. (a +. (b *. contention_factor ~busy_cores *. f_ghz))
-
-let cluster_ips w cluster ~freq_mhz ~effective_cores ~parallel_fraction =
-  core_ips ~busy_cores:effective_cores w cluster ~freq_mhz
-  *. Workload.amdahl_speedup ~parallel_fraction ~cores:effective_cores
-
-let qos_rate w cluster ~freq_mhz ~effective_cores ~parallel_fraction
-    ~demand_scale =
-  cluster_ips w cluster ~freq_mhz ~effective_cores ~parallel_fraction
-  /. (w.Workload.instructions_per_heartbeat *. demand_scale)
-
-let max_qos_rate w =
-  qos_rate w Big ~freq_mhz:(Opp.max_freq Opp.big) ~effective_cores:4.
-    ~parallel_fraction:w.Workload.parallel_fraction ~demand_scale:1.
-
-let min_qos_rate w =
-  qos_rate w Big ~freq_mhz:(Opp.min_freq Opp.big) ~effective_cores:1.
-    ~parallel_fraction:w.Workload.parallel_fraction ~demand_scale:1.
-
-(* Platform-parametric rates on the description's host cluster.  Same
-   arithmetic as [qos_rate] over [coefficients_for], so the exynos5422
-   results equal [max_qos_rate]/[min_qos_rate] bit-for-bit. *)
+(* Rate on the description's host cluster at the nominal parallel
+   fraction and no demand disturbance. *)
 let qos_rate_for desc w ~freq_mhz ~effective_cores =
   let host = Platform_desc.host desc in
   let a, b = coefficients_for w desc host in
@@ -101,7 +67,7 @@ let qos_rate_for desc w ~freq_mhz ~effective_cores =
   core
   *. Workload.amdahl_speedup
        ~parallel_fraction:w.Workload.parallel_fraction ~cores:effective_cores
-  /. (w.Workload.instructions_per_heartbeat *. 1.)
+  /. w.Workload.instructions_per_heartbeat
 
 let max_qos_rate_for desc w =
   let host = Platform_desc.host desc in
@@ -109,3 +75,10 @@ let max_qos_rate_for desc w =
   qos_rate_for desc w
     ~freq_mhz:(Opp.max_freq c.Platform_desc.opp)
     ~effective_cores:(float_of_int c.Platform_desc.cores)
+
+let min_qos_rate_for desc w =
+  let host = Platform_desc.host desc in
+  let c = Platform_desc.cluster desc host in
+  qos_rate_for desc w
+    ~freq_mhz:(Opp.min_freq c.Platform_desc.opp)
+    ~effective_cores:1.

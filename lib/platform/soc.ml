@@ -61,6 +61,7 @@ let make_observation () =
 type hot = {
   mutable now : float;
   mutable temperature_c : float;
+  mutable qos_ips : float; (* QoS throughput of the last [physics] call *)
 }
 
 type t = {
@@ -93,11 +94,13 @@ type t = {
   b : float array;
   (* Workload phase table flattened to parallel arrays: [ph_end.(i)] is
      the cumulative end time of phase i (the last entry is never
-     consulted — the final phase repeats, as in [Workload.phase_at]). *)
+     consulted — the final phase repeats; a workload without phases
+     runs one endless phase at its nominal parallel fraction). *)
   ph_end : float array;
   ph_pf : float array;
   ph_ds : float array;
-  (* Scratch for the sensor draws: k cluster powers, qos, temp. *)
+  (* Scratch for [physics] and the sensor draws: k cluster powers, qos,
+     temp. *)
   sens : float array;
   (* Per-tick permanent-death mask; only written (and only read) when
      the schedule carries a [Cluster_dead] injection, so fault-free and
@@ -149,8 +152,8 @@ let create ?config ?(platform = Platform_desc.exynos5422) ~qos () =
      mid-range default the pre-description SoC hard-coded. *)
   let freqs = Array.init k (fun i -> Opp.nearest opps.(i) 1000.) in
   let volts = Array.init k (fun i -> Opp.voltage opps.(i) freqs.(i)) in
-  (* Flatten the phase list, replicating [Workload.phase_at]'s cumulative
-     boundary arithmetic exactly (left-to-right [+.] over durations). *)
+  (* Flatten the phase list: cumulative phase ends, summed left to right
+     over the durations. *)
   let ph_end, ph_pf, ph_ds =
     match qos.Workload.phases with
     | [] ->
@@ -177,7 +180,7 @@ let create ?config ?(platform = Platform_desc.exynos5422) ~qos () =
     platform;
     qos;
     rng = Prng.create config.seed;
-    hot = { now = 0.; temperature_c = config.ambient_c };
+    hot = { now = 0.; temperature_c = config.ambient_c; qos_ips = 0. };
     k;
     host = Platform_desc.host platform;
     total;
@@ -233,9 +236,9 @@ let faults soc = soc.faults
 let fault_active soc pred =
   match soc.faults with None -> false | Some f -> pred f ~now:soc.hot.now
 
-(* Is cluster [i] permanently dead right now?  Ground-truth helpers and
-   actuators consult this; the tick kernel keeps its own per-tick mask so
-   the fault-free path stays allocation-free. *)
+(* Is cluster [i] permanently dead right now?  The actuators consult
+   this; [physics] keeps its own per-tick mask so the fault-free path
+   stays allocation-free. *)
 let cluster_dead_now soc i =
   match soc.faults with
   | None -> false
@@ -290,115 +293,162 @@ let temperature soc = soc.hot.temperature_c
 let sensor_powers soc = soc.pow_out
 let ips_totals soc = soc.ips_out
 
-(* --- internal physics ------------------------------------------------ *)
-
-(* Capacity (in core-fractions) of the active cores of a cluster after
-   idle-cycle injection.  Cores of cluster i are
-   [offs.(i), offs.(i+1)). *)
-let capacity soc i =
-  if cluster_dead_now soc i then 0.
-  else begin
-    let o = soc.offs.(i) in
-    let c = ref 0. in
-    for j = 0 to soc.active.(i) - 1 do
-      c := !c +. (1. -. soc.idle.(o + j))
-    done;
-    !c
-  end
+(* --- physics ------------------------------------------------------------ *)
 
 (* HMP placement of background work: the scheduler fills the non-host
    clusters in index order, then spills onto the host where the spilled
    tasks time-share with the QoS application's threads CFS-style
-   (proportional to runnable demand).  Writes per-cluster background
-   utilizations (core-fractions) into [dst]. *)
+   (proportional to runnable demand). *)
 let qos_threads = 4.
 
-let background_placement_into soc dst =
+(* The noise-free plant at the current time and actuator settings,
+   written once over unboxed locals and flat per-cluster arrays: the
+   permanent-death mask, the workload phase, capacity after idle
+   injection ([cap]), HMP background placement ([bg]), the QoS
+   application's throughput ([hot.qos_ips]), the true heartbeat rate
+   ([dst.(k)]) and the per-cluster powers ([dst.(0 .. k-1)]).  It draws
+   no noise and moves neither the clock nor the die temperature, so the
+   ground-truth accessors call it between steps and {!step_into} calls
+   it once per tick.  Cross-module
+   calls here either return unit/int or are replaced by cached state
+   ([a]/[b], [volts], [ph_*]): without the optimizing native backend a
+   cross-module float return boxes ~16 B per call. *)
+let physics soc dst =
+  let now = soc.hot.now in
+  let k = soc.k in
+  let host = soc.host in
+  (* Permanent-death mask.  Transient-only (and fault-free) schedules
+     take the [false] constant without touching the mask.  A dead
+     cluster has zero capacity (so the background scheduler routes
+     around it), draws zero power (no dynamic, leak, gated or uncore
+     terms — the rail is off), and executes nothing; its sensor channels
+     read exact 0.0, which multiplicative noise maps to 0.0 while
+     advancing the PRNG stream exactly as a live reading would. *)
+  let any_dead =
+    match soc.faults with
+    | Some f when Faults.has_permanent f ->
+        let dead = soc.dead in
+        let any = ref false in
+        for i = 0 to k - 1 do
+          let d = Faults.cluster_dead f ~now ~cluster:i in
+          dead.(i) <- d;
+          if d then any := true
+        done;
+        !any
+    | _ -> false
+  in
+  (* Workload phase: the first whose cumulative end lies ahead; the
+     final phase repeats. *)
+  let np = Array.length soc.ph_end in
+  let pi = ref 0 in
+  while !pi < np - 1 && not (now < soc.ph_end.(!pi)) do
+    incr pi
+  done;
+  let ph_pf = soc.ph_pf.(!pi) in
+  let ph_ds = soc.ph_ds.(!pi) in
+  (* Capacity (in core-fractions) of each cluster's active cores after
+     idle-cycle injection; cluster i owns cores [offs.(i), offs.(i+1)). *)
+  let cap = soc.cap in
+  for i = 0 to k - 1 do
+    if any_dead && soc.dead.(i) then cap.(i) <- 0.
+    else begin
+      let o = soc.offs.(i) in
+      let s = ref 0. in
+      for j = 0 to soc.active.(i) - 1 do
+        s := !s +. (1. -. soc.idle.(o + j))
+      done;
+      cap.(i) <- !s
+    end
+  done;
+  (* HMP background placement, in core-fractions per cluster. *)
+  let bg = soc.bg in
   let demand =
     float_of_int soc.n_background *. soc.config.background_task_util
   in
   let remaining = ref demand in
-  for i = 0 to soc.k - 1 do
-    if i <> soc.host then begin
-      let used = Float.min !remaining (capacity soc i) in
-      dst.(i) <- used;
+  for i = 0 to k - 1 do
+    if i <> host then begin
+      let used = Float.min !remaining cap.(i) in
+      bg.(i) <- used;
       remaining := !remaining -. used
     end
   done;
   let spill = !remaining in
-  let host_cap = capacity soc soc.host in
-  dst.(soc.host) <-
+  bg.(host) <-
     (if spill <= 0. then 0.
      else begin
        (* Fair sharing on the host cluster: the QoS app's threads and the
           spilled background demand split capacity proportionally. *)
-       let share = host_cap *. spill /. (qos_threads +. spill) in
+       let share = cap.(host) *. spill /. (qos_threads +. spill) in
        Float.min spill share
-     end)
-
-(* Effective cores available to the QoS application on its host
-   cluster. *)
-let qos_effective_cores soc =
-  background_placement_into soc soc.bg;
-  Float.max 0.1 (capacity soc soc.host -. soc.bg.(soc.host))
-
-(* Slow sinusoidal scene-complexity variation. *)
-let complexity_factor soc =
-  1.
-  +. soc.qos.Workload.complexity_wobble
-     *. sin (2. *. Float.pi *. soc.hot.now /. 8.)
-
-let current_phase soc = Workload.phase_at soc.qos soc.hot.now
-
-let qos_ips_now soc =
-  if cluster_dead_now soc soc.host then 0.
-  else
-  let phase = current_phase soc in
-  let eff = qos_effective_cores soc in
-  let f_ghz = float_of_int soc.freqs.(soc.host) /. 1000. in
-  let core =
-    f_ghz *. 1e9
-    /. (soc.a.(soc.host)
-       +. (soc.b.(soc.host)
-          *. Perf_model.contention_factor ~busy_cores:eff
-          *. f_ghz))
+     end);
+  (* QoS application throughput on its effective host cores: the CPI
+     law under memory contention times Amdahl's speedup. *)
+  let qos_eff = Float.max 0.1 (cap.(host) -. bg.(host)) in
+  let f_host_ghz = float_of_int soc.freqs.(host) /. 1000. in
+  let kappa_eff =
+    1. +. (Perf_model.contention *. Float.max 0. (qos_eff -. 1.))
   in
-  core
-  *. Workload.amdahl_speedup
-       ~parallel_fraction:phase.Workload.parallel_fraction ~cores:eff
+  let core_ips_host =
+    f_host_ghz *. 1e9
+    /. (soc.a.(host) +. (soc.b.(host) *. kappa_eff *. f_host_ghz))
+  in
+  let amdahl = 1. /. (1. -. ph_pf +. (ph_pf /. qos_eff)) in
+  let qos_ips =
+    if any_dead && soc.dead.(host) then 0. else core_ips_host *. amdahl
+  in
+  soc.hot.qos_ips <- qos_ips;
+  (* True heartbeat rate under the slow sinusoidal scene-complexity
+     variation. *)
+  let complexity =
+    (* With no wobble the sine is multiplied by zero: 1. +. (0. *. s)
+       is exactly 1. for any finite s, so the transcendental is free to
+       skip. *)
+    let wobble = soc.qos.Workload.complexity_wobble in
+    if wobble = 0. then 1.
+    else 1. +. (wobble *. sin (2. *. Float.pi *. now /. 8.))
+  in
+  dst.(k) <-
+    qos_ips
+    /. (soc.qos.Workload.instructions_per_heartbeat *. ph_ds *. complexity);
+  (* Cluster powers ([Power_model]'s law over the cached OPP voltages).
+     The QoS application saturates whatever host capacity it is given;
+     background work saturates its placed share; non-host clusters run
+     only background work. *)
+  for i = 0 to k - 1 do
+    if any_dead && soc.dead.(i) then dst.(i) <- 0.
+    else begin
+      let util =
+        if i = host then
+          if soc.active.(i) = 0 then 0.
+          else Float.min 1. (cap.(i) /. float_of_int soc.active.(i))
+        else if soc.active.(i) = 0 then 0.
+        else Float.min 1. (bg.(i) /. float_of_int soc.active.(i))
+      in
+      let p = soc.pw.(i) in
+      let v = soc.volts.(i) in
+      let f_ghz = float_of_int soc.freqs.(i) /. 1000. in
+      let dynamic = p.Power_model.cdyn_w_per_v2ghz *. v *. v *. f_ghz *. util in
+      let leak =
+        p.Power_model.leak_w_per_core *. (v /. Power_model.v0) *. (v /. Power_model.v0)
+      in
+      dst.(i) <-
+        (float_of_int soc.active.(i) *. (dynamic +. leak))
+        +. (float_of_int (soc.n_cores.(i) - soc.active.(i))
+           *. p.Power_model.gated_w_per_core)
+        +. p.Power_model.uncore_w
+    end
+  done
 
 let true_qos_rate soc =
-  let phase = current_phase soc in
-  qos_ips_now soc
-  /. (soc.qos.Workload.instructions_per_heartbeat
-     *. phase.Workload.demand_scale *. complexity_factor soc)
-
-let utilization soc i =
-  (* The QoS application saturates whatever host capacity it is given;
-     background work saturates its stolen share too.  Non-host clusters
-     run only background work. *)
-  if i = soc.host then begin
-    let cap = capacity soc i in
-    if soc.active.(i) = 0 then 0.
-    else Float.min 1. (cap /. float_of_int soc.active.(i))
-  end
-  else begin
-    background_placement_into soc soc.bg;
-    if soc.active.(i) = 0 then 0.
-    else Float.min 1. (soc.bg.(i) /. float_of_int soc.active.(i))
-  end
-
-let cluster_power_now soc i =
-  if cluster_dead_now soc i then 0.
-  else
-    Power_model.cluster_power soc.pw.(i) ~table:soc.opps.(i)
-      ~freq_mhz:soc.freqs.(i) ~active_cores:soc.active.(i)
-      ~total_cores:soc.n_cores.(i) ~utilization:(utilization soc i)
+  physics soc soc.sens;
+  soc.sens.(soc.k)
 
 let true_chip_power soc =
-  let p = ref (cluster_power_now soc 0) in
+  physics soc soc.sens;
+  let p = ref soc.sens.(0) in
   for i = 1 to soc.k - 1 do
-    p := !p +. cluster_power_now soc i
+    p := !p +. soc.sens.(i)
   done;
   !p
 
@@ -410,17 +460,11 @@ let true_chip_power soc =
    the draw need not be materialized to know its result. *)
 let z_bound = 8.572
 
-(* The per-tick physics and sensor model, written as one monolithic body
-   over unboxed locals and flat per-cluster arrays.  Every expression
-   replicates the corresponding helper above token-for-token (same
-   literals, same association), and on [Platform_desc.exynos5422] the
-   cluster loops unroll to the exact float-op sequence — and the exact
-   PRNG draw order — of the pre-description 2-cluster kernel, so the
-   scenario CSV digests pin this refactor as behavior-preserving.
-   Cross-module calls on this path either return unit/int or are
-   replaced by cached state ([a]/[b], [volts], [ph_*]): without the
-   optimizing native backend a cross-module float return boxes ~16 B per
-   call. *)
+(* One tick: [physics] at the advanced time, the thermal RC, then the
+   sensor model over unboxed locals and flat per-cluster arrays.  On
+   [Platform_desc.exynos5422] the cluster loops unroll to the exact
+   float-op sequence — and the exact PRNG draw order — of the
+   pre-description 2-cluster kernel, so the scenario CSV digests pin it. *)
 let step_into soc ~dt obs =
   if dt <= 0. then invalid_arg "Soc.step: dt <= 0";
   let c = soc.config in
@@ -442,126 +486,16 @@ let step_into soc ~dt obs =
             (Obs.Decision_log.Fault { active = 0; onset = false });
         soc.obs_active_faults <- active
   end;
-  let now = hot.now in
   let k = soc.k in
   let host = soc.host in
-  (* Permanent-death mask for this tick.  Transient-only (and fault-free)
-     schedules take the [false] constant without touching the mask — the
-     allocation-free steady-state path and the pinned pre-FDIR digests
-     are untouched.  A dead cluster has zero capacity (so the background
-     scheduler routes around it), draws zero power (no dynamic, leak,
-     gated or uncore terms — the rail is off), and executes nothing; its
-     sensor channels read exact 0.0, which multiplicative noise maps to
-     0.0 while advancing the PRNG stream exactly as a live reading
-     would. *)
-  let any_dead =
-    match soc.faults with
-    | Some f when Faults.has_permanent f ->
-        let dead = soc.dead in
-        let any = ref false in
-        for i = 0 to k - 1 do
-          let d = Faults.cluster_dead f ~now ~cluster:i in
-          dead.(i) <- d;
-          if d then any := true
-        done;
-        !any
-    | _ -> false
-  in
-  (* Workload phase (flattened [Workload.phase_at]). *)
-  let np = Array.length soc.ph_end in
-  let pi = ref 0 in
-  while !pi < np - 1 && not (now < soc.ph_end.(!pi)) do
-    incr pi
-  done;
-  let ph_pf = soc.ph_pf.(!pi) in
-  let ph_ds = soc.ph_ds.(!pi) in
-  (* Cluster capacities after idle injection ([capacity]). *)
-  let cap = soc.cap in
-  for i = 0 to k - 1 do
-    if any_dead && soc.dead.(i) then cap.(i) <- 0.
-    else begin
-      let o = soc.offs.(i) in
-      let s = ref 0. in
-      for j = 0 to soc.active.(i) - 1 do
-        s := !s +. (1. -. soc.idle.(o + j))
-      done;
-      cap.(i) <- !s
-    end
-  done;
-  (* HMP background placement ([background_placement_into]). *)
-  let bg = soc.bg in
-  let demand = float_of_int soc.n_background *. c.background_task_util in
-  let remaining = ref demand in
-  for i = 0 to k - 1 do
-    if i <> host then begin
-      let used = Float.min !remaining cap.(i) in
-      bg.(i) <- used;
-      remaining := !remaining -. used
-    end
-  done;
-  let spill = !remaining in
-  bg.(host) <-
-    (if spill <= 0. then 0.
-     else begin
-       let share = cap.(host) *. spill /. (qos_threads +. spill) in
-       Float.min spill share
-     end);
-  (* QoS application throughput ([qos_ips_now] with [Perf_model]'s
-     core_ips/cluster_ips and [Workload.amdahl_speedup] inlined). *)
-  let qos_eff = Float.max 0.1 (cap.(host) -. bg.(host)) in
-  let f_host_ghz = float_of_int soc.freqs.(host) /. 1000. in
-  let kappa_eff =
-    1. +. (Perf_model.contention *. Float.max 0. (qos_eff -. 1.))
-  in
-  let core_ips_host =
-    f_host_ghz *. 1e9
-    /. (soc.a.(host) +. (soc.b.(host) *. kappa_eff *. f_host_ghz))
-  in
-  let amdahl = 1. /. (1. -. ph_pf +. (ph_pf /. qos_eff)) in
-  let qos_ips =
-    if any_dead && soc.dead.(host) then 0. else core_ips_host *. amdahl
-  in
-  (* True heartbeat rate ([true_qos_rate] with [complexity_factor]). *)
-  let complexity =
-    (* With no wobble the sine is multiplied by zero: 1. +. (0. *. s)
-       is exactly 1. for any finite s, so the transcendental is free to
-       skip. *)
-    let wobble = soc.qos.Workload.complexity_wobble in
-    if wobble = 0. then 1.
-    else 1. +. (wobble *. sin (2. *. Float.pi *. now /. 8.))
-  in
-  let true_qos =
-    qos_ips
-    /. (soc.qos.Workload.instructions_per_heartbeat *. ph_ds *. complexity)
-  in
-  (* Cluster powers ([cluster_power_now] with [Power_model.cluster_power]
-     inlined over the cached OPP voltages), staged in [sens] for the
-     noise draws. *)
+  (* Noise-free cluster powers and heartbeat rate, staged in [sens] for
+     the noise draws. *)
   let sens = soc.sens in
-  for i = 0 to k - 1 do
-    if any_dead && soc.dead.(i) then sens.(i) <- 0.
-    else begin
-      let util =
-        if i = host then
-          if soc.active.(i) = 0 then 0.
-          else Float.min 1. (cap.(i) /. float_of_int soc.active.(i))
-        else if soc.active.(i) = 0 then 0.
-        else Float.min 1. (bg.(i) /. float_of_int soc.active.(i))
-      in
-      let p = soc.pw.(i) in
-      let v = soc.volts.(i) in
-      let f_ghz = float_of_int soc.freqs.(i) /. 1000. in
-      let dynamic = p.Power_model.cdyn_w_per_v2ghz *. v *. v *. f_ghz *. util in
-      let leak =
-        p.Power_model.leak_w_per_core *. (v /. Power_model.v0) *. (v /. Power_model.v0)
-      in
-      sens.(i) <-
-        (float_of_int soc.active.(i) *. (dynamic +. leak))
-        +. (float_of_int (soc.n_cores.(i) - soc.active.(i))
-           *. p.Power_model.gated_w_per_core)
-        +. p.Power_model.uncore_w
-    end
-  done;
+  physics soc sens;
+  let cap = soc.cap in
+  let bg = soc.bg in
+  let qos_ips = hot.qos_ips in
+  let f_host_ghz = float_of_int soc.freqs.(host) /. 1000. in
   (* First-order thermal RC: the die relaxes toward ambient + R_th * P
      with time constant tau. *)
   let p_total = ref sens.(0) in
@@ -575,13 +509,11 @@ let step_into soc ~dt obs =
      order), qos, per-core IPS (core order), temperature.  Values
      round-trip through [sens] (unboxed float-array traffic) so the
      unit-returning [Prng.noisy_into] can write them. *)
-  sens.(k) <- true_qos;
   Prng.noisy_into soc.rng ~sigma:c.power_noise ~dst:sens ~pos:0 ~len:k;
   Prng.noisy_into soc.rng ~sigma:c.qos_noise ~dst:sens ~pos:k ~len:1;
-  (* Noise-free per-core IPS ([per_core_ips_now] of the pre-kernel SoC):
-     cluster throughput spread over active cores proportionally to their
-     non-idled capacity; background work on the host runs at the core's
-     native (contended) rate. *)
+  (* Noise-free per-core IPS: cluster throughput spread over active
+     cores proportionally to their non-idled capacity; background work
+     on the host runs at the core's native (contended) rate. *)
   let raw = soc.raw_ips in
   Array.fill raw 0 soc.total 0.;
   let kappa_host_cap =

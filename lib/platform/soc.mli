@@ -20,8 +20,13 @@
 
     The simulator advances in discrete steps ({!step_into}/{!step}); all
     noise comes from an explicit seed, so runs are reproducible.  The
-    steady-state tick path is allocation-free: {!step_into} writes a
-    caller-owned {!observation} and the SoC-owned per-cluster arrays
+    noise-free plant — workload phase, capacity, background placement,
+    QoS throughput and per-cluster power — is one function that
+    {!step_into} and the ground-truth accessors ({!true_qos_rate},
+    {!true_chip_power}) share, so with every noise σ at 0 the
+    observation equals the ground truth bit for bit.  The steady-state
+    tick path is allocation-free: {!step_into} writes a caller-owned
+    {!observation} and the SoC-owned per-cluster arrays
     ({!sensor_powers}, {!ips_totals}) in place (DESIGN.md §13). *)
 
 type config = {
@@ -162,11 +167,14 @@ val per_core_ips : t -> float array
     hot path skipped are replayed from the saved generator state. *)
 
 val true_qos_rate : t -> float
-(** Noise-free QoS rate at the current actuator settings (for tests and
-    ground-truth comparisons; the managers must use {!observation}s). *)
+(** Noise-free QoS rate at the current time and actuator settings (for
+    tests and ground-truth comparisons; the managers must use
+    {!observation}s).  The same physics {!step_into} runs, without
+    advancing time. *)
 
 val true_chip_power : t -> float
-(** Noise-free total power at the current settings. *)
+(** Noise-free total power at the current time and settings, summed
+    over clusters in index order as the power sensors are. *)
 
 val temperature : t -> float
 (** Noise-free die temperature (°C).  A first-order RC response to chip

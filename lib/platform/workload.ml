@@ -46,23 +46,6 @@ let create ?(complexity_wobble = 0.) ?(phases = [])
     phases;
   }
 
-let default_phase w =
-  {
-    duration_s = infinity;
-    parallel_fraction = w.parallel_fraction;
-    demand_scale = 1.;
-  }
-
-let phase_at w t =
-  let rec walk elapsed = function
-    | [] -> default_phase w
-    | [ last ] -> last (* final phase repeats *)
-    | ph :: rest ->
-        if t < elapsed +. ph.duration_s then ph
-        else walk (elapsed +. ph.duration_s) rest
-  in
-  match w.phases with [] -> default_phase w | phases -> walk 0. phases
-
 let amdahl_speedup ~parallel_fraction ~cores =
   if cores <= 0. then invalid_arg "Workload.amdahl_speedup: cores <= 0";
   1. /. (1. -. parallel_fraction +. (parallel_fraction /. cores))

@@ -56,9 +56,6 @@ val create :
   t
 (** Raises [Invalid_argument] on out-of-range parameters. *)
 
-val phase_at : t -> float -> phase
-(** Active phase at elapsed time [t] seconds (the final phase repeats). *)
-
 val amdahl_speedup : parallel_fraction:float -> cores:float -> float
 (** 1 / ((1−p) + p/n).  [cores] may be fractional (a core partially
     stolen by background work).  Raises when [cores <= 0]. *)

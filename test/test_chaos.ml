@@ -243,6 +243,11 @@ let valid_artifact_lines =
 
 let artifact_of lines = Artifact.of_string (String.concat "\n" lines ^ "\n")
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
 let test_artifact_parse_errors () =
   (* The unmodified skeleton parses. *)
   let a = artifact_of valid_artifact_lines in
@@ -268,7 +273,35 @@ let test_artifact_parse_errors () =
   expect_invalid "staleness exceeds kill tick" (fun () ->
       artifact_of (valid_artifact_lines @ [ "kill 10 20" ]));
   expect_invalid "unknown invariant name" (fun () ->
-      artifact_of (valid_artifact_lines @ [ "invariant bogus" ]))
+      artifact_of (valid_artifact_lines @ [ "invariant bogus" ]));
+  (* Out-of-range profile values: one bad line per rule, each rejected
+     with a message naming the field. *)
+  let with_profile p =
+    List.map
+      (fun l -> if l = "profile 5 3.5 3 4 5 16" then "profile " ^ p else l)
+      valid_artifact_lines
+  in
+  List.iter
+    (fun (what, profile, field) ->
+      match artifact_of (with_profile profile) with
+      | exception Invalid_argument msg ->
+          check_bool (what ^ " names " ^ field) true (contains msg field)
+      | _ -> Alcotest.failf "%s: profile %S accepted" what profile)
+    [
+      ("nan tdp", "nan 3.5 3 4 5 16", "tdp");
+      ("infinite stress envelope", "5 inf 3 4 5 16", "stress_envelope");
+      ("zero tdp", "0 3.5 3 4 5 16", "tdp");
+      ("negative stress envelope", "5 -3.5 3 4 5 16", "stress_envelope");
+      ("negative safe duration", "5 3.5 -3 4 5 16", "safe_s");
+      ("negative stress duration", "5 3.5 3 -4 5 16", "stress_s");
+      ("nan recovery duration", "5 3.5 3 4 nan 16", "recovery_s");
+      ("negative background", "5 3.5 3 4 5 -16", "stress_background");
+      ("run too long", "5 3.5 3 4 1e9 16", "recovery_s");
+    ];
+  (* The bound itself is allowed. *)
+  check_bool "3600 s run accepted" true
+    ((artifact_of (with_profile "5 3.5 1200 1200 1200 16")).Artifact.cell
+       .Campaign.profile.Campaign.safe_s = 1200.)
 
 (* Node-kill campaigns: drills are pure functions of (spec, index), the
    sweep is byte-identical for any worker count, and a rebooted node

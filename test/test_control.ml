@@ -600,16 +600,6 @@ let test_pid_config_validation () =
     (fun () ->
       ignore (Pid.config ~u_min:1. ~u_max:0. ~kp:1. ~ki:0. ~kd:0. ~dt:1. ()))
 
-let test_pid_gain_schedule () =
-  let cfg1 = Pid.config ~kp:1. ~ki:0. ~kd:0. ~dt:1. () in
-  let cfg2 = Pid.config ~kp:5. ~ki:0. ~kd:0. ~dt:1. () in
-  let pid = Pid.create cfg1 ~reference:1. in
-  let u1 = Pid.step pid ~measured:0. in
-  Pid.set_config pid cfg2;
-  let u2 = Pid.step pid ~measured:0. in
-  check_float "kp=1" 1. u1;
-  check_float "kp=5" 5. u2
-
 let test_pid_reset () =
   let cfg = Pid.config ~kp:0. ~ki:1. ~kd:0. ~dt:1. () in
   let pid = Pid.create cfg ~reference:1. in
@@ -692,7 +682,6 @@ let () =
             test_pid_saturation_and_antiwindup;
           Alcotest.test_case "config validation" `Quick
             test_pid_config_validation;
-          Alcotest.test_case "gain schedule" `Quick test_pid_gain_schedule;
           Alcotest.test_case "reset" `Quick test_pid_reset;
         ] );
     ]

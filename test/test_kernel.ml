@@ -239,21 +239,52 @@ let test_manager_step_bytes () =
 (* Scenario CSV byte-identity pins                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* MD5 digests of the default x264 scenario (seed 42, 300 rows) under
-   three managers, recorded before the zero-allocation refactor landed.
-   Any hot-path change that shifts a single float expression — noise
-   draw order, accumulation order, a skipped clamp — changes these. *)
+(* MD5 digests of x264 scenarios (seed 42, 300 rows).  The first three
+   run the default scenario under three managers and were recorded before
+   the zero-allocation refactor landed.  The faulted SPECTR+G run carries
+   a power-sensor spike window in the safe phase and a permanently dead
+   Little cluster from 1 s into the emergency phase, so its [true_power]
+   column pins the SoC's ground-truth physics (dead-cluster masking
+   included) bit for bit.  Any hot-path change that shifts a single
+   float expression — noise draw order, accumulation order, a skipped
+   clamp — changes these. *)
 let pinned =
   [
     ("spectr", "ab3b5b5ef6ec4920c18d5f0a4117cbc1");
     ("mm-pow", "96be8102f7bac038240ca64962ed878b");
     ("siso", "d599bdd2e64cbd24c48b6fd21efaf08a");
+    ("spectr+g faulted", "c1c94f231fcf67cda937620c2d58a015");
   ]
 
-let scenario_digest make_manager =
+let faulted_config cfg =
+  let phases =
+    List.map
+      (fun (ph : Spectr.Scenario.phase) ->
+        let faults =
+          match ph.Spectr.Scenario.phase_name with
+          | "safe" ->
+              [
+                Faults.injection
+                  (Faults.Spike_burst (Faults.Power, 4.))
+                  ~start_s:2. ~stop_s:3.5;
+              ]
+          | "emergency" ->
+              [ Faults.permanent (Faults.Cluster_dead 1) ~start_s:1. ]
+          | _ -> []
+        in
+        { ph with Spectr.Scenario.phase_faults = faults })
+      cfg.Spectr.Scenario.phases
+  in
+  { cfg with Spectr.Scenario.phases }
+
+let scenario_digest ?(faulted = false) make_manager =
   let cfg = Spectr.Scenario.default_config ~seed:42L Benchmarks.x264 in
+  let cfg = if faulted then faulted_config cfg else cfg in
   let trace = Spectr.Scenario.run ~manager:(make_manager ()) cfg in
   check_int "pinned run length" 300 (Trace.length trace);
+  if faulted then
+    check_bool "true_power column" true
+      (Trace.column_index trace "true_power" >= 0);
   Digest.to_hex (Digest.string (Trace.to_csv trace))
 
 let test_pinned_digests () =
@@ -261,11 +292,16 @@ let test_pinned_digests () =
     | "spectr" -> fun () -> fst (Spectr.Spectr_manager.make ())
     | "mm-pow" -> fun () -> Spectr.Mm.make_pow ()
     | "siso" -> fun () -> Spectr.Siso.make ()
+    | "spectr+g faulted" ->
+        fun () ->
+          fst (Spectr.Spectr_manager.make ~guards:(Spectr.Guarded.create ()) ())
     | name -> Alcotest.failf "unknown pinned manager %s" name
   in
   List.iter
     (fun (name, digest) ->
-      check_string (name ^ " CSV digest") digest (scenario_digest (make name)))
+      let faulted = name = "spectr+g faulted" in
+      check_string (name ^ " CSV digest") digest
+        (scenario_digest ~faulted (make name)))
     pinned
 
 (* MD5 of every designed gain set of a key — kx, kz, l row-major and the

@@ -715,14 +715,54 @@ let test_steady_state_error_negative () =
   check_float_loose "exceeding" (-20.)
     (Stats.steady_state_error ~reference:5. ~measured ~tail:3)
 
+(* Settling time is the §5.1 responsiveness metric; its one scan lives in
+   [Spectr.Metrics.per_phase] (power within 5 % of the envelope).  Feed
+   it a one-phase trace whose power column is [y] under a constant
+   envelope. *)
+let power_settling ~envelope ~dt y =
+  let n = Array.length y in
+  let cfg = Spectr.Scenario.default_config Spectr_platform.Benchmarks.x264 in
+  let template = List.hd cfg.Spectr.Scenario.phases in
+  let cfg =
+    {
+      cfg with
+      Spectr.Scenario.phases =
+        [
+          {
+            template with
+            Spectr.Scenario.phase_name = "p";
+            duration_s = float_of_int n *. dt;
+          };
+        ];
+      controller_period = dt;
+    }
+  in
+  let columns = Spectr.Scenario.columns in
+  let trace = Spectr_platform.Trace.create ~cap:n ~columns () in
+  Array.iteri
+    (fun i p ->
+      let row = Array.make (List.length columns) 0. in
+      row.(0) <- float_of_int i *. dt;
+      row.(3) <- p;
+      row.(4) <- envelope;
+      Spectr_platform.Trace.add trace row)
+    y;
+  match Spectr.Metrics.per_phase ~trace ~config:cfg with
+  | [ m ] -> m.Spectr.Metrics.power_settling_s
+  | _ -> Alcotest.fail "one phase"
+
 let test_settling_time () =
   (* 5 % band around 60 is [57,63]: the last violation is 50 at index 2,
      so the series settles at index 3, i.e. t = 1.5 s with dt = 0.5. *)
   let y = [| 0.; 30.; 50.; 58.; 59.; 60.; 60.; 60. |] in
-  (match Stats.settling_time ~reference:60. ~band:0.05 ~dt:0.5 y with
+  (match power_settling ~envelope:60. ~dt:0.5 y with
   | Some t -> check_float "settles at 1.5s" 1.5 t
   | None -> Alcotest.fail "should settle");
-  match Stats.settling_time ~reference:60. ~band:0.01 ~dt:0.5 [| 0.; 1. |] with
+  (* The band edge itself counts as settled. *)
+  (match power_settling ~envelope:60. ~dt:0.5 [| 0.; 57.; 63. |] with
+  | Some t -> check_float "band edges settle" 0.5 t
+  | None -> Alcotest.fail "should settle at the band edge");
+  match power_settling ~envelope:60. ~dt:0.5 [| 0.; 56. |] with
   | None -> ()
   | Some _ -> Alcotest.fail "should not settle"
 

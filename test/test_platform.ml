@@ -100,20 +100,68 @@ let test_workload_validation () =
         (Workload.create ~name:"w" ~parallel_fraction:1.5 ~freq_scaling:2.
            ~base_ipc_big:1. ~instructions_per_heartbeat:1e7 ()))
 
+(* The SoC's flattened phase table is the one phase lookup: canneal's
+   serialized input phase runs first, its parallel phase repeats forever,
+   and a workload without phases behaves exactly like one endless phase
+   at its nominal parallel fraction and unit demand. *)
 let test_workload_phases () =
   let w = Benchmarks.canneal in
-  let early = Workload.phase_at w 5. in
-  let late = Workload.phase_at w 100. in
-  check_bool "serial phase first" true
-    (early.Workload.parallel_fraction < 0.5);
-  check_bool "parallel later" true (late.Workload.parallel_fraction >= 0.5)
+  match w.Workload.phases with
+  | first :: (_ :: _ as rest) ->
+      let last = List.nth rest (List.length rest - 1) in
+      check_bool "serial phase first" true
+        (first.Workload.parallel_fraction < 0.5);
+      check_bool "parallel later" true (last.Workload.parallel_fraction >= 0.5);
+      (* Past every boundary the final phase repeats: the rate equals a
+         single-phase twin running only that phase. *)
+      let twin =
+        Workload.create ~name:"canneal-tail" ~phases:[ last ]
+          ~complexity_wobble:w.Workload.complexity_wobble
+          ~parallel_fraction:w.Workload.parallel_fraction
+          ~freq_scaling:w.Workload.freq_scaling
+          ~base_ipc_big:w.Workload.base_ipc_big
+          ~instructions_per_heartbeat:w.Workload.instructions_per_heartbeat ()
+      in
+      let rate_at qos t =
+        let soc = Soc.create ~qos () in
+        while Soc.time soc < t do
+          ignore (Soc.step soc ~dt:1.)
+        done;
+        Soc.true_qos_rate soc
+      in
+      check_bool "serial phase slows the start" true
+        (rate_at w 1. < rate_at twin 1.);
+      check_bool "final phase repeats" true
+        (Int64.bits_of_float (rate_at w 1000.)
+        = Int64.bits_of_float (rate_at twin 1000.))
+  | _ -> Alcotest.fail "canneal has a serial and a parallel phase"
 
 let test_workload_phase_default () =
   let w = Benchmarks.x264 in
-  let ph = Workload.phase_at w 42. in
-  check_float "default p" w.Workload.parallel_fraction
-    ph.Workload.parallel_fraction;
-  check_float "default demand" 1. ph.Workload.demand_scale
+  check_bool "x264 has no phases" true (w.Workload.phases = []);
+  let one_phase =
+    Workload.create ~name:"x264-one-phase"
+      ~complexity_wobble:w.Workload.complexity_wobble
+      ~phases:
+        [
+          {
+            Workload.duration_s = 1.;
+            parallel_fraction = w.Workload.parallel_fraction;
+            demand_scale = 1.;
+          };
+        ]
+      ~parallel_fraction:w.Workload.parallel_fraction
+      ~freq_scaling:w.Workload.freq_scaling ~base_ipc_big:w.Workload.base_ipc_big
+      ~instructions_per_heartbeat:w.Workload.instructions_per_heartbeat ()
+  in
+  let a = Soc.create ~qos:w () and b = Soc.create ~qos:one_phase () in
+  for _ = 1 to 20 do
+    ignore (Soc.step a ~dt:0.25);
+    ignore (Soc.step b ~dt:0.25);
+    check_bool "default phase = nominal p, unit demand" true
+      (Int64.bits_of_float (Soc.true_qos_rate a)
+      = Int64.bits_of_float (Soc.true_qos_rate b))
+  done
 
 let test_amdahl () =
   check_float "p=1 linear" 4.
@@ -132,7 +180,10 @@ let test_amdahl () =
 
 let test_speedup_range_parsec () =
   (* §5: "Speedups from 3.2X (streamcluster) to 4.5X (x264)". *)
-  let ratio w = Perf_model.max_qos_rate w /. Perf_model.min_qos_rate w in
+  let ratio w =
+    Perf_model.max_qos_rate_for Platform_desc.exynos5422 w
+    /. Perf_model.min_qos_rate_for Platform_desc.exynos5422 w
+  in
   check_bool "streamcluster ~3.2x" true
     (abs_float (ratio Benchmarks.streamcluster -. 3.2) < 0.15);
   check_bool "x264 ~4.5x" true (abs_float (ratio Benchmarks.x264 -. 4.5) < 0.15);
@@ -143,9 +194,39 @@ let test_speedup_range_parsec () =
     Benchmarks.all_qos
 
 let test_x264_fps_ceiling () =
-  let max_fps = Perf_model.max_qos_rate Benchmarks.x264 in
+  let max_fps =
+    Perf_model.max_qos_rate_for Platform_desc.exynos5422 Benchmarks.x264
+  in
   check_bool "~80 FPS at full allocation" true
     (max_fps > 75. && max_fps < 85.)
+
+(* Every workload's top rate on the reference board, as exact hex
+   floats: the CPI law, the contention factor and Amdahl's law compose to
+   these bits. *)
+let test_max_qos_rate_pins () =
+  List.iter
+    (fun (name, expected) ->
+      let w =
+        match Benchmarks.by_name name with
+        | Some w -> w
+        | None -> Alcotest.failf "unknown workload %s" name
+      in
+      Alcotest.(check string)
+        (name ^ " max rate")
+        (Printf.sprintf "%h" expected)
+        (Printf.sprintf "%h"
+           (Perf_model.max_qos_rate_for Platform_desc.exynos5422 w)))
+    [
+      ("microbench", 0x1.0f4de9bd37a6fp+7);
+      ("bodytrack", 0x1.f78e38e38e39p+5);
+      ("canneal", 0x1.dd63a7aed804ep+5);
+      ("kmeans", 0x1.0189c031169a2p+6);
+      ("knn", 0x1.f5475da068c1cp+5);
+      ("lesq", 0x1.d7a7c3a0cc55fp+5);
+      ("lr", 0x1.d73de8933de87p+5);
+      ("streamcluster", 0x1.05a9b63a428b9p+6);
+      ("x264", 0x1.3fb861f6582ddp+6);
+    ]
 
 let test_benchmark_lookup () =
   check_bool "x264 found" true (Benchmarks.by_name "x264" <> None);
@@ -157,12 +238,21 @@ let test_benchmark_lookup () =
 (* Perf_model                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-core IPS of exynos5422 cluster [i] (0 = Big, 1 = Little) under
+   the description-driven CPI law, with [busy_cores] cores competing for
+   memory bandwidth. *)
+let core_ips ?(busy_cores = 4.) w i ~freq_mhz =
+  let a, b = Perf_model.coefficients_for w Platform_desc.exynos5422 i in
+  let f_ghz = float_of_int freq_mhz /. 1000. in
+  f_ghz *. 1e9
+  /. (a +. (b *. Perf_model.contention_factor ~busy_cores *. f_ghz))
+
 let test_perf_monotone_in_frequency () =
   let w = Benchmarks.x264 in
   let prev = ref 0. in
   List.iter
     (fun f ->
-      let ips = Perf_model.core_ips w Perf_model.Big ~freq_mhz:f in
+      let ips = core_ips w 0 ~freq_mhz:f in
       check_bool "IPS increases with f" true (ips > !prev);
       prev := ips)
     [ 200; 600; 1000; 1400; 2000 ]
@@ -171,16 +261,16 @@ let test_perf_memory_bound_saturates () =
   (* streamcluster (freq_scaling 1.5) must gain less from frequency than
      the microbenchmark (freq_scaling 2.8). *)
   let gain w =
-    Perf_model.core_ips w Perf_model.Big ~freq_mhz:2000
-    /. Perf_model.core_ips w Perf_model.Big ~freq_mhz:200
+    core_ips w 0 ~freq_mhz:2000
+    /. core_ips w 0 ~freq_mhz:200
   in
   check_bool "memory-bound flatter" true
     (gain Benchmarks.streamcluster < gain Benchmarks.microbench)
 
 let test_perf_little_slower () =
   let w = Benchmarks.x264 in
-  let big = Perf_model.core_ips w Perf_model.Big ~freq_mhz:1000 in
-  let little = Perf_model.core_ips w Perf_model.Little ~freq_mhz:1000 in
+  let big = core_ips w 0 ~freq_mhz:1000 in
+  let little = core_ips w 1 ~freq_mhz:1000 in
   check_bool "little < big at same f" true (little < big);
   (* The shared memory-stall term compresses the in-order/out-of-order gap
      at equal frequency, so the ratio sits well above little_ipc_ratio. *)
@@ -191,8 +281,8 @@ let test_perf_freq_scaling_exact () =
   List.iter
     (fun w ->
       let r =
-        Perf_model.core_ips w Perf_model.Big ~freq_mhz:2000
-        /. Perf_model.core_ips w Perf_model.Big ~freq_mhz:200
+        core_ips w 0 ~freq_mhz:2000
+        /. core_ips w 0 ~freq_mhz:200
       in
       check_bool
         (w.Workload.name ^ " freq scaling")
@@ -205,7 +295,7 @@ let test_perf_ipc_reference () =
   let w = Benchmarks.x264 in
   check_bool "IPC at 1GHz" true
     (abs_float
-       ((Perf_model.core_ips w Perf_model.Big ~freq_mhz:1000 /. 1e9)
+       ((core_ips w 0 ~freq_mhz:1000 /. 1e9)
        -. w.Workload.base_ipc_big)
     < 1e-6)
 
@@ -392,6 +482,65 @@ let test_soc_canneal_serial_phase () =
   Soc.set_active_cores soc 0 4;
   let four = Soc.true_qos_rate soc in
   check_bool "core scaling < 1.4x in serial phase" true (four /. one < 1.4)
+
+(* With every noise σ at 0 the sensors read the physics exactly: right
+   after [step_into], the observation must equal the ground-truth
+   accessors bit for bit — the tick kernel and [true_chip_power] /
+   [true_qos_rate] compute one model.  Swept over three descriptions,
+   a phased and a wobbling workload, shifting actuator settings and a
+   permanently dead (non-host, then host) cluster. *)
+let test_soc_truth_equals_noise_free_sensors () =
+  let bits = Int64.bits_of_float in
+  let run platform qos dead =
+    let config =
+      {
+        (Soc.config_of platform) with
+        Soc.power_noise = 0.;
+        qos_noise = 0.;
+        ips_noise = 0.;
+        temp_noise = 0.;
+      }
+    in
+    let soc = Soc.create ~config ~platform ~qos () in
+    let k = Soc.num_clusters soc in
+    (match dead with
+    | None -> ()
+    | Some i ->
+        Soc.set_faults soc
+          (Some (Faults.create [ Faults.permanent (Faults.Cluster_dead i) ~start_s:1. ])));
+    let obs = Soc.make_observation () in
+    for t = 1 to 60 do
+      for i = 0 to k - 1 do
+        let opp = Soc.opp_table soc i in
+        let lo = Opp.min_freq opp and hi = Opp.max_freq opp in
+        let f = lo + ((hi - lo) * ((t * (i + 3)) mod 11) / 10) in
+        ignore (Soc.set_frequency soc i (float_of_int f));
+        Soc.set_active_cores soc i (1 + ((t + i) mod Soc.cluster_cores soc i))
+      done;
+      Soc.set_background_tasks soc (3 * (t mod 7));
+      Soc.set_idle_fraction soc ~core:(t mod 4) (0.1 *. float_of_int (t mod 5));
+      Soc.step_into soc ~dt:0.25 obs;
+      let label what =
+        Printf.sprintf "%s %s dead=%s t=%d %s" (Platform_desc.name platform)
+          qos.Workload.name
+          (match dead with None -> "-" | Some i -> string_of_int i)
+          t what
+      in
+      check_bool (label "chip power") true
+        (bits obs.Soc.chip_power = bits (Soc.true_chip_power soc));
+      check_bool (label "qos rate") true
+        (bits obs.Soc.qos_rate = bits (Soc.true_qos_rate soc))
+    done
+  in
+  List.iter
+    (fun platform ->
+      let host = Platform_desc.host platform in
+      let k = Platform_desc.num_clusters platform in
+      List.iter
+        (fun qos ->
+          List.iter (run platform qos) [ None; Some ((host + 1) mod k); Some host ])
+        [ Benchmarks.canneal; Benchmarks.x264 ])
+    [ Platform_desc.exynos5422; Platform_desc.pixel8pro; Platform_desc.k_cluster 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Thermal model                                                       *)
@@ -1069,6 +1218,7 @@ let () =
             test_speedup_range_parsec;
           Alcotest.test_case "x264 FPS ceiling" `Quick test_x264_fps_ceiling;
           Alcotest.test_case "lookup" `Quick test_benchmark_lookup;
+          Alcotest.test_case "max rate pins" `Quick test_max_qos_rate_pins;
         ] );
       ( "perf-model",
         [
@@ -1108,6 +1258,8 @@ let () =
             test_soc_per_core_ips_idle_sensitive;
           Alcotest.test_case "canneal serial phase" `Quick
             test_soc_canneal_serial_phase;
+          Alcotest.test_case "truth equals noise-free sensors" `Quick
+            test_soc_truth_equals_noise_free_sensors;
         ] );
       ( "thermal",
         [

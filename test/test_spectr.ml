@@ -846,7 +846,7 @@ let test_closed_thermal_loop () =
   let gov = Thermal_governor.create ~trip_c:63. ~release_c:56. ~tdp:5.0
       ~emergency_envelope:3.2 () in
   let soc = Soc.create ~qos:Benchmarks.x264 () in
-  let qos_ref = 0.95 *. Perf_model.max_qos_rate Benchmarks.x264 in
+  let qos_ref = 0.95 *. Perf_model.max_qos_rate_for Platform_desc.exynos5422 Benchmarks.x264 in
   let max_temp = ref 0. in
   for _ = 1 to 400 do
     let obs = Soc.step soc ~dt:0.05 in
@@ -1436,14 +1436,6 @@ let test_metrics_recovery_time () =
   check_bool "empty tail" true
     (Metrics.recovery_time ~envelope:5. ~dt:0.1 ~after:9 power = None)
 
-let test_metrics_reconvergence_time () =
-  let qos = [| 60.; 20.; 20.; 58.; 61.; 60. |] in
-  match
-    Metrics.reconvergence_time ~reference:60. ~band:0.1 ~dt:0.1 ~after:1 qos
-  with
-  | Some t -> check_float "first sustained re-entry" 0.2 t
-  | None -> Alcotest.fail "reconverges"
-
 let test_metrics_empty_phase () =
   (* Regression: a phase shorter than half a controller period records
      zero samples; per_phase used to divide by its empty sample range.
@@ -1543,20 +1535,26 @@ let test_metrics_find_diagnostics () =
   | _ -> Alcotest.fail "raises Invalid_argument on empty list"
 
 let test_metrics_compliance_boundaries () =
+  let compliance envelope power =
+    Metrics.compliance_time_series ~envelope ~dt:0.1 power
+  in
   (* Never-violating slice: compliant from t = 0 exactly. *)
   check_bool "never violating -> Some 0." true
-    (Metrics.compliance_time ~envelope:5. ~dt:0.1 [| 4.; 4.; 4. |] = Some 0.);
+    (compliance [| 5.; 5.; 5. |] [| 4.; 4.; 4. |] = Some 0.);
   (* Violation at the last sample: compliance is never sustained. *)
   check_bool "last-sample violation -> None" true
-    (Metrics.compliance_time ~envelope:5. ~dt:0.1 [| 4.; 4.; 6. |] = None);
-  (* The per-sample variant shares both boundary behaviours... *)
-  check_bool "series: never violating -> Some 0." true
-    (Metrics.compliance_time_series ~envelope:[| 5.; 5. |] ~dt:0.1 [| 4.; 4. |]
-    = Some 0.);
-  check_bool "series: last-sample violation -> None" true
-    (Metrics.compliance_time_series ~envelope:[| 5.; 5. |] ~dt:0.1 [| 4.; 6. |]
-    = None);
-  (* ...and validates its shape. *)
+    (compliance [| 5.; 5.; 5. |] [| 4.; 4.; 6. |] = None);
+  (* The allowance boundary: 5 × 1.02 complies, the next float up does
+     not. *)
+  let limit = 5. *. Metrics.power_allowance in
+  check_bool "at the allowance -> Some 0." true
+    (compliance [| 5.; 5. |] [| 4.; limit |] = Some 0.);
+  check_bool "just over -> None" true
+    (compliance [| 5.; 5. |] [| 4.; Float.succ limit |] = None);
+  (* A stepping envelope is judged sample by sample. *)
+  check_bool "stepped envelope" true
+    (compliance [| 5.; 3.; 3.; 3. |] [| 4.; 4.; 2.; 2. |] = Some 0.2);
+  (* The shape is validated. *)
   match
     Metrics.compliance_time_series ~envelope:[| 5. |] ~dt:0.1 [| 4.; 4. |]
   with
@@ -2378,8 +2376,6 @@ let () =
             test_unfaulted_trace_unchanged;
           Alcotest.test_case "recovery time metric" `Quick
             test_metrics_recovery_time;
-          Alcotest.test_case "reconvergence time metric" `Quick
-            test_metrics_reconvergence_time;
           Alcotest.test_case "zero-length phase omitted" `Slow
             test_metrics_empty_phase;
           Alcotest.test_case "mid-phase envelope step" `Quick
