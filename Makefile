@@ -59,15 +59,23 @@ obs-smoke:
 # Chaos smoke: a fixed-seed 16-cell campaign of power-sensor faults
 # against guarded and unguarded SPECTR.  Passes only when SPECTR+G
 # survives every cell AND unguarded SPECTR violates at least once
-# (spectr_cli exits 3 / 4 otherwise); each finding is shrunk to a
-# reproducer in chaos-artifacts/ and replayed to pin digest-exact
-# determinism.  CI uploads chaos-artifacts/ on failure.
+# (spectr_cli exits 3 / 4 otherwise), and the campaign report is
+# byte-identical under SPECTR_JOBS=1 and SPECTR_JOBS=4, so a change to
+# the invariant monitors is checked for job-count independence too;
+# each finding is shrunk to a reproducer in chaos-artifacts/ and
+# replayed to pin digest-exact determinism.  CI uploads
+# chaos-artifacts/ on failure.
 chaos-smoke:
 	rm -rf chaos-artifacts
-	dune exec bin/spectr_cli.exe -- chaos --seed 3 --cells 16 \
+	SPECTR_JOBS=1 dune exec bin/spectr_cli.exe -- chaos --seed 3 --cells 16 \
 	  --variants spectr+g,spectr --kinds dropout:power,stuck:power \
 	  --fail-on spectr+g --require-violation spectr \
-	  --artifact-dir chaos-artifacts
+	  --artifact-dir chaos-artifacts > /tmp/spectr-chaos-j1.txt
+	SPECTR_JOBS=4 dune exec bin/spectr_cli.exe -- chaos --seed 3 --cells 16 \
+	  --variants spectr+g,spectr --kinds dropout:power,stuck:power \
+	  --fail-on spectr+g --require-violation spectr \
+	  --artifact-dir chaos-artifacts > /tmp/spectr-chaos-j4.txt
+	diff /tmp/spectr-chaos-j1.txt /tmp/spectr-chaos-j4.txt
 	for f in chaos-artifacts/*.repro; do \
 	  dune exec bin/spectr_cli.exe -- replay $$f || exit 1; \
 	done

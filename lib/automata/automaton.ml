@@ -24,8 +24,8 @@ end
    parallel [ev]/[dst] arrays, each row sorted by event id so a lookup is
    a binary search with zero hashing.  Names are a boundary concern:
    [names] (and the name→index table derived from it) is computed on
-   first use, so algorithm outputs built with [of_indexed_arrays] never
-   materialize names unless a name-based accessor is actually used. *)
+   first use, so algorithm outputs built with [of_csr] never materialize
+   names unless a name-based accessor is actually used. *)
 type t = {
   name : string;
   n : int;
@@ -146,58 +146,9 @@ let make_index name n names_once =
        names;
      h)
 
-(* CSR rows from parallel transition arrays, each row sorted by event id
-   with no boxed pair: positions are scattered by source in the order
-   given, then each row is insertion-sorted (stably).  Algorithms emit
-   rows already in event-id order, or as a few sorted runs, so the sort
-   is a linear check or close to one.  [describe] names the offending
-   state in the nondeterminism error (lazily — only on the error path). *)
-let make_csr ~who ~describe n ~src ~event ~target =
-  let total = Array.length src in
-  if Array.length event <> total || Array.length target <> total then
-    invalid_arg (Printf.sprintf "%s: transition array length mismatch" who);
-  let row = Array.make (n + 1) 0 in
-  Array.iter
-    (fun s ->
-      if s < 0 || s >= n then
-        invalid_arg (Printf.sprintf "%s: source %d out of range" who s);
-      row.(s + 1) <- row.(s + 1) + 1)
-    src;
-  for i = 0 to n - 1 do
-    row.(i + 1) <- row.(i + 1) + row.(i)
-  done;
-  let cursor = Array.sub row 0 n in
-  let ev = Array.make total 0 and dst = Array.make total 0 in
-  for k = 0 to total - 1 do
-    let s = src.(k) in
-    let p = cursor.(s) in
-    ev.(p) <- event.(k);
-    dst.(p) <- target.(k);
-    cursor.(s) <- p + 1
-  done;
-  for s = 0 to n - 1 do
-    for k = row.(s) + 1 to row.(s + 1) - 1 do
-      let e = ev.(k) and d = dst.(k) in
-      let j = ref (k - 1) in
-      while !j >= row.(s) && ev.(!j) > e do
-        ev.(!j + 1) <- ev.(!j);
-        dst.(!j + 1) <- dst.(!j);
-        decr j
-      done;
-      ev.(!j + 1) <- e;
-      dst.(!j + 1) <- d
-    done;
-    for k = row.(s) to row.(s + 1) - 2 do
-      if ev.(k) = ev.(k + 1) then
-        invalid_arg
-          (Printf.sprintf "%s: nondeterministic on event id %d from state %s"
-             who ev.(k) (describe s))
-    done
-  done;
-  (row, ev, dst)
-
-(* The checks shared by the trusted constructors. *)
-let check_flags ~who ~name ~initial ~marked ~forbidden =
+let of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row ~event
+    ~target =
+  let who = "Automaton.of_csr" in
   let n = Array.length marked in
   if Array.length forbidden <> n then
     invalid_arg
@@ -205,54 +156,7 @@ let check_flags ~who ~name ~initial ~marked ~forbidden =
          name n (Array.length forbidden));
   if initial < 0 || initial >= n then
     invalid_arg
-      (Printf.sprintf "%s %s: initial %d out of range" who name initial)
-
-(* The record of the trusted constructors, over CSR rows and flag arrays
-   it takes ownership of; names are computed on first use. *)
-let of_rows ~who ~name ~names ~alphabet ~initial ~marked ~forbidden
-    (row, ev, dst) =
-  let n = Array.length marked in
-  let names_once =
-    Once.make (fun () ->
-       let a = names () in
-       if Array.length a <> n then
-         invalid_arg
-           (Printf.sprintf "%s %s: names () returned %d names for %d states"
-              who name (Array.length a) n);
-       a)
-  in
-  {
-    name;
-    n;
-    names = names_once;
-    index = make_index name n names_once;
-    alphabet;
-    decode = make_decode alphabet;
-    row;
-    ev;
-    dst;
-    initial;
-    marked;
-    forbidden;
-    digest = None;
-  }
-
-let of_indexed_arrays ~name ~names ~alphabet ~initial ~marked ~forbidden ~src
-    ~event ~target =
-  let who = "Automaton.of_indexed" in
-  check_flags ~who ~name ~initial ~marked ~forbidden;
-  let rows =
-    make_csr ~who:(who ^ " " ^ name) ~describe:string_of_int
-      (Array.length marked) ~src ~event ~target
-  in
-  of_rows ~who ~name ~names ~alphabet ~initial ~marked:(Array.copy marked)
-    ~forbidden:(Array.copy forbidden) rows
-
-let of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row ~event
-    ~target =
-  let who = "Automaton.of_csr" in
-  check_flags ~who ~name ~initial ~marked ~forbidden;
-  let n = Array.length marked in
+      (Printf.sprintf "%s %s: initial %d out of range" who name initial);
   let malformed () =
     invalid_arg (Printf.sprintf "%s %s: malformed rows" who name)
   in
@@ -271,8 +175,30 @@ let of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row ~event
              name s)
     done
   done;
-  of_rows ~who ~name ~names ~alphabet ~initial ~marked ~forbidden
-    (row, event, target)
+  let names_once =
+    Once.make (fun () ->
+       let a = names () in
+       if Array.length a <> n then
+         invalid_arg
+           (Printf.sprintf "%s %s: names () returned %d names for %d states"
+              who name (Array.length a) n);
+       a)
+  in
+  {
+    name;
+    n;
+    names = names_once;
+    index = make_index name n names_once;
+    alphabet;
+    decode = make_decode alphabet;
+    row;
+    ev = event;
+    dst = target;
+    initial;
+    marked;
+    forbidden;
+    digest = None;
+  }
 
 let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
     ~transitions () =
@@ -336,22 +262,29 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
       | Some _ -> ()
       | None -> Hashtbl.add delta (si, Event.id e) di)
     transitions;
-  let total = Hashtbl.length delta in
-  let src = Array.make total 0 in
-  let event = Array.make total 0 and target = Array.make total 0 in
+  (* The rows: the (state, event id) keys of [delta], packed into one
+     int each and sorted once, are the CSR order. *)
+  let width = 1 + Hashtbl.fold (fun (_, eid) _ m -> max m eid) delta 0 in
+  let keys = Array.make (Hashtbl.length delta) 0 in
   let k = ref 0 in
   Hashtbl.iter
-    (fun (si, eid) di ->
-      src.(!k) <- si;
-      event.(!k) <- eid;
-      target.(!k) <- di;
+    (fun (si, eid) _ ->
+      keys.(!k) <- (si * width) + eid;
       incr k)
     delta;
-  let row, ev, dst =
-    make_csr
-      ~who:(Printf.sprintf "Automaton %s" name)
-      ~describe:(fun s -> Printf.sprintf "%S" state_names.(s))
-      n ~src ~event ~target
+  Array.sort Int.compare keys;
+  let row = Array.make (n + 1) 0 in
+  Array.iter
+    (fun key ->
+      let s = (key / width) + 1 in
+      row.(s) <- row.(s) + 1)
+    keys;
+  for i = 0 to n - 1 do
+    row.(i + 1) <- row.(i + 1) + row.(i)
+  done;
+  let ev = Array.map (fun key -> key mod width) keys in
+  let dst =
+    Array.map (fun key -> Hashtbl.find delta (key / width, key mod width)) keys
   in
   let marked_arr =
     match marked with
@@ -440,31 +373,33 @@ let restrict_indices a keep =
           incr j
         end
       done;
-      let src = Array.make !n_trans 0 in
+      (* Surviving states are kept, and their kept transitions are a
+         subsequence of a sorted row: each new row is written in place. *)
+      let row = Array.make (m + 1) 0 in
       let event = Array.make !n_trans 0 and target = Array.make !n_trans 0 in
       let k = ref 0 in
-      for s = 0 to a.n - 1 do
-        if keep.(s) then
-          for t = a.row.(s) to a.row.(s + 1) - 1 do
-            let d = a.dst.(t) in
-            if keep.(d) then begin
-              src.(!k) <- new_of_old.(s);
-              event.(!k) <- a.ev.(t);
-              target.(!k) <- new_of_old.(d);
-              incr k
-            end
-          done
+      for j = 0 to m - 1 do
+        let s = old_of_new.(j) in
+        for t = a.row.(s) to a.row.(s + 1) - 1 do
+          let d = a.dst.(t) in
+          if keep.(d) then begin
+            event.(!k) <- a.ev.(t);
+            target.(!k) <- new_of_old.(d);
+            incr k
+          end
+        done;
+        row.(j + 1) <- !k
       done;
       let names () =
         let parent = Once.force a.names in
         Array.map (fun old -> parent.(old)) old_of_new
       in
       Some
-        (of_indexed_arrays ~name:a.name ~names ~alphabet:a.alphabet
+        (of_csr ~name:a.name ~names ~alphabet:a.alphabet
            ~initial:new_of_old.(a.initial)
            ~marked:(Array.map (fun old -> a.marked.(old)) old_of_new)
            ~forbidden:(Array.map (fun old -> a.forbidden.(old)) old_of_new)
-           ~src ~event ~target)
+           ~row ~event ~target)
     end
   end
 

@@ -13,7 +13,7 @@
     (event id, destination) pairs sorted by {!Event.id} — and every
     algorithm (composition, reachability, synthesis, verification) runs on
     ints only.  State {e names} are a boundary concern: automata built by
-    algorithms ({!of_indexed_arrays}) carry their names lazily and only
+    algorithms ({!of_csr}) carry their names lazily and only
     materialize them when a name-based accessor is first used, so a
     100k-state product that is immediately pruned never pays for 100k
     escaped name strings. *)
@@ -51,45 +51,6 @@ val create :
     for plants whose marking is irrelevant); an explicit [~marked:[]]
     marks no state. *)
 
-val of_indexed_arrays :
-  name:string ->
-  names:(unit -> string array) ->
-  alphabet:Event.Set.t ->
-  initial:int ->
-  marked:bool array ->
-  forbidden:bool array ->
-  src:int array ->
-  event:int array ->
-  target:int array ->
-  t
-(** {b Trusted constructor} for algorithm outputs.  [of_indexed_arrays
-    ~name ~names ~alphabet ~initial ~marked ~forbidden ~src ~event
-    ~target] builds an automaton over states
-    [0 .. Array.length marked - 1] directly from index-space data:
-    transition [k] is [src.(k) -event.(k)-> target.(k)] (state indices
-    and an {!Event.id}), in any order — transitions are scattered into
-    rows by source and each row is insertion-sorted by event id, with no
-    boxed value per transition.  [names] is only
-    run — once, memoized — when a name-based accessor is first used.
-    Name accessors are safe to call from several domains at once;
-    domains racing on the first use may each run [names], so it must be
-    pure.
-
-    Unlike {!create} it performs no string interning and no state
-    collection, only a cheap nondeterminism scan after the CSR build
-    ([Invalid_argument] naming the state index and event id).  The
-    caller contract (who may call it: {!Compose} and {!restrict_indices}
-    — outputs that are deterministic and consistently
-    indexed {e by construction}):
-    - the three arrays have equal length;
-    - every event id in [event] belongs to [alphabet];
-    - [marked] and [forbidden] have equal length (the state count) and
-      every index in [src], [target] and [initial] is within it;
-    - [names ()] returns exactly that many {e distinct} names (the
-      escaping {!product_state_name} join guarantees distinctness for
-      products).  Duplicate names are reported — [Invalid_argument] —
-      when the name table is first materialized, not at construction. *)
-
 val of_csr :
   name:string ->
   names:(unit -> string array) ->
@@ -101,15 +62,32 @@ val of_csr :
   event:int array ->
   target:int array ->
   t
-(** {b Trusted constructor} over rows already in CSR order: state [i]'s
-    transitions are [row.(i) .. row.(i + 1) - 1] of [event]/[target],
-    strictly increasing by event id within the row.  The caller contract
-    is {!of_indexed_arrays}' (for {!Synthesis}' supervisor extraction),
-    with the rows given instead of a transition list, so nothing is
-    scattered or sorted.  The automaton takes ownership of the five
-    arrays: the caller must not mutate them afterwards.  A linear scan
-    rejects a malformed row table or an unsorted row
-    ([Invalid_argument]). *)
+(** {b Trusted constructor} for algorithm outputs ({!Compose},
+    {!Synthesis}' supervisor extraction, {!restrict_indices}):
+    [of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row
+    ~event ~target] builds an automaton over states
+    [0 .. Array.length marked - 1] from rows already in CSR order: state
+    [i]'s transitions are [row.(i) .. row.(i + 1) - 1] of
+    [event]/[target] (an {!Event.id} and a state index each), strictly
+    increasing by event id within the row.  Nothing is scattered or
+    sorted, and the automaton takes ownership of the five arrays: the
+    caller must not mutate them afterwards.  [names] is only run — once,
+    memoized — when a name-based accessor is first used.  Name accessors
+    are safe to call from several domains at once; domains racing on the
+    first use may each run [names], so it must be pure.
+
+    Unlike {!create} it performs no string interning and no state
+    collection, only a linear scan that rejects a malformed row table,
+    an unsorted row or a repeated event id in a row (nondeterminism)
+    ([Invalid_argument]).  The caller contract — outputs that are
+    deterministic and consistently indexed {e by construction}:
+    - every event id in [event] belongs to [alphabet];
+    - [marked] and [forbidden] have equal length (the state count) and
+      every index in [target] and [initial] is within it;
+    - [names ()] returns exactly that many {e distinct} names (the
+      escaping {!product_state_name} join guarantees distinctness for
+      products).  Duplicate names are reported — [Invalid_argument] —
+      when the name table is first materialized, not at construction. *)
 
 (** {1 Inspection} *)
 
@@ -199,7 +177,7 @@ val restrict_indices : t -> bool array -> t option
     survives when it is the initial state or an endpoint of a kept
     transition).  [None] when the initial state is not kept.  The
     alphabet is preserved; surviving states keep their names — lazily, so
-    restricting an {!of_indexed_arrays} product does not materialize names.
+    restricting an {!of_csr} product does not materialize names.
     Raises [Invalid_argument] when [keep] has the wrong length. *)
 
 val rename : t -> string -> t

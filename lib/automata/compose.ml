@@ -5,8 +5,8 @@
    walk each component's CSR row: only events that are actually enabled
    somewhere are ever touched, and shared-event synchronization is one
    binary search in the other component's row.  Product state names are
-   never materialized here; [Automaton.of_indexed_arrays] builds them
-   lazily from the (ia, ib) pair map if anyone asks. *)
+   never materialized here; [Automaton.of_csr] builds them lazily from
+   the (ia, ib) pair map if anyone asks. *)
 
 let pair a b =
   let sigma_a = Automaton.alphabet a and sigma_b = Automaton.alphabet b in
@@ -29,8 +29,8 @@ let pair a b =
      discovery order, so the two vectors are also the BFS queue. *)
   let pa = Intvec.create () and pb = Intvec.create () in
   (* Each state's transitions are emitted contiguously, state by state:
-     [starts] records where each row begins instead of a source per
-     transition. *)
+     [starts] records where each row begins, and ends with the
+     transition count — the CSR row offsets. *)
   let starts = Intvec.create () in
   let tev = Intvec.create () and tdst = Intvec.create () in
   let visit ia ib =
@@ -63,16 +63,25 @@ let pair a b =
         Intvec.push tev eid;
         Intvec.push tdst (visit ia bdst.(k))
       end
+    done;
+    (* The row is two sorted runs, a's events then b's private ones:
+       insertion-sort it by event id in place. *)
+    let ev = Intvec.data tev and dst = Intvec.data tdst in
+    let lo = Intvec.get starts i in
+    for k = lo + 1 to Intvec.length tev - 1 do
+      let e = ev.(k) and d = dst.(k) in
+      let j = ref (k - 1) in
+      while !j >= lo && ev.(!j) > e do
+        ev.(!j + 1) <- ev.(!j);
+        dst.(!j + 1) <- dst.(!j);
+        decr j
+      done;
+      ev.(!j + 1) <- e;
+      dst.(!j + 1) <- d
     done
   done;
   let n = Intvec.length pa in
-  let m = Intvec.length tev in
-  let src = Array.make m 0 in
-  for i = 0 to n - 1 do
-    let lo = Intvec.get starts i in
-    let hi = if i + 1 < n then Intvec.get starts (i + 1) else m in
-    Array.fill src lo (hi - lo) i
-  done;
+  Intvec.push starts (Intvec.length tev);
   let pa = Intvec.to_array pa and pb = Intvec.to_array pb in
   let marked =
     Array.init n (fun i ->
@@ -91,10 +100,11 @@ let pair a b =
         if c = 0 then Automaton.state_of_index a pa.(i)
         else Automaton.state_of_index b pb.(i))
   in
-  Automaton.of_indexed_arrays
+  Automaton.of_csr
     ~name:(Automaton.name a ^ "||" ^ Automaton.name b)
-    ~names ~alphabet ~initial:0 ~marked ~forbidden ~src
-    ~event:(Intvec.to_array tev) ~target:(Intvec.to_array tdst)
+    ~names ~alphabet ~initial:0 ~marked ~forbidden
+    ~row:(Intvec.to_array starts) ~event:(Intvec.to_array tev)
+    ~target:(Intvec.to_array tdst)
 
 (* n-ary composition as a size-ordered balanced tree, not a left fold.
    A fold produces the maximally skewed chain ((a‖b)‖c)‖…, whose

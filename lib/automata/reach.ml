@@ -75,85 +75,10 @@ let coaccessible_indices a =
   done;
   seen
 
-let restrict_indices = Automaton.restrict_indices
-
 let accessible a =
-  match restrict_indices a (accessible_indices a) with
+  match Automaton.restrict_indices a (accessible_indices a) with
   | Some a' -> a'
   | None -> assert false (* the initial state is always accessible *)
-
-let coaccessible a = restrict_indices a (coaccessible_indices a)
-
-(* Removing blocking states can strand states that were only reachable or
-   coaccessible through them, so iterate to a fixpoint.  The fixpoint
-   runs entirely on boolean masks over the original automaton — forward
-   and backward BFS restricted to the current keep-set, with the
-   predecessor CSR built exactly once — and the automaton is restricted
-   exactly once at the end.  (The old version rebuilt the automaton via
-   [restrict_indices] and recomputed [pred_csr] every iteration:
-   O(iterations × |δ|) allocation churn at product scale.)  The result
-   is the greatest set closed under "accessible within the set" and
-   "coaccessible within the set", which is exactly what the restrict-
-   per-round loop converged to, so the output is identical. *)
-let trim a =
-  let n = Automaton.num_states a in
-  let prow, psrc = pred_csr a in
-  let arow, _, adst = Automaton.csr a in
-  let initial = Automaton.initial_index a in
-  let keep = Array.make n true in
-  let acc = Array.make n false in
-  let coacc = Array.make n false in
-  let stack = Array.make n 0 in
-  let changed = ref true in
-  while !changed && keep.(initial) do
-    changed := false;
-    (* Forward BFS from the initial state through kept states. *)
-    Array.fill acc 0 n false;
-    let top = ref 0 in
-    acc.(initial) <- true;
-    stack.(!top) <- initial;
-    incr top;
-    while !top > 0 do
-      decr top;
-      let i = stack.(!top) in
-      for k = arow.(i) to arow.(i + 1) - 1 do
-        let j = adst.(k) in
-        if keep.(j) && not acc.(j) then begin
-          acc.(j) <- true;
-          stack.(!top) <- j;
-          incr top
-        end
-      done
-    done;
-    (* Backward BFS from kept marked states through kept states. *)
-    Array.fill coacc 0 n false;
-    for i = 0 to n - 1 do
-      if keep.(i) && Automaton.is_marked_index a i then begin
-        coacc.(i) <- true;
-        stack.(!top) <- i;
-        incr top
-      end
-    done;
-    while !top > 0 do
-      decr top;
-      let j = stack.(!top) in
-      for k = prow.(j) to prow.(j + 1) - 1 do
-        let i = psrc.(k) in
-        if keep.(i) && not coacc.(i) then begin
-          coacc.(i) <- true;
-          stack.(!top) <- i;
-          incr top
-        end
-      done
-    done;
-    for i = 0 to n - 1 do
-      if keep.(i) && not (acc.(i) && coacc.(i)) then begin
-        keep.(i) <- false;
-        changed := true
-      end
-    done
-  done;
-  if not keep.(initial) then None else restrict_indices a keep
 
 let is_trim a =
   let acc = accessible_indices a in

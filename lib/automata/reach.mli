@@ -1,8 +1,12 @@
-(** Reachability analysis: accessible, coaccessible and trim parts.
+(** Reachability analysis: accessible and coaccessible states.
 
     These are the building blocks of the paper's §4.3.4 non-blocking
     check: an automaton is non-blocking exactly when every accessible
-    state is coaccessible (can still reach a marked state). *)
+    state is coaccessible (can still reach a marked state).  The
+    [*_indices] analyses return flags over state indices, which
+    {!Automaton.restrict_indices} turns into a sub-automaton without
+    touching state names; {!Synthesis.supcon}'s fixpoint does its own
+    trimming. *)
 
 val accessible_indices : Automaton.t -> bool array
 (** [accessible_indices a] flags states reachable from the initial
@@ -12,22 +16,9 @@ val coaccessible_indices : Automaton.t -> bool array
 (** Flags states from which some marked state is reachable (computed by
     backward traversal from the marked states). *)
 
-val restrict_indices : Automaton.t -> bool array -> Automaton.t option
-(** Sub-automaton induced by the flagged states (re-exported
-    {!Automaton.restrict_indices}): the index-native restriction the
-    algorithms compose with the [*_indices] analyses above without ever
-    touching state names.  [None] when the initial state is not kept. *)
-
 val accessible : Automaton.t -> Automaton.t
 (** Sub-automaton of reachable states (never empty: the initial state is
     always reachable). *)
 
-val coaccessible : Automaton.t -> Automaton.t option
-(** Sub-automaton of coaccessible states; [None] when the initial state
-    itself cannot reach a marked state (empty supervisor). *)
-
-val trim : Automaton.t -> Automaton.t option
-(** Accessible ∧ coaccessible part — the "trimming algorithm" of §4.3.4.
-    [None] when the result would not contain the initial state. *)
-
 val is_trim : Automaton.t -> bool
+(** Every state is both accessible and coaccessible. *)

@@ -21,9 +21,10 @@ type outcome = {
   watchdog_recoveries : int;
       (** Completed guard degradations (0 for unguarded variants). *)
   checkpointed : bool;
-      (** The kill drill actually took a snapshot.  Always false for
-          [Spectr_r] (no persist hook), whose kill drills therefore
-          degenerate to no-ops. *)
+      (** The kill drill actually took a snapshot.  Every shipped
+          variant, [Spectr_r] included, has a persist hook, so this is
+          false only when the cell has no kill drill or the run ends
+          before the snapshot tick. *)
   reconfigurations : int;
       (** Completed supervisor hot-swaps (0 for every variant but
           [Spectr_r]). *)

@@ -75,7 +75,6 @@ type t = {
   disturbances : float array; (* sorted ascending, starts with 0 *)
   actuator_windows : (float * float) list;
   fault_windows : (float * float) list;
-  timeline : (float * float * int) array; (* phase end, envelope, background *)
   mutable violations_rev : violation list;
   mutable count : int;
   streaks : int array; (* consecutive violating ticks, per kind *)
@@ -97,31 +96,21 @@ let is_actuator = function
 
 let create ~config ?kill_time () =
   let schedule = Spectr.Scenario.fault_schedule config in
-  let timeline =
-    let _, rev =
-      List.fold_left
-        (fun (start, acc) ph ->
-          let stop = start +. ph.Spectr.Scenario.duration_s in
-          (stop, (stop, ph.Spectr.Scenario.envelope, ph.background_tasks) :: acc))
-        (0., []) config.Spectr.Scenario.phases
-    in
-    Array.of_list (List.rev rev)
-  in
+  let dt = config.Spectr.Scenario.controller_period in
   let tdp =
-    Array.fold_left (fun acc (_, e, _) -> Float.max acc e) 0. timeline
+    List.fold_left
+      (fun acc ph -> Float.max acc ph.Spectr.Scenario.envelope)
+      0. config.Spectr.Scenario.phases
   in
   (* Every instant the plant is disturbed resets the compliance clocks:
      run start, each phase boundary (envelope or load change), each
-     fault onset and clearance, and the kill/restart drill. *)
+     fault onset and clearance, and the kill/restart drill.  Phase
+     starts come from the runner's own tick schedule. *)
   let disturbances =
     let phase_starts =
-      let _, rev =
-        List.fold_left
-          (fun (start, acc) ph ->
-            (start +. ph.Spectr.Scenario.duration_s, start :: acc))
-          (0., []) config.Spectr.Scenario.phases
-      in
-      List.rev rev
+      List.map
+        (fun (_, from, _) -> float_of_int from *. dt)
+        (Spectr.Scenario.phase_bounds config)
     in
     let fault_edges =
       List.concat_map
@@ -139,7 +128,7 @@ let create ~config ?kill_time () =
   in
   {
     qos_ref = config.Spectr.Scenario.qos_ref;
-    dt = config.Spectr.Scenario.controller_period;
+    dt;
     tdp;
     disturbances;
     actuator_windows =
@@ -151,7 +140,6 @@ let create ~config ?kill_time () =
         schedule;
     fault_windows =
       List.map (fun i -> (i.Faults.start_s, i.Faults.stop_s)) schedule;
-    timeline;
     violations_rev = [];
     count = 0;
     streaks = Array.make num_kinds 0;
@@ -160,27 +148,6 @@ let create ~config ?kill_time () =
     power_excess = 0.;
     power_reported = false;
   }
-
-(* Envelope/background in force at sample time [t].  Sample k lands at
-   t = k·dt which is exactly a phase's end time for its last sample, so
-   phases cover half-open-on-the-left intervals (start, end]. *)
-let phase_at m t =
-  let n = Array.length m.timeline in
-  let rec go i =
-    if i >= n - 1 then m.timeline.(n - 1)
-    else
-      let stop, _, _ = m.timeline.(i) in
-      if t <= stop +. eps then m.timeline.(i) else go (i + 1)
-  in
-  go 0
-
-let envelope_at m t =
-  let _, e, _ = phase_at m t in
-  e
-
-let background_at m t =
-  let _, _, b = phase_at m t in
-  b
 
 let last_disturbance m t =
   let best = ref 0. in
@@ -229,6 +196,9 @@ let check m ~runner ~sup ~obs =
   let tick = Spectr.Scenario.ticks_done runner - 1 in
   let soc = Spectr.Scenario.runner_soc runner in
   let fresh = ref [] in
+  (* The phase of the tick just run: the runner advances its phase
+     cursor only when the next tick starts. *)
+  let phase, _ = Spectr.Scenario.current_phase runner in
   let epoch = last_disturbance m t in
   let since_disturbance = t -. epoch in
   (* Power cap: judged on ground truth (sensor faults corrupt the
@@ -246,7 +216,7 @@ let check m ~runner ~sup ~obs =
     m.power_reported <- false
   end;
   let true_power = Soc.true_chip_power soc in
-  let envelope = envelope_at m t in
+  let envelope = phase.Spectr.Scenario.envelope in
   let cap = envelope *. (1. +. limits.guardband) in
   if
     (not (in_window m.actuator_windows t))
@@ -284,7 +254,7 @@ let check m ~runner ~sup ~obs =
   let qos_floor = limits.qos_floor *. m.qos_ref in
   let qos_bad =
     (not (in_window m.fault_windows t))
-    && background_at m t = 0
+    && phase.Spectr.Scenario.background_tasks = 0
     && envelope >= m.tdp -. eps
     && since_disturbance > limits.qos_deadline_s
     && true_qos < qos_floor

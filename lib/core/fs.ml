@@ -1,11 +1,11 @@
 open Spectr_control
 open Spectr_platform
 
-let make ?(seed = 17L) () =
-  let ident = Design_flow.identify ~seed Design_flow.Fs_4x2 in
+let make () =
+  let ident = Design_flow.identify Design_flow.Fs_4x2 in
   let gains =
     match
-      Design_flow.design_gains_for ~seed Design_flow.Fs_4x2
+      Design_flow.design_gains_for Design_flow.Fs_4x2
         [ { Design_flow.label = "power"; q_y = [| 0.1; 30. |] } ]
     with
     | Ok g -> g

@@ -6,4 +6,4 @@
     Its larger state space is what produces the sluggish Emergency-phase
     settling the paper reports (2.07 s vs SPECTR's 1.28 s, §5.1.1). *)
 
-val make : ?seed:int64 -> unit -> Manager.t
+val make : unit -> Manager.t

@@ -23,6 +23,18 @@ type phase_metrics = {
    the thermal design's safety margin".  Keep the two distinct. *)
 let power_allowance = 1.02
 
+(* Seconds from sample [after] to the first sample from which [ok]
+   holds for every remaining sample of the [n]: one past the last bad
+   sample, times [dt].  [None] when the last sample is bad or there is
+   no sample from [after] on. *)
+let good_suffix ~dt ~after n ok =
+  let last_bad = ref (after - 1) in
+  for i = after to n - 1 do
+    if not (ok i) then last_bad := i
+  done;
+  if !last_bad >= n - 1 then None
+  else Some (float_of_int (!last_bad + 1 - after) *. dt)
+
 (* First time from which chip power stays at or under the per-sample
    envelope (times the allowance) for the rest of the phase, so a
    stepping envelope (chaos fault windows, fleet re-budgets landing
@@ -35,29 +47,15 @@ let compliance_time_series ~envelope ~dt power =
          "Metrics.compliance_time_series: envelope/power length mismatch \
           (%d vs %d)"
          (Array.length envelope) n);
-  let last_violation = ref (-1) in
-  for i = 0 to n - 1 do
-    if not (power.(i) <= envelope.(i) *. power_allowance) then
-      last_violation := i
-  done;
-  if !last_violation = n - 1 then None
-  else Some (float_of_int (!last_violation + 1) *. dt)
+  good_suffix ~dt ~after:0 n (fun i ->
+      power.(i) <= envelope.(i) *. power_allowance)
 
 (* Seconds from sample [after] until power drops to — and stays at or
    under — the allowance-widened envelope: find the last offending
    sample and step past it. *)
 let recovery_time ~envelope ~dt ~after power =
-  let n = Array.length power in
   let limit = envelope *. power_allowance in
-  if after >= n then None
-  else begin
-    let last_bad = ref (after - 1) in
-    for i = after to n - 1 do
-      if not (power.(i) <= limit) then last_bad := i
-    done;
-    if !last_bad = n - 1 then None
-    else Some (float_of_int (!last_bad + 1 - after) *. dt)
-  end
+  good_suffix ~dt ~after (Array.length power) (fun i -> power.(i) <= limit)
 
 (* Tail-averaged steady-state error against a per-sample reference:
    mean of (reference_i − measured_i) over the tail, as a percent of the
@@ -82,19 +80,8 @@ let steady_state_error_series ~reference ~measured ~tail =
    envelope instead of whatever the phase's first sample happened to
    hold. *)
 let settling_time_series ~reference ~band ~dt y =
-  let n = Array.length y in
-  if n = 0 then None
-  else begin
-    let within i =
-      Float.abs (y.(i) -. reference.(i)) <= Float.abs (band *. reference.(i))
-    in
-    let last_violation = ref (-1) in
-    for i = 0 to n - 1 do
-      if not (within i) then last_violation := i
-    done;
-    if !last_violation = n - 1 then None
-    else Some (float_of_int (!last_violation + 1) *. dt)
-  end
+  good_suffix ~dt ~after:0 (Array.length y) (fun i ->
+      Float.abs (y.(i) -. reference.(i)) <= Float.abs (band *. reference.(i)))
 
 let constant arr =
   let n = Array.length arr in

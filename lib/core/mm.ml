@@ -11,23 +11,23 @@ let goals =
     { Design_flow.label = "power"; q_y = power_weights };
   ]
 
-let design_or_fail ~seed subsystem goals =
-  match Design_flow.design_gains_for ~seed subsystem goals with
+let design_or_fail subsystem goals =
+  match Design_flow.design_gains_for subsystem goals with
   | Ok gains -> gains
   | Error msg -> failwith ("Mm.cluster_controllers: " ^ msg)
 
-let cluster_controllers ~seed platform ~initial ~refs =
+let cluster_controllers platform ~initial ~refs =
   let k = Platform_desc.num_clusters platform in
   let subsystem_for i = Design_flow.cluster_subsystem platform i in
   let idents =
-    Array.init k (fun i -> Design_flow.identify ~seed (subsystem_for i))
+    Array.init k (fun i -> Design_flow.identify (subsystem_for i))
   in
   Array.init k (fun i ->
       Design_flow.build_mimo idents.(i)
-        ~gains:(design_or_fail ~seed (subsystem_for i) goals)
+        ~gains:(design_or_fail (subsystem_for i) goals)
         ~initial ~refs:(refs i))
 
-let make ~label ~name ?(seed = 17L) ?(platform = Platform_desc.exynos5422) () =
+let make ~label ~name ?(platform = Platform_desc.exynos5422) () =
   let k = Platform_desc.num_clusters platform in
   let host = Platform_desc.host platform in
   (* A performance-oriented manager wants the secondary clusters fast
@@ -36,7 +36,7 @@ let make ~label ~name ?(seed = 17L) ?(platform = Platform_desc.exynos5422) () =
      chosen gain set is the one that gets pinned. *)
   let secondary_gips_ref = if label = "qos" then 3.0 else 0.0 in
   let ctrls =
-    cluster_controllers ~seed platform ~initial:label ~refs:(fun i ->
+    cluster_controllers platform ~initial:label ~refs:(fun i ->
         if i = host then [| 60.; 4. |]
         else [| secondary_gips_ref; little_power_budget |])
   in
@@ -79,8 +79,6 @@ let make ~label ~name ?(seed = 17L) ?(platform = Platform_desc.exynos5422) () =
   in
   { Manager.name; step; persist = Some persist }
 
-let make_perf ?seed ?platform () =
-  make ~label:"qos" ~name:"MM-Perf" ?seed ?platform ()
+let make_perf ?platform () = make ~label:"qos" ~name:"MM-Perf" ?platform ()
 
-let make_pow ?seed ?platform () =
-  make ~label:"power" ~name:"MM-Pow" ?seed ?platform ()
+let make_pow ?platform () = make ~label:"power" ~name:"MM-Pow" ?platform ()

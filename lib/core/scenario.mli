@@ -121,8 +121,10 @@ val runner_soc : runner -> Soc.t
 val ticks_done : runner -> int
 
 val current_phase : runner -> phase * int
-(** Phase the next tick will execute in (or the last phase, once
-    finished) and its index. *)
+(** The phase the most recent {!tick} ran in, and its index: the cursor
+    moves on only when the next tick starts, so between ticks this is
+    the phase of the observation just returned (the first phase before
+    any tick).  Monitors read the envelope and load in force here. *)
 
 val total_ticks : config -> int
 (** Number of controller periods the full scenario executes. *)

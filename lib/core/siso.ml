@@ -7,8 +7,7 @@ open Spectr_platform
 let big = 0
 let little = 1
 
-let make ?seed () =
-  ignore seed;
+let make () =
   let dt = 0.05 in
   (* QoS -> Big frequency: ~40 FPS of range per GHz near the operating
      point, so a gain of a few hundredths of GHz per FPS of error. *)

@@ -15,7 +15,6 @@
     QoS loop compensates by dropping frequency — the conflicting
     actuation SPECTR's supervisor exists to prevent. *)
 
-val make : ?seed:int64 -> unit -> Manager.t
-(** The seed is accepted for interface uniformity; the PID gains are
-    fixed (hand-tuned as in the SISO literature, no identification
-    needed — one of the approach's genuine advantages). *)
+val make : unit -> Manager.t
+(** The PID gains are fixed (hand-tuned as in the SISO literature, no
+    identification needed — one of the approach's genuine advantages). *)

@@ -369,7 +369,7 @@ let restore h s =
 (* The one SPECTR loop.  [guard] and [fdir] arm the optional layers:
    SPECTR has neither, SPECTR+G the guard, SPECTR+R the guard plus
    FDIR-driven reconfiguration with a [swap_ticks]-period swap window. *)
-let build ~who ~name ~seed ~supervisor_divisor ~gain_scheduling ~guard ~fdir
+let build ~who ~name ~supervisor_divisor ~gain_scheduling ~guard ~fdir
     platform =
   if supervisor_divisor < 1 then invalid_arg (who ^ ": supervisor_divisor < 1");
   let k0 = Platform_desc.num_clusters platform in
@@ -385,7 +385,7 @@ let build ~who ~name ~seed ~supervisor_divisor ~gain_scheduling ~guard ~fdir
      can absorb background interference; in power mode the gain switch
      makes their power budgets the pinned objective. *)
   let boot_ctrls =
-    Mm.cluster_controllers ~seed platform ~initial:"qos" ~refs:(fun i ->
+    Mm.cluster_controllers platform ~initial:"qos" ~refs:(fun i ->
         if i = host_phys then [| 60.; 4. |] else [| 2.0; 0.3 |])
   in
   (* The command closures index through the shared [ctrls] cell, so the
@@ -444,22 +444,22 @@ let build ~who ~name ~seed ~supervisor_divisor ~gain_scheduling ~guard ~fdir
   in
   ({ Manager.name; step = step h; persist = Some persist }, h)
 
-let make ?(seed = 17L) ?(supervisor_divisor = 2) ?(gain_scheduling = true)
+let make ?(supervisor_divisor = 2) ?(gain_scheduling = true)
     ?guards ?(platform = Platform_desc.exynos5422) () =
   let name = match guards with None -> "SPECTR" | Some _ -> "SPECTR+G" in
   let mgr, h =
-    build ~who:"Spectr_manager.make" ~name ~seed ~supervisor_divisor
+    build ~who:"Spectr_manager.make" ~name ~supervisor_divisor
       ~gain_scheduling ~guard:guards ~fdir:false platform
   in
   (mgr, h.sup)
 
-let make_reconfigurable ?(seed = 17L) ?(supervisor_divisor = 2)
+let make_reconfigurable ?(supervisor_divisor = 2)
     ?(gain_scheduling = true) ?guards ?(platform = Platform_desc.exynos5422) () =
   let guard =
     match guards with
     | Some g -> g
     | None -> Guarded.create ~clusters:(Platform_desc.num_clusters platform) ()
   in
-  build ~who:"Spectr_manager.make_reconfigurable" ~name:"SPECTR+R" ~seed
+  build ~who:"Spectr_manager.make_reconfigurable" ~name:"SPECTR+R"
     ~supervisor_divisor ~gain_scheduling ~guard:(Some guard) ~fdir:true
     platform

@@ -9,7 +9,6 @@
     (budget) regulation. *)
 
 val make :
-  ?seed:int64 ->
   ?supervisor_divisor:int ->
   ?gain_scheduling:bool ->
   ?guards:Guarded.t ->
@@ -90,7 +89,6 @@ module Reconfig : sig
 end
 
 val make_reconfigurable :
-  ?seed:int64 ->
   ?supervisor_divisor:int ->
   ?gain_scheduling:bool ->
   ?guards:Guarded.t ->

@@ -151,11 +151,18 @@ let supcon ~plant ~spec =
       end
     done;
     let old_of_new = Array.of_list (List.rev !old_of_new) in
+    (* CSR rows: the kept transitions renumbered, sorted by (source,
+       event id), with each source's row offset counted. *)
     let kept =
       List.filter (fun (s, _, d) -> good.(s) && good.(d)) (Array.to_list trans)
-      |> Array.of_list
+      |> List.map (fun (s, e, d) -> (new_of_old.(s), e, new_of_old.(d)))
+      |> List.sort compare |> Array.of_list
     in
-    let field f = Array.map f kept in
+    let row = Array.make (!m + 1) 0 in
+    Array.iter (fun (s, _, _) -> row.(s + 1) <- row.(s + 1) + 1) kept;
+    for i = 0 to !m - 1 do
+      row.(i + 1) <- row.(i + 1) + row.(i)
+    done;
     let names () =
       Array.map
         (fun old ->
@@ -165,14 +172,13 @@ let supcon ~plant ~spec =
         old_of_new
     in
     let sup =
-      Automaton.of_indexed_arrays
+      Automaton.of_csr
         ~name:("sup(" ^ Automaton.name plant ^ "," ^ Automaton.name spec ^ ")")
         ~names ~alphabet ~initial:0
         ~marked:(Array.map (fun old -> marked.(old)) old_of_new)
-        ~forbidden:(Array.make !m false)
-        ~src:(field (fun (s, _, _) -> new_of_old.(s)))
-        ~event:(field (fun (_, e, _) -> e))
-        ~target:(field (fun (_, _, d) -> new_of_old.(d)))
+        ~forbidden:(Array.make !m false) ~row
+        ~event:(Array.map (fun (_, e, _) -> e) kept)
+        ~target:(Array.map (fun (_, _, d) -> d) kept)
     in
     Ok (Reach.accessible sup, stats)
   end

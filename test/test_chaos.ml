@@ -44,6 +44,22 @@ let test_campaign_determinism () =
         c.Campaign.injections)
     (Campaign.generate spec)
 
+(* One literal pin over a whole campaign: seven variants (SPECTR+R
+   included), kill drills and permanent-fault reconfiguration drills.
+   The digest covers the printed summary (findings and their decision
+   log tails too) and every cell's trace digest. *)
+let test_campaign_pinned () =
+  let spec =
+    Campaign.default_spec ~seed:23 ~cells:14
+      ~variants:(Campaign.Spectr_r :: Campaign.all_variants)
+      ~kill_prob:0.5 ~reconfig_prob:0.5 ()
+  in
+  let r = Soak.run spec in
+  let digests = List.map (fun o -> o.Engine.digest) r.Soak.r_outcomes in
+  check_string "campaign digest" "f17285877da05db0cf4150fa9374ae08"
+    (Digest.to_hex
+       (Digest.string (String.concat "," (Soak.summary r :: digests))))
+
 let test_campaign_validation () =
   expect_invalid "zero cells" (fun () -> Campaign.default_spec ~cells:0 ());
   expect_invalid "no variants" (fun () ->
@@ -353,6 +369,8 @@ let () =
           Alcotest.test_case "spec validation" `Quick
             test_campaign_validation;
           Alcotest.test_case "name round-trips" `Quick test_name_round_trips;
+          Alcotest.test_case "pinned seven-variant campaign" `Quick
+            test_campaign_pinned;
         ] );
       ( "engine",
         [

@@ -281,6 +281,43 @@ let test_exynos_structural_digests () =
       ("spec", Spec.of_platform d, "5c182379366fdc81aa9fa8193ac7bd9c");
       ("plant", Plant_model.composed_for d, "4f33e65698aed8b96c31023eaeeda7f0");
       ("supervisor", sup, "ad75e9ab4eb12336132bf62075a69f31");
+      ( "closed loop",
+        Verify.closed_loop ~plant:(Plant_model.composed_for d) ~supervisor:sup,
+        "1bfcbcf3103ec4bf972165628b359d9f" );
+    ]
+
+(* The same three models of the two other built-in shapes, pinned so a
+   change to the automaton core shows on a three-cluster and a generated
+   four-cluster platform too.  Event ids order CSR rows, so the two
+   command families are minted here, at module initialization: a k3 or
+   k2 test running first would otherwise intern k4's first commands
+   ahead of the rest and change its digests. *)
+let platform_pins = [ Platform_desc.pixel8pro; Platform_desc.k_cluster 4 ]
+let () = List.iter (fun d -> ignore (Events.for_platform d)) platform_pins
+
+let test_platform_structural_digests () =
+  List.iter2
+    (fun d pins ->
+      let sup, _ = Supervisor.synthesize ~platform:d () in
+      List.iter2
+        (fun (what, a) expected ->
+          check_string
+            (Platform_desc.name d ^ " " ^ what)
+            expected (Automaton.structural_digest a))
+        [
+          ("spec", Spec.of_platform d);
+          ("plant", Plant_model.composed_for d);
+          ("supervisor", sup);
+        ]
+        pins)
+    platform_pins
+    [
+      [
+        "f612cb58108836221a8da55fe8685866";
+        "fbb577158a34037b83e63081ad9f2505";
+        "c91ca129500e44039ffd32b86a652d8d";
+      ];
+      [ "9b5f0103bdf3fadee45b695ff371ade5"; "0d3d4a2a394bc4e7b98717411ed8967b"; "740db58d1de8123533c65ae5c0e5e4cb" ];
     ]
 
 (* Run a pixel8pro supervisor through miss, surplus, emergency and
@@ -2260,6 +2297,8 @@ let () =
             test_platform_event_families;
           Alcotest.test_case "exynos structural digests" `Quick
             test_exynos_structural_digests;
+          Alcotest.test_case "pixel8pro and k4 structural digests" `Quick
+            test_platform_structural_digests;
           Alcotest.test_case "pixel8pro event flow" `Quick
             test_platform_event_flow;
           Alcotest.test_case "plant memo identity" `Quick
