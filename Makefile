@@ -25,12 +25,16 @@ robustness:
 
 # Parallel-vs-sequential bench determinism: the bench experiments must
 # print byte-identical output whether scenarios run sequentially or
-# fan out across domains.
+# fan out across domains.  fig12's output is also pinned to the
+# committed bench/fig12.expected, which holds the supervisor's nested
+# escaped state names (Eval\.Safe.Uncapped, Raise\.Emergency.C1).
 bench-determinism:
 	dune build bench/main.exe
-	SPECTR_JOBS=1 dune exec bench/main.exe -- table1 fig6 fig13 > /tmp/spectr-bench-seq.txt
-	SPECTR_JOBS=4 dune exec bench/main.exe -- table1 fig6 fig13 > /tmp/spectr-bench-par.txt
+	SPECTR_JOBS=1 dune exec bench/main.exe -- table1 fig6 fig12 fig13 > /tmp/spectr-bench-seq.txt
+	SPECTR_JOBS=4 dune exec bench/main.exe -- table1 fig6 fig12 fig13 > /tmp/spectr-bench-par.txt
 	diff /tmp/spectr-bench-seq.txt /tmp/spectr-bench-par.txt
+	SPECTR_JOBS=1 dune exec bench/main.exe -- fig12 > /tmp/spectr-bench-fig12.txt
+	diff bench/fig12.expected /tmp/spectr-bench-fig12.txt
 
 # Robustness smoke: the SPECTR+G acceptance table (seven fault classes x
 # four managers on x264).  SPECTR+G must recover in every fault class

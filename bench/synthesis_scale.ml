@@ -110,21 +110,26 @@ let run () =
     [ (4, 3); (6, 5); (8, 7); (10, 9) ];
   (* Modular synthesis: the plant components and the spec composed
      jointly, on the fly — the regime where the composed plant (3^k
-     states) can no longer be materialized. *)
+     states) can no longer be materialized.  alloc-MB is every byte the
+     call allocates (Gc.allocated_bytes, minor heap emptied first): a
+     deterministic measure of its working set, unlike wall time. *)
   Util.subheading
     "modular synthesis: plant components never composed up front";
-  Printf.printf "  %3s %4s %9s %9s %9s\n" "k" "cap" "product-Q" "sup-Q"
-    "supcon-s";
+  Printf.printf "  %3s %4s %9s %9s %9s %9s\n" "k" "cap" "product-Q" "sup-Q"
+    "supcon-s" "alloc-MB";
   List.iter
     (fun (k, cap) ->
       let plants = List.init k (fun i -> cluster (i + 1)) in
       let spec = budget_spec ~k ~cap in
+      Gc.minor ();
+      let b0 = Gc.allocated_bytes () in
       match timed (fun () -> Synthesis.supcon_modular ~plants ~spec ()) with
       | Ok (sup, stats), t ->
+          let mb = (Gc.allocated_bytes () -. b0) /. 1e6 in
           if not (Verify.is_nonblocking sup) then
             failwith "synthesis-scale: modular supervisor blocks";
-          Printf.printf "  %3d %4d %9d %9d %9.3f\n" k cap
-            stats.Synthesis.product_states (Automaton.num_states sup) t
+          Printf.printf "  %3d %4d %9d %9d %9.3f %9.1f\n" k cap
+            stats.Synthesis.product_states (Automaton.num_states sup) t mb
       | Error _, _ -> failwith "synthesis-scale: modular unexpectedly empty")
     [ (12, 9); (14, 7); (16, 6) ];
   (* The process-wide synthesis cache: a second synthesis of the smallest

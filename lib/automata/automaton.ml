@@ -20,15 +20,119 @@ module Once = struct
         else match Atomic.get t with Done won -> won | Pending _ -> v)
 end
 
+(* --- state names -------------------------------------------------------- *)
+
+(* Escape '.' and '\' so that joining component names with '.' is
+   unambiguous: the separator is the only unescaped dot, so distinct
+   pairs like ("a.b","c") and ("a","b.c") can never collide.  Names
+   without dots or backslashes — the common case — pass through
+   untouched. *)
+let needs_escape s = String.exists (fun c -> c = '.' || c = '\\') s
+
+let escape s =
+  if not (needs_escape s) then s
+  else begin
+    let b = Buffer.create (2 * String.length s) in
+    String.iter
+      (fun c ->
+        if c = '.' || c = '\\' then Buffer.add_char b '\\';
+        Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
+
+let rec escape_n d s = if d = 0 then s else escape_n (d - 1) (escape s)
+
+(* How an automaton's states are named.  [Leaves] holds the names
+   outright.  [Prod] names state [i] by its components: the mixed-radix
+   digits of [keys.(i)] (radix [radix.(c)], component 0 most
+   significant) index the parts, and the name is the parts' names, each
+   escaped once, joined with '.'.  A product keeps only its parts'
+   naming, not their transition structure. *)
+type naming =
+  | Leaves of string array
+  | Prod of { parts : naming array; radix : int array; keys : int array }
+
+(* A naming compiled for one walk over its states.  Escaping is a
+   per-character map, so escaping a join escapes each piece: a part
+   nested at depth d is its leaf names escaped d times, pre-escaped
+   here once per leaf, and a depth-d separator is 2^d - 1 backslashes
+   and a dot.  [idx] is the scratch a product decodes a key into; a
+   writer is built per walk, so no two walks share it. *)
+type writer =
+  | W_leaf of string array
+  | W_prod of {
+      wparts : writer array;
+      wradix : int array;
+      wkeys : int array;
+      sep : string;
+      idx : int array;
+    }
+
+let rec writer d = function
+  | Leaves a -> W_leaf (if d = 0 then a else Array.map (escape_n d) a)
+  | Prod p ->
+      W_prod
+        {
+          wparts = Array.map (writer (d + 1)) p.parts;
+          wradix = p.radix;
+          wkeys = p.keys;
+          sep = escape_n d ".";
+          idx = Array.make (Array.length p.parts) 0;
+        }
+
+(* The length of state [i]'s name.  It decodes [i]'s key, one division
+   per component, into every product node's [idx] on the way down, for
+   the [write_decoded] that follows. *)
+let rec name_length w i =
+  match w with
+  | W_leaf a -> String.length a.(i)
+  | W_prod p ->
+      let nc = Array.length p.wparts in
+      let k = ref p.wkeys.(i) in
+      for c = nc - 1 downto 1 do
+        let r = p.wradix.(c) in
+        let q = !k / r in
+        p.idx.(c) <- !k - (q * r);
+        k := q
+      done;
+      p.idx.(0) <- !k;
+      let l = ref ((nc - 1) * String.length p.sep) in
+      for c = 0 to nc - 1 do
+        l := !l + name_length p.wparts.(c) p.idx.(c)
+      done;
+      !l
+
+(* Write the name [name_length w i] just measured at [p] in [b]; the
+   next position. *)
+let rec write_decoded w i b p =
+  match w with
+  | W_leaf a ->
+      let s = a.(i) in
+      Bytes.blit_string s 0 b p (String.length s);
+      p + String.length s
+  | W_prod pr ->
+      let p = ref p in
+      for c = 0 to Array.length pr.wparts - 1 do
+        if c > 0 then begin
+          Bytes.blit_string pr.sep 0 b !p (String.length pr.sep);
+          p := !p + String.length pr.sep
+        end;
+        p := write_decoded pr.wparts.(c) pr.idx.(c) b !p
+      done;
+      !p
+
 (* Index-native core: δ is CSR — [row] holds per-state offsets into the
    parallel [ev]/[dst] arrays, each row sorted by event id so a lookup is
-   a binary search with zero hashing.  Names are a boundary concern:
-   [names] (and the name→index table derived from it) is computed on
-   first use, so algorithm outputs built with [of_csr] never materialize
-   names unless a name-based accessor is actually used. *)
+   a binary search with zero hashing.  Names are a boundary concern: a
+   product describes them by [naming], and the name table (and the
+   name→index table derived from it) is built on first use, so
+   algorithm outputs built with [of_csr] never materialize names unless
+   a name-based accessor is actually used. *)
 type t = {
   name : string;
   n : int;
+  naming : naming;
   names : string array Once.t;
   index : (string, int) Hashtbl.t Once.t;
   alphabet : Event.Set.t;
@@ -41,6 +145,8 @@ type t = {
   forbidden : bool array;
   mutable digest : string option; (* memoized structural_digest *)
 }
+
+type names = Names of string array | Product of t array * int array
 
 let name a = a.name
 let alphabet a = a.alphabet
@@ -146,7 +252,7 @@ let make_index name n names_once =
        names;
      h)
 
-let of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row ~event
+let of_naming ~name ~naming ~alphabet ~initial ~marked ~forbidden ~row ~event
     ~target =
   let who = "Automaton.of_csr" in
   let n = Array.length marked in
@@ -175,18 +281,31 @@ let of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row ~event
              name s)
     done
   done;
+  (match naming with
+  | Leaves a when Array.length a <> n ->
+      invalid_arg
+        (Printf.sprintf "%s %s: %d names for %d states" who name
+           (Array.length a) n)
+  | Prod p when Array.length p.keys <> n ->
+      invalid_arg
+        (Printf.sprintf "%s %s: %d product keys for %d states" who name
+           (Array.length p.keys) n)
+  | _ -> ());
   let names_once =
-    Once.make (fun () ->
-       let a = names () in
-       if Array.length a <> n then
-         invalid_arg
-           (Printf.sprintf "%s %s: names () returned %d names for %d states"
-              who name (Array.length a) n);
-       a)
+    match naming with
+    | Leaves a -> Once.of_val a
+    | Prod _ ->
+        Once.make (fun () ->
+            let w = writer 0 naming in
+            Array.init n (fun i ->
+                let b = Bytes.create (name_length w i) in
+                ignore (write_decoded w i b 0 : int);
+                Bytes.unsafe_to_string b))
   in
   {
     name;
     n;
+    naming;
     names = names_once;
     index = make_index name n names_once;
     alphabet;
@@ -199,6 +318,20 @@ let of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row ~event
     forbidden;
     digest = None;
   }
+
+let of_csr ~name ~names =
+  let naming =
+    match names with
+    | Names a -> Leaves a
+    | Product (parts, keys) ->
+        Prod
+          {
+            parts = Array.map (fun p -> p.naming) parts;
+            radix = Array.map (fun p -> p.n) parts;
+            keys;
+          }
+  in
+  of_naming ~name ~naming
 
 let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
     ~transitions () =
@@ -299,6 +432,7 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
   {
     name;
     n;
+    naming = Leaves state_names;
     names = Once.of_val state_names;
     index = Once.of_val index;
     alphabet = !events;
@@ -390,12 +524,15 @@ let restrict_indices a keep =
         done;
         row.(j + 1) <- !k
       done;
-      let names () =
-        let parent = Once.force a.names in
-        Array.map (fun old -> parent.(old)) old_of_new
+      (* A product keeps its parts and takes the surviving keys. *)
+      let naming =
+        match a.naming with
+        | Leaves parent -> Leaves (Array.map (Array.get parent) old_of_new)
+        | Prod p ->
+            Prod { p with keys = Array.map (Array.get p.keys) old_of_new }
       in
       Some
-        (of_csr ~name:a.name ~names ~alphabet:a.alphabet
+        (of_naming ~name:a.name ~naming ~alphabet:a.alphabet
            ~initial:new_of_old.(a.initial)
            ~marked:(Array.map (fun old -> a.marked.(old)) old_of_new)
            ~forbidden:(Array.map (fun old -> a.forbidden.(old)) old_of_new)
@@ -404,42 +541,6 @@ let restrict_indices a keep =
   end
 
 let rename a name = { a with name; digest = None }
-
-(* Escape '.' and '\' so that joining two component names with '.' is
-   unambiguous: the separator is the only unescaped dot, so distinct
-   pairs like ("a.b","c") and ("a","b.c") can never collide.  Names
-   without dots or backslashes — the common case — pass through
-   untouched. *)
-let needs_escape s = String.exists (fun c -> c = '.' || c = '\\') s
-
-let add_escaped b s =
-  if needs_escape s then
-    String.iter
-      (fun c ->
-        if c = '.' || c = '\\' then Buffer.add_char b '\\';
-        Buffer.add_char b c)
-      s
-  else Buffer.add_string b s
-
-let escape_component s =
-  if needs_escape s then begin
-    let b = Buffer.create (String.length s + 4) in
-    add_escaped b s;
-    Buffer.contents b
-  end
-  else s
-
-let product_state_name qa qb = escape_component qa ^ "." ^ escape_component qb
-
-let product_state_names n arity part =
-  let b = Buffer.create 64 in
-  Array.init n (fun i ->
-      Buffer.clear b;
-      for c = 0 to arity - 1 do
-        if c > 0 then Buffer.add_char b '.';
-        add_escaped b (part i c)
-      done;
-      Buffer.contents b)
 
 let unescape_state_name s =
   if String.contains s '\\' then begin
@@ -474,7 +575,10 @@ let structural_digest a =
   match a.digest with
   | Some d -> d
   | None ->
-      let names = Once.force a.names in
+      (* The names section is written from [naming]: two walks over the
+         states, one measuring the section and one writing it, each
+         decoding a product state once. *)
+      let w = writer 0 a.naming in
       (* A transition names its event by the event's rank in the
          alphabet section, looked up by id. *)
       let id = Event.id in
@@ -490,7 +594,10 @@ let structural_digest a =
           text := !text + field_len (Event.name e) + 1)
         a.alphabet;
       text := !text + field_len a.name;
-      Array.iter (fun s -> text := !text + field_len s) names;
+      for i = 0 to a.n - 1 do
+        let l = name_length w i in
+        text := !text + digits l + 1 + l
+      done;
       let t = Array.length a.ev in
       let b = Bytes.create (!text + (8 * (a.n + 4 + (2 * t))) + (2 * a.n)) in
       let p = ref 0 in
@@ -511,7 +618,11 @@ let structural_digest a =
       add a.name;
       int a.n;
       int a.initial;
-      Array.iter add names;
+      for i = 0 to a.n - 1 do
+        p := put_digits b !p (name_length w i);
+        chr ':';
+        p := write_decoded w i b !p
+      done;
       int !r;
       Event.Set.iter
         (fun e ->

@@ -12,15 +12,31 @@
     the transition function is stored in CSR form — per-state arrays of
     (event id, destination) pairs sorted by {!Event.id} — and every
     algorithm (composition, reachability, synthesis, verification) runs on
-    ints only.  State {e names} are a boundary concern: automata built by
-    algorithms ({!of_csr}) carry their names lazily and only
-    materialize them when a name-based accessor is first used, so a
-    100k-state product that is immediately pruned never pays for 100k
-    escaped name strings. *)
+    ints only.  State {e names} are a boundary concern: a product built
+    by an algorithm ({!of_csr}) describes its names by its components
+    and one key per state, and only writes the strings when a name-based
+    accessor is first used, so a 100k-state product that is immediately
+    pruned never pays for 100k escaped name strings. *)
 
 type t
 
 type transition = { src : string; event : Event.t; dst : string }
+
+(** How {!of_csr} names its states. *)
+type names =
+  | Names of string array  (** The names outright, one per state. *)
+  | Product of t array * int array
+      (** [Product (parts, keys)]: state [i] is the product state whose
+          part indices are the mixed-radix digits of [keys.(i)] — the
+          radix of part [c] is its state count, part 0 is the most
+          significant digit.  Its name joins the parts' state names with
+          ['.'], escaping every ['.'] and ['\'] inside a part's name
+          with a backslash, so distinct tuples never collide (["a.b"]
+          and ["c"] give ["a\.b.c"], ["a"] and ["b.c"] give
+          ["a.b\.c"]) and dot-free names appear verbatim, matching the
+          paper's ["qa.qb"] (Figure 12b).  A part may itself be a
+          product: its names are escaped once more.  The product keeps
+          only the parts' naming, not their transitions. *)
 
 (** {1 Construction} *)
 
@@ -53,7 +69,7 @@ val create :
 
 val of_csr :
   name:string ->
-  names:(unit -> string array) ->
+  names:names ->
   alphabet:Event.Set.t ->
   initial:int ->
   marked:bool array ->
@@ -71,10 +87,11 @@ val of_csr :
     [event]/[target] (an {!Event.id} and a state index each), strictly
     increasing by event id within the row.  Nothing is scattered or
     sorted, and the automaton takes ownership of the five arrays: the
-    caller must not mutate them afterwards.  [names] is only run — once,
-    memoized — when a name-based accessor is first used.  Name accessors
-    are safe to call from several domains at once; domains racing on the
-    first use may each run [names], so it must be pure.
+    caller must not mutate them afterwards, nor the arrays in [names].
+    A {!Product}'s name table is built — once, memoized — when a
+    name-based accessor is first used; {!structural_digest} writes the
+    names without building it.  Name accessors are safe to call from
+    several domains at once.
 
     Unlike {!create} it performs no string interning and no state
     collection, only a linear scan that rejects a malformed row table,
@@ -84,10 +101,12 @@ val of_csr :
     - every event id in [event] belongs to [alphabet];
     - [marked] and [forbidden] have equal length (the state count) and
       every index in [target] and [initial] is within it;
-    - [names ()] returns exactly that many {e distinct} names (the
-      escaping {!product_state_name} join guarantees distinctness for
-      products).  Duplicate names are reported — [Invalid_argument] —
-      when the name table is first materialized, not at construction. *)
+    - [names] has one name or key per state ([Invalid_argument]
+      otherwise), every key's digits are within the parts' state counts,
+      and the names are {e distinct} (the escaping join guarantees it
+      for distinct keys).  Duplicate names are reported —
+      [Invalid_argument] — when the name→index table is first built,
+      not at construction. *)
 
 (** {1 Inspection} *)
 
@@ -176,36 +195,18 @@ val restrict_indices : t -> bool array -> t option
     flagged in [keep] (transitions with both endpoints kept; a kept state
     survives when it is the initial state or an endpoint of a kept
     transition).  [None] when the initial state is not kept.  The
-    alphabet is preserved; surviving states keep their names — lazily, so
+    alphabet is preserved; surviving states keep their names — a
+    restricted product keeps its parts and the surviving keys, so
     restricting an {!of_csr} product does not materialize names.
     Raises [Invalid_argument] when [keep] has the wrong length. *)
 
 val rename : t -> string -> t
 (** Same automaton under a new name. *)
 
-(** {1 Product support} *)
-
-val product_state_name : string -> string -> string
-(** Unambiguous name for a product state: the two component names joined
-    with ['.'], escaping any ['.'] or ['\'] inside a component with a
-    backslash.  Unlike a naive join, distinct pairs can never collide
-    (e.g. [("a.b", "c")] and [("a", "b.c")] yield ["a\.b.c"] and
-    ["a.b\.c"]).  Dot-free component names — the common case — appear
-    verbatim.  {!Compose.pair} and {!Synthesis.supcon} name product
-    states this way, so re-composing an automaton whose states are
-    themselves product states is safe. *)
-
-val product_state_names : int -> int -> (int -> int -> string) -> string array
-(** [product_state_names n arity part] is the name table of [n] product
-    states of [arity] components: entry [i] joins
-    [part i 0; …; part i (arity - 1)] with ['.'] at a single level, each
-    component escaped once as in {!product_state_name} (which it equals
-    for two components) — no nested re-escaping.  Built in one reused
-    buffer, with a single allocation per name.  {!Compose} and
-    {!Synthesis} name their results with it. *)
+(** {1 Names} *)
 
 val unescape_state_name : string -> string
-(** Strip the {!product_state_name} escaping for human-readable display
+(** Strip the {!Product} escaping for human-readable display
     (["Eval\.Safe.Uncapped"] becomes ["Eval.Safe.Uncapped"]).  Lossy —
     distinct escaped names may collapse — so it is for labels only, never
     for identity; {!Dot} uses it for node labels. *)
@@ -222,7 +223,9 @@ val structural_digest : t -> string
     CSR order (by source index, then event {e id}), so the digest is
     deterministic within a process — which is what the in-process cache
     needs — but not across processes, where intern order may differ.
-    Cached after the first call; forces the name table. *)
+    Cached after the first call.  A product's names are written from
+    its components straight into the hashed buffer, without building
+    the name table. *)
 
 (** {1 Comparison} *)
 

@@ -5,18 +5,15 @@
    walk each component's CSR row: only events that are actually enabled
    somewhere are ever touched, and shared-event synchronization is one
    binary search in the other component's row.  Product state names are
-   never materialized here; [Automaton.of_csr] builds them lazily from
-   the (ia, ib) pair map if anyone asks. *)
+   never materialized here: the result names its states by the pair key
+   [ia * nb + ib], and [Automaton] writes the strings if anyone asks. *)
 
 let pair a b =
-  let sigma_a = Automaton.alphabet a and sigma_b = Automaton.alphabet b in
-  let alphabet =
-    Event.merge_alphabets
-      ~context:
-        (Printf.sprintf "Compose.pair(%s,%s)" (Automaton.name a)
-           (Automaton.name b))
-      sigma_a sigma_b
+  let context =
+    Printf.sprintf "Compose.pair(%s,%s)" (Automaton.name a) (Automaton.name b)
   in
+  let sigma_a = Automaton.alphabet a and sigma_b = Automaton.alphabet b in
+  let alphabet = Event.merge_alphabets ~context sigma_a sigma_b in
   let max_id = Event.Set.fold (fun e m -> max m (Event.id e)) alphabet (-1) in
   let in_a = Array.make (max_id + 1) false in
   let in_b = Array.make (max_id + 1) false in
@@ -24,87 +21,100 @@ let pair a b =
   Event.Set.iter (fun e -> in_b.(Event.id e) <- true) sigma_b;
   let nb = Automaton.num_states b in
   let arow, aev, adst = Automaton.csr a and brow, bev, bdst = Automaton.csr b in
+  (* A transition is one int, [(event id lsl tbits) lor target]: packed
+     ints order a row by event id. *)
+  let tbits =
+    let b = ref 62 in
+    while max_id lsr (62 - !b) > 0 do
+      decr b
+    done;
+    !b
+  in
+  let tmask = (1 lsl tbits) - 1 in
+  (* Product state i is the pair key [ia * nb + ib] with index i; the
+     keys, in discovery order, are also the BFS queue. *)
   let seen = Inttbl.create () in
-  (* Product state i is (pa.(i), pb.(i)); states are numbered in
-     discovery order, so the two vectors are also the BFS queue. *)
-  let pa = Intvec.create () and pb = Intvec.create () in
-  (* Each state's transitions are emitted contiguously, state by state:
-     [starts] records where each row begins, and ends with the
-     transition count — the CSR row offsets. *)
-  let starts = Intvec.create () in
-  let tev = Intvec.create () and tdst = Intvec.create () in
   let visit ia ib =
-    let i = Intvec.length pa in
-    match Inttbl.put seen ((ia * nb) + ib) i with
-    | -1 ->
-        Intvec.push pa ia;
-        Intvec.push pb ib;
-        i
-    | j -> j
+    let j = Inttbl.intern seen ((ia * nb) + ib) in
+    if j > tmask then
+      invalid_arg (context ^ ": product exceeds the state index range");
+    j
   in
   ignore (visit (Automaton.initial_index a) (Automaton.initial_index b));
-  let head = ref 0 in
-  while !head < Intvec.length pa do
-    let i = !head in
-    incr head;
-    let ia = Intvec.get pa i and ib = Intvec.get pb i in
-    Intvec.push starts (Intvec.length tev);
+  (* A state's row is two sorted runs, visited in this order: a's
+     events into [ra], then b's private ones into [rb].  Merged, they are
+     the row, appended to [tr]; [ends] records where each row ends — the
+     CSR row offsets. *)
+  let widest row =
+    let m = ref 0 in
+    for i = 0 to Array.length row - 2 do
+      m := max !m (row.(i + 1) - row.(i))
+    done;
+    !m
+  in
+  let ra = Array.make (widest arow) 0 and rb = Array.make (widest brow) 0 in
+  let ends = Intvec.create () and tr = Intvec.create () in
+  let i = ref 0 in
+  while !i < Inttbl.length seen do
+    let key = Inttbl.key seen !i in
+    let ia = key / nb in
+    let ib = key - (ia * nb) in
+    let la = ref 0 and lb = ref 0 in
     for k = arow.(ia) to arow.(ia + 1) - 1 do
       let eid = aev.(k) in
       let jb = if in_b.(eid) then Automaton.step_index_raw b ib eid else ib in
       if jb >= 0 then begin
-        Intvec.push tev eid;
-        Intvec.push tdst (visit adst.(k) jb)
+        ra.(!la) <- (eid lsl tbits) lor visit adst.(k) jb;
+        incr la
       end
     done;
     for k = brow.(ib) to brow.(ib + 1) - 1 do
       let eid = bev.(k) in
       if not in_a.(eid) then begin
-        Intvec.push tev eid;
-        Intvec.push tdst (visit ia bdst.(k))
+        rb.(!lb) <- (eid lsl tbits) lor visit ia bdst.(k);
+        incr lb
       end
     done;
-    (* The row is two sorted runs, a's events then b's private ones:
-       insertion-sort it by event id in place. *)
-    let ev = Intvec.data tev and dst = Intvec.data tdst in
-    let lo = Intvec.get starts i in
-    for k = lo + 1 to Intvec.length tev - 1 do
-      let e = ev.(k) and d = dst.(k) in
-      let j = ref (k - 1) in
-      while !j >= lo && ev.(!j) > e do
-        ev.(!j + 1) <- ev.(!j);
-        dst.(!j + 1) <- dst.(!j);
-        decr j
-      done;
-      ev.(!j + 1) <- e;
-      dst.(!j + 1) <- d
-    done
+    let x = ref 0 and y = ref 0 in
+    while !x < !la || !y < !lb do
+      if !y = !lb || (!x < !la && ra.(!x) < rb.(!y)) then begin
+        Intvec.push tr ra.(!x);
+        incr x
+      end
+      else begin
+        Intvec.push tr rb.(!y);
+        incr y
+      end
+    done;
+    Intvec.push ends tr.len;
+    incr i
   done;
-  let n = Intvec.length pa in
-  Intvec.push starts (Intvec.length tev);
-  let pa = Intvec.to_array pa and pb = Intvec.to_array pb in
-  let marked =
-    Array.init n (fun i ->
-        Automaton.is_marked_index a pa.(i) && Automaton.is_marked_index b pb.(i))
-  in
-  let forbidden =
-    Array.init n (fun i ->
-        Automaton.is_forbidden_index a pa.(i)
-        || Automaton.is_forbidden_index b pb.(i))
-  in
-  let names () =
-    (* Escaping join: composing an automaton whose state names already
-       contain dots (e.g. a synthesized supervisor fed back as a plant)
-       must not collide distinct pairs. *)
-    Automaton.product_state_names n 2 (fun i c ->
-        if c = 0 then Automaton.state_of_index a pa.(i)
-        else Automaton.state_of_index b pb.(i))
-  in
+  let n = Inttbl.length seen and t = Intvec.length tr in
+  let row = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    row.(i + 1) <- Intvec.get ends i
+  done;
+  let event = Array.make t 0 and target = Array.make t 0 in
+  for k = 0 to t - 1 do
+    let w = Intvec.get tr k in
+    event.(k) <- w lsr tbits;
+    target.(k) <- w land tmask
+  done;
+  let keys = Array.init n (Inttbl.key seen) in
+  let marked = Array.make n false and forbidden = Array.make n false in
+  Array.iteri
+    (fun i key ->
+      let ia = key / nb in
+      let ib = key - (ia * nb) in
+      marked.(i) <-
+        Automaton.is_marked_index a ia && Automaton.is_marked_index b ib;
+      forbidden.(i) <-
+        Automaton.is_forbidden_index a ia || Automaton.is_forbidden_index b ib)
+    keys;
   Automaton.of_csr
     ~name:(Automaton.name a ^ "||" ^ Automaton.name b)
-    ~names ~alphabet ~initial:0 ~marked ~forbidden
-    ~row:(Intvec.to_array starts) ~event:(Intvec.to_array tev)
-    ~target:(Intvec.to_array tdst)
+    ~names:(Product ([| a; b |], keys))
+    ~alphabet ~initial:0 ~marked ~forbidden ~row ~event ~target
 
 (* n-ary composition as a size-ordered balanced tree, not a left fold.
    A fold produces the maximally skewed chain ((a‖b)‖c)‖…, whose

@@ -33,12 +33,13 @@ type error = Empty_supervisor
 (* monotone operator, so their per-pass removal counts and the          *)
 (* iteration count are traversal-order-free.                            *)
 (*                                                                       *)
-(* Buffer discipline: transitions live in a [store] of fixed chunks that *)
-(* is appended to and never copied, so no transition-sized array grows  *)
-(* by doubling.  Every later array — predecessor and uncontrollable      *)
-(* CSRs, the supervisor's rows — is allocated once at its counted size,  *)
-(* and buffers are dropped as soon as the next phase no longer reads    *)
-(* them.                                                                 *)
+(* Buffer discipline: the state table's keys, the row ends and the      *)
+(* transitions live in [Intvec]s of fixed chunks that are appended to   *)
+(* and never copied, so no state- or transition-sized array grows by    *)
+(* doubling.  Every later array — the uncontrollable and good-region    *)
+(* predecessor CSRs, the supervisor's rows — is allocated once at its   *)
+(* counted size, and buffers are dropped as soon as the next phase no   *)
+(* longer reads them.                                                    *)
 (* ===================================================================== *)
 
 (* One component: its CSR rows cut down to the events it handles (it is
@@ -54,42 +55,24 @@ type comp = {
   cforbidden : bool array;
 }
 
-(* Transition storage: chunks of [1 lsl cbits] ints, appended to and
-   never copied.  Only the first chunk grows, by doubling from a size
-   that keeps a tiny product in the minor heap up to the full chunk. *)
-let cbits = 15
-let cmask = (1 lsl cbits) - 1
-
-type store = {
-  mutable chunks : int array array;
-  mutable cap : int;
-  mutable len : int;
-}
-
-let store () = { chunks = [| Array.make 64 0 |]; cap = 64; len = 0 }
-let cget ch p = ch.(p lsr cbits).(p land cmask)
-
-let grow st =
-  if st.cap <= cmask then begin
-    let c = Array.make (min (cmask + 1) (2 * st.cap)) 0 in
-    Array.blit st.chunks.(0) 0 c 0 st.len;
-    st.chunks.(0) <- c;
-    st.cap <- Array.length c
-  end
-  else begin
-    st.chunks <- Array.append st.chunks [| Array.make (cmask + 1) 0 |];
-    st.cap <- st.cap + cmask + 1
-  end
-
-let push st x =
-  if st.len = st.cap then grow st;
-  st.chunks.(st.len lsr cbits).(st.len land cmask) <- x;
-  st.len <- st.len + 1
-
-(* Product state flags, set where the state's key is decoded. *)
+(* Product state flags, set where the state's key is decoded.  A
+   state's flags share one word with its row end: [(end lsl fbits) lor
+   flags]. *)
 let f_marked = 1
 let f_forbidden = 2
 let f_escape = 4
+let fbits = 3
+let fmask = (1 lsl fbits) - 1
+
+(* The phases after the BFS read the product in place from the
+   vectors' chunks (the [Intvec.t] layout), through closed helpers the
+   compiler inlines: a call per access would cost more than the
+   access. *)
+let cget (ch : int array array) i = ch.(i lsr 15).(i land 0x7fff)
+let row_end rf s = cget rf s lsr fbits
+let row_start rf s = if s = 0 then 0 else row_end rf (s - 1)
+let flags rf s = cget rf s land fmask
+let mem mask s = Bytes.get mask s <> '\000'
 
 let synthesize ~comps ~sup_name ~context =
   let nc = Array.length comps in
@@ -239,10 +222,10 @@ let synthesize ~comps ~sup_name ~context =
     !k
   in
   (* ---------- product BFS ------------------------------------------- *)
-  (* [keys] maps indices to joint keys and is the BFS queue; [rows]
-     holds the CSR row offsets, [tr] the transitions and [flags] each
-     state's f_* bits.  A transition is one int, [(target lsl ebits) lor
-     event id]. *)
+  (* [tbl] numbers the joint keys in discovery order, and its key vector
+     is the BFS queue; [rowfl] holds each state's row end and f_* bits,
+     [tr] the transitions.  A transition is one int, [(target lsl ebits)
+     lor event id]. *)
   let ebits =
     let b = ref 1 in
     while 1 lsl !b <= max_id do
@@ -251,18 +234,14 @@ let synthesize ~comps ~sup_name ~context =
     !b
   in
   let emask = (1 lsl ebits) - 1 and max_states = 1 lsl (62 - ebits) in
-  let keys = Intvec.create () and rows = Intvec.create () in
-  let flags = Intvec.create () in
-  let tr = store () in
   let tbl = Inttbl.create () in
-  ignore (Inttbl.put tbl key0 0);
-  Intvec.push keys key0;
-  Intvec.push rows 0;
+  ignore (Inttbl.intern tbl key0 : int);
+  let rowfl = Intvec.create () and tr = Intvec.create () in
   let idx = Array.make nc 0 in
   let removed_forb = ref 0 in
   let i = ref 0 in
-  while !i < Intvec.length keys do
-    let key = Intvec.get keys !i in
+  while !i < Inttbl.length tbl do
+    let key = Inttbl.key tbl !i in
     (* Component indices, one division per component, and the flags. *)
     let k = ref key and fl = ref f_marked in
     for c = nc - 1 downto 0 do
@@ -306,61 +285,48 @@ let synthesize ~comps ~sup_name ~context =
           end
         done;
         if !oi = no then begin
-          let j =
-            match Inttbl.put tbl !dkey (Intvec.length keys) with
-            | -1 ->
-                if Intvec.length keys = max_states then
-                  invalid_arg
-                    (context ^ ": product exceeds the state index range");
-                Intvec.push keys !dkey;
-                Intvec.length keys - 1
-            | j -> j
-          in
-          push tr ((j lsl ebits) lor eid)
+          let j = Inttbl.intern tbl !dkey in
+          if j >= max_states then
+            invalid_arg (context ^ ": product exceeds the state index range");
+          Intvec.push tr ((j lsl ebits) lor eid)
         end
       done
     done;
     if !fl land f_forbidden <> 0 then incr removed_forb;
-    Intvec.push flags !fl;
-    Intvec.push rows tr.len;
+    Intvec.push rowfl ((tr.len lsl fbits) lor !fl);
     incr i
   done;
-  let n = Intvec.length keys in
-  let nrow = Intvec.data rows and fl = Intvec.data flags in
-  let ft = tr.chunks in
-  (* ---------- derived CSRs ------------------------------------------ *)
-  (* Predecessors for the blocking pass and uncontrollable predecessors
-     for the uncontrollable pass, in one count pass and one fill pass
-     over the product rows.  Each offset array first counts its row's
-     entries, then holds its row's end, and is decremented down to its
-     row's start as the fill walks the sources in reverse. *)
-  let pr = Array.make (n + 1) 0 and upr = Array.make (n + 1) 0 in
-  for k = 0 to nrow.(n) - 1 do
+  let n = Inttbl.length tbl in
+  let ft = tr.chunks and rf = rowfl.chunks in
+  (* ---------- uncontrollable predecessors --------------------------- *)
+  (* One count pass and one fill pass over the product rows.  The offset
+     array first counts its row's entries, then holds its row's end, and
+     is decremented down to its row's start as the fill walks the
+     sources in reverse. *)
+  let upr = Array.make (n + 1) 0 in
+  for k = 0 to tr.len - 1 do
     let w = cget ft k in
-    let d = w lsr ebits in
-    pr.(d) <- pr.(d) + 1;
-    if unc.(w land emask) then upr.(d) <- upr.(d) + 1
+    if unc.(w land emask) then begin
+      let d = w lsr ebits in
+      upr.(d) <- upr.(d) + 1
+    end
   done;
   for j = 1 to n do
-    pr.(j) <- pr.(j) + pr.(j - 1);
     upr.(j) <- upr.(j) + upr.(j - 1)
   done;
-  let pd = Array.make pr.(n) 0 and upx = Array.make upr.(n) 0 in
+  let upx = Array.make upr.(n) 0 in
   for s = n - 1 downto 0 do
-    for k = nrow.(s + 1) - 1 downto nrow.(s) do
+    for k = row_end rf s - 1 downto row_start rf s do
       let w = cget ft k in
-      let d = w lsr ebits in
-      pr.(d) <- pr.(d) - 1;
-      pd.(pr.(d)) <- s;
       if unc.(w land emask) then begin
+        let d = w lsr ebits in
         upr.(d) <- upr.(d) - 1;
         upx.(upr.(d)) <- s
       end
     done
   done;
   (* ---------- fixpoint ---------------------------------------------- *)
-  let good = Array.init n (fun s -> fl.(s) land f_forbidden = 0) in
-  let coacc = Array.make n false in
+  let good = Bytes.make n '\001' in
   (* [bad] holds the states the uncontrollable pass propagates from:
      the forbidden and escaping states first, then each round's blocking
      removals — earlier bad states' uncontrollable predecessors are bad
@@ -370,51 +336,84 @@ let synthesize ~comps ~sup_name ~context =
   let iterations = ref 0 in
   let u = ref 0 in
   for s = 0 to n - 1 do
-    if not good.(s) then Intvec.push bad s
-    else if fl.(s) land f_escape <> 0 then begin
-      good.(s) <- false;
+    let f = flags rf s in
+    if f land f_forbidden <> 0 then begin
+      Bytes.set good s '\000';
+      Intvec.push bad s
+    end
+    else if f land f_escape <> 0 then begin
+      Bytes.set good s '\000';
       incr u;
       Intvec.push bad s
     end
   done;
-  let fix = ref true in
-  while !fix do
-    (* Uncontrollable pass: propagate badness backwards over the
-       uncontrollable sub-graph. *)
-    while Intvec.length bad > 0 do
+  (* Uncontrollable pass: propagate badness backwards over the
+     uncontrollable sub-graph. *)
+  let propagate () =
+    while bad.len > 0 do
       let j = Intvec.pop bad in
       for k = upr.(j) to upr.(j + 1) - 1 do
         let s = upx.(k) in
-        if good.(s) then begin
-          good.(s) <- false;
+        if mem good s then begin
+          Bytes.set good s '\000';
           incr u;
           Intvec.push bad s
         end
       done
-    done;
+    done
+  in
+  propagate ();
+  (* Predecessors for the blocking pass, over the transitions between
+     states still good after the first uncontrollable pass.  The good
+     region only shrinks, so every later round's edges are among them. *)
+  let pr = Array.make (n + 1) 0 in
+  for s = 0 to n - 1 do
+    if mem good s then
+      for k = row_start rf s to row_end rf s - 1 do
+        let d = cget ft k lsr ebits in
+        if mem good d then pr.(d) <- pr.(d) + 1
+      done
+  done;
+  for j = 1 to n do
+    pr.(j) <- pr.(j) + pr.(j - 1)
+  done;
+  let pd = Array.make pr.(n) 0 in
+  for s = n - 1 downto 0 do
+    if mem good s then
+      for k = row_end rf s - 1 downto row_start rf s do
+        let d = cget ft k lsr ebits in
+        if mem good d then begin
+          pr.(d) <- pr.(d) - 1;
+          pd.(pr.(d)) <- s
+        end
+      done
+  done;
+  let coacc = Bytes.make n '\000' in
+  let fix = ref true in
+  while !fix do
     (* Blocking pass: backward reachability from good marked states
        within the good region; whatever is not co-reached is removed. *)
-    Array.fill coacc 0 n false;
+    Bytes.fill coacc 0 n '\000';
     for s = 0 to n - 1 do
-      if good.(s) && fl.(s) land f_marked <> 0 then begin
-        coacc.(s) <- true;
+      if mem good s && flags rf s land f_marked <> 0 then begin
+        Bytes.set coacc s '\001';
         Intvec.push stack s
       end
     done;
-    while Intvec.length stack > 0 do
+    while stack.len > 0 do
       let j = Intvec.pop stack in
       for k = pr.(j) to pr.(j + 1) - 1 do
         let s = pd.(k) in
-        if good.(s) && not coacc.(s) then begin
-          coacc.(s) <- true;
+        if mem good s && not (mem coacc s) then begin
+          Bytes.set coacc s '\001';
           Intvec.push stack s
         end
       done
     done;
     let bl = ref 0 in
     for s = 0 to n - 1 do
-      if good.(s) && not coacc.(s) then begin
-        good.(s) <- false;
+      if mem good s && not (mem coacc s) then begin
+        Bytes.set good s '\000';
         incr bl;
         Intvec.push bad s
       end
@@ -423,7 +422,8 @@ let synthesize ~comps ~sup_name ~context =
     removed_unc := !removed_unc + !u;
     removed_blk := !removed_blk + !bl;
     fix := !u > 0 || !bl > 0;
-    u := 0
+    u := 0;
+    if !fix then propagate ()
   done;
   let stats =
     {
@@ -435,7 +435,7 @@ let synthesize ~comps ~sup_name ~context =
     }
   in
   (* ---------- supervisor extraction --------------------------------- *)
-  if not good.(0) then Error Empty_supervisor
+  if not (mem good 0) then Error Empty_supervisor
   else begin
     (* Good states keep their product order; [so] maps a product index
        to its supervisor index and [os] back. *)
@@ -443,12 +443,12 @@ let synthesize ~comps ~sup_name ~context =
     let so = Array.make n (-1) and os = Array.make m 0 in
     let t = ref 0 and j = ref 0 in
     for s = 0 to n - 1 do
-      if good.(s) then begin
+      if mem good s then begin
         so.(s) <- !j;
         os.(!j) <- s;
         incr j;
-        for k = nrow.(s) to nrow.(s + 1) - 1 do
-          if good.(cget ft k lsr ebits) then incr t
+        for k = row_start rf s to row_end rf s - 1 do
+          if mem good (cget ft k lsr ebits) then incr t
         done
       end
     done;
@@ -461,10 +461,10 @@ let synthesize ~comps ~sup_name ~context =
     for x = 0 to m - 1 do
       let s = os.(x) in
       let start = !q in
-      for k = nrow.(s) to nrow.(s + 1) - 1 do
+      for k = row_start rf s to row_end rf s - 1 do
         let w = cget ft k in
         let d = w lsr ebits in
-        if good.(d) then begin
+        if mem good d then begin
           let e = w land emask in
           let p = ref (!q - 1) in
           while !p >= start && sev.(!p) > e do
@@ -479,18 +479,11 @@ let synthesize ~comps ~sup_name ~context =
       done;
       srow.(x + 1) <- !q
     done;
-    let ko = Intvec.data keys in
-    (* The closure keeps only what naming needs, not the engine's
-       component tables. *)
-    let sizes = Array.map (fun cc -> cc.cn) cs in
-    let names () =
-      Automaton.product_state_names m nc (fun x c ->
-          Automaton.state_of_index comps.(c)
-            (ko.(os.(x)) / weights.(c) mod sizes.(c)))
-    in
     let sup =
-      Automaton.of_csr ~name:sup_name ~names ~alphabet ~initial:0
-        ~marked:(Array.init m (fun x -> fl.(os.(x)) land f_marked <> 0))
+      Automaton.of_csr ~name:sup_name
+        ~names:(Product (comps, Array.map (Inttbl.key tbl) os))
+        ~alphabet ~initial:0
+        ~marked:(Array.map (fun s -> flags rf s land f_marked <> 0) os)
         ~forbidden:(Array.make m false) ~row:srow ~event:sev ~target:sdst
     in
     Ok (Reach.accessible sup, stats)

@@ -49,11 +49,14 @@ val supcon :
     transitions, {!Automaton.structural_digest} and {!stats} — is a
     function of the inputs alone.
 
-    {b Memory.}  Besides the product, each call builds a dense step
-    table for every component that is some event's non-first owner (in
-    [supcon], the spec): [n_c × |Σ_c|] words for a component with [n_c]
-    states and alphabet [Σ_c], so each such owner is consulted with one
-    array read. *)
+    {b Memory.}  The product is one key, one row-end-and-flags word and
+    one int per transition, held in chunks that are never copied; the
+    blocking pass's predecessors cover only the transitions inside the
+    region left after the first uncontrollable pass.  Besides the
+    product, each call builds a dense step table for every component
+    that is some event's non-first owner (in [supcon], the spec):
+    [n_c × |Σ_c|] words for a component with [n_c] states and alphabet
+    [Σ_c], so each such owner is consulted with one array read. *)
 
 val supcon_modular :
   ?jobs:int ->
@@ -66,9 +69,10 @@ val supcon_modular :
     are ever materialized, so a [3^k]-state unconstrained composition
     that the spec confines to a sliver never exists in memory.  The
     result equals [supcon ~plant:(Compose.all plants) ~spec] up to state
-    naming (joint states are named by the flat
-    {!Automaton.product_state_names} join rather than the nested
-    pairwise join): same state count, same transition structure
+    naming (a joint state is named by one flat join of all the
+    components' names, an {!Automaton.Product} over the plants and the
+    spec, rather than the nested pairwise join): same state count, same
+    transition structure
     ({!Automaton.isomorphic}), same {!stats}.  Run by the same engine as
     {!supcon}; every plant component except the first that shares an
     event with an earlier one gets a step table too.

@@ -47,21 +47,18 @@ let controllable ~plant ~supervisor =
   let ng = Automaton.num_states plant in
   let grow, gev, gdst = Automaton.csr plant in
   let srow, sev, sdst = Automaton.csr supervisor in
+  (* The pair keys [is * ng + ig] in discovery order double as the BFS
+     queue. *)
   let seen = Inttbl.create () in
-  (* The pairs in discovery order double as the BFS queue. *)
-  let qs = Intvec.create () and qg = Intvec.create () in
-  let visit is_ ig =
-    if Inttbl.put seen ((is_ * ng) + ig) 0 = -1 then begin
-      Intvec.push qs is_;
-      Intvec.push qg ig
-    end
-  in
+  let visit is_ ig = ignore (Inttbl.intern seen ((is_ * ng) + ig) : int) in
   visit (Automaton.initial_index supervisor) (Automaton.initial_index plant);
   let witness = ref None in
   let head = ref 0 in
   (try
-     while !head < Intvec.length qs do
-       let is_ = Intvec.get qs !head and ig = Intvec.get qg !head in
+     while !head < Inttbl.length seen do
+       let key = Inttbl.key seen !head in
+       let is_ = key / ng in
+       let ig = key - (is_ * ng) in
        incr head;
        for k = grow.(ig) to grow.(ig + 1) - 1 do
          let eid = gev.(k) and jg = gdst.(k) in

@@ -95,7 +95,7 @@ val state : t -> string
 (** Current supervisor-automaton state name (e.g. ["Eval\\.Safe.Uncapped"]
     — the plant component ["Eval.Safe"] is itself a product state, so
     its inner dot is escaped; see
-    {!Spectr_automata.Automaton.product_state_name}).  Internally the
+    {!Spectr_automata.Automaton.Product}).  Internally the
     engine tracks the state as an index and steps with
     {!Spectr_automata.Automaton.step_index}; this accessor is the only
     point where the index is translated back to a name. *)

@@ -163,13 +163,16 @@ let supcon ~plant ~spec =
     for i = 0 to !m - 1 do
       row.(i + 1) <- row.(i + 1) + row.(i)
     done;
-    let names () =
-      Array.map
-        (fun old ->
-          Automaton.product_state_name
-            (Automaton.state_of_index plant pg.(old))
-            (Automaton.state_of_index spec pe.(old)))
-        old_of_new
+    let names =
+      Automaton.Names
+        (Array.map
+           (fun old ->
+             Names_oracle.join
+               [
+                 Automaton.state_of_index plant pg.(old);
+                 Automaton.state_of_index spec pe.(old);
+               ])
+           old_of_new)
     in
     let sup =
       Automaton.of_csr
