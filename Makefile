@@ -6,9 +6,9 @@ build:
 	dune build
 
 # Tier-1: the unit suites, which hold every deterministic gate (the
-# 0 B/call tick kernels and Riccati step, the warm-construction and
-# synthesis allocation budgets, the Manager.step bytes ratchet, digest
-# and state-count pins), plus `perf.exe --smoke` (bench/perf/dune).
+# 0 B/call tick kernels, the DARE, warm-construction and synthesis
+# allocation budgets, the Manager.step bytes ratchet, digest and
+# state-count pins), plus `perf.exe --smoke` (bench/perf/dune).
 test:
 	dune runtest
 

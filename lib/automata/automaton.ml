@@ -566,6 +566,17 @@ let rec put_digits b p i =
   Bytes.set b p (Char.unsafe_chr (48 + (i mod 10)));
   p + 1
 
+(* The rank packed with [id] in [by_id] (sorted [id lsl bits lor rank]
+   keys, [id] among them), searched in [lo .. hi].  Top level, with
+   every operand an argument, so a lookup allocates no closure. *)
+let rec rank_of (by_id : int array) bits id lo hi =
+  let mid = (lo + hi) lsr 1 in
+  let x = Array.unsafe_get by_id mid in
+  let c = x lsr bits in
+  if c = id then x land ((1 lsl bits) - 1)
+  else if c < id then rank_of by_id bits id (mid + 1) hi
+  else rank_of by_id bits id lo (mid - 1)
+
 (* Layout, uniquely decodable: the name, the state names and each
    alphabet event (with 'c'/'u') as length-prefixed text fields, and
    every count, row offset, event rank and target as an 8-byte
@@ -580,19 +591,25 @@ let structural_digest a =
          decoding a product state once. *)
       let w = writer 0 a.naming in
       (* A transition names its event by the event's rank in the
-         alphabet section, looked up by id. *)
-      let id = Event.id in
-      let lo = Event.Set.fold (fun e m -> min m (id e)) a.alphabet max_int in
-      let hi = Event.Set.fold (fun e m -> max m (id e)) a.alphabet lo in
-      let rank = Array.make (hi - lo + 1) 0 in
+         alphabet section.  [by_id] holds id lsl [bits] lor rank for
+         every event, sorted, so it is sized by the alphabet whatever
+         ids the process minted, and a binary search finds an id's
+         rank. *)
+      let sigma = Event.Set.cardinal a.alphabet in
+      let bits = ref 0 in
+      while 1 lsl !bits < sigma do
+        incr bits
+      done;
+      let bits = !bits and by_id = Array.make sigma 0 in
       let text = ref 0 and r = ref 0 in
       let field_len s = digits (String.length s) + 1 + String.length s in
       Event.Set.iter
         (fun e ->
-          rank.(id e - lo) <- !r;
+          by_id.(!r) <- (Event.id e lsl bits) lor !r;
           incr r;
           text := !text + field_len (Event.name e) + 1)
         a.alphabet;
+      Array.sort Int.compare by_id;
       text := !text + field_len a.name;
       for i = 0 to a.n - 1 do
         let l = name_length w i in
@@ -634,7 +651,7 @@ let structural_digest a =
          needs. *)
       Array.iter int a.row;
       for k = 0 to t - 1 do
-        int rank.(a.ev.(k) - lo);
+        int (rank_of by_id bits a.ev.(k) 0 (sigma - 1));
         int a.dst.(k)
       done;
       Array.iter (fun m -> chr (if m then '1' else '0')) a.marked;

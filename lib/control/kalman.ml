@@ -16,10 +16,7 @@ let design ~a ~c ~qw ~rv =
   else
     (* The estimation DARE is the control DARE on the dual system
        (A -> A', B -> C', Q -> Qw, R -> Rv). *)
-    match
-      Riccati.solve ~a:(Matrix.transpose a) ~b:(Matrix.transpose c) ~q:qw ~r:rv
-        ()
-    with
+    match Riccati.solve ~a:(Matrix.transpose a) ~b:(Matrix.transpose c) ~q:qw ~r:rv with
     | Error e -> Error (Riccati_failed e)
     | Ok sigma ->
         let ct = Matrix.transpose c in

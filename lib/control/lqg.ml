@@ -14,17 +14,36 @@ type error =
   | Kalman_failed of Kalman.error
   | Feedthrough_unsupported
   | Bad_weights of string
+  | Not_stabilizing
 
 let pp_error ppf = function
   | Lqr_failed e -> Format.fprintf ppf "LQR: %a" Lqr.pp_error e
   | Kalman_failed e -> Format.fprintf ppf "Kalman: %a" Kalman.pp_error e
   | Feedthrough_unsupported -> Format.fprintf ppf "model must have D = 0"
   | Bad_weights s -> Format.fprintf ppf "bad weights: %s" s
+  | Not_stabilizing ->
+      Format.fprintf ppf "no integrator leak gives a decaying closed loop"
 
 (* Scalar covariance levels of the Kalman design, matching the
    identified models' residual levels. *)
 let process_noise = 0.01
 let measurement_noise = 0.1
+
+(* Strict stability of a closed-loop matrix: some power A^k, k = 2^j
+   for j <= 16 formed by squaring, has max row sum at most 1/2.  That
+   bounds the spectral radius by 2^(-1/k) < 1 - 1e-5.  A mode on the
+   unit circle (an integrator that no input drives) keeps every power's
+   norm at or above 1, and a power that overflows fails the NaN-false
+   comparison.  The designed loops pass by j = 12 (spectral radius at
+   most 0.9996). *)
+let decays acl =
+  let halves m =
+    Array.for_all
+      (fun row -> Array.fold_left (fun s x -> s +. Float.abs x) 0. row <= 0.5)
+      (Matrix.to_arrays m)
+  in
+  let rec square m j = halves m || (j < 16 && square (Matrix.mul m m) (j + 1)) in
+  square acl 0
 
 let design ?q_integrator ~label ~model ~q_y ~r_u () =
   let n = Statespace.order model in
@@ -50,11 +69,16 @@ let design ?q_integrator ~label ~model ~q_y ~r_u () =
       and b = model.Statespace.b
       and c = model.Statespace.c in
       (* Augmented system: x_aug = [x; z], with z⁺ = λz + (r − y).
-         λ = 1 gives exact integral action; when the DARE value iteration
-         diverges (an integrator direction that is numerically
-         unstabilizable — e.g. a near-rank-deficient DC gain), we retry
-         with a slightly leaky integrator, trading a sub-percent
-         steady-state bias for a bounded cost-to-go. *)
+         λ = 1 gives exact integral action, but only where every
+         integrator direction is stabilizable: when an input never moves
+         (a unicore cluster's cores), a column of the DC gain C(I − A)⁻¹B
+         is 0 and one integrator sits on the unit circle undriven.  Each
+         rung of the ladder below is therefore accepted by an explicit
+         test — the DARE has a stabilizing solution within its residual
+         bound ({!Riccati.solve}) and the closed loop strictly decays
+         ([decays]) — and otherwise the next, slightly leakier
+         integrator is tried, trading a sub-percent steady-state bias
+         for a bounded cost-to-go. *)
       let design_with_leak leak =
         let a_aug =
           Matrix.block
@@ -81,16 +105,20 @@ let design ?q_integrator ~label ~model ~q_y ~r_u () =
             |]
         in
         let r = Matrix.diagonal r_u in
-        Lqr.design ~a:a_aug ~b:b_aug ~q:q_aug ~r
+        Result.map
+          (fun d -> (a_aug, b_aug, d))
+          (Lqr.design ~a:a_aug ~b:b_aug ~q:q_aug ~r)
       in
       let rec try_leaks = function
-        | [] -> Error (Lqr_failed (Lqr.Riccati_failed
-                         (Riccati.Not_converged { iterations = 0; residual = nan })))
+        | [] -> Error Not_stabilizing
         | leak :: rest -> (
             match design_with_leak leak with
+            | Ok (a_aug, b_aug, ({ Lqr.k; _ } as d))
+              when decays (Lqr.closed_loop_matrix ~a:a_aug ~b:b_aug ~k) ->
+                Ok (leak, d)
+            | Ok _ -> try_leaks rest
             | Error (Lqr.Riccati_failed _) when rest <> [] -> try_leaks rest
-            | Error e -> Error (Lqr_failed e)
-            | Ok d -> Ok (leak, d))
+            | Error e -> Error (Lqr_failed e))
       in
       match try_leaks [ 1.0; 0.995; 0.98; 0.95 ] with
       | Error _ as e -> e

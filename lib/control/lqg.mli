@@ -27,10 +27,11 @@ type gains = {
   l : Matrix.t;  (** n×p Kalman filter gain. *)
   leak : float;
       (** Integrator leak λ ∈ (0, 1]: z⁺ = λz + (r − y).  1 means exact
-          integral action; {!design} retries with slightly leaky
-          integrators when the exact augmentation makes the Riccati
-          value-iteration diverge (numerically unstabilizable integrator
-          directions). *)
+          integral action; {!design} walks the ladder 1, 0.995, 0.98,
+          0.95 and keeps the first leak whose DARE has a stabilizing
+          solution and whose augmented closed loop strictly decays (an
+          integrator direction that no input drives fails both at
+          λ = 1). *)
 }
 
 type error =
@@ -40,6 +41,9 @@ type error =
       (** The design requires D = 0 (standard for identified
           computing-system models: actuation takes effect next period). *)
   | Bad_weights of string
+  | Not_stabilizing
+      (** Every leak of the ladder failed, the last one because its LQR
+          closed loop does not decay strictly. *)
 
 val pp_error : Format.formatter -> error -> unit
 

@@ -42,7 +42,7 @@ let design ~a ~b ~q ~r =
   else if not (is_positive_definite r) then
     Error (Bad_weights "R must be symmetric positive definite")
   else
-    match Riccati.solve ~a ~b ~q ~r () with
+    match Riccati.solve ~a ~b ~q ~r with
     | Error e -> Error (Riccati_failed e)
     | Ok p ->
         let bt = Matrix.transpose b in

@@ -326,7 +326,7 @@ let identify ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem =
 
 type goal = { label : string; q_y : float array }
 
-let design_gains ?pool ?r_u ident goals =
+let design_gains ?r_u ident goals =
   let m = Statespace.num_inputs ident.statespace in
   let p = Statespace.num_outputs ident.statespace in
   let r_u =
@@ -336,9 +336,8 @@ let design_gains ?pool ?r_u ident goals =
         (* Paper §5: frequency twice as cheap to move as core count. *)
         Array.init m (fun i -> if i mod 2 = 0 then 1. else 2.)
   in
-  (* One goal's LQG design (Step 7): a pure function of the shared,
-     read-only model and that goal's weights, so goals can run on any
-     domain in any order. *)
+  (* One goal's LQG design (Step 7), then the robustness gate (Step
+     8), goal by goal, stopping at the first failure. *)
   let design goal =
     if Array.length goal.q_y <> p then
       Error (Printf.sprintf "goal %s: q_y must have %d entries" goal.label p)
@@ -357,45 +356,33 @@ let design_gains ?pool ?r_u ident goals =
           ~q_y:goal.q_y ~r_u ()
       with
       | Error e -> Error (Format.asprintf "goal %s: %a" goal.label Lqg.pp_error e)
-      | Ok _ as gains -> gains
+      | Ok gains ->
+          (* Skipped for very wide systems where the 2^p uncertainty
+             corners explode. *)
+          if
+            p <= 4
+            && not (Guardband.robustly_stable Guardband.paper_defaults ~gains)
+          then
+            Error
+              (Printf.sprintf "goal %s: not robust under guardbands"
+                 gains.Lqg.label)
+          else Ok gains
   in
-  (* Walk the designs in goal order through the robustness gate (Step
-     8), stopping at the first failure: [next ()] yields one goal's
-     design or raises what it raised. *)
-  let rec gate acc = function
+  let rec walk acc = function
     | [] -> Ok (List.rev acc)
-    | next :: rest -> (
-        match next () with
+    | goal :: rest -> (
+        match design goal with
         | Error _ as e -> e
-        | Ok gains ->
-            (* Skipped for very wide systems where the 2^p uncertainty
-               corners explode. *)
-            if
-              p <= 4
-              && not (Guardband.robustly_stable Guardband.paper_defaults ~gains)
-            then
-              Error
-                (Printf.sprintf "goal %s: not robust under guardbands"
-                   gains.Lqg.label)
-            else gate (gains :: acc) rest)
+        | Ok gains -> walk (gains :: acc) rest)
   in
-  if Spectr_exec.Pool.in_task () || List.compare_length_with goals 1 <= 0 then
-    (* Inside a pool task (fleet nodes, chaos cells, bench grids) the
-       enclosing map already fills the pool, and a single goal has
-       nothing to overlap: design each goal when the gate reaches it. *)
-    gate [] (List.map (fun goal () -> design goal) goals)
-  else
-    (* Every goal designs on the pool at once.  The gate stays on this
-       domain: it allocates heavily, and on a worker it would fill that
-       domain's minor heap as well. *)
-    gate [] (Spectr_exec.Parmap.map_deferred ?pool design goals)
+  walk [] goals
 
 (* Gain design is a pure function of the identified model and the goal
    weights, and the identified model is itself memoized on
    (subsystem, seed, length, order) — so the designed gain sets can be
    memoized on the union of both keys.  This is what makes batch
    harnesses cheap: the first manager of a variant pays the
-   LQG/robustness pipeline (29–74 ms per design key), every later
+   LQG/robustness pipeline, every later
    construction (each scenario cell, each parallel bench task) reuses
    the identical gain list.  The cached [Lqg.gains] are shared
    read-only, exactly like the cached identification record. *)

@@ -55,25 +55,15 @@ let default_config =
 let synthesize ?(platform = Platform_desc.exynos5422) () =
   let plant = Plant_model.composed_for platform in
   (* Memoized: every scenario constructs its managers from scratch (a
-     requirement of the parallel bench harness), but synthesis only ever
-     runs once per (plant, spec) digest pair — i.e. once per platform
-     description. *)
+     requirement of the parallel bench harness), but synthesis — and
+     with it both Verify checks — only ever runs once per (plant, spec)
+     digest pair, i.e. once per platform description. *)
   match
     Spectr_exec.Synth_cache.supcon ~plant ~spec:(Spec.of_platform platform)
   with
   | Error Synthesis.Empty_supervisor ->
       failwith "Supervisor.synthesize: empty supervisor"
-  | Ok (sup, stats) ->
-      (match Verify.nonblocking sup with
-      | Ok () -> ()
-      | Error { Verify.state } ->
-          failwith ("Supervisor.synthesize: blocking at " ^ state));
-      (match Verify.controllable ~plant ~supervisor:sup with
-      | Ok () -> ()
-      | Error w ->
-          failwith
-            ("Supervisor.synthesize: uncontrollable at " ^ w.Verify.plant_state));
-      (sup, stats)
+  | Ok result -> result
 
 type t = {
   config : config;

@@ -62,9 +62,12 @@ val default_config : config
 val synthesize :
   ?platform:Platform_desc.t -> unit -> Automaton.t * Synthesis.stats
 (** Synthesize and verify the supervisor for a platform description
-    (default: exynos5422, the case study).  Raises [Failure] if the
-    supervisor were empty or failed verification — both are structurally
-    impossible for the generated models and covered by tests. *)
+    (default: exynos5422, the case study), through
+    {!Spectr_exec.Synth_cache.supcon}: synthesis and both verifications
+    run on a cache miss only, and a hit returns the supervisor verified
+    then.  Raises [Failure] if the supervisor were empty or failed
+    verification — both are structurally impossible for the generated
+    models and covered by tests. *)
 
 type t
 

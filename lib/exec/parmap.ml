@@ -28,15 +28,3 @@ let mapi ?pool f xs =
 
 let map_array ?pool f xs = Pool.map_array (resolve pool) f xs
 let iter ?pool f xs = ignore (map ?pool f xs : unit list)
-
-let map_deferred ?pool f xs =
-  map ?pool
-    (fun x ->
-      match f x with
-      | y -> Ok y
-      | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-    xs
-  |> List.map (fun r () ->
-         match r with
-         | Ok y -> y
-         | Error (e, bt) -> Printexc.raise_with_backtrace e bt)

@@ -26,11 +26,3 @@ val map_array : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
 
 val iter : ?pool:Pool.t -> ('a -> unit) -> 'a list -> unit
 (** Parallel [List.iter]; barrier semantics (returns after every task). *)
-
-val map_deferred : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> (unit -> 'b) list
-(** [map_deferred f xs] runs every [f x] like {!map}, but an exception
-    stays with its element instead of failing the whole map: the thunk
-    at position [i] returns [f] of the [i]-th element or re-raises its
-    exception with the original backtrace.  A caller that forces the
-    thunks in order and stops at its first failure sees exactly what a
-    sequential walk would have, never a later element's exception. *)

@@ -13,8 +13,8 @@ type t = {
    detected here and rejected immediately instead of hanging.  Only the
    innermost pool is tracked: mapping over a *different* pool from
    inside a task is legal and the slot is saved/restored around each
-   task.  The sequential path sets it too, so [in_task] and the
-   re-entrancy check do not depend on the job count. *)
+   task.  The sequential path sets it too, so the re-entrancy check does
+   not depend on the job count. *)
 let running_in : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let c_maps = Spectr_obs.Counters.counter "pool.parallel_maps"
@@ -88,8 +88,6 @@ let shutdown t =
   let workers = t.workers in
   t.workers <- [];
   List.iter Domain.join workers
-
-let in_task () = Option.is_some (Domain.DLS.get running_in)
 
 (* Run one application as a task of the pool in [me] (that pool's
    marker, allocated once per map): the marker is set for its duration

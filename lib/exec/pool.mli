@@ -51,13 +51,6 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
     fans thousands of shard descriptors out through this.  Same ordering,
     exception and re-entrancy contract as {!map}. *)
 
-val in_task : unit -> bool
-(** [true] while the calling domain runs a task of any pool — on a
-    worker, on the submitting domain draining its own map, or in a
-    one-job pool's sequential map.  Library code that could fan out
-    checks it to run inline instead, so work nested inside a pool task
-    never oversubscribes the host. *)
-
 val shutdown : t -> unit
 (** Join the worker domains.  Subsequent [map] calls fall back to
     sequential execution.  Idempotent. *)

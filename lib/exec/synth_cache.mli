@@ -16,8 +16,9 @@
     winner's result, counted as hits), while {e distinct} keys
     synthesize fully in parallel — no lock is held across a synthesis.
 
-    When observability is enabled ({!Spectr_obs}), hits and misses feed
-    the [synth_cache.hits]/[synth_cache.misses] counters and each actual
+    When observability is enabled ({!Spectr_obs}), hits, misses and
+    verifications feed the [synth_cache.hits]/[synth_cache.misses]/
+    [synth_cache.verifications] counters and each actual
     synthesis is timed into the [synth_cache.synthesis_ns] histogram.
 
     The digest key is deterministic {e within a process} only: event
@@ -31,7 +32,13 @@ val supcon :
   plant:Automaton.t ->
   spec:Automaton.t ->
   (Automaton.t * Synthesis.stats, Synthesis.error) result
-(** Memoized {!Synthesis.supcon}. *)
+(** Memoized {!Synthesis.supcon}, verified once: on a miss the new
+    supervisor must pass {!Verify.nonblocking} and
+    {!Verify.controllable} against [plant] before it is stored (raises
+    [Failure] naming the blocking or uncontrollable state otherwise), so
+    a hit returns a supervisor that has already passed both.  With
+    observability on, each such verification counts in
+    [synth_cache.verifications]. *)
 
 val stats : unit -> int * int
 (** [(hits, misses)] since start-up (or the last {!clear}). *)

@@ -1,14 +1,14 @@
 type error =
   | Dimension_mismatch of string
-  | Not_converged of { iterations : int; residual : float }
+  | Not_converged of { doublings : int; residual : float }
   | Singular
 
 let pp_error ppf = function
   | Dimension_mismatch s -> Format.fprintf ppf "dimension mismatch: %s" s
-  | Not_converged { iterations; residual } ->
-      Format.fprintf ppf "no convergence after %d iterations (residual %g)"
-        iterations residual
-  | Singular -> Format.fprintf ppf "R + B'PB singular"
+  | Not_converged { doublings; residual } ->
+      Format.fprintf ppf "no solution after %d doublings (relative residual %g)"
+        doublings residual
+  | Singular -> Format.fprintf ppf "I + GH singular"
 
 let check_dims ~a ~b ~q ~r =
   let n = Matrix.rows a in
@@ -19,259 +19,78 @@ let check_dims ~a ~b ~q ~r =
     Error (Dimension_mismatch "Q not n x n")
   else if Matrix.rows r <> m || Matrix.cols r <> m then
     Error (Dimension_mismatch "R not m x m")
-  else Ok (n, m)
+  else Ok n
 
-(* The nonzero entries of a matrix, column by column: column j's are
-   [v.(t)] at row [row.(t)] for [t] in [ptr.(j) .. ptr.(j+1) - 1], rows
-   ascending.  An entry is structural when [<> 0.], the test by which
-   [Matrix.mul_into] skips a multiplier (a -0 is skipped, a NaN kept). *)
-type columns = { ptr : int array; row : int array; v : float array }
+let max_doublings = 64
+let tol = 1e-12
+let residual_bound = 1e-9
 
-let columns m =
-  let rows = Matrix.rows m and cols = Matrix.cols m and d = Matrix.data m in
-  let ptr = Array.make (cols + 1) 0 in
-  for j = 0 to cols - 1 do
-    let c = ref 0 in
-    for i = 0 to rows - 1 do
-      if d.((i * cols) + j) <> 0. then incr c
-    done;
-    ptr.(j + 1) <- ptr.(j) + !c
-  done;
-  let row = Array.make ptr.(cols) 0 and v = Array.make ptr.(cols) 0. in
-  for j = 0 to cols - 1 do
-    let t = ref ptr.(j) in
-    for i = 0 to rows - 1 do
-      let x = d.((i * cols) + j) in
-      if x <> 0. then begin
-        row.(!t) <- i;
-        v.(!t) <- x;
-        incr t
-      end
-    done
-  done;
-  { ptr; row; v }
+(* (X + X') / 2: G and H are symmetric in exact arithmetic, and keeping
+   them so stops rounding from accumulating in their skew part. *)
+let symmetrize x = Matrix.scale 0.5 (Matrix.add x (Matrix.transpose x))
 
-(* The step kernels below are top-level functions over arrays annotated
-   [float array]: under the Closure backend a helper closure local to
-   the step is allocated on every step, and a read through an
-   unannotated (polymorphic) array takes the generic, tag-testing path.
+(* Max-abs entry of F(P) - P, F the Riccati map
+   F(P) = A'PA - A'PB (R + B'PB)^-1 B'PA + Q, relative to max(1, |P|);
+   NaN when R + B'PB is singular. *)
+let relative_residual ~a ~b ~q ~r p =
+  let atp = Matrix.mul (Matrix.transpose a) p in
+  let atpb = Matrix.mul atp b in
+  let inner = Matrix.add r (Matrix.mul (Matrix.transpose b) (Matrix.mul p b)) in
+  match Matrix.solve inner (Matrix.transpose atpb) with
+  | exception Failure _ -> nan
+  | x ->
+      let f = Matrix.add q (Matrix.sub (Matrix.mul atp a) (Matrix.mul atpb x)) in
+      Matrix.max_abs (Matrix.sub f p) /. Float.max 1. (Matrix.max_abs p)
 
-   Every entry they write starts at +0 and accumulates its terms over
-   ascending k, as [Matrix.mul_into] does, but skips a term only where
-   the structured factor (A or B) is 0; the correction skips where
-   [mul_into] does.  While every factor is finite
-   the terms it keeps beyond [mul_into]'s are exact ±0 and leave the sum
-   unchanged (DESIGN §18).  Two independent entries share each inner
-   trip, so their add chains overlap. *)
+let finite m = Array.for_all Float.is_finite (Matrix.data m)
 
-(* [dst] (rows x nc) := S'Y, for S given by its [columns] [s] and Y a
-   dense store with [nc] columns: entry (i, j) sums s_ki * y_kj over
-   column i of S.  Two columns of Y per trip. *)
-let mul_t_into (s : columns) (y : float array) nc (dst : float array) rows =
-  let ptr = s.ptr and row = s.row and sv = s.v in
-  let even = nc land lnot 1 in
-  for i = 0 to rows - 1 do
-    let lo = Array.unsafe_get ptr i and hi = Array.unsafe_get ptr (i + 1) - 1 in
-    let di = i * nc in
-    let j = ref 0 in
-    while !j < even do
-      let s0 = ref 0. and s1 = ref 0. in
-      for t = lo to hi do
-        let f = Array.unsafe_get sv t and k = (Array.unsafe_get row t * nc) + !j in
-        s0 := !s0 +. (f *. Array.unsafe_get y k);
-        s1 := !s1 +. (f *. Array.unsafe_get y (k + 1))
-      done;
-      Array.unsafe_set dst (di + !j) !s0;
-      Array.unsafe_set dst (di + !j + 1) !s1;
-      j := !j + 2
-    done;
-    if even < nc then begin
-      let s0 = ref 0. in
-      for t = lo to hi do
-        s0 :=
-          !s0
-          +. (Array.unsafe_get sv t
-             *. Array.unsafe_get y ((Array.unsafe_get row t * nc) + even))
-      done;
-      Array.unsafe_set dst (di + even) !s0
-    end
-  done
+(* Structure-preserving doubling (Chu, Fan & Lin 2005):
 
-(* [dst] (rows x nc) := XS, for X a dense store with [xc] columns and S
-   given by its [columns] [s]: entry (i, j) sums x_ik * s_kj over column
-   j of S.  Two rows of X per trip. *)
-let mul_sparse_into (x : float array) xc rows (s : columns) nc (dst : float array) =
-  let ptr = s.ptr and row = s.row and sv = s.v in
-  let even = rows land lnot 1 in
-  for j = 0 to nc - 1 do
-    let lo = Array.unsafe_get ptr j and hi = Array.unsafe_get ptr (j + 1) - 1 in
-    let i = ref 0 in
-    while !i < even do
-      let x0 = !i * xc in
-      let s0 = ref 0. and s1 = ref 0. in
-      for t = lo to hi do
-        let f = Array.unsafe_get sv t and k = x0 + Array.unsafe_get row t in
-        s0 := !s0 +. (Array.unsafe_get x k *. f);
-        s1 := !s1 +. (Array.unsafe_get x (k + xc) *. f)
-      done;
-      Array.unsafe_set dst ((!i * nc) + j) !s0;
-      Array.unsafe_set dst (((!i + 1) * nc) + j) !s1;
-      i := !i + 2
-    done;
-    if even < rows then begin
-      let x0 = even * xc in
-      let s0 = ref 0. in
-      for t = lo to hi do
-        s0 :=
-          !s0
-          +. (Array.unsafe_get x (x0 + Array.unsafe_get row t) *. Array.unsafe_get sv t)
-      done;
-      Array.unsafe_set dst ((even * nc) + j) !s0
-    end
-  done
+     W = I + G H,  A' = A W^-1 A,  G' = G + A W^-1 G A',
+     H' = H + A' H W^-1 A.
 
-(* [dst] (n x n) := q + (A'P·A - A'PB·x), one entry at a time: the A'PA
-   term sums over column j of A, and the correction skips a zero A'PB
-   entry exactly as [Matrix.mul_into ~dst A'PB x] does, so an overflowed
-   row of x that a zero A'PB column never reads stays unread.  Fusing
-   both sums into the update saves the A'PA and correction buffers and
-   a pass over them (EXPERIMENTS, "Structured Riccati step").  Two rows
-   per trip. *)
-let update_into (q : float array) (atp : float array) (a : columns)
-    (atpb : float array) (x : float array) n m (dst : float array) =
-  let ptr = a.ptr and row = a.row and av = a.v in
-  let even = n land lnot 1 in
-  for j = 0 to n - 1 do
-    let lo = Array.unsafe_get ptr j and hi = Array.unsafe_get ptr (j + 1) - 1 in
-    let i = ref 0 in
-    while !i < even do
-      let r0 = !i * n and b0 = !i * m in
-      let s0 = ref 0. and s1 = ref 0. in
-      for t = lo to hi do
-        let f = Array.unsafe_get av t and k = r0 + Array.unsafe_get row t in
-        s0 := !s0 +. (Array.unsafe_get atp k *. f);
-        s1 := !s1 +. (Array.unsafe_get atp (k + n) *. f)
-      done;
-      let c0 = ref 0. and c1 = ref 0. in
-      for k = 0 to m - 1 do
-        let xk = Array.unsafe_get x ((k * n) + j)
-        and f0 = Array.unsafe_get atpb (b0 + k)
-        and f1 = Array.unsafe_get atpb (b0 + m + k) in
-        if f0 <> 0. then c0 := !c0 +. (f0 *. xk);
-        if f1 <> 0. then c1 := !c1 +. (f1 *. xk)
-      done;
-      Array.unsafe_set dst (r0 + j) (Array.unsafe_get q (r0 + j) +. (!s0 -. !c0));
-      Array.unsafe_set dst (r0 + n + j)
-        (Array.unsafe_get q (r0 + n + j) +. (!s1 -. !c1));
-      i := !i + 2
-    done;
-    if even < n then begin
-      let r0 = even * n and b0 = even * m in
-      let s0 = ref 0. in
-      for t = lo to hi do
-        s0 :=
-          !s0
-          +. (Array.unsafe_get atp (r0 + Array.unsafe_get row t) *. Array.unsafe_get av t)
-      done;
-      let c0 = ref 0. in
-      for k = 0 to m - 1 do
-        let f0 = Array.unsafe_get atpb (b0 + k) in
-        if f0 <> 0. then c0 := !c0 +. (f0 *. Array.unsafe_get x ((k * n) + j))
-      done;
-      Array.unsafe_set dst (r0 + j) (Array.unsafe_get q (r0 + j) +. (!s0 -. !c0))
-    end
-  done
-
-(* The operands of one DARE, the column lists of A and B, and a buffer
-   for every intermediate of a Riccati step, which then runs entirely
-   in these buffers, allocating nothing. *)
-type work = {
-  n : int;
-  m : int;
-  q : Matrix.t;
-  r : Matrix.t;
-  ac : columns;
-  bc : columns;
-  atp : Matrix.t; (* n x n  A'P *)
-  atpb : Matrix.t; (* n x m  A'PB *)
-  btp : Matrix.t; (* m x n  B'P *)
-  inner : Matrix.t; (* m x m  R + B'PB, then its elimination *)
-  x : Matrix.t; (* m x n  (A'PB)', then (R + B'PB)^-1 B'PA *)
-}
-
-let work ~a ~b ~q ~r =
-  let n = Matrix.rows a and m = Matrix.cols b in
-  let z rows cols = Matrix.zeros ~rows ~cols in
-  {
-    n;
-    m;
-    q;
-    r;
-    ac = columns a;
-    bc = columns b;
-    atp = z n n;
-    atpb = z n m;
-    btp = z m n;
-    inner = z m m;
-    x = z m n;
-  }
-
-(* One step of the Riccati difference equation into [dst]:
-   P' = A'PA - A'PB (R + B'PB)^-1 B'PA + Q.
-   [false] when R + B'PB is singular. *)
-let step_into w p ~dst =
-  let n = w.n and m = w.m and pd = Matrix.data p in
-  let atp = Matrix.data w.atp and btp = Matrix.data w.btp in
-  mul_t_into w.ac pd n atp n;
-  mul_t_into w.bc pd n btp m;
-  mul_sparse_into atp n n w.bc m (Matrix.data w.atpb);
-  mul_sparse_into btp n m w.bc m (Matrix.data w.inner);
-  Matrix.add_into ~dst:w.inner w.r w.inner;
-  Matrix.transpose_into ~dst:w.x w.atpb;
-  match Matrix.solve_into ~lu:w.inner ~dst:w.x w.inner w.x with
-  | exception Failure _ -> false
-  | () ->
-      (* x = (R + B'PB)^-1 B'PA,  so the correction term is  A'PB * x *)
-      update_into (Matrix.data w.q) atp w.ac (Matrix.data w.atpb) (Matrix.data w.x)
-        n m (Matrix.data dst);
-      true
-
-(* [Matrix.max_abs (Matrix.sub p' p)] without the difference matrix. *)
-let[@inline] max_abs_diff p' p =
-  let d' = Matrix.data p' and d = Matrix.data p in
-  let acc = ref 0. in
-  for k = 0 to Array.length d - 1 do
-    let x = abs_float (d'.(k) -. d.(k)) in
-    acc := if !acc >= x then !acc else x
-  done;
-  !acc
-
-let solve ?(max_iter = 10_000) ?(tol = 1e-10) ~a ~b ~q ~r () =
+   After k doublings H is the 2^k-th iterate of the Riccati difference
+   equation from P = Q, so it converges quadratically to the stabilizing
+   P when one exists; an unstabilizable mode on the unit circle makes H
+   grow without bound instead. *)
+let solve ~a ~b ~q ~r =
   match check_dims ~a ~b ~q ~r with
   | Error _ as e -> e
-  | Ok (n, _) ->
-      let w = work ~a ~b ~q ~r in
-      (* Double-buffered iterate, starting from P = Q. *)
-      let p = ref (Matrix.zeros ~rows:n ~cols:n) in
-      let p' = ref (Matrix.zeros ~rows:n ~cols:n) in
-      Matrix.copy_into ~dst:!p q;
-      let rec loop steps =
-        if not (step_into w !p ~dst:!p') then Error Singular
-        else
-          let diff = max_abs_diff !p' !p in
-          if diff <= tol then Ok !p'
-          else if steps > max_iter then
-            Error (Not_converged { iterations = steps; residual = diff })
-          else begin
-            let t = !p in
-            p := !p';
-            p' := t;
-            loop (steps + 1)
-          end
-      in
-      loop 1
-
-let residual ~a ~b ~q ~r p =
-  let p' = Matrix.zeros ~rows:(Matrix.rows p) ~cols:(Matrix.cols p) in
-  if step_into (work ~a ~b ~q ~r) p ~dst:p' then max_abs_diff p' p
-  else infinity
+  | Ok n -> (
+      match Matrix.solve r (Matrix.transpose b) with
+      | exception Failure _ -> Error Singular
+      | r_inv_bt ->
+          let id = Matrix.identity n in
+          let rec double k ak gk hk =
+            match
+              Matrix.solve (Matrix.add id (Matrix.mul gk hk)) (Matrix.hcat ak gk)
+            with
+            | exception Failure _ -> Error Singular
+            | x ->
+                let w_a = Matrix.submatrix x ~row:0 ~col:0 ~rows:n ~cols:n in
+                let w_g = Matrix.submatrix x ~row:0 ~col:n ~rows:n ~cols:n in
+                let a' = Matrix.mul ak w_a in
+                let g' =
+                  symmetrize
+                    (Matrix.add gk (Matrix.mul (Matrix.mul ak w_g) (Matrix.transpose ak)))
+                in
+                let h' =
+                  symmetrize
+                    (Matrix.add hk (Matrix.mul (Matrix.mul (Matrix.transpose ak) hk) w_a))
+                in
+                let k = k + 1 in
+                let finite_h = finite h' in
+                let settled =
+                  finite_h
+                  && Matrix.max_abs (Matrix.sub h' hk)
+                     <= tol *. Float.max 1. (Matrix.max_abs h')
+                in
+                if settled || k >= max_doublings || not finite_h then
+                  let residual =
+                    if finite_h then relative_residual ~a ~b ~q ~r h' else nan
+                  in
+                  if settled && residual <= residual_bound then Ok h'
+                  else Error (Not_converged { doublings = k; residual })
+                else double k a' g' h'
+          in
+          double 0 a (symmetrize (Matrix.mul b r_inv_bt)) q)

@@ -1292,8 +1292,8 @@ let test_inttbl_large () =
 
 (* The bench's k-cluster plant family and shared budget spec, reduced:
    the canonical many-component workload for the modular engine. *)
-let cluster_plant i =
-  let e fmt = Printf.sprintf fmt i in
+let cluster_plant ?(tag = "") i =
+  let e fmt = tag ^ Printf.sprintf fmt i in
   Automaton.create ~marked:[ "Idle" ] ~name:(e "Cl%d") ~initial:"Idle"
     ~transitions:
       [
@@ -1304,12 +1304,12 @@ let cluster_plant i =
       ]
     ()
 
-let cluster_budget_spec ~k ~cap =
+let cluster_budget_spec ?(tag = "") ~k ~cap () =
   let state j = Printf.sprintf "B%d" j in
   let transitions = ref [] in
   let add t = transitions := t :: !transitions in
   for i = 1 to k do
-    let e fmt = Printf.sprintf fmt i in
+    let e fmt = tag ^ Printf.sprintf fmt i in
     for j = 0 to cap - 1 do
       add (state j, Event.controllable (e "start%d"), state (j + 1));
       add (state j, Event.uncontrollable (e "overheat%d"), state j)
@@ -1351,7 +1351,7 @@ let test_supcon_cluster_family () =
   List.iter
     (fun (k, cap, sizes) ->
       let plant = Compose.all (List.init k (fun i -> cluster_plant (i + 1))) in
-      let spec = cluster_budget_spec ~k ~cap in
+      let spec = cluster_budget_spec ~k ~cap () in
       match (Supcon_oracle.supcon ~plant ~spec, Synthesis.supcon ~plant ~spec) with
       | Ok (sa, ta), Ok (sb, tb) ->
           check_string
@@ -1382,7 +1382,7 @@ let test_cluster_family_k6_pinned () =
   let plant = Compose.all (List.init 6 (fun i -> cluster_plant (i + 1))) in
   check_string "k=6 plant digest" "a1e3faba394f925f83ed705bd617f1ac"
     (Automaton.structural_digest plant);
-  match Synthesis.supcon ~plant ~spec:(cluster_budget_spec ~k:6 ~cap:5) with
+  match Synthesis.supcon ~plant ~spec:(cluster_budget_spec ~k:6 ~cap:5 ()) with
   | Ok (sup, _) ->
       check_string "k=6 supervisor digest" "7b17fa71764b929422be9f7ff7c5083a"
         (Automaton.structural_digest sup)
@@ -1396,7 +1396,7 @@ let test_supcon_modular_wide_family () =
   List.iter
     (fun (k, cap, product, supervisor) ->
       let plants = List.init k (fun i -> cluster_plant (i + 1)) in
-      let spec = cluster_budget_spec ~k ~cap in
+      let spec = cluster_budget_spec ~k ~cap () in
       let run jobs =
         match Synthesis.supcon_modular ~jobs ~plants ~spec () with
         | Ok (sup, st) -> (Automaton.structural_digest sup, st, sup)
@@ -1422,7 +1422,7 @@ let test_supcon_modular_matches_monolithic () =
   List.iter
     (fun (k, cap) ->
       let plants = List.init k (fun i -> cluster_plant (i + 1)) in
-      let spec = cluster_budget_spec ~k ~cap in
+      let spec = cluster_budget_spec ~k ~cap () in
       match
         ( Synthesis.supcon ~plant:(Compose.all plants) ~spec,
           Synthesis.supcon_modular ~plants ~spec () )
@@ -1449,7 +1449,7 @@ let test_supcon_modular_matches_monolithic () =
    written before, may allocate its byte image and 1 KiB more. *)
 let test_synthesis_alloc_budgets () =
   let plants = List.init 8 (fun i -> cluster_plant (i + 1)) in
-  let spec = cluster_budget_spec ~k:8 ~cap:7 in
+  let spec = cluster_budget_spec ~k:8 ~cap:7 () in
   let product = Compose.pair (Compose.all plants) spec in
   let allocated f =
     Gc.minor ();
@@ -1496,6 +1496,49 @@ let test_synthesis_alloc_budgets () =
            over)
         true (over <= 1024.)
   | Error _ -> assert false
+
+(* The k = 8 supervisor's structural digest allocates by its alphabet,
+   not by the span of its event ids, so the same supervisor costs the
+   same whether its events were minted first or among other families.
+   Family "ia" mints its 32 events in one run; family "ib" (names of the
+   same length) mints 20 unrelated events before each of its own,
+   spreading its ids over ~21 times the span.  Each side is the least
+   of three digests of renamed copies; a table sized by the id span
+   would cost "ib" about 5 KB more. *)
+let test_digest_alloc_by_alphabet () =
+  let junk = ref 0 in
+  for i = 1 to 8 do
+    List.iter
+      (fun (name, mk) ->
+        for _ = 1 to 20 do
+          incr junk;
+          ignore (Event.controllable (Printf.sprintf "ib-junk%d" !junk))
+        done;
+        ignore (mk (Printf.sprintf "ib%s%d" name i)))
+      Event.[ ("start", controllable); ("done", uncontrollable);
+              ("overheat", uncontrollable); ("cool", controllable) ]
+  done;
+  let least_bytes tag =
+    let plants = List.init 8 (fun i -> cluster_plant ~tag (i + 1)) in
+    match
+      Synthesis.supcon_modular ~plants ~spec:(cluster_budget_spec ~tag ~k:8 ~cap:7 ()) ()
+    with
+    | Error _ -> Alcotest.fail "k=8 cap=7: empty supervisor"
+    | Ok (sup, _) ->
+        List.fold_left
+          (fun least name ->
+            let a = Automaton.rename sup name in
+            Gc.minor ();
+            let b0 = Gc.allocated_bytes () in
+            ignore (Automaton.structural_digest a);
+            Float.min least (Gc.allocated_bytes () -. b0))
+          infinity [ "k8a"; "k8b"; "k8c" ]
+  in
+  let first = least_bytes "ia" and spread = least_bytes "ib" in
+  check_bool
+    (Printf.sprintf "digest bytes: minted first %.0f, minted spread %.0f" first spread)
+    true
+    (Float.abs (spread -. first) <= 256.)
 
 (* Empty-supervisor edge case: the initial state is uncontrollably bad
    on every path, for the engine and the oracle alike. *)
@@ -1761,6 +1804,8 @@ let () =
             `Quick test_supcon_modular_wide_family;
           Alcotest.test_case "synthesis bytes per transition, k=8 cap=7"
             `Quick test_synthesis_alloc_budgets;
+          Alcotest.test_case "digest allocation sized by the alphabet" `Quick
+            test_digest_alloc_by_alphabet;
           Alcotest.test_case "supcon empty supervisor" `Quick
             test_engine_empty;
           Alcotest.test_case "spec-private uncontrollable event" `Quick

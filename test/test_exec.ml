@@ -143,57 +143,38 @@ let test_default_pool_two_domains () =
   check_bool "the pool works after the race" true
     (Parmap.map succ [ 1; 2; 3 ] = [ 2; 3; 4 ])
 
-let test_in_task () =
-  let all_in_task map = List.for_all Fun.id (map (fun _ -> Pool.in_task ())) in
-  check_bool "main domain" false (Pool.in_task ());
-  check_bool "default pool task" true
-    (all_in_task (fun f -> Parmap.map f (List.init 8 Fun.id)));
-  check_bool "after a default map" false (Pool.in_task ());
+(* The domain-local marker behind the re-entrancy check is set for every
+   task — list and array maps, the default pool, each job count — and
+   restored after each map, also a raising one, so the pool stays usable
+   from the submitting domain. *)
+let test_reentrancy_marker () =
+  let reentrant =
+    Invalid_argument "Pool.map: re-entrant call from inside a task of this pool"
+  in
+  Alcotest.check_raises "nested default-pool map rejected" reentrant (fun () ->
+      ignore (Parmap.map (fun _ -> Parmap.map Fun.id [ 1 ]) [ 0; 1 ]));
+  check_bool "default pool usable after" true (Parmap.map succ [ 1 ] = [ 2 ]);
   List.iter
     (fun jobs ->
       with_pool ~jobs (fun pool ->
           let label what = Printf.sprintf "%s, %d-job pool" what jobs in
-          check_bool (label "list task") true
-            (all_in_task (fun f -> Pool.map pool f (List.init 8 Fun.id)));
-          check_bool (label "array task") true
-            (Array.for_all Fun.id
-               (Pool.map_array pool (fun _ -> Pool.in_task ()) (Array.make 8 0)));
-          check_bool (label "after map") false (Pool.in_task ());
+          Alcotest.check_raises (label "nested list map rejected") reentrant (fun () ->
+              ignore (Pool.map pool (fun _ -> Pool.map pool Fun.id [ 1 ]) [ 0; 1 ]));
+          Alcotest.check_raises (label "nested array map rejected") reentrant
+            (fun () ->
+              ignore
+                (Pool.map_array pool
+                   (fun _ -> Pool.map_array pool Fun.id [| 1 |])
+                   [| 0; 1 |]));
+          check_bool (label "usable after a rejected nest") true
+            (Pool.map pool succ [ 1; 2 ] = [ 2; 3 ]);
           (match Pool.map pool (fun x -> if x = 5 then failwith "five" else x)
                    (List.init 8 Fun.id) with
           | _ -> Alcotest.fail "expected the task exception"
           | exception Failure _ -> ());
-          check_bool (label "after a raising map") false (Pool.in_task ());
-          Alcotest.check_raises (label "nested map rejected")
-            (Invalid_argument
-               "Pool.map: re-entrant call from inside a task of this pool")
-            (fun () ->
-              ignore (Pool.map pool (fun _ -> Pool.map pool Fun.id [ 1 ]) [ 0; 1 ]))))
+          check_bool (label "usable after a raising map") true
+            (Pool.map pool succ [ 1; 2 ] = [ 2; 3 ])))
     [ 1; 2; 4 ]
-
-let test_map_deferred () =
-  (* Every element runs; each exception waits at its own position. *)
-  let ran = Array.make 6 false in
-  let f i =
-    ran.(i) <- true;
-    if i mod 2 = 1 then failwith (Printf.sprintf "odd %d" i) else i * 10
-  in
-  List.iter
-    (fun jobs ->
-      Array.fill ran 0 6 false;
-      with_pool ~jobs (fun pool ->
-          let thunks = Parmap.map_deferred ~pool f (List.init 6 Fun.id) in
-          check_bool "every element ran" true (Array.for_all Fun.id ran);
-          check_int "thunk count" 6 (List.length thunks);
-          List.iteri
-            (fun i t ->
-              if i mod 2 = 1 then
-                Alcotest.check_raises "own exception"
-                  (Failure (Printf.sprintf "odd %d" i))
-                  (fun () -> ignore (t () : int))
-              else check_int "own result" (i * 10) (t ()))
-            thunks))
-    [ 1; 4 ]
 
 let test_parmap_combinators () =
   with_pool ~jobs:4 (fun pool ->
@@ -481,9 +462,7 @@ let () =
             test_pool_backtrace_preserved;
           Alcotest.test_case "default pool from two domains" `Quick
             test_default_pool_two_domains;
-          Alcotest.test_case "in_task marker" `Quick test_in_task;
-          Alcotest.test_case "map_deferred keeps exceptions in place" `Quick
-            test_map_deferred;
+          Alcotest.test_case "re-entrancy marker" `Quick test_reentrancy_marker;
           Alcotest.test_case "parmap combinators" `Quick
             test_parmap_combinators;
           Alcotest.test_case "event interning under contention" `Quick

@@ -518,6 +518,44 @@ let test_fleet_obs_counters () =
       check_bool "rebudget moves counted" true
         (v "fleet.rebudget_moves" > 0))
 
+(* Every supervisor is verified once, when it is synthesized.  After the
+   synthesis cache is cleared, a 32-node exynos5422/pixel8pro fleet
+   whose nodes are killed and restarted (each build and restart asks for
+   its supervisor again) verifies exactly two supervisors, one per
+   description.  A cache hit verifies nothing; a cleared cache
+   synthesizes and verifies again. *)
+let test_fleet_verifies_once () =
+  Fun.protect
+    ~finally:(fun () ->
+      Spectr_obs.disable ();
+      Spectr_obs.reset ())
+    (fun () ->
+      Spectr_exec.Synth_cache.clear ();
+      Spectr_obs.reset ();
+      Spectr_obs.enable ();
+      let verified () =
+        Option.value ~default:0
+          (Spectr_obs.Counters.by_name "synth_cache.verifications")
+      in
+      let spec =
+        {
+          small_spec with
+          Fleet.nodes = 32;
+          global_cap = 32. *. 1.5;
+          shard_size = 8;
+          platforms = Platform_desc.[| exynos5422; pixel8pro |];
+        }
+      in
+      let r = with_pool ~jobs:2 (fun pool -> Fleet.run ~pool spec) in
+      check_bool "nodes killed" true (r.Fleet.kills > 0);
+      check_bool "nodes restarted" true (r.Fleet.restarts > 0);
+      check_int "fleet verifications" 2 (verified ());
+      ignore (Spectr.Supervisor.synthesize ~platform:Platform_desc.pixel8pro ());
+      check_int "a hit verifies nothing" 2 (verified ());
+      Spectr_exec.Synth_cache.clear ();
+      ignore (Spectr.Supervisor.synthesize ~platform:Platform_desc.pixel8pro ());
+      check_int "a cleared cache verifies again" 3 (verified ()))
+
 let () =
   Alcotest.run "fleet"
     [
@@ -576,5 +614,7 @@ let () =
             test_fleet_kills_and_restarts;
           Alcotest.test_case "spec validation" `Quick test_fleet_validation;
           Alcotest.test_case "obs counters" `Slow test_fleet_obs_counters;
+          Alcotest.test_case "supervisors verified once" `Slow
+            test_fleet_verifies_once;
         ] );
     ]

@@ -211,6 +211,19 @@ let prop_inverse_roundtrip =
 (* Riccati                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Max-abs entry of F(P) - P, F the DARE's right-hand side, relative to
+   max(1, max-abs P): a direct check that [P] solves the equation. *)
+let dare_residual ~a ~b ~q ~r p =
+  let atp = Matrix.mul (Matrix.transpose a) p in
+  let atpb = Matrix.mul atp b in
+  let inner = Matrix.add r (Matrix.mul (Matrix.transpose b) (Matrix.mul p b)) in
+  let f =
+    Matrix.add q
+      (Matrix.sub (Matrix.mul atp a)
+         (Matrix.mul atpb (Matrix.solve inner (Matrix.transpose atpb))))
+  in
+  Matrix.max_abs (Matrix.sub f p) /. Float.max 1. (Matrix.max_abs p)
+
 let test_dare_scalar () =
   (* Scalar DARE with a=0.5, b=1, q=1, r=1:
      p = a²p − a²p²/(r+p) + q.  Solve quadratically: p ≈ 1.1861407. *)
@@ -218,7 +231,7 @@ let test_dare_scalar () =
   and b = Matrix.of_list [ [ 1. ] ]
   and q = Matrix.identity 1
   and r = Matrix.identity 1 in
-  match Riccati.solve ~a ~b ~q ~r () with
+  match Riccati.solve ~a ~b ~q ~r with
   | Error e -> Alcotest.failf "DARE failed: %a" Riccati.pp_error e
   | Ok p ->
       let pv = Matrix.to_scalar p in
@@ -231,18 +244,18 @@ let test_dare_residual () =
   let b = Matrix.of_list [ [ 1.; 0. ]; [ 0.; 1. ] ] in
   let q = Matrix.identity 2 in
   let r = Matrix.scale 0.5 (Matrix.identity 2) in
-  match Riccati.solve ~a ~b ~q ~r () with
+  match Riccati.solve ~a ~b ~q ~r with
   | Error e -> Alcotest.failf "DARE failed: %a" Riccati.pp_error e
   | Ok p ->
-      check_bool "residual small" true (Riccati.residual ~a ~b ~q ~r p < 1e-8);
-      check_bool "symmetric" true (Matrix.is_symmetric ~tol:1e-8 p)
+      check_bool "residual small" true (dare_residual ~a ~b ~q ~r p < 1e-12);
+      check_bool "symmetric" true (Matrix.is_symmetric ~tol:0. p)
 
 let test_dare_dimension_mismatch () =
   let a = Matrix.identity 2
   and b = Matrix.col_vector [| 1.; 1. |]
   and q = Matrix.identity 3
   and r = Matrix.identity 1 in
-  match Riccati.solve ~a ~b ~q ~r () with
+  match Riccati.solve ~a ~b ~q ~r with
   | Error (Riccati.Dimension_mismatch _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Dimension_mismatch"
 
@@ -253,33 +266,41 @@ let test_dare_stabilizing () =
   and b = Matrix.of_list [ [ 1. ] ]
   and q = Matrix.identity 1
   and r = Matrix.identity 1 in
-  match Riccati.solve ~a ~b ~q ~r () with
+  match Riccati.solve ~a ~b ~q ~r with
   | Error e -> Alcotest.failf "DARE failed: %a" Riccati.pp_error e
   | Ok p ->
       let pv = Matrix.to_scalar p in
       let k = pv *. 1.2 /. (1. +. pv) in
       check_bool "closed loop stable" true (abs_float (1.2 -. k) < 1.)
 
-let test_dare_not_converged_counts_steps () =
-  (* B = 0 leaves the unstable mode uncontrollable: P' = 4P + 1 grows
-     without bound.  The cap allows max_iter steps after the first, and
-     the error reports every step taken. *)
-  let a = Matrix.of_list [ [ 2. ] ]
-  and b = Matrix.of_list [ [ 0. ] ]
-  and q = Matrix.identity 1
-  and r = Matrix.identity 1 in
-  match Riccati.solve ~max_iter:5 ~a ~b ~q ~r () with
-  | Error (Riccati.Not_converged { iterations; residual }) ->
-      check_int "steps taken" 6 iterations;
-      (* P runs 1, 5, 21, 85, 341, 1365, 5461: the last step moved 4096 *)
-      check_float "last change" 4096. residual
-  | Ok _ | Error _ -> Alcotest.fail "expected Not_converged"
+(* B = 0 leaves every mode undriven, so no stabilizing P exists, and
+   the error counts the doubling steps taken.  With A = 2 the doubling's
+   iterate H_k = (4^(2^k) - 1)/3 overflows at the 10th doubling.  With
+   A = 1, a mode on the unit circle, H_k = 2^k doubles every doubling
+   and never settles: the solve gives up after 64 doublings, although
+   the relative residual of that huge iterate, 1/H = 2^-64, is tiny —
+   convergence, not the residual, is what rejects it. *)
+let test_dare_unstabilizable () =
+  let b = Matrix.of_list [ [ 0. ] ] and q = Matrix.identity 1 and r = Matrix.identity 1 in
+  (match Riccati.solve ~a:(Matrix.of_list [ [ 2. ] ]) ~b ~q ~r with
+  | Error (Riccati.Not_converged { doublings; residual }) ->
+      check_int "overflowing doubling" 10 doublings;
+      check_bool "no residual of a non-finite iterate" true (Float.is_nan residual)
+  | Ok _ | Error _ -> Alcotest.fail "A = 2: expected Not_converged");
+  match Riccati.solve ~a:(Matrix.identity 1) ~b ~q ~r with
+  | Error (Riccati.Not_converged { doublings; residual }) ->
+      check_int "doubling cap" 64 doublings;
+      check_bool "residual of H = 2^64" true (residual < 1e-19)
+  | Ok _ | Error _ -> Alcotest.fail "A = 1: expected Not_converged"
 
-(* A value-iteration step allocates nothing.  With a negative tolerance
-   the solve never converges and takes exactly [max_iter + 1] steps, so
-   the minor words of a 2N-step solve minus an N-step one are N steps'
-   allocation, with the per-call set-up cancelled out. *)
-let test_dare_step_zero_alloc () =
+(* The doubling converges quadratically, so a solve costs a handful of
+   doublings: this 10-state, 2-input problem takes 10, which allocate
+   85.3 KB of fresh matrices (residual check included).  A solver that
+   fell back to linear convergence would take hundreds of iterations and
+   blow the budget, 85 KB plus 25 % (about two more doublings).  It is
+   the least of three solves: a single Gc.allocated_bytes window can
+   read a few KB high under the OCaml 5 runtime. *)
+let test_dare_doubling_budget () =
   let n = 10 and m = 2 in
   let a =
     Matrix.init ~rows:n ~cols:n (fun i j ->
@@ -288,20 +309,19 @@ let test_dare_step_zero_alloc () =
   in
   let b = Matrix.init ~rows:n ~cols:m (fun i j -> if i mod m = j then 1. else 0.1) in
   let q = Matrix.identity n and r = Matrix.diagonal [| 1.; 2. |] in
-  let words max_iter =
-    let w0 = Gc.minor_words () in
-    ignore (Riccati.solve ~max_iter ~tol:(-1.) ~a ~b ~q ~r ());
-    Gc.minor_words () -. w0
+  (match Riccati.solve ~a ~b ~q ~r with
+  | Ok p -> check_bool "solved" true (dare_residual ~a ~b ~q ~r p <= 1e-9)
+  | Error e -> Alcotest.failf "DARE failed: %a" Riccati.pp_error e);
+  let bytes () =
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    ignore (Riccati.solve ~a ~b ~q ~r);
+    Gc.allocated_bytes () -. b0
   in
-  let steps = 2_000 in
-  ignore (words steps);
-  let once = words steps in
-  let per_step =
-    (words (2 * steps) -. once) *. float_of_int (Sys.word_size / 8)
-    /. float_of_int steps
-  in
-  check_bool (Printf.sprintf "Riccati.solve: %.2f B/step" per_step) true
-    (per_step < 1.0)
+  let least = List.fold_left (fun m () -> Float.min m (bytes ())) infinity [ (); (); () ] in
+  let budget = 85e3 *. 1.25 in
+  check_bool (Printf.sprintf "Riccati.solve: %.0f B (budget %.0f)" least budget) true
+    (least <= budget)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel oracles: the allocating code the in-place kernels replaced   *)
@@ -473,10 +493,11 @@ let test_max_abs_nan_inf () =
   pin "nan then inf" infinity (v [ nan; infinity ]);
   pin "negative zero" 0. (v [ -0. ])
 
-(* The value iteration as it ran before the in-place rewrite: fresh
-   matrices every step, the oracle product and solver, and the error
-   counting the steps taken. *)
-let oracle_dare ?(max_iter = 10_000) ?(tol = 1e-10) ~a ~b ~q ~r () =
+(* The value iteration the library ran before the doubling solver:
+   fresh matrices every step, the oracle product and solver, starting
+   from P = Q and stopping when no entry moves by more than 1e-10, or
+   after 10_001 steps. *)
+let oracle_dare ~a ~b ~q ~r =
   let at = oracle_transpose a and bt = oracle_transpose b in
   let step p =
     let atp = oracle_mul at p in
@@ -484,31 +505,34 @@ let oracle_dare ?(max_iter = 10_000) ?(tol = 1e-10) ~a ~b ~q ~r () =
     let atpb = oracle_mul atp b in
     let inner = Matrix.add r (oracle_mul (oracle_mul bt p) b) in
     match oracle_gauss_solve inner (oracle_transpose atpb) with
-    | exception Failure _ -> Error Riccati.Singular
-    | x, _ -> Ok (Matrix.add q (Matrix.sub atpa (oracle_mul atpb x)))
+    | exception Failure _ -> None
+    | x, _ -> Some (Matrix.add q (Matrix.sub atpa (oracle_mul atpb x)))
   in
   let rec loop i p =
     match step p with
-    | Error _ as e -> e
-    | Ok p' ->
-        let diff = oracle_max_abs (Matrix.sub p' p) in
-        if diff <= tol then Ok p'
-        else if i >= max_iter then
-          Error (Riccati.Not_converged { iterations = i + 1; residual = diff })
+    | None -> Error "singular"
+    | Some p' ->
+        if oracle_max_abs (Matrix.sub p' p) <= 1e-10 then Ok p'
+        else if i >= 10_000 then Error "capped"
         else loop (i + 1) p'
   in
   loop 0 q
 
-let same_dare_outcome name expected got =
-  match (expected, got) with
-  | Ok p, Ok p' -> check_bool (name ^ ": P bits") true (same_bits p p')
-  | Error Riccati.Singular, Error Riccati.Singular -> ()
-  | ( Error (Riccati.Not_converged { iterations = i; residual = r }),
-      Error (Riccati.Not_converged { iterations = i'; residual = r' }) ) ->
-      check_int (name ^ ": steps") i i';
-      check_bool (name ^ ": residual bits") true
-        (Int64.bits_of_float r = Int64.bits_of_float r')
-  | _ -> Alcotest.failf "%s: DARE outcomes differ" name
+(* SDA's P and the oracle's agree within [dare_tol] of the oracle's
+   largest entry.  The oracle stops when a step moves no entry by more
+   than 1e-10, so its own P sits up to ~1e-10 / (1 - ρ) off the fixed
+   point, ρ the closed-loop spectral radius (up to 0.9996 here); 1e-7
+   relative holds that with room on every problem below. *)
+let dare_tol = 1e-7
+
+let close_to_oracle name (a, b, q, r) =
+  match (oracle_dare ~a ~b ~q ~r, Riccati.solve ~a ~b ~q ~r) with
+  | Ok expected, Ok p ->
+      let gap = oracle_max_abs (Matrix.sub p expected) /. oracle_max_abs expected in
+      check_bool (Printf.sprintf "%s: relative gap %.1e" name gap) true (gap <= dare_tol)
+  | Error why, Ok _ -> Alcotest.failf "%s: oracle %s, SDA solved" name why
+  | Ok _, Error e -> Alcotest.failf "%s: SDA failed: %a" name Riccati.pp_error e
+  | Error _, Error _ -> ()
 
 (* The design flow's realization: [Arx.to_statespace] of a (2, 2)-order
    ARX fit to 200 samples of a random two-output, [m]-input system
@@ -535,14 +559,13 @@ let arx_realization ?(twin_inputs = false) g ~m =
   done;
   match Sysid.Arx.fit ~na:2 ~nb:2 (Sysid.Dataset.create ~u ~y) with
   | Error e -> Alcotest.failf "Arx.fit: %a" Sysid.Arx.pp_error e
-  | Ok model ->
-      let ss = Sysid.Arx.to_statespace model in
-      Spectr_control.Statespace.(ss.a, ss.b, ss.c)
+  | Ok model -> Sysid.Arx.to_statespace model
 
 (* The integrator-augmented LQR problem as [Lqg.design] poses it, with
    [Design_flow]'s integrator weights Qi = 0.1 Qy^2 / max Qy:
    A = [A 0; -C leak*I], B = [B; 0], Q = blkdiag(C' Qy C + 1e-6 I, Qi). *)
-let lqg_problem (a, b, c) ~leak ~q_y ~r_u =
+let lqg_problem (ss : Spectr_control.Statespace.t) ~leak ~q_y ~r_u =
+  let a = ss.a and b = ss.b and c = ss.c in
   let n = Matrix.rows a and p = Matrix.rows c and m = Matrix.cols b in
   let w_max = Array.fold_left Float.max 1e-9 q_y in
   let q_i = Array.map (fun w -> 0.1 *. w *. w /. w_max) q_y in
@@ -559,19 +582,19 @@ let lqg_problem (a, b, c) ~leak ~q_y ~r_u =
   let q = Matrix.block [| [| q_state; z n p |]; [| z p n; Matrix.diagonal q_i |] |] in
   (a_aug, Matrix.vcat b (z p m), q, Matrix.diagonal r_u)
 
-(* The design-time DAREs are mostly exact zeros, which the step skips
-   per structured factor where the oracle skips per left multiplier:
-   the LQR on an augmented ARX realization at both leaks the design
-   flow tries first, one that runs to the iteration cap, the Kalman
-   dual (A', C') and a B with an all-zero column. *)
+(* The Kalman filter's DARE: the dual (A', C') with Lqg's covariances. *)
+let kalman_problem (ss : Spectr_control.Statespace.t) =
+  let n = Matrix.rows ss.a and p = Matrix.rows ss.c in
+  ( Matrix.transpose ss.a,
+    Matrix.transpose ss.c,
+    Matrix.scale 0.01 (Matrix.identity n),
+    Matrix.scale 0.1 (Matrix.identity p) )
+
+(* The design flow's DAREs on ARX realizations: the LQR at both leaks
+   the ladder tries first, the Kalman dual and a B with an all-zero
+   column; then a near-rank-one DC gain. *)
 let structured_dares_match_oracle () =
   let g = Prng.create 23L in
-  let same name (a, b, q, r) =
-    let got = Riccati.solve ~a ~b ~q ~r () in
-    same_dare_outcome name (oracle_dare ~a ~b ~q ~r ()) got;
-    got
-  in
-  let converged = ref 0 in
   for case = 1 to 6 do
     let m = if case mod 3 = 0 then 4 else 2 in
     let sys = arx_realization g ~m in
@@ -579,42 +602,77 @@ let structured_dares_match_oracle () =
     List.iter
       (fun (leak, q_y) ->
         let name = Printf.sprintf "ARX %d, leak %g" case leak in
-        match same name (lqg_problem sys ~leak ~q_y ~r_u) with
-        | Ok _ -> incr converged
-        | Error _ -> ())
+        let problem = lqg_problem sys ~leak ~q_y ~r_u in
+        let a, b, q, r = problem in
+        check_bool (name ^ ": oracle converges") true (Result.is_ok (oracle_dare ~a ~b ~q ~r));
+        close_to_oracle name problem)
       [ (1.0, [| 30.; 0.1 |]); (0.995, [| 0.1; 30. |]) ];
-    let a, _, c = sys in
-    let n = Matrix.rows a in
-    ignore
-      (same (Printf.sprintf "ARX %d, Kalman dual" case)
-         ( Matrix.transpose a,
-           Matrix.transpose c,
-           Matrix.scale 0.01 (Matrix.identity n),
-           Matrix.scale 0.1 (Matrix.identity 2) ))
+    close_to_oracle (Printf.sprintf "ARX %d, Kalman dual" case) (kalman_problem sys)
   done;
-  check_int "ARX LQRs converged" 12 !converged;
-  (* A near-rank-one DC gain leaves one integrator direction almost
-     uncontrollable: at leak 1 the iteration runs to the cap, as it does
-     on pixel8pro cluster 2 in the design flow. *)
+  (* The twin inputs make the DC gain near rank one, not exactly
+     singular, so the weak integrator direction is driven, but barely:
+     value iteration crawls along it and hits its 10_001-step cap at
+     leak 1, and the doubling's iterate grows from ~14 to ~1e6 over 40
+     doublings, then wanders without settling until its 64-doubling cap:
+     in doubles, the almost undriven integrator is an undriven one.  So
+     the rung test rejects leak 1 and the ladder settles on 0.995, as
+     for a DC gain column that is exactly 0 (pixel8pro cluster 2). *)
   let sys = arx_realization ~twin_inputs:true g ~m:2 in
+  let q_y = [| 30.; 0.1 |] and r_u = [| 1.; 2. |] in
+  let a, b, q, r = lqg_problem sys ~leak:1.0 ~q_y ~r_u in
+  check_bool "twin inputs, leak 1: oracle capped" true (oracle_dare ~a ~b ~q ~r = Error "capped");
+  (match Riccati.solve ~a ~b ~q ~r with
+  | Error (Riccati.Not_converged { doublings; _ }) ->
+      check_int "twin inputs, leak 1: doublings" 64 doublings
+  | Ok _ | Error _ -> Alcotest.fail "twin inputs, leak 1: expected Not_converged");
+  close_to_oracle "twin inputs, leak 0.995" (lqg_problem sys ~leak:0.995 ~q_y ~r_u);
   (match
-     same "twin inputs, leak 1"
-       (lqg_problem sys ~leak:1.0 ~q_y:[| 30.; 0.1 |] ~r_u:[| 1.; 2. |])
+     Spectr_control.Lqg.design
+       ~q_integrator:(Array.map (fun w -> 0.1 *. w *. w /. 30.) q_y)
+       ~label:"twin" ~model:sys ~q_y ~r_u ()
    with
-  | Error (Riccati.Not_converged { iterations; residual }) ->
-      check_int "capped steps" 10_001 iterations;
-      check_bool "finite last change" true (Float.is_finite residual)
-  | Ok _ | Error _ -> Alcotest.fail "expected Not_converged");
+  | Ok gains -> check_float "twin inputs: chosen leak" 0.995 gains.Spectr_control.Lqg.leak
+  | Error e -> Alcotest.failf "twin inputs: %a" Spectr_control.Lqg.pp_error e);
   (* an input that drives nothing *)
   let a, b, q, r =
-    lqg_problem (arx_realization g ~m:2) ~leak:0.995
-      ~q_y:[| 30.; 0.1 |] ~r_u:[| 1.; 2. |]
+    lqg_problem (arx_realization g ~m:2) ~leak:0.995 ~q_y ~r_u
   in
   let b =
     Matrix.init ~rows:(Matrix.rows b) ~cols:2 (fun i j ->
         if j = 1 then 0. else Matrix.get b i j)
   in
-  ignore (same "zero column of B" (a, b, q, r))
+  close_to_oracle "zero column of B" (a, b, q, r)
+
+(* The six design keys the gain digests pin (test_kernel): every goal's
+   LQR at the leak the ladder chose, and the key's Kalman filter. *)
+let design_dares_match_oracle () =
+  let module D = Spectr.Design_flow in
+  let pixel i = D.cluster_subsystem Spectr_platform.Platform_desc.pixel8pro i in
+  let fs_goal = [ { D.label = "power"; q_y = [| 0.1; 30. |] } ] in
+  List.iter
+    (fun (name, subsystem, goals) ->
+      let ident = D.identify subsystem in
+      let sys = ident.D.statespace in
+      let m = Spectr_control.Statespace.num_inputs sys in
+      let r_u = Array.init m (fun i -> if i mod 2 = 0 then 1. else 2.) in
+      match D.design_gains ident goals with
+      | Error msg -> Alcotest.failf "%s: %s" name msg
+      | Ok gains ->
+          List.iter2
+            (fun (goal : D.goal) (g : Spectr_control.Lqg.gains) ->
+              close_to_oracle
+                (Printf.sprintf "%s %s, leak %g" name goal.label g.leak)
+                (lqg_problem sys ~leak:g.leak ~q_y:goal.q_y ~r_u))
+            goals gains;
+          close_to_oracle (name ^ " Kalman") (kalman_problem sys))
+    [
+      ("exynos big", D.Big_2x2, Spectr.Mm.goals);
+      ("exynos little", D.Little_2x2, Spectr.Mm.goals);
+      ("exynos fs", D.Fs_4x2, fs_goal);
+      ("pixel8pro c0", pixel 0, Spectr.Mm.goals);
+      ("pixel8pro c1", pixel 1, Spectr.Mm.goals);
+      ("pixel8pro c2", pixel 2, Spectr.Mm.goals);
+    ]
 
 let test_dare_matches_oracle () =
   let g = Prng.create 5L in
@@ -627,21 +685,17 @@ let test_dare_matches_oracle () =
     let c = random_matrix g ~rows:n ~cols:n in
     let q = Matrix.add (oracle_mul (oracle_transpose c) c) (Matrix.identity n) in
     let r = Matrix.diagonal (Array.init m (fun _ -> Prng.uniform g ~lo:0.5 ~hi:3.)) in
-    same_dare_outcome (Printf.sprintf "system %d" case)
-      (oracle_dare ~a ~b ~q ~r ())
-      (Riccati.solve ~a ~b ~q ~r ())
+    let name = Printf.sprintf "system %d" case in
+    check_bool (name ^ ": oracle converges") true (Result.is_ok (oracle_dare ~a ~b ~q ~r));
+    close_to_oracle name (a, b, q, r)
   done;
-  (* divergent: P overflows to inf, then the change is NaN *)
+  (* divergent: neither finds a solution *)
   let a = Matrix.of_list [ [ 2. ] ] and b = Matrix.of_list [ [ 0. ] ] in
   let q = Matrix.identity 1 and r = Matrix.identity 1 in
-  same_dare_outcome "divergent" (oracle_dare ~a ~b ~q ~r ()) (Riccati.solve ~a ~b ~q ~r ());
+  check_bool "divergent: oracle fails" true (Result.is_error (oracle_dare ~a ~b ~q ~r));
+  check_bool "divergent: SDA fails" true (Result.is_error (Riccati.solve ~a ~b ~q ~r));
   structured_dares_match_oracle ();
-  (* and a direct residual check on one converged system *)
-  let a = Matrix.of_list [ [ 0.9; 0.1 ]; [ 0.; 0.8 ] ] and b = Matrix.identity 2 in
-  let q = Matrix.identity 2 and r = Matrix.identity 2 in
-  match Riccati.solve ~a ~b ~q ~r () with
-  | Ok p -> check_bool "residual" true (Riccati.residual ~a ~b ~q ~r p <= 1e-10)
-  | Error e -> Alcotest.failf "DARE failed: %a" Riccati.pp_error e
+  design_dares_match_oracle ()
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -888,9 +942,9 @@ let () =
             test_dare_dimension_mismatch;
           Alcotest.test_case "stabilizing" `Quick test_dare_stabilizing;
           Alcotest.test_case "not converged counts steps" `Quick
-            test_dare_not_converged_counts_steps;
-          Alcotest.test_case "value-iteration step zero-alloc" `Quick
-            test_dare_step_zero_alloc;
+            test_dare_unstabilizable;
+          Alcotest.test_case "doubling allocation budget" `Quick
+            test_dare_doubling_budget;
         ] );
       ( "kernel-oracles",
         [
