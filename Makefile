@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-determinism obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness robustness-smoke check clean
+.PHONY: all build test fmt surface bench bench-determinism obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness robustness-smoke check clean
 
 all: build
 
@@ -16,6 +16,14 @@ test:
 # exempt in dune-project — the container carries no ocamlformat).
 fmt:
 	dune build @fmt
+
+# Public-surface figures: exported values, exports named only in tests,
+# ?label: arguments, non-test .ml/.mli lines, test .ml lines, and the
+# unreferenced exports (exit 1 when there are any; `dune runtest` runs
+# the same gate silently).
+surface:
+	dune build test/surface.exe
+	./_build/default/test/surface.exe lib bench bin examples test
 
 bench:
 	dune exec bench/main.exe
@@ -168,7 +176,7 @@ reconfig-smoke:
 	  /tmp/spectr-reconfig-kill-j4.txt
 
 # Every gate in one command.  CI runs the same targets, one step each.
-check: build fmt test bench-determinism obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness-smoke
+check: build fmt test surface bench-determinism obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness-smoke
 
 clean:
 	dune clean

@@ -116,18 +116,21 @@ let synthesize_cmd =
 (* identify                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let subsystem_of_string = function
-  | "big-2x2" -> Some Spectr.Design_flow.Big_2x2
-  | "little-2x2" -> Some Spectr.Design_flow.Little_2x2
-  | "fs-4x2" -> Some Spectr.Design_flow.Fs_4x2
-  | "large-10x10" -> Some Spectr.Design_flow.Large_10x10
-  | _ -> None
+(* The one subsystem name table: [identify] parses it, [list] prints it. *)
+let subsystems =
+  [
+    ("big-2x2", Spectr.Design_flow.Big_2x2);
+    ("little-2x2", Spectr.Design_flow.Little_2x2);
+    ("fs-4x2", Spectr.Design_flow.Fs_4x2);
+    ("large-10x10", Spectr.Design_flow.Large_10x10);
+  ]
+
+let subsystem_names = String.concat ", " (List.map fst subsystems)
 
 let identify name length order =
-  match subsystem_of_string name with
+  match List.assoc_opt name subsystems with
   | None ->
-      Printf.eprintf
-        "unknown subsystem %S (big-2x2, little-2x2, fs-4x2, large-10x10)\n" name;
+      Printf.eprintf "unknown subsystem %S (%s)\n" name subsystem_names;
       exit 1
   | Some subsystem ->
       let ident = Spectr.Design_flow.identify ~length ~order subsystem in
@@ -144,7 +147,7 @@ let identify_cmd =
       value
       & pos 0 string "big-2x2"
       & info [] ~docv:"SUBSYSTEM"
-          ~doc:"big-2x2, little-2x2, fs-4x2 or large-10x10.")
+          ~doc:(subsystem_names ^ "."))
   in
   let length =
     Arg.(value & opt int 1200 & info [ "n"; "length" ] ~doc:"Experiment length (50 ms periods).")
@@ -160,13 +163,17 @@ let identify_cmd =
 (* scenario                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let manager_of_string ~platform = function
-  | "spectr" -> Some (fst (Spectr.Spectr_manager.make ~platform ()))
-  | "mm-pow" -> Some (Spectr.Mm.make_pow ~platform ())
-  | "mm-perf" -> Some (Spectr.Mm.make_perf ~platform ())
-  | "fs" -> Some (Spectr.Fs.make ())
-  | "siso" -> Some (Spectr.Siso.make ())
-  | _ -> None
+(* The one manager name table: [scenario] parses it, [list] prints it. *)
+let managers =
+  [
+    ("spectr", fun platform -> fst (Spectr.Spectr_manager.make ~platform ()));
+    ("mm-pow", fun platform -> Spectr.Mm.make_pow ~platform ());
+    ("mm-perf", fun platform -> Spectr.Mm.make_perf ~platform ());
+    ("fs", fun _ -> Spectr.Fs.make ());
+    ("siso", fun _ -> Spectr.Siso.make ());
+  ]
+
+let manager_names = String.concat ", " (List.map fst managers)
 
 let scenario manager_name bench_name csv_path seed obs obs_jsonl platform_spec =
   let obs_on = obs || obs_jsonl <> None in
@@ -193,12 +200,10 @@ let scenario manager_name bench_name csv_path seed obs obs_jsonl platform_spec =
       exit 1
   | _ -> ());
   let manager =
-    match manager_of_string ~platform manager_name with
-    | Some m -> m
+    match List.assoc_opt manager_name managers with
+    | Some make -> make platform
     | None ->
-        Printf.eprintf
-          "unknown manager %S (spectr, mm-pow, mm-perf, fs, siso)\n"
-          manager_name;
+        Printf.eprintf "unknown manager %S (%s)\n" manager_name manager_names;
         exit 1
   in
   let config =
@@ -235,7 +240,7 @@ let scenario_cmd =
   let manager =
     Arg.(
       value & opt string "spectr"
-      & info [ "m"; "manager" ] ~doc:"spectr, mm-pow, mm-perf, fs or siso.")
+      & info [ "m"; "manager" ] ~doc:(manager_names ^ "."))
   in
   let bench =
     Arg.(value & opt string "x264" & info [ "b"; "benchmark" ] ~doc:"QoS benchmark.")
@@ -703,8 +708,8 @@ let list_all () =
         (Perf_model.max_qos_rate_for Platform_desc.exynos5422 w)
         (Perf_model.min_qos_rate_for Platform_desc.exynos5422 w))
     (Benchmarks.microbench :: Benchmarks.all_qos);
-  print_endline "managers: spectr, mm-pow, mm-perf, fs, siso";
-  print_endline "subsystems: big-2x2, little-2x2, fs-4x2, large-10x10"
+  print_endline ("managers: " ^ manager_names);
+  print_endline ("subsystems: " ^ subsystem_names)
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List benchmarks, managers and subsystems")

@@ -73,7 +73,9 @@ let () =
     (fun g ->
       Printf.printf "  big/%s: integrator leak %.3f, stable %b\n"
         g.Spectr_control.Lqg.label g.Spectr_control.Lqg.leak
-        (Spectr_control.Lqg.closed_loop_stable g))
+        (Spectr_control.Statespace.decays
+           (Spectr_sysid.Guardband.closed_loop_matrix ~gains:g
+              ~plant:g.Spectr_control.Lqg.model)))
     big_gains;
 
   step 8 "robust-stability analysis under the paper's guardbands";
@@ -81,8 +83,7 @@ let () =
     (fun g ->
       Printf.printf "  big/%s robust under 50%%/30%% guardbands: %b\n"
         g.Spectr_control.Lqg.label
-        (Spectr_sysid.Guardband.robustly_stable
-           Spectr_sysid.Guardband.paper_defaults ~gains:g))
+        (Spectr_sysid.Guardband.robustly_stable g))
     big_gains;
 
   step 9 "assemble the controllers and smoke-test on the platform";

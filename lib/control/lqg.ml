@@ -29,22 +29,6 @@ let pp_error ppf = function
 let process_noise = 0.01
 let measurement_noise = 0.1
 
-(* Strict stability of a closed-loop matrix: some power A^k, k = 2^j
-   for j <= 16 formed by squaring, has max row sum at most 1/2.  That
-   bounds the spectral radius by 2^(-1/k) < 1 - 1e-5.  A mode on the
-   unit circle (an integrator that no input drives) keeps every power's
-   norm at or above 1, and a power that overflows fails the NaN-false
-   comparison.  The designed loops pass by j = 12 (spectral radius at
-   most 0.9996). *)
-let decays acl =
-  let halves m =
-    Array.for_all
-      (fun row -> Array.fold_left (fun s x -> s +. Float.abs x) 0. row <= 0.5)
-      (Matrix.to_arrays m)
-  in
-  let rec square m j = halves m || (j < 16 && square (Matrix.mul m m) (j + 1)) in
-  square acl 0
-
 let design ?q_integrator ~label ~model ~q_y ~r_u () =
   let n = Statespace.order model in
   let m = Statespace.num_inputs model in
@@ -76,7 +60,7 @@ let design ?q_integrator ~label ~model ~q_y ~r_u () =
          rung of the ladder below is therefore accepted by an explicit
          test — the DARE has a stabilizing solution within its residual
          bound ({!Riccati.solve}) and the closed loop strictly decays
-         ([decays]) — and otherwise the next, slightly leakier
+         ({!Statespace.decays}) — and otherwise the next, slightly leakier
          integrator is tried, trading a sub-percent steady-state bias
          for a bounded cost-to-go. *)
       let design_with_leak leak =
@@ -114,7 +98,7 @@ let design ?q_integrator ~label ~model ~q_y ~r_u () =
         | leak :: rest -> (
             match design_with_leak leak with
             | Ok (a_aug, b_aug, ({ Lqr.k; _ } as d))
-              when decays (Lqr.closed_loop_matrix ~a:a_aug ~b:b_aug ~k) ->
+              when Statespace.decays (Lqr.closed_loop_matrix ~a:a_aug ~b:b_aug ~k) ->
                 Ok (leak, d)
             | Ok _ -> try_leaks rest
             | Error (Lqr.Riccati_failed _) when rest <> [] -> try_leaks rest
@@ -132,29 +116,3 @@ let design ?q_integrator ~label ~model ~q_y ~r_u () =
           | Ok { l; _ } -> Ok { label; model; kx; kz; l; leak })
     end
   end
-
-let closed_loop_stable g =
-  let model = g.model in
-  let n = Statespace.order model in
-  let p = Statespace.num_outputs model in
-  let a = model.Statespace.a and b = model.Statespace.b and c = model.Statespace.c in
-  (* Closed loop of the augmented deterministic system under u = -Kx x - Kz z
-     (full state information; estimator convergence is checked separately by
-     construction of the Kalman gain). *)
-  let a_aug =
-    Matrix.block
-      [|
-        [| a; Matrix.zeros ~rows:n ~cols:p |];
-        [| Matrix.neg c; Matrix.scale g.leak (Matrix.identity p) |];
-      |]
-  in
-  let b_aug = Matrix.vcat b (Matrix.zeros ~rows:p ~cols:(Matrix.cols b)) in
-  let k = Matrix.hcat g.kx g.kz in
-  let acl = Lqr.closed_loop_matrix ~a:a_aug ~b:b_aug ~k in
-  let sys =
-    Statespace.create ~a:acl
-      ~b:(Matrix.zeros ~rows:(n + p) ~cols:1)
-      ~c:(Matrix.zeros ~rows:1 ~cols:(n + p))
-      ()
-  in
-  Statespace.is_stable sys

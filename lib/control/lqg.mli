@@ -19,7 +19,7 @@
 
 open Spectr_linalg
 
-type gains = {
+type gains = private {
   label : string;  (** Mode name, e.g. ["qos"] or ["power"]. *)
   model : Statespace.t;  (** The design model (for the estimator). *)
   kx : Matrix.t;  (** m×n state-feedback gain. *)
@@ -29,10 +29,12 @@ type gains = {
       (** Integrator leak λ ∈ (0, 1]: z⁺ = λz + (r − y).  1 means exact
           integral action; {!design} walks the ladder 1, 0.995, 0.98,
           0.95 and keeps the first leak whose DARE has a stabilizing
-          solution and whose augmented closed loop strictly decays (an
-          integrator direction that no input drives fails both at
-          λ = 1). *)
+          solution and whose augmented closed loop strictly decays
+          ({!Statespace.decays}; an integrator direction that no input
+          drives fails both at λ = 1). *)
 }
+(** Private: only {!design} builds a gain set, so every [gains] value's
+    augmented state-feedback loop has passed {!Statespace.decays}. *)
 
 type error =
   | Lqr_failed of Lqr.error
@@ -64,7 +66,3 @@ val design :
       scaled by 0.1) — larger values track faster but overshoot more.
     The Kalman design uses process / measurement noise covariances
     0.01·I / 0.1·I, matching the identified models' residual levels. *)
-
-val closed_loop_stable : gains -> bool
-(** Check that the augmented closed-loop matrix is (empirically) stable —
-    the §6 Step-8 robustness gate. *)

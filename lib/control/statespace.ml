@@ -36,51 +36,37 @@ let dc_gain sys =
   let i_minus_a = Matrix.sub (Matrix.identity n) sys.a in
   Matrix.add (Matrix.mul sys.c (Matrix.solve i_minus_a sys.b)) sys.d
 
-(* A^steps by binary powering in four matrices allocated per call:
-   [sq] runs through A, A^2, A^4, ... and [acc] takes in the power of
-   each set bit of [steps] (9 products for 200 instead of 200).  Column
-   k of A^steps is basis vector k after [steps] iterations x <- Ax, and
-   the verdict reads each column's norm. *)
-let is_stable ?(steps = 200) sys =
-  let n = order sys in
-  let z () = Matrix.zeros ~rows:n ~cols:n in
-  let sq = ref (z ()) and sq' = ref (z ()) in
-  let acc = ref (Matrix.identity n) and acc' = ref (z ()) in
-  Matrix.copy_into ~dst:!sq sys.a;
-  let empty = ref true and e = ref steps in
-  while !e > 0 do
-    if !e land 1 = 1 then begin
-      if !empty then Matrix.copy_into ~dst:!acc !sq
-      else begin
-        Matrix.mul_into ~dst:!acc' !sq !acc;
-        let t = !acc in
-        acc := !acc';
-        acc' := t
-      end;
-      empty := false
-    end;
-    e := !e lsr 1;
-    if !e > 0 then begin
-      Matrix.mul_into ~dst:!sq' !sq !sq;
-      let t = !sq in
-      sq := !sq';
-      sq' := t
-    end
-  done;
-  let xd = Matrix.data !acc in
-  let ok = ref true in
-  for k = 0 to n - 1 do
-    (* [Matrix.frobenius_norm] of column k: squares summed in row order *)
+(* Max row sum at most 1/2, the row sums read from the backing store in
+   the order [Matrix.to_arrays] + [fold_left] would add them.  A NaN
+   sum (a NaN entry, or inf * 0 in an overflowed power) fails [<=]. *)
+let halves m =
+  let n = Matrix.rows m and d = Matrix.data m in
+  let rec row i =
+    i = n
+    ||
     let s = ref 0. in
-    for i = 0 to n - 1 do
-      let x = xd.((i * n) + k) in
-      s := !s +. (x *. x)
+    for j = 0 to n - 1 do
+      s := !s +. Float.abs d.((i * n) + j)
     done;
-    (* [not (<=)]: a NaN norm fails too.  An overflowed power turns
-       inf * 0 into NaN where the per-vector iterate stays at inf. *)
-    if not (sqrt !s <= 1e3) then ok := false
-  done;
-  !ok
+    !s <= 0.5 && row (i + 1)
+  in
+  row 0
+
+(* A^(2^j) by repeated squaring into whichever of two scratch matrices
+   does not hold the current power, so no squaring allocates. *)
+let decays a =
+  let n = Matrix.rows a in
+  if Matrix.cols a <> n then invalid_arg "Statespace.decays: not square";
+  let p = Matrix.zeros ~rows:n ~cols:n and q = Matrix.zeros ~rows:n ~cols:n in
+  let rec square m j =
+    halves m
+    || j < 16
+       &&
+       let dst = if m == p then q else p in
+       Matrix.mul_into ~dst m m;
+       square dst (j + 1)
+  in
+  square a 0
 
 let operation_count sys =
   let n = order sys and m = num_inputs sys and p = num_outputs sys in

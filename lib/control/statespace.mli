@@ -41,18 +41,14 @@ val dc_gain : t -> Matrix.t
 (** Steady-state gain [C (I − A)⁻¹ B + D].  Raises [Failure] when
     (I − A) is singular (integrating plant). *)
 
-val is_stable : ?steps:int -> t -> bool
-(** Empirical BIBO check: every basis vector's norm is at most 1e3
-    after [steps] (default 200) iterations x ← Ax.  Column k of A^steps
-    is basis vector k after those iterations; A^steps is formed by
-    binary powering (9 products for 200).  A non-finite column norm
-    counts as unstable: once an intermediate power overflows, inf · 0
-    leaves NaN in entries where the one-vector-at-a-time iteration
-    holds inf, and an entry of a power overflows only where that
-    iteration's vector for the same column has grown to about 1e308.  With finite powers
-    the two round differently, so only a column norm within rounding
-    of 1e3 could change the verdict.  Sound for diagnosable growth;
-    used by design-flow robustness checks. *)
+val decays : Matrix.t -> bool
+(** Strict stability of a square closed-loop matrix A, the design
+    flow's one stability verdict: some power A^k, k = 2^j for j ≤ 16
+    formed by squaring, has max row sum at most 1/2, which bounds the
+    spectral radius by 2^(−1/k) < 1 − 1e-5.  A mode on the unit circle
+    (A = I, a Jordan block at 1), an overflowing power and a NaN entry
+    all fail.  The designed loops pass by j = 13.  Raises
+    [Invalid_argument] when A is not square. *)
 
 val operation_count : t -> int
 (** Multiply–add operations for one controller invocation (the matrix

@@ -326,16 +326,11 @@ let identify ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem =
 
 type goal = { label : string; q_y : float array }
 
-let design_gains ?r_u ident goals =
+let design_gains ident goals =
   let m = Statespace.num_inputs ident.statespace in
   let p = Statespace.num_outputs ident.statespace in
-  let r_u =
-    match r_u with
-    | Some r -> r
-    | None ->
-        (* Paper §5: frequency twice as cheap to move as core count. *)
-        Array.init m (fun i -> if i mod 2 = 0 then 1. else 2.)
-  in
+  (* Paper §5: frequency twice as cheap to move as core count. *)
+  let r_u = Array.init m (fun i -> if i mod 2 = 0 then 1. else 2.) in
   (* One goal's LQG design (Step 7), then the robustness gate (Step
      8), goal by goal, stopping at the first failure. *)
   let design goal =
@@ -357,16 +352,11 @@ let design_gains ?r_u ident goals =
       with
       | Error e -> Error (Format.asprintf "goal %s: %a" goal.label Lqg.pp_error e)
       | Ok gains ->
-          (* Skipped for very wide systems where the 2^p uncertainty
-             corners explode. *)
-          if
-            p <= 4
-            && not (Guardband.robustly_stable Guardband.paper_defaults ~gains)
-          then
+          if Guardband.robustly_stable gains then Ok gains
+          else
             Error
               (Printf.sprintf "goal %s: not robust under guardbands"
                  gains.Lqg.label)
-          else Ok gains
   in
   let rec walk acc = function
     | [] -> Ok (List.rev acc)
@@ -387,13 +377,12 @@ let design_gains ?r_u ident goals =
    the identical gain list.  The cached [Lqg.gains] are shared
    read-only, exactly like the cached identification record. *)
 let design_cache :
-    ( subsystem * int64 * int * int * (string * float array) list
-      * float array option,
+    ( subsystem * int64 * int * int * (string * float array) list,
       (Lqg.gains list, string) result )
     Spectr_exec.Single_flight.t =
   Spectr_exec.Single_flight.create ~size:16 ()
 
-let design_gains_for ?r_u ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem
+let design_gains_for ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem
     goals =
   let ident = identify ~seed ~length ~order subsystem in
   Spectr_exec.Single_flight.find_or_compute design_cache
@@ -402,9 +391,8 @@ let design_gains_for ?r_u ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem
         seed,
         length,
         order,
-        List.map (fun g -> (g.label, g.q_y)) goals,
-        r_u )
-    ~compute:(fun () -> design_gains ?r_u ident goals)
+        List.map (fun g -> (g.label, g.q_y)) goals )
+    ~compute:(fun () -> design_gains ident goals)
 
 let build_mimo ident ~gains ~initial ~refs =
   Mimo.create ~gains ~initial ~inputs:ident.input_channels

@@ -80,19 +80,16 @@ type goal = {
 }
 
 val design_gains :
-  ?r_u:float array ->
-  identified ->
-  goal list ->
-  (Lqg.gains list, string) result
-(** One LQG gain set per goal (Step 7).  [r_u] defaults to the paper's
-    2:1 frequency-over-cores effort costs, extended cyclically for wider
+  identified -> goal list -> (Lqg.gains list, string) result
+(** One LQG gain set per goal (Step 7), with the paper's 2:1
+    frequency-over-cores effort costs, extended cyclically for wider
     input vectors.  Fails with a message naming the goal when a design
     does not come out robustly stable under the paper's uncertainty
-    guardbands (Step 8).  Goals are designed and gated in order on the
+    guardbands (Step 8, {!Guardband.robustly_stable}, run on every
+    design).  Goals are designed and gated in order on the
     calling domain, and the first failing goal's [Error] is returned. *)
 
 val design_gains_for :
-  ?r_u:float array ->
   ?seed:int64 ->
   ?length:int ->
   ?order:int ->
@@ -100,7 +97,7 @@ val design_gains_for :
   goal list ->
   (Lqg.gains list, string) result
 (** Memoized {!identify} + {!design_gains}: the gain sets for a
-    (subsystem, seed, length, order, goals, r_u) key are designed once
+    (subsystem, seed, length, order, goals) key are designed once
     per process and shared read-only afterwards — the first manager of a
     variant pays the LQG/robustness pipeline, every later construction
     (chaos cells, batch bench arenas) gets the identical list back.

@@ -1,33 +1,22 @@
 open Spectr_linalg
 open Spectr_control
 
-type t = { qos : float; power : float }
+(* The paper's guardbands (§5, footnote 7): 50 % QoS, 30 % power. *)
+let qos_band = 0.5
+let power_band = 0.3
 
-let paper_defaults = { qos = 0.5; power = 0.3 }
-
-let create ~qos ~power =
-  if qos < 0. || qos >= 1. || power < 0. || power >= 1. then
-    invalid_arg "Guardband.create: guardbands must be in [0,1)";
-  { qos; power }
-
-let perturbed_models gb model =
+let perturbed_models model =
   let p = Statespace.num_outputs model in
-  let band i = if i = 0 then gb.qos else gb.power in
-  (* enumerate sign vectors over p outputs *)
-  let rec signs k =
-    if k = 0 then [ [] ] else List.concat_map (fun s -> [ 1. :: s; -1. :: s ]) (signs (k - 1))
-  in
-  List.map
-    (fun sign_list ->
-      let signs = Array.of_list sign_list in
+  let band i = if i = 0 then qos_band else power_band in
+  (* Corner k scales output i by 1 + band, or by 1 - band where bit i
+     of k is set. *)
+  List.init (1 lsl p) (fun k ->
       let c =
-        Matrix.init ~rows:p
-          ~cols:(Statespace.order model)
-          (fun i j ->
-            Matrix.get model.Statespace.c i j *. (1. +. (signs.(i) *. band i)))
+        Matrix.init ~rows:p ~cols:(Statespace.order model) (fun i j ->
+            let sign = if (k lsr i) land 1 = 0 then 1. else -1. in
+            Matrix.get model.Statespace.c i j *. (1. +. (sign *. band i)))
       in
       Statespace.create ~a:model.Statespace.a ~b:model.Statespace.b ~c ())
-    (signs p)
 
 (* Closed loop of (perturbed plant) + (nominal estimator & feedback):
    state [x_p; x̂; z].  The .mli spells out each block row. *)
@@ -69,17 +58,7 @@ let closed_loop_matrix ~(gains : Lqg.gains) ~(plant : Statespace.t) =
   in
   Matrix.block [| row1; row2; row3 |]
 
-let robustly_stable gb ~gains =
-  let nominal = gains.Lqg.model in
+let robustly_stable (gains : Lqg.gains) =
   List.for_all
-    (fun plant ->
-      let acl = closed_loop_matrix ~gains ~plant in
-      let dim = Matrix.rows acl in
-      let sys =
-        Statespace.create ~a:acl
-          ~b:(Matrix.zeros ~rows:dim ~cols:1)
-          ~c:(Matrix.zeros ~rows:1 ~cols:dim)
-          ()
-      in
-      Statespace.is_stable sys)
-    (perturbed_models gb nominal)
+    (fun plant -> Statespace.decays (closed_loop_matrix ~gains ~plant))
+    (perturbed_models gains.Lqg.model)

@@ -4,25 +4,15 @@
     Uncertainty Guardbands of 50 % for QoS and 30 % for power, as in
     [Pothukuchi et al.]" (§5, footnote 7).  A guardband of g on a channel
     means the controller must remain stable when that channel's true gain
-    deviates from the identified model by up to ±g. *)
-
-type t = {
-  qos : float;  (** Relative QoS-channel uncertainty (paper: 0.5). *)
-  power : float;  (** Relative power-channel uncertainty (paper: 0.3). *)
-}
-
-val paper_defaults : t
-(** 50 % QoS, 30 % power. *)
-
-val create : qos:float -> power:float -> t
-(** Raises [Invalid_argument] on negative values or values ≥ 1. *)
+    deviates from the identified model by up to ±g.  The two bands are
+    fixed at the paper's values. *)
 
 val perturbed_models :
-  t -> Spectr_control.Statespace.t -> Spectr_control.Statespace.t list
+  Spectr_control.Statespace.t -> Spectr_control.Statespace.t list
 (** The corner cases of the uncertainty box: each output row of C scaled
     by (1 ± guardband), all sign combinations (2^p models, p = number of
-    outputs; output 0 is treated as the QoS channel and the remaining
-    outputs as power channels). *)
+    outputs; output 0 is the QoS channel with a 50 % band and the
+    remaining outputs are power channels with a 30 % band). *)
 
 val closed_loop_matrix :
   gains:Spectr_control.Lqg.gains ->
@@ -38,8 +28,8 @@ val closed_loop_matrix :
     z⁺ = λ z − y, λ the gain set's integrator leak.  A
     (2n + p)-square matrix for an n-state, p-output model. *)
 
-val robustly_stable :
-  t -> gains:Spectr_control.Lqg.gains -> bool
-(** Robust Stability Analysis (§2.2, §6 Step 8): the closed loop under
-    [gains] remains stable for every corner of the uncertainty box around
-    the design model. *)
+val robustly_stable : Spectr_control.Lqg.gains -> bool
+(** Robust Stability Analysis (§2.2, §6 Step 8): for every corner of
+    the uncertainty box around the design model ({!perturbed_models}),
+    the {!closed_loop_matrix} under [gains] strictly decays
+    ({!Spectr_control.Statespace.decays}). *)

@@ -12,8 +12,9 @@
    It also prints the exported-value count, how many exports are named
    outside their module only under a directory called [test], the
    [?label:] optional-argument count of the [.mli] files under LIB_DIR,
-   and the line count of the [.ml]/[.mli] files outside [test], so
-   every change can report the four figures from one command. *)
+   the line count of the [.ml]/[.mli] files outside [test] and the line
+   count of the [.ml] files inside it, so every change can report the
+   five figures from one command. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -177,10 +178,12 @@ let () =
     String.starts_with ~prefix:lib_prefix p && Filename.check_suffix p ".mli"
   in
   let exports = ref 0 and test_only = ref 0 and optional = ref 0 in
-  let lines = ref 0 and unreferenced = ref [] in
+  let lines = ref 0 and test_lines = ref 0 and unreferenced = ref [] in
   List.iter
     (fun (path, m, text, s) ->
-      if not (in_test path) then lines := !lines + count_lines text;
+      if not (in_test path) then lines := !lines + count_lines text
+      else if Filename.check_suffix path ".ml" then
+        test_lines := !test_lines + count_lines text;
       if is_lib_mli path then begin
         optional := !optional + optional_args s;
         let rec scan = function
@@ -209,6 +212,7 @@ let () =
   Printf.printf "named only in tests:      %d\n" !test_only;
   Printf.printf "optional ?label: args:    %d\n" !optional;
   Printf.printf "non-test .ml/.mli lines:  %d\n" !lines;
+  Printf.printf "test .ml lines:           %d\n" !test_lines;
   Printf.printf "unreferenced exports:     %d\n" (List.length !unreferenced);
   List.iter (Printf.printf "  %s\n") (List.rev !unreferenced);
   if !unreferenced <> [] then exit 1

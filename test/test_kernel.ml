@@ -382,24 +382,28 @@ let test_pinned_gain_digests_any_schedule () =
 (* The leak each design key's ladder settles on, for every goal: 1 (exact
    integral action) except where an input never moves, so that a column
    of the DC gain is 0 and the leak-1 DARE has no stabilizing solution —
-   pixel8pro cluster 2 (one core, its cores input constant) and the
-   4-cluster platform's cluster 3 — which take 0.995. *)
+   pixel8pro cluster 2 (one core, its cores input constant) and every
+   k-cluster platform's clusters 3 and up — which take 0.995.  The
+   widths run to 16, the largest [k_cluster] accepts, so every rung's
+   strict-decay gate is exercised on each shipped width. *)
 let test_chosen_leaks () =
   let module D = Spectr.Design_flow in
-  let cluster p i = D.cluster_subsystem p i in
   let keys =
-    List.map (fun (name, subsystem, goals, _) -> (name, subsystem, goals)) pinned_gains
+    List.map
+      (fun (name, subsystem, goals, _) ->
+        (name, subsystem, goals, if name = "pixel8pro c2" then 0.995 else 1.0))
+      pinned_gains
     @ List.concat_map
         (fun k ->
           List.init k (fun i ->
               ( Printf.sprintf "k%d c%d" k i,
-                cluster (Platform_desc.k_cluster k) i,
-                Spectr.Mm.goals )))
-        [ 2; 3; 4 ]
+                D.cluster_subsystem (Platform_desc.k_cluster k) i,
+                Spectr.Mm.goals,
+                if i >= 3 then 0.995 else 1.0 )))
+        [ 2; 3; 4; 6; 8; 16 ]
   in
   List.iter
-    (fun (name, subsystem, goals) ->
-      let expected = if name = "pixel8pro c2" || name = "k4 c3" then 0.995 else 1.0 in
+    (fun (name, subsystem, goals, expected) ->
       match D.design_gains_for subsystem goals with
       | Ok gains ->
           List.iter

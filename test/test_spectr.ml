@@ -590,7 +590,9 @@ let test_design_flow_gains () =
           check_bool
             (g.Spectr_control.Lqg.label ^ " stable")
             true
-            (Spectr_control.Lqg.closed_loop_stable g))
+            (Spectr_control.Statespace.decays
+               (Spectr_sysid.Guardband.closed_loop_matrix ~gains:g
+                  ~plant:g.Spectr_control.Lqg.model)))
         gains
 
 let test_design_flow_bad_goal () =

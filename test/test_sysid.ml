@@ -337,23 +337,25 @@ let test_validation_output_names () =
 (* Guardband                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_guardband_defaults () =
-  check_float "qos" 0.5 Guardband.paper_defaults.Guardband.qos;
-  check_float "power" 0.3 Guardband.paper_defaults.Guardband.power
+let two_outputs =
+  Statespace.create
+    ~a:(Matrix.of_list [ [ 0.5; 0. ]; [ 0.; 0.5 ] ])
+    ~b:(Matrix.identity 2) ~c:(Matrix.identity 2) ()
 
-let test_guardband_validation () =
-  Alcotest.check_raises "range"
-    (Invalid_argument "Guardband.create: guardbands must be in [0,1)")
-    (fun () -> ignore (Guardband.create ~qos:1.5 ~power:0.3))
+(* The corners scale the QoS row of C by 1 ± 0.5 and the power row by
+   1 ± 0.3 (§5, footnote 7). *)
+let test_guardband_defaults () =
+  let scales row =
+    List.map
+      (fun m -> Matrix.get m.Statespace.c row row)
+      (Guardband.perturbed_models two_outputs)
+    |> List.sort_uniq compare
+  in
+  check_bool "qos 1 +- 0.5" true (scales 0 = [ 0.5; 1.5 ]);
+  check_bool "power 1 +- 0.3" true (scales 1 = [ 0.7; 1.3 ])
 
 let test_guardband_corner_count () =
-  let model =
-    Statespace.create
-      ~a:(Matrix.of_list [ [ 0.5; 0. ]; [ 0.; 0.5 ] ])
-      ~b:(Matrix.identity 2) ~c:(Matrix.identity 2) ()
-  in
-  let corners = Guardband.perturbed_models Guardband.paper_defaults model in
-  check_int "2^p corners" 4 (List.length corners)
+  check_int "2^p corners" 4 (List.length (Guardband.perturbed_models two_outputs))
 
 let test_guardband_scales_outputs () =
   let model =
@@ -363,9 +365,7 @@ let test_guardband_scales_outputs () =
       ~c:(Matrix.of_list [ [ 2. ] ])
       ()
   in
-  let corners =
-    Guardband.perturbed_models (Guardband.create ~qos:0.5 ~power:0.3) model
-  in
+  let corners = Guardband.perturbed_models model in
   let cs =
     List.map (fun m -> Matrix.get m.Statespace.c 0 0) corners
     |> List.sort_uniq compare
@@ -386,9 +386,11 @@ let test_robust_stability_of_identified_design () =
   with
   | Error e -> Alcotest.failf "Lqg.design: %a" Lqg.pp_error e
   | Ok gains ->
-      check_bool "nominal stable" true (Lqg.closed_loop_stable gains);
+      check_bool "nominal loop decays" true
+        (Statespace.decays
+           (Guardband.closed_loop_matrix ~gains ~plant:gains.Lqg.model));
       check_bool "robust under paper guardbands" true
-        (Guardband.robustly_stable Guardband.paper_defaults ~gains)
+        (Guardband.robustly_stable gains)
 
 (* ------------------------------------------------------------------ *)
 (* Calibration                                                         *)
@@ -607,7 +609,6 @@ let () =
       ( "guardband",
         [
           Alcotest.test_case "paper defaults" `Quick test_guardband_defaults;
-          Alcotest.test_case "validation" `Quick test_guardband_validation;
           Alcotest.test_case "corner count" `Quick test_guardband_corner_count;
           Alcotest.test_case "scales outputs" `Quick
             test_guardband_scales_outputs;
