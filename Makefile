@@ -35,14 +35,18 @@ robustness:
 # print byte-identical output whether scenarios run sequentially or
 # fan out across domains.  fig12's output is also pinned to the
 # committed bench/fig12.expected, which holds the supervisor's nested
-# escaped state names (Eval\.Safe.Uncapped, Raise\.Emergency.C1).
+# escaped state names (Eval\.Safe.Uncapped, Raise\.Emergency.C1), and
+# the validation figures fig5 and fig15 (held-out free simulation,
+# residual whiteness) to bench/fig5.expected and bench/fig15.expected.
 bench-determinism:
 	dune build bench/main.exe
-	SPECTR_JOBS=1 dune exec bench/main.exe -- table1 fig6 fig12 fig13 > /tmp/spectr-bench-seq.txt
-	SPECTR_JOBS=4 dune exec bench/main.exe -- table1 fig6 fig12 fig13 > /tmp/spectr-bench-par.txt
+	SPECTR_JOBS=1 dune exec bench/main.exe -- table1 fig5 fig6 fig12 fig13 fig15 > /tmp/spectr-bench-seq.txt
+	SPECTR_JOBS=4 dune exec bench/main.exe -- table1 fig5 fig6 fig12 fig13 fig15 > /tmp/spectr-bench-par.txt
 	diff /tmp/spectr-bench-seq.txt /tmp/spectr-bench-par.txt
-	SPECTR_JOBS=1 dune exec bench/main.exe -- fig12 > /tmp/spectr-bench-fig12.txt
-	diff bench/fig12.expected /tmp/spectr-bench-fig12.txt
+	for f in fig5 fig12 fig15; do \
+	  SPECTR_JOBS=1 dune exec bench/main.exe -- $$f > /tmp/spectr-bench-$$f.txt && \
+	  diff bench/$$f.expected /tmp/spectr-bench-$$f.txt || exit 1; \
+	done
 
 # Robustness smoke: the SPECTR+G acceptance table (seven fault classes x
 # four managers on x264).  SPECTR+G must recover in every fault class

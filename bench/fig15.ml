@@ -39,23 +39,20 @@ let run () =
       (Spectr.Design_flow.Large_10x10, 8, "10x10 model, big power output");
     ]
   in
-  let idents =
+  let reports =
     Spectr_exec.Parmap.map
-      (fun sub -> (sub, Spectr.Design_flow.identify sub))
+      (fun sub ->
+        (sub, Spectr.Design_flow.validation (Spectr.Design_flow.identify sub)))
       subsystems
   in
-  let get sub = List.assoc sub idents in
+  let channels sub = (List.assoc sub reports).Validation.channels in
   List.iter
-    (fun (sub, idx, title) ->
-      let ident = get sub in
-      print_channel ~title
-        ident.Spectr.Design_flow.report.Validation.channels.(idx))
+    (fun (sub, idx, title) -> print_channel ~title (channels sub).(idx))
     cases;
   Util.subheading "violations per channel, averaged over all outputs";
   List.iter
     (fun sub ->
-      let ident = get sub in
-      let chans = ident.Spectr.Design_flow.report.Validation.channels in
+      let chans = channels sub in
       let avg =
         Array.fold_left
           (fun acc c -> acc +. float_of_int c.Validation.violations)

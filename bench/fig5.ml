@@ -8,16 +8,10 @@ open Spectr_sysid
 
 let series subsystem ~output_index ~output_name =
   let ident = Spectr.Design_flow.identify subsystem in
-  let report = ident.Spectr.Design_flow.report in
-  let data = ident.Spectr.Design_flow.dataset in
-  (* validation split as in Design_flow.identify *)
-  let _, held_out = Dataset.split data ~at:0.65 in
-  let simulated = report.Validation.simulated in
-  ignore simulated;
-  (* re-simulate on the held-out slice for plotting *)
-  let report_holdout =
-    Validation.validate ~model:ident.Spectr.Design_flow.model held_out
-  in
+  (* the held-out slice the validation simulates, as in
+     Design_flow.validation *)
+  let _, held_out = Dataset.split ident.Spectr.Design_flow.dataset ~at:0.65 in
+  let report_holdout = Spectr.Design_flow.validation ident in
   let n = min 100 (Dataset.length held_out) in
   let measured =
     Array.init n (fun t -> held_out.Dataset.y.(t).(output_index))

@@ -135,7 +135,7 @@ let identify name length order =
   | Some subsystem ->
       let ident = Spectr.Design_flow.identify ~length ~order subsystem in
       Format.printf "%a@." Spectr_sysid.Validation.pp_report
-        ident.Spectr.Design_flow.report;
+        (Spectr.Design_flow.validation ident);
       let ss = ident.Spectr.Design_flow.statespace in
       Format.printf "realization: %a@." Spectr_control.Statespace.pp ss;
       Format.printf "DC gain (standardized):@.%a@." Spectr_linalg.Matrix.pp

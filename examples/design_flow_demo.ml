@@ -49,7 +49,7 @@ let () =
   List.iter
     (fun (name, ident) ->
       Format.printf "  %-8s %a@." name Spectr_sysid.Validation.pp_report
-        ident.Design_flow.report)
+        (Design_flow.validation ident))
     [ ("big:", big); ("little:", little) ];
 
   step 6 "declare the <goal, condition> pairs (Q priorities)";

@@ -17,7 +17,9 @@ let () =
   List.iter
     (fun subsystem ->
       let ident = Design_flow.identify subsystem in
-      let chans = ident.Design_flow.report.Spectr_sysid.Validation.channels in
+      let chans =
+        (Design_flow.validation ident).Spectr_sysid.Validation.channels
+      in
       let n = float_of_int (Array.length chans) in
       let avg f = Array.fold_left (fun acc c -> acc +. f c) 0. chans /. n in
       Printf.printf

@@ -50,7 +50,6 @@ type identified = {
   statespace : Statespace.t;
   input_channels : Mimo.channel array;
   output_channels : Mimo.channel array;
-  report : Validation.report;
   dataset : Dataset.t;
 }
 
@@ -215,6 +214,10 @@ let read_outputs subsystem soc (obs : Soc.observation) =
       if i = Platform_desc.host p then [| obs.Soc.qos_rate; powers.(i) |]
       else [| (Soc.ips_totals soc).(i) /. 1e9; powers.(i) |]
 
+(* The estimation/validation split of the standardized dataset: the
+   model is fitted on the first 65 %, {!validation} replays the rest. *)
+let validation_split = 0.65
+
 let identify_uncached ~seed ~length ~order subsystem =
   let platform = platform_of subsystem in
   let config = { (Soc.config_of platform) with seed } in
@@ -246,31 +249,13 @@ let identify_uncached ~seed ~length ~order subsystem =
     y.(t) <- read_outputs subsystem soc obs;
     u.(t) <- apply_inputs subsystem soc excitation.(t)
   done;
-  let raw = Dataset.create ~u ~y in
   (* Standardize: identification on deviations around the operating
      point, scaled to unit variance — the controller channels carry the
      (mean, std) back to physical units. *)
-  let m = Dataset.num_inputs raw and p = Dataset.num_outputs raw in
-  let stat_of arr =
-    let mean = Spectr_linalg.Stats.mean arr in
-    let std = Float.max 1e-6 (Spectr_linalg.Stats.std arr) in
-    (mean, std)
+  let data, (u_mean, u_std), (y_mean, y_std) =
+    Dataset.standardize (Dataset.create ~u ~y)
   in
-  let u_stats = Array.init m (fun i -> stat_of (Dataset.input_channel raw i)) in
-  let y_stats = Array.init p (fun i -> stat_of (Dataset.output_channel raw i)) in
-  let standardize stats row =
-    Array.mapi
-      (fun i v ->
-        let mean, std = stats.(i) in
-        (v -. mean) /. std)
-      row
-  in
-  let data =
-    Dataset.create
-      ~u:(Array.map (standardize u_stats) raw.Dataset.u)
-      ~y:(Array.map (standardize y_stats) raw.Dataset.y)
-  in
-  let est, held_out = Dataset.split data ~at:0.65 in
+  let est, _ = Dataset.split data ~at:validation_split in
   let model =
     match Arx.fit ~na:order ~nb:order est with
     | Ok m -> m
@@ -279,22 +264,16 @@ let identify_uncached ~seed ~length ~order subsystem =
           (Format.asprintf "Design_flow.identify(%s): %a"
              (subsystem_name subsystem) Arx.pp_error e)
   in
-  let report =
-    Validation.validate ~output_names:(output_names subsystem) ~model held_out
-  in
   let input_channels =
     Array.mapi
       (fun i ph ->
-        let mean, std = u_stats.(i) in
-        Mimo.channel ~offset:mean ~scale:std ~min:ph.sat_min ~max:ph.sat_max
-          ph.ch_name)
+        Mimo.channel ~offset:u_mean.(i) ~scale:u_std.(i) ~min:ph.sat_min
+          ~max:ph.sat_max ph.ch_name)
       phys_in
   in
   let output_channels =
     Array.mapi
-      (fun i name ->
-        let mean, std = y_stats.(i) in
-        Mimo.channel ~offset:mean ~scale:std name)
+      (fun i name -> Mimo.channel ~offset:y_mean.(i) ~scale:y_std.(i) name)
       (output_names subsystem)
   in
   {
@@ -303,7 +282,6 @@ let identify_uncached ~seed ~length ~order subsystem =
     statespace = Arx.to_statespace model;
     input_channels;
     output_channels;
-    report;
     dataset = data;
   }
 
@@ -323,6 +301,13 @@ let identify ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem =
   Spectr_exec.Single_flight.find_or_compute ident_cache
     ~key:(subsystem, seed, length, order)
     ~compute:(fun () -> identify_uncached ~seed ~length ~order subsystem)
+
+(* Nothing at run time reads the cross-validation report — managers take
+   the model and channels — so it is computed on demand, not memoized. *)
+let validation ident =
+  let _, held_out = Dataset.split ident.dataset ~at:validation_split in
+  Validation.validate ~output_names:(output_names ident.subsystem)
+    ~model:ident.model held_out
 
 type goal = { label : string; q_y : float array }
 

@@ -74,6 +74,9 @@ let check_pair name actual predicted =
   if Array.length actual <> Array.length predicted then
     invalid_arg (Printf.sprintf "Stats.%s: length mismatch" name)
 
+(* A constant actual series carries no information to explain: both
+   fit statistics read [nan] for it, whatever the prediction, so any
+   [>=] gate on them fails. *)
 let r_squared ~actual ~predicted =
   check_pair "r_squared" actual predicted;
   let m = mean actual in
@@ -84,18 +87,17 @@ let r_squared ~actual ~predicted =
   Array.iteri
     (fun i v -> ss_res := !ss_res +. ((v -. predicted.(i)) ** 2.))
     actual;
-  if ss_tot = 0. then if !ss_res = 0. then 1. else neg_infinity
-  else 1. -. (!ss_res /. ss_tot)
+  if ss_tot = 0. then nan else 1. -. (!ss_res /. ss_tot)
 
 let fit_percent ~actual ~predicted =
   check_pair "fit_percent" actual predicted;
   let m = mean actual in
-  let norm f = sqrt (Array.fold_left (fun a i -> a +. (f i ** 2.)) 0.
-                       (Array.init (Array.length actual) Fun.id)) in
-  let err = norm (fun i -> actual.(i) -. predicted.(i)) in
-  let dev = norm (fun i -> actual.(i) -. m) in
-  if dev = 0. then if err = 0. then 100. else neg_infinity
-  else 100. *. (1. -. (err /. dev))
+  let err = ref 0. and dev = ref 0. in
+  for i = 0 to Array.length actual - 1 do
+    err := !err +. ((actual.(i) -. predicted.(i)) ** 2.);
+    dev := !dev +. ((actual.(i) -. m) ** 2.)
+  done;
+  if !dev = 0. then nan else 100. *. (1. -. (sqrt !err /. sqrt !dev))
 
 let rmse ~actual ~predicted =
   check_pair "rmse" actual predicted;

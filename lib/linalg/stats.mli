@@ -37,11 +37,14 @@ val r_squared : actual:float array -> predicted:float array -> float
 (** Coefficient of determination R² = 1 − SS_res/SS_tot.  The paper's
     design flow (§6, Step 2) requires R² ≥ 0.8 for a subsystem to be
     considered identifiable.  Raises on length mismatch or empty input;
-    returns [neg_infinity] when [actual] is constant but mispredicted. *)
+    returns [nan] when [actual] is constant (a channel that never moves
+    is not identified, however well it is predicted), so a gate must
+    test [r >= threshold], never [not (r < threshold)]. *)
 
 val fit_percent : actual:float array -> predicted:float array -> float
 (** MATLAB-style normalized root mean square fit:
-    [100 * (1 - ||actual - predicted|| / ||actual - mean actual||)]. *)
+    [100 * (1 - ||actual - predicted|| / ||actual - mean actual||)];
+    [nan] when [actual] is constant, like {!r_squared}. *)
 
 val rmse : actual:float array -> predicted:float array -> float
 (** Root mean squared error. *)

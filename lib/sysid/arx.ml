@@ -22,20 +22,24 @@ let pp_error ppf = function
 
 let offset_suffix m = max m.na m.nb
 
-(* Regressor vector φ(t) = [y(t−1)…y(t−na), u(t−1)…u(t−nb)]. *)
-let regressor ~na ~nb ~m ~p (u : float array array) (y : float array array) t =
-  let q = (na * p) + (nb * m) in
-  let phi = Array.make q 0. in
+(* Regressor vector φ(t) = [y(t−1)…y(t−na), u(t−1)…u(t−nb)], written
+   into [dst] from index [off]. *)
+let regressor_into ~na ~nb ~m ~p (u : float array array)
+    (y : float array array) t dst off =
   for i = 1 to na do
     for j = 0 to p - 1 do
-      phi.(((i - 1) * p) + j) <- y.(t - i).(j)
+      dst.(off + ((i - 1) * p) + j) <- y.(t - i).(j)
     done
   done;
   for i = 1 to nb do
     for j = 0 to m - 1 do
-      phi.((na * p) + ((i - 1) * m) + j) <- u.(t - i).(j)
+      dst.(off + (na * p) + ((i - 1) * m) + j) <- u.(t - i).(j)
     done
-  done;
+  done
+
+let regressor ~na ~nb ~m ~p u y t =
+  let phi = Array.make ((na * p) + (nb * m)) 0. in
+  regressor_into ~na ~nb ~m ~p u y t phi 0;
   phi
 
 let fit ?(ridge = 1e-8) ~na ~nb data =
@@ -50,10 +54,12 @@ let fit ?(ridge = 1e-8) ~na ~nb data =
     if rows < q then Error (Not_enough_data { need = t0 + q; have = n })
     else begin
       let u = data.Dataset.u and y = data.Dataset.y in
-      let phi =
-        Matrix.init ~rows ~cols:q (fun r c ->
-            (regressor ~na ~nb ~m ~p u y (t0 + r)).(c))
-      in
+      (* Each row of Φ is written once, straight into its storage. *)
+      let phi = Matrix.zeros ~rows ~cols:q in
+      let phi_data = Matrix.data phi in
+      for r = 0 to rows - 1 do
+        regressor_into ~na ~nb ~m ~p u y (t0 + r) phi_data (r * q)
+      done;
       let targets =
         Matrix.init ~rows ~cols:p (fun r c -> y.(t0 + r).(c))
       in
@@ -91,14 +97,6 @@ let predict_one_step model data =
   let n = Dataset.length data in
   Array.init (n - t0) (fun k ->
       predict_row model data.Dataset.u data.Dataset.y (t0 + k))
-
-let residuals model data =
-  let t0 = offset_suffix model in
-  let preds = predict_one_step model data in
-  Array.mapi
-    (fun k pred ->
-      Array.mapi (fun i v -> data.Dataset.y.(t0 + k).(i) -. v) pred)
-    preds
 
 let simulate model ~u ~y0 =
   let t0 = offset_suffix model in

@@ -41,11 +41,8 @@ val fit :
 val predict_one_step : model -> Dataset.t -> float array array
 (** One-step-ahead predictions ŷ(t|t−1) for t ∈ [max na nb, length).
     The result is aligned with the dataset suffix starting at
-    [max na nb]. *)
-
-val residuals : model -> Dataset.t -> float array array
-(** y(t) − ŷ(t|t−1) over the same suffix — the series whose
-    autocorrelation Figure 15 plots. *)
+    [max na nb]; y(t) − ŷ(t|t−1) is the residual whose autocorrelation
+    Figure 15 plots ({!Validation.validate}). *)
 
 val simulate : model -> u:float array array -> y0:float array array -> float array array
 (** Free simulation: predictions feed back as past outputs, so errors
@@ -58,5 +55,4 @@ val to_statespace : model -> Spectr_control.Statespace.t
 
 val offset_suffix : model -> int
 (** [max na nb] — the number of leading samples consumed by
-    initialization, i.e. the alignment offset of {!predict_one_step} and
-    {!residuals}. *)
+    initialization, i.e. the alignment offset of {!predict_one_step}. *)

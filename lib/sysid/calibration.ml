@@ -364,7 +364,7 @@ let fit samples =
       go [] (group_by_cluster samples)
 
 (* A calibration that cannot reproduce its own sweep to this R² is
-   rejected. *)
+   rejected; a constant sweep reads R² = nan and is rejected too. *)
 let r2_gate = 0.95
 
 let to_platform ~name ~host ~thermal fits =
@@ -373,7 +373,7 @@ let to_platform ~name ~host ~thermal fits =
   | _ -> (
       let bad =
         List.find_opt
-          (fun f -> f.fit_power_r2 < r2_gate || f.fit_ips_r2 < r2_gate)
+          (fun f -> not (f.fit_power_r2 >= r2_gate && f.fit_ips_r2 >= r2_gate))
           fits
       in
       match bad with

@@ -1,5 +1,3 @@
-open Spectr_linalg
-
 type t = { u : float array array; y : float array array }
 
 let create ~u ~y =
@@ -28,13 +26,45 @@ let split d ~at =
   ( { u = Array.sub d.u 0 k; y = Array.sub d.y 0 k },
     { u = Array.sub d.u k (n - k); y = Array.sub d.y k (n - k) } )
 
-let output_channel d i = Array.map (fun row -> row.(i)) d.y
-let input_channel d i = Array.map (fun row -> row.(i)) d.u
+(* Per-channel (mean, std) of [rows], the std floored at 1e-6: the same
+   left-to-right sums as [Stats.mean] and [Stats.std] of the column, but
+   every channel's sum advances in the same pass over the rows (one for
+   the means, one for the squared deviations). *)
+let channel_stats rows =
+  let n = Array.length rows and k = Array.length rows.(0) in
+  let sum = Array.make k 0. in
+  Array.iter
+    (fun row ->
+      for i = 0 to k - 1 do
+        sum.(i) <- sum.(i) +. row.(i)
+      done)
+    rows;
+  let mean = Array.map (fun s -> s /. float_of_int n) sum in
+  let sq = Array.make k 0. in
+  Array.iter
+    (fun row ->
+      for i = 0 to k - 1 do
+        sq.(i) <- sq.(i) +. ((row.(i) -. mean.(i)) ** 2.)
+      done)
+    rows;
+  let std =
+    Array.map (fun s -> Float.max 1e-6 (sqrt (s /. float_of_int n))) sq
+  in
+  (mean, std)
 
-let normalize d =
-  let m = num_inputs d and p = num_outputs d in
-  let u_means = Array.init m (fun i -> Stats.mean (input_channel d i)) in
-  let y_means = Array.init p (fun i -> Stats.mean (output_channel d i)) in
-  let u = Array.map (fun row -> Array.mapi (fun i v -> v -. u_means.(i)) row) d.u in
-  let y = Array.map (fun row -> Array.mapi (fun i v -> v -. y_means.(i)) row) d.y in
-  ({ u; y }, (u_means, y_means))
+let standardize_rows (mean, std) rows =
+  let k = Array.length mean in
+  Array.map
+    (fun row ->
+      let out = Array.create_float k in
+      for i = 0 to k - 1 do
+        out.(i) <- (row.(i) -. mean.(i)) /. std.(i)
+      done;
+      out)
+    rows
+
+let standardize d =
+  let u_stats = channel_stats d.u and y_stats = channel_stats d.y in
+  ( { u = standardize_rows u_stats d.u; y = standardize_rows y_stats d.y },
+    u_stats,
+    y_stats )

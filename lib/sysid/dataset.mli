@@ -22,13 +22,13 @@ val split : t -> at:float -> t * t
     cross-validation split of §5.2.  [at] must be in (0, 1) and both
     halves must be non-empty. *)
 
-val output_channel : t -> int -> float array
-(** Time series of one output channel. *)
-
-val input_channel : t -> int -> float array
-
-val normalize : t -> t * (float array * float array)
-(** Demean each channel (inputs and outputs) around the dataset mean —
-    identification is performed on deviations around the operating point.
-    Returns the normalized dataset and the (input-means, output-means)
-    used, which become the controller channel offsets. *)
+val standardize :
+  t -> t * (float array * float array) * (float array * float array)
+(** Demean each channel and divide it by its standard deviation, floored
+    at 1e-6 so that a constant channel is only demeaned.  Returns the
+    standardized dataset, the inputs' (means, stds) and the outputs'
+    (means, stds): the controller channels carry them back to physical
+    units.  Each mean and std is bit for bit [Stats.mean] and
+    [Float.max 1e-6 (Stats.std _)] of the channel's column, but all
+    channels are summed together row by row, no column is copied out,
+    and each standardized row is written once. *)

@@ -35,8 +35,7 @@ let validate ?output_names ~model data =
     Arx.simulate model ~u:data.Dataset.u ~y0:data.Dataset.y
   in
   let one_step = Arx.predict_one_step model data in
-  let resid = Arx.residuals model data in
-  let n_resid = Array.length resid in
+  let n_resid = Array.length one_step in
   let channels =
     Array.init p (fun i ->
         let actual_suffix =
@@ -46,7 +45,10 @@ let validate ?output_names ~model data =
           Array.init n_resid (fun k -> simulated.(t0 + k).(i))
         in
         let pred_suffix = Array.map (fun row -> row.(i)) one_step in
-        let res_channel = Array.map (fun row -> row.(i)) resid in
+        (* The one-step residual y − ŷ, from the one prediction pass. *)
+        let res_channel =
+          Array.init n_resid (fun k -> actual_suffix.(k) -. pred_suffix.(k))
+        in
         let max_lag = min max_lag (n_resid - 1) in
         let acs = Stats.autocorrelations res_channel ~max_lag in
         let conf = Stats.confidence_interval_99 n_resid in

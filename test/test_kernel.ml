@@ -188,6 +188,38 @@ let test_warm_construction platform () =
                   ~workload:Benchmarks.x264 ())) );
     ]
 
+(* Minor-heap bytes of one cold Design_flow.identify of big-2x2: the
+   60 s experiment, one-pass standardization, the ARX fit with each
+   regressor row written straight into Φ, and the realization — no
+   validation report (Design_flow.validation builds that on demand).
+   The least of three fresh identifications under seeds no manager uses
+   (identify is memoized per seed).  Counted with [Gc.minor_words], like
+   the warm-construction gate: blocks too large for the minor heap (Φ,
+   the normal equations) are not counted, and a [Gc.allocated_bytes]
+   window saw only 68 KB of the 547 KB that per-entry regressors add.
+   338.5 KB when this gate went in, the budget 10 % above: a memoized
+   report (+3.8 MB), a regressor per entry of Φ (+548 KB), a fresh
+   regressor array per row (+156 KB) or a standardization that copies
+   each column out and rebuilds the rows with [Array.mapi] (+787 KB)
+   fails it. *)
+let test_cold_identify_bytes () =
+  let bytes seed =
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    ignore
+      (Sys.opaque_identity
+         (Spectr.Design_flow.identify ~seed Spectr.Design_flow.Big_2x2));
+    (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8)
+  in
+  let least =
+    List.fold_left (fun m seed -> Float.min m (bytes seed)) infinity
+      [ 9001L; 9002L; 9003L ]
+  in
+  let budget = 338.5e3 *. 1.10 in
+  check_bool
+    (Printf.sprintf "cold identify big-2x2: %.0f B (budget %.0f)" least budget)
+    true (least <= budget)
+
 (* Mean minor-heap bytes per Manager.step over the default seed-42 x264
    scenario, one row per manager.step.bytes.* cell of the perf bench.  A
    ratchet toward an allocation-free closed loop: each ceiling is what
@@ -341,6 +373,31 @@ let pinned_gains =
       ("pixel8pro c1", pixel 1, Spectr.Mm.goals, "1d64db0e7401b5be6ff13ac7037f69a0");
       ("pixel8pro c2", pixel 2, Spectr.Mm.goals, "37f031cac6de1eddbedabe377ca7ffe9");
     ]
+
+(* big-2x2's on-demand validation report, each channel's free-simulation
+   fit, one-step R² and rmse as exact hex floats — recorded while the
+   report was still built inside identify, so moving it out (and the
+   one-pass standardization, regressor rows and single prediction pass
+   beneath it) moved no bit. *)
+let test_pinned_big_report () =
+  let report =
+    Spectr.Design_flow.validation
+      (Spectr.Design_flow.identify Spectr.Design_flow.Big_2x2)
+  in
+  let line c =
+    Spectr_sysid.Validation.(
+      Printf.sprintf "%s fit %h r2 %h rmse %h" c.name c.fit_percent c.r_squared
+        c.rmse)
+  in
+  Alcotest.(check (array string))
+    "big-2x2 report"
+    [|
+      "qos fit 0x1.540846d2ac598p+6 r2 0x1.f80cc941dd734p-1 rmse \
+       0x1.2037fe530955cp-3";
+      "big-power fit 0x1.25021daf9bf7p+6 r2 0x1.f1b876649fbbep-1 rmse \
+       0x1.d019a5c1a717cp-3";
+    |]
+    (Array.map line report.Spectr_sysid.Validation.channels)
 
 let test_pinned_gain_digests () =
   List.iter
@@ -799,6 +856,8 @@ let () =
             (test_warm_construction Platform_desc.pixel8pro);
           Alcotest.test_case "Manager.step bytes ratchet" `Slow
             test_manager_step_bytes;
+          Alcotest.test_case "cold identify bytes" `Slow
+            test_cold_identify_bytes;
         ] );
       ( "byte-identity",
         [
@@ -809,6 +868,8 @@ let () =
           Alcotest.test_case "pinned gain digests on any schedule" `Slow
             test_pinned_gain_digests_any_schedule;
           Alcotest.test_case "chosen integrator leaks" `Slow test_chosen_leaks;
+          Alcotest.test_case "pinned big-2x2 validation report" `Slow
+            test_pinned_big_report;
           Alcotest.test_case "design_gains error order" `Quick
             test_design_gains_error_order;
         ] );

@@ -747,6 +747,22 @@ let test_fit_percent () =
   let x = [| 1.; 2.; 3. |] in
   check_float "identical" 100. (Stats.fit_percent ~actual:x ~predicted:x)
 
+(* A constant actual series carries nothing to identify: matched exactly
+   or not, R² and fit read nan and fail any [>=] gate (the R² >= 0.8
+   identifiability gate of Validation). *)
+let test_constant_actual_not_identifiable () =
+  let zero = Array.make 50 0. in
+  let r2 = Stats.r_squared ~actual:zero ~predicted:zero in
+  let fit = Stats.fit_percent ~actual:zero ~predicted:zero in
+  check_bool "R2 nan" true (Float.is_nan r2);
+  check_bool "fit nan" true (Float.is_nan fit);
+  check_bool "fails the R2 gate" false (r2 >= 0.8);
+  let off = Array.make 50 0.1 in
+  check_bool "mispredicted R2 nan" true
+    (Float.is_nan (Stats.r_squared ~actual:zero ~predicted:off));
+  check_bool "mispredicted fit nan" true
+    (Float.is_nan (Stats.fit_percent ~actual:zero ~predicted:off))
+
 let test_rmse () =
   check_float "rmse" 1.
     (Stats.rmse ~actual:[| 0.; 0. |] ~predicted:[| 1.; -1. |])
@@ -974,6 +990,8 @@ let () =
           Alcotest.test_case "R2 mean predictor" `Quick
             test_r_squared_mean_predictor;
           Alcotest.test_case "fit percent" `Quick test_fit_percent;
+          Alcotest.test_case "constant actual not identifiable" `Quick
+            test_constant_actual_not_identifiable;
           Alcotest.test_case "rmse" `Quick test_rmse;
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "steady-state error" `Quick

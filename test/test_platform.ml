@@ -1021,8 +1021,8 @@ let test_identify_big_cluster () =
     y.(t) <- [| obs.Soc.qos_rate; (Soc.sensor_powers soc).(0) |]
   done;
   let data = Spectr_sysid.Dataset.create ~u ~y in
-  let normalized, _ = Spectr_sysid.Dataset.normalize data in
-  let est, held_out = Spectr_sysid.Dataset.split normalized ~at:0.6 in
+  let standardized, _, _ = Spectr_sysid.Dataset.standardize data in
+  let est, held_out = Spectr_sysid.Dataset.split standardized ~at:0.6 in
   match Spectr_sysid.Arx.fit ~na:2 ~nb:2 est with
   | Error e -> Alcotest.failf "fit: %a" Spectr_sysid.Arx.pp_error e
   | Ok model ->

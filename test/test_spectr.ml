@@ -553,9 +553,31 @@ let test_scenario_deterministic () =
 
 let test_design_flow_big_identifiable () =
   let ident = Design_flow.identify Design_flow.Big_2x2 in
-  check_bool "R2 gate" true ident.Design_flow.report.Spectr_sysid.Validation.identifiable;
+  check_bool "R2 gate" true
+    (Design_flow.validation ident).Spectr_sysid.Validation.identifiable;
   check_int "2 inputs" 2 (Array.length ident.Design_flow.input_channels);
   check_int "2 outputs" 2 (Array.length ident.Design_flow.output_channels)
+
+(* The R² gate reads the validation report on demand: every cluster of
+   the exynos5422 and the pixel8pro passes it, while cluster 3 of k4 —
+   identified with no work placed on it, so its GIPS output is constant
+   zero — fails it (a constant channel reads R² = nan). *)
+let test_design_flow_identifiable_verdicts () =
+  let verdict p i =
+    (Design_flow.validation
+       (Design_flow.identify (Design_flow.cluster_subsystem p i)))
+      .Spectr_sysid.Validation.identifiable
+  in
+  List.iter
+    (fun p ->
+      for i = 0 to Platform_desc.num_clusters p - 1 do
+        check_bool
+          (Printf.sprintf "%s cluster %d identifiable" (Platform_desc.name p) i)
+          true (verdict p i)
+      done)
+    Platform_desc.[ exynos5422; pixel8pro ];
+  check_bool "k4 cluster 3 not identifiable" false
+    (verdict (Platform_desc.k_cluster 4) 3)
 
 let test_design_flow_large_worse_than_small ()
     =
@@ -564,7 +586,7 @@ let test_design_flow_large_worse_than_small ()
   let small = Design_flow.identify Design_flow.Big_2x2 in
   let large = Design_flow.identify Design_flow.Large_10x10 in
   let avg_fit ident =
-    let chans = ident.Design_flow.report.Spectr_sysid.Validation.channels in
+    let chans = (Design_flow.validation ident).Spectr_sysid.Validation.channels in
     Array.fold_left
       (fun acc c -> acc +. c.Spectr_sysid.Validation.fit_percent)
       0. chans
@@ -2334,6 +2356,8 @@ let () =
         [
           Alcotest.test_case "big 2x2 identifiable" `Slow
             test_design_flow_big_identifiable;
+          Alcotest.test_case "identifiable verdicts on demand" `Slow
+            test_design_flow_identifiable_verdicts;
           Alcotest.test_case "10x10 worse than 2x2" `Slow
             test_design_flow_large_worse_than_small;
           Alcotest.test_case "gain design" `Slow test_design_flow_gains;

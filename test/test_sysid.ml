@@ -145,14 +145,7 @@ let test_dataset_split () =
   let est, value = Dataset.split small_dataset ~at:0.5 in
   check_int "est" 2 (Dataset.length est);
   check_int "val" 2 (Dataset.length value);
-  check_float "val first" 30. (Dataset.output_channel value 0).(0)
-
-let test_dataset_normalize () =
-  let normalized, (u_means, y_means) = Dataset.normalize small_dataset in
-  check_float "u mean" 2.5 u_means.(0);
-  check_float "y mean" 25. y_means.(0);
-  check_float "demeaned u" 0. (Stats.mean (Dataset.input_channel normalized 0));
-  check_float "demeaned y" 0. (Stats.mean (Dataset.output_channel normalized 0))
+  check_float "val first" 30. value.Dataset.y.(0).(0)
 
 (* ------------------------------------------------------------------ *)
 (* ARX: known-system recovery                                          *)
@@ -209,8 +202,12 @@ let test_arx_bad_order () =
 let test_arx_prediction_residuals () =
   let data = generate_scalar_arx ~noise:0.05 ~length:1000 3L in
   let m = fit_or_fail ~na:1 ~nb:1 data in
-  let resid = Arx.residuals m data in
-  let r = Array.map (fun row -> row.(0)) resid in
+  let t0 = Arx.offset_suffix m in
+  let r =
+    Array.mapi
+      (fun k pred -> data.Dataset.y.(t0 + k).(0) -. pred.(0))
+      (Arx.predict_one_step m data)
+  in
   (* residual std should match the injected noise level *)
   check_bool "residual sigma ~ noise" true (abs_float (Stats.std r -. 0.05) < 0.02)
 
@@ -271,6 +268,62 @@ let test_arx_mimo_recovery () =
   check_bool "A22" true (abs_float (Matrix.get m.Arx.theta 1 1 -. 0.7) < 1e-6);
   check_bool "B11" true (abs_float (Matrix.get m.Arx.theta 0 2 -. 0.6) < 1e-6);
   check_bool "B22" true (abs_float (Matrix.get m.Arx.theta 1 3 -. 0.5) < 1e-6)
+
+(* One-pass standardization reproduces the per-column statistics bit for
+   bit: Stats.mean, the 1e-6-floored Stats.std, and (v − mean) / std in
+   every row; a constant channel is only demeaned. *)
+let test_dataset_standardize () =
+  let data = generate_mimo_dataset ~noise:0.02 ~length:300 11L in
+  let data =
+    Dataset.create
+      ~u:(Array.map (fun row -> Array.append row [| 3.5 |]) data.Dataset.u)
+      ~y:data.Dataset.y
+  in
+  let std, (u_mean, u_std), (y_mean, y_std) = Dataset.standardize data in
+  let bits = Int64.bits_of_float in
+  let check_side side rows mean sd std_rows =
+    Array.iteri
+      (fun i m ->
+        let col = Array.map (fun row -> row.(i)) rows in
+        let s = Float.max 1e-6 (Stats.std col) in
+        check_bool (Printf.sprintf "%s%d mean" side i) true
+          (bits m = bits (Stats.mean col));
+        check_bool (Printf.sprintf "%s%d std" side i) true (bits sd.(i) = bits s);
+        Array.iteri
+          (fun t row ->
+            check_bool (Printf.sprintf "%s%d row %d" side i t) true
+              (bits std_rows.(t).(i) = bits ((row.(i) -. m) /. s)))
+          rows)
+      mean
+  in
+  check_side "u" data.Dataset.u u_mean u_std std.Dataset.u;
+  check_side "y" data.Dataset.y y_mean y_std std.Dataset.y;
+  check_float "constant input floored" 1e-6 u_std.(2);
+  check_float "constant input demeaned" 0. std.Dataset.u.(17).(2)
+
+(* Validation's residual is y − ŷ of its one prediction pass, bit for
+   bit: each channel's autocorrelation is exactly that of the residual
+   computed here from Arx.predict_one_step. *)
+let test_residuals_from_one_prediction () =
+  let data = generate_mimo_dataset ~noise:0.02 ~length:400 12L in
+  let m = fit_or_fail ~na:2 ~nb:2 data in
+  let t0 = Arx.offset_suffix m in
+  let preds = Arx.predict_one_step m data in
+  let report = Validation.validate ~model:m data in
+  let bits = Int64.bits_of_float in
+  Array.iteri
+    (fun i c ->
+      let resid =
+        Array.mapi (fun k pred -> data.Dataset.y.(t0 + k).(i) -. pred.(i)) preds
+      in
+      check_bool
+        (Printf.sprintf "channel %d autocorrelation bit-exact" i)
+        true
+        (Array.for_all2
+           (fun (k, v) (k', v') -> k = k' && bits v = bits v')
+           (Stats.autocorrelations resid ~max_lag:20)
+           c.Validation.residual_autocorr))
+    report.Validation.channels
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
@@ -582,7 +635,7 @@ let () =
           Alcotest.test_case "create" `Quick test_dataset_create;
           Alcotest.test_case "validation" `Quick test_dataset_validation;
           Alcotest.test_case "split" `Quick test_dataset_split;
-          Alcotest.test_case "normalize" `Quick test_dataset_normalize;
+          Alcotest.test_case "standardize" `Quick test_dataset_standardize;
         ] );
       ( "arx",
         [
@@ -593,6 +646,8 @@ let () =
           Alcotest.test_case "bad order" `Quick test_arx_bad_order;
           Alcotest.test_case "residual level" `Quick
             test_arx_prediction_residuals;
+          Alcotest.test_case "residuals from one prediction" `Quick
+            test_residuals_from_one_prediction;
           Alcotest.test_case "state-space equivalence" `Quick
             test_arx_simulate_matches_statespace;
           Alcotest.test_case "no feedthrough" `Quick
