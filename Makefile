@@ -18,9 +18,10 @@ fmt:
 	dune build @fmt
 
 # Public-surface figures: exported values, exports named only in tests,
-# ?label: arguments, non-test .ml/.mli lines, test .ml lines, and the
-# unreferenced exports (exit 1 when there are any; `dune runtest` runs
-# the same gate silently).
+# ?label: arguments, non-test .ml/.mli lines, test .ml lines, the
+# unreferenced exports and the lib modules that only test/ names (exit 1
+# when there are any of either; `dune runtest` runs the same gate
+# silently).
 surface:
 	dune build test/surface.exe
 	./_build/default/test/surface.exe lib bench bin examples test
@@ -35,15 +36,18 @@ robustness:
 # print byte-identical output whether scenarios run sequentially or
 # fan out across domains.  fig12's output is also pinned to the
 # committed bench/fig12.expected, which holds the supervisor's nested
-# escaped state names (Eval\.Safe.Uncapped, Raise\.Emergency.C1), and
-# the validation figures fig5 and fig15 (held-out free simulation,
-# residual whiteness) to bench/fig5.expected and bench/fig15.expected.
+# escaped state names (Eval\.Safe.Uncapped, Raise\.Emergency.C1), the
+# validation figures fig5 and fig15 (held-out free simulation, residual
+# whiteness) to bench/fig5.expected and bench/fig15.expected, and the
+# ablations and robustness tables (the supervisor's and the guard's
+# constants, the settable uncapping threshold) to bench/ablations.expected
+# and bench/robustness.expected.
 bench-determinism:
 	dune build bench/main.exe
 	SPECTR_JOBS=1 dune exec bench/main.exe -- table1 fig5 fig6 fig12 fig13 fig15 > /tmp/spectr-bench-seq.txt
 	SPECTR_JOBS=4 dune exec bench/main.exe -- table1 fig5 fig6 fig12 fig13 fig15 > /tmp/spectr-bench-par.txt
 	diff /tmp/spectr-bench-seq.txt /tmp/spectr-bench-par.txt
-	for f in fig5 fig12 fig15; do \
+	for f in fig5 fig12 fig15 ablations robustness; do \
 	  SPECTR_JOBS=1 dune exec bench/main.exe -- $$f > /tmp/spectr-bench-$$f.txt && \
 	  diff bench/$$f.expected /tmp/spectr-bench-$$f.txt || exit 1; \
 	done

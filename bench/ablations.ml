@@ -58,16 +58,16 @@ let run () =
   let switch_counts =
     Spectr_exec.Parmap.map
       (fun uncap ->
-        let config =
-          { Spectr.Supervisor.default_config with uncapping_threshold = uncap }
-        in
         let commands =
           {
             Spectr.Supervisor.switch_gains = (fun _ -> ());
             set_power_ref = (fun _ _ -> ());
           }
         in
-        let sup = Spectr.Supervisor.create ~config ~commands ~envelope:5.0 () in
+        let sup =
+          Spectr.Supervisor.create ~uncapping_threshold:uncap ~commands
+            ~envelope:5.0 ()
+        in
         (* count mode switches under a noisy power trajectory hovering near
            the cap: a wider band should switch less *)
         let g = Spectr_linalg.Prng.create 7L in

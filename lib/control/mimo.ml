@@ -59,8 +59,9 @@ let dims g =
     Statespace.num_inputs g.Lqg.model,
     Statespace.num_outputs g.Lqg.model )
 
-let create ?(z_clamp = 20.) ~gains ~initial ~inputs ~outputs ~refs () =
-  if z_clamp <= 0. then invalid_arg "Mimo.create: z_clamp <= 0";
+let z_clamp = 20. (* integrator bound, normalized units (anti-windup) *)
+
+let create ~gains ~initial ~inputs ~outputs ~refs () =
   (match gains with [] -> invalid_arg "Mimo.create: no gain sets" | _ -> ());
   let labels = List.map (fun g -> g.Lqg.label) gains in
   let rec dup = function

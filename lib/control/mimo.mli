@@ -30,7 +30,6 @@ type t
 (** Mutable controller instance. *)
 
 val create :
-  ?z_clamp:float ->
   gains:Lqg.gains list ->
   initial:string ->
   inputs:channel array ->
@@ -43,15 +42,15 @@ val create :
     control parameters for different policies offline"); [initial]
     selects the starting mode by label.  [inputs] describe the m actuator
     channels, [outputs] the p sensor channels, [refs] the initial
-    physical reference values (length p).  [z_clamp] bounds each
-    integrator state to ±z_clamp normalized units (default 20) — the
-    anti-windup mechanism: during an infeasible phase integrators wind
-    to the clamp, sustaining a maximal command, and unwind in a bounded
-    number of periods afterwards.
+    physical reference values (length p).  Each integrator state is
+    bounded to ±20 normalized units — the anti-windup mechanism: during
+    an infeasible phase integrators wind to the clamp, sustaining a
+    maximal command, and unwind in a bounded number of periods
+    afterwards.
 
     Raises [Invalid_argument] when labels are duplicated, [initial] is
     unknown, any gain set disagrees on (m, p, n), array lengths are
-    inconsistent, or [z_clamp <= 0]. *)
+    inconsistent. *)
 
 val step : t -> measured:float array -> float array
 (** One control period: consume the physical measurements (length p) and

@@ -12,7 +12,7 @@ let c_trips = Obs.Counters.counter "guard.trips"
 let g_fallback_ticks = Obs.Counters.gauge "guard.fallback_ticks"
 let h_fallback_span = Obs.Histogram.histogram "guard.fallback_span_ticks"
 
-type channel_config = {
+type channel_thresholds = {
   lo : float;
   hi : float;
   max_step : float;
@@ -20,14 +20,14 @@ type channel_config = {
   suspect_limit : int;
 }
 
-type config = {
-  qos : channel_config;
-  power : channel_config;
+type thresholds = {
+  qos : channel_thresholds;
+  power : channel_thresholds;
   trip_count : int;
   recover_count : int;
 }
 
-let default_config =
+let thresholds =
   {
     qos = { lo = 0.2; hi = 400.; max_step = 45.; stuck_count = 8; suspect_limit = 4 };
     power = { lo = 0.02; hi = 15.; max_step = 3.; stuck_count = 8; suspect_limit = 4 };
@@ -151,16 +151,14 @@ type state = {
 }
 
 type t = {
-  config : config;
   filtered : filtered; (* preallocated result buffer for [filter] *)
   qos_io : float array; (* the QoS sample and its substitute, unboxed *)
   mutable s : state;
 }
 
-let create ?(config = default_config) ?(clusters = 2) () =
+let create ?(clusters = 2) () =
   if clusters < 1 then invalid_arg "Guarded.create: clusters < 1";
   {
-    config;
     filtered =
       { qos = 0.; powers = Array.make clusters 0.; healthy = false };
     qos_io = [| 0. |];
@@ -218,11 +216,11 @@ let log_fallback entered =
 (* Trip on a persistent problem on either path, resume only after a
    sustained run of fully healthy periods. *)
 let update_watchdog t ~now =
-  let c = t.config and s = t.s in
+  let s = t.s in
   let w = s.watchdog in
   if
-    Persistence.streak w sensor_bad >= c.trip_count
-    || Persistence.streak w actuator_bad >= c.trip_count
+    Persistence.streak w sensor_bad >= thresholds.trip_count
+    || Persistence.streak w actuator_bad >= thresholds.trip_count
   then begin
     if not s.is_degraded then begin
       s.is_degraded <- true;
@@ -232,7 +230,8 @@ let update_watchdog t ~now =
       log_fallback true
     end
   end
-  else if s.is_degraded && Persistence.streak w good >= c.recover_count then begin
+  else if s.is_degraded && Persistence.streak w good >= thresholds.recover_count
+  then begin
     s.is_degraded <- false;
     Persistence.reset w sensor_bad;
     Persistence.reset w actuator_bad;
@@ -263,13 +262,13 @@ let filter t ~now ~qos ~powers =
   roll_period s ~now;
   t.qos_io.(0) <- qos;
   let qos_ok =
-    channel_filter t.config.qos s.qos_ch ~src:t.qos_io ~dst:t.qos_io 0
+    channel_filter thresholds.qos s.qos_ch ~src:t.qos_io ~dst:t.qos_io 0
   in
   (* An accepted sample is passed on as it came, already boxed. *)
   f.qos <- (if qos_ok then qos else t.qos_io.(0));
   let healthy = ref qos_ok in
   for i = 0 to Array.length s.power_chs - 1 do
-    if not (channel_filter t.config.power s.power_chs.(i) ~src:powers ~dst:f.powers i)
+    if not (channel_filter thresholds.power s.power_chs.(i) ~src:powers ~dst:f.powers i)
     then healthy := false
   done;
   let healthy = !healthy in

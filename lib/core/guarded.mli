@@ -27,7 +27,7 @@
 
     The filter never emits a non-finite value. *)
 
-type channel_config = {
+type channel_thresholds = {
   lo : float;  (** Smallest plausible reading. *)
   hi : float;  (** Largest plausible reading. *)
   max_step : float;  (** Largest plausible change per sample. *)
@@ -37,22 +37,23 @@ type channel_config = {
       (** Off-trend samples after which a level shift is accepted. *)
 }
 
-type config = {
-  qos : channel_config;
-  power : channel_config;  (** Shared by every cluster power sensor. *)
+type thresholds = {
+  qos : channel_thresholds;
+  power : channel_thresholds;  (** Shared by every cluster power sensor. *)
   trip_count : int;  (** Consecutive unhealthy periods before degrading. *)
   recover_count : int;  (** Consecutive healthy periods before resuming. *)
 }
 
-val default_config : config
-(** Tuned for the x264-class scenarios: QoS plausible in [0.2, 400]
-    HB/s with steps up to 45, power in [0.02, 15] W with steps up to
-    3 W; 8-sample stuck detection, 4-sample spike tolerance; trip after
-    6 periods (300 ms at the 50 ms loop), recover after 10. *)
+val thresholds : thresholds
+(** The constants every guard runs with, tuned for the x264-class
+    scenarios: QoS plausible in [0.2, 400] HB/s with steps up to 45,
+    power in [0.02, 15] W with steps up to 3 W; 8-sample stuck
+    detection, 4-sample spike tolerance; trip after 6 periods (300 ms
+    at the 50 ms loop), recover after 10. *)
 
 type t
 
-val create : ?config:config -> ?clusters:int -> unit -> t
+val create : ?clusters:int -> unit -> t
 (** [clusters] (default 2) is the number of per-cluster power channels
     the guard tracks — one per platform cluster, in description order.
     Raises [Invalid_argument] when < 1. *)

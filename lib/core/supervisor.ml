@@ -16,15 +16,14 @@ type commands = {
          order *)
 }
 
-(* Config field names keep the paper's Big/Little vocabulary: "big" is
-   the host cluster (the one running the QoS application), "little" is
-   every secondary cluster — each secondary gets its own budget between
-   [little_budget_min] and [little_budget_max], moved in
-   [little_budget_step] increments. *)
-type config = {
+(* The band and budget constants.  Field names keep the paper's
+   Big/Little vocabulary: "big" is the host cluster (the one running the
+   QoS application), "little" is every secondary cluster — each
+   secondary gets its own budget between [little_budget_min] and
+   [little_budget_max], moved in [little_budget_step] increments. *)
+type thresholds = {
   qos_tolerance : float;
   capping_target : float;
-  uncapping_threshold : float;
   big_budget_step : float;
   big_budget_min : float;
   little_budget_step : float;
@@ -32,16 +31,13 @@ type config = {
   little_budget_max : float;
   critical_cut : float;
   max_actions_per_step : int;
-  min_capped_dwell : int;
-      (* supervisor periods that must elapse in power mode before
-         switching back to QoS gains (uncapping hysteresis) *)
+  min_capped_dwell : int; (* uncapping hysteresis, supervisor periods *)
 }
 
-let default_config =
+let thresholds =
   {
     qos_tolerance = 0.02;
     capping_target = 0.97;
-    uncapping_threshold = 0.90;
     big_budget_step = 0.25;
     big_budget_min = 0.8;
     little_budget_step = 0.1;
@@ -66,7 +62,7 @@ let synthesize ?(platform = Platform_desc.exynos5422) () =
   | Ok result -> result
 
 type t = {
-  config : config;
+  uncapping_threshold : float; (* lowest band edge *)
   commands : commands;
   platform : Platform_desc.t;
   auto : Automaton.t;
@@ -88,21 +84,21 @@ type t = {
   mutable last_envelope : float;
 }
 
-let create ?(config = default_config) ?(platform = Platform_desc.exynos5422)
-    ~commands ~envelope () =
+let create ?(uncapping_threshold = 0.90)
+    ?(platform = Platform_desc.exynos5422) ~commands ~envelope () =
   if envelope <= 0. then invalid_arg "Supervisor.create: envelope <= 0";
   let auto, stats = synthesize ~platform () in
   let fam = Events.for_platform platform in
   let k = Platform_desc.num_clusters platform in
   let host = Platform_desc.host platform in
   let refs = Array.make k 0.3 in
-  refs.(host) <- Float.max config.big_budget_min (envelope -. 0.6);
+  refs.(host) <- Float.max thresholds.big_budget_min (envelope -. 0.6);
   commands.set_power_ref host refs.(host);
   for i = 0 to k - 1 do
     if i <> host then commands.set_power_ref i refs.(i)
   done;
   {
-    config;
+    uncapping_threshold;
     commands;
     platform;
     auto;
@@ -218,7 +214,7 @@ let[@inline] host_budget_cap t =
        near the top of the big cluster's table — so capping at the full
        envelope limit-cycles across it.  Cap at the supervisor's own
        capping target instead, less half an OPP step of slack. *)
-    (t.last_envelope *. t.config.capping_target) -. 0.2
+    (t.last_envelope *. thresholds.capping_target) -. 0.2
   else begin
     let reserved = ref 0. in
     for i = 0 to t.k - 1 do
@@ -234,7 +230,7 @@ let[@inline] record_rebudget t i v =
 
 let set_host t v =
   let v =
-    Float.max t.config.big_budget_min (Float.min v (host_budget_cap t))
+    Float.max thresholds.big_budget_min (Float.min v (host_budget_cap t))
   in
   if v <> t.refs.(t.host) then begin
     t.refs.(t.host) <- v;
@@ -244,8 +240,8 @@ let set_host t v =
 
 let set_secondary t i v =
   let v =
-    Float.max t.config.little_budget_min
-      (Float.min v t.config.little_budget_max)
+    Float.max thresholds.little_budget_min
+      (Float.min v thresholds.little_budget_max)
   in
   if v <> t.refs.(i) then begin
     t.refs.(i) <- v;
@@ -262,17 +258,19 @@ let execute_cluster t eid =
     let ci = !i in
     (if eid = t.id_increase.(ci) then begin
        matched := true;
-       if ci = t.host then set_host t (t.refs.(ci) +. t.config.big_budget_step)
+       if ci = t.host then
+         set_host t (t.refs.(ci) +. thresholds.big_budget_step)
        else begin
-         set_secondary t ci (t.refs.(ci) +. t.config.little_budget_step);
+         set_secondary t ci (t.refs.(ci) +. thresholds.little_budget_step);
          (* a bigger secondary allocation shrinks the host budget cap *)
          set_host t t.refs.(t.host)
        end
      end
      else if eid = t.id_decrease.(ci) then begin
        matched := true;
-       if ci = t.host then set_host t (t.refs.(ci) -. t.config.big_budget_step)
-       else set_secondary t ci (t.refs.(ci) -. t.config.little_budget_step)
+       if ci = t.host then
+         set_host t (t.refs.(ci) -. thresholds.big_budget_step)
+       else set_secondary t ci (t.refs.(ci) -. thresholds.little_budget_step)
      end);
     incr i
   done;
@@ -300,9 +298,9 @@ let execute t eid =
        Obs.Decision_log.record (Obs.Decision_log.Gain_switch { mode = "qos" })
    end
    else if eid = id_decrease_critical_power then begin
-     set_host t (t.refs.(t.host) *. t.config.critical_cut);
+     set_host t (t.refs.(t.host) *. thresholds.critical_cut);
      for i = 0 to t.k - 1 do
-       if i <> t.host then set_secondary t i t.config.little_budget_min
+       if i <> t.host then set_secondary t i thresholds.little_budget_min
      done
    end
    else if eid = id_control_power then begin
@@ -322,12 +320,11 @@ let execute t eid =
    budget-raise (resp. -cut) command among the secondary clusters in
    description order.  Returns the event id or [-1]. *)
 let first_secondary_increase t =
-  let c = t.config in
   let pick = ref (-1) in
   let i = ref 0 in
   while !pick < 0 && !i < t.k do
     (if !i <> t.host
-        && t.refs.(!i) < c.little_budget_max -. 0.01
+        && t.refs.(!i) < thresholds.little_budget_max -. 0.01
         && has t t.id_increase.(!i)
      then pick := t.id_increase.(!i));
     incr i
@@ -335,12 +332,11 @@ let first_secondary_increase t =
   !pick
 
 let first_secondary_decrease t =
-  let c = t.config in
   let pick = ref (-1) in
   let i = ref 0 in
   while !pick < 0 && !i < t.k do
     (if !i <> t.host
-        && t.refs.(!i) > c.little_budget_min +. 0.01
+        && t.refs.(!i) > thresholds.little_budget_min +. 0.01
         && has t t.id_decrease.(!i)
      then pick := t.id_decrease.(!i));
     incr i
@@ -352,12 +348,13 @@ let first_secondary_decrease t =
    event id, or [-1] when no enabled controllable remains.  Each [has]
    probe is one binary search of the current CSR row. *)
 let choose_action t =
-  let c = t.config in
-  let qos_surplus = t.last_qos -. (t.last_qos_ref *. (1. +. c.qos_tolerance)) in
+  let qos_surplus =
+    t.last_qos -. (t.last_qos_ref *. (1. +. thresholds.qos_tolerance))
+  in
   let headroom = host_budget_cap t -. t.refs.(t.host) in
   if has t id_switch_power then id_switch_power
   else if has t id_decrease_critical_power then id_decrease_critical_power
-  else if has t id_switch_qos && t.mode_age >= c.min_capped_dwell then
+  else if has t id_switch_qos && t.mode_age >= thresholds.min_capped_dwell then
     id_switch_qos
   else if has t t.id_increase.(t.host) && headroom > 0.01 then
     t.id_increase.(t.host)
@@ -378,7 +375,7 @@ let choose_action t =
 (* A counted while-loop (a local [let rec] would allocate a closure
    over [t] on every call). *)
 let run_controllables t =
-  let budget = ref t.config.max_actions_per_step in
+  let budget = ref thresholds.max_actions_per_step in
   let stop = ref false in
   while (not !stop) && !budget > 0 do
     let eid = choose_action t in
@@ -435,18 +432,17 @@ let do_step t ~qos ~qos_ref ~power ~envelope =
         emergency or recovery). *)
      set_host t t.refs.(t.host)
    end);
-  let c = t.config in
   (* Power-band event ([-1]: inside the capping band, nothing fires). *)
   let power_eid =
     if power > envelope then id_critical
-    else if power > c.capping_target *. envelope then id_above_target
-    else if power < c.uncapping_threshold *. envelope then
+    else if power > thresholds.capping_target *. envelope then id_above_target
+    else if power < t.uncapping_threshold *. envelope then
       if t.mode = "power" then id_safe_power else id_below_target
     else -1
   in
   if power_eid >= 0 then feed t power_eid;
   (* QoS event. *)
-  let qos_ok = qos >= qos_ref *. (1. -. c.qos_tolerance) in
+  let qos_ok = qos >= qos_ref *. (1. -. thresholds.qos_tolerance) in
   let power_ok = power <= envelope in
   let qos_eid =
     if power_ok then

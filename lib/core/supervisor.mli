@@ -30,34 +30,32 @@ type commands = {
           order; on exynos5422: 0 = Big, 1 = Little). *)
 }
 
-(** Configuration keeps the paper's Big/Little vocabulary: the [big_*]
-    fields govern the {e host} cluster's budget, the [little_*] fields
-    every {e secondary} cluster's (each secondary gets its own budget
-    between the min and max, moved in [little_budget_step]
-    increments). *)
-type config = {
-  qos_tolerance : float;  (** Relative QoS-met band (default 0.02). *)
+(** The supervisor's band and budget constants.  They keep the paper's
+    Big/Little vocabulary: the [big_*] fields govern the {e host}
+    cluster's budget, the [little_*] fields every {e secondary}
+    cluster's (each secondary gets its own budget between the min and
+    max, moved in [little_budget_step] increments). *)
+type thresholds = {
+  qos_tolerance : float;  (** Relative QoS-met band: 0.02. *)
   capping_target : float;
-      (** Capping-target band edge as a fraction of the envelope
-          (default 0.97) — middle band of the three-band algorithm. *)
-  uncapping_threshold : float;  (** Lowest band edge (default 0.90). *)
-  big_budget_step : float;  (** Budget increment, W (default 0.25). *)
-  big_budget_min : float;  (** Floor for the host budget (default 0.8). *)
-  little_budget_step : float;  (** Default 0.1. *)
-  little_budget_min : float;  (** Default 0.15. *)
-  little_budget_max : float;  (** Default 1.0. *)
-  critical_cut : float;
-      (** Multiplicative emergency cut factor (default 0.9). *)
-  max_actions_per_step : int;  (** Command budget per invocation (4). *)
+      (** Capping-target band edge as a fraction of the envelope: 0.97
+          — middle band of the three-band algorithm. *)
+  big_budget_step : float;  (** Budget increment: 0.25 W. *)
+  big_budget_min : float;  (** Floor for the host budget: 0.8 W. *)
+  little_budget_step : float;  (** 0.1 W. *)
+  little_budget_min : float;  (** 0.15 W. *)
+  little_budget_max : float;  (** 1.0 W. *)
+  critical_cut : float;  (** Multiplicative emergency cut factor: 0.9. *)
+  max_actions_per_step : int;  (** Command budget per invocation: 4. *)
   min_capped_dwell : int;
       (** Uncapping hysteresis: supervisor periods that must elapse in
-          power mode before [switchQoS] may fire (default 10 — one
-          second at the 100 ms supervisor period).  Prevents gain-switch
-          chatter when the capped power level sits below the uncapping
-          threshold. *)
+          power mode before [switchQoS] may fire (10 — one second at the
+          100 ms supervisor period).  Prevents gain-switch chatter when
+          the capped power level sits below the uncapping threshold. *)
 }
 
-val default_config : config
+val thresholds : thresholds
+(** The constants every supervisor runs with. *)
 
 val synthesize :
   ?platform:Platform_desc.t -> unit -> Automaton.t * Synthesis.stats
@@ -72,7 +70,7 @@ val synthesize :
 type t
 
 val create :
-  ?config:config ->
+  ?uncapping_threshold:float ->
   ?platform:Platform_desc.t ->
   commands:commands ->
   envelope:float ->
@@ -80,7 +78,9 @@ val create :
   t
 (** A runtime supervisor starting in QoS mode with the host budget at
     [envelope] minus the secondary floor and every secondary budget at
-    0.3 W.  Synthesis runs once per {!create} (memoized per platform).
+    0.3 W.  [uncapping_threshold] (default 0.90) is the lowest band
+    edge, as a fraction of the envelope: below it the chip counts as
+    safely uncapped.  Synthesis runs once per {!create} (memoized per platform).
     Raises [Invalid_argument] when [envelope <= 0]. *)
 
 val step :

@@ -17,28 +17,32 @@ let demean x =
   let m = mean x in
   Array.map (fun v -> v -. m) x
 
-let autocorrelation x k =
-  require_nonempty "autocorrelation" x;
-  let n = Array.length x in
-  let k = abs k in
-  if k >= n then invalid_arg "Stats.autocorrelation: lag too large";
-  let xd = demean x in
-  let denom = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. xd in
-  if denom = 0. then 0.
-  else begin
-    let num = ref 0. in
-    for t = 0 to n - 1 - k do
-      num := !num +. (xd.(t) *. xd.(t + k))
-    done;
-    !num /. denom
-  end
+(* The lag-[k] (k >= 0) sum of a demeaned series; lag 0 is its energy. *)
+let lagged_sum xd k =
+  let s = ref 0. in
+  for t = 0 to Array.length xd - 1 - k do
+    s := !s +. (xd.(t) *. xd.(t + k))
+  done;
+  !s
 
+(* Lags 0..max_lag from one demeaned copy and one energy sum. *)
+let nonnegative_lags x ~max_lag =
+  require_nonempty "autocorrelation" x;
+  if max_lag >= Array.length x then
+    invalid_arg "Stats.autocorrelation: lag too large";
+  let xd = demean x in
+  let denom = lagged_sum xd 0 in
+  Array.init (max_lag + 1) (fun k ->
+      if denom = 0. then 0. else lagged_sum xd k /. denom)
+
+let autocorrelation x k = (nonnegative_lags x ~max_lag:(abs k)).(abs k)
+
+(* Each |k| is computed once and mirrored. *)
 let autocorrelations x ~max_lag =
-  Array.init
-    ((2 * max_lag) + 1)
-    (fun i ->
+  let r = nonnegative_lags x ~max_lag in
+  Array.init ((2 * max_lag) + 1) (fun i ->
       let k = i - max_lag in
-      (k, autocorrelation x k))
+      (k, r.(abs k)))
 
 let cross_correlation x y k =
   require_nonempty "cross_correlation" x;

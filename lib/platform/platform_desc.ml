@@ -219,9 +219,7 @@ let exynos5422 =
    4x Cortex-A715 (BIG, hosting the QoS app's four threads) and a
    single Cortex-X3 (PRIME) boost core.  OPP ramps and power
    coefficients are plausible approximations in the style of the
-   ARM-based-Power measurement topologies, not silicon ground truth —
-   the calibration fitter (Spectr_sysid.Calibrate) exists to replace
-   them with measured sweeps. *)
+   ARM-based-Power measurement topologies, not silicon ground truth. *)
 let pixel8pro =
   create ~name:"pixel8pro"
     ~clusters:

@@ -42,7 +42,9 @@ let regressor ~na ~nb ~m ~p u y t =
   regressor_into ~na ~nb ~m ~p u y t phi 0;
   phi
 
-let fit ?(ridge = 1e-8) ~na ~nb data =
+let ridge = 1e-8 (* Tikhonov regularization of the normal equations *)
+
+let fit ~na ~nb data =
   if na < 1 then Error (Bad_order "na must be >= 1")
   else if nb < 1 then Error (Bad_order "nb must be >= 1")
   else begin

@@ -32,11 +32,9 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val fit :
-  ?ridge:float -> na:int -> nb:int -> Dataset.t -> (model, error) result
-(** [fit ~na ~nb data] estimates the coefficients.  [ridge] (default
-    [1e-8]) is the Tikhonov regularization added to the normal
-    equations. *)
+val fit : na:int -> nb:int -> Dataset.t -> (model, error) result
+(** [fit ~na ~nb data] estimates the coefficients, with a [1e-8]
+    Tikhonov regularization added to the normal equations. *)
 
 val predict_one_step : model -> Dataset.t -> float array array
 (** One-step-ahead predictions ŷ(t|t−1) for t ∈ [max na nb, length).

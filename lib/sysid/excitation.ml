@@ -1,5 +1,6 @@
-let random_staircase g ~lo ~hi ?(num_levels = 6) ~hold ~length () =
-  if num_levels < 2 then invalid_arg "Excitation.random_staircase: num_levels";
+let num_levels = 6
+
+let random_staircase g ~lo ~hi ~hold ~length () =
   if hold < 1 then invalid_arg "Excitation.random_staircase: hold < 1";
   if length < 1 then invalid_arg "Excitation.random_staircase: length < 1";
   if hi < lo then invalid_arg "Excitation.random_staircase: hi < lo";

@@ -9,13 +9,12 @@ val random_staircase :
   Spectr_linalg.Prng.t ->
   lo:float ->
   hi:float ->
-  ?num_levels:int ->
   hold:int ->
   length:int ->
   unit ->
   float array
-(** Staircase whose level is redrawn uniformly from [num_levels]
-    (default 6) quantized steps every [hold] samples.  Independent draws
+(** Staircase whose level is redrawn uniformly from 6 evenly spaced
+    levels spanning [lo, hi] every [hold] samples.  Independent draws
     per channel keep multi-input excitations uncorrelated — the property
     a fixed phase-shifted staircase lacks, and without which the
     regression cannot attribute effects to the right actuator. *)

@@ -146,7 +146,7 @@ module Guarded = struct
   let h_fallback_span = Obs.Histogram.histogram "guard.fallback_span_ticks"
 
   type channel = {
-    cfg : Spectr.Guarded.channel_config;
+    cfg : Spectr.Guarded.channel_thresholds;
     mutable last_good : float;
     mutable have_good : bool;
     mutable suspects : int;
@@ -201,7 +201,7 @@ module Guarded = struct
       else accept v
 
   type t = {
-    config : Spectr.Guarded.config;
+    config : Spectr.Guarded.thresholds;
     qos_ch : channel;
     power_chs : channel array;
     mutable sensor_bad_streak : int;
@@ -219,7 +219,7 @@ module Guarded = struct
   }
 
   let create ~clusters =
-    let config = Spectr.Guarded.default_config in
+    let config = Spectr.Guarded.thresholds in
     {
       config;
       qos_ch = make_channel config.qos;

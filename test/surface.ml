@@ -9,12 +9,16 @@
    surplus: a value whose name collides with a name elsewhere counts as
    referenced.
 
+   It also lists every module under LIB_DIR whose name appears in no
+   file outside a directory called [test] but its own: code that only
+   tests reach.  It exits 1 when that list is non-empty too.
+
    It also prints the exported-value count, how many exports are named
-   outside their module only under a directory called [test], the
-   [?label:] optional-argument count of the [.mli] files under LIB_DIR,
-   the line count of the [.ml]/[.mli] files outside [test] and the line
-   count of the [.ml] files inside it, so every change can report the
-   five figures from one command. *)
+   outside their module only under [test], the [?label:]
+   optional-argument count of the [.mli] files under LIB_DIR, the line
+   count of the [.ml]/[.mli] files outside [test] and the line count of
+   the [.ml] files inside it, so every change can report the figures
+   from one command. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -215,4 +219,23 @@ let () =
   Printf.printf "test .ml lines:           %d\n" !test_lines;
   Printf.printf "unreferenced exports:     %d\n" (List.length !unreferenced);
   List.iter (Printf.printf "  %s\n") (List.rev !unreferenced);
-  if !unreferenced <> [] then exit 1
+  (* A module is named by its capitalized file name, from any file
+     outside [test] but its own. *)
+  let test_only_modules =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (path, m, _) ->
+           let name = String.capitalize_ascii (Filename.basename m) in
+           let reached =
+             List.exists
+               (fun (m', t) -> m' <> m && not t)
+               (Option.value ~default:[] (Hashtbl.find_opt users name))
+           in
+           if String.starts_with ~prefix:lib_prefix path && not reached then
+             Some name
+           else None)
+         sources)
+  in
+  Printf.printf "test-only modules:        %d\n" (List.length test_only_modules);
+  List.iter (Printf.printf "  %s\n") test_only_modules;
+  if !unreferenced <> [] || test_only_modules <> [] then exit 1

@@ -523,19 +523,6 @@ let test_mimo_switch_gains_bumpless () =
   check_bool "no slam on freq" true (abs_float (after.(0) -. before.(0)) < 0.6);
   check_bool "no slam on cores" true (abs_float (after.(1) -. before.(1)) < 1.5)
 
-let test_mimo_z_clamp_validation () =
-  let qos =
-    design_or_fail ~label:"qos" ~model:model_2x2 ~q_y:[| 1.; 1. |]
-      ~r_u:[| 1.; 1. |] ()
-  in
-  Alcotest.check_raises "z_clamp" (Invalid_argument "Mimo.create: z_clamp <= 0")
-    (fun () ->
-      ignore
-        (Mimo.create ~z_clamp:0. ~gains:[ qos ] ~initial:"qos"
-           ~inputs:[| Mimo.channel "a"; Mimo.channel "b" |]
-           ~outputs:[| Mimo.channel "y1"; Mimo.channel "y2" |]
-           ~refs:[| 0.; 0. |] ()))
-
 (* ------------------------------------------------------------------ *)
 (* PID                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -644,8 +631,6 @@ let () =
           qc prop_mimo_never_nan;
           Alcotest.test_case "bumpless gain switch" `Quick
             test_mimo_switch_gains_bumpless;
-          Alcotest.test_case "z_clamp validation" `Quick
-            test_mimo_z_clamp_validation;
         ] );
       ( "pid",
         [

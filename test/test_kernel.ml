@@ -33,16 +33,13 @@ let check_string = Alcotest.(check string)
 (* Allocation budgets                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Bytes per iteration after the caller has warmed [f] to steady state.
-   The Gc.allocated_bytes calls themselves box a float each; amortized
-   over the iteration count they stay far below the 1-byte threshold,
-   so "< 1.0 B/iter" distinguishes exactly-zero from any real per-call
-   allocation (the smallest possible box is 16 bytes). *)
+(* Bytes per iteration after the caller has warmed [f] to steady state,
+   counted in a closed window ({!Alloc.bytes}).  The window's own boxes
+   amortized over the iteration count stay far below the 1-byte
+   threshold, so "< 1.0 B/iter" distinguishes exactly-zero from any
+   real per-call allocation (the smallest possible box is 16 bytes). *)
 let bytes_per_iter iters f =
-  let b0 = Gc.allocated_bytes () in
-  f iters;
-  let b1 = Gc.allocated_bytes () in
-  (b1 -. b0) /. float_of_int iters
+  snd (Alloc.bytes (fun () -> f iters)) /. float_of_int iters
 
 let test_soc_step_into_zero_alloc () =
   let soc = Soc.create ~qos:Benchmarks.x264 () in
@@ -219,6 +216,19 @@ let test_cold_identify_bytes () =
   check_bool
     (Printf.sprintf "cold identify big-2x2: %.0f B (budget %.0f)" least budget)
     true (least <= budget)
+
+(* Bytes of one big-2x2 Design_flow.validation, counted in a closed
+   window ({!Alloc.bytes}).  The report is built afresh on every call,
+   so this is its cold cost: 639 616 B when this gate went in, the
+   budget 10 % above.  Residual autocorrelations that copy and demean
+   the series once per lag read 4 146 752 B. *)
+let test_validation_bytes () =
+  let id = Spectr.Design_flow.identify Spectr.Design_flow.Big_2x2 in
+  let _, bytes = Alloc.bytes (fun () -> Spectr.Design_flow.validation id) in
+  let budget = 639.6e3 *. 1.10 in
+  check_bool
+    (Printf.sprintf "validation big-2x2: %.0f B (budget %.0f)" bytes budget)
+    true (bytes <= budget)
 
 (* Mean minor-heap bytes per Manager.step over the default seed-42 x264
    scenario, one row per manager.step.bytes.* cell of the perf bench.  A
@@ -856,6 +866,7 @@ let () =
             (test_warm_construction Platform_desc.pixel8pro);
           Alcotest.test_case "Manager.step bytes ratchet" `Slow
             test_manager_step_bytes;
+          Alcotest.test_case "validation bytes" `Slow test_validation_bytes;
           Alcotest.test_case "cold identify bytes" `Slow
             test_cold_identify_bytes;
         ] );

@@ -295,11 +295,11 @@ let test_dare_unstabilizable () =
 
 (* The doubling converges quadratically, so a solve costs a handful of
    doublings: this 10-state, 2-input problem takes 10, which allocate
-   85.3 KB of fresh matrices (residual check included).  A solver that
-   fell back to linear convergence would take hundreds of iterations and
-   blow the budget, 85 KB plus 25 % (about two more doublings).  It is
-   the least of three solves: a single Gc.allocated_bytes window can
-   read a few KB high under the OCaml 5 runtime. *)
+   682 008 B of fresh matrices (residual check included), counted in a
+   closed window ({!Alloc.bytes}) that reads the same every run.  A
+   solver that fell back to linear convergence would take hundreds of
+   iterations and blow the budget, 682 KB plus 25 % (about two more
+   doublings). *)
 let test_dare_doubling_budget () =
   let n = 10 and m = 2 in
   let a =
@@ -312,16 +312,10 @@ let test_dare_doubling_budget () =
   (match Riccati.solve ~a ~b ~q ~r with
   | Ok p -> check_bool "solved" true (dare_residual ~a ~b ~q ~r p <= 1e-9)
   | Error e -> Alcotest.failf "DARE failed: %a" Riccati.pp_error e);
-  let bytes () =
-    Gc.minor ();
-    let b0 = Gc.allocated_bytes () in
-    ignore (Riccati.solve ~a ~b ~q ~r);
-    Gc.allocated_bytes () -. b0
-  in
-  let least = List.fold_left (fun m () -> Float.min m (bytes ())) infinity [ (); (); () ] in
-  let budget = 85e3 *. 1.25 in
-  check_bool (Printf.sprintf "Riccati.solve: %.0f B (budget %.0f)" least budget) true
-    (least <= budget)
+  let _, bytes = Alloc.bytes (fun () -> Riccati.solve ~a ~b ~q ~r) in
+  let budget = 682e3 *. 1.25 in
+  check_bool (Printf.sprintf "Riccati.solve: %.0f B (budget %.0f)" bytes budget) true
+    (bytes <= budget)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel oracles: the allocating code the in-place kernels replaced   *)

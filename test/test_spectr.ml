@@ -431,7 +431,7 @@ let test_supervisor_recovers_to_qos_mode () =
      min_capped_dwell supervisor periods before switching back *)
   Supervisor.step sup ~qos:60. ~qos_ref:60. ~power:3.0 ~envelope:5.0;
   check_string "dwell holds power mode" "power" (Supervisor.gains_mode sup);
-  for _ = 1 to Supervisor.default_config.Supervisor.min_capped_dwell do
+  for _ = 1 to Supervisor.thresholds.Supervisor.min_capped_dwell do
     Supervisor.step sup ~qos:60. ~qos_ref:60. ~power:3.0 ~envelope:5.0
   done;
   check_string "back to qos" "qos" (Supervisor.gains_mode sup);
@@ -516,7 +516,7 @@ let test_supervisor_budget_invariants_random_walk () =
   let _, commands = make_mock () in
   let sup = Supervisor.create ~commands ~envelope:5.0 () in
   let g = Spectr_linalg.Prng.create 77L in
-  let c = Supervisor.default_config in
+  let c = Supervisor.thresholds in
   for _ = 1 to 1000 do
     let qos = Spectr_linalg.Prng.uniform g ~lo:0. ~hi:150. in
     let power = Spectr_linalg.Prng.uniform g ~lo:0.1 ~hi:7.0 in
@@ -1179,7 +1179,7 @@ let test_guarded_filter_never_nonfinite () =
 
 let test_guarded_watchdog_trip_and_recover () =
   let g = warmed_guards () in
-  let cfg = Guarded.default_config in
+  let cfg = Guarded.thresholds in
   (* Persistent sensor loss: dead QoS line (0 is below the plausible
      floor).  The watchdog must trip after trip_count periods... *)
   for i = 1 to cfg.Guarded.trip_count do
@@ -1205,7 +1205,7 @@ let test_guarded_watchdog_trip_and_recover () =
    useless in a soak.) *)
 let test_guarded_watchdog_rearms () =
   let g = warmed_guards () in
-  let cfg = Guarded.default_config in
+  let cfg = Guarded.thresholds in
   let now = ref 0.25 in
   let advance () =
     now := !now +. 0.05;
@@ -1271,7 +1271,7 @@ let test_guarded_spike_vs_level_shift () =
 
 let test_guarded_stuck_sensor () =
   let g = warmed_guards () in
-  let cfg = Guarded.default_config in
+  let cfg = Guarded.thresholds in
   let last = ref true in
   for i = 1 to cfg.Guarded.qos.Guarded.stuck_count + 2 do
     let wiggle = if i mod 2 = 0 then 0. else 0.11 in
@@ -1288,7 +1288,7 @@ let test_guarded_stuck_sensor () =
 
 let test_guarded_actuator_watchdog () =
   let g = warmed_guards () in
-  let cfg = Guarded.default_config in
+  let cfg = Guarded.thresholds in
   for i = 1 to cfg.Guarded.trip_count do
     Guarded.note_actuation g ~now:(float_of_int i *. 0.05) ~ok:false
   done;
@@ -1300,7 +1300,7 @@ let test_guarded_actuator_watchdog () =
 let periods_to_trip readbacks =
   let g = warmed_guards () in
   let tripped = ref None in
-  for p = 1 to 3 * Guarded.default_config.Guarded.trip_count do
+  for p = 1 to 3 * Guarded.thresholds.Guarded.trip_count do
     let now = 0.25 +. (float_of_int p *. 0.05) in
     ignore (healthy_step g ~now p);
     List.iter (fun ok -> Guarded.note_actuation g ~now ~ok) readbacks;
@@ -1309,7 +1309,7 @@ let periods_to_trip readbacks =
   !tripped
 
 let test_guarded_actuator_per_period () =
-  let trip = Some Guarded.default_config.Guarded.trip_count in
+  let trip = Some Guarded.thresholds.Guarded.trip_count in
   let check = Alcotest.(check (option int)) in
   check "one of two clusters disobeying trips" trip (periods_to_trip [ false; true ]);
   check "either one" trip (periods_to_trip [ true; false ]);
@@ -2033,7 +2033,7 @@ let test_guarded_fallback_span_metrics () =
       let gauge = Spectr_obs.Counters.gauge "guard.fallback_ticks" in
       let spans_before = Spectr_obs.Histogram.count h in
       let g = warmed_guards () in
-      let cfg = Guarded.default_config in
+      let cfg = Guarded.thresholds in
       let now = ref 0.25 in
       let advance () =
         now := !now +. 0.05;

@@ -75,18 +75,17 @@ let test_single_input_variation () =
 let test_random_staircase () =
   let g = Prng.create 21L in
   let s =
-    Excitation.random_staircase g ~lo:1. ~hi:4. ~num_levels:4 ~hold:5
-      ~length:200 ()
+    Excitation.random_staircase g ~lo:1. ~hi:6. ~hold:5 ~length:200 ()
   in
   check_int "length" 200 (Array.length s);
-  Array.iter (fun v -> check_bool "range" true (v >= 1. && v <= 4.)) s;
+  Array.iter (fun v -> check_bool "range" true (v >= 1. && v <= 6.)) s;
   (* dwell: constant within each hold window *)
   for k = 0 to (200 / 5) - 1 do
     for j = 1 to 4 do
       check_float "dwell" s.(k * 5) s.((k * 5) + j)
     done
   done;
-  (* quantized to the 4 levels 1, 2, 3, 4 *)
+  (* quantized to the 6 levels 1, 2, ..., 6 *)
   Array.iter
     (fun v -> check_bool "on-grid" true (Float.is_integer v))
     s;
@@ -165,8 +164,8 @@ let generate_scalar_arx ~noise ~length seed =
   done;
   Dataset.create ~u ~y
 
-let fit_or_fail ?ridge ~na ~nb data =
-  match Arx.fit ?ridge ~na ~nb data with
+let fit_or_fail ~na ~nb data =
+  match Arx.fit ~na ~nb data with
   | Ok m -> m
   | Error e -> Alcotest.failf "Arx.fit: %a" Arx.pp_error e
 
@@ -446,169 +445,6 @@ let test_robust_stability_of_identified_design () =
         (Guardband.robustly_stable gains)
 
 (* ------------------------------------------------------------------ *)
-(* Calibration                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let fits_or_fail sweep =
-  match Calibration.fit sweep with
-  | Ok fits -> fits
-  | Error e -> Alcotest.failf "Calibration.fit: %s" e
-
-(* The fitter's central contract: generate a sweep from a known
-   description, fit it back, and recover models that reproduce the
-   measurements with R² ≥ 0.95 per cluster — under realistic (1 %)
-   multiplicative sensor noise. *)
-let test_calibration_roundtrip () =
-  List.iter
-    (fun desc ->
-      let name = Spectr_platform.Platform_desc.name desc in
-      let sweep = Calibration.generate_sweep ~seed:7L ~noise:0.01 desc in
-      let fits = fits_or_fail sweep in
-      Alcotest.(check int)
-        (name ^ " cluster count")
-        (Spectr_platform.Platform_desc.num_clusters desc)
-        (List.length fits);
-      List.iteri
-        (fun i f ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s cluster %d order" name i)
-            (Spectr_platform.Platform_desc.cluster_name desc i)
-            f.Calibration.fit_cluster;
-          check_bool
-            (Printf.sprintf "%s/%s power R2 >= 0.95" name
-               f.Calibration.fit_cluster)
-            true
-            (f.Calibration.fit_power_r2 >= 0.95);
-          check_bool
-            (Printf.sprintf "%s/%s ips R2 >= 0.95" name
-               f.Calibration.fit_cluster)
-            true
-            (f.Calibration.fit_ips_r2 >= 0.95))
-        fits;
-      let host =
-        Spectr_platform.Platform_desc.cluster_name desc
-          (Spectr_platform.Platform_desc.host desc)
-      in
-      match
-        Calibration.to_platform ~name:(name ^ "-refit") ~host
-          ~thermal:(Spectr_platform.Platform_desc.thermal desc)
-          fits
-      with
-      | Error e -> Alcotest.failf "to_platform: %s" e
-      | Ok refit ->
-          Alcotest.(check int)
-            (name ^ " refit clusters")
-            (Spectr_platform.Platform_desc.num_clusters desc)
-            (Spectr_platform.Platform_desc.num_clusters refit);
-          Alcotest.(check int)
-            (name ^ " refit host")
-            (Spectr_platform.Platform_desc.host desc)
-            (Spectr_platform.Platform_desc.host refit))
-    Spectr_platform.Platform_desc.
-      [ exynos5422; pixel8pro; k_cluster 4 ]
-
-(* A noiseless sweep must be reproduced essentially exactly. *)
-let test_calibration_exact () =
-  let desc = Spectr_platform.Platform_desc.exynos5422 in
-  let sweep = Calibration.generate_sweep ~noise:0. desc in
-  List.iter
-    (fun f ->
-      check_bool
-        (f.Calibration.fit_cluster ^ " power R2 ~ 1") true
-        (f.Calibration.fit_power_r2 > 0.9999);
-      check_bool
-        (f.Calibration.fit_cluster ^ " ips R2 ~ 1") true
-        (f.Calibration.fit_ips_r2 > 0.9999))
-    (fits_or_fail sweep)
-
-let test_calibration_csv_roundtrip () =
-  let sweep =
-    Calibration.generate_sweep ~seed:3L
-      Spectr_platform.Platform_desc.pixel8pro
-  in
-  match Calibration.sweep_of_csv (Calibration.sweep_to_csv sweep) with
-  | Error e -> Alcotest.failf "sweep_of_csv: %s" e
-  | Ok parsed ->
-      Alcotest.(check int)
-        "row count preserved" (List.length sweep) (List.length parsed);
-      List.iter2
-        (fun a b ->
-          Alcotest.(check string)
-            "cluster" a.Calibration.s_cluster b.Calibration.s_cluster;
-          Alcotest.(check int)
-            "freq" a.Calibration.s_freq_mhz b.Calibration.s_freq_mhz;
-          Alcotest.(check int)
-            "active" a.Calibration.s_active b.Calibration.s_active)
-        sweep parsed
-
-let test_calibration_csv_errors () =
-  let reject what csv =
-    match Calibration.sweep_of_csv csv with
-    | Ok _ -> Alcotest.failf "%s: expected a parse error" what
-    | Error msg ->
-        check_bool (what ^ " names a line") true
-          (String.length msg > 0)
-  in
-  reject "empty" "";
-  reject "wrong header" "a,b,c\n";
-  let header = String.concat "," Calibration.sample_columns in
-  reject "wrong field count" (header ^ "\nbig,1000,1.0\n");
-  reject "bad number" (header ^ "\nbig,fast,1.0,1,4,1.0,2.0,1e9\n");
-  reject "active > total" (header ^ "\nbig,1000,1.0,5,4,1.0,2.0,1e9\n");
-  reject "negative power" (header ^ "\nbig,1000,1.0,1,4,1.0,-2.0,1e9\n")
-
-let test_calibration_degenerate () =
-  (* 3 samples cannot identify 4 power parameters. *)
-  let short =
-    List.filteri
-      (fun i _ -> i < 3)
-      (Calibration.generate_sweep Spectr_platform.Platform_desc.exynos5422)
-  in
-  (match Calibration.fit short with
-  | Ok _ -> Alcotest.fail "expected under-determined fit to fail"
-  | Error msg ->
-      check_bool "names the cluster" true
-        (String.length msg > 0 && String.sub msg 0 7 = "cluster");
-      check_bool "empty sweep rejected" true
-        (Result.is_error (Calibration.fit [])))
-
-let test_calibration_r2_gate () =
-  (* Garbage measurements (huge noise) must be rejected by to_platform's
-     gate, not silently shipped as a platform. *)
-  let desc = Spectr_platform.Platform_desc.exynos5422 in
-  let sweep = Calibration.generate_sweep ~seed:5L ~noise:0.6 desc in
-  let fits = fits_or_fail sweep in
-  match
-    Calibration.to_platform ~name:"garbage" ~host:"big"
-      ~thermal:(Spectr_platform.Platform_desc.thermal desc)
-      fits
-  with
-  | Ok _ -> Alcotest.fail "expected the R2 gate to reject a 60 % noise fit"
-  | Error msg ->
-      (* The refusal must be the calibration gate speaking, not an
-         incidental construction failure. *)
-      let mentions_gate =
-        let needle = "R2 gate" in
-        let n = String.length needle and m = String.length msg in
-        let rec at i =
-          i + n <= m && (String.sub msg i n = needle || at (i + 1))
-        in
-        at 0
-      in
-      check_bool "gate message mentions the R2 gate" true mentions_gate
-
-let test_calibration_unknown_host () =
-  let desc = Spectr_platform.Platform_desc.exynos5422 in
-  let fits = fits_or_fail (Calibration.generate_sweep desc) in
-  match
-    Calibration.to_platform ~name:"x" ~host:"prime"
-      ~thermal:(Spectr_platform.Platform_desc.thermal desc)
-      fits
-  with
-  | Ok _ -> Alcotest.fail "expected unknown host to be rejected"
-  | Error _ -> ()
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "spectr_sysid"
@@ -669,22 +505,5 @@ let () =
             test_guardband_scales_outputs;
           Alcotest.test_case "robust identified design" `Quick
             test_robust_stability_of_identified_design;
-        ] );
-      ( "calibration",
-        [
-          Alcotest.test_case "round-trip R2 >= 0.95" `Quick
-            test_calibration_roundtrip;
-          Alcotest.test_case "noiseless sweep exact" `Quick
-            test_calibration_exact;
-          Alcotest.test_case "sweep CSV round-trip" `Quick
-            test_calibration_csv_roundtrip;
-          Alcotest.test_case "sweep CSV errors" `Quick
-            test_calibration_csv_errors;
-          Alcotest.test_case "degenerate sweeps rejected" `Quick
-            test_calibration_degenerate;
-          Alcotest.test_case "R2 gate rejects garbage" `Quick
-            test_calibration_r2_gate;
-          Alcotest.test_case "unknown host rejected" `Quick
-            test_calibration_unknown_host;
         ] );
     ]
