@@ -117,20 +117,23 @@ fleet-smoke:
 # Platform smoke: the data-driven platform layer end to end.  Built-in
 # descriptions list and validate (`platforms` digests each one), a
 # short scenario runs on every built-in shape (2-cluster board,
-# 3-cluster pixel8pro, generated k3), the exynos5422 trace CSV is
-# pinned byte-for-byte against the pre-refactor build, and every file
-# in the malformed-CSV corpus is rejected with exit code 2 and a
-# line-numbered parse error.
+# 3-cluster pixel8pro, generated k3), each run's trace CSV is pinned
+# byte for byte (the exynos5422 one against the pre-refactor build),
+# and every file in the malformed-CSV corpus is rejected with exit code
+# 2 and a line-numbered parse error.
 platform-smoke:
 	dune exec bin/spectr_cli.exe -- platforms
 	dune exec bin/spectr_cli.exe -- platforms --platform pixel8pro
 	dune exec bin/spectr_cli.exe -- scenario -m spectr -b x264 \
 	  --platform exynos5422 --csv /tmp/spectr-platform-exynos.csv > /dev/null
 	dune exec bin/spectr_cli.exe -- scenario -m spectr -b x264 \
-	  --platform pixel8pro > /dev/null
+	  --platform pixel8pro --csv /tmp/spectr-platform-pixel8pro.csv > /dev/null
 	dune exec bin/spectr_cli.exe -- scenario -m spectr -b x264 \
-	  --platform k3 > /dev/null
-	echo "ab3b5b5ef6ec4920c18d5f0a4117cbc1  /tmp/spectr-platform-exynos.csv" \
+	  --platform k3 --csv /tmp/spectr-platform-k3.csv > /dev/null
+	printf '%s  %s\n' \
+	  ab3b5b5ef6ec4920c18d5f0a4117cbc1 /tmp/spectr-platform-exynos.csv \
+	  817c44759c3f8322c3ead7d40e2b6d79 /tmp/spectr-platform-pixel8pro.csv \
+	  e80a2e63f4f235f1410275bb7183ab98 /tmp/spectr-platform-k3.csv \
 	  | md5sum -c -
 	for f in test/platforms/bad/*.csv; do \
 	  dune exec bin/spectr_cli.exe -- platforms --platform $$f; \

@@ -23,10 +23,10 @@ let log_tail = 40
 
 (* Deterministically re-run one failing cell with the observability
    layer on and harvest the decision-log tail.  The parallel sweep runs
-   with obs off (the log is process-global); instrumentation does not
-   perturb traces (pinned by the obs determinism tests), so the re-run
-   reproduces the failure exactly. *)
-let harvest_log_tail cell =
+   with obs off (the log is process-global); instrumentation must not
+   perturb traces, so the re-run's digest must equal the sweep's, or
+   the log tail would explain some other run. *)
+let harvest_log_tail (o : Engine.outcome) =
   let was_enabled = Spectr_obs.enabled () in
   Spectr_obs.enable ();
   Spectr_obs.reset ();
@@ -35,7 +35,12 @@ let harvest_log_tail cell =
     if not was_enabled then Spectr_obs.disable ()
   in
   Fun.protect ~finally (fun () ->
-      ignore (Engine.run_cell cell);
+      let rerun = Engine.run_cell o.Engine.cell in
+      if rerun.Engine.digest <> o.Engine.digest then
+        failwith
+          (Printf.sprintf
+             "Soak: cell %d re-ran with digest %s, the sweep's was %s"
+             o.Engine.cell.Campaign.index rerun.Engine.digest o.Engine.digest);
       let lines =
         String.split_on_char '\n' (Spectr_obs.Decision_log.to_jsonl ())
         |> List.filter (fun l -> l <> "")
@@ -91,7 +96,7 @@ let run ?(max_findings = 10) spec =
     |> List.map (fun o ->
            {
              f_outcome = o;
-             f_log_tail = harvest_log_tail o.Engine.cell;
+             f_log_tail = harvest_log_tail o;
            })
   in
   {

@@ -37,6 +37,8 @@ val run : ?max_findings:int -> Campaign.spec -> report
     off (the decision log is process-global); up to [max_findings]
     (default 10) failing cells are then re-run sequentially with
     instrumentation on to harvest the last 40 decision-log lines each.
+    Raises [Failure], naming the cell and both digests, when a re-run's
+    trace digest differs from the sweep's.
 
     The sweep runs through a warm {!Arena}: one manager per (domain,
     variant), reset between cells — outcomes are identical to cold

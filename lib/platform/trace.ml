@@ -95,15 +95,101 @@ let last t name =
   if t.n = 0 then invalid_arg "Trace.last: empty trace";
   t.cols.(index t name).(t.n - 1)
 
+(* CSV rendering.  Every value is written as [Printf.sprintf "%.6g"]
+   writes it, byte for byte: the chaos digests, replay artifacts and
+   CLI CSVs all hash this text.  [Printf] rebuilds its format string and
+   calls [snprintf] for every value, which cost two thirds of a chaos
+   cell, so the common cases are written here by hand and the rest go to
+   the same primitive [Printf]'s [%g] ends in. *)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Decimal digits of [m] >= 0 with the point [d] digits from the right
+   (none when [d] = 0) and at least one digit before it.  No closure,
+   no [string_of_int] (another [snprintf]). *)
+let add_fixed buf m d =
+  let pow = ref 1 and j = ref 0 in
+  while !pow * 10 <= m || !j < d do
+    pow := !pow * 10;
+    incr j
+  done;
+  while !pow > 0 do
+    if !j = d - 1 then Buffer.add_char buf '.';
+    Buffer.add_char buf (Char.unsafe_chr (48 + (m / !pow mod 10)));
+    pow := !pow / 10;
+    decr j
+  done
+
+let pow10 = [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9 |]
+
+let add_fallback buf x = Buffer.add_string buf (format_float "%.6g" x)
+
+(* Writes [col.(r)]: the value is read here, not passed, so it stays
+   unboxed on every path but the fallback. *)
+let add_g buf col r =
+  let x = Array.unsafe_get col r in
+  let a = Float.abs x in
+  (* False for nan and the infinities. *)
+  if a < 1e6 then begin
+    let i = Float.to_int x in
+    if Float.of_int i = x then
+      (* Integral: at most six digits, which is what %.6g prints. *)
+      if i = 0 && Float.sign_bit x then add_fallback buf x
+      else begin
+        if i < 0 then Buffer.add_char buf '-';
+        add_fixed buf (abs i) 0
+      end
+    else if a >= 1e-4 then begin
+      (* Six significant digits: d = 5 - e places after the point for
+         the decade 10^e <= |x| < 10^(e+1).  The doubles nearest 1e-1
+         .. 1e-4 lie above the true powers, so [>=] against them decides
+         the decade exactly. *)
+      let d =
+        if a >= 1e5 then 0
+        else if a >= 1e4 then 1
+        else if a >= 1e3 then 2
+        else if a >= 1e2 then 3
+        else if a >= 1e1 then 4
+        else if a >= 1. then 5
+        else if a >= 1e-1 then 6
+        else if a >= 1e-2 then 7
+        else if a >= 1e-3 then 8
+        else 9
+      in
+      (* Round |x| * 10^d to m.  The power of ten is exact, the
+         product's error is below 2^-33. *)
+      let p = a *. Array.unsafe_get pow10 d in
+      let whole = Float.to_int p in
+      let frac = p -. Float.of_int whole in
+      let m = if frac > 0.5 then whole + 1 else whole in
+      (* The C library rounds an exact tie half to even, and a carry to
+         10^6 changes the exponent: leave both to it. *)
+      if Float.abs (frac -. 0.5) < 1e-9 || m >= 1_000_000 then
+        add_fallback buf x
+      else begin
+        (* %.6g's %f style: strip trailing zeros and a bare point. *)
+        let m = ref m and d = ref d in
+        while !d > 0 && !m mod 10 = 0 do
+          m := !m / 10;
+          decr d
+        done;
+        if x < 0. then Buffer.add_char buf '-';
+        add_fixed buf !m !d
+      end
+    end
+    else add_fallback buf x
+  end
+  else add_fallback buf x
+
 let to_csv t =
-  let buf = Buffer.create 1024 in
+  let k = Array.length t.names in
+  let buf = Buffer.create (1024 + (t.n * k * 8)) in
   Buffer.add_string buf (String.concat "," (Array.to_list t.names));
   Buffer.add_char buf '\n';
-  let k = Array.length t.names in
   for r = 0 to t.n - 1 do
     for c = 0 to k - 1 do
       if c > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "%.6g" t.cols.(c).(r))
+      add_g buf t.cols.(c) r
     done;
     Buffer.add_char buf '\n'
   done;

@@ -51,4 +51,13 @@ val last_ix : t -> int -> float
 (** By-index {!last}: latest value, O(1), no hashing. *)
 
 val to_csv : t -> string
-(** Header line plus one comma-separated line per row. *)
+(** Header line (the column names) plus one comma-separated line per
+    row, each line ending in ['\n'].  Every value is written as
+    [Printf.sprintf "%.6g"] writes it, byte for byte, without calling
+    [Printf]: six significant digits, trailing zeros dropped, exponent
+    form below 1e-4 and from 1e6 up, and the C library's spelling of
+    nan, the infinities and -0.  The chaos cell digests, the
+    [spectr_cli chaos] reproducers and their replays, the pinned
+    scenario digests and the [make platform-smoke] CSVs all hash this
+    text; [test_platform] checks it against [Printf] over eight
+    million seeded values. *)

@@ -230,6 +230,33 @@ let test_validation_bytes () =
     (Printf.sprintf "validation big-2x2: %.0f B (budget %.0f)" bytes budget)
     true (bytes <= budget)
 
+(* Bytes of one [Trace.to_csv] of a seeded 240-row, 15-column chaos
+   trace (the render behind every chaos cell's digest), counted in a
+   closed window ({!Alloc.bytes}): 47 272 B for 16 716 B of CSV when
+   this gate went in (the buffer, sized up front, and its contents),
+   the budget 10 % above.  [Printf.sprintf "%.6g"] per value into the
+   same buffer reads 1 663 384 B. *)
+let test_trace_csv_bytes () =
+  let spec =
+    Spectr_chaos.Campaign.default_spec ~seed:42 ~cells:1
+      ~variants:[ Spectr_chaos.Campaign.Spectr ] ()
+  in
+  let cell = Spectr_chaos.Campaign.cell_of_spec spec 0 in
+  let manager, _, _, _ =
+    Spectr_chaos.Campaign.make_manager cell.Spectr_chaos.Campaign.variant
+  in
+  let trace =
+    Spectr.Scenario.run ~manager (Spectr_chaos.Campaign.config_of_cell cell)
+  in
+  check_int "rows" 240 (Trace.length trace);
+  check_int "columns" 15 (Trace.width trace);
+  let csv, bytes = Alloc.bytes (fun () -> Trace.to_csv trace) in
+  let budget = 47_272. *. 1.10 in
+  check_bool
+    (Printf.sprintf "to_csv 240 x 15: %.0f B for %d B of CSV (budget %.0f)"
+       bytes (String.length csv) budget)
+    true (bytes <= budget)
+
 (* Mean minor-heap bytes per Manager.step over the default seed-42 x264
    scenario, one row per manager.step.bytes.* cell of the perf bench.  A
    ratchet toward an allocation-free closed loop: each ceiling is what
@@ -867,6 +894,7 @@ let () =
           Alcotest.test_case "Manager.step bytes ratchet" `Slow
             test_manager_step_bytes;
           Alcotest.test_case "validation bytes" `Slow test_validation_bytes;
+          Alcotest.test_case "trace CSV bytes" `Quick test_trace_csv_bytes;
           Alcotest.test_case "cold identify bytes" `Slow
             test_cold_identify_bytes;
         ] );

@@ -670,10 +670,70 @@ let test_trace_validation () =
   Alcotest.check_raises "unknown" (Invalid_argument "Trace: unknown column \"z\"")
     (fun () -> ignore (Trace.column tr "z"))
 
+(* [to_csv] writes each value by hand; [Printf.sprintf "%.6g"] is the
+   oracle it must match byte for byte, since digests, replay artifacts
+   and CLI CSVs hash its text. *)
+let expect_g name values =
+  let n = Array.length values in
+  let tr = Trace.create ~cap:(max 1 n) ~columns:[ "x" ] () in
+  Array.iter (fun v -> Trace.add tr [| v |]) values;
+  let got = Trace.to_csv tr in
+  let want = Buffer.create (n * 12) in
+  Buffer.add_string want "x\n";
+  Array.iter
+    (fun v ->
+      Buffer.add_string want (Printf.sprintf "%.6g" v);
+      Buffer.add_char want '\n')
+    values;
+  if got <> Buffer.contents want then begin
+    let lines = Array.of_list (String.split_on_char '\n' got) in
+    Array.iteri
+      (fun i v ->
+        let line = if i + 1 < Array.length lines then lines.(i + 1) else "" in
+        if line <> Printf.sprintf "%.6g" v then
+          Alcotest.failf "%s: %h writes %S, Printf %S" name v line
+            (Printf.sprintf "%.6g" v))
+      values;
+    Alcotest.failf "%s: CSV differs outside the values" name
+  end
+
 let test_trace_csv () =
   let tr = Trace.create ~columns:[ "a"; "b" ] () in
   Trace.add tr [| 1.; 2. |];
-  check_bool "csv" true (Trace.to_csv tr = "a,b\n1,2\n")
+  check_bool "csv" true (Trace.to_csv tr = "a,b\n1,2\n");
+  (* Named edges, one one-column trace each. *)
+  List.iter
+    (fun v -> expect_g (Printf.sprintf "%h" v) [| v |])
+    [
+      0.; -0.; infinity; neg_infinity; nan; Float.neg nan;
+      999999.; -999999.; 1e6; -1e6; 1e-4; 1e-5; 0.1; 0.01; 0.001;
+      9.999995; 99999.95; 999999.5; 123457.5; 123456.5; 12345.75;
+      -123457.5; 4.9e-324; 2.2e-308; 5e15; 0.30000000000000004;
+    ];
+  (* Seeded classes, a million values each. *)
+  let n = 1_000_000 in
+  let st = Random.State.make [| 30 |] in
+  let uniform lo hi = Array.init n (fun _ -> lo +. Random.State.float st (hi -. lo)) in
+  expect_g "integers in +-1.5e6"
+    (Array.init n (fun _ ->
+         float_of_int (Random.State.int st 3_000_001 - 1_500_000)));
+  expect_g "uniform in +-1e6" (uniform (-1e6) 1e6);
+  expect_g "uniform in +-10" (uniform (-10.) 10.);
+  expect_g "uniform in [0, 0.002]" (uniform 0. 0.002);
+  expect_g "raw bit patterns"
+    (Array.init n (fun _ -> Int64.float_of_bits (Random.State.bits64 st)));
+  expect_g "k/1e6" (Array.init n (fun k -> float_of_int k /. 1e6));
+  (* Half a unit from a six-digit boundary, in each of the ten decades
+     the hand-written path covers (k + 0.5 itself is an exact tie). *)
+  expect_g "near-ties"
+    (Array.init n (fun i ->
+         let k = 100_000 + (i mod 100_000) and j = i / 100_000 in
+         let v = (float_of_int k +. 0.5) /. (10. ** float_of_int j) in
+         if k land 1 = 0 then v else -.v));
+  expect_g "seven significant digits"
+    (Array.init n (fun _ ->
+         float_of_int (1_000_000 + Random.State.int st 9_000_000)
+         /. (10. ** float_of_int (Random.State.int st 11))))
 
 let test_trace_growth () =
   (* Well past the 256-row initial capacity, across several doublings:
