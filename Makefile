@@ -34,20 +34,20 @@ robustness:
 
 # Parallel-vs-sequential bench determinism: the bench experiments must
 # print byte-identical output whether scenarios run sequentially or
-# fan out across domains.  fig12's output is also pinned to the
-# committed bench/fig12.expected, which holds the supervisor's nested
-# escaped state names (Eval\.Safe.Uncapped, Raise\.Emergency.C1), the
-# validation figures fig5 and fig15 (held-out free simulation, residual
-# whiteness) to bench/fig5.expected and bench/fig15.expected, and the
-# ablations and robustness tables (the supervisor's and the guard's
-# constants, the settable uncapping threshold) to bench/ablations.expected
-# and bench/robustness.expected.
+# fan out across domains.  Every experiment's SPECTR_JOBS=1 output is
+# also pinned to its committed bench/<name>.expected: the paper figures
+# and table (table1, fig3, fig6, fig13, fig14), fig12 (the supervisor's
+# nested escaped state names Eval\.Safe.Uncapped, Raise\.Emergency.C1),
+# the validation figures fig5 and fig15 (held-out free simulation,
+# residual whiteness), and the ablations and robustness tables (the
+# supervisor's and the guard's constants, the settable uncapping
+# threshold).
 bench-determinism:
 	dune build bench/main.exe
-	SPECTR_JOBS=1 dune exec bench/main.exe -- table1 fig5 fig6 fig12 fig13 fig15 > /tmp/spectr-bench-seq.txt
-	SPECTR_JOBS=4 dune exec bench/main.exe -- table1 fig5 fig6 fig12 fig13 fig15 > /tmp/spectr-bench-par.txt
+	SPECTR_JOBS=1 dune exec bench/main.exe -- table1 fig3 fig5 fig6 fig12 fig13 fig14 fig15 > /tmp/spectr-bench-seq.txt
+	SPECTR_JOBS=4 dune exec bench/main.exe -- table1 fig3 fig5 fig6 fig12 fig13 fig14 fig15 > /tmp/spectr-bench-par.txt
 	diff /tmp/spectr-bench-seq.txt /tmp/spectr-bench-par.txt
-	for f in fig5 fig12 fig15 ablations robustness; do \
+	for f in table1 fig3 fig5 fig6 fig12 fig13 fig14 fig15 ablations robustness; do \
 	  SPECTR_JOBS=1 dune exec bench/main.exe -- $$f > /tmp/spectr-bench-$$f.txt && \
 	  diff bench/$$f.expected /tmp/spectr-bench-$$f.txt || exit 1; \
 	done
@@ -105,7 +105,8 @@ chaos-smoke:
 # hold it (0 violation ticks), and a forced 1-job pool must match a
 # forced 4-job pool in-process.  On top of that, the full stdout under
 # SPECTR_JOBS=1 and SPECTR_JOBS=4 must be byte-identical — digests,
-# floats, everything — which is the cross-process determinism gate.
+# floats, everything — which is the cross-process determinism gate —
+# and equal to the committed bench/fleet-smoke.expected.
 # Its mixed exynos5422/pixel8pro/k3 row builds nodes of a description
 # no module initializer touched on the default pool, so the diff also
 # covers parallel node construction.
@@ -113,6 +114,7 @@ fleet-smoke:
 	SPECTR_JOBS=1 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j1.txt
 	SPECTR_JOBS=4 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j4.txt
 	diff /tmp/spectr-fleet-j1.txt /tmp/spectr-fleet-j4.txt
+	diff bench/fleet-smoke.expected /tmp/spectr-fleet-j1.txt
 
 # Platform smoke: the data-driven platform layer end to end.  Built-in
 # descriptions list and validate (`platforms` digests each one), a

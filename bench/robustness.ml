@@ -3,9 +3,10 @@
    (SPECTR+G), unguarded SPECTR, the MM-Pow heuristic and the SISO PID
    baseline.
 
-   Each cell runs a 12 s x264 scenario (safe 5 W / stress 3.5 W /
-   recovery 5 W) with one fault injected around the stress phase, then
-   reports
+   Each cell runs a 12 s x264 scenario on the chaos campaigns' stress
+   profile (Spectr_chaos.Campaign.phases: safe 5 W / stress 3.5 W with
+   16 background tasks / recovery 5 W) with one fault injected around
+   the stress phase, then reports
 
    - excess: time spent more than 5 % above the envelope after the fault
      hits (sustained violation, not the transient at a phase boundary),
@@ -19,9 +20,7 @@
 
 open Spectr_platform
 
-let dt = 0.05
-let stress_envelope = 3.5
-let tdp = 5.0
+let dt = Spectr_chaos.Campaign.dt
 
 (* Fault windows are attached to the first phase (which starts at t = 0),
    so phase-relative and absolute times coincide.  Sensor faults start
@@ -40,15 +39,6 @@ let classes =
   ]
 
 let config_for fault ~start_s ~stop_s =
-  let phase name ~duration_s ~envelope ~background_tasks ~faults =
-    {
-      Spectr.Scenario.phase_name = name;
-      duration_s;
-      envelope;
-      background_tasks;
-      phase_faults = faults;
-    }
-  in
   let injections =
     match fault with
     | None -> []
@@ -56,20 +46,7 @@ let config_for fault ~start_s ~stop_s =
   in
   {
     (Spectr.Scenario.default_config Benchmarks.x264) with
-    Spectr.Scenario.phases =
-      [
-        phase "safe" ~duration_s:3. ~envelope:tdp ~background_tasks:0
-          ~faults:injections;
-        (* Background load makes the QoS reference unachievable inside
-           the stress envelope: a manager that believes a lying sensor
-           (power reads 0, QoS reads 0) will chase QoS straight through
-           the cap, so only truthful sensing — or the guards' fallback —
-           keeps it compliant. *)
-        phase "stress" ~duration_s:4. ~envelope:stress_envelope
-          ~background_tasks:16 ~faults:[];
-        phase "recovery" ~duration_s:5. ~envelope:tdp ~background_tasks:0
-          ~faults:[];
-      ];
+    Spectr.Scenario.phases = Spectr_chaos.Campaign.phases injections;
   }
 
 type verdict = Recovers | Violates | Diverges

@@ -7,7 +7,6 @@ type t = {
 }
 
 let header = "spectr-chaos-reproducer v1"
-let flt v = Printf.sprintf "%.17g" v
 
 let to_string a =
   let b = Buffer.create 256 in
@@ -18,11 +17,6 @@ let to_string a =
   line "index %d" c.Campaign.index;
   line "variant %s" (Campaign.variant_name c.Campaign.variant);
   line "workload %s" c.Campaign.workload;
-  let p = c.Campaign.profile in
-  line "profile %s %s %s %s %s %d" (flt p.Campaign.tdp)
-    (flt p.Campaign.stress_envelope) (flt p.Campaign.safe_s)
-    (flt p.Campaign.stress_s) (flt p.Campaign.recovery_s)
-    p.Campaign.stress_background;
   List.iter
     (fun i -> line "fault %s" (Faults.injection_to_string i))
     c.Campaign.injections;
@@ -36,36 +30,6 @@ let to_string a =
   Buffer.contents b
 
 let fail fmt = Printf.ksprintf invalid_arg ("Artifact.of_string: " ^^ fmt)
-
-(* Longest scenario a reproducer may ask for: the trace and the engine's
-   per-tick state grow with it. *)
-let max_run_s = 3600.
-
-(* A profile comes from a file outside the program: reject what the
-   engine would crash on, run out of memory on, or silently misread. *)
-let check_profile (p : Campaign.profile) =
-  let check ok what (name, x) =
-    if not (Float.is_finite x && ok x) then
-      fail "profile %s must be %s, got %s" name what (flt x)
-  in
-  List.iter
-    (check (fun x -> x > 0.) "finite and positive")
-    [ ("tdp", p.Campaign.tdp); ("stress_envelope", p.Campaign.stress_envelope) ];
-  List.iter
-    (check (fun x -> x >= 0.) "finite and non-negative")
-    [
-      ("safe_s", p.Campaign.safe_s);
-      ("stress_s", p.Campaign.stress_s);
-      ("recovery_s", p.Campaign.recovery_s);
-    ];
-  if p.Campaign.stress_background < 0 then
-    fail "profile stress_background must be non-negative, got %d"
-      p.Campaign.stress_background;
-  let total = Campaign.(p.safe_s +. p.stress_s +. p.recovery_s) in
-  if total > max_run_s then
-    fail "profile safe_s + stress_s + recovery_s = %s exceeds %g s"
-      (flt total) max_run_s;
-  p
 
 let of_string s =
   let lines =
@@ -81,7 +45,6 @@ let of_string s =
   and index = ref None
   and variant = ref None
   and workload = ref None
-  and profile = ref None
   and faults = ref []
   and kill = ref None
   and invariant = ref None
@@ -108,32 +71,6 @@ let of_string s =
             | None -> fail "bad index %S" v)
         | "variant" -> variant := Some (Campaign.variant_of_string v)
         | "workload" -> workload := Some v
-        | "profile" -> (
-            match String.split_on_char ' ' v with
-            | [ tdp; stress; safe_s; stress_s; recovery_s; bg ] -> (
-                match
-                  ( float_of_string_opt tdp,
-                    float_of_string_opt stress,
-                    float_of_string_opt safe_s,
-                    float_of_string_opt stress_s,
-                    float_of_string_opt recovery_s,
-                    int_of_string_opt bg )
-                with
-                | Some tdp, Some stress_envelope, Some safe_s, Some stress_s,
-                  Some recovery_s, Some stress_background ->
-                    profile :=
-                      Some
-                        (check_profile
-                           {
-                             Campaign.tdp;
-                             stress_envelope;
-                             safe_s;
-                             stress_s;
-                             recovery_s;
-                             stress_background;
-                           })
-                | _ -> fail "bad profile %S" v)
-            | _ -> fail "profile needs 6 fields, got %S" v)
         | "fault" -> faults := Faults.injection_of_string v :: !faults
         | "kill" -> (
             match String.split_on_char ' ' v with
@@ -160,7 +97,6 @@ let of_string s =
         seed = require "seed" !seed;
         variant = require "variant" !variant;
         workload = require "workload" !workload;
-        profile = require "profile" !profile;
         injections = List.rev !faults;
         kill = !kill;
       };

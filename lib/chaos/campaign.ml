@@ -51,35 +51,45 @@ let make_manager = function
 
 (* --- scenario shape --------------------------------------------------- *)
 
-type profile = {
-  tdp : float;
-  stress_envelope : float;
-  safe_s : float;
-  stress_s : float;
-  recovery_s : float;
-  stress_background : int;
-}
+let dt = 0.05
 
 (* The robustness-bench shape: benign start, a thermal-emergency phase
    whose background load makes the QoS reference unachievable within the
    reduced envelope (a manager that trusts a lying sensor chases QoS
    straight through the cap), then a long benign tail in which the
    re-convergence invariants are judged. *)
-let default_profile =
-  {
-    tdp = 5.0;
-    stress_envelope = 3.5;
-    safe_s = 3.0;
-    stress_s = 4.0;
-    recovery_s = 5.0;
-    stress_background = 16;
-  }
+let phases injections =
+  [
+    {
+      Spectr.Scenario.phase_name = "safe";
+      duration_s = 3.0;
+      envelope = 5.0;
+      background_tasks = 0;
+      (* All windows ride on the first phase (start 0), so phase-relative
+         and absolute times coincide and a window may span any phase. *)
+      phase_faults = injections;
+    };
+    {
+      phase_name = "stress";
+      duration_s = 4.0;
+      envelope = 3.5;
+      background_tasks = 16;
+      phase_faults = [];
+    };
+    {
+      phase_name = "recovery";
+      duration_s = 5.0;
+      envelope = 5.0;
+      background_tasks = 0;
+      phase_faults = [];
+    };
+  ]
 
-let dt = 0.05
+let total_s =
+  List.fold_left (fun acc ph -> acc +. ph.Spectr.Scenario.duration_s) 0.
+    (phases [])
 
-let total_s p = p.safe_s +. p.stress_s +. p.recovery_s
-
-let total_ticks p = int_of_float (Float.round (total_s p /. dt))
+let total_ticks = int_of_float (Float.round (total_s /. dt))
 
 type kill = { kill_tick : int; staleness : int }
 
@@ -88,37 +98,9 @@ type cell = {
   seed : int64;
   variant : variant;
   workload : string;
-  profile : profile;
   injections : Faults.injection list;
   kill : kill option;
 }
-
-let phases_of profile injections =
-  [
-    {
-      Spectr.Scenario.phase_name = "safe";
-      duration_s = profile.safe_s;
-      envelope = profile.tdp;
-      background_tasks = 0;
-      (* All windows ride on the first phase (start 0), so phase-relative
-         and absolute times coincide and a window may span any phase. *)
-      phase_faults = injections;
-    };
-    {
-      phase_name = "stress";
-      duration_s = profile.stress_s;
-      envelope = profile.stress_envelope;
-      background_tasks = profile.stress_background;
-      phase_faults = [];
-    };
-    {
-      phase_name = "recovery";
-      duration_s = profile.recovery_s;
-      envelope = profile.tdp;
-      background_tasks = 0;
-      phase_faults = [];
-    };
-  ]
 
 let config_of_cell cell =
   let workload =
@@ -131,7 +113,7 @@ let config_of_cell cell =
   in
   {
     (Spectr.Scenario.default_config ~seed:cell.seed workload) with
-    Spectr.Scenario.phases = phases_of cell.profile cell.injections;
+    Spectr.Scenario.phases = phases cell.injections;
   }
 
 (* --- campaign generation ---------------------------------------------- *)
@@ -144,7 +126,6 @@ type spec = {
   max_faults : int;
   kill_prob : float;
   reconfig_prob : float;
-  profile : profile;
 }
 
 (* Transient kinds only — permanent faults enter a cell exclusively
@@ -189,7 +170,6 @@ let default_spec ?(seed = 1) ?(cells = 64) ?(variants = all_variants)
     max_faults;
     kill_prob;
     reconfig_prob;
-    profile = default_profile;
   }
 
 (* SplitMix-style mix of the campaign seed and cell index: cells are
@@ -209,7 +189,7 @@ let cell_of_spec spec index =
   (* Round-robin over the variant list: every variant sees the same
      number of cells (±1), so soak statistics compare like with like. *)
   let variant = List.nth spec.variants (index mod List.length spec.variants) in
-  let total = total_s spec.profile in
+  let total = total_s in
   let n_faults = 1 + Spectr_linalg.Prng.int g spec.max_faults in
   let draw_kind () =
     match List.nth spec.kinds (Spectr_linalg.Prng.int g (List.length spec.kinds)) with
@@ -252,8 +232,7 @@ let cell_of_spec spec index =
   in
   let kill =
     if Spectr_linalg.Prng.float g < spec.kill_prob then begin
-      let ticks = total_ticks spec.profile in
-      let kill_tick = 20 + Spectr_linalg.Prng.int g (ticks - 40) in
+      let kill_tick = 20 + Spectr_linalg.Prng.int g (total_ticks - 40) in
       (* Half the drills restore the checkpoint taken at the kill tick
          itself (exact resume, trace must stay byte-identical); the rest
          restore one taken up to a second earlier (bounded staleness —
@@ -266,7 +245,6 @@ let cell_of_spec spec index =
     end
     else None
   in
-  { index; seed; variant; workload = "x264"; profile = spec.profile;
-    injections; kill }
+  { index; seed; variant; workload = "x264"; injections; kill }
 
 let generate spec = List.init spec.cells (cell_of_spec spec)

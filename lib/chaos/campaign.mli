@@ -1,10 +1,10 @@
 (** Randomized fault-campaign generation for the chaos/soak engine.
 
     A campaign is a pure function of an integer seed: it expands into a
-    list of {!cell}s, each of which fully describes one scenario run —
-    manager variant, workload, scenario shape, an absolute-time fault
-    schedule drawn from {!Spectr_platform.Faults}, and an optional
-    kill/restart drill.  Cells are derived independently
+    list of {!cell}s, each of which fully describes one scenario run on
+    the stress profile {!phases} — manager variant, workload, an
+    absolute-time fault schedule drawn from {!Spectr_platform.Faults},
+    and an optional kill/restart drill.  Cells are derived independently
     (SplitMix-style seed mixing), so any single cell can be regenerated
     and replayed without generating the rest — the property the
     reproducer artifacts ({!Artifact}) rely on. *)
@@ -54,20 +54,12 @@ val make_manager :
 
 (** {1 Scenario shape} *)
 
-type profile = {
-  tdp : float;  (** Envelope of the benign phases (W). *)
-  stress_envelope : float;  (** Reduced envelope of the stress phase. *)
-  safe_s : float;
-  stress_s : float;
-  recovery_s : float;
-  stress_background : int;
-      (** Background tasks during stress — sized so the QoS reference is
-          unachievable inside the stress envelope. *)
-}
-
-val default_profile : profile
-(** The robustness-bench shape: 3 s safe at 5 W, 4 s stress at 3.5 W
-    with 16 background tasks, 5 s recovery at 5 W. *)
+val phases : Faults.injection list -> Spectr.Scenario.phase list
+(** The stress profile of every chaos cell and of the robustness bench:
+    3 s safe at 5 W, 4 s stress at 3.5 W with 16 background tasks
+    (sized so the QoS reference is unachievable inside the stress
+    envelope), 5 s recovery at 5 W.  The injections ride on the first
+    phase, which starts at 0, so their windows are absolute times. *)
 
 val dt : float
 (** Controller period (0.05 s). *)
@@ -88,7 +80,6 @@ type cell = {
   seed : int64;  (** SoC seed of the scenario run. *)
   variant : variant;
   workload : string;  (** {!Spectr_platform.Benchmarks.by_name} key. *)
-  profile : profile;
   injections : Faults.injection list;  (** Absolute-time windows. *)
   kill : kill option;
 }
@@ -113,7 +104,6 @@ type spec = {
           power sensor or a latched DVFS rail) latched in the first
           third of the run.  0 (the default) draws nothing from the
           PRNG, so pre-existing campaigns keep their exact cells. *)
-  profile : profile;
 }
 
 val all_kinds : Faults.kind list

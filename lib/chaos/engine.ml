@@ -74,7 +74,7 @@ let run_cell ?arena (cell : Campaign.cell) =
     match Spectr.Scenario.tick runner ~manager:!mgr with
     | None -> ()
     | Some obs ->
-        ignore (Invariants.check monitor ~runner ~sup:(live_sup ()) ~obs);
+        Invariants.check monitor ~runner ~sup:(live_sup ()) ~obs;
         loop ()
   in
   loop ();

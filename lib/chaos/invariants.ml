@@ -160,10 +160,20 @@ let in_window windows t = List.exists (fun (s, e) -> s <= t && t < e) windows
 
 let violations m = List.rev m.violations_rev
 
+(* The one record path: every kind's finding lands here, and at most
+   [max_violations] are kept per cell. *)
+let record m ~tick ~time kind detail =
+  if m.count < limits.max_violations then begin
+    m.violations_rev <-
+      { v_kind = kind; v_tick = tick; v_time = time; v_detail = detail () }
+      :: m.violations_rev;
+    m.count <- m.count + 1
+  end
+
 (* Episode discipline: a violation must hold for [required] consecutive
    ticks before it is reported, and a still-open episode is reported
    only once — a 2-second excursion is one finding, not forty. *)
-let judge m ~tick ~time kind bad detail fresh =
+let judge m ~tick ~time kind bad detail =
   let k = kind_index kind in
   if bad then begin
     m.streaks.(k) <- m.streaks.(k) + 1;
@@ -174,14 +184,7 @@ let judge m ~tick ~time kind bad detail fresh =
     in
     if m.streaks.(k) >= required && not m.reported.(k) then begin
       m.reported.(k) <- true;
-      if m.count < limits.max_violations then begin
-        let v =
-          { v_kind = kind; v_tick = tick; v_time = time; v_detail = detail () }
-        in
-        m.violations_rev <- v :: m.violations_rev;
-        m.count <- m.count + 1;
-        fresh := v :: !fresh
-      end
+      record m ~tick ~time kind detail
     end
   end
   else begin
@@ -195,7 +198,6 @@ let check m ~runner ~sup ~obs =
   let t = obs.Soc.time in
   let tick = Spectr.Scenario.ticks_done runner - 1 in
   let soc = Spectr.Scenario.runner_soc runner in
-  let fresh = ref [] in
   (* The phase of the tick just run: the runner advances its phase
      cursor only when the next tick starts. *)
   let phase, _ = Spectr.Scenario.current_phase runner in
@@ -226,25 +228,13 @@ let check m ~runner ~sup ~obs =
     m.power_excess <- m.power_excess +. m.dt;
     if m.power_excess > limits.excess_budget_s && not m.power_reported then begin
       m.power_reported <- true;
-      if m.count < limits.max_violations then begin
-        let v =
-          {
-            v_kind = Power_cap;
-            v_tick = tick;
-            v_time = t;
-            v_detail =
-              Printf.sprintf
-                "%.2f s cumulative above %.3f W (envelope %.2f W + %.0f%% \
-                 guardband) since the disturbance at t=%.2f s; now %.3f W"
-                m.power_excess cap envelope
-                (100. *. limits.guardband)
-                epoch true_power;
-          }
-        in
-        m.violations_rev <- v :: m.violations_rev;
-        m.count <- m.count + 1;
-        fresh := v :: !fresh
-      end
+      record m ~tick ~time:t Power_cap (fun () ->
+          Printf.sprintf
+            "%.2f s cumulative above %.3f W (envelope %.2f W + %.0f%% \
+             guardband) since the disturbance at t=%.2f s; now %.3f W"
+            m.power_excess cap envelope
+            (100. *. limits.guardband)
+            epoch true_power)
     end
   end;
   (* QoS re-convergence: only judged in quiet regions — no fault window
@@ -264,8 +254,7 @@ let check m ~runner ~sup ~obs =
       Printf.sprintf
         "true QoS rate %.2f < %.2f (%.0f%% of reference %.2f) in a quiet \
          region, %.2f s after the last disturbance"
-        true_qos qos_floor (100. *. limits.qos_floor) m.qos_ref since_disturbance)
-    fresh;
+        true_qos qos_floor (100. *. limits.qos_floor) m.qos_ref since_disturbance);
   (* Supervisor legality: restore-corruption tripwires.  Bounds are
      deliberately loose — they catch a scrambled checkpoint, not a
      tuning difference. *)
@@ -313,8 +302,7 @@ let check m ~runner ~sup ~obs =
       in
       judge m ~tick ~time:t Supervisor_legal
         (Option.is_some problem)
-        (fun () -> Option.value problem ~default:"")
-        fresh);
+        (fun () -> Option.value problem ~default:""));
   (* Actuation bounds: whatever was applied must be a real OPP and a
      legal core count — a manager must never be able to command the
      platform outside its tables. *)
@@ -342,8 +330,7 @@ let check m ~runner ~sup ~obs =
     (Option.is_some act_problem)
     (fun () ->
       "applied state outside platform tables: "
-      ^ Option.value act_problem ~default:"")
-    fresh;
+      ^ Option.value act_problem ~default:"");
   (* Non-finite tripwire over everything a manager or evaluator reads. *)
   let powers = Soc.sensor_powers soc in
   let finite_bad =
@@ -365,5 +352,3 @@ let check m ~runner ~sup ~obs =
         "non-finite value reached the pipeline: qos %g, %s, chip %g, true \
          power %g, true qos %g"
         obs.Soc.qos_rate per_cluster obs.Soc.chip_power true_power true_qos)
-    fresh;
-  List.rev !fresh

@@ -85,11 +85,10 @@ val check :
   runner:Spectr.Scenario.runner ->
   sup:Spectr.Supervisor.t option ->
   obs:Soc.observation ->
-  violation list
+  unit
 (** Evaluate every invariant against the tick that just executed
-    (ground truth read from the live SoC).  Returns the findings that
-    fired on {e this} tick; accumulated findings are kept in order.
-    [sup] enables the supervisor-legality monitor (pass the handle of
+    (ground truth read from the live SoC) and record the findings that
+    fire, in order ({!violations}).  [sup] enables the supervisor-legality monitor (pass the handle of
     the currently-running manager — it changes across a restart). *)
 
 val violations : t -> violation list

@@ -106,6 +106,30 @@ let fault_schedule config =
   in
   List.rev rev_injections
 
+(* --- the closed loop ---------------------------------------------------- *)
+
+(* QoS is observed through the Heartbeats monitor (§5): the application
+   issues heartbeats as it completes work and the managers read the
+   windowed rate, not an instantaneous sensor. *)
+let heartbeat_monitor ~qos_ref =
+  Heartbeats.create ~window:0.25 ~reference:qos_ref ()
+
+let close_loop soc hb obs ~manager ~dt ~qos_ref ~envelope =
+  Soc.step_into soc ~dt obs;
+  (* A stalled heartbeat monitor receives no beats at all; the windowed
+     rate then decays to zero while the app still runs. *)
+  let stalled =
+    match Soc.faults soc with
+    | None -> false
+    | Some f -> Faults.heartbeat_stalled f ~now:obs.Soc.time
+  in
+  if not stalled then
+    Heartbeats.beat hb ~now:obs.Soc.time ~count:(obs.Soc.qos_rate *. dt);
+  (* Managers observe QoS through the windowed heartbeat rate, not the
+     instantaneous sensor (which fed the monitor just above). *)
+  obs.Soc.qos_rate <- Heartbeats.rate hb ~now:obs.Soc.time;
+  manager.Manager.step ~now:obs.Soc.time ~qos_ref ~envelope ~obs soc
+
 (* --- tick-at-a-time execution engine --------------------------------- *)
 
 (* The platform half of a running scenario: SoC, fault schedule,
@@ -160,10 +184,7 @@ let start config =
        column storage mid-run. *)
     Trace.create ~cap:(max 1 (total_ticks config)) ~columns:run_columns ()
   in
-  (* QoS is observed through the Heartbeats monitor (§5): the application
-     issues heartbeats as it completes work and the managers read the
-     windowed rate, not an instantaneous sensor. *)
-  let hb = Heartbeats.create ~window:0.25 ~reference:config.qos_ref () in
+  let hb = heartbeat_monitor ~qos_ref:config.qos_ref in
   let phases = Array.of_list config.phases in
   let r =
     {
@@ -222,22 +243,8 @@ let tick r ~manager =
     let phase_idx = r.r_phase in
     let soc = r.r_soc in
     let obs = r.r_obs in
-    Soc.step_into soc ~dt:config.controller_period obs;
-    (* A stalled heartbeat monitor receives no beats at all; the
-       windowed rate then decays to zero while the app still runs. *)
-    let stalled =
-      match r.r_faults with
-      | None -> false
-      | Some f -> Faults.heartbeat_stalled f ~now:obs.Soc.time
-    in
-    if not stalled then
-      Heartbeats.beat r.r_hb ~now:obs.Soc.time
-        ~count:(obs.Soc.qos_rate *. config.controller_period);
-    (* Managers observe QoS through the windowed heartbeat rate, not the
-       instantaneous sensor (which fed the monitor just above). *)
-    obs.Soc.qos_rate <- Heartbeats.rate r.r_hb ~now:obs.Soc.time;
-    manager.Manager.step ~now:obs.Soc.time ~qos_ref:config.qos_ref
-      ~envelope:ph.envelope ~obs soc;
+    close_loop soc r.r_hb obs ~manager ~dt:config.controller_period
+      ~qos_ref:config.qos_ref ~envelope:ph.envelope;
     let row = r.r_row in
     let k = r.r_k in
     row.(0) <- obs.Soc.time;

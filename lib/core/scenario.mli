@@ -84,6 +84,29 @@ val fault_schedule : config -> Faults.injection list
 (** The absolute-time fault schedule of a config (phase-relative windows
     shifted by each phase's start). *)
 
+(** {1 The closed loop} *)
+
+val heartbeat_monitor : qos_ref:float -> Heartbeats.t
+(** The QoS monitor every closed loop reads: the application's
+    heartbeats averaged over a 0.25 s window, with [qos_ref] as the
+    user's performance goal. *)
+
+val close_loop :
+  Soc.t ->
+  Heartbeats.t ->
+  Soc.observation ->
+  manager:Manager.t ->
+  dt:float ->
+  qos_ref:float ->
+  envelope:float ->
+  unit
+(** One controller period, the one loop body of every scenario tick and
+    every fleet node: step the SoC into the observation buffer, deliver
+    the period's heartbeats (none while {!Faults.heartbeat_stalled}
+    holds on the SoC's fault schedule), overwrite the observation's
+    [qos_rate] with the monitor's windowed rate, and step the manager
+    under [envelope]. *)
+
 (** {1 Tick-at-a-time execution}
 
     {!run} is a loop over this lower-level engine.  A {!runner} owns the

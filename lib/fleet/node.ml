@@ -1,18 +1,13 @@
 open Spectr_platform
 
-type config = {
-  node_tdp : float;
-  cap_floor : float;
-  hb_window : float;
-  boot_ticks : int;
-}
+type config = { node_tdp : float; cap_floor : float }
 
-let default_config =
-  { node_tdp = 5.0; cap_floor = 1.0; hb_window = 0.25; boot_ticks = 40 }
+let default_config = { node_tdp = 5.0; cap_floor = 1.0 }
 
-(* Warm-up runs at the paper's controller period regardless of the
-   fleet's tick length: boot is a property of the node, not of whoever
-   is driving it. *)
+(* Warm-up runs [boot_ticks] periods at the paper's controller period
+   regardless of the fleet's tick length: boot is a property of the
+   node, not of whoever is driving it. *)
+let boot_ticks = 40
 let boot_dt = 0.05
 
 type item = { tasks : int; mutable left : int }
@@ -103,7 +98,7 @@ let create ?(config = default_config)
     full_power_est = Platform_desc.max_power_estimate platform;
     reconfig;
     soc;
-    hb = Heartbeats.create ~window:config.hb_window ~reference:qos_ref ();
+    hb = Spectr.Scenario.heartbeat_monitor ~qos_ref;
     manager;
     cap = config.node_tdp;
     alive = true;
@@ -194,29 +189,23 @@ let expire_items t =
     recompute_bg t
   end
 
-(* One platform + manager step; returns ground-truth power.  Shared by
-   counted ticks and the uncounted boot warm-up. *)
-let step_platform t ~dt =
-  let obs = t.obs in
-  Soc.step_into t.soc ~dt obs;
-  Heartbeats.beat t.hb ~now:obs.Soc.time ~count:(obs.Soc.qos_rate *. dt);
-  obs.Soc.qos_rate <- Heartbeats.rate t.hb ~now:obs.Soc.time;
-  t.manager.Spectr.Manager.step ~now:obs.Soc.time ~qos_ref:t.qos_ref
-    ~envelope:t.cap ~obs t.soc;
-  Soc.true_chip_power t.soc
+(* The scenario's closed loop under the node's current cap: counted
+   ticks and the uncounted boot warm-up share it. *)
+let close_loop t ~dt =
+  Spectr.Scenario.close_loop t.soc t.hb t.obs ~manager:t.manager ~dt
+    ~qos_ref:t.qos_ref ~envelope:t.cap
 
-let warm_up ?ticks t =
-  if t.alive then begin
-    let n = match ticks with Some n -> n | None -> t.config.boot_ticks in
-    for _ = 1 to n do
-      ignore (step_platform t ~dt:boot_dt)
+let warm_up t =
+  if t.alive then
+    for _ = 1 to boot_ticks do
+      close_loop t ~dt:boot_dt
     done
-  end
 
 let tick t ~dt =
   if t.alive then begin
     expire_items t;
-    let tp = step_platform t ~dt in
+    close_loop t ~dt;
+    let tp = Soc.true_chip_power t.soc in
     let obs = t.obs in
     t.last_power <- tp;
     t.e_power <- t.e_power +. tp;
@@ -254,8 +243,7 @@ let restart t =
   if not t.alive then begin
     t.restarts <- t.restarts + 1;
     t.soc <- (make_soc t.seed t.restarts) t.platform t.workload;
-    t.hb <-
-      Heartbeats.create ~window:t.config.hb_window ~reference:t.qos_ref ();
+    t.hb <- Spectr.Scenario.heartbeat_monitor ~qos_ref:t.qos_ref;
     Soc.set_background_tasks t.soc t.bg;
     (* The manager daemon restarts from scratch and restores its last
        persisted checkpoint — the chaos engine's kill-drill mechanics at

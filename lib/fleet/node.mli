@@ -27,18 +27,10 @@ type config = {
   cap_floor : float;
       (** Lowest cap the coordinator may assign (W); keeps a starved
           node able to run its minimum-power configuration. *)
-  hb_window : float;  (** Heartbeat averaging window (s). *)
-  boot_ticks : int;
-      (** Uncounted controller periods a node runs to stabilize under
-          its cap at boot ({!warm_up}, also run by {!restart}) before it
-          joins the reported fleet — the admission-control window that
-          keeps synchronized boot transients from being charged against
-          the coordinator. *)
 }
 
 val default_config : config
-(** [node_tdp = 5.0], [cap_floor = 1.0], [hb_window = 0.25],
-    [boot_ticks = 40]. *)
+(** [node_tdp = 5.0], [cap_floor = 1.0]. *)
 
 type t
 
@@ -89,17 +81,18 @@ val add_load : t -> tasks:int -> duration_ticks:int -> unit
 val background : t -> int
 (** Background tasks currently placed (sum of active items). *)
 
-val warm_up : ?ticks:int -> t -> unit
-(** Run [ticks] (default [config.boot_ticks]) uncounted controller
-    periods at the paper's 0.05 s period: the SoC and manager step, but
-    nothing lands in the epoch accumulators and work items do not
-    expire.  The fleet engine calls this once after assigning initial
-    caps; {!restart} calls it before a rebooted node rejoins.  No-op on
-    a dead node. *)
+val warm_up : t -> unit
+(** Run 40 uncounted controller periods at the paper's 0.05 s period:
+    the SoC and manager step, but nothing lands in the epoch
+    accumulators and work items do not expire.  This is the
+    admission-control window that keeps synchronized boot transients
+    from being charged against the coordinator.  The fleet engine calls
+    this once after assigning initial caps; {!restart} calls it before
+    a rebooted node rejoins.  No-op on a dead node. *)
 
 val tick : t -> dt:float -> unit
-(** One controller period: expire due work items, step the SoC, deliver
-    heartbeats, step the manager with the current cap as its envelope.
+(** One controller period: expire due work items, then
+    {!Spectr.Scenario.close_loop} with the current cap as the envelope.
     A dead node does nothing except accrue QoS debt (it serves no
     work). *)
 

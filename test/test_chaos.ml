@@ -99,7 +99,6 @@ let base_cell ?kill variant =
     seed = 42L;
     variant;
     workload = "x264";
-    profile = Campaign.default_profile;
     injections =
       [ { Faults.fault = Faults.Dropout Faults.Power;
           start_s = 4.0; stop_s = 6.0 } ];
@@ -255,7 +254,7 @@ let test_shrink_and_replay () =
 
 let valid_artifact_lines =
   [ "spectr-chaos-reproducer v1"; "seed 42"; "index 0"; "variant SPECTR";
-    "workload x264"; "profile 5 3.5 3 4 5 16"; "fault dropout:power@4/6" ]
+    "workload x264"; "fault dropout:power@4/6" ]
 
 let artifact_of lines = Artifact.of_string (String.concat "\n" lines ^ "\n")
 
@@ -290,34 +289,14 @@ let test_artifact_parse_errors () =
       artifact_of (valid_artifact_lines @ [ "kill 10 20" ]));
   expect_invalid "unknown invariant name" (fun () ->
       artifact_of (valid_artifact_lines @ [ "invariant bogus" ]));
-  (* Out-of-range profile values: one bad line per rule, each rejected
-     with a message naming the field. *)
-  let with_profile p =
-    List.map
-      (fun l -> if l = "profile 5 3.5 3 4 5 16" then "profile " ^ p else l)
-      valid_artifact_lines
-  in
-  List.iter
-    (fun (what, profile, field) ->
-      match artifact_of (with_profile profile) with
-      | exception Invalid_argument msg ->
-          check_bool (what ^ " names " ^ field) true (contains msg field)
-      | _ -> Alcotest.failf "%s: profile %S accepted" what profile)
-    [
-      ("nan tdp", "nan 3.5 3 4 5 16", "tdp");
-      ("infinite stress envelope", "5 inf 3 4 5 16", "stress_envelope");
-      ("zero tdp", "0 3.5 3 4 5 16", "tdp");
-      ("negative stress envelope", "5 -3.5 3 4 5 16", "stress_envelope");
-      ("negative safe duration", "5 3.5 -3 4 5 16", "safe_s");
-      ("negative stress duration", "5 3.5 3 -4 5 16", "stress_s");
-      ("nan recovery duration", "5 3.5 3 4 nan 16", "recovery_s");
-      ("negative background", "5 3.5 3 4 5 -16", "stress_background");
-      ("run too long", "5 3.5 3 4 1e9 16", "recovery_s");
-    ];
-  (* The bound itself is allowed. *)
-  check_bool "3600 s run accepted" true
-    ((artifact_of (with_profile "5 3.5 1200 1200 1200 16")).Artifact.cell
-       .Campaign.profile.Campaign.safe_s = 1200.)
+  (* Every cell runs on Campaign.phases: a reproducer that still
+     carries a scenario-shape line is rejected, and the message names
+     the key. *)
+  match artifact_of (valid_artifact_lines @ [ "profile 5 3.5 3 4 5 16" ]) with
+  | exception Invalid_argument msg ->
+      check_bool "profile line is an unknown key" true
+        (contains msg "unknown key \"profile\"")
+  | _ -> Alcotest.fail "a profile line was accepted"
 
 (* Node-kill campaigns: drills are pure functions of (spec, index), the
    sweep is byte-identical for any worker count, and a rebooted node
@@ -357,7 +336,11 @@ let test_node_kill_determinism () =
   in
   let d1 = digest_with 1 in
   let d4 = digest_with 4 in
-  check_string "digest independent of worker count" d1 d4
+  check_string "digest independent of worker count" d1 d4;
+  (* The default spec's digest, pinned: the node-level closed loop
+     (boot warm-up, ticks, restart from checkpoint) must not move. *)
+  check_string "default-spec digest pinned" "af797ea4c3e78e6c86b47234ed2f6974"
+    (Node_kill.run (Node_kill.default_spec ())).Node_kill.r_digest
 
 let () =
   Alcotest.run "spectr_chaos"

@@ -426,6 +426,12 @@ let test_fleet_determinism_across_jobs () =
   let r1' = with_pool ~jobs:1 (fun pool -> Fleet.run ~pool small_spec) in
   check_string "rerun reproduces" r1.Fleet.digest r1'.Fleet.digest
 
+(* The default spec's digest, pinned: every node tick goes through the
+   scenario's closed loop, and no report may move. *)
+let test_fleet_default_digest () =
+  check_string "default-spec digest" "fae46f65cffebeb0512acf25005be1e5"
+    (Fleet.run Fleet.default_spec).Fleet.digest
+
 (* Three descriptions built on the pool, kills on so that [Node.restart]
    runs too.  The 4-job run goes first, so it is the one that designs
    and synthesizes on first use. *)
@@ -606,6 +612,8 @@ let () =
         [
           Alcotest.test_case "determinism across jobs" `Slow
             test_fleet_determinism_across_jobs;
+          Alcotest.test_case "default spec digest pinned" `Slow
+            test_fleet_default_digest;
           Alcotest.test_case "mixed platforms across jobs" `Slow
             test_fleet_mixed_determinism;
           Alcotest.test_case "compliance vs baseline" `Slow

@@ -304,6 +304,37 @@ let test_manager_step_bytes () =
           278.19 );
       ]
 
+(* Mean bytes per Node.tick after the boot warm-up under a 3 W cap,
+   counted in a closed window ({!Alloc.bytes}) over 2000 ticks: the
+   fleet's half of the closed loop ({!Spectr.Scenario.close_loop}) plus
+   the node's epoch accounting.  A ratchet like the Manager.step one:
+   each ceiling is the reading when this gate went in, rounded up to
+   the hundredth. *)
+let test_node_tick_bytes () =
+  let ticks = 2000 in
+  List.iter
+    (fun (label, platform, reconfigurable, ceiling) ->
+      let node =
+        Spectr_fleet.Node.create ~platform ~reconfigurable ~id:0 ~seed:42L
+          ~workload:Benchmarks.x264 ()
+      in
+      Spectr_fleet.Node.set_cap node 3.;
+      Spectr_fleet.Node.warm_up node;
+      let per_tick =
+        bytes_per_iter ticks (fun n ->
+            for _ = 1 to n do
+              Spectr_fleet.Node.tick node ~dt:0.05
+            done)
+      in
+      check_bool
+        (Printf.sprintf "%s: %.2f B/tick (ceiling %.2f)" label per_tick ceiling)
+        true (per_tick <= ceiling))
+    [
+      ("exynos5422", Platform_desc.exynos5422, false, 361.16);
+      ("pixel8pro", Platform_desc.pixel8pro, false, 408.93);
+      ("SPECTR+R", Platform_desc.exynos5422, true, 425.16);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Scenario CSV byte-identity pins                                     *)
 (* ------------------------------------------------------------------ *)
@@ -893,6 +924,8 @@ let () =
             (test_warm_construction Platform_desc.pixel8pro);
           Alcotest.test_case "Manager.step bytes ratchet" `Slow
             test_manager_step_bytes;
+          Alcotest.test_case "Node.tick bytes ratchet" `Slow
+            test_node_tick_bytes;
           Alcotest.test_case "validation bytes" `Slow test_validation_bytes;
           Alcotest.test_case "trace CSV bytes" `Quick test_trace_csv_bytes;
           Alcotest.test_case "cold identify bytes" `Slow
