@@ -18,7 +18,7 @@ fmt:
 	dune build @fmt
 
 # Public-surface figures: exported values, exports named only in tests,
-# ?label: arguments, non-test .ml/.mli lines, test .ml lines, the
+# ?label: arguments, non-test .ml/.mli/.c lines, test .ml lines, the
 # unreferenced exports and the lib modules that only test/ names (exit 1
 # when there are any of either; `dune runtest` runs the same gate
 # silently).

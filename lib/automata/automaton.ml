@@ -103,6 +103,15 @@ let rec name_length w i =
       done;
       !l
 
+(* The longest name [w] writes, read off its leaves. *)
+let rec max_name_length = function
+  | W_leaf a -> Array.fold_left (fun m s -> max m (String.length s)) 0 a
+  | W_prod p ->
+      Array.fold_left
+        (fun m w -> m + max_name_length w)
+        ((Array.length p.wparts - 1) * String.length p.sep)
+        p.wparts
+
 (* Write the name [name_length w i] just measured at [p] in [b]; the
    next position. *)
 let rec write_decoded w i b p =
@@ -556,11 +565,9 @@ let unescape_state_name s =
   end
   else s
 
-(* Decimal digits of a non-negative int: their count, and writing them
-   at [p] in [b] (returning the next position) without the intermediate
-   string [string_of_int] would allocate. *)
-let rec digits i = if i < 10 then 1 else 1 + digits (i / 10)
-
+(* Decimal digits of a non-negative int, written at [p] in [b]
+   (returning the next position) without the intermediate string
+   [string_of_int] would allocate. *)
 let rec put_digits b p i =
   let p = if i >= 10 then put_digits b p (i / 10) else p in
   Bytes.set b p (Char.unsafe_chr (48 + (i mod 10)));
@@ -577,6 +584,61 @@ let rec rank_of (by_id : int array) bits id lo hi =
   else if c < id then rank_of by_id bits id (mid + 1) hi
   else rank_of by_id bits id lo (mid - 1)
 
+(* The digest is streamed through the runtime's MD5 context (a C stub
+   over [caml_MD5Init/Update/Final]) a buffer at a time: the bytes it
+   hashes are never held whole.  The buffer is [md5_chunk] bytes, or
+   fewer when that bounds the whole image: a 64 KB allocation tripled
+   the cost of a small automaton's digest, which [Synth_cache] pays on
+   every lookup.  [md5_room h k] makes room for
+   [k <= Bytes.length h.buf] bytes. *)
+external md5_init : unit -> Bytes.t = "spectr_md5_init"
+
+external md5_update : Bytes.t -> Bytes.t -> int -> unit = "spectr_md5_update"
+[@@noalloc]
+
+external md5_final : Bytes.t -> string = "spectr_md5_final"
+
+let md5_chunk = 65536
+
+type md5 = { ctx : Bytes.t; buf : Bytes.t; mutable pos : int }
+
+let md5_flush h =
+  md5_update h.ctx h.buf h.pos;
+  h.pos <- 0
+
+let md5_room h k = if h.pos + k > Bytes.length h.buf then md5_flush h
+
+let md5_char h c =
+  md5_room h 1;
+  Bytes.set h.buf h.pos c;
+  h.pos <- h.pos + 1
+
+let md5_int h i =
+  md5_room h 8;
+  Bytes.set_int64_le h.buf h.pos (Int64.of_int i);
+  h.pos <- h.pos + 8
+
+(* [s.[off ..]], however long, a buffer's room at a time. *)
+let rec md5_sub h s off =
+  let len = String.length s - off in
+  let room = Bytes.length h.buf - h.pos in
+  if len <= room then begin
+    Bytes.blit_string s off h.buf h.pos len;
+    h.pos <- h.pos + len
+  end
+  else begin
+    Bytes.blit_string s off h.buf h.pos room;
+    h.pos <- Bytes.length h.buf;
+    md5_flush h;
+    md5_sub h s (off + room)
+  end
+
+(* A length prefix: the decimal length and ':'. *)
+let md5_len h l =
+  md5_room h 21;
+  h.pos <- put_digits h.buf h.pos l;
+  md5_char h ':'
+
 (* Layout, uniquely decodable: the name, the state names and each
    alphabet event (with 'c'/'u') as length-prefixed text fields, and
    every count, row offset, event rank and target as an 8-byte
@@ -586,10 +648,6 @@ let structural_digest a =
   match a.digest with
   | Some d -> d
   | None ->
-      (* The names section is written from [naming]: two walks over the
-         states, one measuring the section and one writing it, each
-         decoding a product state once. *)
-      let w = writer 0 a.naming in
       (* A transition names its event by the event's rank in the
          alphabet section.  [by_id] holds id lsl [bits] lor rank for
          every event, sorted, so it is sized by the alphabet whatever
@@ -601,63 +659,66 @@ let structural_digest a =
         incr bits
       done;
       let bits = !bits and by_id = Array.make sigma 0 in
-      let text = ref 0 and r = ref 0 in
-      let field_len s = digits (String.length s) + 1 + String.length s in
+      let r = ref 0 and text = ref 0 in
       Event.Set.iter
         (fun e ->
           by_id.(!r) <- (Event.id e lsl bits) lor !r;
           incr r;
-          text := !text + field_len (Event.name e) + 1)
+          text := !text + String.length (Event.name e) + 22)
         a.alphabet;
       Array.sort Int.compare by_id;
-      text := !text + field_len a.name;
+      let w = writer 0 a.naming in
+      (* A bound on the bytes below: each name field and length prefix
+         at its longest. *)
+      let bound =
+        !text + String.length a.name + 21
+        + (a.n * (max_name_length w + 23))
+        + (8 * (a.n + 4 + (2 * Array.length a.ev)))
+      in
+      let h =
+        { ctx = md5_init (); buf = Bytes.create (min md5_chunk bound); pos = 0 }
+      in
+      let field s =
+        md5_len h (String.length s);
+        md5_sub h s 0
+      in
+      field a.name;
+      md5_int h a.n;
+      md5_int h a.initial;
+      (* The names are written from [naming] in one walk, each product
+         state decoded once, straight into the buffer — through a string
+         of its own only when one name outgrows the buffer. *)
       for i = 0 to a.n - 1 do
         let l = name_length w i in
-        text := !text + digits l + 1 + l
+        md5_len h l;
+        if l <= Bytes.length h.buf then begin
+          md5_room h l;
+          h.pos <- write_decoded w i h.buf h.pos
+        end
+        else begin
+          let b = Bytes.create l in
+          ignore (write_decoded w i b 0 : int);
+          md5_sub h (Bytes.unsafe_to_string b) 0
+        end
       done;
-      let t = Array.length a.ev in
-      let b = Bytes.create (!text + (8 * (a.n + 4 + (2 * t))) + (2 * a.n)) in
-      let p = ref 0 in
-      let chr c =
-        Bytes.set b !p c;
-        incr p
-      in
-      let int i =
-        Bytes.set_int64_le b !p (Int64.of_int i);
-        p := !p + 8
-      in
-      let add s =
-        p := put_digits b !p (String.length s);
-        chr ':';
-        Bytes.blit_string s 0 b !p (String.length s);
-        p := !p + String.length s
-      in
-      add a.name;
-      int a.n;
-      int a.initial;
-      for i = 0 to a.n - 1 do
-        p := put_digits b !p (name_length w i);
-        chr ':';
-        p := write_decoded w i b !p
-      done;
-      int !r;
+      md5_int h sigma;
       Event.Set.iter
         (fun e ->
-          add (Event.name e);
-          chr (if Event.is_controllable e then 'c' else 'u'))
+          field (Event.name e);
+          md5_char h (if Event.is_controllable e then 'c' else 'u'))
         a.alphabet;
       (* CSR order: by source index, then event id — deterministic within
          a process (intern order), which is all the in-process cache
          needs. *)
-      Array.iter int a.row;
-      for k = 0 to t - 1 do
-        int (rank_of by_id bits a.ev.(k) 0 (sigma - 1));
-        int a.dst.(k)
+      Array.iter (md5_int h) a.row;
+      for k = 0 to Array.length a.ev - 1 do
+        md5_int h (rank_of by_id bits a.ev.(k) 0 (sigma - 1));
+        md5_int h a.dst.(k)
       done;
-      Array.iter (fun m -> chr (if m then '1' else '0')) a.marked;
-      Array.iter (fun m -> chr (if m then '1' else '0')) a.forbidden;
-      assert (!p = Bytes.length b);
-      let d = Digest.to_hex (Digest.bytes b) in
+      Array.iter (fun m -> md5_char h (if m then '1' else '0')) a.marked;
+      Array.iter (fun m -> md5_char h (if m then '1' else '0')) a.forbidden;
+      md5_flush h;
+      let d = Digest.to_hex (md5_final h.ctx) in
       a.digest <- Some d;
       d
 

@@ -21,11 +21,15 @@ let pair a b =
   Event.Set.iter (fun e -> in_b.(Event.id e) <- true) sigma_b;
   let nb = Automaton.num_states b in
   let arow, aev, adst = Automaton.csr a and brow, bev, bdst = Automaton.csr b in
-  (* A transition is one int, [(event id lsl tbits) lor target]: packed
-     ints order a row by event id. *)
+  (* A transition is one 32-bit word, [(event index lsl tbits) lor
+     target], the index being the event's rank in [ids], the alphabet's
+     ids ascending: packed words order a row by event id. *)
+  let ids = Event.sorted_ids alphabet in
+  let eix = Array.make (max_id + 1) 0 in
+  Array.iteri (fun r eid -> eix.(eid) <- r) ids;
   let tbits =
-    let b = ref 62 in
-    while max_id lsr (62 - !b) > 0 do
+    let b = ref 32 in
+    while Array.length ids > 1 lsl (32 - !b) do
       decr b
     done;
     !b
@@ -53,7 +57,7 @@ let pair a b =
     !m
   in
   let ra = Array.make (widest arow) 0 and rb = Array.make (widest brow) 0 in
-  let ends = Intvec.create () and tr = Intvec.create () in
+  let ends = Wordvec.create () and tr = Wordvec.create () in
   let i = ref 0 in
   while !i < Inttbl.length seen do
     let key = Inttbl.key seen !i in
@@ -64,40 +68,40 @@ let pair a b =
       let eid = aev.(k) in
       let jb = if in_b.(eid) then Automaton.step_index_raw b ib eid else ib in
       if jb >= 0 then begin
-        ra.(!la) <- (eid lsl tbits) lor visit adst.(k) jb;
+        ra.(!la) <- (eix.(eid) lsl tbits) lor visit adst.(k) jb;
         incr la
       end
     done;
     for k = brow.(ib) to brow.(ib + 1) - 1 do
       let eid = bev.(k) in
       if not in_a.(eid) then begin
-        rb.(!lb) <- (eid lsl tbits) lor visit ia bdst.(k);
+        rb.(!lb) <- (eix.(eid) lsl tbits) lor visit ia bdst.(k);
         incr lb
       end
     done;
     let x = ref 0 and y = ref 0 in
     while !x < !la || !y < !lb do
       if !y = !lb || (!x < !la && ra.(!x) < rb.(!y)) then begin
-        Intvec.push tr ra.(!x);
+        Wordvec.push tr ra.(!x);
         incr x
       end
       else begin
-        Intvec.push tr rb.(!y);
+        Wordvec.push tr rb.(!y);
         incr y
       end
     done;
-    Intvec.push ends tr.len;
+    Wordvec.push ends tr.len;
     incr i
   done;
-  let n = Inttbl.length seen and t = Intvec.length tr in
+  let n = Inttbl.length seen and t = Wordvec.length tr in
   let row = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    row.(i + 1) <- Intvec.get ends i
+    row.(i + 1) <- Wordvec.get ends i
   done;
   let event = Array.make t 0 and target = Array.make t 0 in
   for k = 0 to t - 1 do
-    let w = Intvec.get tr k in
-    event.(k) <- w lsr tbits;
+    let w = Wordvec.get tr k in
+    event.(k) <- ids.(w lsr tbits);
     target.(k) <- w land tmask
   done;
   let keys = Array.init n (Inttbl.key seen) in

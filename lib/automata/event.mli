@@ -52,6 +52,12 @@ module Map : Map.S with type key = t
 
 val set_of_list : t list -> Set.t
 
+val sorted_ids : Set.t -> int array
+(** The set's event ids, ascending.  An event's position here is its
+    {e event index} in the product walks' 32-bit transition words
+    ({!Compose.pair}, {!Synthesis}): indices order as ids do, and they
+    need only as many bits as the alphabet has events. *)
+
 val merge_alphabets : context:string -> Set.t -> Set.t -> Set.t
 (** Union of two alphabets, with the consistency check the comparator no
     longer performs: raises [Invalid_argument] — prefixed with [context]

@@ -33,13 +33,17 @@ type error = Empty_supervisor
 (* monotone operator, so their per-pass removal counts and the          *)
 (* iteration count are traversal-order-free.                            *)
 (*                                                                       *)
-(* Buffer discipline: the state table's keys, the row ends and the      *)
-(* transitions live in [Intvec]s of fixed chunks that are appended to   *)
-(* and never copied, so no state- or transition-sized array grows by    *)
-(* doubling.  Every later array — the uncontrollable and good-region    *)
-(* predecessor CSRs, the supervisor's rows — is allocated once at its   *)
-(* counted size, and buffers are dropped as soon as the next phase no   *)
-(* longer reads them.                                                    *)
+(* Buffer discipline: every buffer that scales with the product's        *)
+(* states or transitions is a [Wordvec] of 32-bit words in fixed         *)
+(* chunks, half the bytes of an int per entry.  The row ends and the     *)
+(* transitions are appended to and never copied, so none grows by        *)
+(* doubling; the uncontrollable and good-region predecessor CSRs and     *)
+(* the product-to-supervisor index maps are allocated once at their      *)
+(* counted size.  Only the state table keeps 63-bit keys.  A transition  *)
+(* is one word, [(target lsl ebits) lor event index], the index being    *)
+(* the event's rank in the product alphabet sorted by id; a product      *)
+(* whose words do not fit is refused.  Buffers are dropped as soon as    *)
+(* the next phase no longer reads them.                                  *)
 (* ===================================================================== *)
 
 (* One component: its CSR rows cut down to the events it handles (it is
@@ -64,14 +68,25 @@ let f_escape = 4
 let fbits = 3
 let fmask = (1 lsl fbits) - 1
 
-(* The phases after the BFS read the product in place from the
-   vectors' chunks (the [Intvec.t] layout), through closed helpers the
-   compiler inlines: a call per access would cost more than the
-   access. *)
-let cget (ch : int array array) i = ch.(i lsr 15).(i land 0x7fff)
-let row_end rf s = cget rf s lsr fbits
-let row_start rf s = if s = 0 then 0 else row_end rf (s - 1)
-let flags rf s = cget rf s land fmask
+(* The phases after the BFS read and write the product's words in place
+   in the vectors' chunks (the [Wordvec.t] layout), through closed
+   helpers inlined by attribute: a call per access would cost more than
+   the access.  The chunk lookup is bounds-checked, the word access
+   within a chunk is not (a checked one cost the fixpoint phases ~30 %):
+   every index below is under its vector's length, each loop running
+   over a range the vector was counted or filled to. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] cget (ch : Bytes.t array) i =
+  Int32.to_int (get32 ch.(i lsr 15) ((i land 0x7fff) lsl 2)) land 0xffff_ffff
+
+let[@inline] cset (ch : Bytes.t array) i x =
+  set32 ch.(i lsr 15) ((i land 0x7fff) lsl 2) (Int32.of_int x)
+
+let[@inline] row_end rf s = cget rf s lsr fbits
+let[@inline] row_start rf s = if s = 0 then 0 else row_end rf (s - 1)
+let[@inline] flags rf s = cget rf s land fmask
 let mem mask s = Bytes.get mask s <> '\000'
 
 let synthesize ~comps ~sup_name ~context =
@@ -154,13 +169,6 @@ let synthesize ~comps ~sup_name ~context =
         end)
       comps
   in
-  (* Controllability is about what the plant can generate: only
-     plant-owned uncontrollable events form the uncontrollable graph. *)
-  let unc =
-    Array.init (max_id + 1) (fun eid ->
-        let o = first_owner.(eid) in
-        (not ctrl.(eid)) && o >= 0 && o < spec_c)
-  in
   let cs =
     Array.mapi
       (fun c a ->
@@ -224,19 +232,35 @@ let synthesize ~comps ~sup_name ~context =
   (* ---------- product BFS ------------------------------------------- *)
   (* [tbl] numbers the joint keys in discovery order, and its key vector
      is the BFS queue; [rowfl] holds each state's row end and f_* bits,
-     [tr] the transitions.  A transition is one int, [(target lsl ebits)
-     lor event id]. *)
+     [tr] the transitions.  A transition is one word, [(target lsl
+     ebits) lor event index]: [ids] lists the alphabet's event ids
+     ascending and [eix] maps an id to its index there, so indices order
+     as ids do. *)
+  let ids = Event.sorted_ids alphabet in
+  let eix = Array.make (max_id + 1) 0 in
+  Array.iteri (fun r eid -> eix.(eid) <- r) ids;
+  (* Controllability is about what the plant can generate: only
+     plant-owned uncontrollable events form the uncontrollable graph.
+     By event index. *)
+  let unc =
+    Array.map
+      (fun eid ->
+        let o = first_owner.(eid) in
+        (not ctrl.(eid)) && o >= 0 && o < spec_c)
+      ids
+  in
   let ebits =
-    let b = ref 1 in
-    while 1 lsl !b <= max_id do
+    let b = ref 0 in
+    while 1 lsl !b < Array.length ids do
       incr b
     done;
     !b
   in
-  let emask = (1 lsl ebits) - 1 and max_states = 1 lsl (62 - ebits) in
+  let emask = (1 lsl ebits) - 1 and max_states = 1 lsl (32 - ebits) in
+  let max_row_end = 1 lsl (32 - fbits) in
   let tbl = Inttbl.create () in
   ignore (Inttbl.intern tbl key0 : int);
-  let rowfl = Intvec.create () and tr = Intvec.create () in
+  let rowfl = Wordvec.create () and tr = Wordvec.create () in
   let idx = Array.make nc 0 in
   let removed_forb = ref 0 in
   let i = ref 0 in
@@ -288,12 +312,14 @@ let synthesize ~comps ~sup_name ~context =
           let j = Inttbl.intern tbl !dkey in
           if j >= max_states then
             invalid_arg (context ^ ": product exceeds the state index range");
-          Intvec.push tr ((j lsl ebits) lor eid)
+          Wordvec.push tr ((j lsl ebits) lor eix.(eid))
         end
       done
     done;
     if !fl land f_forbidden <> 0 then incr removed_forb;
-    Intvec.push rowfl ((tr.len lsl fbits) lor !fl);
+    if tr.len >= max_row_end then
+      invalid_arg (context ^ ": product exceeds the transition index range");
+    Wordvec.push rowfl ((tr.len lsl fbits) lor !fl);
     incr i
   done;
   let n = Inttbl.length tbl in
@@ -303,25 +329,26 @@ let synthesize ~comps ~sup_name ~context =
      array first counts its row's entries, then holds its row's end, and
      is decremented down to its row's start as the fill walks the
      sources in reverse. *)
-  let upr = Array.make (n + 1) 0 in
+  let upr = (Wordvec.make (n + 1)).chunks in
   for k = 0 to tr.len - 1 do
     let w = cget ft k in
     if unc.(w land emask) then begin
       let d = w lsr ebits in
-      upr.(d) <- upr.(d) + 1
+      cset upr d (cget upr d + 1)
     end
   done;
   for j = 1 to n do
-    upr.(j) <- upr.(j) + upr.(j - 1)
+    cset upr j (cget upr j + cget upr (j - 1))
   done;
-  let upx = Array.make upr.(n) 0 in
+  let upx = (Wordvec.make (cget upr n)).chunks in
   for s = n - 1 downto 0 do
     for k = row_end rf s - 1 downto row_start rf s do
       let w = cget ft k in
       if unc.(w land emask) then begin
         let d = w lsr ebits in
-        upr.(d) <- upr.(d) - 1;
-        upx.(upr.(d)) <- s
+        let o = cget upr d - 1 in
+        cset upr d o;
+        cset upx o s
       end
     done
   done;
@@ -331,7 +358,7 @@ let synthesize ~comps ~sup_name ~context =
      the forbidden and escaping states first, then each round's blocking
      removals — earlier bad states' uncontrollable predecessors are bad
      already. *)
-  let bad = Intvec.create () and stack = Intvec.create () in
+  let bad = Wordvec.create () and stack = Wordvec.create () in
   let removed_unc = ref 0 and removed_blk = ref 0 in
   let iterations = ref 0 in
   let u = ref 0 in
@@ -339,25 +366,25 @@ let synthesize ~comps ~sup_name ~context =
     let f = flags rf s in
     if f land f_forbidden <> 0 then begin
       Bytes.set good s '\000';
-      Intvec.push bad s
+      Wordvec.push bad s
     end
     else if f land f_escape <> 0 then begin
       Bytes.set good s '\000';
       incr u;
-      Intvec.push bad s
+      Wordvec.push bad s
     end
   done;
   (* Uncontrollable pass: propagate badness backwards over the
      uncontrollable sub-graph. *)
   let propagate () =
     while bad.len > 0 do
-      let j = Intvec.pop bad in
-      for k = upr.(j) to upr.(j + 1) - 1 do
-        let s = upx.(k) in
+      let j = Wordvec.pop bad in
+      for k = cget upr j to cget upr (j + 1) - 1 do
+        let s = cget upx k in
         if mem good s then begin
           Bytes.set good s '\000';
           incr u;
-          Intvec.push bad s
+          Wordvec.push bad s
         end
       done
     done
@@ -366,25 +393,26 @@ let synthesize ~comps ~sup_name ~context =
   (* Predecessors for the blocking pass, over the transitions between
      states still good after the first uncontrollable pass.  The good
      region only shrinks, so every later round's edges are among them. *)
-  let pr = Array.make (n + 1) 0 in
+  let pr = (Wordvec.make (n + 1)).chunks in
   for s = 0 to n - 1 do
     if mem good s then
       for k = row_start rf s to row_end rf s - 1 do
         let d = cget ft k lsr ebits in
-        if mem good d then pr.(d) <- pr.(d) + 1
+        if mem good d then cset pr d (cget pr d + 1)
       done
   done;
   for j = 1 to n do
-    pr.(j) <- pr.(j) + pr.(j - 1)
+    cset pr j (cget pr j + cget pr (j - 1))
   done;
-  let pd = Array.make pr.(n) 0 in
+  let pd = (Wordvec.make (cget pr n)).chunks in
   for s = n - 1 downto 0 do
     if mem good s then
       for k = row_end rf s - 1 downto row_start rf s do
         let d = cget ft k lsr ebits in
         if mem good d then begin
-          pr.(d) <- pr.(d) - 1;
-          pd.(pr.(d)) <- s
+          let o = cget pr d - 1 in
+          cset pr d o;
+          cset pd o s
         end
       done
   done;
@@ -397,16 +425,16 @@ let synthesize ~comps ~sup_name ~context =
     for s = 0 to n - 1 do
       if mem good s && flags rf s land f_marked <> 0 then begin
         Bytes.set coacc s '\001';
-        Intvec.push stack s
+        Wordvec.push stack s
       end
     done;
     while stack.len > 0 do
-      let j = Intvec.pop stack in
-      for k = pr.(j) to pr.(j + 1) - 1 do
-        let s = pd.(k) in
+      let j = Wordvec.pop stack in
+      for k = cget pr j to cget pr (j + 1) - 1 do
+        let s = cget pd k in
         if mem good s && not (mem coacc s) then begin
           Bytes.set coacc s '\001';
-          Intvec.push stack s
+          Wordvec.push stack s
         end
       done
     done;
@@ -415,7 +443,7 @@ let synthesize ~comps ~sup_name ~context =
       if mem good s && not (mem coacc s) then begin
         Bytes.set good s '\000';
         incr bl;
-        Intvec.push bad s
+        Wordvec.push bad s
       end
     done;
     incr iterations;
@@ -437,15 +465,15 @@ let synthesize ~comps ~sup_name ~context =
   (* ---------- supervisor extraction --------------------------------- *)
   if not (mem good 0) then Error Empty_supervisor
   else begin
-    (* Good states keep their product order; [so] maps a product index
-       to its supervisor index and [os] back. *)
+    (* Good states keep their product order; [so] maps a good product
+       index to its supervisor index and [os] back. *)
     let m = n - !removed_forb - !removed_unc - !removed_blk in
-    let so = Array.make n (-1) and os = Array.make m 0 in
+    let so = (Wordvec.make n).chunks and os = (Wordvec.make m).chunks in
     let t = ref 0 and j = ref 0 in
     for s = 0 to n - 1 do
       if mem good s then begin
-        so.(s) <- !j;
-        os.(!j) <- s;
+        cset so s !j;
+        cset os !j s;
         incr j;
         for k = row_start rf s to row_end rf s - 1 do
           if mem good (cget ft k lsr ebits) then incr t
@@ -459,13 +487,13 @@ let synthesize ~comps ~sup_name ~context =
     let sev = Array.make !t 0 and sdst = Array.make !t 0 in
     let q = ref 0 in
     for x = 0 to m - 1 do
-      let s = os.(x) in
+      let s = cget os x in
       let start = !q in
       for k = row_start rf s to row_end rf s - 1 do
         let w = cget ft k in
         let d = w lsr ebits in
         if mem good d then begin
-          let e = w land emask in
+          let e = ids.(w land emask) in
           let p = ref (!q - 1) in
           while !p >= start && sev.(!p) > e do
             sev.(!p + 1) <- sev.(!p);
@@ -473,7 +501,7 @@ let synthesize ~comps ~sup_name ~context =
             decr p
           done;
           sev.(!p + 1) <- e;
-          sdst.(!p + 1) <- so.(d);
+          sdst.(!p + 1) <- cget so d;
           incr q
         end
       done;
@@ -481,9 +509,11 @@ let synthesize ~comps ~sup_name ~context =
     done;
     let sup =
       Automaton.of_csr ~name:sup_name
-        ~names:(Product (comps, Array.map (Inttbl.key tbl) os))
+        ~names:
+          (Product (comps, Array.init m (fun x -> Inttbl.key tbl (cget os x))))
         ~alphabet ~initial:0
-        ~marked:(Array.map (fun s -> flags rf s land f_marked <> 0) os)
+        ~marked:
+          (Array.init m (fun x -> flags rf (cget os x) land f_marked <> 0))
         ~forbidden:(Array.make m false) ~row:srow ~event:sev ~target:sdst
     in
     Ok (Reach.accessible sup, stats)

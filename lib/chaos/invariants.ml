@@ -217,7 +217,8 @@ let check m ~runner ~sup ~obs =
     m.power_excess <- 0.;
     m.power_reported <- false
   end;
-  let true_power = Soc.true_chip_power soc in
+  let truth = Spectr.Scenario.ground_truth runner in
+  let true_power = truth.(0) in
   let envelope = phase.Spectr.Scenario.envelope in
   let cap = envelope *. (1. +. limits.guardband) in
   if
@@ -240,7 +241,7 @@ let check m ~runner ~sup ~obs =
   (* QoS re-convergence: only judged in quiet regions — no fault window
      active, benign load, full envelope — and only after the deadline
      from the last disturbance has passed. *)
-  let true_qos = Soc.true_qos_rate soc in
+  let true_qos = truth.(1) in
   let qos_floor = limits.qos_floor *. m.qos_ref in
   let qos_bad =
     (not (in_window m.fault_windows t))

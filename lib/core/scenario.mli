@@ -138,8 +138,15 @@ val tick : runner -> manager:Manager.t -> Soc.observation option
 val trace : runner -> Trace.t
 
 val runner_soc : runner -> Soc.t
-(** The live SoC — monitors read ground truth ({!Soc.true_chip_power},
-    actuator readbacks) from here between ticks. *)
+(** The live SoC — monitors read actuator readbacks from here between
+    ticks. *)
+
+val ground_truth : runner -> float array
+(** The noise-free chip power ([.(0)]) and QoS rate ([.(1)]) at the end
+    of the last tick ({!Soc.ground_truth}): one physics pass per tick,
+    shared with a faulted run's [true_power] column, or run at the first
+    call after a fault-free tick — read it before changing the SoC.  The
+    runner's own buffer, valid until the next tick. *)
 
 val ticks_done : runner -> int
 

@@ -23,7 +23,7 @@
     noise-free plant — workload phase, capacity, background placement,
     QoS throughput and per-cluster power — is one function that
     {!step_into} and the ground-truth accessors ({!true_qos_rate},
-    {!true_chip_power}) share, so with every noise σ at 0 the
+    {!true_chip_power}, {!ground_truth}) share, so with every noise σ at 0 the
     observation equals the ground truth bit for bit.  The steady-state
     tick path is allocation-free: {!step_into} writes a caller-owned
     {!observation} and the SoC-owned per-cluster arrays
@@ -175,6 +175,11 @@ val true_qos_rate : t -> float
 val true_chip_power : t -> float
 (** Noise-free total power at the current time and settings, summed
     over clusters in index order as the power sensors are. *)
+
+val ground_truth : t -> float array -> unit
+(** [ground_truth soc dst] writes {!true_chip_power} to [dst.(0)] and the
+    noise-free QoS rate to [dst.(1)], both from one pass of the
+    physics.  Allocation-free. *)
 
 val temperature : t -> float
 (** Noise-free die temperature (°C).  A first-order RC response to chip

@@ -1,5 +1,5 @@
-(* Column-major storage in growable contiguous arrays (the Intvec
-   doubling pattern, per column, for floats).  The predecessor kept a
+(* Column-major storage in growable contiguous arrays (doubling, per
+   column, for floats).  The predecessor kept a
    newest-first row list and rebuilt a full n-element array on every
    [column] call, which made [Metrics.per_phase] O(phases x columns x n);
    here [column_slice] copies just the slice and [last] is O(1).  Column

@@ -5,9 +5,9 @@
      with: each component name escaped once ('.' and '\' get a
      backslash), joined with '.'.  Applied to names that are themselves
      joins, it escapes them once more per level of nesting.
-   - [image] rebuilds [Automaton.structural_digest]'s byte image from
-     [Automaton.states], the alphabet and the CSR rows, and [digest]
-     hashes it. *)
+   - [image] rebuilds the bytes [Automaton.structural_digest] streams
+     through MD5, whole, from [Automaton.states], the alphabet and the
+     CSR rows, and [digest] hashes it. *)
 
 open Spectr_automata
 

@@ -16,9 +16,10 @@
    It also prints the exported-value count, how many exports are named
    outside their module only under [test], the [?label:]
    optional-argument count of the [.mli] files under LIB_DIR, the line
-   count of the [.ml]/[.mli] files outside [test] and the line count of
-   the [.ml] files inside it, so every change can report the figures
-   from one command. *)
+   count of the [.ml]/[.mli] and C stub ([.c]) files outside [test] and
+   the line count of the [.ml] files inside it, so every change can
+   report the figures from one command.  C files count only as lines:
+   their tokens name no OCaml value and they are no module. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -34,7 +35,8 @@ let rec walk dir acc =
       let path = Filename.concat dir name in
       if name.[0] = '.' then acc
       else if Sys.is_directory path then walk path acc
-      else if Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
+      else if
+        List.exists (Filename.check_suffix name) [ ".ml"; ".mli"; ".c" ]
       then path :: acc
       else acc)
     acc names
@@ -159,6 +161,7 @@ let () =
     | [] -> prerr_endline "usage: surface.exe LIB_DIR OTHER_DIR..."; exit 2
   in
   let files = List.sort compare (List.concat_map (fun d -> walk d []) dirs) in
+  let c_files, files = List.partition (fun p -> Filename.check_suffix p ".c") files in
   let sources =
     List.map (fun p -> (p, Filename.remove_extension p, read_file p)) files
   in
@@ -183,6 +186,9 @@ let () =
   in
   let exports = ref 0 and test_only = ref 0 and optional = ref 0 in
   let lines = ref 0 and test_lines = ref 0 and unreferenced = ref [] in
+  List.iter
+    (fun p -> if not (in_test p) then lines := !lines + count_lines (read_file p))
+    c_files;
   List.iter
     (fun (path, m, text, s) ->
       if not (in_test path) then lines := !lines + count_lines text
@@ -215,7 +221,7 @@ let () =
   Printf.printf "exported values:          %d\n" !exports;
   Printf.printf "named only in tests:      %d\n" !test_only;
   Printf.printf "optional ?label: args:    %d\n" !optional;
-  Printf.printf "non-test .ml/.mli lines:  %d\n" !lines;
+  Printf.printf "non-test .ml/.mli/.c lines: %d\n" !lines;
   Printf.printf "test .ml lines:           %d\n" !test_lines;
   Printf.printf "unreferenced exports:     %d\n" (List.length !unreferenced);
   List.iter (Printf.printf "  %s\n") (List.rev !unreferenced);

@@ -1409,6 +1409,9 @@ let test_supcon_modular_wide_family () =
         (Automaton.num_states s1);
       check_bool (Printf.sprintf "k=%d nonblocking" k) true
         (Verify.nonblocking s1 = Ok ());
+      if k = 11 then
+        check_string "k=11 digest equals the oracle's" (Names_oracle.digest s1)
+          d1;
       if k = 10 then begin
         let d4, st4, _ = run 4 in
         check_string "jobs=4 digest identical" d1 d4;
@@ -1442,11 +1445,12 @@ let test_supcon_modular_matches_monolithic () =
 (* Bytes per transition for the k = 8, cap = 7 family (7313 product
    states), counted in closed windows ({!Alloc.bytes}), which read the
    same every run.  Each budget is 10 % over what the index-only state
-   table, the good-region predecessors and the chunked buffers read:
-   56.5 B for modular synthesis, 42.9 B for Compose.all of the 8
+   table, the good-region predecessors and the 32-bit chunked buffers
+   read: 40.1 B for modular synthesis, 34.4 B for Compose.all of the 8
    clusters.  The structural digest of a renamed copy of the
-   supervisor, its names never written before, may allocate its byte
-   image and 10 % over the 4 596 B more it reads. *)
+   supervisor, its names never written before, streams its 1.1 MB of
+   bytes: it may allocate its 64 KB buffer and 10 % over the 4 656 B
+   more it reads, and no image. *)
 let test_synthesis_alloc_budgets () =
   let plants = List.init 8 (fun i -> cluster_plant (i + 1)) in
   let spec = cluster_budget_spec ~k:8 ~cap:7 () in
@@ -1460,7 +1464,7 @@ let test_synthesis_alloc_budgets () =
     r
   in
   let sup =
-    gate "supcon_modular k=8 cap=7" ~budget:(56.5 *. 1.1)
+    gate "supcon_modular k=8 cap=7" ~budget:(40.1 *. 1.1)
       ~transitions:(function
         | Ok (_, st) when st.Synthesis.product_states = 7313 ->
             Automaton.num_transitions product
@@ -1468,19 +1472,19 @@ let test_synthesis_alloc_budgets () =
       (fun () -> Synthesis.supcon_modular ~plants ~spec ())
   in
   ignore
-    (gate "Compose.all 8 clusters" ~budget:(42.9 *. 1.1)
+    (gate "Compose.all 8 clusters" ~budget:(34.4 *. 1.1)
        ~transitions:Automaton.num_transitions (fun () -> Compose.all plants));
   match sup with
   | Ok (sup, _) ->
       let a = Automaton.rename sup "k8a" in
       let d, bytes = Alloc.bytes (fun () -> Automaton.structural_digest a) in
       check_string "digest equals the oracle's" (Names_oracle.digest a) d;
-      let over = bytes -. float_of_int (String.length (Names_oracle.image a)) in
-      let budget = 4596. *. 1.1 in
+      let budget = 65536. +. (4656. *. 1.1) in
       check_bool
-        (Printf.sprintf "structural_digest: image + %.0f B (budget + %.0f B)"
-           over budget)
-        true (over <= budget)
+        (Printf.sprintf "structural_digest: %.0f B (budget %.0f B, image %d B)"
+           bytes budget
+           (String.length (Names_oracle.image a)))
+        true (bytes <= budget)
   | Error _ -> assert false
 
 (* The k = 8 supervisor's structural digest allocates by its alphabet,
@@ -1519,6 +1523,64 @@ let test_digest_alloc_by_alphabet () =
     (Printf.sprintf "digest bytes: minted first %.0f, minted spread %.0f" first spread)
     true
     (Float.abs (spread -. first) <= 256.)
+
+(* The digest streams its bytes through a 64 KB buffer.  Here state
+   names cross the buffer's boundary again and again, one event name
+   crosses it, and one state name and one event name are longer than
+   the whole buffer — in a leaf automaton and in a product, whose names
+   are written from its parts and escaped.  Each digest, taken before
+   any name is written, equals the oracle's. *)
+let test_digest_across_buffer () =
+  let tick = Event.controllable "buf-tick"
+  and cross = Event.controllable ("buf-cross." ^ String.make 40_000 'c')
+  and huge = Event.uncontrollable ("buf-huge\\" ^ String.make 70_000 'h') in
+  let state i = Printf.sprintf "s%d.%s" i (String.make 9_000 'x') in
+  let big = "big\\" ^ String.make 100_000 'y' in
+  let leaf () =
+    Automaton.create ~marked:[ state 0 ] ~name:"Buf" ~initial:(state 0)
+      ~transitions:
+        ((big, tick, state 0)
+        :: List.concat
+             (List.init 12 (fun i ->
+                  [ (state i, cross, state (i + 1)); (state i, huge, big) ])))
+      ()
+  in
+  let other =
+    Automaton.create ~name:"Other" ~initial:"o.0"
+      ~transitions:[ ("o.0", tick, "o\\1"); ("o\\1", tick, "o.0") ]
+      ()
+  in
+  List.iter
+    (fun (what, a) ->
+      let d = Automaton.structural_digest a in
+      check_string (what ^ ": digest equals the oracle's")
+        (Names_oracle.digest a) d)
+    [ ("leaf", leaf ()); ("product", Compose.pair (leaf ()) other) ]
+
+(* The 32-bit store holds exactly the words of [0, 2^32): the bounds
+   round-trip, anything else is refused and not stored, and values
+   survive the first chunk's growth and the move to further chunks. *)
+let test_wordvec_words () =
+  let v = Wordvec.create () in
+  List.iter (Wordvec.push v) [ 0; 1; (1 lsl 32) - 1 ];
+  check_int "largest word" ((1 lsl 32) - 1) (Wordvec.get v 2);
+  List.iter
+    (fun x ->
+      match Wordvec.push v x with
+      | () -> Alcotest.failf "%d accepted" x
+      | exception Invalid_argument _ -> ())
+    [ -1; 1 lsl 32; max_int; min_int ];
+  check_int "refused words not stored" 3 (Wordvec.length v);
+  for i = 3 to 99_999 do
+    Wordvec.push v ((i * 40_503) land 0xffff_ffff)
+  done;
+  for i = 99_999 downto 3 do
+    if Wordvec.pop v <> (i * 40_503) land 0xffff_ffff then
+      Alcotest.failf "word %d" i
+  done;
+  let z = Wordvec.make 70_000 in
+  check_int "made length" 70_000 (Wordvec.length z);
+  check_int "made words are zero" 0 (Wordvec.get z 69_999)
 
 (* Empty-supervisor edge case: the initial state is uncontrollably bad
    on every path, for the engine and the oracle alike. *)
@@ -1784,6 +1846,9 @@ let () =
             `Quick test_supcon_modular_wide_family;
           Alcotest.test_case "synthesis bytes per transition, k=8 cap=7"
             `Quick test_synthesis_alloc_budgets;
+          Alcotest.test_case "digest streamed across its buffer" `Quick
+            test_digest_across_buffer;
+          Alcotest.test_case "32-bit word store" `Quick test_wordvec_words;
           Alcotest.test_case "digest allocation sized by the alphabet" `Quick
             test_digest_alloc_by_alphabet;
           Alcotest.test_case "supcon empty supervisor" `Quick
