@@ -121,11 +121,17 @@ fleet-smoke:
 # short scenario runs on every built-in shape (2-cluster board,
 # 3-cluster pixel8pro, generated k3), each run's trace CSV is pinned
 # byte for byte (the exynos5422 one against the pre-refactor build),
-# and every file in the malformed-CSV corpus is rejected with exit code
-# 2 and a line-numbered parse error.
+# the case-study synthesis (supervisor, stats, verdicts and the S || G
+# closed loop) is pinned by its stdout, against
+# bench/synthesize.expected, and by its DOT file's md5, and every file
+# in the malformed-CSV corpus is rejected with exit code 2 and a
+# line-numbered parse error.
 platform-smoke:
 	dune exec bin/spectr_cli.exe -- platforms
 	dune exec bin/spectr_cli.exe -- platforms --platform pixel8pro
+	dune exec bin/spectr_cli.exe -- synthesize --closed-loop \
+	  --dot /tmp/spectr-synthesize.dot > /tmp/spectr-synthesize.txt
+	diff bench/synthesize.expected /tmp/spectr-synthesize.txt
 	dune exec bin/spectr_cli.exe -- scenario -m spectr -b x264 \
 	  --platform exynos5422 --csv /tmp/spectr-platform-exynos.csv > /dev/null
 	dune exec bin/spectr_cli.exe -- scenario -m spectr -b x264 \
@@ -136,6 +142,7 @@ platform-smoke:
 	  ab3b5b5ef6ec4920c18d5f0a4117cbc1 /tmp/spectr-platform-exynos.csv \
 	  817c44759c3f8322c3ead7d40e2b6d79 /tmp/spectr-platform-pixel8pro.csv \
 	  e80a2e63f4f235f1410275bb7183ab98 /tmp/spectr-platform-k3.csv \
+	  c3aadf5fd4dd1c160f230f6ed243d19c /tmp/spectr-synthesize.dot \
 	  | md5sum -c -
 	for f in test/platforms/bad/*.csv; do \
 	  dune exec bin/spectr_cli.exe -- platforms --platform $$f; \

@@ -74,9 +74,11 @@ let () =
         let state = Supervisor.state sup in
         if state <> !last_state then last_state := state
       done;
+      let truth = Array.make 2 0. in
+      Soc.ground_truth soc truth;
       Printf.printf
         "  end of phase: power %.2f W, supervisor %s, budgets B %.2f / L %.2f\n"
-        (Soc.true_chip_power soc) (Supervisor.state sup)
+        truth.(0) (Supervisor.state sup)
         (Supervisor.power_ref sup 0)
         (Supervisor.power_ref sup 1))
     phases;

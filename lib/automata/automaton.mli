@@ -78,8 +78,8 @@ val of_csr :
   event:int array ->
   target:int array ->
   t
-(** {b Trusted constructor} for algorithm outputs ({!Compose},
-    {!Synthesis}' supervisor extraction, {!restrict_indices}):
+(** {b Trusted constructor} for algorithm outputs ({!Synthesis}'
+    extraction, which {!Compose.pair} runs too, and {!restrict_indices}):
     [of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row
     ~event ~target] builds an automaton over states
     [0 .. Array.length marked - 1] from rows already in CSR order: state
@@ -177,7 +177,7 @@ val csr : t -> int array * int array * int array
 (** [(row, ev, dst)]: the transition structure itself, shared rather
     than copied.  Row [i] is [row.(i) .. row.(i + 1) - 1] of [ev]/[dst],
     sorted by event id.  For index-native walks that cannot afford a
-    closure per row ({!Compose}, {!Verify}, {!Synthesis}); the arrays
+    closure per row ({!Verify}, {!Synthesis}); the arrays
     must not be mutated. *)
 
 val is_marked_index : t -> int -> bool

@@ -1,6 +1,6 @@
 (** First-seen numbering of non-negative int keys: the state table
-    ({e joint key → state index}) of the product walks in {!Compose},
-    {!Verify} and {!Synthesis}.  The table owns its keys, stored in
+    ({e joint key → state index}) of the product walks in {!Verify}
+    and {!Synthesis}.  The table owns its keys, stored in
     discovery order, so they double as the walk's BFS queue.  Its
     open-addressing slots (linear probing over a power-of-two capacity
     at most 3/4 full) hold an index and a few hash bits, no key; nothing

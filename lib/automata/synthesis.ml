@@ -16,7 +16,11 @@ let pp_stats ppf s =
 type error = Empty_supervisor
 
 (* ===================================================================== *)
-(* The synthesis engine.                                                 *)
+(* The product engine, in three phases: [explore] walks the reachable   *)
+(* product, [fixpoint] prunes it to the supremal controllable and       *)
+(* non-blocking region, and [extract] writes the kept states out as an  *)
+(* automaton.  Synthesis runs all three; {!Compose.pair} is [explore]   *)
+(* on two components and [extract] with nothing pruned.                  *)
 (*                                                                       *)
 (* The product is taken over an array of components (k plant components *)
 (* and the spec, composed on the fly, so a 3^k unconstrained plant is    *)
@@ -38,26 +42,13 @@ type error = Empty_supervisor
 (* chunks, half the bytes of an int per entry.  The row ends and the     *)
 (* transitions are appended to and never copied, so none grows by        *)
 (* doubling; the uncontrollable and good-region predecessor CSRs and     *)
-(* the product-to-supervisor index maps are allocated once at their      *)
-(* counted size.  Only the state table keeps 63-bit keys.  A transition  *)
-(* is one word, [(target lsl ebits) lor event index], the index being    *)
-(* the event's rank in the product alphabet sorted by id; a product      *)
-(* whose words do not fit is refused.  Buffers are dropped as soon as    *)
-(* the next phase no longer reads them.                                  *)
+(* the product-to-result index map are allocated once at their counted  *)
+(* size.  Only the state table keeps 63-bit keys.  A transition is one   *)
+(* word, [(target lsl ebits) lor event index], the index being the       *)
+(* event's rank in the product alphabet sorted by id; a product whose    *)
+(* words do not fit is refused.  Each phase's own buffers are dropped    *)
+(* when it returns.                                                      *)
 (* ===================================================================== *)
-
-(* One component: its CSR rows cut down to the events it handles (it is
-   their first owner), and its flags.  A component that some other
-   component's event also needs is consulted through its step table. *)
-type comp = {
-  cn : int;
-  crow : int array;
-  cev : int array;
-  cdst : int array;
-  cinit : int;
-  cmarked : bool array;
-  cforbidden : bool array;
-}
 
 (* Product state flags, set where the state's key is decoded.  A
    state's flags share one word with its row end: [(end lsl fbits) lor
@@ -67,6 +58,22 @@ let f_forbidden = 2
 let f_escape = 4
 let fbits = 3
 let fmask = (1 lsl fbits) - 1
+
+(* One component: its states' f_marked and f_forbidden bits, its CSR
+   rows cut down to the events it handles (it is their first owner),
+   and its step table — [cn × w] destinations (-1 where δ is
+   undefined), row-major by state, columns by the event's rank in its
+   alphabet of [w] events — built only when it is some event's other
+   owner, and consulted for that event. *)
+type comp = {
+  cn : int;
+  cfl : int array;
+  crow : int array;
+  cev : int array;
+  cdst : int array;
+  tab : int array;
+  w : int;
+}
 
 (* The phases after the BFS read and write the product's words in place
    in the vectors' chunks (the [Wordvec.t] layout), through closed
@@ -89,7 +96,22 @@ let[@inline] row_start rf s = if s = 0 then 0 else row_end rf (s - 1)
 let[@inline] flags rf s = cget rf s land fmask
 let mem mask s = Bytes.get mask s <> '\000'
 
-let synthesize ~comps ~sup_name ~context =
+(* The explored product: [tbl] numbers the joint keys in discovery
+   order, [rowfl] holds each state's row end and f_* bits, [tr] the
+   transitions.  [ids] lists the alphabet's event ids ascending, so a
+   transition's event index orders as its id does. *)
+type product = {
+  comps : Automaton.t array;
+  alphabet : Event.Set.t;
+  ids : int array;
+  ebits : int;
+  tbl : Inttbl.t;
+  rowfl : Wordvec.t;
+  tr : Wordvec.t;
+}
+
+(* ---------- explore ------------------------------------------------- *)
+let explore ~context comps =
   let nc = Array.length comps in
   let spec_c = nc - 1 in
   let alphabet =
@@ -99,115 +121,93 @@ let synthesize ~comps ~sup_name ~context =
     done;
     !acc
   in
-  let max_id = Event.Set.fold (fun e m -> max m (Event.id e)) alphabet (-1) in
-  let ctrl = Array.make (max_id + 1) true in
-  Event.Set.iter
-    (fun e -> ctrl.(Event.id e) <- Event.is_controllable e)
-    alphabet;
+  (* [ids] lists the alphabet's event ids ascending and [eix] maps an
+     id to its event index there; every per-event table below is by
+     index. *)
+  let ids = Event.sorted_ids alphabet in
+  let ne = Array.length ids in
+  let eix = Array.make (if ne = 0 then 0 else ids.(ne - 1) + 1) 0 in
+  Array.iteri (fun x eid -> eix.(eid) <- x) ids;
   (* Event ownership: an event is handled by its lowest-indexed owner's
      row walk; [others] lists the remaining owners ascending, so plant
      owners are always consulted before the spec (index nc-1) — escapes
      are only recorded once the whole plant side has enabled the event.
-     Each entry is a pair: the owner and the event's rank in the owner's
-     alphabet, its column in the owner's step table. *)
-  let first_owner = Array.make (max_id + 1) (-1) in
-  let owner_count = Array.make (max_id + 1) 0 in
+     Each entry is a pair: the owner, and the event's rank in the
+     owner's alphabet (its column in the owner's step table) shifted
+     left once, the low bit set when the owner is the spec and the event
+     uncontrollable.  [fill] first counts each event's other owners,
+     then fills [others]. *)
+  let first_owner = Array.make ne (-1) and fill = Array.make ne 0 in
   for c = 0 to nc - 1 do
     Event.Set.iter
       (fun e ->
-        let eid = Event.id e in
-        if first_owner.(eid) < 0 then first_owner.(eid) <- c;
-        owner_count.(eid) <- owner_count.(eid) + 1)
+        let x = eix.(Event.id e) in
+        if first_owner.(x) < 0 then first_owner.(x) <- c
+        else fill.(x) <- fill.(x) + 1)
       (Automaton.alphabet comps.(c))
   done;
-  let others =
-    Array.init (max_id + 1) (fun eid ->
-        Array.make (2 * max 0 (owner_count.(eid) - 1)) 0)
-  in
-  let fill = Array.make (max_id + 1) 0 in
-  let width =
-    Array.map (fun a -> Event.Set.cardinal (Automaton.alphabet a)) comps
-  in
-  let needs_table = Array.make nc false in
+  let others = Array.init ne (fun x -> Array.make (2 * fill.(x)) 0) in
+  Array.fill fill 0 ne 0;
+  (* A component that is some event's other owner gets a step table,
+     and its own rows keep only the events it handles. *)
+  let shared = Array.make nc false in
   for c = 1 to nc - 1 do
     let r = ref 0 in
     Event.Set.iter
       (fun e ->
-        let eid = Event.id e in
-        if c <> first_owner.(eid) then begin
-          needs_table.(c) <- true;
-          others.(eid).(fill.(eid)) <- c;
-          others.(eid).(fill.(eid) + 1) <- !r;
-          fill.(eid) <- fill.(eid) + 2
+        let x = eix.(Event.id e) in
+        if c <> first_owner.(x) then begin
+          shared.(c) <- true;
+          others.(x).(fill.(x)) <- c;
+          others.(x).(fill.(x) + 1) <-
+            (!r lsl 1)
+            lor Bool.to_int (c = spec_c && not (Event.is_controllable e));
+          fill.(x) <- fill.(x) + 2
         end;
         incr r)
       (Automaton.alphabet comps.(c))
   done;
-  (* Step tables: [n_c × |Σ_c|] destinations (-1 where δ is undefined),
-     row-major by state, columns by the event's rank in Σ_c. *)
-  let rank = Array.make (max_id + 1) 0 in
-  let tables =
-    Array.mapi
-      (fun c a ->
-        if not needs_table.(c) then [||]
-        else begin
-          let r = ref 0 in
-          Event.Set.iter
-            (fun e ->
-              rank.(Event.id e) <- !r;
-              incr r)
-            (Automaton.alphabet a);
-          let w = width.(c) in
-          let row, ev, dst = Automaton.csr a in
-          let tab = Array.make (Automaton.num_states a * w) (-1) in
-          for i = 0 to Automaton.num_states a - 1 do
-            for t = row.(i) to row.(i + 1) - 1 do
-              tab.((i * w) + rank.(ev.(t))) <- dst.(t)
-            done
-          done;
-          tab
-        end)
-      comps
-  in
   let cs =
     Array.mapi
       (fun c a ->
         let cn = Automaton.num_states a in
         let crow, cev, cdst = Automaton.csr a in
-        let keep t = first_owner.(cev.(t)) = c in
-        let row = Array.make (cn + 1) 0 in
-        for i = 0 to cn - 1 do
-          let d = ref 0 in
-          for t = crow.(i) to crow.(i + 1) - 1 do
-            if keep t then incr d
-          done;
-          row.(i + 1) <- row.(i) + !d
-        done;
-        (* A component that handles all its events keeps its own CSR. *)
-        let crow, cev, cdst =
-          if row.(cn) = crow.(cn) then (crow, cev, cdst)
-          else begin
-            let ev = Array.make row.(cn) 0 and dst = Array.make row.(cn) 0 in
-            let q = ref 0 in
-            for t = 0 to crow.(cn) - 1 do
-              if keep t then begin
-                ev.(!q) <- cev.(t);
-                dst.(!q) <- cdst.(t);
-                incr q
-              end
-            done;
-            (row, ev, dst)
-          end
+        let w = Event.Set.cardinal (Automaton.alphabet a) in
+        let cfl =
+          Array.init cn (fun i ->
+              (if Automaton.is_marked_index a i then f_marked else 0)
+              lor if Automaton.is_forbidden_index a i then f_forbidden else 0)
         in
-        {
-          cn;
-          crow;
-          cev;
-          cdst;
-          cinit = Automaton.initial_index a;
-          cmarked = Array.init cn (Automaton.is_marked_index a);
-          cforbidden = Array.init cn (Automaton.is_forbidden_index a);
-        })
+        if not shared.(c) then { cn; cfl; crow; cev; cdst; tab = [||]; w }
+        else begin
+          let rank = Array.make ne 0 and r = ref 0 in
+          Event.Set.iter
+            (fun e ->
+              rank.(eix.(Event.id e)) <- !r;
+              incr r)
+            (Automaton.alphabet a);
+          let tab = Array.make (cn * w) (-1) in
+          let keep t = first_owner.(eix.(cev.(t))) = c in
+          let row = Array.make (cn + 1) 0 in
+          for i = 0 to cn - 1 do
+            let d = ref 0 in
+            for t = crow.(i) to crow.(i + 1) - 1 do
+              tab.((i * w) + rank.(eix.(cev.(t)))) <- cdst.(t);
+              if keep t then incr d
+            done;
+            row.(i + 1) <- row.(i) + !d
+          done;
+          let ev = Array.make row.(cn) 0 and dst = Array.make row.(cn) 0 in
+          let q = ref 0 in
+          for t = 0 to crow.(cn) - 1 do
+            if keep t then begin
+              ev.(!q) <- cev.(t);
+              dst.(!q) <- cdst.(t);
+              incr q
+            end
+          done;
+          { cn; cfl; crow = row; cev = ev; cdst = dst; tab; w }
+        end)
       comps
   in
   (* Mixed-radix key encoding of joint states; must fit an OCaml int. *)
@@ -225,49 +225,30 @@ let synthesize ~comps ~sup_name ~context =
   let key0 =
     let k = ref 0 in
     for c = 0 to nc - 1 do
-      k := !k + (cs.(c).cinit * weights.(c))
+      k := !k + (Automaton.initial_index comps.(c) * weights.(c))
     done;
     !k
   in
-  (* ---------- product BFS ------------------------------------------- *)
-  (* [tbl] numbers the joint keys in discovery order, and its key vector
-     is the BFS queue; [rowfl] holds each state's row end and f_* bits,
-     [tr] the transitions.  A transition is one word, [(target lsl
-     ebits) lor event index]: [ids] lists the alphabet's event ids
-     ascending and [eix] maps an id to its index there, so indices order
-     as ids do. *)
-  let ids = Event.sorted_ids alphabet in
-  let eix = Array.make (max_id + 1) 0 in
-  Array.iteri (fun r eid -> eix.(eid) <- r) ids;
-  (* Controllability is about what the plant can generate: only
-     plant-owned uncontrollable events form the uncontrollable graph.
-     By event index. *)
-  let unc =
-    Array.map
-      (fun eid ->
-        let o = first_owner.(eid) in
-        (not ctrl.(eid)) && o >= 0 && o < spec_c)
-      ids
-  in
   let ebits =
     let b = ref 0 in
-    while 1 lsl !b < Array.length ids do
+    while 1 lsl !b < ne do
       incr b
     done;
     !b
   in
-  let emask = (1 lsl ebits) - 1 and max_states = 1 lsl (32 - ebits) in
+  let max_states = 1 lsl (32 - ebits) in
   let max_row_end = 1 lsl (32 - fbits) in
+  (* [tbl]'s key vector is the BFS queue. *)
   let tbl = Inttbl.create () in
   ignore (Inttbl.intern tbl key0 : int);
   let rowfl = Wordvec.create () and tr = Wordvec.create () in
   let idx = Array.make nc 0 in
-  let removed_forb = ref 0 in
   let i = ref 0 in
   while !i < Inttbl.length tbl do
     let key = Inttbl.key tbl !i in
-    (* Component indices, one division per component, and the flags. *)
-    let k = ref key and fl = ref f_marked in
+    (* Component indices, one division per component, and the flags:
+       marked where every component is, forbidden where any is. *)
+    let k = ref key and all = ref f_marked and any = ref 0 in
     for c = nc - 1 downto 0 do
       let cc = cs.(c) in
       let i_c =
@@ -280,27 +261,30 @@ let synthesize ~comps ~sup_name ~context =
         end
       in
       idx.(c) <- i_c;
-      if not cc.cmarked.(i_c) then fl := !fl land lnot f_marked;
-      if cc.cforbidden.(i_c) then fl := !fl lor f_forbidden
+      all := !all land cc.cfl.(i_c);
+      any := !any lor cc.cfl.(i_c)
     done;
+    let fl = ref (!all lor (!any land f_forbidden)) in
     for c = 0 to nc - 1 do
       let cc = cs.(c) in
       let i_c = idx.(c) in
       for t = cc.crow.(i_c) to cc.crow.(i_c + 1) - 1 do
-        let eid = cc.cev.(t) in
+        let x = eix.(cc.cev.(t)) in
         let dkey = ref (key + ((cc.cdst.(t) - i_c) * weights.(c))) in
-        let oth = others.(eid) in
+        let oth = others.(x) in
         let no = Array.length oth in
         let oi = ref 0 in
         while !oi < no do
           let o = oth.(!oi) in
           let i_o = idx.(o) in
-          let d = tables.(o).((i_o * width.(o)) + oth.(!oi + 1)) in
+          let co = cs.(o) in
+          let col = oth.(!oi + 1) in
+          let d = co.tab.((i_o * co.w) + (col lsr 1)) in
           if d < 0 then begin
             (* Every owner below [o] stepped.  [o] can only be the spec
                when the whole plant side enabled the event: an
                uncontrollable escape. *)
-            if o = spec_c && not ctrl.(eid) then fl := !fl lor f_escape;
+            if col land 1 <> 0 then fl := !fl lor f_escape;
             oi := no + 1
           end
           else begin
@@ -312,25 +296,45 @@ let synthesize ~comps ~sup_name ~context =
           let j = Inttbl.intern tbl !dkey in
           if j >= max_states then
             invalid_arg (context ^ ": product exceeds the state index range");
-          Wordvec.push tr ((j lsl ebits) lor eix.(eid))
+          Wordvec.push tr ((j lsl ebits) lor x)
         end
       done
     done;
-    if !fl land f_forbidden <> 0 then incr removed_forb;
     if tr.len >= max_row_end then
       invalid_arg (context ^ ": product exceeds the transition index range");
     Wordvec.push rowfl ((tr.len lsl fbits) lor !fl);
     incr i
   done;
-  let n = Inttbl.length tbl in
-  let ft = tr.chunks and rf = rowfl.chunks in
-  (* ---------- uncontrollable predecessors --------------------------- *)
-  (* One count pass and one fill pass over the product rows.  The offset
-     array first counts its row's entries, then holds its row's end, and
-     is decremented down to its row's start as the fill walks the
-     sources in reverse. *)
+  { comps; alphabet; ids; ebits; tbl; rowfl; tr }
+
+(* ---------- fixpoint ------------------------------------------------ *)
+(* The good region — the supremal controllable and non-blocking states
+   of the product, its last component the spec — and the stats. *)
+let fixpoint p =
+  let n = Inttbl.length p.tbl in
+  let ebits = p.ebits in
+  let emask = (1 lsl ebits) - 1 in
+  let ft = p.tr.chunks and rf = p.rowfl.chunks in
+  (* Controllability is about what the plant can generate: only
+     plant-owned uncontrollable events form the uncontrollable graph.
+     By event index. *)
+  let unc =
+    let nids = Array.length p.ids in
+    let by_id = Array.make (if nids = 0 then 0 else p.ids.(nids - 1) + 1) false in
+    for c = 0 to Array.length p.comps - 2 do
+      Event.Set.iter
+        (fun e ->
+          if not (Event.is_controllable e) then by_id.(Event.id e) <- true)
+        (Automaton.alphabet p.comps.(c))
+    done;
+    Array.map (Array.get by_id) p.ids
+  in
+  (* Uncontrollable predecessors: one count pass and one fill pass over
+     the product rows.  The offset array first counts its row's entries,
+     then holds its row's end, and is decremented down to its row's
+     start as the fill walks the sources in reverse. *)
   let upr = (Wordvec.make (n + 1)).chunks in
-  for k = 0 to tr.len - 1 do
+  for k = 0 to p.tr.len - 1 do
     let w = cget ft k in
     if unc.(w land emask) then begin
       let d = w lsr ebits in
@@ -352,20 +356,20 @@ let synthesize ~comps ~sup_name ~context =
       end
     done
   done;
-  (* ---------- fixpoint ---------------------------------------------- *)
   let good = Bytes.make n '\001' in
   (* [bad] holds the states the uncontrollable pass propagates from:
      the forbidden and escaping states first, then each round's blocking
      removals — earlier bad states' uncontrollable predecessors are bad
      already. *)
   let bad = Wordvec.create () and stack = Wordvec.create () in
-  let removed_unc = ref 0 and removed_blk = ref 0 in
+  let removed_forb = ref 0 and removed_unc = ref 0 and removed_blk = ref 0 in
   let iterations = ref 0 in
   let u = ref 0 in
   for s = 0 to n - 1 do
     let f = flags rf s in
     if f land f_forbidden <> 0 then begin
       Bytes.set good s '\000';
+      incr removed_forb;
       Wordvec.push bad s
     end
     else if f land f_escape <> 0 then begin
@@ -453,71 +457,94 @@ let synthesize ~comps ~sup_name ~context =
     u := 0;
     if !fix then propagate ()
   done;
-  let stats =
+  ( good,
     {
       product_states = n;
       removed_uncontrollable = !removed_unc;
       removed_blocking = !removed_blk;
       removed_forbidden = !removed_forb;
       iterations = !iterations;
-    }
-  in
-  (* ---------- supervisor extraction --------------------------------- *)
-  if not (mem good 0) then Error Empty_supervisor
-  else begin
-    (* Good states keep their product order; [so] maps a good product
-       index to its supervisor index and [os] back. *)
-    let m = n - !removed_forb - !removed_unc - !removed_blk in
-    let so = (Wordvec.make n).chunks and os = (Wordvec.make m).chunks in
-    let t = ref 0 and j = ref 0 in
+    } )
+
+(* ---------- extract ------------------------------------------------- *)
+(* The [m] states of [good], in product order, as an automaton named
+   [name]; [m] = the product's size keeps every state and reads no
+   [good].  Rows are written in that order, each insertion-sorted by
+   event id as it is written (a product row is one sorted run per
+   component), and each state takes its marked and forbidden bits from
+   its flags. *)
+let extract p ~name ~good ~m =
+  let n = Inttbl.length p.tbl in
+  let ebits = p.ebits in
+  let emask = (1 lsl ebits) - 1 in
+  let ft = p.tr.chunks and rf = p.rowfl.chunks in
+  (* [so] maps a good product index to its index in the result; with
+     nothing pruned it is the identity and is not built. *)
+  let pruned = m < n in
+  let so = if pruned then (Wordvec.make n).chunks else [||] in
+  let t = ref (if pruned then 0 else p.tr.len) in
+  if pruned then begin
+    let j = ref 0 in
     for s = 0 to n - 1 do
       if mem good s then begin
         cset so s !j;
-        cset os !j s;
         incr j;
         for k = row_start rf s to row_end rf s - 1 do
           if mem good (cget ft k lsr ebits) then incr t
         done
       end
-    done;
-    (* The rows, written in supervisor order and each insertion-sorted
-       by event id as it is written: a product row is one sorted run per
-       component. *)
-    let srow = Array.make (m + 1) 0 in
-    let sev = Array.make !t 0 and sdst = Array.make !t 0 in
-    let q = ref 0 in
-    for x = 0 to m - 1 do
-      let s = cget os x in
+    done
+  end;
+  let row = Array.make (m + 1) 0 in
+  let event = Array.make !t 0 and target = Array.make !t 0 in
+  let keys = Array.make m 0 in
+  let marked = Array.make m false and forbidden = Array.make m false in
+  let q = ref 0 and x = ref 0 in
+  for s = 0 to n - 1 do
+    if (not pruned) || mem good s then begin
       let start = !q in
       for k = row_start rf s to row_end rf s - 1 do
         let w = cget ft k in
         let d = w lsr ebits in
-        if mem good d then begin
-          let e = ids.(w land emask) in
-          let p = ref (!q - 1) in
-          while !p >= start && sev.(!p) > e do
-            sev.(!p + 1) <- sev.(!p);
-            sdst.(!p + 1) <- sdst.(!p);
-            decr p
+        if (not pruned) || mem good d then begin
+          let e = p.ids.(w land emask) in
+          let i = ref (!q - 1) in
+          while !i >= start && event.(!i) > e do
+            event.(!i + 1) <- event.(!i);
+            target.(!i + 1) <- target.(!i);
+            decr i
           done;
-          sev.(!p + 1) <- e;
-          sdst.(!p + 1) <- cget so d;
+          event.(!i + 1) <- e;
+          target.(!i + 1) <- (if pruned then cget so d else d);
           incr q
         end
       done;
-      srow.(x + 1) <- !q
-    done;
-    let sup =
-      Automaton.of_csr ~name:sup_name
-        ~names:
-          (Product (comps, Array.init m (fun x -> Inttbl.key tbl (cget os x))))
-        ~alphabet ~initial:0
-        ~marked:
-          (Array.init m (fun x -> flags rf (cget os x) land f_marked <> 0))
-        ~forbidden:(Array.make m false) ~row:srow ~event:sev ~target:sdst
+      let f = flags rf s in
+      keys.(!x) <- Inttbl.key p.tbl s;
+      marked.(!x) <- f land f_marked <> 0;
+      forbidden.(!x) <- f land f_forbidden <> 0;
+      incr x;
+      row.(!x) <- !q
+    end
+  done;
+  Automaton.of_csr ~name
+    ~names:(Product (p.comps, keys))
+    ~alphabet:p.alphabet ~initial:0 ~marked ~forbidden ~row ~event ~target
+
+let product ~context ~name comps =
+  let p = explore ~context comps in
+  extract p ~name ~good:Bytes.empty ~m:(Inttbl.length p.tbl)
+
+let synthesize ~comps ~sup_name ~context =
+  let p = explore ~context comps in
+  let good, st = fixpoint p in
+  if not (mem good 0) then Error Empty_supervisor
+  else
+    let m =
+      st.product_states - st.removed_forbidden - st.removed_uncontrollable
+      - st.removed_blocking
     in
-    Ok (Reach.accessible sup, stats)
-  end
+    Ok (Reach.accessible (extract p ~name:sup_name ~good ~m), st)
 
 let supcon ~plant ~spec =
   synthesize

@@ -41,22 +41,36 @@ val supcon :
     w.r.t. [plant], non-blocking and trim — properties re-checked by
     {!Verify.controllable} and {!Verify.nonblocking} in the test-suite.
 
-    One sequential engine, on the calling domain, serves this and
-    {!supcon_modular}.  Product states are numbered in BFS discovery
-    order (each component's row in event-id order, an event handled by
-    its lowest-indexed owner), and each fixpoint pass computes a unique
-    complete fixpoint, so the result — supervisor states, names,
-    transitions, {!Automaton.structural_digest} and {!stats} — is a
-    function of the inputs alone.
+    One sequential engine, on the calling domain, serves this,
+    {!supcon_modular} and {!product} (hence {!Compose.pair}), in three
+    phases: it explores the reachable product, runs the fixpoint over
+    it, and extracts the kept states.  Product states are numbered in
+    BFS discovery order (each component's row in event-id order, an
+    event handled by its lowest-indexed owner), and each fixpoint pass
+    computes a unique complete fixpoint, so the result — supervisor
+    states, names, transitions, {!Automaton.structural_digest} and
+    {!stats} — is a function of the inputs alone.
 
     {b Memory.}  The product is one key, one row-end-and-flags word and
-    one int per transition, held in chunks that are never copied; the
+    one 32-bit word per transition, held in chunks that are never
+    copied; the
     blocking pass's predecessors cover only the transitions inside the
     region left after the first uncontrollable pass.  Besides the
     product, each call builds a dense step table for every component
     that is some event's non-first owner (in [supcon], the spec):
     [n_c × |Σ_c|] words for a component with [n_c] states and alphabet
     [Σ_c], so each such owner is consulted with one array read. *)
+
+val product :
+  context:string -> name:string -> Automaton.t array -> Automaton.t
+(** [product ~context ~name comps] is the reachable synchronous product
+    of [comps], named [name]: the engine's exploration, with nothing
+    pruned.  States are numbered as {!supcon} numbers them and named by
+    an {!Automaton.Product} over [comps]; a state is marked iff every
+    component is, and forbidden iff any is.  {!Compose.pair} is this on
+    two components.  Raises [Invalid_argument], prefixed with
+    [context], on an alphabet clash or when the product overflows the
+    engine's index range. *)
 
 val supcon_modular :
   ?jobs:int ->

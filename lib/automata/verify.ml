@@ -21,10 +21,11 @@ type controllability_witness = {
 
 (* Walk the reachable product of supervisor and plant on indices; at each
    pair check that every uncontrollable plant-enabled event (that the
-   supervisor's alphabet contains) is supervisor-enabled.  Like Compose,
-   the walk iterates CSR rows instead of the union alphabet, so only
-   enabled events are ever examined; names are decoded only for the
-   witness on the error path. *)
+   supervisor's alphabet contains) is supervisor-enabled.  Kept apart
+   from the product engine ({!Synthesis}), as the independent check on
+   what it produces; like the engine, it iterates CSR rows instead of
+   the union alphabet, so only enabled events are ever examined; names
+   are decoded only for the witness on the error path. *)
 let controllable ~plant ~supervisor =
   let sigma_s = Automaton.alphabet supervisor in
   let sigma_g = Automaton.alphabet plant in

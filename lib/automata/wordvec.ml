@@ -1,7 +1,7 @@
 (* Growable vector of 32-bit unsigned words in fixed chunks — the
-   working set of the product walks ({!Compose}, {!Synthesis}): their
-   transitions, predecessor lists, offsets and index maps, at half the
-   bytes of an int per entry.  A chunk is a [Bytes.t] of [1 lsl cbits]
+   working set of the product engine ({!Synthesis}): its transitions,
+   predecessor lists, offsets and index maps, at half the bytes of an
+   int per entry.  A chunk is a [Bytes.t] of [1 lsl cbits]
    native-endian words, appended to and never copied, so no
    element-sized buffer grows by doubling.  Only the first chunk of a
    [create]d vector grows, by doubling from a size that keeps a tiny walk

@@ -1,6 +1,6 @@
 (** Growable vector of 32-bit unsigned words, the working set of the
-    product walks in {!Compose} and {!Synthesis}: transitions, row ends,
-    predecessor lists, offsets and index maps at 4 bytes an entry.  It
+    product engine in {!Synthesis}: transitions, row ends, predecessor
+    lists, offsets and index maps at 4 bytes an entry.  It
     is stored in chunks of 2{^15} words, each a [Bytes.t] of native-endian
     words; a full chunk is never copied, so no element-sized buffer grows
     by doubling.  ({!Inttbl} keeps its 63-bit keys in int chunks.) *)

@@ -30,6 +30,7 @@ type t = {
   mutable items : item list;
   mutable bg : int;
   obs : Soc.observation;
+  truth : float array; (* [Soc.ground_truth]: chip power, QoS rate *)
   (* epoch accumulators, drained by [report] *)
   mutable e_ticks : int;
   mutable e_power : float;
@@ -105,6 +106,7 @@ let create ?(config = default_config)
     items = [];
     bg = 0;
     obs = Soc.make_observation ();
+    truth = Array.make 2 0.;
     e_ticks = 0;
     e_power = 0.;
     e_sensor = 0.;
@@ -205,7 +207,8 @@ let tick t ~dt =
   if t.alive then begin
     expire_items t;
     close_loop t ~dt;
-    let tp = Soc.true_chip_power t.soc in
+    Soc.ground_truth t.soc t.truth;
+    let tp = t.truth.(0) in
     let obs = t.obs in
     t.last_power <- tp;
     t.e_power <- t.e_power +. tp;

@@ -440,26 +440,13 @@ let physics soc dst =
     end
   done
 
-let true_qos_rate soc =
+let ground_truth soc dst =
   physics soc soc.sens;
-  soc.sens.(soc.k)
-
-(* The chip power of a [physics] pass into [soc.sens]; inlined, so
-   [ground_truth] stores it unboxed. *)
-let[@inline] sens_chip_power soc =
   let p = ref soc.sens.(0) in
   for i = 1 to soc.k - 1 do
     p := !p +. soc.sens.(i)
   done;
-  !p
-
-let true_chip_power soc =
-  physics soc soc.sens;
-  sens_chip_power soc
-
-let ground_truth soc dst =
-  physics soc soc.sens;
-  dst.(0) <- sens_chip_power soc;
+  dst.(0) <- !p;
   dst.(1) <- soc.sens.(soc.k)
 
 (* --- tick kernel ------------------------------------------------------ *)

@@ -22,12 +22,11 @@
     noise comes from an explicit seed, so runs are reproducible.  The
     noise-free plant — workload phase, capacity, background placement,
     QoS throughput and per-cluster power — is one function that
-    {!step_into} and the ground-truth accessors ({!true_qos_rate},
-    {!true_chip_power}, {!ground_truth}) share, so with every noise σ at 0 the
-    observation equals the ground truth bit for bit.  The steady-state
-    tick path is allocation-free: {!step_into} writes a caller-owned
-    {!observation} and the SoC-owned per-cluster arrays
-    ({!sensor_powers}, {!ips_totals}) in place (DESIGN.md §13). *)
+    {!step_into} and the ground-truth accessor {!ground_truth} share, so
+    with every noise σ at 0 the observation equals the ground truth bit
+    for bit.  The steady-state tick path is allocation-free: {!step_into}
+    writes a caller-owned {!observation} and the SoC-owned per-cluster
+    arrays ({!sensor_powers}, {!ips_totals}) in place (DESIGN.md §13). *)
 
 type config = {
   seed : int64;
@@ -166,20 +165,14 @@ val per_core_ips : t -> float array
     entries in global core order.  Fresh array per call; the draws the
     hot path skipped are replayed from the saved generator state. *)
 
-val true_qos_rate : t -> float
-(** Noise-free QoS rate at the current time and actuator settings (for
-    tests and ground-truth comparisons; the managers must use
-    {!observation}s).  The same physics {!step_into} runs, without
-    advancing time. *)
-
-val true_chip_power : t -> float
-(** Noise-free total power at the current time and settings, summed
-    over clusters in index order as the power sensors are. *)
-
 val ground_truth : t -> float array -> unit
-(** [ground_truth soc dst] writes {!true_chip_power} to [dst.(0)] and the
-    noise-free QoS rate to [dst.(1)], both from one pass of the
-    physics.  Allocation-free. *)
+(** [ground_truth soc dst] writes the noise-free total power to
+    [dst.(0)], summed over clusters in index order as the power sensors
+    are, and the noise-free QoS rate to [dst.(1)], both at the current
+    time and actuator settings, from one pass of the physics
+    {!step_into} runs, without advancing time.  For tests and
+    ground-truth comparisons: the managers must use {!observation}s.
+    Allocation-free. *)
 
 val temperature : t -> float
 (** Noise-free die temperature (°C).  A first-order RC response to chip

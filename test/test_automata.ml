@@ -710,6 +710,46 @@ let ref_pair a b =
     ~initial:(name_of (fst start) (snd start))
     ~transitions:!transitions ()
 
+(* String-native reference numbering: the states of [a ‖ b] in the
+   documented discovery order — breadth first from the initial pair,
+   each state's successors reached through a's enabled events, then
+   b's private ones, each in event-id order — each with its marked and
+   forbidden flags. *)
+let ref_pair_order a b =
+  let sigma_a = Automaton.alphabet a and sigma_b = Automaton.alphabet b in
+  let by_id events =
+    List.sort (fun x y -> Int.compare (Event.id x) (Event.id y)) events
+  in
+  let seen = Hashtbl.create 64 and queue = Queue.create () in
+  let order = ref [] in
+  let visit (qa, qb) =
+    if not (Hashtbl.mem seen (qa, qb)) then begin
+      Hashtbl.add seen (qa, qb) ();
+      Queue.push (qa, qb) queue;
+      order :=
+        ( Names_oracle.join [ qa; qb ],
+          Automaton.is_marked a qa && Automaton.is_marked b qb,
+          Automaton.is_forbidden a qa || Automaton.is_forbidden b qb )
+        :: !order
+    end
+  in
+  visit (Automaton.initial a, Automaton.initial b);
+  while not (Queue.is_empty queue) do
+    let qa, qb = Queue.pop queue in
+    List.iter
+      (fun e ->
+        let ja = Option.get (Automaton.step a qa e) in
+        if not (Event.Set.mem e sigma_b) then visit (ja, qb)
+        else Option.iter (fun jb -> visit (ja, jb)) (Automaton.step b qb e))
+      (by_id (Automaton.enabled a qa));
+    List.iter
+      (fun e ->
+        if not (Event.Set.mem e sigma_a) then
+          visit (qa, Option.get (Automaton.step b qb e)))
+      (by_id (Automaton.enabled b qb))
+  done;
+  List.rev !order
+
 let test_indexed_compose_matches_reference () =
   for seed = 0 to 59 do
     let a = random_automaton ~seed ~name:"RA" in
@@ -722,7 +762,18 @@ let test_indexed_compose_matches_reference () =
     if
       List.sort String.compare (Automaton.states fast)
       <> List.sort String.compare (Automaton.states slow)
-    then Alcotest.failf "seed %d: state names differ" seed
+    then Alcotest.failf "seed %d: state names differ" seed;
+    (* and each index holds the reference numbering's state and flags *)
+    let order = ref_pair_order a b in
+    if Automaton.states fast <> List.map (fun (q, _, _) -> q) order then
+      Alcotest.failf "seed %d: state numbering differs" seed;
+    List.iteri
+      (fun i (q, marked, forbidden) ->
+        if
+          Automaton.is_marked_index fast i <> marked
+          || Automaton.is_forbidden_index fast i <> forbidden
+        then Alcotest.failf "seed %d: flags of %d (%s) differ" seed i q)
+      order
   done
 
 (* String-native reference restriction with the documented survive rule:

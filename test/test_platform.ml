@@ -12,6 +12,15 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 
+(* Ground truth as {!Soc.ground_truth} writes it: chip power, QoS rate. *)
+let truth soc =
+  let dst = Array.make 2 0. in
+  Soc.ground_truth soc dst;
+  dst
+
+let true_chip_power soc = (truth soc).(0)
+let true_qos_rate soc = (truth soc).(1)
+
 (* ------------------------------------------------------------------ *)
 (* Opp                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -127,7 +136,7 @@ let test_workload_phases () =
         while Soc.time soc < t do
           ignore (Soc.step soc ~dt:1.)
         done;
-        Soc.true_qos_rate soc
+        true_qos_rate soc
       in
       check_bool "serial phase slows the start" true
         (rate_at w 1. < rate_at twin 1.);
@@ -159,8 +168,8 @@ let test_workload_phase_default () =
     ignore (Soc.step a ~dt:0.25);
     ignore (Soc.step b ~dt:0.25);
     check_bool "default phase = nominal p, unit demand" true
-      (Int64.bits_of_float (Soc.true_qos_rate a)
-      = Int64.bits_of_float (Soc.true_qos_rate b))
+      (Int64.bits_of_float (true_qos_rate a)
+      = Int64.bits_of_float (true_qos_rate b))
   done
 
 let test_amdahl () =
@@ -368,46 +377,46 @@ let test_soc_idle_insertion () =
   let soc = fresh_soc () in
   Soc.set_idle_fraction soc ~core:0 2.0;
   check_float "clamped to 0.9" 0.9 (Soc.idle_fraction soc ~core:0);
-  let rate_full = Soc.true_qos_rate soc in
+  let rate_full = true_qos_rate soc in
   ignore rate_full;
   Alcotest.check_raises "bad core" (Invalid_argument "Soc.set_idle_fraction: core")
     (fun () -> Soc.set_idle_fraction soc ~core:8 0.1)
 
 let test_soc_idle_reduces_qos () =
   let soc = fresh_soc () in
-  let before = Soc.true_qos_rate soc in
+  let before = true_qos_rate soc in
   for i = 0 to 3 do
     Soc.set_idle_fraction soc ~core:i 0.5
   done;
-  let after = Soc.true_qos_rate soc in
+  let after = true_qos_rate soc in
   (* idling also relieves memory contention, so the loss is sublinear *)
   check_bool "idling reduces throughput" true (after < before *. 0.85)
 
 let test_soc_qos_responds_to_frequency () =
   let soc = fresh_soc () in
   ignore (Soc.set_frequency soc 0 400.);
-  let slow = Soc.true_qos_rate soc in
+  let slow = true_qos_rate soc in
   ignore (Soc.set_frequency soc 0 2000.);
-  let fast = Soc.true_qos_rate soc in
+  let fast = true_qos_rate soc in
   check_bool "faster clock more FPS" true (fast > slow *. 1.3)
 
 let test_soc_qos_responds_to_cores () =
   let soc = fresh_soc () in
   Soc.set_active_cores soc 0 1;
-  let one = Soc.true_qos_rate soc in
+  let one = true_qos_rate soc in
   Soc.set_active_cores soc 0 4;
-  let four = Soc.true_qos_rate soc in
+  let four = true_qos_rate soc in
   check_bool "more cores more FPS" true (four > one *. 1.5)
 
 let test_soc_background_interference () =
   let soc = fresh_soc () in
   ignore (Soc.set_frequency soc 0 2000.);
   ignore (Soc.set_frequency soc 1 1400.);
-  let clean_rate = Soc.true_qos_rate soc in
-  let clean_power = Soc.true_chip_power soc in
+  let clean_rate = true_qos_rate soc in
+  let clean_power = true_chip_power soc in
   Soc.set_background_tasks soc 16;
-  let dirty_rate = Soc.true_qos_rate soc in
-  let dirty_power = Soc.true_chip_power soc in
+  let dirty_rate = true_qos_rate soc in
+  let dirty_power = true_chip_power soc in
   check_bool "background steals QoS" true (dirty_rate < clean_rate);
   check_bool "background burns power" true (dirty_power > clean_power);
   (* Paper Phase 3: with heavy background (the scenario uses 16 tasks)
@@ -417,9 +426,9 @@ let test_soc_background_interference () =
 let test_soc_background_little_first () =
   let soc = fresh_soc () in
   (* 2 tasks * 0.6 util fit entirely on the Little cluster. *)
-  let before = Soc.true_qos_rate soc in
+  let before = true_qos_rate soc in
   Soc.set_background_tasks soc 2;
-  let after = Soc.true_qos_rate soc in
+  let after = true_qos_rate soc in
   check_bool "small background absorbed by little" true
     (abs_float (before -. after) < 1e-6)
 
@@ -428,13 +437,13 @@ let test_soc_power_range () =
   ignore (Soc.set_frequency soc 0 2000.);
   ignore (Soc.set_frequency soc 1 1400.);
   Soc.set_background_tasks soc 10;
-  let peak = Soc.true_chip_power soc in
+  let peak = true_chip_power soc in
   ignore (Soc.set_frequency soc 0 200.);
   ignore (Soc.set_frequency soc 1 200.);
   Soc.set_background_tasks soc 0;
   Soc.set_active_cores soc 0 1;
   Soc.set_active_cores soc 1 1;
-  let trough = Soc.true_chip_power soc in
+  let trough = true_chip_power soc in
   check_bool "peak < 7W" true (peak < 7.);
   check_bool "peak > 5W (TDP can bind)" true (peak > 5.);
   check_bool "trough < 1W" true (trough < 1.)
@@ -446,8 +455,8 @@ let test_soc_step_and_noise () =
   check_bool "time advances" true (obs2.Soc.time > obs1.Soc.time);
   check_bool "noise differs" true (obs1.Soc.chip_power <> obs2.Soc.chip_power);
   check_bool "noise small" true
-    (abs_float (obs1.Soc.chip_power -. Soc.true_chip_power soc)
-    /. Soc.true_chip_power soc
+    (abs_float (obs1.Soc.chip_power -. true_chip_power soc)
+    /. true_chip_power soc
     < 0.2);
   check_int "8 cores" 8 (Array.length (Soc.per_core_ips soc));
   Alcotest.check_raises "bad dt" (Invalid_argument "Soc.step: dt <= 0")
@@ -478,15 +487,15 @@ let test_soc_canneal_serial_phase () =
   (* During canneal's serialized phase, adding cores barely helps. *)
   let soc = Soc.create ~qos:Benchmarks.canneal () in
   Soc.set_active_cores soc 0 1;
-  let one = Soc.true_qos_rate soc in
+  let one = true_qos_rate soc in
   Soc.set_active_cores soc 0 4;
-  let four = Soc.true_qos_rate soc in
+  let four = true_qos_rate soc in
   check_bool "core scaling < 1.4x in serial phase" true (four /. one < 1.4)
 
 (* With every noise σ at 0 the sensors read the physics exactly: right
-   after [step_into], the observation must equal the ground-truth
-   accessors bit for bit — the tick kernel and [true_chip_power] /
-   [true_qos_rate] compute one model.  Swept over three descriptions,
+   after [step_into], the observation must equal the ground truth bit
+   for bit — the tick kernel and [Soc.ground_truth] compute one
+   model.  Swept over three descriptions,
    a phased and a wobbling workload, shifting actuator settings and a
    permanently dead (non-host, then host) cluster. *)
 let test_soc_truth_equals_noise_free_sensors () =
@@ -527,9 +536,9 @@ let test_soc_truth_equals_noise_free_sensors () =
           t what
       in
       check_bool (label "chip power") true
-        (bits obs.Soc.chip_power = bits (Soc.true_chip_power soc));
+        (bits obs.Soc.chip_power = bits (true_chip_power soc));
       check_bool (label "qos rate") true
-        (bits obs.Soc.qos_rate = bits (Soc.true_qos_rate soc))
+        (bits obs.Soc.qos_rate = bits (true_qos_rate soc))
     done
   in
   List.iter
@@ -583,7 +592,7 @@ let test_thermal_time_constant () =
   ignore (Soc.set_frequency soc 0 2000.);
   let target =
     Soc.default_config.Soc.ambient_c
-    +. (Soc.default_config.Soc.thermal_resistance *. Soc.true_chip_power soc)
+    +. (Soc.default_config.Soc.thermal_resistance *. true_chip_power soc)
   in
   let start = Soc.temperature soc in
   let tau = Soc.default_config.Soc.thermal_tau in
@@ -991,7 +1000,7 @@ let test_faults_power_dropout () =
   let powers = Soc.sensor_powers soc in
   check_float "big reads dead" 0. powers.(0);
   check_float "little reads dead" 0. powers.(1);
-  check_bool "chip still burns power" true (Soc.true_chip_power soc > 0.5)
+  check_bool "chip still burns power" true (true_chip_power soc > 0.5)
 
 let test_faults_qos_stuck () =
   let soc = soc_with (Faults.Stuck_at_last Qos) ~start_s:1. ~stop_s:10. in
