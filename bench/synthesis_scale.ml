@@ -112,11 +112,14 @@ let run () =
      jointly, on the fly — the regime where the composed plant (3^k
      states) can no longer be materialized.  alloc-MB is every byte the
      call allocates (Gc.allocated_bytes, minor heap emptied first): a
-     deterministic measure of its working set, unlike wall time. *)
+     deterministic measure of its working set, unlike wall time.  res-MB
+     is what the finished supervisor keeps (Obj.reachable_words): the
+     live data that outlasts the call, which peak RSS mixes with the
+     garbage the call left behind. *)
   Util.subheading
     "modular synthesis: plant components never composed up front";
-  Printf.printf "  %3s %4s %9s %9s %9s %9s\n" "k" "cap" "product-Q" "sup-Q"
-    "supcon-s" "alloc-MB";
+  Printf.printf "  %3s %4s %9s %9s %9s %9s %9s\n" "k" "cap" "product-Q"
+    "sup-Q" "supcon-s" "alloc-MB" "res-MB";
   List.iter
     (fun (k, cap) ->
       let plants = List.init k (fun i -> cluster (i + 1)) in
@@ -126,10 +129,15 @@ let run () =
       match timed (fun () -> Synthesis.supcon_modular ~plants ~spec ()) with
       | Ok (sup, stats), t ->
           let mb = (Gc.allocated_bytes () -. b0) /. 1e6 in
+          let res =
+            float_of_int
+              (Obj.reachable_words (Obj.repr sup) * (Sys.word_size / 8))
+            /. 1e6
+          in
           if not (Verify.is_nonblocking sup) then
             failwith "synthesis-scale: modular supervisor blocks";
-          Printf.printf "  %3d %4d %9d %9d %9.3f %9.1f\n" k cap
-            stats.Synthesis.product_states (Automaton.num_states sup) t mb
+          Printf.printf "  %3d %4d %9d %9d %9.3f %9.1f %9.1f\n" k cap
+            stats.Synthesis.product_states (Automaton.num_states sup) t mb res
       | Error _, _ -> failwith "synthesis-scale: modular unexpectedly empty")
     [ (12, 9); (14, 7); (16, 6) ];
   (* The process-wide synthesis cache: a second synthesis of the smallest

@@ -131,11 +131,12 @@ let rec write_decoded w i b p =
       done;
       !p
 
-(* Index-native core: δ is CSR — [row] holds per-state offsets into the
-   parallel [ev]/[dst] arrays, each row sorted by event id so a lookup is
-   a binary search with zero hashing.  Names are a boundary concern: a
-   product describes them by [naming], and the name table (and the
-   name→index table derived from it) is built on first use, so
+(* Index-native core: δ is CSR — [row] holds per-state offsets into
+   [tr], one word per transition, [(event id lsl 32) lor target], each
+   row sorted by event id (so by word, the id being the high half) and a
+   lookup a binary search with zero hashing.  Names are a boundary
+   concern: a product describes them by [naming], and the name table
+   (and the name→index table derived from it) is built on first use, so
    algorithm outputs built with [of_csr] never materialize names unless
    a name-based accessor is actually used. *)
 type t = {
@@ -147,8 +148,7 @@ type t = {
   alphabet : Event.Set.t;
   decode : (int, Event.t) Hashtbl.t; (* alphabet events keyed by id *)
   row : int array; (* length n+1 *)
-  ev : int array; (* event ids, sorted within each row *)
-  dst : int array;
+  tr : int array; (* transition words, sorted within each row *)
   initial : int;
   marked : bool array;
   forbidden : bool array;
@@ -160,7 +160,7 @@ type names = Names of string array | Product of t array * int array
 let name a = a.name
 let alphabet a = a.alphabet
 let num_states a = a.n
-let num_transitions a = Array.length a.ev
+let num_transitions a = Array.length a.tr
 let states a = Array.to_list (Once.force a.names)
 let initial a = (Once.force a.names).(a.initial)
 let initial_index a = a.initial
@@ -192,18 +192,28 @@ let event_of_id a eid =
         (Printf.sprintf "Automaton %s: event id %d not in the alphabet" a.name
            eid)
 
+(* A transition word and its two halves.  An event id is below
+   [max_event_id] and a target below 2^32, so a word is a non-negative
+   int and words order as their ids do. *)
+let max_event_id = 1 lsl 30
+let[@inline] tr_word eid target = (eid lsl 32) lor target
+let[@inline] tr_event w = w lsr 32
+let[@inline] tr_target w = w land 0xffff_ffff
+
 (* A while-loop, not a local [let rec]: a recursive helper would close
    over [a] and [eid] and allocate a closure per call, which the
    supervisor tick path cannot afford. *)
 let step_index_raw a i eid =
+  let tr = a.tr in
   let lo = ref a.row.(i) in
   let hi = ref a.row.(i + 1) in
   let res = ref (-1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let e = a.ev.(mid) in
+    let w = tr.(mid) in
+    let e = tr_event w in
     if e = eid then begin
-      res := a.dst.(mid);
+      res := tr_target w;
       lo := !hi
     end
     else if e < eid then lo := mid + 1
@@ -216,11 +226,12 @@ let step_index a i eid =
 
 let iter_row a i f =
   for k = a.row.(i) to a.row.(i + 1) - 1 do
-    f a.ev.(k) a.dst.(k)
+    let w = a.tr.(k) in
+    f (tr_event w) (tr_target w)
   done
 
 let out_degree a i = a.row.(i + 1) - a.row.(i)
-let csr a = (a.row, a.ev, a.dst)
+let csr a = (a.row, a.tr)
 
 let step a s e =
   Option.map (state_of_index a) (step_index a (index_of_state a s) (Event.id e))
@@ -261,8 +272,7 @@ let make_index name n names_once =
        names;
      h)
 
-let of_naming ~name ~naming ~alphabet ~initial ~marked ~forbidden ~row ~event
-    ~target =
+let of_naming ~name ~naming ~alphabet ~initial ~marked ~forbidden ~row ~tr =
   let who = "Automaton.of_csr" in
   let n = Array.length marked in
   if Array.length forbidden <> n then
@@ -275,16 +285,21 @@ let of_naming ~name ~naming ~alphabet ~initial ~marked ~forbidden ~row ~event
   let malformed () =
     invalid_arg (Printf.sprintf "%s %s: malformed rows" who name)
   in
-  if
-    Array.length row <> n + 1
-    || row.(0) <> 0
-    || row.(n) <> Array.length event
-    || Array.length target <> Array.length event
+  if Array.length row <> n + 1 || row.(0) <> 0 || row.(n) <> Array.length tr
   then malformed ();
   for s = 0 to n - 1 do
     if row.(s + 1) < row.(s) then malformed ();
-    for k = row.(s) to row.(s + 1) - 2 do
-      if event.(k) >= event.(k + 1) then
+    for k = row.(s) to row.(s + 1) - 1 do
+      let w = tr.(k) in
+      if tr_event w >= max_event_id then
+        invalid_arg
+          (Printf.sprintf "%s %s: row %d: event id %d out of range" who name s
+             (tr_event w));
+      if tr_target w >= n then
+        invalid_arg
+          (Printf.sprintf "%s %s: row %d: target %d out of range" who name s
+             (tr_target w));
+      if k > row.(s) && tr_event tr.(k - 1) >= tr_event w then
         invalid_arg
           (Printf.sprintf "%s %s: row %d not strictly sorted by event id" who
              name s)
@@ -320,8 +335,7 @@ let of_naming ~name ~naming ~alphabet ~initial ~marked ~forbidden ~row ~event
     alphabet;
     decode = make_decode alphabet;
     row;
-    ev = event;
-    dst = target;
+    tr;
     initial;
     marked;
     forbidden;
@@ -424,9 +438,12 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
   for i = 0 to n - 1 do
     row.(i + 1) <- row.(i + 1) + row.(i)
   done;
-  let ev = Array.map (fun key -> key mod width) keys in
-  let dst =
-    Array.map (fun key -> Hashtbl.find delta (key / width, key mod width)) keys
+  let tr =
+    Array.map
+      (fun key ->
+        let si = key / width and eid = key mod width in
+        tr_word eid (Hashtbl.find delta (si, eid)))
+      keys
   in
   let marked_arr =
     match marked with
@@ -447,8 +464,7 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
     alphabet = !events;
     decode = make_decode !events;
     row;
-    ev;
-    dst;
+    tr;
     initial = initial_i;
     marked = marked_arr;
     forbidden = forbidden_arr;
@@ -493,7 +509,7 @@ let restrict_indices a keep =
     for s = 0 to a.n - 1 do
       if keep.(s) then
         for t = a.row.(s) to a.row.(s + 1) - 1 do
-          let d = a.dst.(t) in
+          let d = tr_target a.tr.(t) in
           if keep.(d) then begin
             survive.(s) <- true;
             survive.(d) <- true;
@@ -519,15 +535,15 @@ let restrict_indices a keep =
       (* Surviving states are kept, and their kept transitions are a
          subsequence of a sorted row: each new row is written in place. *)
       let row = Array.make (m + 1) 0 in
-      let event = Array.make !n_trans 0 and target = Array.make !n_trans 0 in
+      let tr = Array.make !n_trans 0 in
       let k = ref 0 in
       for j = 0 to m - 1 do
         let s = old_of_new.(j) in
         for t = a.row.(s) to a.row.(s + 1) - 1 do
-          let d = a.dst.(t) in
+          let w = a.tr.(t) in
+          let d = tr_target w in
           if keep.(d) then begin
-            event.(!k) <- a.ev.(t);
-            target.(!k) <- new_of_old.(d);
+            tr.(!k) <- tr_word (tr_event w) new_of_old.(d);
             incr k
           end
         done;
@@ -545,7 +561,7 @@ let restrict_indices a keep =
            ~initial:new_of_old.(a.initial)
            ~marked:(Array.map (fun old -> a.marked.(old)) old_of_new)
            ~forbidden:(Array.map (fun old -> a.forbidden.(old)) old_of_new)
-           ~row ~event ~target)
+           ~row ~tr)
     end
   end
 
@@ -673,7 +689,7 @@ let structural_digest a =
       let bound =
         !text + String.length a.name + 21
         + (a.n * (max_name_length w + 23))
-        + (8 * (a.n + 4 + (2 * Array.length a.ev)))
+        + (8 * (a.n + 4 + (2 * Array.length a.tr)))
       in
       let h =
         { ctx = md5_init (); buf = Bytes.create (min md5_chunk bound); pos = 0 }
@@ -711,9 +727,10 @@ let structural_digest a =
          a process (intern order), which is all the in-process cache
          needs. *)
       Array.iter (md5_int h) a.row;
-      for k = 0 to Array.length a.ev - 1 do
-        md5_int h (rank_of by_id bits a.ev.(k) 0 (sigma - 1));
-        md5_int h a.dst.(k)
+      for k = 0 to Array.length a.tr - 1 do
+        let w = a.tr.(k) in
+        md5_int h (rank_of by_id bits (tr_event w) 0 (sigma - 1));
+        md5_int h (tr_target w)
       done;
       Array.iter (fun m -> md5_char h (if m then '1' else '0')) a.marked;
       Array.iter (fun m -> md5_char h (if m then '1' else '0')) a.forbidden;

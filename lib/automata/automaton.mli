@@ -9,12 +9,19 @@
     reaches them.
 
     {b Representation.}  The core is index-native: states are dense ints,
-    the transition function is stored in CSR form — per-state arrays of
-    (event id, destination) pairs sorted by {!Event.id} — and every
+    the transition function is stored in CSR form — per-state rows of
+    transition {e words}, one int each, sorted by {!Event.id} — and every
     algorithm (composition, reachability, synthesis, verification) runs on
-    ints only.  State {e names} are a boundary concern: a product built
-    by an algorithm ({!of_csr}) describes its names by its components
-    and one key per state, and only writes the strings when a name-based
+    ints only.  A word is [(event id lsl 32) lor target]: the event id,
+    below [2^30], in the high half and the target state index, below
+    [2^32], in the low 32 bits.  So a word is a non-negative int, words
+    order as their event ids do, and a transition costs one 8-byte array
+    slot.  {!tr_word} packs a word, {!tr_event} and {!tr_target} take it
+    apart.
+
+    State {e names} are a boundary concern: a product built by an
+    algorithm ({!of_csr}) describes its names by its components and one
+    key per state, and only writes the strings when a name-based
     accessor is first used, so a 100k-state product that is immediately
     pruned never pays for 100k escaped name strings. *)
 
@@ -75,32 +82,35 @@ val of_csr :
   marked:bool array ->
   forbidden:bool array ->
   row:int array ->
-  event:int array ->
-  target:int array ->
+  tr:int array ->
   t
 (** {b Trusted constructor} for algorithm outputs ({!Synthesis}'
     extraction, which {!Compose.pair} runs too, and {!restrict_indices}):
-    [of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row
-    ~event ~target] builds an automaton over states
-    [0 .. Array.length marked - 1] from rows already in CSR order: state
-    [i]'s transitions are [row.(i) .. row.(i + 1) - 1] of
-    [event]/[target] (an {!Event.id} and a state index each), strictly
-    increasing by event id within the row.  Nothing is scattered or
-    sorted, and the automaton takes ownership of the five arrays: the
-    caller must not mutate them afterwards, nor the arrays in [names].
+    [of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row ~tr]
+    builds an automaton over states [0 .. Array.length marked - 1] from
+    rows already in CSR order: state [i]'s transitions are the words
+    [tr.(row.(i)) .. tr.(row.(i + 1) - 1)], each
+    [(event id lsl 32) lor target] (an {!Event.id} below [2^30] and a
+    state index), strictly increasing by event id — so by word — within
+    the row.  Nothing is scattered or sorted, and the automaton takes
+    ownership of the four arrays: the caller must not mutate them
+    afterwards, nor the arrays in [names].
     A {!Product}'s name table is built — once, memoized — when a
     name-based accessor is first used; {!structural_digest} writes the
     names without building it.  Name accessors are safe to call from
     several domains at once.
 
     Unlike {!create} it performs no string interning and no state
-    collection, only a linear scan that rejects a malformed row table,
-    an unsorted row or a repeated event id in a row (nondeterminism)
-    ([Invalid_argument]).  The caller contract — outputs that are
-    deterministic and consistently indexed {e by construction}:
-    - every event id in [event] belongs to [alphabet];
+    collection, only a linear scan that rejects ([Invalid_argument]) a
+    malformed row table, an unsorted row, a repeated event id in a row
+    (nondeterminism), a word whose event id is [2^30] or more (a
+    negative word among them), and a word whose target is not a state
+    index.  A target of [2^32] or more has no word at all: packed, it
+    would spill into the event id.  The caller contract — outputs that
+    are deterministic and consistently indexed {e by construction}:
+    - every event id in [tr] belongs to [alphabet];
     - [marked] and [forbidden] have equal length (the state count) and
-      every index in [target] and [initial] is within it;
+      [initial] is within it;
     - [names] has one name or key per state ([Invalid_argument]
       otherwise), every key's digits are within the parts' state counts,
       and the names are {e distinct} (the escaping join guarantees it
@@ -173,12 +183,22 @@ val iter_row : t -> int -> (int -> int -> unit) -> unit
 val out_degree : t -> int -> int
 (** Number of outgoing transitions of a state. *)
 
-val csr : t -> int array * int array * int array
-(** [(row, ev, dst)]: the transition structure itself, shared rather
-    than copied.  Row [i] is [row.(i) .. row.(i + 1) - 1] of [ev]/[dst],
-    sorted by event id.  For index-native walks that cannot afford a
-    closure per row ({!Verify}, {!Synthesis}); the arrays
-    must not be mutated. *)
+val csr : t -> int array * int array
+(** [(row, tr)]: the transition structure itself, shared rather than
+    copied — the arrays {!of_csr} takes.  Row [i] is the words
+    [tr.(row.(i)) .. tr.(row.(i + 1) - 1)], sorted by event id.  For
+    index-native walks that cannot afford a closure per row ({!Reach},
+    {!Verify}, {!Synthesis}); the arrays must not be mutated. *)
+
+val tr_word : int -> int -> int
+(** [tr_word eid target] is the word of a transition on the event with
+    id [eid] to state [target]: [(eid lsl 32) lor target]. *)
+
+val tr_event : int -> int
+(** The event id of a transition word: [w lsr 32]. *)
+
+val tr_target : int -> int
+(** The target state index of a transition word: [w land 0xffff_ffff]. *)
 
 val is_marked_index : t -> int -> bool
 val is_forbidden_index : t -> int -> bool

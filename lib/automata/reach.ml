@@ -1,9 +1,9 @@
-(* Forward BFS straight over the CSR rows — the transition arrays are the
+(* Forward BFS straight over the CSR rows — the transition words are the
    adjacency structure, no per-state lists to build; an int array of
    size n is the queue. *)
 let accessible_indices a =
   let n = Automaton.num_states a in
-  let row, _, dst = Automaton.csr a in
+  let row, tr = Automaton.csr a in
   let seen = Array.make n false in
   let queue = Array.make n 0 in
   let init = Automaton.initial_index a in
@@ -14,7 +14,7 @@ let accessible_indices a =
     let i = queue.(!head) in
     incr head;
     for k = row.(i) to row.(i + 1) - 1 do
-      let j = dst.(k) in
+      let j = Automaton.tr_target tr.(k) in
       if not seen.(j) then begin
         seen.(j) <- true;
         queue.(!tail) <- j;
@@ -28,10 +28,10 @@ let accessible_indices a =
    transitions by destination into CSR form once. *)
 let pred_csr a =
   let n = Automaton.num_states a in
-  let arow, _, adst = Automaton.csr a in
+  let arow, atr = Automaton.csr a in
   let row = Array.make (n + 1) 0 in
   for k = 0 to arow.(n) - 1 do
-    let d = adst.(k) in
+    let d = Automaton.tr_target atr.(k) in
     row.(d + 1) <- row.(d + 1) + 1
   done;
   for i = 0 to n - 1 do
@@ -41,7 +41,7 @@ let pred_csr a =
   let cursor = Array.sub row 0 n in
   for s = 0 to n - 1 do
     for k = arow.(s) to arow.(s + 1) - 1 do
-      let d = adst.(k) in
+      let d = Automaton.tr_target atr.(k) in
       src.(cursor.(d)) <- s;
       cursor.(d) <- cursor.(d) + 1
     done

@@ -60,17 +60,16 @@ let fbits = 3
 let fmask = (1 lsl fbits) - 1
 
 (* One component: its states' f_marked and f_forbidden bits, its CSR
-   rows cut down to the events it handles (it is their first owner),
-   and its step table — [cn × w] destinations (-1 where δ is
-   undefined), row-major by state, columns by the event's rank in its
-   alphabet of [w] events — built only when it is some event's other
-   owner, and consulted for that event. *)
+   rows of {!Automaton.csr} words cut down to the events it handles (it
+   is their first owner), and its step table — [cn × w] destinations
+   (-1 where δ is undefined), row-major by state, columns by the event's
+   rank in its alphabet of [w] events — built only when it is some
+   event's other owner, and consulted for that event. *)
 type comp = {
   cn : int;
   cfl : int array;
   crow : int array;
-  cev : int array;
-  cdst : int array;
+  ctr : int array;
   tab : int array;
   w : int;
 }
@@ -171,14 +170,14 @@ let explore ~context comps =
     Array.mapi
       (fun c a ->
         let cn = Automaton.num_states a in
-        let crow, cev, cdst = Automaton.csr a in
+        let crow, ctr = Automaton.csr a in
         let w = Event.Set.cardinal (Automaton.alphabet a) in
         let cfl =
           Array.init cn (fun i ->
               (if Automaton.is_marked_index a i then f_marked else 0)
               lor if Automaton.is_forbidden_index a i then f_forbidden else 0)
         in
-        if not shared.(c) then { cn; cfl; crow; cev; cdst; tab = [||]; w }
+        if not shared.(c) then { cn; cfl; crow; ctr; tab = [||]; w }
         else begin
           let rank = Array.make ne 0 and r = ref 0 in
           Event.Set.iter
@@ -187,26 +186,27 @@ let explore ~context comps =
               incr r)
             (Automaton.alphabet a);
           let tab = Array.make (cn * w) (-1) in
-          let keep t = first_owner.(eix.(cev.(t))) = c in
+          let keep t = first_owner.(eix.(Automaton.tr_event ctr.(t))) = c in
           let row = Array.make (cn + 1) 0 in
           for i = 0 to cn - 1 do
             let d = ref 0 in
             for t = crow.(i) to crow.(i + 1) - 1 do
-              tab.((i * w) + rank.(eix.(cev.(t)))) <- cdst.(t);
+              let x = ctr.(t) in
+              tab.((i * w) + rank.(eix.(Automaton.tr_event x))) <-
+                Automaton.tr_target x;
               if keep t then incr d
             done;
             row.(i + 1) <- row.(i) + !d
           done;
-          let ev = Array.make row.(cn) 0 and dst = Array.make row.(cn) 0 in
+          let kept = Array.make row.(cn) 0 in
           let q = ref 0 in
           for t = 0 to crow.(cn) - 1 do
             if keep t then begin
-              ev.(!q) <- cev.(t);
-              dst.(!q) <- cdst.(t);
+              kept.(!q) <- ctr.(t);
               incr q
             end
           done;
-          { cn; cfl; crow = row; cev = ev; cdst = dst; tab; w }
+          { cn; cfl; crow = row; ctr = kept; tab; w }
         end)
       comps
   in
@@ -269,8 +269,9 @@ let explore ~context comps =
       let cc = cs.(c) in
       let i_c = idx.(c) in
       for t = cc.crow.(i_c) to cc.crow.(i_c + 1) - 1 do
-        let x = eix.(cc.cev.(t)) in
-        let dkey = ref (key + ((cc.cdst.(t) - i_c) * weights.(c))) in
+        let ct = cc.ctr.(t) in
+        let x = eix.(Automaton.tr_event ct) in
+        let dkey = ref (key + ((Automaton.tr_target ct - i_c) * weights.(c))) in
         let oth = others.(x) in
         let no = Array.length oth in
         let oi = ref 0 in
@@ -469,10 +470,11 @@ let fixpoint p =
 (* ---------- extract ------------------------------------------------- *)
 (* The [m] states of [good], in product order, as an automaton named
    [name]; [m] = the product's size keeps every state and reads no
-   [good].  Rows are written in that order, each insertion-sorted by
-   event id as it is written (a product row is one sorted run per
-   component), and each state takes its marked and forbidden bits from
-   its flags. *)
+   [good].  Rows are written in that order as {!Automaton.tr_word}s,
+   each row insertion-sorted by word as it is written (a product row is
+   one sorted run per component, and a row's words order as their
+   distinct event ids do), and each state takes its marked and
+   forbidden bits from its flags. *)
 let extract p ~name ~good ~m =
   let n = Inttbl.length p.tbl in
   let ebits = p.ebits in
@@ -496,7 +498,7 @@ let extract p ~name ~good ~m =
     done
   end;
   let row = Array.make (m + 1) 0 in
-  let event = Array.make !t 0 and target = Array.make !t 0 in
+  let tr = Array.make !t 0 in
   let keys = Array.make m 0 in
   let marked = Array.make m false and forbidden = Array.make m false in
   let q = ref 0 and x = ref 0 in
@@ -507,15 +509,16 @@ let extract p ~name ~good ~m =
         let w = cget ft k in
         let d = w lsr ebits in
         if (not pruned) || mem good d then begin
-          let e = p.ids.(w land emask) in
+          let word =
+            Automaton.tr_word p.ids.(w land emask)
+              (if pruned then cget so d else d)
+          in
           let i = ref (!q - 1) in
-          while !i >= start && event.(!i) > e do
-            event.(!i + 1) <- event.(!i);
-            target.(!i + 1) <- target.(!i);
+          while !i >= start && tr.(!i) > word do
+            tr.(!i + 1) <- tr.(!i);
             decr i
           done;
-          event.(!i + 1) <- e;
-          target.(!i + 1) <- (if pruned then cget so d else d);
+          tr.(!i + 1) <- word;
           incr q
         end
       done;
@@ -529,7 +532,7 @@ let extract p ~name ~good ~m =
   done;
   Automaton.of_csr ~name
     ~names:(Product (p.comps, keys))
-    ~alphabet:p.alphabet ~initial:0 ~marked ~forbidden ~row ~event ~target
+    ~alphabet:p.alphabet ~initial:0 ~marked ~forbidden ~row ~tr
 
 let product ~context ~name comps =
   let p = explore ~context comps in

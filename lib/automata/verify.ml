@@ -46,8 +46,8 @@ let controllable ~plant ~supervisor =
     (fun e -> ctrl.(Event.id e) <- Event.is_controllable e)
     alphabet;
   let ng = Automaton.num_states plant in
-  let grow, gev, gdst = Automaton.csr plant in
-  let srow, sev, sdst = Automaton.csr supervisor in
+  let grow, gtr = Automaton.csr plant in
+  let srow, str = Automaton.csr supervisor in
   (* The pair keys [is * ng + ig] in discovery order double as the BFS
      queue. *)
   let seen = Inttbl.create () in
@@ -62,7 +62,8 @@ let controllable ~plant ~supervisor =
        let ig = key - (is_ * ng) in
        incr head;
        for k = grow.(ig) to grow.(ig + 1) - 1 do
-         let eid = gev.(k) and jg = gdst.(k) in
+         let w = gtr.(k) in
+         let eid = Automaton.tr_event w and jg = Automaton.tr_target w in
          if in_s.(eid) then (
            match Automaton.step_index_raw supervisor is_ eid with
            | -1 ->
@@ -84,7 +85,9 @@ let controllable ~plant ~supervisor =
          else visit is_ jg
        done;
        for k = srow.(is_) to srow.(is_ + 1) - 1 do
-         if not in_g.(sev.(k)) then visit sdst.(k) ig
+         let w = str.(k) in
+         if not in_g.(Automaton.tr_event w) then
+           visit (Automaton.tr_target w) ig
        done
      done
    with Exit -> ());

@@ -12,6 +12,16 @@ let boot_dt = 0.05
 
 type item = { tasks : int; mutable left : int }
 
+(* [acc]'s slots: the last tick's true power; the epoch's summed true
+   power, sensed power, QoS rate and QoS debt, drained by [report]; and
+   the lifetime QoS debt. *)
+let a_last_power = 0
+let a_power = 1
+let a_sensor = 2
+let a_qos = 3
+let a_debt = 4
+let a_total_debt = 5
+
 type t = {
   id : int;
   config : config;
@@ -31,15 +41,13 @@ type t = {
   mutable bg : int;
   obs : Soc.observation;
   truth : float array; (* [Soc.ground_truth]: chip power, QoS rate *)
-  (* epoch accumulators, drained by [report] *)
+  (* The per-tick floats, slotted by the [a_*] indices above: a flat
+     float array stores them unboxed, where a float field of this mixed
+     record boxes on every write. *)
+  acc : float array;
+  (* epoch ticks, drained by [report] *)
   mutable e_ticks : int;
-  mutable e_power : float;
-  mutable e_sensor : float;
-  mutable e_qos : float;
-  mutable e_debt : float;
-  mutable last_power : float;
   (* lifetime *)
-  mutable total_debt : float;
   mutable kills : int;
   mutable restarts : int;
   mutable saved : Spectr.Manager.checkpoint option;
@@ -107,13 +115,8 @@ let create ?(config = default_config)
     bg = 0;
     obs = Soc.make_observation ();
     truth = Array.make 2 0.;
+    acc = Array.make 6 0.;
     e_ticks = 0;
-    e_power = 0.;
-    e_sensor = 0.;
-    e_qos = 0.;
-    e_debt = 0.;
-    last_power = 0.;
-    total_debt = 0.;
     kills = 0;
     restarts = 0;
     saved = None;
@@ -125,7 +128,7 @@ let qos_ref t = t.qos_ref
 let alive t = t.alive
 let cap t = t.cap
 let background t = t.bg
-let last_true_power t = t.last_power
+let last_true_power t = t.acc.(a_last_power)
 let kills t = t.kills
 let restarts t = t.restarts
 let reconfig_handle t = t.reconfig
@@ -209,24 +212,25 @@ let tick t ~dt =
     close_loop t ~dt;
     Soc.ground_truth t.soc t.truth;
     let tp = t.truth.(0) in
-    let obs = t.obs in
-    t.last_power <- tp;
-    t.e_power <- t.e_power +. tp;
-    t.e_sensor <- t.e_sensor +. obs.Soc.chip_power;
-    t.e_qos <- t.e_qos +. obs.Soc.qos_rate;
+    let obs = t.obs and acc = t.acc in
+    acc.(a_last_power) <- tp;
+    acc.(a_power) <- acc.(a_power) +. tp;
+    acc.(a_sensor) <- acc.(a_sensor) +. obs.Soc.chip_power;
+    acc.(a_qos) <- acc.(a_qos) +. obs.Soc.qos_rate;
     let shortfall =
       Float.max 0. ((t.qos_ref -. obs.Soc.qos_rate) /. t.qos_ref)
     in
-    t.e_debt <- t.e_debt +. (shortfall *. dt);
-    t.total_debt <- t.total_debt +. (shortfall *. dt)
+    acc.(a_debt) <- acc.(a_debt) +. (shortfall *. dt);
+    acc.(a_total_debt) <- acc.(a_total_debt) +. (shortfall *. dt)
   end
   else begin
     (* Dead: the work queue still drains real time, the node serves
        nothing and draws nothing. *)
     expire_items t;
-    t.last_power <- 0.;
-    t.e_debt <- t.e_debt +. dt;
-    t.total_debt <- t.total_debt +. dt
+    let acc = t.acc in
+    acc.(a_last_power) <- 0.;
+    acc.(a_debt) <- acc.(a_debt) +. dt;
+    acc.(a_total_debt) <- acc.(a_total_debt) +. dt
   end;
   t.e_ticks <- t.e_ticks + 1
 
@@ -239,7 +243,7 @@ let kill t =
   if t.alive then begin
     t.alive <- false;
     t.kills <- t.kills + 1;
-    t.last_power <- 0.
+    t.acc.(a_last_power) <- 0.
   end
 
 let restart t =
@@ -297,12 +301,12 @@ let report t =
       r_alive = t.alive;
       r_max_power = max_power t;
       r_cap = t.cap;
-      r_power = mean t.e_power;
-      r_sensor_power = mean t.e_sensor;
-      r_qos = mean t.e_qos;
+      r_power = mean t.acc.(a_power);
+      r_sensor_power = mean t.acc.(a_sensor);
+      r_qos = mean t.acc.(a_qos);
       r_qos_ref = t.qos_ref;
-      r_debt = t.e_debt;
-      r_total_debt = t.total_debt;
+      r_debt = t.acc.(a_debt);
+      r_total_debt = t.acc.(a_total_debt);
       r_background = t.bg;
       r_workload = t.workload.Workload.name;
       r_kills = t.kills;
@@ -310,8 +314,5 @@ let report t =
     }
   in
   t.e_ticks <- 0;
-  t.e_power <- 0.;
-  t.e_sensor <- 0.;
-  t.e_qos <- 0.;
-  t.e_debt <- 0.;
+  Array.fill t.acc a_power (a_debt - a_power + 1) 0.;
   r

@@ -48,13 +48,13 @@ let image a =
     events;
   let rank = Hashtbl.create 16 in
   List.iteri (fun r e -> Hashtbl.add rank (Event.id e) r) events;
-  let row, ev, dst = Automaton.csr a in
+  let row, tr = Automaton.csr a in
   Array.iter int row;
-  Array.iteri
-    (fun k e ->
-      int (Hashtbl.find rank e);
-      int dst.(k))
-    ev;
+  Array.iter
+    (fun w ->
+      int (Hashtbl.find rank (Automaton.tr_event w));
+      int (Automaton.tr_target w))
+    tr;
   for i = 0 to n - 1 do
     Buffer.add_char b (if Automaton.is_marked_index a i then '1' else '0')
   done;

@@ -180,8 +180,7 @@ let supcon ~plant ~spec =
         ~names ~alphabet ~initial:0
         ~marked:(Array.map (fun old -> marked.(old)) old_of_new)
         ~forbidden:(Array.make !m false) ~row
-        ~event:(Array.map (fun (_, e, _) -> e) kept)
-        ~target:(Array.map (fun (_, _, d) -> d) kept)
+        ~tr:(Array.map (fun (_, e, d) -> Automaton.tr_word e d) kept)
     in
     Ok (Reach.accessible sup, stats)
   end

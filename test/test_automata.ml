@@ -620,25 +620,36 @@ let test_alphabet_conflict_reported_at_entry () =
         alphabet but controllable in the other")
     (fun () -> ignore (Synthesis.supcon ~plant:a ~spec:b))
 
-(* Deterministic seeded automaton generator (simple LCG), for the
-   equivalence tests pinning the index-native algorithms to string-native
-   reference implementations: unlike the QCheck generators these
-   enumerate a fixed seed range, so a failure reproduces from the seed
-   number alone. *)
-let random_automaton ~seed ~name =
+(* The random generator's events, minted here, in this order, so that
+   id order is not name order: the ids ascend u2, d, c2, u1, b, c1, the
+   names sort b, c1, c2, d, u1, u2.  A walk in name order where the
+   contract says id order, or the reverse, numbers, sorts or digests
+   differently from the references below.  [rn_shared] is every
+   generated automaton's; [rn_own] are events only the second operand
+   of a pairwise test carries, so its private moves interleave with the
+   shared ones. *)
+let rn_shared, rn_own =
+  let u2 = Event.uncontrollable "rn_u2" in
+  let d = Event.uncontrollable "rn_d" in
+  let c2 = Event.controllable "rn_c2" in
+  let u1 = Event.uncontrollable "rn_u1" in
+  let b = Event.controllable "rn_b" in
+  let c1 = Event.controllable "rn_c1" in
+  ([| c1; c2; u1; u2 |], [| b; d |])
+
+(* Deterministic seeded transition sets (simple LCG) over [rn_shared]
+   and [own]: the states as names, the triples, the marked and the
+   forbidden states.  For the equivalence tests pinning the
+   index-native algorithms to string-native reference implementations:
+   unlike the QCheck generators these enumerate a fixed seed range, so
+   a failure reproduces from the seed number alone. *)
+let random_triples ?(own = [||]) ~seed () =
   let rng = ref ((seed * 2654435761) land 0x3FFFFFFF) in
   let rand n =
     rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
     !rng mod n
   in
-  let events =
-    [|
-      Event.controllable "rn_c1";
-      Event.controllable "rn_c2";
-      Event.uncontrollable "rn_u1";
-      Event.uncontrollable "rn_u2";
-    |]
-  in
+  let events = Array.append rn_shared own in
   let n_states = 2 + rand 5 in
   let state i = Printf.sprintf "q%d" i in
   let n_trans = 1 + rand (3 * n_states) in
@@ -658,8 +669,12 @@ let random_automaton ~seed ~name =
   in
   let marked = List.filter (fun _ -> rand 2 = 0) mentioned in
   let forbidden = List.filter (fun s -> s <> state 0 && rand 4 = 0) mentioned in
-  Automaton.create ~marked ~forbidden ~name ~initial:(state 0)
-    ~transitions:!trans ()
+  (!trans, marked, forbidden)
+
+let random_automaton ?own ~seed ~name () =
+  let trans, marked, forbidden = random_triples ?own ~seed () in
+  Automaton.create ~marked ~forbidden ~name ~initial:"q0" ~transitions:trans
+    ()
 
 (* String-native reference composition — the pre-refactor algorithm,
    expressed on the public name-based API only. *)
@@ -752,8 +767,8 @@ let ref_pair_order a b =
 
 let test_indexed_compose_matches_reference () =
   for seed = 0 to 59 do
-    let a = random_automaton ~seed ~name:"RA" in
-    let b = random_automaton ~seed:(seed + 1000) ~name:"RB" in
+    let a = random_automaton ~seed ~name:"RA" () in
+    let b = random_automaton ~own:rn_own ~seed:(seed + 1000) ~name:"RB" () in
     let fast = Compose.pair a b in
     let slow = ref_pair a b in
     if not (Automaton.isomorphic fast slow) then
@@ -806,7 +821,7 @@ let ref_restrict a keep =
 
 let test_restrict_indices_matches_reference () =
   for seed = 0 to 59 do
-    let a = random_automaton ~seed ~name:"RR" in
+    let a = random_automaton ~seed ~name:"RR" () in
     let n = Automaton.num_states a in
     let keep = Array.init n (fun i -> ((i * 7) + seed) mod 3 <> 0) in
     let by_index = Automaton.restrict_indices a keep in
@@ -833,7 +848,7 @@ let ref_rows n trans =
   Array.iter (fun (s, e, d) -> rows.(s) <- (e, d) :: rows.(s)) trans;
   Array.map (List.sort compare) rows
 
-(* The same sort as (row, event, target) arrays for {!Automaton.of_csr}. *)
+(* The same sort as (row, tr) arrays for {!Automaton.of_csr}. *)
 let csr_of_triples n trans =
   let trans = Array.of_list (List.sort compare trans) in
   let row = Array.make (n + 1) 0 in
@@ -841,9 +856,7 @@ let csr_of_triples n trans =
   for i = 0 to n - 1 do
     row.(i + 1) <- row.(i + 1) + row.(i)
   done;
-  ( row,
-    Array.map (fun (_, e, _) -> e) trans,
-    Array.map (fun (_, _, d) -> d) trans )
+  (row, Array.map (fun (_, e, d) -> Automaton.tr_word e d) trans)
 
 let shuffle rng a =
   for i = Array.length a - 1 downto 1 do
@@ -906,34 +919,35 @@ let test_csr_matches_reference () =
       reference;
     (* of_csr over the built rows is the same automaton. *)
     let m = Automaton.num_states built in
-    let of_csr ~row ~event ~target =
+    let of_csr ~row ~tr =
       Automaton.of_csr ~name:"CSR"
         ~names:(Names (Array.of_list (Automaton.states built)))
         ~alphabet:(Automaton.alphabet built) ~initial:0
-        ~marked:(Array.make m true) ~forbidden:(Array.make m false) ~row
-        ~event ~target
+        ~marked:(Array.make m true) ~forbidden:(Array.make m false) ~row ~tr
     in
-    let row, ev, dst = Automaton.csr built in
+    let row, tr = Automaton.csr built in
     if
       Automaton.structural_digest
-        (of_csr ~row:(Array.copy row) ~event:(Array.copy ev)
-           ~target:(Array.copy dst))
+        (of_csr ~row:(Array.copy row) ~tr:(Array.copy tr))
       <> Automaton.structural_digest built
     then Alcotest.failf "seed %d: of_csr differs from create" seed;
-    let rejects event =
-      match of_csr ~row ~event ~target:dst with
+    let rejects tr =
+      match of_csr ~row ~tr with
       | _ -> false
       | exception Invalid_argument _ -> true
     in
     let wide = List.filter (fun s -> row.(s + 1) - row.(s) >= 2) in
     (match wide (List.init m Fun.id) with
     | s :: _ ->
-        let swapped = Array.copy ev in
-        swapped.(row.(s)) <- ev.(row.(s) + 1);
-        swapped.(row.(s) + 1) <- ev.(row.(s));
+        let swapped = Array.copy tr in
+        swapped.(row.(s)) <- tr.(row.(s) + 1);
+        swapped.(row.(s) + 1) <- tr.(row.(s));
         check_bool "unsorted row rejected" true (rejects swapped);
-        let repeated = Array.copy ev in
-        repeated.(row.(s) + 1) <- ev.(row.(s));
+        let repeated = Array.copy tr in
+        repeated.(row.(s) + 1) <-
+          Automaton.tr_word
+            (Automaton.tr_event tr.(row.(s)))
+            (Automaton.tr_target tr.(row.(s) + 1));
         check_bool "repeated event id rejected" true (rejects repeated)
     | [] -> ());
     if n > 1 && Array.length trans > 0 then begin
@@ -945,6 +959,93 @@ let test_csr_matches_reference () =
            (Printf.sprintf "Automaton CSR: nondeterministic on %S from state %S"
               (Event.name e) (name s)))
         (fun () -> ignore (build bad))
+    end
+  done
+
+(* The packed rows against a [Hashtbl] δ built from the generator's own
+   triples, over events whose ids do not follow their names: every
+   row's [iter_row] pairs and [csr] words are δ's entries for that
+   state, ascending by id, and [step_index_raw] agrees with δ on every
+   (state, event) of the alphabet, -1 where δ has none.  [of_csr] takes
+   the words back unchanged and rejects an event id of 2^30 or more and
+   a target past the state count, up to 2^32 - 1, the largest a word can
+   hold (a target of 2^32 has no word: it would spill into the id).
+   The unsorted and repeated-id rows are the CSR builder test's. *)
+let test_packed_rows_match_delta () =
+  for seed = 0 to 49 do
+    let trans, marked, forbidden = random_triples ~own:rn_own ~seed () in
+    let a =
+      Automaton.create ~marked ~forbidden ~name:"PK" ~initial:"q0"
+        ~transitions:trans ()
+    in
+    let delta = Hashtbl.create 16 in
+    List.iter
+      (fun (src, e, dst) -> Hashtbl.replace delta (src, Event.id e) dst)
+      trans;
+    let n = Automaton.num_states a in
+    let row, tr = Automaton.csr a in
+    check_int "one word per transition" (Hashtbl.length delta)
+      (Array.length tr);
+    for i = 0 to n - 1 do
+      let q = Automaton.state_of_index a i in
+      let expected =
+        Hashtbl.fold
+          (fun (src, eid) dst acc -> if src = q then (eid, dst) :: acc else acc)
+          delta []
+        |> List.sort compare
+      in
+      let got = ref [] in
+      Automaton.iter_row a i (fun eid d ->
+          got := (eid, Automaton.state_of_index a d) :: !got);
+      if List.rev !got <> expected then
+        Alcotest.failf "seed %d: row of %s differs from delta" seed q;
+      let words =
+        List.init (row.(i + 1) - row.(i)) (fun k ->
+            let w = tr.(row.(i) + k) in
+            ( Automaton.tr_event w,
+              Automaton.state_of_index a (Automaton.tr_target w) ))
+      in
+      if words <> expected then
+        Alcotest.failf "seed %d: words of %s differ from delta" seed q;
+      Event.Set.iter
+        (fun e ->
+          let want =
+            match Hashtbl.find_opt delta (q, Event.id e) with
+            | Some d -> Automaton.index_of_state a d
+            | None -> -1
+          in
+          if Automaton.step_index_raw a i (Event.id e) <> want then
+            Alcotest.failf "seed %d: step_index_raw %s on %s" seed q
+              (Event.name e))
+        (Automaton.alphabet a)
+    done;
+    let of_csr tr =
+      Automaton.of_csr ~name:"PK"
+        ~names:(Names (Array.of_list (Automaton.states a)))
+        ~alphabet:(Automaton.alphabet a)
+        ~initial:(Automaton.initial_index a)
+        ~marked:(Array.init n (Automaton.is_marked_index a))
+        ~forbidden:(Array.init n (Automaton.is_forbidden_index a))
+        ~row ~tr
+    in
+    check_string "of_csr takes the words back"
+      (Automaton.structural_digest a)
+      (Automaton.structural_digest (of_csr (Array.copy tr)));
+    if Array.length tr > 0 then begin
+      let k = seed mod Array.length tr in
+      let e = Automaton.tr_event tr.(k) and d = Automaton.tr_target tr.(k) in
+      let rejects eid target =
+        let bad = Array.copy tr in
+        bad.(k) <- Automaton.tr_word eid target;
+        match of_csr bad with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      check_bool "event id 2^30 rejected" true (rejects (1 lsl 30) d);
+      check_bool "event id 2^31 - 1 rejected" true
+        (rejects ((1 lsl 31) - 1) d);
+      check_bool "target = state count rejected" true (rejects e n);
+      check_bool "target 2^32 - 1 rejected" true (rejects e ((1 lsl 32) - 1))
     end
   done
 
@@ -977,7 +1078,7 @@ let ref_restrict_indices a keep =
       survive;
     let old_of_new = Array.make !m 0 in
     Array.iteri (fun i j -> if j >= 0 then old_of_new.(j) <- i) new_of_old;
-    let row, event, target =
+    let row, tr =
       csr_of_triples !m
         (List.map (fun (s, e, d) -> (new_of_old.(s), e, new_of_old.(d))) !trans)
     in
@@ -987,7 +1088,7 @@ let ref_restrict_indices a keep =
          ~alphabet:(Automaton.alphabet a) ~initial:new_of_old.(init)
          ~marked:(Array.map (Automaton.is_marked_index a) old_of_new)
          ~forbidden:(Array.map (Automaton.is_forbidden_index a) old_of_new)
-         ~row ~event ~target)
+         ~row ~tr)
   end
 
 let test_restrict_identity () =
@@ -1046,7 +1147,7 @@ let test_names_from_two_domains () =
 
 let test_index_api_roundtrip () =
   for seed = 0 to 19 do
-    let a = random_automaton ~seed ~name:"IDX" in
+    let a = random_automaton ~own:rn_own ~seed ~name:"IDX" () in
     for i = 0 to Automaton.num_states a - 1 do
       let s = Automaton.state_of_index a i in
       check_int "index round trip" i (Automaton.index_of_state a s);
@@ -1067,19 +1168,20 @@ let test_index_api_roundtrip () =
   done
 
 let test_digest_deterministic () =
-  let a = random_automaton ~seed:7 ~name:"DG" in
+  let a = random_automaton ~seed:7 ~name:"DG" () in
   let d1 = Automaton.structural_digest a in
   check_string "cached call stable" d1 (Automaton.structural_digest a);
   (* an identically-constructed automaton digests identically within the
      process *)
-  let b = random_automaton ~seed:7 ~name:"DG" in
+  let b = random_automaton ~seed:7 ~name:"DG" () in
   check_string "same structure, same digest" d1 (Automaton.structural_digest b);
   check_bool "automaton name participates" false
     (String.equal d1 (Automaton.structural_digest (Automaton.rename a "DG2")));
   (* products digest deterministically too (lazy names forced by the
      digest) *)
-  let p1 = Compose.pair a (random_automaton ~seed:8 ~name:"DH") in
-  let p2 = Compose.pair b (random_automaton ~seed:8 ~name:"DH") in
+  let dh () = random_automaton ~own:rn_own ~seed:8 ~name:"DH" () in
+  let p1 = Compose.pair a (dh ()) in
+  let p2 = Compose.pair b (dh ()) in
   check_string "product digest deterministic"
     (Automaton.structural_digest p1)
     (Automaton.structural_digest p2)
@@ -1096,7 +1198,7 @@ let test_digest_injective () =
       ?(marked = [| true; false; false |])
       ?(forbidden = [| false; false; false |])
       ?(trans = [ (0, a, 1); (1, b_u, 2); (2, a, 0) ]) () =
-    let row, event, target =
+    let row, tr =
       csr_of_triples 3
         (List.map
            (fun (s, e, d) -> (s, Event.id (if e == b_u then b else e), d))
@@ -1105,7 +1207,7 @@ let test_digest_injective () =
     Automaton.of_csr ~name
       ~names:(Names (Array.copy names))
       ~alphabet:(Event.set_of_list [ a; b ])
-      ~initial:0 ~marked ~forbidden ~row ~event ~target
+      ~initial:0 ~marked ~forbidden ~row ~tr
   in
   let base = Automaton.structural_digest (build ()) in
   check_string "rebuilt base digests the same" base
@@ -1380,8 +1482,8 @@ let cluster_budget_spec ?(tag = "") ~k ~cap () =
    names and transitions), same stats, same Verify verdicts. *)
 let test_supcon_matches_oracle () =
   for seed = 0 to 59 do
-    let plant = random_automaton ~seed ~name:"PP" in
-    let spec = random_automaton ~seed:(seed + 3000) ~name:"PS" in
+    let plant = random_automaton ~seed ~name:"PP" () in
+    let spec = random_automaton ~own:rn_own ~seed:(seed + 3000) ~name:"PS" () in
     match (Supcon_oracle.supcon ~plant ~spec, Synthesis.supcon ~plant ~spec) with
     | Error Synthesis.Empty_supervisor, Error Synthesis.Empty_supervisor -> ()
     | Ok (sa, ta), Ok (sb, tb) ->
@@ -1495,13 +1597,15 @@ let test_supcon_modular_matches_monolithic () =
 
 (* Bytes per transition for the k = 8, cap = 7 family (7313 product
    states), counted in closed windows ({!Alloc.bytes}), which read the
-   same every run.  Each budget is 10 % over what the index-only state
-   table, the good-region predecessors and the 32-bit chunked buffers
-   read: 40.1 B for modular synthesis, 34.4 B for Compose.all of the 8
-   clusters.  The structural digest of a renamed copy of the
-   supervisor, its names never written before, streams its 1.1 MB of
-   bytes: it may allocate its 64 KB buffer and 10 % over the 4 656 B
-   more it reads, and no image. *)
+   same every run.  Each budget is 10 % over what the finished automata
+   stored as one packed word per transition read: 33.5 B for modular
+   synthesis, 26.2 B for Compose.all of the 8 clusters.  The
+   Compose.all result's resident size ([Obj.reachable_words]) is
+   bounded the same way: 10 % over its 11.2 B per transition, which two
+   int arrays per transition (19.1 B) exceed.  The structural digest
+   of a renamed copy of the supervisor, its names never written before,
+   streams its 1.1 MB of bytes: it may allocate its 64 KB buffer and
+   10 % over the 4 656 B more it reads, and no image. *)
 let test_synthesis_alloc_budgets () =
   let plants = List.init 8 (fun i -> cluster_plant (i + 1)) in
   let spec = cluster_budget_spec ~k:8 ~cap:7 () in
@@ -1515,16 +1619,26 @@ let test_synthesis_alloc_budgets () =
     r
   in
   let sup =
-    gate "supcon_modular k=8 cap=7" ~budget:(40.1 *. 1.1)
+    gate "supcon_modular k=8 cap=7" ~budget:(33.5 *. 1.1)
       ~transitions:(function
         | Ok (_, st) when st.Synthesis.product_states = 7313 ->
             Automaton.num_transitions product
         | _ -> Alcotest.fail "k=8 cap=7 lost its 7313 product states")
       (fun () -> Synthesis.supcon_modular ~plants ~spec ())
   in
-  ignore
-    (gate "Compose.all 8 clusters" ~budget:(34.4 *. 1.1)
-       ~transitions:Automaton.num_transitions (fun () -> Compose.all plants));
+  let all =
+    gate "Compose.all 8 clusters" ~budget:(26.2 *. 1.1)
+      ~transitions:Automaton.num_transitions (fun () -> Compose.all plants)
+  in
+  let resident =
+    float_of_int (Obj.reachable_words (Obj.repr all) * (Sys.word_size / 8))
+    /. float_of_int (Automaton.num_transitions all)
+  in
+  check_bool
+    (Printf.sprintf "Compose.all 8 clusters resident: %.1f B/transition \
+                     (budget %.1f)" resident (11.2 *. 1.1))
+    true
+    (resident <= 11.2 *. 1.1);
   match sup with
   | Ok (sup, _) ->
       let a = Automaton.rename sup "k8a" in
@@ -1708,9 +1822,9 @@ let test_compose_all_matches_fold () =
     check_family
       (Printf.sprintf "random seed %d" seed)
       [
-        random_automaton ~seed ~name:"CA";
-        random_automaton ~seed:(seed + 4000) ~name:"CB";
-        random_automaton ~seed:(seed + 5000) ~name:"CC";
+        random_automaton ~seed ~name:"CA" ();
+        random_automaton ~own:rn_own ~seed:(seed + 4000) ~name:"CB" ();
+        random_automaton ~seed:(seed + 5000) ~name:"CC" ();
       ]
   done
 
@@ -1865,6 +1979,8 @@ let () =
             test_restrict_indices_matches_reference;
           Alcotest.test_case "CSR builder matches tuple-sort reference" `Quick
             test_csr_matches_reference;
+          Alcotest.test_case "packed rows match a Hashtbl delta" `Quick
+            test_packed_rows_match_delta;
           Alcotest.test_case "restrict of a fully kept automaton is itself"
             `Quick test_restrict_identity;
           Alcotest.test_case "names forced from two domains" `Quick
