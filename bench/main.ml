@@ -7,6 +7,8 @@
                                          # fig15, overhead, ablations,
                                          # robustness, reconfig,
                                          # synthesis-scale, fleet)
+     dune exec bench/main.exe -- memory  # per-phase heap and peak RSS,
+                                         # by name only
      dune exec bench/main.exe -- --smoke fleet reconfig
                                          # the CI-sized fleet and
                                          # reconfig runs
@@ -37,10 +39,14 @@ let experiments =
     ("fleet", Fleet.run);
   ]
 
+(* Run by name only: machine-dependent figures, outside the default
+   all-experiments run. *)
+let probes = [ ("memory", Memory.run) ]
+
 let usage () =
   Printf.eprintf
     "usage: main.exe [--smoke] [--obs] [experiment ...]\navailable: %s\n"
-    (String.concat ", " (List.map fst experiments))
+    (String.concat ", " (List.map fst (experiments @ probes)))
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -62,7 +68,9 @@ let () =
   (* Validate every requested name before running anything: an unknown
      name must not abort the run halfway through earlier experiments. *)
   let unknown =
-    List.filter (fun n -> not (List.mem_assoc n experiments)) requested
+    List.filter
+      (fun n -> not (List.mem_assoc n (experiments @ probes)))
+      requested
   in
   if unknown <> [] then begin
     List.iter (fun n -> Printf.eprintf "unknown experiment %S\n" n) unknown;
@@ -75,7 +83,7 @@ let () =
   Printf.eprintf "harness: %d parallel job%s (override with SPECTR_JOBS)\n%!"
     jobs
     (if jobs = 1 then "" else "s");
-  List.iter (fun name -> (List.assoc name experiments) ()) requested;
+  List.iter (fun name -> (List.assoc name (experiments @ probes)) ()) requested;
   if obs then begin
     Util.heading "obs-summary";
     print_string (Spectr_obs.summary ())

@@ -106,8 +106,9 @@ let run_drill d =
   in
   let peak_after = Array.fold_left Float.max 0. post in
   let r = Node.report node in
+  let m = r.Node.r_m in
   Buffer.add_string canon
-    (Printf.sprintf "report %h %h %d %d\n" r.Node.r_qos r.Node.r_total_debt
+    (Printf.sprintf "report %h %h %d %d\n" m.Node.r_qos m.Node.r_total_debt
        r.Node.r_kills r.Node.r_restarts);
   {
     o_drill = d;
@@ -115,7 +116,7 @@ let run_drill d =
     o_recovery_ticks = recovery_ticks;
     o_recovered = recovered;
     o_peak_after = peak_after;
-    o_debt = r.Node.r_total_debt;
+    o_debt = m.Node.r_total_debt;
     o_digest = Digest.to_hex (Digest.string (Buffer.contents canon));
   }
 

@@ -5,8 +5,19 @@ module Obs = Spectr_obs
 let c_actuations = Obs.Counters.counter "manager.actuations"
 let c_sanitized = Obs.Counters.counter "manager.commands_sanitized"
 
-type checkpoint = { variant : string; payload : string }
-type persist = { snapshot : unit -> checkpoint; restore : checkpoint -> unit }
+(* [len] is the payload's byte count in [buf]; 0 marks the checkpoint
+   empty (never written, or being written). *)
+type checkpoint = {
+  mutable variant : string;
+  mutable buf : bytes;
+  mutable len : int;
+}
+
+type persist = {
+  save : checkpoint -> unit;
+  snapshot : unit -> checkpoint;
+  restore : checkpoint -> unit;
+}
 
 type t = {
   name : string;
@@ -20,19 +31,54 @@ type t = {
   persist : persist option;
 }
 
+let empty_checkpoint () = { variant = ""; buf = Bytes.empty; len = 0 }
+let checkpoint_bytes c = c.len
+
 (* Payloads are Marshal-ed plain data; the variant tag is what guards a
-   checkpoint from being restored into the wrong manager kind. *)
+   checkpoint from being restored into the wrong manager kind.  [save]
+   is the one marshalling path: it writes into the checkpoint's own
+   buffer.  The first payload sizes that buffer: an empty buffer
+   overflows at once, and the payload marshalled on its own becomes it,
+   so a fresh checkpoint is marshalled once.  A later payload that
+   overflows doubles the buffer and is rewritten, so a payload that
+   creeps up by a few bytes (a counter needing a wider encoding) costs
+   one growth, not one buffer per save.  The checkpoint reads empty
+   until the write completes, so an interrupted write leaves nothing
+   half-restorable. *)
 let make_persist ~variant ~snapshot ~restore =
+  let rec write c v =
+    match Marshal.to_buffer c.buf 0 (Bytes.length c.buf) v [] with
+    | n -> n
+    | exception Failure _ when Bytes.length c.buf = 0 ->
+        c.buf <- Marshal.to_bytes v [];
+        Bytes.length c.buf
+    | exception Failure _ ->
+        c.buf <- Bytes.create (2 * Bytes.length c.buf);
+        write c v
+  in
+  let save c =
+    let v = snapshot () in
+    c.len <- 0;
+    c.variant <- variant;
+    c.len <- write c v
+  in
   {
+    save;
     snapshot =
-      (fun () -> { variant; payload = Marshal.to_string (snapshot ()) [] });
+      (fun () ->
+        let c = empty_checkpoint () in
+        save c;
+        c);
     restore =
       (fun c ->
-        if c.variant <> variant then
-          invalid_arg
-            (Printf.sprintf "Manager.restore: checkpoint for %S, manager is %S"
-               c.variant variant);
-        restore (Marshal.from_string c.payload 0));
+        if c.len > 0 then begin
+          if c.variant <> variant then
+            invalid_arg
+              (Printf.sprintf
+                 "Manager.restore: checkpoint for %S, manager is %S" c.variant
+                 variant);
+          restore (Marshal.from_bytes c.buf 0)
+        end);
   }
 
 (* Controller outputs can be garbage (a diverged integrator, a NaN from a

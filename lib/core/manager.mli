@@ -9,24 +9,42 @@
 
 open Spectr_platform
 
-type checkpoint = { variant : string; payload : string }
-(** An opaque-to-callers manager checkpoint: a variant tag naming the
-    manager kind that produced it plus a [Marshal]-ed plain-data payload
-    (controller snapshots — see {!Spectr_control.Mimo.snapshot},
-    {!Supervisor.snapshot}, {!Guarded.snapshot} — and the tick phase).
+type checkpoint
+(** A manager checkpoint: a variant tag naming the manager kind that
+    wrote it plus a [Marshal]-ed plain-data payload (controller
+    snapshots — see {!Spectr_control.Mimo.snapshot},
+    {!Supervisor.snapshot}, {!Guarded.snapshot} — and the tick phase),
+    held in a buffer the checkpoint owns.  A checkpoint is mutable:
+    {!persist.save} overwrites it in place, so a caller that saves
+    every period into one checkpoint allocates no payload per save.
     Restoring a checkpoint into a manager of a different variant raises
     [Invalid_argument]. *)
 
+val empty_checkpoint : unit -> checkpoint
+(** A fresh checkpoint holding nothing: restoring it leaves a manager as
+    it is.  Its buffer is sized by the first payload saved into it. *)
+
+val checkpoint_bytes : checkpoint -> int
+(** The payload's size in bytes; 0 while the checkpoint is empty. *)
+
 type persist = {
+  save : checkpoint -> unit;
+      (** Capture the manager's complete mutable state into the given
+          checkpoint, in place: the payload is marshalled into the
+          checkpoint's own buffer.  The first payload sizes the buffer;
+          a later payload that outgrows it doubles it and is rewritten.
+          The checkpoint reads empty while the write is under way.
+          Cheap (no I/O, a few small copies) — safe to call every
+          period. *)
   snapshot : unit -> checkpoint;
-      (** Capture the manager's complete mutable state.  Cheap (no
-          I/O, a few small copies) — safe to call every period. *)
+      (** [save] into a fresh {!empty_checkpoint}. *)
   restore : checkpoint -> unit;
       (** Overwrite the manager's state from a checkpoint.  After
           [restore], stepping continues bit-identically to the
           snapshotted instance — the checkpoint/resume guarantee the
-          chaos soak pins.  Raises [Invalid_argument] on a variant
-          mismatch or corrupted payload. *)
+          chaos soak pins.  An empty checkpoint restores nothing.
+          Raises [Invalid_argument] on a variant mismatch or corrupted
+          payload. *)
 }
 
 type t = {
@@ -53,7 +71,8 @@ val make_persist :
     [Marshal]-ed under the tag [variant], and restoring a checkpoint
     with any other tag raises [Invalid_argument] before [restore] sees
     the payload.  [restore] must accept exactly the type [snapshot]
-    produces. *)
+    produces.  [save], [snapshot] and [restore] share one marshalling
+    path: [snapshot ()] is [save] applied to a fresh checkpoint. *)
 
 val sanitize_freq_mhz : Spectr_platform.Opp.t -> float -> float
 (** The frequency a [freq_ghz] command will be quantized from, in MHz:

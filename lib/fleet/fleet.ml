@@ -79,22 +79,26 @@ let validate spec =
   if Array.length spec.platforms = 0 then
     invalid_arg "Fleet.run: empty platforms"
 
-(* One epoch's worth of ticking for one shard of nodes.  Node-outer,
-   tick-inner: per-tick power lands in a shard-local array summed by the
-   caller in shard order, so the reduction order never depends on which
-   domain ran which shard. *)
-let tick_shard ~dt ~ticks (shard : Node.t array) =
-  let power_by_tick = Array.make ticks 0. in
-  Array.iter
-    (fun node ->
-      for k = 0 to ticks - 1 do
-        Node.tick node ~dt;
-        power_by_tick.(k) <- power_by_tick.(k) +. Node.last_true_power node
-      done;
-      Node.checkpoint node)
-    shard;
-  let reports = Array.map Node.report shard in
-  (power_by_tick, reports)
+(* One epoch's worth of ticking for shard [s]: the [shard_size] nodes
+   from index [s * shard_size] (fewer in the last shard).  Node-outer,
+   tick-inner: per-tick power lands in the shard's own row
+   of [power] (tick [k] at [s * ticks + k]), summed by the caller in
+   shard order, so the reduction order never depends on which domain
+   ran which shard.  Each node then checkpoints and refreshes its report
+   in place. *)
+let tick_shard ~dt ~ticks ~nodes ~shard_size ~power ~reports s =
+  let row = s * ticks in
+  Array.fill power row ticks 0.;
+  let from = s * shard_size in
+  for i = from to min (from + shard_size) (Array.length nodes) - 1 do
+    let node = nodes.(i) in
+    for k = 0 to ticks - 1 do
+      Node.tick node ~dt;
+      power.(row + k) <- power.(row + k) +. Node.last_true_power node
+    done;
+    Node.checkpoint node;
+    reports.(i) <- Node.report node
+  done
 
 (* The epoch's kill plan: pure function of (seed, epoch).  Victims are
    drawn fleet-wide; draws landing on dead nodes are wasted, which keeps
@@ -159,11 +163,12 @@ let run ?pool spec =
       (Array.init spec.nodes Fun.id)
   in
   let shard_count = (spec.nodes + spec.shard_size - 1) / spec.shard_size in
-  let shards =
-    Array.init shard_count (fun s ->
-        let from = s * spec.shard_size in
-        Array.sub nodes from (min spec.shard_size (spec.nodes - from)))
-  in
+  let shards = List.init shard_count Fun.id in
+  (* Everything that outlives an epoch is written in place: one row of
+     per-tick power per shard, and one reports array holding each node's
+     own report record, which every [Node.report] refreshes. *)
+  let power = Array.make (shard_count * spec.ticks_per_epoch) 0. in
+  let reports = Array.map Node.report nodes in
   let down = Array.make spec.nodes 0 in
   let allowance = Spectr.Metrics.power_allowance in
   let limit = spec.global_cap *. allowance in
@@ -201,21 +206,20 @@ let run ?pool spec =
             end)
           (kill_plan ~spec ~epoch);
         (* Parallel tick, then ordered reduction: shard s's per-tick
-           array is added in shard order, so fleet power at tick k is
-           the same float for any job count. *)
-        let shard_results =
-          Spectr_exec.Parmap.map_array ?pool
-            (tick_shard ~dt:spec.dt ~ticks:spec.ticks_per_epoch)
-            shards
-        in
+           row is added in shard order, so fleet power at tick k is the
+           same float for any job count. *)
+        Spectr_exec.Parmap.iter ?pool
+          (tick_shard ~dt:spec.dt ~ticks:spec.ticks_per_epoch ~nodes
+             ~shard_size:spec.shard_size ~power ~reports)
+          shards;
         let epoch_peak = ref 0. in
         let epoch_violations = ref 0 in
         for k = 0 to spec.ticks_per_epoch - 1 do
           let fleet_power = ref 0. in
-          Array.iter
-            (fun (power_by_tick, _) ->
-              fleet_power := !fleet_power +. power_by_tick.(k))
-            shard_results;
+          for s = 0 to shard_count - 1 do
+            fleet_power :=
+              !fleet_power +. power.((s * spec.ticks_per_epoch) + k)
+          done;
           let p = !fleet_power in
           if p > !epoch_peak then epoch_peak := p;
           if p > !peak then peak := p;
@@ -225,21 +229,17 @@ let run ?pool spec =
             incr epoch_violations
           end
         done;
-        let reports =
-          Array.concat
-            (Array.to_list (Array.map (fun (_, r) -> r) shard_results))
-        in
         let epoch_debt = ref 0. in
-        Array.iter
-          (fun (r : Node.report) ->
-            epoch_debt := !epoch_debt +. r.Node.r_debt;
-            let a =
-              if r.Node.r_qos_ref > 0. then
-                Float.min 1. (r.Node.r_qos /. r.Node.r_qos_ref)
-              else 0.
-            in
-            attain_sum := !attain_sum +. a)
-          reports;
+        for i = 0 to spec.nodes - 1 do
+          let m = reports.(i).Node.r_m in
+          epoch_debt := !epoch_debt +. m.Node.r_debt;
+          let a =
+            if m.Node.r_qos_ref > 0. then
+              Float.min 1. (m.Node.r_qos /. m.Node.r_qos_ref)
+            else 0.
+          in
+          attain_sum := !attain_sum +. a
+        done;
         debt := !debt +. !epoch_debt;
         (* Place this epoch's arrivals before re-budgeting, so new load
            shows up as background work the next epoch's demands see. *)

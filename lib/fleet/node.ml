@@ -22,6 +22,30 @@ let a_qos = 3
 let a_debt = 4
 let a_total_debt = 5
 
+(* A report's floats sit in a record of floats only, which OCaml stores
+   flat: refreshing them boxes nothing, where a mutable float field of
+   the mixed [report] record would box on every write. *)
+type measures = {
+  mutable r_max_power : float;
+  mutable r_cap : float;
+  mutable r_power : float;
+  mutable r_sensor_power : float;
+  mutable r_qos : float;
+  r_qos_ref : float;
+  mutable r_debt : float;
+  mutable r_total_debt : float;
+}
+
+type report = {
+  r_id : int;
+  r_workload : string;
+  mutable r_alive : bool;
+  mutable r_background : int;
+  mutable r_kills : int;
+  mutable r_restarts : int;
+  r_m : measures;
+}
+
 type t = {
   id : int;
   config : config;
@@ -50,7 +74,8 @@ type t = {
   (* lifetime *)
   mutable kills : int;
   mutable restarts : int;
-  mutable saved : Spectr.Manager.checkpoint option;
+  saved : Spectr.Manager.checkpoint; (* rewritten in place by [checkpoint] *)
+  rep : report; (* refreshed in place by [report] *)
 }
 
 let make_soc t generation =
@@ -119,7 +144,27 @@ let create ?(config = default_config)
     e_ticks = 0;
     kills = 0;
     restarts = 0;
-    saved = None;
+    saved = Spectr.Manager.empty_checkpoint ();
+    rep =
+      {
+        r_id = id;
+        r_workload = workload.Workload.name;
+        r_alive = true;
+        r_background = 0;
+        r_kills = 0;
+        r_restarts = 0;
+        r_m =
+          {
+            r_max_power = 0.;
+            r_cap = 0.;
+            r_power = 0.;
+            r_sensor_power = 0.;
+            r_qos = 0.;
+            r_qos_ref = qos_ref;
+            r_debt = 0.;
+            r_total_debt = 0.;
+          };
+      };
   }
 
 let id t = t.id
@@ -138,8 +183,9 @@ let reconfig_handle t = t.reconfig
    description's estimate, scaled onto the chip TDP.  A healthy node
    reports exactly [node_tdp]; a node that reconfigured around a dead
    cluster reports less, and the coordinator stops budgeting power the
-   silicon can no longer convert into work. *)
-let max_power t =
+   silicon can no longer convert into work.  Inlined, so [report]
+   stores a healthy node's capacity without boxing it. *)
+let[@inline] max_power t =
   match t.reconfig with
   | None -> t.config.node_tdp
   | Some h ->
@@ -236,7 +282,7 @@ let tick t ~dt =
 
 let checkpoint t =
   match t.manager.Spectr.Manager.persist with
-  | Some p -> t.saved <- Some (p.Spectr.Manager.snapshot ())
+  | Some p -> p.Spectr.Manager.save t.saved
   | None -> ()
 
 let kill t =
@@ -264,8 +310,8 @@ let restart t =
        description with its FDIR starting from scratch — so it skips the
        checkpoint, which would re-apply the old silicon's degradations. *)
     t.reconfig <- reconfig;
-    (match (t.saved, manager.Spectr.Manager.persist) with
-    | Some c, Some p when not t.reconfigurable -> p.Spectr.Manager.restore c
+    (match manager.Spectr.Manager.persist with
+    | Some p when not t.reconfigurable -> p.Spectr.Manager.restore t.saved
     | _ -> ());
     t.alive <- true;
     (* A rebooting node stabilizes under its current cap before it
@@ -275,44 +321,22 @@ let restart t =
     warm_up t
   end
 
-type report = {
-  r_id : int;
-  r_alive : bool;
-  r_max_power : float;
-  r_cap : float;
-  r_power : float;
-  r_sensor_power : float;
-  r_qos : float;
-  r_qos_ref : float;
-  r_debt : float;
-  r_total_debt : float;
-  r_background : int;
-  r_workload : string;
-  r_kills : int;
-  r_restarts : int;
-}
-
 let report t =
-  let n = t.e_ticks in
-  let mean acc = if n = 0 then 0. else acc /. float_of_int n in
-  let r =
-    {
-      r_id = t.id;
-      r_alive = t.alive;
-      r_max_power = max_power t;
-      r_cap = t.cap;
-      r_power = mean t.acc.(a_power);
-      r_sensor_power = mean t.acc.(a_sensor);
-      r_qos = mean t.acc.(a_qos);
-      r_qos_ref = t.qos_ref;
-      r_debt = t.acc.(a_debt);
-      r_total_debt = t.acc.(a_total_debt);
-      r_background = t.bg;
-      r_workload = t.workload.Workload.name;
-      r_kills = t.kills;
-      r_restarts = t.restarts;
-    }
-  in
+  let n = float_of_int t.e_ticks in
+  let r = t.rep and acc = t.acc in
+  let m = r.r_m in
+  r.r_alive <- t.alive;
+  r.r_background <- t.bg;
+  r.r_kills <- t.kills;
+  r.r_restarts <- t.restarts;
+  m.r_max_power <- max_power t;
+  m.r_cap <- t.cap;
+  (* Epoch means; 0 with no ticks since the last report. *)
+  m.r_power <- (if n = 0. then 0. else acc.(a_power) /. n);
+  m.r_sensor_power <- (if n = 0. then 0. else acc.(a_sensor) /. n);
+  m.r_qos <- (if n = 0. then 0. else acc.(a_qos) /. n);
+  m.r_debt <- acc.(a_debt);
+  m.r_total_debt <- acc.(a_total_debt);
   t.e_ticks <- 0;
-  Array.fill t.acc a_power (a_debt - a_power + 1) 0.;
+  Array.fill acc a_power (a_debt - a_power + 1) 0.;
   r

@@ -101,9 +101,10 @@ val last_true_power : t -> float
     quantity fleet-level cap compliance is judged on. *)
 
 val checkpoint : t -> unit
-(** Snapshot the manager's complete state ({!Spectr.Manager.persist});
-    the snapshot is what a later {!restart} restores.  Called by the
-    fleet engine at epoch boundaries. *)
+(** Snapshot the manager's complete state ({!Spectr.Manager.persist})
+    into the node's one checkpoint, which it keeps for its whole life
+    and rewrites in place; the snapshot is what a later {!restart}
+    restores.  Called by the fleet engine at epoch boundaries. *)
 
 val kill : t -> unit
 (** Power the node off: it stops serving QoS and draws nothing.  The
@@ -137,10 +138,8 @@ val inject_permanent : t -> Spectr_platform.Faults.kind -> unit
 
 (** {1 Epoch reporting} *)
 
-type report = {
-  r_id : int;
-  r_alive : bool;
-  r_max_power : float;
+type measures = {
+  mutable r_max_power : float;
       (** Degraded capacity (W): the most this node's {e current}
           platform description can draw — [node_tdp] for a healthy
           node, proportionally less after a reconfiguration removed a
@@ -149,24 +148,38 @@ type report = {
           [cap_floor]).  The coordinator caps the node's allocation
           here: budget beyond a degraded node's capacity is dead
           headroom better spent on healthy nodes. *)
-  r_cap : float;  (** Cap in force during the reported epoch (W). *)
-  r_power : float;  (** Epoch-mean ground-truth chip power (W). *)
-  r_sensor_power : float;  (** Epoch-mean sensed chip power (W). *)
-  r_qos : float;  (** Epoch-mean heartbeat rate. *)
+  mutable r_cap : float;  (** Cap in force during the reported epoch (W). *)
+  mutable r_power : float;  (** Epoch-mean ground-truth chip power (W). *)
+  mutable r_sensor_power : float;  (** Epoch-mean sensed chip power (W). *)
+  mutable r_qos : float;  (** Epoch-mean heartbeat rate. *)
   r_qos_ref : float;
-  r_debt : float;
+  mutable r_debt : float;
       (** Epoch QoS debt: integral over the epoch of the relative
           shortfall [max 0 (ref - qos) / ref], in seconds.  0 = the
           reference was met every tick; a dead node accrues 1 s per
           second. *)
-  r_total_debt : float;  (** Lifetime QoS debt (s). *)
-  r_background : int;  (** Background tasks placed at epoch end. *)
+  mutable r_total_debt : float;  (** Lifetime QoS debt (s). *)
+}
+(** A report's float measures.  A record of floats only is stored flat,
+    so {!report} refreshes these without boxing a float. *)
+
+type report = {
+  r_id : int;
   r_workload : string;
-  r_kills : int;
-  r_restarts : int;
+  mutable r_alive : bool;
+  mutable r_background : int;  (** Background tasks placed at epoch end. *)
+  mutable r_kills : int;
+  mutable r_restarts : int;
+  r_m : measures;
 }
 
 val report : t -> report
 (** The node's epoch report.  Resets the epoch accumulators — each tick
     is reported exactly once.  With no ticks since the last report, the
-    mean fields are 0. *)
+    mean fields are 0.
+
+    {b Validity.}  The report is the node's own record, refreshed in
+    place and returned by every call: it stays valid until this node's
+    next [report] call, which overwrites it.  A caller that needs an
+    epoch's figures past that point reads them first or copies them.
+    Allocation-free on a node that is not reconfigurable. *)

@@ -196,6 +196,82 @@ let test_reconfig_checkpoint_rejected_elsewhere () =
   expect_invalid "SPECTR+R checkpoint into SPECTR+G" (fun () ->
       (persist guarded).Spectr.Manager.restore c)
 
+(* One checkpoint saved twice by SPECTR+R: first on the healthy
+   description, which sizes its buffer, then after cluster 1 died and
+   the engine reconfigured, when the payload also lists the
+   [Remove_cluster] degradation and outgrows the buffer.  The regrown
+   checkpoint must resume a fresh manager bit-identically: the trace
+   equals the uninterrupted run's. *)
+let test_checkpoint_regrows () =
+  let cell =
+    {
+      (base_cell Campaign.Spectr_r) with
+      Campaign.injections =
+        [ Faults.permanent (Faults.Cluster_dead 1) ~start_s:1.0 ];
+    }
+  in
+  let config = Campaign.config_of_cell cell in
+  let trace_csv runner = Trace.to_csv (Spectr.Scenario.trace runner) in
+  let plain =
+    let mgr, _, _, _ = Campaign.make_manager Campaign.Spectr_r in
+    let runner = Spectr.Scenario.start config in
+    while Spectr.Scenario.tick runner ~manager:mgr <> None do () done;
+    trace_csv runner
+  in
+  let mgr, _, _, handle = Campaign.make_manager Campaign.Spectr_r in
+  let h = Option.get handle in
+  let p = Option.get mgr.Spectr.Manager.persist in
+  let c = Spectr.Manager.empty_checkpoint () in
+  check_int "empty before the first save" 0 (Spectr.Manager.checkpoint_bytes c);
+  let runner = Spectr.Scenario.start config in
+  let tick manager = ignore (Spectr.Scenario.tick runner ~manager) in
+  for _ = 1 to 5 do tick mgr done;
+  p.Spectr.Manager.save c;
+  let healthy = Spectr.Manager.checkpoint_bytes c in
+  while
+    Spectr.Spectr_manager.Reconfig.status h
+    <> Spectr.Spectr_manager.Reconfig.Reconfigured
+  do
+    tick mgr
+  done;
+  tick mgr;
+  p.Spectr.Manager.save c;
+  let degraded = Spectr.Manager.checkpoint_bytes c in
+  check_bool
+    (Printf.sprintf "degraded payload outgrows the first (%d > %d B)" degraded
+       healthy)
+    true (degraded > healthy);
+  let m2, _, _, _ = Campaign.make_manager Campaign.Spectr_r in
+  (Option.get m2.Spectr.Manager.persist).Spectr.Manager.restore c;
+  while Spectr.Scenario.tick runner ~manager:m2 <> None do () done;
+  check_bool "regrown checkpoint resumes bit-identically" true
+    (trace_csv runner = plain)
+
+(* Restoring does not consume a checkpoint: two managers restored from
+   one checkpoint hold the same state as the manager that saved it. *)
+let test_checkpoint_restores_twice () =
+  List.iter
+    (fun variant ->
+      let name = Campaign.variant_name variant in
+      let persist () =
+        let m, _, _, _ = Campaign.make_manager variant in
+        Option.get m.Spectr.Manager.persist
+      in
+      let mgr, _, _, _ = Campaign.make_manager variant in
+      let runner = Spectr.Scenario.start (Campaign.config_of_cell (base_cell variant)) in
+      for _ = 1 to 60 do
+        ignore (Spectr.Scenario.tick runner ~manager:mgr)
+      done;
+      let c = (Option.get mgr.Spectr.Manager.persist).Spectr.Manager.snapshot () in
+      let p1 = persist () and p2 = persist () in
+      p1.Spectr.Manager.restore c;
+      p2.Spectr.Manager.restore c;
+      check_bool (name ^ ": first restore holds the saved state") true
+        (p1.Spectr.Manager.snapshot () = c);
+      check_bool (name ^ ": second restore holds the saved state") true
+        (p2.Spectr.Manager.snapshot () = c))
+    Campaign.[ Spectr_r; Spectr_g; Spectr; Mm_pow; Siso ]
+
 let test_bounded_staleness_determinism () =
   let cell =
     base_cell ~kill:{ Campaign.kill_tick = 120; staleness = 10 }
@@ -365,6 +441,10 @@ let () =
             test_bounded_staleness_determinism;
           Alcotest.test_case "SPECTR+R resumes at every rung" `Slow
             test_reconfig_rung_resume;
+          Alcotest.test_case "checkpoint regrows and resumes" `Slow
+            test_checkpoint_regrows;
+          Alcotest.test_case "two restores from one checkpoint" `Quick
+            test_checkpoint_restores_twice;
           Alcotest.test_case "SPECTR+R checkpoint bound to its platform" `Quick
             test_reconfig_checkpoint_rejected_elsewhere;
         ] );

@@ -38,12 +38,14 @@ let test_node_lifecycle () =
   let r = Node.report node in
   check_int "report id" 3 r.Node.r_id;
   check_bool "reported alive" true r.Node.r_alive;
-  check_bool "draws power" true (r.Node.r_power > 0.);
-  check_bool "serves QoS" true (r.Node.r_qos > 0.);
-  (* report drains the epoch accumulators. *)
+  check_bool "draws power" true (r.Node.r_m.Node.r_power > 0.);
+  check_bool "serves QoS" true (r.Node.r_m.Node.r_qos > 0.);
+  (* report drains the epoch accumulators, refreshing the same record:
+     [r] read everything it checks above, before this second call. *)
   let r2 = Node.report node in
-  check_float "drained power" 0. r2.Node.r_power;
-  check_float "drained debt" 0. r2.Node.r_debt
+  check_bool "report refreshed in place" true (r2 == r);
+  check_float "drained power" 0. r2.Node.r_m.Node.r_power;
+  check_float "drained debt" 0. r2.Node.r_m.Node.r_debt
 
 let test_node_kill_restart () =
   let node = make_node () in
@@ -59,9 +61,9 @@ let test_node_kill_restart () =
   Node.tick node ~dt:0.05;
   Node.tick node ~dt:0.05;
   let r = Node.report node in
-  check_float "dead node reports zero power" 0. r.Node.r_power;
+  check_float "dead node reports zero power" 0. r.Node.r_m.Node.r_power;
   (* A dead node accrues one second of debt per second. *)
-  check_float "full debt while dead" 0.1 r.Node.r_debt;
+  check_float "full debt while dead" 0.1 r.Node.r_m.Node.r_debt;
   check_int "kill counted" 1 r.Node.r_kills;
   (* kill is idempotent. *)
   Node.kill node;
@@ -74,6 +76,30 @@ let test_node_kill_restart () =
   (* restart is a no-op on a live node. *)
   Node.restart node;
   check_int "restart idempotent" 1 (Node.restarts node)
+
+(* A node killed before its first checkpoint has nothing to restore and
+   restarts cold: after the reboot it runs exactly like a node killed at
+   birth, while a node that checkpointed its warm manager runs
+   differently. *)
+let test_node_restart_cold () =
+  let after_restart ~checkpointed ticks =
+    let node = make_node () in
+    Node.warm_up node;
+    for _ = 1 to ticks do
+      Node.tick node ~dt:0.05
+    done;
+    if checkpointed then Node.checkpoint node;
+    Node.kill node;
+    Node.restart node;
+    List.init 20 (fun _ ->
+        Node.tick node ~dt:0.05;
+        Node.last_true_power node)
+  in
+  let at_birth = after_restart ~checkpointed:false 0 in
+  check_bool "never checkpointed restarts cold" true
+    (after_restart ~checkpointed:false 30 = at_birth);
+  check_bool "a checkpoint is restored" true
+    (after_restart ~checkpointed:true 30 <> at_birth)
 
 let test_node_cap_clamp () =
   let node = make_node () in
@@ -131,7 +157,7 @@ let test_node_reconfigurable () =
   | _ -> Alcotest.fail "transient kind must be rejected");
   Node.warm_up node;
   let r0 = Node.report node in
-  check_float "healthy capacity is TDP" 5.0 r0.Node.r_max_power;
+  check_float "healthy capacity is TDP" 5.0 r0.Node.r_m.Node.r_max_power;
   check_bool "boots nominal" true
     (Spectr.Spectr_manager.Reconfig.status handle
     = Spectr.Spectr_manager.Reconfig.Nominal);
@@ -150,10 +176,10 @@ let test_node_reconfigurable () =
     (List.mem 1 (Spectr.Spectr_manager.Reconfig.excluded_clusters handle));
   let r1 = Node.report node in
   check_bool
-    (Printf.sprintf "degraded capacity shrinks (%.3f)" r1.Node.r_max_power)
+    (Printf.sprintf "degraded capacity shrinks (%.3f)" r1.Node.r_m.Node.r_max_power)
     true
-    (r1.Node.r_max_power < 5.0 && r1.Node.r_max_power >= 1.0);
-  check_bool "still serving QoS degraded" true (r1.Node.r_qos > 0.);
+    (r1.Node.r_m.Node.r_max_power < 5.0 && r1.Node.r_m.Node.r_max_power >= 1.0);
+  check_bool "still serving QoS degraded" true (r1.Node.r_m.Node.r_qos > 0.);
   (* A restart is a hardware swap: the replacement boots on the healthy
      description with full capacity and a fresh handle — even though the
      degraded manager checkpointed before it died. *)
@@ -170,7 +196,7 @@ let test_node_reconfigurable () =
     = Spectr.Spectr_manager.Reconfig.Nominal);
   Node.tick node ~dt:0.05;
   let r2 = Node.report node in
-  check_float "replacement reports full capacity" 5.0 r2.Node.r_max_power
+  check_float "replacement reports full capacity" 5.0 r2.Node.r_m.Node.r_max_power
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
@@ -181,18 +207,21 @@ let report ?(alive = true) ?(max_power = 5.) ?(cap = 5.) ?(power = 2.)
   {
     Node.r_id = id;
     r_alive = alive;
-    r_max_power = max_power;
-    r_cap = cap;
-    r_power = power;
-    r_sensor_power = power;
-    r_qos = 50.;
-    r_qos_ref = 60.;
-    r_debt = debt;
-    r_total_debt = debt;
     r_background = 0;
     r_workload = "x264";
     r_kills = 0;
     r_restarts = 0;
+    r_m =
+      {
+        Node.r_max_power = max_power;
+        r_cap = cap;
+        r_power = power;
+        r_sensor_power = power;
+        r_qos = 50.;
+        r_qos_ref = 60.;
+        r_debt = debt;
+        r_total_debt = debt;
+      };
   }
 
 let config = Node.default_config
@@ -562,6 +591,48 @@ let test_fleet_verifies_once () =
       ignore (Spectr.Supervisor.synthesize ~platform:Platform_desc.pixel8pro ());
       check_int "a cleared cache verifies again" 3 (verified ()))
 
+(* Bytes promoted to the major heap per node-epoch in steady state: a
+   64-node exynos5422/pixel8pro fleet with no kills, on a 1-job pool so
+   every minor collection falls at the same allocation and the count is
+   deterministic.  The 60-epoch run minus the 20-epoch run cancels
+   construction and boot.  An epoch that writes its checkpoints, reports
+   and caps in place promotes what the tick path's boxed floats leave
+   live at a minor collection: 19.68 B when this gate went in, the
+   ceiling 10 % above; a fresh marshalled checkpoint and report record
+   per node per epoch read 139.78 B. *)
+let test_fleet_promotion_ratchet () =
+  let spec epochs =
+    {
+      Fleet.default_spec with
+      Fleet.nodes = 64;
+      epochs;
+      ticks_per_epoch = 5;
+      kill_rate = 0.;
+      platforms = Platform_desc.[| exynos5422; pixel8pro |];
+    }
+  in
+  with_pool ~jobs:1 (fun pool ->
+      ignore (Fleet.run ~pool (spec 2) : Fleet.result);
+      let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
+      (* A full major collection first: a major cycle ending inside the
+         window forces a minor collection, so the window must start at
+         the same point of the major cycle whatever ran before it. *)
+      let promoted epochs =
+        Gc.full_major ();
+        let p0 = promoted () in
+        ignore (Fleet.run ~pool (spec epochs) : Fleet.result);
+        promoted () -. p0
+      in
+      let short = promoted 20 in
+      let long = promoted 60 in
+      let per_node_epoch =
+        (long -. short) *. float_of_int (Sys.word_size / 8) /. (40. *. 64.)
+      in
+      check_bool
+        (Printf.sprintf "%.2f B promoted per node-epoch (ceiling 21.65)"
+           per_node_epoch)
+        true (per_node_epoch <= 21.65))
+
 let () =
   Alcotest.run "fleet"
     [
@@ -570,6 +641,8 @@ let () =
           Alcotest.test_case "lifecycle and reporting" `Quick
             test_node_lifecycle;
           Alcotest.test_case "kill and restart" `Quick test_node_kill_restart;
+          Alcotest.test_case "restart before a checkpoint is cold" `Quick
+            test_node_restart_cold;
           Alcotest.test_case "cap clamping" `Quick test_node_cap_clamp;
           Alcotest.test_case "work items" `Quick test_node_work_items;
           Alcotest.test_case "reconfigurable degraded capacity" `Quick
@@ -622,6 +695,8 @@ let () =
             test_fleet_kills_and_restarts;
           Alcotest.test_case "spec validation" `Quick test_fleet_validation;
           Alcotest.test_case "obs counters" `Slow test_fleet_obs_counters;
+          Alcotest.test_case "promotion ratchet" `Slow
+            test_fleet_promotion_ratchet;
           Alcotest.test_case "supervisors verified once" `Slow
             test_fleet_verifies_once;
         ] );

@@ -335,6 +335,103 @@ let test_node_tick_bytes () =
       ("SPECTR+R", Platform_desc.exynos5422, true, 329.16);
     ]
 
+(* The fleet's epoch-boundary calls, counted in closed windows
+   ({!Alloc.bytes}) on a warm node under a 3 W cap.  [Node.report]
+   refreshes the node's own report in place: 0 B per call.
+   [Node.checkpoint] rewrites the node's one checkpoint in place; what
+   it still allocates is the snapshot records the payload is marshalled
+   from.  Its ceilings are the readings when this gate went in (2 728 B
+   and 3 976 B), 10 % above; a fresh payload string per call, as
+   [Marshal.to_string] made one, read 3 224 B and 4 656 B, and a report
+   record per call 200 B. *)
+let test_node_epoch_bytes () =
+  List.iter
+    (fun (label, platform, ceiling) ->
+      let node =
+        Spectr_fleet.Node.create ~platform ~id:0 ~seed:42L
+          ~workload:Benchmarks.x264 ()
+      in
+      Spectr_fleet.Node.set_cap node 3.;
+      Spectr_fleet.Node.warm_up node;
+      for _ = 1 to 5 do
+        Spectr_fleet.Node.tick node ~dt:0.05
+      done;
+      (* The first checkpoint sizes the node's buffer. *)
+      Spectr_fleet.Node.checkpoint node;
+      ignore (Spectr_fleet.Node.report node : Spectr_fleet.Node.report);
+      let report =
+        bytes_per_iter 10_000 (fun n ->
+            for _ = 1 to n do
+              ignore (Sys.opaque_identity (Spectr_fleet.Node.report node))
+            done)
+      in
+      check_bool
+        (Printf.sprintf "%s Node.report: %.3f B/call" label report)
+        true (report < 1.0);
+      let checkpoint =
+        bytes_per_iter 1000 (fun n ->
+            for _ = 1 to n do
+              Spectr_fleet.Node.checkpoint node
+            done)
+      in
+      check_bool
+        (Printf.sprintf "%s Node.checkpoint: %.1f B/call (ceiling %.0f)" label
+           checkpoint ceiling)
+        true (checkpoint <= ceiling))
+    [
+      ("exynos5422", Platform_desc.exynos5422, 3001.);
+      ("pixel8pro", Platform_desc.pixel8pro, 4374.);
+    ]
+
+(* [Coordinator.rebudget] allocates the caps array it returns and
+   nothing else: over 512 reports that is 4 104 B, and the gate allows
+   1 KiB beside it.  The budget forces the water-filling bisection,
+   where a per-node helper that is not inlined boxes the float it
+   returns, once per node per iteration: the allocating version read
+   382 576 B per call. *)
+let test_rebudget_bytes () =
+  let n = 512 in
+  let reports =
+    Array.init n (fun i ->
+        let power = 1. +. (3. *. float_of_int (i mod 7) /. 7.) in
+        let debt = if i mod 3 = 0 then 0.2 else 0. in
+        {
+          Spectr_fleet.Node.r_id = i;
+          r_alive = i mod 11 <> 0;
+          r_background = 0;
+          r_workload = "x264";
+          r_kills = 0;
+          r_restarts = 0;
+          r_m =
+            {
+              Spectr_fleet.Node.r_max_power = 5.;
+              r_cap = 2.5;
+              r_power = power;
+              r_sensor_power = power;
+              r_qos = 50.;
+              r_qos_ref = 60.;
+              r_debt = debt;
+              r_total_debt = debt;
+            };
+        })
+  in
+  let rebudget policy () =
+    Spectr_fleet.Coordinator.rebudget ~policy
+      ~global_cap:(2.5 *. float_of_int n) ~config:Spectr_fleet.Node.default_config
+      ~epoch_s:0.25 reports
+  in
+  let budget = float_of_int ((n + 1) * 8) +. 1024. in
+  List.iter
+    (fun policy ->
+      let caps, bytes = Alloc.bytes (rebudget policy) in
+      check_int "one cap per report" n (Array.length caps);
+      check_bool
+        (Printf.sprintf "rebudget %s: %.0f B (budget %.0f)"
+           (Spectr_fleet.Coordinator.string_of_policy policy)
+           bytes budget)
+        true (bytes <= budget))
+    Spectr_fleet.Coordinator.[ Water_filling; Static_split; Uncoordinated ]
+
 (* ------------------------------------------------------------------ *)
 (* Scenario CSV byte-identity pins                                     *)
 (* ------------------------------------------------------------------ *)
@@ -926,6 +1023,10 @@ let () =
             test_manager_step_bytes;
           Alcotest.test_case "Node.tick bytes ratchet" `Slow
             test_node_tick_bytes;
+          Alcotest.test_case "Node.report and Node.checkpoint bytes" `Slow
+            test_node_epoch_bytes;
+          Alcotest.test_case "Coordinator.rebudget bytes" `Quick
+            test_rebudget_bytes;
           Alcotest.test_case "validation bytes" `Slow test_validation_bytes;
           Alcotest.test_case "trace CSV bytes" `Quick test_trace_csv_bytes;
           Alcotest.test_case "cold identify bytes" `Slow
