@@ -150,8 +150,7 @@ type t = {
   row : int array; (* length n+1 *)
   tr : int array; (* transition words, sorted within each row *)
   initial : int;
-  marked : bool array;
-  forbidden : bool array;
+  flags : string; (* one byte per state, its marked and forbidden bits *)
   mutable digest : string option; (* memoized structural_digest *)
 }
 
@@ -177,12 +176,17 @@ let state_of_index a i =
   (Once.force a.names).(i)
 
 let mem_state a s = Hashtbl.mem (Once.force a.index) s
-let is_marked_index a i = a.marked.(i)
-let is_forbidden_index a i = a.forbidden.(i)
-let is_marked a s = a.marked.(index_of_state a s)
-let is_forbidden a s = a.forbidden.(index_of_state a s)
-let marked a = List.filteri (fun i _ -> a.marked.(i)) (states a)
-let forbidden a = List.filteri (fun i _ -> a.forbidden.(i)) (states a)
+
+(* A state's flag byte: the two bits the synthesis engine's flags word
+   uses for them. *)
+let flag_marked = 1
+let flag_forbidden = 2
+let[@inline] has a i bit = Char.code (String.unsafe_get a.flags i) land bit <> 0
+let is_marked a s = has a (index_of_state a s) flag_marked
+let is_forbidden a s = has a (index_of_state a s) flag_forbidden
+let marked a = List.filteri (fun i _ -> has a i flag_marked) (states a)
+let forbidden a = List.filteri (fun i _ -> has a i flag_forbidden) (states a)
+let flags a = a.flags
 
 let event_of_id a eid =
   match Hashtbl.find_opt a.decode eid with
@@ -272,13 +276,9 @@ let make_index name n names_once =
        names;
      h)
 
-let of_naming ~name ~naming ~alphabet ~initial ~marked ~forbidden ~row ~tr =
+let of_naming ~name ~naming ~alphabet ~initial ~flags ~row ~tr =
   let who = "Automaton.of_csr" in
-  let n = Array.length marked in
-  if Array.length forbidden <> n then
-    invalid_arg
-      (Printf.sprintf "%s %s: marked/forbidden length mismatch (%d vs %d)" who
-         name n (Array.length forbidden));
+  let n = String.length flags in
   if initial < 0 || initial >= n then
     invalid_arg
       (Printf.sprintf "%s %s: initial %d out of range" who name initial);
@@ -289,6 +289,10 @@ let of_naming ~name ~naming ~alphabet ~initial ~marked ~forbidden ~row ~tr =
   then malformed ();
   for s = 0 to n - 1 do
     if row.(s + 1) < row.(s) then malformed ();
+    if Char.code flags.[s] land lnot (flag_marked lor flag_forbidden) <> 0 then
+      invalid_arg
+        (Printf.sprintf "%s %s: state %d: flag byte %d out of range" who name s
+           (Char.code flags.[s]));
     for k = row.(s) to row.(s + 1) - 1 do
       let w = tr.(k) in
       if tr_event w >= max_event_id then
@@ -337,8 +341,7 @@ let of_naming ~name ~naming ~alphabet ~initial ~marked ~forbidden ~row ~tr =
     row;
     tr;
     initial;
-    marked;
-    forbidden;
+    flags;
     digest = None;
   }
 
@@ -445,16 +448,15 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
         tr_word eid (Hashtbl.find delta (si, eid)))
       keys
   in
-  let marked_arr =
-    match marked with
-    | None -> Array.make n true
-    | Some l ->
-        let m = Array.make n false in
-        List.iter (fun s -> m.(Hashtbl.find index s) <- true) l;
-        m
+  let flags =
+    Bytes.make n (Char.chr (if marked = None then flag_marked else 0))
   in
-  let forbidden_arr = Array.make n false in
-  List.iter (fun s -> forbidden_arr.(Hashtbl.find index s) <- true) forbidden;
+  let set bit s =
+    let i = Hashtbl.find index s in
+    Bytes.set flags i (Char.chr (Char.code (Bytes.get flags i) lor bit))
+  in
+  Option.iter (List.iter (set flag_marked)) marked;
+  List.iter (set flag_forbidden) forbidden;
   {
     name;
     n;
@@ -466,14 +468,13 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
     row;
     tr;
     initial = initial_i;
-    marked = marked_arr;
-    forbidden = forbidden_arr;
+    flags = Bytes.unsafe_to_string flags;
     digest = None;
   }
 
 let accepts a w =
   let rec go i = function
-    | [] -> a.marked.(i)
+    | [] -> has a i flag_marked
     | e :: rest -> (
         match step_index a i (Event.id e) with
         | None -> false
@@ -490,80 +491,6 @@ let trace a w =
         | Some j -> go j rest)
   in
   go a.initial w
-
-(* --- surgery --------------------------------------------------------- *)
-
-let restrict_indices a keep =
-  if Array.length keep <> a.n then
-    invalid_arg
-      (Printf.sprintf
-         "Automaton %s: restrict_indices: %d flags for %d states" a.name
-         (Array.length keep) a.n);
-  if not keep.(a.initial) then None
-  else begin
-    (* A kept state survives when it is the initial state or an endpoint
-       of a kept transition (both ends kept). *)
-    let survive = Array.make a.n false in
-    survive.(a.initial) <- true;
-    let n_trans = ref 0 in
-    for s = 0 to a.n - 1 do
-      if keep.(s) then
-        for t = a.row.(s) to a.row.(s + 1) - 1 do
-          let d = tr_target a.tr.(t) in
-          if keep.(d) then begin
-            survive.(s) <- true;
-            survive.(d) <- true;
-            incr n_trans
-          end
-        done
-    done;
-    let m = Array.fold_left (fun m s -> if s then m + 1 else m) 0 survive in
-    (* Every state surviving means every state and transition is kept:
-       the restriction is [a] itself. *)
-    if m = a.n then Some a
-    else begin
-      let new_of_old = Array.make a.n (-1) in
-      let old_of_new = Array.make m 0 in
-      let j = ref 0 in
-      for i = 0 to a.n - 1 do
-        if survive.(i) then begin
-          new_of_old.(i) <- !j;
-          old_of_new.(!j) <- i;
-          incr j
-        end
-      done;
-      (* Surviving states are kept, and their kept transitions are a
-         subsequence of a sorted row: each new row is written in place. *)
-      let row = Array.make (m + 1) 0 in
-      let tr = Array.make !n_trans 0 in
-      let k = ref 0 in
-      for j = 0 to m - 1 do
-        let s = old_of_new.(j) in
-        for t = a.row.(s) to a.row.(s + 1) - 1 do
-          let w = a.tr.(t) in
-          let d = tr_target w in
-          if keep.(d) then begin
-            tr.(!k) <- tr_word (tr_event w) new_of_old.(d);
-            incr k
-          end
-        done;
-        row.(j + 1) <- !k
-      done;
-      (* A product keeps its parts and takes the surviving keys. *)
-      let naming =
-        match a.naming with
-        | Leaves parent -> Leaves (Array.map (Array.get parent) old_of_new)
-        | Prod p ->
-            Prod { p with keys = Array.map (Array.get p.keys) old_of_new }
-      in
-      Some
-        (of_naming ~name:a.name ~naming ~alphabet:a.alphabet
-           ~initial:new_of_old.(a.initial)
-           ~marked:(Array.map (fun old -> a.marked.(old)) old_of_new)
-           ~forbidden:(Array.map (fun old -> a.forbidden.(old)) old_of_new)
-           ~row ~tr)
-    end
-  end
 
 let rename a name = { a with name; digest = None }
 
@@ -732,8 +659,12 @@ let structural_digest a =
         md5_int h (rank_of by_id bits (tr_event w) 0 (sigma - 1));
         md5_int h (tr_target w)
       done;
-      Array.iter (fun m -> md5_char h (if m then '1' else '0')) a.marked;
-      Array.iter (fun m -> md5_char h (if m then '1' else '0')) a.forbidden;
+      for i = 0 to a.n - 1 do
+        md5_char h (if has a i flag_marked then '1' else '0')
+      done;
+      for i = 0 to a.n - 1 do
+        md5_char h (if has a i flag_forbidden then '1' else '0')
+      done;
       md5_flush h;
       let d = Digest.to_hex (md5_final h.ctx) in
       a.digest <- Some d;
@@ -759,8 +690,7 @@ let isomorphic a b =
   let ok = ref (bind a.initial b.initial) in
   while !ok && not (Queue.is_empty queue) do
     let i, j = Queue.pop queue in
-    if a.marked.(i) <> b.marked.(j) || a.forbidden.(i) <> b.forbidden.(j) then
-      ok := false
+    if a.flags.[i] <> b.flags.[j] then ok := false
     else
       Event.Set.iter
         (fun e ->

@@ -11,8 +11,8 @@
     {b Representation.}  The core is index-native: states are dense ints,
     the transition function is stored in CSR form — per-state rows of
     transition {e words}, one int each, sorted by {!Event.id} — and every
-    algorithm (composition, reachability, synthesis, verification) runs on
-    ints only.  A word is [(event id lsl 32) lor target]: the event id,
+    algorithm (composition, synthesis, verification) runs on ints
+    only.  A word is [(event id lsl 32) lor target]: the event id,
     below [2^30], in the high half and the target state index, below
     [2^32], in the low 32 bits.  So a word is a non-negative int, words
     order as their event ids do, and a transition costs one 8-byte array
@@ -79,22 +79,22 @@ val of_csr :
   names:names ->
   alphabet:Event.Set.t ->
   initial:int ->
-  marked:bool array ->
-  forbidden:bool array ->
+  flags:string ->
   row:int array ->
   tr:int array ->
   t
 (** {b Trusted constructor} for algorithm outputs ({!Synthesis}'
-    extraction, which {!Compose.pair} runs too, and {!restrict_indices}):
-    [of_csr ~name ~names ~alphabet ~initial ~marked ~forbidden ~row ~tr]
-    builds an automaton over states [0 .. Array.length marked - 1] from
+    extraction, which {!Compose.pair} runs too):
+    [of_csr ~name ~names ~alphabet ~initial ~flags ~row ~tr]
+    builds an automaton over states [0 .. String.length flags - 1] from
     rows already in CSR order: state [i]'s transitions are the words
     [tr.(row.(i)) .. tr.(row.(i + 1) - 1)], each
     [(event id lsl 32) lor target] (an {!Event.id} below [2^30] and a
     state index), strictly increasing by event id — so by word — within
-    the row.  Nothing is scattered or sorted, and the automaton takes
-    ownership of the four arrays: the caller must not mutate them
-    afterwards, nor the arrays in [names].
+    the row, and [flags.[i]] is its flag byte (see {!flags}).  Nothing
+    is scattered or sorted, and the automaton takes ownership of the
+    two arrays: the caller must not mutate them afterwards, nor the
+    arrays in [names].
     A {!Product}'s name table is built — once, memoized — when a
     name-based accessor is first used; {!structural_digest} writes the
     names without building it.  Name accessors are safe to call from
@@ -104,13 +104,13 @@ val of_csr :
     collection, only a linear scan that rejects ([Invalid_argument]) a
     malformed row table, an unsorted row, a repeated event id in a row
     (nondeterminism), a word whose event id is [2^30] or more (a
-    negative word among them), and a word whose target is not a state
-    index.  A target of [2^32] or more has no word at all: packed, it
+    negative word among them), a word whose target is not a state
+    index, and a flag byte with a bit other than the two {!flags}
+    names.  A target of [2^32] or more has no word at all: packed, it
     would spill into the event id.  The caller contract — outputs that
     are deterministic and consistently indexed {e by construction}:
     - every event id in [tr] belongs to [alphabet];
-    - [marked] and [forbidden] have equal length (the state count) and
-      [initial] is within it;
+    - [initial] is a state index;
     - [names] has one name or key per state ([Invalid_argument]
       otherwise), every key's digits are within the parts' state counts,
       and the names are {e distinct} (the escaping join guarantees it
@@ -187,8 +187,8 @@ val csr : t -> int array * int array
 (** [(row, tr)]: the transition structure itself, shared rather than
     copied — the arrays {!of_csr} takes.  Row [i] is the words
     [tr.(row.(i)) .. tr.(row.(i + 1) - 1)], sorted by event id.  For
-    index-native walks that cannot afford a closure per row ({!Reach},
-    {!Verify}, {!Synthesis}); the arrays must not be mutated. *)
+    index-native walks that cannot afford a closure per row ({!Verify},
+    {!Synthesis}); the arrays must not be mutated. *)
 
 val tr_word : int -> int -> int
 (** [tr_word eid target] is the word of a transition on the event with
@@ -200,25 +200,19 @@ val tr_event : int -> int
 val tr_target : int -> int
 (** The target state index of a transition word: [w land 0xffff_ffff]. *)
 
-val is_marked_index : t -> int -> bool
-val is_forbidden_index : t -> int -> bool
+val flags : t -> string
+(** One flag byte per state, shared rather than copied like {!csr}:
+    bit 0 (value 1) is set when the state is marked, bit 1 (value 2)
+    when it is forbidden, and no other bit is.  These are the bits of
+    the synthesis engine's own flags word, so the engine reads a
+    component's flags in place. *)
 
 val event_of_id : t -> int -> Event.t
 (** Decode an event id through this automaton's alphabet table ([O(1)],
     no global lock).  Raises [Invalid_argument] for ids outside the
     alphabet. *)
 
-(** {1 Surgery} *)
-
-val restrict_indices : t -> bool array -> t option
-(** [restrict_indices a keep] is the sub-automaton induced by the states
-    flagged in [keep] (transitions with both endpoints kept; a kept state
-    survives when it is the initial state or an endpoint of a kept
-    transition).  [None] when the initial state is not kept.  The
-    alphabet is preserved; surviving states keep their names — a
-    restricted product keeps its parts and the surviving keys, so
-    restricting an {!of_csr} product does not materialize names.
-    Raises [Invalid_argument] when [keep] has the wrong length. *)
+(** {1 Renaming} *)
 
 val rename : t -> string -> t
 (** Same automaton under a new name. *)

@@ -18,9 +18,11 @@ type error = Empty_supervisor
 (* ===================================================================== *)
 (* The product engine, in three phases: [explore] walks the reachable   *)
 (* product, [fixpoint] prunes it to the supremal controllable and       *)
-(* non-blocking region, and [extract] writes the kept states out as an  *)
-(* automaton.  Synthesis runs all three; {!Compose.pair} is [explore]   *)
-(* on two components and [extract] with nothing pruned.                  *)
+(* non-blocking region and ends with a forward walk that keeps the      *)
+(* region's states reachable from the initial one, and [extract] writes *)
+(* the kept states out as an automaton.  Synthesis runs all three;      *)
+(* {!Compose.pair} is [explore] on two components and [extract] with    *)
+(* nothing pruned.                                                       *)
 (*                                                                       *)
 (* The product is taken over an array of components (k plant components *)
 (* and the spec, composed on the fly, so a 3^k unconstrained plant is    *)
@@ -43,7 +45,8 @@ type error = Empty_supervisor
 (* transitions are appended to and never copied, so none grows by        *)
 (* doubling; the uncontrollable and good-region predecessor CSRs and     *)
 (* the product-to-result index map are allocated once at their counted  *)
-(* size.  Only the state table keeps 63-bit keys.  A transition is one   *)
+(* size, and every per-state mask is one byte.  Only the state table    *)
+(* keeps 63-bit keys.  A transition is one                               *)
 (* word, [(target lsl ebits) lor event index], the index being the       *)
 (* event's rank in the product alphabet sorted by id; a product whose    *)
 (* words do not fit is refused.  Each phase's own buffers are dropped    *)
@@ -52,14 +55,16 @@ type error = Empty_supervisor
 
 (* Product state flags, set where the state's key is decoded.  A
    state's flags share one word with its row end: [(end lsl fbits) lor
-   flags]. *)
+   flags].  [f_marked] and [f_forbidden] are the bits of
+   {!Automaton.flags}, so a component's flag bytes are read as they are
+   and a result's are written from the word. *)
 let f_marked = 1
 let f_forbidden = 2
 let f_escape = 4
 let fbits = 3
 let fmask = (1 lsl fbits) - 1
 
-(* One component: its states' f_marked and f_forbidden bits, its CSR
+(* One component: its flag bytes ({!Automaton.flags}), its CSR
    rows of {!Automaton.csr} words cut down to the events it handles (it
    is their first owner), and its step table — [cn × w] destinations
    (-1 where δ is undefined), row-major by state, columns by the event's
@@ -67,7 +72,7 @@ let fmask = (1 lsl fbits) - 1
    event's other owner, and consulted for that event. *)
 type comp = {
   cn : int;
-  cfl : int array;
+  cfl : string;
   crow : int array;
   ctr : int array;
   tab : int array;
@@ -172,11 +177,7 @@ let explore ~context comps =
         let cn = Automaton.num_states a in
         let crow, ctr = Automaton.csr a in
         let w = Event.Set.cardinal (Automaton.alphabet a) in
-        let cfl =
-          Array.init cn (fun i ->
-              (if Automaton.is_marked_index a i then f_marked else 0)
-              lor if Automaton.is_forbidden_index a i then f_forbidden else 0)
-        in
+        let cfl = Automaton.flags a in
         if not shared.(c) then { cn; cfl; crow; ctr; tab = [||]; w }
         else begin
           let rank = Array.make ne 0 and r = ref 0 in
@@ -261,8 +262,9 @@ let explore ~context comps =
         end
       in
       idx.(c) <- i_c;
-      all := !all land cc.cfl.(i_c);
-      any := !any lor cc.cfl.(i_c)
+      let f = Char.code cc.cfl.[i_c] in
+      all := !all land f;
+      any := !any lor f
     done;
     let fl = ref (!all lor (!any land f_forbidden)) in
     for c = 0 to nc - 1 do
@@ -467,32 +469,65 @@ let fixpoint p =
       iterations = !iterations;
     } )
 
+(* The supervisor's states: those of the good region, [good] with state
+   0 in it, that one forward walk from state 0 over good-to-good
+   transitions reaches.  A good state it misses is reached only through
+   removed ones. *)
+let accessible p good =
+  let n = Inttbl.length p.tbl in
+  let ebits = p.ebits in
+  let ft = p.tr.chunks and rf = p.rowfl.chunks in
+  let reach = Bytes.make n '\000' and stack = Wordvec.create () in
+  Bytes.set reach 0 '\001';
+  Wordvec.push stack 0;
+  while stack.len > 0 do
+    let s = Wordvec.pop stack in
+    for k = row_start rf s to row_end rf s - 1 do
+      let d = cget ft k lsr ebits in
+      if mem good d && not (mem reach d) then begin
+        Bytes.set reach d '\001';
+        Wordvec.push stack d
+      end
+    done
+  done;
+  reach
+
 (* ---------- extract ------------------------------------------------- *)
-(* The [m] states of [good], in product order, as an automaton named
-   [name]; [m] = the product's size keeps every state and reads no
-   [good].  Rows are written in that order as {!Automaton.tr_word}s,
-   each row insertion-sorted by word as it is written (a product row is
-   one sorted run per component, and a row's words order as their
-   distinct event ids do), and each state takes its marked and
-   forbidden bits from its flags. *)
-let extract p ~name ~good ~m =
+(* The states of [keep], in product order, as an automaton named
+   [name]; an empty [keep] keeps every state.  Rows are written in that
+   order as {!Automaton.tr_word}s, each row insertion-sorted by word as
+   it is written (a product row is one sorted run per component, and a
+   row's words order as their distinct event ids do), and each state
+   takes its flag byte from its flags. *)
+let extract p ~name ~keep =
   let n = Inttbl.length p.tbl in
   let ebits = p.ebits in
   let emask = (1 lsl ebits) - 1 in
   let ft = p.tr.chunks and rf = p.rowfl.chunks in
-  (* [so] maps a good product index to its index in the result; with
-     nothing pruned it is the identity and is not built. *)
+  let m =
+    if Bytes.length keep = 0 then n
+    else begin
+      let m = ref 0 in
+      for s = 0 to n - 1 do
+        if mem keep s then incr m
+      done;
+      !m
+    end
+  in
+  (* [so] maps a kept product index to its index in the result; with
+     nothing pruned it is the identity and is not built, and [keep] is
+     not read. *)
   let pruned = m < n in
   let so = if pruned then (Wordvec.make n).chunks else [||] in
   let t = ref (if pruned then 0 else p.tr.len) in
   if pruned then begin
     let j = ref 0 in
     for s = 0 to n - 1 do
-      if mem good s then begin
+      if mem keep s then begin
         cset so s !j;
         incr j;
         for k = row_start rf s to row_end rf s - 1 do
-          if mem good (cget ft k lsr ebits) then incr t
+          if mem keep (cget ft k lsr ebits) then incr t
         done
       end
     done
@@ -500,15 +535,15 @@ let extract p ~name ~good ~m =
   let row = Array.make (m + 1) 0 in
   let tr = Array.make !t 0 in
   let keys = Array.make m 0 in
-  let marked = Array.make m false and forbidden = Array.make m false in
+  let fb = Bytes.create m in
   let q = ref 0 and x = ref 0 in
   for s = 0 to n - 1 do
-    if (not pruned) || mem good s then begin
+    if (not pruned) || mem keep s then begin
       let start = !q in
       for k = row_start rf s to row_end rf s - 1 do
         let w = cget ft k in
         let d = w lsr ebits in
-        if (not pruned) || mem good d then begin
+        if (not pruned) || mem keep d then begin
           let word =
             Automaton.tr_word p.ids.(w land emask)
               (if pruned then cget so d else d)
@@ -522,32 +557,25 @@ let extract p ~name ~good ~m =
           incr q
         end
       done;
-      let f = flags rf s in
       keys.(!x) <- Inttbl.key p.tbl s;
-      marked.(!x) <- f land f_marked <> 0;
-      forbidden.(!x) <- f land f_forbidden <> 0;
+      Bytes.set fb !x (Char.chr (flags rf s land (f_marked lor f_forbidden)));
       incr x;
       row.(!x) <- !q
     end
   done;
   Automaton.of_csr ~name
     ~names:(Product (p.comps, keys))
-    ~alphabet:p.alphabet ~initial:0 ~marked ~forbidden ~row ~tr
+    ~alphabet:p.alphabet ~initial:0 ~flags:(Bytes.unsafe_to_string fb) ~row
+    ~tr
 
 let product ~context ~name comps =
-  let p = explore ~context comps in
-  extract p ~name ~good:Bytes.empty ~m:(Inttbl.length p.tbl)
+  extract (explore ~context comps) ~name ~keep:Bytes.empty
 
 let synthesize ~comps ~sup_name ~context =
   let p = explore ~context comps in
   let good, st = fixpoint p in
   if not (mem good 0) then Error Empty_supervisor
-  else
-    let m =
-      st.product_states - st.removed_forbidden - st.removed_uncontrollable
-      - st.removed_blocking
-    in
-    Ok (Reach.accessible (extract p ~name:sup_name ~good ~m), st)
+  else Ok (extract p ~name:sup_name ~keep:(accessible p good), st)
 
 let supcon ~plant ~spec =
   synthesize

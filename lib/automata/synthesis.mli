@@ -38,13 +38,16 @@ val supcon :
     are named ["qG.qE"] as in Fig. 12d.  The returned automaton is both
     the supervisor realization and the closed-loop behaviour (standard
     for state-feedback RW supervisors); it is guaranteed controllable
-    w.r.t. [plant], non-blocking and trim — properties re-checked by
-    {!Verify.controllable} and {!Verify.nonblocking} in the test-suite.
+    w.r.t. [plant], non-blocking and trim.  [Spectr_exec.Synth_cache]
+    re-checks both with {!Verify.controllable} and {!Verify.nonblocking}
+    on every cache miss, before the supervisor is stored, so every
+    supervisor a manager runs has passed them.
 
     One sequential engine, on the calling domain, serves this,
     {!supcon_modular} and {!product} (hence {!Compose.pair}), in three
     phases: it explores the reachable product, runs the fixpoint over
-    it, and extracts the kept states.  Product states are numbered in
+    it and walks the good region forward from the initial state, and
+    extracts the states that walk reaches, in product order.  Product states are numbered in
     BFS discovery order (each component's row in event-id order, an
     event handled by its lowest-indexed owner), and each fixpoint pass
     computes a unique complete fixpoint, so the result — supervisor

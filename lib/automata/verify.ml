@@ -1,15 +1,87 @@
 type blocking_witness = { state : string }
 
+(* The walks read and write [Wordvec] words in place, through helpers
+   inlined by attribute as {!Synthesis}'s are: across modules, under
+   [-opaque], each access would be a call.  Every index is under its
+   vector's counted length. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] cget (ch : Bytes.t array) i =
+  Int32.to_int (get32 ch.(i lsr 15) ((i land 0x7fff) lsl 2)) land 0xffff_ffff
+
+let[@inline] cset (ch : Bytes.t array) i x =
+  set32 ch.(i lsr 15) ((i land 0x7fff) lsl 2) (Int32.of_int x)
+
+let[@inline] target w = w land 0xffff_ffff
+let[@inline] mem mask s = Bytes.get mask s <> '\000'
+
+(* Flag [s] in [mask] and push it on [stack], whose height is [top]. *)
+let[@inline] push stack top mask s =
+  Bytes.set mask s '\001';
+  cset stack !top s;
+  incr top
+
+(* Two depth-first walks over one stack of [n] words, each state pushed
+   at most once and flagged in a byte mask: forward from the initial
+   state over {!Automaton.csr}, then backward from the marked states
+   over a predecessor CSR, counted in one pass over the transitions and
+   filled in a second.  The witness is the lowest-indexed state the
+   first walk reaches and the second does not. *)
 let nonblocking a =
-  let acc = Reach.accessible_indices a in
-  let coacc = Reach.coaccessible_indices a in
-  let witness = ref None in
-  Array.iteri
-    (fun i reachable ->
-      if reachable && (not coacc.(i)) && !witness = None then
-        witness := Some { state = Automaton.state_of_index a i })
-    acc;
-  match !witness with None -> Ok () | Some w -> Error w
+  let n = Automaton.num_states a in
+  let row, tr = Automaton.csr a in
+  let fl = Automaton.flags a in
+  let stack = (Wordvec.make n).chunks in
+  let top = ref 0 in
+  let acc = Bytes.make n '\000' in
+  push stack top acc (Automaton.initial_index a);
+  while !top > 0 do
+    decr top;
+    let s = cget stack !top in
+    for k = row.(s) to row.(s + 1) - 1 do
+      let d = target tr.(k) in
+      if not (mem acc d) then push stack top acc d
+    done
+  done;
+  (* [pr.(d)] first counts [d]'s predecessors, then holds its row's end,
+     and is decremented down to its row's start as [src] is filled. *)
+  let pr = (Wordvec.make (n + 1)).chunks in
+  let nt = Array.length tr in
+  for k = 0 to nt - 1 do
+    let d = target tr.(k) in
+    cset pr d (cget pr d + 1)
+  done;
+  for j = 1 to n do
+    cset pr j (cget pr j + cget pr (j - 1))
+  done;
+  let src = (Wordvec.make nt).chunks in
+  for s = 0 to n - 1 do
+    for k = row.(s) to row.(s + 1) - 1 do
+      let d = target tr.(k) in
+      let o = cget pr d - 1 in
+      cset pr d o;
+      cset src o s
+    done
+  done;
+  let coacc = Bytes.make n '\000' in
+  for s = 0 to n - 1 do
+    (* Bit 0 of a flag byte: marked. *)
+    if Char.code fl.[s] land 1 <> 0 then push stack top coacc s
+  done;
+  while !top > 0 do
+    decr top;
+    let d = cget stack !top in
+    for k = cget pr d to cget pr (d + 1) - 1 do
+      let s = cget src k in
+      if not (mem coacc s) then push stack top coacc s
+    done
+  done;
+  let i = ref 0 in
+  while !i < n && ((not (mem acc !i)) || mem coacc !i) do
+    incr i
+  done;
+  if !i = n then Ok () else Error { state = Automaton.state_of_index a !i }
 
 let is_nonblocking a = Result.is_ok (nonblocking a)
 

@@ -1,9 +1,13 @@
 (** Property checks of §4.3.4: non-blocking and controllability.
 
     These are the two checks the Supremica tool runs on a synthesized
-    supervisor before it is allowed onto the platform; {!Synthesis.supcon}
-    produces supervisors for which both hold by construction, and the
-    test-suite re-verifies that. *)
+    supervisor before it is allowed onto the platform.
+    {!Synthesis.supcon} produces supervisors for which both hold by
+    construction, and [Spectr_exec.Synth_cache] runs both on every
+    cache miss before it stores the supervisor, so [Supervisor.synthesize]
+    and every manager get verified supervisors.  Both walk the automaton
+    on state indices, apart from the synthesis engine: they share no
+    code with what they check. *)
 
 type blocking_witness = {
   state : string;  (** An accessible state that cannot reach a marked state. *)

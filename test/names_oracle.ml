@@ -55,12 +55,13 @@ let image a =
       int (Hashtbl.find rank (Automaton.tr_event w));
       int (Automaton.tr_target w))
     tr;
-  for i = 0 to n - 1 do
-    Buffer.add_char b (if Automaton.is_marked_index a i then '1' else '0')
-  done;
-  for i = 0 to n - 1 do
-    Buffer.add_char b (if Automaton.is_forbidden_index a i then '1' else '0')
-  done;
+  let fl = Automaton.flags a in
+  List.iter
+    (fun bit ->
+      String.iter
+        (fun f -> Buffer.add_char b (if Char.code f land bit <> 0 then '1' else '0'))
+        fl)
+    [ 1; 2 ];
   Buffer.contents b
 
 let digest a = Digest.to_hex (Digest.string (image a))

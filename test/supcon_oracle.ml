@@ -1,7 +1,8 @@
 (* Reference supervisor synthesis for the differential tests: the
    original sequential engine (plant × spec product built by one BFS,
-   then the uncontrollable and blocking passes iterated to a fixpoint),
-   kept here in compact form.  It shares no code with [Synthesis.supcon]
+   then the uncontrollable and blocking passes iterated to a fixpoint,
+   then the good states reachable from the initial one), kept here in
+   compact form.  It shares no code with [Synthesis.supcon]
    above the CSR constructor, so pinning the library engine to it
    compares two independent implementations.
 
@@ -12,7 +13,14 @@
 
 open Spectr_automata
 
-let supcon ~plant ~spec =
+(* Bit [bit] of state [i]'s flag byte: 1 is marked, 2 forbidden. *)
+let flag a bit i = Char.code (Automaton.flags a).[i] land bit <> 0
+
+(* The supervisor, and how many good states it leaves out that have a
+   transition inside the good region: states reached only through
+   removed ones, which the final walk drops.  The differential tests
+   count these to show the walk is exercised. *)
+let supcon_stranded ~plant ~spec =
   let sigma_g = Automaton.alphabet plant and sigma_e = Automaton.alphabet spec in
   let alphabet =
     Event.merge_alphabets
@@ -72,17 +80,10 @@ let supcon ~plant ~spec =
   let pred = adj (Array.to_list (Array.map (fun (s, _, d) -> (d, s)) trans)) in
   let unc_succ = adj !unc in
   let unc_pred = adj (List.map (fun (s, d) -> (d, s)) !unc) in
-  let marked =
-    Array.init n (fun i ->
-        Automaton.is_marked_index plant pg.(i)
-        && Automaton.is_marked_index spec pe.(i))
-  in
+  let marked = Array.init n (fun i -> flag plant 1 pg.(i) && flag spec 1 pe.(i)) in
   (* --- fixpoint -------------------------------------------------- *)
   let good =
-    Array.init n (fun i ->
-        not
-          (Automaton.is_forbidden_index plant pg.(i)
-          || Automaton.is_forbidden_index spec pe.(i)))
+    Array.init n (fun i -> not (flag plant 2 pg.(i) || flag spec 2 pe.(i)))
   in
   let removed_forbidden =
     Array.fold_left (fun c g -> if g then c else c + 1) 0 good
@@ -140,11 +141,31 @@ let supcon ~plant ~spec =
       iterations;
     }
   in
-  if not good.(0) then Error Synthesis.Empty_supervisor
+  if not good.(0) then (Error Synthesis.Empty_supervisor, 0)
   else begin
+    (* The supervisor: the good states reachable from the initial one
+       over good-to-good transitions. *)
+    let succ =
+      adj
+        (List.filter_map
+           (fun (s, _, d) -> if good.(s) && good.(d) then Some (s, d) else None)
+           (Array.to_list trans))
+    in
+    let keep = Array.make n false in
+    let rec visit i =
+      if not keep.(i) then begin
+        keep.(i) <- true;
+        List.iter visit succ.(i)
+      end
+    in
+    visit 0;
+    let stranded = ref 0 in
+    Array.iteri
+      (fun i l -> if good.(i) && (not keep.(i)) && l <> [] then incr stranded)
+      succ;
     let new_of_old = Array.make n (-1) and old_of_new = ref [] and m = ref 0 in
     for i = 0 to n - 1 do
-      if good.(i) then begin
+      if keep.(i) then begin
         new_of_old.(i) <- !m;
         old_of_new := i :: !old_of_new;
         incr m
@@ -154,7 +175,7 @@ let supcon ~plant ~spec =
     (* CSR rows: the kept transitions renumbered, sorted by (source,
        event id), with each source's row offset counted. *)
     let kept =
-      List.filter (fun (s, _, d) -> good.(s) && good.(d)) (Array.to_list trans)
+      List.filter (fun (s, _, d) -> keep.(s) && keep.(d)) (Array.to_list trans)
       |> List.map (fun (s, e, d) -> (new_of_old.(s), e, new_of_old.(d)))
       |> List.sort compare |> Array.of_list
     in
@@ -178,9 +199,13 @@ let supcon ~plant ~spec =
       Automaton.of_csr
         ~name:("sup(" ^ Automaton.name plant ^ "," ^ Automaton.name spec ^ ")")
         ~names ~alphabet ~initial:0
-        ~marked:(Array.map (fun old -> marked.(old)) old_of_new)
-        ~forbidden:(Array.make !m false) ~row
+        ~flags:
+          (String.init !m (fun j ->
+               if marked.(old_of_new.(j)) then '\001' else '\000'))
+        ~row
         ~tr:(Array.map (fun (_, e, d) -> Automaton.tr_word e d) kept)
     in
-    Ok (Reach.accessible sup, stats)
+    (Ok (sup, stats), !stranded)
   end
+
+let supcon ~plant ~spec = fst (supcon_stranded ~plant ~spec)

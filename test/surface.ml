@@ -14,7 +14,7 @@
    tests reach.  It exits 1 when that list is non-empty too.
 
    It also prints the exported-value count, how many exports are named
-   outside their module only under [test], the [?label:]
+   outside their module only under [test] (and lists them), the [?label:]
    optional-argument count of the [.mli] files under LIB_DIR, the line
    count of the [.ml]/[.mli] and C stub ([.c]) files outside [test] and
    the line count of the [.ml] files inside it, so every change can
@@ -184,7 +184,7 @@ let () =
   let is_lib_mli p =
     String.starts_with ~prefix:lib_prefix p && Filename.check_suffix p ".mli"
   in
-  let exports = ref 0 and test_only = ref 0 and optional = ref 0 in
+  let exports = ref 0 and test_only = ref [] and optional = ref 0 in
   let lines = ref 0 and test_lines = ref 0 and unreferenced = ref [] in
   List.iter
     (fun p -> if not (in_test p) then lines := !lines + count_lines (read_file p))
@@ -204,13 +204,14 @@ let () =
                   (fun (m', _) -> m' <> m)
                   (Option.value ~default:[] (Hashtbl.find_opt users name))
               in
-              if others = [] then
-                unreferenced :=
-                  Printf.sprintf "%s.%s"
-                    (String.capitalize_ascii (Filename.basename m))
-                    name
-                  :: !unreferenced
-              else if List.for_all snd others then incr test_only;
+              let qualified =
+                Printf.sprintf "%s.%s"
+                  (String.capitalize_ascii (Filename.basename m))
+                  name
+              in
+              if others = [] then unreferenced := qualified :: !unreferenced
+              else if List.for_all snd others then
+                test_only := qualified :: !test_only;
               scan rest
           | _ :: rest -> scan rest
           | [] -> ()
@@ -219,7 +220,8 @@ let () =
       end)
     stripped;
   Printf.printf "exported values:          %d\n" !exports;
-  Printf.printf "named only in tests:      %d\n" !test_only;
+  Printf.printf "named only in tests:      %d\n" (List.length !test_only);
+  List.iter (Printf.printf "  %s\n") (List.rev !test_only);
   Printf.printf "optional ?label: args:    %d\n" !optional;
   Printf.printf "non-test .ml/.mli/.c lines: %d\n" !lines;
   Printf.printf "test .ml lines:           %d\n" !test_lines;

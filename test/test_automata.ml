@@ -1,5 +1,5 @@
 (* Tests for the supervisory-control substrate: Event, Automaton, Compose,
-   Reach, Verify, Synthesis, Dot.
+   Verify, Synthesis, Dot.
 
    The running example is the classic "small factory": two machines and a
    one-slot buffer.  Machine i: Idle -start_i-> Working -finish_i!-> Idle,
@@ -203,21 +203,6 @@ let test_automaton_forbidden () =
 let test_isomorphic_negative () =
   check_bool "different automata" false (Automaton.isomorphic m1 m2)
 
-(* The sub-automaton induced by the states a name predicate keeps. *)
-let restrict_by_name a keep =
-  Automaton.restrict_indices a (Array.of_list (List.map keep (Automaton.states a)))
-
-let test_restrict_states () =
-  match restrict_by_name m1 (fun s -> s = "Idle") with
-  | None -> Alcotest.fail "initial kept"
-  | Some a ->
-      check_int "one state" 1 (Automaton.num_states a);
-      check_int "no transitions" 0 (Automaton.num_transitions a)
-
-let test_restrict_drop_initial () =
-  check_bool "dropping initial gives None" true
-    (restrict_by_name m1 (fun s -> s <> "Idle") = None)
-
 (* ------------------------------------------------------------------ *)
 (* Composition                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -292,51 +277,6 @@ let test_compose_nested_naming () =
   (* Dot-free components keep their plain dotted join. *)
   check_string "plain join unchanged" "p0.q0" (Automaton.initial c);
   check_string "escaping join" "a\\.b.c" (Names_oracle.join [ "a.b"; "c" ])
-
-(* ------------------------------------------------------------------ *)
-(* Reachability                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let unreachable_automaton =
-  Automaton.create ~marked:[ "A"; "Orphan" ] ~name:"unreach" ~initial:"A"
-    ~transitions:
-      [
-        ("A", Event.controllable "go", "B");
-        ("Orphan", Event.controllable "go", "A");
-        ("B", Event.controllable "back", "A");
-        ("B", Event.uncontrollable "die", "Dead");
-      ]
-    ()
-
-let test_accessible () =
-  let a = Reach.accessible unreachable_automaton in
-  check_bool "orphan removed" false (Automaton.mem_state a "Orphan");
-  check_int "3 states" 3 (Automaton.num_states a)
-
-let test_coaccessible () =
-  let a = unreachable_automaton in
-  let co = Reach.coaccessible_indices a in
-  let flag s = co.(Automaton.index_of_state a s) in
-  (* Dead cannot reach a marked state; Orphan is marked itself. *)
-  check_bool "dead not coaccessible" false (flag "Dead");
-  check_bool "orphan coaccessible" true (flag "Orphan");
-  check_bool "initial coaccessible" true (flag "A");
-  check_bool "B reaches A" true (flag "B")
-
-let test_trim () =
-  check_bool "unreachable and blocking states: not trim" false
-    (Reach.is_trim unreachable_automaton);
-  let a = unreachable_automaton in
-  let acc = Reach.accessible_indices a and co = Reach.coaccessible_indices a in
-  match
-    Automaton.restrict_indices a
-      (Array.init (Automaton.num_states a) (fun i -> acc.(i) && co.(i)))
-  with
-  | None -> Alcotest.fail "trim nonempty"
-  | Some t ->
-      check_bool "dead removed" false (Automaton.mem_state t "Dead");
-      check_bool "orphan removed" false (Automaton.mem_state t "Orphan");
-      check_bool "is_trim" true (Reach.is_trim t)
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
@@ -534,6 +474,18 @@ let gen_plant_spec =
   let* spec = gen_auto "E" 3 6 ~with_forbidden:true in
   return (plant, spec)
 
+(* Every state of [a] is reachable from its initial state. *)
+let all_accessible a =
+  let seen = Array.make (Automaton.num_states a) false in
+  let rec visit i =
+    if not seen.(i) then begin
+      seen.(i) <- true;
+      Automaton.iter_row a i (fun _ d -> visit d)
+    end
+  in
+  visit (Automaton.initial_index a);
+  Array.for_all Fun.id seen
+
 let prop_supcon_sound =
   QCheck2.Test.make ~name:"supcon is controllable+nonblocking+trim" ~count:300
     gen_plant_spec (fun (plant, spec) ->
@@ -542,7 +494,7 @@ let prop_supcon_sound =
       | Ok (sup, _) ->
           Verify.is_nonblocking sup
           && Verify.is_controllable ~plant ~supervisor:sup
-          && Reach.is_trim sup
+          && all_accessible sup
           &&
           (* never contains a forbidden state *)
           List.for_all
@@ -785,60 +737,10 @@ let test_indexed_compose_matches_reference () =
     List.iteri
       (fun i (q, marked, forbidden) ->
         if
-          Automaton.is_marked_index fast i <> marked
-          || Automaton.is_forbidden_index fast i <> forbidden
+          Char.code (Automaton.flags fast).[i]
+          <> Bool.to_int marked lor (2 * Bool.to_int forbidden)
         then Alcotest.failf "seed %d: flags of %d (%s) differ" seed i q)
       order
-  done
-
-(* String-native reference restriction with the documented survive rule:
-   a kept state survives when it is the initial state or an endpoint of a
-   kept transition. *)
-let ref_restrict a keep =
-  if not (keep (Automaton.initial a)) then None
-  else
-    let trans =
-      List.filter
-        (fun { Automaton.src; dst; _ } -> keep src && keep dst)
-        (Automaton.transitions a)
-    in
-    let survivors =
-      Automaton.initial a
-      :: List.concat_map (fun { Automaton.src; dst; _ } -> [ src; dst ]) trans
-    in
-    let survives s = List.mem s survivors in
-    Some
-      (Automaton.create
-         ~marked:(List.filter survives (Automaton.marked a))
-         ~forbidden:(List.filter survives (Automaton.forbidden a))
-         ~alphabet:(Event.Set.elements (Automaton.alphabet a))
-         ~name:(Automaton.name a) ~initial:(Automaton.initial a)
-         ~transitions:
-           (List.map
-              (fun { Automaton.src; event; dst } -> (src, event, dst))
-              trans)
-         ())
-
-let test_restrict_indices_matches_reference () =
-  for seed = 0 to 59 do
-    let a = random_automaton ~seed ~name:"RR" () in
-    let n = Automaton.num_states a in
-    let keep = Array.init n (fun i -> ((i * 7) + seed) mod 3 <> 0) in
-    let by_index = Automaton.restrict_indices a keep in
-    let by_name =
-      ref_restrict a (fun s -> keep.(Automaton.index_of_state a s))
-    in
-    match (by_index, by_name) with
-    | None, None -> ()
-    | Some x, Some y ->
-        if not (Automaton.isomorphic x y) then
-          Alcotest.failf "seed %d: restriction differs from reference" seed;
-        if
-          List.sort String.compare (Automaton.states x)
-          <> List.sort String.compare (Automaton.states y)
-        then Alcotest.failf "seed %d: restricted state names differ" seed
-    | Some _, None | None, Some _ ->
-        Alcotest.failf "seed %d: restriction None-ness differs" seed
   done
 
 (* Reference CSR row builder: the tuple-sort construction — bucket the
@@ -923,7 +825,7 @@ let test_csr_matches_reference () =
       Automaton.of_csr ~name:"CSR"
         ~names:(Names (Array.of_list (Automaton.states built)))
         ~alphabet:(Automaton.alphabet built) ~initial:0
-        ~marked:(Array.make m true) ~forbidden:(Array.make m false) ~row ~tr
+        ~flags:(String.make m '\001') ~row ~tr
     in
     let row, tr = Automaton.csr built in
     if
@@ -969,7 +871,8 @@ let test_csr_matches_reference () =
    (state, event) of the alphabet, -1 where δ has none.  [of_csr] takes
    the words back unchanged and rejects an event id of 2^30 or more and
    a target past the state count, up to 2^32 - 1, the largest a word can
-   hold (a target of 2^32 has no word: it would spill into the id).
+   hold (a target of 2^32 has no word: it would spill into the id),
+   and a flag byte with a bit other than marked and forbidden.
    The unsorted and repeated-id rows are the CSR builder test's. *)
 let test_packed_rows_match_delta () =
   for seed = 0 to 49 do
@@ -1019,18 +922,22 @@ let test_packed_rows_match_delta () =
               (Event.name e))
         (Automaton.alphabet a)
     done;
-    let of_csr tr =
+    let of_csr ?(flags = Automaton.flags a) tr =
       Automaton.of_csr ~name:"PK"
         ~names:(Names (Array.of_list (Automaton.states a)))
         ~alphabet:(Automaton.alphabet a)
         ~initial:(Automaton.initial_index a)
-        ~marked:(Array.init n (Automaton.is_marked_index a))
-        ~forbidden:(Array.init n (Automaton.is_forbidden_index a))
-        ~row ~tr
+        ~flags ~row ~tr
     in
     check_string "of_csr takes the words back"
       (Automaton.structural_digest a)
       (Automaton.structural_digest (of_csr (Array.copy tr)));
+    let stray = Bytes.of_string (Automaton.flags a) in
+    Bytes.set stray (seed mod n) '\004';
+    check_bool "flag byte with a third bit rejected" true
+      (match of_csr ~flags:(Bytes.to_string stray) tr with
+      | _ -> false
+      | exception Invalid_argument _ -> true);
     if Array.length tr > 0 then begin
       let k = seed mod Array.length tr in
       let e = Automaton.tr_event tr.(k) and d = Automaton.tr_target tr.(k) in
@@ -1048,77 +955,6 @@ let test_packed_rows_match_delta () =
       check_bool "target 2^32 - 1 rejected" true (rejects e ((1 lsl 32) - 1))
     end
   done
-
-(* The old index restriction, which always copied: the reference for
-   restrict_indices' results, digest for digest. *)
-let ref_restrict_indices a keep =
-  let n = Automaton.num_states a in
-  let init = Automaton.initial_index a in
-  if not keep.(init) then None
-  else begin
-    let survive = Array.make n false in
-    survive.(init) <- true;
-    let trans = ref [] in
-    for s = 0 to n - 1 do
-      if keep.(s) then
-        Automaton.iter_row a s (fun e d ->
-            if keep.(d) then begin
-              survive.(s) <- true;
-              survive.(d) <- true;
-              trans := (s, e, d) :: !trans
-            end)
-    done;
-    let new_of_old = Array.make n (-1) and m = ref 0 in
-    Array.iteri
-      (fun i sv ->
-        if sv then begin
-          new_of_old.(i) <- !m;
-          incr m
-        end)
-      survive;
-    let old_of_new = Array.make !m 0 in
-    Array.iteri (fun i j -> if j >= 0 then old_of_new.(j) <- i) new_of_old;
-    let row, tr =
-      csr_of_triples !m
-        (List.map (fun (s, e, d) -> (new_of_old.(s), e, new_of_old.(d))) !trans)
-    in
-    Some
-      (Automaton.of_csr ~name:(Automaton.name a)
-         ~names:(Names (Array.map (Automaton.state_of_index a) old_of_new))
-         ~alphabet:(Automaton.alphabet a) ~initial:new_of_old.(init)
-         ~marked:(Array.map (Automaton.is_marked_index a) old_of_new)
-         ~forbidden:(Array.map (Automaton.is_forbidden_index a) old_of_new)
-         ~row ~tr)
-  end
-
-let test_restrict_identity () =
-  let go = Event.controllable "rid_go" and back = Event.uncontrollable "rid_back" in
-  let a =
-    Automaton.create ~marked:[ "A" ] ~name:"RID" ~initial:"A"
-      ~transitions:[ ("A", go, "B"); ("B", go, "C"); ("C", back, "A") ]
-      ()
-  in
-  check_bool "fully accessible: accessible is the automaton itself" true
-    (Reach.accessible a == a);
-  check_bool "keep-all restriction is the automaton itself" true
-    (match Automaton.restrict_indices a (Array.make 3 true) with
-    | Some b -> b == a
-    | None -> false);
-  let b =
-    Automaton.create ~marked:[ "A" ] ~name:"RID2" ~initial:"A"
-      ~transitions:
-        [ ("A", go, "B"); ("B", back, "A"); ("Lost", go, "A"); ("Lost", back, "B") ]
-      ()
-  in
-  let acc = Reach.accessible b in
-  check_bool "an unreachable state forces a copy" true (acc != b);
-  check_int "the unreachable state is dropped" 2 (Automaton.num_states acc);
-  match ref_restrict_indices b (Reach.accessible_indices b) with
-  | Some r ->
-      check_string "copy digest matches the reference restriction"
-        (Automaton.structural_digest r)
-        (Automaton.structural_digest acc)
-  | None -> Alcotest.fail "reference restriction unexpectedly empty"
 
 (* A product's state names are written on first use.  Two domains
    forcing a fresh product's names at once must both get them — a
@@ -1195,8 +1031,7 @@ let test_digest_injective () =
   let b_u = Event.uncontrollable "dinj_b" in
   let b_c = Event.controllable "dinj_b" in
   let build ?(name = "DI") ?(names = [| "s0"; "s1"; "s2" |]) ?(b = b_u)
-      ?(marked = [| true; false; false |])
-      ?(forbidden = [| false; false; false |])
+      ?(flags = "\001\000\000")
       ?(trans = [ (0, a, 1); (1, b_u, 2); (2, a, 0) ]) () =
     let row, tr =
       csr_of_triples 3
@@ -1207,7 +1042,7 @@ let test_digest_injective () =
     Automaton.of_csr ~name
       ~names:(Names (Array.copy names))
       ~alphabet:(Event.set_of_list [ a; b ])
-      ~initial:0 ~marked ~forbidden ~row ~tr
+      ~initial:0 ~flags ~row ~tr
   in
   let base = Automaton.structural_digest (build ()) in
   check_string "rebuilt base digests the same" base
@@ -1223,8 +1058,8 @@ let test_digest_injective () =
         build ~trans:[ (0, a, 1); (1, b_u, 2); (2, a, 1) ] () );
       ( "one transition moved to another row",
         build ~trans:[ (0, a, 1); (0, b_u, 2); (2, a, 0) ] () );
-      ("one marked bit", build ~marked:[| true; true; false |] ());
-      ("one forbidden bit", build ~forbidden:[| false; false; true |] ());
+      ("one marked bit", build ~flags:"\001\001\000" ());
+      ("one forbidden bit", build ~flags:"\001\000\002" ());
     ]
 
 let test_unescape_state_name () =
@@ -1363,28 +1198,9 @@ let test_names_written_from_components () =
     | Ok (s, _) -> s
     | Error _ -> Alcotest.fail "odd family: unexpected empty re-synthesis"
   in
-  (match Supcon_oracle.supcon ~plant:(sup ()) ~spec:tight with
+  match Supcon_oracle.supcon ~plant:(sup ()) ~spec:tight with
   | Ok (o, _) -> check_names "supervisor as plant" resynth (Automaton.states o)
-  | Error _ -> Alcotest.fail "oracle: unexpected empty re-synthesis");
-  (* Restrictions keep their parts and the surviving keys. *)
-  let keep p = Array.init (Automaton.num_states p) (fun i -> i mod 3 <> 2) in
-  let restricted () =
-    let p = Compose.all (odd 4) in
-    match Automaton.restrict_indices p (keep p) with
-    | Some r -> Reach.accessible r
-    | None -> Alcotest.fail "restriction dropped the initial state"
-  in
-  let reference =
-    let p = Compose.all (odd 4) in
-    let keep = keep p in
-    match ref_restrict p (fun s -> keep.(Automaton.index_of_state p s)) with
-    | Some r -> Reach.accessible r
-    | None -> Alcotest.fail "reference restriction dropped the initial state"
-  in
-  check_bool "restriction drops states" true
-    (Automaton.num_states (restricted ()) < Automaton.num_states (Compose.all (odd 4)));
-  check_names ~sorted:true "accessible part of a restricted product" restricted
-    (Automaton.states reference)
+  | Error _ -> Alcotest.fail "oracle: unexpected empty re-synthesis"
 
 (* The state table against [Hashtbl]: every key gets the index it was
    first seen with, in order, across several doublings of the slots and
@@ -1477,25 +1293,122 @@ let cluster_budget_spec ?(tag = "") ~k ~cap () =
     ~name:(Printf.sprintf "Bud%d" cap)
     ~initial:(state 0) ~transitions:!transitions ()
 
+(* A plant/spec pair whose supervisor strands good states: "a" leads to
+   "P1", which an uncontrollable "u" takes to the spec's forbidden state,
+   so "P1" is removed, while "P2" and "P3", reached only through it,
+   stay good (marked "P2" is coaccessible) and keep their "c"/"d"
+   cycle.  The supervisor is the initial state alone. *)
+let stranded_pair () =
+  let ev = Event.controllable and u = Event.uncontrollable "strand_u" in
+  let a = ev "strand_a" and b = ev "strand_b" in
+  let c = ev "strand_c" and d = ev "strand_d" in
+  let plant =
+    Automaton.create ~marked:[ "P0"; "P2" ] ~name:"SP" ~initial:"P0"
+      ~transitions:
+        [ ("P0", a, "P1"); ("P1", u, "P4"); ("P1", b, "P2"); ("P2", c, "P3");
+          ("P3", d, "P2") ]
+      ()
+  in
+  let spec =
+    Automaton.create ~marked:[ "E0" ] ~forbidden:[ "EX" ] ~name:"SS"
+      ~initial:"E0"
+      ~transitions:
+        [ ("E0", a, "E0"); ("E0", b, "E0"); ("E0", c, "E0"); ("E0", d, "E0");
+          ("E0", u, "EX") ]
+      ()
+  in
+  (plant, spec)
+
 (* The engine's hard pin: supcon returns a result byte-identical to
    the independent sequential oracle — same digest (hence same states,
-   names and transitions), same stats, same Verify verdicts. *)
+   names and transitions), same stats, same Verify verdicts — on 60
+   seeded pairs and [stranded_pair].  At least one input must strand a
+   good state that has a transition inside the good region, so the
+   final accessibility walk is compared, not only the fixpoint. *)
 let test_supcon_matches_oracle () =
-  for seed = 0 to 59 do
-    let plant = random_automaton ~seed ~name:"PP" () in
-    let spec = random_automaton ~own:rn_own ~seed:(seed + 3000) ~name:"PS" () in
-    match (Supcon_oracle.supcon ~plant ~spec, Synthesis.supcon ~plant ~spec) with
+  let stranded = ref 0 in
+  let check what plant spec =
+    let oracle, s = Supcon_oracle.supcon_stranded ~plant ~spec in
+    stranded := !stranded + s;
+    match (oracle, Synthesis.supcon ~plant ~spec) with
     | Error Synthesis.Empty_supervisor, Error Synthesis.Empty_supervisor -> ()
     | Ok (sa, ta), Ok (sb, tb) ->
         if Automaton.structural_digest sa <> Automaton.structural_digest sb
-        then Alcotest.failf "seed %d: supcon digest differs" seed;
-        if ta <> tb then Alcotest.failf "seed %d: supcon stats differ" seed;
+        then Alcotest.failf "%s: supcon digest differs" what;
+        if ta <> tb then Alcotest.failf "%s: supcon stats differ" what;
         let verdict s = Verify.controllable ~plant ~supervisor:s = Ok () in
         if verdict sa <> verdict sb then
-          Alcotest.failf "seed %d: controllability verdicts differ" seed
-    | Ok _, Error _ -> Alcotest.failf "seed %d: supcon empty, oracle not" seed
-    | Error _, Ok _ -> Alcotest.failf "seed %d: oracle empty, supcon not" seed
-  done
+          Alcotest.failf "%s: controllability verdicts differ" what
+    | Ok _, Error _ -> Alcotest.failf "%s: supcon empty, oracle not" what
+    | Error _, Ok _ -> Alcotest.failf "%s: oracle empty, supcon not" what
+  in
+  for seed = 0 to 59 do
+    let plant = random_automaton ~seed ~name:"PP" () in
+    let spec = random_automaton ~own:rn_own ~seed:(seed + 3000) ~name:"PS" () in
+    check (Printf.sprintf "seed %d" seed) plant spec
+  done;
+  let plant, spec = stranded_pair () in
+  check "stranded pair" plant spec;
+  if !stranded = 0 then
+    Alcotest.fail "no input strands a good state with a transition"
+
+(* ------------------------------------------------------------------ *)
+(* Reachability: the synthesis engine's final walk and Verify's walks  *)
+(* ------------------------------------------------------------------ *)
+
+let orph_go = Event.controllable "orph_go"
+let orph_back = Event.controllable "orph_back"
+let orph_die = Event.uncontrollable "orph_die"
+
+(* Nothing reaches "Orphan", nor "Lost", the blocking state it leads
+   to; with [~dead], the accessible "Dead" reaches no marked state. *)
+let orphan_automaton ~dead =
+  Automaton.create ~marked:[ "A"; "Orphan" ] ~name:"orph" ~initial:"A"
+    ~transitions:
+      ([ ("A", orph_go, "B"); ("Orphan", orph_go, "A"); ("B", orph_back, "A");
+         ("Orphan", orph_die, "Lost") ]
+      @ if dead then [ ("B", orph_die, "Dead") ] else [])
+    ()
+
+(* Inaccessible states count for nothing: Verify ignores the blocking
+   "Lost", and supcon drops the good states of [stranded_pair] that only
+   a removed state leads to, leaving the initial state alone. *)
+let test_accessible () =
+  check_bool "inaccessible blocking state ignored" true
+    (Verify.nonblocking (orphan_automaton ~dead:false) = Ok ());
+  let plant, spec = stranded_pair () in
+  match Synthesis.supcon ~plant ~spec with
+  | Error _ -> Alcotest.fail "stranded pair has a supervisor"
+  | Ok (sup, _) ->
+      check_int "stranded states dropped" 1 (Automaton.num_states sup);
+      check_bool "every state accessible" true (all_accessible sup)
+
+(* An accessible state that reaches no marked state is the witness. *)
+let test_coaccessible () =
+  match Verify.nonblocking (orphan_automaton ~dead:true) with
+  | Error { Verify.state } -> check_string "witness" "Dead" state
+  | Ok () -> Alcotest.fail "accessible blocking state missed"
+
+(* Against a spec that forbids nothing, supcon trims the plant: "Dead"
+   blocks, "B" reaches it by the uncontrollable "orph_die", and
+   "Orphan" and "Lost" are never reached, so "A" alone is left. *)
+let test_trim () =
+  let plant = orphan_automaton ~dead:true in
+  check_bool "plant blocks" false (Verify.is_nonblocking plant);
+  let spec =
+    Automaton.create ~marked:[ "S" ] ~name:"free" ~initial:"S"
+      ~transitions:[ ("S", orph_go, "S"); ("S", orph_back, "S") ]
+      ()
+  in
+  match Synthesis.supcon ~plant ~spec with
+  | Error _ -> Alcotest.fail "trim nonempty"
+  | Ok (sup, _) ->
+      check_int "one state" 1 (Automaton.num_states sup);
+      check_string "initial kept" "A.S" (Automaton.initial sup);
+      check_bool "nonblocking" true (Verify.is_nonblocking sup);
+      check_bool "every state accessible" true (all_accessible sup);
+      check_bool "controllable" true
+        (Verify.is_controllable ~plant ~supervisor:sup)
 
 (* The k = 9, cap = 8 member is the synth benchmark's monolithic
    family: 21457 product and 16867 supervisor states; k = 4, cap = 3 is
@@ -1598,11 +1511,17 @@ let test_supcon_modular_matches_monolithic () =
 (* Bytes per transition for the k = 8, cap = 7 family (7313 product
    states), counted in closed windows ({!Alloc.bytes}), which read the
    same every run.  Each budget is 10 % over what the finished automata
-   stored as one packed word per transition read: 33.5 B for modular
-   synthesis, 26.2 B for Compose.all of the 8 clusters.  The
+   stored as one packed word per transition and one flag byte per state
+   read: 30.9 B for modular synthesis, 24.7 B for Compose.all of the 8
+   clusters.  The
    Compose.all result's resident size ([Obj.reachable_words]) is
-   bounded the same way: 10 % over its 11.2 B per transition, which two
-   int arrays per transition (19.1 B) exceed.  The structural digest
+   bounded the same way: 10 % over its 9.7 B per transition, which two
+   int arrays per transition (19.1 B) or a bool array per state flag
+   (11.1 B) exceed.  [Verify.nonblocking] on the supervisor (5281
+   states, 51552 transitions) may allocate 10 % over the 259 440 B it
+   reads with its walks on 32-bit words and byte masks, the least of
+   three closed windows; 63-bit predecessor arrays and bool masks read
+   666 208 B.  The structural digest
    of a renamed copy of the supervisor, its names never written before,
    streams its 1.1 MB of bytes: it may allocate its 64 KB buffer and
    10 % over the 4 656 B more it reads, and no image. *)
@@ -1619,7 +1538,7 @@ let test_synthesis_alloc_budgets () =
     r
   in
   let sup =
-    gate "supcon_modular k=8 cap=7" ~budget:(33.5 *. 1.1)
+    gate "supcon_modular k=8 cap=7" ~budget:(30.9 *. 1.1)
       ~transitions:(function
         | Ok (_, st) when st.Synthesis.product_states = 7313 ->
             Automaton.num_transitions product
@@ -1627,7 +1546,7 @@ let test_synthesis_alloc_budgets () =
       (fun () -> Synthesis.supcon_modular ~plants ~spec ())
   in
   let all =
-    gate "Compose.all 8 clusters" ~budget:(26.2 *. 1.1)
+    gate "Compose.all 8 clusters" ~budget:(24.7 *. 1.1)
       ~transitions:Automaton.num_transitions (fun () -> Compose.all plants)
   in
   let resident =
@@ -1636,11 +1555,23 @@ let test_synthesis_alloc_budgets () =
   in
   check_bool
     (Printf.sprintf "Compose.all 8 clusters resident: %.1f B/transition \
-                     (budget %.1f)" resident (11.2 *. 1.1))
+                     (budget %.1f)" resident (9.7 *. 1.1))
     true
-    (resident <= 11.2 *. 1.1);
+    (resident <= 9.7 *. 1.1);
   match sup with
   | Ok (sup, _) ->
+      let nb =
+        List.fold_left min infinity
+          (List.init 3 (fun _ ->
+               let r, bytes = Alloc.bytes (fun () -> Verify.nonblocking sup) in
+               if r <> Ok () then Alcotest.fail "k=8 cap=7 supervisor blocks";
+               bytes))
+      in
+      check_bool
+        (Printf.sprintf "Verify.nonblocking: %.0f B (budget %.0f B)" nb
+           (259440. *. 1.1))
+        true
+        (nb <= 259440. *. 1.1);
       let a = Automaton.rename sup "k8a" in
       let d, bytes = Alloc.bytes (fun () -> Automaton.structural_digest a) in
       check_string "digest equals the oracle's" (Names_oracle.digest a) d;
@@ -1924,9 +1855,6 @@ let () =
           Alcotest.test_case "trace" `Quick test_automaton_trace;
           Alcotest.test_case "forbidden" `Quick test_automaton_forbidden;
           Alcotest.test_case "isomorphic negative" `Quick test_isomorphic_negative;
-          Alcotest.test_case "restrict" `Quick test_restrict_states;
-          Alcotest.test_case "restrict drops initial" `Quick
-            test_restrict_drop_initial;
         ] );
       ( "compose",
         [
@@ -1941,12 +1869,6 @@ let () =
           qc prop_compose_commutative_language;
           qc prop_compose_associative;
         ] );
-      ( "reach",
-        [
-          Alcotest.test_case "accessible" `Quick test_accessible;
-          Alcotest.test_case "coaccessible" `Quick test_coaccessible;
-          Alcotest.test_case "trim" `Quick test_trim;
-        ] );
       ( "verify",
         [
           Alcotest.test_case "nonblocking positive" `Quick
@@ -1958,6 +1880,12 @@ let () =
           Alcotest.test_case "controllable negative" `Quick
             test_controllable_negative;
           Alcotest.test_case "closed loop" `Quick test_closed_loop;
+        ] );
+      ( "reach",
+        [
+          Alcotest.test_case "accessible" `Quick test_accessible;
+          Alcotest.test_case "coaccessible" `Quick test_coaccessible;
+          Alcotest.test_case "trim" `Quick test_trim;
         ] );
       ( "synthesis",
         [
@@ -1975,14 +1903,10 @@ let () =
             test_alphabet_conflict_reported_at_entry;
           Alcotest.test_case "compose matches string reference" `Quick
             test_indexed_compose_matches_reference;
-          Alcotest.test_case "restrict_indices matches reference" `Quick
-            test_restrict_indices_matches_reference;
           Alcotest.test_case "CSR builder matches tuple-sort reference" `Quick
             test_csr_matches_reference;
           Alcotest.test_case "packed rows match a Hashtbl delta" `Quick
             test_packed_rows_match_delta;
-          Alcotest.test_case "restrict of a fully kept automaton is itself"
-            `Quick test_restrict_identity;
           Alcotest.test_case "names forced from two domains" `Quick
             test_names_from_two_domains;
           Alcotest.test_case "index API round trip" `Quick
