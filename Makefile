@@ -125,7 +125,9 @@ fleet-smoke:
 # closed loop) is pinned by its stdout, against
 # bench/synthesize.expected, and by its DOT file's md5, and every file
 # in the malformed-CSV corpus is rejected with exit code 2 and a
-# line-numbered parse error.
+# line-numbered parse error.  The manager catalogue's one placement
+# rule: the hand-tuned FS and SISO are refused off exynos5422 with exit
+# code 1, while guarded SPECTR runs on pixel8pro.
 platform-smoke:
 	dune exec bin/spectr_cli.exe -- platforms
 	dune exec bin/spectr_cli.exe -- platforms --platform pixel8pro
@@ -144,6 +146,17 @@ platform-smoke:
 	  e80a2e63f4f235f1410275bb7183ab98 /tmp/spectr-platform-k3.csv \
 	  c3aadf5fd4dd1c160f230f6ed243d19c /tmp/spectr-synthesize.dot \
 	  | md5sum -c -
+	dune exec bin/spectr_cli.exe -- scenario -m spectr+g -b x264 \
+	  --platform pixel8pro > /dev/null
+	for mp in fs:pixel8pro siso:k3; do \
+	  m=$${mp%%:*}; p=$${mp#*:}; \
+	  dune exec bin/spectr_cli.exe -- scenario -m $$m --platform $$p \
+	    > /dev/null 2> /tmp/spectr-platform-refused.txt; \
+	  code=$$?; \
+	  [ $$code -eq 1 ] && grep -q 'hand-tuned for exynos5422' \
+	    /tmp/spectr-platform-refused.txt || \
+	    { echo "$$m on $$p: expected refusal with exit 1, got $$code"; exit 1; }; \
+	done
 	for f in test/platforms/bad/*.csv; do \
 	  dune exec bin/spectr_cli.exe -- platforms --platform $$f; \
 	  code=$$?; \

@@ -135,27 +135,9 @@ let evaluate ~qos_ref ~trace ~handle ~guards =
       | Some g -> Spectr.Guarded.degraded g);
   }
 
-(* Constructors, not instances: each grid cell builds its own manager
-   inside its parallel task. *)
-let manager_specs platform =
-  [
-    ( "SPECTR+R",
-      fun () ->
-        let mgr, h = Spectr.Spectr_manager.make_reconfigurable ~platform () in
-        (mgr, Some h, Some (Spectr.Spectr_manager.Reconfig.guard h)) );
-    ( "SPECTR+G",
-      fun () ->
-        let guards =
-          Spectr.Guarded.create
-            ~clusters:(Platform_desc.num_clusters platform) ()
-        in
-        let mgr, _ = Spectr.Spectr_manager.make ~guards ~platform () in
-        (mgr, None, Some guards) );
-    ( "SPECTR",
-      fun () ->
-        let mgr, _ = Spectr.Spectr_manager.make ~platform () in
-        (mgr, None, None) );
-  ]
+(* Variants, not instances: each grid cell builds its own manager inside
+   its parallel task. *)
+let managers = Spectr.Variant.[ Spectr_r; Spectr_g; Spectr ]
 
 let pp_cell c =
   let tail =
@@ -177,17 +159,15 @@ let run () =
       (fun platform ->
         List.concat_map
           (fun (class_name, fault) ->
-            List.map
-              (fun spec -> (platform, class_name, fault, spec))
-              (manager_specs platform))
+            List.map (fun v -> (platform, class_name, fault, v)) managers)
           (classes platform))
       (platforms ())
   in
   let cells_flat =
     Spectr_exec.Parmap.map
-      (fun (platform, class_name, fault, (mgr_name, make)) ->
+      (fun (platform, class_name, fault, v) ->
         let cfg = config_for platform fault in
-        let manager, handle, guards = make () in
+        let manager, _, guards, handle = Spectr.Variant.make platform v in
         let trace = Spectr.Scenario.run ~manager cfg in
         (match handle with
         | Some h when Spectr.Spectr_manager.Reconfig.reconfigurations h > 0
@@ -200,7 +180,7 @@ let run () =
         | _ -> ());
         ( Platform_desc.name platform,
           class_name,
-          mgr_name,
+          Spectr.Variant.name v,
           evaluate ~qos_ref:cfg.Spectr.Scenario.qos_ref ~trace ~handle
             ~guards ))
       cell_inputs

@@ -98,18 +98,9 @@ let evaluate ~trace ~onset ~clearance ~watchdog =
   in
   { verdict; excess_s = !excess_s; recovery_s; watchdog }
 
-(* Constructors, not instances: each grid cell builds its own manager
-   (and guard state) inside its parallel task. *)
-let manager_specs =
-  [
-    ( "SPECTR+G",
-      fun () ->
-        let guards = Spectr.Guarded.create () in
-        (fst (Spectr.Spectr_manager.make ~guards ()), Some guards) );
-    ("SPECTR", fun () -> (fst (Spectr.Spectr_manager.make ()), None));
-    ("MM-Pow", fun () -> (Spectr.Mm.make_pow (), None));
-    ("SISO", fun () -> (Spectr.Siso.make (), None));
-  ]
+(* Variants, not instances: each grid cell builds its own manager (and
+   guard state) inside its parallel task. *)
+let managers = Spectr.Variant.[ Spectr_g; Spectr; Mm_pow; Siso ]
 
 let pp_cell c =
   let verdict =
@@ -135,25 +126,28 @@ let run () =
     List.concat_map
       (fun (class_name, fault, start_s, stop_s) ->
         List.map
-          (fun spec -> (class_name, fault, start_s, stop_s, spec))
-          manager_specs)
+          (fun v -> (class_name, fault, start_s, stop_s, v))
+          managers)
       classes
   in
   let cells_flat =
     Spectr_exec.Parmap.map
-      (fun (_, fault, start_s, stop_s, (mgr_name, make)) ->
+      (fun (_, fault, start_s, stop_s, v) ->
         let cfg = config_for fault ~start_s ~stop_s in
-        let manager, guards = make () in
+        let manager, _, guards, _ =
+          Spectr.Variant.make Platform_desc.exynos5422 v
+        in
         let trace = Spectr.Scenario.run ~manager cfg in
         let watchdog =
           match guards with
           | None -> []
           | Some g -> Spectr.Guarded.recovery_times g
         in
-        (mgr_name, evaluate ~trace ~onset:start_s ~clearance:stop_s ~watchdog))
+        ( Spectr.Variant.name v,
+          evaluate ~trace ~onset:start_s ~clearance:stop_s ~watchdog ))
       cell_inputs
   in
-  let per_class = List.length manager_specs in
+  let per_class = List.length managers in
   let results =
     List.mapi
       (fun i (class_name, _, _, _) ->

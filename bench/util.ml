@@ -38,17 +38,20 @@ let print_series ~columns ~time rows =
   (* The loop's last emitted index was !i - stride. *)
   if n > 0 && !i - stride <> n - 1 then emit (n - 1)
 
-(* The four resource managers of the evaluation, as constructors: each
-   parallel task builds its own fresh instance.  (The pre-parallel
-   harness reused manager instances across scenario runs, leaking
-   controller and supervisor state from one run into the next.) *)
+(* A fresh manager of a catalogue variant on a description: each
+   parallel task builds its own instance.  (The pre-parallel harness
+   reused manager instances across scenario runs, leaking controller and
+   supervisor state from one run into the next.) *)
+let build platform v () =
+  let manager, _, _, _ = Spectr.Variant.make platform v in
+  manager
+
+(* The four resource managers of the evaluation, as constructors. *)
 let manager_specs () : (string * (unit -> Spectr.Manager.t)) list =
-  [
-    ("SPECTR", fun () -> fst (Spectr.Spectr_manager.make ()));
-    ("MM-Pow", fun () -> Spectr.Mm.make_pow ());
-    ("MM-Perf", fun () -> Spectr.Mm.make_perf ());
-    ("FS", fun () -> Spectr.Fs.make ());
-  ]
+  List.map
+    (fun v ->
+      (Spectr.Variant.name v, build Spectr_platform.Platform_desc.exynos5422 v))
+    Spectr.Variant.[ Spectr; Mm_pow; Mm_perf; Fs ]
 
 (* The evaluation-grid columns: every (manager, platform) pair a cell
    runs.  The four exynos columns above, plus SPECTR driving the
@@ -60,11 +63,7 @@ let grid_specs () :
   let exynos = Spectr_platform.Platform_desc.exynos5422 in
   let p8p = Spectr_platform.Platform_desc.pixel8pro in
   List.map (fun (name, mk) -> (name, exynos, mk)) (manager_specs ())
-  @ [
-      ( "SPECTR-3c",
-        p8p,
-        fun () -> fst (Spectr.Spectr_manager.make ~platform:p8p ()) );
-    ]
+  @ [ ("SPECTR-3c", p8p, build p8p Spectr.Variant.Spectr) ]
 
 (* Run one scenario per (label, constructor) pair, fanned out across the
    pool; results are in input order. *)

@@ -163,17 +163,12 @@ let identify_cmd =
 (* scenario                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The one manager name table: [scenario] parses it, [list] prints it. *)
-let managers =
-  [
-    ("spectr", fun platform -> fst (Spectr.Spectr_manager.make ~platform ()));
-    ("mm-pow", fun platform -> Spectr.Mm.make_pow ~platform ());
-    ("mm-perf", fun platform -> Spectr.Mm.make_perf ~platform ());
-    ("fs", fun _ -> Spectr.Fs.make ());
-    ("siso", fun _ -> Spectr.Siso.make ());
-  ]
-
-let manager_names = String.concat ", " (List.map fst managers)
+(* The manager catalogue's names, as [scenario -m] accepts them. *)
+let manager_names =
+  String.concat ", "
+    (List.map
+       (fun v -> String.lowercase_ascii (Spectr.Variant.name v))
+       Spectr.Variant.all)
 
 let scenario manager_name bench_name csv_path seed obs obs_jsonl platform_spec =
   let obs_on = obs || obs_jsonl <> None in
@@ -188,22 +183,20 @@ let scenario manager_name bench_name csv_path seed obs obs_jsonl platform_spec =
         Printf.eprintf "unknown benchmark %S\n" bench_name;
         exit 1
   in
-  (* The hand-tuned exynos baselines have no N-cluster generalization:
-     refuse rather than silently mis-drive an unrelated platform. *)
-  (match manager_name with
-  | ("fs" | "siso")
-    when not (Spectr.Design_flow.is_reference_platform platform) ->
-      Printf.eprintf
-        "manager %S is hand-tuned for exynos5422 and cannot run on %s\n"
-        manager_name
-        (Platform_desc.name platform);
-      exit 1
-  | _ -> ());
-  let manager =
-    match List.assoc_opt manager_name managers with
-    | Some make -> make platform
-    | None ->
+  let variant =
+    match Spectr.Variant.of_string manager_name with
+    | v -> v
+    | exception Invalid_argument _ ->
         Printf.eprintf "unknown manager %S (%s)\n" manager_name manager_names;
+        exit 1
+  in
+  (* FS and SISO are hand-tuned for exynos5422: the catalogue refuses
+     them elsewhere rather than silently mis-drive the platform. *)
+  let manager =
+    match Spectr.Variant.make platform variant with
+    | manager, _, _, _ -> manager
+    | exception Invalid_argument msg ->
+        prerr_endline msg;
         exit 1
   in
   let config =
@@ -294,23 +287,23 @@ let parse_list ~what ~parse s =
 
 let chaos seed cells variants kinds max_faults kill_prob reconfig_prob
     artifact_dir shrink_budget max_findings fail_on require_violation =
+  (* An empty list leaves the campaign's default. *)
+  let unless_empty = function [] -> None | l -> Some l in
   let variants =
-    match parse_list ~what:"variant" ~parse:Spectr_chaos.Campaign.variant_of_string variants with
-    | [] -> Spectr_chaos.Campaign.all_variants
-    | vs -> vs
+    unless_empty
+      (parse_list ~what:"variant" ~parse:Spectr.Variant.of_string variants)
   in
   let kinds =
-    match parse_list ~what:"fault kind" ~parse:Faults.kind_of_string kinds with
-    | [] -> Spectr_chaos.Campaign.all_kinds
-    | ks -> ks
+    unless_empty
+      (parse_list ~what:"fault kind" ~parse:Faults.kind_of_string kinds)
   in
   let fail_on =
-    parse_list ~what:"variant" ~parse:Spectr_chaos.Campaign.variant_of_string fail_on
+    parse_list ~what:"variant" ~parse:Spectr.Variant.of_string fail_on
   in
   let require_violation =
     Option.map
       (fun s ->
-        match parse_list ~what:"variant" ~parse:Spectr_chaos.Campaign.variant_of_string s with
+        match parse_list ~what:"variant" ~parse:Spectr.Variant.of_string s with
         | [ v ] -> v
         | _ ->
             Printf.eprintf "--require-violation takes exactly one variant\n";
@@ -319,7 +312,7 @@ let chaos seed cells variants kinds max_faults kill_prob reconfig_prob
   in
   let spec =
     try
-      Spectr_chaos.Campaign.default_spec ~seed ~cells ~variants ~kinds
+      Spectr_chaos.Campaign.default_spec ~seed ~cells ?variants ?kinds
         ~max_faults ~kill_prob ~reconfig_prob ()
     with Invalid_argument msg ->
       Printf.eprintf "%s\n" msg;
@@ -391,8 +384,8 @@ let chaos_cmd =
       value & opt string ""
       & info [ "variants" ]
           ~doc:
-            "Comma-separated manager variants (spectr+g, spectr, mm-pow, \
-             mm-perf, siso, fs).  Default: all.")
+            ("Comma-separated manager variants (" ^ manager_names
+           ^ ").  Default: all but spectr+r."))
   in
   let kinds =
     Arg.(

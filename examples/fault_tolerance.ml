@@ -83,7 +83,7 @@ let () =
     "Power sensor dropout, 3.5-6.5 s, while the envelope tightens to 3.5 W:";
   let unguarded, _ = Spectr_manager.make () in
   describe "SPECTR" (Scenario.run ~manager:unguarded cfg) None;
-  let guards = Guarded.create () in
+  let guards = Guarded.create ~clusters:2 () in
   let guarded, _ = Spectr_manager.make ~guards () in
   describe "SPECTR+G" (Scenario.run ~manager:guarded cfg) (Some guards);
   print_endline

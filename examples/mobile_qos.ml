@@ -13,13 +13,6 @@
 open Spectr_platform
 open Spectr
 
-let make_manager = function
-  | "spectr" -> fst (Spectr_manager.make ())
-  | "mm-pow" -> Mm.make_pow ()
-  | "mm-perf" -> Mm.make_perf ()
-  | "fs" -> Fs.make ()
-  | other -> failwith ("unknown manager: " ^ other)
-
 let run manager_name bench_name =
   let workload =
     match Benchmarks.by_name bench_name with
@@ -28,7 +21,9 @@ let run manager_name bench_name =
   in
   Printf.printf "Building %s (identification + gain design)...\n%!"
     manager_name;
-  let manager = make_manager manager_name in
+  let manager, _, _, _ =
+    Variant.make Platform_desc.exynos5422 (Variant.of_string manager_name)
+  in
   let config = Scenario.default_config workload in
   Printf.printf "Running the 3-phase scenario on %s (QoS ref %.1f)...\n%!"
     workload.Workload.name config.Scenario.qos_ref;
@@ -64,7 +59,10 @@ let run manager_name bench_name =
 open Cmdliner
 
 let manager_arg =
-  let doc = "Resource manager: spectr, mm-pow, mm-perf or fs." in
+  let doc =
+    "Resource manager: spectr+r, spectr+g, spectr, mm-pow, mm-perf, siso or \
+     fs."
+  in
   Arg.(value & opt string "spectr" & info [ "m"; "manager" ] ~doc)
 
 let bench_arg =

@@ -62,7 +62,7 @@ let () =
      thermal model: 8 degC/W toward ambient 30 degC, tau 3 s).";
   let spectr, _ = Spectr_manager.make () in
   run "SPECTR" spectr;
-  run "MM-Perf" (Mm.make_perf ());
+  run "MM-Perf" (Mm.make_perf ~platform:Platform_desc.exynos5422 ());
   print_endline
     "\nSPECTR's supervisor reacts to each envelope drop by re-budgeting and\n\
      gain-switching, riding the thermostat with fewer and shorter trips;\n\

@@ -69,7 +69,7 @@ let of_string s =
             match int_of_string_opt v with
             | Some x -> index := Some x
             | None -> fail "bad index %S" v)
-        | "variant" -> variant := Some (Campaign.variant_of_string v)
+        | "variant" -> variant := Some (Spectr.Variant.of_string v)
         | "workload" -> workload := Some v
         | "fault" -> faults := Faults.injection_of_string v :: !faults
         | "kill" -> (

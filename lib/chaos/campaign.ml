@@ -1,53 +1,15 @@
 open Spectr_platform
 
-type variant = Spectr_r | Spectr_g | Spectr | Mm_pow | Mm_perf | Siso | Fs
+type variant = Spectr.Variant.t =
+  | Spectr_r | Spectr_g | Spectr | Mm_pow | Mm_perf | Siso | Fs
 
 (* [Spectr_r] is deliberately absent: the default round-robin variant
    assignment of existing campaigns (and their pinned digests) must not
    shift.  Reconfiguration campaigns opt in with [variants = [Spectr_r; …]]. *)
 let all_variants = [ Spectr_g; Spectr; Mm_pow; Mm_perf; Siso; Fs ]
 
-let variant_name = function
-  | Spectr_r -> "SPECTR+R"
-  | Spectr_g -> "SPECTR+G"
-  | Spectr -> "SPECTR"
-  | Mm_pow -> "MM-Pow"
-  | Mm_perf -> "MM-Perf"
-  | Siso -> "SISO"
-  | Fs -> "FS"
-
-let variant_of_string s =
-  match String.lowercase_ascii s with
-  | "spectr+r" | "spectr-r" | "spectr_r" -> Spectr_r
-  | "spectr+g" | "spectr-g" | "spectr_g" -> Spectr_g
-  | "spectr" -> Spectr
-  | "mm-pow" | "mm_pow" | "mmpow" -> Mm_pow
-  | "mm-perf" | "mm_perf" | "mmperf" -> Mm_perf
-  | "siso" -> Siso
-  | "fs" -> Fs
-  | _ -> invalid_arg (Printf.sprintf "Campaign.variant_of_string: %S" s)
-
-let make_manager = function
-  | Spectr_r ->
-      let mgr, handle = Spectr.Spectr_manager.make_reconfigurable () in
-      (* The supervisor slot stays [None]: SPECTR+R's supervisor changes
-         identity on every hot-swap, so monitors must query the live one
-         through the handle, never a cached copy. *)
-      ( mgr,
-        None,
-        Some (Spectr.Spectr_manager.Reconfig.guard handle),
-        Some handle )
-  | Spectr_g ->
-      let guards = Spectr.Guarded.create () in
-      let mgr, sup = Spectr.Spectr_manager.make ~guards () in
-      (mgr, Some sup, Some guards, None)
-  | Spectr ->
-      let mgr, sup = Spectr.Spectr_manager.make () in
-      (mgr, Some sup, None, None)
-  | Mm_pow -> (Spectr.Mm.make_pow (), None, None, None)
-  | Mm_perf -> (Spectr.Mm.make_perf (), None, None, None)
-  | Siso -> (Spectr.Siso.make (), None, None, None)
-  | Fs -> (Spectr.Fs.make (), None, None, None)
+let variant_name = Spectr.Variant.name
+let make_manager = Spectr.Variant.make Platform_desc.exynos5422
 
 (* --- scenario shape --------------------------------------------------- *)
 
@@ -172,19 +134,15 @@ let default_spec ?(seed = 1) ?(cells = 64) ?(variants = all_variants)
     reconfig_prob;
   }
 
-(* SplitMix-style mix of the campaign seed and cell index: cells are
-   order-independent pure functions of (campaign seed, index), so any
-   cell can be regenerated — and replayed — without generating the
-   others. *)
-let mix_seed campaign index =
-  Int64.add
-    (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (index + 1)))
-    (Int64.mul 0xBF58476D1CE4E5B9L (Int64.of_int campaign))
-
 let cell_of_spec spec index =
   if index < 0 || index >= spec.cells then
     invalid_arg "Campaign.cell_of_spec: index outside the campaign";
-  let g = Spectr_linalg.Prng.create (mix_seed spec.campaign_seed index) in
+  (* Cells are order-independent pure functions of (campaign seed,
+     index), so any cell can be regenerated — and replayed — without
+     generating the others. *)
+  let g =
+    Spectr_linalg.Prng.(create (mix_seed spec.campaign_seed index))
+  in
   let seed = Spectr_linalg.Prng.int64 g in
   (* Round-robin over the variant list: every variant sees the same
      number of cells (±1), so soak statistics compare like with like. *)

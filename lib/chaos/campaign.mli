@@ -13,16 +13,10 @@ open Spectr_platform
 
 (** {1 Manager variants} *)
 
-type variant =
-  | Spectr_r
-      (** Self-healing SPECTR: guards plus FDIR-driven supervisor
-          re-synthesis ({!Spectr.Spectr_manager.make_reconfigurable}). *)
-  | Spectr_g  (** SPECTR with the graceful-degradation guards armed. *)
-  | Spectr  (** Unguarded SPECTR. *)
-  | Mm_pow
-  | Mm_perf
-  | Siso
-  | Fs
+type variant = Spectr.Variant.t =
+  | Spectr_r | Spectr_g | Spectr | Mm_pow | Mm_perf | Siso | Fs
+(** The manager catalogue's variants ({!Spectr.Variant.t}); parse names
+    with {!Spectr.Variant.of_string}. *)
 
 val all_variants : variant list
 (** Every variant {e except} [Spectr_r], which is opt-in: adding it here
@@ -30,13 +24,7 @@ val all_variants : variant list
     digests) of every existing campaign. *)
 
 val variant_name : variant -> string
-(** Display names matching the bench harness: ["SPECTR+R"],
-    ["SPECTR+G"], ["SPECTR"], ["MM-Pow"], ["MM-Perf"], ["SISO"],
-    ["FS"]. *)
-
-val variant_of_string : string -> variant
-(** Case-insensitive; accepts the display names and CLI-friendly forms
-    (["spectr+r"], ["mm-pow"], …).  Raises [Invalid_argument] otherwise. *)
+(** {!Spectr.Variant.name}: the display names of the bench harness. *)
 
 val make_manager :
   variant ->
@@ -44,13 +32,9 @@ val make_manager :
   * Spectr.Supervisor.t option
   * Spectr.Guarded.t option
   * Spectr.Spectr_manager.Reconfig.handle option
-(** Fresh manager instance plus, for the static SPECTR variants, the
-    supervisor handle (the legality monitor inspects it), for the
-    guarded variants the guard state (watchdog statistics), and for
-    [Spectr_r] the reconfiguration handle.  [Spectr_r]'s supervisor
-    slot is [None] — its supervisor changes identity on every hot-swap,
-    so monitors must query {!Spectr.Spectr_manager.Reconfig.supervisor}
-    through the handle instead of caching one. *)
+(** {!Spectr.Variant.make} on [Platform_desc.exynos5422], the platform
+    of every chaos cell: a fresh manager plus its supervisor, guard and
+    reconfiguration handles where the variant has them. *)
 
 (** {1 Scenario shape} *)
 
@@ -106,11 +90,6 @@ type spec = {
           PRNG, so pre-existing campaigns keep their exact cells. *)
 }
 
-val all_kinds : Faults.kind list
-(** Every {e transient} fault class, spike magnitudes bounded by 8×.
-    Permanent kinds are excluded — they enter only through the
-    reconfiguration drill. *)
-
 val default_spec :
   ?seed:int ->
   ?cells:int ->
@@ -121,10 +100,12 @@ val default_spec :
   ?reconfig_prob:float ->
   unit ->
   spec
-(** Defaults: 64 cells over all variants and all fault kinds, up to 3
-    faults per cell, kill drills in a quarter of the cells, no
-    reconfiguration drills.  Raises [Invalid_argument] on empty lists
-    or out-of-range parameters. *)
+(** Defaults: 64 cells over {!all_variants} and every {e transient}
+    fault class (spike magnitudes bounded by 8×; permanent kinds enter
+    only through the reconfiguration drill), up to 3 faults per cell,
+    kill drills in a quarter of the cells, no reconfiguration drills.
+    Raises [Invalid_argument] on empty lists or out-of-range
+    parameters. *)
 
 val cell_of_spec : spec -> int -> cell
 (** The [index]-th cell — a pure function of [(spec, index)]; equal

@@ -76,7 +76,6 @@ let run_drill d =
      ({!Spectr.Manager.persist}), uncounted boot warm-up inside. *)
   Node.restart node;
   let post = Array.init d.d_post_ticks (fun _ -> step ()) in
-  let limit = d.d_cap *. Spectr.Metrics.power_allowance in
   (* Compliance is judged on a 1 s moving average, not raw ticks: a cap
      that falls between the chip's quantized OPP power levels makes the
      supervisor dither around it, and the average — the quantity a
@@ -94,12 +93,13 @@ let run_drill d =
         !sum /. float_of_int (k - from + 1))
       post
   in
-  (* First post-reboot tick from which the average stays compliant — the
-     same suffix scan as {!Spectr.Metrics.compliance_time_series}. *)
-  let last_bad = ref (-1) in
-  Array.iteri (fun k p -> if p > limit then last_bad := k) smoothed;
+  (* First post-reboot tick from which the average stays compliant:
+     the compliance time against the cap, counted in ticks (dt = 1). *)
   let recovery_ticks =
-    if !last_bad + 1 >= d.d_post_ticks then None else Some (!last_bad + 1)
+    Spectr.Metrics.compliance_time_series
+      ~envelope:(Array.make d.d_post_ticks d.d_cap)
+      ~dt:1. smoothed
+    |> Option.map Float.to_int
   in
   let recovered =
     match recovery_ticks with Some k -> k <= d.d_deadline | None -> false
@@ -131,17 +131,12 @@ let default_spec ?(seed = 2024) ?(drills = 32) () =
   if drills <= 0 then invalid_arg "Node_kill.default_spec: drills <= 0";
   { campaign_seed = seed; drills; cap_lo = 1.6; cap_hi = 3.2 }
 
-let mix_seed campaign index =
-  Int64.add
-    (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (index + 1)))
-    (Int64.mul 0xBF58476D1CE4E5B9L (Int64.of_int campaign))
-
 let drill_of_spec spec index =
   if spec.drills <= 0 || spec.cap_lo <= 0. || spec.cap_hi < spec.cap_lo then
     invalid_arg "Node_kill.drill_of_spec: malformed spec";
   if index < 0 || index >= spec.drills then
     invalid_arg "Node_kill.drill_of_spec: index out of range";
-  let g = Prng.create (mix_seed spec.campaign_seed index) in
+  let g = Prng.create (Prng.mix_seed spec.campaign_seed index) in
   let workloads = Array.of_list Benchmarks.all_qos in
   let w = workloads.(Prng.int g (Array.length workloads)) in
   {

@@ -22,7 +22,7 @@ let make () =
     meas.(1) <- obs.Soc.chip_power;
     Mimo.step_into ctrl ~measured:meas ~dst:u;
     (* Exynos cluster indices: FS is identified on the reference
-       big.LITTLE platform only (Scenario rejects it elsewhere). *)
+       big.LITTLE platform only (Variant.make rejects it elsewhere). *)
     Manager.apply_cluster soc 0 ~freq_ghz:u.(0) ~cores:u.(1);
     Manager.apply_cluster soc 1 ~freq_ghz:u.(2) ~cores:u.(3)
   in

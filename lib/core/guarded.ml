@@ -156,7 +156,7 @@ type t = {
   mutable s : state;
 }
 
-let create ?(clusters = 2) () =
+let create ~clusters () =
   if clusters < 1 then invalid_arg "Guarded.create: clusters < 1";
   {
     filtered =

@@ -53,10 +53,10 @@ val thresholds : thresholds
 
 type t
 
-val create : ?clusters:int -> unit -> t
-(** [clusters] (default 2) is the number of per-cluster power channels
-    the guard tracks — one per platform cluster, in description order.
-    Raises [Invalid_argument] when < 1. *)
+val create : clusters:int -> unit -> t
+(** [clusters] is the number of per-cluster power channels the guard
+    tracks — one per platform cluster, in description order (2 on
+    exynos5422).  Raises [Invalid_argument] when < 1. *)
 
 val clusters : t -> int
 

@@ -27,7 +27,7 @@ let cluster_controllers platform ~initial ~refs =
         ~gains:(design_or_fail (subsystem_for i) goals)
         ~initial ~refs:(refs i))
 
-let make ~label ~name ?(platform = Platform_desc.exynos5422) () =
+let make ~label ~name ~platform () =
   let k = Platform_desc.num_clusters platform in
   let host = Platform_desc.host platform in
   (* A performance-oriented manager wants the secondary clusters fast
@@ -79,6 +79,6 @@ let make ~label ~name ?(platform = Platform_desc.exynos5422) () =
   in
   { Manager.name; step; persist = Some persist }
 
-let make_perf ?platform () = make ~label:"qos" ~name:"MM-Perf" ?platform ()
+let make_perf ~platform () = make ~label:"qos" ~name:"MM-Perf" ~platform ()
 
-let make_pow ?platform () = make ~label:"power" ~name:"MM-Pow" ?platform ()
+let make_pow ~platform () = make ~label:"power" ~name:"MM-Pow" ~platform ()

@@ -37,10 +37,10 @@ val cluster_controllers :
     starting on gain set [initial] with references [refs i].  Raises
     [Failure] when gain design fails. *)
 
-val make_perf : ?platform:Spectr_platform.Platform_desc.t -> unit -> Manager.t
+val make_perf : platform:Spectr_platform.Platform_desc.t -> unit -> Manager.t
 (** MM-Perf: performance-oriented gains on every cluster.  [platform]
-    (default [Platform_desc.exynos5422]) selects the platform
-    description: one fixed-gain 2×2 controller per cluster. *)
+    selects the platform description: one fixed-gain 2×2 controller per
+    cluster. *)
 
-val make_pow : ?platform:Spectr_platform.Platform_desc.t -> unit -> Manager.t
+val make_pow : platform:Spectr_platform.Platform_desc.t -> unit -> Manager.t
 (** MM-Pow: power-oriented gains on every cluster. *)

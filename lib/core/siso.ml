@@ -3,7 +3,7 @@ open Spectr_platform
 
 (* Exynos cluster indices: the SISO baseline is a hand-tuned PID chain
    for the reference big.LITTLE platform, not a description-driven
-   manager — Scenario rejects it on any other platform. *)
+   manager — Variant.make rejects it on any other platform. *)
 let big = 0
 let little = 1
 

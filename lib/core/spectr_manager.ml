@@ -453,13 +453,10 @@ let make ?(supervisor_divisor = 2) ?(gain_scheduling = true)
   in
   (mgr, h.sup)
 
-let make_reconfigurable ?(supervisor_divisor = 2)
-    ?(gain_scheduling = true) ?guards ?(platform = Platform_desc.exynos5422) () =
+let make_reconfigurable ?(platform = Platform_desc.exynos5422) () =
   let guard =
-    match guards with
-    | Some g -> g
-    | None -> Guarded.create ~clusters:(Platform_desc.num_clusters platform) ()
+    Guarded.create ~clusters:(Platform_desc.num_clusters platform) ()
   in
   build ~who:"Spectr_manager.make_reconfigurable" ~name:"SPECTR+R"
-    ~supervisor_divisor ~gain_scheduling ~guard:(Some guard) ~fdir:true
-    platform
+    ~supervisor_divisor:2 ~gain_scheduling:true ~guard:(Some guard)
+    ~fdir:true platform

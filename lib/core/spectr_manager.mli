@@ -89,9 +89,6 @@ module Reconfig : sig
 end
 
 val make_reconfigurable :
-  ?supervisor_divisor:int ->
-  ?gain_scheduling:bool ->
-  ?guards:Guarded.t ->
   ?platform:Spectr_platform.Platform_desc.t ->
   unit ->
   Manager.t * Reconfig.handle
@@ -113,11 +110,13 @@ val make_reconfigurable :
     description.  Unrecoverable faults (dead host, blind QoS sensor)
     drop to the permanent open-loop floor.
 
-    [guards] defaults to a fresh {!Guarded.create} — the guard is
-    integral to the ladder, not optional.  SPECTR, SPECTR+G and SPECTR+R
-    are one loop with these layers armed or not, and share one
+    The manager builds its own guard (one power channel per cluster of
+    [platform], reachable through {!Reconfig.guard}) — the guard is
+    integral to the ladder, not optional — and runs {!make}'s default
+    supervisor period with gain scheduling on.  SPECTR, SPECTR+G and
+    SPECTR+R are one loop with these layers armed or not, and share one
     checkpoint format: its payload lists the applied degradations, so
     [restore] re-derives the supervised description from the boot one
     (re-synthesizing, warm, only when it differs from the live one) and
     resumes at any rung of the ladder.  The variant tag is ["SPECTR+R"]
-    with {!make}'s suffix rule.  Raises [Invalid_argument] as {!make}. *)
+    with {!make}'s suffix rule. *)

@@ -60,11 +60,6 @@ let g_cap = Obs.Counters.gauge "fleet.global_cap"
 let g_peak = Obs.Counters.gauge "fleet.peak_power"
 let h_epoch = Obs.Histogram.histogram "fleet.epoch_ns"
 
-let mix_seed base i =
-  Int64.add
-    (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (i + 1)))
-    (Int64.mul 0xBF58476D1CE4E5B9L (Int64.of_int base))
-
 let validate spec =
   let bad name = invalid_arg (Printf.sprintf "Fleet.run: non-positive %s" name) in
   if spec.nodes <= 0 then bad "nodes";
@@ -105,7 +100,7 @@ let tick_shard ~dt ~ticks ~nodes ~shard_size ~power ~reports s =
    the stream length fixed and the plan independent of simulation
    state. *)
 let kill_plan ~spec ~epoch =
-  let g = Prng.create (mix_seed (spec.seed lxor 0xC8A5) epoch) in
+  let g = Prng.create (Prng.mix_seed (spec.seed lxor 0xC8A5) epoch) in
   let base = int_of_float spec.kill_rate in
   let frac = spec.kill_rate -. float_of_int base in
   let count = base + (if Prng.float g < frac then 1 else 0) in
@@ -155,7 +150,7 @@ let run ?pool spec =
         let node =
           Node.create ~config:spec.node_config
             ~platform:spec.platforms.(i mod Array.length spec.platforms)
-            ~id:i ~seed:(mix_seed spec.seed i) ~workload:(workload_for i) ()
+            ~id:i ~seed:(Prng.mix_seed spec.seed i) ~workload:(workload_for i) ()
         in
         if spec.policy <> Coordinator.Uncoordinated then Node.set_cap node even;
         Node.warm_up node;

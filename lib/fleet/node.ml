@@ -103,15 +103,10 @@ let make_soc t generation =
     soc
 
 let make_manager ~reconfigurable platform =
-  if reconfigurable then begin
-    let manager, handle =
-      Spectr.Spectr_manager.make_reconfigurable ~platform ()
-    in
-    (manager, Some handle)
-  end
-  else
-    let manager, _sup = Spectr.Spectr_manager.make ~platform () in
-    (manager, None)
+  let manager, _, _, handle =
+    Spectr.Variant.(make platform (if reconfigurable then Spectr_r else Spectr))
+  in
+  (manager, handle)
 
 let create ?(config = default_config)
     ?(platform = Platform_desc.exynos5422) ?(reconfigurable = false) ~id

@@ -11,6 +11,12 @@ type t = { mutable bits : float }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { bits = Int64.float_of_bits seed }
+
+let mix_seed seed index =
+  Int64.add
+    (Int64.mul golden_gamma (Int64.of_int (index + 1)))
+    (Int64.mul 0xBF58476D1CE4E5B9L (Int64.of_int seed))
+
 let blit ~src ~dst = dst.bits <- src.bits
 
 let[@inline] mix z =

@@ -11,6 +11,13 @@ val create : int64 -> t
 (** Generator seeded with the given value; equal seeds give equal
     streams. *)
 
+val mix_seed : int -> int -> int64
+(** [mix_seed seed index] is the seed of the [index]-th independent
+    stream of a run seeded [seed]: (index+1)·0x9E3779B97F4A7C15 +
+    seed·0xBF58476D1CE4E5B9, wrapping (SplitMix-style).  Chaos cells,
+    node-kill drills, fleet nodes and arrival epochs derive their seeds
+    this way, so any one of them can be regenerated without the rest. *)
+
 val blit : src:t -> dst:t -> unit
 (** Overwrite [dst]'s state with [src]'s without allocating.  Afterwards
     both generators produce the same stream (and then diverge as they

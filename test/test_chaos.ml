@@ -73,21 +73,51 @@ let test_campaign_validation () =
 
 let test_name_round_trips () =
   List.iter
-    (fun v ->
-      check_bool "variant round-trips" true
-        (Campaign.variant_of_string (Campaign.variant_name v) = v))
-    Campaign.all_variants;
-  List.iter
     (fun k ->
       check_bool "invariant kind round-trips" true
         (Invariants.kind_of_string (Invariants.kind_name k) = k))
     Invariants.
       [ Power_cap; Qos_reconvergence; Supervisor_legal; Actuation_bounds;
         Non_finite ];
-  expect_invalid "unknown variant" (fun () ->
-      Campaign.variant_of_string "bogus");
   expect_invalid "unknown kind" (fun () ->
       Invariants.kind_of_string "bogus")
+
+(* The manager catalogue, the variant half of the name round-trips:
+   every variant's name is its built manager's name and parses back in
+   either case; FS and SISO refuse any description but exynos5422, and
+   every other variant builds on the 3-cluster pixel8pro and the
+   generated k3 and runs a scenario tick. *)
+let test_manager_catalogue () =
+  let module V = Spectr.Variant in
+  List.iter
+    (fun v ->
+      let name = V.name v in
+      let m, _, _, _ = V.make Platform_desc.exynos5422 v in
+      check_string (name ^ ": built manager's name") name
+        m.Spectr.Manager.name;
+      check_bool (name ^ " parses") true (V.of_string name = v);
+      check_bool (name ^ " parses in lowercase") true
+        (V.of_string (String.lowercase_ascii name) = v))
+    V.all;
+  expect_invalid "unknown manager" (fun () -> V.of_string "bogus");
+  List.iter
+    (fun platform ->
+      let on = " on " ^ Platform_desc.name platform in
+      List.iter
+        (fun v ->
+          match v with
+          | V.Siso | V.Fs ->
+              expect_invalid (V.name v ^ on) (fun () -> V.make platform v)
+          | _ ->
+              let m, _, _, _ = V.make platform v in
+              let runner =
+                Spectr.Scenario.start
+                  (Spectr.Scenario.default_config ~platform Benchmarks.x264)
+              in
+              check_bool (V.name v ^ " ticks" ^ on) true
+                (Spectr.Scenario.tick runner ~manager:m <> None))
+        V.all)
+    [ Platform_desc.pixel8pro; Platform_desc.k_cluster 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine determinism and checkpoint/restore                           *)
@@ -185,7 +215,7 @@ let test_reconfig_checkpoint_rejected_elsewhere () =
       ~platform:Platform_desc.pixel8pro ()
   in
   let guarded, _ =
-    Spectr.Spectr_manager.make ~guards:(Spectr.Guarded.create ()) ()
+    Spectr.Spectr_manager.make ~guards:(Spectr.Guarded.create ~clusters:2 ()) ()
   in
   let c = (persist exynos).Spectr.Manager.snapshot () in
   expect_invalid "exynos5422 checkpoint into pixel8pro" (fun () ->
@@ -428,6 +458,8 @@ let () =
           Alcotest.test_case "spec validation" `Quick
             test_campaign_validation;
           Alcotest.test_case "name round-trips" `Quick test_name_round_trips;
+          Alcotest.test_case "manager catalogue" `Quick
+            test_manager_catalogue;
           Alcotest.test_case "pinned seven-variant campaign" `Quick
             test_campaign_pinned;
         ] );

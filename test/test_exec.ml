@@ -415,7 +415,8 @@ let grid_specs () :
     (string * (unit -> Spectr.Manager.t)) list =
   [
     ("SPECTR", fun () -> fst (Spectr.Spectr_manager.make ()));
-    ("MM-Pow", fun () -> Spectr.Mm.make_pow ());
+    ( "MM-Pow",
+      fun () -> Spectr.Mm.make_pow ~platform:Platform_desc.exynos5422 () );
     (* A second SPECTR cell makes two workers race on the same synthesis
        cache key in the 4-job run. *)
     ("SPECTR-2", fun () -> fst (Spectr.Spectr_manager.make ()));

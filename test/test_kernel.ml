@@ -487,11 +487,13 @@ let scenario_digest ?(faulted = false) make_manager =
 let test_pinned_digests () =
   let make = function
     | "spectr" -> fun () -> fst (Spectr.Spectr_manager.make ())
-    | "mm-pow" -> fun () -> Spectr.Mm.make_pow ()
+    | "mm-pow" ->
+        fun () -> Spectr.Mm.make_pow ~platform:Platform_desc.exynos5422 ()
     | "siso" -> fun () -> Spectr.Siso.make ()
     | "spectr+g faulted" ->
         fun () ->
-          fst (Spectr.Spectr_manager.make ~guards:(Spectr.Guarded.create ()) ())
+          let guards = Spectr.Guarded.create ~clusters:2 () in
+          fst (Spectr.Spectr_manager.make ~guards ())
     | name -> Alcotest.failf "unknown pinned manager %s" name
   in
   List.iter

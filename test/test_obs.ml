@@ -395,7 +395,10 @@ let test_disabled_byte_identity () =
         (Digest.to_hex (Digest.string csv_off));
       check_string "MM-Pow CSV matches pre-instrumentation pin"
         pinned_mm_pow_csv
-        (Digest.to_hex (Digest.string (full_run (Spectr.Mm.make_pow ()))));
+        (Digest.to_hex
+           (Digest.string
+              (full_run
+                 (Spectr.Mm.make_pow ~platform:Platform_desc.exynos5422 ()))));
       (* Enabling instrumentation observes without perturbing: same
          bytes with the layer on. *)
       Obs.Clock.use_ticks ();

@@ -539,7 +539,7 @@ let test_supervisor_budget_invariants_random_walk () =
 let test_scenario_deterministic () =
   (* Same seed, same manager construction -> identical traces. *)
   let run () =
-    let mgr = Mm.make_pow () in
+    let mgr = Mm.make_pow ~platform:Platform_desc.exynos5422 () in
     let config = Scenario.default_config Benchmarks.x264 in
     let trace = Scenario.run ~manager:mgr config in
     Trace.column trace "power"
@@ -675,12 +675,13 @@ let metrics_of mgr =
   Metrics.per_phase ~trace ~config:cfg
 
 let spectr_metrics = lazy (metrics_of (fst (Spectr_manager.make ())))
-let mm_pow_metrics = lazy (metrics_of (Mm.make_pow ()))
-let mm_perf_metrics = lazy (metrics_of (Mm.make_perf ()))
+let exynos = Platform_desc.exynos5422
+let mm_pow_metrics = lazy (metrics_of (Mm.make_pow ~platform:exynos ()))
+let mm_perf_metrics = lazy (metrics_of (Mm.make_perf ~platform:exynos ()))
 let fs_metrics = lazy (metrics_of (Fs.make ()))
 
 let test_scenario_trace_shape () =
-  let trace = Scenario.run ~manager:(Mm.make_pow ()) cfg in
+  let trace = Scenario.run ~manager:(Mm.make_pow ~platform:exynos ()) cfg in
   (* 15 s at 50 ms -> 300 rows *)
   check_int "rows" 300 (Trace.length trace);
   let bounds = Scenario.phase_bounds cfg in
@@ -1157,7 +1158,7 @@ let healthy_step g ~now i =
   Guarded.filter g ~now ~qos:(60. +. wiggle) ~powers:[| 2. +. wiggle; 1. +. wiggle |]
 
 let warmed_guards () =
-  let g = Guarded.create () in
+  let g = Guarded.create ~clusters:2 () in
   for i = 1 to 5 do
     ignore (healthy_step g ~now:(float_of_int i *. 0.05) i)
   done;
@@ -1397,7 +1398,7 @@ let faulted_cfg fault ~start_s ~stop_s =
 
 let run_guarded fault ~start_s ~stop_s =
   let cfg = faulted_cfg fault ~start_s ~stop_s in
-  let guards = Guarded.create () in
+  let guards = Guarded.create ~clusters:2 () in
   let manager, _ = Spectr_manager.make ~guards () in
   (Scenario.run ~manager cfg, guards)
 
@@ -1517,7 +1518,7 @@ let test_metrics_empty_phase () =
   (* 0.01 s < controller_period / 2 = 0.025 s: rounds to zero samples. *)
   check_bool "blink below half period" true
     (0.01 < (cfg.Scenario.controller_period /. 2.));
-  let trace = Scenario.run ~manager:(Mm.make_pow ()) cfg in
+  let trace = Scenario.run ~manager:(Mm.make_pow ~platform:exynos ()) cfg in
   let metrics = Metrics.per_phase ~trace ~config:cfg in
   check_int "zero-length phase omitted" 2 (List.length metrics);
   check_bool "surviving phases keep their order" true
@@ -2174,7 +2175,7 @@ let test_reconfig_beats_guarded_fallback () =
   (* The contrast SPECTR+R exists for: under a permanently dead cluster
      SPECTR+G never leaves the open-loop floor, SPECTR+R re-converges. *)
   let cfg = reconfig_cfg (Faults.Cluster_dead 1) ~start_s:2.0 in
-  let guards = Guarded.create () in
+  let guards = Guarded.create ~clusters:2 () in
   let manager, _ = Spectr_manager.make ~guards () in
   let trace_g = Scenario.run ~manager cfg in
   check_bool "SPECTR+G still in fallback at run end" true
