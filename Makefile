@@ -1,4 +1,4 @@
-.PHONY: all build test fmt surface bench bench-determinism obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness robustness-smoke check clean
+.PHONY: all build test fmt surface memory bench bench-determinism obs-smoke chaos-smoke fleet-smoke platform-smoke reconfig-smoke robustness robustness-smoke check clean
 
 all: build
 
@@ -25,6 +25,13 @@ fmt:
 surface:
 	dune build test/surface.exe
 	./_build/default/test/surface.exe lib bench bin examples test
+
+# Memory figures: peak RSS and major-heap words after a 1-epoch and a
+# 120-epoch 512-node fleet run and a synthesis round, and the fleet's
+# promoted KB per epoch, steady (kill rate 0) and with restarts (kill
+# rate 1).  Printed only: nothing here is pinned or gated.
+memory:
+	dune exec bench/main.exe -- memory
 
 bench:
 	dune exec bench/main.exe

@@ -68,6 +68,12 @@ let limits =
     max_violations = 25;
   }
 
+(* Power-cap bookkeeping, rewritten every tick: the current disturbance
+   epoch's start and the cumulative over-cap time within it.  A record of
+   floats only is stored flat, where a float field of the mixed [t]
+   would hold a box until the next minor collection promoted it. *)
+type power = { mutable epoch : float; mutable excess : float }
+
 type t = {
   qos_ref : float;
   dt : float;
@@ -79,10 +85,7 @@ type t = {
   mutable count : int;
   streaks : int array; (* consecutive violating ticks, per kind *)
   reported : bool array; (* an open episode already produced a finding *)
-  (* Power-cap bookkeeping: cumulative over-cap time within the current
-     disturbance epoch. *)
-  mutable power_epoch : float;
-  mutable power_excess : float;
+  power : power;
   mutable power_reported : bool;
 }
 
@@ -144,8 +147,7 @@ let create ~config ?kill_time () =
     count = 0;
     streaks = Array.make num_kinds 0;
     reported = Array.make num_kinds false;
-    power_epoch = 0.;
-    power_excess = 0.;
+    power = { epoch = 0.; excess = 0. };
     power_reported = false;
   }
 
@@ -212,9 +214,10 @@ let check m ~runner ~sup ~obs =
      physically prevent compliance, so those windows do not count;
      sensor faults DO count — surviving a lying sensor is exactly what
      the guards are for. *)
-  if epoch <> m.power_epoch then begin
-    m.power_epoch <- epoch;
-    m.power_excess <- 0.;
+  let pw = m.power in
+  if epoch <> pw.epoch then begin
+    pw.epoch <- epoch;
+    pw.excess <- 0.;
     m.power_reported <- false
   end;
   let truth = Spectr.Scenario.ground_truth runner in
@@ -226,14 +229,14 @@ let check m ~runner ~sup ~obs =
     && since_disturbance > limits.settle_s
     && true_power > cap
   then begin
-    m.power_excess <- m.power_excess +. m.dt;
-    if m.power_excess > limits.excess_budget_s && not m.power_reported then begin
+    pw.excess <- pw.excess +. m.dt;
+    if pw.excess > limits.excess_budget_s && not m.power_reported then begin
       m.power_reported <- true;
       record m ~tick ~time:t Power_cap (fun () ->
           Printf.sprintf
             "%.2f s cumulative above %.3f W (envelope %.2f W + %.0f%% \
              guardband) since the disturbance at t=%.2f s; now %.3f W"
-            m.power_excess cap envelope
+            pw.excess cap envelope
             (100. *. limits.guardband)
             epoch true_power)
     end

@@ -119,11 +119,11 @@ let channel_filter cfg ch ~src ~dst i =
     ok
   end
 
-type filtered = {
-  mutable qos : float;
-  powers : float array; (* per-cluster, owned by the guard *)
-  mutable healthy : bool;
-}
+(* The sanitized QoS, in a record of floats only: OCaml stores it flat,
+   so [filter] rewrites it every period with an unboxed store, where a
+   float field of a mixed record would hold a box until the next minor
+   collection promoted it. *)
+type filtered = { mutable qos : float }
 
 (* The watchdog's three streaks, one {!Persistence} counter each:
    consecutive periods of sensor loss, of actuator disobedience, and of
@@ -135,12 +135,14 @@ let good = 2
 (* The actuator side's verdict on the control period in progress. *)
 type period = Unseen | Obedient | Disobedient
 
+type stamp = { mutable period_now : float }
+
 (* Everything a checkpoint carries. *)
 type state = {
   qos_ch : channel;
   power_chs : channel array; (* one per cluster, description order *)
   watchdog : Persistence.t;
-  mutable period_now : float; (* stamp of the period in progress *)
+  stamp : stamp; (* of the period in progress; flat, like [filtered] *)
   mutable period : period;
   mutable is_degraded : bool;
   mutable spans : (float * float option) list; (* newest first *)
@@ -152,6 +154,7 @@ type state = {
 
 type t = {
   filtered : filtered; (* preallocated result buffer for [filter] *)
+  powers : float array; (* per-cluster sanitized powers, owned here *)
   qos_io : float array; (* the QoS sample and its substitute, unboxed *)
   mutable s : state;
 }
@@ -159,15 +162,15 @@ type t = {
 let create ~clusters () =
   if clusters < 1 then invalid_arg "Guarded.create: clusters < 1";
   {
-    filtered =
-      { qos = 0.; powers = Array.make clusters 0.; healthy = false };
+    filtered = { qos = 0. };
+    powers = Array.make clusters 0.;
     qos_io = [| 0. |];
     s =
       {
         qos_ch = make_channel ();
         power_chs = Array.init clusters (fun _ -> make_channel ());
         watchdog = Persistence.create 3;
-        period_now = nan;
+        stamp = { period_now = nan };
         period = Unseen;
         is_degraded = false;
         spans = [];
@@ -179,6 +182,7 @@ let create ~clusters () =
   }
 
 let clusters t = Array.length t.s.power_chs
+let powers t = t.powers
 
 let power_channel t ~who ~cluster =
   if cluster < 0 || cluster >= clusters t then
@@ -248,9 +252,9 @@ let update_watchdog t ~now =
    readback mismatched.  The first mismatch counts the period at once;
    an obedient period clears the streak when the next one begins. *)
 let roll_period s ~now =
-  if now <> s.period_now then begin
+  if now <> s.stamp.period_now then begin
     if s.period = Obedient then Persistence.reset s.watchdog actuator_bad;
-    s.period_now <- now;
+    s.stamp.period_now <- now;
     s.period <- Unseen
   end
 
@@ -264,15 +268,14 @@ let filter t ~now ~qos ~powers =
   let qos_ok =
     channel_filter thresholds.qos s.qos_ch ~src:t.qos_io ~dst:t.qos_io 0
   in
-  (* An accepted sample is passed on as it came, already boxed. *)
-  f.qos <- (if qos_ok then qos else t.qos_io.(0));
+  (* [channel_filter] left the sample itself there when it passed. *)
+  f.qos <- t.qos_io.(0);
   let healthy = ref qos_ok in
   for i = 0 to Array.length s.power_chs - 1 do
-    if not (channel_filter thresholds.power s.power_chs.(i) ~src:powers ~dst:f.powers i)
+    if not (channel_filter thresholds.power s.power_chs.(i) ~src:powers ~dst:t.powers i)
     then healthy := false
   done;
   let healthy = !healthy in
-  f.healthy <- healthy;
   if not healthy then begin
     s.substituted <- s.substituted + 1;
     Obs.Counters.incr c_interventions
@@ -312,6 +315,7 @@ let copy_state s =
   {
     s with
     qos_ch = copy_channel s.qos_ch;
+    stamp = { period_now = s.stamp.period_now };
     power_chs = Array.map copy_channel s.power_chs;
     watchdog = Persistence.copy s.watchdog;
   }

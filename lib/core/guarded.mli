@@ -62,21 +62,23 @@ val clusters : t -> int
 
 (** {1 Per-period protocol} *)
 
-type filtered = {
-  mutable qos : float;
-  powers : float array;
-      (** Per-cluster sanitized powers, description order. *)
-  mutable healthy : bool;
-      (** No channel needed substitution this period. *)
-}
+type filtered = { mutable qos : float  (** Sanitized QoS. *) }
+(** A record of floats only, so OCaml stores it flat and {!filter}
+    rewrites it without boxing. *)
 
 val filter : t -> now:float -> qos:float -> powers:float array -> filtered
 (** Sanitize one observation (QoS plus one power reading per cluster)
-    and advance the sensor side of the watchdog.  Every returned field
-    is finite.  The result is a guard-owned buffer overwritten by the
-    next call — read it before then.  Allocates only to box a
-    substituted QoS value.  Raises [Invalid_argument] when [powers]
-    does not have exactly {!clusters} entries. *)
+    and advance the sensor side of the watchdog.  The returned QoS and
+    every entry of {!powers} are finite.  The result is a guard-owned
+    buffer overwritten by the next call — read it before then.
+    Allocates nothing.  A period in which any channel needed
+    substitution counts in {!substituted_samples}.  Raises
+    [Invalid_argument] when [powers] does not have exactly {!clusters}
+    entries. *)
+
+val powers : t -> float array
+(** The per-cluster powers the last {!filter} sanitized, description
+    order: a guard-owned buffer overwritten by the next call. *)
 
 val note_actuation : t -> now:float -> ok:bool -> unit
 (** Report whether one cluster's quantized frequency and core count read

@@ -234,7 +234,7 @@ let step h ~now ~qos_ref ~envelope ~obs soc =
     | None -> ((obs.Soc.qos_rate : float), raw_powers)
     | Some g ->
         let f = Guarded.filter g ~now ~qos:obs.Soc.qos_rate ~powers:raw_powers in
-        (f.Guarded.qos, f.Guarded.powers)
+        (f.Guarded.qos, Guarded.powers g)
   in
   (match h.fdir with
   | Some fd when h.status <> Fallback -> (

@@ -61,6 +61,18 @@ let synthesize ?(platform = Platform_desc.exynos5422) () =
       failwith "Supervisor.synthesize: empty supervisor"
   | Ok result -> result
 
+(* The most recent measurements, consulted by the action policy.  A
+   record of floats only is stored flat: [do_step] overwrites them every
+   supervisor period with unboxed stores, where a mutable float field of
+   the mixed [t] would keep the caller's box alive until the next minor
+   collection promoted it. *)
+type last = {
+  mutable qos : float;
+  mutable qos_ref : float;
+  mutable power : float;
+  mutable envelope : float;
+}
+
 type t = {
   uncapping_threshold : float; (* lowest band edge *)
   commands : commands;
@@ -77,11 +89,7 @@ type t = {
   mutable current : int; (* supervisor-automaton state index *)
   mutable mode : string; (* "qos" | "power" *)
   mutable mode_age : int; (* supervisor periods since the last switch *)
-  (* Most recent measurements, consulted by the action policy. *)
-  mutable last_qos : float;
-  mutable last_qos_ref : float;
-  mutable last_power : float;
-  mutable last_envelope : float;
+  last : last;
 }
 
 let create ?(uncapping_threshold = 0.90)
@@ -114,10 +122,7 @@ let create ?(uncapping_threshold = 0.90)
     current = Automaton.initial_index auto;
     mode = "qos";
     mode_age = 0;
-    last_qos = 0.;
-    last_qos_ref = 1.;
-    last_power = 0.;
-    last_envelope = envelope;
+    last = { qos = 0.; qos_ref = 1.; power = 0.; envelope };
   }
 
 (* The only place the runtime engine translates back to a name: the hot
@@ -151,10 +156,10 @@ let snapshot t =
     snap_mode = t.mode;
     snap_mode_age = t.mode_age;
     snap_refs = Array.copy t.refs;
-    snap_last_qos = t.last_qos;
-    snap_last_qos_ref = t.last_qos_ref;
-    snap_last_power = t.last_power;
-    snap_last_envelope = t.last_envelope;
+    snap_last_qos = t.last.qos;
+    snap_last_qos_ref = t.last.qos_ref;
+    snap_last_power = t.last.power;
+    snap_last_envelope = t.last.envelope;
   }
 
 let restore t s =
@@ -170,10 +175,10 @@ let restore t s =
   t.mode <- s.snap_mode;
   t.mode_age <- s.snap_mode_age;
   Array.blit s.snap_refs 0 t.refs 0 t.k;
-  t.last_qos <- s.snap_last_qos;
-  t.last_qos_ref <- s.snap_last_qos_ref;
-  t.last_power <- s.snap_last_power;
-  t.last_envelope <- s.snap_last_envelope
+  t.last.qos <- s.snap_last_qos;
+  t.last.qos_ref <- s.snap_last_qos_ref;
+  t.last.power <- s.snap_last_power;
+  t.last.envelope <- s.snap_last_envelope
 
 (* --- actions --------------------------------------------------------- *)
 
@@ -214,13 +219,13 @@ let[@inline] host_budget_cap t =
        near the top of the big cluster's table — so capping at the full
        envelope limit-cycles across it.  Cap at the supervisor's own
        capping target instead, less half an OPP step of slack. *)
-    (t.last_envelope *. thresholds.capping_target) -. 0.2
+    (t.last.envelope *. thresholds.capping_target) -. 0.2
   else begin
     let reserved = ref 0. in
     for i = 0 to t.k - 1 do
       if i <> t.host then reserved := !reserved +. t.refs.(i)
     done;
-    t.last_envelope -. (0.9 *. !reserved)
+    t.last.envelope -. (0.9 *. !reserved)
   end
 
 let[@inline] record_rebudget t i v =
@@ -349,7 +354,7 @@ let first_secondary_decrease t =
    probe is one binary search of the current CSR row. *)
 let choose_action t =
   let qos_surplus =
-    t.last_qos -. (t.last_qos_ref *. (1. +. thresholds.qos_tolerance))
+    t.last.qos -. (t.last.qos_ref *. (1. +. thresholds.qos_tolerance))
   in
   let headroom = host_budget_cap t -. t.refs.(t.host) in
   if has t id_switch_power then id_switch_power
@@ -413,21 +418,22 @@ let do_step t ~qos ~qos_ref ~power ~envelope =
      back to the last trustworthy value — the guarded layer upstream
      normally filters these out, but the supervisor must stay safe even
      when driven bare. *)
-  let qos = if Float.is_finite qos then qos else subst t.last_qos in
+  let last = t.last in
+  let qos = if Float.is_finite qos then qos else subst last.qos in
   let qos_ref =
-    if Float.is_finite qos_ref then qos_ref else subst t.last_qos_ref
+    if Float.is_finite qos_ref then qos_ref else subst last.qos_ref
   in
-  let power = if Float.is_finite power then power else subst t.last_power in
+  let power = if Float.is_finite power then power else subst last.power in
   let envelope =
     if Float.is_finite envelope && envelope > 0. then envelope
-    else subst t.last_envelope
+    else subst last.envelope
   in
   t.mode_age <- t.mode_age + 1;
-  t.last_qos <- qos;
-  t.last_qos_ref <- qos_ref;
-  t.last_power <- power;
-  (if envelope <> t.last_envelope then begin
-     t.last_envelope <- envelope;
+  last.qos <- qos;
+  last.qos_ref <- qos_ref;
+  last.power <- power;
+  (if envelope <> last.envelope then begin
+     last.envelope <- envelope;
      (* Re-clamp budgets immediately on an envelope change (thermal
         emergency or recovery). *)
      set_host t t.refs.(t.host)
@@ -492,10 +498,10 @@ let adopt t ~prev ~prev_platform =
   let qos_ref = prev.snap_last_qos_ref in
   let power = prev.snap_last_power in
   let envelope = prev.snap_last_envelope in
-  t.last_qos <- qos;
-  t.last_qos_ref <- qos_ref;
-  t.last_power <- power;
-  if Float.is_finite envelope && envelope > 0. then t.last_envelope <- envelope;
+  t.last.qos <- qos;
+  t.last.qos_ref <- qos_ref;
+  t.last.power <- power;
+  if Float.is_finite envelope && envelope > 0. then t.last.envelope <- envelope;
   Array.iteri
     (fun j v ->
       match

@@ -13,14 +13,15 @@ let boot_dt = 0.05
 type item = { tasks : int; mutable left : int }
 
 (* [acc]'s slots: the last tick's true power; the epoch's summed true
-   power, sensed power, QoS rate and QoS debt, drained by [report]; and
-   the lifetime QoS debt. *)
+   power, sensed power, QoS rate and QoS debt, drained by [report]; the
+   lifetime QoS debt; and the cap in force, set every epoch. *)
 let a_last_power = 0
 let a_power = 1
 let a_sensor = 2
 let a_qos = 3
 let a_debt = 4
 let a_total_debt = 5
+let a_cap = 6
 
 (* A report's floats sit in a record of floats only, which OCaml stores
    flat: refreshing them boxes nothing, where a mutable float field of
@@ -59,15 +60,15 @@ type t = {
   mutable soc : Soc.t;
   mutable hb : Heartbeats.t;
   mutable manager : Spectr.Manager.t;
-  mutable cap : float;
   mutable alive : bool;
   mutable items : item list;
   mutable bg : int;
   obs : Soc.observation;
   truth : float array; (* [Soc.ground_truth]: chip power, QoS rate *)
-  (* The per-tick floats, slotted by the [a_*] indices above: a flat
-     float array stores them unboxed, where a float field of this mixed
-     record boxes on every write. *)
+  (* The per-tick and per-epoch floats, slotted by the [a_*] indices
+     above: a flat float array stores them unboxed, where a float field
+     of this mixed record would hold a box until the next minor
+     collection promoted it. *)
   acc : float array;
   (* epoch ticks, drained by [report] *)
   mutable e_ticks : int;
@@ -116,6 +117,8 @@ let create ?(config = default_config)
   let qos_ref = Spectr.Scenario.default_qos_ref platform workload in
   let soc = (make_soc seed 0) platform workload in
   let manager, reconfig = make_manager ~reconfigurable platform in
+  let acc = Array.make (a_cap + 1) 0. in
+  acc.(a_cap) <- config.node_tdp;
   {
     id;
     config;
@@ -129,13 +132,12 @@ let create ?(config = default_config)
     soc;
     hb = Spectr.Scenario.heartbeat_monitor ~qos_ref;
     manager;
-    cap = config.node_tdp;
     alive = true;
     items = [];
     bg = 0;
     obs = Soc.make_observation ();
     truth = Array.make 2 0.;
-    acc = Array.make 6 0.;
+    acc;
     e_ticks = 0;
     kills = 0;
     restarts = 0;
@@ -166,7 +168,7 @@ let id t = t.id
 let workload_name t = t.workload.Workload.name
 let qos_ref t = t.qos_ref
 let alive t = t.alive
-let cap t = t.cap
+let cap t = t.acc.(a_cap)
 let background t = t.bg
 let last_true_power t = t.acc.(a_last_power)
 let kills t = t.kills
@@ -207,8 +209,8 @@ let inject_permanent t kind =
   end
 
 let set_cap t cap =
-  let cap = Float.min t.config.node_tdp (Float.max t.config.cap_floor cap) in
-  t.cap <- cap
+  t.acc.(a_cap) <-
+    Float.min t.config.node_tdp (Float.max t.config.cap_floor cap)
 
 let recompute_bg t =
   let bg = List.fold_left (fun acc it -> acc + it.tasks) 0 t.items in
@@ -239,7 +241,7 @@ let expire_items t =
    ticks and the uncounted boot warm-up share it. *)
 let close_loop t ~dt =
   Spectr.Scenario.close_loop t.soc t.hb t.obs ~manager:t.manager ~dt
-    ~qos_ref:t.qos_ref ~envelope:t.cap
+    ~qos_ref:t.qos_ref ~envelope:t.acc.(a_cap)
 
 let warm_up t =
   if t.alive then
@@ -325,7 +327,7 @@ let report t =
   r.r_kills <- t.kills;
   r.r_restarts <- t.restarts;
   m.r_max_power <- max_power t;
-  m.r_cap <- t.cap;
+  m.r_cap <- acc.(a_cap);
   (* Epoch means; 0 with no ticks since the last report. *)
   m.r_power <- (if n = 0. then 0. else acc.(a_power) /. n);
   m.r_sensor_power <- (if n = 0. then 0. else acc.(a_sensor) /. n);

@@ -80,12 +80,17 @@ let injection fault ~start_s ~stop_s =
 
 let permanent fault ~start_s = injection fault ~start_s ~stop_s:Float.infinity
 
+(* The QoS and temperature stuck-at slots, rewritten every tick: a
+   record of floats only is stored flat, where a float field of the
+   mixed [t] would hold the reading's box until the next minor
+   collection promoted it. *)
+type last = { mutable qos : float; mutable temp : float }
+
 type t = {
   injections : injection list;
   rng : Prng.t; (* spike noise only; independent of the SoC's stream *)
   last_power : float array; (* per-cluster stuck-at slots *)
-  mutable last_qos : float;
-  mutable last_temp : float;
+  last : last;
 }
 
 let create ?(seed = 0xFA17L) injections =
@@ -96,8 +101,7 @@ let create ?(seed = 0xFA17L) injections =
     injections;
     rng = Prng.create seed;
     last_power = Array.make max_clusters 0.;
-    last_qos = 0.;
-    last_temp = 0.;
+    last = { qos = 0.; temp = 0. };
   }
 
 let injections t = t.injections
@@ -167,14 +171,14 @@ let apply_power t ~now ~cluster v =
 let apply_qos t ~now v =
   match t.injections with
   | [] ->
-      t.last_qos <- v;
+      t.last.qos <- v;
       v
   | _ :: _ ->
       let v =
         apply_sensor t ~now
           ~matches:(fun s -> s = Qos)
-          ~get_last:(fun () -> t.last_qos)
-          ~set_last:(fun v -> t.last_qos <- v)
+          ~get_last:(fun () -> t.last.qos)
+          ~set_last:(fun v -> t.last.qos <- v)
           v
       in
       if heartbeat_stalled t ~now then 0. else v
@@ -182,13 +186,13 @@ let apply_qos t ~now v =
 let apply_temp t ~now v =
   match t.injections with
   | [] ->
-      t.last_temp <- v;
+      t.last.temp <- v;
       v
   | _ :: _ ->
       apply_sensor t ~now
         ~matches:(fun s -> s = Temp)
-        ~get_last:(fun () -> t.last_temp)
-        ~set_last:(fun v -> t.last_temp <- v)
+        ~get_last:(fun () -> t.last.temp)
+        ~set_last:(fun v -> t.last.temp <- v)
         v
 
 let shift injections ~by =

@@ -411,17 +411,16 @@ let short_config () =
         cfg.Scenario.phases;
   }
 
-let grid_specs () :
-    (string * (unit -> Spectr.Manager.t)) list =
-  [
-    ("SPECTR", fun () -> fst (Spectr.Spectr_manager.make ()));
-    ( "MM-Pow",
-      fun () -> Spectr.Mm.make_pow ~platform:Platform_desc.exynos5422 () );
-    (* A second SPECTR cell makes two workers race on the same synthesis
-       cache key in the 4-job run. *)
-    ("SPECTR-2", fun () -> fst (Spectr.Spectr_manager.make ()));
-    ("FS", fun () -> Spectr.Fs.make ());
-  ]
+(* Built through the catalogue.  A second SPECTR cell makes two workers
+   race on the same synthesis cache key in the 4-job run. *)
+let grid_specs () : (string * (unit -> Spectr.Manager.t)) list =
+  List.map
+    (fun v ->
+      ( Spectr.Variant.name v,
+        fun () ->
+          let m, _, _, _ = Spectr.Variant.make Platform_desc.exynos5422 v in
+          m ))
+    Spectr.Variant.[ Spectr; Mm_pow; Spectr; Fs ]
 
 let run_grid pool =
   let config = short_config () in
