@@ -117,11 +117,20 @@ chaos-smoke:
 # Its mixed exynos5422/pixel8pro/k3 row builds nodes of a description
 # no module initializer touched on the default pool, so the diff also
 # covers parallel node construction.
+# Then the 8-drill node-kill campaign (~30 ms): each drill checkpoints
+# a node, kills it and restarts it from that checkpoint; spectr_cli
+# exits non-zero on a failed drill, which fails the target, and the
+# report must be byte-identical under SPECTR_JOBS=1 and SPECTR_JOBS=4.
+# No other CI step restarts nodes from checkpoints and compares the
+# outcome across processes.
 fleet-smoke:
 	SPECTR_JOBS=1 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j1.txt
 	SPECTR_JOBS=4 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j4.txt
 	diff /tmp/spectr-fleet-j1.txt /tmp/spectr-fleet-j4.txt
 	diff bench/fleet-smoke.expected /tmp/spectr-fleet-j1.txt
+	SPECTR_JOBS=1 dune exec bin/spectr_cli.exe -- fleet --node-kill 8 > /tmp/spectr-node-kill-j1.txt
+	SPECTR_JOBS=4 dune exec bin/spectr_cli.exe -- fleet --node-kill 8 > /tmp/spectr-node-kill-j4.txt
+	diff /tmp/spectr-node-kill-j1.txt /tmp/spectr-node-kill-j4.txt
 
 # Platform smoke: the data-driven platform layer end to end.  Built-in
 # descriptions list and validate (`platforms` digests each one), a

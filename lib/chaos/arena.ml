@@ -8,10 +8,11 @@
    stack and the supervisor every time.  The arena removes that too:
    one manager per (domain, variant), built on first checkout, with a
    pristine checkpoint taken immediately after construction.  Every
-   later checkout restores the pristine checkpoint — snapshot/restore
-   is complete-state in every layer (Supervisor, Mimo, Pid, Guarded,
-   Fdir, and the reconfiguration rung and degraded description),
-   so a reset manager is observationally identical to a fresh one; the
+   later checkout restores the pristine checkpoint — save/restore is
+   complete-state in every layer (Supervisor, Mimo, Pid, Guarded, Fdir,
+   and the reconfiguration rung and degraded description), and a
+   restore copies out of the checkpoint without sharing its state, so
+   a reset manager is observationally identical to a fresh one; the
    batch-vs-one-shot digest tests pin exactly that.
 
    Slots are domain-local (Domain.DLS): managers are mutable and

@@ -2,7 +2,7 @@
     every invariant after every tick, and run the cell's kill/restart
     drill if it has one.
 
-    The drill snapshots the manager [staleness] ticks before the kill
+    The drill checkpoints the manager [staleness] ticks before the kill
     (using its {!Spectr.Manager.persist} capability), then at the kill
     tick discards the running manager entirely, constructs a fresh one
     and restores the checkpoint into it — the platform keeps running
@@ -21,10 +21,10 @@ type outcome = {
   watchdog_recoveries : int;
       (** Completed guard degradations (0 for unguarded variants). *)
   checkpointed : bool;
-      (** The kill drill actually took a snapshot.  Every shipped
+      (** The kill drill actually took a checkpoint.  Every shipped
           variant, [Spectr_r] included, has a persist hook, so this is
           false only when the cell has no kill drill or the run ends
-          before the snapshot tick. *)
+          before the checkpoint tick. *)
   reconfigurations : int;
       (** Completed supervisor hot-swaps (0 for every variant but
           [Spectr_r]). *)

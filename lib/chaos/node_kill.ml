@@ -56,7 +56,7 @@ let run_drill d =
     p
   in
   (* Healthy life: tick under the assigned cap, checkpointing on the
-     drill's cadence — the last snapshot before the kill is whatever the
+     drill's cadence — the last checkpoint before the kill is whatever the
      cadence left, so restore staleness varies drill to drill. *)
   let checkpointed = ref false in
   for k = 1 to d.d_pre_ticks do

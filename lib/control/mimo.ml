@@ -14,18 +14,25 @@ let channel ?(offset = 0.) ?(scale = 1.) ?(min = neg_infinity)
   if min > max then invalid_arg "Mimo.channel: min > max";
   { name; offset; scale; min; max }
 
+(* The controller's mutable state, a record of its own: a checkpoint
+   holds a detached twin of it, and one [copy] moves it either way. *)
+type saved = {
+  mutable active : Lqg.gains;
+  refs : float array; (* physical reference values, mutable entries *)
+  xhat : Matrix.t; (* n x 1 predicted state *)
+  z : Matrix.t; (* p x 1 integrator *)
+  u_prev : Matrix.t; (* m x 1 normalized previous command *)
+  last : float array; (* m, last physical command *)
+  mutable last_valid : bool;
+}
+
 type t = {
   gains : (string * Lqg.gains) list;
-  mutable active : Lqg.gains;
   inputs : channel array;
   outputs : channel array;
-  refs : float array; (* physical reference values, mutable entries *)
   lims : float array;
       (* [-z_clamp; z_clamp] then each input channel's [min; max]: the
          clamp bounds as unboxed floats, so clamping allocates nothing *)
-  mutable xhat : Matrix.t; (* n x 1 predicted state *)
-  mutable z : Matrix.t; (* p x 1 integrator *)
-  mutable u_prev : Matrix.t; (* m x 1 normalized previous command *)
   (* Scratch for the allocation-free tick path (step_into): every
      intermediate of the control law lives in one of these preallocated
      column vectors.  Dimensions are fixed at create (all gain sets
@@ -45,13 +52,12 @@ type t = {
      z_new): a step writes both before reading them. *)
   sw_kzt : Matrix.t; (* p x m  Kz_new' *)
   sw_gram : Matrix.t; (* p x p  Kz_new' Kz_new + 1e-9 I, then its elimination *)
-  last : float array; (* m, last physical command *)
   innov : float array;
       (* 1 entry: ‖Kalman innovation‖₂ of the last step, in normalized
          output units — the FDIR residual monitor's signal.  A float
          array (not a mutable float field) so the store stays unboxed in
          this mixed record. *)
-  mutable last_valid : bool;
+  s : saved;
 }
 
 let dims g =
@@ -88,17 +94,12 @@ let create ~gains ~initial ~inputs ~outputs ~refs () =
   in
   {
     gains = List.map (fun g -> (g.Lqg.label, g)) gains;
-    active;
     inputs;
     outputs;
-    refs = Array.copy refs;
     lims =
       Array.concat
         ([| -.z_clamp; z_clamp |]
         :: Array.to_list (Array.map (fun ch -> [| ch.min; ch.max |]) inputs));
-    xhat = Matrix.zeros ~rows:n ~cols:1;
-    z = Matrix.zeros ~rows:p ~cols:1;
-    u_prev = Matrix.zeros ~rows:m ~cols:1;
     scr_y = Matrix.zeros ~rows:p ~cols:1;
     scr_r = Matrix.zeros ~rows:p ~cols:1;
     scr_err = Matrix.zeros ~rows:p ~cols:1;
@@ -111,9 +112,17 @@ let create ~gains ~initial ~inputs ~outputs ~refs () =
     scr_m2 = Matrix.zeros ~rows:m ~cols:1;
     sw_kzt = Matrix.zeros ~rows:p ~cols:m;
     sw_gram = Matrix.zeros ~rows:p ~cols:p;
-    last = Array.make m 0.;
     innov = Array.make 1 0.;
-    last_valid = false;
+    s =
+      {
+        active;
+        refs = Array.copy refs;
+        xhat = Matrix.zeros ~rows:n ~cols:1;
+        z = Matrix.zeros ~rows:p ~cols:1;
+        u_prev = Matrix.zeros ~rows:m ~cols:1;
+        last = Array.make m 0.;
+        last_valid = false;
+      };
   }
 
 let[@inline] normalize ch v = (v -. ch.offset) /. ch.scale
@@ -126,7 +135,7 @@ let[@inline] denormalize ch v = (v *. ch.scale) +. ch.offset
    The one intentional difference: the C·x/D·u output equation of
    {!Statespace.step}, whose result was always discarded, is skipped. *)
 let step_into ctrl ~measured ~dst =
-  let g = ctrl.active in
+  let g = ctrl.s.active in
   let model = g.Lqg.model in
   let p = Statespace.num_outputs model in
   let m = Statespace.num_inputs model in
@@ -136,10 +145,10 @@ let step_into ctrl ~measured ~dst =
   let yd = Matrix.data ctrl.scr_y and rd = Matrix.data ctrl.scr_r in
   for i = 0 to p - 1 do
     yd.(i) <- normalize ctrl.outputs.(i) measured.(i);
-    rd.(i) <- normalize ctrl.outputs.(i) ctrl.refs.(i)
+    rd.(i) <- normalize ctrl.outputs.(i) ctrl.s.refs.(i)
   done;
   (* 2. Kalman measurement update on the predicted state *)
-  Kalman.correct_into ~l:g.Lqg.l ~c:model.Statespace.c ~xhat:ctrl.xhat
+  Kalman.correct_into ~l:g.Lqg.l ~c:model.Statespace.c ~xhat:ctrl.s.xhat
     ~y:ctrl.scr_y ~tmp_p:ctrl.scr_p ~tmp_n:ctrl.scr_n1 ~dst:ctrl.scr_xf;
   (* [correct_into] leaves the innovation y − C·x̂ in [scr_p]; its norm
      is the model-consistency residual the FDIR layer watches.  Pure
@@ -153,7 +162,7 @@ let step_into ctrl ~measured ~dst =
   (* 3. integrator update with the current tracking error (conditional
         anti-windup applied after saturation below) *)
   Matrix.sub_into ~dst:ctrl.scr_err ctrl.scr_r ctrl.scr_y;
-  Matrix.scale_into ~dst:ctrl.scr_zc g.Lqg.leak ctrl.z;
+  Matrix.scale_into ~dst:ctrl.scr_zc g.Lqg.leak ctrl.s.z;
   Matrix.add_into ~dst:ctrl.scr_zc ctrl.scr_zc ctrl.scr_err;
   (* 4. feedback law on normalized deviations *)
   Matrix.mul_into ~dst:ctrl.scr_m1 g.Lqg.kx ctrl.scr_xf;
@@ -163,7 +172,7 @@ let step_into ctrl ~measured ~dst =
   (* 5. saturate in physical units; keep the normalized saturated
         command for the time update *)
   let ud = Matrix.data ctrl.scr_m1 in
-  let und = Matrix.data ctrl.u_prev in
+  let und = Matrix.data ctrl.s.u_prev in
   for i = 0 to m - 1 do
     let ch = ctrl.inputs.(i) in
     dst.(i) <-
@@ -177,19 +186,19 @@ let step_into ctrl ~measured ~dst =
         command, which is the desired behaviour for a prioritized
         objective — and unwinding after recovery takes a bounded number
         of periods instead of growing with the infeasible duration. *)
-  let zcd = Matrix.data ctrl.scr_zc and zd = Matrix.data ctrl.z in
+  let zcd = Matrix.data ctrl.scr_zc and zd = Matrix.data ctrl.s.z in
   for i = 0 to p - 1 do
     zd.(i) <- Float.max ctrl.lims.(0) (Float.min ctrl.lims.(1) zcd.(i))
   done;
   (* 7. time update with the saturated command: x' = A·x̂ + B·u *)
   Matrix.mul_into ~dst:ctrl.scr_n1 model.Statespace.a ctrl.scr_xf;
-  Matrix.mul_into ~dst:ctrl.scr_n2 model.Statespace.b ctrl.u_prev;
-  Matrix.add_into ~dst:ctrl.xhat ctrl.scr_n1 ctrl.scr_n2;
-  Array.blit dst 0 ctrl.last 0 m;
-  ctrl.last_valid <- true
+  Matrix.mul_into ~dst:ctrl.scr_n2 model.Statespace.b ctrl.s.u_prev;
+  Matrix.add_into ~dst:ctrl.s.xhat ctrl.scr_n1 ctrl.scr_n2;
+  Array.blit dst 0 ctrl.s.last 0 m;
+  ctrl.s.last_valid <- true
 
 let step ctrl ~measured =
-  let dst = Array.make (Statespace.num_inputs ctrl.active.Lqg.model) 0. in
+  let dst = Array.make (Statespace.num_inputs ctrl.s.active.Lqg.model) 0. in
   step_into ctrl ~measured ~dst;
   dst
 
@@ -199,7 +208,7 @@ let rec find_gains label = function
 
 let switch_gains ctrl label =
   let g = find_gains label ctrl.gains in
-  if g != ctrl.active then begin
+  if g != ctrl.s.active then begin
     (* Bumpless transfer: the integrator contribution to the command
        must be continuous across the switch, so solve
        Kz_new · z_new = Kz_old · z_old in the least-squares sense.
@@ -209,90 +218,87 @@ let switch_gains ctrl label =
        are built in the preallocated scratch, so a switch allocates
        nothing; z keeps its value when the system is singular. *)
     let kz = g.Lqg.kz in
-    Matrix.mul_into ~dst:ctrl.scr_m2 ctrl.active.Lqg.kz ctrl.z;
+    Matrix.mul_into ~dst:ctrl.scr_m2 ctrl.s.active.Lqg.kz ctrl.s.z;
     Matrix.transpose_into ~dst:ctrl.sw_kzt kz;
     Matrix.mul_into ~dst:ctrl.sw_gram ctrl.sw_kzt kz;
     (* + 1e-9 I: off the diagonal that adds 0, a no-op on a product
        entry (which starts at +0 and so is never -0) *)
     let gd = Matrix.data ctrl.sw_gram in
-    let p = Matrix.rows ctrl.z in
+    let p = Matrix.rows ctrl.s.z in
     for i = 0 to p - 1 do
       gd.((i * p) + i) <- gd.((i * p) + i) +. 1e-9
     done;
     Matrix.mul_into ~dst:ctrl.scr_zc ctrl.sw_kzt ctrl.scr_m2;
     (match Matrix.solve_into ~lu:ctrl.sw_gram ~dst:ctrl.scr_zc ctrl.sw_gram ctrl.scr_zc with
-    | () -> Matrix.copy_into ~dst:ctrl.z ctrl.scr_zc
+    | () -> Matrix.copy_into ~dst:ctrl.s.z ctrl.scr_zc
     | exception Failure _ -> ());
-    ctrl.active <- g
+    ctrl.s.active <- g
   end
 
-let current_gains ctrl = ctrl.active.Lqg.label
 let available_gains ctrl = List.map fst ctrl.gains
 
 let set_reference ctrl ~index value =
-  if index < 0 || index >= Array.length ctrl.refs then
+  if index < 0 || index >= Array.length ctrl.s.refs then
     invalid_arg "Mimo.set_reference: index";
-  ctrl.refs.(index) <- value
+  ctrl.s.refs.(index) <- value
 
 let reference ctrl ~index =
-  if index < 0 || index >= Array.length ctrl.refs then
+  if index < 0 || index >= Array.length ctrl.s.refs then
     invalid_arg "Mimo.reference: index";
-  ctrl.refs.(index)
+  ctrl.s.refs.(index)
 
 let reset ctrl =
-  let n, m, p = dims ctrl.active in
-  ctrl.xhat <- Matrix.zeros ~rows:n ~cols:1;
-  ctrl.z <- Matrix.zeros ~rows:p ~cols:1;
-  ctrl.u_prev <- Matrix.zeros ~rows:m ~cols:1;
+  let s = ctrl.s in
+  List.iter
+    (fun m -> Array.fill (Matrix.data m) 0 (Matrix.rows m) 0.)
+    [ s.xhat; s.z; s.u_prev ];
   ctrl.innov.(0) <- 0.;
-  ctrl.last_valid <- false
+  s.last_valid <- false
 
 let last_innovation_norm ctrl = ctrl.innov.(0)
 
-let last_command ctrl =
-  if ctrl.last_valid then Some (Array.copy ctrl.last) else None
-
-type snapshot = {
-  snap_active : string;
-  snap_refs : float array;
-  snap_xhat : float array array;
-  snap_z : float array array;
-  snap_u_prev : float array array;
-  snap_last : float array option;
-}
-
-let snapshot ctrl =
+let saved ctrl =
+  let s = ctrl.s in
   {
-    snap_active = ctrl.active.Lqg.label;
-    snap_refs = Array.copy ctrl.refs;
-    snap_xhat = Matrix.to_arrays ctrl.xhat;
-    snap_z = Matrix.to_arrays ctrl.z;
-    snap_u_prev = Matrix.to_arrays ctrl.u_prev;
-    snap_last = (if ctrl.last_valid then Some (Array.copy ctrl.last) else None);
+    s with
+    refs = Array.copy s.refs;
+    xhat = Matrix.col_vector (Matrix.data s.xhat);
+    z = Matrix.col_vector (Matrix.data s.z);
+    u_prev = Matrix.col_vector (Matrix.data s.u_prev);
+    last = Array.copy s.last;
   }
 
-let restore ctrl s =
-  (match List.assoc_opt s.snap_active ctrl.gains with
-  | Some g -> ctrl.active <- g
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Mimo.restore: unknown gain label %S" s.snap_active));
-  if Array.length s.snap_refs <> Array.length ctrl.refs then
-    invalid_arg "Mimo.restore: refs length";
-  Array.blit s.snap_refs 0 ctrl.refs 0 (Array.length ctrl.refs);
-  let n, m, p = dims ctrl.active in
-  let shape what rows a =
-    let mat = Matrix.of_arrays a in
-    if Matrix.rows mat <> rows || Matrix.cols mat <> 1 then
-      invalid_arg ("Mimo.restore: " ^ what ^ " shape");
-    mat
+let copy_state ~src ~dst =
+  Array.blit src.refs 0 dst.refs 0 (Array.length dst.refs);
+  Matrix.copy_into ~dst:dst.xhat src.xhat;
+  Matrix.copy_into ~dst:dst.z src.z;
+  Matrix.copy_into ~dst:dst.u_prev src.u_prev;
+  Array.blit src.last 0 dst.last 0 (Array.length dst.last);
+  dst.last_valid <- src.last_valid
+
+(* The shape checks run both ways (every vector is a column, so its
+   length is its shape); a restore also finds the saved gain label among
+   this controller's own gain sets. *)
+let copy ctrl s ~restore =
+  let live = ctrl.s in
+  let shape what a b =
+    if Array.length a <> Array.length b then
+      invalid_arg ("Mimo.copy: " ^ what ^ " shape")
   in
-  ctrl.xhat <- shape "xhat" n s.snap_xhat;
-  ctrl.z <- shape "z" p s.snap_z;
-  ctrl.u_prev <- shape "u_prev" m s.snap_u_prev;
-  match s.snap_last with
-  | None -> ctrl.last_valid <- false
-  | Some a ->
-      if Array.length a <> m then invalid_arg "Mimo.restore: last shape";
-      Array.blit a 0 ctrl.last 0 m;
-      ctrl.last_valid <- true
+  shape "refs" s.refs live.refs;
+  shape "xhat" (Matrix.data s.xhat) (Matrix.data live.xhat);
+  shape "z" (Matrix.data s.z) (Matrix.data live.z);
+  shape "u_prev" (Matrix.data s.u_prev) (Matrix.data live.u_prev);
+  shape "last" s.last live.last;
+  if restore then begin
+    (match List.assoc_opt s.active.Lqg.label ctrl.gains with
+    | Some g -> live.active <- g
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Mimo.copy: unknown gain label %S" s.active.Lqg.label));
+    copy_state ~src:s ~dst:live
+  end
+  else begin
+    s.active <- live.active;
+    copy_state ~src:live ~dst:s
+  end

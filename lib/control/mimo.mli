@@ -73,9 +73,6 @@ val switch_gains : t -> string -> unit
     preallocated at {!create}, so a switch allocates nothing.  Raises
     [Invalid_argument] on an unknown label. *)
 
-val current_gains : t -> string
-(** Label of the active gain set. *)
-
 val available_gains : t -> string list
 
 val set_reference : t -> index:int -> float -> unit
@@ -87,9 +84,6 @@ val reference : t -> index:int -> float
 val reset : t -> unit
 (** Zero the estimator state and integrators. *)
 
-val last_command : t -> float array option
-(** Most recent actuator command, if any step has executed. *)
-
 val last_innovation_norm : t -> float
 (** ‖y − C·x̂‖₂ of the last step's Kalman measurement update, in
     normalized output units — how badly the last measurement surprised
@@ -100,25 +94,29 @@ val last_innovation_norm : t -> float
 
 (** {1 Checkpoint/restore}
 
-    The controller's full mutable state — active gain label, physical
+    The controller's full mutable state — active gain set, physical
     references, state estimate, integrators, previous normalized command
-    and last physical command — as plain data (safe to [Marshal]).  Gains
-    and channel descriptions are {e not} captured: restore into a
-    controller built by the same design flow.  A restored controller's
-    subsequent [step]s are bit-identical to the snapshotted instance's. *)
+    and last physical command.  Channel descriptions and the gain sets
+    themselves are {e not} saved: restore into a controller built by the
+    same design flow.  A restored controller's subsequent [step]s are
+    bit-identical to the saving instance's. *)
 
-type snapshot = {
-  snap_active : string;
-  snap_refs : float array;
-  snap_xhat : float array array;
-  snap_z : float array array;
-  snap_u_prev : float array array;
-  snap_last : float array option;
+type saved = private {
+  mutable active : Lqg.gains;
+  refs : float array;
+  xhat : Spectr_linalg.Matrix.t;  (** n x 1 predicted state *)
+  z : Spectr_linalg.Matrix.t;  (** p x 1 integrator *)
+  u_prev : Spectr_linalg.Matrix.t;  (** m x 1 normalized previous command *)
+  last : float array;  (** last physical command, valid once [last_valid] *)
+  mutable last_valid : bool;
 }
+(** The controller's state; read-only outside this module. *)
 
-val snapshot : t -> snapshot
+val saved : t -> saved
+(** A copy of [t]'s state, detached from it. *)
 
-val restore : t -> snapshot -> unit
-(** Raises [Invalid_argument] when the snapshot's gain label is unknown
-    to this controller or a dimension disagrees (a checkpoint from a
-    different subsystem). *)
+val copy : t -> saved -> restore:bool -> unit
+(** [copy t s ~restore] copies [t]'s state into [s], or [s] into [t]
+    when [restore], in place.  Raises [Invalid_argument] when a
+    dimension disagrees, and on a restore whose gain label is unknown
+    to this controller (a checkpoint from a different subsystem). *)

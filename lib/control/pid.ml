@@ -53,26 +53,15 @@ let reset t =
   t.loop.integral <- 0.;
   t.has_prev <- false
 
-type snapshot = {
-  snap_reference : float;
-  snap_integral : float;
-  snap_prev_error : float option;
-}
+type saved = t
 
-let snapshot t =
-  let l = t.loop in
-  {
-    snap_reference = l.reference;
-    snap_integral = l.integral;
-    snap_prev_error = (if t.has_prev then Some l.prev_error else None);
-  }
+let saved t = { t with loop = { t.loop with reference = t.loop.reference } }
 
-let restore t s =
-  let l = t.loop in
-  l.reference <- s.snap_reference;
-  l.integral <- s.snap_integral;
-  match s.snap_prev_error with
-  | Some pe ->
-      l.prev_error <- pe;
-      t.has_prev <- true
-  | None -> t.has_prev <- false
+let copy_state ~src ~dst =
+  dst.loop.reference <- src.loop.reference;
+  dst.loop.integral <- src.loop.integral;
+  dst.loop.prev_error <- src.loop.prev_error;
+  dst.has_prev <- src.has_prev
+
+let copy t s ~restore =
+  if restore then copy_state ~src:s ~dst:t else copy_state ~src:t ~dst:s

@@ -34,19 +34,14 @@ val reset : t -> unit
 (** {1 Checkpoint/restore}
 
     The full mutable state of a PID loop apart from its gains (which the
-    owner reconstructs): reference, integrator and previous error.  Plain
-    data, safe to [Marshal]. *)
+    owner reconstructs): reference, integrator and previous error. *)
 
-type snapshot = {
-  snap_reference : float;
-  snap_integral : float;
-  snap_prev_error : float option;
-}
+type saved
 
-val snapshot : t -> snapshot
+val saved : t -> saved
+(** A copy of [t]'s state, detached from it. *)
 
-val restore : t -> snapshot -> unit
-(** Overwrite the controller's mutable state; stepping after [restore]
-    continues exactly as the snapshotted instance would have (the gains
-    are not captured — restore into a controller built with the same
-    config). *)
+val copy : t -> saved -> restore:bool -> unit
+(** [copy t s ~restore] copies [t]'s state into [s], or [s] into [t]
+    when [restore], in place.  The gains are not saved: restore into a
+    controller built with the same config. *)

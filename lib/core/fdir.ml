@@ -174,11 +174,14 @@ let residual_flagged t ~cluster =
 
 (* --- checkpoint/restore ----------------------------------------------- *)
 
-type snapshot = t
+type saved = t
 
-let snapshot t = { t with bank = Persistence.copy t.bank }
+let saved t = { t with bank = Persistence.copy t.bank }
 
-let restore t s =
-  if s.k <> t.k then invalid_arg "Fdir.restore: snapshot dimension mismatch";
-  Persistence.blit ~src:s.bank t.bank;
-  t.pending <- s.pending
+let copy_state ~src ~dst =
+  Persistence.blit ~src:src.bank dst.bank;
+  dst.pending <- src.pending
+
+let copy t s ~restore =
+  if s.k <> t.k then invalid_arg "Fdir.copy: saved dimension mismatch";
+  if restore then copy_state ~src:s ~dst:t else copy_state ~src:t ~dst:s

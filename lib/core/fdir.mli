@@ -80,11 +80,14 @@ val residual_flagged : t -> cluster:int -> bool
 
 (** {1 Checkpoint/restore}
 
-    A snapshot is an independent copy of the detector's counters and
-    pending findings, plain data (safe to [Marshal]). *)
+    The detector's counters and pending findings. *)
 
-type snapshot
+type saved
 
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-(** Raises [Invalid_argument] on dimension mismatch. *)
+val saved : t -> saved
+(** A copy of [t]'s state, detached from it. *)
+
+val copy : t -> saved -> restore:bool -> unit
+(** [copy t s ~restore] copies [t]'s state into [s], or [s] into [t]
+    when [restore], in place.  Raises [Invalid_argument] on a dimension
+    mismatch. *)

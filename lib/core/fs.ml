@@ -1,6 +1,8 @@
 open Spectr_control
 open Spectr_platform
 
+let saved_id : Mimo.saved Type.Id.t = Type.Id.make ()
+
 let make () =
   let ident = Design_flow.identify Design_flow.Fs_4x2 in
   let gains =
@@ -27,8 +29,8 @@ let make () =
     Manager.apply_cluster soc 1 ~freq_ghz:u.(2) ~cores:u.(3)
   in
   let persist =
-    Manager.make_persist ~variant:"FS"
-      ~snapshot:(fun () -> Mimo.snapshot ctrl)
-      ~restore:(Mimo.restore ctrl)
+    Manager.make_persist ~variant:"FS" ~id:saved_id
+      ~saved:(fun () -> Mimo.saved ctrl)
+      ~copy:(Mimo.copy ctrl)
   in
   { Manager.name = "FS"; step; persist = Some persist }

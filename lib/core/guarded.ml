@@ -65,8 +65,6 @@ let make_channel () =
     masked = false;
   }
 
-let copy_channel ch = { ch with mem = { ch.mem with last_good = ch.mem.last_good } }
-
 (* Classify sample [src.(i)]: write the value to hand to the controller
    (always finite once a good sample has been seen) to [dst.(i)] and
    return whether it is the sample itself. *)
@@ -156,8 +154,23 @@ type t = {
   filtered : filtered; (* preallocated result buffer for [filter] *)
   powers : float array; (* per-cluster sanitized powers, owned here *)
   qos_io : float array; (* the QoS sample and its substitute, unboxed *)
-  mutable s : state;
+  s : state;
 }
+
+let fresh_state clusters =
+  {
+    qos_ch = make_channel ();
+    power_chs = Array.init clusters (fun _ -> make_channel ());
+    watchdog = Persistence.create 3;
+    stamp = { period_now = nan };
+    period = Unseen;
+    is_degraded = false;
+    spans = [];
+    substituted = 0;
+    total = 0;
+    fb_ticks = 0;
+    span_ticks = 0;
+  }
 
 let create ~clusters () =
   if clusters < 1 then invalid_arg "Guarded.create: clusters < 1";
@@ -165,20 +178,7 @@ let create ~clusters () =
     filtered = { qos = 0. };
     powers = Array.make clusters 0.;
     qos_io = [| 0. |];
-    s =
-      {
-        qos_ch = make_channel ();
-        power_chs = Array.init clusters (fun _ -> make_channel ());
-        watchdog = Persistence.create 3;
-        stamp = { period_now = nan };
-        period = Unseen;
-        is_degraded = false;
-        spans = [];
-        substituted = 0;
-        total = 0;
-        fb_ticks = 0;
-        span_ticks = 0;
-      };
+    s = fresh_state clusters;
   }
 
 let clusters t = Array.length t.s.power_chs
@@ -309,22 +309,40 @@ let note_actuation t ~now ~ok =
 
 (* --- checkpoint/restore ----------------------------------------------- *)
 
-type snapshot = state
+type saved = state
 
-let copy_state s =
-  {
-    s with
-    qos_ch = copy_channel s.qos_ch;
-    stamp = { period_now = s.stamp.period_now };
-    power_chs = Array.map copy_channel s.power_chs;
-    watchdog = Persistence.copy s.watchdog;
-  }
+let copy_channel_into ~src ~dst =
+  dst.mem.last_good <- src.mem.last_good;
+  dst.mem.suspect_value <- src.mem.suspect_value;
+  dst.mem.last_raw <- src.mem.last_raw;
+  dst.have_good <- src.have_good;
+  dst.suspects <- src.suspects;
+  dst.same_streak <- src.same_streak;
+  dst.masked <- src.masked
 
-let snapshot t = copy_state t.s
+let copy_state ~src ~dst =
+  copy_channel_into ~src:src.qos_ch ~dst:dst.qos_ch;
+  for i = 0 to Array.length dst.power_chs - 1 do
+    copy_channel_into ~src:src.power_chs.(i) ~dst:dst.power_chs.(i)
+  done;
+  Persistence.blit ~src:src.watchdog dst.watchdog;
+  dst.stamp.period_now <- src.stamp.period_now;
+  dst.period <- src.period;
+  dst.is_degraded <- src.is_degraded;
+  dst.spans <- src.spans;
+  dst.substituted <- src.substituted;
+  dst.total <- src.total;
+  dst.fb_ticks <- src.fb_ticks;
+  dst.span_ticks <- src.span_ticks
 
-let restore t s =
+let saved t =
+  let s = fresh_state (clusters t) in
+  copy_state ~src:t.s ~dst:s;
+  s
+
+let copy t s ~restore =
   if Array.length s.power_chs <> clusters t then
     invalid_arg
-      (Printf.sprintf "Guarded.restore: %d power channels, guard has %d"
+      (Printf.sprintf "Guarded.copy: %d power channels, guard has %d"
          (Array.length s.power_chs) (clusters t));
-  t.s <- copy_state s
+  if restore then copy_state ~src:s ~dst:t.s else copy_state ~src:t.s ~dst:s

@@ -126,15 +126,16 @@ val set_power_masked : t -> cluster:int -> bool -> unit
 
 (** {1 Checkpoint/restore}
 
-    A snapshot is an independent, plain-data (safe to [Marshal]) copy of
-    the guard's whole mutable state — filter memory, watchdog counters,
-    degradation flag and span history — but not of its thresholds.  A
-    restored guard continues bit-identically to the snapshotted one. *)
+    The guard's whole mutable state — filter memory, watchdog counters,
+    degradation flag and span history — but not its thresholds.  A
+    restored guard continues bit-identically to the saving one. *)
 
-type snapshot
+type saved
 
-val snapshot : t -> snapshot
+val saved : t -> saved
+(** A copy of [t]'s state, detached from it. *)
 
-val restore : t -> snapshot -> unit
-(** Raises [Invalid_argument] when the snapshot's power-channel count
-    does not match {!clusters}. *)
+val copy : t -> saved -> restore:bool -> unit
+(** [copy t s ~restore] copies [t]'s state into [s], or [s] into [t]
+    when [restore], in place.  Raises [Invalid_argument] when the saved
+    power-channel count does not match {!clusters}. *)

@@ -5,13 +5,11 @@ module Obs = Spectr_obs
 let c_actuations = Obs.Counters.counter "manager.actuations"
 let c_sanitized = Obs.Counters.counter "manager.commands_sanitized"
 
-(* [len] is the payload's byte count in [buf]; 0 marks the checkpoint
-   empty (never written, or being written). *)
-type checkpoint = {
-  mutable variant : string;
-  mutable buf : bytes;
-  mutable len : int;
-}
+(* What a checkpoint holds: nothing yet, or a manager family's saved
+   state under that family's witness, so restoring reads it back typed. *)
+type held = Nothing | Held : 's Type.Id.t * 's -> held
+
+type checkpoint = { mutable variant : string; mutable held : held }
 
 type persist = {
   save : checkpoint -> unit;
@@ -31,36 +29,23 @@ type t = {
   persist : persist option;
 }
 
-let empty_checkpoint () = { variant = ""; buf = Bytes.empty; len = 0 }
-let checkpoint_bytes c = c.len
+let empty_checkpoint () = { variant = ""; held = Nothing }
 
-(* Payloads are Marshal-ed plain data; the variant tag is what guards a
-   checkpoint from being restored into the wrong manager kind.  [save]
-   is the one marshalling path: it writes into the checkpoint's own
-   buffer.  The first payload sizes that buffer: an empty buffer
-   overflows at once, and the payload marshalled on its own becomes it,
-   so a fresh checkpoint is marshalled once.  A later payload that
-   overflows doubles the buffer and is rewritten, so a payload that
-   creeps up by a few bytes (a counter needing a wider encoding) costs
-   one growth, not one buffer per save.  The checkpoint reads empty
-   until the write completes, so an interrupted write leaves nothing
-   half-restorable. *)
-let make_persist ~variant ~snapshot ~restore =
-  let rec write c v =
-    match Marshal.to_buffer c.buf 0 (Bytes.length c.buf) v [] with
-    | n -> n
-    | exception Failure _ when Bytes.length c.buf = 0 ->
-        c.buf <- Marshal.to_bytes v [];
-        Bytes.length c.buf
-    | exception Failure _ ->
-        c.buf <- Bytes.create (2 * Bytes.length c.buf);
-        write c v
-  in
+(* The variant tag is what guards a checkpoint from being restored into
+   the wrong manager kind; the family witness then types the saved
+   value.  A checkpoint the same variant saved last is overwritten in
+   place; any other gets a fresh saved state, its only allocation. *)
+let make_persist (type s) ~variant ~(id : s Type.Id.t) ~(saved : unit -> s)
+    ~(copy : s -> restore:bool -> unit) =
   let save c =
-    let v = snapshot () in
-    c.len <- 0;
-    c.variant <- variant;
-    c.len <- write c v
+    match c.held with
+    | Held (id', s) when String.equal c.variant variant -> (
+        match Type.Id.provably_equal id id' with
+        | Some Equal -> copy s ~restore:false
+        | None -> c.held <- Held (id, saved ()))
+    | _ ->
+        c.variant <- variant;
+        c.held <- Held (id, saved ())
   in
   {
     save;
@@ -71,14 +56,17 @@ let make_persist ~variant ~snapshot ~restore =
         c);
     restore =
       (fun c ->
-        if c.len > 0 then begin
-          if c.variant <> variant then
-            invalid_arg
-              (Printf.sprintf
-                 "Manager.restore: checkpoint for %S, manager is %S" c.variant
-                 variant);
-          restore (Marshal.from_bytes c.buf 0)
-        end);
+        match c.held with
+        | Nothing -> ()
+        | Held (id', s) -> (
+            match Type.Id.provably_equal id id' with
+            | Some Equal when String.equal c.variant variant ->
+                copy s ~restore:true
+            | _ ->
+                invalid_arg
+                  (Printf.sprintf
+                     "Manager.restore: checkpoint for %S, manager is %S"
+                     c.variant variant)));
   }
 
 (* Controller outputs can be garbage (a diverged integrator, a NaN from a

@@ -11,40 +11,35 @@ open Spectr_platform
 
 type checkpoint
 (** A manager checkpoint: a variant tag naming the manager kind that
-    wrote it plus a [Marshal]-ed plain-data payload (controller
-    snapshots — see {!Spectr_control.Mimo.snapshot},
-    {!Supervisor.snapshot}, {!Guarded.snapshot} — and the tick phase),
-    held in a buffer the checkpoint owns.  A checkpoint is mutable:
-    {!persist.save} overwrites it in place, so a caller that saves
-    every period into one checkpoint allocates no payload per save.
-    Restoring a checkpoint into a manager of a different variant raises
-    [Invalid_argument]. *)
+    wrote it plus that manager's saved state, typed (each stateful
+    layer's copy of its state, such as {!Supervisor.saved}).  There is
+    no byte format: a checkpoint lives in the process that wrote it.
+    The first {!persist.save} allocates the saved state; every later
+    save by the same variant overwrites it in place and allocates
+    nothing.  A restore copies out of it, so a checkpoint shares no
+    mutable state with a live manager and can be restored any number
+    of times.  Restoring a checkpoint into a manager of a different
+    variant raises [Invalid_argument]. *)
 
 val empty_checkpoint : unit -> checkpoint
 (** A fresh checkpoint holding nothing: restoring it leaves a manager as
-    it is.  Its buffer is sized by the first payload saved into it. *)
-
-val checkpoint_bytes : checkpoint -> int
-(** The payload's size in bytes; 0 while the checkpoint is empty. *)
+    it is. *)
 
 type persist = {
   save : checkpoint -> unit;
-      (** Capture the manager's complete mutable state into the given
-          checkpoint, in place: the payload is marshalled into the
-          checkpoint's own buffer.  The first payload sizes the buffer;
-          a later payload that outgrows it doubles it and is rewritten.
-          The checkpoint reads empty while the write is under way.
-          Cheap (no I/O, a few small copies) — safe to call every
-          period. *)
+      (** Copy the manager's complete mutable state into the given
+          checkpoint, in place (see {!checkpoint}).  Cheap — no I/O,
+          no allocation after a checkpoint's first save — safe to call
+          every period. *)
   snapshot : unit -> checkpoint;
       (** [save] into a fresh {!empty_checkpoint}. *)
   restore : checkpoint -> unit;
       (** Overwrite the manager's state from a checkpoint.  After
           [restore], stepping continues bit-identically to the
-          snapshotted instance — the checkpoint/resume guarantee the
-          chaos soak pins.  An empty checkpoint restores nothing.
-          Raises [Invalid_argument] on a variant mismatch or corrupted
-          payload. *)
+          saving instance — the checkpoint/resume guarantee the chaos
+          soak pins.  An empty checkpoint restores nothing.  Raises
+          [Invalid_argument] on a variant mismatch or a saved state
+          whose shape does not fit the manager. *)
 }
 
 type t = {
@@ -65,14 +60,18 @@ type t = {
 }
 
 val make_persist :
-  variant:string -> snapshot:(unit -> 'a) -> restore:('a -> unit) -> persist
-(** The persistence hook of a manager whose complete mutable state is the
-    plain-data value [snapshot ()] returns: the checkpoint carries it
-    [Marshal]-ed under the tag [variant], and restoring a checkpoint
-    with any other tag raises [Invalid_argument] before [restore] sees
-    the payload.  [restore] must accept exactly the type [snapshot]
-    produces.  [save], [snapshot] and [restore] share one marshalling
-    path: [snapshot ()] is [save] applied to a fresh checkpoint. *)
+  variant:string ->
+  id:'s Type.Id.t ->
+  saved:(unit -> 's) ->
+  copy:('s -> restore:bool -> unit) ->
+  persist
+(** The persistence hook of a manager whose complete mutable state has
+    the saved form ['s]: [saved ()] returns a detached copy of it, and
+    [copy s ~restore] copies the live state into [s], or [s] into the
+    live state when [restore], raising [Invalid_argument] when [s] does
+    not fit.  The checkpoint carries [s] under [id], the manager
+    family's witness, and the tag [variant]; restoring a checkpoint
+    with any other tag raises [Invalid_argument]. *)
 
 val sanitize_freq_mhz : Spectr_platform.Opp.t -> float -> float
 (** The frequency a [freq_ghz] command will be quantized from, in MHz:

@@ -27,6 +27,8 @@ let cluster_controllers platform ~initial ~refs =
         ~gains:(design_or_fail (subsystem_for i) goals)
         ~initial ~refs:(refs i))
 
+let saved_id : Mimo.saved array Type.Id.t = Type.Id.make ()
+
 let make ~label ~name ~platform () =
   let k = Platform_desc.num_clusters platform in
   let host = Platform_desc.host platform in
@@ -67,15 +69,17 @@ let make ~label ~name ~platform () =
     done
   in
   let persist =
-    Manager.make_persist ~variant:name
-      ~snapshot:(fun () -> Array.map Mimo.snapshot ctrls)
-      ~restore:(fun snaps ->
-        if Array.length snaps <> k then
+    Manager.make_persist ~variant:name ~id:saved_id
+      ~saved:(fun () -> Array.map Mimo.saved ctrls)
+      ~copy:(fun saved ~restore ->
+        if Array.length saved <> k then
           invalid_arg
             (Printf.sprintf
-               "Mm.restore: %d controller snapshots, platform has %d clusters"
-               (Array.length snaps) k);
-        Array.iteri (fun i s -> Mimo.restore ctrls.(i) s) snaps)
+               "Mm.copy: %d saved controllers, platform has %d clusters"
+               (Array.length saved) k);
+        for i = 0 to k - 1 do
+          Mimo.copy ctrls.(i) saved.(i) ~restore
+        done)
   in
   { Manager.name; step; persist = Some persist }
 

@@ -7,6 +7,9 @@ open Spectr_platform
 let big = 0
 let little = 1
 
+let saved_id : (Pid.saved * Pid.saved * Pid.saved) Type.Id.t =
+  Type.Id.make ()
+
 let make () =
   let dt = 0.05 in
   (* QoS -> Big frequency: ~40 FPS of range per GHz near the operating
@@ -46,12 +49,12 @@ let make () =
       ~cores:2.
   in
   let persist =
-    Manager.make_persist ~variant:"SISO"
-      ~snapshot:(fun () ->
-        (Pid.snapshot qos_pid, Pid.snapshot cores_pid, Pid.snapshot little_pid))
-      ~restore:(fun (sq, sc, sl) ->
-        Pid.restore qos_pid sq;
-        Pid.restore cores_pid sc;
-        Pid.restore little_pid sl)
+    Manager.make_persist ~variant:"SISO" ~id:saved_id
+      ~saved:(fun () ->
+        (Pid.saved qos_pid, Pid.saved cores_pid, Pid.saved little_pid))
+      ~copy:(fun (sq, sc, sl) ~restore ->
+        Pid.copy qos_pid sq ~restore;
+        Pid.copy cores_pid sc ~restore;
+        Pid.copy little_pid sl ~restore)
   in
   { Manager.name = "SISO"; step; persist = Some persist }

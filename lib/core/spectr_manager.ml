@@ -25,6 +25,33 @@ module Reconfig = struct
     | Reconfigured -> "reconfigured"
     | Fallback -> "fallback"
 
+  (* The handle's own checkpointed fields, a record of their own: a
+     checkpoint holds a twin, and one [copy_book] moves it either way.
+     The supervised description is derived from [degradations]. *)
+  type book = {
+    mutable degradations : Platform_desc.degradation list; (* oldest first *)
+    mutable tick : int;
+    mutable status : status;
+    mutable swap_left : int;
+    mutable reconfigs : int;
+    excluded : bool array; (* physical: removed from the supervised plant *)
+    dead : bool array; (* physical: believed dead — never actuated again *)
+    pinned_freq : int option array; (* physical: DVFS rail latched here *)
+    last_applied_freq : int array; (* physical: last actuation readback *)
+  }
+
+  let copy_book ~src ~dst =
+    dst.degradations <- src.degradations;
+    dst.tick <- src.tick;
+    dst.status <- src.status;
+    dst.swap_left <- src.swap_left;
+    dst.reconfigs <- src.reconfigs;
+    let k = Array.length dst.excluded in
+    Array.blit src.excluded 0 dst.excluded 0 k;
+    Array.blit src.dead 0 dst.dead 0 k;
+    Array.blit src.pinned_freq 0 dst.pinned_freq 0 k;
+    Array.blit src.last_applied_freq 0 dst.last_applied_freq 0 k
+
   (* The whole state of one SPECTR-family manager.  Without the FDIR
      layer [degradations] stays empty, [phys] the identity and [status]
      [Nominal]. *)
@@ -40,23 +67,15 @@ module Reconfig = struct
     meas : float array array; (* preallocated per-cluster tick buffers *)
     cmd : float array array;
     mutable desc : Platform_desc.t; (* current supervised description *)
-    mutable degradations : Platform_desc.degradation list; (* oldest first *)
     mutable phys : int array; (* description index -> physical cluster *)
     ctrls : Mimo.t array ref; (* description order; shared with commands *)
     mutable sup : Supervisor.t;
-    excluded : bool array; (* physical: removed from the supervised plant *)
-    dead : bool array; (* physical: believed dead — never actuated again *)
-    pinned_freq : int option array; (* physical: DVFS rail latched here *)
-    last_applied_freq : int array; (* physical: last actuation readback *)
-    mutable tick : int;
-    mutable status : status;
-    mutable swap_left : int;
-    mutable reconfigs : int;
+    book : book;
     mutable resynth_s : float; (* last re-synthesis CPU seconds *)
   }
 
-  let status h = h.status
-  let reconfigurations h = h.reconfigs
+  let status h = h.book.status
+  let reconfigurations h = h.book.reconfigs
   let platform h = h.desc
   let supervisor h = h.sup
 
@@ -66,8 +85,8 @@ module Reconfig = struct
 
   let excluded_clusters h =
     let acc = ref [] in
-    for p = Array.length h.excluded - 1 downto 0 do
-      if h.excluded.(p) then acc := p :: !acc
+    for p = Array.length h.book.excluded - 1 downto 0 do
+      if h.book.excluded.(p) then acc := p :: !acc
     done;
     !acc
 
@@ -77,7 +96,7 @@ module Reconfig = struct
         (Obs.Decision_log.Reconfig
            {
              platform = Platform_desc.name h.desc;
-             status = status_label h.status;
+             status = status_label h.book.status;
            })
 end
 
@@ -98,7 +117,7 @@ let degrade_plant (desc, phys) d =
   (Platform_desc.degrade desc d, phys)
 
 let set_plant h degradations (desc, phys) =
-  h.degradations <- degradations;
+  h.book.degradations <- degradations;
   h.desc <- desc;
   h.phys <- phys;
   h.ctrls := Array.map (fun p -> h.boot_ctrls.(p)) phys
@@ -107,8 +126,8 @@ let new_supervisor h desc =
   Supervisor.create ~platform:desc ~commands:h.commands ~envelope:5.0 ()
 
 let enter_fallback h =
-  if h.status <> Fallback then begin
-    h.status <- Fallback;
+  if h.book.status <> Fallback then begin
+    h.book.status <- Fallback;
     log_status h
   end
 
@@ -130,17 +149,16 @@ let degrade h d =
       enter_fallback h;
       false
   | plant ->
-      let prev = Supervisor.snapshot h.sup and prev_platform = h.desc in
-      set_plant h (h.degradations @ [ d ]) plant;
+      set_plant h (h.book.degradations @ [ d ]) plant;
       let t0 = Sys.time () in
       let sup = new_supervisor h h.desc in
       h.resynth_s <- Sys.time () -. t0;
-      Supervisor.adopt sup ~prev ~prev_platform;
+      Supervisor.adopt sup ~prev:h.sup;
       h.sup <- sup;
-      h.reconfigs <- h.reconfigs + 1;
+      h.book.reconfigs <- h.book.reconfigs + 1;
       Obs.Counters.incr c_reconfigs;
-      h.status <- Swapping;
-      h.swap_left <- swap_ticks;
+      h.book.status <- Swapping;
+      h.book.swap_left <- swap_ticks;
       log_status h;
       true
 
@@ -154,15 +172,15 @@ let desc_index_of_phys h p =
    cluster with a dead power sensor (pinned to its floor OPP — running it
    any faster would be unobservable power draw). *)
 let remove_cluster h p ~believed_dead =
-  if believed_dead then h.dead.(p) <- true;
-  if not h.excluded.(p) then
+  if believed_dead then h.book.dead.(p) <- true;
+  if not h.book.excluded.(p) then
     if p = h.host_phys then enter_fallback h
     else
       match desc_index_of_phys h p with
       | -1 -> ()
       | j ->
           if degrade h (Platform_desc.Remove_cluster j) then begin
-            h.excluded.(p) <- true;
+            h.book.excluded.(p) <- true;
             Guarded.set_power_masked (guard h) ~cluster:p true
           end
 
@@ -171,15 +189,15 @@ let handle_finding h = function
   | Fdir.Power_sensor_down p -> remove_cluster h p ~believed_dead:false
   | Fdir.Qos_sensor_down -> enter_fallback h
   | Fdir.Dvfs_latched p ->
-      if h.pinned_freq.(p) = None && not h.excluded.(p) then begin
+      if h.book.pinned_freq.(p) = None && not h.book.excluded.(p) then begin
         match desc_index_of_phys h p with
         | -1 -> ()
         | j ->
-            let f = h.last_applied_freq.(p) in
+            let f = h.book.last_applied_freq.(p) in
             (* Cluster set unchanged: controllers and the
                description->physical map carry over as-is. *)
             if degrade h (Platform_desc.Pin_opp { cluster = j; freq_mhz = f })
-            then h.pinned_freq.(p) <- Some f
+            then h.book.pinned_freq.(p) <- Some f
       end
 
 (* One physical-cluster actuation.  Guarded, the OPP/core count read back
@@ -194,9 +212,9 @@ let actuate h soc p ~freq_ghz ~cores ~now =
   | None -> ()
   | Some g -> (
       let freq = Soc.frequency soc p in
-      h.last_applied_freq.(p) <- freq;
+      h.book.last_applied_freq.(p) <- freq;
       let expected_freq =
-        match h.pinned_freq.(p) with Some f -> f | None -> requested
+        match h.book.pinned_freq.(p) with Some f -> f | None -> requested
       in
       let ok =
         freq = expected_freq
@@ -214,8 +232,8 @@ let actuate h soc p ~freq_ghz ~cores ~now =
    floor, any single surviving actuator keeps chip power inside the
    envelope. *)
 let floor_all h soc ~now =
-  for p = 0 to Array.length h.dead - 1 do
-    if not h.dead.(p) then actuate h soc p ~freq_ghz:0.2 ~cores:1. ~now
+  for p = 0 to Array.length h.book.dead - 1 do
+    if not h.book.dead.(p) then actuate h soc p ~freq_ghz:0.2 ~cores:1. ~now
   done
 
 let step h ~now ~qos_ref ~envelope ~obs soc =
@@ -237,21 +255,21 @@ let step h ~now ~qos_ref ~envelope ~obs soc =
         (f.Guarded.qos, Guarded.powers g)
   in
   (match h.fdir with
-  | Some fd when h.status <> Fallback -> (
+  | Some fd when h.book.status <> Fallback -> (
       match Fdir.poll fd with
       | [] -> ()
       | findings -> List.iter (handle_finding h) findings)
   | _ -> ());
-  let tick = h.tick in
-  h.tick <- tick + 1;
-  match h.status with
+  let tick = h.book.tick in
+  h.book.tick <- tick + 1;
+  match h.book.status with
   | Fallback -> floor_all h soc ~now
   | Swapping ->
       Obs.Counters.incr c_swap_ticks;
       floor_all h soc ~now;
-      h.swap_left <- h.swap_left - 1;
-      if h.swap_left <= 0 then begin
-        h.status <- Reconfigured;
+      h.book.swap_left <- h.book.swap_left - 1;
+      if h.book.swap_left <= 0 then begin
+        h.book.status <- Reconfigured;
         log_status h
       end
   | Nominal | Reconfigured -> (
@@ -292,79 +310,79 @@ let step h ~now ~qos_ref ~envelope ~obs soc =
           done;
           (* A live cluster removed from the plant (dead power sensor)
              stays pinned to its floor. *)
-          for p = 0 to Array.length h.excluded - 1 do
-            if h.excluded.(p) && not h.dead.(p) then
+          for p = 0 to Array.length h.book.excluded - 1 do
+            if h.book.excluded.(p) && not h.book.dead.(p) then
               actuate h soc p ~freq_ghz:0.2 ~cores:1. ~now
           done)
 
-(* Everything a checkpoint carries: the applied degradations (the
-   supervised description is re-derived from them), every layer's
-   snapshot, all boot-time controllers, the tick phase and the ladder
-   rung. *)
-type state = {
-  s_degradations : Platform_desc.degradation list;
-  s_sup : Supervisor.snapshot;
-  s_guard : Guarded.snapshot option;
-  s_fdir : Fdir.snapshot option;
-  s_ctrls : Mimo.snapshot array;
-  s_tick : int;
-  s_status : status;
-  s_swap_left : int;
-  s_reconfigs : int;
-  s_excluded : bool array;
-  s_dead : bool array;
-  s_pinned_freq : int option array;
-  s_last_applied_freq : int array;
+(* Everything a checkpoint carries: every layer's saved state, all
+   boot-time controllers and the handle's own fields.  [sup] is the
+   saved state of the supervisor for [book.degradations]' description;
+   a save after a reconfiguration replaces it. *)
+type saved = {
+  mutable sup : Supervisor.saved;
+  guard : Guarded.saved option;
+  fdir : Fdir.saved option;
+  ctrls : Mimo.saved array;
+  book : book;
 }
 
-let snapshot h () =
+let saved_id : saved Type.Id.t = Type.Id.make ()
+
+let saved (h : handle) () =
   {
-    s_degradations = h.degradations;
-    s_sup = Supervisor.snapshot h.sup;
-    s_guard = Option.map Guarded.snapshot h.guard;
-    s_fdir = Option.map Fdir.snapshot h.fdir;
-    s_ctrls = Array.map Mimo.snapshot h.boot_ctrls;
-    s_tick = h.tick;
-    s_status = h.status;
-    s_swap_left = h.swap_left;
-    s_reconfigs = h.reconfigs;
-    s_excluded = Array.copy h.excluded;
-    s_dead = Array.copy h.dead;
-    s_pinned_freq = Array.copy h.pinned_freq;
-    s_last_applied_freq = Array.copy h.last_applied_freq;
+    sup = Supervisor.saved h.sup;
+    guard = Option.map Guarded.saved h.guard;
+    fdir = Option.map Fdir.saved h.fdir;
+    ctrls = Array.map Mimo.saved h.boot_ctrls;
+    book =
+      {
+        h.book with
+        excluded = Array.copy h.book.excluded;
+        dead = Array.copy h.book.dead;
+        pinned_freq = Array.copy h.book.pinned_freq;
+        last_applied_freq = Array.copy h.book.last_applied_freq;
+      };
   }
 
-(* Restore re-derives the supervised description from the boot one; the
-   supervisor is rebuilt (through the warm synthesis cache) only when
-   that description differs from the live one.  Controllers are restored
-   after, overwriting the budgets a fresh supervisor pushes. *)
-let restore h s =
+(* A restore re-derives the supervised description from the boot one;
+   the supervisor is rebuilt (through the warm synthesis cache) only
+   when that description differs from the live one, and before the
+   controllers are restored, so their saved budgets overwrite the ones
+   a fresh supervisor pushes. *)
+let copy (h : handle) s ~restore =
   let k0 = Array.length h.boot_ctrls in
   (* The variant tag already rules a layer mismatch out, but a corrupted
-     payload must not half-restore. *)
+     checkpoint must not half-restore. *)
   let same a b = Option.is_some a = Option.is_some b in
   if
-    Array.length s.s_ctrls <> k0
-    || not (same s.s_guard h.guard && same s.s_fdir h.fdir)
-  then invalid_arg "Spectr_manager.restore: checkpoint does not fit the manager";
-  if s.s_degradations <> h.degradations then begin
-    set_plant h s.s_degradations
-      (List.fold_left degrade_plant (h.boot, Array.init k0 Fun.id)
-         s.s_degradations);
-    h.sup <- (if s.s_degradations = [] then h.boot_sup else new_supervisor h h.desc)
-  end;
-  Array.iteri (fun i c -> Mimo.restore h.boot_ctrls.(i) c) s.s_ctrls;
-  Supervisor.restore h.sup s.s_sup;
-  Option.iter (fun g -> Guarded.restore g (Option.get s.s_guard)) h.guard;
-  Option.iter (fun fd -> Fdir.restore fd (Option.get s.s_fdir)) h.fdir;
-  h.tick <- s.s_tick;
-  h.status <- s.s_status;
-  h.swap_left <- s.s_swap_left;
-  h.reconfigs <- s.s_reconfigs;
-  Array.blit s.s_excluded 0 h.excluded 0 k0;
-  Array.blit s.s_dead 0 h.dead 0 k0;
-  Array.blit s.s_pinned_freq 0 h.pinned_freq 0 k0;
-  Array.blit s.s_last_applied_freq 0 h.last_applied_freq 0 k0
+    Array.length s.ctrls <> k0
+    || not (same s.guard h.guard && same s.fdir h.fdir)
+  then invalid_arg "Spectr_manager.copy: checkpoint does not fit the manager";
+  if restore then begin
+    if s.book.degradations <> h.book.degradations then begin
+      set_plant h s.book.degradations
+        (List.fold_left degrade_plant (h.boot, Array.init k0 Fun.id)
+           s.book.degradations);
+      h.sup <-
+        (if s.book.degradations = [] then h.boot_sup
+         else new_supervisor h h.desc)
+    end
+  end
+  else if s.book.degradations != h.book.degradations then
+    s.sup <- Supervisor.saved h.sup;
+  Supervisor.copy h.sup s.sup ~restore;
+  for i = 0 to k0 - 1 do
+    Mimo.copy h.boot_ctrls.(i) s.ctrls.(i) ~restore
+  done;
+  (match (h.guard, s.guard) with
+  | Some g, Some sg -> Guarded.copy g sg ~restore
+  | _ -> ());
+  (match (h.fdir, s.fdir) with
+  | Some fd, Some sfd -> Fdir.copy fd sfd ~restore
+  | _ -> ());
+  if restore then copy_book ~src:s.book ~dst:h.book
+  else copy_book ~src:h.book ~dst:s.book
 
 (* The one SPECTR loop.  [guard] and [fdir] arm the optional layers:
    SPECTR has neither, SPECTR+G the guard, SPECTR+R the guard plus
@@ -416,18 +434,21 @@ let build ~who ~name ~supervisor_divisor ~gain_scheduling ~guard ~fdir
       meas = Array.init k0 (fun _ -> [| 0.; 0. |]);
       cmd = Array.init k0 (fun _ -> [| 0.; 0. |]);
       desc = platform;
-      degradations = [];
       phys = Array.init k0 Fun.id;
       ctrls;
       sup = boot_sup;
-      excluded = Array.make k0 false;
-      dead = Array.make k0 false;
-      pinned_freq = Array.make k0 None;
-      last_applied_freq = Array.make k0 0;
-      tick = 0;
-      status = Nominal;
-      swap_left = 0;
-      reconfigs = 0;
+      book =
+        {
+          degradations = [];
+          tick = 0;
+          status = Nominal;
+          swap_left = 0;
+          reconfigs = 0;
+          excluded = Array.make k0 false;
+          dead = Array.make k0 false;
+          pinned_freq = Array.make k0 None;
+          last_applied_freq = Array.make k0 0;
+        };
       resynth_s = 0.;
     }
   in
@@ -440,7 +461,7 @@ let build ~who ~name ~supervisor_divisor ~gain_scheduling ~guard ~fdir
     else base ^ "@" ^ String.sub (Platform_desc.digest platform) 0 12
   in
   let persist =
-    Manager.make_persist ~variant ~snapshot:(snapshot h) ~restore:(restore h)
+    Manager.make_persist ~variant ~id:saved_id ~saved:(saved h) ~copy:(copy h)
   in
   ({ Manager.name; step = step h; persist = Some persist }, h)
 

@@ -115,8 +115,8 @@ val make_reconfigurable :
     integral to the ladder, not optional — and runs {!make}'s default
     supervisor period with gain scheduling on.  SPECTR, SPECTR+G and
     SPECTR+R are one loop with these layers armed or not, and share one
-    checkpoint format: its payload lists the applied degradations, so
-    [restore] re-derives the supervised description from the boot one
+    saved state: it lists the applied degradations, so a restore
+    re-derives the supervised description from the boot one
     (re-synthesizing, warm, only when it differs from the live one) and
     resumes at any rung of the ladder.  The variant tag is ["SPECTR+R"]
     with {!make}'s suffix rule. *)

@@ -73,6 +73,16 @@ type last = {
   mutable envelope : float;
 }
 
+(* The engine's mutable state, a record of its own so a checkpoint
+   holds a twin of it and one [copy] moves it either way. *)
+type state = {
+  mutable current : int; (* supervisor-automaton state index *)
+  mutable mode : string; (* "qos" | "power" *)
+  mutable mode_age : int; (* supervisor periods since the last switch *)
+  refs : float array; (* per-cluster power references *)
+  last : last;
+}
+
 type t = {
   uncapping_threshold : float; (* lowest band edge *)
   commands : commands;
@@ -84,12 +94,8 @@ type t = {
   (* Per-cluster budget-command ids, indexed by cluster. *)
   id_increase : int array;
   id_decrease : int array;
-  refs : float array; (* per-cluster power references *)
   ref_targets : string array; (* decision-log labels, "<name>_power_ref" *)
-  mutable current : int; (* supervisor-automaton state index *)
-  mutable mode : string; (* "qos" | "power" *)
-  mutable mode_age : int; (* supervisor periods since the last switch *)
-  last : last;
+  s : state;
 }
 
 let create ?(uncapping_threshold = 0.90)
@@ -115,70 +121,62 @@ let create ?(uncapping_threshold = 0.90)
     host;
     id_increase = Array.init k (fun i -> Event.id (Events.increase fam i));
     id_decrease = Array.init k (fun i -> Event.id (Events.decrease fam i));
-    refs;
     ref_targets =
       Array.init k (fun i ->
           Platform_desc.cluster_name platform i ^ "_power_ref");
-    current = Automaton.initial_index auto;
-    mode = "qos";
-    mode_age = 0;
-    last = { qos = 0.; qos_ref = 1.; power = 0.; envelope };
+    s =
+      {
+        current = Automaton.initial_index auto;
+        mode = "qos";
+        mode_age = 0;
+        refs;
+        last = { qos = 0.; qos_ref = 1.; power = 0.; envelope };
+      };
   }
 
 (* The only place the runtime engine translates back to a name: the hot
    path below tracks the state purely as an index. *)
-let state t = Automaton.state_of_index t.auto t.current
-let gains_mode t = t.mode
+let state t = Automaton.state_of_index t.auto t.s.current
+let gains_mode t = t.s.mode
 let platform t = t.platform
 let num_clusters t = t.k
 let host_cluster t = t.host
 
 let power_ref t i =
   if i < 0 || i >= t.k then invalid_arg "Supervisor.power_ref: cluster index";
-  t.refs.(i)
+  t.s.refs.(i)
 
 let synthesis_stats t = t.stats
 
-type snapshot = {
-  snap_state : int;
-  snap_mode : string;
-  snap_mode_age : int;
-  snap_refs : float array;
-  snap_last_qos : float;
-  snap_last_qos_ref : float;
-  snap_last_power : float;
-  snap_last_envelope : float;
-}
+type saved = state
 
-let snapshot t =
-  {
-    snap_state = t.current;
-    snap_mode = t.mode;
-    snap_mode_age = t.mode_age;
-    snap_refs = Array.copy t.refs;
-    snap_last_qos = t.last.qos;
-    snap_last_qos_ref = t.last.qos_ref;
-    snap_last_power = t.last.power;
-    snap_last_envelope = t.last.envelope;
-  }
+let saved t =
+  let s = t.s in
+  { s with refs = Array.copy s.refs; last = { s.last with qos = s.last.qos } }
 
-let restore t s =
-  if s.snap_state < 0 || s.snap_state >= Automaton.num_states t.auto then
-    invalid_arg "Supervisor.restore: state index out of range";
-  if s.snap_mode <> "qos" && s.snap_mode <> "power" then
-    invalid_arg (Printf.sprintf "Supervisor.restore: mode %S" s.snap_mode);
-  if Array.length s.snap_refs <> t.k then
+let copy_state ~src ~dst =
+  dst.current <- src.current;
+  dst.mode <- src.mode;
+  dst.mode_age <- src.mode_age;
+  Array.blit src.refs 0 dst.refs 0 (Array.length dst.refs);
+  dst.last.qos <- src.last.qos;
+  dst.last.qos_ref <- src.last.qos_ref;
+  dst.last.power <- src.last.power;
+  dst.last.envelope <- src.last.envelope
+
+let copy t s ~restore =
+  if Array.length s.refs <> t.k then
     invalid_arg
-      (Printf.sprintf "Supervisor.restore: %d budget refs, platform has %d"
-         (Array.length s.snap_refs) t.k);
-  t.current <- s.snap_state;
-  t.mode <- s.snap_mode;
-  t.mode_age <- s.snap_mode_age;
-  Array.blit s.snap_refs 0 t.refs 0 t.k;
-  t.last.qos <- s.snap_last_qos;
-  t.last.qos_ref <- s.snap_last_qos_ref;
-  t.last.power <- s.snap_last_power;
-  t.last.envelope <- s.snap_last_envelope
+      (Printf.sprintf "Supervisor.copy: %d budget refs, platform has %d"
+         (Array.length s.refs) t.k);
+  if restore then begin
+    if s.current < 0 || s.current >= Automaton.num_states t.auto then
+      invalid_arg "Supervisor.copy: state index out of range";
+    if s.mode <> "qos" && s.mode <> "power" then
+      invalid_arg (Printf.sprintf "Supervisor.copy: mode %S" s.mode);
+    copy_state ~src:s ~dst:t.s
+  end
+  else copy_state ~src:t.s ~dst:s
 
 (* --- actions --------------------------------------------------------- *)
 
@@ -204,7 +202,7 @@ let id_hold_budget = Event.id Events.hold_budget
 (* Is [eid] enabled in the current supervisor state?  All candidates the
    policy probes are controllable by construction, so no
    controllability filter is needed. *)
-let[@inline] has t eid = Automaton.step_index_raw t.auto t.current eid >= 0
+let[@inline] has t eid = Automaton.step_index_raw t.auto t.s.current eid >= 0
 
 (* The cluster budgets must jointly respect the envelope: the host
    budget is clamped to what the secondary allocations leave.  The
@@ -219,13 +217,13 @@ let[@inline] host_budget_cap t =
        near the top of the big cluster's table — so capping at the full
        envelope limit-cycles across it.  Cap at the supervisor's own
        capping target instead, less half an OPP step of slack. *)
-    (t.last.envelope *. thresholds.capping_target) -. 0.2
+    (t.s.last.envelope *. thresholds.capping_target) -. 0.2
   else begin
     let reserved = ref 0. in
     for i = 0 to t.k - 1 do
-      if i <> t.host then reserved := !reserved +. t.refs.(i)
+      if i <> t.host then reserved := !reserved +. t.s.refs.(i)
     done;
-    t.last.envelope -. (0.9 *. !reserved)
+    t.s.last.envelope -. (0.9 *. !reserved)
   end
 
 let[@inline] record_rebudget t i v =
@@ -237,8 +235,8 @@ let set_host t v =
   let v =
     Float.max thresholds.big_budget_min (Float.min v (host_budget_cap t))
   in
-  if v <> t.refs.(t.host) then begin
-    t.refs.(t.host) <- v;
+  if v <> t.s.refs.(t.host) then begin
+    t.s.refs.(t.host) <- v;
     t.commands.set_power_ref t.host v;
     record_rebudget t t.host v
   end
@@ -248,8 +246,8 @@ let set_secondary t i v =
     Float.max thresholds.little_budget_min
       (Float.min v thresholds.little_budget_max)
   in
-  if v <> t.refs.(i) then begin
-    t.refs.(i) <- v;
+  if v <> t.s.refs.(i) then begin
+    t.s.refs.(i) <- v;
     t.commands.set_power_ref i v;
     record_rebudget t i v
   end
@@ -264,18 +262,18 @@ let execute_cluster t eid =
     (if eid = t.id_increase.(ci) then begin
        matched := true;
        if ci = t.host then
-         set_host t (t.refs.(ci) +. thresholds.big_budget_step)
+         set_host t (t.s.refs.(ci) +. thresholds.big_budget_step)
        else begin
-         set_secondary t ci (t.refs.(ci) +. thresholds.little_budget_step);
+         set_secondary t ci (t.s.refs.(ci) +. thresholds.little_budget_step);
          (* a bigger secondary allocation shrinks the host budget cap *)
-         set_host t t.refs.(t.host)
+         set_host t t.s.refs.(t.host)
        end
      end
      else if eid = t.id_decrease.(ci) then begin
        matched := true;
        if ci = t.host then
-         set_host t (t.refs.(ci) -. thresholds.big_budget_step)
-       else set_secondary t ci (t.refs.(ci) -. thresholds.little_budget_step)
+         set_host t (t.s.refs.(ci) -. thresholds.big_budget_step)
+       else set_secondary t ci (t.s.refs.(ci) -. thresholds.little_budget_step)
      end);
     incr i
   done;
@@ -289,36 +287,36 @@ let execute t eid =
          { event = Event.name (Automaton.event_of_id t.auto eid);
            controllable = true });
   (if eid = id_switch_power then begin
-     t.mode <- "power";
-     t.mode_age <- 0;
+     t.s.mode <- "power";
+     t.s.mode_age <- 0;
      t.commands.switch_gains "power";
      if Obs.enabled () then
        Obs.Decision_log.record (Obs.Decision_log.Gain_switch { mode = "power" })
    end
    else if eid = id_switch_qos then begin
-     t.mode <- "qos";
-     t.mode_age <- 0;
+     t.s.mode <- "qos";
+     t.s.mode_age <- 0;
      t.commands.switch_gains "qos";
      if Obs.enabled () then
        Obs.Decision_log.record (Obs.Decision_log.Gain_switch { mode = "qos" })
    end
    else if eid = id_decrease_critical_power then begin
-     set_host t (t.refs.(t.host) *. thresholds.critical_cut);
+     set_host t (t.s.refs.(t.host) *. thresholds.critical_cut);
      for i = 0 to t.k - 1 do
        if i <> t.host then set_secondary t i thresholds.little_budget_min
      done
    end
    else if eid = id_control_power then begin
      (* Capping-band bookkeeping: re-clamp budgets to the envelope. *)
-     set_host t t.refs.(t.host);
+     set_host t t.s.refs.(t.host);
      for i = 0 to t.k - 1 do
-       if i <> t.host then set_secondary t i t.refs.(i)
+       if i <> t.host then set_secondary t i t.s.refs.(i)
      done
    end
    else if execute_cluster t eid then ()
    else () (* holdBudget and anything unknown: state step only *));
-  let next = Automaton.step_index_raw t.auto t.current eid in
-  if next >= 0 then t.current <- next
+  let next = Automaton.step_index_raw t.auto t.s.current eid in
+  if next >= 0 then t.s.current <- next
 (* execute is only called on enabled events, so next >= 0 in practice *)
 
 (* Secondary-cluster scans of the action policy: first enabled
@@ -329,7 +327,7 @@ let first_secondary_increase t =
   let i = ref 0 in
   while !pick < 0 && !i < t.k do
     (if !i <> t.host
-        && t.refs.(!i) < thresholds.little_budget_max -. 0.01
+        && t.s.refs.(!i) < thresholds.little_budget_max -. 0.01
         && has t t.id_increase.(!i)
      then pick := t.id_increase.(!i));
     incr i
@@ -341,7 +339,7 @@ let first_secondary_decrease t =
   let i = ref 0 in
   while !pick < 0 && !i < t.k do
     (if !i <> t.host
-        && t.refs.(!i) > thresholds.little_budget_min +. 0.01
+        && t.s.refs.(!i) > thresholds.little_budget_min +. 0.01
         && has t t.id_decrease.(!i)
      then pick := t.id_decrease.(!i));
     incr i
@@ -354,12 +352,12 @@ let first_secondary_decrease t =
    probe is one binary search of the current CSR row. *)
 let choose_action t =
   let qos_surplus =
-    t.last.qos -. (t.last.qos_ref *. (1. +. thresholds.qos_tolerance))
+    t.s.last.qos -. (t.s.last.qos_ref *. (1. +. thresholds.qos_tolerance))
   in
-  let headroom = host_budget_cap t -. t.refs.(t.host) in
+  let headroom = host_budget_cap t -. t.s.refs.(t.host) in
   if has t id_switch_power then id_switch_power
   else if has t id_decrease_critical_power then id_decrease_critical_power
-  else if has t id_switch_qos && t.mode_age >= thresholds.min_capped_dwell then
+  else if has t id_switch_qos && t.s.mode_age >= thresholds.min_capped_dwell then
     id_switch_qos
   else if has t t.id_increase.(t.host) && headroom > 0.01 then
     t.id_increase.(t.host)
@@ -393,7 +391,7 @@ let run_controllables t =
 
 (* Feed one uncontrollable event if the supervisor defines it here. *)
 let feed t eid =
-  let next = Automaton.step_index_raw t.auto t.current eid in
+  let next = Automaton.step_index_raw t.auto t.s.current eid in
   if next >= 0 then begin
     Obs.Counters.incr c_observed;
     if Obs.enabled () then
@@ -401,7 +399,7 @@ let feed t eid =
         (Obs.Decision_log.Event_fired
            { event = Event.name (Automaton.event_of_id t.auto eid);
              controllable = false });
-    t.current <- next;
+    t.s.current <- next;
     run_controllables t
   end
 
@@ -418,7 +416,7 @@ let do_step t ~qos ~qos_ref ~power ~envelope =
      back to the last trustworthy value — the guarded layer upstream
      normally filters these out, but the supervisor must stay safe even
      when driven bare. *)
-  let last = t.last in
+  let last = t.s.last in
   let qos = if Float.is_finite qos then qos else subst last.qos in
   let qos_ref =
     if Float.is_finite qos_ref then qos_ref else subst last.qos_ref
@@ -428,7 +426,7 @@ let do_step t ~qos ~qos_ref ~power ~envelope =
     if Float.is_finite envelope && envelope > 0. then envelope
     else subst last.envelope
   in
-  t.mode_age <- t.mode_age + 1;
+  t.s.mode_age <- t.s.mode_age + 1;
   last.qos <- qos;
   last.qos_ref <- qos_ref;
   last.power <- power;
@@ -436,14 +434,14 @@ let do_step t ~qos ~qos_ref ~power ~envelope =
      last.envelope <- envelope;
      (* Re-clamp budgets immediately on an envelope change (thermal
         emergency or recovery). *)
-     set_host t t.refs.(t.host)
+     set_host t t.s.refs.(t.host)
    end);
   (* Power-band event ([-1]: inside the capping band, nothing fires). *)
   let power_eid =
     if power > envelope then id_critical
     else if power > thresholds.capping_target *. envelope then id_above_target
     else if power < t.uncapping_threshold *. envelope then
-      if t.mode = "power" then id_safe_power else id_below_target
+      if t.s.mode = "power" then id_safe_power else id_below_target
     else -1
   in
   if power_eid >= 0 then feed t power_eid;
@@ -487,34 +485,29 @@ let do_step t ~qos ~qos_ref ~power ~envelope =
 
    Everything else (Kalman states, integrators) lives in the MIMO layer
    and is carried there by reusing the surviving controllers. *)
-let adopt t ~prev ~prev_platform =
-  let kp = Platform_desc.num_clusters prev_platform in
-  if Array.length prev.snap_refs <> kp then
-    invalid_arg
-      (Printf.sprintf "Supervisor.adopt: %d budget refs, previous platform \
-                       has %d clusters"
-         (Array.length prev.snap_refs) kp);
-  let qos = prev.snap_last_qos in
-  let qos_ref = prev.snap_last_qos_ref in
-  let power = prev.snap_last_power in
-  let envelope = prev.snap_last_envelope in
-  t.last.qos <- qos;
-  t.last.qos_ref <- qos_ref;
-  t.last.power <- power;
-  if Float.is_finite envelope && envelope > 0. then t.last.envelope <- envelope;
+let adopt t ~prev =
+  let ps = prev.s in
+  let qos = ps.last.qos in
+  let qos_ref = ps.last.qos_ref in
+  let power = ps.last.power in
+  let envelope = ps.last.envelope in
+  t.s.last.qos <- qos;
+  t.s.last.qos_ref <- qos_ref;
+  t.s.last.power <- power;
+  if Float.is_finite envelope && envelope > 0. then t.s.last.envelope <- envelope;
   Array.iteri
     (fun j v ->
       match
         Platform_desc.find_cluster t.platform
-          (Platform_desc.cluster_name prev_platform j)
+          (Platform_desc.cluster_name prev.platform j)
       with
       | None -> () (* removed by the degradation: allocation dropped *)
       | Some i -> if i = t.host then set_host t v else set_secondary t i v)
-    prev.snap_refs;
-  if prev.snap_mode = "power" && t.mode <> "power" then begin
+    ps.refs;
+  if ps.mode = "power" && t.s.mode <> "power" then begin
     feed t id_above_target;
-    if t.mode <> "power" && has t id_switch_power then execute t id_switch_power;
-    if t.mode = "power" then t.mode_age <- prev.snap_mode_age
+    if t.s.mode <> "power" && has t id_switch_power then execute t id_switch_power;
+    if t.s.mode = "power" then t.s.mode_age <- ps.mode_age
   end;
   do_step t ~qos ~qos_ref ~power ~envelope
 

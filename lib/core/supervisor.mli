@@ -120,46 +120,36 @@ val synthesis_stats : t -> Synthesis.stats
 
     The runtime engine's full mutable state — automaton state index,
     gain mode, dwell age, the per-cluster budgets and the last
-    trustworthy measurements — as plain data (safe to [Marshal]).  The
-    synthesized automaton itself is {e not} captured: synthesis is
-    deterministic and memoized, so a fresh {!create} rebuilds the
-    identical automaton and the saved index stays valid. *)
+    trustworthy measurements.  The synthesized automaton itself is
+    {e not} saved: synthesis is deterministic and memoized, so a fresh
+    {!create} rebuilds the identical automaton and the saved index
+    stays valid. *)
 
-type snapshot = {
-  snap_state : int;
-  snap_mode : string;
-  snap_mode_age : int;
-  snap_refs : float array;  (** Per-cluster budgets, description order. *)
-  snap_last_qos : float;
-  snap_last_qos_ref : float;
-  snap_last_power : float;
-  snap_last_envelope : float;
-}
+type saved
 
-val snapshot : t -> snapshot
+val saved : t -> saved
+(** A copy of [t]'s engine state, detached from it. *)
 
-val restore : t -> snapshot -> unit
-(** Overwrite the engine state.  The command closures are {e not}
-    re-invoked — the leaf controllers carry their own snapshots and are
-    restored separately; stepping after [restore] continues exactly as
-    the snapshotted instance would have.  Raises [Invalid_argument] on a
-    state index outside the automaton, an unknown mode, or a budget
-    array whose length does not match the platform (a corrupted
-    checkpoint must fail loudly, not walk an illegal state). *)
+val copy : t -> saved -> restore:bool -> unit
+(** [copy t s ~restore] copies [t]'s state into [s], or [s] into [t]
+    when [restore], in place.  The command closures are {e not}
+    re-invoked: the leaf controllers are restored separately.  Raises
+    [Invalid_argument] when the budget counts differ, and on a restore
+    of a state index outside the automaton or an unknown mode. *)
 
 (** {1 Hot-swap state mapping (reconfiguration support)} *)
 
-val adopt : t -> prev:snapshot -> prev_platform:Platform_desc.t -> unit
-(** Map the outgoing supervisor's state onto [t], a freshly created
-    supervisor synthesized for a (typically degraded) platform whose
-    automaton need not share the old state space.  The mapping rule —
-    the new automaton starts at its {e initial} state; budgets carry
-    over by cluster name (removed clusters drop theirs, survivors are
-    re-clamped); "power" gain mode carries over by replaying the
-    uncontrollable capping history ([aboveTarget] → [switchPower]) from
-    the initial state, keeping the capping dwell age; one ordinary step
-    on the last carried measurements then settles the band events — is
-    documented in full in DESIGN.md §17.  [restore] is its dual for the
-    {e same} automaton; [adopt] is for a {e different} one.  Raises
-    [Invalid_argument] when [prev]'s budget count does not match
-    [prev_platform]. *)
+val adopt : t -> prev:t -> unit
+(** Map the outgoing supervisor [prev]'s state onto [t], a freshly
+    created supervisor synthesized for a (typically degraded) platform
+    whose automaton need not share the old state space.  The mapping
+    rule — the new automaton starts at its {e initial} state; budgets
+    carry over by cluster name (clusters [prev]'s platform has and
+    [t]'s lacks drop theirs, survivors are re-clamped); "power" gain
+    mode carries over by replaying the uncontrollable capping history
+    ([aboveTarget] → [switchPower]) from the initial state, keeping the
+    capping dwell age; one ordinary step on the last carried
+    measurements then settles the band events — is documented in full
+    in DESIGN.md §17.  A restore ({!copy}) is its dual for the {e same}
+    automaton; [adopt] is for a {e different} one.  [prev] is only
+    read. *)

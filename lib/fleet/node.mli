@@ -101,10 +101,11 @@ val last_true_power : t -> float
     quantity fleet-level cap compliance is judged on. *)
 
 val checkpoint : t -> unit
-(** Snapshot the manager's complete state ({!Spectr.Manager.persist})
+(** Save the manager's complete state ({!Spectr.Manager.persist})
     into the node's one checkpoint, which it keeps for its whole life
-    and rewrites in place; the snapshot is what a later {!restart}
-    restores.  Called by the fleet engine at epoch boundaries. *)
+    and overwrites in place (allocating nothing after its first save);
+    it is what a later {!restart} restores.  Called by the fleet engine
+    at epoch boundaries. *)
 
 val kill : t -> unit
 (** Power the node off: it stops serving QoS and draws nothing.  The

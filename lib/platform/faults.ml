@@ -80,29 +80,23 @@ let injection fault ~start_s ~stop_s =
 
 let permanent fault ~start_s = injection fault ~start_s ~stop_s:Float.infinity
 
-(* The QoS and temperature stuck-at slots, rewritten every tick: a
-   record of floats only is stored flat, where a float field of the
-   mixed [t] would hold the reading's box until the next minor
-   collection promoted it. *)
-type last = { mutable qos : float; mutable temp : float }
+(* The sensor channels' stuck-at slots, one per channel in a flat float
+   array: power channel [i] at [i], QoS and temperature after the power
+   slots. *)
+let qos_slot = max_clusters
+let temp_slot = max_clusters + 1
 
 type t = {
   injections : injection list;
   rng : Prng.t; (* spike noise only; independent of the SoC's stream *)
-  last_power : float array; (* per-cluster stuck-at slots *)
-  last : last;
+  last : float array; (* last healthy reading per channel slot *)
 }
 
 let create ?(seed = 0xFA17L) injections =
   List.iter
     (fun i -> ignore (injection i.fault ~start_s:i.start_s ~stop_s:i.stop_s))
     injections;
-  {
-    injections;
-    rng = Prng.create seed;
-    last_power = Array.make max_clusters 0.;
-    last = { qos = 0.; temp = 0. };
-  }
+  { injections; rng = Prng.create seed; last = Array.make (temp_slot + 1) 0. }
 
 let injections t = t.injections
 let window_active i ~now = now >= i.start_s && now < i.stop_s
@@ -122,78 +116,58 @@ let cluster_dead t ~now ~cluster = active_on t ~now (fun f -> f = Cluster_dead c
 
 let has_permanent t = List.exists (fun i -> is_permanent i.fault) t.injections
 
-(* Sensor transforms compose in severity order: a spike burst corrupts a
-   live reading, stuck-at freezes it, dropout kills it outright.
-   [matches] decides whether a fault's sensor designator hits this
-   channel — a plain [Power] fault hits every cluster's power sensor, a
-   [Power_cluster i] fault only cluster [i]'s. *)
-let apply_sensor t ~now ~matches ~get_last ~set_last v =
-  let active pred = active_on t ~now pred in
-  let spiked =
-    List.fold_left
-      (fun v i ->
-        match i.fault with
-        | Spike_burst (s, mag) when matches s && window_active i ~now ->
-            if Prng.float t.rng < spike_probability then v *. mag else v
-        | _ -> v)
-      v t.injections
-  in
-  if active (function Dropout s | Sensor_dead s -> matches s | _ -> false)
-  then 0.
-  else if active (function Stuck_at_last s -> matches s | _ -> false) then
-    get_last ()
-  else begin
-    set_last spiked;
-    spiked
-  end
+(* Does a fault's sensor designator hit the channel in [slot]?  A plain
+   [Power] fault hits every cluster's power sensor, a [Power_cluster i]
+   fault only cluster [i]'s. *)
+let hits sensor slot =
+  match sensor with
+  | Power -> slot < max_clusters
+  | Power_cluster i -> i = slot
+  | Qos -> slot = qos_slot
+  | Temp -> slot = temp_slot
 
-(* The [] fast paths keep the empty-schedule tick kernel allocation-free:
-   [apply_sensor] builds get/set closures and a fold closure per call,
-   which is fine under active chaos campaigns but would dominate the
-   steady-state budget.  With no injections the slow path reduces to
-   "record last healthy reading, return v", which is what each fast path
-   does directly. *)
+(* Sensor transforms compose in severity order: a spike burst corrupts a
+   live reading, stuck-at freezes it, dropout kills it outright, and a
+   heartbeat stall zeroes the QoS channel's output after it.  One walk
+   over the schedule draws every active matching burst's spike in
+   schedule order, whatever else is active, and notes the other
+   transforms on the way. *)
+let apply_sensor t ~now slot v =
+  let spiked = ref v and dropped = ref false and stuck = ref false in
+  let stalled = ref false and rest = ref t.injections in
+  while !rest != [] do
+    match !rest with
+    | [] -> ()
+    | i :: tl -> (
+        rest := tl;
+        if window_active i ~now then
+          match i.fault with
+          | Spike_burst (s, mag) when hits s slot ->
+              if Prng.float t.rng < spike_probability then
+                spiked := !spiked *. mag
+          | (Dropout s | Sensor_dead s) when hits s slot -> dropped := true
+          | Stuck_at_last s when hits s slot -> stuck := true
+          | Heartbeat_stall when slot = qos_slot -> stalled := true
+          | _ -> ())
+  done;
+  let out =
+    if !dropped then 0.
+    else if !stuck then t.last.(slot)
+    else begin
+      t.last.(slot) <- !spiked;
+      !spiked
+    end
+  in
+  if !stalled then 0. else out
 
 let apply_power t ~now ~cluster v =
   if cluster < 0 || cluster >= max_clusters then
     invalid_arg "Faults.apply_power: cluster out of range";
-  match t.injections with
-  | [] ->
-      t.last_power.(cluster) <- v;
-      v
-  | _ :: _ ->
-      apply_sensor t ~now
-        ~matches:(fun s -> s = Power || s = Power_cluster cluster)
-        ~get_last:(fun () -> t.last_power.(cluster))
-        ~set_last:(fun v -> t.last_power.(cluster) <- v)
-        v
+  apply_sensor t ~now cluster v
 
-let apply_qos t ~now v =
-  match t.injections with
-  | [] ->
-      t.last.qos <- v;
-      v
-  | _ :: _ ->
-      let v =
-        apply_sensor t ~now
-          ~matches:(fun s -> s = Qos)
-          ~get_last:(fun () -> t.last.qos)
-          ~set_last:(fun v -> t.last.qos <- v)
-          v
-      in
-      if heartbeat_stalled t ~now then 0. else v
+let apply_qos t ~now v = apply_sensor t ~now qos_slot v
 
-let apply_temp t ~now v =
-  match t.injections with
-  | [] ->
-      t.last.temp <- v;
-      v
-  | _ :: _ ->
-      apply_sensor t ~now
-        ~matches:(fun s -> s = Temp)
-        ~get_last:(fun () -> t.last.temp)
-        ~set_last:(fun v -> t.last.temp <- v)
-        v
+let apply_temp t ~now v = apply_sensor t ~now temp_slot v
 
 let shift injections ~by =
   List.map

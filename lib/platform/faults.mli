@@ -110,7 +110,9 @@ val has_permanent : t -> bool
     Called by {!Soc.step} on the would-be sensor readings.  Each
     function returns the reading as corrupted by whatever sensor faults
     are active, and records the last healthy reading so that
-    [Stuck_at_last] has something to repeat. *)
+    [Stuck_at_last] has something to repeat.  Each call is one walk
+    over the schedule that builds no closure; active spike bursts draw
+    from the schedule's own PRNG in schedule order. *)
 
 val apply_power : t -> now:float -> cluster:int -> float -> float
 (** [cluster] is the platform cluster index of the power sensor being
@@ -119,6 +121,8 @@ val apply_power : t -> now:float -> cluster:int -> float -> float
     cluster).  Raises [Invalid_argument] outside [0, 16). *)
 
 val apply_qos : t -> now:float -> float -> float
+(** The QoS (heartbeat-rate) channel; an active [Heartbeat_stall] reads
+    0. *)
 
 val apply_temp : t -> now:float -> float -> float
 (** Temperature-sensor channel: previously the one sensor the fault

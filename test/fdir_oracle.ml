@@ -7,11 +7,10 @@
    library's {!Spectr.Persistence} bank, so pinning {!Spectr.Fdir} and
    {!Spectr.Guarded} to them compares two independent implementations.
    Both log through the same observability counters and decision log
-   as the library layers.  Checkpoints are deep copies ({!copy}). *)
+   as the library layers.  Checkpoints are deep copies (each module's
+   [copy]). *)
 
 module Obs = Spectr_obs
-
-let copy (x : 'a) : 'a = Marshal.from_string (Marshal.to_string x []) 0
 
 module Fdir = struct
   let c_transient = Obs.Counters.counter "fdir.transient_verdicts"
@@ -38,6 +37,18 @@ module Fdir = struct
     innov_stage : int array;
     mutable pending : Spectr.Fdir.finding list;
   }
+
+  let copy t =
+    {
+      t with
+      pow_zero = Array.copy t.pow_zero;
+      ips_zero = Array.copy t.ips_zero;
+      act_bad = Array.copy t.act_bad;
+      innov_high = Array.copy t.innov_high;
+      pow_stage = Array.copy t.pow_stage;
+      act_stage = Array.copy t.act_stage;
+      innov_stage = Array.copy t.innov_stage;
+    }
 
   let create ~k ~host =
     {
@@ -217,6 +228,14 @@ module Guarded = struct
     mutable period_prev : int;
     mutable period_bad : bool;
   }
+
+  let copy t =
+    let copy_channel ch = { ch with masked = ch.masked } in
+    {
+      t with
+      qos_ch = copy_channel t.qos_ch;
+      power_chs = Array.map copy_channel t.power_chs;
+    }
 
   let create ~clusters =
     let config = Spectr.Guarded.thresholds in

@@ -205,10 +205,12 @@ let test_reconfig_rung_resume () =
         (killed.Engine.reconfig_status = Some "reconfigured"))
     Spectr.Spectr_manager.Reconfig.[ Swapping; Reconfigured ]
 
+let trace_csv runner = Trace.to_csv (Spectr.Scenario.trace runner)
+let persist (m : Spectr.Manager.t) = Option.get m.Spectr.Manager.persist
+
 (* The variant tag binds a SPECTR+R checkpoint to its boot platform and
    to the reconfigurable variant. *)
 let test_reconfig_checkpoint_rejected_elsewhere () =
-  let persist (m : Spectr.Manager.t) = Option.get m.Spectr.Manager.persist in
   let exynos, _ = Spectr.Spectr_manager.make_reconfigurable () in
   let pixel, _ =
     Spectr.Spectr_manager.make_reconfigurable
@@ -226,12 +228,32 @@ let test_reconfig_checkpoint_rejected_elsewhere () =
   expect_invalid "SPECTR+R checkpoint into SPECTR+G" (fun () ->
       (persist guarded).Spectr.Manager.restore c)
 
+(* The trace of [config] when a fresh [variant] manager drives the first
+   [at] ticks and a second fresh one, restored from [c], the rest: what
+   the restored manager does next.  A checkpoint saved after [at] ticks
+   makes it equal the uninterrupted run's. *)
+let resume_trace variant config ~at c =
+  let runner = Spectr.Scenario.start config in
+  let first, _, _, _ = Campaign.make_manager variant in
+  for _ = 1 to at do
+    ignore (Spectr.Scenario.tick runner ~manager:first)
+  done;
+  let m, _, _, _ = Campaign.make_manager variant in
+  (persist m).Spectr.Manager.restore c;
+  while Spectr.Scenario.tick runner ~manager:m <> None do () done;
+  trace_csv runner
+
+let plain_trace variant config =
+  let m, _, _, _ = Campaign.make_manager variant in
+  let runner = Spectr.Scenario.start config in
+  while Spectr.Scenario.tick runner ~manager:m <> None do () done;
+  trace_csv runner
+
 (* One checkpoint saved twice by SPECTR+R: first on the healthy
-   description, which sizes its buffer, then after cluster 1 died and
-   the engine reconfigured, when the payload also lists the
-   [Remove_cluster] degradation and outgrows the buffer.  The regrown
-   checkpoint must resume a fresh manager bit-identically: the trace
-   equals the uninterrupted run's. *)
+   description, then after cluster 1 died and the engine reconfigured,
+   when the saved supervisor state is that of a one-cluster supervisor
+   and is allocated anew.  The checkpoint must resume a fresh manager
+   bit-identically: the trace equals the uninterrupted run's. *)
 let test_checkpoint_regrows () =
   let cell =
     {
@@ -241,23 +263,15 @@ let test_checkpoint_regrows () =
     }
   in
   let config = Campaign.config_of_cell cell in
-  let trace_csv runner = Trace.to_csv (Spectr.Scenario.trace runner) in
-  let plain =
-    let mgr, _, _, _ = Campaign.make_manager Campaign.Spectr_r in
-    let runner = Spectr.Scenario.start config in
-    while Spectr.Scenario.tick runner ~manager:mgr <> None do () done;
-    trace_csv runner
-  in
+  let plain = plain_trace Campaign.Spectr_r config in
   let mgr, _, _, handle = Campaign.make_manager Campaign.Spectr_r in
   let h = Option.get handle in
-  let p = Option.get mgr.Spectr.Manager.persist in
+  let p = persist mgr in
   let c = Spectr.Manager.empty_checkpoint () in
-  check_int "empty before the first save" 0 (Spectr.Manager.checkpoint_bytes c);
   let runner = Spectr.Scenario.start config in
   let tick manager = ignore (Spectr.Scenario.tick runner ~manager) in
   for _ = 1 to 5 do tick mgr done;
   p.Spectr.Manager.save c;
-  let healthy = Spectr.Manager.checkpoint_bytes c in
   while
     Spectr.Spectr_manager.Reconfig.status h
     <> Spectr.Spectr_manager.Reconfig.Reconfigured
@@ -266,41 +280,63 @@ let test_checkpoint_regrows () =
   done;
   tick mgr;
   p.Spectr.Manager.save c;
-  let degraded = Spectr.Manager.checkpoint_bytes c in
-  check_bool
-    (Printf.sprintf "degraded payload outgrows the first (%d > %d B)" degraded
-       healthy)
-    true (degraded > healthy);
   let m2, _, _, _ = Campaign.make_manager Campaign.Spectr_r in
-  (Option.get m2.Spectr.Manager.persist).Spectr.Manager.restore c;
+  (persist m2).Spectr.Manager.restore c;
   while Spectr.Scenario.tick runner ~manager:m2 <> None do () done;
-  check_bool "regrown checkpoint resumes bit-identically" true
+  check_bool "re-saved checkpoint resumes bit-identically" true
     (trace_csv runner = plain)
 
-(* Restoring does not consume a checkpoint: two managers restored from
-   one checkpoint hold the same state as the manager that saved it. *)
+(* Restoring does not consume a checkpoint: two fresh managers restored
+   from one checkpoint, the second after the first has run on, do the
+   same next — what the manager that saved it did. *)
 let test_checkpoint_restores_twice () =
   List.iter
     (fun variant ->
       let name = Campaign.variant_name variant in
-      let persist () =
-        let m, _, _, _ = Campaign.make_manager variant in
-        Option.get m.Spectr.Manager.persist
-      in
+      let config = Campaign.config_of_cell (base_cell variant) in
       let mgr, _, _, _ = Campaign.make_manager variant in
-      let runner = Spectr.Scenario.start (Campaign.config_of_cell (base_cell variant)) in
+      let runner = Spectr.Scenario.start config in
       for _ = 1 to 60 do
         ignore (Spectr.Scenario.tick runner ~manager:mgr)
       done;
-      let c = (Option.get mgr.Spectr.Manager.persist).Spectr.Manager.snapshot () in
-      let p1 = persist () and p2 = persist () in
-      p1.Spectr.Manager.restore c;
-      p2.Spectr.Manager.restore c;
-      check_bool (name ^ ": first restore holds the saved state") true
-        (p1.Spectr.Manager.snapshot () = c);
-      check_bool (name ^ ": second restore holds the saved state") true
-        (p2.Spectr.Manager.snapshot () = c))
+      let c = (persist mgr).Spectr.Manager.snapshot () in
+      let plain = plain_trace variant config in
+      check_bool (name ^ ": first restore resumes") true
+        (resume_trace variant config ~at:60 c = plain);
+      check_bool (name ^ ": second restore resumes") true
+        (resume_trace variant config ~at:60 c = plain))
     Campaign.[ Spectr_r; Spectr_g; Spectr; Mm_pow; Siso ]
+
+(* A checkpoint shares no mutable state with the manager that saved
+   it: every catalogue manager saves at tick 40 (the first save, which
+   allocates) and again at tick 60 (in place), then runs 100 more ticks
+   on another platform, and a fresh manager restored from the checkpoint
+   still resumes the run from tick 60 bit-identically. *)
+let test_checkpoint_detached () =
+  List.iter
+    (fun variant ->
+      let name = Spectr.Variant.name variant in
+      let config = Campaign.config_of_cell (base_cell variant) in
+      let mgr, _, _, _ = Campaign.make_manager variant in
+      let p = persist mgr in
+      let c = Spectr.Manager.empty_checkpoint () in
+      let runner = Spectr.Scenario.start config in
+      for i = 1 to 60 do
+        ignore (Spectr.Scenario.tick runner ~manager:mgr);
+        if i = 40 || i = 60 then p.Spectr.Manager.save c
+      done;
+      (* A different workload and seed move every layer's state far from
+         the save point, the Kalman estimates included. *)
+      let elsewhere =
+        Spectr.Scenario.start
+          { config with Spectr.Scenario.seed = 99L; workload = Benchmarks.canneal }
+      in
+      for _ = 1 to 100 do
+        ignore (Spectr.Scenario.tick elsewhere ~manager:mgr)
+      done;
+      check_bool (name ^ ": resumes from the save point") true
+        (resume_trace variant config ~at:60 c = plain_trace variant config))
+    Spectr.Variant.all
 
 let test_bounded_staleness_determinism () =
   let cell =
@@ -477,6 +513,8 @@ let () =
             test_checkpoint_regrows;
           Alcotest.test_case "two restores from one checkpoint" `Quick
             test_checkpoint_restores_twice;
+          Alcotest.test_case "checkpoint detached from the saver" `Quick
+            test_checkpoint_detached;
           Alcotest.test_case "SPECTR+R checkpoint bound to its platform" `Quick
             test_reconfig_checkpoint_rejected_elsewhere;
         ] );

@@ -340,14 +340,11 @@ let test_node_tick_bytes () =
 (* The fleet's epoch-boundary calls, counted in closed windows
    ({!Alloc.bytes}) on a warm node under a 3 W cap.  [Node.report]
    refreshes the node's own report in place: 0 B per call.
-   [Node.checkpoint] rewrites the node's one checkpoint in place; what
-   it still allocates is the snapshot records the payload is marshalled
-   from.  Its ceilings are the readings when this gate went in (2 728 B
-   and 3 976 B), 10 % above; a fresh payload string per call, as
-   [Marshal.to_string] made one, read 3 224 B and 4 656 B, and a report
-   record per call 200 B.  Since the supervisor keeps its last
-   measurements flat, its snapshot boxes those four floats: 2 792 B and
-   4 040 B. *)
+   [Node.checkpoint] copies every layer's state into the saved state
+   its first call allocated: it reads 0.1 B per call, under a 16 B
+   floor.  When checkpoints were marshalled from snapshot records into
+   a byte buffer the node kept, a call read 2 792 B on exynos5422 and
+   4 040 B on pixel8pro. *)
 let test_node_epoch_bytes () =
   List.iter
     (fun (label, platform, ceiling) ->
@@ -360,7 +357,7 @@ let test_node_epoch_bytes () =
       for _ = 1 to 5 do
         Spectr_fleet.Node.tick node ~dt:0.05
       done;
-      (* The first checkpoint sizes the node's buffer. *)
+      (* The first checkpoint allocates the node's saved state. *)
       Spectr_fleet.Node.checkpoint node;
       ignore (Spectr_fleet.Node.report node : Spectr_fleet.Node.report);
       let report =
@@ -383,8 +380,8 @@ let test_node_epoch_bytes () =
            checkpoint ceiling)
         true (checkpoint <= ceiling))
     [
-      ("exynos5422", Platform_desc.exynos5422, 3001.);
-      ("pixel8pro", Platform_desc.pixel8pro, 4374.);
+      ("exynos5422", Platform_desc.exynos5422, 16.);
+      ("pixel8pro", Platform_desc.pixel8pro, 16.);
     ]
 
 (* Bytes promoted to the major heap per tick of a warmed single-chip
@@ -405,10 +402,10 @@ let test_node_epoch_bytes () =
    hundredth.  With the supervisor's, the heartbeat monitor's, the guard's, the
    fault injector's, the PID loops' and the monitors' floats stored as
    boxes, the rows read 0.14-1.52 B/tick with faults off and 9.7-9.8
-   B/tick spiked.  The spiked rows stay higher because the fault
-   injector's slow path builds closures worth ~2 KB per tick: eight
-   times as many collections run, and each promotes the temporaries
-   live at that moment. *)
+   B/tick spiked.  While the fault injector built closures worth ~2 KB
+   per tick under any schedule, the spiked rows read 3.28 and 3.24
+   B/tick; its walk over the schedule builds none, and they read 0.78
+   and 0.99 (ceilings 0.86 and 1.10). *)
 let test_chip_promotion () =
   let warm = 200 and short = 1000 and long = 5000 in
   let stretched =
@@ -500,8 +497,8 @@ let test_chip_promotion () =
           (name v, false, stretched, v, ceiling))
         all
       @ [
-          ("SPECTR+G spiked", true, spiked, Spectr_g, 3.62);
-          ("SPECTR+R spiked", true, spiked, Spectr_r, 3.57);
+          ("SPECTR+G spiked", true, spiked, Spectr_g, 0.86);
+          ("SPECTR+R spiked", true, spiked, Spectr_r, 1.10);
         ])
 
 (* [Coordinator.rebudget] allocates the caps array it returns and
@@ -927,7 +924,7 @@ let test_mimo_step_into_equals_step () =
     check_float "command 1" u1.(1) dst.(1)
   done;
   (* Full state agreement, not just the commands. *)
-  check_bool "snapshots equal" true (Mimo.snapshot c1 = Mimo.snapshot c2)
+  check_bool "saved states equal" true (Mimo.saved c1 = Mimo.saved c2)
 
 (* The leaf controller's two runtime entry points together: a control
    period and a gain switch (with its bumpless-transfer solve) per
@@ -960,7 +957,7 @@ let test_switch_gains_equals_normal_equations () =
     | Ok gs -> List.find (fun g -> g.Lqg.label = label) gs
     | Error m -> Alcotest.failf "design failed: %s" m
   in
-  let z = Matrix.of_arrays (Mimo.snapshot ctrl).Mimo.snap_z in
+  let z = (Mimo.saved ctrl).Mimo.z in
   let kz = (gains "power").Lqg.kz in
   let kzt = Matrix.transpose kz in
   let p = Matrix.rows z in
@@ -973,7 +970,8 @@ let test_switch_gains_equals_normal_equations () =
   Mimo.switch_gains ctrl "power";
   let bits a = Array.map (Array.map Int64.bits_of_float) a in
   check_bool "z after switch" true
-    (bits (Matrix.to_arrays expected) = bits (Mimo.snapshot ctrl).Mimo.snap_z)
+    (bits (Matrix.to_arrays expected)
+    = bits (Matrix.to_arrays (Mimo.saved ctrl).Mimo.z))
 
 let test_kalman_correct_into_equals_correct () =
   let l = Matrix.init ~rows:2 ~cols:2 (fun i j -> 0.1 +. float_of_int (i + (2 * j))) in

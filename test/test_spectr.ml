@@ -1792,8 +1792,7 @@ let test_persistence_stages () =
 (* One control period of evidence as a manager feeds it: raw sensors to
    the detector and the guard, then per-cluster actuation readbacks and
    innovation residuals in a shuffled order, plus the occasional mask
-   flip or checkpoint (snapshot, marshal, restore into a fresh
-   instance).  Like a manager in fallback, the run skips the poll
+   flip or checkpoint (save, then restore into a fresh instance).  Like a manager in fallback, the run skips the poll
    for whole segments, so checkpoints also carry pending findings. *)
 type diff_tick = {
   d_now : float;
@@ -1925,6 +1924,7 @@ let diff_run_library (k, host, ticks) =
   Spectr_obs.reset ();
   let b = Buffer.create 65536 in
   let fd = ref (Fdir.create ~k ~host ()) and g = ref (Guarded.create ~clusters:k ()) in
+  let saved = ref None in
   List.iteri
     (fun n tk ->
       Option.iter (fun (c, on) -> Guarded.set_power_masked !g ~cluster:c on) tk.d_mask;
@@ -1944,18 +1944,26 @@ let diff_run_library (k, host, ticks) =
         ~findings:(if tk.d_poll then Fdir.poll !fd else [])
         ~flags:(List.init k (fun c -> Fdir.residual_flagged !fd ~cluster:c));
       if tk.d_checkpoint then begin
-        (* The abandoned instance takes one more junk tick after the
-           snapshot: a snapshot sharing its state would carry it along. *)
-        let fs = Fdir.snapshot !fd and gs = Guarded.snapshot !g in
+        (* The first checkpoint allocates the saved states, later ones
+           overwrite them in place.  The abandoned instance takes one
+           more junk tick after the save: a saved state sharing its
+           state would carry it along. *)
+        let fs, gs =
+          match !saved with
+          | Some (fs, gs) ->
+              Fdir.copy !fd fs ~restore:false;
+              Guarded.copy !g gs ~restore:false;
+              (fs, gs)
+          | None -> (Fdir.saved !fd, Guarded.saved !g)
+        in
+        saved := Some (fs, gs);
         let junk = Array.make k 0. in
         Fdir.observe !fd ~qos:0. ~powers:junk ~ips:junk;
         ignore (Guarded.filter !g ~now:tk.d_now ~qos:0. ~powers:junk);
-        let fs : Fdir.snapshot = Fdir_oracle.copy fs
-        and gs : Guarded.snapshot = Fdir_oracle.copy gs in
         fd := Fdir.create ~k ~host ();
-        Fdir.restore !fd fs;
+        Fdir.copy !fd fs ~restore:true;
         g := Guarded.create ~clusters:k ();
-        Guarded.restore !g gs
+        Guarded.copy !g gs ~restore:true
       end)
     ticks;
   diff_tail b ~spans:(Guarded.degradation_spans !g)
@@ -1987,7 +1995,7 @@ let diff_run_oracle (k, host, ticks) =
         ~findings:(if tk.d_poll then Of.poll !fd else [])
         ~flags:(List.init k (fun c -> Of.residual_flagged !fd ~cluster:c));
       if tk.d_checkpoint then begin
-        let fs = Fdir_oracle.copy !fd and gs = Fdir_oracle.copy !g in
+        let fs = Of.copy !fd and gs = Og.copy !g in
         let junk = Array.make k 0. in
         Of.observe !fd ~qos:0. ~powers:junk ~ips:junk;
         ignore (Og.filter !g ~now:tk.d_now ~qos:0. ~powers:junk);
@@ -2273,17 +2281,13 @@ let test_supervisor_adopt_mapping () =
   let new_sup =
     Supervisor.create ~platform:degraded ~commands:noop ~envelope:5.0 ()
   in
-  Supervisor.adopt new_sup ~prev:(Supervisor.snapshot old_sup)
-    ~prev_platform:healthy;
+  Supervisor.adopt new_sup ~prev:old_sup;
   check_string "capping mode carried" "power" (Supervisor.gains_mode new_sup);
   check_bool "host budget carried within clamps" true
     (let v = Supervisor.power_ref new_sup 0 in
      Float.is_finite v && v > 0.);
-  (* Dimension mismatch between snapshot and claimed platform is loud. *)
-  let bad = { (Supervisor.snapshot old_sup) with Supervisor.snap_refs = [| 1. |] } in
-  match Supervisor.adopt new_sup ~prev:bad ~prev_platform:healthy with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "short snapshot must raise"
+  check_string "outgoing supervisor only read" "power"
+    (Supervisor.gains_mode old_sup)
 
 (* ------------------------------------------------------------------ *)
 
