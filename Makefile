@@ -26,10 +26,11 @@ surface:
 	dune build test/surface.exe
 	./_build/default/test/surface.exe lib bench bin examples test
 
-# Memory figures: peak RSS and major-heap words after a 1-epoch and a
-# 120-epoch 512-node fleet run and a synthesis round, and the fleet's
-# promoted KB per epoch, steady (kill rate 0) and with restarts (kill
-# rate 1).  Printed only: nothing here is pinned or gated.
+# Memory figures: peak RSS and major-heap words after a 600-cell chaos
+# soak, a 1-epoch and a 120-epoch 512-node fleet run and a synthesis
+# round, the chaos cells' minor-heap and promoted KB per cell, and the
+# fleet's promoted KB per epoch, steady (kill rate 0) and with restarts
+# (kill rate 1).  Printed only: nothing here is pinned or gated.
 memory:
 	dune exec bench/main.exe -- memory
 

@@ -34,7 +34,7 @@ let run_controller ~label ~q_y =
     fps.(t) <- obs.Soc.qos_rate;
     power.(t) <- big_power;
     let u = Mimo.step ctrl ~measured:[| obs.Soc.qos_rate; big_power |] in
-    Spectr.Manager.apply_cluster soc big ~freq_ghz:u.(0) ~cores:u.(1)
+    Spectr.Manager.apply_cluster soc big u ~at:0
   done;
   (time, fps, power)
 

@@ -3,12 +3,17 @@
 
      dune exec bench/main.exe -- memory
 
-   Runs the perf bench's 512-node fleet first (exynos5422 and pixel8pro
-   interleaved, epochs of 5 ticks, arrivals on, one kill per epoch, on a
-   2-job pool): a 1-epoch run, then a 120-epoch one.  The top heap is a
-   process-wide high-water mark, so the fleet goes before anything else
-   and the two rows show what its epochs add to its construction.  It
-   then prints the bytes promoted to the major heap per epoch, split
+   The top heap and VmHWM are process-wide high-water marks, so the
+   phases run from the smallest peak up.  First the perf bench's chaos
+   campaign (600 faulted 240-tick cells over every variant, seed 42, a
+   quarter with a permanent-fault drill): its cells one by one in this
+   domain through a warm arena, for the minor-heap and promoted KB per
+   cell, then the whole campaign again as a sweep on a 2-job pool, after
+   which the "chaos" row reads the soak's peak.  Then the perf bench's
+   512-node fleet (exynos5422 and pixel8pro interleaved, epochs of 5
+   ticks, arrivals on, one kill per epoch, on the same pool): a 1-epoch
+   run, then a 120-epoch one, whose rows show what its epochs add to
+   its construction.  It then prints the bytes promoted to the major heap per epoch, split
    into steady epochs (kill rate 0) and epochs with kills and restarts
    (kill rate 1), each a 120-epoch run minus a 20-epoch one.  Last comes
    one synthesis round (sharded modular k = 11, monolithic k = 9, then
@@ -21,6 +26,7 @@
 
 open Spectr_automata
 open Spectr_platform
+module Chaos = Spectr_chaos
 
 (* VmHWM in MB from /proc/self/status; 0 where /proc is unavailable. *)
 let vm_hwm_mb () =
@@ -77,6 +83,33 @@ let synth_round () =
           Platform_desc.degrade p (Platform_desc.Remove_cluster victim))
         base)
 
+let chaos_cells () =
+  let spec =
+    Chaos.Campaign.default_spec ~seed:42 ~cells:600
+      ~variants:(Chaos.Campaign.Spectr_r :: Chaos.Campaign.all_variants)
+      ~reconfig_prob:0.25 ()
+  in
+  List.init spec.Chaos.Campaign.cells (Chaos.Campaign.cell_of_spec spec)
+
+(* Minor-heap and promoted KB per cell, the cells run one by one in this
+   domain through one warm arena (as each sweep domain runs them). *)
+let chaos_kb_per_cell cells =
+  let arena = Chaos.Arena.create () in
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  List.iter (fun c -> ignore (Chaos.Engine.run_cell ~arena c)) cells;
+  let s1 = Gc.quick_stat () in
+  let kb w = w *. float_of_int (Sys.word_size / 8) /. 1024. in
+  let n = float_of_int (List.length cells) in
+  ( kb (s1.Gc.minor_words -. s0.Gc.minor_words) /. n,
+    kb (s1.Gc.promoted_words -. s0.Gc.promoted_words) /. n )
+
+let chaos_sweep ~pool cells =
+  let arena = Chaos.Arena.create () in
+  ignore
+    (Spectr_exec.Parmap.map ~pool (Chaos.Engine.run_cell ~arena) cells
+      : Chaos.Engine.outcome list)
+
 let fleet_spec ~epochs ~kill_rate =
   let nodes = 512 in
   {
@@ -113,20 +146,28 @@ let run () =
     "top-heap-MB";
   phase "start";
   let pool = Spectr_exec.Pool.create ~jobs:2 () in
-  let steady, restarts =
+  let (minor, promoted), steady, restarts =
     Fun.protect
       ~finally:(fun () -> Spectr_exec.Pool.shutdown pool)
       (fun () ->
+        let cells = chaos_cells () in
+        let per_cell = chaos_kb_per_cell cells in
+        chaos_sweep ~pool cells;
+        phase "chaos";
         fleet_run ~pool (fleet_spec ~epochs:1 ~kill_rate:1.);
         phase "fleet-1";
         fleet_run ~pool (fleet_spec ~epochs:120 ~kill_rate:1.);
         phase "fleet-120";
         let steady = promoted_kb_per_epoch ~pool ~kill_rate:0. in
-        (steady, promoted_kb_per_epoch ~pool ~kill_rate:1.))
+        (per_cell, steady, promoted_kb_per_epoch ~pool ~kill_rate:1.))
   in
   synth_round ();
   phase "synth";
   Printf.printf
-    "\n  fleet: 512 nodes; KB promoted per epoch: %.1f steady (kill rate 0), \
+    "\n  chaos: 600 cells, run one by one; KB per cell: %.1f minor heap, %.2f \
+     promoted\n"
+    minor promoted;
+  Printf.printf
+    "  fleet: 512 nodes; KB promoted per epoch: %.1f steady (kill rate 0), \
      %.1f with restarts (kill rate 1)\n"
     steady restarts

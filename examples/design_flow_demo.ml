@@ -101,10 +101,10 @@ let () =
     let powers = Soc.sensor_powers soc in
     let u = Spectr_control.Mimo.step big_ctrl
         ~measured:[| obs.Soc.qos_rate; powers.(0) |] in
-    Manager.apply_cluster soc 0 ~freq_ghz:u.(0) ~cores:u.(1);
+    Manager.apply_cluster soc 0 u ~at:0;
     let ul = Spectr_control.Mimo.step little_ctrl
         ~measured:[| (Soc.ips_totals soc).(1) /. 1e9; powers.(1) |] in
-    Manager.apply_cluster soc 1 ~freq_ghz:ul.(0) ~cores:ul.(1)
+    Manager.apply_cluster soc 1 ul ~at:0
   done;
   let truth = Array.make 2 0. in
   Soc.ground_truth soc truth;

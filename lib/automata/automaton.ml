@@ -527,60 +527,21 @@ let rec rank_of (by_id : int array) bits id lo hi =
   else if c < id then rank_of by_id bits id (mid + 1) hi
   else rank_of by_id bits id lo (mid - 1)
 
-(* The digest is streamed through the runtime's MD5 context (a C stub
-   over [caml_MD5Init/Update/Final]) a buffer at a time: the bytes it
-   hashes are never held whole.  The buffer is [md5_chunk] bytes, or
-   fewer when that bounds the whole image: a 64 KB allocation tripled
-   the cost of a small automaton's digest, which [Synth_cache] pays on
-   every lookup.  [md5_room h k] makes room for
-   [k <= Bytes.length h.buf] bytes. *)
-external md5_init : unit -> Bytes.t = "spectr_md5_init"
-
-external md5_update : Bytes.t -> Bytes.t -> int -> unit = "spectr_md5_update"
-[@@noalloc]
-
-external md5_final : Bytes.t -> string = "spectr_md5_final"
+(* The digest is streamed through the runtime's MD5 context
+   ({!Spectr_linalg.Md5}) a buffer at a time: the bytes it hashes are
+   never held whole.  The buffer is [md5_chunk] bytes, or fewer when
+   that bounds the whole image: a 64 KB allocation tripled the cost of a
+   small automaton's digest, which [Synth_cache] pays on every
+   lookup. *)
+module Md5 = Spectr_linalg.Md5
 
 let md5_chunk = 65536
 
-type md5 = { ctx : Bytes.t; buf : Bytes.t; mutable pos : int }
-
-let md5_flush h =
-  md5_update h.ctx h.buf h.pos;
-  h.pos <- 0
-
-let md5_room h k = if h.pos + k > Bytes.length h.buf then md5_flush h
-
-let md5_char h c =
-  md5_room h 1;
-  Bytes.set h.buf h.pos c;
-  h.pos <- h.pos + 1
-
-let md5_int h i =
-  md5_room h 8;
-  Bytes.set_int64_le h.buf h.pos (Int64.of_int i);
-  h.pos <- h.pos + 8
-
-(* [s.[off ..]], however long, a buffer's room at a time. *)
-let rec md5_sub h s off =
-  let len = String.length s - off in
-  let room = Bytes.length h.buf - h.pos in
-  if len <= room then begin
-    Bytes.blit_string s off h.buf h.pos len;
-    h.pos <- h.pos + len
-  end
-  else begin
-    Bytes.blit_string s off h.buf h.pos room;
-    h.pos <- Bytes.length h.buf;
-    md5_flush h;
-    md5_sub h s (off + room)
-  end
-
 (* A length prefix: the decimal length and ':'. *)
 let md5_len h l =
-  md5_room h 21;
-  h.pos <- put_digits h.buf h.pos l;
-  md5_char h ':'
+  Md5.room h 21;
+  h.Md5.pos <- put_digits h.Md5.buf h.Md5.pos l;
+  Md5.add_char h ':'
 
 (* Layout, uniquely decodable: the name, the state names and each
    alphabet event (with 'c'/'u') as length-prefixed text fields, and
@@ -618,55 +579,52 @@ let structural_digest a =
         + (a.n * (max_name_length w + 23))
         + (8 * (a.n + 4 + (2 * Array.length a.tr)))
       in
-      let h =
-        { ctx = md5_init (); buf = Bytes.create (min md5_chunk bound); pos = 0 }
-      in
+      let h = Md5.create (min md5_chunk bound) in
       let field s =
         md5_len h (String.length s);
-        md5_sub h s 0
+        Md5.add_string h s
       in
       field a.name;
-      md5_int h a.n;
-      md5_int h a.initial;
+      Md5.add_int h a.n;
+      Md5.add_int h a.initial;
       (* The names are written from [naming] in one walk, each product
          state decoded once, straight into the buffer — through a string
          of its own only when one name outgrows the buffer. *)
       for i = 0 to a.n - 1 do
         let l = name_length w i in
         md5_len h l;
-        if l <= Bytes.length h.buf then begin
-          md5_room h l;
-          h.pos <- write_decoded w i h.buf h.pos
+        if l <= Bytes.length h.Md5.buf then begin
+          Md5.room h l;
+          h.Md5.pos <- write_decoded w i h.Md5.buf h.Md5.pos
         end
         else begin
           let b = Bytes.create l in
           ignore (write_decoded w i b 0 : int);
-          md5_sub h (Bytes.unsafe_to_string b) 0
+          Md5.add_string h (Bytes.unsafe_to_string b)
         end
       done;
-      md5_int h sigma;
+      Md5.add_int h sigma;
       Event.Set.iter
         (fun e ->
           field (Event.name e);
-          md5_char h (if Event.is_controllable e then 'c' else 'u'))
+          Md5.add_char h (if Event.is_controllable e then 'c' else 'u'))
         a.alphabet;
       (* CSR order: by source index, then event id — deterministic within
          a process (intern order), which is all the in-process cache
          needs. *)
-      Array.iter (md5_int h) a.row;
+      Array.iter (Md5.add_int h) a.row;
       for k = 0 to Array.length a.tr - 1 do
         let w = a.tr.(k) in
-        md5_int h (rank_of by_id bits (tr_event w) 0 (sigma - 1));
-        md5_int h (tr_target w)
+        Md5.add_int h (rank_of by_id bits (tr_event w) 0 (sigma - 1));
+        Md5.add_int h (tr_target w)
       done;
       for i = 0 to a.n - 1 do
-        md5_char h (if has a i flag_marked then '1' else '0')
+        Md5.add_char h (if has a i flag_marked then '1' else '0')
       done;
       for i = 0 to a.n - 1 do
-        md5_char h (if has a i flag_forbidden then '1' else '0')
+        Md5.add_char h (if has a i flag_forbidden then '1' else '0')
       done;
-      md5_flush h;
-      let d = Digest.to_hex (md5_final h.ctx) in
+      let d = Md5.to_hex h in
       a.digest <- Some d;
       d
 

@@ -11,8 +11,6 @@ type outcome = {
   reconfig_status : string option;
 }
 
-let digest_of_trace trace = Digest.to_hex (Digest.string (Trace.to_csv trace))
-
 let run_cell ?arena (cell : Campaign.cell) =
   let config = Campaign.config_of_cell cell in
   (* With an arena, manager (re)construction is a warm checkout: same
@@ -34,10 +32,17 @@ let run_cell ?arena (cell : Campaign.cell) =
   let mgr = ref mgr0 and sup = ref sup0 and guards = ref guards0 in
   let handle = ref handle0 in
   (* SPECTR+R replaces its supervisor on every hot-swap; the legality
-     monitor must see the live one, never a cached pre-swap copy. *)
+     monitor must see the live one, never a cached pre-swap copy.  Its
+     option is rebuilt only when the supervisor changes, not per tick. *)
+  let live = ref None in
   let live_sup () =
     match !handle with
-    | Some h -> Some (Spectr.Spectr_manager.Reconfig.supervisor h)
+    | Some h ->
+        let s = Spectr.Spectr_manager.Reconfig.supervisor h in
+        (match !live with
+        | Some s' when s' == s -> ()
+        | _ -> live := Some s);
+        !live
     | None -> !sup
   in
   let runner = Spectr.Scenario.start config in
@@ -82,7 +87,7 @@ let run_cell ?arena (cell : Campaign.cell) =
     cell;
     violations = Invariants.violations monitor;
     ticks = Spectr.Scenario.ticks_done runner;
-    digest = digest_of_trace (Spectr.Scenario.trace runner);
+    digest = Trace.csv_digest (Spectr.Scenario.trace runner);
     watchdog_recoveries =
       (match !guards with
       | None -> 0

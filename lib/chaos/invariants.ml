@@ -74,28 +74,26 @@ let limits =
    would hold a box until the next minor collection promoted it. *)
 type power = { mutable epoch : float; mutable excess : float }
 
+(* A passing [check] allocates nothing: the fault windows are the
+   schedule's flags, each predicate is computed without building its
+   message, and a finding's detail closure is built only when it fires.
+   Floats stay in locals, flat arrays and flat records, never crossing a
+   call as a box. *)
 type t = {
   qos_ref : float;
   dt : float;
   tdp : float; (* largest envelope across phases *)
   disturbances : float array; (* sorted ascending, starts with 0 *)
-  actuator_windows : (float * float) list;
-  fault_windows : (float * float) list;
   mutable violations_rev : violation list;
   mutable count : int;
   streaks : int array; (* consecutive violating ticks, per kind *)
   reported : bool array; (* an open episode already produced a finding *)
   power : power;
   mutable power_reported : bool;
+  mutable budgets : float array; (* the supervisor's budgets, first k slots *)
 }
 
 let eps = 1e-9
-
-let is_actuator = function
-  | Faults.Dvfs_stuck | Faults.Gating_refused | Faults.Dvfs_stuck_permanent
-    ->
-      true
-  | _ -> false
 
 let create ~config ?kill_time () =
   let schedule = Spectr.Scenario.fault_schedule config in
@@ -134,31 +132,25 @@ let create ~config ?kill_time () =
     dt;
     tdp;
     disturbances;
-    actuator_windows =
-      List.filter_map
-        (fun i ->
-          if is_actuator i.Faults.fault then
-            Some (i.Faults.start_s, i.Faults.stop_s)
-          else None)
-        schedule;
-    fault_windows =
-      List.map (fun i -> (i.Faults.start_s, i.Faults.stop_s)) schedule;
     violations_rev = [];
     count = 0;
     streaks = Array.make num_kinds 0;
     reported = Array.make num_kinds false;
     power = { epoch = 0.; excess = 0. };
     power_reported = false;
+    budgets =
+      Array.make (Platform_desc.num_clusters config.Spectr.Scenario.platform) 0.;
   }
 
-let last_disturbance m t =
-  let best = ref 0. in
-  Array.iter
-    (fun d -> if d <= t +. eps && d > !best then best := d)
-    m.disturbances;
-  !best
+(* Which fault windows hold at the SoC's clock: the schedule's flags,
+   evaluated once when the clock last moved ({!Faults.advance}). *)
+let actuator_window soc =
+  match Soc.faults soc with
+  | None -> false
+  | Some f -> Faults.dvfs_stuck f || Faults.gating_refused f
 
-let in_window windows t = List.exists (fun (s, e) -> s <= t && t < e) windows
+let fault_window soc =
+  match Soc.faults soc with None -> false | Some f -> Faults.active_count f > 0
 
 let violations m = List.rev m.violations_rev
 
@@ -174,8 +166,9 @@ let record m ~tick ~time kind detail =
 
 (* Episode discipline: a violation must hold for [required] consecutive
    ticks before it is reported, and a still-open episode is reported
-   only once — a 2-second excursion is one finding, not forty. *)
-let judge m ~tick ~time kind bad detail =
+   only once — a 2-second excursion is one finding, not forty.  True
+   when the finding fires now. *)
+let judge m kind bad =
   let k = kind_index kind in
   if bad then begin
     m.streaks.(k) <- m.streaks.(k) + 1;
@@ -186,15 +179,83 @@ let judge m ~tick ~time kind bad detail =
     in
     if m.streaks.(k) >= required && not m.reported.(k) then begin
       m.reported.(k) <- true;
-      record m ~tick ~time kind detail
+      true
     end
+    else false
   end
   else begin
     m.streaks.(k) <- 0;
-    m.reported.(k) <- false
+    m.reported.(k) <- false;
+    false
   end
 
-let opp_member table f = Array.exists (( = ) f) table.Opp.freqs_mhz
+(* Supervisor legality: restore-corruption tripwires.  Bounds are
+   deliberately loose — they catch a scrambled checkpoint, not a tuning
+   difference.  Host budget may roam up to the TDP; each secondary
+   cluster's static share stays small.  Bounds scale with the platform's
+   cluster count through the supervisor itself.  [None] allocates
+   nothing. *)
+let supervisor_problem m sup =
+  match Spectr.Supervisor.state sup with
+  | exception Invalid_argument msg -> Some ("illegal automaton state: " ^ msg)
+  | (_ : string) ->
+      let mode = Spectr.Supervisor.gains_mode sup in
+      if not (String.equal mode "qos" || String.equal mode "power") then
+        Some (Printf.sprintf "unknown gains mode %S" mode)
+      else begin
+        let k = Spectr.Supervisor.num_clusters sup in
+        if Array.length m.budgets < k then m.budgets <- Array.make k 0.;
+        let refs = m.budgets in
+        Spectr.Supervisor.power_refs_into sup refs;
+        let host = Spectr.Supervisor.host_cluster sup in
+        let problem = ref None and i = ref 0 in
+        while Option.is_none !problem && !i < k do
+          let r = refs.(!i) in
+          let hi = if !i = host then m.tdp +. 0.5 else 1.5 in
+          if not (Float.is_finite r) || r < 0.05 || r > hi then begin
+            let label = if !i = host then "host" else "secondary" in
+            problem :=
+              Some
+                (if not (Float.is_finite r) then
+                   Printf.sprintf "non-finite budget (%s cluster %d: %g)" label
+                     !i r
+                 else
+                   Printf.sprintf
+                     "%s cluster %d budget %.3f W outside [0.05, %.2f]" label
+                     !i r hi)
+          end;
+          incr i
+        done;
+        !problem
+      end
+
+(* Actuation bounds: whatever was applied must be a real OPP and a legal
+   core count — a manager must never be able to command the platform
+   outside its tables.  [None] allocates nothing. *)
+let actuation_problem soc =
+  let k = Soc.num_clusters soc in
+  let problem = ref None and i = ref 0 in
+  while Option.is_none !problem && !i < k do
+    let f = Soc.frequency soc !i in
+    let c = Soc.active_cores soc !i in
+    let max_c = Soc.cluster_cores soc !i in
+    let table = (Soc.opp_table soc !i).Opp.freqs_mhz in
+    let j = ref 0 in
+    while !j < Array.length table && table.(!j) <> f do
+      incr j
+    done;
+    if !j = Array.length table then
+      problem :=
+        Some
+          (Printf.sprintf "cluster %d at %d MHz, not an OPP of its table" !i f)
+    else if c < 1 || c > max_c then
+      problem :=
+        Some
+          (Printf.sprintf "cluster %d at %d active cores outside [1, %d]" !i c
+             max_c);
+    incr i
+  done;
+  !problem
 
 let check m ~runner ~sup ~obs =
   let t = obs.Soc.time in
@@ -202,8 +263,14 @@ let check m ~runner ~sup ~obs =
   let soc = Spectr.Scenario.runner_soc runner in
   (* The phase of the tick just run: the runner advances its phase
      cursor only when the next tick starts. *)
-  let phase, _ = Spectr.Scenario.current_phase runner in
-  let epoch = last_disturbance m t in
+  let phase = Spectr.Scenario.phase runner in
+  (* The last disturbance instant at or before [t]. *)
+  let epoch = ref 0. in
+  for i = 0 to Array.length m.disturbances - 1 do
+    let d = m.disturbances.(i) in
+    if d <= t +. eps && d > !epoch then epoch := d
+  done;
+  let epoch = !epoch in
   let since_disturbance = t -. epoch in
   (* Power cap: judged on ground truth (sensor faults corrupt the
      observation).  The controller may oscillate around the cap, so the
@@ -225,7 +292,7 @@ let check m ~runner ~sup ~obs =
   let envelope = phase.Spectr.Scenario.envelope in
   let cap = envelope *. (1. +. limits.guardband) in
   if
-    (not (in_window m.actuator_windows t))
+    (not (actuator_window soc))
     && since_disturbance > limits.settle_s
     && true_power > cap
   then begin
@@ -247,112 +314,55 @@ let check m ~runner ~sup ~obs =
   let true_qos = truth.(1) in
   let qos_floor = limits.qos_floor *. m.qos_ref in
   let qos_bad =
-    (not (in_window m.fault_windows t))
+    (not (fault_window soc))
     && phase.Spectr.Scenario.background_tasks = 0
     && envelope >= m.tdp -. eps
     && since_disturbance > limits.qos_deadline_s
     && true_qos < qos_floor
   in
-  judge m ~tick ~time:t Qos_reconvergence qos_bad
-    (fun () ->
-      Printf.sprintf
-        "true QoS rate %.2f < %.2f (%.0f%% of reference %.2f) in a quiet \
-         region, %.2f s after the last disturbance"
-        true_qos qos_floor (100. *. limits.qos_floor) m.qos_ref since_disturbance);
-  (* Supervisor legality: restore-corruption tripwires.  Bounds are
-     deliberately loose — they catch a scrambled checkpoint, not a
-     tuning difference. *)
+  if judge m Qos_reconvergence qos_bad then
+    record m ~tick ~time:t Qos_reconvergence (fun () ->
+        Printf.sprintf
+          "true QoS rate %.2f < %.2f (%.0f%% of reference %.2f) in a quiet \
+           region, %.2f s after the last disturbance"
+          true_qos qos_floor (100. *. limits.qos_floor) m.qos_ref
+          since_disturbance);
   (match sup with
   | None -> ()
-  | Some sup ->
-      let state_problem =
-        match Spectr.Supervisor.state sup with
-        | (_ : string) -> None
-        | exception Invalid_argument msg -> Some msg
-      in
-      let mode = Spectr.Supervisor.gains_mode sup in
-      let host = Spectr.Supervisor.host_cluster sup in
-      let budget_problem () =
-        (* Host budget may roam up to the TDP; each secondary cluster's
-           static share stays small.  Bounds scale with the platform's
-           cluster count through the supervisor itself. *)
-        let k = Spectr.Supervisor.num_clusters sup in
-        let rec check i =
-          if i >= k then None
-          else
-            let r = Spectr.Supervisor.power_ref sup i in
-            let label = if i = host then "host" else "secondary" in
-            let hi = if i = host then m.tdp +. 0.5 else 1.5 in
-            if not (Float.is_finite r) then
-              Some
-                (Printf.sprintf "non-finite budget (%s cluster %d: %g)" label
-                   i r)
-            else if r < 0.05 || r > hi then
-              Some
-                (Printf.sprintf
-                   "%s cluster %d budget %.3f W outside [0.05, %.2f]" label i
-                   r hi)
-            else check (i + 1)
-        in
-        check 0
-      in
-      let problem =
-        match state_problem with
-        | Some msg -> Some ("illegal automaton state: " ^ msg)
-        | None ->
-            if not (mode = "qos" || mode = "power") then
-              Some (Printf.sprintf "unknown gains mode %S" mode)
-            else budget_problem ()
-      in
-      judge m ~tick ~time:t Supervisor_legal
-        (Option.is_some problem)
-        (fun () -> Option.value problem ~default:""));
-  (* Actuation bounds: whatever was applied must be a real OPP and a
-     legal core count — a manager must never be able to command the
-     platform outside its tables. *)
-  let act_problem =
-    let k = Soc.num_clusters soc in
-    let rec check i =
-      if i >= k then None
-      else
-        let f = Soc.frequency soc i in
-        let c = Soc.active_cores soc i in
-        let max_c = Soc.cluster_cores soc i in
-        if not (opp_member (Soc.opp_table soc i) f) then
-          Some
-            (Printf.sprintf "cluster %d at %d MHz, not an OPP of its table" i
-               f)
-        else if c < 1 || c > max_c then
-          Some
-            (Printf.sprintf "cluster %d at %d active cores outside [1, %d]" i
-               c max_c)
-        else check (i + 1)
-    in
-    check 0
-  in
-  judge m ~tick ~time:t Actuation_bounds
-    (Option.is_some act_problem)
-    (fun () ->
-      "applied state outside platform tables: "
-      ^ Option.value act_problem ~default:"");
+  | Some sup -> (
+      match supervisor_problem m sup with
+      | None -> ignore (judge m Supervisor_legal false : bool)
+      | Some problem ->
+          if judge m Supervisor_legal true then
+            record m ~tick ~time:t Supervisor_legal (fun () -> problem)));
+  (match actuation_problem soc with
+  | None -> ignore (judge m Actuation_bounds false : bool)
+  | Some problem ->
+      if judge m Actuation_bounds true then
+        record m ~tick ~time:t Actuation_bounds (fun () ->
+            "applied state outside platform tables: " ^ problem));
   (* Non-finite tripwire over everything a manager or evaluator reads. *)
   let powers = Soc.sensor_powers soc in
+  let powers_finite = ref true in
+  for i = 0 to Array.length powers - 1 do
+    if not (Float.is_finite powers.(i)) then powers_finite := false
+  done;
   let finite_bad =
     not
       (Float.is_finite obs.Soc.qos_rate
-      && Array.for_all Float.is_finite powers
+      && !powers_finite
       && Float.is_finite obs.Soc.chip_power
       && Float.is_finite true_power && Float.is_finite true_qos)
   in
-  judge m ~tick ~time:t Non_finite finite_bad
-    (fun () ->
-      let per_cluster =
-        String.concat ", "
-          (Array.to_list
-             (Array.mapi (fun i p -> Printf.sprintf "cluster %d %g" i p)
-                powers))
-      in
-      Printf.sprintf
-        "non-finite value reached the pipeline: qos %g, %s, chip %g, true \
-         power %g, true qos %g"
-        obs.Soc.qos_rate per_cluster obs.Soc.chip_power true_power true_qos)
+  if judge m Non_finite finite_bad then
+    record m ~tick ~time:t Non_finite (fun () ->
+        let per_cluster =
+          String.concat ", "
+            (Array.to_list
+               (Array.mapi (fun i p -> Printf.sprintf "cluster %d %g" i p)
+                  powers))
+        in
+        Printf.sprintf
+          "non-finite value reached the pipeline: qos %g, %s, chip %g, true \
+           power %g, true qos %g"
+          obs.Soc.qos_rate per_cluster obs.Soc.chip_power true_power true_qos)

@@ -12,31 +12,37 @@ let config ?(u_min = neg_infinity) ?(u_max = infinity) ~kp ~ki ~kd ~dt () =
   if u_min > u_max then invalid_arg "Pid.config: u_min > u_max";
   { kp; ki; kd; dt; u_min; u_max }
 
-(* The loop's floats, rewritten every period, in a record of floats
-   only: OCaml stores it flat, where a float field of the mixed [t] (or
-   a [float option]) would hold a box until the next minor collection
-   promoted it.  [prev_error] is meaningful only once [has_prev]. *)
-type loop = {
+(* The loop's floats, rewritten every period, in records of floats
+   only: OCaml stores them flat, where a float field of the mixed [t]
+   (or a [float option]) would hold a box until the next minor
+   collection promoted it.  [prev_error] is meaningful only once
+   [has_prev]. *)
+type io = {
   mutable reference : float;
-  mutable integral : float;
-  mutable prev_error : float;
+  mutable measured : float;
+  mutable command : float;
 }
 
-type t = { cfg : config; loop : loop; mutable has_prev : bool }
+type loop = { mutable integral : float; mutable prev_error : float }
+
+type t = { cfg : config; io : io; loop : loop; mutable has_prev : bool }
 
 let create cfg ~reference =
   {
     cfg;
-    loop = { reference; integral = 0.; prev_error = 0. };
+    io = { reference; measured = 0.; command = 0. };
+    loop = { integral = 0.; prev_error = 0. };
     has_prev = false;
   }
 
-let clamp lo hi v = Float.min hi (Float.max lo v)
+let io t = t.io
 
-let step t ~measured =
+let[@inline] clamp lo hi v = Float.min hi (Float.max lo v)
+
+let update t =
   let { kp; ki; kd; dt; u_min; u_max } = t.cfg in
-  let l = t.loop in
-  let e = l.reference -. measured in
+  let io = t.io and l = t.loop in
+  let e = io.reference -. io.measured in
   let deriv = if t.has_prev then (e -. l.prev_error) /. dt else 0. in
   let integral_candidate = l.integral +. (e *. dt) in
   let u_unsat = (kp *. e) +. (ki *. integral_candidate) +. (kd *. deriv) in
@@ -45,9 +51,7 @@ let step t ~measured =
   if u = u_unsat then l.integral <- integral_candidate;
   l.prev_error <- e;
   t.has_prev <- true;
-  u
-
-let set_reference t r = t.loop.reference <- r
+  io.command <- u
 
 let reset t =
   t.loop.integral <- 0.;
@@ -55,10 +59,15 @@ let reset t =
 
 type saved = t
 
-let saved t = { t with loop = { t.loop with reference = t.loop.reference } }
+let saved t =
+  {
+    t with
+    io = { t.io with reference = t.io.reference };
+    loop = { t.loop with integral = t.loop.integral };
+  }
 
 let copy_state ~src ~dst =
-  dst.loop.reference <- src.loop.reference;
+  dst.io.reference <- src.io.reference;
   dst.loop.integral <- src.loop.integral;
   dst.loop.prev_error <- src.loop.prev_error;
   dst.has_prev <- src.has_prev

@@ -24,10 +24,23 @@ val config :
 type t
 
 val create : config -> reference:float -> t
-val step : t -> measured:float -> float
-(** One control period; returns the saturated command. *)
 
-val set_reference : t -> float -> unit
+type io = {
+  mutable reference : float;
+  mutable measured : float;
+  mutable command : float;  (** Written by {!update}. *)
+}
+(** The loop's inputs and output, a record of floats only: the caller
+    writes [reference] and [measured] and reads [command] in place, so
+    no float crosses the call (a float argument or result of a call
+    into another module is a box). *)
+
+val io : t -> io
+(** The loop's own [io] record, the same one on every call. *)
+
+val update : t -> unit
+(** One control period: reads [reference] and [measured] from {!io},
+    writes the saturated command to its [command]. *)
 
 val reset : t -> unit
 

@@ -25,8 +25,8 @@ let make () =
     Mimo.step_into ctrl ~measured:meas ~dst:u;
     (* Exynos cluster indices: FS is identified on the reference
        big.LITTLE platform only (Variant.make rejects it elsewhere). *)
-    Manager.apply_cluster soc 0 ~freq_ghz:u.(0) ~cores:u.(1);
-    Manager.apply_cluster soc 1 ~freq_ghz:u.(2) ~cores:u.(3)
+    Manager.apply_cluster soc 0 u ~at:0;
+    Manager.apply_cluster soc 1 u ~at:2
   in
   let persist =
     Manager.make_persist ~variant:"FS" ~id:saved_id

@@ -31,6 +31,12 @@ type t = {
 
 let empty_checkpoint () = { variant = ""; held = Nothing }
 
+(* Off the reference platform the tag carries the boot platform's
+   digest, so that equal tags mean equal saved shapes. *)
+let platform_variant platform base =
+  if Design_flow.is_reference_platform platform then base
+  else base ^ "@" ^ String.sub (Platform_desc.digest platform) 0 12
+
 (* The variant tag is what guards a checkpoint from being restored into
    the wrong manager kind; the family witness then types the saved
    value.  A checkpoint the same variant saved last is overwritten in
@@ -72,16 +78,10 @@ let make_persist (type s) ~variant ~(id : s Type.Id.t) ~(saved : unit -> s)
 (* Controller outputs can be garbage (a diverged integrator, a NaN from a
    corrupted measurement).  Non-finite or negative commands must clamp to
    the nearest legal value — NaN conservatively to the low end — instead
-   of silently becoming 0 cores (which `int_of_float nan` produces). *)
-let sanitize_freq_mhz table freq_ghz =
-  let f_mhz = freq_ghz *. 1000. in
-  if Float.is_nan f_mhz then float_of_int (Opp.min_freq table)
-  else if f_mhz = Float.infinity then float_of_int (Opp.max_freq table)
-  else if f_mhz = Float.neg_infinity || f_mhz < 0. then
-    float_of_int (Opp.min_freq table)
-  else f_mhz
-
-let sanitize_cores ~max_cores cores =
+   of silently becoming 0 cores (which `int_of_float nan` produces); the
+   frequency's clamp is {!Opp.request_at}'s. *)
+let[@inline] sanitize_cores ~max_cores u ~at =
+  let cores = u.(at) in
   if Float.is_nan cores then 1
   else
     int_of_float
@@ -90,22 +90,22 @@ let sanitize_cores ~max_cores cores =
 (* Sanitize, quantize and apply, nothing else — no readback record and
    no log message (even an unemitted [Log.debug] call allocates its
    message closure), so this is the tick-path actuation of every
-   manager.  [cluster] is the platform cluster index.  The one boxed
-   sanitized frequency serves both the request and the OPP returned. *)
-let command_cluster soc cluster ~freq_ghz ~cores =
+   manager.  [cluster] is the platform cluster index.  The command pair
+   is read in place and the OPP crosses to the SoC as an int, so no
+   float is boxed on the way. *)
+let command_cluster soc cluster u ~at =
   Obs.Counters.incr c_actuations;
   (if Obs.enabled () then
      (* Count commands in the garbage class the sanitizers exist for:
         non-finite or negative, not mere range clamping. *)
-     let f_mhz = freq_ghz *. 1000. in
-     if (not (Float.is_finite f_mhz)) || f_mhz < 0. || Float.is_nan cores then
-       Obs.Counters.incr c_sanitized);
-  let table = Soc.opp_table soc cluster in
-  let f_mhz = sanitize_freq_mhz table freq_ghz in
-  ignore (Soc.set_frequency soc cluster f_mhz : int);
+     let f_mhz = u.(at) *. 1000. in
+     if (not (Float.is_finite f_mhz)) || f_mhz < 0. || Float.is_nan u.(at + 1)
+     then Obs.Counters.incr c_sanitized);
+  let opp = Opp.request_at (Soc.opp_table soc cluster) u ~at in
+  ignore (Soc.set_opp soc cluster opp : int);
   Soc.set_active_cores soc cluster
-    (sanitize_cores ~max_cores:(Soc.cluster_cores soc cluster) cores);
-  Opp.nearest table f_mhz
+    (sanitize_cores ~max_cores:(Soc.cluster_cores soc cluster) u ~at:(at + 1));
+  opp
 
-let apply_cluster soc cluster ~freq_ghz ~cores =
-  ignore (command_cluster soc cluster ~freq_ghz ~cores : int)
+let apply_cluster soc cluster u ~at =
+  ignore (command_cluster soc cluster u ~at : int)

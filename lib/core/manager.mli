@@ -73,28 +73,35 @@ val make_persist :
     family's witness, and the tag [variant]; restoring a checkpoint
     with any other tag raises [Invalid_argument]. *)
 
-val sanitize_freq_mhz : Spectr_platform.Opp.t -> float -> float
-(** The frequency a [freq_ghz] command will be quantized from, in MHz:
-    non-finite and negative values clamp to the table's legal range
-    (NaN conservatively to the minimum OPP). *)
+val platform_variant : Platform_desc.t -> string -> string
+(** The checkpoint tag of a manager kind [base] on a platform: [base]
+    itself on the reference exynos5422, [base ^ "@" ^] the first 12 hex
+    digits of {!Platform_desc.digest} elsewhere.  A tag then fixes the
+    saved state's shape, so a save into another platform's checkpoint
+    re-allocates and a restore from one raises. *)
 
-val sanitize_cores : max_cores:int -> float -> int
-(** The core count a [cores] command resolves to on a cluster of
-    [max_cores] cores: clamped to [1, max_cores], NaN conservatively
-    to 1. *)
+val sanitize_cores : max_cores:int -> float array -> at:int -> int
+(** The core count a [u.(at)] cores command resolves to on a cluster of
+    [max_cores] cores, read in place: clamped to [1, max_cores], NaN
+    conservatively to 1.  The frequency's counterpart is
+    {!Spectr_platform.Opp.request_at}. *)
 
-val apply_cluster : Soc.t -> int -> freq_ghz:float -> cores:float -> unit
+val apply_cluster : Soc.t -> int -> float array -> at:int -> unit
 (** Helper shared by all managers: sanitize (non-finite or negative
     commands clamp to the nearest legal value, NaN conservatively to the
-    low end), quantize and apply a (frequency GHz, core count) command
-    pair to one cluster — addressed by its platform description index.
+    low end), quantize and apply the (frequency GHz, core count) command
+    pair [u.(at)], [u.(at + 1)] to one cluster — addressed by its
+    platform description index.
     Core commands clamp to the cluster's physical core count.  What was
     actually applied is read back from the platform
     ({!Spectr_platform.Soc.frequency}, {!Spectr_platform.Soc.active_cores});
     under an actuator fault it differs from the request, which is how
-    the guarded managers detect stuck actuators.  Allocation-free. *)
+    the guarded managers detect stuck actuators.  The pair is read in
+    place and the OPP reaches the SoC as an int
+    ({!Spectr_platform.Soc.set_opp}), so nothing is boxed but the
+    voltage the SoC looks up when the OPP changes. *)
 
-val command_cluster : Soc.t -> int -> freq_ghz:float -> cores:float -> int
+val command_cluster : Soc.t -> int -> float array -> at:int -> int
 (** {!apply_cluster}, returning the OPP (MHz) it requested — what an
     obedient rail reads back, and so the guarded managers' readback
-    expectation.  Allocation-free beyond the one boxed request. *)
+    expectation. *)

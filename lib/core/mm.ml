@@ -65,11 +65,13 @@ let make ~label ~name ~platform () =
       m.(0) <- (if i = host then obs.Soc.qos_rate else ips.(i) /. 1e9);
       m.(1) <- powers.(i);
       Mimo.step_into ctrls.(i) ~measured:m ~dst:u;
-      Manager.apply_cluster soc i ~freq_ghz:u.(0) ~cores:u.(1)
+      Manager.apply_cluster soc i u ~at:0
     done
   in
   let persist =
-    Manager.make_persist ~variant:name ~id:saved_id
+    Manager.make_persist
+      ~variant:(Manager.platform_variant platform name)
+      ~id:saved_id
       ~saved:(fun () -> Array.map Mimo.saved ctrls)
       ~copy:(fun saved ~restore ->
         if Array.length saved <> k then

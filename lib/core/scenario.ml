@@ -121,13 +121,11 @@ let close_loop soc hb obs ~manager ~dt ~qos_ref ~envelope =
   let stalled =
     match Soc.faults soc with
     | None -> false
-    | Some f -> Faults.heartbeat_stalled f ~now:obs.Soc.time
+    | Some f -> Faults.heartbeat_stalled f
   in
-  if not stalled then
-    Heartbeats.beat hb ~now:obs.Soc.time ~count:(obs.Soc.qos_rate *. dt);
   (* Managers observe QoS through the windowed heartbeat rate, not the
-     instantaneous sensor (which fed the monitor just above). *)
-  obs.Soc.qos_rate <- Heartbeats.rate hb ~now:obs.Soc.time;
+     instantaneous sensor (which feeds the monitor first). *)
+  Heartbeats.observe hb obs ~dt ~stalled;
   manager.Manager.step ~now:obs.Soc.time ~qos_ref ~envelope ~obs soc
 
 (* --- tick-at-a-time execution engine --------------------------------- *)
@@ -155,6 +153,7 @@ type runner = {
      [tick] — valid until the next tick) and the trace row ([Trace.add]
      copies it into column storage). *)
   r_obs : Soc.observation;
+  r_some_obs : Soc.observation option; (* [Some r_obs], built once *)
   r_row : float array;
   (* Ground truth ([Soc.ground_truth]: chip power, QoS rate) at the end
      of tick [r_truth_tick], from one physics pass shared by the
@@ -191,6 +190,7 @@ let start config =
   in
   let hb = heartbeat_monitor ~qos_ref:config.qos_ref in
   let phases = Array.of_list config.phases in
+  let obs = Soc.make_observation () in
   let r =
     {
       r_config = config;
@@ -204,7 +204,8 @@ let start config =
       r_phase = 0;
       r_done_in_phase = 0;
       r_tick = 0;
-      r_obs = Soc.make_observation ();
+      r_obs = obs;
+      r_some_obs = Some obs;
       r_row = Array.make (List.length run_columns) 0.;
       r_truth = Array.make 2 0.;
       r_truth_tick = -1;
@@ -232,27 +233,26 @@ let truth_at r ticks =
 let ground_truth r = truth_at r r.r_tick
 let ticks_done r = r.r_tick
 
-let current_phase r =
-  let i = min r.r_phase (Array.length r.r_phases - 1) in
-  (r.r_phases.(i), i)
+let phase_index r = min r.r_phase (Array.length r.r_phases - 1)
+let phase r = r.r_phases.(phase_index r)
+let current_phase r = (phase r, phase_index r)
+
+(* Advance the phase cursor to the next phase with steps remaining,
+   applying each entered phase's background load in order. *)
+let rec enter r =
+  if r.r_phase < Array.length r.r_phases
+     && r.r_done_in_phase >= r.r_steps.(r.r_phase)
+  then begin
+    r.r_phase <- r.r_phase + 1;
+    r.r_done_in_phase <- 0;
+    if r.r_phase < Array.length r.r_phases then begin
+      Soc.set_background_tasks r.r_soc r.r_phases.(r.r_phase).background_tasks;
+      enter r
+    end
+  end
 
 let tick r ~manager =
-  (* Advance the phase cursor to the next phase with steps remaining,
-     applying each entered phase's background load in order. *)
-  let rec enter () =
-    if r.r_phase < Array.length r.r_phases
-       && r.r_done_in_phase >= r.r_steps.(r.r_phase)
-    then begin
-      r.r_phase <- r.r_phase + 1;
-      r.r_done_in_phase <- 0;
-      if r.r_phase < Array.length r.r_phases then begin
-        Soc.set_background_tasks r.r_soc
-          r.r_phases.(r.r_phase).background_tasks;
-        enter ()
-      end
-    end
-  in
-  enter ();
+  enter r;
   if r.r_phase >= Array.length r.r_phases then None
   else begin
     let config = r.r_config in
@@ -285,13 +285,12 @@ let tick r ~manager =
         (* Under sensor faults the [power] column records what the
            managers saw (the corrupted reading); [true_power] is
            the ground truth a safety evaluation must use. *)
-        row.(7 + (3 * k)) <-
-          float_of_int (Faults.active_count f ~now:obs.Soc.time);
+        row.(7 + (3 * k)) <- float_of_int (Faults.active_count f);
         row.(8 + (3 * k)) <- (truth_at r (r.r_tick + 1)).(0));
     Trace.add r.r_trace row;
     r.r_done_in_phase <- r.r_done_in_phase + 1;
     r.r_tick <- r.r_tick + 1;
-    Some obs
+    r.r_some_obs
   end
 
 let run ~manager config =

@@ -156,6 +156,10 @@ val current_phase : runner -> phase * int
     the phase of the observation just returned (the first phase before
     any tick).  Monitors read the envelope and load in force here. *)
 
+val phase : runner -> phase
+(** {!current_phase}'s phase alone, without building a pair: the
+    per-tick accessor of monitors. *)
+
 val total_ticks : config -> int
 (** Number of controller periods the full scenario executes. *)
 

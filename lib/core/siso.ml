@@ -33,20 +33,29 @@ let make () =
       ~reference:0.3
   in
   (* Each PID produces a bounded deviation around a mid-range operating
-     point (frequency 1.0 GHz, 2.5 cores, little 0.6 GHz). *)
+     point (frequency 1.0 GHz, 2.5 cores, little 0.6 GHz).  The loops'
+     floats and the command pair move through flat records and a float
+     array, so no float is boxed on the way to the SoC. *)
+  let qos = Pid.io qos_pid
+  and cores_io = Pid.io cores_pid
+  and little_io = Pid.io little_pid in
+  let cmd = [| 0.; 0. |] in
   let step ~now:_ ~qos_ref ~envelope ~obs soc =
     let powers = Soc.sensor_powers soc in
-    Pid.set_reference qos_pid qos_ref;
-    Pid.set_reference cores_pid (Float.max 0.5 (envelope -. Mm.little_power_budget));
-    let freq = 1.0 +. Pid.step qos_pid ~measured:obs.Soc.qos_rate in
-    let cores = 2.5 +. Pid.step cores_pid ~measured:powers.(big) in
-    Manager.apply_cluster soc big
-      ~freq_ghz:(Float.max 0.2 (Float.min 2.0 freq))
-      ~cores:(Float.max 1. (Float.min 4. cores));
-    let lfreq = 0.6 +. Pid.step little_pid ~measured:powers.(little) in
-    Manager.apply_cluster soc little
-      ~freq_ghz:(Float.max 0.2 (Float.min 1.4 lfreq))
-      ~cores:2.
+    qos.reference <- qos_ref;
+    cores_io.reference <- Float.max 0.5 (envelope -. Mm.little_power_budget);
+    qos.measured <- obs.Soc.qos_rate;
+    Pid.update qos_pid;
+    cores_io.measured <- powers.(big);
+    Pid.update cores_pid;
+    cmd.(0) <- Float.max 0.2 (Float.min 2.0 (1.0 +. qos.command));
+    cmd.(1) <- Float.max 1. (Float.min 4. (2.5 +. cores_io.command));
+    Manager.apply_cluster soc big cmd ~at:0;
+    little_io.measured <- powers.(little);
+    Pid.update little_pid;
+    cmd.(0) <- Float.max 0.2 (Float.min 1.4 (0.6 +. little_io.command));
+    cmd.(1) <- 2.;
+    Manager.apply_cluster soc little cmd ~at:0
   in
   let persist =
     Manager.make_persist ~variant:"SISO" ~id:saved_id

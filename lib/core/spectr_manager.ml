@@ -206,8 +206,8 @@ let handle_finding h = function
    DVFS rail is known-latched is expected to read back its latched
    frequency — the rail ignoring requests is no longer a fault once the
    plant has been re-synthesized around it. *)
-let actuate h soc p ~freq_ghz ~cores ~now =
-  let requested = Manager.command_cluster soc p ~freq_ghz ~cores in
+let actuate h soc p u ~now =
+  let requested = Manager.command_cluster soc p u ~at:0 in
   match h.guard with
   | None -> ()
   | Some g -> (
@@ -219,7 +219,8 @@ let actuate h soc p ~freq_ghz ~cores ~now =
       let ok =
         freq = expected_freq
         && Soc.active_cores soc p
-           = Manager.sanitize_cores ~max_cores:(Soc.cluster_cores soc p) cores
+           = Manager.sanitize_cores ~max_cores:(Soc.cluster_cores soc p) u
+               ~at:1
       in
       if not ok then Obs.Counters.incr c_act_mismatch;
       Guarded.note_actuation g ~now ~ok;
@@ -231,9 +232,11 @@ let actuate h soc p ~freq_ghz ~cores ~now =
    its minimum-power configuration.  With every actuator driven to its
    floor, any single surviving actuator keeps chip power inside the
    envelope. *)
+let floor_command = [| 0.2; 1. |] (* GHz, cores; read only *)
+
 let floor_all h soc ~now =
   for p = 0 to Array.length h.book.dead - 1 do
-    if not h.book.dead.(p) then actuate h soc p ~freq_ghz:0.2 ~cores:1. ~now
+    if not h.book.dead.(p) then actuate h soc p floor_command ~now
   done
 
 let step h ~now ~qos_ref ~envelope ~obs soc =
@@ -306,13 +309,13 @@ let step h ~now ~qos_ref ~envelope ~obs soc =
                 Fdir.note_innovation fd ~cluster:p
                   ~norm:(Mimo.last_innovation_norm cs.(j))
             | None -> ());
-            actuate h soc p ~freq_ghz:u.(0) ~cores:u.(1) ~now
+            actuate h soc p u ~now
           done;
           (* A live cluster removed from the plant (dead power sensor)
              stays pinned to its floor. *)
           for p = 0 to Array.length h.book.excluded - 1 do
             if h.book.excluded.(p) && not h.book.dead.(p) then
-              actuate h soc p ~freq_ghz:0.2 ~cores:1. ~now
+              actuate h soc p floor_command ~now
           done)
 
 (* Everything a checkpoint carries: every layer's saved state, all
@@ -456,9 +459,8 @@ let build ~who ~name ~supervisor_divisor ~gain_scheduling ~guard ~fdir
      reference platform — the boot platform digest, so a checkpoint can't
      cross ablation variants or platforms. *)
   let variant =
-    let base = if gain_scheduling then name else name ^ "-nogs" in
-    if Design_flow.is_reference_platform platform then base
-    else base ^ "@" ^ String.sub (Platform_desc.digest platform) 0 12
+    Manager.platform_variant platform
+      (if gain_scheduling then name else name ^ "-nogs")
   in
   let persist =
     Manager.make_persist ~variant ~id:saved_id ~saved:(saved h) ~copy:(copy h)

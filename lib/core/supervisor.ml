@@ -146,6 +146,11 @@ let power_ref t i =
   if i < 0 || i >= t.k then invalid_arg "Supervisor.power_ref: cluster index";
   t.s.refs.(i)
 
+let power_refs_into t dst =
+  if Array.length dst < t.k then
+    invalid_arg "Supervisor.power_refs_into: fewer slots than clusters";
+  Array.blit t.s.refs 0 dst 0 t.k
+
 let synthesis_stats t = t.stats
 
 type saved = state

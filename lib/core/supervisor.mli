@@ -114,6 +114,12 @@ val power_ref : t -> int -> float
 (** Current power reference of the given cluster index.  Raises
     [Invalid_argument] outside [0, num_clusters). *)
 
+val power_refs_into : t -> float array -> unit
+(** Every cluster's {!power_ref}, written into the first
+    {!num_clusters} slots of a caller-owned array: the per-tick form,
+    which boxes no float.  Raises [Invalid_argument] when the array is
+    shorter. *)
+
 val synthesis_stats : t -> Synthesis.stats
 
 (** {1 Checkpoint/restore}

@@ -38,6 +38,10 @@ let[@inline] float g =
   let bits = Int64.shift_right_logical (int64 g) 11 in
   Int64.to_float bits /. 9007199254740992.0
 
+(* [float g < p] behind a [bool] return: the draw crosses no module
+   boundary as a boxed float. *)
+let chance g p = float g < p
+
 let uniform g ~lo ~hi =
   if hi < lo then invalid_arg "Prng.uniform: hi < lo";
   lo +. ((hi -. lo) *. float g)

@@ -33,6 +33,10 @@ val int64 : t -> int64
 val float : t -> float
 (** Uniform in [0, 1). *)
 
+val chance : t -> float -> bool
+(** [chance g p] is [float g < p]: one uniform draw, returned as the
+    event's outcome so that the caller pays no float-return box. *)
+
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform in [lo, hi).  Raises [Invalid_argument] when [hi < lo]. *)
 

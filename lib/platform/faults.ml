@@ -49,7 +49,7 @@ let validate_kind = function
 type injection = { fault : kind; start_s : float; stop_s : float }
 
 (* Permanent faults are onset-only: their window never closes
-   ([stop_s = infinity], which [window_active]'s [now < stop_s] handles
+   ([stop_s = infinity], which [advance]'s [now < stop_s] handles
    without a special case and which %.17g/"float_of_string" round-trip
    as "inf").  Transient faults keep the original finite-window rule;
    giving a permanent kind a finite stop (or a transient kind an
@@ -86,8 +86,20 @@ let permanent fault ~start_s = injection fault ~start_s ~stop_s:Float.infinity
 let qos_slot = max_clusters
 let temp_slot = max_clusters + 1
 
+type clock = { mutable now : float }
+
+(* The schedule, and what is active at the time of the last [advance]:
+   every field read on the tick path is an int, a bool or a flat array,
+   so no query builds a closure or boxes a float. *)
 type t = {
-  injections : injection list;
+  sched : injection array; (* the injections, in schedule order *)
+  on : bool array; (* per injection: window active *)
+  mutable active : int;
+  mutable dvfs_stuck : bool;
+  mutable gating_refused : bool;
+  mutable stalled : bool;
+  dead : bool array; (* per cluster: a [Cluster_dead] is active *)
+  mutable any_dead : bool;
   rng : Prng.t; (* spike noise only; independent of the SoC's stream *)
   last : float array; (* last healthy reading per channel slot *)
 }
@@ -96,25 +108,53 @@ let create ?(seed = 0xFA17L) injections =
   List.iter
     (fun i -> ignore (injection i.fault ~start_s:i.start_s ~stop_s:i.stop_s))
     injections;
-  { injections; rng = Prng.create seed; last = Array.make (temp_slot + 1) 0. }
+  let sched = Array.of_list injections in
+  {
+    sched;
+    on = Array.make (Array.length sched) false;
+    active = 0;
+    dvfs_stuck = false;
+    gating_refused = false;
+    stalled = false;
+    dead = Array.make max_clusters false;
+    any_dead = false;
+    rng = Prng.create seed;
+    last = Array.make (temp_slot + 1) 0.;
+  }
 
-let injections t = t.injections
-let window_active i ~now = now >= i.start_s && now < i.stop_s
+let injections t = Array.to_list t.sched
 
-let active_count t ~now =
-  List.length (List.filter (window_active ~now) t.injections)
+let advance t clock =
+  let now = clock.now in
+  t.active <- 0;
+  t.dvfs_stuck <- false;
+  t.gating_refused <- false;
+  t.stalled <- false;
+  Array.fill t.dead 0 max_clusters false;
+  t.any_dead <- false;
+  for j = 0 to Array.length t.sched - 1 do
+    let i = t.sched.(j) in
+    let on = now >= i.start_s && now < i.stop_s in
+    t.on.(j) <- on;
+    if on then begin
+      t.active <- t.active + 1;
+      match i.fault with
+      | Dvfs_stuck | Dvfs_stuck_permanent -> t.dvfs_stuck <- true
+      | Gating_refused -> t.gating_refused <- true
+      | Heartbeat_stall -> t.stalled <- true
+      | Cluster_dead c ->
+          t.dead.(c) <- true;
+          t.any_dead <- true
+      | Dropout _ | Stuck_at_last _ | Spike_burst _ | Sensor_dead _ -> ()
+    end
+  done
 
-let active_on t ~now pred =
-  List.exists (fun i -> window_active i ~now && pred i.fault) t.injections
-
-let dvfs_stuck t ~now =
-  active_on t ~now (fun f -> f = Dvfs_stuck || f = Dvfs_stuck_permanent)
-
-let gating_refused t ~now = active_on t ~now (fun f -> f = Gating_refused)
-let heartbeat_stalled t ~now = active_on t ~now (fun f -> f = Heartbeat_stall)
-let cluster_dead t ~now ~cluster = active_on t ~now (fun f -> f = Cluster_dead cluster)
-
-let has_permanent t = List.exists (fun i -> is_permanent i.fault) t.injections
+let active_count t = t.active
+let dvfs_stuck t = t.dvfs_stuck
+let gating_refused t = t.gating_refused
+let heartbeat_stalled t = t.stalled
+let cluster_dead t i = i >= 0 && i < max_clusters && t.dead.(i)
+let any_cluster_dead t = t.any_dead
 
 (* Does a fault's sensor designator hit the channel in [slot]?  A plain
    [Power] fault hits every cluster's power sensor, a [Power_cluster i]
@@ -129,45 +169,38 @@ let hits sensor slot =
 (* Sensor transforms compose in severity order: a spike burst corrupts a
    live reading, stuck-at freezes it, dropout kills it outright, and a
    heartbeat stall zeroes the QoS channel's output after it.  One walk
-   over the schedule draws every active matching burst's spike in
-   schedule order, whatever else is active, and notes the other
-   transforms on the way. *)
-let apply_sensor t ~now slot v =
-  let spiked = ref v and dropped = ref false and stuck = ref false in
-  let stalled = ref false and rest = ref t.injections in
-  while !rest != [] do
-    match !rest with
-    | [] -> ()
-    | i :: tl -> (
-        rest := tl;
-        if window_active i ~now then
-          match i.fault with
-          | Spike_burst (s, mag) when hits s slot ->
-              if Prng.float t.rng < spike_probability then
-                spiked := !spiked *. mag
-          | (Dropout s | Sensor_dead s) when hits s slot -> dropped := true
-          | Stuck_at_last s when hits s slot -> stuck := true
-          | Heartbeat_stall when slot = qos_slot -> stalled := true
-          | _ -> ())
+   over the schedule's active injections draws every matching burst's
+   spike in schedule order, whatever else is active, and notes the
+   other transforms on the way.  The reading is [sens.(pos)], rewritten
+   in place. *)
+let apply_sensor t sens pos slot =
+  let spiked = ref sens.(pos) and dropped = ref false and stuck = ref false in
+  for j = 0 to Array.length t.sched - 1 do
+    if t.on.(j) then
+      match t.sched.(j).fault with
+      | Spike_burst (s, mag) when hits s slot ->
+          if Prng.chance t.rng spike_probability then spiked := !spiked *. mag
+      | (Dropout s | Sensor_dead s) when hits s slot -> dropped := true
+      | Stuck_at_last s when hits s slot -> stuck := true
+      | _ -> ()
   done;
-  let out =
-    if !dropped then 0.
-    else if !stuck then t.last.(slot)
-    else begin
-      t.last.(slot) <- !spiked;
-      !spiked
-    end
-  in
-  if !stalled then 0. else out
+  sens.(pos) <-
+    (if !dropped then 0.
+     else if !stuck then t.last.(slot)
+     else begin
+       t.last.(slot) <- !spiked;
+       !spiked
+     end);
+  if slot = qos_slot && t.stalled then sens.(pos) <- 0.
 
-let apply_power t ~now ~cluster v =
-  if cluster < 0 || cluster >= max_clusters then
-    invalid_arg "Faults.apply_power: cluster out of range";
-  apply_sensor t ~now cluster v
-
-let apply_qos t ~now v = apply_sensor t ~now qos_slot v
-
-let apply_temp t ~now v = apply_sensor t ~now temp_slot v
+let apply_sensors t sens ~k =
+  if k < 1 || k > max_clusters || Array.length sens < k + 2 then
+    invalid_arg "Faults.apply_sensors: bad channel layout";
+  apply_sensor t sens k qos_slot;
+  for i = k - 1 downto 0 do
+    apply_sensor t sens i i
+  done;
+  apply_sensor t sens (k + 1) temp_slot
 
 let shift injections ~by =
   List.map

@@ -87,47 +87,57 @@ val create : ?seed:int64 -> injection list -> t
 
 val injections : t -> injection list
 
-val active_count : t -> now:float -> int
-(** Number of currently-active injections (the [faults] trace column). *)
+(** {1 The active state}
 
-val dvfs_stuck : t -> now:float -> bool
-(** True under a transient {!Dvfs_stuck} window or a latched
-    {!Dvfs_stuck_permanent}. *)
+    What is active is evaluated once per tick, when the SoC's clock
+    moves ({!advance}); every query below and the sensor transforms
+    read the state it left, so the tick path boxes no time and builds
+    no closure. *)
 
-val gating_refused : t -> now:float -> bool
-val heartbeat_stalled : t -> now:float -> bool
+type clock = { mutable now : float }
+(** Simulated seconds in a flat record (an all-float record stores its
+    field unboxed): the SoC keeps its time in one and hands it to
+    {!advance} without boxing a float. *)
 
-val cluster_dead : t -> now:float -> cluster:int -> bool
-(** Is cluster [cluster] permanently dead at [now]? *)
+val advance : t -> clock -> unit
+(** Evaluate every window at [clock.now]: the active count, the
+    actuator and heartbeat flags, the dead-cluster mask and which
+    injections the sensor transforms apply.  {!Soc} calls it whenever
+    its clock advances and when the schedule is attached. *)
 
-val has_permanent : t -> bool
-(** Does the schedule contain any permanent injection at all?  Used by
-    the SoC to keep the empty/transient-only fast paths allocation-free
-    and byte-identical to the pre-FDIR build. *)
+val active_count : t -> int
+(** Number of injections active at the last {!advance} (the [faults]
+    trace column). *)
 
-(** {1 Sensor transforms}
+val dvfs_stuck : t -> bool
+(** A transient {!Dvfs_stuck} window or a latched
+    {!Dvfs_stuck_permanent} is active. *)
 
-    Called by {!Soc.step} on the would-be sensor readings.  Each
-    function returns the reading as corrupted by whatever sensor faults
-    are active, and records the last healthy reading so that
-    [Stuck_at_last] has something to repeat.  Each call is one walk
-    over the schedule that builds no closure; active spike bursts draw
-    from the schedule's own PRNG in schedule order. *)
+val gating_refused : t -> bool
+val heartbeat_stalled : t -> bool
 
-val apply_power : t -> now:float -> cluster:int -> float -> float
-(** [cluster] is the platform cluster index of the power sensor being
-    read: it selects which last-healthy slot backs [Stuck_at_last] and
-    which [Power_cluster] faults apply (plain [Power] faults hit every
-    cluster).  Raises [Invalid_argument] outside [0, 16). *)
+val cluster_dead : t -> int -> bool
+(** Is this cluster index permanently dead?  [false] outside [0, 16). *)
 
-val apply_qos : t -> now:float -> float -> float
-(** The QoS (heartbeat-rate) channel; an active [Heartbeat_stall] reads
-    0. *)
+val any_cluster_dead : t -> bool
+(** Is any cluster dead?  The SoC's physics skips the dead-cluster mask
+    while this is [false]. *)
 
-val apply_temp : t -> now:float -> float -> float
-(** Temperature-sensor channel: previously the one sensor the fault
-    layer could not reach, which made thermal-envelope chaos scenarios
-    vacuous. *)
+(** {1 Sensor transforms} *)
+
+val apply_sensors : t -> float array -> k:int -> unit
+(** Corrupt a [k]-cluster SoC's would-be sensor readings in place:
+    [sens.(0 .. k-1)] the cluster powers, [sens.(k)] the QoS
+    (heartbeat-rate) channel, [sens.(k+1)] the die temperature.  Each
+    channel is one walk over the active injections, in the order QoS,
+    powers from cluster [k-1] down to 0, temperature: a spike burst
+    multiplies by its factor with probability 0.3, drawn from the
+    schedule's own PRNG in schedule order; a stuck-at fault repeats the
+    channel's last healthy reading; a dropout or dead sensor reads 0;
+    an active {!Heartbeat_stall} zeroes the QoS channel.  A plain
+    [Power] fault hits every cluster, [Power_cluster i] cluster [i]
+    only.  Raises [Invalid_argument] unless [1 <= k <= 16] and [sens]
+    holds [k + 2] readings. *)
 
 val shift : injection list -> by:float -> injection list
 (** Shift every window [by] seconds (used to turn phase-relative

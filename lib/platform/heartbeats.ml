@@ -8,12 +8,20 @@
    end, and the sum is accumulated newest-to-oldest in the same float
    addition order as the fold over the newest-first list.
 
-   The two floats every beat rewrites sit in a record of floats only,
+   The floats every beat rewrites sit in a record of floats only,
    which OCaml stores flat: a mutable float field of the mixed [t] would
    hold the caller's box (or a fresh one for the running total) until
-   the next minor collection promoted it into the major heap. *)
+   the next minor collection promoted it into the major heap.  The same
+   record carries each call's time, beat count and windowed rate into
+   and out of [push] and [windowed], so {!observe} boxes no float. *)
 
-type clock = { mutable total : float; mutable last_time : float }
+type clock = {
+  mutable total : float;
+  mutable last_time : float;
+  mutable now : float;
+  mutable count : float;
+  mutable rate : float;
+}
 
 type t = {
   window : float;
@@ -37,7 +45,8 @@ let create ?(window = 0.5) ~reference () =
   {
     window;
     reference;
-    clock = { total = 0.; last_time = neg_infinity };
+    clock =
+      { total = 0.; last_time = neg_infinity; now = 0.; count = 0.; rate = 0. };
     times = Array.make initial_cap 0.;
     counts = Array.make initial_cap 0.;
     head = 0;
@@ -57,19 +66,27 @@ let grow t =
   t.counts <- counts;
   t.head <- 0
 
-let beat t ~now ~count =
+(* Record [clock.count] heartbeats at [clock.now]. *)
+let push t =
   let c = t.clock in
-  if now < c.last_time then invalid_arg "Heartbeats.beat: time went backwards";
-  c.last_time <- now;
-  c.total <- c.total +. count;
+  if c.now < c.last_time then
+    invalid_arg "Heartbeats.beat: time went backwards";
+  c.last_time <- c.now;
+  c.total <- c.total +. c.count;
   if t.len = Array.length t.times then grow t;
   let i = (t.head + t.len) mod Array.length t.times in
-  t.times.(i) <- now;
-  t.counts.(i) <- count;
+  t.times.(i) <- c.now;
+  t.counts.(i) <- c.count;
   t.len <- t.len + 1
 
-let rate t ~now =
-  let cutoff = now -. t.window in
+let beat t ~now ~count =
+  t.clock.now <- now;
+  t.clock.count <- count;
+  push t
+
+(* The rate over the window ending at [clock.now], into [clock.rate]. *)
+let windowed t =
+  let cutoff = t.clock.now -. t.window in
   let cap = Array.length t.times in
   (* Beat times are non-decreasing, so expired samples form a prefix at
      the old end. *)
@@ -81,7 +98,22 @@ let rate t ~now =
   for k = t.len - 1 downto 0 do
     sum := !sum +. t.counts.((t.head + k) mod cap)
   done;
-  !sum /. t.window
+  t.clock.rate <- !sum /. t.window
+
+let rate t ~now =
+  t.clock.now <- now;
+  windowed t;
+  t.clock.rate
+
+let observe t (obs : Soc.observation) ~dt ~stalled =
+  let c = t.clock in
+  c.now <- obs.Soc.time;
+  if not stalled then begin
+    c.count <- obs.Soc.qos_rate *. dt;
+    push t
+  end;
+  windowed t;
+  obs.Soc.qos_rate <- c.rate
 
 let reference t = t.reference
 

@@ -22,6 +22,12 @@ val rate : t -> now:float -> float
 (** Heartbeats per second over the trailing window ending at [now];
     0 before any beat arrives. *)
 
+val observe : t -> Soc.observation -> dt:float -> stalled:bool -> unit
+(** One controller period in place, the per-tick form of {!beat} and
+    {!rate}: unless [stalled], record the period's [obs.qos_rate *. dt]
+    heartbeats at [obs.time], then overwrite [obs.qos_rate] with the
+    windowed rate at [obs.time].  No float crosses the call boxed. *)
+
 val reference : t -> float
 val set_reference : t -> float -> unit
 (** The user-updated performance goal (a dynamic reference the

@@ -65,7 +65,7 @@ let nearest_scan t f_mhz =
     t.freqs_mhz;
   !best
 
-let nearest t f_mhz =
+let[@inline] nearest t f_mhz =
   let n = Array.length t.freqs_mhz in
   if t.uniform_step_mhz > 0 && n > 1 && Float.is_finite f_mhz then begin
     (* The nearest grid point is the floor cell's endpoint or its
@@ -83,6 +83,16 @@ let nearest t f_mhz =
     else fk1
   end
   else nearest_scan t f_mhz
+
+(* Controller outputs can be garbage (a diverged integrator, a NaN from a
+   corrupted measurement): non-finite or negative requests clamp to the
+   nearest legal end, NaN conservatively to the low one. *)
+let request_at t u ~at =
+  let f_mhz = u.(at) *. 1000. in
+  if Float.is_nan f_mhz then min_freq t
+  else if f_mhz = Float.infinity then max_freq t
+  else if f_mhz = Float.neg_infinity || f_mhz < 0. then min_freq t
+  else nearest t f_mhz
 
 let index t f =
   let not_an_opp () =

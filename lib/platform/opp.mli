@@ -40,6 +40,12 @@ val nearest : t -> float -> int
 (** [nearest table f_mhz] is the available frequency closest to [f_mhz]
     (ties resolve downward), clamped to the table range. *)
 
+val request_at : t -> float array -> at:int -> int
+(** [request_at table u ~at] is the OPP a frequency request of [u.(at)]
+    GHz resolves to, read in place (no float crosses the call): the
+    {!nearest} one, with NaN, negative and −∞ requests clamped to
+    {!min_freq} and +∞ to {!max_freq}. *)
+
 val voltage : t -> int -> float
 (** Voltage at an exact table frequency.  Raises [Invalid_argument] when
     the frequency is not an OPP — call {!nearest} first. *)

@@ -59,7 +59,6 @@ let make_observation () =
 (* Hot mutable floats live in their own all-float record: a float store
    into a mixed record boxes the value, an all-float record is flat. *)
 type hot = {
-  mutable now : float;
   mutable temperature_c : float;
   mutable qos_ips : float; (* QoS throughput of the last [physics] call *)
 }
@@ -69,6 +68,7 @@ type t = {
   platform : Platform_desc.t;
   qos : Workload.t;
   rng : Prng.t;
+  clock : Faults.clock; (* simulated seconds; the fault schedule reads it *)
   hot : hot;
   (* Cluster geometry unpacked from the description so the kernel indexes
      flat arrays instead of chasing the description's records. *)
@@ -85,6 +85,7 @@ type t = {
   idle : float array; (* total entries *)
   mutable n_background : int;
   mutable faults : Faults.t option;
+      (* advanced with [clock]: its flags hold for the current time *)
   mutable obs_active_faults : int;
       (* injections active at the previous step, for onset/clearance
          decisions; only maintained while observability is enabled *)
@@ -102,10 +103,6 @@ type t = {
   (* Scratch for [physics] and the sensor draws: k cluster powers, qos,
      temp. *)
   sens : float array;
-  (* Per-tick permanent-death mask; only written (and only read) when
-     the schedule carries a [Cluster_dead] injection, so fault-free and
-     transient-only runs never touch it. *)
-  dead : bool array;
   (* Per-cluster kernel scratch. *)
   cap : float array; (* capacity after idle injection *)
   bg : float array; (* background placement, core-fractions *)
@@ -180,7 +177,8 @@ let create ?config ?(platform = Platform_desc.exynos5422) ~qos () =
     platform;
     qos;
     rng = Prng.create config.seed;
-    hot = { now = 0.; temperature_c = config.ambient_c; qos_ips = 0. };
+    clock = { Faults.now = 0. };
+    hot = { temperature_c = config.ambient_c; qos_ips = 0. };
     k;
     host = Platform_desc.host platform;
     total;
@@ -201,7 +199,6 @@ let create ?config ?(platform = Platform_desc.exynos5422) ~qos () =
     ph_pf;
     ph_ds;
     sens = Array.make (k + 2) 0.;
-    dead = Array.make k false;
     cap = Array.make k 0.;
     bg = Array.make k 0.;
     rawtot = Array.make k 0.;
@@ -230,20 +227,21 @@ let opp_table soc i =
 let cluster_cores soc i =
   check_cluster_pub soc i "cluster_cores";
   soc.n_cores.(i)
-let set_faults soc faults = soc.faults <- faults
+let set_faults soc faults =
+  (match faults with None -> () | Some f -> Faults.advance f soc.clock);
+  soc.faults <- faults
+
 let faults soc = soc.faults
 
-let fault_active soc pred =
-  match soc.faults with None -> false | Some f -> pred f ~now:soc.hot.now
-
-(* Is cluster [i] permanently dead right now?  The actuators consult
-   this; [physics] keeps its own per-tick mask so the fault-free path
-   stays allocation-free. *)
+(* The schedule's flags, evaluated when the clock last moved. *)
 let cluster_dead_now soc i =
-  match soc.faults with
-  | None -> false
-  | Some f ->
-      Faults.has_permanent f && Faults.cluster_dead f ~now:soc.hot.now ~cluster:i
+  match soc.faults with None -> false | Some f -> Faults.cluster_dead f i
+
+let dvfs_stuck soc =
+  match soc.faults with None -> false | Some f -> Faults.dvfs_stuck f
+
+let gating_refused soc =
+  match soc.faults with None -> false | Some f -> Faults.gating_refused f
 
 let check_cluster soc i =
   if i < 0 || i >= soc.k then invalid_arg "Soc: cluster index out of range"
@@ -252,12 +250,10 @@ let frequency soc i =
   check_cluster soc i;
   soc.freqs.(i)
 
-let set_frequency soc i f_mhz =
+let set_opp soc i f =
   check_cluster soc i;
-  if fault_active soc Faults.dvfs_stuck || cluster_dead_now soc i then
-    soc.freqs.(i)
+  if dvfs_stuck soc || cluster_dead_now soc i then soc.freqs.(i)
   else begin
-    let f = Opp.nearest soc.opps.(i) f_mhz in
     if f <> soc.freqs.(i) then begin
       soc.freqs.(i) <- f;
       soc.volts.(i) <- Opp.voltage soc.opps.(i) f
@@ -265,10 +261,14 @@ let set_frequency soc i f_mhz =
     f
   end
 
+let set_frequency soc i f_mhz =
+  check_cluster soc i;
+  set_opp soc i (Opp.nearest soc.opps.(i) f_mhz)
+
 let set_active_cores soc i n =
   check_cluster soc i;
   if
-    not (fault_active soc Faults.gating_refused || cluster_dead_now soc i)
+    not (gating_refused soc || cluster_dead_now soc i)
   then soc.active.(i) <- max 1 (min soc.n_cores.(i) n)
 
 let active_cores soc i =
@@ -288,7 +288,7 @@ let set_background_tasks soc n =
   soc.n_background <- n
 
 let background_tasks soc = soc.n_background
-let time soc = soc.hot.now
+let time soc = soc.clock.Faults.now
 let temperature soc = soc.hot.temperature_c
 let sensor_powers soc = soc.pow_out
 let ips_totals soc = soc.ips_out
@@ -314,28 +314,17 @@ let qos_threads = 4.
    ([a]/[b], [volts], [ph_*]): without the optimizing native backend a
    cross-module float return boxes ~16 B per call. *)
 let physics soc dst =
-  let now = soc.hot.now in
+  let now = soc.clock.Faults.now in
   let k = soc.k in
   let host = soc.host in
-  (* Permanent-death mask.  Transient-only (and fault-free) schedules
-     take the [false] constant without touching the mask.  A dead
+  (* Permanent death, from the schedule's mask.  A dead
      cluster has zero capacity (so the background scheduler routes
      around it), draws zero power (no dynamic, leak, gated or uncore
      terms — the rail is off), and executes nothing; its sensor channels
      read exact 0.0, which multiplicative noise maps to 0.0 while
      advancing the PRNG stream exactly as a live reading would. *)
   let any_dead =
-    match soc.faults with
-    | Some f when Faults.has_permanent f ->
-        let dead = soc.dead in
-        let any = ref false in
-        for i = 0 to k - 1 do
-          let d = Faults.cluster_dead f ~now ~cluster:i in
-          dead.(i) <- d;
-          if d then any := true
-        done;
-        !any
-    | _ -> false
+    match soc.faults with Some f -> Faults.any_cluster_dead f | None -> false
   in
   (* Workload phase: the first whose cumulative end lies ahead; the
      final phase repeats. *)
@@ -350,7 +339,7 @@ let physics soc dst =
      idle-cycle injection; cluster i owns cores [offs.(i), offs.(i+1)). *)
   let cap = soc.cap in
   for i = 0 to k - 1 do
-    if any_dead && soc.dead.(i) then cap.(i) <- 0.
+    if any_dead && cluster_dead_now soc i then cap.(i) <- 0.
     else begin
       let o = soc.offs.(i) in
       let s = ref 0. in
@@ -395,7 +384,7 @@ let physics soc dst =
   in
   let amdahl = 1. /. (1. -. ph_pf +. (ph_pf /. qos_eff)) in
   let qos_ips =
-    if any_dead && soc.dead.(host) then 0. else core_ips_host *. amdahl
+    if any_dead && cluster_dead_now soc host then 0. else core_ips_host *. amdahl
   in
   soc.hot.qos_ips <- qos_ips;
   (* True heartbeat rate under the slow sinusoidal scene-complexity
@@ -416,7 +405,7 @@ let physics soc dst =
      background work saturates its placed share; non-host clusters run
      only background work. *)
   for i = 0 to k - 1 do
-    if any_dead && soc.dead.(i) then dst.(i) <- 0.
+    if any_dead && cluster_dead_now soc i then dst.(i) <- 0.
     else begin
       let util =
         if i = host then
@@ -466,7 +455,9 @@ let step_into soc ~dt obs =
   if dt <= 0. then invalid_arg "Soc.step: dt <= 0";
   let c = soc.config in
   let hot = soc.hot in
-  hot.now <- hot.now +. dt;
+  let clock = soc.clock in
+  clock.Faults.now <- clock.Faults.now +. dt;
+  (match soc.faults with None -> () | Some f -> Faults.advance f clock);
   if Obs.enabled () then begin
     (* One simulated controller period advances the deterministic obs
        clock by one tick; this never feeds back into the physics. *)
@@ -475,7 +466,7 @@ let step_into soc ~dt obs =
     match soc.faults with
     | None -> ()
     | Some f ->
-        let active = Faults.active_count f ~now:hot.now in
+        let active = Faults.active_count f in
         if active > 0 && soc.obs_active_faults = 0 then
           Obs.Decision_log.record (Obs.Decision_log.Fault { active; onset = true })
         else if active = 0 && soc.obs_active_faults > 0 then
@@ -619,16 +610,8 @@ let step_into soc ~dt obs =
      the no-fault trace bit-identical.  Power channels apply in
      descending cluster index, preserving the pre-description order
      (little, then big) on exynos5422. *)
-  (match soc.faults with
-  | None -> ()
-  | Some f ->
-      let now = hot.now in
-      sens.(k) <- Faults.apply_qos f ~now sens.(k);
-      for i = k - 1 downto 0 do
-        sens.(i) <- Faults.apply_power f ~now ~cluster:i sens.(i)
-      done;
-      sens.(k + 1) <- Faults.apply_temp f ~now sens.(k + 1));
-  obs.time <- hot.now;
+  (match soc.faults with None -> () | Some f -> Faults.apply_sensors f sens ~k);
+  obs.time <- clock.Faults.now;
   let pow_out = soc.pow_out in
   pow_out.(0) <- sens.(0);
   let chip = ref sens.(0) in

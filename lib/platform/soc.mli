@@ -101,6 +101,13 @@ val set_frequency : t -> int -> float -> int
 
 val frequency : t -> int -> int
 
+val set_opp : t -> int -> int -> int
+(** [set_opp soc cluster f] is {!set_frequency} for a request that is
+    already one of the cluster's OPPs ([f] MHz, say from
+    {!Opp.request_at}), with no float crossing the call.  An applied
+    request for a frequency that is not an OPP of the cluster raises
+    [Invalid_argument]. *)
+
 val set_active_cores : t -> int -> int -> unit
 (** Number of un-gated cores, clamped to [1, cores-of-cluster]. *)
 
@@ -131,7 +138,10 @@ val set_faults : t -> Faults.t option -> unit
     Sensor faults corrupt the {!observation} fields of {!step_into}.
     [None] (the default) and a schedule with no active window are
     bit-identical: fault machinery never touches the SoC's noise
-    stream. *)
+    stream.  The schedule's active state ({!Faults.advance}) is
+    evaluated when it is attached and each time the clock advances, and
+    the actuators, the physics and the sensor path read those flags: no
+    fault query boxes the time or builds a closure. *)
 
 val faults : t -> Faults.t option
 

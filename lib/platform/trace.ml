@@ -100,33 +100,56 @@ let last t name =
    CLI CSVs all hash this text.  [Printf] rebuilds its format string and
    calls [snprintf] for every value, which cost two thirds of a chaos
    cell, so the common cases are written here by hand and the rest go to
-   the same primitive [Printf]'s [%g] ends in. *)
+   the same primitive [Printf]'s [%g] ends in.  One row renderer writes
+   into a byte buffer at a position; [to_csv] and [csv_digest] both
+   drive it, so the text and its digest cannot diverge. *)
+
+module Md5 = Spectr_linalg.Md5
 
 external format_float : string -> float -> string = "caml_format_float"
 
+(* The longest "%.6g" rendering is 13 bytes ("-1.23457e+308"), plus a
+   separator. *)
+let value_bound = 14
+let row_bound t = value_bound * Array.length t.names
+
 (* Decimal digits of [m] >= 0 with the point [d] digits from the right
-   (none when [d] = 0) and at least one digit before it.  No closure,
-   no [string_of_int] (another [snprintf]). *)
-let add_fixed buf m d =
+   (none when [d] = 0) and at least one digit before it, written at
+   [pos]; returns the position after them.  No closure, no
+   [string_of_int] (another [snprintf]). *)
+let put_fixed b pos m d =
   let pow = ref 1 and j = ref 0 in
   while !pow * 10 <= m || !j < d do
     pow := !pow * 10;
     incr j
   done;
+  let p = ref pos in
   while !pow > 0 do
-    if !j = d - 1 then Buffer.add_char buf '.';
-    Buffer.add_char buf (Char.unsafe_chr (48 + (m / !pow mod 10)));
+    if !j = d - 1 then begin
+      Bytes.unsafe_set b !p '.';
+      incr p
+    end;
+    Bytes.unsafe_set b !p (Char.unsafe_chr (48 + (m / !pow mod 10)));
+    incr p;
     pow := !pow / 10;
     decr j
-  done
+  done;
+  !p
+
+let put_char b pos c =
+  Bytes.unsafe_set b pos c;
+  pos + 1
 
 let pow10 = [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9 |]
 
-let add_fallback buf x = Buffer.add_string buf (format_float "%.6g" x)
+let put_fallback b pos x =
+  let s = format_float "%.6g" x in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
 
-(* Writes [col.(r)]: the value is read here, not passed, so it stays
-   unboxed on every path but the fallback. *)
-let add_g buf col r =
+(* Writes [col.(r)] at [pos]: the value is read here, not passed, so it
+   stays unboxed on every path but the fallback. *)
+let put_g b pos col r =
   let x = Array.unsafe_get col r in
   let a = Float.abs x in
   (* False for nan and the infinities. *)
@@ -134,11 +157,8 @@ let add_g buf col r =
     let i = Float.to_int x in
     if Float.of_int i = x then
       (* Integral: at most six digits, which is what %.6g prints. *)
-      if i = 0 && Float.sign_bit x then add_fallback buf x
-      else begin
-        if i < 0 then Buffer.add_char buf '-';
-        add_fixed buf (abs i) 0
-      end
+      if i = 0 && Float.sign_bit x then put_fallback b pos x
+      else put_fixed b (if i < 0 then put_char b pos '-' else pos) (abs i) 0
     else if a >= 1e-4 then begin
       (* Six significant digits: d = 5 - e places after the point for
          the decade 10^e <= |x| < 10^(e+1).  The doubles nearest 1e-1
@@ -165,7 +185,7 @@ let add_g buf col r =
       (* The C library rounds an exact tie half to even, and a carry to
          10^6 changes the exponent: leave both to it. *)
       if Float.abs (frac -. 0.5) < 1e-9 || m >= 1_000_000 then
-        add_fallback buf x
+        put_fallback b pos x
       else begin
         (* %.6g's %f style: strip trailing zeros and a bare point. *)
         let m = ref m and d = ref d in
@@ -173,24 +193,43 @@ let add_g buf col r =
           m := !m / 10;
           decr d
         done;
-        if x < 0. then Buffer.add_char buf '-';
-        add_fixed buf !m !d
+        put_fixed b (if x < 0. then put_char b pos '-' else pos) !m !d
       end
     end
-    else add_fallback buf x
+    else put_fallback b pos x
   end
-  else add_fallback buf x
+  else put_fallback b pos x
+
+(* Row [r] and its newline at [pos], which has [row_bound t] bytes of
+   room; returns the position after it. *)
+let put_row t r b pos =
+  let pos = ref pos in
+  for c = 0 to Array.length t.names - 1 do
+    if c > 0 then pos := put_char b !pos ',';
+    pos := put_g b !pos t.cols.(c) r
+  done;
+  put_char b !pos '\n'
+
+let header t = String.concat "," (Array.to_list t.names) ^ "\n"
 
 let to_csv t =
   let k = Array.length t.names in
   let buf = Buffer.create (1024 + (t.n * k * 8)) in
-  Buffer.add_string buf (String.concat "," (Array.to_list t.names));
-  Buffer.add_char buf '\n';
+  Buffer.add_string buf (header t);
+  let row = Bytes.create (row_bound t) in
   for r = 0 to t.n - 1 do
-    for c = 0 to k - 1 do
-      if c > 0 then Buffer.add_char buf ',';
-      add_g buf t.cols.(c) r
-    done;
-    Buffer.add_char buf '\n'
+    Buffer.add_subbytes buf row 0 (put_row t r row 0)
   done;
   Buffer.contents buf
+
+(* The rows are rendered straight into the digest's buffer: under 2 KB
+   unless one row needs more, so it is a minor-heap block. *)
+let csv_digest t =
+  let h = Md5.create (max 2000 (row_bound t)) in
+  Md5.add_string h (header t);
+  let bound = row_bound t in
+  for r = 0 to t.n - 1 do
+    Md5.room h bound;
+    h.Md5.pos <- put_row t r h.Md5.buf h.Md5.pos
+  done;
+  Md5.to_hex h

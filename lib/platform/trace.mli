@@ -61,3 +61,9 @@ val to_csv : t -> string
     scenario digests and the [make platform-smoke] CSVs all hash this
     text; [test_platform] checks it against [Printf] over eight
     million seeded values. *)
+
+val csv_digest : t -> string
+(** [Digest.to_hex (Digest.string (to_csv t))], without the text: each
+    row is rendered by [to_csv]'s own renderer into a fixed buffer that
+    is fed through the runtime's MD5 context ({!Spectr_linalg.Md5}) as
+    it fills.  The digest of a chaos cell's trace. *)

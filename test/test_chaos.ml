@@ -228,6 +228,39 @@ let test_reconfig_checkpoint_rejected_elsewhere () =
   expect_invalid "SPECTR+R checkpoint into SPECTR+G" (fun () ->
       (persist guarded).Spectr.Manager.restore c)
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
+(* MM-Pow's checkpoint tag is platform-qualified like SPECTR's: a
+   pixel8pro MM-Pow saving into a checkpoint an exynos5422 MM-Pow wrote
+   re-allocates it (the tag differs) instead of failing the shape check
+   of the saved controllers, and a cross-platform restore is refused by
+   the tag.  exynos5422 keeps the bare name. *)
+let test_mm_checkpoint_bound_to_platform () =
+  let exynos = Spectr.Mm.make_pow ~platform:Platform_desc.exynos5422 () in
+  let pixel = Spectr.Mm.make_pow ~platform:Platform_desc.pixel8pro () in
+  let refused what ~manager f =
+    match f () with
+    | () -> Alcotest.failf "%s: restore accepted" what
+    | exception Invalid_argument msg ->
+        check_bool (what ^ ": " ^ msg) true
+          (contains msg "Manager.restore: checkpoint for"
+          && contains msg (Printf.sprintf "manager is %S" manager))
+  in
+  let c = (persist exynos).Spectr.Manager.snapshot () in
+  (persist pixel).Spectr.Manager.save c;
+  refused "pixel8pro checkpoint into exynos5422" ~manager:"MM-Pow" (fun () ->
+      (persist exynos).Spectr.Manager.restore c);
+  (persist pixel).Spectr.Manager.restore c;
+  let pixel_tag =
+    "MM-Pow@" ^ String.sub (Platform_desc.digest Platform_desc.pixel8pro) 0 12
+  in
+  refused "exynos5422 checkpoint into pixel8pro" ~manager:pixel_tag (fun () ->
+      (persist pixel).Spectr.Manager.restore
+        ((persist exynos).Spectr.Manager.snapshot ()))
+
 (* The trace of [config] when a fresh [variant] manager drives the first
    [at] ticks and a second fresh one, restored from [c], the rest: what
    the restored manager does next.  A checkpoint saved after [at] ticks
@@ -400,11 +433,6 @@ let valid_artifact_lines =
 
 let artifact_of lines = Artifact.of_string (String.concat "\n" lines ^ "\n")
 
-let contains s sub =
-  let n = String.length s and k = String.length sub in
-  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
-  go 0
-
 let test_artifact_parse_errors () =
   (* The unmodified skeleton parses. *)
   let a = artifact_of valid_artifact_lines in
@@ -517,6 +545,8 @@ let () =
             test_checkpoint_detached;
           Alcotest.test_case "SPECTR+R checkpoint bound to its platform" `Quick
             test_reconfig_checkpoint_rejected_elsewhere;
+          Alcotest.test_case "MM-Pow checkpoint bound to its platform" `Quick
+            test_mm_checkpoint_bound_to_platform;
         ] );
       ( "reproducers",
         [

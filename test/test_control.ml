@@ -532,13 +532,20 @@ let test_mimo_switch_gains_bumpless () =
 (* PID                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* One period through the loop's flat [io] record. *)
+let pid_step pid ~measured =
+  let io = Pid.io pid in
+  io.Pid.measured <- measured;
+  Pid.update pid;
+  io.Pid.command
+
 let test_pid_converges_first_order () =
   (* Plant: y+ = 0.9 y + 0.1 u.  PI controller should drive y -> 10. *)
   let cfg = Pid.config ~kp:2.0 ~ki:2.0 ~kd:0.0 ~dt:0.1 () in
   let pid = Pid.create cfg ~reference:10. in
   let y = ref 0. in
   for _ = 1 to 500 do
-    let u = Pid.step pid ~measured:!y in
+    let u = pid_step pid ~measured:!y in
     y := (0.9 *. !y) +. (0.1 *. u)
   done;
   check_bool "converged" true (abs_float (!y -. 10.) < 0.1)
@@ -546,15 +553,15 @@ let test_pid_converges_first_order () =
 let test_pid_saturation_and_antiwindup () =
   let cfg = Pid.config ~u_min:(-1.) ~u_max:1. ~kp:10. ~ki:10. ~kd:0. ~dt:0.1 () in
   let pid = Pid.create cfg ~reference:100. in
-  let u = Pid.step pid ~measured:0. in
+  let u = pid_step pid ~measured:0. in
   check_float "clamped" 1. u;
   (* After many saturated steps, dropping the reference must react fast
      (the integrator did not wind up). *)
   for _ = 1 to 100 do
-    ignore (Pid.step pid ~measured:0.)
+    ignore (pid_step pid ~measured:0.)
   done;
-  Pid.set_reference pid (-100.);
-  let u = Pid.step pid ~measured:0. in
+  (Pid.io pid).Pid.reference <- -100.;
+  let u = pid_step pid ~measured:0. in
   check_float "reacts immediately" (-1.) u
 
 let test_pid_config_validation () =
@@ -567,10 +574,10 @@ let test_pid_config_validation () =
 let test_pid_reset () =
   let cfg = Pid.config ~kp:0. ~ki:1. ~kd:0. ~dt:1. () in
   let pid = Pid.create cfg ~reference:1. in
-  ignore (Pid.step pid ~measured:0.);
-  ignore (Pid.step pid ~measured:0.);
+  ignore (pid_step pid ~measured:0.);
+  ignore (pid_step pid ~measured:0.);
   Pid.reset pid;
-  let u = Pid.step pid ~measured:0. in
+  let u = pid_step pid ~measured:0. in
   check_float "integral cleared" 1. u
 
 (* ------------------------------------------------------------------ *)

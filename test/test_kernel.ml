@@ -231,6 +231,61 @@ let test_validation_bytes () =
     (Printf.sprintf "validation big-2x2: %.0f B (budget %.0f)" bytes budget)
     true (bytes <= budget)
 
+(* Every fault kind in turn on exynos5422's x264 scenario: the
+   transient kinds in one-second windows, then the permanent ones, the
+   dead little cluster last. *)
+let every_fault_kind =
+  let open Faults in
+  let transient =
+    [
+      Dropout Power;
+      Stuck_at_last Qos;
+      Spike_burst (Power, 4.);
+      Dvfs_stuck;
+      Gating_refused;
+      Heartbeat_stall;
+      Dropout Temp;
+    ]
+  in
+  List.mapi
+    (fun i kind ->
+      let start_s = 0.5 +. float_of_int i in
+      injection kind ~start_s ~stop_s:(start_s +. 1.))
+    transient
+  @ [
+      permanent (Sensor_dead (Power_cluster 1)) ~start_s:8.;
+      permanent Dvfs_stuck_permanent ~start_s:10.;
+      permanent (Cluster_dead 1) ~start_s:12.;
+    ]
+
+(* The fault schedule's hooks on the tick path: [Soc.step_into] (which
+   advances the schedule's active state and applies the sensor
+   transforms) and both actuators, with every fault kind active in turn
+   ([every_fault_kind]), must allocate nothing per tick. *)
+let test_soc_faults_zero_alloc () =
+  let soc = Soc.create ~qos:Benchmarks.x264 () in
+  Soc.set_background_tasks soc 16;
+  Soc.set_faults soc (Some (Faults.create every_fault_kind));
+  let obs = Soc.make_observation () in
+  let tick i =
+    Soc.step_into soc ~dt:0.05 obs;
+    ignore (Soc.set_frequency soc (i land 1) 1400. : int);
+    Soc.set_active_cores soc (i land 1) (1 + (i land 3))
+  in
+  (* Each cluster's first actuation allocates a few one-off words. *)
+  tick 1;
+  tick 2;
+  let per_tick =
+    bytes_per_iter 300 (fun n ->
+        for i = 1 to n do
+          tick i
+        done)
+  in
+  check_bool "every kind was active" true (Soc.time soc > 12.5);
+  check_bool
+    (Printf.sprintf "faulted Soc tick: %.3f B/tick" per_tick)
+    true (per_tick < 1.0)
+
 (* Bytes of one [Trace.to_csv] of a seeded 240-row, 15-column chaos
    trace (the render behind every chaos cell's digest), counted in a
    closed window ({!Alloc.bytes}): 47 272 B for 16 716 B of CSV when
@@ -263,7 +318,10 @@ let test_trace_csv_bytes () =
    ratchet toward an allocation-free closed loop: each ceiling is what
    the step read when this gate went in, so a change may lower it and
    none may raise it.  SISO's fell from 425.98 when its PID loops
-   stopped boxing their integrator and previous error. *)
+   stopped boxing their integrator and previous error, and to 16.05
+   (from 304.06) when they and every manager's actuation
+   ({!Spectr.Manager.apply_cluster}, [command_cluster]) stopped passing
+   floats across calls: the other rows fell by 96-144 B then. *)
 let test_manager_step_bytes () =
   let campaign v () =
     let m, _, _, _ = Spectr_chaos.Campaign.make_manager v in
@@ -290,20 +348,20 @@ let test_manager_step_bytes () =
         true (per_step <= ceiling))
     Spectr_chaos.Campaign.
       [
-        ("SPECTR+R", exynos, campaign Spectr_r, 210.56);
-        ("SPECTR+G", exynos, campaign Spectr_g, 162.56);
-        ("SPECTR", exynos, campaign Spectr, 146.56);
-        ("MM-Pow", exynos, campaign Mm_pow, 160.35);
-        ("MM-Perf", exynos, campaign Mm_perf, 126.75);
-        ("SISO", exynos, campaign Siso, 304.06);
-        ("FS", exynos, campaign Fs, 122.70);
+        ("SPECTR+R", exynos, campaign Spectr_r, 114.56);
+        ("SPECTR+G", exynos, campaign Spectr_g, 66.56);
+        ("SPECTR", exynos, campaign Spectr, 50.56);
+        ("MM-Pow", exynos, campaign Mm_pow, 64.35);
+        ("MM-Perf", exynos, campaign Mm_perf, 30.75);
+        ("SISO", exynos, campaign Siso, 16.06);
+        ("FS", exynos, campaign Fs, 26.70);
         ( "SPECTR-3c", pixel,
           (fun () -> fst (Spectr.Spectr_manager.make ~platform:pixel ())),
-          198.19 );
+          54.19 );
         ( "SPECTR+R-3c", pixel,
           (fun () ->
             fst (Spectr.Spectr_manager.make_reconfigurable ~platform:pixel ())),
-          278.19 );
+          134.19 );
       ]
 
 (* Mean bytes per Node.tick after the boot warm-up under a 3 W cap,
@@ -311,7 +369,9 @@ let test_manager_step_bytes () =
    fleet's half of the closed loop ({!Spectr.Scenario.close_loop}) plus
    the node's epoch accounting.  A ratchet like the Manager.step one:
    each ceiling is the reading after the last change that lowered it,
-   rounded up to the hundredth. *)
+   rounded up to the hundredth.  The heartbeat monitor's per-tick form
+   ({!Spectr_platform.Heartbeats.observe}) took 64 B off every row, and
+   the managers' flat actuation 96-144 B more. *)
 let test_node_tick_bytes () =
   let ticks = 2000 in
   List.iter
@@ -332,9 +392,9 @@ let test_node_tick_bytes () =
         (Printf.sprintf "%s: %.2f B/tick (ceiling %.2f)" label per_tick ceiling)
         true (per_tick <= ceiling))
     [
-      ("exynos5422", Platform_desc.exynos5422, false, 265.16);
-      ("pixel8pro", Platform_desc.pixel8pro, false, 312.93);
-      ("SPECTR+R", Platform_desc.exynos5422, true, 329.16);
+      ("exynos5422", Platform_desc.exynos5422, false, 105.16);
+      ("pixel8pro", Platform_desc.pixel8pro, false, 104.93);
+      ("SPECTR+R", Platform_desc.exynos5422, true, 169.16);
     ]
 
 (* The fleet's epoch-boundary calls, counted in closed windows
@@ -405,7 +465,10 @@ let test_node_epoch_bytes () =
    B/tick spiked.  While the fault injector built closures worth ~2 KB
    per tick under any schedule, the spiked rows read 3.28 and 3.24
    B/tick; its walk over the schedule builds none, and they read 0.78
-   and 0.99 (ceilings 0.86 and 1.10). *)
+   and 0.99.  Once the fault state was evaluated once per tick, the
+   monitor allocated nothing on a passing tick and every manager
+   actuated from flat arrays, they read 0.068 and 0.080 (ceilings 0.08
+   and 0.09). *)
 let test_chip_promotion () =
   let warm = 200 and short = 1000 and long = 5000 in
   let stretched =
@@ -497,9 +560,99 @@ let test_chip_promotion () =
           (name v, false, stretched, v, ceiling))
         all
       @ [
-          ("SPECTR+G spiked", true, spiked, Spectr_g, 0.86);
-          ("SPECTR+R spiked", true, spiked, Spectr_r, 1.10);
+          ("SPECTR+G spiked", true, spiked, Spectr_g, 0.08);
+          ("SPECTR+R spiked", true, spiked, Spectr_r, 0.09);
         ])
+
+(* Minor-heap bytes per faulted, monitored chaos tick: [Scenario.tick],
+   the manager's step inside it, then [Invariants.check], with every
+   fault kind active in turn ([every_fault_kind]), for every variant.
+   Counted with [Gc.minor_words] around each call (a closed
+   [Gc.allocated_bytes] window misses short-lived minor allocation under
+   OCaml 5.1), over the second of two identical runs: the first warms
+   every memo and the synthesis cache that a permanent fault's
+   re-synthesis hits.  Each ceiling is the reading once every manager
+   actuated from flat arrays, 10 % above, rounded up to the hundredth;
+   the manager's own step is part of it (the [Manager.step] ratchet
+   above), and the rest is the [~now] box [Scenario.close_loop] hands
+   it.  When the fault queries built closures and boxed the time, the
+   monitor rebuilt its message closures and boxed its floats every tick,
+   and the heartbeat monitor took and returned boxes, the rows read
+   2 732-2 979 B; with those gone and the actuation still boxing its
+   commands, 104.75-319.52 B.  A passing [Invariants.check] allocates
+   nothing at all. *)
+let test_faulted_tick_bytes () =
+  let base = Spectr.Scenario.default_config ~seed:42L Benchmarks.x264 in
+  let config =
+    {
+      base with
+      Spectr.Scenario.phases =
+        List.mapi
+          (fun i (ph : Spectr.Scenario.phase) ->
+            if i = 0 then
+              { ph with Spectr.Scenario.phase_faults = every_fault_kind }
+            else ph)
+          base.Spectr.Scenario.phases;
+    }
+  in
+  let bytes words = float_of_int (words * (Sys.word_size / 8)) in
+  List.iter
+    (fun (v, ceiling) ->
+      let run () =
+        let manager, sup, _, handle =
+          Spectr.Variant.make Platform_desc.exynos5422 v
+        in
+        let runner = Spectr.Scenario.start config in
+        let monitor = Spectr_chaos.Invariants.create ~config () in
+        let tick_words = ref 0 and passing_words = ref 0 and ticks = ref 0 in
+        let sup () =
+          match handle with
+          | Some h -> Some (Spectr.Spectr_manager.Reconfig.supervisor h)
+          | None -> sup
+        in
+        let rec go () =
+          let sup = sup () in
+          let findings =
+            List.length (Spectr_chaos.Invariants.violations monitor)
+          in
+          let w0 = Gc.minor_words () in
+          match Spectr.Scenario.tick runner ~manager with
+          | None -> ()
+          | Some obs ->
+              let w1 = Gc.minor_words () in
+              Spectr_chaos.Invariants.check monitor ~runner ~sup ~obs;
+              let w2 = Gc.minor_words () in
+              tick_words := !tick_words + int_of_float (w2 -. w0);
+              if
+                List.length (Spectr_chaos.Invariants.violations monitor)
+                = findings
+              then passing_words := !passing_words + int_of_float (w2 -. w1);
+              incr ticks;
+              go ()
+        in
+        go ();
+        (bytes !tick_words /. float_of_int !ticks, bytes !passing_words)
+      in
+      ignore (run ());
+      let per_tick, passing = run () in
+      let name = Spectr.Variant.name v in
+      check_bool
+        (Printf.sprintf "%s: %.2f B per faulted, monitored tick (ceiling %.2f)"
+           name per_tick ceiling)
+        true (per_tick <= ceiling);
+      check_bool
+        (Printf.sprintf "%s: passing checks allocate %.0f B" name passing)
+        true (passing = 0.))
+    Spectr.Variant.
+      [
+        (Spectr_r, 208.48);
+        (Spectr_g, 59.84);
+        (Spectr, 51.57);
+        (Mm_pow, 57.18);
+        (Mm_perf, 44.24);
+        (Siso, 34.85);
+        (Fs, 35.67);
+      ]
 
 (* [Coordinator.rebudget] allocates the caps array it returns and
    nothing else: over 512 reports that is 4 104 B, and the gate allows
@@ -1059,13 +1212,19 @@ let test_faults_apply_temp () =
     Faults.create
       [ Faults.injection (Faults.Stuck_at_last Faults.Temp) ~start_s:1.0 ~stop_s:2.0 ]
   in
+  let temp_at now v =
+    Faults.advance f { Faults.now };
+    let sens = [| 1.; 1.; 57.; v |] in
+    Faults.apply_sensors f sens ~k:2;
+    sens.(3)
+  in
   (* Healthy before the window; the reading passes through and is
      recorded as last-healthy. *)
-  check_float "healthy passes through" 50.0 (Faults.apply_temp f ~now:0.5 50.0);
+  check_float "healthy passes through" 50.0 (temp_at 0.5 50.0);
   (* Inside the window the sensor repeats the last healthy reading. *)
-  check_float "stuck repeats last" 50.0 (Faults.apply_temp f ~now:1.5 70.0);
+  check_float "stuck repeats last" 50.0 (temp_at 1.5 70.0);
   (* Healthy again after clearance. *)
-  check_float "recovers" 72.0 (Faults.apply_temp f ~now:2.5 72.0)
+  check_float "recovers" 72.0 (temp_at 2.5 72.0)
 
 (* ------------------------------------------------------------------ *)
 (* Trace preallocation and index accessors                             *)
@@ -1123,6 +1282,8 @@ let () =
         [
           Alcotest.test_case "Soc.step_into zero-alloc" `Quick
             test_soc_step_into_zero_alloc;
+          Alcotest.test_case "faulted Soc tick zero-alloc" `Quick
+            test_soc_faults_zero_alloc;
           Alcotest.test_case "Supervisor.step zero-alloc" `Quick
             test_supervisor_step_zero_alloc;
           Alcotest.test_case "Mimo.step_into + switch_gains zero-alloc" `Slow
@@ -1147,6 +1308,8 @@ let () =
             test_node_epoch_bytes;
           Alcotest.test_case "single-chip promotion" `Slow
             test_chip_promotion;
+          Alcotest.test_case "faulted monitored tick bytes" `Slow
+            test_faulted_tick_bytes;
           Alcotest.test_case "Coordinator.rebudget bytes" `Quick
             test_rebudget_bytes;
           Alcotest.test_case "validation bytes" `Slow test_validation_bytes;

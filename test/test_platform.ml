@@ -744,6 +744,40 @@ let test_trace_csv () =
          float_of_int (1_000_000 + Random.State.int st 9_000_000)
          /. (10. ** float_of_int (Random.State.int st 11))))
 
+(* [csv_digest] streams [to_csv]'s rows through a fixed buffer (2 000
+   bytes, or one row bound when a row needs more); it must equal the MD5
+   of the text for CSVs shorter and longer than that buffer, on values
+   that take every branch of the value writer. *)
+let test_trace_csv_digest () =
+  let values =
+    [|
+      3.; -42.; 0.; -0.; nan; Float.neg nan; infinity; neg_infinity;
+      1e6; -2.5e7; 5e-5; -1e-300; 3.14159; -0.001234;
+      123456.5 (* exact tie: left to the C library *);
+      99999.96 (* rounds up to 10^6: the exponent changes *);
+      0.30000000000000004; 999999.;
+    |]
+  in
+  let trace ~columns ~rows =
+    let names = List.init columns (Printf.sprintf "column_%03d") in
+    let tr = Trace.create ~columns:names () in
+    for r = 0 to rows - 1 do
+      Trace.add tr
+        (Array.init columns (fun c ->
+             values.(((r * columns) + c) mod Array.length values)))
+    done;
+    tr
+  in
+  List.iter
+    (fun (columns, rows) ->
+      let tr = trace ~columns ~rows in
+      let csv = Trace.to_csv tr in
+      Alcotest.(check string)
+        (Printf.sprintf "%d x %d (%d B)" rows columns (String.length csv))
+        (Digest.to_hex (Digest.string csv))
+        (Trace.csv_digest tr))
+    [ (1, 0); (3, 1); (5, 40); (7, 80); (18, 1000); (150, 0); (150, 3) ]
+
 let test_trace_growth () =
   (* Well past the 256-row initial capacity, across several doublings:
      the column-major growable storage must behave exactly like the old
@@ -943,11 +977,17 @@ let test_faults_windows () =
         Faults.injection (Faults.Dropout Power) ~start_s:1.5 ~stop_s:3.;
       ]
   in
-  check_bool "before" false (Faults.dvfs_stuck f ~now:0.9);
-  check_bool "inside" true (Faults.dvfs_stuck f ~now:1.);
-  check_bool "stop exclusive" false (Faults.dvfs_stuck f ~now:2.);
-  check_int "overlap count" 2 (Faults.active_count f ~now:1.7);
-  check_int "none active" 0 (Faults.active_count f ~now:5.)
+  let at now = Faults.advance f { Faults.now } in
+  at 0.9;
+  check_bool "before" false (Faults.dvfs_stuck f);
+  at 1.;
+  check_bool "inside" true (Faults.dvfs_stuck f);
+  at 2.;
+  check_bool "stop exclusive" false (Faults.dvfs_stuck f);
+  at 1.7;
+  check_int "overlap count" 2 (Faults.active_count f);
+  at 5.;
+  check_int "none active" 0 (Faults.active_count f)
 
 let test_faults_shift () =
   let shifted =
@@ -1020,9 +1060,13 @@ let test_faults_spikes () =
     Faults.create
       [ Faults.injection (Faults.Spike_burst (Power, 5.)) ~start_s:0. ~stop_s:10. ]
   in
+  Faults.advance f { Faults.now = 1. };
   let spiked = ref 0 and clean = ref 0 in
+  let sens = Array.make 3 0. in
   for _ = 1 to 100 do
-    let v = Faults.apply_power f ~now:1. ~cluster:0 2. in
+    sens.(0) <- 2.;
+    Faults.apply_sensors f sens ~k:1;
+    let v = sens.(0) in
     if v = 10. then incr spiked
     else if v = 2. then incr clean
     else Alcotest.failf "unexpected sample %g" v
@@ -1035,8 +1079,14 @@ let test_faults_heartbeat_stall () =
     Faults.create
       [ Faults.injection Faults.Heartbeat_stall ~start_s:0. ~stop_s:10. ]
   in
-  check_float "qos reads zero" 0. (Faults.apply_qos f ~now:1. 57.);
-  check_float "clears after window" 57. (Faults.apply_qos f ~now:11. 57.)
+  let qos_at now =
+    Faults.advance f { Faults.now };
+    let sens = [| 1.; 57.; 40. |] in
+    Faults.apply_sensors f sens ~k:1;
+    sens.(1)
+  in
+  check_float "qos reads zero" 0. (qos_at 1.);
+  check_float "clears after window" 57. (qos_at 11.)
 
 let test_faults_dvfs_stuck () =
   let soc = soc_with Faults.Dvfs_stuck ~start_s:0. ~stop_s:1. in
@@ -1355,6 +1405,8 @@ let () =
           Alcotest.test_case "slice" `Quick test_trace_slice;
           Alcotest.test_case "validation" `Quick test_trace_validation;
           Alcotest.test_case "csv" `Quick test_trace_csv;
+          Alcotest.test_case "csv digest streamed" `Quick
+            test_trace_csv_digest;
           Alcotest.test_case "growth past initial capacity" `Quick
             test_trace_growth;
         ] );

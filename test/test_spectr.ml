@@ -1331,31 +1331,30 @@ let test_guarded_actuator_per_period () =
 (* ------------------------------------------------------------------ *)
 
 let test_manager_sanitize () =
-  check_float "nan freq -> min OPP" 200.
-    (Manager.sanitize_freq_mhz Opp.big nan);
-  check_float "+inf freq -> max OPP" 2000.
-    (Manager.sanitize_freq_mhz Opp.big infinity);
-  check_float "-inf freq -> min OPP" 200.
-    (Manager.sanitize_freq_mhz Opp.big neg_infinity);
-  check_float "negative freq -> min OPP" 200.
-    (Manager.sanitize_freq_mhz Opp.big (-0.4 *. 1000.));
-  check_float "finite passes through" 1234.
-    (Manager.sanitize_freq_mhz Opp.big 1.234);
-  check_int "nan cores -> 1" 1 (Manager.sanitize_cores ~max_cores:4 nan);
-  check_int "+inf cores -> 4" 4 (Manager.sanitize_cores ~max_cores:4 infinity);
-  check_int "-inf cores -> 1" 1 (Manager.sanitize_cores ~max_cores:4 neg_infinity);
-  check_int "clamp high" 4 (Manager.sanitize_cores ~max_cores:4 9.);
-  check_int "clamp low" 1 (Manager.sanitize_cores ~max_cores:4 (-2.));
-  check_int "round" 3 (Manager.sanitize_cores ~max_cores:4 2.6)
+  (* Both read the command in place, at [~at]. *)
+  let freq ghz = Opp.request_at Opp.big [| 0.; ghz |] ~at:1 in
+  let cores c = Manager.sanitize_cores ~max_cores:4 [| 0.; c |] ~at:1 in
+  check_int "nan freq -> min OPP" 200 (freq nan);
+  check_int "+inf freq -> max OPP" 2000 (freq infinity);
+  check_int "-inf freq -> min OPP" 200 (freq neg_infinity);
+  check_int "negative freq -> min OPP" 200 (freq (-0.4));
+  check_int "finite quantizes to the nearest OPP" 1200 (freq 1.234);
+  check_int "ties resolve downward" 1200 (freq 1.25);
+  check_int "nan cores -> 1" 1 (cores nan);
+  check_int "+inf cores -> 4" 4 (cores infinity);
+  check_int "-inf cores -> 1" 1 (cores neg_infinity);
+  check_int "clamp high" 4 (cores 9.);
+  check_int "clamp low" 1 (cores (-2.));
+  check_int "round" 3 (cores 2.6)
 
 let test_manager_apply_cluster () =
   let soc = Soc.create ~qos:Benchmarks.x264 () in
-  Manager.apply_cluster soc 0 ~freq_ghz:1.26 ~cores:2.4;
+  Manager.apply_cluster soc 0 [| 1.26; 2.4 |] ~at:0;
   check_int "quantized OPP applied" 1300 (Soc.frequency soc 0);
   check_int "rounded cores applied" 2 (Soc.active_cores soc 0);
   (* NaN commands must land on the conservative end, not on
-     int_of_float garbage. *)
-  Manager.apply_cluster soc 0 ~freq_ghz:nan ~cores:nan;
+     int_of_float garbage.  The pair is read at [~at]. *)
+  Manager.apply_cluster soc 0 [| 2.; 4.; nan; nan |] ~at:2;
   check_int "nan freq -> min OPP" 200 (Soc.frequency soc 0);
   check_int "nan cores -> 1" 1 (Soc.active_cores soc 0)
 
