@@ -31,6 +31,9 @@ surface:
 # round, the chaos cells' minor-heap and promoted KB per cell, and the
 # fleet's promoted KB per epoch, steady (kill rate 0) and with restarts
 # (kill rate 1).  Printed only: nothing here is pinned or gated.
+# Tier-1 gates the fleet's promotion on a smaller fleet instead:
+# `test_fleet` "promotion ratchet" bounds the bytes promoted per
+# node-epoch, steady and with restarts.
 memory:
 	dune exec bench/main.exe -- memory
 
@@ -123,7 +126,10 @@ chaos-smoke:
 # exits non-zero on a failed drill, which fails the target, and the
 # report must be byte-identical under SPECTR_JOBS=1 and SPECTR_JOBS=4.
 # No other CI step restarts nodes from checkpoints and compares the
-# outcome across processes.
+# outcome across processes.  What restarts allocate is gated in
+# tier-1, not printed only: `test_fleet` "promotion ratchet" runs a
+# kill-rate-1 fleet (a restart restores the node's checkpoint into the
+# manager it already has) under a promoted-bytes ceiling.
 fleet-smoke:
 	SPECTR_JOBS=1 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j1.txt
 	SPECTR_JOBS=4 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j4.txt

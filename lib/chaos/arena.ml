@@ -1,7 +1,7 @@
 (* Warm manager arena for batched campaigns.
 
    A chaos campaign (and the perf bench's chaos workload) runs thousands of
-   short cells, and naively each cell builds its managers from scratch.
+   short cells, and naively each cell builds its manager from scratch.
    Gain design is already memoized process-wide
    (Design_flow.design_gains_for), which removes the LQG pipeline from
    the per-cell cost, but construction still allocates the controller
@@ -13,7 +13,8 @@
    and the reconfiguration rung and degraded description), and a
    restore copies out of the checkpoint without sharing its state, so
    a reset manager is observationally identical to a fresh one; the
-   batch-vs-one-shot digest tests pin exactly that.
+   batch-vs-one-shot digest tests pin exactly that.  A cell's kill
+   drill restores into the same manager (Engine): no reset rebuilds.
 
    Slots are domain-local (Domain.DLS): managers are mutable and
    single-threaded, so a shared arena value can be passed to a parallel

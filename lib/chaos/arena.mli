@@ -1,6 +1,7 @@
 (** Warm manager arena: build each campaign variant's manager once per
     domain and reset it between cells from a pristine checkpoint,
-    instead of reconstructing the controller stack for every cell.
+    instead of reconstructing the controller stack for every cell.  A
+    cell checks out once; its kill drill restores into that manager.
 
     Checkout semantics are equivalence, not sharing: a checked-out
     manager has exactly the state of a freshly built one (the

@@ -13,10 +13,10 @@ type outcome = {
 
 let run_cell ?arena (cell : Campaign.cell) =
   let config = Campaign.config_of_cell cell in
-  (* With an arena, manager (re)construction is a warm checkout: same
+  (* With an arena the cell's one manager is a warm checkout: same
      variant slot, reset to pristine state.  Identical observable
      behaviour either way (pinned by the arena digest tests). *)
-  let make_manager () =
+  let mgr, sup, guards, handle =
     match arena with
     | None -> Campaign.make_manager cell.Campaign.variant
     | Some a -> Arena.checkout a cell.Campaign.variant
@@ -28,55 +28,40 @@ let run_cell ?arena (cell : Campaign.cell) =
       cell.Campaign.kill
   in
   let monitor = Invariants.create ~config ?kill_time () in
-  let mgr0, sup0, guards0, handle0 = make_manager () in
-  let mgr = ref mgr0 and sup = ref sup0 and guards = ref guards0 in
-  let handle = ref handle0 in
   (* SPECTR+R replaces its supervisor on every hot-swap; the legality
      monitor must see the live one, never a cached pre-swap copy.  Its
      option is rebuilt only when the supervisor changes, not per tick. *)
   let live = ref None in
   let live_sup () =
-    match !handle with
+    match handle with
     | Some h ->
         let s = Spectr.Spectr_manager.Reconfig.supervisor h in
         (match !live with
         | Some s' when s' == s -> ()
         | _ -> live := Some s);
         !live
-    | None -> !sup
+    | None -> sup
   in
   let runner = Spectr.Scenario.start config in
   let ckpt = ref None in
-  let restarted = ref false in
   let rec loop () =
     let n = Spectr.Scenario.ticks_done runner in
-    (match cell.Campaign.kill with
-    | Some k when n = k.Campaign.kill_tick - k.Campaign.staleness
-                  && !ckpt = None -> (
+    (match (cell.Campaign.kill, mgr.Spectr.Manager.persist) with
+    | Some k, Some p ->
         (* Snapshot the state reached after [kill_tick − staleness]
            ticks; for staleness 0 this is the very boundary the manager
            dies on, so restore must continue byte-identically. *)
-        match (!mgr).Spectr.Manager.persist with
-        | Some p -> ckpt := Some (p.Spectr.Manager.snapshot ())
-        | None -> ())
-    | _ -> ());
-    (match (cell.Campaign.kill, !ckpt) with
-    | Some k, Some c when n = k.Campaign.kill_tick && not !restarted ->
-        (* Kill: drop the running manager on the floor, build a fresh
-           one and restore the checkpoint into it.  The platform — SoC,
+        if n = k.Campaign.kill_tick - k.Campaign.staleness then
+          ckpt := Some (p.Spectr.Manager.snapshot ());
+        (* Kill: the daemon crashes and restarts from its checkpoint,
+           restored in place over its whole state, so whatever it did
+           since the checkpoint is lost.  The platform — SoC,
            heartbeat monitor, fault schedule, trace — keeps running;
            hardware does not reboot when the daemon crashes. *)
-        restarted := true;
-        let m2, s2, g2, h2 = make_manager () in
-        (match m2.Spectr.Manager.persist with
-        | Some p -> p.Spectr.Manager.restore c
-        | None -> ());
-        mgr := m2;
-        sup := s2;
-        guards := g2;
-        handle := h2
+        if n = k.Campaign.kill_tick then
+          Option.iter p.Spectr.Manager.restore !ckpt
     | _ -> ());
-    match Spectr.Scenario.tick runner ~manager:!mgr with
+    match Spectr.Scenario.tick runner ~manager:mgr with
     | None -> ()
     | Some obs ->
         Invariants.check monitor ~runner ~sup:(live_sup ()) ~obs;
@@ -89,19 +74,19 @@ let run_cell ?arena (cell : Campaign.cell) =
     ticks = Spectr.Scenario.ticks_done runner;
     digest = Trace.csv_digest (Spectr.Scenario.trace runner);
     watchdog_recoveries =
-      (match !guards with
+      (match guards with
       | None -> 0
       | Some g -> List.length (Spectr.Guarded.recovery_times g));
     checkpointed = Option.is_some !ckpt;
     reconfigurations =
-      (match !handle with
+      (match handle with
       | None -> 0
       | Some h -> Spectr.Spectr_manager.Reconfig.reconfigurations h);
     reconfig_status =
       Option.map
         (fun h ->
           Spectr.Spectr_manager.Reconfig.(status_label (status h)))
-        !handle;
+        handle;
   }
 
 let violates ?kind outcome =

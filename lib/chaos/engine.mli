@@ -4,12 +4,12 @@
 
     The drill checkpoints the manager [staleness] ticks before the kill
     (using its {!Spectr.Manager.persist} capability), then at the kill
-    tick discards the running manager entirely, constructs a fresh one
-    and restores the checkpoint into it — the platform keeps running
-    throughout.  With [staleness = 0] the restored manager continues
-    byte-identically (pinned by the chaos tests); with [staleness > 0]
-    it resynchronizes from fresh sensor samples, and the kill counts as
-    a disturbance instant for the invariant deadlines. *)
+    tick restores the checkpoint into the cell's one manager, over its
+    whole state, as a restarted daemon would — the platform keeps
+    running throughout.  With [staleness = 0] the restored manager
+    continues byte-identically (pinned by the chaos tests); with
+    [staleness > 0] it resynchronizes from fresh sensor samples, and the
+    kill counts as a disturbance instant for the invariant deadlines. *)
 
 type outcome = {
   cell : Campaign.cell;
@@ -37,9 +37,9 @@ type outcome = {
 val run_cell : ?arena:Arena.t -> Campaign.cell -> outcome
 (** Deterministic: equal cells give equal outcomes,
     including the digest — with or without an [arena].  When [arena] is
-    given, managers come from warm {!Arena.checkout}s (built once per
-    domain per variant, reset between cells) instead of being rebuilt
-    per cell. *)
+    given, the cell's manager comes from a warm {!Arena.checkout}
+    (built once per domain per variant, reset between cells) instead
+    of being built for the cell. *)
 
 val violates : ?kind:Invariants.kind -> outcome -> bool
 (** Did the run violate (that invariant / any invariant)? *)

@@ -72,7 +72,7 @@ let run_drill d =
   for _ = 1 to d.d_down_ticks do
     ignore (step ())
   done;
-  (* Reboot: fresh platform and manager daemon, last checkpoint restored
+  (* Reboot: fresh platform, last checkpoint restored into the manager
      ({!Spectr.Manager.persist}), uncounted boot warm-up inside. *)
   Node.restart node;
   let post = Array.init d.d_post_ticks (fun _ -> step ()) in

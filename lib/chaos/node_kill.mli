@@ -1,11 +1,11 @@
 (** Whole-node death/restart campaigns.
 
-    The {!Engine} kill drill replaces a {e manager} mid-scenario while
+    The {!Engine} kill drill restarts a {e manager} mid-scenario while
     the platform keeps running.  A node-kill drill is the same fault one
     level up: the entire node — SoC, heartbeat monitor, manager — goes
     dark, serves nothing and draws nothing for a downtime window, then
-    reboots with a fresh platform and a fresh manager daemon restored
-    from the node's last {!Spectr.Manager.persist} checkpoint
+    reboots with a fresh platform and its manager restored from the
+    node's last {!Spectr.Manager.persist} checkpoint
     ({!Spectr_fleet.Node.restart}).  The drill's invariant is the
     fleet-layer admission contract: a rebooted node must come back
     power-compliant under the cap it was assigned before it died, within

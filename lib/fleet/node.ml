@@ -54,12 +54,11 @@ type t = {
   workload : Workload.t;
   platform : Platform_desc.t;
   qos_ref : float;
-  reconfigurable : bool;
   full_power_est : float; (* healthy-description capacity anchor *)
-  mutable reconfig : Spectr.Spectr_manager.Reconfig.handle option;
+  reconfig : Spectr.Spectr_manager.Reconfig.handle option;
   mutable soc : Soc.t;
   mutable hb : Heartbeats.t;
-  mutable manager : Spectr.Manager.t;
+  manager : Spectr.Manager.t;
   mutable alive : bool;
   mutable items : item list;
   mutable bg : int;
@@ -75,7 +74,9 @@ type t = {
   (* lifetime *)
   mutable kills : int;
   mutable restarts : int;
-  saved : Spectr.Manager.checkpoint; (* rewritten in place by [checkpoint] *)
+  (* The manager's boot state from [create]; [checkpoint] rewrites it
+     in place on a node that is not reconfigurable. *)
+  saved : Spectr.Manager.checkpoint;
   rep : report; (* refreshed in place by [report] *)
 }
 
@@ -103,12 +104,6 @@ let make_soc t generation =
     done;
     soc
 
-let make_manager ~reconfigurable platform =
-  let manager, _, _, handle =
-    Spectr.Variant.(make platform (if reconfigurable then Spectr_r else Spectr))
-  in
-  (manager, handle)
-
 let create ?(config = default_config)
     ?(platform = Platform_desc.exynos5422) ?(reconfigurable = false) ~id
     ~seed ~workload () =
@@ -116,7 +111,14 @@ let create ?(config = default_config)
     invalid_arg "Node.create: non-positive tdp/floor";
   let qos_ref = Spectr.Scenario.default_qos_ref platform workload in
   let soc = (make_soc seed 0) platform workload in
-  let manager, reconfig = make_manager ~reconfigurable platform in
+  let manager, _, _, reconfig =
+    Spectr.Variant.(make platform (if reconfigurable then Spectr_r else Spectr))
+  in
+  let saved =
+    match manager.Spectr.Manager.persist with
+    | Some p -> p.Spectr.Manager.snapshot ()
+    | None -> Spectr.Manager.empty_checkpoint ()
+  in
   let acc = Array.make (a_cap + 1) 0. in
   acc.(a_cap) <- config.node_tdp;
   {
@@ -126,7 +128,6 @@ let create ?(config = default_config)
     workload;
     platform;
     qos_ref;
-    reconfigurable;
     full_power_est = Platform_desc.max_power_estimate platform;
     reconfig;
     soc;
@@ -141,7 +142,7 @@ let create ?(config = default_config)
     e_ticks = 0;
     kills = 0;
     restarts = 0;
-    saved = Spectr.Manager.empty_checkpoint ();
+    saved;
     rep =
       {
         r_id = id;
@@ -277,10 +278,12 @@ let tick t ~dt =
   end;
   t.e_ticks <- t.e_ticks + 1
 
+(* A later save would make a reconfigurable node's replacement (new
+   hardware) re-apply the old silicon's degradations. *)
 let checkpoint t =
   match t.manager.Spectr.Manager.persist with
-  | Some p -> p.Spectr.Manager.save t.saved
-  | None -> ()
+  | Some p when Option.is_none t.reconfig -> p.Spectr.Manager.save t.saved
+  | _ -> ()
 
 let kill t =
   if t.alive then begin
@@ -295,21 +298,12 @@ let restart t =
     t.soc <- (make_soc t.seed t.restarts) t.platform t.workload;
     t.hb <- Spectr.Scenario.heartbeat_monitor ~qos_ref:t.qos_ref;
     Soc.set_background_tasks t.soc t.bg;
-    (* The manager daemon restarts from scratch and restores its last
-       persisted checkpoint — the chaos engine's kill-drill mechanics at
-       node granularity.  Never-checkpointed nodes come back cold. *)
-    let manager, reconfig =
-      make_manager ~reconfigurable:t.reconfigurable t.platform
-    in
-    t.manager <- manager;
-    (* A restart is new hardware: the fault schedule does not carry
-       over, and a reconfigurable node comes back on the full healthy
-       description with its FDIR starting from scratch — so it skips the
-       checkpoint, which would re-apply the old silicon's degradations. *)
-    t.reconfig <- reconfig;
-    (match manager.Spectr.Manager.persist with
-    | Some p when not t.reconfigurable -> p.Spectr.Manager.restore t.saved
-    | _ -> ());
+    (* The chaos engine's kill drill at node granularity: the daemon
+       restarts from its checkpoint, restored in place (the boot state
+       if never checkpointed).  The fault schedule went with the SoC. *)
+    (match t.manager.Spectr.Manager.persist with
+    | Some p -> p.Spectr.Manager.restore t.saved
+    | None -> ());
     t.alive <- true;
     (* A rebooting node stabilizes under its current cap before it
        rejoins the reported fleet — admission control, not accounting

@@ -14,9 +14,9 @@
 
     Nodes also support whole-node death/restart drills: {!kill} powers
     the node off (zero power, zero QoS), {!restart} boots a fresh
-    platform and a fresh manager daemon restored from the node's last
-    {!checkpoint} (the {!Spectr.Manager.persist} mechanism the chaos
-    engine's kill drills pin). *)
+    platform and restores the last {!checkpoint} into the manager the
+    node built once, in {!create} (the {!Spectr.Manager.persist}
+    mechanism the chaos engine's kill drills pin). *)
 
 open Spectr_platform
 
@@ -58,7 +58,7 @@ val create :
     supervisor re-synthesized for the degraded description.  The node
     then reports a reduced [r_max_power] capacity so the coordinator
     can re-budget the lost headroom to healthy nodes.  A {!restart} is
-    new hardware, so such a node does not restore its checkpoint: it
+    new hardware, so such a node keeps only its boot checkpoint: it
     always comes back cold, on the full healthy description. *)
 
 val id : t -> int
@@ -103,9 +103,10 @@ val last_true_power : t -> float
 val checkpoint : t -> unit
 (** Save the manager's complete state ({!Spectr.Manager.persist})
     into the node's one checkpoint, which it keeps for its whole life
-    and overwrites in place (allocating nothing after its first save);
-    it is what a later {!restart} restores.  Called by the fleet engine
-    at epoch boundaries. *)
+    and overwrites in place, allocating nothing; it is what a later
+    {!restart} restores.  It starts as the boot state ({!create} saves
+    it), which a reconfigurable node keeps: there this is a no-op.
+    Called by the fleet engine at epoch boundaries. *)
 
 val kill : t -> unit
 (** Power the node off: it stops serving QoS and draws nothing.  The
@@ -115,19 +116,18 @@ val kill : t -> unit
 val restart : t -> unit
 (** Boot a dead node: fresh SoC (reseeded deterministically from the
     node seed and restart count — the new life's noise stream is
-    reproducible but independent), fresh heartbeat monitor, fresh
-    manager daemon with the last {!checkpoint} restored into it (cold
-    state when the node was never checkpointed or is reconfigurable).  Background work items
-    survive — the work queue outlives the node, as in a real cluster.
-    No-op when alive. *)
+    reproducible but independent), fresh heartbeat monitor, and the
+    last {!checkpoint} restored into the node's one manager.  Background
+    work items survive — the work queue outlives the node, as in a real
+    cluster.  No-op when alive. *)
 
 val kills : t -> int
 val restarts : t -> int
 
 val reconfig_handle : t -> Spectr.Spectr_manager.Reconfig.handle option
 (** The reconfiguration-engine handle of a node created with
-    [reconfigurable:true] ([None] otherwise).  Replaced by {!restart} —
-    do not cache it across reboots. *)
+    [reconfigurable:true] ([None] otherwise).  The same handle for the
+    node's whole life: {!restart} resets it to its boot state. *)
 
 val inject_permanent : t -> Spectr_platform.Faults.kind -> unit
 (** Fault drill: latch a permanent hardware fault

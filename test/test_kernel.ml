@@ -401,7 +401,7 @@ let test_node_tick_bytes () =
    ({!Alloc.bytes}) on a warm node under a 3 W cap.  [Node.report]
    refreshes the node's own report in place: 0 B per call.
    [Node.checkpoint] copies every layer's state into the saved state
-   its first call allocated: it reads 0.1 B per call, under a 16 B
+   [Node.create] allocated: it reads 0.1 B per call, under a 16 B
    floor.  When checkpoints were marshalled from snapshot records into
    a byte buffer the node kept, a call read 2 792 B on exynos5422 and
    4 040 B on pixel8pro. *)
@@ -417,7 +417,8 @@ let test_node_epoch_bytes () =
       for _ = 1 to 5 do
         Spectr_fleet.Node.tick node ~dt:0.05
       done;
-      (* The first checkpoint allocates the node's saved state. *)
+      (* [Node.create] saved the boot state; every checkpoint overwrites
+         it in place. *)
       Spectr_fleet.Node.checkpoint node;
       ignore (Spectr_fleet.Node.report node : Spectr_fleet.Node.report);
       let report =
