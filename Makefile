@@ -26,11 +26,13 @@ surface:
 	dune build test/surface.exe
 	./_build/default/test/surface.exe lib bench bin examples test
 
-# Memory figures: peak RSS and major-heap words after a 600-cell chaos
-# soak, a 1-epoch and a 120-epoch 512-node fleet run and a synthesis
-# round, the chaos cells' minor-heap and promoted KB per cell, and the
-# fleet's promoted KB per epoch, steady (kill rate 0) and with restarts
-# (kill rate 1).  Printed only: nothing here is pinned or gated.
+# Memory figures, each phase in a process of its own: peak RSS and
+# major-heap words after a 600-cell chaos soak, a 1-epoch and a
+# 120-epoch 512-node fleet run and the three parts of a synthesis round
+# (wide, mono, platforms, each with the MB it allocates), the chaos
+# cells' minor-heap and promoted KB per cell, and the fleet's promoted
+# KB per epoch, steady (kill rate 0) and with restarts (kill rate 1).
+# Printed only: nothing here is pinned or gated.
 # Tier-1 gates the fleet's promotion on a smaller fleet instead:
 # `test_fleet` "promotion ratchet" bounds the bytes promoted per
 # node-epoch, steady and with restarts.

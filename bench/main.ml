@@ -40,8 +40,9 @@ let experiments =
   ]
 
 (* Run by name only: machine-dependent figures, outside the default
-   all-experiments run. *)
-let probes = [ ("memory", Memory.run) ]
+   all-experiments run.  [memory] runs each of its phases as a child
+   process of this executable, by the phase's own name. *)
+let probes = ("memory", Memory.run) :: Memory.phases
 
 let usage () =
   Printf.eprintf

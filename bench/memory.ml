@@ -3,26 +3,34 @@
 
      dune exec bench/main.exe -- memory
 
-   The top heap and VmHWM are process-wide high-water marks, so the
-   phases run from the smallest peak up.  First the perf bench's chaos
-   campaign (600 faulted 240-tick cells over every variant, seed 42, a
-   quarter with a permanent-fault drill): its cells one by one in this
-   domain through a warm arena, for the minor-heap and promoted KB per
-   cell, then the whole campaign again as a sweep on a 2-job pool, after
-   which the "chaos" row reads the soak's peak.  Then the perf bench's
-   512-node fleet (exynos5422 and pixel8pro interleaved, epochs of 5
-   ticks, arrivals on, one kill per epoch, on the same pool): a 1-epoch
-   run, then a 120-epoch one, whose rows show what its epochs add to
-   its construction.  It then prints the bytes promoted to the major heap per epoch, split
-   into steady epochs (kill rate 0) and epochs with kills and restarts
-   (kill rate 1), each a 120-epoch run minus a 20-epoch one.  Last comes
-   one synthesis round (sharded modular k = 11, monolithic k = 9, then
-   the supervisors of a few descriptions and their one-cluster
-   degradations with the synthesis cache cleared before each).
-   After each phase it prints the process's peak RSS (VmHWM), the major
-   heap and its high-water mark ([Gc.quick_stat] heap and top-heap
-   words).  Figures depend on the machine and the job count; nothing
-   here is pinned and no gate reads it. *)
+   Each phase runs in a child process of its own (the same executable,
+   run as [main.exe memory.PHASE]; any one phase can be run that way by
+   hand), because VmHWM and the top heap are process-wide high-water
+   marks: a phase run after another would read the other's garbage
+   too.  The phases:
+   - [chaos]: the perf bench's chaos campaign (600 faulted 240-tick
+     cells over every variant, seed 42, a quarter with a
+     permanent-fault drill), its cells one by one in this domain
+     through a warm arena, for the minor-heap and promoted KB per cell,
+     then the whole campaign again as a sweep on a 2-job pool;
+   - [fleet-1], [fleet-120]: the perf bench's 512-node fleet
+     (exynos5422 and pixel8pro interleaved, epochs of 5 ticks, arrivals
+     on, one kill per epoch, on a 2-job pool) for 1 and for 120 epochs,
+     so the two rows differ by what the epochs add to construction;
+   - [promotion]: the bytes promoted to the major heap per epoch, split
+     into steady epochs (kill rate 0) and epochs with kills and
+     restarts (kill rate 1), each a 120-epoch run minus a 20-epoch one;
+   - [synth-wide], [synth-mono], [synth-platforms]: the three parts of
+     one synthesis round — modular k = 11 with
+     [Verify.is_nonblocking]; [Compose.all] and monolithic [supcon] at
+     k = 9 with both [Verify] checks; the supervisors of a few
+     descriptions and their one-cluster degradations, the synthesis
+     cache cleared before each.  Their rows add the MB they allocate
+     (one domain does all of it).
+   After its phase a child prints its peak RSS (VmHWM), the major heap
+   and its high-water mark ([Gc.quick_stat] heap and top-heap words).
+   Figures depend on the machine and the job count; nothing here is
+   pinned and no gate reads it. *)
 
 open Spectr_automata
 open Spectr_platform
@@ -47,41 +55,60 @@ let vm_hwm_mb () =
 
 let mb_of_words w = float_of_int (w * (Sys.word_size / 8)) /. 1048576.
 
-let phase name =
+(* One row: the process's high-water marks now, and the MB [alloc]
+   counted, where the phase counts them. *)
+let row ?alloc name =
   let s = Gc.quick_stat () in
-  Printf.printf "  %-9s %9.1f %9.1f %12.1f\n%!" name (vm_hwm_mb ())
+  Printf.printf "  %-16s %9.1f %9.1f %12.1f %9s\n%!" name (vm_hwm_mb ())
     (mb_of_words s.Gc.heap_words)
     (mb_of_words s.Gc.top_heap_words)
+    (match alloc with Some mb -> Printf.sprintf "%.1f" mb | None -> "-")
 
-let synth_round () =
-  let family ~k ~cap =
-    ( List.init k (fun i -> Synthesis_scale.cluster (i + 1)),
-      Synthesis_scale.budget_spec ~k ~cap )
-  in
+(* Run [f] and print its row with the MB it allocated in this domain. *)
+let allocating name f =
+  let b0 = Gc.allocated_bytes () in
+  f ();
+  row ~alloc:((Gc.allocated_bytes () -. b0) /. 1048576.) name
+
+let family ~k ~cap =
+  ( List.init k (fun i -> Synthesis_scale.cluster (i + 1)),
+    Synthesis_scale.budget_spec ~k ~cap )
+
+let synth_wide () =
   let plants, spec = family ~k:11 ~cap:6 in
-  (match Synthesis.supcon_modular ~jobs:2 ~plants ~spec () with
-  | Ok (sup, _) -> ignore (Verify.is_nonblocking sup : bool)
-  | Error Synthesis.Empty_supervisor -> failwith "memory: empty supervisor");
+  allocating "synth-wide" (fun () ->
+      match Synthesis.supcon_modular ~plants ~spec () with
+      | Ok (sup, _) -> ignore (Verify.is_nonblocking sup : bool)
+      | Error Synthesis.Empty_supervisor -> failwith "memory: empty supervisor")
+
+let synth_mono () =
   let plants, spec = family ~k:9 ~cap:8 in
-  let plant = Compose.all plants in
-  (match Synthesis.supcon ~plant ~spec with
-  | Ok (sup, _) ->
-      ignore (Verify.is_controllable ~plant ~supervisor:sup : bool);
-      ignore (Verify.is_nonblocking sup : bool)
-  | Error Synthesis.Empty_supervisor -> failwith "memory: empty supervisor");
+  allocating "synth-mono" (fun () ->
+      let plant = Compose.all plants in
+      match Synthesis.supcon ~plant ~spec with
+      | Ok (sup, _) ->
+          ignore (Verify.is_controllable ~plant ~supervisor:sup : bool);
+          ignore (Verify.is_nonblocking sup : bool)
+      | Error Synthesis.Empty_supervisor -> failwith "memory: empty supervisor")
+
+let synth_platforms () =
   let base =
     Platform_desc.[ k_cluster 4; k_cluster 8; pixel8pro; exynos5422 ]
   in
-  List.iter
-    (fun platform ->
-      Spectr_exec.Synth_cache.clear ();
-      ignore (Spectr.Supervisor.synthesize ~platform ()))
-    (base
+  let platforms =
+    base
     @ List.map
         (fun p ->
           let victim = if Platform_desc.host p = 0 then 1 else 0 in
           Platform_desc.degrade p (Platform_desc.Remove_cluster victim))
-        base)
+        base
+  in
+  allocating "synth-platforms" (fun () ->
+      List.iter
+        (fun platform ->
+          Spectr_exec.Synth_cache.clear ();
+          ignore (Spectr.Supervisor.synthesize ~platform ()))
+        platforms)
 
 let chaos_cells () =
   let spec =
@@ -127,9 +154,11 @@ let fleet_run ~pool spec =
   ignore (Spectr_fleet.Fleet.run ~pool spec : Spectr_fleet.Fleet.result)
 
 (* KB promoted per epoch: a 120-epoch run minus a 20-epoch one, so
-   construction and boot cancel.  Each run starts on a finished major
-   cycle. *)
+   construction and boot cancel.  A 1-epoch run first fills what the
+   process builds once (the synthesis cache among them), and each run
+   starts on a finished major cycle. *)
 let promoted_kb_per_epoch ~pool ~kill_rate =
+  fleet_run ~pool (fleet_spec ~epochs:1 ~kill_rate);
   let promoted epochs =
     Gc.full_major ();
     let p0 = (Gc.quick_stat ()).Gc.promoted_words in
@@ -140,34 +169,58 @@ let promoted_kb_per_epoch ~pool ~kill_rate =
   let long = promoted 120 in
   (long -. short) *. float_of_int (Sys.word_size / 8) /. 1024. /. 100.
 
-let run () =
-  Util.heading "Memory: peak RSS and major heap after each phase";
-  Printf.printf "\n  %-9s %9s %9s %12s\n" "phase" "VmHWM-MB" "heap-MB"
-    "top-heap-MB";
-  phase "start";
+let with_pool f =
   let pool = Spectr_exec.Pool.create ~jobs:2 () in
-  let (minor, promoted), steady, restarts =
-    Fun.protect
-      ~finally:(fun () -> Spectr_exec.Pool.shutdown pool)
-      (fun () ->
-        let cells = chaos_cells () in
-        let per_cell = chaos_kb_per_cell cells in
-        chaos_sweep ~pool cells;
-        phase "chaos";
-        fleet_run ~pool (fleet_spec ~epochs:1 ~kill_rate:1.);
-        phase "fleet-1";
-        fleet_run ~pool (fleet_spec ~epochs:120 ~kill_rate:1.);
-        phase "fleet-120";
+  Fun.protect ~finally:(fun () -> Spectr_exec.Pool.shutdown pool) (fun () ->
+      f pool)
+
+let chaos () =
+  let cells = chaos_cells () in
+  let minor, promoted = chaos_kb_per_cell cells in
+  with_pool (fun pool -> chaos_sweep ~pool cells);
+  row "chaos";
+  Printf.printf
+    "  %-16s 600 cells, run one by one; KB per cell: %.1f minor heap, %.2f \
+     promoted\n%!"
+    "" minor promoted
+
+let fleet epochs () =
+  with_pool (fun pool -> fleet_run ~pool (fleet_spec ~epochs ~kill_rate:1.));
+  row (Printf.sprintf "fleet-%d" epochs)
+
+let promotion () =
+  let steady, restarts =
+    with_pool (fun pool ->
         let steady = promoted_kb_per_epoch ~pool ~kill_rate:0. in
-        (per_cell, steady, promoted_kb_per_epoch ~pool ~kill_rate:1.))
+        (steady, promoted_kb_per_epoch ~pool ~kill_rate:1.))
   in
-  synth_round ();
-  phase "synth";
+  row "promotion";
   Printf.printf
-    "\n  chaos: 600 cells, run one by one; KB per cell: %.1f minor heap, %.2f \
-     promoted\n"
-    minor promoted;
-  Printf.printf
-    "  fleet: 512 nodes; KB promoted per epoch: %.1f steady (kill rate 0), \
-     %.1f with restarts (kill rate 1)\n"
-    steady restarts
+    "  %-16s 512 nodes; KB promoted per epoch: %.1f steady (kill rate 0), \
+     %.1f with restarts (kill rate 1)\n%!"
+    "" steady restarts
+
+(* Each phase by name, as [main.exe] runs it: [memory.chaos] and so on. *)
+let phases =
+  List.map
+    (fun (name, f) -> ("memory." ^ name, f))
+    [
+      ("chaos", chaos);
+      ("fleet-1", fleet 1);
+      ("fleet-120", fleet 120);
+      ("promotion", promotion);
+      ("synth-wide", synth_wide);
+      ("synth-mono", synth_mono);
+      ("synth-platforms", synth_platforms);
+    ]
+
+let run () =
+  Util.heading "Memory: peak RSS and major heap, each phase in its own process";
+  Printf.printf "\n  %-16s %9s %9s %12s %9s\n" "phase" "VmHWM-MB" "heap-MB"
+    "top-heap-MB" "alloc-MB";
+  row "start";
+  List.iter
+    (fun (name, _) ->
+      let cmd = Filename.quote_command Sys.executable_name [ name ] in
+      if Sys.command cmd <> 0 then failwith ("memory: " ^ cmd ^ " failed"))
+    phases

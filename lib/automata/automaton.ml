@@ -132,13 +132,15 @@ let rec write_decoded w i b p =
       !p
 
 (* Index-native core: δ is CSR — [row] holds per-state offsets into
-   [tr], one word per transition, [(event id lsl 32) lor target], each
-   row sorted by event id (so by word, the id being the high half) and a
-   lookup a binary search with zero hashing.  Names are a boundary
-   concern: a product describes them by [naming], and the name table
-   (and the name→index table derived from it) is built on first use, so
-   algorithm outputs built with [of_csr] never materialize names unless
-   a name-based accessor is actually used. *)
+   [tr], a [Bytes.t] of native-endian 32-bit words, one per transition,
+   [(target lsl ebits) lor rank]: [rank] is the event's index in
+   [ids], the alphabet's event ids ascending, and [ebits] the least
+   width that holds every rank.  A row is sorted by rank (so by event
+   id) and a lookup is a binary search with zero hashing.  Names are a
+   boundary concern: a product describes them by [naming], and the name
+   table (and the name→index table derived from it) is built on first
+   use, so algorithm outputs built with [of_csr] never materialize names
+   unless a name-based accessor is actually used. *)
 type t = {
   name : string;
   n : int;
@@ -146,9 +148,11 @@ type t = {
   names : string array Once.t;
   index : (string, int) Hashtbl.t Once.t;
   alphabet : Event.Set.t;
-  decode : (int, Event.t) Hashtbl.t; (* alphabet events keyed by id *)
+  events : Event.t array; (* the alphabet by rank: ascending id *)
+  ids : int array; (* [ids.(r)] is [Event.id events.(r)] *)
+  ebits : int;
   row : int array; (* length n+1 *)
-  tr : int array; (* transition words, sorted within each row *)
+  tr : Bytes.t; (* transition words, sorted by rank within each row *)
   initial : int;
   flags : string; (* one byte per state, its marked and forbidden bits *)
   mutable digest : string option; (* memoized structural_digest *)
@@ -159,7 +163,7 @@ type names = Names of string array | Product of t array * int array
 let name a = a.name
 let alphabet a = a.alphabet
 let num_states a = a.n
-let num_transitions a = Array.length a.tr
+let num_transitions a = Bytes.length a.tr lsr 2
 let states a = Array.to_list (Once.force a.names)
 let initial a = (Once.force a.names).(a.initial)
 let initial_index a = a.initial
@@ -188,36 +192,68 @@ let marked a = List.filteri (fun i _ -> has a i flag_marked) (states a)
 let forbidden a = List.filteri (fun i _ -> has a i flag_forbidden) (states a)
 let flags a = a.flags
 
+(* The rank of the event with id [eid] in [ids], or -1 when it is not
+   in the alphabet. *)
+let rank_of_id (ids : int array) eid =
+  let lo = ref 0 and hi = ref (Array.length ids) and res = ref (-1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let e = Array.unsafe_get ids mid in
+    if e = eid then begin
+      res := mid;
+      lo := !hi
+    end
+    else if e < eid then lo := mid + 1
+    else hi := mid
+  done;
+  !res
+
 let event_of_id a eid =
-  match Hashtbl.find_opt a.decode eid with
-  | Some e -> e
-  | None ->
+  match rank_of_id a.ids eid with
+  | -1 ->
       invalid_arg
         (Printf.sprintf "Automaton %s: event id %d not in the alphabet" a.name
            eid)
+  | r -> a.events.(r)
 
-(* A transition word and its two halves.  An event id is below
-   [max_event_id] and a target below 2^32, so a word is a non-negative
-   int and words order as their ids do. *)
-let max_event_id = 1 lsl 30
-let[@inline] tr_word eid target = (eid lsl 32) lor target
-let[@inline] tr_event w = w lsr 32
-let[@inline] tr_target w = w land 0xffff_ffff
+(* A transition word, read and written in place.  Every word index is
+   under [num_transitions], which [of_naming] checked against the row
+   table, so the access is unchecked. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] word tr k = Int32.to_int (get32 tr (k lsl 2)) land 0xffff_ffff
+let[@inline] set_word tr k w = set32 tr (k lsl 2) (Int32.of_int w)
+
+(* The rank width of an alphabet of [sigma] events: the least [b] with
+   [2^b >= sigma]. *)
+let bits_for sigma =
+  let b = ref 0 in
+  while 1 lsl !b < sigma do
+    incr b
+  done;
+  !b
+
+let events a = a.events
+let rank_bits a = a.ebits
 
 (* A while-loop, not a local [let rec]: a recursive helper would close
    over [a] and [eid] and allocate a closure per call, which the
-   supervisor tick path cannot afford. *)
+   supervisor tick path cannot afford.  The search compares event ids,
+   read through the word's rank, so a caller never maps an id to a
+   rank. *)
 let step_index_raw a i eid =
-  let tr = a.tr in
+  let tr = a.tr and ids = a.ids and ebits = a.ebits in
+  let emask = (1 lsl ebits) - 1 in
   let lo = ref a.row.(i) in
   let hi = ref a.row.(i + 1) in
   let res = ref (-1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let w = tr.(mid) in
-    let e = tr_event w in
+    let w = word tr mid in
+    let e = Array.unsafe_get ids (w land emask) in
     if e = eid then begin
-      res := tr_target w;
+      res := w lsr ebits;
       lo := !hi
     end
     else if e < eid then lo := mid + 1
@@ -229,9 +265,10 @@ let step_index a i eid =
   match step_index_raw a i eid with -1 -> None | d -> Some d
 
 let iter_row a i f =
+  let emask = (1 lsl a.ebits) - 1 in
   for k = a.row.(i) to a.row.(i + 1) - 1 do
-    let w = a.tr.(k) in
-    f (tr_event w) (tr_target w)
+    let w = word a.tr k in
+    f a.ids.(w land emask) (w lsr a.ebits)
   done
 
 let out_degree a i = a.row.(i + 1) - a.row.(i)
@@ -258,11 +295,6 @@ let transitions a =
 
 (* --- construction ---------------------------------------------------- *)
 
-let make_decode alphabet =
-  let h = Hashtbl.create (2 * Event.Set.cardinal alphabet + 1) in
-  Event.Set.iter (fun e -> Hashtbl.replace h (Event.id e) e) alphabet;
-  h
-
 let make_index name n names_once =
   Once.make (fun () ->
      let names = Once.force names_once in
@@ -276,37 +308,80 @@ let make_index name n names_once =
        names;
      h)
 
+(* The record over rows already checked, the alphabet's events by id
+   in [events]. *)
+let assemble ~name ~naming ~names ~index ~alphabet ~events ~initial ~flags
+    ~row ~tr =
+  {
+    name;
+    n = String.length flags;
+    naming;
+    names;
+    index;
+    alphabet;
+    events;
+    ids = Array.map Event.id events;
+    ebits = bits_for (Array.length events);
+    row;
+    tr;
+    initial;
+    flags;
+    digest = None;
+  }
+
+(* A word holds a target below [2^(32 - ebits)]: an automaton with more
+   states has no word for some of them. *)
+let check_fits who name n ebits =
+  if n > 1 lsl (32 - ebits) then
+    invalid_arg
+      (Printf.sprintf "%s %s: %d states exceed the %d a %d-bit rank leaves"
+         who name n
+         (1 lsl (32 - ebits))
+         ebits)
+
 let of_naming ~name ~naming ~alphabet ~initial ~flags ~row ~tr =
   let who = "Automaton.of_csr" in
   let n = String.length flags in
+  let events = Event.by_id alphabet in
+  let sigma = Array.length events in
+  let ebits = bits_for sigma in
+  let emask = (1 lsl ebits) - 1 in
+  check_fits who name n ebits;
   if initial < 0 || initial >= n then
     invalid_arg
       (Printf.sprintf "%s %s: initial %d out of range" who name initial);
   let malformed () =
     invalid_arg (Printf.sprintf "%s %s: malformed rows" who name)
   in
-  if Array.length row <> n + 1 || row.(0) <> 0 || row.(n) <> Array.length tr
+  if
+    Bytes.length tr land 3 <> 0
+    || Array.length row <> n + 1
+    || row.(0) <> 0
+    || row.(n) <> Bytes.length tr lsr 2
   then malformed ();
   for s = 0 to n - 1 do
     if row.(s + 1) < row.(s) then malformed ();
     if Char.code flags.[s] land lnot (flag_marked lor flag_forbidden) <> 0 then
       invalid_arg
         (Printf.sprintf "%s %s: state %d: flag byte %d out of range" who name s
-           (Char.code flags.[s]));
+           (Char.code flags.[s]))
+  done;
+  (* Every row now lies within [tr]. *)
+  for s = 0 to n - 1 do
     for k = row.(s) to row.(s + 1) - 1 do
-      let w = tr.(k) in
-      if tr_event w >= max_event_id then
+      let w = word tr k in
+      if w land emask >= sigma then
         invalid_arg
-          (Printf.sprintf "%s %s: row %d: event id %d out of range" who name s
-             (tr_event w));
-      if tr_target w >= n then
+          (Printf.sprintf "%s %s: row %d: event rank %d out of range" who name
+             s (w land emask));
+      if w lsr ebits >= n then
         invalid_arg
           (Printf.sprintf "%s %s: row %d: target %d out of range" who name s
-             (tr_target w));
-      if k > row.(s) && tr_event tr.(k - 1) >= tr_event w then
+             (w lsr ebits));
+      if k > row.(s) && word tr (k - 1) land emask >= w land emask then
         invalid_arg
-          (Printf.sprintf "%s %s: row %d not strictly sorted by event id" who
-             name s)
+          (Printf.sprintf "%s %s: row %d not strictly sorted by event rank"
+             who name s)
     done
   done;
   (match naming with
@@ -319,7 +394,7 @@ let of_naming ~name ~naming ~alphabet ~initial ~flags ~row ~tr =
         (Printf.sprintf "%s %s: %d product keys for %d states" who name
            (Array.length p.keys) n)
   | _ -> ());
-  let names_once =
+  let names =
     match naming with
     | Leaves a -> Once.of_val a
     | Prod _ ->
@@ -330,20 +405,8 @@ let of_naming ~name ~naming ~alphabet ~initial ~flags ~row ~tr =
                 ignore (write_decoded w i b 0 : int);
                 Bytes.unsafe_to_string b))
   in
-  {
-    name;
-    n;
-    naming;
-    names = names_once;
-    index = make_index name n names_once;
-    alphabet;
-    decode = make_decode alphabet;
-    row;
-    tr;
-    initial;
-    flags;
-    digest = None;
-  }
+  assemble ~name ~naming ~names ~index:(make_index name n names) ~alphabet
+    ~events ~initial ~flags ~row ~tr
 
 let of_csr ~name ~names =
   let naming =
@@ -407,10 +470,10 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
   let state_names = Array.make n "" in
   List.iter (fun s -> state_names.(Hashtbl.find index s) <- s) !order;
   let delta = Hashtbl.create 16 in
-  let events = ref (Event.set_of_list alphabet) in
+  let sigma = ref (Event.set_of_list alphabet) in
   List.iter
     (fun (src, e, dst) ->
-      events := Event.Set.add e !events;
+      sigma := Event.Set.add e !sigma;
       let si = Hashtbl.find index src and di = Hashtbl.find index dst in
       match Hashtbl.find_opt delta (si, Event.id e) with
       | Some d when d <> di ->
@@ -421,14 +484,18 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
       | Some _ -> ()
       | None -> Hashtbl.add delta (si, Event.id e) di)
     transitions;
-  (* The rows: the (state, event id) keys of [delta], packed into one
+  (* The rows: the (state, event rank) keys of [delta], packed into one
      int each and sorted once, are the CSR order. *)
-  let width = 1 + Hashtbl.fold (fun (_, eid) _ m -> max m eid) delta 0 in
+  let events = Event.by_id !sigma in
+  let ids = Array.map Event.id events in
+  let width = Array.length events in
+  let ebits = bits_for width in
+  check_fits "Automaton" name n ebits;
   let keys = Array.make (Hashtbl.length delta) 0 in
   let k = ref 0 in
   Hashtbl.iter
     (fun (si, eid) _ ->
-      keys.(!k) <- (si * width) + eid;
+      keys.(!k) <- (si * width) + rank_of_id ids eid;
       incr k)
     delta;
   Array.sort Int.compare keys;
@@ -441,13 +508,12 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
   for i = 0 to n - 1 do
     row.(i + 1) <- row.(i + 1) + row.(i)
   done;
-  let tr =
-    Array.map
-      (fun key ->
-        let si = key / width and eid = key mod width in
-        tr_word eid (Hashtbl.find delta (si, eid)))
-      keys
-  in
+  let tr = Bytes.create (4 * Array.length keys) in
+  Array.iteri
+    (fun j key ->
+      let si = key / width and r = key mod width in
+      set_word tr j ((Hashtbl.find delta (si, ids.(r)) lsl ebits) lor r))
+    keys;
   let flags =
     Bytes.make n (Char.chr (if marked = None then flag_marked else 0))
   in
@@ -457,20 +523,10 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
   in
   Option.iter (List.iter (set flag_marked)) marked;
   List.iter (set flag_forbidden) forbidden;
-  {
-    name;
-    n;
-    naming = Leaves state_names;
-    names = Once.of_val state_names;
-    index = Once.of_val index;
-    alphabet = !events;
-    decode = make_decode !events;
-    row;
-    tr;
-    initial = initial_i;
-    flags = Bytes.unsafe_to_string flags;
-    digest = None;
-  }
+  assemble ~name ~naming:(Leaves state_names)
+    ~names:(Once.of_val state_names) ~index:(Once.of_val index)
+    ~alphabet:!sigma ~events ~initial:initial_i
+    ~flags:(Bytes.unsafe_to_string flags) ~row ~tr
 
 let accepts a w =
   let rec go i = function
@@ -516,17 +572,6 @@ let rec put_digits b p i =
   Bytes.set b p (Char.unsafe_chr (48 + (i mod 10)));
   p + 1
 
-(* The rank packed with [id] in [by_id] (sorted [id lsl bits lor rank]
-   keys, [id] among them), searched in [lo .. hi].  Top level, with
-   every operand an argument, so a lookup allocates no closure. *)
-let rec rank_of (by_id : int array) bits id lo hi =
-  let mid = (lo + hi) lsr 1 in
-  let x = Array.unsafe_get by_id mid in
-  let c = x lsr bits in
-  if c = id then x land ((1 lsl bits) - 1)
-  else if c < id then rank_of by_id bits id (mid + 1) hi
-  else rank_of by_id bits id lo (mid - 1)
-
 (* The digest is streamed through the runtime's MD5 context
    ({!Spectr_linalg.Md5}) a buffer at a time: the bytes it hashes are
    never held whole.  The buffer is [md5_chunk] bytes, or fewer when
@@ -553,31 +598,25 @@ let structural_digest a =
   | Some d -> d
   | None ->
       (* A transition names its event by the event's rank in the
-         alphabet section.  [by_id] holds id lsl [bits] lor rank for
-         every event, sorted, so it is sized by the alphabet whatever
-         ids the process minted, and a binary search finds an id's
-         rank. *)
-      let sigma = Event.Set.cardinal a.alphabet in
-      let bits = ref 0 in
-      while 1 lsl !bits < sigma do
-        incr bits
-      done;
-      let bits = !bits and by_id = Array.make sigma 0 in
+         alphabet section, which lists the alphabet in set order:
+         [set_rank] maps a word's rank (id order) to it, so it is sized
+         by the alphabet whatever ids the process minted. *)
+      let sigma = Array.length a.events in
+      let set_rank = Array.make sigma 0 in
       let r = ref 0 and text = ref 0 in
       Event.Set.iter
         (fun e ->
-          by_id.(!r) <- (Event.id e lsl bits) lor !r;
+          set_rank.(rank_of_id a.ids (Event.id e)) <- !r;
           incr r;
           text := !text + String.length (Event.name e) + 22)
         a.alphabet;
-      Array.sort Int.compare by_id;
       let w = writer 0 a.naming in
       (* A bound on the bytes below: each name field and length prefix
          at its longest. *)
       let bound =
         !text + String.length a.name + 21
         + (a.n * (max_name_length w + 23))
-        + (8 * (a.n + 4 + (2 * Array.length a.tr)))
+        + (8 * (a.n + 4 + (2 * num_transitions a)))
       in
       let h = Md5.create (min md5_chunk bound) in
       let field s =
@@ -613,10 +652,11 @@ let structural_digest a =
          a process (intern order), which is all the in-process cache
          needs. *)
       Array.iter (Md5.add_int h) a.row;
-      for k = 0 to Array.length a.tr - 1 do
-        let w = a.tr.(k) in
-        Md5.add_int h (rank_of by_id bits (tr_event w) 0 (sigma - 1));
-        Md5.add_int h (tr_target w)
+      let emask = (1 lsl a.ebits) - 1 in
+      for k = 0 to num_transitions a - 1 do
+        let w = word a.tr k in
+        Md5.add_int h set_rank.(w land emask);
+        Md5.add_int h (w lsr a.ebits)
       done;
       for i = 0 to a.n - 1 do
         Md5.add_char h (if has a i flag_marked then '1' else '0')

@@ -10,14 +10,16 @@
 
     {b Representation.}  The core is index-native: states are dense ints,
     the transition function is stored in CSR form — per-state rows of
-    transition {e words}, one int each, sorted by {!Event.id} — and every
-    algorithm (composition, synthesis, verification) runs on ints
-    only.  A word is [(event id lsl 32) lor target]: the event id,
-    below [2^30], in the high half and the target state index, below
-    [2^32], in the low 32 bits.  So a word is a non-negative int, words
-    order as their event ids do, and a transition costs one 8-byte array
-    slot.  {!tr_word} packs a word, {!tr_event} and {!tr_target} take it
-    apart.
+    32-bit transition {e words} — and every algorithm (composition,
+    synthesis, verification) runs on ints only.  The words are the
+    product engine's own layout: [(target lsl b) lor rank], where
+    [rank] is the event's position in {!events} (the alphabet by
+    ascending {!Event.id}) and [b] is {!rank_bits}, the least width that
+    holds a rank.  A row is sorted by rank, so by event id, and a
+    transition costs 4 bytes.  The target takes the other [32 - b]
+    bits, so an automaton has at most [2^(32 - b)] states: {!create}
+    and {!of_csr} refuse more, and the product engine refuses to
+    explore past it.
 
     State {e names} are a boundary concern: a product built by an
     algorithm ({!of_csr}) describes its names by its components and one
@@ -81,35 +83,34 @@ val of_csr :
   initial:int ->
   flags:string ->
   row:int array ->
-  tr:int array ->
+  tr:Bytes.t ->
   t
 (** {b Trusted constructor} for algorithm outputs ({!Synthesis}'
     extraction, which {!Compose.pair} runs too):
     [of_csr ~name ~names ~alphabet ~initial ~flags ~row ~tr]
     builds an automaton over states [0 .. String.length flags - 1] from
-    rows already in CSR order: state [i]'s transitions are the words
-    [tr.(row.(i)) .. tr.(row.(i + 1) - 1)], each
-    [(event id lsl 32) lor target] (an {!Event.id} below [2^30] and a
-    state index), strictly increasing by event id — so by word — within
-    the row, and [flags.[i]] is its flag byte (see {!flags}).  Nothing
-    is scattered or sorted, and the automaton takes ownership of the
-    two arrays: the caller must not mutate them afterwards, nor the
-    arrays in [names].
+    rows already in CSR order.  Word [k] is the unsigned native-endian
+    32-bit integer at bytes [4k .. 4k + 3] of [tr] (what
+    [Bytes.set_int32_ne] writes); state [i]'s transitions are words
+    [row.(i) .. row.(i + 1) - 1], each [(target lsl b) lor rank] with
+    [b] the {!rank_bits} of [alphabet] and [rank] the event's position
+    in its {!events}, strictly increasing by rank within the row; and
+    [flags.[i]] is its flag byte (see {!flags}).  Nothing is scattered
+    or sorted, and the automaton takes ownership of [row] and [tr]: the
+    caller must not mutate them afterwards, nor the arrays in [names].
     A {!Product}'s name table is built — once, memoized — when a
     name-based accessor is first used; {!structural_digest} writes the
     names without building it.  Name accessors are safe to call from
     several domains at once.
 
     Unlike {!create} it performs no string interning and no state
-    collection, only a linear scan that rejects ([Invalid_argument]) a
-    malformed row table, an unsorted row, a repeated event id in a row
-    (nondeterminism), a word whose event id is [2^30] or more (a
-    negative word among them), a word whose target is not a state
-    index, and a flag byte with a bit other than the two {!flags}
-    names.  A target of [2^32] or more has no word at all: packed, it
-    would spill into the event id.  The caller contract — outputs that
+    collection, only linear scans that reject ([Invalid_argument]) more
+    than [2^(32 - b)] states, a malformed row table (a byte length not
+    a multiple of 4 among them), an unsorted row, a repeated rank in a
+    row (nondeterminism), a rank at or past the alphabet's size, a
+    target that is not a state index, and a flag byte with a bit other
+    than the two {!flags} names.  The caller contract — outputs that
     are deterministic and consistently indexed {e by construction}:
-    - every event id in [tr] belongs to [alphabet];
     - [initial] is a state index;
     - [names] has one name or key per state ([Invalid_argument]
       otherwise), every key's digits are within the parts' state counts,
@@ -183,22 +184,21 @@ val iter_row : t -> int -> (int -> int -> unit) -> unit
 val out_degree : t -> int -> int
 (** Number of outgoing transitions of a state. *)
 
-val csr : t -> int array * int array
+val csr : t -> int array * Bytes.t
 (** [(row, tr)]: the transition structure itself, shared rather than
-    copied — the arrays {!of_csr} takes.  Row [i] is the words
-    [tr.(row.(i)) .. tr.(row.(i + 1) - 1)], sorted by event id.  For
-    index-native walks that cannot afford a closure per row ({!Verify},
-    {!Synthesis}); the arrays must not be mutated. *)
+    copied — what {!of_csr} takes.  Row [i] is words
+    [row.(i) .. row.(i + 1) - 1] of [tr], 4 bytes each, sorted by rank.
+    For index-native walks that cannot afford a closure per row
+    ({!Verify}, {!Synthesis}); neither must be mutated. *)
 
-val tr_word : int -> int -> int
-(** [tr_word eid target] is the word of a transition on the event with
-    id [eid] to state [target]: [(eid lsl 32) lor target]. *)
+val events : t -> Event.t array
+(** The alphabet by ascending {!Event.id}, shared rather than copied: a
+    word's rank indexes it.  It must not be mutated. *)
 
-val tr_event : int -> int
-(** The event id of a transition word: [w lsr 32]. *)
-
-val tr_target : int -> int
-(** The target state index of a transition word: [w land 0xffff_ffff]. *)
+val rank_bits : t -> int
+(** The width of a word's rank field: the least [b] with
+    [2^b >= Array.length (events a)].  A word's target is
+    [w lsr rank_bits a] and its rank [w land (1 lsl rank_bits a - 1)]. *)
 
 val flags : t -> string
 (** One flag byte per state, shared rather than copied like {!csr}:

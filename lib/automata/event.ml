@@ -51,20 +51,24 @@ let set_of_list l = Set.of_list l
 
 (* Insertion-sorted as the set is walked: alphabets are small, and
    [Array.sort]'s fixed cost was a fifth of a 27-state composition. *)
-let sorted_ids s =
-  let ids = Array.make (Set.cardinal s) 0 in
-  let r = ref 0 in
-  Set.iter
-    (fun e ->
-      let p = ref (!r - 1) in
-      while !p >= 0 && ids.(!p) > e.id do
-        ids.(!p + 1) <- ids.(!p);
-        decr p
-      done;
-      ids.(!p + 1) <- e.id;
-      incr r)
-    s;
-  ids
+let by_id s =
+  let n = Set.cardinal s in
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n (Set.min_elt s) in
+    let r = ref 0 in
+    Set.iter
+      (fun e ->
+        let p = ref (!r - 1) in
+        while !p >= 0 && a.(!p).id > e.id do
+          a.(!p + 1) <- a.(!p);
+          decr p
+        done;
+        a.(!p + 1) <- e;
+        incr r)
+      s;
+    a
+  end
 
 let merge_alphabets ~context s1 s2 =
   let u = Set.union s1 s2 in

@@ -52,10 +52,11 @@ module Map : Map.S with type key = t
 
 val set_of_list : t list -> Set.t
 
-val sorted_ids : Set.t -> int array
-(** The set's event ids, ascending.  An event's position here is its
-    {e event index} in the product engine's 32-bit transition words
-    ({!Synthesis}, which {!Compose.pair} runs): indices order as ids do,
+val by_id : Set.t -> t array
+(** The set's events, ascending by id.  An event's position here is its
+    {e rank} in the 32-bit transition words of every automaton over
+    this alphabet ({!Automaton.events}) and of the product engine
+    ({!Synthesis}, which {!Compose.pair} runs): ranks order as ids do,
     and they need only as many bits as the alphabet has events. *)
 
 val merge_alphabets : context:string -> Set.t -> Set.t -> Set.t

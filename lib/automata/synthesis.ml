@@ -45,11 +45,14 @@ type error = Empty_supervisor
 (* transitions are appended to and never copied, so none grows by        *)
 (* doubling; the uncontrollable and good-region predecessor CSRs and     *)
 (* the product-to-result index map are allocated once at their counted  *)
-(* size, and every per-state mask is one byte.  Only the state table    *)
-(* keeps 63-bit keys.  A transition is one                               *)
-(* word, [(target lsl ebits) lor event index], the index being the       *)
-(* event's rank in the product alphabet sorted by id; a product whose    *)
-(* words do not fit is refused.  Each phase's own buffers are dropped    *)
+(* size, and every per-state mask is one byte.  The state table's      *)
+(* slots are 32-bit words too, dropped when the walk ends: of its       *)
+(* buffers, only the keys keep 63 bits.  A transition is one word,      *)
+(* [(target lsl ebits) lor event index], the index being the event's    *)
+(* rank in the product alphabet sorted by id; a product whose words do  *)
+(* not fit is refused.  It is the word layout of every finished         *)
+(* automaton ({!Automaton.csr}), so extraction copies a word and only   *)
+(* renumbers a pruned target.  Each phase's own buffers are dropped     *)
 (* when it returns.                                                      *)
 (* ===================================================================== *)
 
@@ -64,17 +67,21 @@ let f_escape = 4
 let fbits = 3
 let fmask = (1 lsl fbits) - 1
 
-(* One component: its flag bytes ({!Automaton.flags}), its CSR
-   rows of {!Automaton.csr} words cut down to the events it handles (it
-   is their first owner), and its step table — [cn × w] destinations
-   (-1 where δ is undefined), row-major by state, columns by the event's
-   rank in its alphabet of [w] events — built only when it is some
-   event's other owner, and consulted for that event. *)
+(* One component: its flag bytes ({!Automaton.flags}), its CSR rows of
+   {!Automaton.csr} words cut down to the events it handles (it is
+   their first owner), the rank width [cbits] of those words and [cix],
+   its event ranks' product event indices, and its step table — [cn ×
+   w] destinations (-1 where δ is undefined), row-major by state,
+   columns by the event's rank in its alphabet of [w] events — built
+   only when it is some event's other owner, and consulted for that
+   event. *)
 type comp = {
   cn : int;
   cfl : string;
   crow : int array;
-  ctr : int array;
+  ctr : Bytes.t;
+  cbits : int;
+  cix : int array;
   tab : int array;
   w : int;
 }
@@ -94,6 +101,13 @@ let[@inline] cget (ch : Bytes.t array) i =
 
 let[@inline] cset (ch : Bytes.t array) i x =
   set32 ch.(i lsr 15) ((i land 0x7fff) lsl 2) (Int32.of_int x)
+
+(* Word [k] of an automaton's transitions ({!Automaton.csr}), every [k]
+   within a row of it. *)
+let[@inline] tword (b : Bytes.t) k =
+  Int32.to_int (get32 b (k lsl 2)) land 0xffff_ffff
+
+let[@inline] set_tword (b : Bytes.t) k x = set32 b (k lsl 2) (Int32.of_int x)
 
 let[@inline] row_end rf s = cget rf s lsr fbits
 let[@inline] row_start rf s = if s = 0 then 0 else row_end rf (s - 1)
@@ -125,13 +139,25 @@ let explore ~context comps =
     done;
     !acc
   in
-  (* [ids] lists the alphabet's event ids ascending and [eix] maps an
-     id to its event index there; every per-event table below is by
-     index. *)
-  let ids = Event.sorted_ids alphabet in
+  (* [ids] lists the alphabet's event ids ascending, and an event's
+     position there is its event index; every per-event table below is
+     by index.  [cix.(c)] maps component [c]'s event ranks to event
+     indices: both ascend by id, so one merge finds them. *)
+  let ids = Array.map Event.id (Event.by_id alphabet) in
   let ne = Array.length ids in
-  let eix = Array.make (if ne = 0 then 0 else ids.(ne - 1) + 1) 0 in
-  Array.iteri (fun x eid -> eix.(eid) <- x) ids;
+  let cix =
+    Array.map
+      (fun a ->
+        let x = ref 0 in
+        Array.map
+          (fun e ->
+            while ids.(!x) <> Event.id e do
+              incr x
+            done;
+            !x)
+          (Automaton.events a))
+      comps
+  in
   (* Event ownership: an event is handled by its lowest-indexed owner's
      row walk; [others] lists the remaining owners ascending, so plant
      owners are always consulted before the spec (index nc-1) — escapes
@@ -143,12 +169,11 @@ let explore ~context comps =
      then fills [others]. *)
   let first_owner = Array.make ne (-1) and fill = Array.make ne 0 in
   for c = 0 to nc - 1 do
-    Event.Set.iter
-      (fun e ->
-        let x = eix.(Event.id e) in
+    Array.iter
+      (fun x ->
         if first_owner.(x) < 0 then first_owner.(x) <- c
         else fill.(x) <- fill.(x) + 1)
-      (Automaton.alphabet comps.(c))
+      cix.(c)
   done;
   let others = Array.init ne (fun x -> Array.make (2 * fill.(x)) 0) in
   Array.fill fill 0 ne 0;
@@ -156,58 +181,53 @@ let explore ~context comps =
      and its own rows keep only the events it handles. *)
   let shared = Array.make nc false in
   for c = 1 to nc - 1 do
-    let r = ref 0 in
-    Event.Set.iter
-      (fun e ->
-        let x = eix.(Event.id e) in
+    Array.iteri
+      (fun r e ->
+        let x = cix.(c).(r) in
         if c <> first_owner.(x) then begin
           shared.(c) <- true;
           others.(x).(fill.(x)) <- c;
           others.(x).(fill.(x) + 1) <-
-            (!r lsl 1)
+            (r lsl 1)
             lor Bool.to_int (c = spec_c && not (Event.is_controllable e));
           fill.(x) <- fill.(x) + 2
-        end;
-        incr r)
-      (Automaton.alphabet comps.(c))
+        end)
+      (Automaton.events comps.(c))
   done;
   let cs =
     Array.mapi
       (fun c a ->
         let cn = Automaton.num_states a in
         let crow, ctr = Automaton.csr a in
-        let w = Event.Set.cardinal (Automaton.alphabet a) in
+        let cbits = Automaton.rank_bits a in
+        let cmask = (1 lsl cbits) - 1 in
+        let cix = cix.(c) in
+        let w = Array.length cix in
         let cfl = Automaton.flags a in
-        if not shared.(c) then { cn; cfl; crow; ctr; tab = [||]; w }
+        if not shared.(c) then
+          { cn; cfl; crow; ctr; cbits; cix; tab = [||]; w }
         else begin
-          let rank = Array.make ne 0 and r = ref 0 in
-          Event.Set.iter
-            (fun e ->
-              rank.(eix.(Event.id e)) <- !r;
-              incr r)
-            (Automaton.alphabet a);
           let tab = Array.make (cn * w) (-1) in
-          let keep t = first_owner.(eix.(Automaton.tr_event ctr.(t))) = c in
+          let keep t = first_owner.(cix.(tword ctr t land cmask)) = c in
           let row = Array.make (cn + 1) 0 in
           for i = 0 to cn - 1 do
             let d = ref 0 in
             for t = crow.(i) to crow.(i + 1) - 1 do
-              let x = ctr.(t) in
-              tab.((i * w) + rank.(eix.(Automaton.tr_event x))) <-
-                Automaton.tr_target x;
+              let x = tword ctr t in
+              tab.((i * w) + (x land cmask)) <- x lsr cbits;
               if keep t then incr d
             done;
             row.(i + 1) <- row.(i) + !d
           done;
-          let kept = Array.make row.(cn) 0 in
+          let kept = Bytes.create (4 * row.(cn)) in
           let q = ref 0 in
           for t = 0 to crow.(cn) - 1 do
             if keep t then begin
-              kept.(!q) <- ctr.(t);
+              set_tword kept !q (tword ctr t);
               incr q
             end
           done;
-          { cn; cfl; crow = row; ctr = kept; tab; w }
+          { cn; cfl; crow = row; ctr = kept; cbits; cix; tab; w }
         end)
       comps
   in
@@ -270,10 +290,11 @@ let explore ~context comps =
     for c = 0 to nc - 1 do
       let cc = cs.(c) in
       let i_c = idx.(c) in
+      let cmask = (1 lsl cc.cbits) - 1 in
       for t = cc.crow.(i_c) to cc.crow.(i_c + 1) - 1 do
-        let ct = cc.ctr.(t) in
-        let x = eix.(Automaton.tr_event ct) in
-        let dkey = ref (key + ((Automaton.tr_target ct - i_c) * weights.(c))) in
+        let ct = tword cc.ctr t in
+        let x = cc.cix.(ct land cmask) in
+        let dkey = ref (key + (((ct lsr cc.cbits) - i_c) * weights.(c))) in
         let oth = others.(x) in
         let no = Array.length oth in
         let oi = ref 0 in
@@ -308,6 +329,8 @@ let explore ~context comps =
     Wordvec.push rowfl ((tr.len lsl fbits) lor !fl);
     incr i
   done;
+  (* Only [key] and [length] are read from here on. *)
+  Inttbl.seal tbl;
   { comps; alphabet; ids; ebits; tbl; rowfl; tr }
 
 (* ---------- fixpoint ------------------------------------------------ *)
@@ -321,17 +344,18 @@ let fixpoint p =
   (* Controllability is about what the plant can generate: only
      plant-owned uncontrollable events form the uncontrollable graph.
      By event index. *)
-  let unc =
-    let nids = Array.length p.ids in
-    let by_id = Array.make (if nids = 0 then 0 else p.ids.(nids - 1) + 1) false in
-    for c = 0 to Array.length p.comps - 2 do
-      Event.Set.iter
-        (fun e ->
-          if not (Event.is_controllable e) then by_id.(Event.id e) <- true)
-        (Automaton.alphabet p.comps.(c))
-    done;
-    Array.map (Array.get by_id) p.ids
-  in
+  let unc = Array.make (Array.length p.ids) false in
+  for c = 0 to Array.length p.comps - 2 do
+    (* The component's events ascend by id, as [ids] does. *)
+    let x = ref 0 in
+    Array.iter
+      (fun e ->
+        while p.ids.(!x) <> Event.id e do
+          incr x
+        done;
+        if not (Event.is_controllable e) then unc.(!x) <- true)
+      (Automaton.events p.comps.(c))
+  done;
   (* Uncontrollable predecessors: one count pass and one fill pass over
      the product rows.  The offset array first counts its row's entries,
      then holds its row's end, and is decremented down to its row's
@@ -494,11 +518,12 @@ let accessible p good =
 
 (* ---------- extract ------------------------------------------------- *)
 (* The states of [keep], in product order, as an automaton named
-   [name]; an empty [keep] keeps every state.  Rows are written in that
-   order as {!Automaton.tr_word}s, each row insertion-sorted by word as
-   it is written (a product row is one sorted run per component, and a
-   row's words order as their distinct event ids do), and each state
-   takes its flag byte from its flags. *)
+   [name]; an empty [keep] keeps every state.  The result's alphabet is
+   the product's, so a product word is already an {!Automaton.csr}
+   word: only a pruned target is renumbered.  Rows are written in
+   product order, each row insertion-sorted by event index as it is
+   written (a product row is one sorted run per component), and each
+   state takes its flag byte from its flags. *)
 let extract p ~name ~keep =
   let n = Inttbl.length p.tbl in
   let ebits = p.ebits in
@@ -533,7 +558,7 @@ let extract p ~name ~keep =
     done
   end;
   let row = Array.make (m + 1) 0 in
-  let tr = Array.make !t 0 in
+  let tr = Bytes.create (4 * !t) in
   let keys = Array.make m 0 in
   let fb = Bytes.create m in
   let q = ref 0 and x = ref 0 in
@@ -544,16 +569,14 @@ let extract p ~name ~keep =
         let w = cget ft k in
         let d = w lsr ebits in
         if (not pruned) || mem keep d then begin
-          let word =
-            Automaton.tr_word p.ids.(w land emask)
-              (if pruned then cget so d else d)
-          in
+          let e = w land emask in
+          let word = if pruned then (cget so d lsl ebits) lor e else w in
           let i = ref (!q - 1) in
-          while !i >= start && tr.(!i) > word do
-            tr.(!i + 1) <- tr.(!i);
+          while !i >= start && tword tr !i land emask > e do
+            set_tword tr (!i + 1) (tword tr !i);
             decr i
           done;
-          tr.(!i + 1) <- word;
+          set_tword tr (!i + 1) word;
           incr q
         end
       done;

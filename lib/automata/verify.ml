@@ -13,7 +13,11 @@ let[@inline] cget (ch : Bytes.t array) i =
 let[@inline] cset (ch : Bytes.t array) i x =
   set32 ch.(i lsr 15) ((i land 0x7fff) lsl 2) (Int32.of_int x)
 
-let[@inline] target w = w land 0xffff_ffff
+(* Word [k] of an automaton's transitions ({!Automaton.csr}), every [k]
+   within a row of it. *)
+let[@inline] tword (b : Bytes.t) k =
+  Int32.to_int (get32 b (k lsl 2)) land 0xffff_ffff
+
 let[@inline] mem mask s = Bytes.get mask s <> '\000'
 
 (* Flag [s] in [mask] and push it on [stack], whose height is [top]. *)
@@ -31,6 +35,7 @@ let[@inline] push stack top mask s =
 let nonblocking a =
   let n = Automaton.num_states a in
   let row, tr = Automaton.csr a in
+  let ebits = Automaton.rank_bits a in
   let fl = Automaton.flags a in
   let stack = (Wordvec.make n).chunks in
   let top = ref 0 in
@@ -40,16 +45,16 @@ let nonblocking a =
     decr top;
     let s = cget stack !top in
     for k = row.(s) to row.(s + 1) - 1 do
-      let d = target tr.(k) in
+      let d = tword tr k lsr ebits in
       if not (mem acc d) then push stack top acc d
     done
   done;
   (* [pr.(d)] first counts [d]'s predecessors, then holds its row's end,
      and is decremented down to its row's start as [src] is filled. *)
   let pr = (Wordvec.make (n + 1)).chunks in
-  let nt = Array.length tr in
+  let nt = Automaton.num_transitions a in
   for k = 0 to nt - 1 do
-    let d = target tr.(k) in
+    let d = tword tr k lsr ebits in
     cset pr d (cget pr d + 1)
   done;
   for j = 1 to n do
@@ -58,7 +63,7 @@ let nonblocking a =
   let src = (Wordvec.make nt).chunks in
   for s = 0 to n - 1 do
     for k = row.(s) to row.(s + 1) - 1 do
-      let d = target tr.(k) in
+      let d = tword tr k lsr ebits in
       let o = cget pr d - 1 in
       cset pr d o;
       cset src o s
@@ -101,25 +106,29 @@ type controllability_witness = {
 let controllable ~plant ~supervisor =
   let sigma_s = Automaton.alphabet supervisor in
   let sigma_g = Automaton.alphabet plant in
-  let alphabet =
-    Event.merge_alphabets
-      ~context:
-        (Printf.sprintf "Verify.controllable(%s,%s)" (Automaton.name plant)
-           (Automaton.name supervisor))
-      sigma_s sigma_g
-  in
-  let max_id = Event.Set.fold (fun e m -> max m (Event.id e)) alphabet (-1) in
-  let in_s = Array.make (max_id + 1) false in
-  let in_g = Array.make (max_id + 1) false in
-  let ctrl = Array.make (max_id + 1) true in
-  Event.Set.iter (fun e -> in_s.(Event.id e) <- true) sigma_s;
-  Event.Set.iter (fun e -> in_g.(Event.id e) <- true) sigma_g;
-  Event.Set.iter
-    (fun e -> ctrl.(Event.id e) <- Event.is_controllable e)
-    alphabet;
+  (* The union is not needed, only the merge's refusal of a name that
+     is controllable on one side and uncontrollable on the other. *)
+  ignore
+    (Event.merge_alphabets
+       ~context:
+         (Printf.sprintf "Verify.controllable(%s,%s)" (Automaton.name plant)
+            (Automaton.name supervisor))
+       sigma_s sigma_g
+      : Event.Set.t);
+  (* Per plant event rank: its id, whether the supervisor's alphabet
+     has it and whether it is controllable; per supervisor rank, whether
+     the plant's alphabet has it. *)
+  let gev = Automaton.events plant and sev = Automaton.events supervisor in
+  let gid = Array.map Event.id gev in
+  let g_in_s = Array.map (fun e -> Event.Set.mem e sigma_s) gev in
+  let g_ctrl = Array.map Event.is_controllable gev in
+  let s_in_g = Array.map (fun e -> Event.Set.mem e sigma_g) sev in
   let ng = Automaton.num_states plant in
   let grow, gtr = Automaton.csr plant in
   let srow, str = Automaton.csr supervisor in
+  let gbits = Automaton.rank_bits plant
+  and sbits = Automaton.rank_bits supervisor in
+  let gmask = (1 lsl gbits) - 1 and smask = (1 lsl sbits) - 1 in
   (* The pair keys [is * ng + ig] in discovery order double as the BFS
      queue. *)
   let seen = Inttbl.create () in
@@ -134,22 +143,22 @@ let controllable ~plant ~supervisor =
        let ig = key - (is_ * ng) in
        incr head;
        for k = grow.(ig) to grow.(ig + 1) - 1 do
-         let w = gtr.(k) in
-         let eid = Automaton.tr_event w and jg = Automaton.tr_target w in
-         if in_s.(eid) then (
-           match Automaton.step_index_raw supervisor is_ eid with
+         let w = tword gtr k in
+         let r = w land gmask and jg = w lsr gbits in
+         if g_in_s.(r) then (
+           match Automaton.step_index_raw supervisor is_ gid.(r) with
            | -1 ->
                (* Plant enables it, supervisor's alphabet contains it,
                   supervisor disables it: a violation iff
                   uncontrollable. *)
-               if not ctrl.(eid) then begin
+               if not g_ctrl.(r) then begin
                  witness :=
                    Some
                      {
                        supervisor_state =
                          Automaton.state_of_index supervisor is_;
                        plant_state = Automaton.state_of_index plant ig;
-                       event = Automaton.event_of_id plant eid;
+                       event = gev.(r);
                      };
                  raise Exit
                end
@@ -157,9 +166,8 @@ let controllable ~plant ~supervisor =
          else visit is_ jg
        done;
        for k = srow.(is_) to srow.(is_ + 1) - 1 do
-         let w = str.(k) in
-         if not in_g.(Automaton.tr_event w) then
-           visit (Automaton.tr_target w) ig
+         let w = tword str k in
+         if not s_in_g.(w land smask) then visit (w lsr sbits) ig
        done
      done
    with Exit -> ());

@@ -56,7 +56,13 @@ let minimize ?(eval_budget = 48) ~violates (cell : Campaign.cell) =
   drop_pass ();
   (* 3. Bisect each surviving window: pull the stop toward the start,
      then the start toward the stop, halving while the violation
-     survives. *)
+     survives.  A permanent fault's window never closes: its stop stays
+     infinite and its onset is bisected against the cell's end. *)
+  let cell_end =
+    List.fold_left
+      (fun acc ph -> acc +. ph.Spectr.Scenario.duration_s)
+      0. (Campaign.phases [])
+  in
   let shrink_window i =
     let shrink_once f =
       let inj = List.nth (!best).Campaign.injections i in
@@ -72,14 +78,14 @@ let minimize ?(eval_budget = 48) ~violates (cell : Campaign.cell) =
     in
     let halve_stop inj =
       let span = inj.Faults.stop_s -. inj.Faults.start_s in
-      if span /. 2. < min_window then None
+      if (not (Float.is_finite span)) || span /. 2. < min_window then None
       else
         Some
           (Faults.injection inj.Faults.fault ~start_s:inj.Faults.start_s
              ~stop_s:(inj.Faults.start_s +. (span /. 2.)))
     in
     let halve_start inj =
-      let span = inj.Faults.stop_s -. inj.Faults.start_s in
+      let span = Float.min inj.Faults.stop_s cell_end -. inj.Faults.start_s in
       if span /. 2. < min_window then None
       else
         Some

@@ -4,7 +4,9 @@
     that still does: first drop the kill drill if the violation survives
     without it, then remove fault injections one at a time to a
     fixpoint (ddmin), then bisect each surviving window — stop toward
-    start, start toward stop — while the violation persists.
+    start, start toward stop — while the violation persists.  A
+    permanent fault keeps its infinite stop; only its onset is bisected,
+    against the end of the cell's run.
 
     Every candidate is judged by re-running it through the caller's
     [violates] predicate (typically {!Engine.run_cell} filtered to the

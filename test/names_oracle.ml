@@ -7,7 +7,9 @@
      joins, it escapes them once more per level of nesting.
    - [image] rebuilds the bytes [Automaton.structural_digest] streams
      through MD5, whole, from [Automaton.states], the alphabet and the
-     CSR rows, and [digest] hashes it. *)
+     CSR rows, and [digest] hashes it.
+   - [words] and [word] write and read [Automaton.csr]'s 32-bit
+     transition words from the layout's description alone. *)
 
 open Spectr_automata
 
@@ -48,13 +50,12 @@ let image a =
     events;
   let rank = Hashtbl.create 16 in
   List.iteri (fun r e -> Hashtbl.add rank (Event.id e) r) events;
-  let row, tr = Automaton.csr a in
-  Array.iter int row;
-  Array.iter
-    (fun w ->
-      int (Hashtbl.find rank (Automaton.tr_event w));
-      int (Automaton.tr_target w))
-    tr;
+  Array.iter int (fst (Automaton.csr a));
+  for s = 0 to Automaton.num_states a - 1 do
+    Automaton.iter_row a s (fun eid d ->
+        int (Hashtbl.find rank eid);
+        int d)
+  done;
   let fl = Automaton.flags a in
   List.iter
     (fun bit ->
@@ -65,3 +66,40 @@ let image a =
   Buffer.contents b
 
 let digest a = Digest.to_hex (Digest.string (image a))
+
+(* The rank width of an alphabet and its ids by rank: a word is
+   [(target lsl width) lor rank], [rank] the event's position among the
+   ids ascending, [width] the least that holds every rank. *)
+let layout alphabet =
+  let ids =
+    Array.of_list
+      (List.sort compare (List.map Event.id (Event.Set.elements alphabet)))
+  in
+  let b = ref 0 in
+  while 1 lsl !b < Array.length ids do
+    incr b
+  done;
+  (!b, ids)
+
+(* The words of [(event id, target)] pairs, 4 native-endian bytes each. *)
+let words alphabet pairs =
+  let b, ids = layout alphabet in
+  let rank eid =
+    let r = ref 0 in
+    while ids.(!r) <> eid do
+      incr r
+    done;
+    !r
+  in
+  let buf = Bytes.create (4 * Array.length pairs) in
+  Array.iteri
+    (fun k (eid, d) ->
+      Bytes.set_int32_ne buf (4 * k) (Int32.of_int ((d lsl b) lor rank eid)))
+    pairs;
+  buf
+
+(* Word [k] of [tr] as its (event id, target) pair. *)
+let word alphabet tr k =
+  let b, ids = layout alphabet in
+  let w = Int32.to_int (Bytes.get_int32_ne tr (4 * k)) land 0xffff_ffff in
+  (ids.(w land ((1 lsl b) - 1)), w lsr b)

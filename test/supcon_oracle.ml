@@ -203,7 +203,9 @@ let supcon_stranded ~plant ~spec =
           (String.init !m (fun j ->
                if marked.(old_of_new.(j)) then '\001' else '\000'))
         ~row
-        ~tr:(Array.map (fun (_, e, d) -> Automaton.tr_word e d) kept)
+        ~tr:
+          (Names_oracle.words alphabet
+             (Array.map (fun (_, e, d) -> (e, d)) kept))
     in
     (Ok (sup, stats), !stranded)
   end

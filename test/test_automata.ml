@@ -750,15 +750,15 @@ let ref_rows n trans =
   Array.iter (fun (s, e, d) -> rows.(s) <- (e, d) :: rows.(s)) trans;
   Array.map (List.sort compare) rows
 
-(* The same sort as (row, tr) arrays for {!Automaton.of_csr}. *)
-let csr_of_triples n trans =
+(* The same sort as (row, tr) for {!Automaton.of_csr} over [alphabet]. *)
+let csr_of_triples alphabet n trans =
   let trans = Array.of_list (List.sort compare trans) in
   let row = Array.make (n + 1) 0 in
   Array.iter (fun (s, _, _) -> row.(s + 1) <- row.(s + 1) + 1) trans;
   for i = 0 to n - 1 do
     row.(i + 1) <- row.(i + 1) + row.(i)
   done;
-  (row, Array.map (fun (_, e, d) -> Automaton.tr_word e d) trans)
+  (row, Names_oracle.words alphabet (Array.map (fun (_, e, d) -> (e, d)) trans))
 
 let shuffle rng a =
   for i = Array.length a - 1 downto 1 do
@@ -830,7 +830,7 @@ let test_csr_matches_reference () =
     let row, tr = Automaton.csr built in
     if
       Automaton.structural_digest
-        (of_csr ~row:(Array.copy row) ~tr:(Array.copy tr))
+        (of_csr ~row:(Array.copy row) ~tr:(Bytes.copy tr))
       <> Automaton.structural_digest built
     then Alcotest.failf "seed %d: of_csr differs from create" seed;
     let rejects tr =
@@ -841,16 +841,21 @@ let test_csr_matches_reference () =
     let wide = List.filter (fun s -> row.(s + 1) - row.(s) >= 2) in
     (match wide (List.init m Fun.id) with
     | s :: _ ->
-        let swapped = Array.copy tr in
-        swapped.(row.(s)) <- tr.(row.(s) + 1);
-        swapped.(row.(s) + 1) <- tr.(row.(s));
+        let w k = Bytes.get_int32_ne tr (4 * k) in
+        let swapped = Bytes.copy tr in
+        Bytes.set_int32_ne swapped (4 * row.(s)) (w (row.(s) + 1));
+        Bytes.set_int32_ne swapped (4 * (row.(s) + 1)) (w row.(s));
         check_bool "unsorted row rejected" true (rejects swapped);
-        let repeated = Array.copy tr in
-        repeated.(row.(s) + 1) <-
-          Automaton.tr_word
-            (Automaton.tr_event tr.(row.(s)))
-            (Automaton.tr_target tr.(row.(s) + 1));
-        check_bool "repeated event id rejected" true (rejects repeated)
+        let alphabet = Automaton.alphabet built in
+        let repeated = Bytes.copy tr in
+        Bytes.blit
+          (Names_oracle.words alphabet
+             [| (fst (Names_oracle.word alphabet tr row.(s)),
+                 snd (Names_oracle.word alphabet tr (row.(s) + 1))) |])
+          0 repeated
+          (4 * (row.(s) + 1))
+          4;
+        check_bool "repeated event rejected" true (rejects repeated)
     | [] -> ());
     if n > 1 && Array.length trans > 0 then begin
       let s, e, d = trans.(Random.State.int rng (Array.length trans)) in
@@ -866,14 +871,16 @@ let test_csr_matches_reference () =
 
 (* The packed rows against a [Hashtbl] δ built from the generator's own
    triples, over events whose ids do not follow their names: every
-   row's [iter_row] pairs and [csr] words are δ's entries for that
-   state, ascending by id, and [step_index_raw] agrees with δ on every
+   row's [iter_row] pairs and [csr] words (read back through the test
+   oracle's account of the layout) are δ's entries for that state,
+   ascending by id, and [step_index_raw] agrees with δ on every
    (state, event) of the alphabet, -1 where δ has none.  [of_csr] takes
-   the words back unchanged and rejects an event id of 2^30 or more and
-   a target past the state count, up to 2^32 - 1, the largest a word can
-   hold (a target of 2^32 has no word: it would spill into the id),
-   and a flag byte with a bit other than marked and forbidden.
-   The unsorted and repeated-id rows are the CSR builder test's. *)
+   the words back unchanged and rejects a rank at or past the
+   alphabet's size, up to the largest the rank field holds, a target at
+   the state count or past it, up to the largest a word holds, and a
+   flag byte with a bit other than marked and forbidden.  The unsorted
+   and repeated-rank rows are the CSR builder test's; the largest word
+   that fits is the 32-bit bounds test's. *)
 let test_packed_rows_match_delta () =
   for seed = 0 to 49 do
     let trans, marked, forbidden = random_triples ~own:rn_own ~seed () in
@@ -886,9 +893,15 @@ let test_packed_rows_match_delta () =
       (fun (src, e, dst) -> Hashtbl.replace delta (src, Event.id e) dst)
       trans;
     let n = Automaton.num_states a in
+    let alphabet = Automaton.alphabet a in
     let row, tr = Automaton.csr a in
     check_int "one word per transition" (Hashtbl.length delta)
-      (Array.length tr);
+      (Bytes.length tr / 4);
+    check_int "rank width" (fst (Names_oracle.layout alphabet))
+      (Automaton.rank_bits a);
+    check_bool "events by id" true
+      (Array.to_list (Array.map Event.id (Automaton.events a))
+      = Array.to_list (snd (Names_oracle.layout alphabet)));
     for i = 0 to n - 1 do
       let q = Automaton.state_of_index a i in
       let expected =
@@ -904,9 +917,8 @@ let test_packed_rows_match_delta () =
         Alcotest.failf "seed %d: row of %s differs from delta" seed q;
       let words =
         List.init (row.(i + 1) - row.(i)) (fun k ->
-            let w = tr.(row.(i) + k) in
-            ( Automaton.tr_event w,
-              Automaton.state_of_index a (Automaton.tr_target w) ))
+            let eid, d = Names_oracle.word alphabet tr (row.(i) + k) in
+            (eid, Automaton.state_of_index a d))
       in
       if words <> expected then
         Alcotest.failf "seed %d: words of %s differ from delta" seed q;
@@ -920,41 +932,81 @@ let test_packed_rows_match_delta () =
           if Automaton.step_index_raw a i (Event.id e) <> want then
             Alcotest.failf "seed %d: step_index_raw %s on %s" seed q
               (Event.name e))
-        (Automaton.alphabet a)
+        alphabet
     done;
     let of_csr ?(flags = Automaton.flags a) tr =
       Automaton.of_csr ~name:"PK"
         ~names:(Names (Array.of_list (Automaton.states a)))
-        ~alphabet:(Automaton.alphabet a)
+        ~alphabet
         ~initial:(Automaton.initial_index a)
         ~flags ~row ~tr
     in
     check_string "of_csr takes the words back"
       (Automaton.structural_digest a)
-      (Automaton.structural_digest (of_csr (Array.copy tr)));
+      (Automaton.structural_digest (of_csr (Bytes.copy tr)));
     let stray = Bytes.of_string (Automaton.flags a) in
     Bytes.set stray (seed mod n) '\004';
     check_bool "flag byte with a third bit rejected" true
       (match of_csr ~flags:(Bytes.to_string stray) tr with
       | _ -> false
       | exception Invalid_argument _ -> true);
-    if Array.length tr > 0 then begin
-      let k = seed mod Array.length tr in
-      let e = Automaton.tr_event tr.(k) and d = Automaton.tr_target tr.(k) in
-      let rejects eid target =
-        let bad = Array.copy tr in
-        bad.(k) <- Automaton.tr_word eid target;
+    if Bytes.length tr > 0 then begin
+      let b = Automaton.rank_bits a in
+      let sigma = Event.Set.cardinal alphabet in
+      let k = seed mod (Bytes.length tr / 4) in
+      let w = Int32.to_int (Bytes.get_int32_ne tr (4 * k)) land 0xffff_ffff in
+      let r = w land ((1 lsl b) - 1) and d = w lsr b in
+      let rejects rank target =
+        let bad = Bytes.copy tr in
+        Bytes.set_int32_ne bad (4 * k) (Int32.of_int ((target lsl b) lor rank));
         match of_csr bad with
         | _ -> false
         | exception Invalid_argument _ -> true
       in
-      check_bool "event id 2^30 rejected" true (rejects (1 lsl 30) d);
-      check_bool "event id 2^31 - 1 rejected" true
-        (rejects ((1 lsl 31) - 1) d);
-      check_bool "target = state count rejected" true (rejects e n);
-      check_bool "target 2^32 - 1 rejected" true (rejects e ((1 lsl 32) - 1))
+      if sigma < 1 lsl b then begin
+        check_bool "rank = alphabet size rejected" true (rejects sigma d);
+        check_bool "largest rank field rejected" true
+          (rejects ((1 lsl b) - 1) d)
+      end;
+      check_bool "target = state count rejected" true (rejects r n);
+      check_bool "largest target field rejected" true
+        (rejects r ((1 lsl (32 - b)) - 1))
     end
   done
+
+(* The 32-bit words at their limits.  An alphabet of 2^13 + 1 events
+   takes a 14-bit rank, which leaves 18 bits of target, so 2^18 states:
+   [of_csr] accepts a word holding both the largest target, 2^18 - 1,
+   and the largest rank, 2^13, over 2^18 states; it rejects the rank
+   one past the alphabet and a 2^18 + 1-th state. *)
+let test_word_limits () =
+  let alphabet =
+    Event.set_of_list
+      (List.init ((1 lsl 13) + 1) (fun i ->
+           Event.controllable (Printf.sprintf "wl%d" i)))
+  in
+  let build ~n ~rank ~target =
+    let row = Array.make (n + 1) 1 in
+    row.(0) <- 0;
+    let tr = Bytes.create 4 in
+    Bytes.set_int32_ne tr 0 (Int32.of_int ((target lsl 14) lor rank));
+    Automaton.of_csr ~name:"WL" ~names:(Names (Array.make n ""))
+      ~alphabet ~initial:0 ~flags:(String.make n '\000') ~row ~tr
+  in
+  let rejects ~n ~rank ~target =
+    match build ~n ~rank ~target with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let n = 1 lsl 18 in
+  let a = build ~n ~rank:(1 lsl 13) ~target:(n - 1) in
+  check_int "rank width" 14 (Automaton.rank_bits a);
+  check_int "largest target and rank" (n - 1)
+    (Automaton.step_index_raw a 0 (Event.id (Automaton.events a).(1 lsl 13)));
+  check_bool "rank past the alphabet rejected" true
+    (rejects ~n ~rank:((1 lsl 13) + 1) ~target:(n - 1));
+  check_bool "a state past 2^18 rejected" true
+    (rejects ~n:(n + 1) ~rank:0 ~target:0)
 
 (* A product's state names are written on first use.  Two domains
    forcing a fresh product's names at once must both get them — a
@@ -1033,16 +1085,16 @@ let test_digest_injective () =
   let build ?(name = "DI") ?(names = [| "s0"; "s1"; "s2" |]) ?(b = b_u)
       ?(flags = "\001\000\000")
       ?(trans = [ (0, a, 1); (1, b_u, 2); (2, a, 0) ]) () =
+    let alphabet = Event.set_of_list [ a; b ] in
     let row, tr =
-      csr_of_triples 3
+      csr_of_triples alphabet 3
         (List.map
            (fun (s, e, d) -> (s, Event.id (if e == b_u then b else e), d))
            trans)
     in
     Automaton.of_csr ~name
       ~names:(Names (Array.copy names))
-      ~alphabet:(Event.set_of_list [ a; b ])
-      ~initial:0 ~flags ~row ~tr
+      ~alphabet ~initial:0 ~flags ~row ~tr
   in
   let base = Automaton.structural_digest (build ()) in
   check_string "rebuilt base digests the same" base
@@ -1239,6 +1291,94 @@ let prop_inttbl_first_seen =
            (fun i k -> Inttbl.key t i = k)
            (List.init (Inttbl.length t) Fun.id)
            (List.rev !order))
+
+(* A copy of [Inttbl]'s mixer, 62 bits, and its inverse: [unhash h] is
+   a key whose hash is [h], or -1 when that key would be negative. *)
+let inttbl_hash key =
+  let h = key lxor (key lsr 31) in
+  let h = h * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
+let inttbl_unhash h =
+  let c = 0x2545F4914F6CDD1D in
+  let inv = ref c in
+  for _ = 1 to 5 do
+    inv := !inv * (2 - (c * !inv))
+  done;
+  let h = h lxor (h lsr 29) lxor (h lsr 58) in
+  let h = h * !inv in
+  let key = h lxor (h lsr 31) lxor (h lsr 62) in
+  if key < 0 then -1 else key
+
+(* [Inttbl] against [Hashtbl] past 2^18 slots: some 234 000 random
+   keys (a fifth of the calls repeat a recent key) grow the slots to
+   2^19, so the tag narrows from 25 bits to 13, and 64 groups of 24
+   keys, each interned five times over the run, are forced to
+   collide.  A group's hashes agree on their top 25
+   bits and their low 19 and differ only between, so at every capacity
+   the table reaches its keys share one home slot and one tag, and
+   every probe through a group compares keys.  The keys come from
+   inverting a copy of the table's mixer; the property checks the
+   inversion, and a mixer that drifted from the copy would only force
+   fewer collisions.  Once sealed, the table still gives every key and
+   its length, and refuses to intern. *)
+let prop_inttbl_tags =
+  QCheck2.Test.make ~name:"Inttbl matches Hashtbl past 2^18 slots" ~count:3
+    QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let groups =
+        Array.init 64 (fun _ ->
+            let top = Random.State.bits rng land ((1 lsl 25) - 1)
+            and low = Random.State.bits rng land ((1 lsl 19) - 1) in
+            let keys = ref [] in
+            while List.length !keys < 24 do
+              let mid = Random.State.bits rng land ((1 lsl 18) - 1) in
+              let h = (top lsl 37) lor (mid lsl 19) lor low in
+              let k = inttbl_unhash h in
+              if k >= 0 && not (List.mem k !keys) then begin
+                assert (inttbl_hash k = h);
+                keys := k :: !keys
+              end
+            done;
+            Array.of_list !keys)
+      in
+      let t = Inttbl.create () and h = Hashtbl.create 16 in
+      let order = ref [] in
+      let ok = ref true in
+      let intern k =
+        let expected =
+          match Hashtbl.find_opt h k with
+          | Some i -> i
+          | None ->
+              let i = Hashtbl.length h in
+              Hashtbl.add h k i;
+              order := k :: !order;
+              i
+        in
+        if Inttbl.intern t k <> expected then ok := false
+      in
+      for i = 0 to 299_999 do
+        if i mod 40 = 0 then begin
+          let g = i / 40 mod 1536 in
+          intern groups.(g / 24).(g mod 24)
+        end
+        else if Random.State.int rng 5 = 0 && !order <> [] then
+          intern
+            (List.nth !order (Random.State.int rng 64 mod Hashtbl.length h))
+        else intern (Random.State.bits rng lor (Random.State.bits rng lsl 30))
+      done;
+      let n = Inttbl.length t in
+      Inttbl.seal t;
+      !ok && n = Hashtbl.length h && n > 3 * (1 lsl 18) / 4
+      && Inttbl.length t = n
+      && List.for_all2
+           (fun i k -> Inttbl.key t i = k)
+           (List.init n (fun i -> n - 1 - i))
+           !order
+      && match Inttbl.intern t 0 with
+         | _ -> false
+         | exception Invalid_argument _ -> true)
 
 (* The same over 100 000 distinct keys, interned twice: the slots double
    ten times and the key vector spans four chunks. *)
@@ -1510,21 +1650,22 @@ let test_supcon_modular_matches_monolithic () =
 
 (* Bytes per transition for the k = 8, cap = 7 family (7313 product
    states), counted in closed windows ({!Alloc.bytes}), which read the
-   same every run.  Each budget is 10 % over what the finished automata
-   stored as one packed word per transition and one flag byte per state
-   read: 30.9 B for modular synthesis, 24.7 B for Compose.all of the 8
-   clusters.  The
-   Compose.all result's resident size ([Obj.reachable_words]) is
-   bounded the same way: 10 % over its 9.7 B per transition, which two
-   int arrays per transition (19.1 B) or a bool array per state flag
-   (11.1 B) exceed.  [Verify.nonblocking] on the supervisor (5281
+   same every run.  Each budget is 10 % over what the finished automata,
+   stored as one 32-bit word per transition and one flag byte per
+   state, read: 25.8 B for modular synthesis, 18.7 B for Compose.all of
+   the 8 clusters (30.9 and 24.7 with a 63-bit int per transition).
+   The resident sizes ([Obj.reachable_words]) of the Compose.all result
+   and of the supervisor are bounded the same way: 10 % over their 5.7
+   and 5.8 B per transition, which an int word per transition (9.7 and
+   9.9 B) exceeds.  [Verify.nonblocking] on the supervisor (5281
    states, 51552 transitions) may allocate 10 % over the 259 440 B it
    reads with its walks on 32-bit words and byte masks, the least of
    three closed windows; 63-bit predecessor arrays and bool masks read
-   666 208 B.  The structural digest
-   of a renamed copy of the supervisor, its names never written before,
-   streams its 1.1 MB of bytes: it may allocate its 64 KB buffer and
-   10 % over the 4 656 B more it reads, and no image. *)
+   666 208 B.  The structural digest of a renamed copy of the
+   supervisor, its names never written before, streams its 1.1 MB of
+   bytes: it may allocate its 64 KB buffer and 10 % over the 3 480 B
+   more it reads, and no image.  No figure here depends on how many
+   events the process has minted. *)
 let test_synthesis_alloc_budgets () =
   let plants = List.init 8 (fun i -> cluster_plant (i + 1)) in
   let spec = cluster_budget_spec ~k:8 ~cap:7 () in
@@ -1537,8 +1678,18 @@ let test_synthesis_alloc_budgets () =
       true (per <= budget);
     r
   in
+  let resident name a ~budget =
+    let per =
+      float_of_int (Obj.reachable_words (Obj.repr a) * (Sys.word_size / 8))
+      /. float_of_int (Automaton.num_transitions a)
+    in
+    check_bool
+      (Printf.sprintf "%s resident: %.1f B/transition (budget %.1f)" name per
+         budget)
+      true (per <= budget)
+  in
   let sup =
-    gate "supcon_modular k=8 cap=7" ~budget:(30.9 *. 1.1)
+    gate "supcon_modular k=8 cap=7" ~budget:(25.8 *. 1.1)
       ~transitions:(function
         | Ok (_, st) when st.Synthesis.product_states = 7313 ->
             Automaton.num_transitions product
@@ -1546,20 +1697,13 @@ let test_synthesis_alloc_budgets () =
       (fun () -> Synthesis.supcon_modular ~plants ~spec ())
   in
   let all =
-    gate "Compose.all 8 clusters" ~budget:(24.7 *. 1.1)
+    gate "Compose.all 8 clusters" ~budget:(18.7 *. 1.1)
       ~transitions:Automaton.num_transitions (fun () -> Compose.all plants)
   in
-  let resident =
-    float_of_int (Obj.reachable_words (Obj.repr all) * (Sys.word_size / 8))
-    /. float_of_int (Automaton.num_transitions all)
-  in
-  check_bool
-    (Printf.sprintf "Compose.all 8 clusters resident: %.1f B/transition \
-                     (budget %.1f)" resident (9.7 *. 1.1))
-    true
-    (resident <= 9.7 *. 1.1);
+  resident "Compose.all 8 clusters" all ~budget:(5.7 *. 1.1);
   match sup with
   | Ok (sup, _) ->
+      resident "supcon_modular k=8 cap=7" sup ~budget:(5.8 *. 1.1);
       let nb =
         List.fold_left min infinity
           (List.init 3 (fun _ ->
@@ -1575,7 +1719,7 @@ let test_synthesis_alloc_budgets () =
       let a = Automaton.rename sup "k8a" in
       let d, bytes = Alloc.bytes (fun () -> Automaton.structural_digest a) in
       check_string "digest equals the oracle's" (Names_oracle.digest a) d;
-      let budget = 65536. +. (4656. *. 1.1) in
+      let budget = 65536. +. (3480. *. 1.1) in
       check_bool
         (Printf.sprintf "structural_digest: %.0f B (budget %.0f B, image %d B)"
            bytes budget
@@ -1907,6 +2051,8 @@ let () =
             test_csr_matches_reference;
           Alcotest.test_case "packed rows match a Hashtbl delta" `Quick
             test_packed_rows_match_delta;
+          Alcotest.test_case "32-bit words at their limits" `Quick
+            test_word_limits;
           Alcotest.test_case "names forced from two domains" `Quick
             test_names_from_two_domains;
           Alcotest.test_case "index API round trip" `Quick
@@ -1920,6 +2066,7 @@ let () =
           Alcotest.test_case "names written from components" `Quick
             test_names_written_from_components;
           qc prop_inttbl_first_seen;
+          qc prop_inttbl_tags;
           Alcotest.test_case "state table over 100k keys" `Quick
             test_inttbl_large;
         ] );

@@ -427,6 +427,46 @@ let test_shrink_and_replay () =
   check_bool "replay digest matches" true
     (rep.Artifact.digest_matched = Some true)
 
+(* A finding whose minimal cell keeps a permanent fault.  The predicate
+   holds while a permanent fault is present, so the shrinker drops the
+   kill drill and the transient fault, keeps the permanent fault's
+   infinite stop and bisects only its onset toward the end of the 12 s
+   run: 2 → 7 → 9.5 → 10.75 → 11.375 → 11.6875, where one more halving
+   would leave less than the 0.2 s minimum window. *)
+let test_shrink_keeps_permanent () =
+  let cell =
+    {
+      Campaign.index = 0;
+      seed = 5L;
+      variant = Campaign.Mm_perf;
+      workload = "x264";
+      injections =
+        [
+          Faults.injection (Faults.Dropout Faults.Power) ~start_s:1.
+            ~stop_s:3.;
+          Faults.permanent (Faults.Cluster_dead 1) ~start_s:2.;
+        ];
+      kill = Some { Campaign.kill_tick = 100; staleness = 0 };
+    }
+  in
+  let violates c =
+    List.exists
+      (fun i -> Faults.is_permanent i.Faults.fault)
+      c.Campaign.injections
+  in
+  let r = Shrink.minimize ~violates cell in
+  check_bool "shrunk" true r.Shrink.shrunk;
+  check_bool "kill drill dropped" true (r.Shrink.cell.Campaign.kill = None);
+  match r.Shrink.cell.Campaign.injections with
+  | [ i ] ->
+      check_bool "the permanent fault is kept" true
+        (Faults.is_permanent i.Faults.fault);
+      check_bool "its stop stays infinite" true
+        (i.Faults.stop_s = Float.infinity);
+      check_bool "its onset is bisected toward the end" true
+        (i.Faults.start_s = 11.6875)
+  | l -> Alcotest.failf "%d injections left, want 1" (List.length l)
+
 let valid_artifact_lines =
   [ "spectr-chaos-reproducer v1"; "seed 42"; "index 0"; "variant SPECTR";
     "workload x264"; "fault dropout:power@4/6" ]
@@ -552,6 +592,8 @@ let () =
         [
           Alcotest.test_case "shrink, serialize, replay" `Slow
             test_shrink_and_replay;
+          Alcotest.test_case "shrink keeps a permanent fault" `Quick
+            test_shrink_keeps_permanent;
           Alcotest.test_case "artifact parse errors" `Quick
             test_artifact_parse_errors;
         ] );
