@@ -152,7 +152,11 @@ fleet-smoke:
 # in the malformed-CSV corpus is rejected with exit code 2 and a
 # line-numbered parse error.  The manager catalogue's one placement
 # rule: the hand-tuned FS and SISO are refused off exynos5422 with exit
-# code 1, while guarded SPECTR runs on pixel8pro.
+# code 1, while guarded SPECTR runs on pixel8pro.  `spectr_cli identify`
+# runs on each of its four named subsystems (big-2x2, little-2x2,
+# fs-4x2, large-10x10), its stdout diffed against the committed
+# bench/identify.expected, and a zero length, a zero order and an
+# unknown subsystem must each exit 1 with the library's message.
 platform-smoke:
 	dune exec bin/spectr_cli.exe -- platforms
 	dune exec bin/spectr_cli.exe -- platforms --platform pixel8pro
@@ -186,6 +190,15 @@ platform-smoke:
 	  dune exec bin/spectr_cli.exe -- platforms --platform $$f; \
 	  code=$$?; \
 	  [ $$code -eq 2 ] || { echo "$$f: expected exit 2, got $$code"; exit 1; }; \
+	done
+	for s in big-2x2 little-2x2 fs-4x2 large-10x10; do \
+	  dune exec bin/spectr_cli.exe -- identify $$s || exit 1; \
+	done > /tmp/spectr-identify.txt
+	diff bench/identify.expected /tmp/spectr-identify.txt
+	for a in "-n 0" "--order 0" "bogus-2x2"; do \
+	  dune exec bin/spectr_cli.exe -- identify $$a > /dev/null; \
+	  code=$$?; \
+	  [ $$code -eq 1 ] || { echo "identify $$a: expected exit 1, got $$code"; exit 1; }; \
 	done
 
 # Reconfiguration smoke: degraded-mode self-healing end to end.

@@ -116,14 +116,12 @@ let synthesize_cmd =
 (* identify                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The one subsystem name table: [identify] parses it, [list] prints it. *)
+(* The one subsystem name table, named by the library: [identify]
+   parses it, [list] prints it. *)
 let subsystems =
-  [
-    ("big-2x2", Spectr.Design_flow.Big_2x2);
-    ("little-2x2", Spectr.Design_flow.Little_2x2);
-    ("fs-4x2", Spectr.Design_flow.Fs_4x2);
-    ("large-10x10", Spectr.Design_flow.Large_10x10);
-  ]
+  List.map
+    (fun s -> (Spectr.Design_flow.subsystem_name s, s))
+    Spectr.Design_flow.[ Big_2x2; Little_2x2; Fs_4x2; Large_10x10 ]
 
 let subsystem_names = String.concat ", " (List.map fst subsystems)
 
@@ -133,7 +131,16 @@ let identify name length order =
       Printf.eprintf "unknown subsystem %S (%s)\n" name subsystem_names;
       exit 1
   | Some subsystem ->
-      let ident = Spectr.Design_flow.identify ~length ~order subsystem in
+      (* A length too short for the excitation or the fit, or an order
+         below 1, is a bad argument value: the library's message, exit
+         1. *)
+      let ident =
+        match Spectr.Design_flow.identify ~length ~order subsystem with
+        | ident -> ident
+        | exception (Invalid_argument msg | Failure msg) ->
+            prerr_endline msg;
+            exit 1
+      in
       Format.printf "%a@." Spectr_sysid.Validation.pp_report
         (Spectr.Design_flow.validation ident);
       let ss = ident.Spectr.Design_flow.statespace in

@@ -7,15 +7,6 @@ type kind =
   | Actuation_bounds
   | Non_finite
 
-let num_kinds = 5
-
-let kind_index = function
-  | Power_cap -> 0
-  | Qos_reconvergence -> 1
-  | Supervisor_legal -> 2
-  | Actuation_bounds -> 3
-  | Non_finite -> 4
-
 let kind_name = function
   | Power_cap -> "power-cap"
   | Qos_reconvergence -> "qos-reconvergence"
@@ -74,6 +65,12 @@ let limits =
    would hold a box until the next minor collection promoted it. *)
 type power = { mutable epoch : float; mutable excess : float }
 
+(* The episode of one kind judged tick by tick ({!judge}): consecutive
+   violating ticks, and whether the open episode already produced a
+   finding.  The power cap keeps its own cumulative episode instead
+   ([power], [power_reported]). *)
+type episode = { required : int; mutable streak : int; mutable reported : bool }
+
 (* A passing [check] allocates nothing: the fault windows are the
    schedule's flags, each predicate is computed without building its
    message, and a finding's detail closure is built only when it fires.
@@ -86,14 +83,17 @@ type t = {
   disturbances : float array; (* sorted ascending, starts with 0 *)
   mutable violations_rev : violation list;
   mutable count : int;
-  streaks : int array; (* consecutive violating ticks, per kind *)
-  reported : bool array; (* an open episode already produced a finding *)
+  qos : episode;
+  legal : episode;
+  bounds : episode;
+  finite : episode;
   power : power;
   mutable power_reported : bool;
   mutable budgets : float array; (* the supervisor's budgets, first k slots *)
 }
 
 let eps = 1e-9
+let episode required = { required; streak = 0; reported = false }
 
 let create ~config ?kill_time () =
   let schedule = Spectr.Scenario.fault_schedule config in
@@ -134,8 +134,10 @@ let create ~config ?kill_time () =
     disturbances;
     violations_rev = [];
     count = 0;
-    streaks = Array.make num_kinds 0;
-    reported = Array.make num_kinds false;
+    qos = episode limits.sustain_ticks;
+    legal = episode 1;
+    bounds = episode 1;
+    finite = episode 1;
     power = { epoch = 0.; excess = 0. };
     power_reported = false;
     budgets =
@@ -168,24 +170,18 @@ let record m ~tick ~time kind detail =
    ticks before it is reported, and a still-open episode is reported
    only once — a 2-second excursion is one finding, not forty.  True
    when the finding fires now. *)
-let judge m kind bad =
-  let k = kind_index kind in
+let judge e bad =
   if bad then begin
-    m.streaks.(k) <- m.streaks.(k) + 1;
-    let required =
-      match kind with
-      | Power_cap | Qos_reconvergence -> limits.sustain_ticks
-      | Supervisor_legal | Actuation_bounds | Non_finite -> 1
-    in
-    if m.streaks.(k) >= required && not m.reported.(k) then begin
-      m.reported.(k) <- true;
+    e.streak <- e.streak + 1;
+    if e.streak >= e.required && not e.reported then begin
+      e.reported <- true;
       true
     end
     else false
   end
   else begin
-    m.streaks.(k) <- 0;
-    m.reported.(k) <- false;
+    e.streak <- 0;
+    e.reported <- false;
     false
   end
 
@@ -320,7 +316,7 @@ let check m ~runner ~sup ~obs =
     && since_disturbance > limits.qos_deadline_s
     && true_qos < qos_floor
   in
-  if judge m Qos_reconvergence qos_bad then
+  if judge m.qos qos_bad then
     record m ~tick ~time:t Qos_reconvergence (fun () ->
         Printf.sprintf
           "true QoS rate %.2f < %.2f (%.0f%% of reference %.2f) in a quiet \
@@ -331,14 +327,14 @@ let check m ~runner ~sup ~obs =
   | None -> ()
   | Some sup -> (
       match supervisor_problem m sup with
-      | None -> ignore (judge m Supervisor_legal false : bool)
+      | None -> ignore (judge m.legal false : bool)
       | Some problem ->
-          if judge m Supervisor_legal true then
+          if judge m.legal true then
             record m ~tick ~time:t Supervisor_legal (fun () -> problem)));
   (match actuation_problem soc with
-  | None -> ignore (judge m Actuation_bounds false : bool)
+  | None -> ignore (judge m.bounds false : bool)
   | Some problem ->
-      if judge m Actuation_bounds true then
+      if judge m.bounds true then
         record m ~tick ~time:t Actuation_bounds (fun () ->
             "applied state outside platform tables: " ^ problem));
   (* Non-finite tripwire over everything a manager or evaluator reads. *)
@@ -354,7 +350,7 @@ let check m ~runner ~sup ~obs =
       && Float.is_finite obs.Soc.chip_power
       && Float.is_finite true_power && Float.is_finite true_qos)
   in
-  if judge m Non_finite finite_bad then
+  if judge m.finite finite_bad then
     record m ~tick ~time:t Non_finite (fun () ->
         let per_cluster =
           String.concat ", "

@@ -9,10 +9,11 @@
 
     The compliance clocks reset at every {e disturbance instant}: run
     start, phase boundaries, fault onsets and clearances, and the
-    kill/restart drill.  Sustained-signal invariants (power cap, QoS)
-    must hold for {!limits.sustain_ticks} consecutive ticks before a
-    finding is emitted, and an episode is reported once, not once per
-    tick. *)
+    kill/restart drill.  The power cap is cumulative: a finding fires
+    once its over-cap time within one disturbance epoch passes
+    {!limits.excess_budget_s}.  QoS must fail for
+    {!limits.sustain_ticks} consecutive ticks before a finding is
+    emitted.  Every episode is reported once, not once per tick. *)
 
 open Spectr_platform
 

@@ -25,10 +25,6 @@ let subsystem_name = function
         (Platform_desc.cluster_name p i)
         (String.sub (Platform_desc.digest p) 0 8)
 
-let platform_of = function
-  | Big_2x2 | Little_2x2 | Fs_4x2 | Large_10x10 -> Platform_desc.exynos5422
-  | Cluster_2x2 (p, _) -> p
-
 (* Digests are computed once per description, so this is a string
    compare. *)
 let is_reference_platform p =
@@ -53,201 +49,160 @@ type identified = {
   dataset : Dataset.t;
 }
 
-(* Physical description of one experiment channel. *)
-type phys = {
+(* An identification experiment as data: the knobs it excites, the
+   sensors it reads and the background load it runs under.  Cluster and
+   core arguments index the experiment's platform description. *)
+type knob = Freq of int | Cores of int | Idle of int (* core *)
+type sensor = Qos | Power of int | Chip_power | Gips of int | Core_gips of int
+
+type input = {
+  knob : knob;
   ch_name : string;
   lo : float; (* excitation range *)
   hi : float;
-  sat_min : float; (* actuator saturation; outputs use infinities *)
+  sat_min : float; (* actuator saturation *)
   sat_max : float;
+}
+
+type experiment = {
+  platform : Platform_desc.t;
+  inputs : input array;
+  outputs : (sensor * string) array; (* with the output channel's name *)
+  background : int;
 }
 
 (* Excitation ranges are deliberately narrower than the actuator limits:
    black-box identification of a nonlinear plant (P ∝ V²f, Amdahl core
    scaling) needs a quasi-linear neighbourhood around the operating
    point; the controllers may still saturate out to the full physical
-   range at runtime. *)
-let input_spec = function
-  | Big_2x2 ->
-      [|
-        { ch_name = "big-freq-ghz"; lo = 0.8; hi = 1.8; sat_min = 0.2; sat_max = 2.0 };
-        { ch_name = "big-cores"; lo = 2.; hi = 4.; sat_min = 1.; sat_max = 4. };
-      |]
-  | Little_2x2 ->
-      [|
-        { ch_name = "little-freq-ghz"; lo = 0.4; hi = 1.2; sat_min = 0.2; sat_max = 1.4 };
-        { ch_name = "little-cores"; lo = 2.; hi = 4.; sat_min = 1.; sat_max = 4. };
-      |]
+   range at runtime.  A cluster's frequency is excited over [freq] (GHz)
+   and saturates at the ends of its OPP table; its cores run from 2 (or
+   1 on a unicore cluster) to the physical count. *)
+let cluster_knobs p i ~freq:(lo, hi) =
+  let { Platform_desc.cl_name; cores; opp; _ } = Platform_desc.cluster p i in
+  let ghz mhz = float_of_int mhz /. 1000. and n = float_of_int cores in
+  [|
+    { knob = Freq i; ch_name = cl_name ^ "-freq-ghz"; lo; hi;
+      sat_min = ghz (Opp.min_freq opp); sat_max = ghz (Opp.max_freq opp) };
+    { knob = Cores i; ch_name = cl_name ^ "-cores"; lo = Float.min 2. n;
+      hi = n; sat_min = 1.; sat_max = n };
+  |]
+
+let power p i = (Power i, Platform_desc.cluster_name p i ^ "-power")
+
+(* One cluster's (freq, cores) -> (qos|gips, power) experiment: the host
+   cluster is identified with the QoS app alone, a secondary one under
+   the background load it exists to absorb. *)
+let cluster_experiment p i ~freq =
+  let host = i = Platform_desc.host p in
+  let gips = (Gips i, Platform_desc.cluster_name p i ^ "-gips") in
+  {
+    platform = p;
+    inputs = cluster_knobs p i ~freq;
+    outputs = [| (if host then (Qos, "qos") else gips); power p i |];
+    background = (if host then 0 else 8);
+  }
+
+(* The hand-set exynos5422 ranges of [Big_2x2] (cluster 0) and
+   [Little_2x2] (cluster 1).  [Cluster_2x2] excites the middle of the
+   cluster's DVFS table instead: 0.74–1.73 and 0.56–1.22 GHz here. *)
+let big_freq = (0.8, 1.8)
+let little_freq = (0.4, 1.2)
+
+let experiment subsystem =
+  let exy = Platform_desc.exynos5422 in
+  let big = cluster_knobs exy 0 ~freq:big_freq in
+  let little = cluster_knobs exy 1 ~freq:little_freq in
+  match subsystem with
+  | Big_2x2 -> cluster_experiment exy 0 ~freq:big_freq
+  | Little_2x2 -> cluster_experiment exy 1 ~freq:little_freq
+  | Cluster_2x2 (p, i) ->
+      let opp = (Platform_desc.cluster p i).Platform_desc.opp in
+      let lo = float_of_int (Opp.min_freq opp) in
+      let span = float_of_int (Opp.max_freq opp) -. lo in
+      cluster_experiment p i
+        ~freq:((lo +. (0.3 *. span)) /. 1000., (lo +. (0.85 *. span)) /. 1000.)
   | Fs_4x2 ->
-      [|
-        { ch_name = "big-freq-ghz"; lo = 0.8; hi = 1.8; sat_min = 0.2; sat_max = 2.0 };
-        { ch_name = "big-cores"; lo = 2.; hi = 4.; sat_min = 1.; sat_max = 4. };
-        { ch_name = "little-freq-ghz"; lo = 0.4; hi = 1.2; sat_min = 0.2; sat_max = 1.4 };
-        { ch_name = "little-cores"; lo = 2.; hi = 4.; sat_min = 1.; sat_max = 4. };
-      |]
+      let outputs = [| (Qos, "qos"); (Chip_power, "chip-power") |] in
+      { platform = exy; inputs = Array.append big little; outputs; background = 4 }
   | Large_10x10 ->
       (* A 10-knob controller has no quasi-linear neighbourhood to hide
-         in: its actuators span their full range (the §2.2 argument). *)
-      Array.append
-        (Array.init 8 (fun i ->
-             {
-               ch_name = Printf.sprintf "idle-core%d" i;
-               lo = 0.;
-               hi = 0.9;
-               sat_min = 0.;
-               sat_max = 0.9;
-             }))
-        [|
-          { ch_name = "big-freq-ghz"; lo = 0.8; hi = 1.8; sat_min = 0.2; sat_max = 2.0 };
-          { ch_name = "little-freq-ghz"; lo = 0.4; hi = 1.2; sat_min = 0.2; sat_max = 1.4 };
-        |]
-  | Cluster_2x2 (p, i) ->
-      (* Description-driven: excite the middle of the cluster's DVFS
-         range (quasi-linear neighbourhood), saturate out to the full
-         table; cores from 2 (or 1 on a unicore cluster) to the physical
-         count. *)
-      let cl = Platform_desc.cluster p i in
-      let name = cl.Platform_desc.cl_name in
-      let opp = cl.Platform_desc.opp in
-      let lo_mhz = float_of_int (Opp.min_freq opp) in
-      let hi_mhz = float_of_int (Opp.max_freq opp) in
-      let span = hi_mhz -. lo_mhz in
-      let cores = float_of_int cl.Platform_desc.cores in
-      [|
-        {
-          ch_name = name ^ "-freq-ghz";
-          lo = (lo_mhz +. (0.3 *. span)) /. 1000.;
-          hi = (lo_mhz +. (0.85 *. span)) /. 1000.;
-          sat_min = lo_mhz /. 1000.;
-          sat_max = hi_mhz /. 1000.;
-        };
-        {
-          ch_name = name ^ "-cores";
-          lo = Float.min 2. cores;
-          hi = cores;
-          sat_min = 1.;
-          sat_max = cores;
-        };
-      |]
-
-let output_names = function
-  | Big_2x2 -> [| "qos"; "big-power" |]
-  | Little_2x2 -> [| "little-gips"; "little-power" |]
-  | Fs_4x2 -> [| "qos"; "chip-power" |]
-  | Large_10x10 ->
-      Array.append
-        (Array.init 8 (fun i -> Printf.sprintf "core%d-gips" i))
-        [| "big-power"; "little-power" |]
-  | Cluster_2x2 (p, i) ->
-      let name = Platform_desc.cluster_name p i in
-      if i = Platform_desc.host p then [| "qos"; name ^ "-power" |]
-      else [| name ^ "-gips"; name ^ "-power" |]
-
-let background_load = function
-  | Big_2x2 -> 0
-  | Little_2x2 -> 8
-  | Fs_4x2 -> 4
-  | Large_10x10 -> 4
-  | Cluster_2x2 (p, i) ->
-      (* Host identification wants the QoS app alone (like Big_2x2);
-         secondary clusters are identified under the background load
-         they exist to absorb (like Little_2x2). *)
-      if i = Platform_desc.host p then 0 else 8
-
-(* Exynos cluster indices of the hard-wired subsystems (description
-   order of [Platform_desc.exynos5422]). *)
-let exy_big = 0
-let exy_little = 1
-
-(* Apply one excitation row to the SoC and return the actually-applied
-   physical input vector (after OPP quantization and rounding). *)
-let apply_inputs subsystem soc row =
-  match subsystem with
-  | Big_2x2 | Little_2x2 | Cluster_2x2 _ ->
-      let i =
-        match subsystem with
-        | Big_2x2 -> exy_big
-        | Little_2x2 -> exy_little
-        | Cluster_2x2 (_, i) -> i
-        | _ -> assert false
+         in: its idle knobs span their full range (the §2.2 argument). *)
+      let idle c =
+        { knob = Idle c; ch_name = Printf.sprintf "idle-core%d" c; lo = 0.;
+          hi = 0.9; sat_min = 0.; sat_max = 0.9 }
       in
-      let f = Soc.set_frequency soc i (row.(0) *. 1000.) in
-      let cores = int_of_float (Float.round row.(1)) in
-      Soc.set_active_cores soc i cores;
-      [| float_of_int f /. 1000.; float_of_int (Soc.active_cores soc i) |]
-  | Fs_4x2 ->
-      let bf = Soc.set_frequency soc exy_big (row.(0) *. 1000.) in
-      Soc.set_active_cores soc exy_big (int_of_float (Float.round row.(1)));
-      let lf = Soc.set_frequency soc exy_little (row.(2) *. 1000.) in
-      Soc.set_active_cores soc exy_little (int_of_float (Float.round row.(3)));
-      [|
-        float_of_int bf /. 1000.;
-        float_of_int (Soc.active_cores soc exy_big);
-        float_of_int lf /. 1000.;
-        float_of_int (Soc.active_cores soc exy_little);
-      |]
-  | Large_10x10 ->
-      for i = 0 to 7 do
-        Soc.set_idle_fraction soc ~core:i row.(i)
-      done;
-      let bf = Soc.set_frequency soc exy_big (row.(8) *. 1000.) in
-      let lf = Soc.set_frequency soc exy_little (row.(9) *. 1000.) in
-      Array.append
-        (Array.init 8 (fun i -> Soc.idle_fraction soc ~core:i))
-        [| float_of_int bf /. 1000.; float_of_int lf /. 1000. |]
+      let gips c = (Core_gips c, Printf.sprintf "core%d-gips" c) in
+      let inputs = Array.append (Array.init 8 idle) [| big.(0); little.(0) |] in
+      let outputs =
+        Array.append (Array.init 8 gips) [| power exy 0; power exy 1 |]
+      in
+      { platform = exy; inputs; outputs; background = 4 }
 
-let read_outputs subsystem soc (obs : Soc.observation) =
-  let powers = Soc.sensor_powers soc in
-  match subsystem with
-  | Big_2x2 -> [| obs.Soc.qos_rate; powers.(exy_big) |]
-  | Little_2x2 ->
-      [| (Soc.ips_totals soc).(exy_little) /. 1e9; powers.(exy_little) |]
-  | Fs_4x2 -> [| obs.Soc.qos_rate; obs.Soc.chip_power |]
-  | Large_10x10 ->
-      (* The per-core PMU readings left the observation record (no
-         runtime manager consumes them); the 10×10 identification pulls
-         them from the SoC, which replays the skipped noise draws. *)
-      Array.append
-        (Array.map (fun v -> v /. 1e9) (Soc.per_core_ips soc))
-        [| powers.(exy_big); powers.(exy_little) |]
-  | Cluster_2x2 (p, i) ->
-      if i = Platform_desc.host p then [| obs.Soc.qos_rate; powers.(i) |]
-      else [| (Soc.ips_totals soc).(i) /. 1e9; powers.(i) |]
+(* Set one knob and return what the SoC actually applied (after OPP
+   quantization, rounding and clamping). *)
+let[@inline] apply soc knob v =
+  match knob with
+  | Freq i -> float_of_int (Soc.set_frequency soc i (v *. 1000.)) /. 1000.
+  | Cores i ->
+      Soc.set_active_cores soc i (int_of_float (Float.round v));
+      float_of_int (Soc.active_cores soc i)
+  | Idle core ->
+      Soc.set_idle_fraction soc ~core v;
+      Soc.idle_fraction soc ~core
+
+(* One sensor reading.  [ips] is the row's per-core IPS: the per-core
+   PMU readings left the observation record (no runtime manager consumes
+   them), so the SoC replays the skipped noise draws when asked. *)
+let[@inline] read soc (obs : Soc.observation) ips sensor =
+  match sensor with
+  | Qos -> obs.Soc.qos_rate
+  | Power i -> (Soc.sensor_powers soc).(i)
+  | Chip_power -> obs.Soc.chip_power
+  | Gips i -> (Soc.ips_totals soc).(i) /. 1e9
+  | Core_gips core -> ips.(core) /. 1e9
 
 (* The estimation/validation split of the standardized dataset: the
    model is fitted on the first 65 %, {!validation} replays the rest. *)
 let validation_split = 0.65
 
 let identify_uncached ~seed ~length ~order subsystem =
-  let platform = platform_of subsystem in
+  let { platform; inputs; outputs; background } = experiment subsystem in
   let config = { (Soc.config_of platform) with seed } in
   let soc = Soc.create ~config ~platform ~qos:Benchmarks.microbench () in
-  Soc.set_background_tasks soc (background_load subsystem);
-  let phys_in = input_spec subsystem in
+  Soc.set_background_tasks soc background;
   (* Independent random staircases per channel (distinct dwell times and
      RNG streams) so the regression can separate actuator effects. *)
   let excitation =
     let master = Spectr_linalg.Prng.create (Int64.add seed 1L) in
-    let per_channel =
-      Array.mapi
-        (fun i p ->
-          let g = Spectr_linalg.Prng.split master in
-          Excitation.random_staircase g ~lo:p.lo ~hi:p.hi ~hold:(8 + (3 * i))
-            ~length ())
-        phys_in
-    in
-    Array.init length (fun k ->
-        Array.map (fun ch -> ch.(k)) per_channel)
+    Array.mapi
+      (fun i p ->
+        let g = Spectr_linalg.Prng.split master in
+        Excitation.random_staircase g ~lo:p.lo ~hi:p.hi ~hold:(8 + (3 * i))
+          ~length ())
+      inputs
   in
-  let u = Array.make length [||] in
-  let y = Array.make length [||] in
+  let m = Array.length inputs and p = Array.length outputs in
+  let per_core =
+    Array.exists (function Core_gips _, _ -> true | _ -> false) outputs
+  in
+  let u = Array.make length [||] and y = Array.make length [||] in
   (* Same loop order as the runtime daemon (measure, then actuate), so
      y(t) responds to u(t−1) — the one-period actuation delay the ARX
-     lag structure assumes. *)
+     lag structure assumes.  Each row holds the physical readings and the
+     actually-applied inputs. *)
   for t = 0 to length - 1 do
     let obs = Soc.step soc ~dt:0.05 in
-    y.(t) <- read_outputs subsystem soc obs;
-    u.(t) <- apply_inputs subsystem soc excitation.(t)
+    let ips = if per_core then Soc.per_core_ips soc else [||] in
+    let yt = Array.create_float p and ut = Array.create_float m in
+    for j = 0 to p - 1 do
+      yt.(j) <- read soc obs ips (fst outputs.(j))
+    done;
+    for j = 0 to m - 1 do
+      ut.(j) <- apply soc inputs.(j).knob excitation.(j).(t)
+    done;
+    y.(t) <- yt;
+    u.(t) <- ut
   done;
   (* Standardize: identification on deviations around the operating
      point, scaled to unit variance — the controller channels carry the
@@ -266,24 +221,18 @@ let identify_uncached ~seed ~length ~order subsystem =
   in
   let input_channels =
     Array.mapi
-      (fun i ph ->
-        Mimo.channel ~offset:u_mean.(i) ~scale:u_std.(i) ~min:ph.sat_min
-          ~max:ph.sat_max ph.ch_name)
-      phys_in
+      (fun i c ->
+        Mimo.channel ~offset:u_mean.(i) ~scale:u_std.(i) ~min:c.sat_min
+          ~max:c.sat_max c.ch_name)
+      inputs
   in
   let output_channels =
     Array.mapi
-      (fun i name -> Mimo.channel ~offset:y_mean.(i) ~scale:y_std.(i) name)
-      (output_names subsystem)
+      (fun i (_, name) -> Mimo.channel ~offset:y_mean.(i) ~scale:y_std.(i) name)
+      outputs
   in
-  {
-    subsystem;
-    model;
-    statespace = Arx.to_statespace model;
-    input_channels;
-    output_channels;
-    dataset = data;
-  }
+  let statespace = Arx.to_statespace model in
+  { subsystem; model; statespace; input_channels; output_channels; dataset = data }
 
 (* Identification is a pure function of (subsystem, seed, length, order):
    the experiment runs on a private SoC with explicit PRNG streams, so a
@@ -306,7 +255,8 @@ let identify ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem =
    the model and channels — so it is computed on demand, not memoized. *)
 let validation ident =
   let _, held_out = Dataset.split ident.dataset ~at:validation_split in
-  Validation.validate ~output_names:(output_names ident.subsystem)
+  Validation.validate
+    ~output_names:(Array.map snd (experiment ident.subsystem).outputs)
     ~model:ident.model held_out
 
 type goal = { label : string; q_y : float array }

@@ -186,37 +186,46 @@ let test_warm_construction platform () =
                   ~workload:Benchmarks.x264 ())) );
     ]
 
-(* Minor-heap bytes of one cold Design_flow.identify of big-2x2: the
-   60 s experiment, one-pass standardization, the ARX fit with each
-   regressor row written straight into Φ, and the realization — no
-   validation report (Design_flow.validation builds that on demand).
-   The least of three fresh identifications under seeds no manager uses
-   (identify is memoized per seed).  Counted with [Gc.minor_words], like
-   the warm-construction gate: blocks too large for the minor heap (Φ,
-   the normal equations) are not counted, and a [Gc.allocated_bytes]
-   window saw only 68 KB of the 547 KB that per-entry regressors add.
-   338.5 KB when this gate went in, the budget 10 % above: a memoized
-   report (+3.8 MB), a regressor per entry of Φ (+548 KB), a fresh
-   regressor array per row (+156 KB) or a standardization that copies
-   each column out and rebuilds the rows with [Array.mapi] (+787 KB)
-   fails it. *)
+(* Minor-heap bytes of one cold Design_flow.identify: the 60 s
+   experiment, one-pass standardization, the ARX fit with each regressor
+   row written straight into Φ, and the realization — no validation
+   report (Design_flow.validation builds that on demand).  The least of
+   three fresh identifications under seeds no manager uses (identify is
+   memoized per seed).  Counted with [Gc.minor_words], like the
+   warm-construction gate: blocks too large for the minor heap (Φ, the
+   normal equations) are not counted, and a [Gc.allocated_bytes] window
+   saw only 68 KB of the 547 KB that per-entry regressors add.
+   big-2x2 read 338.5 KB when this gate went in, the budget 10 % above:
+   a memoized report (+3.8 MB), a regressor per entry of Φ (+548 KB), a
+   fresh regressor array per row (+156 KB) or a standardization that
+   copies each column out and rebuilds the rows with [Array.mapi]
+   (+787 KB) fails it.  large-10x10, with its ten knobs and ten sensors,
+   is the input where an experiment loop that pays per knob or per
+   sensor (a closure per channel, the per-core IPS copied once per
+   output) shows: 2111.0 KB when it joined, the budget 10 % above. *)
 let test_cold_identify_bytes () =
-  let bytes seed =
+  let bytes subsystem seed =
     Gc.minor ();
     let w0 = Gc.minor_words () in
-    ignore
-      (Sys.opaque_identity
-         (Spectr.Design_flow.identify ~seed Spectr.Design_flow.Big_2x2));
+    ignore (Sys.opaque_identity (Spectr.Design_flow.identify ~seed subsystem));
     (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8)
   in
-  let least =
-    List.fold_left (fun m seed -> Float.min m (bytes seed)) infinity
-      [ 9001L; 9002L; 9003L ]
-  in
-  let budget = 338.5e3 *. 1.10 in
-  check_bool
-    (Printf.sprintf "cold identify big-2x2: %.0f B (budget %.0f)" least budget)
-    true (least <= budget)
+  List.iter
+    (fun (subsystem, budget) ->
+      let least =
+        List.fold_left
+          (fun m seed -> Float.min m (bytes subsystem seed))
+          infinity [ 9001L; 9002L; 9003L ]
+      in
+      check_bool
+        (Printf.sprintf "cold identify %s: %.0f B (budget %.0f)"
+           (Spectr.Design_flow.subsystem_name subsystem)
+           least budget)
+        true (least <= budget))
+    [
+      (Spectr.Design_flow.Big_2x2, 338.5e3 *. 1.10);
+      (Spectr.Design_flow.Large_10x10, 2111.0e3 *. 1.10);
+    ]
 
 (* Bytes of one big-2x2 Design_flow.validation, counted in a closed
    window ({!Alloc.bytes}).  The report is built afresh on every call,
@@ -837,6 +846,52 @@ let test_pinned_big_report () =
     |]
     (Array.map line report.Spectr_sysid.Validation.channels)
 
+(* An identification result as exact hex floats: each channel's name,
+   offset and scale, then the ARX coefficient matrix [A₁ … A_na B₁ …
+   B_nb] row by row. *)
+let identification_lines ident =
+  let open Spectr.Design_flow in
+  let channel c =
+    Printf.sprintf "%s offset %h scale %h" c.Mimo.name c.offset c.scale
+  in
+  let row r = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") r)) in
+  Array.concat
+    [
+      Array.map channel ident.input_channels;
+      Array.map channel ident.output_channels;
+      Array.map row (Matrix.to_arrays ident.model.Spectr_sysid.Arx.theta);
+    ]
+
+(* Two experiment shapes no other tier-1 pin reaches, recorded before
+   the five subsystems' experiments became one record of knobs and
+   sensors: a k-cluster secondary identified under background load
+   (GIPS output, derived excitation range), line by line, and the 10×10
+   per-core idle/GIPS experiment, as the MD5 of its 30 lines. *)
+let test_pinned_identifications () =
+  let module D = Spectr.Design_flow in
+  Alcotest.(check (array string))
+    "k4 c1 identification"
+    [|
+      "c1-freq-ghz offset 0x1.0189374bc6a78p+0 scale 0x1.0f3dfb6e7c20fp-2";
+      "c1-cores offset 0x1.78da740da740ep+1 scale 0x1.a4fa4e11ebe72p-1";
+      "c1-gips offset 0x1.beb1e073b12a7p+1 scale 0x1.d8ecd56b136fcp-1";
+      "c1-power offset 0x1.14d49086db22p-1 scale 0x1.82fe6fe235415p-3";
+      "0x1.3eeeb9768d1a1p-2 0x1.820b7fdd36614p-3 0x1.87bf317ad4021p-4 \
+       -0x1.648532301a79ep-4 0x1.f68ef09c593edp-2 0x1.c59a978f7d2ffp-1 \
+       -0x1.22a881c393ebep-2 -0x1.a5b30fe3c33f1p-2";
+      "-0x1.0d96f641a58acp-8 0x1.890d32a65c2e9p-1 0x1.75473c5fb8e03p-7 \
+       -0x1.42d1af7512037p-6 0x1.836c82bcea7bp-1 0x1.54f41d07de4e3p-1 \
+       -0x1.2104715451c2cp-1 -0x1.00e020077882p-1";
+    |]
+    (identification_lines
+       (D.identify (D.cluster_subsystem (Platform_desc.k_cluster 4) 1)));
+  check_string "large-10x10 identification digest"
+    "4a852183dcae83e943f197cf60f47d36"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n"
+             (Array.to_list (identification_lines (D.identify D.Large_10x10))))))
+
 let test_pinned_gain_digests () =
   List.iter
     (fun (name, subsystem, goals, digest) ->
@@ -1329,6 +1384,8 @@ let () =
           Alcotest.test_case "chosen integrator leaks" `Slow test_chosen_leaks;
           Alcotest.test_case "pinned big-2x2 validation report" `Slow
             test_pinned_big_report;
+          Alcotest.test_case "pinned k4 and large-10x10 identifications" `Slow
+            test_pinned_identifications;
           Alcotest.test_case "design_gains error order" `Quick
             test_design_gains_error_order;
         ] );
