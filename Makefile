@@ -78,9 +78,13 @@ robustness-smoke:
 # Observability smoke: run a scenario with the obs layer on, check the
 # load-bearing counters are nonzero and the exported decision log is
 # non-empty, well-formed JSONL (parse validated when python3 exists).
+# The scenario maps nothing in parallel, so even with SPECTR_JOBS=4 it
+# must spawn no worker domain: pool.workers_spawned, counted from the
+# start of the command, when --obs turns the layer on, reads 0.
 obs-smoke:
-	dune exec bin/spectr_cli.exe -- scenario -m spectr -b x264 --obs \
+	SPECTR_JOBS=4 dune exec bin/spectr_cli.exe -- scenario -m spectr -b x264 --obs \
 	  --obs-jsonl /tmp/spectr-obs.jsonl > /tmp/spectr-obs.txt
+	grep -Eq "pool.workers_spawned +0$$" /tmp/spectr-obs.txt
 	grep -Eq "supervisor.steps +[1-9]" /tmp/spectr-obs.txt
 	grep -Eq "supervisor.events_fired +[1-9]" /tmp/spectr-obs.txt
 	grep -Eq "synth_cache.misses +[1-9]" /tmp/spectr-obs.txt

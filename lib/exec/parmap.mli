@@ -12,7 +12,9 @@
     environment. *)
 
 val jobs : unit -> int
-(** Job count of the default pool (forces its creation). *)
+(** Job count of the default pool.  It forces the creation of the pool's
+    record, not of any domain: the workers start with the first parallel
+    map (see {!Pool.map}). *)
 
 val map : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 (** Like [List.map], but tasks may run on other domains.  Results are in

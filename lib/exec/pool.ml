@@ -4,7 +4,8 @@ type t = {
   pending : (unit -> unit) Queue.t;
   wake : Condition.t; (* workers: task available or shutting down *)
   mutable stopping : bool;
-  mutable workers : unit Domain.t list;
+  mutable workers : unit Domain.t list; (* [] until the first parallel map *)
+  record_bt : bool; (* the creator's backtrace-recording flag *)
 }
 
 (* The pool whose task the current domain is executing, if any.  [map]
@@ -19,6 +20,7 @@ let running_in : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let c_maps = Spectr_obs.Counters.counter "pool.parallel_maps"
 let c_tasks = Spectr_obs.Counters.counter "pool.tasks"
+let c_spawned = Spectr_obs.Counters.counter "pool.workers_spawned"
 
 let parse_jobs s =
   match int_of_string_opt (String.trim s) with
@@ -55,28 +57,38 @@ let worker_loop t =
 let create ?jobs () =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Pool.create: jobs < 1";
-  let t =
-    {
-      jobs;
-      mutex = Mutex.create ();
-      pending = Queue.create ();
-      wake = Condition.create ();
-      stopping = false;
-      workers = [];
-    }
-  in
-  (* The submitter works too, so n jobs need n-1 spawned domains.  Fresh
-     domains reset the backtrace-recording flag to the OCAMLRUNPARAM
-     default, so propagate the creator's setting — task exceptions carry
-     their original backtrace (see [map]) only if the domain that ran
-     them recorded one. *)
-  let record_bt = Printexc.backtrace_status () in
-  t.workers <-
-    List.init (jobs - 1) (fun _ ->
-        Domain.spawn (fun () ->
-            Printexc.record_backtrace record_bt;
-            worker_loop t));
-  t
+  {
+    jobs;
+    mutex = Mutex.create ();
+    pending = Queue.create ();
+    wake = Condition.create ();
+    stopping = false;
+    workers = [];
+    record_bt = Printexc.backtrace_status ();
+  }
+
+(* The workers start with the first parallel map, not with the pool:
+   under OCaml 5.1 every minor collection is stop-the-world, and an idle
+   domain blocked in [Condition.wait] joins it only once its backup
+   thread is woken, so a process that never maps in parallel should not
+   carry one.  Called with [t.mutex] held, so two domains racing the
+   first map spawn them once; a stopped pool never spawns again and
+   answers [false] (its maps run on the caller).  The submitter works
+   too, so n jobs need n-1 spawned domains.  Fresh domains reset the
+   backtrace-recording flag to the OCAMLRUNPARAM default, so propagate
+   the creator's setting — task exceptions carry their original
+   backtrace (see [map]) only if the domain that ran them recorded
+   one. *)
+let start_workers t =
+  if t.workers = [] && not t.stopping then begin
+    t.workers <-
+      List.init (t.jobs - 1) (fun _ ->
+          Domain.spawn (fun () ->
+              Printexc.record_backtrace t.record_bt;
+              worker_loop t));
+    Spectr_obs.Counters.add c_spawned (t.jobs - 1)
+  end;
+  not t.stopping
 
 let jobs t = t.jobs
 
@@ -84,9 +96,9 @@ let shutdown t =
   Mutex.lock t.mutex;
   t.stopping <- true;
   Condition.broadcast t.wake;
-  Mutex.unlock t.mutex;
   let workers = t.workers in
   t.workers <- [];
+  Mutex.unlock t.mutex;
   List.iter Domain.join workers
 
 (* Run one application as a task of the pool in [me] (that pool's
@@ -115,11 +127,13 @@ let check_reentrant t =
    10k-element shard table never round-trips through a list. *)
 let map_array t f input =
   check_reentrant t;
-  if t.jobs = 1 || t.workers = [] || Array.length input = 0 then
-    Array.map (run_task (Some t) f) input
+  let n = Array.length input in
+  if
+    t.jobs = 1 || n < 2
+    || not (Mutex.protect t.mutex (fun () -> start_workers t))
+  then Array.map (run_task (Some t) f) input
   else begin
     Spectr_obs.Counters.incr c_maps;
-    let n = Array.length input in
     Spectr_obs.Counters.add c_tasks n;
     let me = Some t in
     let results = Array.make n None in
@@ -164,8 +178,10 @@ let map_array t f input =
   end
 
 let map t f xs =
-  check_reentrant t;
-  if t.jobs = 1 || t.workers = [] || xs = [] then
-    (* [List.map] evaluates head first, as the parallel path submits. *)
-    List.map (run_task (Some t) f) xs
-  else Array.to_list (map_array t f (Array.of_list xs))
+  match xs with
+  | _ :: _ :: _ when t.jobs > 1 ->
+      Array.to_list (map_array t f (Array.of_list xs))
+  | _ ->
+      check_reentrant t;
+      (* [List.map] evaluates head first, as the parallel path submits. *)
+      List.map (run_task (Some t) f) xs

@@ -124,8 +124,9 @@ let test_pool_backtrace_preserved () =
             (contains bt "test_exec"))
 
 let test_default_pool_two_domains () =
-  (* The default pool is created by whichever domain first asks for it;
-     two domains asking at the same instant must both get it (a plain
+  (* The default pool's record is created by whichever domain first asks
+     for it (its domains wait for the first parallel map); two domains
+     asking at the same instant must both get the one record (a plain
      [lazy] raised [CamlinternalLazy.Undefined] in the loser).  Nothing
      earlier in this suite touches the default pool. *)
   let arrived = Atomic.make 0 in
@@ -142,6 +143,84 @@ let test_default_pool_two_domains () =
   check_int "second domain sees the default size" (Pool.default_jobs ()) jb;
   check_bool "the pool works after the race" true
     (Parmap.map succ [ 1; 2; 3 ] = [ 2; 3; 4 ])
+
+(* Worker domains spawned while [f] runs, read from the
+   [pool.workers_spawned] counter with the observability layer on. *)
+let spawned_by f =
+  Fun.protect
+    ~finally:(fun () ->
+      Spectr_obs.disable ();
+      Spectr_obs.reset ())
+    (fun () ->
+      Spectr_obs.reset ();
+      Spectr_obs.enable ();
+      let r = f () in
+      (r, Option.get (Spectr_obs.Counters.by_name "pool.workers_spawned")))
+
+(* A pool spawns its workers with its first map of two or more tasks,
+   once: creating it, asking its size and mapping over fewer than two
+   elements spawn nothing. *)
+let test_pool_spawns_on_first_parallel_map () =
+  let pool = Pool.create ~jobs:4 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+      let small, n =
+        spawned_by (fun () ->
+            ( Pool.jobs pool,
+              Pool.map pool succ [],
+              Pool.map pool succ [ 7 ],
+              Pool.map_array pool succ [| 8 |] ))
+      in
+      check_int "no domain before a parallel map" 0 n;
+      check_bool "short maps answer on the caller" true
+        (small = (4, [], [ 8 ], [| 9 |]));
+      let xs = List.init 64 Fun.id in
+      let first, n = spawned_by (fun () -> Pool.map pool succ xs) in
+      check_int "the first parallel map spawns jobs - 1" 3 n;
+      check_bool "first map ordered" true (first = List.map succ xs);
+      let second, n =
+        spawned_by (fun () -> Pool.map_array pool succ (Array.of_list xs))
+      in
+      check_int "a second map spawns none" 0 n;
+      check_bool "second map ordered" true (second = Array.of_list first))
+
+(* Two domains racing the first map of one fresh 3-job pool spawn its 2
+   workers once between them, and each gets its own results in order. *)
+let test_pool_first_map_race () =
+  let pool = Pool.create ~jobs:3 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+      let arrived = Atomic.make 0 in
+      let race offset () =
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 do
+          Domain.cpu_relax ()
+        done;
+        Pool.map pool (fun x -> x + offset) (List.init 32 Fun.id)
+      in
+      let (a, b), n =
+        spawned_by (fun () ->
+            let da = Domain.spawn (race 0) and db = Domain.spawn (race 100) in
+            (Domain.join da, Domain.join db))
+      in
+      check_int "2 workers in total" 2 n;
+      check_bool "first racer ordered" true (a = List.init 32 Fun.id);
+      check_bool "second racer ordered" true
+        (b = List.init 32 (fun x -> x + 100)))
+
+(* A pool that has been shut down never spawns again: its maps run on
+   the caller and still answer in order. *)
+let test_pool_no_spawn_after_shutdown () =
+  let pool = Pool.create ~jobs:4 () in
+  Pool.shutdown pool;
+  let me = Domain.self () in
+  let (doms, ys), n =
+    spawned_by (fun () ->
+        ( Pool.map pool (fun _ -> Domain.self ()) [ 1; 2; 3; 4 ],
+          Pool.map_array pool succ [| 1; 2; 3 |] ))
+  in
+  check_int "no domain after shutdown" 0 n;
+  check_bool "every task ran on the caller" true
+    (List.for_all (fun d -> d = me) doms);
+  check_bool "results after shutdown" true (ys = [| 2; 3; 4 |])
 
 (* The domain-local marker behind the re-entrancy check is set for every
    task — list and array maps, the default pool, each job count — and
@@ -462,6 +541,12 @@ let () =
             test_pool_backtrace_preserved;
           Alcotest.test_case "default pool from two domains" `Quick
             test_default_pool_two_domains;
+          Alcotest.test_case "workers spawn on the first parallel map" `Quick
+            test_pool_spawns_on_first_parallel_map;
+          Alcotest.test_case "racing first maps spawn once" `Quick
+            test_pool_first_map_race;
+          Alcotest.test_case "no spawn after shutdown" `Quick
+            test_pool_no_spawn_after_shutdown;
           Alcotest.test_case "re-entrancy marker" `Quick test_reentrancy_marker;
           Alcotest.test_case "parmap combinators" `Quick
             test_parmap_combinators;

@@ -34,10 +34,9 @@ let check_string = Alcotest.(check string)
 (* ------------------------------------------------------------------ *)
 
 (* Bytes per iteration after the caller has warmed [f] to steady state,
-   counted in a closed window ({!Alloc.bytes}).  The window's own boxes
-   amortized over the iteration count stay far below the 1-byte
-   threshold, so "< 1.0 B/iter" distinguishes exactly-zero from any
-   real per-call allocation (the smallest possible box is 16 bytes). *)
+   counted in one window ({!Alloc.bytes}, which adds nothing of its
+   own), so "< 1.0 B/iter" distinguishes exactly-zero from any real
+   per-call allocation (the smallest possible box is 16 bytes). *)
 let bytes_per_iter iters f =
   snd (Alloc.bytes (fun () -> f iters)) /. float_of_int iters
 
@@ -149,14 +148,13 @@ let test_guarded_zero_alloc k () =
        per_iter)
     true (per_iter < 1.0)
 
-(* Minor-heap bytes per warm construction, from [Gc.minor_words]
-   (exact and deterministic; blocks too large for the minor heap go
-   straight to the major heap and are not counted).  Two calls first pay
-   the cold design flow and synthesis; the counted calls then hit every
-   process-wide memo.  A chip that boots into an already-designed fleet
-   pays for its own state (SoC, controllers, supervisor cursor, a few
-   closures), not for re-deriving its platform's identity, plant or
-   spec: at most 64 KiB per call. *)
+(* Bytes per warm construction, counted in one window ({!Alloc.bytes})
+   over 20 calls, blocks too large for the minor heap included.  Two
+   calls first pay the cold design flow and synthesis; the counted calls
+   then hit every process-wide memo.  A chip that boots into an
+   already-designed fleet pays for its own state (SoC, controllers,
+   supervisor cursor, a few closures), not for re-deriving its
+   platform's identity, plant or spec: at most 64 KiB per call. *)
 let test_warm_construction platform () =
   let tag = Platform_desc.name platform in
   List.iter
@@ -164,14 +162,13 @@ let test_warm_construction platform () =
       build ();
       build ();
       let reps = 20 in
-      let w0 = Gc.minor_words () in
-      for _ = 1 to reps do
-        build ()
-      done;
-      let bytes =
-        (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8)
-        /. float_of_int reps
+      let (), total =
+        Alloc.bytes (fun () ->
+            for _ = 1 to reps do
+              build ()
+            done)
       in
+      let bytes = total /. float_of_int reps in
       check_bool
         (Printf.sprintf "warm %s %s: %.0f B/call (budget 65536)" name tag bytes)
         true (bytes <= 65536.))
@@ -186,29 +183,27 @@ let test_warm_construction platform () =
                   ~workload:Benchmarks.x264 ())) );
     ]
 
-(* Minor-heap bytes of one cold Design_flow.identify: the 60 s
-   experiment, one-pass standardization, the ARX fit with each regressor
-   row written straight into Φ, and the realization — no validation
-   report (Design_flow.validation builds that on demand).  The least of
-   three fresh identifications under seeds no manager uses (identify is
-   memoized per seed).  Counted with [Gc.minor_words], like the
-   warm-construction gate: blocks too large for the minor heap (Φ, the
-   normal equations) are not counted, and a [Gc.allocated_bytes] window
-   saw only 68 KB of the 547 KB that per-entry regressors add.
-   big-2x2 read 338.5 KB when this gate went in, the budget 10 % above:
-   a memoized report (+3.8 MB), a regressor per entry of Φ (+548 KB), a
+(* Bytes of one cold Design_flow.identify: the 60 s experiment,
+   one-pass standardization, the ARX fit with each regressor row
+   written straight into Φ, and the realization — no validation report
+   (Design_flow.validation builds that on demand).  The least of three
+   fresh identifications under seeds no manager uses (identify is
+   memoized per seed), counted in one window ({!Alloc.bytes}) that
+   includes the blocks too large for the minor heap (Φ, the normal
+   equations: 188 936 B of big-2x2's 422 848 B).  Each budget is 10 %
+   above its reading.  Counted in the minor heap alone, big-2x2 read
+   338.5 KB when this gate went in: a memoized report (+3.8 MB), a
+   regressor per entry of Φ (+548 KB; 448 KB more in this window), a
    fresh regressor array per row (+156 KB) or a standardization that
    copies each column out and rebuilds the rows with [Array.mapi]
    (+787 KB) fails it.  large-10x10, with its ten knobs and ten sensors,
    is the input where an experiment loop that pays per knob or per
    sensor (a closure per channel, the per-core IPS copied once per
-   output) shows: 2111.0 KB when it joined, the budget 10 % above. *)
+   output) shows: 2 007 032 B. *)
 let test_cold_identify_bytes () =
   let bytes subsystem seed =
-    Gc.minor ();
-    let w0 = Gc.minor_words () in
-    ignore (Sys.opaque_identity (Spectr.Design_flow.identify ~seed subsystem));
-    (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8)
+    let identify () = Spectr.Design_flow.identify ~seed subsystem in
+    snd (Alloc.bytes (fun () -> ignore (Sys.opaque_identity (identify ()))))
   in
   List.iter
     (fun (subsystem, budget) ->
@@ -223,8 +218,8 @@ let test_cold_identify_bytes () =
            least budget)
         true (least <= budget))
     [
-      (Spectr.Design_flow.Big_2x2, 338.5e3 *. 1.10);
-      (Spectr.Design_flow.Large_10x10, 2111.0e3 *. 1.10);
+      (Spectr.Design_flow.Big_2x2, 422.9e3 *. 1.10);
+      (Spectr.Design_flow.Large_10x10, 2007.1e3 *. 1.10);
     ]
 
 (* Bytes of one big-2x2 Design_flow.validation, counted in a closed
@@ -322,8 +317,9 @@ let test_trace_csv_bytes () =
        bytes (String.length csv) budget)
     true (bytes <= budget)
 
-(* Mean minor-heap bytes per Manager.step over the default seed-42 x264
-   scenario, one row per manager.step.bytes.* cell of the perf bench.  A
+(* Mean bytes per Manager.step over the default seed-42 x264 scenario,
+   one window ({!Alloc.bytes}) per call, one row per
+   manager.step.bytes.* cell of the perf bench.  A
    ratchet toward an allocation-free closed loop: each ceiling is what
    the step read when this gate went in, so a change may lower it and
    none may raise it.  SISO's fell from 425.98 when its PID loops
@@ -340,18 +336,18 @@ let test_manager_step_bytes () =
   List.iter
     (fun (label, platform, make, ceiling) ->
       let manager = make () in
-      let words = ref 0 and steps = ref 0 in
+      let bytes = ref 0. and steps = ref 0 in
       let step ~now ~qos_ref ~envelope ~obs soc =
-        let w0 = Gc.minor_words () in
-        manager.Spectr.Manager.step ~now ~qos_ref ~envelope ~obs soc;
-        words := !words + int_of_float (Gc.minor_words () -. w0);
+        let (), b =
+          Alloc.bytes (fun () ->
+              manager.Spectr.Manager.step ~now ~qos_ref ~envelope ~obs soc)
+        in
+        bytes := !bytes +. b;
         incr steps
       in
       let cfg = Spectr.Scenario.default_config ~seed:42L ~platform Benchmarks.x264 in
       ignore (Spectr.Scenario.run ~manager:{ manager with step } cfg : Trace.t);
-      let per_step =
-        float_of_int (!words * (Sys.word_size / 8)) /. float_of_int !steps
-      in
+      let per_step = !bytes /. float_of_int !steps in
       check_bool
         (Printf.sprintf "%s: %.2f B/step (ceiling %.2f)" label per_step ceiling)
         true (per_step <= ceiling))
@@ -374,13 +370,14 @@ let test_manager_step_bytes () =
       ]
 
 (* Mean bytes per Node.tick after the boot warm-up under a 3 W cap,
-   counted in a closed window ({!Alloc.bytes}) over 2000 ticks: the
+   counted in one window ({!Alloc.bytes}) over 2000 ticks: the
    fleet's half of the closed loop ({!Spectr.Scenario.close_loop}) plus
    the node's epoch accounting.  A ratchet like the Manager.step one:
    each ceiling is the reading after the last change that lowered it,
    rounded up to the hundredth.  The heartbeat monitor's per-tick form
-   ({!Spectr_platform.Heartbeats.observe}) took 64 B off every row, and
-   the managers' flat actuation 96-144 B more. *)
+   ({!Spectr_platform.Heartbeats.observe}) took 64 B off every row, the
+   managers' flat actuation 96-144 B more, and a window that stopped
+   counting its own 96 B of float boxes 0.05 B. *)
 let test_node_tick_bytes () =
   let ticks = 2000 in
   List.iter
@@ -401,9 +398,9 @@ let test_node_tick_bytes () =
         (Printf.sprintf "%s: %.2f B/tick (ceiling %.2f)" label per_tick ceiling)
         true (per_tick <= ceiling))
     [
-      ("exynos5422", Platform_desc.exynos5422, false, 105.16);
-      ("pixel8pro", Platform_desc.pixel8pro, false, 104.93);
-      ("SPECTR+R", Platform_desc.exynos5422, true, 169.16);
+      ("exynos5422", Platform_desc.exynos5422, false, 105.12);
+      ("pixel8pro", Platform_desc.pixel8pro, false, 104.88);
+      ("SPECTR+R", Platform_desc.exynos5422, true, 169.12);
     ]
 
 (* The fleet's epoch-boundary calls, counted in closed windows
@@ -574,12 +571,11 @@ let test_chip_promotion () =
           ("SPECTR+R spiked", true, spiked, Spectr_r, 0.09);
         ])
 
-(* Minor-heap bytes per faulted, monitored chaos tick: [Scenario.tick],
-   the manager's step inside it, then [Invariants.check], with every
-   fault kind active in turn ([every_fault_kind]), for every variant.
-   Counted with [Gc.minor_words] around each call (a closed
-   [Gc.allocated_bytes] window misses short-lived minor allocation under
-   OCaml 5.1), over the second of two identical runs: the first warms
+(* Bytes per faulted, monitored chaos tick: [Scenario.tick], the
+   manager's step inside it, then [Invariants.check], with every fault
+   kind active in turn ([every_fault_kind]), for every variant.  Counted
+   in one window ({!Alloc.bytes}) around each call, over the second of
+   two identical runs: the first warms
    every memo and the synthesis cache that a permanent fault's
    re-synthesis hits.  Each ceiling is the reading once every manager
    actuated from flat arrays, 10 % above, rounded up to the hundredth;
@@ -605,7 +601,6 @@ let test_faulted_tick_bytes () =
           base.Spectr.Scenario.phases;
     }
   in
-  let bytes words = float_of_int (words * (Sys.word_size / 8)) in
   List.iter
     (fun (v, ceiling) ->
       let run () =
@@ -614,7 +609,7 @@ let test_faulted_tick_bytes () =
         in
         let runner = Spectr.Scenario.start config in
         let monitor = Spectr_chaos.Invariants.create ~config () in
-        let tick_words = ref 0 and passing_words = ref 0 and ticks = ref 0 in
+        let tick_bytes = ref 0. and passing_bytes = ref 0. and ticks = ref 0 in
         let sup () =
           match handle with
           | Some h -> Some (Spectr.Spectr_manager.Reconfig.supervisor h)
@@ -625,23 +620,23 @@ let test_faulted_tick_bytes () =
           let findings =
             List.length (Spectr_chaos.Invariants.violations monitor)
           in
-          let w0 = Gc.minor_words () in
-          match Spectr.Scenario.tick runner ~manager with
-          | None -> ()
-          | Some obs ->
-              let w1 = Gc.minor_words () in
-              Spectr_chaos.Invariants.check monitor ~runner ~sup ~obs;
-              let w2 = Gc.minor_words () in
-              tick_words := !tick_words + int_of_float (w2 -. w0);
+          match Alloc.bytes (fun () -> Spectr.Scenario.tick runner ~manager) with
+          | None, _ -> ()
+          | Some obs, step ->
+              let (), check =
+                Alloc.bytes (fun () ->
+                    Spectr_chaos.Invariants.check monitor ~runner ~sup ~obs)
+              in
+              tick_bytes := !tick_bytes +. step +. check;
               if
                 List.length (Spectr_chaos.Invariants.violations monitor)
                 = findings
-              then passing_words := !passing_words + int_of_float (w2 -. w1);
+              then passing_bytes := !passing_bytes +. check;
               incr ticks;
               go ()
         in
         go ();
-        (bytes !tick_words /. float_of_int !ticks, bytes !passing_words)
+        (!tick_bytes /. float_of_int !ticks, !passing_bytes)
       in
       ignore (run ());
       let per_tick, passing = run () in
